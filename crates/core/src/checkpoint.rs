@@ -510,10 +510,10 @@ impl CheckpointState {
     }
 
     /// [`validate_against`] for callers that already know the input's
-    /// dimensions and fingerprint without holding the matrix — the
-    /// out-of-core driver validates against the tile-store manifest
-    /// (whose fingerprint was streamed at import time) instead of
-    /// re-reading every chunk just to hash it.
+    /// dimensions and fingerprint without holding the matrix — what the
+    /// slab driver calls: a store source is validated against its
+    /// manifest (whose fingerprint was streamed at import time) instead
+    /// of re-reading every chunk just to hash it.
     ///
     /// [`validate_against`]: CheckpointState::validate_against
     #[allow(clippy::too_many_arguments)]

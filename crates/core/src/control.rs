@@ -1,8 +1,9 @@
 //! Run control: cancellation tokens, deadlines and checkpoint plans for
 //! the `_with` driver entry points.
 //!
-//! A [`RunControl`] bundles the three interruption concerns the fused
-//! pipeline honors **between slabs** (never mid-kernel):
+//! A [`RunControl`] bundles the three interruption concerns the slab
+//! driver honors **between slabs** (never mid-kernel), whatever the
+//! source and sink of the run:
 //!
 //! * a shared [`CancelToken`] — trip it from a signal handler, a service
 //!   request scope, or a test, and the dynamic scheduler stops handing
@@ -118,9 +119,9 @@ impl<'a> RunControl<'a> {
     }
 
     /// Attaches a checkpoint plan (periodic persistence + optional
-    /// resume). Only the packed-matrix driver supports checkpointing —
-    /// the streaming drivers hand slabs to the caller instead of keeping
-    /// them, so there is nothing for the engine to persist.
+    /// resume). Only the packed-matrix sink supports checkpointing —
+    /// the row and tile visitors hand slabs to the caller instead of
+    /// keeping them, so there is nothing for the engine to persist.
     pub fn with_checkpoint(mut self, plan: CheckpointPlan<'a>) -> Self {
         self.checkpoint = Some(plan);
         self

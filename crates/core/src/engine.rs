@@ -1,17 +1,15 @@
-//! The [`LdEngine`]: configuration + matrix-level drivers.
+//! The [`LdEngine`]: configuration, budgeting, and the entry points —
+//! each all-pairs form is "validate, build a `(source, sink)`, call
+//! [`crate::driver`]'s `run`".
 
-use crate::checkpoint::{matrix_fingerprint, CheckpointState, SlabRecord};
+use crate::checkpoint::CheckpointState;
 use crate::control::RunControl;
-use crate::error::{
-    checked_add, checked_mul, checked_triangle_len, try_zeroed_vec, LdError, MemoryBudget,
-};
-use crate::fused::{
-    packed_row_offset, resolved_kernel_name, try_stat_packed_fused, try_stat_rows_fused,
-    FusedConfig, RowSlabVisit, SyncSlice, Transform,
-};
+use crate::driver::{self, Config, Grid, Sink};
+use crate::error::{checked_add, checked_mul, try_zeroed_vec, LdError, MemoryBudget};
+use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
-use crate::outofcore::{try_stat_outofcore, SlabSink};
 use crate::shard::{plan_shards, SlabRange};
+use crate::source::{memory_footprint, store_footprint, Source};
 use crate::stats::{ld_pair_from_counts, stat_from_counts, LdPair, LdStats, NanPolicy};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{BitMatrix, BitMatrixView};
@@ -32,14 +30,17 @@ use ld_popcount::and_popcount;
 ///
 /// # Memory model
 ///
-/// The all-pairs drivers ([`LdEngine::stat_matrix`] and friends) run the
-/// *fused* counts→statistic pipeline: workers walk the upper triangle in
-/// bounded row slabs, so transient memory is
+/// The all-pairs entry points ([`LdEngine::stat_matrix`] and friends) all
+/// run the one slab driver ([`crate::driver`]): workers walk the upper
+/// triangle in bounded row slabs, so transient memory is
 /// `O(threads × slab × n)` u32 (see [`LdEngine::slab_rows`]) on top of the
 /// `n(n+1)/2 × f64` packed result — never the `n × n` u32 counts matrix of
 /// the classical two-pass formulation. When even the packed triangle is too
 /// large, stream with [`LdEngine::stat_rows`] or
-/// [`LdEngine::for_each_tile`] instead.
+/// [`LdEngine::for_each_tile`] instead; when the genotype matrix itself is
+/// too large, run the same entry points from a tile store
+/// ([`Source::Store`]), whose working set is one slab panel plus two
+/// chunks whatever the thread count.
 #[derive(Clone, Debug)]
 pub struct LdEngine {
     pub(crate) kind: KernelKind,
@@ -57,7 +58,7 @@ impl Default for LdEngine {
     }
 }
 
-/// Default row-slab height for the fused pipeline: tall enough to amortize
+/// Default row-slab height of the slab driver: tall enough to amortize
 /// the SYRK rank-k setup per slab, small enough that per-worker scratch
 /// (`slab × n × 4` bytes) stays cache-friendly for typical panel sizes.
 pub(crate) const DEFAULT_SLAB_ROWS: usize = 64;
@@ -119,11 +120,12 @@ impl LdEngine {
         self
     }
 
-    /// Caps the transient memory of the fused pipeline (see
-    /// [`MemoryBudget`]). The `try_` drivers shrink the slab height to fit
-    /// the cap before failing with [`LdError::BudgetExceeded`]; results
-    /// are bit-exact regardless of slab height. The infallible drivers
-    /// honor the budget too (they panic where the `try_` form errors).
+    /// Caps the transient memory of a run (see [`MemoryBudget`]), priced
+    /// by the run's source ([`LdEngine::slab_for`]). The `try_` entry
+    /// points shrink the slab height to fit the cap before failing with
+    /// [`LdError::BudgetExceeded`]; results are bit-exact regardless of
+    /// slab height. The infallible forms honor the budget too (they panic
+    /// where the `try_` form errors).
     pub fn memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.budget = budget;
         self
@@ -134,12 +136,13 @@ impl LdEngine {
         self.budget
     }
 
-    /// Sets the row-slab height of the fused pipeline (clamped to ≥ 1).
+    /// Sets the row-slab height of the slab driver (clamped to ≥ 1).
     ///
-    /// Each worker owns one scratch buffer of `slab × n_snps` u32 (plus the
-    /// same in f64 for the streaming drivers), so peak transient memory is
-    /// `threads × slab × n_snps × 4` bytes. Larger slabs amortize more SYRK
-    /// setup per grab; smaller slabs bound memory and load-balance better.
+    /// From an in-memory matrix each worker owns one scratch buffer of
+    /// `slab × n_snps` u32 (plus the same in f64 for the row and tile
+    /// visitors), so peak transient memory is `threads × slab × n_snps × 4`
+    /// bytes. Larger slabs amortize more SYRK setup per grab; smaller slabs
+    /// bound memory and load-balance better.
     pub fn slab_rows(mut self, rows: usize) -> Self {
         self.slab = rows.max(1);
         self
@@ -147,8 +150,9 @@ impl LdEngine {
 
     /// Sets the scheduler chunk size in **slabs** (clamped to ≥ 1).
     ///
-    /// The fused pipeline's dynamic scheduler hands each worker
-    /// `chunk_slabs` consecutive slabs per claim. The default of 1
+    /// The slab driver's dynamic scheduler hands each worker
+    /// `chunk_slabs` consecutive slabs per claim (in-memory sources; a
+    /// store source runs one slab at a time). The default of 1
     /// reproduces the one-claim-per-slab schedule; larger chunks
     /// amortize scheduling overhead at some cost in load balance (the
     /// autotuner sweeps this). Per-worker scratch stays `slab × n` —
@@ -183,18 +187,6 @@ impl LdEngine {
     /// The configured cache-blocking parameters.
     pub fn block_sizes(&self) -> BlockSizes {
         self.blocks
-    }
-
-    /// Bundles the fused-pipeline parameters.
-    pub(crate) fn fused_config(&self) -> FusedConfig {
-        FusedConfig {
-            kind: self.kind,
-            blocks: self.blocks,
-            threads: self.threads,
-            policy: self.policy,
-            slab: self.slab,
-            chunk: self.chunk,
-        }
     }
 
     /// Validates the configured [`BlockSizes`] against the kernel's
@@ -241,29 +233,41 @@ impl LdEngine {
         Ok(c)
     }
 
-    /// Shrinks the configured slab height to fit the memory budget, given
-    /// the fixed footprint `fixed` (output + tables, bytes) and the
-    /// per-slab-row scratch cost `threads × n × per_elem` bytes. Errors
-    /// with [`LdError::BudgetExceeded`] only when even one row over-runs.
-    fn budgeted_slab(&self, n: usize, fixed: usize, per_elem: usize) -> Result<usize, LdError> {
-        let want = self.slab.max(1).min(n.max(1));
+    /// The one budget shrink: the slab height for an `n`-SNP run whose
+    /// source models its footprint as `fixed + per_row × slab` bytes
+    /// ([`Source::footprint`]) — the configured height, shrunk to
+    /// `⌊(budget − fixed) / per_row⌋`, and [`LdError::BudgetExceeded`] only
+    /// when even one row over-runs. A tile run pins the height to the tile
+    /// side (`tile`) and pays for its mirror buffer: verified, not shrunk.
+    fn fit_slab(
+        &self,
+        n: usize,
+        (fixed, per_row): (usize, usize),
+        tile: Option<usize>,
+    ) -> Result<usize, LdError> {
+        let want = tile.unwrap_or(self.slab).max(1).min(n.max(1));
+        let (fixed, floor) = match tile {
+            Some(_) => {
+                let buf = checked_mul(checked_mul(want, want, "tile buffer")?, 8, "tile buffer")?;
+                (checked_add(fixed, buf, "fixed footprint")?, want)
+            }
+            None => (fixed, 1),
+        };
         let Some(limit) = self.budget.limit() else {
             return Ok(want);
         };
-        let per_row = checked_mul(
-            checked_mul(self.threads.max(1), n.max(1), "slab scratch bytes")?,
-            per_elem,
-            "slab scratch bytes",
+        let required = checked_add(
+            fixed,
+            checked_mul(per_row, floor, "slab scratch bytes")?,
+            "minimum footprint",
         )?;
-        let min_required = checked_add(fixed, per_row, "minimum footprint")?;
-        if min_required > limit {
+        if required > limit {
             return Err(LdError::BudgetExceeded {
-                required: min_required,
+                required,
                 budget: limit,
             });
         }
-        let fit = (limit - fixed) / per_row.max(1);
-        let got = want.min(fit.max(1));
+        let got = want.min(((limit - fixed) / per_row.max(1)).max(1));
         if got < want {
             // Budget forced the slab below the configured height — a
             // deterministic event worth counting: results stay bit-exact
@@ -274,18 +278,57 @@ impl LdEngine {
         Ok(got)
     }
 
-    /// Fixed (slab-independent) footprint of a fused run over `n` SNPs:
-    /// optional packed output (`8·n(n+1)/2`) plus the transform tables
-    /// (≤ `20n`: u32 diag + two f64 tables).
-    fn fixed_footprint(n: usize, with_packed_output: bool) -> Result<usize, LdError> {
-        let tables = checked_mul(n, 20, "transform tables bytes")?;
-        if with_packed_output {
-            let tri = checked_triangle_len(n)?;
-            let out = checked_mul(tri, 8, "packed output bytes")?;
-            checked_add(out, tables, "fixed footprint bytes")
-        } else {
-            Ok(tables)
+    /// Validation and budgeting shared by every slab-driver entry point;
+    /// `None` when the panel has no SNPs (nothing to compute). `packed`
+    /// names the sink (its triangle is part of the footprint).
+    fn plan(
+        &self,
+        src: &Source<'_>,
+        packed: bool,
+        tile: Option<usize>,
+    ) -> Result<Option<Config>, LdError> {
+        self.validate_blocks()?;
+        // overflow before emptiness: a size that cannot be represented is
+        // reported even when the sample set is also degenerate
+        let model = src.footprint(self.threads, packed)?;
+        if src.n_snps() == 0 {
+            return Ok(None);
         }
+        if src.n_samples() == 0 {
+            return Err(LdError::EmptyInput);
+        }
+        Ok(Some(Config {
+            kind: self.kind,
+            blocks: self.blocks,
+            threads: self.threads,
+            policy: self.policy,
+            slab: self.fit_slab(src.n_snps(), model, tile)?,
+            chunk: self.chunk,
+        }))
+    }
+
+    /// The packed sink: plan, allocate the triangle, run. Also returns the
+    /// slab height used, for callers that lift slabs back out.
+    fn run_packed(
+        &self,
+        src: &Source<'_>,
+        stat: LdStats,
+        ctl: &RunControl<'_>,
+    ) -> Result<(LdMatrix, usize), LdError> {
+        let Some(cfg) = self.plan(src, true, None)? else {
+            return Ok((LdMatrix::try_zeros(0)?, 1));
+        };
+        // Materializing the packed output (a zeroed n(n+1)/2 f64 triangle)
+        // is part of producing the statistic layer; charging it to
+        // `transform_ns` keeps the profile's layer sum honest about where
+        // the compute region's time actually goes.
+        let span = ld_trace::recorder::Span::begin(ld_trace::recorder::SpanKind::Alloc);
+        let sw = ld_trace::Stopwatch::start();
+        let mut out = LdMatrix::try_zeros(src.n_snps())?;
+        ld_trace::add(ld_trace::Counter::TransformNs, sw.elapsed_ns());
+        span.end((out.packed().len() * 8) as u64);
+        driver::run(src, stat, &cfg, Sink::Packed(out.packed_mut()), ctl)?;
+        Ok((out, cfg.slab))
     }
 
     /// All-pairs statistic matrix (triangle-packed).
@@ -297,9 +340,9 @@ impl LdEngine {
     /// workers then grab bounded row slabs of the upper triangle, compute
     /// each slab's counts into per-thread scratch, and transform them into
     /// the packed output while still cache-hot. No `n × n` counts matrix is
-    /// ever materialized and no mirror pass runs (see [`crate::fused`]).
+    /// ever materialized and no mirror pass runs (see [`crate::driver`]).
     pub fn stat_matrix<'a>(&self, g: impl Into<BitMatrixView<'a>>, stat: LdStats) -> LdMatrix {
-        match self.try_stat_matrix(g, stat) {
+        match self.try_stat_matrix(g.into(), stat) {
             Ok(m) => m,
             Err(e) => panic!("{e}"),
         }
@@ -321,17 +364,21 @@ impl LdEngine {
     ///   [`LdError::Worker`] with the payload message preserved.
     pub fn try_stat_matrix<'a>(
         &self,
-        g: impl Into<BitMatrixView<'a>>,
+        src: impl Into<Source<'a>>,
         stat: LdStats,
     ) -> Result<LdMatrix, LdError> {
-        self.try_stat_matrix_with(g, stat, &RunControl::new())
+        self.try_stat_matrix_with(src, stat, &RunControl::new())
     }
 
-    /// [`LdEngine::try_stat_matrix`] under a [`RunControl`]: the run honors
-    /// a shared [`crate::CancelToken`], a monotonic [`crate::Deadline`] and
-    /// an optional [`crate::CheckpointPlan`], all at **slab granularity** —
-    /// the micro-kernel loops are never polled, so an inert control is
-    /// exactly as fast as the plain form.
+    /// [`LdEngine::try_stat_matrix`] under a [`RunControl`], from either
+    /// [`Source`] (a matrix or view converts into the memory source): the
+    /// run honors a shared [`crate::CancelToken`], a monotonic
+    /// [`crate::Deadline`] and an optional [`crate::CheckpointPlan`], all at
+    /// **slab granularity** — the micro-kernel loops are never polled, so an
+    /// inert control is exactly as fast as the plain form. The packed
+    /// triangle is **bit-identical** across sources, chunk sizes, slab
+    /// heights and thread counts, and a checkpoint written from one source
+    /// resumes on the other.
     ///
     /// * A token trip or deadline expiry drains the worker team at the next
     ///   slab boundary and returns [`LdError::Cancelled`] with the
@@ -340,8 +387,9 @@ impl LdEngine {
     /// * A checkpoint plan persists completed slabs every `K` slabs /
     ///   `T` seconds; [`crate::CheckpointPlan::resume_from`] validates the
     ///   stored header against this input + configuration, replays the
-    ///   completed slabs, and recomputes only the rest — the resumed
-    ///   triangle is **bit-identical** to an uninterrupted run.
+    ///   completed slabs (a store source does not re-read their chunks),
+    ///   and recomputes only the rest — the resumed triangle is
+    ///   **bit-identical** to an uninterrupted run.
     /// * A shard range ([`RunControl::with_shard`]) restricts the run to
     ///   one contiguous range of row slabs: only those slabs are
     ///   computed, checkpointed and counted; out-of-shard triangle
@@ -349,61 +397,68 @@ impl LdEngine {
     ///   the shard's spans in the merge-ready interchange form.
     pub fn try_stat_matrix_with<'a>(
         &self,
-        g: impl Into<BitMatrixView<'a>>,
+        src: impl Into<Source<'a>>,
         stat: LdStats,
         ctl: &RunControl<'_>,
     ) -> Result<LdMatrix, LdError> {
-        self.validate_blocks()?;
-        let v: BitMatrixView<'a> = g.into();
-        let n = v.n_snps();
-        // overflow before emptiness: a size that cannot be represented is
-        // reported even when the sample set is also degenerate
-        let fixed = Self::fixed_footprint(n, true)?;
-        if v.n_samples() == 0 {
-            return Err(LdError::EmptyInput);
-        }
-        if n == 0 {
-            return LdMatrix::try_zeros(0);
-        }
-        let slab = self.budgeted_slab(n, fixed, 4)?;
-        // Materializing the packed output (a zeroed n(n+1)/2 f64 triangle)
-        // is part of producing the statistic layer; charging it to
-        // `transform_ns` keeps the profile's layer sum honest about where
-        // the compute region's time actually goes.
-        let span = ld_trace::recorder::Span::begin(ld_trace::recorder::SpanKind::Alloc);
-        let sw = ld_trace::Stopwatch::start();
-        let mut out = LdMatrix::try_zeros(n)?;
-        ld_trace::add(ld_trace::Counter::TransformNs, sw.elapsed_ns());
-        span.end((n * (n + 1) / 2 * 8) as u64);
-        let cfg = FusedConfig {
-            slab,
-            ..self.fused_config()
-        };
-        try_stat_packed_fused(&v, stat, &cfg, out.packed_mut(), ctl)?;
-        Ok(out)
+        Ok(self.run_packed(&src.into(), stat, ctl)?.0)
     }
 
-    /// The slab height the packed driver will actually use for an
-    /// `n_snps`-row input after memory budgeting — the slab grid every
-    /// shard plan and shard range must be built on. Shard processes must
-    /// run with identical engine configuration so this value agrees
-    /// across them; the checkpoint header records it, and the merge
-    /// rejects inputs whose grids disagree.
-    pub fn packed_slab_for(&self, n_snps: usize) -> Result<usize, LdError> {
-        let fixed = Self::fixed_footprint(n_snps, true)?;
-        self.budgeted_slab(n_snps, fixed, 4)
+    /// [`LdEngine::try_stat_matrix_with`] over [`Source::Store`].
+    pub fn try_stat_matrix_outofcore_with(
+        &self,
+        src: &dyn TileSource,
+        stat: LdStats,
+        ctl: &RunControl<'_>,
+    ) -> Result<LdMatrix, LdError> {
+        self.try_stat_matrix_with(Source::Store(src), stat, ctl)
     }
 
-    /// A work-balanced contiguous shard plan over the packed driver's
-    /// slab grid: `[0, ⌈n_snps/slab⌉)` cut into `n_shards` ranges holding
-    /// roughly equal numbers of *pair values* (see
-    /// [`crate::shard::plan_shards`]). Feed each range to
+    /// The slab height a run over `src` will actually use after memory
+    /// budgeting, for the packed (`true`) or row (`false`) sink — the slab
+    /// grid every shard plan, shard range and checkpoint resume of that
+    /// run is built on. The budget model is the source's own, so a
+    /// binding budget may give the two sources different grids for the
+    /// same data (with no budget they share one grid, and their
+    /// checkpoints interoperate). Shard processes must run with identical
+    /// engine configuration so this value agrees across them; the
+    /// checkpoint header records it, and the merge rejects inputs whose
+    /// grids disagree.
+    pub fn slab_for(&self, src: &Source<'_>, packed: bool) -> Result<usize, LdError> {
+        self.fit_slab(src.n_snps(), src.footprint(self.threads, packed)?, None)
+    }
+
+    /// [`LdEngine::slab_for`] a store from its manifest alone.
+    pub fn outofcore_slab_for(
+        &self,
+        meta: &TileStoreMeta,
+        with_packed_output: bool,
+    ) -> Result<usize, LdError> {
+        let model = store_footprint(meta, with_packed_output)?;
+        self.fit_slab(meta.n_snps, model, None)
+    }
+
+    /// A work-balanced contiguous shard plan over the slab grid a packed
+    /// run of `src` uses ([`LdEngine::slab_for`]): `[0, ⌈n_snps/slab⌉)`
+    /// cut into `n_shards` ranges holding roughly equal numbers of *pair
+    /// values* (see [`crate::shard::plan_shards`]). Feed each range to
     /// [`RunControl::with_shard`] + [`LdEngine::try_stat_shard_with`] in
     /// its own process, then stitch the outputs with
     /// [`crate::shard::merge_shard_states`].
+    pub fn shard_plan_from(
+        &self,
+        src: &Source<'_>,
+        n_shards: usize,
+    ) -> Result<Vec<SlabRange>, LdError> {
+        plan_shards(src.n_snps(), self.slab_for(src, true)?, n_shards)
+    }
+
+    /// [`LdEngine::shard_plan_from`] an in-memory matrix of `n_snps`
+    /// SNPs, without the matrix in hand (the memory source's budget model
+    /// depends only on `n_snps`).
     pub fn shard_plan(&self, n_snps: usize, n_shards: usize) -> Result<Vec<SlabRange>, LdError> {
-        let slab = self.packed_slab_for(n_snps)?;
-        plan_shards(n_snps, slab, n_shards)
+        let model = memory_footprint(n_snps, self.threads, true)?;
+        plan_shards(n_snps, self.fit_slab(n_snps, model, None)?, n_shards)
     }
 
     /// Computes one shard of the all-pairs statistic and returns it in
@@ -413,289 +468,47 @@ impl LdEngine {
     /// name, so merges can validate every input). Requires
     /// [`RunControl::with_shard`]; checkpointing/resume/cancellation
     /// behave as in [`LdEngine::try_stat_matrix_with`], scoped to the
-    /// shard's slabs.
+    /// shard's slabs. A store's manifest fingerprint equals the in-memory
+    /// matrix fingerprint of the same data, so shards computed from the
+    /// store and from RAM merge interchangeably when the slab grids agree.
     pub fn try_stat_shard_with<'a>(
         &self,
-        g: impl Into<BitMatrixView<'a>>,
+        src: impl Into<Source<'a>>,
         stat: LdStats,
         ctl: &RunControl<'_>,
     ) -> Result<CheckpointState, LdError> {
-        let Some(range) = ctl.shard() else {
+        let src = src.into();
+        if ctl.shard().is_none() || src.n_snps() == 0 {
             return Err(LdError::InvalidConfig {
-                message: "try_stat_shard_with requires a shard range (RunControl::with_shard)",
-            });
-        };
-        let v: BitMatrixView<'a> = g.into();
-        let n = v.n_snps();
-        if n == 0 {
-            return Err(LdError::InvalidConfig {
-                message: "cannot shard an empty matrix",
+                message: "a shard run needs a shard range (RunControl::with_shard) \
+                          and a non-empty panel",
             });
         }
-        let m = self.try_stat_matrix_with(v, stat, ctl)?;
-        // Recompute the grid the driver used (same budgeting path) and
-        // lift the shard's slabs out of the packed triangle.
-        let slab = self.packed_slab_for(n)?;
-        let n_slabs = n.div_ceil(slab);
-        let kernel = resolved_kernel_name(self.kind)?;
-        let mut records = Vec::with_capacity(range.len());
-        for k in range.start..range.end {
-            let (r0, r1) = (k * slab, ((k + 1) * slab).min(n));
-            let off = packed_row_offset(n, r0);
-            let len = packed_row_offset(n, r1) - off;
-            records.push(SlabRecord {
-                index: k as u64,
-                start_row: r0 as u64,
-                end_row: r1 as u64,
-                values: m.packed()[off..off + len].to_vec(),
-            });
-        }
-        Ok(CheckpointState {
-            stat,
-            policy: self.policy,
-            n_snps: n as u64,
-            n_samples: v.n_samples() as u64,
-            matrix_hash: matrix_fingerprint(&v),
-            slab: slab as u64,
-            n_slabs: n_slabs as u64,
-            kernel: kernel.to_owned(),
-            records,
-        })
+        let (m, slab) = self.run_packed(&src, stat, ctl)?;
+        // Lift the shard's slabs out of the packed triangle, on the grid
+        // the driver used.
+        let grid = Grid::new(src.n_snps(), slab, ctl.shard())?;
+        let mut state = driver::header(&src, stat, self.policy, self.kind, &grid)?;
+        state.records = (grid.lo..grid.hi)
+            .map(|k| grid.record(k, &m.packed()[grid.span(k)]))
+            .collect();
+        Ok(state)
     }
 
-    /// Like [`LdEngine::budgeted_slab`], but for the out-of-core driver,
-    /// whose per-slab-row cost `per_row` is given directly in bytes and is
-    /// **not** scaled by the thread count (the streamed GEMM threads
-    /// internally over one shared counts block — extra threads add no
-    /// buffers).
-    fn budgeted_slab_units(
-        &self,
-        n: usize,
-        fixed: usize,
-        per_row: usize,
-    ) -> Result<usize, LdError> {
-        let want = self.slab.max(1).min(n.max(1));
-        let Some(limit) = self.budget.limit() else {
-            return Ok(want);
-        };
-        let min_required = checked_add(fixed, per_row, "minimum footprint")?;
-        if min_required > limit {
-            return Err(LdError::BudgetExceeded {
-                required: min_required,
-                budget: limit,
-            });
-        }
-        let fit = (limit - fixed) / per_row.max(1);
-        let got = want.min(fit.max(1));
-        if got < want {
-            ld_trace::add(ld_trace::Counter::BudgetShrinks, 1);
-        }
-        Ok(got)
-    }
-
-    /// The out-of-core memory model: `(fixed, per_slab_row)` bytes for a
-    /// run streamed from `meta`'s store. Fixed covers the transform tables
-    /// (and optionally the packed triangle) plus four chunk-sized buffers
-    /// (compute + in-flight double buffer, and the A-panel's chunk-
-    /// alignment slack); each slab row adds one panel row of packed words
-    /// and one u32 row of the block-counts scratch (plus one f64 output
-    /// row of width `n` for the streaming form).
-    fn outofcore_footprint(
-        meta: &TileStoreMeta,
-        with_packed_output: bool,
-    ) -> Result<(usize, usize), LdError> {
-        let n = meta.n_snps;
-        let chunk = meta.chunk_snps.min(n.max(1));
-        let chunk_bytes = checked_mul(
-            checked_mul(chunk, meta.words_per_snp, "chunk bytes")?,
-            8,
-            "chunk bytes",
-        )?;
-        let fixed = checked_add(
-            Self::fixed_footprint(n, with_packed_output)?,
-            checked_mul(chunk_bytes, 4, "chunk buffer bytes")?,
-            "fixed footprint bytes",
-        )?;
-        let mut per_row = checked_add(
-            checked_mul(meta.words_per_snp, 8, "panel row bytes")?,
-            checked_mul(chunk, 4, "block counts row bytes")?,
-            "slab row bytes",
-        )?;
-        if !with_packed_output {
-            per_row = checked_add(
-                per_row,
-                checked_mul(n.max(1), 8, "slab values row bytes")?,
-                "slab row bytes",
-            )?;
-        }
-        Ok((fixed, per_row))
-    }
-
-    /// The slab height the out-of-core driver will use for a store with
-    /// this geometry after memory budgeting — the slab grid out-of-core
-    /// shard ranges and checkpoint resumes are built on. With no budget
-    /// configured it equals [`LdEngine::packed_slab_for`]'s answer, so
-    /// in-memory and streamed runs of the same configuration share one
-    /// grid (and their checkpoints interoperate).
-    pub fn outofcore_slab_for(
-        &self,
-        meta: &TileStoreMeta,
-        with_packed_output: bool,
-    ) -> Result<usize, LdError> {
-        let (fixed, per_row) = Self::outofcore_footprint(meta, with_packed_output)?;
-        self.budgeted_slab_units(meta.n_snps, fixed, per_row)
-    }
-
-    /// [`LdEngine::try_stat_matrix_with`], streamed from a chunked tile
-    /// store instead of an in-memory matrix: the genotype panel is loaded
-    /// slab-by-slab under the configured [`MemoryBudget`], with a prefetch
-    /// thread double-buffering chunk reads against the GEMM (see
-    /// [`crate::outofcore`]). The packed triangle it fills is
-    /// **bit-identical** to the in-memory driver's for every chunk size,
-    /// slab height and thread count; token / deadline / checkpoint / shard
-    /// semantics are those of [`LdEngine::try_stat_matrix_with`], and a
-    /// resumed run replays completed slabs without re-reading their
-    /// chunks.
-    pub fn try_stat_matrix_outofcore_with(
-        &self,
-        src: &dyn TileSource,
-        stat: LdStats,
-        ctl: &RunControl<'_>,
-    ) -> Result<LdMatrix, LdError> {
-        self.validate_blocks()?;
-        let meta = src.meta();
-        let n = meta.n_snps;
-        // overflow before emptiness, as in the in-memory driver
-        let (fixed, per_row) = Self::outofcore_footprint(meta, true)?;
-        if meta.n_samples == 0 {
-            return Err(LdError::EmptyInput);
-        }
-        if n == 0 {
-            return LdMatrix::try_zeros(0);
-        }
-        let slab = self.budgeted_slab_units(n, fixed, per_row)?;
-        let span = ld_trace::recorder::Span::begin(ld_trace::recorder::SpanKind::Alloc);
-        let sw = ld_trace::Stopwatch::start();
-        let mut out = LdMatrix::try_zeros(n)?;
-        ld_trace::add(ld_trace::Counter::TransformNs, sw.elapsed_ns());
-        span.end((n * (n + 1) / 2 * 8) as u64);
-        let cfg = FusedConfig {
-            slab,
-            ..self.fused_config()
-        };
-        try_stat_outofcore(src, stat, &cfg, ctl, SlabSink::Packed(out.packed_mut()))?;
-        Ok(out)
-    }
-
-    /// [`LdEngine::try_stat_rows_with`], streamed from a chunked tile
-    /// store: row slabs of the upper triangle are computed from
-    /// chunk-sized panel reads and handed to `visit` **in ascending row
-    /// order** (the out-of-core driver is sequential over slabs; only the
-    /// GEMM inside a slab is threaded). Peak memory is
-    /// `O(slab × (panel_row + n))` plus chunk buffers — independent of
-    /// holding the full genotype matrix. Checkpoint plans are rejected
-    /// with [`LdError::InvalidConfig`] as in the in-memory streaming
-    /// driver.
-    pub fn try_stat_rows_outofcore_with<F>(
-        &self,
-        src: &dyn TileSource,
-        stat: LdStats,
-        mut visit: F,
-        ctl: &RunControl<'_>,
-    ) -> Result<(), LdError>
-    where
-        F: FnMut(&RowSlabVisit<'_>),
-    {
-        self.validate_blocks()?;
-        let meta = src.meta();
-        let n = meta.n_snps;
-        let (fixed, per_row) = Self::outofcore_footprint(meta, false)?;
-        if n == 0 {
-            return Ok(());
-        }
-        if meta.n_samples == 0 {
-            return Err(LdError::EmptyInput);
-        }
-        let slab = self.budgeted_slab_units(n, fixed, per_row)?;
-        let len = checked_mul(slab, n, "slab values buffer")?;
-        let mut values = try_zeroed_vec::<f64>(len, "slab values buffer")?;
-        let cfg = FusedConfig {
-            slab,
-            ..self.fused_config()
-        };
-        try_stat_outofcore(
-            src,
-            stat,
-            &cfg,
-            ctl,
-            SlabSink::Rows {
-                values: &mut values,
-                visit: &mut visit,
-            },
-        )
-    }
-
-    /// [`LdEngine::try_stat_shard_with`], streamed from a chunked tile
-    /// store: computes one shard of the all-pairs statistic out-of-core
-    /// and returns it in the shard interchange form. The header carries
-    /// the store's manifest fingerprint — which equals the in-memory
-    /// matrix fingerprint of the same data — so shards computed from the
-    /// store and from RAM merge interchangeably when the slab grids
-    /// agree.
+    /// [`LdEngine::try_stat_shard_with`] over [`Source::Store`].
     pub fn try_stat_shard_outofcore_with(
         &self,
         src: &dyn TileSource,
         stat: LdStats,
         ctl: &RunControl<'_>,
     ) -> Result<CheckpointState, LdError> {
-        let Some(range) = ctl.shard() else {
-            return Err(LdError::InvalidConfig {
-                message:
-                    "try_stat_shard_outofcore_with requires a shard range (RunControl::with_shard)",
-            });
-        };
-        let meta = src.meta().clone();
-        let n = meta.n_snps;
-        if n == 0 {
-            return Err(LdError::InvalidConfig {
-                message: "cannot shard an empty matrix",
-            });
-        }
-        let m = self.try_stat_matrix_outofcore_with(src, stat, ctl)?;
-        // Recompute the grid the driver used (same budgeting path) and
-        // lift the shard's slabs out of the packed triangle.
-        let slab = self.outofcore_slab_for(&meta, true)?;
-        let n_slabs = n.div_ceil(slab);
-        let kernel = resolved_kernel_name(self.kind)?;
-        let mut records = Vec::with_capacity(range.len());
-        for k in range.start..range.end {
-            let (r0, r1) = (k * slab, ((k + 1) * slab).min(n));
-            let off = packed_row_offset(n, r0);
-            let len = packed_row_offset(n, r1) - off;
-            records.push(SlabRecord {
-                index: k as u64,
-                start_row: r0 as u64,
-                end_row: r1 as u64,
-                values: m.packed()[off..off + len].to_vec(),
-            });
-        }
-        Ok(CheckpointState {
-            stat,
-            policy: self.policy,
-            n_snps: n as u64,
-            n_samples: meta.n_samples as u64,
-            matrix_hash: meta.fingerprint,
-            slab: slab as u64,
-            n_slabs: n_slabs as u64,
-            kernel: kernel.to_owned(),
-            records,
-        })
+        self.try_stat_shard_with(Source::Store(src), stat, ctl)
     }
 
     /// The classical two-pass driver: full `n × n` SYRK counts, then a
     /// separate transform sweep into the packed triangle.
     ///
-    /// Kept as the **test oracle** for the fused pipeline (their `r²`
+    /// Kept as the **reference** for the slab driver (their `r²`
     /// transforms are the same batched operations, so results are
     /// bit-identical) and as the reference point for the memory/bandwidth
     /// comparison in `BENCH_fused`. Peak transient memory is `4n²` bytes;
@@ -740,8 +553,8 @@ impl LdEngine {
     }
 
     /// Fallible all-pairs `r²` (see [`LdEngine::try_stat_matrix`]).
-    pub fn try_r2_matrix<'a>(&self, g: impl Into<BitMatrixView<'a>>) -> Result<LdMatrix, LdError> {
-        self.try_stat_matrix(g, LdStats::RSquared)
+    pub fn try_r2_matrix<'a>(&self, src: impl Into<Source<'a>>) -> Result<LdMatrix, LdError> {
+        self.try_stat_matrix(src, LdStats::RSquared)
     }
 
     /// All-pairs raw `D` (Eq. 5).
@@ -759,7 +572,7 @@ impl LdEngine {
     /// streaming form (each value is produced exactly once, no mirroring,
     /// no tile cutting).
     ///
-    /// Slabs are produced by the same fused pipeline as
+    /// Slabs are produced by the same slab driver as
     /// [`LdEngine::stat_matrix`]; `visit` is called once per slab,
     /// serialized under a mutex. **Slab order is unspecified** when
     /// `threads > 1` (dynamic scheduling); rows within a slab are
@@ -768,7 +581,7 @@ impl LdEngine {
     where
         F: FnMut(&RowSlabVisit<'_>) + Send,
     {
-        if let Err(e) = self.try_stat_rows(g, stat, visit) {
+        if let Err(e) = self.try_stat_rows(g.into(), stat, visit) {
             panic!("{e}");
         }
     }
@@ -780,26 +593,50 @@ impl LdEngine {
     /// values).
     pub fn try_stat_rows<'a, F>(
         &self,
-        g: impl Into<BitMatrixView<'a>>,
+        src: impl Into<Source<'a>>,
         stat: LdStats,
         visit: F,
     ) -> Result<(), LdError>
     where
         F: FnMut(&RowSlabVisit<'_>) + Send,
     {
-        self.try_stat_rows_with(g, stat, visit, &RunControl::new())
+        self.try_stat_rows_with(src, stat, visit, &RunControl::new())
     }
 
-    /// [`LdEngine::try_stat_rows`] under a [`RunControl`]: token and
-    /// deadline are honored at slab granularity (see
+    /// [`LdEngine::try_stat_rows`] under a [`RunControl`], from either
+    /// [`Source`]: token and deadline are honored at slab granularity (see
     /// [`LdEngine::try_stat_matrix_with`]); a trip stops the stream at the
     /// next slab boundary and returns [`LdError::Cancelled`] with the count
     /// of slabs already delivered to `visit`. Checkpoint plans are rejected
-    /// with [`LdError::InvalidConfig`] — the streaming driver retains no
-    /// state to persist (each slab is the caller's once visited).
+    /// with [`LdError::InvalidConfig`] — each slab is the caller's once
+    /// visited, so there is no state to persist.
+    ///
+    /// Slab order and peak memory are the source's: a memory source
+    /// delivers slabs in unspecified order under threading from
+    /// `O(threads × slab × n)` scratch; a store source delivers them **in
+    /// ascending row order** from `O(slab × (panel_row + n))` plus chunk
+    /// buffers — independent of holding the full genotype matrix.
     pub fn try_stat_rows_with<'a, F>(
         &self,
-        g: impl Into<BitMatrixView<'a>>,
+        src: impl Into<Source<'a>>,
+        stat: LdStats,
+        mut visit: F,
+        ctl: &RunControl<'_>,
+    ) -> Result<(), LdError>
+    where
+        F: FnMut(&RowSlabVisit<'_>) + Send,
+    {
+        let src = src.into();
+        match self.plan(&src, false, None)? {
+            Some(cfg) => driver::run(&src, stat, &cfg, Sink::Rows(&mut visit), ctl),
+            None => Ok(()),
+        }
+    }
+
+    /// [`LdEngine::try_stat_rows_with`] over [`Source::Store`].
+    pub fn try_stat_rows_outofcore_with<F>(
+        &self,
+        src: &dyn TileSource,
         stat: LdStats,
         visit: F,
         ctl: &RunControl<'_>,
@@ -807,22 +644,7 @@ impl LdEngine {
     where
         F: FnMut(&RowSlabVisit<'_>) + Send,
     {
-        self.validate_blocks()?;
-        let v: BitMatrixView<'a> = g.into();
-        let n = v.n_snps();
-        let fixed = Self::fixed_footprint(n, false)?;
-        if n == 0 {
-            return Ok(());
-        }
-        if v.n_samples() == 0 {
-            return Err(LdError::EmptyInput);
-        }
-        let slab = self.budgeted_slab(n, fixed, 12)?;
-        let cfg = FusedConfig {
-            slab,
-            ..self.fused_config()
-        };
-        try_stat_rows_fused(&v, stat, &cfg, visit, ctl)
+        self.try_stat_rows_with(Source::Store(src), stat, visit, ctl)
     }
 
     /// Streamed `r²` row slabs (see [`LdEngine::stat_rows`]).
@@ -840,7 +662,7 @@ impl LdEngine {
     /// reported by symmetry (callers that want strict pairs filter
     /// `i < j`).
     ///
-    /// Tiles are cut from the fused pipeline's row slabs (slab height =
+    /// Tiles are cut from the slab driver's row slabs (slab height =
     /// `tile`), so the computation is threaded and its transient memory
     /// bounded; `visit` is serialized under a mutex. Within one row of
     /// tiles, `col_start` ascends; **the order of tile rows is
@@ -892,90 +714,54 @@ impl LdEngine {
     where
         F: FnMut(&TileVisit<'_>) + Send,
     {
-        self.validate_blocks()?;
-        let v: BitMatrixView<'a> = g.into();
-        let n = v.n_snps();
         if tile == 0 {
             return Err(LdError::InvalidConfig {
                 message: "tile size must be positive",
             });
         }
-        if n == 0 {
+        let src = Source::Memory(g.into());
+        // the slab is pinned to the tile side: the plan verifies the budget
+        // rather than shrinking
+        let Some(cfg) = self.plan(&src, false, Some(tile))? else {
             return Ok(());
-        }
-        if v.n_samples() == 0 {
-            return Err(LdError::EmptyInput);
-        }
-        let side = tile.min(n);
-        // slab is pinned to `tile`: verify rather than shrink
-        let tile_buf = checked_mul(checked_mul(side, side, "tile buffer")?, 8, "tile buffer")?;
-        let fixed = checked_add(
-            Self::fixed_footprint(n, false)?,
-            tile_buf,
-            "fixed footprint",
-        )?;
-        if let Some(limit) = self.budget.limit() {
-            let per_row = checked_mul(
-                checked_mul(self.threads.max(1), n, "slab scratch bytes")?,
-                12,
-                "slab scratch bytes",
-            )?;
-            let required = checked_add(
-                fixed,
-                checked_mul(per_row, side, "slab scratch bytes")?,
-                "minimum footprint",
-            )?;
-            if required > limit {
-                return Err(LdError::BudgetExceeded {
-                    required,
-                    budget: limit,
-                });
-            }
-        }
-        let cfg = FusedConfig {
-            slab: tile,
-            ..self.fused_config()
         };
+        let (n, side) = (src.n_snps(), cfg.slab);
         let mut buf = try_zeroed_vec::<f64>(side * side, "tile mirror buffer")?;
-        try_stat_rows_fused(
-            &v,
-            stat,
-            &cfg,
-            move |s| {
-                // Slabs start at multiples of `tile` (dynamic chunks are
-                // grain-aligned), so each slab is exactly one row of tiles.
-                let bi = s.row_start();
-                let rows = s.n_rows();
-                debug_assert_eq!(bi % tile, 0);
-                let mut bj = bi;
-                while bj < n {
-                    let cols = tile.min(n - bj);
-                    for r in 0..rows {
-                        let i = bi + r;
-                        for c in 0..cols {
-                            let j = bj + c;
-                            buf[r * cols + c] = if j >= i {
-                                // slab row r stores columns row_start.. of row i
-                                s.value(r, j)
-                            } else {
-                                // diagonal tile, below the diagonal: mirror the
-                                // transpose entry (filled earlier since c < r)
-                                buf[c * cols + r]
-                            };
-                        }
+        // The row-visitor adaptor: cuts each slab into one row of tiles.
+        let mut cut = move |s: &RowSlabVisit<'_>| {
+            // Slabs start at multiples of `tile` (dynamic chunks are
+            // grain-aligned), so each slab is exactly one row of tiles.
+            let bi = s.row_start();
+            let rows = s.n_rows();
+            debug_assert_eq!(bi % tile, 0);
+            let mut bj = bi;
+            while bj < n {
+                let cols = tile.min(n - bj);
+                for r in 0..rows {
+                    let i = bi + r;
+                    for c in 0..cols {
+                        let j = bj + c;
+                        buf[r * cols + c] = if j >= i {
+                            // slab row r stores columns row_start.. of row i
+                            s.value(r, j)
+                        } else {
+                            // diagonal tile, below the diagonal: mirror the
+                            // transpose entry (filled earlier since c < r)
+                            buf[c * cols + r]
+                        };
                     }
-                    visit(&TileVisit {
-                        row_start: bi,
-                        col_start: bj,
-                        rows,
-                        cols,
-                        values: &buf[..rows * cols],
-                    });
-                    bj += tile;
                 }
-            },
-            ctl,
-        )
+                visit(&TileVisit {
+                    row_start: bi,
+                    col_start: bj,
+                    rows,
+                    cols,
+                    values: &buf[..rows * cols],
+                });
+                bj += tile;
+            }
+        };
+        driver::run(&src, stat, &cfg, Sink::Rows(&mut cut), ctl)
     }
 
     /// Cross-matrix statistic between two SNP sets sharing the same sample
@@ -1123,20 +909,6 @@ impl LdEngine {
         let sj = g.snp_words(j);
         let c_ij = and_popcount(si, sj);
         ld_pair_from_counts(g.ones_in_snp(i), g.ones_in_snp(j), c_ij, n, self.policy)
-    }
-
-    /// Streams the all-pairs statistic in `tile × tile` blocks — alias of
-    /// [`LdEngine::for_each_tile`], kept for API continuity.
-    pub fn stat_tiled<'a, F>(
-        &self,
-        g: impl Into<BitMatrixView<'a>>,
-        stat: LdStats,
-        tile: usize,
-        visit: F,
-    ) where
-        F: FnMut(&TileVisit<'_>) + Send,
-    {
-        self.for_each_tile(g, stat, tile, visit)
     }
 
     /// Streamed `r²` tiles (see [`LdEngine::for_each_tile`]).

@@ -177,14 +177,17 @@ impl From<WorkerPanic> for LdError {
     }
 }
 
-/// A cap on the *transient* memory of a fused-pipeline run.
+/// A cap on the *transient* memory of a slab-driver run.
 ///
-/// The footprint model (see DESIGN.md "Error handling & resource limits"):
-/// fixed cost `F` = packed output (`8·n(n+1)/2` bytes, matrix form only)
-/// plus the transform tables (≤ `20·n` bytes), and a per-slab-row cost
-/// `R = threads × n × e` bytes where `e` is 4 (u32 counts scratch) for the
-/// packed driver and 12 (u32 + f64) for the streaming drivers. Given a
-/// budget `B`, the engine shrinks the slab height to
+/// The footprint model (see DESIGN.md "Error handling & resource limits")
+/// is the run's *source's*: for an in-memory matrix, fixed cost `F` =
+/// packed output (`8·n(n+1)/2` bytes, matrix form only) plus the transform
+/// tables (≤ `20·n` bytes), and a per-slab-row cost `R = threads × n × e`
+/// bytes where `e` is 4 (u32 counts scratch) for the packed sink and 12
+/// (u32 + f64) for the row and tile visitors; a tile store adds four
+/// chunk buffers to `F` and charges `R` = one panel row + one row of the
+/// `slab × chunk` counts block (+ `8n` for visitors), independent of the
+/// thread count. Given a budget `B`, the engine shrinks the slab height to
 /// `min(configured, ⌊(B − F) / R⌋)` and fails with
 /// [`LdError::BudgetExceeded`] only when even one row does not fit.
 /// Results are bit-exact regardless of the slab height chosen.

@@ -1,74 +1,26 @@
-//! The fused, tiled counts→statistic pipeline.
+//! The numeric pieces of the fused counts→statistic pipeline.
 //!
-//! The classical two-pass driver materializes the full `n × n` u32 counts
-//! matrix (`SYRK` + mirror), then transforms it into the packed statistic
-//! triangle — `4n²` bytes of transient memory and a full second sweep over
-//! cold data. This module fuses the two:
+//! The classical two-pass formulation materializes the full `n × n` u32
+//! counts matrix (`SYRK` + mirror), then transforms it into the packed
+//! statistic triangle — `4n²` bytes of transient memory and a full second
+//! sweep over cold data. The slab driver ([`crate::driver`]) fuses the
+//! two; this module holds what it fuses *with*:
 //!
-//! 1. a cheap standalone per-SNP popcount pass yields the diagonal (allele
-//!    counts), from which the rank-1 correction tables `p` and
-//!    `1/(p(1−p))` are built once;
-//! 2. workers walk the upper triangle in bounded **row slabs**, dynamically
-//!    grabbed off an atomic counter ([`ld_parallel::parallel_for_dynamic_init`]);
-//! 3. each worker computes its slab's counts into per-thread scratch of at
-//!    most `slab × n` u32 ([`ld_kernels::syrk_slab_counts`] — no global
-//!    buffer, no mirror pass), then immediately applies the batched
-//!    `D = H − p pᵀ` / `r²` transform from hot L2-resident scratch straight
-//!    into the triangle-packed output.
-//!
-//! Peak transient memory is `O(threads × slab × n)` u32 instead of
-//! `O(n²)`, and every count is consumed while still cache-hot.
-//!
-//! The same machinery powers the streaming visitors
-//! ([`crate::LdEngine::stat_rows`], [`crate::LdEngine::for_each_tile`])
-//! for chromosome-scale inputs where even the packed triangle is too big.
+//! * `Transform` — the per-SNP tables `p` and `1/(p(1−p))` and the one
+//!   body (`Transform::apply_span`) that turns a span of counts into
+//!   statistics: the batched §II-B rank-1 correction `D = H − p pᵀ`, then
+//!   `r²` as two multiplies and a subtract per pair, applied while the
+//!   counts are still hot in the worker's scratch;
+//! * [`SyncSlice`] — disjoint-range access to the packed output for a
+//!   worker team (and the read side of the checkpoint done-flag
+//!   protocol);
+//! * [`RowSlabVisit`] — what a streaming visitor
+//!   ([`crate::LdEngine::stat_rows`], [`crate::LdEngine::for_each_tile`])
+//!   sees of one finished slab.
 
-use crate::checkpoint::{matrix_fingerprint, CheckpointState, SlabRecord};
-use crate::control::RunControl;
-use crate::error::{fault, try_zeroed_vec, LdError};
+use crate::error::{try_zeroed_vec, LdError};
 use crate::stats::{stat_from_counts, LdStats, NanPolicy};
 use ld_bitmat::BitMatrixView;
-use ld_kernels::micro::Kernel;
-use ld_kernels::{syrk_slab_counts, BlockSizes, KernelKind};
-use ld_parallel::{scheduler_grain, try_parallel_for_dynamic_init_ctl, CancelToken, Deadline};
-use ld_trace::recorder::{Span, SpanKind};
-use ld_trace::{Counter, Stopwatch};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
-/// Poisoned-lock-tolerant lock (the panic trap already drains the region;
-/// lock state after a contained panic is still consistent for our uses).
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The concrete micro-kernel name the dispatcher would run — recorded in
-/// checkpoint headers so a resume on a different kernel is rejected
-/// explicitly instead of silently assumed equivalent.
-pub(crate) fn resolved_kernel_name(kind: KernelKind) -> Result<&'static str, LdError> {
-    Kernel::resolve(kind)
-        .map(|k| k.kind().name())
-        .map_err(|e| LdError::Checkpoint {
-            message: format!("cannot resolve the micro-kernel for the checkpoint header: {e}"),
-        })
-}
-
-/// Engine parameters threaded through the fused drivers.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FusedConfig {
-    pub kind: KernelKind,
-    pub blocks: BlockSizes,
-    pub threads: usize,
-    pub policy: NanPolicy,
-    /// Row-slab height: bounds each worker's scratch to `slab × n` u32.
-    pub slab: usize,
-    /// Scheduler chunk size in *slabs*: each dynamic grab hands a worker
-    /// `chunk` consecutive slabs, amortizing the atomic fetch without
-    /// growing scratch (the worker still processes one slab at a time).
-    /// `1` reproduces the historic slab-per-grab schedule exactly.
-    pub chunk: usize,
-}
 
 /// Row offset of row `i` in the packed upper triangle of an `n × n`
 /// symmetric matrix: `Σ_{t<i}(n−t) = i·n − i(i−1)/2` (underflow-free form).
@@ -114,46 +66,27 @@ impl Transform {
         stat: LdStats,
         policy: NanPolicy,
     ) -> Result<Self, LdError> {
-        let n_samples = v.n_samples();
-        if n_samples == 0 {
-            return Err(LdError::EmptyInput);
-        }
         let n = v.n_snps();
+        let mut tr = Self::empty(n, v.n_samples(), stat, policy)?;
         let mut diag: Vec<u32> = try_zeroed_vec(n, "per-SNP allele-count table")?;
         for (j, d) in diag.iter_mut().enumerate() {
             *d = u32::try_from(v.ones_in_snp(j)).map_err(|_| LdError::SizeOverflow {
                 what: "per-SNP allele count (> u32::MAX haplotypes)",
             })?;
         }
-        Self::try_from_diag(n_samples, diag, stat, policy)
-    }
-
-    /// Builds the tables from an already-collected per-SNP allele-count
-    /// vector — the out-of-core driver gathers `diag` with one streaming
-    /// pass over the tile store (it never holds the whole matrix) and
-    /// lands on bit-identical tables, because the counts are exact `u32`s
-    /// either way and every derived quantity is computed by this one body.
-    pub fn try_from_diag(
-        n_samples: usize,
-        diag: Vec<u32>,
-        stat: LdStats,
-        policy: NanPolicy,
-    ) -> Result<Self, LdError> {
-        let mut tr = Self::empty(diag.len(), n_samples, stat, policy)?;
         tr.fill_span(0, &diag);
         Ok(tr)
     }
 
     /// All-zero tables for `n` SNPs, to be populated span-by-span with
-    /// [`fill_span`] as allele counts become known. The out-of-core
-    /// driver fills each store chunk's span when the chunk first streams
-    /// past; [`try_from_diag`] (and through it [`try_new`]) is the
-    /// everything-at-once case, so every construction path runs the same
-    /// per-element arithmetic — the bit-identity argument needs exactly
-    /// one body computing `p` and `1/(p(1−p))`.
+    /// [`fill_span`] as allele counts become known. The store source
+    /// fills each chunk's span when the chunk first streams past;
+    /// [`try_new`] is the everything-at-once case over a resident matrix,
+    /// so every construction path runs the same per-element arithmetic —
+    /// the bit-identity argument needs exactly one body computing `p` and
+    /// `1/(p(1−p))`, and the counts are exact `u32`s either way.
     ///
     /// [`fill_span`]: Transform::fill_span
-    /// [`try_from_diag`]: Transform::try_from_diag
     /// [`try_new`]: Transform::try_new
     pub fn empty(
         n: usize,
@@ -226,8 +159,8 @@ impl Transform {
 
     /// Transforms a span of row `i`: `counts[t] = s_iᵀ s_{j0+t}` for
     /// `t ∈ 0..len`, writing the statistic into `dst[t]`. [`apply_row`]
-    /// is the `j0 = i` case; the out-of-core driver uses arbitrary `j0`
-    /// because a row's columns arrive one store chunk at a time. The
+    /// is the `j0 = i` case; the slab driver uses arbitrary `j0` because
+    /// a store source delivers a row's columns one chunk at a time. The
     /// expression order is identical, so chunked spans concatenate to a
     /// bit-identical row.
     ///
@@ -285,7 +218,8 @@ impl Transform {
 /// A Send+Sync raw-pointer wrapper for handing disjoint subslices to a
 /// worker team. Soundness argument: every use partitions the buffer by row
 /// slab, and each slab index is grabbed by exactly one worker (the atomic
-/// counter in `parallel_for_dynamic_init` hands out disjoint ranges).
+/// counter in `try_parallel_for_dynamic_init_ctl` hands out disjoint
+/// ranges).
 ///
 /// Public so the baseline kernels in `ld-baselines`, which partition their
 /// packed outputs the same way, can share one audited implementation.
@@ -323,426 +257,6 @@ impl SyncSlice {
     pub unsafe fn slice_ref(&self, off: usize, len: usize) -> &[f64] {
         debug_assert!(off + len <= self.1);
         std::slice::from_raw_parts(self.0.add(off), len)
-    }
-}
-
-/// The fused all-pairs driver: fills the packed upper triangle of the
-/// statistic matrix without ever materializing `n × n` counts.
-///
-/// Row slabs are contiguous in packed storage (`packed_row_offset(r0)` to
-/// `packed_row_offset(r1)`), so each worker writes a disjoint range and the
-/// transform streams from its hot scratch directly into the output.
-#[cfg(test)]
-pub(crate) fn stat_packed_fused(
-    v: &BitMatrixView<'_>,
-    stat: LdStats,
-    cfg: &FusedConfig,
-    packed: &mut [f64],
-) {
-    if let Err(e) = try_stat_packed_fused(v, stat, cfg, packed, &RunControl::new()) {
-        panic!("{e}");
-    }
-}
-
-/// Shared interruption state of one fused run: which slabs are done (for
-/// checkpoint snapshots and resume skips) and how many this run computed.
-struct SlabProgress {
-    /// Per-slab completion flags. A worker stores `true` with `Release`
-    /// *after* its packed writes; any reader `Acquire`-loads before
-    /// touching the slab's bytes, establishing the happens-before that
-    /// makes checkpoint snapshots of concurrent runs sound.
-    done: Vec<AtomicBool>,
-    /// Slabs computed by *this* run (excludes resumed slabs).
-    computed: AtomicUsize,
-}
-
-impl SlabProgress {
-    fn new(n_slabs: usize) -> Self {
-        Self {
-            done: (0..n_slabs).map(|_| AtomicBool::new(false)).collect(),
-            computed: AtomicUsize::new(0),
-        }
-    }
-
-    /// Completed slabs within `[lo, hi)` — the run's own shard window
-    /// (the whole grid for an unsharded run).
-    fn done_count(&self, lo: usize, hi: usize) -> usize {
-        self.done[lo..hi]
-            .iter()
-            .filter(|d| d.load(Ordering::Acquire))
-            .count()
-    }
-
-    /// True when every slab in `[lo, hi)` is done.
-    fn all_done(&self, lo: usize, hi: usize) -> bool {
-        self.done[lo..hi].iter().all(|d| d.load(Ordering::Acquire))
-    }
-}
-
-/// Mutable checkpoint bookkeeping, serialized under one mutex (the write
-/// itself is cold: at most once per `every_slabs` slabs or `every_secs`
-/// seconds).
-struct CkptCursor {
-    /// Slabs completed since the last successful write.
-    since_last: usize,
-    last_write: Instant,
-    /// First sink failure (sticky; also trips the run token).
-    failed: Option<String>,
-}
-
-/// Immutable descriptor of the checkpoint target for one packed run.
-struct CkptWriter<'a> {
-    sink: &'a dyn crate::checkpoint::CheckpointSink,
-    every_slabs: usize,
-    every_secs: Option<f64>,
-    header: CheckpointState,
-}
-
-impl CkptWriter<'_> {
-    /// Snapshots every done slab into a checkpoint image and hands it to
-    /// the sink. Called under the cursor mutex.
-    ///
-    /// # Safety-relevant invariant
-    /// Reads only packed ranges whose done flag was `Acquire`-observed,
-    /// which happens-after the owning worker's writes (see
-    /// [`SlabProgress::done`]); those ranges have no live `&mut`.
-    fn write_snapshot(
-        &self,
-        progress: &SlabProgress,
-        out: &SyncSlice,
-        n: usize,
-        slab: usize,
-        slab_window: (usize, usize),
-    ) -> Result<(), String> {
-        let mut state = self.header.clone();
-        state.records.clear();
-        let (lo, hi) = slab_window;
-        for (off_k, flag) in progress.done[lo..hi].iter().enumerate() {
-            let k = lo + off_k;
-            if !flag.load(Ordering::Acquire) {
-                continue;
-            }
-            let (r0, r1) = (k * slab, ((k + 1) * slab).min(n));
-            let off = packed_row_offset(n, r0);
-            let len = packed_row_offset(n, r1) - off;
-            // SAFETY: done slab ⇒ writes finished (Release/Acquire pair)
-            // and no live &mut covers this range.
-            let values = unsafe { out.slice_ref(off, len) }.to_vec();
-            state.records.push(SlabRecord {
-                index: k as u64,
-                start_row: r0 as u64,
-                end_row: r1 as u64,
-                values,
-            });
-        }
-        let span = Span::begin(SpanKind::CheckpointFlush);
-        let n_records = state.records.len() as u64;
-        let r = self.sink.write_checkpoint(&state.to_bytes());
-        span.end(n_records);
-        r?;
-        ld_trace::add(Counter::CheckpointsWritten, 1);
-        Ok(())
-    }
-}
-
-/// Converts a cancelled loop into the typed partial-progress error.
-pub(crate) fn cancelled_error(token: Option<&CancelToken>, completed_slabs: usize) -> LdError {
-    LdError::Cancelled {
-        reason: token
-            .and_then(CancelToken::reason)
-            .unwrap_or_else(|| "cancelled".to_owned()),
-        completed_slabs,
-    }
-}
-
-/// Trips `token` when `deadline` has passed — the slab-granularity
-/// deadline poll (one `Instant::now()` per slab, nothing per tile).
-#[inline]
-pub(crate) fn poll_deadline(deadline: Option<Deadline>, token: Option<&CancelToken>) {
-    if let (Some(d), Some(t)) = (deadline, token) {
-        if d.expired() && !t.is_cancelled() {
-            t.cancel_with_reason("deadline exceeded");
-        }
-    }
-}
-
-/// Fallible [`stat_packed_fused`]: scratch buffers are preallocated on the
-/// calling thread through `try_reserve` (one per worker, handed out via a
-/// pool), and a panicking worker surfaces as [`LdError::Worker`] after the
-/// team drains — no unwinding past this boundary, no hung join.
-///
-/// Interruption contract (`ctl`): the run token is polled once per slab
-/// (plus by the scheduler before every chunk grab — zero cost inside the
-/// micro-kernel loops); a trip drains the team at the next slab boundary
-/// and returns [`LdError::Cancelled`] with the completed-slab count, after
-/// flushing a final checkpoint when a sink is configured. A resume state
-/// is validated field-by-field, its slabs are replayed into `packed`, and
-/// only the incomplete slabs are recomputed — bit-identical to an
-/// uninterrupted run because slab height never affects values.
-pub(crate) fn try_stat_packed_fused(
-    v: &BitMatrixView<'_>,
-    stat: LdStats,
-    cfg: &FusedConfig,
-    packed: &mut [f64],
-    ctl: &RunControl<'_>,
-) -> Result<(), LdError> {
-    let n = v.n_snps();
-    debug_assert_eq!(packed.len(), n * (n + 1) / 2);
-    if n == 0 {
-        return Ok(());
-    }
-    let slab = cfg.slab.max(1).min(n);
-    let n_slabs = n.div_ceil(slab);
-    // Shard restriction: only the slabs in `[lo_slab, hi_slab)` are
-    // computed — the row window starts on a slab boundary, so slab
-    // indices (and checkpoint record geometry) stay on the global grid.
-    let (lo_slab, hi_slab) = match ctl.shard {
-        Some(r) => {
-            if r.is_empty() || r.end > n_slabs {
-                return Err(LdError::InvalidConfig {
-                    message: "shard slab range does not fit the run's slab grid",
-                });
-            }
-            (r.start, r.end)
-        }
-        None => (0, n_slabs),
-    };
-    let (row_lo, row_hi) = (lo_slab * slab, (hi_slab * slab).min(n));
-    let run_token = ctl.run_token();
-    let deadline = ctl.deadline;
-    // An already-expired deadline stops the run before any chunk is
-    // handed out (workers still honor claimed chunks, so without this
-    // pre-trip up to `threads` slabs could run post-deadline).
-    poll_deadline(deadline, run_token.as_ref());
-    let progress = SlabProgress::new(n_slabs);
-    // Resume: validate, replay completed slabs, mark them done.
-    let mut resumed = 0usize;
-    let ckpt = match &ctl.checkpoint {
-        Some(plan) => {
-            let kernel = resolved_kernel_name(cfg.kind)?;
-            if let Some(state) = &plan.resume {
-                state.validate_against(v, stat, cfg.policy, slab, kernel)?;
-                for rec in &state.records {
-                    let (r0, r1) = (rec.start_row as usize, rec.end_row as usize);
-                    let k = rec.index as usize;
-                    if k < lo_slab || k >= hi_slab {
-                        return Err(LdError::Checkpoint {
-                            message: format!(
-                                "resume rejected: checkpoint slab {k} (rows {r0}..{r1}) \
-                                 lies outside this shard's slab range {lo_slab}..{hi_slab}"
-                            ),
-                        });
-                    }
-                    let off = packed_row_offset(n, r0);
-                    let len = packed_row_offset(n, r1) - off;
-                    packed[off..off + len].copy_from_slice(&rec.values);
-                    progress.done[rec.index as usize].store(true, Ordering::Release);
-                    resumed += 1;
-                }
-                ld_trace::add(Counter::ResumeSlabsSkipped, resumed as u64);
-            }
-            Some(CkptWriter {
-                sink: plan.sink,
-                every_slabs: plan.every_slabs,
-                every_secs: plan.every_secs,
-                header: CheckpointState {
-                    stat,
-                    policy: cfg.policy,
-                    n_snps: n as u64,
-                    n_samples: v.n_samples() as u64,
-                    matrix_hash: matrix_fingerprint(v),
-                    slab: slab as u64,
-                    n_slabs: n_slabs as u64,
-                    kernel: kernel.to_owned(),
-                    records: Vec::new(),
-                },
-            })
-        }
-        None => None,
-    };
-    let cursor = Mutex::new(CkptCursor {
-        since_last: 0,
-        last_write: Instant::now(),
-        failed: None,
-    });
-    // Table construction (per-SNP allele counts via one popcount sweep)
-    // is part of producing the statistic layer: charge it to
-    // `transform_ns` so the profile's layer sum covers the setup cost.
-    let span = Span::begin(SpanKind::Transform);
-    let sw = Stopwatch::start();
-    let tr = Transform::try_new(v, stat, cfg.policy)?;
-    ld_trace::add(Counter::TransformNs, sw.elapsed_ns());
-    span.end(n as u64);
-    // Bounded per-worker scratch: the widest slab (the first) spans all
-    // n columns, so `slab × n` covers every slab a worker can grab. The
-    // buffers are allocated fallibly *here*, on the calling thread, so an
-    // allocation failure is a clean Err before any thread is spawned.
-    // Zeroing the counts scratch belongs to the counts (kernel) layer.
-    let span = Span::begin(SpanKind::Alloc);
-    let sw = Stopwatch::start();
-    let scratch_pool = ScratchPool::new(cfg.threads, || {
-        try_zeroed_vec::<u32>(slab * n, "slab counts scratch")
-    })?;
-    ld_trace::add(Counter::KernelNs, sw.elapsed_ns());
-    span.end((cfg.threads.max(1) * slab * n * 4) as u64);
-    // Modeled transient footprint of this run: per-worker u32 scratch plus
-    // the packed output and the transform tables (≤ 20 bytes/SNP). Recorded
-    // as a high-water gauge so profiles can confirm the O(threads·slab·n)
-    // memory claim without a global allocator hook.
-    ld_trace::record_peak(
-        Counter::AllocPeakBytes,
-        (cfg.threads.max(1) * slab * n * 4 + packed.len() * 8 + 20 * n) as u64,
-    );
-    let out = SyncSlice::new(packed);
-    let progress_ref = &progress;
-    let token_ref = run_token.as_ref();
-    let ckpt_ref = ckpt.as_ref();
-    let cursor_ref = &cursor;
-    try_parallel_for_dynamic_init_ctl(
-        cfg.threads,
-        // The scheduler iterates the shard's row window; `row_lo` is a
-        // slab multiple, so offsetting keeps chunks slab-aligned.
-        row_hi - row_lo,
-        // Chunks start at multiples of the grain, and the grain is a
-        // multiple of `slab`, so every slab inside a claimed chunk starts
-        // at a multiple of `slab` — slab geometry (and thus checkpoint
-        // record boundaries) is independent of the chunk size.
-        scheduler_grain(slab, cfg.chunk),
-        token_ref,
-        |_tid| scratch_pool.take(),
-        |scratch, rows| {
-            // Walk the claimed chunk one slab at a time: scratch stays
-            // `slab × n`, and every interruption/checkpoint decision keeps
-            // its per-slab granularity.
-            let mut s0 = row_lo + rows.start;
-            let chunk_end = row_lo + rows.end;
-            while s0 < chunk_end {
-                let s1 = (s0 + slab).min(chunk_end);
-                let slab_idx = s0 / slab;
-                if progress_ref.done[slab_idx].load(Ordering::Acquire) {
-                    // replayed from the checkpoint — skip without polling
-                    s0 = s1;
-                    continue;
-                }
-                // Slab-granular interruption points: the deadline→token
-                // conversion and the poll accounting. The scheduler already
-                // refused to hand out this chunk if the token was tripped;
-                // nothing below ever checks mid-kernel. A token tripped
-                // mid-chunk stops the *next* chunk grab, not this one —
-                // claimed slabs always complete.
-                poll_deadline(deadline, token_ref);
-                ld_trace::add(Counter::CancelPolls, 1);
-                fault::check_kernel_panic();
-                let (r0, r1) = (s0, s1);
-                let width = n - r0;
-                let h = r1 - r0;
-                syrk_slab_counts(
-                    v,
-                    r0..r1,
-                    &mut scratch[..h * width],
-                    width,
-                    cfg.kind,
-                    cfg.blocks,
-                );
-                let span = Span::begin(SpanKind::Transform);
-                let sw = Stopwatch::start();
-                for i in r0..r1 {
-                    let local = (i - r0) * width + (i - r0);
-                    let len = n - i;
-                    // SAFETY: slabs own disjoint packed ranges (see SyncSlice).
-                    let dst = unsafe { out.slice(packed_row_offset(n, i), len) };
-                    tr.apply_row(i, &scratch[local..local + len], dst);
-                }
-                ld_trace::add(Counter::TransformNs, sw.elapsed_ns());
-                span.end(slab_idx as u64);
-                ld_trace::add(Counter::SlabsEmitted, 1);
-                ld_trace::recorder::instant(SpanKind::SlabEmit, slab_idx as u64);
-                // Release *after* the packed writes above: the flag is the
-                // publication point for checkpoint readers.
-                progress_ref.done[slab_idx].store(true, Ordering::Release);
-                progress_ref.computed.fetch_add(1, Ordering::Relaxed);
-                if let Some(w) = ckpt_ref {
-                    let mut cur = lock_ignore_poison(cursor_ref);
-                    cur.since_last += 1;
-                    let due = cur.since_last >= w.every_slabs
-                        || w.every_secs
-                            .is_some_and(|s| cur.last_write.elapsed().as_secs_f64() >= s);
-                    if due && cur.failed.is_none() {
-                        match w.write_snapshot(progress_ref, &out, n, slab, (lo_slab, hi_slab)) {
-                            Ok(()) => {
-                                cur.since_last = 0;
-                                cur.last_write = Instant::now();
-                            }
-                            Err(msg) => {
-                                // sticky failure: stop the run (no point
-                                // computing unpersistable work) and surface
-                                // the sink error after the drain
-                                cur.failed = Some(msg);
-                                if let Some(t) = token_ref {
-                                    t.cancel_with_reason("checkpoint write failed");
-                                }
-                            }
-                        }
-                    }
-                }
-                s0 = s1;
-            }
-        },
-    )?;
-    // Post-join: judge by completeness, not token state — a token that
-    // trips after the last slab finished changes nothing.
-    if let Some(msg) = lock_ignore_poison(&cursor).failed.take() {
-        return Err(LdError::Checkpoint {
-            message: format!("checkpoint write failed mid-run: {msg}"),
-        });
-    }
-    if progress.all_done(lo_slab, hi_slab) {
-        return Ok(());
-    }
-    let completed = progress.done_count(lo_slab, hi_slab);
-    // Final flush: make the partial run resumable before reporting it.
-    if let Some(w) = &ckpt {
-        if let Err(msg) = w.write_snapshot(&progress, &out, n, slab, (lo_slab, hi_slab)) {
-            return Err(LdError::Checkpoint {
-                message: format!("final checkpoint flush failed: {msg}"),
-            });
-        }
-    }
-    Err(cancelled_error(token_ref, completed))
-}
-
-/// A pool of per-worker scratch buffers, preallocated fallibly on the
-/// calling thread and popped by workers in their init closure.
-///
-/// `parallel_for_dynamic_init` runs each worker's init exactly once and
-/// spawns at most `threads` workers, so [`ScratchPool::take`] can never
-/// run dry; the `unwrap_or_default` fallback exists only to keep the pop
-/// panic-free by construction.
-struct ScratchPool<S>(Mutex<Vec<S>>);
-
-impl<S: Default> ScratchPool<S> {
-    fn new(threads: usize, mut make: impl FnMut() -> Result<S, LdError>) -> Result<Self, LdError> {
-        let workers = threads.max(1);
-        let mut pool = Vec::new();
-        // the pool spine itself is tiny (`workers` pointers) but stays on
-        // the fallible path for uniformity
-        pool.try_reserve_exact(workers)
-            .map_err(|_| LdError::AllocationFailed {
-                what: "scratch pool spine",
-                bytes: workers * std::mem::size_of::<S>(),
-            })?;
-        for _ in 0..workers {
-            pool.push(make()?);
-        }
-        Ok(Self(Mutex::new(pool)))
-    }
-
-    fn take(&self) -> S {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
     }
 }
 
@@ -808,162 +322,6 @@ impl RowSlabVisit<'_> {
     }
 }
 
-/// The streaming row-slab driver: like [`stat_packed_fused`] but instead of
-/// writing a packed matrix, each finished slab is handed to `visit`
-/// (serialized under a mutex; slab order is unspecified under threading).
-#[cfg(test)]
-pub(crate) fn stat_rows_fused<F>(v: &BitMatrixView<'_>, stat: LdStats, cfg: &FusedConfig, visit: F)
-where
-    F: FnMut(&RowSlabVisit<'_>) + Send,
-{
-    if let Err(e) = try_stat_rows_fused(v, stat, cfg, visit, &RunControl::new()) {
-        panic!("{e}");
-    }
-}
-
-/// Fallible [`stat_rows_fused`] (see [`try_stat_packed_fused`] for the
-/// allocation and panic-containment discipline).
-///
-/// Interruption contract: token and deadline are honored exactly as in
-/// [`try_stat_packed_fused`] — polled once per slab, drained at slab
-/// boundaries, surfaced as [`LdError::Cancelled`] with the count of slabs
-/// already handed to `visit`. Checkpoint plans are **rejected**
-/// ([`LdError::InvalidConfig`]): the streaming driver gives each slab to
-/// the caller and keeps nothing, so there is no engine-owned state to
-/// persist — callers streaming to durable storage already have their own
-/// resume point.
-pub(crate) fn try_stat_rows_fused<F>(
-    v: &BitMatrixView<'_>,
-    stat: LdStats,
-    cfg: &FusedConfig,
-    visit: F,
-    ctl: &RunControl<'_>,
-) -> Result<(), LdError>
-where
-    F: FnMut(&RowSlabVisit<'_>) + Send,
-{
-    if ctl.checkpoint.is_some() {
-        return Err(LdError::InvalidConfig {
-            message:
-                "checkpointing requires the packed-matrix driver (streaming slabs are not retained)",
-        });
-    }
-    let n = v.n_snps();
-    if n == 0 {
-        return Ok(());
-    }
-    let run_token = ctl.run_token();
-    let deadline = ctl.deadline;
-    poll_deadline(deadline, run_token.as_ref());
-    let span = Span::begin(SpanKind::Transform);
-    let sw = Stopwatch::start();
-    let tr = Transform::try_new(v, stat, cfg.policy)?;
-    ld_trace::add(Counter::TransformNs, sw.elapsed_ns());
-    span.end(n as u64);
-    let slab = cfg.slab.max(1).min(n);
-    let n_slabs = n.div_ceil(slab);
-    // Shard restriction (see try_stat_packed_fused): only slabs in
-    // `[lo_slab, hi_slab)` are computed and handed to `visit`.
-    let (lo_slab, hi_slab) = match ctl.shard {
-        Some(r) => {
-            if r.is_empty() || r.end > n_slabs {
-                return Err(LdError::InvalidConfig {
-                    message: "shard slab range does not fit the run's slab grid",
-                });
-            }
-            (r.start, r.end)
-        }
-        None => (0, n_slabs),
-    };
-    let (row_lo, row_hi) = (lo_slab * slab, (hi_slab * slab).min(n));
-    let span = Span::begin(SpanKind::Alloc);
-    let sw = Stopwatch::start();
-    let scratch_pool = ScratchPool::new(cfg.threads, || {
-        Ok((
-            try_zeroed_vec::<u32>(slab * n, "slab counts scratch")?,
-            try_zeroed_vec::<f64>(slab * n, "slab statistic scratch")?,
-        ))
-    })?;
-    ld_trace::add(Counter::KernelNs, sw.elapsed_ns());
-    span.end((cfg.threads.max(1) * slab * n * 12) as u64);
-    // Modeled transient footprint: u32 counts + f64 values scratch per
-    // worker, plus the transform tables (no packed output in the
-    // streaming form).
-    ld_trace::record_peak(
-        Counter::AllocPeakBytes,
-        (cfg.threads.max(1) * slab * n * 12 + 20 * n) as u64,
-    );
-    let visit = Mutex::new(visit);
-    let completed = AtomicUsize::new(0);
-    let token_ref = run_token.as_ref();
-    let outcome = try_parallel_for_dynamic_init_ctl(
-        cfg.threads,
-        row_hi - row_lo,
-        // Grain is a multiple of `slab` (see the packed driver): slab
-        // boundaries — and therefore the slabs `visit` observes — do not
-        // depend on the chunk size. `row_lo` is a slab multiple, so the
-        // offset keeps chunks slab-aligned.
-        scheduler_grain(slab, cfg.chunk),
-        token_ref,
-        |_tid| scratch_pool.take(),
-        |(counts, values), rows| {
-            let mut s0 = row_lo + rows.start;
-            let chunk_end = row_lo + rows.end;
-            while s0 < chunk_end {
-                let s1 = (s0 + slab).min(chunk_end);
-                poll_deadline(deadline, token_ref);
-                ld_trace::add(Counter::CancelPolls, 1);
-                fault::check_kernel_panic();
-                let (r0, r1) = (s0, s1);
-                let width = n - r0;
-                let h = r1 - r0;
-                syrk_slab_counts(
-                    v,
-                    r0..r1,
-                    &mut counts[..h * width],
-                    width,
-                    cfg.kind,
-                    cfg.blocks,
-                );
-                let span = Span::begin(SpanKind::Transform);
-                let sw = Stopwatch::start();
-                for i in r0..r1 {
-                    let local = (i - r0) * width + (i - r0);
-                    let len = n - i;
-                    let (src, dst) = (&counts[local..local + len], &mut values[local..local + len]);
-                    tr.apply_row(i, src, dst);
-                }
-                ld_trace::add(Counter::TransformNs, sw.elapsed_ns());
-                span.end((r0 / slab) as u64);
-                ld_trace::add(Counter::SlabsEmitted, 1);
-                ld_trace::recorder::instant(SpanKind::SlabEmit, (r0 / slab) as u64);
-                let slab_visit = RowSlabVisit {
-                    row_start: r0,
-                    n_rows: h,
-                    n_snps: n,
-                    ldv: width,
-                    values: &values[..h * width],
-                };
-                (visit
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner))(
-                    &slab_visit
-                );
-                completed.fetch_add(1, Ordering::Relaxed);
-                s0 = s1;
-            }
-        },
-    )?;
-    if outcome.is_complete() {
-        Ok(())
-    } else {
-        Err(cancelled_error(
-            token_ref,
-            completed.load(Ordering::Relaxed),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -985,17 +343,6 @@ mod tests {
         g
     }
 
-    fn cfg(threads: usize, slab: usize) -> FusedConfig {
-        FusedConfig {
-            kind: KernelKind::Auto,
-            blocks: BlockSizes::default(),
-            threads,
-            policy: NanPolicy::Zero,
-            slab,
-            chunk: 1,
-        }
-    }
-
     #[test]
     fn packed_offsets_tile_the_triangle() {
         let n = 9;
@@ -1007,60 +354,6 @@ mod tests {
                 n - i,
                 "row {i}"
             );
-        }
-    }
-
-    #[test]
-    fn fused_matches_per_pair_reference() {
-        let g = pseudo(90, 17, 3);
-        let v = g.full_view();
-        let n = 17usize;
-        for stat in [LdStats::RSquared, LdStats::D, LdStats::DPrime] {
-            for (threads, slab) in [(1usize, 4usize), (3, 5), (2, 17), (4, 1)] {
-                let mut packed = vec![0.0f64; n * (n + 1) / 2];
-                stat_packed_fused(&v, stat, &cfg(threads, slab), &mut packed);
-                for i in 0..n {
-                    for j in i..n {
-                        let c_ij = ld_popcount::and_popcount(v.snp_words(i), v.snp_words(j));
-                        let want = crate::stats::ld_pair_from_counts(
-                            v.ones_in_snp(i),
-                            v.ones_in_snp(j),
-                            c_ij,
-                            90,
-                            NanPolicy::Zero,
-                        );
-                        let want = match stat {
-                            LdStats::RSquared => want.r2,
-                            LdStats::D => want.d,
-                            LdStats::DPrime => want.d_prime,
-                        };
-                        let got = packed[packed_row_offset(n, i) + (j - i)];
-                        assert!(
-                            (got - want).abs() < 1e-10,
-                            "{stat:?} t{threads} s{slab} ({i},{j}): {got} vs {want}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn row_slab_visitor_covers_every_pair_once() {
-        let g = pseudo(60, 13, 7);
-        let v = g.full_view();
-        let n = 13usize;
-        for (threads, slab) in [(1usize, 3usize), (2, 4), (7, 1), (2, 100)] {
-            let mut seen = vec![0u32; n * (n + 1) / 2];
-            stat_rows_fused(&v, LdStats::RSquared, &cfg(threads, slab), |s| {
-                for (i, row) in s.rows() {
-                    assert_eq!(row.len(), n - i);
-                    for t in 0..row.len() {
-                        seen[packed_row_offset(n, i) + t] += 1;
-                    }
-                }
-            });
-            assert!(seen.iter().all(|&c| c == 1), "t{threads} s{slab}");
         }
     }
 

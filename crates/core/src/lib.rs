@@ -16,9 +16,8 @@
 //! Entry point: [`LdEngine`] (kernel/threads/blocking configuration) with
 //!
 //! * [`LdEngine::r2_matrix`] — all `N(N+1)/2` values, triangle-packed
-//!   ([`LdMatrix`]), filled by the fused slab pipeline of [`fused`]
-//!   (transient memory bounded by `threads × slab × N` u32 — never the
-//!   `N × N` counts matrix);
+//!   ([`LdMatrix`]; transient memory bounded by `threads × slab × N` u32 —
+//!   never the `N × N` counts matrix);
 //! * [`LdEngine::r2_cross`] — all `m × n` values between two SNP sets
 //!   (long-range LD / distant genes, Fig. 4);
 //! * [`LdEngine::stat_rows`] / [`LdEngine::for_each_tile`] — streaming
@@ -27,14 +26,27 @@
 //! * [`LdEngine::ld_pair`] / [`ld_pair_from_counts`] — single-pair
 //!   statistics ([`LdPair`]) for spot checks and downstream tools.
 //!
+//! Every all-pairs form is the **one slab driver** of [`driver`] —
+//! `run(source, sink, control)` — with a different pair of ends: the
+//! [`Source`] says where the genotypes live (a matrix in RAM, borrowed
+//! zero-copy, or a chunked [`tilestore`] streamed panel-by-panel so the
+//! input never has to fit in memory) and with that the parallel axis,
+//! budget model, read schedule and slab order ([`source`]); the sink
+//! (packed triangle, row visitor, tile visitor, shard) says where a
+//! row's span goes and what "slab complete" means. The statistic bytes
+//! are identical across all of them ([`fused`] holds the one transform
+//! body).
+//!
 //! Long batch scans are **interruptible and resumable**: the `_with`
-//! drivers ([`LdEngine::try_stat_matrix_with`] and friends) take a
+//! entry points ([`LdEngine::try_stat_matrix_with`] and friends) take a
 //! [`RunControl`] bundling a shared [`CancelToken`], a monotonic
 //! [`Deadline`] and a [`CheckpointPlan`] (periodic persistence via any
 //! [`CheckpointSink`], plus validated resume). Cancellation lands on slab
 //! boundaries — never mid-kernel — and surfaces as [`LdError::Cancelled`]
 //! with the completed-slab count; a resumed run is bit-identical to an
-//! uninterrupted one (see [`checkpoint`]).
+//! uninterrupted one (see [`checkpoint`]), also across sources. Runs
+//! split across processes by slab range and merge back bit-identically
+//! ([`shard`]).
 
 #![warn(missing_docs)]
 
@@ -43,12 +55,13 @@ pub mod blocks;
 pub mod checkpoint;
 pub mod control;
 pub mod decay;
+pub mod driver;
 mod engine;
 pub mod error;
 pub mod fused;
 mod matrix;
-mod outofcore;
 pub mod shard;
+pub mod source;
 mod stats;
 pub mod tilestore;
 
@@ -65,6 +78,7 @@ pub use error::{LdError, MemoryBudget, WorkerPanic};
 pub use fused::RowSlabVisit;
 pub use matrix::{CrossLdMatrix, LdMatrix};
 pub use shard::{merge_shard_states, plan_shards, state_to_matrix, SlabRange};
+pub use source::Source;
 pub use stats::{ld_pair_from_counts, ld_pair_from_freqs, LdPair, LdStats, NanPolicy};
 pub use tilestore::{
     ChunkEntry, MemoryTileStore, TileManifest, TileSink, TileSource, TileStoreMeta,

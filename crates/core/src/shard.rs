@@ -1,8 +1,8 @@
 //! Slab-range shards: partitioning one LD run across processes, and the
 //! fingerprint-validated merge that stitches shard outputs back together.
 //!
-//! The fused pipeline already decomposes the packed triangle into row
-//! slabs (see [`crate::fused`]); a **shard** is nothing more than a
+//! The slab driver already decomposes the packed triangle into row
+//! slabs (see [`crate::driver`]); a **shard** is nothing more than a
 //! contiguous range of those slab indices, promoted to a first-class
 //! execution unit:
 //!
@@ -446,6 +446,47 @@ mod tests {
             assert_eq!(m.packed().len(), full.packed().len());
             for (a, b) in m.packed().iter().zip(full.packed()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{stat:?}");
+            }
+        }
+    }
+
+    /// Regression: a binding budget gives the two sources different slab
+    /// grids (their budget models differ), so a store run must be planned
+    /// on the *store's* grid. Planning it with the in-memory model used to
+    /// hand the last shards ranges past the end of the grid actually run.
+    #[test]
+    fn store_shards_are_planned_on_the_grid_the_store_runs() {
+        use crate::error::MemoryBudget;
+        use crate::source::Source;
+        use crate::tilestore::MemoryTileStore;
+        let (n, threads) = (200usize, 2usize);
+        let g = pseudo(512, n, 21);
+        let store = MemoryTileStore::from_matrix(&g, 8).expect("import");
+        let src = Source::Store(&store);
+        // room for exactly 10 slab rows under the in-memory model; the
+        // store model (no per-thread scratch) fits the configured 64
+        let budget = 8 * (n * (n + 1) / 2) + 20 * n + 10 * threads * n * 4;
+        let e = LdEngine::new()
+            .threads(threads)
+            .slab_rows(64)
+            .memory_budget(MemoryBudget::bytes(budget));
+        assert_eq!(e.slab_for(&Source::from(&g), true).unwrap(), 10);
+        assert_eq!(e.slab_for(&src, true).unwrap(), 64);
+        let oracle = e.stat_matrix_twopass(&g, LdStats::RSquared);
+        for n_shards in [2usize, 3] {
+            let plan = e.shard_plan_from(&src, n_shards).expect("plan");
+            assert_ne!(plan, e.shard_plan(n, n_shards).unwrap(), "the grids differ");
+            let states = plan
+                .into_iter()
+                .map(|range| {
+                    let ctl = RunControl::new().with_shard(range);
+                    e.try_stat_shard_with(src, LdStats::RSquared, &ctl)
+                        .unwrap_or_else(|err| panic!("{n_shards}-way shard {range}: {err}"))
+                })
+                .collect();
+            let m = state_to_matrix(&merge_shard_states(states).expect("merge")).unwrap();
+            for (a, b) in m.packed().iter().zip(oracle.packed()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{n_shards}-way");
             }
         }
     }

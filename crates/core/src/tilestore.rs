@@ -1,5 +1,5 @@
-//! Chunked tile store: the serialization format that feeds the
-//! out-of-core driver.
+//! Chunked tile store: the serialization format behind the slab
+//! driver's out-of-core source ([`crate::Source::Store`]).
 //!
 //! A store is a sequence of fixed-size **chunks** — `chunk_snps`
 //! consecutive SNP columns in the same packed SNP-major word layout the
@@ -136,8 +136,8 @@ impl TileStoreMeta {
 // Traits
 // ---------------------------------------------------------------------------
 
-/// A readable tile store. `Sync` because the out-of-core driver reads
-/// from a prefetch thread while compute runs on the caller's thread.
+/// A readable tile store. `Sync` because the store source reads from a
+/// prefetch thread while compute runs on the caller's thread.
 ///
 /// `read_chunk` must be *verified*: implementations return the decoded
 /// packed words only after every integrity check (CRC, header geometry)

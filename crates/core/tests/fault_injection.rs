@@ -14,9 +14,14 @@
 //!    shrink; the result must stay bit-exact against the two-pass oracle,
 //!    and an impossible budget must come back as `BudgetExceeded`.
 //!
+//! Both sources of the slab driver are covered: every injection runs over
+//! the in-memory matrix and over a [`MemoryTileStore`] of the same data.
+//!
 //! This file is its own integration-test binary so the `#[global_allocator]`
-//! hook sees only this test's traffic. Tests that arm global fault state
-//! serialize through one mutex.
+//! hook sees only this test's traffic. The fault state is process-global,
+//! so **every** test that runs an engine holds one mutex — an unlocked
+//! engine run would otherwise trip over a sibling's armed panic or
+//! allocation failure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,7 +29,10 @@ use std::sync::Mutex;
 
 use ld_bitmat::BitMatrix;
 use ld_core::error::fault;
-use ld_core::{LdEngine, LdError, LdStats, MemoryBudget};
+use ld_core::{
+    CheckpointPlan, CheckpointSink, LdEngine, LdError, LdStats, MemoryBudget, MemoryTileStore,
+    RunControl,
+};
 use ld_rng::SmallRng;
 
 /// Fails the `FAIL_AT`-th fallible allocation (1-based) on any thread
@@ -80,7 +88,8 @@ unsafe impl GlobalAlloc for InjectingAlloc {
 #[global_allocator]
 static ALLOC: InjectingAlloc = InjectingAlloc;
 
-/// Serializes tests that arm process-global fault state.
+/// Serializes tests that arm — or could observe — process-global fault
+/// state.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock_faults() -> std::sync::MutexGuard<'static, ()> {
@@ -126,38 +135,75 @@ fn bits(m: &ld_core::LdMatrix) -> Vec<u64> {
 fn every_fallible_allocation_site_fails_cleanly() {
     let _guard = lock_faults();
     let g = random_matrix(96, 48, 0xfa01);
+    let store = MemoryTileStore::from_matrix(&g, 10).expect("import");
     let engine = LdEngine::new().threads(2).slab_rows(8);
-
-    let mut failures = 0usize;
-    let mut completed = false;
-    for nth in 1..=64 {
-        arm_alloc_failure(nth);
-        let result = engine.try_stat_matrix(&g, LdStats::RSquared);
-        disarm_alloc_failure();
-        match result {
-            Err(LdError::AllocationFailed { bytes, .. }) => {
-                assert!(bytes > 0, "failure should report the requested size");
-                failures += 1;
-            }
-            Err(other) => panic!("expected AllocationFailed, got: {other}"),
-            Ok(m) => {
-                // nth exceeded the number of fallible allocations in one
-                // run: the pipeline completed untouched. Its output must
-                // match an uninjected run exactly.
-                let clean = engine
-                    .try_stat_matrix(&g, LdStats::RSquared)
-                    .expect("uninjected run");
-                assert_eq!(bits(&m), bits(&clean));
-                completed = true;
-                break;
+    let ctl = RunControl::new();
+    type Run<'a> = &'a dyn Fn() -> Result<Vec<u64>, LdError>;
+    // slab order is unspecified under threading: compare as a multiset
+    let collect = |s: &ld_core::RowSlabVisit<'_>, out: &mut Vec<u64>| {
+        for (_, row) in s.rows() {
+            out.extend(row.iter().map(|v| v.to_bits()));
+        }
+        out.sort_unstable();
+    };
+    let entry_points: [(&str, Run<'_>); 4] = [
+        ("memory matrix", &|| {
+            engine
+                .try_stat_matrix(&g, LdStats::RSquared)
+                .map(|m| bits(&m))
+        }),
+        ("store matrix", &|| {
+            engine
+                .try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &ctl)
+                .map(|m| bits(&m))
+        }),
+        ("memory rows", &|| {
+            let mut out = Vec::new();
+            engine.try_stat_rows(&g, LdStats::RSquared, |s| collect(s, &mut out))?;
+            Ok(out)
+        }),
+        ("store rows", &|| {
+            let mut out = Vec::new();
+            let visit = |s: &ld_core::RowSlabVisit<'_>| collect(s, &mut out);
+            engine.try_stat_rows_outofcore_with(&store, LdStats::RSquared, visit, &ctl)?;
+            Ok(out)
+        }),
+    ];
+    for (what, run) in entry_points {
+        let mut failures = 0usize;
+        let mut completed = false;
+        for nth in 1..=64 {
+            arm_alloc_failure(nth);
+            let result = run();
+            disarm_alloc_failure();
+            match result {
+                Err(LdError::AllocationFailed { bytes, .. }) => {
+                    assert!(
+                        bytes > 0,
+                        "{what}: failure should report the requested size"
+                    );
+                    failures += 1;
+                }
+                Err(other) => panic!("{what}: expected AllocationFailed, got: {other}"),
+                Ok(got) => {
+                    // nth exceeded the number of fallible allocations in one
+                    // run: the pipeline completed untouched. Its output must
+                    // match an uninjected run exactly.
+                    assert_eq!(got, run().expect("uninjected run"), "{what}");
+                    completed = true;
+                    break;
+                }
             }
         }
+        assert!(
+            failures >= 3,
+            "{what}: expected at least diag/tables/output/scratch sites, saw {failures}"
+        );
+        assert!(
+            completed,
+            "{what}: injection never ran past the last fallible site"
+        );
     }
-    assert!(
-        failures >= 3,
-        "expected at least diag/tables/output/scratch sites, saw {failures}"
-    );
-    assert!(completed, "injection never ran past the last fallible site");
 }
 
 #[test]
@@ -200,11 +246,26 @@ fn injected_kernel_panic_surfaces_as_worker_error() {
         Ok(_) => panic!("expected LdError::Worker, got a clean result"),
     }
 
+    // the store source runs under the same trap
+    let store = MemoryTileStore::from_matrix(&g, 16).expect("import");
+    fault::arm_kernel_panic(true);
+    let result =
+        engine.try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &RunControl::new());
+    fault::arm_kernel_panic(false);
+    match result {
+        Err(LdError::Worker(p)) => assert!(p.message.contains("injected kernel panic")),
+        other => panic!("store source: expected LdError::Worker, got {other:?}"),
+    }
+
     // the engine is not poisoned: the next run succeeds and matches the oracle
     let m = engine
         .try_stat_matrix(&g, LdStats::RSquared)
         .expect("clean run after disarm");
     let oracle = engine.stat_matrix_twopass(&g, LdStats::RSquared);
+    assert_eq!(bits(&m), bits(&oracle));
+    let m = engine
+        .try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &RunControl::new())
+        .expect("clean store run after disarm");
     assert_eq!(bits(&m), bits(&oracle));
 }
 
@@ -222,6 +283,87 @@ fn injected_panic_in_streaming_path_is_contained() {
         matches!(result, Err(LdError::Worker(_))),
         "streaming path must contain worker panics too"
     );
+
+    let store = MemoryTileStore::from_matrix(&g, 7).expect("import");
+    let ctl = RunControl::new();
+    fault::arm_kernel_panic(true);
+    let result = engine.try_stat_rows_outofcore_with(&store, LdStats::RSquared, |_slab| {}, &ctl);
+    fault::arm_kernel_panic(false);
+    assert!(
+        matches!(result, Err(LdError::Worker(_))),
+        "store source: streaming path must contain worker panics too"
+    );
+
+    // A panic in the *caller's* visitor is contained the same way, from
+    // both sources: a typed error, not an unwind through the engine.
+    let bomb = |seen: &mut usize| {
+        *seen += 1;
+        if *seen == 2 {
+            panic!("visitor bomb");
+        }
+    };
+    let (mut a, mut b) = (0usize, 0usize);
+    let results = [
+        engine.try_stat_rows(&g, LdStats::RSquared, |_slab| bomb(&mut a)),
+        engine.try_stat_rows_outofcore_with(&store, LdStats::RSquared, |_slab| bomb(&mut b), &ctl),
+    ];
+    for (source, result) in ["memory", "store"].iter().zip(results) {
+        match result {
+            Err(LdError::Worker(p)) => assert!(p.message.contains("visitor bomb"), "{source}"),
+            other => panic!("{source}: expected LdError::Worker, got {other:?}"),
+        }
+    }
+}
+
+/// A checkpoint sink that starts failing mid-run is sticky from both
+/// sources: the same typed error, no further write attempts, and the run
+/// drains instead of computing unpersistable slabs.
+#[test]
+fn failing_checkpoint_sink_is_sticky_from_both_sources() {
+    struct FailsFrom {
+        nth: usize,
+        attempts: AtomicUsize,
+    }
+    impl CheckpointSink for FailsFrom {
+        fn write_checkpoint(&self, _bytes: &[u8]) -> Result<(), String> {
+            if self.attempts.fetch_add(1, Ordering::SeqCst) + 1 >= self.nth {
+                return Err("disk full (injected)".into());
+            }
+            Ok(())
+        }
+    }
+    let _guard = lock_faults();
+    let g = random_matrix(40, 36, 0xfa0a);
+    let store = MemoryTileStore::from_matrix(&g, 5).expect("import");
+    let engine = LdEngine::new().threads(2).slab_rows(4);
+    let mut messages = Vec::new();
+    for streamed in [false, true] {
+        let sink = FailsFrom {
+            nth: 3,
+            attempts: AtomicUsize::new(0),
+        };
+        let ctl = RunControl::new().with_checkpoint(CheckpointPlan::new(&sink).every_slabs(1));
+        let result = if streamed {
+            engine.try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &ctl)
+        } else {
+            engine.try_stat_matrix_with(&g, LdStats::RSquared, &ctl)
+        };
+        match result {
+            Err(LdError::Checkpoint { message }) => messages.push(message),
+            other => panic!("streamed={streamed}: expected LdError::Checkpoint, got {other:?}"),
+        }
+        assert_eq!(
+            sink.attempts.load(Ordering::SeqCst),
+            3,
+            "streamed={streamed}: no write is attempted after the first failure \
+             (9 slabs would otherwise make 9 attempts)"
+        );
+    }
+    assert_eq!(messages[0], messages[1]);
+    assert_eq!(
+        messages[0],
+        "checkpoint write failed mid-run: disk full (injected)"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -230,6 +372,7 @@ fn injected_panic_in_streaming_path_is_contained() {
 
 #[test]
 fn budget_constrained_run_matches_twopass_oracle_bitexact() {
+    let _guard = lock_faults();
     let n = 300usize;
     let threads = 2usize;
     let g = random_matrix(128, n, 0xfa05);
@@ -277,6 +420,7 @@ fn budget_constrained_run_matches_twopass_oracle_bitexact() {
 
 #[test]
 fn tile_iteration_verifies_budget_instead_of_shrinking() {
+    let _guard = lock_faults();
     let g = random_matrix(64, 120, 0xfa06);
     let engine = LdEngine::new()
         .threads(1)
@@ -301,6 +445,7 @@ fn tile_iteration_verifies_budget_instead_of_shrinking() {
 
 #[test]
 fn zero_samples_is_empty_input() {
+    let _guard = lock_faults();
     let g = BitMatrix::zeros(0, 5);
     let err = LdEngine::new()
         .try_stat_matrix(&g, LdStats::RSquared)
@@ -311,6 +456,7 @@ fn zero_samples_is_empty_input() {
 
 #[test]
 fn absurd_snp_count_is_size_overflow_not_oom() {
+    let _guard = lock_faults();
     // 2^40 SNPs of zero samples occupy no memory, but the packed triangle
     // would need ~2^79 entries: must be a typed overflow, not an abort.
     let g = BitMatrix::zeros(0, 1usize << 40);
@@ -322,6 +468,7 @@ fn absurd_snp_count_is_size_overflow_not_oom() {
 
 #[test]
 fn cross_matrix_rejects_mismatched_sample_sets() {
+    let _guard = lock_faults();
     let a = random_matrix(32, 10, 0xfa07);
     let b = random_matrix(48, 10, 0xfa08);
     let err = LdEngine::new()
@@ -337,6 +484,7 @@ fn cross_matrix_rejects_mismatched_sample_sets() {
 
 #[test]
 fn zero_tile_is_invalid_config() {
+    let _guard = lock_faults();
     let g = random_matrix(16, 8, 0xfa09);
     let err = LdEngine::new()
         .try_for_each_tile(&g, LdStats::RSquared, 0, |_t| {})
@@ -346,6 +494,7 @@ fn zero_tile_is_invalid_config() {
 
 #[test]
 fn empty_matrix_succeeds_under_any_budget() {
+    let _guard = lock_faults();
     let g = BitMatrix::zeros(4, 0);
     let engine = LdEngine::new().memory_budget(MemoryBudget::bytes(1));
     let m = engine

@@ -56,9 +56,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests: `LIVE`/`PEAK` are process-global, so a sibling
+/// test allocating concurrently would bill its buffers to whichever
+/// section is being measured.
+fn lock_heap() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Runs `f` and returns its peak heap growth in bytes over the level at
 /// entry (allocations made before and freed after `f` don't count against
 /// it; thread-stack memory is not heap and is excluded by construction).
+/// Callers hold [`lock_heap`] for the whole test.
 fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
@@ -69,6 +79,7 @@ fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
 
 #[test]
 fn fused_peak_memory_is_slab_bounded() {
+    let _heap = lock_heap();
     use ld_bitmat::BitMatrix;
     use ld_core::{LdEngine, LdStats, NanPolicy};
     use ld_rng::SmallRng;
@@ -131,6 +142,7 @@ fn fused_peak_memory_is_slab_bounded() {
 
 #[test]
 fn streaming_rows_never_materialize_the_triangle() {
+    let _heap = lock_heap();
     use ld_bitmat::BitMatrix;
     use ld_core::{LdEngine, LdStats, NanPolicy};
 
@@ -183,6 +195,7 @@ fn streaming_rows_never_materialize_the_triangle() {
 /// full-`G` or `n²` classes.
 #[test]
 fn outofcore_rows_peak_is_slab_panel_bounded() {
+    let _heap = lock_heap();
     use ld_bitmat::{words_for, BitMatrix};
     use ld_core::{LdEngine, LdStats, MemoryTileStore, NanPolicy, RunControl};
 

@@ -24,9 +24,7 @@
 //! requests already holding their `Arc`; the budget models steady-state
 //! residency, not transient peaks.
 
-use ld_core::{
-    CancelToken, Deadline, LdEngine, LdError, LdMatrix, LdStats, RunControl, TileSource,
-};
+use ld_core::{CancelToken, Deadline, LdEngine, LdError, LdMatrix, LdStats, RunControl, Source};
 use ld_io::tilestore::DirTileStore;
 use std::collections::HashMap;
 use std::fmt;
@@ -309,41 +307,33 @@ impl PanelRegistry {
         deadline: Deadline,
     ) -> Result<Arc<LdMatrix>, RegistryError> {
         let ctl = RunControl::new().with_token(token).with_deadline(deadline);
-        let (meta, matrix) = match source {
+        // Whichever backing the panel has, it becomes one `Source`: the
+        // identity, the budget reservation and the compute call below do
+        // not care where the genotypes live.
+        let (g, store);
+        let src = match source {
             PanelSource::TextFile(path) => {
-                let g = load_text_panel(name, path)?;
-                let view = ld_bitmat::BitMatrixView::from(&g);
-                let meta = PanelMeta {
-                    fingerprint: ld_core::matrix_fingerprint(&view),
-                    n_snps: g.n_snps(),
-                    n_samples: g.n_samples(),
-                };
-                self.reserve(name, meta)?;
-                let m = self
-                    .engine
-                    .try_stat_matrix_with(&g, stat, &ctl)
-                    .map_err(|e| self.unreserve_on(meta, e))?;
-                (meta, m)
+                g = load_text_panel(name, path)?;
+                Source::from(&g)
             }
             PanelSource::TileStore(dir) => {
-                let store = DirTileStore::open(dir).map_err(|e| RegistryError::Load {
+                store = DirTileStore::open(dir).map_err(|e| RegistryError::Load {
                     panel: name.to_string(),
                     message: e.to_string(),
                 })?;
-                let sm = store.meta();
-                let meta = PanelMeta {
-                    fingerprint: sm.fingerprint,
-                    n_snps: sm.n_snps,
-                    n_samples: sm.n_samples,
-                };
-                self.reserve(name, meta)?;
-                let m = self
-                    .engine
-                    .try_stat_matrix_outofcore_with(&store, stat, &ctl)
-                    .map_err(|e| self.unreserve_on(meta, e))?;
-                (meta, m)
+                Source::Store(&store)
             }
         };
+        let meta = PanelMeta {
+            fingerprint: src.fingerprint(),
+            n_snps: src.n_snps(),
+            n_samples: src.n_samples(),
+        };
+        self.reserve(name, meta)?;
+        let matrix = self
+            .engine
+            .try_stat_matrix_with(src, stat, &ctl)
+            .map_err(|e| self.unreserve_on(meta, e))?;
 
         let bytes = triangle_bytes(meta.n_snps);
         let matrix = Arc::new(matrix);

@@ -50,7 +50,9 @@
 #  17. out-of-core leg — `import` writes a chunked tile store whose
 #      manifest validates against schemas/tile_manifest.schema.json;
 #      `r2 --store` (budgeted, streaming) must be byte-identical to the
-#      one-shot in-memory table, kill/resume on the store must
+#      one-shot in-memory table, and so must both `--shard i/2` of the
+#      store under a budget that gives the store and an in-memory run
+#      different slab grids; kill/resume on the store must
 #      re-enter bit-identically, a bit-flipped chunk must be rejected
 #      with exit 3 naming the chunk, and a fresh `outofcore` bench run
 #      is gated against results/baselines/BENCH_outofcore.json (same
@@ -541,6 +543,21 @@ if ! cmp -s target/ci-shard-one.tsv target/ci-ooc.tsv; then
     exit 1
 fi
 echo "    budgeted streamed table byte-identical to the one-shot run"
+# 35 MiB leaves the in-memory budget model 26 slab rows over the 36 MB
+# triangle and the store's model the configured 64: each shard must be cut
+# on the grid its own source runs (planning the store run with the
+# in-memory model used to hand shard 2/2 a range off the store's grid).
+for I in 1 2; do
+    run "$SH_BIN" r2 --store "$OOC_DIR" --threads 2 --memory-budget-mb 35 \
+        --shard "$I/2" -o "target/ci-ooc-shard-$I.bin"
+done
+run "$SH_BIN" merge target/ci-ooc-shard-1.bin target/ci-ooc-shard-2.bin \
+    --min-r2 0 -i "$SH_SIM" -o target/ci-ooc-sharded.tsv
+if ! cmp -s target/ci-shard-one.tsv target/ci-ooc-sharded.tsv; then
+    echo "out-of-core FAIL: budgeted store shards differ from the one-shot run" >&2
+    exit 1
+fi
+echo "    budgeted store shards merged byte-identical to the one-shot run"
 
 echo "==> out-of-core: kill/resume on the store must be bit-identical"
 OOC_CK=target/ci-ooc.ckpt
