@@ -10,6 +10,8 @@ use ld_data::HaplotypeSimulator;
 use ld_data::SweepSimulator;
 use ld_ext::tanimoto::{tanimoto_cross, top_k_neighbors};
 use ld_io::atomic::{write_atomic, write_atomic_with};
+use ld_io::text::{push_r2_row, R2_TABLE_HEADER};
+use ld_io::MatrixFormat;
 use ld_kernels::{BlockSizes, CpuProfile, KernelKind, TunedParams};
 use ld_omega::OmegaScan;
 use ld_popcount::{CpuFeatures, CpuFingerprint};
@@ -415,60 +417,36 @@ fn emit_profile(
     Ok(())
 }
 
-/// Loads a haplotype matrix, dispatching on the file extension.
+/// Loads a haplotype matrix in the format its extension names
+/// ([`MatrixFormat`]): an unsupported extension is a usage error (exit 2),
+/// an unopenable file a resource error (4), a malformed one a parse
+/// error (3).
 pub fn load_matrix(path: &str) -> Result<BitMatrix, CliError> {
     let p = Path::new(path);
-    let ext = p.extension().and_then(|e| e.to_str()).unwrap_or("");
-    let open = || {
-        std::fs::File::open(p).map_err(|e| CliError::Resource(format!("cannot open {path}: {e}")))
-    };
-    match ext {
-        "ms" => Ok(ld_io::ms::read_ms_first(BufReader::new(open()?))?.matrix),
-        "vcf" => Ok(ld_io::vcf::read_vcf(BufReader::new(open()?))?.matrix),
-        "txt" | "mat" | "" => Ok(ld_io::text::read_matrix(BufReader::new(open()?))?),
-        other => Err(CliError::Usage(format!(
-            "unsupported input extension '.{other}' (expected ms/vcf/txt)"
-        ))),
-    }
+    let format = MatrixFormat::from_path(p).map_err(|ext| {
+        CliError::Usage(format!(
+            "unsupported input extension '.{ext}' (expected ms/vcf/txt)"
+        ))
+    })?;
+    let file = std::fs::File::open(p)
+        .map_err(|e| CliError::Resource(format!("cannot open {path}: {e}")))?;
+    Ok(format.read(BufReader::new(file))?)
 }
 
-/// Saves a haplotype matrix, dispatching on the file extension. The write
+/// Saves a haplotype matrix in the format its extension names. The write
 /// is atomic (temp + fsync + rename): an interrupted run never leaves a
 /// truncated file under the final name.
 pub fn save_matrix(path: &str, g: &BitMatrix) -> Result<(), CliError> {
-    let p = Path::new(path);
-    let ext = p.extension().and_then(|e| e.to_str()).unwrap_or("");
+    let format = MatrixFormat::from_path(Path::new(path))
+        .map_err(|ext| CliError::Usage(format!("unsupported output extension '.{ext}'")))?;
     // ld-io format errors inside the atomic closure ride on io::Error;
     // they all classify as resource failures here anyway.
-    let io_other = |e: ld_io::IoError| std::io::Error::other(e.to_string());
-    let result = match ext {
-        "ms" => {
-            let rep = ld_io::ms::MsReplicate {
-                positions: (0..g.n_snps())
-                    .map(|j| (j as f64 + 0.5) / g.n_snps() as f64)
-                    .collect(),
-                matrix: g.clone(),
-            };
-            write_atomic_with(p, |w| {
-                ld_io::ms::write_ms(w, std::slice::from_ref(&rep)).map_err(io_other)
-            })
-        }
-        "vcf" => {
-            let sites = ld_io::vcf::synthetic_sites(g.n_snps(), 1000);
-            write_atomic_with(p, |w| {
-                ld_io::vcf::write_vcf(w, g, &sites, 1).map_err(io_other)
-            })
-        }
-        "txt" | "mat" | "" => {
-            write_atomic_with(p, |w| ld_io::text::write_matrix(w, g).map_err(io_other))
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unsupported output extension '.{other}'"
-            )))
-        }
-    };
-    result.map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))
+    write_atomic_with(path, |w| {
+        format
+            .write(w, g)
+            .map_err(|e| std::io::Error::other(e.to_string()))
+    })
+    .map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))
 }
 
 /// `gemm-ld info`
@@ -668,11 +646,10 @@ pub fn r2(args: &Args) -> CmdResult {
         // memory stays at the source's scratch bound regardless of n. The
         // table itself is written atomically: it appears under `path` only
         // complete — a cancelled run leaves no torn file.
-        use std::fmt::Write as _;
         use std::io::Write as _;
         let mut ld_err: Option<ld_core::LdError> = None;
         let res = write_atomic_with(path, |w| {
-            writeln!(w, "SNP_A\tSNP_B\tR2")?;
+            w.write_all(R2_TABLE_HEADER.as_bytes())?;
             // slabs arrive in unspecified order from a threaded memory
             // source: hold out-of-order blocks briefly and flush the
             // in-order prefix (a store source delivers in row order, so the
@@ -688,15 +665,11 @@ pub fn r2(args: &Args) -> CmdResult {
                 |s| {
                     let mut block = String::new();
                     for (i, row) in s.rows() {
-                        for (t, &v) in row.iter().enumerate().skip(1) {
-                            if !v.is_nan() && v >= min_r2 {
-                                // String formatting cannot fail short of
-                                // OOM, but swallowing the Result would
-                                // silently drop rows — record it.
-                                if writeln!(block, "snp{i}\tsnp{}\t{v:.6}", i + t).is_err() {
-                                    fmt_err = true;
-                                }
-                            }
+                        // `row[0]` is the diagonal. String formatting
+                        // cannot fail short of OOM, but swallowing the
+                        // Result would silently drop rows — record it.
+                        if push_r2_row(&mut block, i, i + 1, &row[1..], min_r2).is_err() {
+                            fmt_err = true;
                         }
                     }
                     pending.insert(s.row_start(), (s.n_rows(), block));
@@ -997,22 +970,6 @@ fn retry_backoff(base_ms: u64, failed_attempts: usize, shard_idx: u64) -> Durati
     .delay(failed_attempts)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One shard tracked by the `run-sharded` supervisor.
 struct ShardSlot {
     /// 1-based shard index (`--shard idx/N`).
@@ -1051,8 +1008,8 @@ fn write_manifest(
     let mut s = String::with_capacity(512);
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema_version\": 1,");
-    let _ = writeln!(s, "  \"input\": \"{}\",", json_escape(input));
-    let _ = writeln!(s, "  \"output\": \"{}\",", json_escape(output));
+    let _ = writeln!(s, "  \"input\": \"{}\",", ld_trace::escape_json(input));
+    let _ = writeln!(s, "  \"output\": \"{}\",", ld_trace::escape_json(output));
     let _ = writeln!(s, "  \"shards\": {},", shards.len());
     let _ = writeln!(s, "  \"retries\": {retries},");
     let _ = writeln!(s, "  \"backoff_ms\": {backoff_ms},");

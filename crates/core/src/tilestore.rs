@@ -32,11 +32,12 @@
 //! in-memory matrix and vice versa.
 //!
 //! The manifest itself is damage-proofed the same way the tuned CPU
-//! profile is: a `crc32` field over the exact byte span of the `payload`
-//! value as serialized. Any truncation or bit flip of either a chunk or
-//! the manifest surfaces as a typed [`LdError::TileStore`] naming the
-//! offending piece — a damaged store must never decode into a silently
-//! wrong panel.
+//! profile is — the sealed envelope of `ld_trace::json`: a `crc32` field
+//! over the exact byte span of the `payload` value as serialized, and a
+//! trailing newline the reader demands back. Any truncation or bit flip
+//! of either a chunk or the manifest surfaces as a typed
+//! [`LdError::TileStore`] naming the offending piece — a damaged store
+//! must never decode into a silently wrong panel.
 //!
 //! This module owns the *format* and the in-memory backend
 //! ([`MemoryTileStore`]); the file-backed directory store lives in
@@ -48,6 +49,7 @@
 use crate::checkpoint::{crc32, Fingerprinter};
 use crate::error::LdError;
 use ld_bitmat::{words_for, AlignedWords, BitMatrix};
+use ld_trace::json::{self, escape_json, Json};
 
 /// Magic bytes opening every chunk (format version baked in).
 pub const CHUNK_MAGIC: &[u8; 8] = b"LDTILE01";
@@ -301,27 +303,6 @@ pub struct TileManifest {
     pub chunks: Vec<ChunkEntry>,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let mut buf = String::new();
-                use std::fmt::Write as _;
-                let _ = write!(buf, "\\u{:04x}", c as u32);
-                out.push_str(&buf);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl TileManifest {
     /// Serializes the manifest, computing the payload CRC over the exact
     /// byte span of the `payload` value.
@@ -337,7 +318,7 @@ impl TileManifest {
                 chunks,
                 "{{\"index\":{},\"file\":\"{}\",\"snps\":{},\"bytes\":{},\"crc32\":{}}}",
                 c.index,
-                escape(&c.file),
+                escape_json(&c.file),
                 c.snps,
                 c.bytes,
                 c.crc32
@@ -350,63 +331,17 @@ impl TileManifest {
             ),
             m.n_samples, m.n_snps, m.chunk_snps, m.words_per_snp, m.fingerprint, chunks
         );
-        format!(
-            "{{\"schema_version\":{},\"crc32\":{},\"payload\":{}}}\n",
-            MANIFEST_SCHEMA_VERSION,
-            crc32(payload.as_bytes()),
-            payload
-        )
+        json::seal(MANIFEST_SCHEMA_VERSION, &payload)
     }
 
-    /// Parses and fully validates a manifest: JSON structure, schema
-    /// version, payload CRC over the raw byte span, field types, and the
-    /// internal consistency of the geometry (chunk count, per-chunk SNP
-    /// spans and encoded sizes). Every failure is a typed
-    /// [`LdError::TileStore`].
+    /// Parses and fully validates a manifest: the sealed envelope
+    /// (trailing newline, JSON structure, schema version, payload CRC over
+    /// the raw byte span), field types, and the internal consistency of
+    /// the geometry (chunk count, per-chunk SNP spans and encoded sizes).
+    /// Every failure is a typed [`LdError::TileStore`].
     pub fn from_json(text: &str) -> Result<Self, LdError> {
         let fail = |what: String| store_err(format!("manifest: {what}"));
-        // The writer always ends the document with a single newline;
-        // demanding it back makes *every* truncation detectable (dropping
-        // only the final byte would otherwise still parse).
-        let Some(text) = text.strip_suffix('\n') else {
-            return Err(fail(
-                "missing trailing newline (file truncated?)".to_owned(),
-            ));
-        };
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
-        let (root, _) = p.value().map_err(|e| fail(format!("invalid JSON: {e}")))?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(fail(format!("trailing garbage at byte {}", p.pos)));
-        }
-        let version = root
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| fail("missing or ill-typed schema_version".to_owned()))?;
-        if version != MANIFEST_SCHEMA_VERSION {
-            return Err(fail(format!(
-                "schema_version is {version} (this build reads {MANIFEST_SCHEMA_VERSION})"
-            )));
-        }
-        let crc_stored = root
-            .get("crc32")
-            .and_then(Json::as_u64)
-            .and_then(|c| u32::try_from(c).ok())
-            .ok_or_else(|| fail("missing or ill-typed crc32".to_owned()))?;
-        let (span_lo, span_hi) = root
-            .span("payload")
-            .ok_or_else(|| fail("missing payload".to_owned()))?;
-        let crc_actual = crc32(&bytes[span_lo..span_hi]);
-        if crc_stored != crc_actual {
-            return Err(fail(format!(
-                "payload CRC-32 mismatch (stored {crc_stored:#010x}, computed {crc_actual:#010x}) \
-                 — the manifest is damaged"
-            )));
-        }
-        let payload = root
-            .get("payload")
-            .ok_or_else(|| fail("missing payload".to_owned()))?;
+        let payload = json::open(text.as_bytes(), MANIFEST_SCHEMA_VERSION).map_err(fail)?;
         let field = |name: &str| -> Result<usize, LdError> {
             payload
                 .get(name)
@@ -447,10 +382,10 @@ impl TileManifest {
             words_per_snp,
             fingerprint,
         };
-        let list = match payload.get("chunks") {
-            Some(Json::Arr(items)) => items,
-            _ => return Err(fail("missing or ill-typed chunks list".to_owned())),
-        };
+        let list = payload
+            .get("chunks")
+            .and_then(Json::as_array)
+            .ok_or_else(|| fail("missing or ill-typed chunks list".to_owned()))?;
         if list.len() != meta.n_chunks() {
             return Err(fail(format!(
                 "{} chunk entries but the geometry needs {}",
@@ -662,230 +597,6 @@ impl TileSource for MemoryTileStore {
         decode_chunk(self.meta(), index, bytes)
     }
 }
-
-// ---------------------------------------------------------------------------
-// Minimal span-tracking JSON parser (same idiom as the tuned-profile
-// loader in `ld-kernels`: the workspace builds with no external crates,
-// and tracking byte spans lets the CRC be verified over the payload
-// exactly as it sits in the file).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json, (usize, usize))>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _, _)| k == key).map(|(_, v, _)| v),
-            _ => None,
-        }
-    }
-
-    fn span(&self, key: &str) -> Option<(usize, usize)> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _, _)| k == key).map(|&(_, _, s)| s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Json::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) => Some(n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<(Json, (usize, usize)), String> {
-        self.skip_ws();
-        let start = self.pos;
-        let v = match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object()?,
-            b'[' => self.array()?,
-            b'"' => Json::Str(self.string()?),
-            b't' => self.literal(b"true", Json::Bool(true))?,
-            b'f' => self.literal(b"false", Json::Bool(false))?,
-            b'n' => self.literal(b"null", Json::Null)?,
-            _ => self.number()?,
-        };
-        Ok((v, (start, self.pos)))
-    }
-
-    fn literal(&mut self, lit: &[u8], v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err("invalid literal"))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if start == self.pos {
-            return Err(self.err("expected a value"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|n| n.is_finite())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("invalid number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or_else(|| self.err("unterminated string"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let (val, span) = self.value()?;
-            fields.push((key, val, span));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            let (val, _) = self.value()?;
-            items.push(val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,8 @@
 //!   output format.
 //!
 //! All readers take `io::Read`/`io::BufRead`, writers take `io::Write`;
-//! path helpers wrap them with buffered files.
+//! path helpers wrap them with buffered files. Which whole-matrix format a
+//! path's extension names is decided once, by [`MatrixFormat`].
 //!
 //! Durable artifacts are written **atomically**: [`atomic::write_atomic`]
 //! stages to a temp sibling, fsyncs, then renames — a crashed or cancelled
@@ -40,6 +41,7 @@ pub mod bed;
 pub mod checkpoint;
 mod error;
 pub mod fasta;
+mod format;
 pub mod ldmatrix;
 mod limits;
 pub mod ms;
@@ -49,4 +51,5 @@ pub mod tilestore;
 pub mod vcf;
 
 pub use error::IoError;
+pub use format::MatrixFormat;
 pub use limits::Limits;

@@ -89,14 +89,55 @@ pub struct R2Row {
     pub r2: f64,
 }
 
+/// Header line of the pair table (PLINK's `--r2` column layout).
+pub const R2_TABLE_HEADER: &str = "SNP_A\tSNP_B\tR2\n";
+
+/// The pair table's one row formatter: appends to `out` the kept pairs of
+/// row SNP `i` against column SNPs `j0, j0 + 1, …`, whose values are
+/// `row`. A pair is kept when its value is not NaN and `≥ min_r2`, and
+/// prints as one tab-separated line: the two SNP ids, then the value to
+/// six decimals. Every producer of the table —
+/// [`write_r2_table`], the CLI's streamed `r2 -o` and the daemon's
+/// `region` response — hands its rows to this function, which is what
+/// keeps their bytes identical.
+///
+/// Formatting into a `String` cannot fail short of OOM; the `Result` is
+/// returned rather than swallowed so a caller can never silently drop
+/// rows.
+pub fn push_r2_row(
+    out: &mut String,
+    i: usize,
+    j0: usize,
+    row: &[f64],
+    min_r2: f64,
+) -> std::fmt::Result {
+    use std::fmt::Write as _;
+    for (t, &v) in row.iter().enumerate() {
+        if !v.is_nan() && v >= min_r2 {
+            writeln!(out, "snp{i}\tsnp{}\t{v:.6}", j0 + t)?;
+        }
+    }
+    Ok(())
+}
+
+/// The values of row `i` of `m` against columns `i + 1 .. col_end` — the
+/// run of the packed triangle [`push_r2_row`] formats with `j0 = i + 1`.
+pub fn packed_row_pairs(m: &LdMatrix, i: usize, col_end: usize) -> &[f64] {
+    let start = m.index(i, i) + 1;
+    &m.packed()[start..start + (col_end - i - 1)]
+}
+
 /// Writes the pairs of an [`LdMatrix`] with `r² ≥ min_r2` in PLINK's
 /// `--r2` column layout (`SNP_A SNP_B R2`, header included).
 pub fn write_r2_table<W: Write>(mut w: W, m: &LdMatrix, min_r2: f64) -> Result<(), IoError> {
-    writeln!(w, "SNP_A\tSNP_B\tR2")?;
-    for (i, j, v) in m.iter_pairs() {
-        if !v.is_nan() && v >= min_r2 {
-            writeln!(w, "snp{i}\tsnp{j}\t{v:.6}")?;
-        }
+    w.write_all(R2_TABLE_HEADER.as_bytes())?;
+    let n = m.n_snps();
+    let mut block = String::new();
+    for i in 0..n {
+        block.clear();
+        push_r2_row(&mut block, i, i + 1, packed_row_pairs(m, i, n), min_r2)
+            .map_err(|_| std::io::Error::other("formatting a pair-table row failed"))?;
+        w.write_all(block.as_bytes())?;
     }
     Ok(())
 }
@@ -177,6 +218,109 @@ mod tests {
         assert_eq!(rows[0].snp_a, 0);
         assert_eq!(rows[0].snp_b, 1);
         assert!((rows[0].r2 - 0.8).abs() < 1e-9);
+    }
+
+    #[test]
+    fn r2_row_formatter_pins_the_table_bytes() {
+        // (row SNP, first column SNP, values, threshold, expected lines)
+        let cases: [(usize, usize, &[f64], f64, &str); 8] = [
+            // NaN is never kept, whatever the threshold
+            (3, 4, &[f64::NAN, 0.5], 0.0, "snp3\tsnp5\t0.500000\n"),
+            (3, 4, &[f64::NAN], f64::NEG_INFINITY, ""),
+            // the threshold is inclusive
+            (0, 1, &[0.25, 0.249_999_9], 0.25, "snp0\tsnp1\t0.250000\n"),
+            // -0.0 passes `>= 0.0` and keeps its sign
+            (0, 1, &[-0.0], 0.0, "snp0\tsnp1\t-0.000000\n"),
+            // a negative D is dropped at the default threshold …
+            (7, 9, &[-0.125], 0.0, ""),
+            // … and kept under a negative one
+            (7, 9, &[-0.125], -1.0, "snp7\tsnp9\t-0.125000\n"),
+            // `{:.6}` rounding
+            (
+                10,
+                11,
+                &[0.123_456_49, 0.999_999_6, 1e-7, 2.0 / 3.0, 1.0],
+                0.0,
+                "snp10\tsnp11\t0.123456\nsnp10\tsnp12\t1.000000\nsnp10\tsnp13\t0.000000\n\
+                 snp10\tsnp14\t0.666667\nsnp10\tsnp15\t1.000000\n",
+            ),
+            (5, 6, &[], 0.0, ""),
+        ];
+        for (i, j0, row, min_r2, want) in cases {
+            let mut out = String::new();
+            push_r2_row(&mut out, i, j0, row, min_r2).unwrap();
+            assert_eq!(out, want, "row {i} from column {j0}: {row:?} at {min_r2}");
+        }
+        assert_eq!(R2_TABLE_HEADER, "SNP_A\tSNP_B\tR2\n");
+    }
+
+    /// The three producers of the pair table — `write_r2_table` over a
+    /// finished matrix, streamed row slabs (the CLI's `r2 -o`) and a
+    /// `[r0, r1)` window of the packed triangle (the daemon's `region`) —
+    /// emit the same lines.
+    #[test]
+    fn matrix_slabs_and_window_yield_the_same_lines() {
+        use ld_core::{LdEngine, LdStats, NanPolicy};
+        let n = 23;
+        let mut g = ld_data::HaplotypeSimulator::new(40, n).seed(11).generate();
+        for s in 0..g.n_samples() {
+            g.set(s, 5, false); // a monomorphic SNP: NaN against everyone
+        }
+        let engine = LdEngine::new().threads(2).nan_policy(NanPolicy::Propagate);
+        for (stat, min_r2) in [(LdStats::RSquared, 0.0), (LdStats::D, 0.01)] {
+            let m = engine.try_stat_matrix(&g, stat).unwrap();
+            let mut table = Vec::new();
+            write_r2_table(&mut table, &m, min_r2).unwrap();
+            let table = String::from_utf8(table).unwrap();
+            assert!(
+                table.lines().count() > 20,
+                "{stat:?}: threshold keeps pairs"
+            );
+            assert!(!table.contains("snp5\t"), "{stat:?}: NaN rows are dropped");
+
+            // row slabs, formatted as they arrive (any order under two
+            // threads) and stitched back by their first row
+            for height in [1, 7, n] {
+                let mut blocks = std::collections::BTreeMap::new();
+                engine
+                    .clone()
+                    .slab_rows(height)
+                    .try_stat_rows(&g, stat, |s| {
+                        let mut block = String::new();
+                        for (i, row) in s.rows() {
+                            push_r2_row(&mut block, i, i + 1, &row[1..], min_r2).unwrap();
+                        }
+                        blocks.insert(s.row_start(), block);
+                    })
+                    .unwrap();
+                let streamed: String = blocks.into_values().collect();
+                assert_eq!(
+                    format!("{R2_TABLE_HEADER}{streamed}"),
+                    table,
+                    "{stat:?} slab height {height}"
+                );
+            }
+
+            // a window keeps exactly the table's lines with both SNPs inside
+            for (r0, r1) in [(0, n), (3, 11), (5, 6), (n - 1, n)] {
+                let mut region = String::new();
+                for i in r0..r1 {
+                    let row = packed_row_pairs(&m, i, r1);
+                    push_r2_row(&mut region, i, i + 1, row, min_r2).unwrap();
+                }
+                let inside = |id: &str| {
+                    let t: usize = id.trim_start_matches("snp").parse().unwrap();
+                    (r0..r1).contains(&t)
+                };
+                let want: String = table
+                    .lines()
+                    .skip(1)
+                    .filter(|l| l.split('\t').take(2).all(inside))
+                    .map(|l| format!("{l}\n"))
+                    .collect();
+                assert_eq!(region, want, "{stat:?} window [{r0}, {r1})");
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! detected and the loader falls back to the built-in defaults with a
 //! single warning. The profile is additionally rejected when its
 //! fingerprint does not match the running CPU (the tuning is only valid
-//! on the machine class that produced it).
+//! on the machine class that produced it). The envelope — version check,
+//! payload CRC, and the trailing newline the loader demands back so that
+//! no truncation parses — is `ld_trace::json`'s, shared with the
+//! tile-store manifest.
 //!
 //! Loading is opt-out: `LD_NO_CPU_PROFILE=1` ignores any cached profile
 //! and `LD_CPU_PROFILE=<path>` overrides the default location
@@ -99,299 +102,12 @@ impl fmt::Display for ProfileError {
 impl std::error::Error for ProfileError {}
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — the same checksum
-// gzip/zip use; table built at compile time, no dependencies.
+// Serialization. The envelope (version, payload CRC, trailing newline),
+// the JSON parser and the string escaper are `ld_trace::json`'s — shared
+// with the tile-store manifest; this module owns the payload fields.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON value + parser. The workspace builds with no external
-// crates, so the profile loader carries its own recursive-descent
-// parser; it tracks the byte span of every value so the CRC can be
-// verified over the payload exactly as it sits in the file.
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json, (usize, usize))>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _, _)| k == key).map(|(_, v, _)| v),
-            _ => None,
-        }
-    }
-
-    /// Byte span of the value bound to `key` (for CRC over raw bytes).
-    fn span(&self, key: &str) -> Option<(usize, usize)> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _, _)| k == key).map(|&(_, _, s)| s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Json::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) => Some(n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match *self {
-            Json::Num(n) => Some(n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Json::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Parser { bytes, pos: 0 }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<(Json, (usize, usize)), String> {
-        self.skip_ws();
-        let start = self.pos;
-        let v = match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object()?,
-            b'[' => self.array()?,
-            b'"' => Json::Str(self.string()?),
-            b't' => self.literal(b"true", Json::Bool(true))?,
-            b'f' => self.literal(b"false", Json::Bool(false))?,
-            b'n' => self.literal(b"null", Json::Null)?,
-            _ => self.number()?,
-        };
-        Ok((v, (start, self.pos)))
-    }
-
-    fn literal(&mut self, lit: &[u8], v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err("invalid literal"))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if start == self.pos {
-            return Err(self.err("expected a value"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|n| n.is_finite())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("invalid number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or_else(|| self.err("unterminated string"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar's worth of bytes.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let (val, span) = self.value()?;
-            fields.push((key, val, span));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            let (val, _) = self.value()?;
-            items.push(val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Serialization.
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use ld_trace::json::crc32;
+use ld_trace::json::{self, escape_json as escape, Json};
 
 fn fingerprint_json(fp: &CpuFingerprint) -> String {
     format!(
@@ -435,49 +151,12 @@ impl CpuProfile {
             t.score,
             escape(&t.metric),
         );
-        format!(
-            "{{\"schema_version\":{},\"crc32\":{},\"payload\":{}}}\n",
-            PROFILE_SCHEMA_VERSION,
-            crc32(payload.as_bytes()),
-            payload
-        )
+        json::seal(PROFILE_SCHEMA_VERSION, &payload)
     }
 
     /// Parses and verifies profile bytes (version, CRC, structure).
     pub fn parse(bytes: &[u8]) -> Result<CpuProfile, ProfileError> {
-        let mut p = Parser::new(bytes);
-        let (doc, _) = p.value().map_err(ProfileError::Malformed)?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(ProfileError::Malformed(
-                "trailing bytes after document".into(),
-            ));
-        }
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ProfileError::Malformed("missing schema_version".into()))?;
-        if version != PROFILE_SCHEMA_VERSION {
-            return Err(ProfileError::Malformed(format!(
-                "schema_version {version} (this build reads {PROFILE_SCHEMA_VERSION})"
-            )));
-        }
-        let stored_crc = doc
-            .get("crc32")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ProfileError::Malformed("missing crc32".into()))?;
-        let (s, e) = doc
-            .span("payload")
-            .ok_or_else(|| ProfileError::Malformed("missing payload".into()))?;
-        let actual = crc32(&bytes[s..e]) as u64;
-        if actual != stored_crc {
-            return Err(ProfileError::Malformed(format!(
-                "CRC mismatch (stored {stored_crc}, computed {actual}) — file is damaged"
-            )));
-        }
-        let payload = doc
-            .get("payload")
-            .ok_or_else(|| ProfileError::Malformed("missing payload".into()))?;
+        let payload = json::open(bytes, PROFILE_SCHEMA_VERSION).map_err(ProfileError::Malformed)?;
 
         let fpj = payload
             .get("fingerprint")
@@ -677,22 +356,6 @@ mod tests {
         let json = p.to_json();
         let q = CpuProfile::parse(json.as_bytes()).unwrap();
         assert_eq!(p, q);
-    }
-
-    #[test]
-    fn crc_is_the_gzip_crc() {
-        // Known-answer test: CRC32("123456789") = 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn whitespace_inside_payload_changes_crc_but_reformat_outside_does_not() {
-        let p = sample_profile();
-        let json = p.to_json();
-        // Adding whitespace outside the payload span keeps the CRC valid.
-        let spaced = json.replacen("{\"schema_version\"", "{  \"schema_version\"", 1);
-        assert_eq!(CpuProfile::parse(spaced.as_bytes()).unwrap(), p);
     }
 
     #[test]

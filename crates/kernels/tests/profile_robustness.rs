@@ -27,9 +27,7 @@ fn valid_profile() -> CpuProfile {
 #[test]
 fn every_truncation_prefix_is_rejected_not_panicking() {
     let json = valid_profile().to_json();
-    // Dropping only the trailing newline leaves the document complete, so
-    // truncate within the trimmed document where every cut loses data.
-    let bytes = json.trim_end().as_bytes();
+    let bytes = json.as_bytes();
     for cut in 0..bytes.len() {
         let r = CpuProfile::parse(&bytes[..cut]);
         assert!(

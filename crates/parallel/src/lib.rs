@@ -11,37 +11,37 @@
 //! * [`parallel_for`] / [`parallel_for_dynamic`] — data-parallel loops over
 //!   index ranges with static (even slabs) or dynamic (atomic chunk
 //!   grabbing) scheduling;
+//! * [`try_parallel_for_dynamic_init_ctl`] — the dynamic loop in full:
+//!   per-worker state, panic containment and a cancellation token. It is
+//!   the scheduler of the LD slab driver, and [`parallel_for_dynamic`] is
+//!   the same loop body with no state and no token;
 //! * [`partition`] — range-splitting helpers, including the triangle-aware
 //!   splitter that balances the `N(N+1)/2` pair workload of the symmetric
 //!   `GᵀG` (SYRK) driver;
-//! * [`ThreadPool`] — a persistent channel-fed pool for coarse `'static`
-//!   jobs (used by the benchmark harness to overlap dataset generation);
 //! * [`Backoff`] — capped exponential retry delays with deterministic
 //!   equal jitter, shared by the `run-sharded` supervisor and the
 //!   `ld-serve` client harness so simultaneous retries decorrelate.
 //!
 //! Everything here guarantees data-race freedom through the type system:
-//! scoped threads borrow, the pool owns.
+//! scoped threads borrow.
 //!
 //! ## Panic containment
 //!
-//! Every primitive has a `try_` variant ([`try_run_team`],
-//! [`try_parallel_for`], [`try_parallel_for_dynamic`],
-//! [`try_parallel_for_dynamic_init`], [`ThreadPool::try_wait`]) that wraps
-//! worker closures in `catch_unwind` and surfaces the first worker panic as
-//! a typed [`WorkerPanic`] instead of unwinding the caller. Remaining
-//! workers drain via a shared cancellation flag, so the fork-join always
-//! completes — a single bad row in a long batch scan aborts the region, not
-//! the process. The infallible entry points keep their historical behavior
-//! (the panic is re-raised on the calling thread).
+//! Every worker closure runs inside `catch_unwind`. The `try_` entry
+//! points ([`try_parallel_for`], [`try_parallel_for_dynamic_init_ctl`])
+//! surface the first worker panic as a typed [`WorkerPanic`] instead of
+//! unwinding the caller. Remaining workers drain via a shared cancellation
+//! flag, so the fork-join always completes — a single bad row in a long
+//! batch scan aborts the region, not the process. The infallible entry
+//! points re-raise the panic on the calling thread once every worker has
+//! been joined.
 //!
 //! ## Cooperative cancellation
 //!
 //! The same flag that drains panicking regions is exposed as a public,
 //! shareable [`CancelToken`] (with hierarchical [`CancelToken::child`]
-//! tokens and a monotonic [`Deadline`] companion). The `_ctl` loop
-//! variants ([`try_parallel_for_dynamic_ctl`],
-//! [`try_parallel_for_dynamic_init_ctl`]) poll a token **before every
+//! tokens and a monotonic [`Deadline`] companion).
+//! [`try_parallel_for_dynamic_init_ctl`] polls a token **before every
 //! chunk grab**: a tripped token stops the scheduler from handing out
 //! further chunks, so the region drains at the next chunk boundary —
 //! never mid-chunk — and the join still completes. The loop reports
@@ -53,7 +53,6 @@ mod backoff;
 mod cancel;
 mod panic;
 pub mod partition;
-mod pool;
 mod team;
 
 pub use backoff::Backoff;
@@ -62,9 +61,7 @@ pub use panic::WorkerPanic;
 pub use partition::{
     even_ranges, triangle_ranges, triangle_row_ranges, triangle_row_weight, triangle_weight,
 };
-pub use pool::ThreadPool;
 pub use team::{
-    available_threads, parallel_for, parallel_for_dynamic, parallel_for_dynamic_init, run_team,
-    scheduler_grain, try_parallel_for, try_parallel_for_dynamic, try_parallel_for_dynamic_ctl,
-    try_parallel_for_dynamic_init, try_parallel_for_dynamic_init_ctl, try_run_team, LoopOutcome,
+    available_threads, parallel_for, parallel_for_dynamic, run_team, scheduler_grain,
+    try_parallel_for, try_parallel_for_dynamic_init_ctl, LoopOutcome,
 };

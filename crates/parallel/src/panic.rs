@@ -2,11 +2,12 @@
 //!
 //! Long-running batch scans (the production north-star) cannot afford a
 //! single panicking worker taking the whole process down — or worse,
-//! wedging a join forever. Every team/loop primitive in this crate has a
-//! `try_` variant that wraps worker closures in [`std::panic::catch_unwind`]
-//! and surfaces the **first** panic as a typed [`WorkerPanic`] with its
-//! payload message preserved; the remaining workers drain via a shared
-//! cancellation flag, so the fork-join always completes.
+//! wedging a join forever. Every team/loop primitive in this crate wraps
+//! worker closures in [`std::panic::catch_unwind`]; the `try_` entry points
+//! surface the **first** panic as a typed [`WorkerPanic`] with its payload
+//! message preserved (the infallible ones re-raise it after the join); the
+//! remaining workers drain via a shared cancellation flag, so the
+//! fork-join always completes.
 
 use std::any::Any;
 use std::fmt;

@@ -1,11 +1,18 @@
 //! Fork-join worker teams over `std::thread::scope`.
 //!
-//! Every primitive comes in two flavors: the classic infallible form
-//! (`run_team`, `parallel_for`, …), which propagates a worker panic to the
-//! caller exactly like `std::thread::scope` does, and a fallible `try_`
-//! form that **contains** worker panics — the first panic is converted
-//! into a typed [`WorkerPanic`] (payload message preserved), the remaining
-//! workers drain via a cancellation flag, and the join always completes.
+//! Every worker of every primitive runs inside a panic trap. The
+//! infallible forms (`run_team`, `parallel_for`, `parallel_for_dynamic`)
+//! re-raise a worker panic on the caller exactly like `std::thread::scope`
+//! does; the `try_` forms (`try_parallel_for`,
+//! `try_parallel_for_dynamic_init_ctl`) **contain** it — the first panic
+//! is converted into a typed [`WorkerPanic`] (payload message preserved),
+//! the remaining workers drain via a cancellation flag, and the join
+//! always completes.
+//!
+//! There is one dynamically-scheduled loop body (`dynamic_loop`):
+//! [`parallel_for_dynamic`] is that body with no per-worker state and no
+//! token, so the chunk schedule — and with it `tiles_claimed` — is the
+//! same function of `(len, grain)` at every thread count.
 
 use crate::cancel::CancelToken;
 use crate::panic::{PanicTrap, WorkerPanic};
@@ -21,7 +28,7 @@ fn chunk_arg(chunk_idx: usize, stolen: bool) -> u64 {
 
 /// How a cancellable dynamic loop finished.
 ///
-/// Returned by the `_ctl` loop variants so callers can distinguish a fully
+/// Returned by [`try_parallel_for_dynamic_init_ctl`] so callers can distinguish a fully
 /// drained iteration space from one cut short by a tripped
 /// [`CancelToken`]. Cancellation is **not** an error at this layer — the
 /// caller decides whether partial progress is a typed failure (the LD
@@ -124,8 +131,7 @@ where
 ///
 /// The closure may borrow from the caller's stack (scoped threads).
 /// A panicking worker propagates its original payload to the caller after
-/// every other worker has finished (use [`try_run_team`] to get a typed
-/// error instead).
+/// every other worker has finished.
 ///
 /// ```
 /// use std::sync::atomic::{AtomicUsize, Ordering};
@@ -143,23 +149,6 @@ where
     if let Err((_, payload)) = run_team_trapped(n, f) {
         std::panic::resume_unwind(payload);
     }
-}
-
-/// Panic-containing [`run_team`]: a panicking worker becomes a typed
-/// [`WorkerPanic`] (first panic wins; all workers are still joined).
-///
-/// ```
-/// let r = ld_parallel::try_run_team(3, |tid| {
-///     if tid == 1 { panic!("boom from {tid}"); }
-/// });
-/// assert_eq!(r.unwrap_err().message, "boom from 1");
-/// ```
-pub fn try_run_team<F>(n_threads: usize, f: F) -> Result<(), WorkerPanic>
-where
-    F: Fn(usize) + Sync,
-{
-    let n = n_threads.max(1);
-    run_team_trapped(n, f).map_err(|(tid, payload)| WorkerPanic::from_payload(tid, &payload))
 }
 
 /// Statically-scheduled parallel loop: splits `0..len` into `n_threads`
@@ -206,191 +195,56 @@ where
     })
 }
 
-/// Dynamically-scheduled parallel loop: workers grab chunks of `grain`
-/// consecutive indices from an atomic counter until the range is drained.
+/// Dynamically-scheduled parallel loop: workers grab chunks of at most
+/// `grain` consecutive indices from an atomic counter until the range is
+/// drained.
 ///
-/// Use when iteration costs are skewed (e.g. the triangular SYRK tile
-/// space, or ω-statistic windows of varying SNP counts). A worker panic
-/// propagates (see [`try_parallel_for_dynamic`] for containment).
+/// Use when iteration costs are skewed (e.g. the triangular pair space of
+/// the baseline kernels, or ω-statistic windows of varying SNP counts).
+/// This is [`try_parallel_for_dynamic_init_ctl`] with no per-worker state
+/// and no token: `f` sees at most `grain` indices per call at every thread
+/// count, one worker included. A worker panic propagates.
 pub fn parallel_for_dynamic<F>(n_threads: usize, len: usize, grain: usize, f: F)
 where
     F: Fn(std::ops::Range<usize>) + Sync,
 {
-    if let Err(p) = try_parallel_for_dynamic_impl(n_threads, len, grain, None, &f) {
+    if let Err(p) = dynamic_loop(n_threads, len, grain, None, &|_| (), &|(), r| f(r)) {
         std::panic::resume_unwind(p.1);
     }
 }
 
-/// Panic-containing [`parallel_for_dynamic`]: the first panicking chunk is
-/// reported as [`WorkerPanic`]; surviving workers stop grabbing new chunks
-/// (cancellation flag), so the loop drains promptly and the join cannot
-/// hang.
-pub fn try_parallel_for_dynamic<F>(
-    n_threads: usize,
-    len: usize,
-    grain: usize,
-    f: F,
-) -> Result<(), WorkerPanic>
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    try_parallel_for_dynamic_impl(n_threads, len, grain, None, &f)
-        .map(|_| ())
-        .map_err(|(tid, payload)| WorkerPanic::from_payload(tid, &payload))
-}
-
-/// Cancellable [`try_parallel_for_dynamic`]: polls `token` before every
-/// chunk grab (including on the single-thread path, which chunks by
-/// `grain` when a token is present so cancellation stays responsive).
+/// Cancellable, panic-containing dynamically-scheduled loop with
+/// **per-worker state**: each worker builds its state once with
+/// `init(worker_id)`, then repeatedly grabs chunks of at most `grain`
+/// consecutive indices and runs `f(&mut state, range)` on them.
 ///
-/// A tripped token stops workers at the next chunk boundary — never
-/// mid-chunk — and the function returns `Ok(LoopOutcome::Cancelled)`.
-/// Worker panics still win over cancellation and surface as
-/// [`WorkerPanic`].
+/// This is the scheduler behind the LD slab driver: `init` allocates a
+/// worker's bounded scratch slab exactly once, dynamic chunk-grabbing
+/// absorbs the skew of triangular workloads without per-chunk allocation,
+/// and the single-thread path still chunks by `grain` — callers rely on
+/// every `f` invocation seeing at most `grain` indices (that bound is what
+/// caps the scratch size).
+///
+/// `token` is polled **before every chunk grab** on every path, so
+/// cancellation granularity is identical at any thread count. A tripped
+/// token never interrupts `f` mid-chunk — chunks that started before the
+/// trip run to completion, so slab-granular outputs stay consistent — and
+/// the loop reports `Ok(LoopOutcome::Cancelled)` once the join finishes.
+/// Panics in `init` or `f` (first one wins, and wins over cancellation)
+/// become a typed [`WorkerPanic`]; the cancellation flag stops the
+/// surviving workers from grabbing further chunks, so the loop drains
+/// promptly and the join cannot hang.
 ///
 /// ```
-/// use ld_parallel::{try_parallel_for_dynamic_ctl, CancelToken, LoopOutcome};
+/// use ld_parallel::{try_parallel_for_dynamic_init_ctl, CancelToken, LoopOutcome};
 /// let token = CancelToken::new();
 /// token.cancel_with_reason("deadline");
-/// let out = try_parallel_for_dynamic_ctl(2, 100, 8, Some(&token), |_r| {
+/// let out = try_parallel_for_dynamic_init_ctl(2, 100, 8, Some(&token), |_tid| (), |_s, _r| {
 ///     unreachable!("no chunk is handed out after the trip");
 /// })
 /// .unwrap();
 /// assert_eq!(out, LoopOutcome::Cancelled);
 /// ```
-pub fn try_parallel_for_dynamic_ctl<F>(
-    n_threads: usize,
-    len: usize,
-    grain: usize,
-    token: Option<&CancelToken>,
-    f: F,
-) -> Result<LoopOutcome, WorkerPanic>
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    try_parallel_for_dynamic_impl(n_threads, len, grain, token, &f)
-        .map_err(|(tid, payload)| WorkerPanic::from_payload(tid, &payload))
-}
-
-fn try_parallel_for_dynamic_impl<F>(
-    n_threads: usize,
-    len: usize,
-    grain: usize,
-    token: Option<&CancelToken>,
-    f: &F,
-) -> Result<LoopOutcome, (usize, crate::panic::Payload)>
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    let n = n_threads.max(1);
-    let grain = grain.max(1);
-    if token.is_none() && (n == 1 || len <= grain) {
-        // Historic fast path: a single un-chunked call. Only taken when no
-        // token is in play (a token needs chunk boundaries to be polled).
-        if len == 0 {
-            return Ok(LoopOutcome::Completed);
-        }
-        ld_trace::worker_claim(0, false);
-        return run_team_trapped(1, |_| {
-            let span = Span::begin(SpanKind::Chunk);
-            f(0..len);
-            span.end(chunk_arg(0, false));
-        })
-        .map(|()| LoopOutcome::Completed);
-    }
-    if len == 0 {
-        return Ok(LoopOutcome::Completed);
-    }
-    let next = AtomicUsize::new(0);
-    let trap = PanicTrap::new();
-    let chunks = len.div_ceil(grain);
-    let n = n.min(chunks);
-    std::thread::scope(|s| {
-        let worker = |tid: usize| {
-            let trap = &trap;
-            let next = &next;
-            move || {
-                ld_trace::recorder::set_worker(tid);
-                while !trap.cancelled() {
-                    if token.is_some_and(|t| t.is_cancelled()) {
-                        break;
-                    }
-                    let start = next.fetch_add(grain, Ordering::Relaxed);
-                    if start >= len {
-                        break;
-                    }
-                    let stolen = is_steal(start / grain, tid, chunks, n);
-                    ld_trace::worker_claim(tid, stolen);
-                    let end = (start + grain).min(len);
-                    let span = Span::begin(SpanKind::Chunk);
-                    let ok = trap.run(tid, || f(start..end));
-                    span.end(chunk_arg(start / grain, stolen));
-                    if !ok {
-                        break;
-                    }
-                }
-            }
-        };
-        for tid in 1..n {
-            s.spawn(worker(tid));
-        }
-        worker(0)();
-    });
-    trap.into_result()?;
-    Ok(outcome_from(&next, len, token))
-}
-
-/// Dynamically-scheduled parallel loop with **per-worker state**: each
-/// worker builds its state once with `init(worker_id)`, then repeatedly
-/// grabs chunks of at most `grain` consecutive indices and runs
-/// `f(&mut state, range)` on them.
-///
-/// This is the scheduler behind the engine's fused counts→statistic
-/// pipeline: `init` allocates a worker's bounded scratch slab exactly once,
-/// and dynamic chunk-grabbing absorbs the skew of triangular workloads
-/// without per-chunk allocation. Unlike [`parallel_for_dynamic`], the
-/// single-thread path still chunks by `grain` — callers rely on every
-/// `f` invocation seeing at most `grain` indices (that bound is what caps
-/// the scratch size). A worker panic propagates (see
-/// [`try_parallel_for_dynamic_init`] for containment).
-pub fn parallel_for_dynamic_init<S, I, F>(n_threads: usize, len: usize, grain: usize, init: I, f: F)
-where
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, std::ops::Range<usize>) + Sync,
-{
-    if let Err(p) = try_parallel_for_dynamic_init_impl(n_threads, len, grain, None, &init, &f) {
-        std::panic::resume_unwind(p.1);
-    }
-}
-
-/// Panic-containing [`parallel_for_dynamic_init`]: panics in `init` or `f`
-/// (first one wins) become a typed [`WorkerPanic`]; the cancellation flag
-/// stops the surviving workers from grabbing further chunks.
-pub fn try_parallel_for_dynamic_init<S, I, F>(
-    n_threads: usize,
-    len: usize,
-    grain: usize,
-    init: I,
-    f: F,
-) -> Result<(), WorkerPanic>
-where
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, std::ops::Range<usize>) + Sync,
-{
-    try_parallel_for_dynamic_init_impl(n_threads, len, grain, None, &init, &f)
-        .map(|_| ())
-        .map_err(|(tid, payload)| WorkerPanic::from_payload(tid, &payload))
-}
-
-/// Cancellable [`try_parallel_for_dynamic_init`]: the scheduler behind the
-/// fused LD driver, extended with a [`CancelToken`] polled **before every
-/// chunk grab** on every path (the single-thread path already chunks by
-/// `grain`, so cancellation granularity is identical at any thread count).
-///
-/// A tripped token never interrupts `f` mid-chunk — chunks that started
-/// before the trip run to completion, so slab-granular outputs stay
-/// consistent — and the loop reports `Ok(LoopOutcome::Cancelled)` once the
-/// join finishes. Worker panics still surface as [`WorkerPanic`].
 pub fn try_parallel_for_dynamic_init_ctl<S, I, F>(
     n_threads: usize,
     len: usize,
@@ -403,11 +257,12 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, std::ops::Range<usize>) + Sync,
 {
-    try_parallel_for_dynamic_init_impl(n_threads, len, grain, token, &init, &f)
+    dynamic_loop(n_threads, len, grain, token, &init, &f)
         .map_err(|(tid, payload)| WorkerPanic::from_payload(tid, &payload))
 }
 
-fn try_parallel_for_dynamic_init_impl<S, I, F>(
+/// The one claim-a-chunk loop behind both dynamic entry points.
+fn dynamic_loop<S, I, F>(
     n_threads: usize,
     len: usize,
     grain: usize,
@@ -496,6 +351,20 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
+    /// The dynamic loop with no per-worker state, fallible and cancellable.
+    fn dynamic_ctl<F>(
+        threads: usize,
+        len: usize,
+        grain: usize,
+        token: Option<&CancelToken>,
+        f: F,
+    ) -> Result<LoopOutcome, WorkerPanic>
+    where
+        F: Fn(std::ops::Range<usize>) + Sync,
+    {
+        try_parallel_for_dynamic_init_ctl(threads, len, grain, token, |_| (), |(), r| f(r))
+    }
+
     #[test]
     fn team_runs_every_worker_once() {
         for n in [1usize, 2, 3, 8] {
@@ -543,6 +412,8 @@ mod tests {
         ] {
             let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
             parallel_for_dynamic(threads, len, grain, |r| {
+                // chunked by `grain` at every thread count, one included
+                assert!(r.len() <= grain);
                 for i in r {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                 }
@@ -565,10 +436,11 @@ mod tests {
         ] {
             let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
             let inits = AtomicUsize::new(0);
-            parallel_for_dynamic_init(
+            let out = try_parallel_for_dynamic_init_ctl(
                 threads,
                 len,
                 grain,
+                None,
                 |_tid| {
                     inits.fetch_add(1, Ordering::Relaxed);
                     Vec::<usize>::new()
@@ -582,7 +454,9 @@ mod tests {
                         hits[i].fetch_add(1, Ordering::Relaxed);
                     }
                 },
-            );
+            )
+            .unwrap();
+            assert_eq!(out, LoopOutcome::Completed);
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                 "threads={threads} len={len} grain={grain}"
@@ -619,31 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn ctl_loops_complete_without_a_token() {
-        for (threads, len, grain) in [(1usize, 10usize, 3usize), (4, 100, 7), (2, 0, 1)] {
-            let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            let out = try_parallel_for_dynamic_ctl(threads, len, grain, None, |r| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .unwrap();
-            assert_eq!(out, LoopOutcome::Completed);
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-            let out = try_parallel_for_dynamic_init_ctl(
-                threads,
-                len,
-                grain,
-                None,
-                |_tid| (),
-                |_s, r| assert!(r.len() <= grain),
-            )
-            .unwrap();
-            assert_eq!(out, LoopOutcome::Completed);
-        }
-    }
-
-    #[test]
     fn pre_tripped_token_hands_out_no_chunks() {
         let token = crate::CancelToken::new();
         token.cancel_with_reason("pre-tripped");
@@ -666,25 +515,9 @@ mod tests {
     }
 
     #[test]
-    fn mid_loop_trip_stops_at_a_chunk_boundary() {
-        // trip the token from inside chunk 2; with 1 thread the schedule is
-        // deterministic: chunks 0,1,2 run, nothing after.
-        let token = crate::CancelToken::new();
-        let chunks_run = AtomicUsize::new(0);
-        let out = try_parallel_for_dynamic_ctl(1, 100, 10, Some(&token), |r| {
-            chunks_run.fetch_add(1, Ordering::Relaxed);
-            assert_eq!(r.len(), 10, "cancellation must not truncate a chunk");
-            if r.start == 20 {
-                token.cancel();
-            }
-        })
-        .unwrap();
-        assert_eq!(out, LoopOutcome::Cancelled);
-        assert_eq!(chunks_run.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
     fn init_ctl_single_thread_trip_is_chunk_granular() {
+        // trip the token from inside chunk 1; with 1 thread the schedule is
+        // deterministic: chunks 0 and 1 run, nothing after.
         let token = crate::CancelToken::new();
         let seen = Mutex::new(Vec::new());
         let out = try_parallel_for_dynamic_init_ctl(
@@ -694,6 +527,7 @@ mod tests {
             Some(&token),
             |_tid| (),
             |_s, r| {
+                assert_eq!(r.len(), 10, "cancellation must not truncate a chunk");
                 seen.lock().unwrap().push(r.start);
                 if r.start == 10 {
                     token.cancel_with_reason("enough");
@@ -708,7 +542,7 @@ mod tests {
     #[test]
     fn panic_wins_over_cancellation() {
         let token = crate::CancelToken::new();
-        let err = try_parallel_for_dynamic_ctl(2, 40, 4, Some(&token), |r| {
+        let err = dynamic_ctl(2, 40, 4, Some(&token), |r| {
             if r.start == 0 {
                 panic!("chunk zero exploded");
             }
@@ -720,7 +554,7 @@ mod tests {
     #[test]
     fn trip_after_completion_reports_completed() {
         let token = crate::CancelToken::new();
-        let out = try_parallel_for_dynamic_ctl(2, 16, 4, Some(&token), |_r| {}).unwrap();
+        let out = dynamic_ctl(2, 16, 4, Some(&token), |_r| {}).unwrap();
         token.cancel();
         assert_eq!(out, LoopOutcome::Completed);
         assert!(out.is_complete());

@@ -4,14 +4,35 @@
 //! shapes (`len = 0`, more threads than items, `n = 0/1` triangles) must
 //! produce exactly-covering, non-overlapping ranges. The panic tests pin
 //! the containment contract across team sizes: the first panic becomes a
-//! typed [`WorkerPanic`], the remaining workers drain, and the join never
-//! hangs.
+//! typed [`WorkerPanic`] (or, from the infallible forms, is re-raised after
+//! the join), the remaining workers drain, and the join never hangs.
 
 use ld_parallel::{
-    even_ranges, parallel_for, triangle_row_ranges, try_parallel_for, try_parallel_for_dynamic,
-    try_run_team, ThreadPool, WorkerPanic,
+    even_ranges, parallel_for, run_team, triangle_row_ranges, try_parallel_for,
+    try_parallel_for_dynamic_init_ctl, LoopOutcome, WorkerPanic,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The dynamic loop with no per-worker state and no token, panics
+/// contained.
+fn try_parallel_for_dynamic<F>(
+    threads: usize,
+    len: usize,
+    grain: usize,
+    f: F,
+) -> Result<LoopOutcome, WorkerPanic>
+where
+    F: Fn(std::ops::Range<usize>) + Sync,
+{
+    try_parallel_for_dynamic_init_ctl(threads, len, grain, None, |_| (), |(), r| f(r))
+}
+
+/// A team whose worker panic comes back as the caught payload: `run_team`
+/// re-raises it on the caller after every worker has been joined.
+fn team_panic(team: usize, f: impl Fn(usize) + Sync) -> Box<dyn std::any::Any + Send> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_team(team, f)))
+        .expect_err("a worker panics")
+}
 
 fn assert_exact_cover(ranges: &[std::ops::Range<usize>], len: usize) {
     let mut next = 0usize;
@@ -107,20 +128,22 @@ fn parallel_for_more_threads_than_items_visits_each_once() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn run_team_contains_panics_on_teams_of_1_2_and_7() {
+fn run_team_joins_then_reraises_panics_on_teams_of_1_2_and_7() {
     for team in [1usize, 2, 7] {
-        let err: WorkerPanic = try_run_team(team, |tid| {
+        let finished = AtomicUsize::new(0);
+        let payload = team_panic(team, |tid| {
             if tid == team - 1 {
                 panic!("worker {tid} of {team} failed");
             }
-        })
-        .expect_err("the last worker always panics");
+            finished.fetch_add(1, Ordering::Relaxed);
+        });
         assert_eq!(
-            err.message,
-            format!("worker {} of {team} failed", team - 1),
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some(format!("worker {} of {team} failed", team - 1).as_str()),
             "payload must survive for team size {team}"
         );
-        assert!(err.worker < team, "worker id {} out of range", err.worker);
+        // every surviving worker ran to completion before the re-raise
+        assert_eq!(finished.load(Ordering::Relaxed), team - 1);
     }
 }
 
@@ -157,37 +180,21 @@ fn dynamic_loop_contains_panics_and_drains() {
 
 #[test]
 fn non_string_panic_payload_is_described() {
-    let err = try_run_team(2, |tid| {
-        if tid == 0 {
+    let err = try_parallel_for(2, 2, |r| {
+        if r.contains(&0) {
             std::panic::panic_any(42usize);
         }
     })
-    .expect_err("worker 0 panics with a non-string payload");
+    .expect_err("the range holding 0 panics with a non-string payload");
     assert!(
         !err.message.is_empty(),
         "non-string payloads still need a description"
     );
-}
-
-#[test]
-fn pool_survives_panicking_jobs_across_waves() {
-    let pool = ThreadPool::new(3);
-    let done = std::sync::Arc::new(AtomicUsize::new(0));
-    for wave in 0..3 {
-        for k in 0..8 {
-            let done = done.clone();
-            pool.execute(move || {
-                if k == 5 {
-                    panic!("job {k} of wave {wave} exploded");
-                }
-                done.fetch_add(1, Ordering::Relaxed);
-            });
+    // the infallible form hands the original payload back untouched
+    let payload = team_panic(2, |tid| {
+        if tid == 0 {
+            std::panic::panic_any(42usize);
         }
-        // wait() must return even though a job panicked (no wedged queue)
-        pool.wait();
-    }
-    assert_eq!(done.load(Ordering::Relaxed), 3 * 7);
-    let panics = pool.take_panics();
-    assert_eq!(panics.len(), 3, "one panic per wave");
-    assert!(panics[0].message.contains("exploded"));
+    });
+    assert_eq!(payload.downcast_ref::<usize>(), Some(&42));
 }

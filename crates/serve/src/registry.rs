@@ -26,6 +26,7 @@
 
 use ld_core::{CancelToken, Deadline, LdEngine, LdError, LdMatrix, LdStats, RunControl, Source};
 use ld_io::tilestore::DirTileStore;
+use ld_io::MatrixFormat;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::BufReader;
@@ -433,28 +434,23 @@ pub fn triangle_bytes(n: usize) -> usize {
     n.saturating_add(1).saturating_mul(n).saturating_mul(8) / 2
 }
 
-/// Loads a text panel, dispatching on extension exactly like the CLI.
+/// Loads a text panel in the format its extension names — the same
+/// [`MatrixFormat`] decision the CLI's `-i` goes through.
 fn load_text_panel(name: &str, path: &Path) -> Result<ld_bitmat::BitMatrix, RegistryError> {
     let load_err = |message: String| RegistryError::Load {
         panel: name.to_string(),
         message,
     };
-    let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
+    let format = MatrixFormat::from_path(path).map_err(|ext| {
+        load_err(format!(
+            "unsupported panel extension '.{ext}' (expected ms/vcf/txt or a store directory)"
+        ))
+    })?;
     let file = std::fs::File::open(path)
         .map_err(|e| load_err(format!("cannot open {}: {e}", path.display())))?;
-    let r = BufReader::new(file);
-    match ext {
-        "ms" => Ok(ld_io::ms::read_ms_first(r)
-            .map_err(|e| load_err(e.to_string()))?
-            .matrix),
-        "vcf" => Ok(ld_io::vcf::read_vcf(r)
-            .map_err(|e| load_err(e.to_string()))?
-            .matrix),
-        "txt" | "mat" | "" => ld_io::text::read_matrix(r).map_err(|e| load_err(e.to_string())),
-        other => Err(load_err(format!(
-            "unsupported panel extension '.{other}' (expected ms/vcf/txt or a store directory)"
-        ))),
-    }
+    format
+        .read(BufReader::new(file))
+        .map_err(|e| load_err(e.to_string()))
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {

@@ -42,8 +42,9 @@ use crate::protocol::{write_frame, ProtoError, Request, Response, Status, MAX_RE
 use crate::registry::{PanelRegistry, RegistryError};
 use crate::reqlog::{Event, RequestLog};
 use ld_core::{CancelToken, Deadline, LdError, LdMatrix};
+use ld_io::text::{packed_row_pairs, push_r2_row, R2_TABLE_HEADER};
 use ld_trace::prometheus::PromGauge;
-use ld_trace::telemetry::{record_served, ServeOp, ServeOutcome};
+use ld_trace::telemetry::{record_served, total_latency, ServeOp, ServeOutcome};
 use ld_trace::Counter;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -739,8 +740,8 @@ fn worker_loop(shared: &Shared) {
             _ => {}
         }
         let total_ns = elapsed_ns(job.accepted.elapsed());
-        // Outcome-labelled latency: only Ok feeds the legacy success
-        // histogram; shed/timeout/error land in their own series.
+        // Outcome-labelled latency: only Ok feeds the success histogram
+        // `health` reads; shed/timeout/error land in their own series.
         record_served(
             job.op,
             outcome_of(resp.status),
@@ -847,19 +848,16 @@ fn handle_query(job: &Job, shared: &Shared) -> Response {
     }
 }
 
-/// Formats the pair table of rows `[r0, r1)` — for the whole panel these
-/// are the exact bytes `gemm-ld r2 -o` writes, which the CI serve leg
-/// asserts byte-for-byte.
+/// Formats the pair table of rows `[r0, r1)` × columns `< r1` through
+/// `ld-io`'s row formatter — for the whole panel these are the exact
+/// bytes `gemm-ld r2 -o` writes, which the CI serve leg asserts
+/// byte-for-byte.
 fn region_table(m: &LdMatrix, r0: usize, r1: usize, min_r2: f64) -> String {
     let mut out = String::with_capacity(64 + (r1 - r0) * 24);
-    out.push_str("SNP_A\tSNP_B\tR2\n");
+    out.push_str(R2_TABLE_HEADER);
     for i in r0..r1 {
-        for j in (i + 1)..r1 {
-            let v = m.get(i, j);
-            if !v.is_nan() && v >= min_r2 {
-                let _ = writeln!(out, "snp{i}\tsnp{j}\t{v:.6}");
-            }
-        }
+        // formatting into a String cannot fail short of OOM
+        let _ = push_r2_row(&mut out, i, i + 1, packed_row_pairs(m, i, r1), min_r2);
     }
     out
 }
@@ -990,7 +988,7 @@ fn metrics_text(shared: &Shared) -> String {
 /// serve counters and latency quantiles from `ld-trace`.
 fn health_json(shared: &Shared) -> String {
     let snap = shared.registry.snapshot();
-    let lat = ld_trace::LatencySummary::capture();
+    let lat = total_latency(ServeOutcome::Ok);
     let state = if shared.shutdown.is_cancelled() {
         "draining"
     } else {

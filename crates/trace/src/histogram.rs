@@ -1,7 +1,6 @@
 //! Lock-free log₂-bucketed latency histograms, cumulative and rolling.
 //!
-//! Two shapes share one bucket layout (the [`BUCKETS`] log₂ partition the
-//! PR 9 request-latency recorder introduced):
+//! Two shapes share one bucket layout (the [`BUCKETS`] log₂ partition):
 //!
 //! * [`Histogram`] — a cumulative-since-boot histogram: `BUCKETS` relaxed
 //!   atomic counters plus a running count and nanosecond sum. This is the
@@ -39,10 +38,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Number of log₂ buckets (shared with the legacy request-latency
-/// recorder): bucket `i` counts samples with `⌊log₂ ns⌋ = i`; bucket 0
-/// also takes `ns ≤ 1`, and the last bucket absorbs everything from
-/// `2^39` ns (≈ 9 min) up.
+/// Number of log₂ buckets: bucket `i` counts samples with
+/// `⌊log₂ ns⌋ = i`; bucket 0 also takes `ns ≤ 1`, and the last bucket
+/// absorbs everything from `2^39` ns (≈ 9 min) up.
 pub const BUCKETS: usize = 40;
 
 /// Width of one rolling-histogram slice, seconds.
@@ -354,14 +352,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_layout_matches_legacy_recorder() {
+    fn buckets_are_log2() {
         assert_eq!(bucket_index(0), 0);
         assert_eq!(bucket_index(1), 0);
         assert_eq!(bucket_index(2), 1);
+        assert_eq!(bucket_index(3), 1);
         assert_eq!(bucket_index(1024), 10);
         assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
+        // ceilings are inclusive upper bounds of their bucket
+        assert_eq!(bucket_ceiling_ns(0), 1);
         assert_eq!(bucket_ceiling_ns(10), 2047);
         assert_eq!(bucket_index(bucket_ceiling_ns(10)), 10);
+    }
+
+    #[test]
+    fn quantiles_from_buckets() {
+        let mut s = HistogramSnapshot::default();
+        assert_eq!(s.p50_ns(), None);
+        assert_eq!(s.p99_ns(), None);
+        // 90 fast requests (~1µs bucket) and 10 slow (~1ms bucket)
+        s.buckets[10] = 90;
+        s.buckets[20] = 10;
+        s.count = 100;
+        assert_eq!(s.p50_ns(), Some(bucket_ceiling_ns(10)));
+        assert_eq!(s.quantile_ns(0.90), Some(bucket_ceiling_ns(10)));
+        assert_eq!(s.p99_ns(), Some(bucket_ceiling_ns(20)));
+        assert_eq!(s.quantile_ns(1.0), Some(bucket_ceiling_ns(20)));
     }
 
     #[test]

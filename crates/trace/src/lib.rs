@@ -65,12 +65,11 @@
 //! (`requests_*`, `panels_evicted` — functions of client arrival timing
 //! and queue/budget pressure) are not.
 //!
-//! Beyond the counters, the serving layer records a **request-latency
-//! histogram** ([`record_request_latency`] / [`latency_snapshot`]):
-//! fixed log₂ buckets on static atomics — allocation-free like every
-//! other hot-path entry point — from which [`LatencySummary`] derives
-//! the p50/p99 the `ld-serve` health endpoint and `BENCH_serve.json`
-//! report.
+//! Request latencies are not counters: the serving layer records them in
+//! the outcome-labelled histograms and rolling windows of [`telemetry`],
+//! the one source behind the `ld-serve` health endpoint's p50/p99,
+//! `/metrics` and `gemm-ld monitor`.
+//!
 //! `kernel_words` against elapsed cycles gives the §IV ops/cycle metric:
 //! the scalar peak is 3 ops/cycle = 1 word-pair/cycle (AND ∥ POPCNT ∥
 //! ADD), so `words/cycle × 3` is directly comparable to that peak.
@@ -80,16 +79,18 @@
 pub mod analyze;
 pub mod export;
 pub mod histogram;
+pub mod json;
 pub mod prometheus;
 pub mod recorder;
 pub mod telemetry;
 
+pub use json::escape_json;
 use std::fmt::Write as _;
 
 /// Schema version of the JSON produced by [`MetricsReport::to_json`].
 /// Bump only when a field is removed or its meaning changes; adding
 /// fields is backward-compatible.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Maximum workers tracked individually; higher worker ids fold into the
 /// last slot.
@@ -305,7 +306,6 @@ mod imp {
     const ZERO: AtomicU64 = AtomicU64::new(0);
 
     pub(super) static COUNTERS: [AtomicU64; Counter::COUNT] = [ZERO; Counter::COUNT];
-    pub(super) static LATENCY: [AtomicU64; super::LATENCY_BUCKETS] = [ZERO; super::LATENCY_BUCKETS];
     pub(super) static WORKER_TILES: [AtomicU64; MAX_WORKERS] = [ZERO; MAX_WORKERS];
     pub(super) static WORKER_STEALS: [AtomicU64; MAX_WORKERS] = [ZERO; MAX_WORKERS];
     pub(super) static IO_LINES: [AtomicU64; super::IO_FORMATS.len()] =
@@ -329,19 +329,6 @@ mod imp {
     #[inline]
     pub(super) fn get(c: Counter) -> u64 {
         COUNTERS[c as usize].load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub(super) fn record_request_latency(ns: u64) {
-        LATENCY[super::latency_bucket(ns)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(super) fn latency_snapshot() -> [u64; super::LATENCY_BUCKETS] {
-        let mut out = [0u64; super::LATENCY_BUCKETS];
-        for (slot, bucket) in out.iter_mut().zip(&LATENCY) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        out
     }
 
     #[inline]
@@ -382,9 +369,6 @@ mod imp {
 
     pub(super) fn reset() {
         for c in &COUNTERS {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &LATENCY {
             c.store(0, Ordering::Relaxed);
         }
         for c in WORKER_TILES.iter().chain(&WORKER_STEALS) {
@@ -436,53 +420,6 @@ pub fn get(c: Counter) -> u64 {
         let _ = c;
         0
     }
-}
-
-/// Number of log₂ request-latency buckets: bucket `i` counts requests
-/// whose latency `ns` satisfies `⌊log₂ ns⌋ = i` (bucket 0 also takes
-/// `ns = 0`; the last bucket absorbs everything from `2^39` ns ≈ 9 min
-/// up).
-pub const LATENCY_BUCKETS: usize = 40;
-
-/// The histogram bucket latency `ns` falls into.
-#[cfg_attr(not(feature = "metrics"), allow(dead_code))]
-#[inline]
-fn latency_bucket(ns: u64) -> usize {
-    if ns == 0 {
-        0
-    } else {
-        ((63 - ns.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
-    }
-}
-
-/// Inclusive upper bound (ns) of latency bucket `i` — the value the
-/// quantile estimator reports for samples landing in that bucket.
-fn latency_bucket_ceiling(i: usize) -> u64 {
-    if i >= 63 {
-        u64::MAX
-    } else {
-        (1u64 << (i + 1)) - 1
-    }
-}
-
-/// Records one served request's end-to-end latency (enqueue → response
-/// ready) into the global histogram (relaxed atomic add; no-op when
-/// metrics are disabled).
-#[inline(always)]
-pub fn record_request_latency(ns: u64) {
-    #[cfg(feature = "metrics")]
-    imp::record_request_latency(ns);
-    #[cfg(not(feature = "metrics"))]
-    let _ = ns;
-}
-
-/// Snapshot of the request-latency histogram buckets (all zero when
-/// metrics are disabled).
-pub fn latency_snapshot() -> [u64; LATENCY_BUCKETS] {
-    #[cfg(feature = "metrics")]
-    return imp::latency_snapshot();
-    #[cfg(not(feature = "metrics"))]
-    [0; LATENCY_BUCKETS]
 }
 
 /// Records one dynamic-scheduler chunk claimed by `worker`; `stolen`
@@ -603,65 +540,6 @@ pub struct IoMetrics {
     pub bytes_read: u64,
 }
 
-/// The request-latency histogram in summary form: raw log₂ buckets plus
-/// quantiles estimated from them. Bucket quantiles are conservative — a
-/// sample is reported at its bucket's inclusive upper bound — so p50/p99
-/// never under-state the latency a client saw.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Total requests recorded (the sum of `buckets`).
-    pub count: u64,
-    /// Log₂ buckets: `buckets[i]` counts requests with `⌊log₂ ns⌋ = i`.
-    pub buckets: [u64; LATENCY_BUCKETS],
-}
-
-impl Default for LatencySummary {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            buckets: [0; LATENCY_BUCKETS],
-        }
-    }
-}
-
-impl LatencySummary {
-    /// Summarizes the current global histogram.
-    pub fn capture() -> Self {
-        let buckets = latency_snapshot();
-        Self {
-            count: buckets.iter().sum(),
-            buckets,
-        }
-    }
-
-    /// The `q`-quantile latency in nanoseconds (bucket upper bound), or
-    /// `None` when no requests were recorded. `q` is clamped to `(0, 1]`.
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(latency_bucket_ceiling(i));
-            }
-        }
-        Some(latency_bucket_ceiling(LATENCY_BUCKETS - 1))
-    }
-
-    /// Median request latency (ns), when any request was recorded.
-    pub fn p50_ns(&self) -> Option<u64> {
-        self.quantile_ns(0.50)
-    }
-
-    /// 99th-percentile request latency (ns), when any request was recorded.
-    pub fn p99_ns(&self) -> Option<u64> {
-        self.quantile_ns(0.99)
-    }
-}
-
 /// A point-in-time snapshot of every counter, with optional run context
 /// (wall time, thread count, TSC frequency, resolved kernel) supplied by
 /// the caller. Serializes to the stable JSON validated by
@@ -682,13 +560,6 @@ pub struct MetricsReport {
     pub tsc_hz: Option<f64>,
     /// Counter values in [`Counter::ALL`] order.
     pub counters: [u64; Counter::COUNT],
-    /// Request-latency histogram summary (all-zero outside `ld-serve`).
-    /// Holds **successful** requests only; shed/error latencies live in
-    /// the outcome-labelled histograms of [`telemetry`].
-    pub request_latency: LatencySummary,
-    /// Rolling-window success-latency stats (`10s`/`1m`/`5m`), captured
-    /// alongside the cumulative histogram (empty when metrics are off).
-    pub request_windows: Vec<telemetry::WindowStats>,
     /// Per-worker scheduler activity (only workers that claimed ≥ 1 chunk).
     pub workers: Vec<WorkerMetrics>,
     /// Per-format parser activity (only formats that read ≥ 1 line/byte).
@@ -740,8 +611,6 @@ impl MetricsReport {
             wall_ns: None,
             tsc_hz: None,
             counters,
-            request_latency: LatencySummary::capture(),
-            request_windows: telemetry::rolling_windows(),
             workers,
             io,
         }
@@ -838,53 +707,7 @@ impl MetricsReport {
             let _ = write!(s, "    \"{}\": {}", c.name(), self.counters[i]);
             s.push_str(if i + 1 == Counter::COUNT { "\n" } else { ",\n" });
         }
-        s.push_str("  },\n  \"request_latency\": {\n");
-        let _ = writeln!(s, "    \"count\": {},", self.request_latency.count);
-        match self.request_latency.p50_ns() {
-            Some(v) => {
-                let _ = writeln!(s, "    \"p50_ns\": {v},");
-            }
-            None => s.push_str("    \"p50_ns\": null,\n"),
-        }
-        match self.request_latency.p99_ns() {
-            Some(v) => {
-                let _ = writeln!(s, "    \"p99_ns\": {v},");
-            }
-            None => s.push_str("    \"p99_ns\": null,\n"),
-        }
-        s.push_str("    \"windows\": {");
-        for (i, (label, _)) in histogram::WINDOWS.iter().enumerate() {
-            let w = self.request_windows.iter().find(|w| w.window == *label);
-            let (count, p50, p99) = match w {
-                Some(w) => (w.count, w.p50_ns, w.p99_ns),
-                None => (0, None, None),
-            };
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{label}\": {{\"count\": {count}, ");
-            match p50 {
-                Some(v) => {
-                    let _ = write!(s, "\"p50_ns\": {v}, ");
-                }
-                None => s.push_str("\"p50_ns\": null, "),
-            }
-            match p99 {
-                Some(v) => {
-                    let _ = write!(s, "\"p99_ns\": {v}}}");
-                }
-                None => s.push_str("\"p99_ns\": null}"),
-            }
-        }
-        s.push_str("},\n");
-        s.push_str("    \"buckets\": [");
-        for (i, b) in self.request_latency.buckets.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "{b}");
-        }
-        s.push_str("]\n  },\n  \"workers\": [\n");
+        s.push_str("  },\n  \"workers\": [\n");
         for (i, w) in self.workers.iter().enumerate() {
             let _ = write!(
                 s,
@@ -989,17 +812,17 @@ impl MetricsReport {
                 "interruption    : {polls} cancel polls · {ckpts} checkpoints written · {skipped} slabs resumed",
             );
         }
-        let served = &self.request_latency;
-        if served.count != 0 {
+        let (accepted, shed, failed) = (
+            self.get(Counter::RequestsAccepted),
+            self.get(Counter::RequestsShed),
+            self.get(Counter::RequestsFailed),
+        );
+        if accepted != 0 || shed != 0 || failed != 0 {
+            // a daemon's exit report (`serve --profile`); its latency
+            // quantiles are `health` / `/metrics` business
             let _ = writeln!(
                 s,
-                "requests        : {} served · p50 {} · p99 {} · {} accepted / {} shed / {} failed · {} panels evicted",
-                served.count,
-                fmt_ns(served.p50_ns().unwrap_or(0)),
-                fmt_ns(served.p99_ns().unwrap_or(0)),
-                self.get(Counter::RequestsAccepted),
-                self.get(Counter::RequestsShed),
-                self.get(Counter::RequestsFailed),
+                "requests        : {accepted} accepted / {shed} shed / {failed} failed · {} panels evicted",
                 self.get(Counter::PanelsEvicted),
             );
         }
@@ -1043,27 +866,15 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Escapes a string for embedding inside a JSON string literal (`"`,
-/// `\`, and control characters). The one escaping helper every
-/// hand-rolled JSON emitter in the workspace shares — `MetricsReport`,
-/// the serve health endpoint, and the serve request log all route
-/// through it.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// The counters, the telemetry registry and the flight recorder are
+/// process-global and `cargo test` runs this binary's tests on parallel
+/// threads: every test that resets or asserts on that state holds this
+/// one lock for its whole body.
+#[cfg(all(test, feature = "metrics"))]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -1094,7 +905,7 @@ mod tests {
             .with_threads(4)
             .with_tsc_hz(Some(3.0e9));
         let j = r.to_json();
-        assert!(j.contains("\"schema_version\": 1"));
+        assert!(j.contains("\"schema_version\": 2"));
         assert!(j.contains("\"counters\""));
         assert!(j.contains("\"pack_a_ns\""));
         assert!(j.contains("\"workers\""));
@@ -1143,6 +954,7 @@ mod tests {
     #[cfg(feature = "metrics")]
     #[test]
     fn counters_accumulate_and_reset() {
+        let _g = test_lock();
         reset();
         add(Counter::KernelTiles, 3);
         add(Counter::KernelTiles, 4);
@@ -1184,59 +996,6 @@ mod tests {
         let t = Stopwatch::start();
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(t.elapsed_ns() >= 2_000_000);
-    }
-
-    #[test]
-    fn latency_buckets_are_log2() {
-        assert_eq!(latency_bucket(0), 0);
-        assert_eq!(latency_bucket(1), 0);
-        assert_eq!(latency_bucket(2), 1);
-        assert_eq!(latency_bucket(3), 1);
-        assert_eq!(latency_bucket(1024), 10);
-        assert_eq!(latency_bucket(u64::MAX), LATENCY_BUCKETS - 1);
-        // ceilings are inclusive upper bounds of their bucket
-        assert_eq!(latency_bucket_ceiling(0), 1);
-        assert_eq!(latency_bucket_ceiling(10), 2047);
-        assert_eq!(latency_bucket(latency_bucket_ceiling(10)), 10);
-    }
-
-    #[test]
-    fn latency_quantiles_from_buckets() {
-        let mut s = LatencySummary::default();
-        assert_eq!(s.p50_ns(), None);
-        assert_eq!(s.p99_ns(), None);
-        // 90 fast requests (~1µs bucket) and 10 slow (~1ms bucket)
-        s.buckets[10] = 90;
-        s.buckets[20] = 10;
-        s.count = 100;
-        assert_eq!(s.p50_ns(), Some(latency_bucket_ceiling(10)));
-        assert_eq!(s.quantile_ns(0.90), Some(latency_bucket_ceiling(10)));
-        assert_eq!(s.p99_ns(), Some(latency_bucket_ceiling(20)));
-        assert_eq!(s.quantile_ns(1.0), Some(latency_bucket_ceiling(20)));
-    }
-
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn latency_histogram_records_and_resets() {
-        reset();
-        record_request_latency(1_500); // bucket 10
-        record_request_latency(1_500_000); // bucket 20
-        record_request_latency(0); // bucket 0
-        let s = LatencySummary::capture();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.buckets[0], 1);
-        assert_eq!(s.buckets[10], 1);
-        assert_eq!(s.buckets[20], 1);
-        let j = MetricsReport::capture().to_json();
-        assert!(j.contains("\"request_latency\""));
-        assert!(j.contains("\"count\": 3"));
-        reset();
-        assert_eq!(LatencySummary::capture().count, 0);
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\n");
     }
 
     #[test]

@@ -570,14 +570,8 @@ impl Drop for Span {
 #[cfg(all(test, feature = "metrics"))]
 mod tests {
     use super::*;
+    use crate::test_lock as lock;
     use crate::Counter;
-
-    // Recorder state is process-global; serialize the tests that touch it.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn inactive_recorder_is_inert() {

@@ -8,11 +8,10 @@
 //! the `metrics` feature off every entry point is an inlined no-op; with
 //! it on, a record is a handful of relaxed adds and never allocates.
 //!
-//! The legacy [`crate::record_request_latency`] histogram (health
-//! endpoint p50/p99, `MetricsReport.request_latency`) is fed **only for
-//! `Ok` outcomes** here, so shed/timeout/error latencies no longer
-//! pollute the success quantiles; every outcome gets its own labelled
-//! histogram instead.
+//! Every outcome gets its own labelled histogram, so shed/timeout/error
+//! latencies never pollute the success quantiles: the health endpoint's
+//! p50/p99 are [`total_latency`]`(ServeOutcome::Ok)`, the same cumulative
+//! histogram `/metrics` exposes under `outcome="ok"`.
 
 use crate::histogram::HistogramSnapshot;
 #[cfg(feature = "metrics")]
@@ -144,9 +143,8 @@ mod imp {
 
 /// Records one served request: opcode, terminal outcome, queue wait
 /// (0 when the request never queued), service time (0 when no worker
-/// ran it) and end-to-end latency, all in nanoseconds. `Ok` outcomes
-/// also feed the legacy success-only histogram behind
-/// [`crate::latency_snapshot`]. No-op without the `metrics` feature.
+/// ran it) and end-to-end latency, all in nanoseconds. No-op without the
+/// `metrics` feature.
 #[inline(always)]
 pub fn record_served(
     op: ServeOp,
@@ -162,7 +160,6 @@ pub fn record_served(
         imp::QUEUE_WAIT.record(queue_ns);
         if matches!(outcome, ServeOutcome::Ok) {
             imp::OK_ROLLING.record(total_ns);
-            crate::record_request_latency(total_ns);
         } else {
             imp::ERR_ROLLING.record(total_ns);
         }
@@ -237,30 +234,17 @@ pub fn serve_telemetry() -> ServeTelemetry {
     ServeTelemetry::default()
 }
 
-/// Rolling-window success-latency stats only (the health endpoint's
-/// live p50/p99). Equivalent to [`serve_telemetry`]`().windows` but
-/// skips the histogram copies.
-pub fn rolling_windows() -> Vec<WindowStats> {
+/// The cumulative end-to-end latency histogram of one outcome (empty
+/// when metrics are disabled) — one entry of
+/// [`ServeTelemetry::total_by_outcome`] without the other copies.
+pub fn total_latency(outcome: ServeOutcome) -> HistogramSnapshot {
     #[cfg(feature = "metrics")]
-    {
-        let now = crate::histogram::now_ns();
-        WINDOWS
-            .iter()
-            .map(|&(label, secs)| {
-                let ok = imp::OK_ROLLING.window_at(now, secs);
-                let err = imp::ERR_ROLLING.window_at(now, secs);
-                WindowStats {
-                    window: label,
-                    count: ok.count,
-                    p50_ns: ok.p50_ns(),
-                    p99_ns: ok.p99_ns(),
-                    err_count: err.count,
-                }
-            })
-            .collect()
-    }
+    return imp::TOTAL_BY_OUTCOME[outcome as usize].snapshot();
     #[cfg(not(feature = "metrics"))]
-    Vec::new()
+    {
+        let _ = outcome;
+        HistogramSnapshot::default()
+    }
 }
 
 /// Zeroes the whole registry (called from [`crate::reset`]).
@@ -295,6 +279,7 @@ mod tests {
     #[cfg(feature = "metrics")]
     #[test]
     fn outcomes_are_segregated() {
+        let _g = crate::test_lock();
         crate::reset();
         record_served(ServeOp::Pair, ServeOutcome::Ok, 100, 400, 500);
         record_served(ServeOp::Pair, ServeOutcome::Shed, 0, 0, 9_000_000);
@@ -311,8 +296,8 @@ mod tests {
         assert_eq!(get("shed"), 1);
         assert_eq!(get("timeout"), 1);
         assert_eq!(get("internal"), 0);
-        // the legacy success histogram saw only the Ok request
-        assert_eq!(crate::LatencySummary::capture().count, 1);
+        // the success histogram saw only the Ok request
+        assert_eq!(total_latency(ServeOutcome::Ok).count, 1);
         // queue-wait saw all three
         assert_eq!(t.queue_wait.count, 3);
         // rolling windows: 1 success, 2 errors

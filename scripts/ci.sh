@@ -5,6 +5,9 @@
 #   1. rustfmt        — formatting is canonical
 #   2. clippy         — all targets, warnings are errors
 #   3. clippy (strict) — unwrap/expect denied in the panic-free crates
+#      (ld-core, ld-parallel, ld-io, ld-bitmat, ld-serve, and ld-trace —
+#      home of the JSON parser that reads hostile manifests and profiles
+#      — with and without `metrics`)
 #   4. release build
 #   5. workspace tests (quiet)
 #   6. feature matrix — the compute stack passes with the `metrics`
@@ -104,7 +107,9 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 # The library code of the compute/I/O stack must be panic-free on the
 # error path: no unwrap/expect outside tests (lib targets only — test
 # modules and doc examples may unwrap freely).
-run cargo clippy --no-deps -p ld-core -p ld-parallel -p ld-io -p ld-bitmat -p ld-serve --offline -- \
+run cargo clippy --no-deps -p ld-core -p ld-parallel -p ld-io -p ld-bitmat -p ld-serve -p ld-trace --offline -- \
+    -D warnings -D clippy::unwrap-used -D clippy::expect-used
+run cargo clippy --no-deps -p ld-trace --features metrics --offline -- \
     -D warnings -D clippy::unwrap-used -D clippy::expect-used
 run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline

@@ -99,32 +99,6 @@ def semantic_checks(doc):
             f"$.counters: cancel_polls ({polls}) != slabs_emitted ({slabs}) "
             "— token polling must be exactly slab-granular"
         )
-    lat = doc.get("request_latency")
-    if isinstance(lat, dict):
-        count = lat.get("count")
-        buckets = lat.get("buckets")
-        p50, p99 = lat.get("p50_ns"), lat.get("p99_ns")
-        if isinstance(count, int) and isinstance(buckets, list) \
-                and all(isinstance(b, int) for b in buckets) \
-                and sum(buckets) != count:
-            errors.append(
-                f"$.request_latency: count ({count}) != sum of buckets "
-                f"({sum(buckets)})"
-            )
-        if count == 0 and (p50 is not None or p99 is not None):
-            errors.append(
-                "$.request_latency: quantiles must be null when count is 0"
-            )
-        if isinstance(count, int) and count > 0:
-            if p50 is None or p99 is None:
-                errors.append(
-                    "$.request_latency: quantiles must be present when "
-                    "requests were recorded"
-                )
-            elif p50 > p99:
-                errors.append(
-                    f"$.request_latency: p50_ns ({p50}) > p99_ns ({p99})"
-                )
     return errors
 
 
