@@ -24,7 +24,10 @@
 //! * [`ValidityMask`] — per-SNP validity bit-vectors for alignment gaps /
 //!   missing data (paper §VII, "Considering alignment gaps");
 //! * [`GenotypeMatrix`] — a 2-bit-per-genotype SNP-major matrix in PLINK
-//!   `.bed` encoding, the substrate for the PLINK-1.9-style baseline.
+//!   `.bed` encoding, the substrate for the PLINK-1.9-style baseline;
+//! * [`pack_bits`] / [`unpack_bits`] — the byte→bit ingestion core (64
+//!   allele bytes ↔ one word, validated in bulk) behind every text parser
+//!   and [`BitMatrix::from_rows`].
 
 #![warn(missing_docs)]
 
@@ -34,6 +37,7 @@ mod error;
 mod genotype;
 mod mask;
 mod matrix;
+mod pack;
 mod transpose;
 mod view;
 
@@ -43,6 +47,7 @@ pub use error::BitMatError;
 pub use genotype::{Genotype, GenotypeMatrix};
 pub use mask::ValidityMask;
 pub use matrix::{BitMatrix, WORD_BITS};
+pub use pack::{pack_bits, unpack_bits};
 pub use transpose::transpose_64x64;
 pub use view::BitMatrixView;
 

@@ -1,6 +1,6 @@
 //! The SNP-major bit-packed genomic matrix.
 
-use crate::{tail_mask, words_for, AlignedWords, BitMatError, BitMatrixView};
+use crate::{pack_bits, tail_mask, words_for, AlignedWords, BitMatError, BitMatrixView};
 
 /// Number of samples stored per `u64` word.
 pub const WORD_BITS: usize = 64;
@@ -44,12 +44,18 @@ impl BitMatrix {
 
     /// Builds a matrix from sample-major rows. Each row must have
     /// `n_snps` entries, each `0` or `1`.
+    ///
+    /// Rows go through the ingestion core ([`pack_bits`] with `0x00` as
+    /// the zero byte) into sample-major words, which are then transposed;
+    /// a row the core reports as not clean is re-scanned, alone, to name
+    /// the first offending allele.
     pub fn from_rows<R, I>(n_samples: usize, n_snps: usize, rows: I) -> Result<Self, BitMatError>
     where
         R: AsRef<[u8]>,
         I: IntoIterator<Item = R>,
     {
-        let mut m = Self::zeros(n_samples, n_snps);
+        let wpr = words_for(n_snps);
+        let mut packed = vec![0u64; n_samples * wpr];
         let mut count = 0usize;
         for (s, row) in rows.into_iter().enumerate() {
             let row = row.as_ref();
@@ -67,18 +73,13 @@ impl BitMatrix {
                     what: "snps",
                 });
             }
-            for (j, &a) in row.iter().enumerate() {
-                match a {
-                    0 => {}
-                    1 => m.set(s, j, true),
-                    v => {
-                        return Err(BitMatError::InvalidAllele {
-                            value: v,
-                            sample: s,
-                            snp: j,
-                        })
-                    }
-                }
+            if !pack_bits(row, 0, &mut packed[s * wpr..(s + 1) * wpr]) {
+                let snp = row.iter().position(|&a| a > 1).unwrap_or_default();
+                return Err(BitMatError::InvalidAllele {
+                    value: row[snp],
+                    sample: s,
+                    snp,
+                });
             }
             count += 1;
         }
@@ -89,7 +90,7 @@ impl BitMatrix {
                 what: "samples",
             });
         }
-        Ok(m)
+        Self::from_sample_major_words(n_samples, n_snps, &packed)
     }
 
     /// Builds a matrix from SNP-major columns of `0`/`1` bytes.
@@ -373,6 +374,24 @@ mod tests {
     fn from_rows_rejects_bad_allele() {
         let err = BitMatrix::from_rows(1, 2, [[0u8, 2]]).unwrap_err();
         assert!(matches!(err, BitMatError::InvalidAllele { value: 2, .. }));
+        // the first offender of the first offending row is the one named,
+        // wherever it sits relative to the 8- and 64-byte packing steps
+        for snp in [0usize, 7, 8, 63, 64, 70, 129] {
+            let mut rows = vec![vec![1u8; 130]; 3];
+            rows[1][snp] = b'1';
+            rows[1][129] = 9;
+            rows[2][0] = 5;
+            let err = BitMatrix::from_rows(3, 130, &rows).unwrap_err();
+            let (value, snp) = if snp == 129 { (9, 129) } else { (b'1', snp) };
+            assert_eq!(
+                err,
+                BitMatError::InvalidAllele {
+                    value,
+                    sample: 1,
+                    snp
+                }
+            );
+        }
     }
 
     #[test]

@@ -190,3 +190,60 @@ fn hstack_is_concatenation() {
         }
     }
 }
+
+/// The cache-blocked transpose against one `set` per bit, for shapes on
+/// both sides of every boundary it blocks on — 64 (a tile), 512 (a
+/// super-tile of eight) and their neighbours — in both directions, and
+/// `from_rows` (the same path behind the byte→bit core) against both.
+#[test]
+fn blocked_transpose_matches_per_bit_reference() {
+    let mut rng = SmallRng::seed_from_u64(12);
+    let edges = [1usize, 63, 64, 65, 511, 512, 513, 577, 1025];
+    for &n_samples in &edges {
+        for &n_snps in &edges {
+            // sample-major words and the SNP-major matrix, each bit by bit
+            let wpr = words_for(n_snps);
+            let mut sample_major = vec![0u64; n_samples * wpr];
+            let mut reference = BitMatrix::zeros(n_samples, n_snps);
+            let mut rows = vec![vec![0u8; n_snps]; n_samples];
+            for (s, row) in rows.iter_mut().enumerate() {
+                for (j, allele) in row.iter_mut().enumerate() {
+                    if rng.gen_bool(0.37) {
+                        *allele = 1;
+                        sample_major[s * wpr + j / 64] |= 1 << (j % 64);
+                        reference.set(s, j, true);
+                    }
+                }
+            }
+            let shape = format!("{n_samples} samples x {n_snps} SNPs");
+            let g = BitMatrix::from_sample_major_words(n_samples, n_snps, &sample_major).unwrap();
+            assert_eq!(g, reference, "{shape}: from_sample_major_words");
+            g.check_padding().unwrap();
+            assert_eq!(
+                reference.to_sample_major_words(),
+                sample_major,
+                "{shape}: to_sample_major_words"
+            );
+            assert_eq!(
+                BitMatrix::from_rows(n_samples, n_snps, &rows).unwrap(),
+                reference,
+                "{shape}: from_rows"
+            );
+        }
+    }
+}
+
+/// Stray bits beyond `n_snps` in a sample-major row are ignored, never
+/// transposed into a neighbouring SNP or a padding bit.
+#[test]
+fn blocked_transpose_ignores_source_padding() {
+    for (n_samples, n_snps) in [(513usize, 65usize), (64, 63), (1, 1), (600, 129)] {
+        let wpr = words_for(n_snps);
+        let all_ones = vec![u64::MAX; n_samples * wpr];
+        let g = BitMatrix::from_sample_major_words(n_samples, n_snps, &all_ones).unwrap();
+        g.check_padding().unwrap();
+        for j in 0..n_snps {
+            assert_eq!(g.ones_in_snp(j), n_samples as u64, "SNP {j}");
+        }
+    }
+}

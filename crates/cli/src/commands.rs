@@ -430,7 +430,10 @@ pub fn load_matrix(path: &str) -> Result<BitMatrix, CliError> {
     })?;
     let file = std::fs::File::open(p)
         .map_err(|e| CliError::Resource(format!("cannot open {path}: {e}")))?;
-    Ok(format.read(BufReader::new(file))?)
+    Ok(format.read(BufReader::with_capacity(
+        MatrixFormat::READ_BUFFER_BYTES,
+        file,
+    ))?)
 }
 
 /// Saves a haplotype matrix in the format its extension names. The write

@@ -19,6 +19,11 @@ pub enum MatrixFormat {
 }
 
 impl MatrixFormat {
+    /// Read-buffer size for opening a matrix file: at the parsers' speed
+    /// the default 8 KiB buffer is a `read` call every few rows, and every
+    /// row that straddles two fills is copied instead of lent in place.
+    pub const READ_BUFFER_BYTES: usize = 1 << 20;
+
     /// The format `path`'s extension names. An unsupported extension comes
     /// back as the `Err` so each caller words the refusal in its own error
     /// type (a usage error for the CLI, a load failure for the daemon).

@@ -45,7 +45,10 @@ mod format;
 pub mod ldmatrix;
 mod limits;
 pub mod ms;
+#[cfg(test)]
+mod oracle;
 pub mod ped;
+mod rows;
 pub mod text;
 pub mod tilestore;
 pub mod vcf;

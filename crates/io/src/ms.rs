@@ -20,7 +20,8 @@
 //! the transpose-free orientation of the paper's genomic matrix `G` once
 //! packed SNP-major.
 
-use crate::limits::LineReader;
+use crate::limits::{utf8, LineReader};
+use crate::rows::{first_non_allele, write_rows, PackedRows};
 use crate::{IoError, Limits};
 use ld_bitmat::BitMatrix;
 use std::io::{BufRead, Write};
@@ -44,31 +45,56 @@ pub fn read_ms<R: BufRead>(reader: R) -> Result<Vec<MsReplicate>, IoError> {
 /// are capped, so a corrupt header cannot trigger an unbounded
 /// allocation.
 pub fn read_ms_with<R: BufRead>(reader: R, limits: &Limits) -> Result<Vec<MsReplicate>, IoError> {
+    let mut blocks = Blocks::new(reader, limits);
     let mut replicates = Vec::new();
-    let mut lines = LineReader::new(reader, "ms", limits);
-    // Scan to each `//` marker, then parse one block.
-    let mut pending: Option<(usize, String)> = None;
-    loop {
-        let marker = match pending.take() {
-            Some(l) => Some(l),
-            None => {
-                let mut found = None;
-                while let Some((no, line)) = lines.next_line_owned()? {
-                    if line.trim_start().starts_with("//") {
-                        found = Some((no, line));
-                        break;
-                    }
+    while let Some(replicate) = blocks.next()? {
+        replicates.push(replicate);
+    }
+    Ok(replicates)
+}
+
+/// Parses only the first replicate (the common case for LD pipelines);
+/// nothing after its block is read.
+pub fn read_ms_first<R: BufRead>(reader: R) -> Result<MsReplicate, IoError> {
+    Blocks::new(reader, &Limits::default())
+        .next()?
+        .ok_or_else(|| IoError::parse("ms", 0, "no replicates found"))
+}
+
+/// The `//` replicate blocks of one `ms` stream, parsed one at a time.
+struct Blocks<'l, R: BufRead> {
+    lines: LineReader<R>,
+    limits: &'l Limits,
+    /// The `//` that ended the previous block's rows opens the next one.
+    at_marker: bool,
+}
+
+impl<'l, R: BufRead> Blocks<'l, R> {
+    fn new(reader: R, limits: &'l Limits) -> Self {
+        Self {
+            lines: LineReader::new(reader, "ms", limits),
+            limits,
+            at_marker: false,
+        }
+    }
+
+    /// Scans to the next `//` marker and parses its block; `None` when
+    /// the stream holds no further marker.
+    fn next(&mut self) -> Result<Option<MsReplicate>, IoError> {
+        let limits = self.limits;
+        if !std::mem::take(&mut self.at_marker) {
+            loop {
+                match self.lines.next_line()? {
+                    None => return Ok(None),
+                    Some((_, line)) if line.trim_start().starts_with("//") => break,
+                    Some(_) => {}
                 }
-                found
             }
-        };
-        if marker.is_none() {
-            break;
         }
 
         // segsites line
         let segsites = loop {
-            let Some((no, line)) = lines.next_line_owned()? else {
+            let Some((no, line)) = self.lines.next_line()? else {
                 return Err(IoError::truncated("ms", "EOF before 'segsites:'"));
             };
             let t = line.trim();
@@ -93,16 +119,15 @@ pub fn read_ms_with<R: BufRead>(reader: R, limits: &Limits) -> Result<Vec<MsRepl
         };
 
         if segsites == 0 {
-            replicates.push(MsReplicate {
+            return Ok(Some(MsReplicate {
                 positions: Vec::new(),
                 matrix: BitMatrix::zeros(0, 0),
-            });
-            continue;
+            }));
         }
 
         // positions line
         let positions = loop {
-            let Some((no, line)) = lines.next_line_owned()? else {
+            let Some((no, line)) = self.lines.next_line()? else {
                 return Err(IoError::truncated("ms", "EOF before 'positions:'"));
             };
             let t = line.trim();
@@ -125,55 +150,44 @@ pub fn read_ms_with<R: BufRead>(reader: R, limits: &Limits) -> Result<Vec<MsRepl
         };
 
         // haplotype rows until blank line, next `//`, or EOF
-        let mut rows: Vec<Vec<u8>> = Vec::new();
-        while let Some((no, line)) = lines.next_line_owned()? {
-            let t = line.trim();
+        let mut rows = PackedRows::new(Some(segsites), limits);
+        while let Some((no, line)) = self.lines.next_line_bytes()? {
+            // A clean row of the declared width is the whole line.
+            if rows.push(line) {
+                continue;
+            }
+            let t = utf8("ms", no, line)?.trim();
             if t.is_empty() {
                 break;
             }
             if t.starts_with("//") {
-                pending = Some((no, line));
+                self.at_marker = true;
                 break;
             }
-            if rows.len() >= limits.max_samples {
+            if rows.n_rows() >= limits.max_samples {
                 return Err(IoError::limit("ms", no, "sample count", limits.max_samples));
             }
-            if t.len() != segsites {
-                return Err(IoError::parse(
-                    "ms",
-                    no,
-                    format!("haplotype row has {} chars, expected {}", t.len(), segsites),
-                ));
-            }
-            let row: Result<Vec<u8>, IoError> = t
-                .chars()
-                .map(|c| match c {
-                    '0' => Ok(0u8),
-                    '1' => Ok(1u8),
-                    other => Err(IoError::parse(
+            if !rows.push(t.as_bytes()) {
+                return Err(match first_non_allele(t) {
+                    Some(other) if t.len() == segsites => {
+                        IoError::parse("ms", no, format!("invalid allele char '{other}'"))
+                    }
+                    _ => IoError::parse(
                         "ms",
                         no,
-                        format!("invalid allele char '{other}'"),
-                    )),
-                })
-                .collect();
-            rows.push(row?);
+                        format!("haplotype row has {} chars, expected {}", t.len(), segsites),
+                    ),
+                });
+            }
         }
-        if rows.is_empty() {
+        if rows.n_rows() == 0 {
             return Err(IoError::truncated("ms", "replicate with no haplotype rows"));
         }
-        let matrix = BitMatrix::from_rows(rows.len(), segsites, rows.iter())?;
-        replicates.push(MsReplicate { positions, matrix });
+        Ok(Some(MsReplicate {
+            positions,
+            matrix: rows.finish()?,
+        }))
     }
-    Ok(replicates)
-}
-
-/// Parses only the first replicate (the common case for LD pipelines).
-pub fn read_ms_first<R: BufRead>(reader: R) -> Result<MsReplicate, IoError> {
-    read_ms(reader)?
-        .into_iter()
-        .next()
-        .ok_or_else(|| IoError::parse("ms", 0, "no replicates found"))
 }
 
 /// Writes replicates in `ms` format (with a minimal synthetic header).
@@ -190,12 +204,7 @@ pub fn write_ms<W: Write>(mut w: W, replicates: &[MsReplicate]) -> Result<(), Io
         writeln!(w, "segsites: {}", rep.matrix.n_snps())?;
         let pos: Vec<String> = rep.positions.iter().map(|p| format!("{p:.5}")).collect();
         writeln!(w, "positions: {}", pos.join(" "))?;
-        for s in 0..rep.matrix.n_samples() {
-            let row: String = (0..rep.matrix.n_snps())
-                .map(|j| if rep.matrix.get(s, j) { '1' } else { '0' })
-                .collect();
-            writeln!(w, "{row}")?;
-        }
+        write_rows(&mut w, &rep.matrix)?;
     }
     Ok(())
 }
@@ -238,6 +247,45 @@ mod tests {
     fn first_helper() {
         let rep = read_ms_first(SAMPLE.as_bytes()).unwrap();
         assert_eq!(rep.matrix.n_snps(), 3);
+    }
+
+    #[test]
+    fn first_reads_the_first_replicate_only() {
+        // a second block that does not parse: `read_ms` must still refuse
+        // the stream, `read_ms_first` never gets that far
+        for broken in [
+            "//\nsegsites: 2\npositions: 0.5 0.6\n0x\n",
+            "//\nsegsites: banana\n",
+            "//\n",
+        ] {
+            for separator in ["\n", ""] {
+                let stream = format!("ms 4 2\n1 2 3\n\n//\nsegsites: 3\npositions: 0.1 0.2 0.3\n010\n110\n001\n000\n{separator}{broken}");
+                assert!(read_ms(stream.as_bytes()).is_err(), "{broken:?}");
+                let first = read_ms_first(stream.as_bytes()).unwrap();
+                let sample = &read_ms(SAMPLE.as_bytes()).unwrap()[0];
+                assert_eq!(first.matrix, sample.matrix, "{broken:?}");
+                let via_format = crate::MatrixFormat::Ms.read(stream.as_bytes()).unwrap();
+                assert_eq!(via_format, first.matrix, "{broken:?}");
+            }
+        }
+        // a borrowed reader is left just past the first block's rows
+        let mut stream = "//\nsegsites: 1\npositions: 0.5\n1\n0\n\nrest".as_bytes();
+        assert_eq!(read_ms_first(&mut stream).unwrap().matrix.n_samples(), 2);
+        assert_eq!(stream, b"rest");
+        // a broken *first* block is still an error
+        assert!(read_ms_first("//\nsegsites: 2\npositions: 0.5 0.6\n0x\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned() {
+        let reps = read_ms(SAMPLE.as_bytes()).unwrap();
+        let mut buf = Vec::new();
+        write_ms(&mut buf, &reps).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "ms 4 2 -s 3\n0 0 0\n\n//\nsegsites: 3\npositions: 0.10430 0.29650 0.76380\n\
+             010\n110\n001\n000\n\n//\nsegsites: 2\npositions: 0.50000 0.60000\n01\n11\n10\n00\n"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Plain-text matrices and PLINK-style `--r2` pair tables.
 
-use crate::limits::LineReader;
+use crate::limits::{utf8, LineReader};
+use crate::rows::{first_non_allele, write_rows, PackedRows};
 use crate::{IoError, Limits};
 use ld_bitmat::BitMatrix;
 use ld_core::LdMatrix;
@@ -10,13 +11,7 @@ use std::io::{BufRead, Write};
 /// line) — the simplest interchange format, readable by R or Python in one
 /// line.
 pub fn write_matrix<W: Write>(mut w: W, g: &BitMatrix) -> Result<(), IoError> {
-    for s in 0..g.n_samples() {
-        let row: String = (0..g.n_snps())
-            .map(|j| if g.get(s, j) { '1' } else { '0' })
-            .collect();
-        writeln!(w, "{row}")?;
-    }
-    Ok(())
+    Ok(write_rows(&mut w, g)?)
 }
 
 /// Reads a 0/1 text matrix (rows = samples) with default [`Limits`].
@@ -28,15 +23,19 @@ pub fn read_matrix<R: BufRead>(r: R) -> Result<BitMatrix, IoError> {
 /// width (site count), row count (sample count) and line length are all
 /// capped, so a hostile stream cannot force an unbounded allocation.
 pub fn read_matrix_with<R: BufRead>(r: R, limits: &Limits) -> Result<BitMatrix, IoError> {
-    let mut rows: Vec<Vec<u8>> = Vec::new();
-    let mut width: Option<usize> = None;
+    let mut rows = PackedRows::new(None, limits);
+    let mut compact = String::new();
     let mut lines = LineReader::new(r, "matrix", limits);
-    while let Some((no, line)) = lines.next_line()? {
-        let t = line.trim();
+    while let Some((no, line)) = lines.next_line_bytes()? {
+        // A clean row is the whole line: nothing to trim, skip or compact.
+        if rows.push(line) {
+            continue;
+        }
+        let t = utf8("matrix", no, line)?.trim();
         if t.is_empty() || t.starts_with('#') {
             continue;
         }
-        if rows.len() >= limits.max_samples {
+        if rows.n_rows() >= limits.max_samples {
             return Err(IoError::limit(
                 "matrix",
                 no,
@@ -44,38 +43,29 @@ pub fn read_matrix_with<R: BufRead>(r: R, limits: &Limits) -> Result<BitMatrix, 
                 limits.max_samples,
             ));
         }
-        let row: Result<Vec<u8>, IoError> = t
-            .chars()
-            .filter(|c| !c.is_whitespace())
-            .map(|c| match c {
-                '0' => Ok(0u8),
-                '1' => Ok(1u8),
-                other => Err(IoError::parse(
+        // space-separated alleles: the row is what is left between them
+        compact.clear();
+        compact.extend(t.split_whitespace());
+        if !rows.push(compact.as_bytes()) {
+            // say why, in the order the checks have always run
+            return Err(match first_non_allele(&compact) {
+                Some(other) => IoError::parse("matrix", no, format!("invalid char '{other}'")),
+                None if compact.len() > limits.max_sites => {
+                    IoError::limit("matrix", no, "site count", limits.max_sites)
+                }
+                None => IoError::parse(
                     "matrix",
                     no,
-                    format!("invalid char '{other}'"),
-                )),
-            })
-            .collect();
-        let row = row?;
-        if row.len() > limits.max_sites {
-            return Err(IoError::limit("matrix", no, "site count", limits.max_sites));
+                    format!(
+                        "row width {} != {}",
+                        compact.len(),
+                        rows.width().unwrap_or_default()
+                    ),
+                ),
+            });
         }
-        if let Some(wdt) = width {
-            if row.len() != wdt {
-                return Err(IoError::parse(
-                    "matrix",
-                    no,
-                    format!("row width {} != {}", row.len(), wdt),
-                ));
-            }
-        } else {
-            width = Some(row.len());
-        }
-        rows.push(row);
     }
-    let n_snps = width.unwrap_or(0);
-    Ok(BitMatrix::from_rows(rows.len(), n_snps, rows.iter())?)
+    Ok(rows.finish()?)
 }
 
 /// One row of a PLINK-style `--r2` table.
@@ -182,6 +172,44 @@ mod tests {
         write_matrix(&mut buf, &g).unwrap();
         let back = read_matrix(buf.as_slice()).unwrap();
         assert_eq!(back, g);
+    }
+
+    /// The writer's bytes are what one `get` per genotype would print,
+    /// for widths on both sides of every word boundary.
+    #[test]
+    fn matrix_writer_bytes_are_pinned() {
+        let g = BitMatrix::from_rows(3, 4, [[1u8, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]]).unwrap();
+        let mut buf = Vec::new();
+        write_matrix(&mut buf, &g).unwrap();
+        assert_eq!(buf, b"1010\n0110\n1101\n");
+
+        for (n_samples, n_snps) in [
+            (0, 0),
+            (3, 0),
+            (1, 1),
+            (5, 63),
+            (65, 64),
+            (2, 65),
+            (70, 130),
+        ] {
+            let mut g = BitMatrix::zeros(n_samples, n_snps);
+            let mut per_bit = String::new();
+            for s in 0..n_samples {
+                for j in 0..n_snps {
+                    let derived = (s * 31 + j * 17 + s * j) % 3 == 0;
+                    g.set(s, j, derived);
+                    per_bit.push(if derived { '1' } else { '0' });
+                }
+                per_bit.push('\n');
+            }
+            let mut buf = Vec::new();
+            write_matrix(&mut buf, &g).unwrap();
+            assert_eq!(
+                String::from_utf8(buf).unwrap(),
+                per_bit,
+                "{n_samples} x {n_snps}"
+            );
+        }
     }
 
     #[test]

@@ -125,6 +125,29 @@ fn manifest_survives_no_truncation_or_bit_flip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A manifest that is nothing but nesting — far deeper than any stack —
+/// is refused like any other damaged manifest: the JSON reader caps its
+/// recursion instead of overflowing.
+#[test]
+fn hostile_manifest_nesting_is_a_typed_error_not_a_stack_overflow() {
+    let dir = tmpdir("nesting");
+    import_to_dir(&sample_matrix(), 2, &dir).expect("import");
+    let path = dir.join(MANIFEST_FILE);
+    let n = 300_000;
+    for (what, doc) in [
+        ("unclosed arrays", "[".repeat(n)),
+        ("unclosed objects", "{\"payload\":".repeat(n)),
+        ("balanced arrays", "[".repeat(n) + &"]".repeat(n)),
+    ] {
+        // the sealed envelope is only parsed when it ends in a newline
+        std::fs::write(&path, doc + "\n").unwrap();
+        let msg = assert_tile_err(DirTileStore::open(&dir), what);
+        assert!(msg.contains("manifest"), "{what}: {msg}");
+        assert!(msg.contains("nesting deeper than"), "{what}: {msg}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A missing or unreadable chunk file is a typed error that names both
 /// the chunk index and the path — the operator learns *which* of
 /// thousands of chunks to restore.

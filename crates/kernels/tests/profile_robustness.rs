@@ -116,6 +116,25 @@ fn garbage_and_empty_files_are_rejected() {
 }
 
 #[test]
+fn hostile_nesting_is_rejected_not_a_stack_overflow() {
+    // deeper than any stack: the JSON reader must cap its recursion
+    let n = 300_000;
+    for (what, doc) in [
+        ("unclosed arrays", "[".repeat(n)),
+        ("unclosed objects", "{\"payload\":".repeat(n)),
+        ("balanced arrays", "[".repeat(n) + &"]".repeat(n)),
+    ] {
+        // the sealed envelope is only parsed when it ends in a newline
+        match CpuProfile::parse((doc + "\n").as_bytes()) {
+            Err(ProfileError::Malformed(msg)) => {
+                assert!(msg.contains("nesting deeper than"), "{what}: {msg}")
+            }
+            other => panic!("{what}: expected Malformed, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn zeroed_tuning_parameters_are_rejected_even_with_valid_crc() {
     // A well-formed file whose tuned values are nonsense (zeros) must be
     // rejected up front, not propagated into the engine where a zero

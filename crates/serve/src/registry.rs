@@ -449,7 +449,10 @@ fn load_text_panel(name: &str, path: &Path) -> Result<ld_bitmat::BitMatrix, Regi
     let file = std::fs::File::open(path)
         .map_err(|e| load_err(format!("cannot open {}: {e}", path.display())))?;
     format
-        .read(BufReader::new(file))
+        .read(BufReader::with_capacity(
+            MatrixFormat::READ_BUFFER_BYTES,
+            file,
+        ))
         .map_err(|e| load_err(e.to_string()))
 }
 

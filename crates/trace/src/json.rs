@@ -164,9 +164,17 @@ impl Json {
     }
 }
 
+/// Deepest `[` / `{` nesting [`parse`] accepts. The parser recurses once
+/// per level, so without a cap a hostile document of a few hundred
+/// thousand `[` overflows the stack instead of failing typed; nothing this
+/// workspace writes nests deeper than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -201,8 +209,19 @@ impl Parser<'_> {
         self.skip_ws();
         let start = self.pos;
         let v = match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object()?,
-            b'[' => self.array()?,
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()?
+                } else {
+                    self.array()?
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Json::Str(self.string()?),
             b't' => self.literal(b"true", Json::Bool(true))?,
             b'f' => self.literal(b"false", Json::Bool(false))?,
@@ -343,7 +362,11 @@ impl Parser<'_> {
 /// Parses `bytes` as exactly one JSON value (surrounding whitespace
 /// allowed, nothing else after it). Errors name the offending byte.
 pub fn parse(bytes: &[u8]) -> Result<Json, String> {
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     let (doc, _) = p.value().map_err(|e| format!("invalid JSON: {e}"))?;
     p.skip_ws();
     if p.pos != bytes.len() {
@@ -461,6 +484,31 @@ mod tests {
             let e = parse(bad).unwrap_err();
             assert!(e.contains("at byte"), "{bad:?}: {e}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_located_error_not_a_stack_overflow() {
+        // (opener, innermost value, closer)
+        for (open, leaf, close) in [("[", "", "]"), ("{\"k\":", "0", "}")] {
+            let nested =
+                |depth: usize| format!("{}{leaf}{}", open.repeat(depth), close.repeat(depth));
+            parse(nested(MAX_DEPTH).as_bytes())
+                .unwrap_or_else(|e| panic!("{MAX_DEPTH} levels of {open}: {e}"));
+            let e = parse(nested(MAX_DEPTH + 1).as_bytes()).unwrap_err();
+            let at = open.len() * MAX_DEPTH;
+            assert!(
+                e.contains(&format!("nesting deeper than 128 at byte {at}")),
+                "{e}"
+            );
+        }
+        // far past any stack, and unclosed, as a hostile file would be
+        for open in ["[", "{\"k\":", "[{\"k\":"] {
+            let e = parse(open.repeat(300_000).as_bytes()).unwrap_err();
+            assert!(e.contains("nesting deeper than 128"), "{e}");
+        }
+        // siblings do not accumulate depth
+        let wide = format!("[{}[]]", "[[]],".repeat(1000));
+        assert!(parse(wide.as_bytes()).is_ok());
     }
 
     #[test]

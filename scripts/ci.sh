@@ -9,7 +9,9 @@
 #      home of the JSON parser that reads hostile manifests and profiles
 #      — with and without `metrics`)
 #   4. release build
-#   5. workspace tests (quiet)
+#   5. workspace tests (quiet) — these include what used to be step 11,
+#      the malformed-input corpus through the CLI
+#      (crates/cli/tests/corpus_cli.rs); later steps keep their numbers
 #   6. feature matrix — the compute stack passes with the `metrics`
 #      instrumentation compiled out AND compiled in
 #   7. zero-overhead guard — metrics-on and metrics-off CLI builds produce
@@ -24,8 +26,6 @@
 #      resume hint and a checkpoint on disk; the `--resume` rerun must
 #      exit 0, produce a pair table byte-identical to a clean run, and
 #      remove the checkpoint
-#  11. malformed-input corpus through the CLI — every fixture must fail
-#      with a nonzero exit and a single error line, never a panic
 #  12. trace leg — `r2 --trace-out/--trace-report` must emit well-formed
 #      Chrome trace-event JSON and a report that validates against
 #      schemas/trace_report.schema.json with zero dropped events at the
@@ -359,42 +359,6 @@ else
     echo "    python3 unavailable; profile schema validation skipped"
 fi
 echo "    tuned profile round-trips; tuned vs default tables byte-identical"
-
-# Corpus step: feed every text-format fixture from the malformed-input
-# corpus to the release CLI. Each must exit nonzero with an `error:`
-# line on stderr and no panic backtrace.
-echo "==> corpus: malformed inputs through the CLI"
-BIN=target/release/gemm-ld
-checked=0
-for fixture in crates/io/tests/corpus/*.ms crates/io/tests/corpus/*.vcf crates/io/tests/corpus/*.txt; do
-    set +e
-    stderr=$("$BIN" r2 -i "$fixture" 2>&1 >/dev/null)
-    status=$?
-    set -e
-    if [ "$status" -eq 0 ]; then
-        echo "corpus FAIL: $fixture exited 0 (must be rejected)" >&2
-        exit 1
-    fi
-    case "$stderr" in
-        *"panicked at"*)
-            echo "corpus FAIL: $fixture produced a panic backtrace:" >&2
-            echo "$stderr" >&2
-            exit 1
-            ;;
-        "error: "*) ;;
-        *)
-            echo "corpus FAIL: $fixture stderr lacks an 'error:' line:" >&2
-            echo "$stderr" >&2
-            exit 1
-            ;;
-    esac
-    checked=$((checked + 1))
-done
-if [ "$checked" -lt 15 ]; then
-    echo "corpus FAIL: only $checked fixtures checked (expected >= 15)" >&2
-    exit 1
-fi
-echo "    $checked fixtures rejected cleanly"
 
 # Bench-regression gate: run the fused bench (internally best-of-N per
 # size) and diff it against the committed baseline with per-metric
