@@ -14,6 +14,7 @@
 
 use crate::stats::{chi2_sf_1df, odds_ratio};
 use ld_bitmat::BitMatrixView;
+use ld_core::fused::SyncSlice;
 use ld_parallel::parallel_for;
 
 /// The association result of one SNP.
@@ -59,7 +60,7 @@ pub fn allelic_scan(g: &BitMatrixView<'_>, case_mask: &[u64], threads: usize) ->
         n
     ];
     {
-        let slots = SyncPtr(out.as_mut_ptr(), out.len());
+        let slots = SyncSlice::new(&mut out);
         parallel_for(threads.max(1), n, |range| {
             for j in range {
                 let col = g.snp_words(j);
@@ -71,9 +72,10 @@ pub fn allelic_scan(g: &BitMatrixView<'_>, case_mask: &[u64], threads: usize) ->
                     .sum();
                 let ctrl_alt = alt - case_alt;
                 let chi2 = allelic_chi2(case_alt, n_case, ctrl_alt, n_ctrl);
-                // SAFETY: each j is written by exactly one worker.
+                // SAFETY: `parallel_for` splits `0..n` into disjoint
+                // ranges, so slot j is borrowed by exactly one worker.
                 unsafe {
-                    *slots.at(j) = AssocResult {
+                    slots.slice(j, 1)[0] = AssocResult {
                         snp: j,
                         case_alt,
                         ctrl_alt,
@@ -113,16 +115,6 @@ fn allelic_chi2(case_alt: u64, n_case: u64, ctrl_alt: u64, n_ctrl: u64) -> f64 {
     }
     let det = a * d - b * c;
     n * det * det / denom
-}
-
-struct SyncPtr(*mut AssocResult, usize);
-unsafe impl Send for SyncPtr {}
-unsafe impl Sync for SyncPtr {}
-impl SyncPtr {
-    unsafe fn at(&self, i: usize) -> *mut AssocResult {
-        debug_assert!(i < self.1);
-        unsafe { self.0.add(i) }
-    }
 }
 
 #[cfg(test)]

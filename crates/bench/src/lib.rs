@@ -11,9 +11,6 @@
 //! | `simd`     | §V — scalar vs SIMD-extract vs software/hardware vector popcount, with the analytical model |
 //! | `ablation` | blocking / kernel-shape / popcount-strategy sweeps     |
 //! | `cache`    | working-set sweep — the Tables II/III memory-hierarchy mechanism |
-//! | `fused`    | fused slab pipeline vs two-pass: wall time + peak RSS (`BENCH_fused.json`) |
-//! | `serve_load` | `ld-serve` daemon under concurrent load + fault injection — malformed frames, half-open peers, killed clients, a SIGKILLed server (`BENCH_serve.json`) |
-//! | `serve_ci`   | CI driver (ci.sh step 18): real `gemm-ld serve` processes — overload sheds typed, SIGINT drain byte-identical + exit 0, expired drain exit 5 |
 //!
 //! The library part holds shared plumbing: workload construction, timing
 //! loops, and plain-text table rendering, so the binaries stay declarative.

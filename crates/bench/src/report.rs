@@ -80,11 +80,6 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Formats a rate as `×10⁹` LDs per second like the paper's tables.
-pub fn fmt_giga(rate: f64) -> String {
-    format!("{:.2}", rate / 1e9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,6 +110,5 @@ mod tests {
         assert_eq!(fmt_secs(2.5), "2.50s");
         assert_eq!(fmt_secs(0.5), "500.00ms");
         assert_eq!(fmt_secs(0.0000005), "0.5us");
-        assert_eq!(fmt_giga(26.36e9), "26.36");
     }
 }

@@ -99,14 +99,13 @@ impl AlignedWords {
         } else {
             self.len = len;
         }
-        // Zero the slack beyond `len` so that a later grow sees zeros.
-        let total = self.lines.len() * WORDS_PER_LINE;
-        if total > len {
-            let raw = unsafe {
-                std::slice::from_raw_parts_mut(self.lines.as_mut_ptr() as *mut u64, total)
-            };
-            for w in &mut raw[len..] {
-                *w = 0;
+        // Zero the slack beyond `len` so that a later grow sees zeros:
+        // `lines` is exactly `⌈len / 8⌉` long, so the slack is the tail of
+        // the last line.
+        let used = len % WORDS_PER_LINE;
+        if used != 0 {
+            if let Some(last) = self.lines.last_mut() {
+                last.0[used..].fill(0);
             }
         }
     }

@@ -9,7 +9,8 @@
 //! | 5    | interrupted | run cancelled (SIGINT / `--timeout`); with `--checkpoint` a resumable snapshot was flushed first |
 //!
 //! Every failure prints exactly one `error:` line on stderr — no panic
-//! backtraces (the corpus step in `scripts/ci.sh` asserts this).
+//! backtraces (`tests/corpus_cli.rs` and `tests/usage_cli.rs` assert this
+//! through the built binary).
 
 use std::fmt;
 

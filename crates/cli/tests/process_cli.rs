@@ -1,0 +1,197 @@
+//! What only a real process can show about the batch commands: `main`'s
+//! exit code and last stderr line, `run-sharded`'s children, the `tune` →
+//! environment → once-per-process profile load, and a flight-recorder
+//! timeline no sibling test writes into. The values these flows produce
+//! are proved bit-identical in-process (`commands::tests`, `ld-core`'s
+//! suites); this file holds the shipped binary to the part of the contract
+//! a function call cannot see.
+
+mod common;
+
+use common::{exists, gemm_ld, read, run, run_for, run_ok, simulate, Scratch};
+use ld_trace::json::{self, Json};
+
+fn parse_json(path: &str) -> Json {
+    json::parse(&read(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+fn field<'a>(doc: &'a Json, path: &[&str]) -> &'a Json {
+    path.iter().fold(doc, |at, key| {
+        at.get(key)
+            .unwrap_or_else(|| panic!("no field {key} in {path:?}"))
+    })
+}
+
+#[test]
+fn interrupted_checkpointed_run_exits_5_and_names_resume() {
+    let dir = Scratch::new("proc_interrupt");
+    let (input, ckpt, out) = (dir.path("d.ms"), dir.path("d.ckpt"), dir.path("d.tsv"));
+    simulate(&input, 100, 120, 11);
+    let done = run(&format!(
+        "r2 -i {input} --threads 2 --timeout 0 --checkpoint {ckpt} -o {out}"
+    ));
+    assert_eq!(done.code, Some(5), "{}", done.stderr);
+    assert_eq!(
+        done.stderr,
+        format!(
+            "error: run cancelled (deadline exceeded) after 0 completed slab(s); \
+             resumable checkpoint saved to {ckpt} (rerun with --resume)\n"
+        )
+    );
+    assert!(exists(&ckpt), "no snapshot on disk");
+    assert!(!exists(&out), "a torn table");
+}
+
+#[test]
+fn traced_run_records_a_complete_timeline() {
+    let dir = Scratch::new("proc_trace");
+    let (input, out) = (dir.path("d.ms"), dir.path("d.tsv"));
+    simulate(&input, 400, 300, 42);
+    let (trace, report) = (dir.path("trace.json"), dir.path("report.json"));
+    run_ok(&format!(
+        "r2 -i {input} --threads 7 --trace-out {trace} --trace-report {report} -o {out}"
+    ));
+    // nothing dropped at the default ring capacity, every begin ended,
+    // and the layer shares tile workers × wall
+    let rep = parse_json(&report);
+    assert_eq!(field(&rep, &["dropped"]).as_u64(), Some(0));
+    assert_eq!(field(&rep, &["open_spans"]).as_u64(), Some(0));
+    let share_sum = field(&rep, &["share_sum"]).as_f64().expect("number");
+    assert!((share_sum - 1.0).abs() <= 0.01, "share_sum {share_sum}");
+    // and real spans are in it (`exporter_golden.rs` pins every field of
+    // the Perfetto encoding byte for byte)
+    let timeline = String::from_utf8(read(&trace)).expect("UTF-8");
+    assert!(timeline.starts_with("{\"traceEvents\":["), "{timeline:.80}");
+    assert!(
+        timeline.contains("\"ph\":\"X\""),
+        "no complete span recorded"
+    );
+}
+
+#[test]
+fn tuned_profile_is_loaded_by_the_next_run_and_changes_no_byte() {
+    let dir = Scratch::new("proc_tune");
+    let profile = dir.path("cpu/profile.json");
+    let with_profile = |line: &str| {
+        let mut cmd = gemm_ld(line);
+        cmd.env_remove("LD_NO_CPU_PROFILE")
+            .env("LD_CPU_PROFILE", &profile);
+        cmd
+    };
+    let tuned = run_for(with_profile("tune --quick --threads 2"), 60);
+    assert_eq!(tuned.code, Some(0), "{}", tuned.stderr);
+    assert_eq!(
+        tuned.stdout.lines().nth(1),
+        Some(format!("wrote tuned profile to {profile}").as_str())
+    );
+    let slab = field(&parse_json(&profile), &["payload", "tuned", "slab_rows"]).as_u64();
+    let slab = slab.expect("slab_rows");
+
+    const N: u64 = 250;
+    let (input, metrics) = (dir.path("d.ms"), dir.path("metrics.json"));
+    simulate(&input, 300, N as usize, 13);
+    let (on, off) = (dir.path("on.tsv"), dir.path("off.tsv"));
+    let flags = format!("--profile=json --profile-out {metrics} -o {on}");
+    let line = format!("r2 -i {input} --threads 2 {flags}");
+    let loaded = run_for(with_profile(&line), 60);
+    assert_eq!(loaded.code, Some(0), "{}", loaded.stderr);
+    assert!(
+        !loaded.stderr.contains("ignoring CPU profile"),
+        "the freshly tuned profile was rejected on load:\n{}",
+        loaded.stderr
+    );
+    // the profile's slab height is the one the run used
+    let emitted = field(&parse_json(&metrics), &["counters", "slabs_emitted"]).as_u64();
+    assert_eq!(emitted, Some(N.div_ceil(slab)), "slab_rows = {slab}");
+    // tuning moves scheduling and blocking only
+    run_ok(&format!("r2 -i {input} --threads 2 -o {off}"));
+    assert!(read(&on) == read(&off), "tuned and default tables differ");
+}
+
+#[test]
+fn incomplete_shard_set_exits_3_with_a_gap_report_and_writes_nothing() {
+    let dir = Scratch::new("proc_gap");
+    let (input, out) = (dir.path("d.ms"), dir.path("gap.tsv"));
+    simulate(&input, 100, 120, 11);
+    let (s1, s2) = (dir.path("s1.bin"), dir.path("s2.bin"));
+    for (shard, to) in [("1/4", &s1), ("2/4", &s2)] {
+        run_ok(&format!(
+            "r2 -i {input} --threads 2 --slab-rows 8 --shard {shard} -o {to}"
+        ));
+    }
+    let done = run(&format!("merge {s1} {s2} --shards 4 -o {out}"));
+    assert_eq!(done.code, Some(3), "{}", done.stderr);
+    assert_eq!(
+        done.stderr,
+        "gap report: re-run shard 3/4 (slabs 6..9), then merge again\n\
+         gap report: re-run shard 4/4 (slabs 9..15), then merge again\n\
+         error: incomplete shard set: missing 9 of 15 slab(s) (slab spans 6..15); \
+         re-run the shards covering these spans, then merge again\n"
+    );
+    assert!(!exists(&out), "a partial panel");
+}
+
+#[test]
+fn supervisor_retries_a_sigkilled_shard_to_an_identical_panel() {
+    let dir = Scratch::new("proc_supervisor");
+    let input = dir.path("d.ms");
+    simulate(&input, 300, 800, 17);
+    let (one, sup, work) = (dir.path("one.tsv"), dir.path("sup.tsv"), dir.path("work"));
+    run_ok(&format!("r2 -i {input} --threads 2 --min-r2 0 -o {one}"));
+    // the supervisor's own harness SIGKILLs shard 1's first attempt
+    let done = run(&format!(
+        "run-sharded -i {input} -o {sup} --shards 2 --threads 2 --min-r2 0 \
+         --retries 2 --backoff-ms 50 --fault-kill 1 --work-dir {work}"
+    ));
+    assert_eq!(done.code, Some(0), "{}", done.stderr);
+    let manifest = format!("{work}/manifest.json");
+    assert_eq!(
+        done.last_line(),
+        format!("run-sharded complete: 2 shard(s) merged into {sup} (manifest {manifest})")
+    );
+    assert!(read(&one) == read(&sup), "sharded panel differs");
+
+    let doc = parse_json(&manifest);
+    assert_eq!(field(&doc, &["interrupted"]).as_bool(), Some(false));
+    let states = field(&doc, &["shard_states"]).as_array().expect("array");
+    assert_eq!(states.len(), 2);
+    for s in states {
+        assert_eq!(field(s, &["state"]).as_str(), Some("done"), "{s:?}");
+    }
+    let first = &states[0];
+    let classes = field(first, &["classifications"]).as_array();
+    let classes: Vec<_> = classes.expect("array").iter().map(Json::as_str).collect();
+    assert_eq!(classes.first(), Some(&Some("crash")), "the fault missed");
+    assert_eq!(classes.last(), Some(&Some("success")));
+    assert!(field(first, &["attempts"]).as_u64() >= Some(2), "{first:?}");
+}
+
+#[test]
+fn damaged_chunk_exits_3_naming_the_chunk() {
+    let dir = Scratch::new("proc_chunk");
+    let (input, store, out) = (dir.path("d.ms"), dir.path("store"), dir.path("bad.tsv"));
+    simulate(&input, 100, 120, 11);
+    run_ok(&format!(
+        "import -i {input} --store {store} --chunk-snps 16"
+    ));
+    let chunk = format!("{store}/chunk_000002.bin");
+    let mut bytes = read(&chunk);
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xAA;
+    std::fs::write(&chunk, &bytes).expect("damage the chunk");
+    // the trailer is the CRC-32 of everything before it
+    let (body, trailer) = bytes.split_at(bytes.len() - 4);
+    let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
+    let computed = json::crc32(body);
+
+    let done = run(&format!("r2 --store {store} --threads 2 -o {out}"));
+    assert_eq!(done.code, Some(3), "{}", done.stderr);
+    assert_eq!(
+        done.last_line(),
+        format!(
+            "error: tile store error: chunk 2: CRC-32 mismatch (stored {stored:#010x}, \
+             computed {computed:#010x}) (file {chunk})"
+        )
+    );
+    assert!(!exists(&out), "a partial table");
+}

@@ -29,11 +29,11 @@ impl BandedLdMatrix {
     /// Computes the banded statistic for `g` with the given engine.
     ///
     /// Runs chunked rectangular count GEMMs into one **reused** scratch
-    /// buffer (`O(chunk · (chunk + band))` u32, allocated once), then picks
-    /// the in-band pairs out of each block through the engine's precomputed
-    /// [`Transform`] tables — the same batched rank-1 correction the fused
-    /// all-pairs pipeline applies, so banded values are bit-identical to
-    /// the full matrix. No per-chunk statistic matrix is materialized.
+    /// buffer (`O(chunk · (chunk + band))` u32, allocated once), then runs
+    /// each row's contiguous band through [`Transform::apply_span`] — the
+    /// body the all-pairs pipeline applies, so banded values are
+    /// bit-identical to the full matrix. No per-chunk statistic matrix is
+    /// materialized.
     pub fn compute(engine: &LdEngine, g: &BitMatrix, band: usize, stat: LdStats) -> Self {
         let n = g.n_snps();
         let band = band.max(1).min(n.saturating_sub(1).max(1));
@@ -68,14 +68,11 @@ impl BandedLdMatrix {
                 let sw = ld_trace::Stopwatch::start();
                 for i in 0..rows {
                     let gi = start + i;
-                    for d in 0..band {
-                        let gj = gi + d + 1;
-                        if gj >= cols_end {
-                            break;
-                        }
-                        values[gi * band + d] =
-                            tr.apply_pair(gi, gj, counts[i * cols + (gj - start)]);
-                    }
+                    // row gi's band: columns gi + 1 ..= gi + band, cut at
+                    // the block's right edge
+                    let len = band.min(cols_end - gi - 1);
+                    let from = &counts[i * cols + i + 1..][..len];
+                    tr.apply_span(gi, gi + 1, from, &mut values[gi * band..][..len]);
                 }
                 ld_trace::add(ld_trace::Counter::TransformNs, sw.elapsed_ns());
                 start = rows_end;
@@ -158,16 +155,19 @@ mod tests {
     #[test]
     fn band_matches_full_matrix() {
         let g = pseudo(128, 50, 1);
-        let full = engine().r2_matrix(&g);
-        let banded = BandedLdMatrix::compute(&engine(), &g, 7, LdStats::RSquared);
-        for i in 0..50 {
-            for j in 0..50 {
-                match banded.get(i, j) {
-                    Some(v) => {
-                        assert!((v - full.get(i, j)).abs() < 1e-12, "({i},{j})");
-                        assert!(i.abs_diff(j) <= 7 && i != j);
+        for stat in [LdStats::RSquared, LdStats::D, LdStats::DPrime] {
+            let full = engine().stat_matrix(&g, stat);
+            let banded = BandedLdMatrix::compute(&engine(), &g, 7, stat);
+            for i in 0..50 {
+                for j in 0..50 {
+                    match banded.get(i, j) {
+                        Some(v) => {
+                            // one transform body ⇒ the same bits
+                            assert_eq!(v.to_bits(), full.get(i, j).to_bits(), "{stat:?} ({i},{j})");
+                            assert!(i.abs_diff(j) <= 7 && i != j);
+                        }
+                        None => assert!(i == j || i.abs_diff(j) > 7),
                     }
-                    None => assert!(i == j || i.abs_diff(j) > 7),
                 }
             }
         }
@@ -211,7 +211,7 @@ mod tests {
         assert_eq!(banded.n_pairs(), 15); // all C(6,2) pairs
         let full = engine().r2_matrix(&g);
         for (i, j, v) in banded.iter_pairs() {
-            assert!((v - full.get(i, j)).abs() < 1e-12);
+            assert_eq!(v.to_bits(), full.get(i, j).to_bits(), "({i},{j})");
         }
     }
 
@@ -221,7 +221,7 @@ mod tests {
         let banded = BandedLdMatrix::compute(&engine(), &g, 3, LdStats::DPrime);
         let full = engine().d_prime_matrix(&g);
         for (i, j, v) in banded.iter_pairs() {
-            assert!((v - full.get(i, j)).abs() < 1e-12, "({i},{j})");
+            assert_eq!(v.to_bits(), full.get(i, j).to_bits(), "({i},{j})");
         }
     }
 }

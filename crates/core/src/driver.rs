@@ -97,7 +97,7 @@ pub(crate) enum Sink<'a> {
 /// The sink as the worker team sees it.
 enum Dest<'a> {
     Packed {
-        out: SyncSlice,
+        out: SyncSlice<'a, f64>,
         ckpt: Option<Ckpt<'a>>,
     },
     Rows(Mutex<&'a mut (dyn FnMut(&RowSlabVisit<'_>) + Send)>),
@@ -233,7 +233,12 @@ impl Ckpt<'_> {
     /// Reads only packed ranges whose ledger flag was `Acquire`-observed,
     /// which happens-after the owning worker's writes (see [`Ledger`]);
     /// those ranges have no live `&mut`.
-    fn snapshot(&self, ledger: &Ledger, out: &SyncSlice, grid: &Grid) -> Result<(), String> {
+    fn snapshot(
+        &self,
+        ledger: &Ledger,
+        out: &SyncSlice<'_, f64>,
+        grid: &Grid,
+    ) -> Result<(), String> {
         let mut state = self.header.clone();
         for k in (grid.lo..grid.hi).filter(|&k| ledger.is_done(k)) {
             let span = grid.span(k);
@@ -251,7 +256,12 @@ impl Ckpt<'_> {
     }
 
     /// One more slab is done: write a snapshot when the cadence says so.
-    fn slab_done(&self, ledger: &Ledger, out: &SyncSlice, grid: &Grid) -> Result<(), LdError> {
+    fn slab_done(
+        &self,
+        ledger: &Ledger,
+        out: &SyncSlice<'_, f64>,
+        grid: &Grid,
+    ) -> Result<(), LdError> {
         let mut cur = lock(&self.cursor);
         cur.since_last += 1;
         let due = cur.since_last >= self.every_slabs

@@ -9,8 +9,8 @@ use crate::error::{checked_add, checked_mul, try_zeroed_vec, LdError, MemoryBudg
 use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
 use crate::shard::{plan_shards, SlabRange};
-use crate::source::{memory_footprint, store_footprint, Source};
-use crate::stats::{ld_pair_from_counts, stat_from_counts, LdPair, LdStats, NanPolicy};
+use crate::source::{store_footprint, Source};
+use crate::stats::{ld_pair_from_counts, LdPair, LdStats, NanPolicy};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{BitMatrix, BitMatrixView};
 use ld_kernels::{syrk_counts_buf, BlockSizes, KernelKind};
@@ -404,16 +404,6 @@ impl LdEngine {
         Ok(self.run_packed(&src.into(), stat, ctl)?.0)
     }
 
-    /// [`LdEngine::try_stat_matrix_with`] over [`Source::Store`].
-    pub fn try_stat_matrix_outofcore_with(
-        &self,
-        src: &dyn TileSource,
-        stat: LdStats,
-        ctl: &RunControl<'_>,
-    ) -> Result<LdMatrix, LdError> {
-        self.try_stat_matrix_with(Source::Store(src), stat, ctl)
-    }
-
     /// The slab height a run over `src` will actually use after memory
     /// budgeting, for the packed (`true`) or row (`false`) sink — the slab
     /// grid every shard plan, shard range and checkpoint resume of that
@@ -428,7 +418,8 @@ impl LdEngine {
         self.fit_slab(src.n_snps(), src.footprint(self.threads, packed)?, None)
     }
 
-    /// [`LdEngine::slab_for`] a store from its manifest alone.
+    /// [`LdEngine::slab_for`] a store from its manifest alone. Kept for
+    /// `benchmark/`; see ROADMAP 6a.
     pub fn outofcore_slab_for(
         &self,
         meta: &TileStoreMeta,
@@ -451,14 +442,6 @@ impl LdEngine {
         n_shards: usize,
     ) -> Result<Vec<SlabRange>, LdError> {
         plan_shards(src.n_snps(), self.slab_for(src, true)?, n_shards)
-    }
-
-    /// [`LdEngine::shard_plan_from`] an in-memory matrix of `n_snps`
-    /// SNPs, without the matrix in hand (the memory source's budget model
-    /// depends only on `n_snps`).
-    pub fn shard_plan(&self, n_snps: usize, n_shards: usize) -> Result<Vec<SlabRange>, LdError> {
-        let model = memory_footprint(n_snps, self.threads, true)?;
-        plan_shards(n_snps, self.fit_slab(n_snps, model, None)?, n_shards)
     }
 
     /// Computes one shard of the all-pairs statistic and returns it in
@@ -495,24 +478,13 @@ impl LdEngine {
         Ok(state)
     }
 
-    /// [`LdEngine::try_stat_shard_with`] over [`Source::Store`].
-    pub fn try_stat_shard_outofcore_with(
-        &self,
-        src: &dyn TileSource,
-        stat: LdStats,
-        ctl: &RunControl<'_>,
-    ) -> Result<CheckpointState, LdError> {
-        self.try_stat_shard_with(Source::Store(src), stat, ctl)
-    }
-
     /// The classical two-pass driver: full `n × n` SYRK counts, then a
     /// separate transform sweep into the packed triangle.
     ///
     /// Kept as the **reference** for the slab driver (their `r²`
     /// transforms are the same batched operations, so results are
-    /// bit-identical) and as the reference point for the memory/bandwidth
-    /// comparison in `BENCH_fused`. Peak transient memory is `4n²` bytes;
-    /// prefer [`LdEngine::stat_matrix`] everywhere else.
+    /// bit-identical). Peak transient memory is `4n²` bytes; prefer
+    /// [`LdEngine::stat_matrix`] everywhere else.
     ///
     /// The transform sweep is partitioned triangle-aware
     /// ([`ld_parallel::triangle_row_ranges`]): row `i` holds `n − i` pairs,
@@ -633,7 +605,8 @@ impl LdEngine {
         }
     }
 
-    /// [`LdEngine::try_stat_rows_with`] over [`Source::Store`].
+    /// [`LdEngine::try_stat_rows_with`] over [`Source::Store`]. Kept for
+    /// `benchmark/`; see ROADMAP 6a.
     pub fn try_stat_rows_outofcore_with<F>(
         &self,
         src: &dyn TileSource,
@@ -779,11 +752,13 @@ impl LdEngine {
     }
 
     /// Fallible [`LdEngine::cross_stat_matrix`]: mismatched sample sets are
-    /// [`LdError::DimensionMismatch`], `m × n` sizes are checked, the count
-    /// and value buffers go through `try_reserve`, per-SNP allele counts
+    /// [`LdError::DimensionMismatch`], `m × n` sizes are checked, every
+    /// buffer and table goes through `try_reserve`, per-SNP allele counts
     /// are converted with `u32::try_from` (no silent truncation past
-    /// `u32::MAX` haplotypes), and a panicking worker surfaces as
-    /// [`LdError::Worker`].
+    /// `u32::MAX` haplotypes), a panicking worker surfaces as
+    /// [`LdError::Worker`], and an operand with no SNPs gives an empty
+    /// matrix. Values are bit-identical to the same pairs of the all-pairs
+    /// matrix: both run `Transform::apply_span`.
     pub fn try_cross_stat_matrix<'a, 'b>(
         &self,
         a: impl Into<BitMatrixView<'a>>,
@@ -806,6 +781,10 @@ impl LdEngine {
         }
         let (m, n) = (va.n_snps(), vb.n_snps());
         let len = checked_mul(m, n, "m × n cross matrix")?;
+        let mut values = try_zeroed_vec::<f64>(len, "m × n cross values")?;
+        if len == 0 {
+            return Ok(CrossLdMatrix::from_dense(m, n, values));
+        }
         let mut counts = try_zeroed_vec::<u32>(len, "m × n cross counts")?;
         ld_kernels::gemm_counts_mt(
             &va,
@@ -816,80 +795,33 @@ impl LdEngine {
             self.blocks,
             self.threads,
         );
-        let snp_counts = |v: &BitMatrixView<'_>, k: usize| -> Result<Vec<u32>, LdError> {
-            let mut out = try_zeroed_vec::<u32>(k, "per-SNP allele-count table")?;
-            for (j, d) in out.iter_mut().enumerate() {
-                *d = u32::try_from(v.ones_in_snp(j)).map_err(|_| LdError::SizeOverflow {
-                    what: "per-SNP allele count (> u32::MAX haplotypes)",
-                })?;
-            }
-            Ok(out)
-        };
-        let a_counts = snp_counts(&va, m)?;
-        let b_counts = snp_counts(&vb, n)?;
-        let inv_n = 1.0 / n_samples as f64;
-        let mut values = try_zeroed_vec::<f64>(len, "m × n cross values")?;
-        let policy = self.policy;
-        {
-            let counts_ref = &counts;
-            let values_ptr = SyncSlice::new(&mut values);
-            if stat == LdStats::RSquared {
-                // batched rank-1 correction (see stat_matrix)
-                let undef = match policy {
-                    NanPolicy::Propagate => f64::NAN,
-                    NanPolicy::Zero => 0.0,
-                };
-                let prep = |counts: &[u32]| -> (Vec<f64>, Vec<f64>) {
-                    let p: Vec<f64> = counts.iter().map(|&c| c as f64 * inv_n).collect();
-                    let iv = p
-                        .iter()
-                        .map(|&pj| {
-                            let var = pj * (1.0 - pj);
-                            if var > 0.0 {
-                                1.0 / var
-                            } else {
-                                undef
-                            }
-                        })
-                        .collect();
-                    (p, iv)
-                };
-                let (pa, iva) = prep(&a_counts);
-                let (pb, ivb) = prep(&b_counts);
-                let (pa, iva, pb, ivb) = (&pa, &iva, &pb, &ivb);
-                try_parallel_for(self.threads, m, |rows| {
-                    for i in rows {
-                        // SAFETY: disjoint row slices of `values`.
-                        let dst = unsafe { values_ptr.slice(i * n, n) };
-                        let (p_i, iv_i) = (pa[i], iva[i]);
-                        let row = &counts_ref[i * n..i * n + n];
-                        for j in 0..n {
-                            let d = row[j] as f64 * inv_n - p_i * pb[j];
-                            dst[j] = (d * d) * iv_i * ivb[j];
-                        }
-                    }
-                })?;
+        // One table set holding both operands end to end — A's SNPs at
+        // [0, m), B's at [m, m + n) — so row i of the cross block is the
+        // span `(i, m..m + n)` of the one counts→statistic body.
+        let both = checked_add(m, n, "m + n SNPs")?;
+        let mut tr = Transform::empty(both, n_samples, stat, self.policy)?;
+        let mut diag = try_zeroed_vec::<u32>(both, "per-SNP allele-count table")?;
+        for (j, d) in diag.iter_mut().enumerate() {
+            let ones = if j < m {
+                va.ones_in_snp(j)
             } else {
-                let a_ref = &a_counts;
-                let b_ref = &b_counts;
-                try_parallel_for(self.threads, m, |rows| {
-                    for i in rows {
-                        // SAFETY: disjoint row slices of `values`.
-                        let dst = unsafe { values_ptr.slice(i * n, n) };
-                        for j in 0..n {
-                            dst[j] = stat_from_counts(
-                                stat,
-                                a_ref[i],
-                                b_ref[j],
-                                counts_ref[i * n + j],
-                                inv_n,
-                                policy,
-                            );
-                        }
-                    }
-                })?;
-            }
+                vb.ones_in_snp(j - m)
+            };
+            *d = u32::try_from(ones).map_err(|_| LdError::SizeOverflow {
+                what: "per-SNP allele count (> u32::MAX haplotypes)",
+            })?;
         }
+        tr.fill_span(0, &diag);
+        let (tr, counts) = (&tr, &counts);
+        let out = SyncSlice::new(&mut values);
+        try_parallel_for(self.threads, m, |rows| {
+            for i in rows {
+                // SAFETY: `try_parallel_for` hands out disjoint row ranges,
+                // and row i's values are the range [i·n, (i + 1)·n).
+                let dst = unsafe { out.slice(i * n, n) };
+                tr.apply_span(i, m, &counts[i * n..][..n], dst);
+            }
+        })?;
         Ok(CrossLdMatrix::from_dense(m, n, values))
     }
 

@@ -21,6 +21,7 @@
 use crate::error::{try_zeroed_vec, LdError};
 use crate::stats::{stat_from_counts, LdStats, NanPolicy};
 use ld_bitmat::BitMatrixView;
+use std::marker::PhantomData;
 
 /// Row offset of row `i` in the packed upper triangle of an `n × n`
 /// symmetric matrix: `Σ_{t<i}(n−t) = i·n − i(i−1)/2` (underflow-free form).
@@ -158,10 +159,12 @@ impl Transform {
     }
 
     /// Transforms a span of row `i`: `counts[t] = s_iᵀ s_{j0+t}` for
-    /// `t ∈ 0..len`, writing the statistic into `dst[t]`. [`apply_row`]
-    /// is the `j0 = i` case; the slab driver uses arbitrary `j0` because
-    /// a store source delivers a row's columns one chunk at a time. The
-    /// expression order is identical, so chunked spans concatenate to a
+    /// `t ∈ 0..len`, writing the statistic into `dst[t]` — the one
+    /// counts→statistic body. [`apply_row`] is the `j0 = i` case; the slab
+    /// driver uses arbitrary `j0` because a store source delivers a row's
+    /// columns one chunk at a time, the banded driver `j0 = i + 1`, and the
+    /// cross driver tables that hold both operands end to end. The
+    /// expression order is identical, so spans concatenate to a
     /// bit-identical row.
     ///
     /// [`apply_row`]: Transform::apply_row
@@ -192,46 +195,57 @@ impl Transform {
             }
         }
     }
-
-    /// Transforms a single pair `(i, j)` given its co-occurrence count —
-    /// used by the banded driver, which picks pairs out of rectangular
-    /// count blocks.
-    #[inline]
-    pub fn apply_pair(&self, i: usize, j: usize, c_ij: u32) -> f64 {
-        match self.stat {
-            LdStats::RSquared => {
-                let dev = c_ij as f64 * self.inv_n - self.p[i] * self.p[j];
-                (dev * dev) * self.inv_var[i] * self.inv_var[j]
-            }
-            _ => stat_from_counts(
-                self.stat,
-                self.diag[i],
-                self.diag[j],
-                c_ij,
-                self.inv_n,
-                self.policy,
-            ),
-        }
-    }
 }
 
-/// A Send+Sync raw-pointer wrapper for handing disjoint subslices to a
-/// worker team. Soundness argument: every use partitions the buffer by row
-/// slab, and each slab index is grabbed by exactly one worker (the atomic
-/// counter in `try_parallel_for_dynamic_init_ctl` hands out disjoint
-/// ranges).
+/// A Send+Sync raw-pointer wrapper for handing disjoint subslices of one
+/// buffer to a worker team. Soundness argument: every use partitions the
+/// buffer (by row slab, window or SNP index), and each part is claimed by
+/// exactly one worker (the atomic counter in
+/// `try_parallel_for_dynamic_init_ctl` and the static splits of
+/// `parallel_for` hand out disjoint ranges).
 ///
-/// Public so the baseline kernels in `ld-baselines`, which partition their
-/// packed outputs the same way, can share one audited implementation.
-pub struct SyncSlice(*mut f64, usize);
-unsafe impl Send for SyncSlice {}
-unsafe impl Sync for SyncSlice {}
+/// Public so every crate that partitions an output this way — the
+/// baseline kernels, the extension kernels, the ω and association scans —
+/// shares one audited implementation.
+pub struct SyncSlice<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    /// Holds the exclusive borrow of the buffer for `'a`: nothing else can
+    /// read, write or free it while slices handed out here may be live.
+    _buf: PhantomData<&'a mut [T]>,
+}
 
-impl SyncSlice {
-    /// Captures `buf`'s pointer and length; the borrow ends here, so all
-    /// aliasing discipline shifts to [`SyncSlice::slice`]'s contract.
-    pub fn new(buf: &mut [f64]) -> Self {
-        Self(buf.as_mut_ptr(), buf.len())
+// SAFETY: the wrapper is a `&'a mut [T]` in pointer form. Moving it to
+// another thread lets that thread write (and drop the overwritten) `T`s
+// through `slice`, which is sending `T`s across threads: `T: Send`.
+unsafe impl<T: Send> Send for SyncSlice<'_, T> {}
+// SAFETY: sharing `&SyncSlice` lets several threads call `slice` (each on
+// its own disjoint range, by that method's contract — again `T: Send`)
+// and `slice_ref`, which hands the same `&T`s to more than one thread:
+// `T: Sync`.
+unsafe impl<T: Send + Sync> Sync for SyncSlice<'_, T> {}
+
+impl<'a, T> SyncSlice<'a, T> {
+    /// Takes over `buf`'s exclusive borrow; from here on the aliasing
+    /// discipline inside the buffer is [`SyncSlice::slice`]'s contract.
+    pub fn new(buf: &'a mut [T]) -> Self {
+        Self {
+            ptr: buf.as_mut_ptr(),
+            len: buf.len(),
+            _buf: PhantomData,
+        }
+    }
+
+    /// `ptr + off`, after checking `[off, off + len)` lies in the buffer.
+    fn start(&self, off: usize, len: usize) -> *mut T {
+        assert!(
+            off.checked_add(len).is_some_and(|end| end <= self.len),
+            "range {off}+{len} outside a buffer of {}",
+            self.len
+        );
+        // SAFETY: `off <= self.len` was just checked, so the offset stays
+        // inside (or one past) the allocation `ptr` was taken from.
+        unsafe { self.ptr.add(off) }
     }
 
     /// Reborrows the disjoint subrange `[off, off + len)`.
@@ -240,9 +254,11 @@ impl SyncSlice {
     /// Callers must guarantee no two live slices returned from this method
     /// overlap (the engine's slab partitioning does).
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice(&self, off: usize, len: usize) -> &mut [f64] {
-        debug_assert!(off + len <= self.1);
-        std::slice::from_raw_parts_mut(self.0.add(off), len)
+    pub unsafe fn slice(&self, off: usize, len: usize) -> &mut [T] {
+        // SAFETY: the range is in bounds (`start`), the buffer is
+        // exclusively borrowed for `'a` (`_buf`), and the caller promises
+        // no other live slice overlaps it.
+        unsafe { std::slice::from_raw_parts_mut(self.start(off, len), len) }
     }
 
     /// Read-only reborrow of `[off, off + len)` — used by the checkpoint
@@ -254,9 +270,10 @@ impl SyncSlice {
     /// [`SyncSlice::slice`]; completed-slab ranges satisfy this because a
     /// slab's mutable slice is dropped before its done flag is released,
     /// and readers acquire that flag first.
-    pub unsafe fn slice_ref(&self, off: usize, len: usize) -> &[f64] {
-        debug_assert!(off + len <= self.1);
-        std::slice::from_raw_parts(self.0.add(off), len)
+    pub unsafe fn slice_ref(&self, off: usize, len: usize) -> &[T] {
+        // SAFETY: in bounds (`start`), buffer borrowed for `'a`, and the
+        // caller promises no live `&mut` overlaps the range.
+        unsafe { std::slice::from_raw_parts(self.start(off, len), len) }
     }
 }
 
@@ -369,7 +386,8 @@ mod tests {
             .map(|j| ld_popcount::and_popcount(v.snp_words(0), v.snp_words(j)) as u32)
             .collect();
         tr.apply_row(0, &counts, &mut row);
-        let pair = tr.apply_pair(0, 3, c_03);
-        assert_eq!(pair.to_bits(), row[3].to_bits());
+        let mut pair = [0.0f64];
+        tr.apply_span(0, 3, &[c_03], &mut pair);
+        assert_eq!(pair[0].to_bits(), row[3].to_bits());
     }
 }

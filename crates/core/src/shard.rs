@@ -351,6 +351,7 @@ mod tests {
     use super::*;
     use crate::control::RunControl;
     use crate::engine::LdEngine;
+    use crate::source::Source;
     use crate::stats::LdStats;
     use ld_bitmat::BitMatrix;
 
@@ -430,7 +431,7 @@ mod tests {
         let e = LdEngine::new().threads(2).slab_rows(4);
         for stat in [LdStats::RSquared, LdStats::D] {
             let full = e.try_stat_matrix(&g, stat).expect("single run");
-            let plan = e.shard_plan(37, 3).expect("plan");
+            let plan = e.shard_plan_from(&Source::from(&g), 3).expect("plan");
             let mut states = Vec::new();
             for range in plan {
                 let ctl = RunControl::new().with_shard(range);
@@ -457,7 +458,6 @@ mod tests {
     #[test]
     fn store_shards_are_planned_on_the_grid_the_store_runs() {
         use crate::error::MemoryBudget;
-        use crate::source::Source;
         use crate::tilestore::MemoryTileStore;
         let (n, threads) = (200usize, 2usize);
         let g = pseudo(512, n, 21);
@@ -475,7 +475,8 @@ mod tests {
         let oracle = e.stat_matrix_twopass(&g, LdStats::RSquared);
         for n_shards in [2usize, 3] {
             let plan = e.shard_plan_from(&src, n_shards).expect("plan");
-            assert_ne!(plan, e.shard_plan(n, n_shards).unwrap(), "the grids differ");
+            let in_memory = e.shard_plan_from(&Source::from(&g), n_shards).unwrap();
+            assert_ne!(plan, in_memory, "the grids differ");
             let states = plan
                 .into_iter()
                 .map(|range| {
@@ -495,7 +496,7 @@ mod tests {
     fn merge_rejects_overlap_and_reports_gaps() {
         let g = pseudo(40, 20, 9);
         let e = LdEngine::new().threads(1).slab_rows(4); // 5 slabs
-        let plan = e.shard_plan(20, 2).expect("plan");
+        let plan = e.shard_plan_from(&Source::from(&g), 2).expect("plan");
         let shard = |r: SlabRange| {
             let ctl = RunControl::new().with_shard(r);
             e.try_stat_shard_with(&g, LdStats::RSquared, &ctl)
@@ -533,7 +534,7 @@ mod tests {
     fn merge_rejects_cross_run_inputs_field_by_field() {
         let g = pseudo(40, 20, 9);
         let e = LdEngine::new().threads(1).slab_rows(4);
-        let plan = e.shard_plan(20, 2).expect("plan");
+        let plan = e.shard_plan_from(&Source::from(&g), 2).expect("plan");
         let mk = |stat, range: SlabRange| {
             let ctl = RunControl::new().with_shard(range);
             e.try_stat_shard_with(&g, stat, &ctl).expect("shard")
@@ -593,7 +594,7 @@ mod tests {
         use crate::control::CheckpointPlan;
         let g = pseudo(40, 20, 11);
         let e = LdEngine::new().threads(1).slab_rows(4); // 5 slabs
-        let plan = e.shard_plan(20, 2).expect("plan");
+        let plan = e.shard_plan_from(&Source::from(&g), 2).expect("plan");
         // checkpoint written by shard 1 ...
         let sink = MemorySink::new();
         let ctl = RunControl::new()

@@ -10,7 +10,7 @@
 use ld_bitmat::BitMatrix;
 use ld_core::{
     CancelToken, CheckpointPlan, CheckpointSink, CheckpointState, Deadline, LdEngine, LdError,
-    LdStats, MemorySink, NanPolicy, RunControl,
+    LdStats, MemorySink, NanPolicy, RunControl, Source,
 };
 use ld_rng::SmallRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -405,7 +405,7 @@ fn outofcore_and_in_memory_checkpoints_are_interchangeable() {
                     .with_token(&token)
                     .with_checkpoint(CheckpointPlan::new(&sink).every_slabs(1));
                 let first = if start_streamed {
-                    e.try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &ctl)
+                    e.try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
                 } else {
                     e.try_stat_matrix_with(&g, LdStats::RSquared, &ctl)
                 };
@@ -429,7 +429,7 @@ fn outofcore_and_in_memory_checkpoints_are_interchangeable() {
                 let resumed = if start_streamed {
                     e.try_stat_matrix_with(&g, LdStats::RSquared, &ctl)
                 } else {
-                    e.try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &ctl)
+                    e.try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
                 };
                 let resumed = resumed.unwrap_or_else(|e| {
                     panic!("k{k} streamed-first={start_streamed}: resume failed: {e}")

@@ -31,7 +31,7 @@ use ld_bitmat::BitMatrix;
 use ld_core::error::fault;
 use ld_core::{
     CheckpointPlan, CheckpointSink, LdEngine, LdError, LdStats, MemoryBudget, MemoryTileStore,
-    RunControl,
+    RunControl, Source,
 };
 use ld_rng::SmallRng;
 
@@ -154,7 +154,7 @@ fn every_fallible_allocation_site_fails_cleanly() {
         }),
         ("store matrix", &|| {
             engine
-                .try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &ctl)
+                .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
                 .map(|m| bits(&m))
         }),
         ("memory rows", &|| {
@@ -250,7 +250,7 @@ fn injected_kernel_panic_surfaces_as_worker_error() {
     let store = MemoryTileStore::from_matrix(&g, 16).expect("import");
     fault::arm_kernel_panic(true);
     let result =
-        engine.try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &RunControl::new());
+        engine.try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new());
     fault::arm_kernel_panic(false);
     match result {
         Err(LdError::Worker(p)) => assert!(p.message.contains("injected kernel panic")),
@@ -264,7 +264,7 @@ fn injected_kernel_panic_surfaces_as_worker_error() {
     let oracle = engine.stat_matrix_twopass(&g, LdStats::RSquared);
     assert_eq!(bits(&m), bits(&oracle));
     let m = engine
-        .try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &RunControl::new())
+        .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
         .expect("clean store run after disarm");
     assert_eq!(bits(&m), bits(&oracle));
 }
@@ -344,7 +344,7 @@ fn failing_checkpoint_sink_is_sticky_from_both_sources() {
         };
         let ctl = RunControl::new().with_checkpoint(CheckpointPlan::new(&sink).every_slabs(1));
         let result = if streamed {
-            engine.try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &ctl)
+            engine.try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
         } else {
             engine.try_stat_matrix_with(&g, LdStats::RSquared, &ctl)
         };
@@ -479,6 +479,22 @@ fn cross_matrix_rejects_mismatched_sample_sets() {
             assert_eq!((left, right), (32, 48));
         }
         other => panic!("expected DimensionMismatch, got {other}"),
+    }
+}
+
+#[test]
+fn cross_matrix_with_an_empty_operand_is_empty_not_a_panic() {
+    let _guard = lock_faults();
+    let full = random_matrix(32, 10, 0xfa0a);
+    let none = BitMatrix::zeros(32, 0);
+    for stat in [LdStats::RSquared, LdStats::D, LdStats::DPrime] {
+        for (a, b) in [(&full, &none), (&none, &full), (&none, &none)] {
+            let m = LdEngine::new()
+                .try_cross_stat_matrix(a, b, stat)
+                .expect("an empty operand is not an error");
+            assert_eq!((m.n_rows(), m.n_cols()), (a.n_snps(), b.n_snps()));
+            assert!(m.values().is_empty());
+        }
     }
 }
 

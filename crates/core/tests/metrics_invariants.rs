@@ -1,4 +1,4 @@
-//! Counter-invariant tests: the `metrics` counters are *correct*, not
+//! Counter-invariant tests: the `ld-trace` counters are *correct*, not
 //! just present.
 //!
 //! The deterministic counters (`kernel_tiles`, `kernel_words`,
@@ -18,9 +18,6 @@
 //!   scheduler's chunks are grain-aligned, so the slab decomposition is
 //!   thread-invariant) and — for slab heights that preserve micro-tile
 //!   grid alignment — across slab sizes.
-//!
-//! Only with `--features metrics`; the file compiles to nothing otherwise.
-#![cfg(feature = "metrics")]
 
 use ld_bitmat::BitMatrix;
 use ld_core::{LdEngine, LdStats, NanPolicy};

@@ -1,8 +1,8 @@
 //! The out-of-core tile-store driver against the in-memory fused engine.
 //!
-//! `LdEngine::try_stat_matrix_outofcore_with` streams slab×panel blocks
-//! of `GᵀG` from a chunked [`MemoryTileStore`] / `DirTileStore` instead
-//! of holding `G` in RAM. Counts are exact u32 either way and both paths
+//! `LdEngine::try_stat_matrix_with` over `Source::Store` streams
+//! slab×panel blocks of `GᵀG` from a chunked [`MemoryTileStore`] /
+//! `DirTileStore` instead of holding `G` in RAM. Counts are exact u32 either way and both paths
 //! run the *same* `Transform` arithmetic, so the packed triangle must be
 //! **bit-identical** to `LdEngine::try_stat_matrix` for every chunk
 //! size, slab height, memory budget and thread count — no tolerance, any
@@ -11,6 +11,7 @@
 use ld_bitmat::BitMatrix;
 use ld_core::{
     LdEngine, LdError, LdMatrix, LdStats, MemoryBudget, MemoryTileStore, NanPolicy, RunControl,
+    Source,
 };
 use ld_io::tilestore::{import_to_dir, DirTileStore};
 use ld_rng::SmallRng;
@@ -78,7 +79,7 @@ fn outofcore_matrix_matches_in_memory_across_geometries() {
                      {stat:?} {policy:?} t{threads}"
                 );
                 let ooc = e
-                    .try_stat_matrix_outofcore_with(&store, stat, &RunControl::new())
+                    .try_stat_matrix_with(Source::Store(&store), stat, &RunControl::new())
                     .unwrap();
                 let oracle = e.try_stat_matrix(&g, stat).unwrap();
                 assert_bit_equal(&ooc, &oracle, &ctx);
@@ -111,7 +112,7 @@ fn file_backed_store_matches_in_memory_engine() {
             let e = LdEngine::new().threads(threads).slab_rows(slab);
             let ctx = format!("{n_samples}x{n_snps} chunk={chunk_snps} slab={slab} t{threads}");
             let ooc = e
-                .try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &RunControl::new())
+                .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
                 .unwrap();
             let oracle = e.try_r2_matrix(&g).unwrap();
             assert_bit_equal(&ooc, &oracle, &ctx);
@@ -208,7 +209,7 @@ fn budget_smaller_than_packed_panel_is_bit_exact() {
     // An over-tight budget fails with the typed error, not a panic.
     let starved = LdEngine::new().memory_budget(MemoryBudget::bytes(64));
     let err = starved
-        .try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &RunControl::new())
+        .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
         .unwrap_err();
     assert!(matches!(err, LdError::BudgetExceeded { .. }), "{err}");
 }
@@ -231,7 +232,7 @@ fn outofcore_monomorphic_policies_match_in_memory() {
             for stat in STATS {
                 let e = LdEngine::new().threads(2).slab_rows(4).nan_policy(policy);
                 let ooc = e
-                    .try_stat_matrix_outofcore_with(&store, stat, &RunControl::new())
+                    .try_stat_matrix_with(Source::Store(&store), stat, &RunControl::new())
                     .unwrap();
                 let oracle = e.try_stat_matrix(&g, stat).unwrap();
                 assert_bit_equal(&ooc, &oracle, &format!("{stat:?} {policy:?}"));
@@ -246,7 +247,7 @@ fn outofcore_monomorphic_policies_match_in_memory() {
 fn outofcore_handles_degenerate_shapes() {
     let empty = MemoryTileStore::from_matrix(&BitMatrix::zeros(5, 0), 4).unwrap();
     let m = LdEngine::new()
-        .try_stat_matrix_outofcore_with(&empty, LdStats::RSquared, &RunControl::new())
+        .try_stat_matrix_with(Source::Store(&empty), LdStats::RSquared, &RunControl::new())
         .unwrap();
     assert_eq!(m.n_snps(), 0);
     LdEngine::new()
@@ -260,7 +261,11 @@ fn outofcore_handles_degenerate_shapes() {
 
     let no_samples = MemoryTileStore::from_matrix(&BitMatrix::zeros(0, 3), 2).unwrap();
     let err = LdEngine::new()
-        .try_stat_matrix_outofcore_with(&no_samples, LdStats::RSquared, &RunControl::new())
+        .try_stat_matrix_with(
+            Source::Store(&no_samples),
+            LdStats::RSquared,
+            &RunControl::new(),
+        )
         .unwrap_err();
     assert!(matches!(err, LdError::EmptyInput), "{err}");
 
@@ -269,7 +274,7 @@ fn outofcore_handles_degenerate_shapes() {
     one.set(3, 0, true);
     let store = MemoryTileStore::from_matrix(&one, 1).unwrap();
     let ooc = LdEngine::new()
-        .try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &RunControl::new())
+        .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
         .unwrap();
     let oracle = LdEngine::new().try_r2_matrix(&one).unwrap();
     assert_bit_equal(&ooc, &oracle, "single snp");
@@ -301,13 +306,13 @@ fn outofcore_shards_merge_to_the_full_matrix() {
     let store = MemoryTileStore::from_matrix(&g, 6).unwrap();
     let e = LdEngine::new().threads(2).slab_rows(5);
     let full = e.try_r2_matrix(&g).unwrap();
-    let plan = e.shard_plan(37, 3).unwrap();
+    let plan = e.shard_plan_from(&Source::Store(&store), 3).unwrap();
     assert!(plan.len() > 1, "plan should actually shard");
     let mut states = Vec::new();
     for range in plan {
         let ctl = RunControl::new().with_shard(range);
         states.push(
-            e.try_stat_shard_outofcore_with(&store, LdStats::RSquared, &ctl)
+            e.try_stat_shard_with(Source::Store(&store), LdStats::RSquared, &ctl)
                 .unwrap(),
         );
     }

@@ -15,7 +15,7 @@
 use ld_bitmat::BitMatrix;
 use ld_core::{
     CancelToken, CheckpointPlan, CheckpointSink, CheckpointState, LdEngine, LdError, LdStats,
-    MemorySink, MemoryTileStore, NanPolicy, RunControl,
+    MemorySink, MemoryTileStore, NanPolicy, RunControl, Source,
 };
 use ld_rng::SmallRng;
 use ld_trace::Counter;
@@ -127,7 +127,7 @@ fn outofcore_resume_is_bit_identical_and_skips_completed_chunks() {
             .with_checkpoint(CheckpointPlan::new(&sink).every_slabs(1));
         ld_trace::reset();
         let err = e
-            .try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &ctl)
+            .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
             .expect_err("tripped run must cancel");
         match err {
             LdError::Cancelled {
@@ -139,19 +139,17 @@ fn outofcore_resume_is_bit_identical_and_skips_completed_chunks() {
             }
             other => panic!("k{k}: unexpected error {other}"),
         }
-        if ld_trace::enabled() {
-            // one poll per computed slab, always followed by the compute
-            assert_eq!(
-                ld_trace::get(Counter::CancelPolls),
-                ld_trace::get(Counter::SlabsEmitted),
-                "k{k}"
-            );
-            assert_eq!(
-                ld_trace::get(Counter::ChunksRead),
-                expected_chunk_reads(n, slab, chunk, |s| s < k),
-                "k{k}: interrupted run reads exactly the completed slabs' chunks"
-            );
-        }
+        // one poll per computed slab, always followed by the compute
+        assert_eq!(
+            ld_trace::get(Counter::CancelPolls),
+            ld_trace::get(Counter::SlabsEmitted),
+            "k{k}"
+        );
+        assert_eq!(
+            ld_trace::get(Counter::ChunksRead),
+            expected_chunk_reads(n, slab, chunk, |s| s < k),
+            "k{k}: interrupted run reads exactly the completed slabs' chunks"
+        );
         let bytes = sink.inner.latest().expect("final flush");
         let state = CheckpointState::from_bytes(&bytes).expect("snapshot parses");
         assert_eq!(state.records.len(), k, "k{k}");
@@ -166,27 +164,25 @@ fn outofcore_resume_is_bit_identical_and_skips_completed_chunks() {
         );
         ld_trace::reset();
         let resumed = e
-            .try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &ctl)
+            .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
             .unwrap_or_else(|e| panic!("k{k}: resume failed: {e}"));
-        if ld_trace::enabled() {
-            assert_eq!(ld_trace::get(Counter::ResumeSlabsSkipped), k as u64, "k{k}");
-            assert_eq!(
-                ld_trace::get(Counter::SlabsEmitted),
-                (n_slabs - k) as u64,
-                "k{k}"
-            );
-            let full = expected_chunk_reads(n, slab, chunk, |_| true);
-            let got = ld_trace::get(Counter::ChunksRead);
-            assert_eq!(
-                got,
-                expected_chunk_reads(n, slab, chunk, |s| s >= k),
-                "k{k}: resume reads exactly the pending slabs' chunks"
-            );
-            assert!(
-                got < full,
-                "k{k}: resume must read strictly fewer chunks ({got} vs {full})"
-            );
-        }
+        assert_eq!(ld_trace::get(Counter::ResumeSlabsSkipped), k as u64, "k{k}");
+        assert_eq!(
+            ld_trace::get(Counter::SlabsEmitted),
+            (n_slabs - k) as u64,
+            "k{k}"
+        );
+        let full = expected_chunk_reads(n, slab, chunk, |_| true);
+        let got = ld_trace::get(Counter::ChunksRead);
+        assert_eq!(
+            got,
+            expected_chunk_reads(n, slab, chunk, |s| s >= k),
+            "k{k}: resume reads exactly the pending slabs' chunks"
+        );
+        assert!(
+            got < full,
+            "k{k}: resume must read strictly fewer chunks ({got} vs {full})"
+        );
         for (idx, (a, b)) in oracle.packed().iter().zip(resumed.packed()).enumerate() {
             assert_eq!(
                 a.to_bits(),
@@ -208,7 +204,7 @@ fn resume_from_complete_snapshot_reads_zero_chunks() {
     let sink = MemorySink::new();
     let ctl = RunControl::new().with_checkpoint(CheckpointPlan::new(&sink).every_slabs(1));
     let first = e
-        .try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &ctl)
+        .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
         .unwrap();
     let state = CheckpointState::from_bytes(&sink.latest().unwrap()).unwrap();
     assert_eq!(state.records.len(), n.div_ceil(slab));
@@ -220,18 +216,16 @@ fn resume_from_complete_snapshot_reads_zero_chunks() {
     );
     ld_trace::reset();
     let resumed = e
-        .try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &ctl)
+        .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
         .unwrap();
-    if ld_trace::enabled() {
-        assert_eq!(ld_trace::get(Counter::ChunksRead), 0);
-        assert_eq!(ld_trace::get(Counter::StoreBytesRead), 0);
-        assert_eq!(ld_trace::get(Counter::SlabsEmitted), 0);
-        assert_eq!(ld_trace::get(Counter::CancelPolls), 0);
-        assert_eq!(
-            ld_trace::get(Counter::ResumeSlabsSkipped),
-            n.div_ceil(slab) as u64
-        );
-    }
+    assert_eq!(ld_trace::get(Counter::ChunksRead), 0);
+    assert_eq!(ld_trace::get(Counter::StoreBytesRead), 0);
+    assert_eq!(ld_trace::get(Counter::SlabsEmitted), 0);
+    assert_eq!(ld_trace::get(Counter::CancelPolls), 0);
+    assert_eq!(
+        ld_trace::get(Counter::ResumeSlabsSkipped),
+        n.div_ceil(slab) as u64
+    );
     for (a, b) in first.packed().iter().zip(resumed.packed()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
@@ -243,9 +237,6 @@ fn resume_from_complete_snapshot_reads_zero_chunks() {
 #[test]
 fn fresh_run_chunk_reads_match_the_documented_model() {
     let _l = counter_lock();
-    if !ld_trace::enabled() {
-        return; // counter-only test
-    }
     for &(n, slab, chunk) in &[
         (37usize, 5usize, 4usize),
         (20, 20, 3),
@@ -257,7 +248,7 @@ fn fresh_run_chunk_reads_match_the_documented_model() {
         let meta = ld_core::TileSource::meta(&store).clone();
         let e = LdEngine::new().threads(2).slab_rows(slab);
         ld_trace::reset();
-        e.try_stat_matrix_outofcore_with(&store, LdStats::RSquared, &RunControl::new())
+        e.try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
             .unwrap();
         assert_eq!(
             ld_trace::get(Counter::ChunksRead),

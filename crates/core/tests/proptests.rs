@@ -87,15 +87,19 @@ fn cross_equals_square_blocks() {
             continue;
         }
         let e = LdEngine::new();
-        let full = e.r2_matrix(&g);
         let mid = g.n_snps() / 2;
-        let cross = e.r2_cross(g.view(0, mid), g.view(mid, g.n_snps()));
-        for i in 0..mid {
-            for j in 0..g.n_snps() - mid {
-                assert!(
-                    close(cross.get(i, j), full.get(i, mid + j)),
-                    "case {case}: ({i},{j})"
-                );
+        for stat in [LdStats::RSquared, LdStats::D, LdStats::DPrime] {
+            let full = e.stat_matrix(&g, stat);
+            let cross = e.cross_stat_matrix(g.view(0, mid), g.view(mid, g.n_snps()), stat);
+            for i in 0..mid {
+                for j in 0..g.n_snps() - mid {
+                    // one transform body ⇒ the same bits, NaNs included
+                    assert_eq!(
+                        cross.get(i, j).to_bits(),
+                        full.get(i, mid + j).to_bits(),
+                        "case {case}: {stat:?} ({i},{j})"
+                    );
+                }
             }
         }
     }

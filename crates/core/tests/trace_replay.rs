@@ -1,12 +1,6 @@
 //! Replay test: the fused driver's recorded span tree must match the
 //! five-loop slab geometry the engine was configured with, at 1, 2 and
 //! 7 threads.
-//!
-//! Gated on `metrics`: without it the recorder is compiled to no-ops and
-//! there is no timeline to replay (the CI feature matrix runs this leg
-//! with the feature on; the plain workspace test run unifies it on via
-//! ld-cli's default).
-#![cfg(feature = "metrics")]
 
 use ld_bitmat::BitMatrix;
 use ld_core::{LdEngine, LdStats, NanPolicy};

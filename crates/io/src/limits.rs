@@ -175,8 +175,7 @@ impl<R: BufRead> LineReader<R> {
     }
 
     /// Reports the lines and bytes read since the last report, attributed
-    /// to this reader's format tag. No-op unless the `metrics` feature is
-    /// on.
+    /// to this reader's format tag.
     fn record(&mut self) {
         let (lines, bytes) = std::mem::take(&mut self.unrecorded);
         ld_trace::io_record(self.format, lines, bytes);

@@ -4,8 +4,6 @@
 //! unterminated one) and every byte of the file.
 //!
 //! Its own test binary, and a single test: the counters are process-global.
-//! Only with `--features metrics`; the file compiles to nothing otherwise.
-#![cfg(feature = "metrics")]
 
 use ld_io::{ms, text, MatrixFormat};
 use ld_trace::{IoMetrics, MetricsReport};

@@ -10,8 +10,10 @@ use ld_trace::recorder::{Span, SpanKind};
 use ld_trace::{Counter, Stopwatch};
 use std::ops::Range;
 
-/// Validates shapes shared by the GEMM entry points.
-fn check_gemm(a: &BitMatrixView<'_>, b: &BitMatrixView<'_>, c_len: usize, ldc: usize) {
+/// Validates the operands against `c` and zeroes the `m × n` output
+/// block. `false` when either operand has no SNPs: there is nothing to
+/// compute and `c` is left untouched (`ldc` may legitimately be 0 then).
+fn prepare_c(a: &BitMatrixView<'_>, b: &BitMatrixView<'_>, c: &mut [u32], ldc: usize) -> bool {
     assert_eq!(
         a.n_samples(),
         b.n_samples(),
@@ -25,13 +27,20 @@ fn check_gemm(a: &BitMatrixView<'_>, b: &BitMatrixView<'_>, c_len: usize, ldc: u
         ldc >= b.n_snps(),
         "ldc must be at least the number of B SNPs"
     );
+    if a.n_snps() == 0 || b.n_snps() == 0 {
+        return false;
+    }
     assert!(
-        c_len >= a.n_snps().saturating_sub(1) * ldc + b.n_snps().max(usize::from(a.n_snps() > 0)),
+        c.len() >= (a.n_snps() - 1) * ldc + b.n_snps(),
         "C buffer too small for {} x {} output with ldc {}",
         a.n_snps(),
         b.n_snps(),
         ldc
     );
+    for row in c.chunks_mut(ldc).take(a.n_snps()) {
+        row[..b.n_snps()].fill(0);
+    }
+    true
 }
 
 /// The five-loop blocked core. Accumulates `C += AᵀB` counts for the SNP
@@ -69,9 +78,7 @@ pub(crate) fn gemm_blocked(
 
     // Per-layer observability: accumulate into plain locals and flush to
     // the ld-trace counters exactly once per call, so the hot loops never
-    // touch an atomic. With the `metrics` feature off, `Stopwatch` is a
-    // ZST whose `elapsed_ns()` is a const 0 and `ld_trace::add` is an
-    // inlined no-op, so all of this folds away.
+    // touch an atomic.
     let mut t_pack_a = 0u64;
     let mut t_pack_b = 0u64;
     let mut t_kernel = 0u64;
@@ -88,8 +95,7 @@ pub(crate) fn gemm_blocked(
             // Flight-recorder spans mirror the Stopwatch regions 1:1 so
             // the timeline and the counters describe the same code. A
             // span is two clock reads + four relaxed stores when a
-            // recorder is active, one relaxed load when not, and nothing
-            // at all with `metrics` off.
+            // recorder is active, one relaxed load when not.
             let span = Span::begin(SpanKind::PackB);
             let sw = Stopwatch::start();
             pack_panels(b, jc..jc + ncur, pc..pc + kcur, nr, &mut bbuf);
@@ -174,7 +180,8 @@ pub(crate) fn gemm_blocked(
 
 /// Computes all `m × n` co-occurrence counts `C[i,j] = s_iᵀ s_j` between
 /// the SNPs of `a` and `b` into `c` (row-major with leading dimension
-/// `ldc`), overwriting previous contents.
+/// `ldc`), overwriting previous contents. An operand with no SNPs leaves
+/// `c` untouched.
 ///
 /// This is the integer core of `H = (1/N) GᵀG` for two different genomic
 /// matrices (Fig. 4): divide by `n_samples` to get haplotype frequencies.
@@ -189,11 +196,10 @@ pub fn gemm_counts_buf(
     kind: KernelKind,
     blocks: BlockSizes,
 ) {
-    check_gemm(a, b, c.len(), ldc);
-    let kernel = Kernel::resolve(kind).expect("requested kernel not supported on this CPU");
-    for row in c.chunks_mut(ldc).take(a.n_snps()) {
-        row[..b.n_snps()].fill(0);
+    if !prepare_c(a, b, c, ldc) {
+        return;
     }
+    let kernel = Kernel::resolve(kind).expect("requested kernel not supported on this CPU");
     gemm_blocked(
         &kernel,
         blocks,
@@ -228,11 +234,10 @@ pub fn gemm_counts_mt(
     blocks: BlockSizes,
     threads: usize,
 ) {
-    check_gemm(a, b, c.len(), ldc);
-    let kernel = Kernel::resolve(kind).expect("requested kernel not supported on this CPU");
-    for row in c.chunks_mut(ldc).take(a.n_snps()) {
-        row[..b.n_snps()].fill(0);
+    if !prepare_c(a, b, c, ldc) {
+        return;
     }
+    let kernel = Kernel::resolve(kind).expect("requested kernel not supported on this CPU");
     let threads = threads.max(1).min(a.n_snps().max(1));
     if threads == 1 {
         gemm_blocked(

@@ -11,7 +11,9 @@
 use ld_bitmat::BitMatrix;
 use ld_kernels::micro::Kernel;
 use ld_kernels::reference::{gemm_counts_naive, syrk_counts_naive};
-use ld_kernels::{gemm_counts, syrk_counts, BlockSizes, KernelKind};
+use ld_kernels::{
+    gemm_counts, gemm_counts_buf, gemm_counts_mt, syrk_counts, BlockSizes, KernelKind,
+};
 use ld_popcount::PopcountStrategy;
 use ld_rng::SmallRng;
 
@@ -121,6 +123,26 @@ fn gemm_all_kernels_all_shapes_match_reference() {
                     "GEMM mismatch: kernel {kind}, m={m_snps}, n={n_snps}, k={k_samples}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn gemm_with_a_zero_snp_operand_leaves_c_untouched() {
+    let full = random_matrix(100, 5, 7);
+    let none = BitMatrix::zeros(100, 0);
+    let (vf, vn) = (full.full_view(), none.full_view());
+    for kind in all_kernel_kinds() {
+        for (a, b) in [(&vf, &vn), (&vn, &vf), (&vn, &vn)] {
+            let ldc = b.n_snps();
+            let mut c = vec![u32::MAX; 7];
+            gemm_counts_buf(a, b, &mut c, ldc, kind, BlockSizes::default());
+            assert_eq!(c, [u32::MAX; 7], "gemm_counts_buf, kernel {kind}");
+            for threads in [1, 3] {
+                gemm_counts_mt(a, b, &mut c, ldc, kind, BlockSizes::default(), threads);
+                assert_eq!(c, [u32::MAX; 7], "gemm_counts_mt, kernel {kind}");
+            }
+            assert!(gemm_counts(a, b, kind).is_empty());
         }
     }
 }

@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 use ld_bitmat::{BitMatrix, BitMatrixView};
+use ld_core::fused::SyncSlice;
 use ld_core::{LdEngine, LdMatrix, NanPolicy};
 
 pub mod grid;
@@ -208,7 +209,7 @@ impl OmegaScan {
         ];
         let single = self.clone_with_single_threaded_engine();
         {
-            let slots = SyncPoints(out.as_mut_ptr(), out.len());
+            let slots = SyncSlice::new(&mut out);
             let starts = &starts;
             ld_parallel::parallel_for_dynamic(threads, starts.len(), 1, |range| {
                 for w in range {
@@ -224,9 +225,10 @@ impl OmegaScan {
                             best = (v, l);
                         }
                     }
-                    // SAFETY: each window index is written by one worker.
+                    // SAFETY: the dynamic scheduler hands out disjoint
+                    // index ranges, so slot w is borrowed by one worker.
                     unsafe {
-                        *slots.at(w) = OmegaPoint {
+                        slots.slice(w, 1)[0] = OmegaPoint {
                             window_start: start,
                             window_end: end,
                             best_split: start + best.1,
@@ -260,16 +262,6 @@ impl OmegaScan {
             start = (start + self.step).min(n - self.window);
         }
         starts
-    }
-}
-
-struct SyncPoints(*mut OmegaPoint, usize);
-unsafe impl Send for SyncPoints {}
-unsafe impl Sync for SyncPoints {}
-impl SyncPoints {
-    unsafe fn at(&self, i: usize) -> *mut OmegaPoint {
-        debug_assert!(i < self.1);
-        unsafe { self.0.add(i) }
     }
 }
 

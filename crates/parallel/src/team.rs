@@ -113,7 +113,7 @@ where
             let trap = &trap;
             s.spawn(move || {
                 // Bind this OS thread's flight-recorder timeline to its
-                // logical worker id (no-op without `metrics`).
+                // logical worker id.
                 ld_trace::recorder::set_worker(tid);
                 trap.run(tid, || f(tid))
             });

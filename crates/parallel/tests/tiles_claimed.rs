@@ -3,8 +3,6 @@
 //! scheduler hands out is `⌈len / grain⌉`, whatever the team size. The
 //! counter is process-global, so this test owns its binary.
 
-#![cfg(feature = "metrics")]
-
 use ld_parallel::parallel_for_dynamic;
 use ld_trace::Counter;
 

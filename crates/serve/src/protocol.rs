@@ -178,6 +178,11 @@ impl Request {
                 let row0 = c.u32()?;
                 let row1 = c.u32()?;
                 let min_r2 = f64::from_bits(c.u64()?);
+                if min_r2.is_nan() {
+                    // every comparison with NaN is false: the table would
+                    // come back header-only, looking like "no pair passed"
+                    return Err(ProtoError::BadThreshold);
+                }
                 let panel = c.name()?;
                 Request::Region {
                     panel,
@@ -345,6 +350,8 @@ pub enum ProtoError {
     BadStat(u8),
     /// The panel name is not valid UTF-8.
     BadName,
+    /// A region's `min_r2` is NaN.
+    BadThreshold,
     /// Decoding finished with unconsumed payload bytes.
     Trailing {
         /// Leftover byte count.
@@ -386,6 +393,7 @@ impl fmt::Display for ProtoError {
             ProtoError::BadStatus(b) => write!(f, "unknown status byte {b}"),
             ProtoError::BadStat(b) => write!(f, "unknown statistic code {b} (0=r2 1=d 2=dprime)"),
             ProtoError::BadName => write!(f, "panel name is not valid UTF-8"),
+            ProtoError::BadThreshold => write!(f, "min_r2 is NaN"),
             ProtoError::Trailing { extra } => {
                 write!(f, "{extra} trailing bytes after a complete request")
             }

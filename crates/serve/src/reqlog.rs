@@ -2,7 +2,8 @@
 //!
 //! One line per lifecycle transition, append-only, flushed per event so
 //! a crash loses at most the event being written. The lifecycle contract
-//! (enforced by the CI checker against `schemas/request_log.schema.json`):
+//! (line shape: `schemas/request_log.schema.json`, checked by `ci.sh`'s
+//! schemas leg; ordering: `request_log_records_full_lifecycles`):
 //!
 //! ```text
 //! accept ─┬─ shed                       (admission refused; terminal)

@@ -153,7 +153,8 @@ struct Shared {
     shutdown: CancelToken,
     /// Cancels in-flight compute once the drain deadline expires.
     hard_stop: CancelToken,
-    /// Accepted (queued or executing) requests not yet answered.
+    /// Admitted requests whose reply has not reached the socket yet
+    /// (queued, executing, or being written): what a drain waits for.
     in_flight: AtomicUsize,
     conns: AtomicUsize,
     started: Instant,
@@ -350,6 +351,13 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
+        // Every admitted request now has a reply in its connection
+        // thread's hands. A caller about to exit the process must not cut
+        // those writes off: wait for them, for as long as a write may take.
+        let flush_until = Instant::now() + shared.cfg.write_timeout;
+        while shared.in_flight.load(Ordering::Acquire) != 0 && Instant::now() < flush_until {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         if let Some(h) = http_thread {
             let _ = h.join();
         }
@@ -509,14 +517,17 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
         // Health, metrics, and trace dumps are answered inline on the
         // reader thread: they read shared state, never compute, and must
         // stay responsive even when the queue is saturated.
-        let resp = match req {
-            Request::Health => inline_request(shared, ServeOp::Health, || {
-                Response::ok(health_json(shared).into_bytes())
-            }),
-            Request::Metrics => inline_request(shared, ServeOp::Metrics, || {
-                Response::ok(metrics_text(shared).into_bytes())
-            }),
-            Request::DumpTrace => inline_request(shared, ServeOp::DumpTrace, dump_trace_response),
+        let health = || Response::ok(health_json(shared).into_bytes());
+        let metrics = || Response::ok(metrics_text(shared).into_bytes());
+        // `_admitted` is released at the end of this iteration: after the
+        // reply has been written, or the connection given up on.
+        let (resp, _admitted) = match req {
+            Request::Health => (inline_request(shared, ServeOp::Health, health), None),
+            Request::Metrics => (inline_request(shared, ServeOp::Metrics, metrics), None),
+            Request::DumpTrace => (
+                inline_request(shared, ServeOp::DumpTrace, dump_trace_response),
+                None,
+            ),
             query => dispatch_query(query, shared),
         };
         if write_frame(&mut stream, &resp.encode()).is_err() {
@@ -566,8 +577,20 @@ fn dump_trace_response() -> Response {
     }
 }
 
+/// One admitted request, counted in [`Shared::in_flight`] from admission
+/// until its holder — the connection thread — drops it after writing the
+/// reply. A drain that waited only for the worker's answer could let the
+/// process exit between "answered" and "written".
+struct Admitted<'a>(&'a Shared);
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.0.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 /// Admission control: enqueue or shed, then wait for the worker's answer.
-fn dispatch_query(req: Request, shared: &Shared) -> Response {
+fn dispatch_query(req: Request, shared: &Shared) -> (Response, Option<Admitted<'_>>) {
     let id = shared.next_id();
     let op = op_of(&req);
     let t0 = Instant::now();
@@ -596,7 +619,8 @@ fn dispatch_query(req: Request, shared: &Shared) -> Response {
             detail: Some("daemon is draining"),
             ..Event::default()
         });
-        return Response::error(Status::ShuttingDown, "daemon is draining");
+        let resp = Response::error(Status::ShuttingDown, "daemon is draining");
+        return (resp, None);
     }
     let (resp_tx, resp_rx) = mpsc::sync_channel::<Response>(1);
     let job = Job {
@@ -628,15 +652,17 @@ fn dispatch_query(req: Request, shared: &Shared) -> Response {
                 detail: Some("request queue full"),
                 ..Event::default()
             });
-            return Response::error(
+            let resp = Response::error(
                 Status::Shed,
                 format!("request queue full (depth {})", shared.cfg.queue_depth),
             );
+            return (resp, None);
         }
         shared.in_flight.fetch_add(1, Ordering::AcqRel);
         ld_trace::add(Counter::RequestsAccepted, 1);
         q.push_back(job);
     }
+    let admitted = Admitted(shared);
     shared.log(&Event {
         id,
         event: "admit",
@@ -651,7 +677,7 @@ fn dispatch_query(req: Request, shared: &Shared) -> Response {
     // wedges outright — which the panic containment makes a bug, not an
     // expected path.
     let grace = shared.cfg.request_timeout + shared.cfg.drain_timeout + Duration::from_secs(5);
-    match resp_rx.recv_timeout(grace) {
+    let resp = match resp_rx.recv_timeout(grace) {
         Ok(resp) => resp,
         Err(RecvTimeoutError::Timeout) => {
             Response::error(Status::Timeout, "request timed out in the server")
@@ -659,7 +685,8 @@ fn dispatch_query(req: Request, shared: &Shared) -> Response {
         Err(RecvTimeoutError::Disconnected) => {
             Response::error(Status::Internal, "worker abandoned the request")
         }
-    }
+    };
+    (resp, Some(admitted))
 }
 
 /// One worker: pop, guard, compute under `catch_unwind`, answer.
@@ -770,7 +797,6 @@ fn worker_loop(shared: &Shared) {
             ..Event::default()
         });
         let _ = job.resp_tx.try_send(resp);
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -850,8 +876,8 @@ fn handle_query(job: &Job, shared: &Shared) -> Response {
 
 /// Formats the pair table of rows `[r0, r1)` × columns `< r1` through
 /// `ld-io`'s row formatter — for the whole panel these are the exact
-/// bytes `gemm-ld r2 -o` writes, which the CI serve leg asserts
-/// byte-for-byte.
+/// bytes `gemm-ld r2 -o` writes (`region_response_is_byte_identical_to_cli_table`,
+/// and `serve_cli.rs` against the real binary mid-drain).
 fn region_table(m: &LdMatrix, r0: usize, r1: usize, min_r2: f64) -> String {
     let mut out = String::with_capacity(64 + (r1 - r0) * 24);
     out.push_str(R2_TABLE_HEADER);

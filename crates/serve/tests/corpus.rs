@@ -166,6 +166,17 @@ fn corpus_every_malformation_yields_typed_error_and_daemon_survives() {
             p.extend_from_slice(&1u32.to_le_bytes());
             p
         }),
+        (
+            "NaN region threshold",
+            Request::Region {
+                panel: "toy".into(),
+                stat: StatCode::RSquared,
+                row0: 0,
+                row1: 0,
+                min_r2: f64::NAN,
+            }
+            .encode(),
+        ),
     ];
 
     for (label, payload) in payload_cases {

@@ -357,6 +357,38 @@ fn drain_deadline_abandons_stragglers_with_typed_responses() {
 }
 
 #[test]
+fn a_client_that_vanishes_before_its_reply_leaves_the_pool_serving() {
+    // one worker, held long enough that every reply below finds its
+    // socket already closed
+    let cfg = ServeConfig {
+        workers: 1,
+        inject_delay: Duration::from_millis(20),
+        ..ServeConfig::default()
+    };
+    let (handle, dir) = start("vanish", cfg);
+    for _ in 0..4 {
+        let mut c = connect(&handle);
+        let region = Request::Region {
+            panel: "toy".into(),
+            stat: StatCode::RSquared,
+            row0: 0,
+            row1: 0,
+            min_r2: 0.0,
+        };
+        c.send_raw_frame(&region.encode()).expect("send");
+        drop(c); // gone before the worker answers
+    }
+    // queued behind the four orphans on the one worker: answered only if
+    // writing to a dead socket neither wedged nor killed it
+    let resp = connect(&handle)
+        .request(&pair_req(0, 1))
+        .expect("the pool answers after the orphans");
+    assert_eq!(resp.status, Status::Ok, "{}", resp.message());
+    assert_eq!(handle.shutdown_and_wait(), DrainOutcome::Drained);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn health_reports_state_and_new_connections_refused_after_drain() {
     let (handle, dir) = start("health", ServeConfig::default());
     let mut c = connect(&handle);

@@ -134,24 +134,20 @@ fn dump_trace_opcode_requires_an_armed_recorder() {
     let (handle, dir) = start("dump_trace", ServeConfig::default(), &["toy"]);
     let mut c = connect(&handle);
     let resp = c.request(&Request::DumpTrace).expect("dump-trace");
-    // No recorder armed in the test process (and with `metrics` off the
-    // recorder is compiled out entirely): a typed NotFound either way.
+    // No recorder armed in the test process yet: a typed NotFound.
     assert_eq!(resp.status, Status::NotFound, "body: {}", resp.message());
-    #[cfg(feature = "metrics")]
-    {
-        ld_trace::recorder::start(ld_trace::recorder::RecorderConfig::for_threads(1));
-        let resp = c.request(&Request::DumpTrace).expect("dump-trace armed");
-        assert_eq!(resp.status, Status::Ok, "body: {}", resp.message());
-        let json = String::from_utf8(resp.body).expect("utf-8 trace");
-        assert!(
-            json.contains("\"traceEvents\""),
-            "not a Chrome trace: {json}"
-        );
-        // the recorder must still be armed after the live snapshot
-        let again = c.request(&Request::DumpTrace).expect("second dump");
-        assert_eq!(again.status, Status::Ok);
-        let _ = ld_trace::recorder::stop();
-    }
+    ld_trace::recorder::start(ld_trace::recorder::RecorderConfig::for_threads(1));
+    let resp = c.request(&Request::DumpTrace).expect("dump-trace armed");
+    assert_eq!(resp.status, Status::Ok, "body: {}", resp.message());
+    let json = String::from_utf8(resp.body).expect("utf-8 trace");
+    assert!(
+        json.contains("\"traceEvents\""),
+        "not a Chrome trace: {json}"
+    );
+    // the recorder must still be armed after the live snapshot
+    let again = c.request(&Request::DumpTrace).expect("second dump");
+    assert_eq!(again.status, Status::Ok);
+    let _ = ld_trace::recorder::stop();
     handle.shutdown_and_wait();
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -18,7 +18,7 @@
 //!   overhead, loop bookkeeping), and `idle` is the rest of the area.
 //!
 //! By construction `Σ layer shares + other_busy + idle = 1` (up to u64
-//! rounding), which is what the CI trace leg asserts.
+//! rounding), which `ld-cli`'s `process_cli.rs` asserts on a real run.
 
 use crate::recorder::{SpanKind, TraceSnapshot};
 use crate::MetricsReport;
@@ -298,8 +298,8 @@ pub fn analyze(
 
 impl TraceReport {
     /// Sum of the per-layer shares (incl. `other_busy` and `idle`); 1 up
-    /// to u64 rounding for a well-formed timeline. The CI trace leg
-    /// asserts `|1 − Σ| ≤ 0.01`.
+    /// to u64 rounding for a well-formed timeline (`process_cli.rs`
+    /// asserts `|1 − Σ| ≤ 0.01` on a real run).
     pub fn share_sum(&self) -> f64 {
         self.layers.iter().map(|l| l.share).sum()
     }

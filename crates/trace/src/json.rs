@@ -6,8 +6,7 @@
 //!
 //! The workspace builds with no external crates, and this crate is
 //! already a dependency of every crate that reads or writes JSON, so the
-//! format rules live here once. Nothing in this module depends on the
-//! `metrics` feature.
+//! format rules live here once.
 //!
 //! ## The envelope
 //!

@@ -8,15 +8,17 @@
 //! snapshot with JSON export that `ld-cli --profile` and `ld-bench` emit
 //! and CI validates against `schemas/metrics.schema.json`.
 //!
-//! ## Zero-cost when disabled
+//! ## Always compiled in
 //!
-//! Everything is gated on the cargo feature `metrics`. With the feature
-//! **off** (the default), every entry point is an inlined empty function,
-//! [`Stopwatch`] is a zero-sized type that never reads a clock, and no
-//! atomics exist — the instrumented hot paths compile to exactly the
-//! uninstrumented code. With the feature **on**, counters are relaxed
-//! atomic adds on static storage (no allocation, ever, on the hot path —
-//! the fault-injection harness in `ld-core` runs with metrics enabled).
+//! There is one build of the instrumented stack. Counters are relaxed
+//! atomic adds on static storage, flushed from locals once per slab or
+//! parser call — no allocation, ever, on the hot path (the
+//! fault-injection harness in `ld-core` runs against them) — and
+//! [`Stopwatch`] is one monotonic clock read at each end of a span that
+//! is at least a pack or kernel batch long. Measured against a build with
+//! every entry point compiled to nothing, the shipped CLI's file → table
+//! wall was indistinguishable (DESIGN.md §8), so the second build and the
+//! cargo feature that selected it are gone.
 //!
 //! ## Counter semantics (the layer map)
 //!
@@ -86,6 +88,8 @@ pub mod telemetry;
 
 pub use json::escape_json;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Schema version of the JSON produced by [`MetricsReport::to_json`].
 /// Bump only when a field is removed or its meaning changes; adding
@@ -285,7 +289,6 @@ pub const IO_FORMATS: [&str; 10] = [
     "ms", "vcf", "matrix", "bed", "bim", "fam", "ped", "map", "fasta", "other",
 ];
 
-#[cfg_attr(not(feature = "metrics"), allow(dead_code))]
 fn io_slot(format: &str) -> usize {
     IO_FORMATS
         .iter()
@@ -294,185 +297,94 @@ fn io_slot(format: &str) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Enabled implementation: static atomics, relaxed ordering.
-// ---------------------------------------------------------------------------
-#[cfg(feature = "metrics")]
-mod imp {
-    use super::{io_slot, Counter, MAX_WORKERS};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-
-    #[allow(clippy::declare_interior_mutable_const)] // array-init pattern
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-
-    pub(super) static COUNTERS: [AtomicU64; Counter::COUNT] = [ZERO; Counter::COUNT];
-    pub(super) static WORKER_TILES: [AtomicU64; MAX_WORKERS] = [ZERO; MAX_WORKERS];
-    pub(super) static WORKER_STEALS: [AtomicU64; MAX_WORKERS] = [ZERO; MAX_WORKERS];
-    pub(super) static IO_LINES: [AtomicU64; super::IO_FORMATS.len()] =
-        [ZERO; super::IO_FORMATS.len()];
-    pub(super) static IO_BYTES: [AtomicU64; super::IO_FORMATS.len()] =
-        [ZERO; super::IO_FORMATS.len()];
-    pub(super) static KERNEL_NAME: Mutex<Option<&'static str>> = Mutex::new(None);
-
-    #[inline]
-    pub(super) fn add(c: Counter, v: u64) {
-        if v != 0 {
-            COUNTERS[c as usize].fetch_add(v, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(super) fn record_peak(c: Counter, v: u64) {
-        COUNTERS[c as usize].fetch_max(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(super) fn get(c: Counter) -> u64 {
-        COUNTERS[c as usize].load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub(super) fn worker_claim(worker: usize, stolen: bool) {
-        let w = worker.min(MAX_WORKERS - 1);
-        WORKER_TILES[w].fetch_add(1, Ordering::Relaxed);
-        add(Counter::TilesClaimed, 1);
-        if stolen {
-            WORKER_STEALS[w].fetch_add(1, Ordering::Relaxed);
-            add(Counter::StealCount, 1);
-        }
-    }
-
-    #[inline]
-    pub(super) fn io_record(format: &str, lines: u64, bytes: u64) {
-        let s = io_slot(format);
-        if lines != 0 {
-            IO_LINES[s].fetch_add(lines, Ordering::Relaxed);
-            add(Counter::IoLinesRead, lines);
-        }
-        if bytes != 0 {
-            IO_BYTES[s].fetch_add(bytes, Ordering::Relaxed);
-            add(Counter::IoBytesRead, bytes);
-        }
-    }
-
-    pub(super) fn set_kernel_name(name: &'static str) {
-        *KERNEL_NAME
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(name);
-    }
-
-    pub(super) fn kernel_name() -> Option<&'static str> {
-        *KERNEL_NAME
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    pub(super) fn reset() {
-        for c in &COUNTERS {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in WORKER_TILES.iter().chain(&WORKER_STEALS) {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in IO_LINES.iter().chain(&IO_BYTES) {
-            c.store(0, Ordering::Relaxed);
-        }
-        // the resolved kernel name is process-lifetime state; keep it
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Public API. With `metrics` off every function is an inlined no-op and
-// `Stopwatch` is zero-sized.
+// Storage: static atomics, relaxed ordering.
 // ---------------------------------------------------------------------------
 
-/// True when the `metrics` feature is compiled in.
-#[inline(always)]
-pub const fn enabled() -> bool {
-    cfg!(feature = "metrics")
-}
+#[allow(clippy::declare_interior_mutable_const)] // array-init pattern
+const ZERO: AtomicU64 = AtomicU64::new(0);
 
-/// Adds `v` to counter `c` (relaxed atomic add; no-op when disabled).
-#[inline(always)]
+static COUNTERS: [AtomicU64; Counter::COUNT] = [ZERO; Counter::COUNT];
+static WORKER_TILES: [AtomicU64; MAX_WORKERS] = [ZERO; MAX_WORKERS];
+static WORKER_STEALS: [AtomicU64; MAX_WORKERS] = [ZERO; MAX_WORKERS];
+static IO_LINES: [AtomicU64; IO_FORMATS.len()] = [ZERO; IO_FORMATS.len()];
+static IO_BYTES: [AtomicU64; IO_FORMATS.len()] = [ZERO; IO_FORMATS.len()];
+static KERNEL_NAME: Mutex<Option<&'static str>> = Mutex::new(None);
+
+/// Adds `v` to counter `c` (relaxed atomic add).
+#[inline]
 pub fn add(c: Counter, v: u64) {
-    #[cfg(feature = "metrics")]
-    imp::add(c, v);
-    #[cfg(not(feature = "metrics"))]
-    let _ = (c, v);
-}
-
-/// Raises gauge `c` to at least `v` (atomic max; no-op when disabled).
-#[inline(always)]
-pub fn record_peak(c: Counter, v: u64) {
-    #[cfg(feature = "metrics")]
-    imp::record_peak(c, v);
-    #[cfg(not(feature = "metrics"))]
-    let _ = (c, v);
-}
-
-/// Current value of counter `c` (always 0 when disabled).
-#[inline(always)]
-pub fn get(c: Counter) -> u64 {
-    #[cfg(feature = "metrics")]
-    return imp::get(c);
-    #[cfg(not(feature = "metrics"))]
-    {
-        let _ = c;
-        0
+    if v != 0 {
+        COUNTERS[c as usize].fetch_add(v, Ordering::Relaxed);
     }
+}
+
+/// Raises gauge `c` to at least `v` (atomic max).
+#[inline]
+pub fn record_peak(c: Counter, v: u64) {
+    COUNTERS[c as usize].fetch_max(v, Ordering::Relaxed);
+}
+
+/// Current value of counter `c`.
+#[inline]
+pub fn get(c: Counter) -> u64 {
+    COUNTERS[c as usize].load(Ordering::Relaxed)
 }
 
 /// Records one dynamic-scheduler chunk claimed by `worker`; `stolen`
 /// marks a chunk outside the worker's static even-split share.
-#[inline(always)]
+#[inline]
 pub fn worker_claim(worker: usize, stolen: bool) {
-    #[cfg(feature = "metrics")]
-    imp::worker_claim(worker, stolen);
-    #[cfg(not(feature = "metrics"))]
-    let _ = (worker, stolen);
+    let w = worker.min(MAX_WORKERS - 1);
+    WORKER_TILES[w].fetch_add(1, Ordering::Relaxed);
+    add(Counter::TilesClaimed, 1);
+    if stolen {
+        WORKER_STEALS[w].fetch_add(1, Ordering::Relaxed);
+        add(Counter::StealCount, 1);
+    }
 }
 
 /// Records `lines`/`bytes` parsed by the reader for `format` (folded into
 /// the fixed [`IO_FORMATS`] slots).
-#[inline(always)]
+#[inline]
 pub fn io_record(format: &str, lines: u64, bytes: u64) {
-    #[cfg(feature = "metrics")]
-    imp::io_record(format, lines, bytes);
-    #[cfg(not(feature = "metrics"))]
-    let _ = (format, lines, bytes);
+    let s = io_slot(format);
+    if lines != 0 {
+        IO_LINES[s].fetch_add(lines, Ordering::Relaxed);
+        add(Counter::IoLinesRead, lines);
+    }
+    if bytes != 0 {
+        IO_BYTES[s].fetch_add(bytes, Ordering::Relaxed);
+        add(Counter::IoBytesRead, bytes);
+    }
 }
 
 /// Records the concrete micro-kernel the dispatcher resolved (stable
 /// name, e.g. `"avx512-vpopcnt"`). Survives [`reset`].
-#[inline(always)]
 pub fn set_kernel_name(name: &'static str) {
-    #[cfg(feature = "metrics")]
-    imp::set_kernel_name(name);
-    #[cfg(not(feature = "metrics"))]
-    let _ = name;
+    *KERNEL_NAME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(name);
 }
 
 /// The last resolved micro-kernel name, if any was recorded.
-#[inline(always)]
 pub fn kernel_name() -> Option<&'static str> {
-    #[cfg(feature = "metrics")]
-    return imp::kernel_name();
-    #[cfg(not(feature = "metrics"))]
-    None
+    *KERNEL_NAME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Zeroes every counter, per-worker/per-format slot, and the serve
 /// telemetry registry (the resolved kernel name is kept — it is
 /// process-lifetime state).
-#[inline(always)]
 pub fn reset() {
-    #[cfg(feature = "metrics")]
-    imp::reset();
+    let slots = COUNTERS.iter().chain(&WORKER_TILES).chain(&WORKER_STEALS);
+    for c in slots.chain(&IO_LINES).chain(&IO_BYTES) {
+        c.store(0, Ordering::Relaxed);
+    }
     telemetry::reset();
 }
 
-/// A scoped wall-clock timer. Zero-sized and clock-free when `metrics` is
-/// disabled, so it can wrap hot loops unconditionally:
+/// A scoped wall-clock timer:
 ///
 /// ```
 /// let t = ld_trace::Stopwatch::start();
@@ -481,34 +393,26 @@ pub fn reset() {
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct Stopwatch {
-    #[cfg(feature = "metrics")]
     start: std::time::Instant,
 }
 
 impl Stopwatch {
-    /// Starts the timer (reads the clock only when metrics are enabled).
-    #[inline(always)]
+    /// Starts the timer.
+    #[inline]
     pub fn start() -> Self {
         Self {
-            #[cfg(feature = "metrics")]
             start: std::time::Instant::now(),
         }
     }
 
-    /// Elapsed nanoseconds, saturating at `u64::MAX` (0 when disabled).
-    #[inline(always)]
+    /// Elapsed nanoseconds, saturating at `u64::MAX`.
+    #[inline]
     pub fn elapsed_ns(&self) -> u64 {
-        #[cfg(feature = "metrics")]
-        {
-            let d = self.start.elapsed();
-            u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-        }
-        #[cfg(not(feature = "metrics"))]
-        0
+        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Adds the elapsed time to counter `c` and consumes the timer.
-    #[inline(always)]
+    #[inline]
     pub fn stop_into(self, c: Counter) {
         add(c, self.elapsed_ns());
     }
@@ -548,8 +452,6 @@ pub struct IoMetrics {
 pub struct MetricsReport {
     /// Schema version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Whether the `metrics` feature was compiled in (all counters are 0 otherwise).
-    pub enabled: bool,
     /// Resolved micro-kernel name, when the dispatcher ran.
     pub kernel: Option<String>,
     /// Worker-thread count of the profiled run (caller-supplied).
@@ -573,39 +475,32 @@ impl MetricsReport {
         for (i, c) in Counter::ALL.iter().enumerate() {
             counters[i] = get(*c);
         }
-        #[cfg_attr(not(feature = "metrics"), allow(unused_mut))]
         let mut workers = Vec::new();
-        #[cfg_attr(not(feature = "metrics"), allow(unused_mut))]
-        let mut io = Vec::new();
-        #[cfg(feature = "metrics")]
-        {
-            use std::sync::atomic::Ordering;
-            for w in 0..MAX_WORKERS {
-                let tiles = imp::WORKER_TILES[w].load(Ordering::Relaxed);
-                let steals = imp::WORKER_STEALS[w].load(Ordering::Relaxed);
-                if tiles != 0 || steals != 0 {
-                    workers.push(WorkerMetrics {
-                        worker: w,
-                        tiles_claimed: tiles,
-                        steal_count: steals,
-                    });
-                }
+        for w in 0..MAX_WORKERS {
+            let tiles = WORKER_TILES[w].load(Ordering::Relaxed);
+            let steals = WORKER_STEALS[w].load(Ordering::Relaxed);
+            if tiles != 0 || steals != 0 {
+                workers.push(WorkerMetrics {
+                    worker: w,
+                    tiles_claimed: tiles,
+                    steal_count: steals,
+                });
             }
-            for (s, name) in IO_FORMATS.iter().enumerate() {
-                let lines = imp::IO_LINES[s].load(Ordering::Relaxed);
-                let bytes = imp::IO_BYTES[s].load(Ordering::Relaxed);
-                if lines != 0 || bytes != 0 {
-                    io.push(IoMetrics {
-                        format: name,
-                        lines_read: lines,
-                        bytes_read: bytes,
-                    });
-                }
+        }
+        let mut io = Vec::new();
+        for (s, name) in IO_FORMATS.iter().enumerate() {
+            let lines = IO_LINES[s].load(Ordering::Relaxed);
+            let bytes = IO_BYTES[s].load(Ordering::Relaxed);
+            if lines != 0 || bytes != 0 {
+                io.push(IoMetrics {
+                    format: name,
+                    lines_read: lines,
+                    bytes_read: bytes,
+                });
             }
         }
         Self {
             schema_version: SCHEMA_VERSION,
-            enabled: enabled(),
             kernel: kernel_name().map(str::to_owned),
             threads: None,
             wall_ns: None,
@@ -677,7 +572,8 @@ impl MetricsReport {
         let mut s = String::with_capacity(1024);
         s.push_str("{\n");
         let _ = writeln!(s, "  \"schema_version\": {},", self.schema_version);
-        let _ = writeln!(s, "  \"enabled\": {},", self.enabled);
+        // schema field from when a build could compile the counters out
+        s.push_str("  \"enabled\": true,\n");
         match &self.kernel {
             Some(k) => {
                 let _ = writeln!(s, "  \"kernel\": \"{}\",", escape_json(k));
@@ -739,13 +635,6 @@ impl MetricsReport {
     /// output).
     pub fn render_text(&self) -> String {
         let mut s = String::new();
-        if !self.enabled {
-            s.push_str(
-                "metrics disabled (build with `--features metrics`; \
-                 the default ld-cli build enables them)\n",
-            );
-            return s;
-        }
         if let Some(k) = &self.kernel {
             let _ = writeln!(s, "kernel          : {k}");
         }
@@ -870,7 +759,7 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
 /// process-global and `cargo test` runs this binary's tests on parallel
 /// threads: every test that resets or asserts on that state holds this
 /// one lock for its whole body.
-#[cfg(all(test, feature = "metrics"))]
+#[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()
@@ -951,7 +840,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn counters_accumulate_and_reset() {
         let _g = test_lock();
@@ -966,7 +854,6 @@ mod tests {
         worker_claim(2, false);
         io_record("vcf", 5, 80);
         let r = MetricsReport::capture();
-        assert!(r.enabled);
         assert_eq!(r.get(Counter::TilesClaimed), 2);
         assert_eq!(r.get(Counter::StealCount), 1);
         assert_eq!(
@@ -990,7 +877,6 @@ mod tests {
         assert!(MetricsReport::capture().workers.is_empty());
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn stopwatch_measures_time() {
         let t = Stopwatch::start();

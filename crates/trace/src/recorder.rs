@@ -4,8 +4,8 @@
 //! did; the recorder says *when* and *on which worker*. Each worker owns a
 //! pre-allocated ring of [`SpanEvent`] slots; recording a span is two
 //! `Instant` reads plus four relaxed atomic stores into a reserved slot —
-//! **zero allocation on the hot path**, and with the `metrics` feature off
-//! every entry point is an inlined no-op and [`Span`] is zero-sized.
+//! **zero allocation on the hot path** — and with no recorder installed
+//! every entry point is one relaxed atomic load.
 //!
 //! ## Lifecycle contract
 //!
@@ -31,6 +31,12 @@
 //! `jr/ir` tile sweep per `(jc, pc, ic)` block — already coarse — and can
 //! additionally be sampled 1-in-N via [`RecorderConfig::kernel_sample`]
 //! for very large runs. All other kinds are recorded 1:1.
+
+use crate::Counter;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// What a span measures. Mirrors the layer map in the crate root plus the
 /// scheduler and driver events the counters cannot localize.
@@ -109,7 +115,6 @@ impl SpanKind {
         )
     }
 
-    #[cfg_attr(not(feature = "metrics"), allow(dead_code))]
     fn from_u8(v: u8) -> Option<SpanKind> {
         SpanKind::ALL.get(v as usize).copied()
     }
@@ -200,378 +205,289 @@ impl TraceSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Enabled implementation
-// ---------------------------------------------------------------------------
-#[cfg(feature = "metrics")]
-mod imp {
-    use super::{RecorderConfig, SpanEvent, SpanKind, TraceSnapshot};
-    use crate::Counter;
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    use std::time::Instant;
+/// One event slot. Plain atomics so slot writes are race-free even if
+/// two OS threads share a logical worker id (each still owns a unique
+/// reserved index, and folding ids past the ring count is safe).
+struct Slot {
+    kind: AtomicU64,
+    start_ns: AtomicU64,
+    dur_ns: AtomicU64,
+    arg: AtomicU64,
+}
 
-    /// One event slot. Plain atomics so slot writes are race-free even if
-    /// two OS threads share a logical worker id (each still owns a unique
-    /// reserved index, and folding ids past the ring count is safe).
-    struct Slot {
-        kind: AtomicU64,
-        start_ns: AtomicU64,
-        dur_ns: AtomicU64,
-        arg: AtomicU64,
-    }
+struct Ring {
+    /// Next slot to reserve; values past the capacity mean drops.
+    head: AtomicUsize,
+    /// Begin/end balance: +1 per span begin, −1 per span end.
+    open: AtomicU64,
+    slots: Box<[Slot]>,
+}
 
-    struct Ring {
-        /// Next slot to reserve; values past the capacity mean drops.
-        head: AtomicUsize,
-        /// Begin/end balance: +1 per span begin, −1 per span end.
-        open: AtomicU64,
-        slots: Box<[Slot]>,
-    }
+struct Recorder {
+    epoch: Instant,
+    cfg: RecorderConfig,
+    kernel_seq: AtomicU64,
+    rings: Box<[Ring]>,
+}
 
-    pub(super) struct Recorder {
-        epoch: Instant,
-        cfg: RecorderConfig,
-        kernel_seq: AtomicU64,
-        rings: Box<[Ring]>,
-    }
-
-    impl Recorder {
-        fn new(cfg: RecorderConfig) -> Self {
-            let ring = || Ring {
-                head: AtomicUsize::new(0),
-                open: AtomicU64::new(0),
-                slots: (0..cfg.capacity_per_worker)
-                    .map(|_| Slot {
-                        kind: AtomicU64::new(0),
-                        start_ns: AtomicU64::new(0),
-                        dur_ns: AtomicU64::new(0),
-                        arg: AtomicU64::new(0),
-                    })
-                    .collect(),
-            };
-            Recorder {
-                epoch: Instant::now(),
-                cfg,
-                kernel_seq: AtomicU64::new(0),
-                rings: (0..cfg.workers.max(1)).map(|_| ring()).collect(),
-            }
-        }
-
-        #[inline]
-        fn now_ns(&self) -> u64 {
-            u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        }
-
-        #[inline]
-        fn ring(&self, worker: usize) -> &Ring {
-            let w = worker.min(self.rings.len() - 1);
-            &self.rings[w]
-        }
-
-        /// Reserve a slot and store the event; count a drop when full.
-        #[inline]
-        fn push(&self, worker: usize, kind: SpanKind, start_ns: u64, dur_ns: u64, arg: u64) {
-            let ring = self.ring(worker);
-            let idx = ring.head.fetch_add(1, Ordering::Relaxed);
-            if idx < ring.slots.len() {
-                let s = &ring.slots[idx];
-                s.kind.store(kind as u64, Ordering::Relaxed);
-                s.start_ns.store(start_ns, Ordering::Relaxed);
-                s.dur_ns.store(dur_ns, Ordering::Relaxed);
-                s.arg.store(arg, Ordering::Relaxed);
-            } else {
-                crate::add(Counter::TraceEventsDropped, 1);
-            }
-        }
-
-        fn snapshot(&self) -> TraceSnapshot {
-            let mut events = Vec::new();
-            let mut dropped = 0u64;
-            let mut open = 0i64;
-            for (w, ring) in self.rings.iter().enumerate() {
-                let head = ring.head.load(Ordering::Relaxed);
-                let filled = head.min(ring.slots.len());
-                dropped += (head - filled) as u64;
-                open += ring.open.load(Ordering::Relaxed) as i64;
-                for s in &ring.slots[..filled] {
-                    let kind = match SpanKind::from_u8(s.kind.load(Ordering::Relaxed) as u8) {
-                        Some(k) => k,
-                        None => continue, // torn slot: skip, never panic
-                    };
-                    events.push(SpanEvent {
-                        kind,
-                        worker: w as u32,
-                        start_ns: s.start_ns.load(Ordering::Relaxed),
-                        dur_ns: s.dur_ns.load(Ordering::Relaxed),
-                        arg: s.arg.load(Ordering::Relaxed),
-                    });
-                }
-            }
-            events.sort_by(|a, b| {
-                (a.worker, a.start_ns, std::cmp::Reverse(a.dur_ns)).cmp(&(
-                    b.worker,
-                    b.start_ns,
-                    std::cmp::Reverse(b.dur_ns),
-                ))
-            });
-            TraceSnapshot {
-                events,
-                dropped,
-                open_spans: u64::try_from(open.max(0)).unwrap_or(0),
-                capacity_per_worker: self.cfg.capacity_per_worker,
-                workers: self.rings.len(),
-            }
+impl Recorder {
+    fn new(cfg: RecorderConfig) -> Self {
+        let ring = || Ring {
+            head: AtomicUsize::new(0),
+            open: AtomicU64::new(0),
+            slots: (0..cfg.capacity_per_worker)
+                .map(|_| Slot {
+                    kind: AtomicU64::new(0),
+                    start_ns: AtomicU64::new(0),
+                    dur_ns: AtomicU64::new(0),
+                    arg: AtomicU64::new(0),
+                })
+                .collect(),
+        };
+        Recorder {
+            epoch: Instant::now(),
+            cfg,
+            kernel_seq: AtomicU64::new(0),
+            rings: (0..cfg.workers.max(1)).map(|_| ring()).collect(),
         }
     }
 
-    /// The active recorder, or null. Retirement rule: [`stop`] nulls this
-    /// pointer but keeps the box alive in [`STORE`]; only the *next*
-    /// [`start`] drops the previous recorder. A straggler span guard that
-    /// outlives `stop` therefore writes into live (dead-to-snapshots)
-    /// memory instead of freed memory.
-    static ACTIVE: AtomicPtr<Recorder> = AtomicPtr::new(std::ptr::null_mut());
-    static STORE: Mutex<Option<Box<Recorder>>> = Mutex::new(None);
-
-    thread_local! {
-        static WORKER: Cell<usize> = const { Cell::new(0) };
-    }
-
-    pub(super) fn set_worker(worker: usize) {
-        WORKER.with(|w| w.set(worker));
-    }
-
-    pub(super) fn worker() -> usize {
-        WORKER.with(Cell::get)
-    }
-
-    pub(super) fn start(cfg: RecorderConfig) {
-        let mut store = STORE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Uninstall first so nothing records into the recorder we are
-        // about to drop, then install the replacement.
-        ACTIVE.store(std::ptr::null_mut(), Ordering::Release);
-        let mut boxed = Box::new(Recorder::new(cfg));
-        let ptr: *mut Recorder = &mut *boxed;
-        *store = Some(boxed);
-        ACTIVE.store(ptr, Ordering::Release);
-    }
-
-    pub(super) fn stop() -> Option<TraceSnapshot> {
-        let store = STORE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let was = ACTIVE.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if was.is_null() {
-            return None;
-        }
-        // The box outlives the snapshot (it stays in STORE until the next
-        // start), so reading through the raw pointer is sound while we
-        // hold the lock.
-        let rec = store.as_deref()?;
-        Some(rec.snapshot())
-    }
-
-    pub(super) fn is_active() -> bool {
-        !ACTIVE.load(Ordering::Relaxed).is_null()
-    }
-
-    /// Snapshot without uninstalling: the live-daemon dump path
-    /// (SIGUSR1, `dump-trace` opcode). Holding the STORE lock keeps the
-    /// box alive while the rings are read; writers keep recording
-    /// concurrently (relaxed ring reads — a dump is a point-in-time
-    /// approximation, same as `stop`'s).
-    pub(super) fn snapshot_live() -> Option<TraceSnapshot> {
-        let store = STORE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if ACTIVE.load(Ordering::Acquire).is_null() {
-            return None;
-        }
-        let rec = store.as_deref()?;
-        Some(rec.snapshot())
-    }
-
-    /// Active recorder, if any. SAFETY: callers only use the reference
-    /// transiently (no storage across calls); the pointed-to recorder is
-    /// kept alive by STORE until the next `start`, per the module
-    /// lifecycle contract.
     #[inline]
-    fn active() -> Option<&'static Recorder> {
-        let p = ACTIVE.load(Ordering::Acquire);
-        if p.is_null() {
-            None
+    fn now_ns(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    #[inline]
+    fn ring(&self, worker: usize) -> &Ring {
+        let w = worker.min(self.rings.len() - 1);
+        &self.rings[w]
+    }
+
+    /// Reserve a slot and store the event; count a drop when full.
+    #[inline]
+    fn push(&self, worker: usize, kind: SpanKind, start_ns: u64, dur_ns: u64, arg: u64) {
+        let ring = self.ring(worker);
+        let idx = ring.head.fetch_add(1, Ordering::Relaxed);
+        if idx < ring.slots.len() {
+            let s = &ring.slots[idx];
+            s.kind.store(kind as u64, Ordering::Relaxed);
+            s.start_ns.store(start_ns, Ordering::Relaxed);
+            s.dur_ns.store(dur_ns, Ordering::Relaxed);
+            s.arg.store(arg, Ordering::Relaxed);
         } else {
-            // SAFETY: see above — non-null ACTIVE points into the boxed
-            // recorder held by STORE, which is retired only by the next
-            // start(); the reference does not escape the recording call.
-            Some(unsafe { &*p })
+            crate::add(Counter::TraceEventsDropped, 1);
         }
     }
 
-    #[inline]
-    pub(super) fn begin(kind: SpanKind) -> Option<(SpanKind, u64)> {
-        let rec = active()?;
-        if kind == SpanKind::KernelBatch {
-            let n = rec.cfg.kernel_sample.max(1);
-            if rec.kernel_seq.fetch_add(1, Ordering::Relaxed) % n != 0 {
-                return None;
+    fn snapshot(&self) -> TraceSnapshot {
+        let mut events = Vec::new();
+        let mut dropped = 0u64;
+        let mut open = 0i64;
+        for (w, ring) in self.rings.iter().enumerate() {
+            let head = ring.head.load(Ordering::Relaxed);
+            let filled = head.min(ring.slots.len());
+            dropped += (head - filled) as u64;
+            open += ring.open.load(Ordering::Relaxed) as i64;
+            for s in &ring.slots[..filled] {
+                let kind = match SpanKind::from_u8(s.kind.load(Ordering::Relaxed) as u8) {
+                    Some(k) => k,
+                    None => continue, // torn slot: skip, never panic
+                };
+                events.push(SpanEvent {
+                    kind,
+                    worker: w as u32,
+                    start_ns: s.start_ns.load(Ordering::Relaxed),
+                    dur_ns: s.dur_ns.load(Ordering::Relaxed),
+                    arg: s.arg.load(Ordering::Relaxed),
+                });
             }
         }
-        rec.ring(worker()).open.fetch_add(1, Ordering::Relaxed);
-        Some((kind, rec.now_ns()))
-    }
-
-    #[inline]
-    pub(super) fn end(kind: SpanKind, start_ns: u64, arg: u64) {
-        if let Some(rec) = active() {
-            let w = worker();
-            let end_ns = rec.now_ns();
-            rec.push(w, kind, start_ns, end_ns.saturating_sub(start_ns), arg);
-            // wrapping_sub: balance is tracked as a signed value read back
-            // as i64 in snapshot(); underflow (end without begin) shows up
-            // as a negative balance rather than corrupting anything.
-            rec.ring(w).open.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(super) fn instant(kind: SpanKind, arg: u64) {
-        if let Some(rec) = active() {
-            let now = rec.now_ns();
-            rec.push(worker(), kind, now, 0, arg);
+        events.sort_by(|a, b| {
+            (a.worker, a.start_ns, std::cmp::Reverse(a.dur_ns)).cmp(&(
+                b.worker,
+                b.start_ns,
+                std::cmp::Reverse(b.dur_ns),
+            ))
+        });
+        TraceSnapshot {
+            events,
+            dropped,
+            open_spans: u64::try_from(open.max(0)).unwrap_or(0),
+            capacity_per_worker: self.cfg.capacity_per_worker,
+            workers: self.rings.len(),
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Public API (no-ops when `metrics` is off)
-// ---------------------------------------------------------------------------
+/// The active recorder, or null. Retirement rule: [`stop`] nulls this
+/// pointer but keeps the box alive in [`STORE`]; only the *next*
+/// [`start`] drops the previous recorder. A straggler span guard that
+/// outlives `stop` therefore writes into live (dead-to-snapshots)
+/// memory instead of freed memory.
+static ACTIVE: AtomicPtr<Recorder> = AtomicPtr::new(std::ptr::null_mut());
+static STORE: Mutex<Option<Box<Recorder>>> = Mutex::new(None);
 
-/// Installs a fresh recorder. Call from the coordinating thread before
-/// spawning workers; replaces (and retires) any previous recorder.
-/// No-op when `metrics` is off.
-#[inline(always)]
-pub fn start(cfg: RecorderConfig) {
-    #[cfg(feature = "metrics")]
-    imp::start(cfg);
-    #[cfg(not(feature = "metrics"))]
-    let _ = cfg;
-}
-
-/// Uninstalls the active recorder and returns its snapshot. Call after
-/// joining workers. `None` when no recorder was active or `metrics` is
-/// off.
-#[inline(always)]
-pub fn stop() -> Option<TraceSnapshot> {
-    #[cfg(feature = "metrics")]
-    return imp::stop();
-    #[cfg(not(feature = "metrics"))]
-    None
-}
-
-/// Snapshots the active recorder **without uninstalling it** — the
-/// continuously-armed daemon dump path (SIGUSR1 / `dump-trace`).
-/// Workers keep recording throughout; the returned snapshot is the same
-/// point-in-time approximation [`stop`] produces. `None` when no
-/// recorder is armed or `metrics` is off.
-#[inline(always)]
-pub fn snapshot_live() -> Option<TraceSnapshot> {
-    #[cfg(feature = "metrics")]
-    return imp::snapshot_live();
-    #[cfg(not(feature = "metrics"))]
-    None
-}
-
-/// True while a recorder is installed (always false when `metrics` is
-/// off). One relaxed atomic load.
-#[inline(always)]
-pub fn is_active() -> bool {
-    #[cfg(feature = "metrics")]
-    return imp::is_active();
-    #[cfg(not(feature = "metrics"))]
-    false
+thread_local! {
+    static WORKER: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Binds the calling OS thread to logical worker `worker` (its ring
 /// index). Schedulers call this once per spawned worker; unbound threads
 /// record into ring 0.
-#[inline(always)]
 pub fn set_worker(worker: usize) {
-    #[cfg(feature = "metrics")]
-    imp::set_worker(worker);
-    #[cfg(not(feature = "metrics"))]
-    let _ = worker;
+    WORKER.with(|w| w.set(worker));
+}
+
+fn worker() -> usize {
+    WORKER.with(Cell::get)
+}
+
+/// Installs a fresh recorder. Call from the coordinating thread before
+/// spawning workers; replaces (and retires) any previous recorder.
+pub fn start(cfg: RecorderConfig) {
+    let mut store = STORE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // Uninstall first so nothing records into the recorder we are
+    // about to drop, then install the replacement.
+    ACTIVE.store(std::ptr::null_mut(), Ordering::Release);
+    let mut boxed = Box::new(Recorder::new(cfg));
+    let ptr: *mut Recorder = &mut *boxed;
+    *store = Some(boxed);
+    ACTIVE.store(ptr, Ordering::Release);
+}
+
+/// Uninstalls the active recorder and returns its snapshot. Call after
+/// joining workers. `None` when no recorder was active.
+pub fn stop() -> Option<TraceSnapshot> {
+    let store = STORE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let was = ACTIVE.swap(std::ptr::null_mut(), Ordering::AcqRel);
+    if was.is_null() {
+        return None;
+    }
+    // The box outlives the snapshot (it stays in STORE until the next
+    // start), so reading through the raw pointer is sound while we
+    // hold the lock.
+    let rec = store.as_deref()?;
+    Some(rec.snapshot())
+}
+
+/// True while a recorder is installed. One relaxed atomic load.
+#[inline]
+pub fn is_active() -> bool {
+    !ACTIVE.load(Ordering::Relaxed).is_null()
+}
+
+/// Snapshots the active recorder **without uninstalling it** — the
+/// continuously-armed daemon dump path (SIGUSR1 / `dump-trace`). Holding
+/// the STORE lock keeps the box alive while the rings are read; workers
+/// keep recording throughout (relaxed ring reads), so the snapshot is the
+/// same point-in-time approximation [`stop`] produces. `None` when no
+/// recorder is armed.
+pub fn snapshot_live() -> Option<TraceSnapshot> {
+    let store = STORE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    if ACTIVE.load(Ordering::Acquire).is_null() {
+        return None;
+    }
+    let rec = store.as_deref()?;
+    Some(rec.snapshot())
+}
+
+/// Active recorder, if any. SAFETY: callers only use the reference
+/// transiently (no storage across calls); the pointed-to recorder is
+/// kept alive by STORE until the next `start`, per the module
+/// lifecycle contract.
+#[inline]
+fn active() -> Option<&'static Recorder> {
+    let p = ACTIVE.load(Ordering::Acquire);
+    if p.is_null() {
+        None
+    } else {
+        // SAFETY: see above — non-null ACTIVE points into the boxed
+        // recorder held by STORE, which is retired only by the next
+        // start(); the reference does not escape the recording call.
+        Some(unsafe { &*p })
+    }
+}
+
+#[inline]
+fn begin(kind: SpanKind) -> Option<(SpanKind, u64)> {
+    let rec = active()?;
+    if kind == SpanKind::KernelBatch {
+        let n = rec.cfg.kernel_sample.max(1);
+        if rec.kernel_seq.fetch_add(1, Ordering::Relaxed) % n != 0 {
+            return None;
+        }
+    }
+    rec.ring(worker()).open.fetch_add(1, Ordering::Relaxed);
+    Some((kind, rec.now_ns()))
+}
+
+#[inline]
+fn end(kind: SpanKind, start_ns: u64, arg: u64) {
+    if let Some(rec) = active() {
+        let w = worker();
+        let end_ns = rec.now_ns();
+        rec.push(w, kind, start_ns, end_ns.saturating_sub(start_ns), arg);
+        // wrapping_sub: balance is tracked as a signed value read back
+        // as i64 in snapshot(); underflow (end without begin) shows up
+        // as a negative balance rather than corrupting anything.
+        rec.ring(w).open.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// Records a zero-duration marker event (e.g. [`SpanKind::SlabEmit`]).
-#[inline(always)]
+#[inline]
 pub fn instant(kind: SpanKind, arg: u64) {
-    #[cfg(feature = "metrics")]
-    imp::instant(kind, arg);
-    #[cfg(not(feature = "metrics"))]
-    let _ = (kind, arg);
+    if let Some(rec) = active() {
+        let now = rec.now_ns();
+        rec.push(worker(), kind, now, 0, arg);
+    }
 }
 
-/// A scoped span guard. Zero-sized and clock-free when `metrics` is off;
-/// inert (single relaxed load) when no recorder is active. End it with
-/// [`Span::end`] to attach a payload, or let it drop (payload 0).
+/// A scoped span guard; inert (single relaxed load) when no recorder is
+/// active. End it with [`Span::end`] to attach a payload, or let it drop
+/// (payload 0).
 #[derive(Debug)]
 #[must_use = "a span records on end/drop; binding to _ discards it immediately"]
 pub struct Span {
-    #[cfg(feature = "metrics")]
     inner: Option<(SpanKind, u64)>,
 }
 
 impl Span {
     /// Begins a span of `kind` on the current worker's timeline. Inert
     /// when no recorder is active or the kind is sampled out.
-    #[inline(always)]
+    #[inline]
     pub fn begin(kind: SpanKind) -> Self {
-        #[cfg(feature = "metrics")]
-        {
-            Span {
-                inner: imp::begin(kind),
-            }
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            let _ = kind;
-            Span {}
-        }
+        Span { inner: begin(kind) }
     }
 
     /// Ends the span, recording `arg` as its payload.
-    #[inline(always)]
-    #[cfg_attr(not(feature = "metrics"), allow(unused_mut))]
+    #[inline]
     pub fn end(mut self, arg: u64) {
-        #[cfg(feature = "metrics")]
         if let Some((kind, start_ns)) = self.inner.take() {
-            imp::end(kind, start_ns, arg);
+            end(kind, start_ns, arg);
         }
-        #[cfg(not(feature = "metrics"))]
-        let _ = arg;
-        std::mem::forget(self);
     }
 }
 
 impl Drop for Span {
-    #[inline(always)]
+    #[inline]
     fn drop(&mut self) {
-        #[cfg(feature = "metrics")]
         if let Some((kind, start_ns)) = self.inner.take() {
-            imp::end(kind, start_ns, 0);
+            end(kind, start_ns, 0);
         }
     }
 }
 
-#[cfg(all(test, feature = "metrics"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_lock as lock;
-    use crate::Counter;
 
     #[test]
     fn inactive_recorder_is_inert() {

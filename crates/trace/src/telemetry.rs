@@ -4,18 +4,15 @@
 //!
 //! `ld-serve` funnels every request — including ones shed at admission
 //! or failed before a worker touched them — through [`record_served`].
-//! Storage is the same static-atomics discipline as the counters: with
-//! the `metrics` feature off every entry point is an inlined no-op; with
-//! it on, a record is a handful of relaxed adds and never allocates.
+//! Storage is the same static-atomics discipline as the counters: a
+//! record is a handful of relaxed adds and never allocates.
 //!
 //! Every outcome gets its own labelled histogram, so shed/timeout/error
 //! latencies never pollute the success quantiles: the health endpoint's
 //! p50/p99 are [`total_latency`]`(ServeOutcome::Ok)`, the same cumulative
 //! histogram `/metrics` exposes under `outcome="ok"`.
 
-use crate::histogram::HistogramSnapshot;
-#[cfg(feature = "metrics")]
-use crate::histogram::WINDOWS;
+use crate::histogram::{Histogram, HistogramSnapshot, RollingHistogram, WINDOWS};
 
 /// Wire opcodes the serve daemon dispatches, for per-opcode service-time
 /// histograms. Mirrors `ld-serve`'s request enum (trace cannot depend on
@@ -110,42 +107,25 @@ impl ServeOutcome {
     }
 }
 
-#[cfg(feature = "metrics")]
-mod imp {
-    use super::{ServeOp, ServeOutcome};
-    use crate::histogram::{Histogram, RollingHistogram};
+#[allow(clippy::declare_interior_mutable_const)] // array-init pattern
+const EMPTY: Histogram = Histogram::new();
 
-    #[allow(clippy::declare_interior_mutable_const)] // array-init pattern
-    const EMPTY: Histogram = Histogram::new();
-
-    /// Service time (worker compute, or inline handling) per opcode.
-    pub(super) static SERVICE_BY_OP: [Histogram; ServeOp::COUNT] = [EMPTY; ServeOp::COUNT];
-    /// End-to-end latency (accept → response ready) per outcome.
-    pub(super) static TOTAL_BY_OUTCOME: [Histogram; ServeOutcome::COUNT] =
-        [EMPTY; ServeOutcome::COUNT];
-    /// Queue wait (enqueue → worker pop; 0 for inline/shed requests).
-    pub(super) static QUEUE_WAIT: Histogram = Histogram::new();
-    /// Rolling end-to-end latency of successful requests (the live
-    /// p50/p99 windows).
-    pub(super) static OK_ROLLING: RollingHistogram = RollingHistogram::new();
-    /// Rolling end-to-end latency of everything else (error/shed bursts).
-    pub(super) static ERR_ROLLING: RollingHistogram = RollingHistogram::new();
-
-    pub(super) fn reset() {
-        for h in SERVICE_BY_OP.iter().chain(&TOTAL_BY_OUTCOME) {
-            h.reset();
-        }
-        QUEUE_WAIT.reset();
-        OK_ROLLING.reset();
-        ERR_ROLLING.reset();
-    }
-}
+/// Service time (worker compute, or inline handling) per opcode.
+static SERVICE_BY_OP: [Histogram; ServeOp::COUNT] = [EMPTY; ServeOp::COUNT];
+/// End-to-end latency (accept → response ready) per outcome.
+static TOTAL_BY_OUTCOME: [Histogram; ServeOutcome::COUNT] = [EMPTY; ServeOutcome::COUNT];
+/// Queue wait (enqueue → worker pop; 0 for inline/shed requests).
+static QUEUE_WAIT: Histogram = Histogram::new();
+/// Rolling end-to-end latency of successful requests (the live p50/p99
+/// windows).
+static OK_ROLLING: RollingHistogram = RollingHistogram::new();
+/// Rolling end-to-end latency of everything else (error/shed bursts).
+static ERR_ROLLING: RollingHistogram = RollingHistogram::new();
 
 /// Records one served request: opcode, terminal outcome, queue wait
 /// (0 when the request never queued), service time (0 when no worker
-/// ran it) and end-to-end latency, all in nanoseconds. No-op without the
-/// `metrics` feature.
-#[inline(always)]
+/// ran it) and end-to-end latency, all in nanoseconds.
+#[inline]
 pub fn record_served(
     op: ServeOp,
     outcome: ServeOutcome,
@@ -153,19 +133,14 @@ pub fn record_served(
     service_ns: u64,
     total_ns: u64,
 ) {
-    #[cfg(feature = "metrics")]
-    {
-        imp::SERVICE_BY_OP[op as usize].record(service_ns);
-        imp::TOTAL_BY_OUTCOME[outcome as usize].record(total_ns);
-        imp::QUEUE_WAIT.record(queue_ns);
-        if matches!(outcome, ServeOutcome::Ok) {
-            imp::OK_ROLLING.record(total_ns);
-        } else {
-            imp::ERR_ROLLING.record(total_ns);
-        }
+    SERVICE_BY_OP[op as usize].record(service_ns);
+    TOTAL_BY_OUTCOME[outcome as usize].record(total_ns);
+    QUEUE_WAIT.record(queue_ns);
+    if matches!(outcome, ServeOutcome::Ok) {
+        OK_ROLLING.record(total_ns);
+    } else {
+        ERR_ROLLING.record(total_ns);
     }
-    #[cfg(not(feature = "metrics"))]
-    let _ = (op, outcome, queue_ns, service_ns, total_ns);
 }
 
 /// One rolling window's latency stats (conservative bucket quantiles).
@@ -184,8 +159,7 @@ pub struct WindowStats {
 }
 
 /// A point-in-time copy of the whole serve-telemetry registry, the input
-/// the Prometheus encoder renders. Empty (all zero) when metrics are
-/// disabled.
+/// the Prometheus encoder renders.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServeTelemetry {
     /// `(opcode label, service-time histogram)` in [`ServeOp::ALL`] order.
@@ -201,56 +175,48 @@ pub struct ServeTelemetry {
 
 /// Snapshots the registry (see [`ServeTelemetry`]).
 pub fn serve_telemetry() -> ServeTelemetry {
-    #[cfg(feature = "metrics")]
-    {
-        let now = crate::histogram::now_ns();
-        ServeTelemetry {
-            service_by_opcode: ServeOp::ALL
-                .iter()
-                .map(|op| (op.name(), imp::SERVICE_BY_OP[*op as usize].snapshot()))
-                .collect(),
-            total_by_outcome: ServeOutcome::ALL
-                .iter()
-                .map(|o| (o.name(), imp::TOTAL_BY_OUTCOME[*o as usize].snapshot()))
-                .collect(),
-            queue_wait: imp::QUEUE_WAIT.snapshot(),
-            windows: WINDOWS
-                .iter()
-                .map(|&(label, secs)| {
-                    let ok = imp::OK_ROLLING.window_at(now, secs);
-                    let err = imp::ERR_ROLLING.window_at(now, secs);
-                    WindowStats {
-                        window: label,
-                        count: ok.count,
-                        p50_ns: ok.p50_ns(),
-                        p99_ns: ok.p99_ns(),
-                        err_count: err.count,
-                    }
-                })
-                .collect(),
-        }
+    let now = crate::histogram::now_ns();
+    ServeTelemetry {
+        service_by_opcode: ServeOp::ALL
+            .iter()
+            .map(|op| (op.name(), SERVICE_BY_OP[*op as usize].snapshot()))
+            .collect(),
+        total_by_outcome: ServeOutcome::ALL
+            .iter()
+            .map(|o| (o.name(), TOTAL_BY_OUTCOME[*o as usize].snapshot()))
+            .collect(),
+        queue_wait: QUEUE_WAIT.snapshot(),
+        windows: WINDOWS
+            .iter()
+            .map(|&(label, secs)| {
+                let ok = OK_ROLLING.window_at(now, secs);
+                let err = ERR_ROLLING.window_at(now, secs);
+                WindowStats {
+                    window: label,
+                    count: ok.count,
+                    p50_ns: ok.p50_ns(),
+                    p99_ns: ok.p99_ns(),
+                    err_count: err.count,
+                }
+            })
+            .collect(),
     }
-    #[cfg(not(feature = "metrics"))]
-    ServeTelemetry::default()
 }
 
-/// The cumulative end-to-end latency histogram of one outcome (empty
-/// when metrics are disabled) — one entry of
-/// [`ServeTelemetry::total_by_outcome`] without the other copies.
+/// The cumulative end-to-end latency histogram of one outcome — one entry
+/// of [`ServeTelemetry::total_by_outcome`] without the other copies.
 pub fn total_latency(outcome: ServeOutcome) -> HistogramSnapshot {
-    #[cfg(feature = "metrics")]
-    return imp::TOTAL_BY_OUTCOME[outcome as usize].snapshot();
-    #[cfg(not(feature = "metrics"))]
-    {
-        let _ = outcome;
-        HistogramSnapshot::default()
-    }
+    TOTAL_BY_OUTCOME[outcome as usize].snapshot()
 }
 
 /// Zeroes the whole registry (called from [`crate::reset`]).
 pub(crate) fn reset() {
-    #[cfg(feature = "metrics")]
-    imp::reset();
+    for h in SERVICE_BY_OP.iter().chain(&TOTAL_BY_OUTCOME) {
+        h.reset();
+    }
+    QUEUE_WAIT.reset();
+    OK_ROLLING.reset();
+    ERR_ROLLING.reset();
 }
 
 #[cfg(test)]
@@ -276,7 +242,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn outcomes_are_segregated() {
         let _g = crate::test_lock();

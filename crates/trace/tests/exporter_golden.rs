@@ -6,11 +6,6 @@
 //! string — any drift in the Perfetto fields (`ph`/`pid`/`tid`/`ts`/
 //! `dur`) is a breaking change for downstream tooling and must show up
 //! here as a diff, not in someone's trace viewer.
-//!
-//! Deliberately NOT gated on the `metrics` feature: snapshots are plain
-//! data and the exporter/analyzer must behave identically in both
-//! builds (the feature only controls whether a live recorder fills
-//! snapshots in).
 
 use ld_trace::analyze::analyze;
 use ld_trace::export::chrome_trace_json;
@@ -110,7 +105,7 @@ fn trace_report_json_carries_every_schema_required_key() {
         assert!(json.contains(&quoted), "report JSON lacks {quoted}");
         assert!(schema.contains(&quoted), "schema lacks {quoted}");
     }
-    // The analysis invariant the CI trace leg also gates on: the layer
+    // The analysis invariant `process_cli.rs` holds a real run to: the layer
     // partition tiles the workers × wall area, so shares sum to 1.
     let rep = analyze(&snap, &report, None);
     assert!(

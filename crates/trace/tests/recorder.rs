@@ -1,10 +1,4 @@
 //! Flight-recorder invariants, exercised through the public API only.
-//!
-//! Everything here is gated on the `metrics` feature: with it compiled
-//! out the recorder is a set of inlined no-ops and there is nothing to
-//! observe (`cargo test -p ld-trace --features metrics` runs the real
-//! thing; the CI feature matrix runs both).
-#![cfg(feature = "metrics")]
 
 use ld_trace::recorder::{
     instant, is_active, set_worker, start, stop, RecorderConfig, Span, SpanKind, TraceSnapshot,
