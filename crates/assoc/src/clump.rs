@@ -8,7 +8,7 @@
 
 use crate::scan::AssocResult;
 use ld_bitmat::BitMatrixView;
-use ld_core::{LdEngine, NanPolicy};
+use ld_core::{LdEngine, LdStats, NanPolicy};
 
 /// One clump: an index SNP and its absorbed members.
 #[derive(Clone, Debug, PartialEq)]
@@ -50,7 +50,9 @@ pub fn clump(
         // r² between the index SNP and its window, one thin cross-GEMM
         let index_view = g.subview(r.snp, r.snp + 1);
         let win_view = g.subview(lo, hi);
-        let cross = engine.r2_cross(index_view, win_view);
+        let cross = engine
+            .try_cross_stat_matrix(index_view, win_view, LdStats::RSquared)
+            .unwrap_or_else(|e| panic!("{e}"));
         let mut members = Vec::new();
         for (j, taken_j) in taken.iter_mut().enumerate().take(hi).skip(lo) {
             if j != r.snp && !*taken_j && cross.get(0, j - lo) >= r2_threshold {

@@ -150,12 +150,15 @@ fn main() {
             "banded-r2-600snps-band32",
             time_best(
                 || {
-                    drop(ld_core::BandedLdMatrix::compute(
-                        &engine,
-                        &g,
-                        32,
-                        ld_core::LdStats::RSquared,
-                    ))
+                    drop(
+                        ld_core::BandedLdMatrix::compute(
+                            &engine,
+                            &g,
+                            32,
+                            ld_core::LdStats::RSquared,
+                        )
+                        .expect("banded r²"),
+                    )
                 },
                 budget,
                 10,
@@ -165,7 +168,7 @@ fn main() {
             "applications",
             "decay-600snps-dist32",
             time_best(
-                || drop(ld_core::DecayProfile::compute(&engine, &g, 32, 4)),
+                || drop(ld_core::DecayProfile::compute(&engine, &g, 32, 4).expect("decay")),
                 budget,
                 10,
             ),
@@ -174,7 +177,7 @@ fn main() {
             "applications",
             "haplotype-blocks-600snps",
             time_best(
-                || drop(ld_core::haplotype_blocks(&engine, &g, 0.8)),
+                || drop(ld_core::haplotype_blocks(&engine, &g, 0.8).expect("blocks")),
                 budget,
                 10,
             ),

@@ -678,39 +678,33 @@ pub fn r2(args: &Args) -> CmdResult {
         let res = write_atomic_with(path, |w| {
             w.write_all(R2_TABLE_HEADER.as_bytes())?;
             // slabs arrive in unspecified order from a threaded memory
-            // source: hold out-of-order blocks briefly and flush the
-            // in-order prefix (a store source delivers in row order, so the
-            // buffer never holds more than the block just formatted)
-            let mut pending: std::collections::BTreeMap<usize, (usize, String)> =
-                std::collections::BTreeMap::new();
-            let mut next_row = 0usize;
+            // source: each is formatted as it arrives and the blocks are
+            // written in row order (`in_row_order` holds the early ones; a
+            // store source delivers in row order, so it never holds more
+            // than the block just formatted)
             let mut io_err: Option<std::io::Error> = None;
             let mut fmt_err = false;
-            let run = engine.try_stat_rows_with(
-                src,
-                stat,
-                |s| {
-                    let mut block = String::new();
-                    for (i, row) in s.rows() {
-                        // `row[0]` is the diagonal. String formatting
-                        // cannot fail short of OOM, but swallowing the
-                        // Result would silently drop rows — record it.
-                        if push_r2_row(&mut block, i, i + 1, &row[1..], min_r2).is_err() {
-                            fmt_err = true;
-                        }
+            let format = |s: &ld_core::RowSlabVisit<'_>| {
+                let mut block = String::new();
+                for (i, row) in s.rows() {
+                    // `row[0]` is the diagonal. String formatting
+                    // cannot fail short of OOM, but swallowing the
+                    // Result would silently drop rows — record it.
+                    if push_r2_row(&mut block, i, i + 1, &row[1..], min_r2).is_err() {
+                        fmt_err = true;
                     }
-                    pending.insert(s.row_start(), (s.n_rows(), block));
-                    while let Some((rows, block)) = pending.remove(&next_row) {
-                        next_row += rows;
-                        if io_err.is_none() {
-                            if let Err(e) = w.write_all(block.as_bytes()) {
-                                io_err = Some(e);
-                            }
-                        }
+                }
+                block
+            };
+            let write = |block: String| {
+                if io_err.is_none() {
+                    if let Err(e) = w.write_all(block.as_bytes()) {
+                        io_err = Some(e);
                     }
-                },
-                &ctl,
-            );
+                }
+            };
+            let run =
+                engine.try_stat_rows_with(src, stat, ld_core::in_row_order(format, write), &ctl);
             if let Err(e) = run {
                 ld_err = Some(e);
                 return Err(std::io::Error::other("LD computation failed"));
@@ -1448,8 +1442,7 @@ pub fn omega(args: &Args) -> CmdResult {
     let step = parse_at_least(args, "step", 1)?.unwrap_or(window / 4);
     let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
     let g = load_matrix(input)?;
-    let scan = OmegaScan::new(window, step)
-        .engine(LdEngine::new().kernel(parse_kernel(args)?).threads(threads));
+    let scan = OmegaScan::new(window, step).engine(tuned_engine(args, threads)?);
     let points = scan.scan(&g);
     if points.is_empty() {
         return Err(CliError::Usage(format!(
@@ -1508,16 +1501,14 @@ pub fn prune(args: &Args) -> CmdResult {
     // step 0 would never advance the window
     let step = parse_at_least(args, "step", 1)?.unwrap_or((window / 2).max(1));
     let threshold = parse_threshold(args, "threshold", 0.5)?;
-    let engine = LdEngine::new()
-        .kernel(parse_kernel(args)?)
-        .nan_policy(NanPolicy::Zero);
+    let engine = tuned_engine(args, ld_parallel::available_threads())?.nan_policy(NanPolicy::Zero);
     let g = load_matrix(input)?;
     let n = g.n_snps();
     let mut keep = vec![true; n];
     let mut start = 0usize;
     while start < n {
         let end = (start + window).min(n);
-        let r2 = engine.try_r2_matrix(g.view(start, end))?;
+        let r2 = engine.try_stat_matrix(g.view(start, end), ld_core::LdStats::RSquared)?;
         for i in 0..end - start {
             if !keep[start + i] {
                 continue;
@@ -1559,13 +1550,11 @@ pub fn decay(args: &Args) -> CmdResult {
     let input = args.require("input")?;
     let max_dist = parse_at_least(args, "max-dist", 1)?;
     let bin = parse_at_least(args, "bin", 0)?; // `DecayProfile` clamps 0 to 1
-    let engine = LdEngine::new()
-        .kernel(parse_kernel(args)?)
-        .nan_policy(NanPolicy::Zero);
+    let engine = tuned_engine(args, ld_parallel::available_threads())?.nan_policy(NanPolicy::Zero);
     let g = load_matrix(input)?;
     let max_dist = max_dist.unwrap_or(100usize.min(g.n_snps().saturating_sub(1).max(1)));
     let bin = bin.unwrap_or((max_dist / 20).max(1));
-    let profile = ld_core::DecayProfile::compute(&engine, &g, max_dist, bin);
+    let profile = ld_core::DecayProfile::compute(&engine, &g, max_dist, bin)?;
     println!("distance\tmean_r2\tpairs");
     for b in profile.bins() {
         println!(
@@ -1587,11 +1576,9 @@ pub fn decay(args: &Args) -> CmdResult {
 pub fn blocks(args: &Args) -> CmdResult {
     let input = args.require("input")?;
     let threshold = parse_threshold(args, "threshold", 0.8)?;
-    let engine = LdEngine::new()
-        .kernel(parse_kernel(args)?)
-        .nan_policy(NanPolicy::Zero);
+    let engine = tuned_engine(args, ld_parallel::available_threads())?.nan_policy(NanPolicy::Zero);
     let g = load_matrix(input)?;
-    let found = ld_core::haplotype_blocks(&engine, &g, threshold);
+    let found = ld_core::haplotype_blocks(&engine, &g, threshold)?;
     println!("block\tfirst_snp\tlast_snp\tsize");
     for (k, b) in found.iter().enumerate() {
         println!("{k}\t{}\t{}\t{}", b.start, b.end - 1, b.len());
@@ -1650,7 +1637,7 @@ pub fn assoc(args: &Args) -> CmdResult {
     let p_cut = args.get_parsed("p", 0.05 / g.n_snps().max(1) as f64)?;
     let clump_r2 = args.get_parsed("clump-r2", 0.3f64)?;
     let window = args.get_parsed("clump-window", 100usize)?;
-    let engine = LdEngine::new().kernel(parse_kernel(args)?).threads(threads);
+    let engine = tuned_engine(args, threads)?;
     let clumps = ld_assoc::clump(&g.full_view(), &results, &engine, p_cut, clump_r2, window);
     eprintln!(
         "scanned {} SNPs; lambda_GC = {lambda:.3}; {} hits at p <= {p_cut:.2e}; {} clumps",

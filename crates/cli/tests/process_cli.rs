@@ -106,6 +106,25 @@ fn tuned_profile_is_loaded_by_the_next_run_and_changes_no_byte() {
     // tuning moves scheduling and blocking only
     run_ok(&format!("r2 -i {input} --threads 2 -o {off}"));
     assert!(read(&on) == read(&off), "tuned and default tables differ");
+    // the banded commands run the same engine: the profile reaches them
+    // (a damaged one is reported) and moves no byte of their output
+    let damaged = dir.path("cpu/damaged.json");
+    std::fs::write(&damaged, "{").expect("write");
+    for line in [
+        format!("decay -i {input} --max-dist 40 --bin 4"),
+        format!("blocks -i {input} --threshold 0.7"),
+    ] {
+        let tuned = run_for(with_profile(&line), 60);
+        assert_eq!(tuned.code, Some(0), "{line}: {}", tuned.stderr);
+        assert!(tuned.stdout.lines().count() > 1, "{line}: no rows");
+        assert_eq!(tuned.stdout, run_ok(&line).stdout, "{line}");
+        let mut cmd = with_profile(&line);
+        cmd.env("LD_CPU_PROFILE", &damaged);
+        let warned = run_for(cmd, 60);
+        let warnings = warned.stderr.matches("ignoring CPU profile").count();
+        assert_eq!(warnings, 1, "{line}: {}", warned.stderr);
+        assert_eq!(warned.stdout, tuned.stdout, "{line}");
+    }
 }
 
 #[test]

@@ -4,15 +4,15 @@
 //! and biology rarely needs it: LD decays with distance, so production
 //! pipelines (PLINK's `--ld-window`, OmegaPlus's max-window) compute only
 //! pairs within a *band* `|i − j| ≤ w`. [`BandedLdMatrix`] stores exactly
-//! those `n·w` values, and [`BandedLdMatrix::compute`] fills them with
-//! chunked rectangular GEMMs — the same blocked kernels, `O(chunk·w)`
-//! transient memory.
+//! those `n·w` values, and [`BandedLdMatrix::compute`] fills them from the
+//! one slab driver under [`RunControl::with_band`] — `O(slab · (slab + w))`
+//! transient memory per worker, from either [`Source`].
 
+use crate::control::RunControl;
 use crate::engine::LdEngine;
-use crate::fused::Transform;
+use crate::error::{checked_mul, try_filled_vec, LdError};
+use crate::source::Source;
 use crate::stats::LdStats;
-use ld_bitmat::BitMatrix;
-use ld_kernels::gemm_counts_mt;
 
 /// A symmetric matrix restricted to the band `1 ≤ j − i ≤ band`.
 ///
@@ -26,59 +26,36 @@ pub struct BandedLdMatrix {
 }
 
 impl BandedLdMatrix {
-    /// Computes the banded statistic for `g` with the given engine.
+    /// Computes the banded statistic of `src` with the given engine.
     ///
-    /// Runs chunked rectangular count GEMMs into one **reused** scratch
-    /// buffer (`O(chunk · (chunk + band))` u32, allocated once), then runs
-    /// each row's contiguous band through [`Transform::apply_span`] — the
-    /// body the all-pairs pipeline applies, so banded values are
-    /// bit-identical to the full matrix. No per-chunk statistic matrix is
-    /// materialized.
-    pub fn compute(engine: &LdEngine, g: &BitMatrix, band: usize, stat: LdStats) -> Self {
-        let n = g.n_snps();
+    /// A row visitor over [`LdEngine::try_stat_rows_with`] with the band as
+    /// the run's column window: each finished row's `≤ band` off-diagonal
+    /// values are copied into the `n × band` storage. Banded values are
+    /// bit-identical to the full matrix (it is the same run with fewer
+    /// columns), and everything the driver does for a run — validation,
+    /// fallible allocation, the engine's [`crate::MemoryBudget`], trace
+    /// spans, a store source streaming only the chunks the band touches —
+    /// holds here. Callers that need a token or deadline run the row
+    /// stream themselves.
+    pub fn compute<'a>(
+        engine: &LdEngine,
+        src: impl Into<Source<'a>>,
+        band: usize,
+        stat: LdStats,
+    ) -> Result<Self, LdError> {
+        let src = src.into();
+        let n = src.n_snps();
         let band = band.max(1).min(n.saturating_sub(1).max(1));
-        let mut values = vec![f64::NAN; n * band];
-        if n >= 2 {
-            let v = g.full_view();
-            // global-index tables: p / 1/(p(1−p)) computed once for all chunks
-            let tr = Transform::new(&v, stat, engine.policy);
-            debug_assert_eq!(tr.n_snps(), n);
-            // chunk rows; each chunk needs columns [start, chunk_end + band)
-            let chunk = 1024usize.max(band).min(n);
-            let mut counts = vec![0u32; chunk * (chunk + band).min(n)];
-            let mut start = 0usize;
-            while start < n {
-                let rows_end = (start + chunk).min(n);
-                let cols_end = (rows_end + band).min(n);
-                if start + 1 >= cols_end {
-                    break;
-                }
-                let (rows, cols) = (rows_end - start, cols_end - start);
-                let va = v.subview(start, rows_end);
-                let vb = v.subview(start, cols_end);
-                gemm_counts_mt(
-                    &va,
-                    &vb,
-                    &mut counts[..rows * cols],
-                    cols,
-                    engine.kind,
-                    engine.blocks,
-                    engine.threads,
-                );
-                let sw = ld_trace::Stopwatch::start();
-                for i in 0..rows {
-                    let gi = start + i;
-                    // row gi's band: columns gi + 1 ..= gi + band, cut at
-                    // the block's right edge
-                    let len = band.min(cols_end - gi - 1);
-                    let from = &counts[i * cols + i + 1..][..len];
-                    tr.apply_span(gi, gi + 1, from, &mut values[gi * band..][..len]);
-                }
-                ld_trace::add(ld_trace::Counter::TransformNs, sw.elapsed_ns());
-                start = rows_end;
+        let len = checked_mul(n, band, "n × band values")?;
+        let mut values = try_filled_vec(len, f64::NAN, "n × band values")?;
+        let fill = |s: &crate::RowSlabVisit<'_>| {
+            for (i, row) in s.rows() {
+                // row[0] is the diagonal, which the band does not store
+                values[i * band..][..row.len() - 1].copy_from_slice(&row[1..]);
             }
-        }
-        Self { n, band, values }
+        };
+        engine.try_stat_rows_with(src, stat, fill, &RunControl::new().with_band(band))?;
+        Ok(Self { n, band, values })
     }
 
     /// Number of SNPs.
@@ -131,6 +108,7 @@ impl BandedLdMatrix {
 mod tests {
     use super::*;
     use crate::NanPolicy;
+    use ld_bitmat::BitMatrix;
 
     fn pseudo(n_samples: usize, n_snps: usize, seed: u64) -> BitMatrix {
         let mut g = BitMatrix::zeros(n_samples, n_snps);
@@ -157,7 +135,7 @@ mod tests {
         let g = pseudo(128, 50, 1);
         for stat in [LdStats::RSquared, LdStats::D, LdStats::DPrime] {
             let full = engine().stat_matrix(&g, stat);
-            let banded = BandedLdMatrix::compute(&engine(), &g, 7, stat);
+            let banded = BandedLdMatrix::compute(&engine(), &g, 7, stat).unwrap();
             for i in 0..50 {
                 for j in 0..50 {
                     match banded.get(i, j) {
@@ -177,7 +155,7 @@ mod tests {
     fn chunk_boundaries_are_seamless() {
         // n > chunk forces multiple chunks; compare against one-shot full
         let g = pseudo(64, 2100, 2);
-        let banded = BandedLdMatrix::compute(&engine(), &g, 5, LdStats::RSquared);
+        let banded = BandedLdMatrix::compute(&engine(), &g, 5, LdStats::RSquared).unwrap();
         // probe pairs straddling the 1024-row chunk boundary
         for i in 1020..1030 {
             for d in 1..=5 {
@@ -195,7 +173,7 @@ mod tests {
     #[test]
     fn pair_count_and_storage() {
         let g = pseudo(32, 20, 3);
-        let banded = BandedLdMatrix::compute(&engine(), &g, 4, LdStats::RSquared);
+        let banded = BandedLdMatrix::compute(&engine(), &g, 4, LdStats::RSquared).unwrap();
         // pairs: Σ_i min(band, n-1-i) = 4*16 + 3+2+1 = 70
         assert_eq!(banded.n_pairs(), 70);
         assert_eq!(banded.band(), 4);
@@ -206,7 +184,7 @@ mod tests {
     #[test]
     fn band_wider_than_matrix_clamps() {
         let g = pseudo(32, 6, 4);
-        let banded = BandedLdMatrix::compute(&engine(), &g, 100, LdStats::RSquared);
+        let banded = BandedLdMatrix::compute(&engine(), &g, 100, LdStats::RSquared).unwrap();
         assert_eq!(banded.band(), 5);
         assert_eq!(banded.n_pairs(), 15); // all C(6,2) pairs
         let full = engine().r2_matrix(&g);
@@ -218,8 +196,8 @@ mod tests {
     #[test]
     fn other_stats_work() {
         let g = pseudo(64, 15, 5);
-        let banded = BandedLdMatrix::compute(&engine(), &g, 3, LdStats::DPrime);
-        let full = engine().d_prime_matrix(&g);
+        let banded = BandedLdMatrix::compute(&engine(), &g, 3, LdStats::DPrime).unwrap();
+        let full = engine().stat_matrix(&g, LdStats::DPrime);
         for (i, j, v) in banded.iter_pairs() {
             assert_eq!(v.to_bits(), full.get(i, j).to_bits(), "({i},{j})");
         }

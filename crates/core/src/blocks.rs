@@ -13,8 +13,7 @@
 //! spine holds it together. Finding all maximal blocks needs the `D'`
 //! band — another consumer of the GEMM engine's batched statistics.
 
-use crate::{LdEngine, LdMatrix, LdStats};
-use ld_bitmat::BitMatrix;
+use crate::{BandedLdMatrix, LdEngine, LdError, LdMatrix, LdStats, Source};
 use std::ops::Range;
 
 /// Maximum block extent the default searcher considers (Haploview bounds
@@ -39,7 +38,19 @@ pub fn solid_spine_blocks_bounded(
     threshold: f64,
     max_block: usize,
 ) -> Vec<Range<usize>> {
-    let n = dprime.n_snps();
+    spine_blocks(dprime.n_snps(), threshold, max_block, |i, j| {
+        dprime.get(i, j)
+    })
+}
+
+/// The searcher over a pair lookup: `dprime(i, j)` is asked only for
+/// `i < j < i + max_block`.
+fn spine_blocks(
+    n: usize,
+    threshold: f64,
+    max_block: usize,
+    dprime: impl Fn(usize, usize) -> f64,
+) -> Vec<Range<usize>> {
     let max_block = max_block.max(2);
     let mut out = Vec::new();
     let mut a = 0usize;
@@ -51,12 +62,11 @@ pub fn solid_spine_blocks_bounded(
             // from every interior, plus the edge pair itself. NaN edges
             // (monomorphic SNPs under `NanPolicy::Propagate`) never extend
             // a block, hence the explicit is_nan arm.
-            let edge = dprime.get(a, e);
+            let edge = dprime(a, e);
             if edge.is_nan() || edge < threshold {
                 continue;
             }
-            let ok =
-                (a + 1..e).all(|k| dprime.get(a, k) >= threshold && dprime.get(k, e) >= threshold);
+            let ok = (a + 1..e).all(|k| dprime(a, k) >= threshold && dprime(k, e) >= threshold);
             if ok {
                 best_end = e;
             }
@@ -72,10 +82,22 @@ pub fn solid_spine_blocks_bounded(
 }
 
 /// Convenience: computes `D'` with `engine` and returns the solid-spine
-/// blocks of `g` at `threshold` (0.8 is the conventional cut).
-pub fn haplotype_blocks(engine: &LdEngine, g: &BitMatrix, threshold: f64) -> Vec<Range<usize>> {
-    let dp = engine.stat_matrix(g, LdStats::DPrime);
-    solid_spine_blocks(&dp, threshold)
+/// blocks of `src` at `threshold` (0.8 is the conventional cut). The
+/// searcher never looks past [`DEFAULT_MAX_BLOCK`], so only that band of
+/// `D'` is computed and held — `n × 127` values, not the triangle.
+pub fn haplotype_blocks<'a>(
+    engine: &LdEngine,
+    src: impl Into<Source<'a>>,
+    threshold: f64,
+) -> Result<Vec<Range<usize>>, LdError> {
+    let dp = BandedLdMatrix::compute(engine, src, DEFAULT_MAX_BLOCK - 1, LdStats::DPrime)?;
+    let lookup = |i, j| dp.get(i, j).unwrap_or(f64::NAN);
+    Ok(spine_blocks(
+        dp.n_snps(),
+        threshold,
+        DEFAULT_MAX_BLOCK,
+        lookup,
+    ))
 }
 
 /// Picks one tag SNP per block (the SNP with the highest mean `r²` to the
@@ -125,6 +147,7 @@ pub fn tag_snps(r2: &LdMatrix, blocks: &[Range<usize>]) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::NanPolicy;
+    use ld_bitmat::BitMatrix;
 
     fn dp(n: usize, entries: &[(usize, usize, f64)]) -> LdMatrix {
         let mut m = LdMatrix::zeros(n);
@@ -210,7 +233,7 @@ mod tests {
             }
         }
         let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
-        let blocks = haplotype_blocks(&engine, &g, 0.8);
+        let blocks = haplotype_blocks(&engine, &g, 0.8).unwrap();
         assert_eq!(blocks, vec![0..6, 6..12, 12..18]);
 
         // tagging: one SNP per block

@@ -3,7 +3,9 @@
 //!
 //! A [`RunControl`] bundles the three interruption concerns the slab
 //! driver honors **between slabs** (never mid-kernel), whatever the
-//! source and sink of the run:
+//! source and sink of the run — plus the two windows on its grid, a row
+//! window ([`RunControl::with_shard`]) and a column band
+//! ([`RunControl::with_band`]):
 //!
 //! * a shared [`CancelToken`] — trip it from a signal handler, a service
 //!   request scope, or a test, and the dynamic scheduler stops handing
@@ -93,6 +95,7 @@ pub struct RunControl<'a> {
     pub(crate) deadline: Option<Deadline>,
     pub(crate) checkpoint: Option<CheckpointPlan<'a>>,
     pub(crate) shard: Option<SlabRange>,
+    pub(crate) band: Option<usize>,
 }
 
 impl<'a> RunControl<'a> {
@@ -135,6 +138,23 @@ impl<'a> RunControl<'a> {
     /// [`crate::shard`] for the plan/merge machinery built on top.
     pub fn with_shard(mut self, range: SlabRange) -> Self {
         self.shard = Some(range);
+        self
+    }
+
+    /// Restricts the run to the column band `w`: row `i` keeps columns
+    /// `i ..= i + w` — the column window of the grid [`with_shard`] cuts a
+    /// row window from. Only the row-slab visitor
+    /// ([`crate::LdEngine::try_stat_rows_with`]) takes a band; its slabs then
+    /// hold `≤ w + 1` values per row, every source streams only the columns
+    /// the band touches, and scratch and the budget model follow the strip
+    /// width `slab + w` instead of `n`. Values are bit-identical to the
+    /// same pairs of an unbanded run. The packed triangle and the tile
+    /// visitor store every pair and reject a band with
+    /// [`crate::LdError::InvalidConfig`].
+    ///
+    /// [`with_shard`]: RunControl::with_shard
+    pub fn with_band(mut self, w: usize) -> Self {
+        self.band = Some(w);
         self
     }
 
@@ -183,6 +203,7 @@ mod tests {
         assert!(c.deadline().is_none());
         assert!(c.checkpoint.is_none());
         assert!(c.shard().is_none());
+        assert!(c.band.is_none());
         assert!(c.run_token().is_none());
     }
 

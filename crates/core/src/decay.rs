@@ -3,12 +3,11 @@
 //! The canonical population-genetics summary of an LD matrix: with
 //! recombination, `E[r²]` falls with distance (≈ `1/(1 + 4Nc)` under
 //! neutrality). Computing it needs only a *band* of the pair matrix, so
-//! this module walks the band in chunks of cross-GEMMs rather than
-//! materializing all `N(N+1)/2` values — the `O(n·band)` counterpart of
-//! the full engine.
+//! this module folds the rows of a banded run of the slab driver
+//! ([`RunControl::with_band`]) rather than materializing all `N(N+1)/2`
+//! values — the `O(n·band)` counterpart of the full engine.
 
-use crate::{LdEngine, LdStats};
-use ld_bitmat::BitMatrix;
+use crate::{in_row_order, LdEngine, LdError, LdStats, RowSlabVisit, RunControl, Source};
 
 /// One distance bin of a decay profile.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -34,47 +33,47 @@ impl DecayProfile {
     /// Computes the profile for distances `1..=max_dist`, aggregated into
     /// bins of `bin_width` distances each.
     ///
-    /// The band is processed in chunks: each chunk of rows does one
-    /// rectangular cross-`r²` against the following `max_dist` columns, so
-    /// memory stays `O(chunk · max_dist)` regardless of `n`.
-    pub fn compute(engine: &LdEngine, g: &BitMatrix, max_dist: usize, bin_width: usize) -> Self {
-        assert!(max_dist >= 1, "need at least distance 1");
+    /// A row visitor over [`LdEngine::try_stat_rows_with`] with `max_dist`
+    /// as the run's column band, so memory is the driver's
+    /// `O(threads · slab · (slab + max_dist))` scratch regardless of `n`
+    /// (plus, under threading, the few early slabs held for reordering).
+    /// Rows are folded in ascending `(i, distance)` order whatever order
+    /// the slabs finish in, which makes the running sums — and hence the
+    /// bins — bit-identical across thread counts, slab heights and
+    /// sources. `max_dist == 0` is [`LdError::InvalidConfig`].
+    pub fn compute<'a>(
+        engine: &LdEngine,
+        src: impl Into<Source<'a>>,
+        max_dist: usize,
+        bin_width: usize,
+    ) -> Result<Self, LdError> {
+        if max_dist == 0 {
+            return Err(LdError::InvalidConfig {
+                message: "a decay profile needs max_dist >= 1",
+            });
+        }
         let bin_width = bin_width.max(1);
-        let n = g.n_snps();
         let n_bins = max_dist.div_ceil(bin_width);
         let mut sums = vec![0.0f64; n_bins];
         let mut counts = vec![0u64; n_bins];
-
-        let chunk = 512usize.max(max_dist / 4).min(n.max(1));
-        let mut start = 0usize;
-        while start < n {
-            let rows_end = (start + chunk).min(n);
-            let cols_end = (rows_end + max_dist).min(n);
-            if start + 1 >= cols_end {
-                break;
-            }
-            let cross = engine.cross_stat_matrix(
-                g.view(start, rows_end),
-                g.view(start, cols_end),
-                LdStats::RSquared,
-            );
-            for i in 0..rows_end - start {
-                let gi = start + i;
-                for d in 1..=max_dist {
-                    let gj = gi + d;
-                    if gj >= cols_end {
-                        break;
-                    }
-                    let v = cross.get(i, gj - start);
+        // A slab's payload: each row's off-diagonal band (`row[0]` is the
+        // diagonal), so `row[d]` below is distance `d + 1`.
+        let copy = |s: &RowSlabVisit<'_>| -> Vec<Vec<f64>> {
+            s.rows().map(|(_, row)| row[1..].to_vec()).collect()
+        };
+        let fold = |rows: Vec<Vec<f64>>| {
+            for row in rows {
+                for (d, v) in row.into_iter().enumerate() {
                     if !v.is_nan() {
-                        let b = (d - 1) / bin_width;
+                        let b = d / bin_width;
                         sums[b] += v;
                         counts[b] += 1;
                     }
                 }
             }
-            start = rows_end;
-        }
+        };
+        let ctl = RunControl::new().with_band(max_dist);
+        engine.try_stat_rows_with(src, LdStats::RSquared, in_row_order(copy, fold), &ctl)?;
 
         let bins = (0..n_bins)
             .map(|b| DecayBin {
@@ -88,7 +87,7 @@ impl DecayProfile {
                 count: counts[b],
             })
             .collect();
-        Self { bins, bin_width }
+        Ok(Self { bins, bin_width })
     }
 
     /// The distance bins, nearest first.
@@ -124,6 +123,7 @@ impl DecayProfile {
 mod tests {
     use super::*;
     use crate::NanPolicy;
+    use ld_bitmat::BitMatrix;
 
     /// Blocks of 8 identical SNPs: r² = 1 inside a block, ~0 across.
     fn blocky(n_samples: usize, n_snps: usize) -> BitMatrix {
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn decay_profile_matches_brute_force() {
         let g = blocky(96, 64);
-        let profile = DecayProfile::compute(&engine(), &g, 16, 1);
+        let profile = DecayProfile::compute(&engine(), &g, 16, 1).unwrap();
         let full = engine().r2_matrix(&g);
         for bin in profile.bins() {
             let d = bin.min_dist;
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn blocky_data_decays() {
         let g = blocky(128, 120);
-        let profile = DecayProfile::compute(&engine(), &g, 20, 1);
+        let profile = DecayProfile::compute(&engine(), &g, 20, 1).unwrap();
         // distance 1 pairs are mostly within blocks -> high; distance 10+
         // pairs straddle blocks -> low
         assert!(profile.near_r2() > 0.5, "near r² = {}", profile.near_r2());
@@ -195,7 +195,7 @@ mod tests {
     fn chunking_is_invisible() {
         // force multiple chunks by n > chunk floor — compare two band widths
         let g = blocky(64, 2000);
-        let a = DecayProfile::compute(&engine(), &g, 12, 3);
+        let a = DecayProfile::compute(&engine(), &g, 12, 3).unwrap();
         for bin in a.bins() {
             assert!(bin.count > 0);
             assert_eq!(a.bin_width(), 3);
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn band_larger_than_matrix_is_fine() {
         let g = blocky(32, 10);
-        let profile = DecayProfile::compute(&engine(), &g, 50, 10);
+        let profile = DecayProfile::compute(&engine(), &g, 50, 10).unwrap();
         let total: u64 = profile.bins().iter().map(|b| b.count).sum();
         assert_eq!(total, (10 * 9 / 2) as u64); // all strict pairs counted once
     }

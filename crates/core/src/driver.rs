@@ -1,10 +1,12 @@
-//! The slab driver: one loop nest behind every all-pairs computation.
+//! The slab driver: one loop nest behind every all-pairs and every banded
+//! computation.
 //!
 //! `run(source, sink, control)` walks the upper triangle of the
 //! statistic matrix in bounded **row slabs**. Per slab it asks the
 //! [`Source`] for the counts of the slab's rows against every column at
-//! or right of the slab (`Source::slab_blocks` — one SYRK block from
-//! RAM, or one GEMM block per streamed store chunk), applies the batched
+//! or right of the slab — out to the run's column band, when it has one
+//! (`Source::slab_blocks` — one SYRK block from RAM, or one GEMM block
+//! per streamed store chunk) — applies the batched
 //! `D = H − p pᵀ` / `r²` transform (`Transform::apply_span`, the only
 //! body that turns counts into statistics) from the still-hot scratch
 //! straight into the `Sink`, and marks the slab complete. No `n × n`
@@ -12,7 +14,9 @@
 //!
 //! The driver owns, once each, everything that is not data movement:
 //!
-//! * the slab grid and the shard window on it (`Grid`);
+//! * the slab grid and the two windows on it (`Grid`): the shard's row
+//!   window and the column band `w` (row `i` keeps columns `i ..= i + w`;
+//!   absent = every column);
 //! * interruption — a deadline pre-trip, then exactly one token/deadline
 //!   poll per *computed* slab, never inside the kernel loops;
 //! * resume — header validation, replay of recorded slabs, and a
@@ -28,20 +32,23 @@
 //! the sinks differ only in "where does row `i`'s span `[j0, j0+len)` go"
 //! and "slab `k` is complete":
 //!
-//! | sink              | row `i`, columns `[j0, j0+len)` land in          | slab complete                   |
-//! |-------------------|--------------------------------------------------|---------------------------------|
-//! | `Sink::Packed`  | `packed[off(i) + (j0 − i) ..]` (disjoint per slab) | ledger flag → checkpoint cadence |
-//! | `Sink::Rows`    | the worker's `slab × n` f64 strip                | visitor called under a mutex    |
+//! | sink              | row `i`, columns `[j0, j0+len)` land in          | slab complete                   | band                         |
+//! |-------------------|--------------------------------------------------|---------------------------------|------------------------------|
+//! | `Sink::Packed`  | `packed[off(i) + (j0 − i) ..]` (disjoint per slab) | ledger flag → checkpoint cadence | rejected (stores every pair) |
+//! | `Sink::Rows`    | the worker's `slab × strip` f64 strip            | visitor called under a mutex    | strip = `min(n, slab + w)`   |
 //!
 //! The tile visitor is a row-visitor adaptor and the shard form is the
-//! packed sink plus `Grid::record`; both live in [`crate::LdEngine`].
+//! packed sink plus `Grid::record`; both live in [`crate::LdEngine`]. The
+//! banded consumers ([`crate::banded`], [`crate::decay`], [`crate::blocks`])
+//! are row visitors under [`RunControl::with_band`] — there is no second
+//! loop.
 
 use crate::checkpoint::{CheckpointSink, CheckpointState, SlabRecord};
 use crate::control::RunControl;
 use crate::error::{fault, try_zeroed_vec, LdError};
 use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice};
 use crate::shard::SlabRange;
-use crate::source::{Block, Source};
+use crate::source::Source;
 use crate::stats::{LdStats, NanPolicy};
 use ld_kernels::micro::Kernel;
 use ld_kernels::{BlockSizes, KernelKind};
@@ -103,11 +110,11 @@ enum Dest<'a> {
     Rows(Mutex<&'a mut (dyn FnMut(&RowSlabVisit<'_>) + Send)>),
 }
 
-/// The slab grid of one run and the shard window on it: slab `k` covers
+/// The slab grid of one run and the two windows on it: slab `k` covers
 /// rows `[k·slab, min((k+1)·slab, n))`; only slabs in `[lo, hi)` are
-/// computed, checkpointed and counted. A shard window starts on a slab
-/// boundary, so slab indices (and checkpoint record geometry) stay on
-/// the global grid.
+/// computed, checkpointed and counted, and row `i` keeps columns
+/// `i ..= i + band`. A shard window starts on a slab boundary, so slab
+/// indices (and checkpoint record geometry) stay on the global grid.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Grid {
     pub n: usize,
@@ -115,10 +122,24 @@ pub(crate) struct Grid {
     pub n_slabs: usize,
     pub lo: usize,
     pub hi: usize,
+    /// Column band, clamped to `n` (= no band: every row reaches column
+    /// `n − 1`).
+    pub band: usize,
+}
+
+/// Columns of the widest slab of an `n`-SNP run at height `slab` under
+/// `band`: what one slab row costs in scratch, and in the budget models.
+pub(crate) fn strip_width(n: usize, slab: usize, band: Option<usize>) -> usize {
+    band.map_or(n, |w| n.min(slab.saturating_add(w)))
 }
 
 impl Grid {
-    pub fn new(n: usize, slab: usize, shard: Option<SlabRange>) -> Result<Self, LdError> {
+    pub fn new(
+        n: usize,
+        slab: usize,
+        shard: Option<SlabRange>,
+        band: Option<usize>,
+    ) -> Result<Self, LdError> {
         let slab = slab.max(1).min(n.max(1));
         let n_slabs = n.div_ceil(slab);
         let (lo, hi) = match shard {
@@ -136,11 +157,17 @@ impl Grid {
             n_slabs,
             lo,
             hi,
+            band: band.map_or(n, |w| w.min(n)),
         })
     }
 
     fn rows(&self, k: usize) -> Range<usize> {
         k * self.slab..((k + 1) * self.slab).min(self.n)
+    }
+
+    /// One past the last column any row of `rows` keeps.
+    fn cols_end(&self, rows: &Range<usize>) -> usize {
+        self.n.min(rows.end + self.band)
     }
 
     /// Slab `k`'s range in the packed triangle (row slabs are contiguous
@@ -363,7 +390,9 @@ fn poll_deadline(deadline: Option<Deadline>, token: Option<&CancelToken>) {
 /// Checkpoint plans are **rejected** for [`Sink::Rows`]: each slab is
 /// the caller's once visited, so there is no engine-owned state to
 /// persist — callers streaming to durable storage already have their own
-/// resume point.
+/// resume point. A column band is **rejected** for [`Sink::Packed`]: the
+/// triangle (and every checkpoint and shard record cut from it) stores
+/// every pair.
 pub(crate) fn run(
     src: &Source<'_>,
     stat: LdStats,
@@ -377,6 +406,12 @@ pub(crate) fn run(
                 "checkpointing requires the packed-matrix driver (streaming slabs are not retained)",
         });
     }
+    if ctl.band.is_some() && matches!(sink, Sink::Packed(_)) {
+        return Err(LdError::InvalidConfig {
+            message:
+                "a column band requires the row-slab driver (the packed triangle stores every pair)",
+        });
+    }
     let n = src.n_snps();
     if n == 0 {
         return Ok(());
@@ -384,7 +419,7 @@ pub(crate) fn run(
     // Up front rather than as a panic inside the first kernel call (after
     // a store source already read chunks).
     resolved_kernel_name(cfg.kind)?;
-    let grid = Grid::new(n, cfg.slab, ctl.shard)?;
+    let grid = Grid::new(n, cfg.slab, ctl.shard, ctl.band)?;
     let slab = grid.slab;
     let run_token = ctl.run_token();
     let token = run_token.as_ref();
@@ -430,14 +465,16 @@ pub(crate) fn run(
     ld_trace::add(Counter::TransformNs, sw.elapsed_ns());
     span.end(n as u64);
     // Bounded per-worker scratch: u32 counts for the widest block the
-    // source emits, plus (row sink) a `slab × n` f64 strip — the widest
-    // slab (the first) spans all n columns. Zeroing the counts scratch
-    // belongs to the counts (kernel) layer.
+    // source emits, plus (row sink) a `slab × strip` f64 strip — the
+    // widest slab (the first) spans all n columns, or `slab + band` of
+    // them. Zeroing the counts scratch belongs to the counts (kernel)
+    // layer.
     let (workers, chunk) = src.schedule(cfg);
     let workers = workers.max(1);
     let packed_sink = matches!(dest, Dest::Packed { .. });
-    let counts_len = src.counts_len(slab);
-    let values_len = if packed_sink { 0 } else { slab * n };
+    let strip = strip_width(n, slab, ctl.band);
+    let counts_len = src.counts_len(slab, strip);
+    let values_len = if packed_sink { 0 } else { slab * strip };
     let span = Span::begin(SpanKind::Alloc);
     let sw = Stopwatch::start();
     // One buffer pair per worker, allocated fallibly *here*, on the calling
@@ -462,7 +499,7 @@ pub(crate) fn run(
     // Modeled transient footprint of this run — the source's own budget
     // model at the slab height in use — recorded as a high-water gauge so
     // profiles can confirm the memory claim without an allocator hook.
-    let (fixed, per_row) = src.footprint(cfg.threads, packed_sink)?;
+    let (fixed, per_row) = src.footprint(cfg.threads, packed_sink, strip)?;
     ld_trace::record_peak(Counter::AllocPeakBytes, (fixed + per_row * slab) as u64);
     // First failure of a source read or checkpoint write: later slabs are
     // skipped (no point computing unpersistable work) and the error is
@@ -478,17 +515,20 @@ pub(crate) fn run(
         ld_trace::add(Counter::CancelPolls, 1);
         fault::check_kernel_panic();
         let rows = grid.rows(k);
-        let (r0, h, width) = (rows.start, rows.len(), n - rows.start);
-        src.slab_blocks(rows, cfg, counts, &tables, &mut |tr, blk: Block<'_>| {
+        let cols_end = grid.cols_end(&rows);
+        let (r0, h, width) = (rows.start, rows.len(), cols_end - rows.start);
+        src.slab_blocks(rows, cols_end, cfg, counts, &tables, &mut |tr, blk| {
             let span = Span::begin(SpanKind::Transform);
             let sw = Stopwatch::start();
             for r in 0..h {
                 let i = r0 + r;
+                // row i's span of this block, clipped to its band
                 let j0 = blk.cols.start.max(i);
-                if j0 >= blk.cols.end {
+                let j1 = blk.cols.end.min(i + grid.band + 1);
+                if j0 >= j1 {
                     continue;
                 }
-                let len = blk.cols.end - j0;
+                let len = j1 - j0;
                 let from = &blk.counts[r * blk.ld + (j0 - blk.cols.start)..][..len];
                 let to = match &dest {
                     // SAFETY: slabs own disjoint packed ranges, and each
@@ -510,6 +550,7 @@ pub(crate) fn run(
                 row_start: r0,
                 n_rows: h,
                 n_snps: n,
+                band: grid.band,
                 ldv: width,
                 values: &values[..h * width],
             });

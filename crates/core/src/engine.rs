@@ -4,7 +4,7 @@
 
 use crate::checkpoint::CheckpointState;
 use crate::control::RunControl;
-use crate::driver::{self, Config, Grid, Sink};
+use crate::driver::{self, strip_width, Config, Grid, Sink};
 use crate::error::{checked_add, checked_mul, try_zeroed_vec, LdError, MemoryBudget};
 use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
@@ -36,8 +36,10 @@ use ld_popcount::and_popcount;
 /// `O(threads × slab × n)` u32 (see [`LdEngine::slab_rows`]) on top of the
 /// `n(n+1)/2 × f64` packed result — never the `n × n` u32 counts matrix of
 /// the classical two-pass formulation. When even the packed triangle is too
-/// large, stream with [`LdEngine::stat_rows`] or
-/// [`LdEngine::for_each_tile`] instead; when the genotype matrix itself is
+/// large, stream with [`LdEngine::try_stat_rows_with`] or
+/// [`LdEngine::try_for_each_tile_with`] instead — and when only pairs
+/// within a window matter, give the row stream a column band
+/// ([`RunControl::with_band`]); when the genotype matrix itself is
 /// too large, run the same entry points from a tile store
 /// ([`Source::Store`]), whose working set is one slab panel plus two
 /// chunks whatever the thread count.
@@ -63,7 +65,8 @@ impl Default for LdEngine {
 /// (`slab × n × 4` bytes) stays cache-friendly for typical panel sizes.
 pub(crate) const DEFAULT_SLAB_ROWS: usize = 64;
 
-/// One tile of a streamed LD computation (see [`LdEngine::for_each_tile`]).
+/// One tile of a streamed LD computation (see
+/// [`LdEngine::try_for_each_tile_with`]).
 ///
 /// `values` is row-major `rows × cols`; entry `(r, c)` is the statistic for
 /// the SNP pair `(row_start + r, col_start + c)`.
@@ -210,15 +213,7 @@ impl LdEngine {
     ///
     /// This materializes the full `n × n` buffer — the all-pairs statistic
     /// drivers do *not* go through it (they use the fused slab pipeline);
-    /// it exists for callers that want the raw integer counts.
-    pub fn counts_matrix<'a>(&self, g: impl Into<BitMatrixView<'a>>) -> Vec<u32> {
-        match self.try_counts_matrix(g) {
-            Ok(c) => c,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`LdEngine::counts_matrix`]: the `n × n` buffer size is
+    /// it exists for callers that want the raw integer counts. The size is
     /// computed with checked arithmetic and allocated via `try_reserve`.
     pub fn try_counts_matrix<'a>(
         &self,
@@ -233,6 +228,12 @@ impl LdEngine {
         Ok(c)
     }
 
+    /// The slab height an `n`-SNP run asks for before budgeting: the
+    /// configured height, or the tile side of a tile run.
+    fn want_slab(&self, n: usize, tile: Option<usize>) -> usize {
+        tile.unwrap_or(self.slab).max(1).min(n.max(1))
+    }
+
     /// The one budget shrink: the slab height for an `n`-SNP run whose
     /// source models its footprint as `fixed + per_row × slab` bytes
     /// ([`Source::footprint`]) — the configured height, shrunk to
@@ -245,7 +246,7 @@ impl LdEngine {
         (fixed, per_row): (usize, usize),
         tile: Option<usize>,
     ) -> Result<usize, LdError> {
-        let want = tile.unwrap_or(self.slab).max(1).min(n.max(1));
+        let want = self.want_slab(n, tile);
         let (fixed, floor) = match tile {
             Some(_) => {
                 let buf = checked_mul(checked_mul(want, want, "tile buffer")?, 8, "tile buffer")?;
@@ -280,18 +281,23 @@ impl LdEngine {
 
     /// Validation and budgeting shared by every slab-driver entry point;
     /// `None` when the panel has no SNPs (nothing to compute). `packed`
-    /// names the sink (its triangle is part of the footprint).
+    /// names the sink (its triangle is part of the footprint). Under a
+    /// `band` a slab row is priced at the strip the *configured* height
+    /// needs, so the model stays linear in the shrunk one.
     fn plan(
         &self,
         src: &Source<'_>,
         packed: bool,
         tile: Option<usize>,
+        band: Option<usize>,
     ) -> Result<Option<Config>, LdError> {
         self.validate_blocks()?;
+        let n = src.n_snps();
+        let strip = strip_width(n, self.want_slab(n, tile), band);
         // overflow before emptiness: a size that cannot be represented is
         // reported even when the sample set is also degenerate
-        let model = src.footprint(self.threads, packed)?;
-        if src.n_snps() == 0 {
+        let model = src.footprint(self.threads, packed, strip)?;
+        if n == 0 {
             return Ok(None);
         }
         if src.n_samples() == 0 {
@@ -302,7 +308,7 @@ impl LdEngine {
             blocks: self.blocks,
             threads: self.threads,
             policy: self.policy,
-            slab: self.fit_slab(src.n_snps(), model, tile)?,
+            slab: self.fit_slab(n, model, tile)?,
             chunk: self.chunk,
         }))
     }
@@ -315,7 +321,7 @@ impl LdEngine {
         stat: LdStats,
         ctl: &RunControl<'_>,
     ) -> Result<(LdMatrix, usize), LdError> {
-        let Some(cfg) = self.plan(src, true, None)? else {
+        let Some(cfg) = self.plan(src, true, None, None)? else {
             return Ok((LdMatrix::try_zeros(0)?, 1));
         };
         // Materializing the packed output (a zeroed n(n+1)/2 f64 triangle)
@@ -341,6 +347,9 @@ impl LdEngine {
     /// each slab's counts into per-thread scratch, and transform them into
     /// the packed output while still cache-hot. No `n × n` counts matrix is
     /// ever materialized and no mirror pass runs (see [`crate::driver`]).
+    ///
+    /// # Panics
+    /// Where [`LdEngine::try_stat_matrix`] errors.
     pub fn stat_matrix<'a>(&self, g: impl Into<BitMatrixView<'a>>, stat: LdStats) -> LdMatrix {
         match self.try_stat_matrix(g.into(), stat) {
             Ok(m) => m,
@@ -395,6 +404,9 @@ impl LdEngine {
     ///   computed, checkpointed and counted; out-of-shard triangle
     ///   entries stay zero. Use [`LdEngine::try_stat_shard_with`] to get
     ///   the shard's spans in the merge-ready interchange form.
+    /// * A column band ([`RunControl::with_band`]) is rejected with
+    ///   [`LdError::InvalidConfig`]: the triangle stores every pair. Band
+    ///   the row stream ([`LdEngine::try_stat_rows_with`]) instead.
     pub fn try_stat_matrix_with<'a>(
         &self,
         src: impl Into<Source<'a>>,
@@ -415,17 +427,18 @@ impl LdEngine {
     /// checkpoint header records it, and the merge rejects inputs whose
     /// grids disagree.
     pub fn slab_for(&self, src: &Source<'_>, packed: bool) -> Result<usize, LdError> {
-        self.fit_slab(src.n_snps(), src.footprint(self.threads, packed)?, None)
+        let n = src.n_snps();
+        self.fit_slab(n, src.footprint(self.threads, packed, n)?, None)
     }
 
     /// [`LdEngine::slab_for`] a store from its manifest alone. Kept for
-    /// `benchmark/`; see ROADMAP 6a.
+    /// `benchmark/`; see ROADMAP 8a.
     pub fn outofcore_slab_for(
         &self,
         meta: &TileStoreMeta,
         with_packed_output: bool,
     ) -> Result<usize, LdError> {
-        let model = store_footprint(meta, with_packed_output)?;
+        let model = store_footprint(meta, with_packed_output, meta.n_snps)?;
         self.fit_slab(meta.n_snps, model, None)
     }
 
@@ -470,7 +483,7 @@ impl LdEngine {
         let (m, slab) = self.run_packed(&src, stat, ctl)?;
         // Lift the shard's slabs out of the packed triangle, on the grid
         // the driver used.
-        let grid = Grid::new(src.n_snps(), slab, ctl.shard())?;
+        let grid = Grid::new(src.n_snps(), slab, ctl.shard(), None)?;
         let mut state = driver::header(&src, stat, self.policy, self.kind, &grid)?;
         state.records = (grid.lo..grid.hi)
             .map(|k| grid.record(k, &m.packed()[grid.span(k)]))
@@ -498,7 +511,10 @@ impl LdEngine {
         let v: BitMatrixView<'a> = g.into();
         let n = v.n_snps();
         assert!(v.n_samples() > 0, "cannot compute LD with zero samples");
-        let counts = self.counts_matrix(v);
+        let counts = match self.try_counts_matrix(v) {
+            Ok(c) => c,
+            Err(e) => panic!("{e}"),
+        };
         let tr = Transform::new(&v, stat, self.policy);
         let mut out = LdMatrix::zeros(n);
         let packed = out.packed_mut();
@@ -524,70 +540,36 @@ impl LdEngine {
         self.stat_matrix(g, LdStats::RSquared)
     }
 
-    /// Fallible all-pairs `r²` (see [`LdEngine::try_stat_matrix`]).
-    pub fn try_r2_matrix<'a>(&self, src: impl Into<Source<'a>>) -> Result<LdMatrix, LdError> {
-        self.try_stat_matrix(src, LdStats::RSquared)
-    }
-
-    /// All-pairs raw `D` (Eq. 5).
-    pub fn d_matrix<'a>(&self, g: impl Into<BitMatrixView<'a>>) -> LdMatrix {
-        self.stat_matrix(g, LdStats::D)
-    }
-
-    /// All-pairs `D'`.
-    pub fn d_prime_matrix<'a>(&self, g: impl Into<BitMatrixView<'a>>) -> LdMatrix {
-        self.stat_matrix(g, LdStats::DPrime)
-    }
-
     /// Streams the all-pairs statistic as **row slabs** of the upper
     /// triangle without materializing any matrix — the lowest-overhead
     /// streaming form (each value is produced exactly once, no mirroring,
-    /// no tile cutting).
+    /// no tile cutting) — from either [`Source`], under a [`RunControl`].
     ///
     /// Slabs are produced by the same slab driver as
     /// [`LdEngine::stat_matrix`]; `visit` is called once per slab,
-    /// serialized under a mutex. **Slab order is unspecified** when
-    /// `threads > 1` (dynamic scheduling); rows within a slab are
-    /// consecutive. Peak memory is `O(threads × slab × n)` scratch only.
-    pub fn stat_rows<'a, F>(&self, g: impl Into<BitMatrixView<'a>>, stat: LdStats, visit: F)
-    where
-        F: FnMut(&RowSlabVisit<'_>) + Send,
-    {
-        if let Err(e) = self.try_stat_rows(g.into(), stat, visit) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`LdEngine::stat_rows`] (validation, budgeting and panic
-    /// containment as in [`LdEngine::try_stat_matrix`]; the streaming form
-    /// has no packed output, so its budget covers only tables + scratch —
-    /// per-slab-row cost is `threads × n × 12` bytes: u32 counts plus f64
-    /// values).
-    pub fn try_stat_rows<'a, F>(
-        &self,
-        src: impl Into<Source<'a>>,
-        stat: LdStats,
-        visit: F,
-    ) -> Result<(), LdError>
-    where
-        F: FnMut(&RowSlabVisit<'_>) + Send,
-    {
-        self.try_stat_rows_with(src, stat, visit, &RunControl::new())
-    }
-
-    /// [`LdEngine::try_stat_rows`] under a [`RunControl`], from either
-    /// [`Source`]: token and deadline are honored at slab granularity (see
-    /// [`LdEngine::try_stat_matrix_with`]); a trip stops the stream at the
-    /// next slab boundary and returns [`LdError::Cancelled`] with the count
-    /// of slabs already delivered to `visit`. Checkpoint plans are rejected
-    /// with [`LdError::InvalidConfig`] — each slab is the caller's once
-    /// visited, so there is no state to persist.
+    /// serialized under a mutex. Validation, budgeting and panic
+    /// containment are as in [`LdEngine::try_stat_matrix`]; the streaming
+    /// form has no packed output, so its budget covers only tables +
+    /// scratch.
     ///
-    /// Slab order and peak memory are the source's: a memory source
-    /// delivers slabs in unspecified order under threading from
-    /// `O(threads × slab × n)` scratch; a store source delivers them **in
-    /// ascending row order** from `O(slab × (panel_row + n))` plus chunk
-    /// buffers — independent of holding the full genotype matrix.
+    /// * Token and deadline are honored at slab granularity (see
+    ///   [`LdEngine::try_stat_matrix_with`]); a trip stops the stream at
+    ///   the next slab boundary and returns [`LdError::Cancelled`] with the
+    ///   count of slabs already delivered to `visit`. Checkpoint plans are
+    ///   rejected with [`LdError::InvalidConfig`] — each slab is the
+    ///   caller's once visited, so there is no state to persist.
+    /// * Slab order and peak memory are the source's: a memory source
+    ///   delivers slabs in **unspecified order** under threading (wrap the
+    ///   visitor in [`crate::in_row_order`] when order matters) from
+    ///   `O(threads × slab × strip)` scratch — 12 bytes per value: u32
+    ///   counts plus f64 values; a store source delivers them **in
+    ///   ascending row order** from `O(slab × (panel_row + strip))` plus
+    ///   chunk buffers — independent of holding the full genotype matrix.
+    /// * A column band `w` ([`RunControl::with_band`]) makes each row hold
+    ///   only columns `i ..= i + w` and `strip = min(n, slab + w)` instead
+    ///   of `n`: time, scratch and (store source) bytes read are
+    ///   `O(n · w)`. Values are bit-identical to the same pairs of the
+    ///   unbanded run.
     pub fn try_stat_rows_with<'a, F>(
         &self,
         src: impl Into<Source<'a>>,
@@ -599,14 +581,14 @@ impl LdEngine {
         F: FnMut(&RowSlabVisit<'_>) + Send,
     {
         let src = src.into();
-        match self.plan(&src, false, None)? {
+        match self.plan(&src, false, None, ctl.band)? {
             Some(cfg) => driver::run(&src, stat, &cfg, Sink::Rows(&mut visit), ctl),
             None => Ok(()),
         }
     }
 
     /// [`LdEngine::try_stat_rows_with`] over [`Source::Store`]. Kept for
-    /// `benchmark/`; see ROADMAP 6a.
+    /// `benchmark/`; see ROADMAP 8a.
     pub fn try_stat_rows_outofcore_with<F>(
         &self,
         src: &dyn TileSource,
@@ -618,14 +600,6 @@ impl LdEngine {
         F: FnMut(&RowSlabVisit<'_>) + Send,
     {
         self.try_stat_rows_with(Source::Store(src), stat, visit, ctl)
-    }
-
-    /// Streamed `r²` row slabs (see [`LdEngine::stat_rows`]).
-    pub fn r2_rows<'a, F>(&self, g: impl Into<BitMatrixView<'a>>, visit: F)
-    where
-        F: FnMut(&RowSlabVisit<'_>) + Send,
-    {
-        self.stat_rows(g, LdStats::RSquared, visit)
     }
 
     /// Streams the all-pairs statistic in `tile × tile` blocks without ever
@@ -640,42 +614,15 @@ impl LdEngine {
     /// bounded; `visit` is serialized under a mutex. Within one row of
     /// tiles, `col_start` ascends; **the order of tile rows is
     /// unspecified** when `threads > 1`.
-    pub fn for_each_tile<'a, F>(
-        &self,
-        g: impl Into<BitMatrixView<'a>>,
-        stat: LdStats,
-        tile: usize,
-        visit: F,
-    ) where
-        F: FnMut(&TileVisit<'_>) + Send,
-    {
-        if let Err(e) = self.try_for_each_tile(g, stat, tile, visit) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`LdEngine::for_each_tile`]. A zero `tile` is
-    /// [`LdError::InvalidConfig`]; the tiling invariant pins the slab
-    /// height to `tile`, so the memory budget cannot auto-shrink here — a
-    /// `tile` whose scratch over-runs the budget is
-    /// [`LdError::BudgetExceeded`] (pick a smaller tile).
-    pub fn try_for_each_tile<'a, F>(
-        &self,
-        g: impl Into<BitMatrixView<'a>>,
-        stat: LdStats,
-        tile: usize,
-        visit: F,
-    ) -> Result<(), LdError>
-    where
-        F: FnMut(&TileVisit<'_>) + Send,
-    {
-        self.try_for_each_tile_with(g, stat, tile, visit, &RunControl::new())
-    }
-
-    /// [`LdEngine::try_for_each_tile`] under a [`RunControl`]: token and
+    ///
+    /// A zero `tile` is [`LdError::InvalidConfig`]; the tiling invariant
+    /// pins the slab height to `tile`, so the memory budget cannot
+    /// auto-shrink here — a `tile` whose scratch over-runs the budget is
+    /// [`LdError::BudgetExceeded`] (pick a smaller tile). Token and
     /// deadline stop the stream at the next slab (= tile-row) boundary with
-    /// [`LdError::Cancelled`]; checkpoint plans are rejected with
-    /// [`LdError::InvalidConfig`] as in [`LdEngine::try_stat_rows_with`].
+    /// [`LdError::Cancelled`]; checkpoint plans and column bands (a tile
+    /// row spans every column) are rejected with
+    /// [`LdError::InvalidConfig`].
     pub fn try_for_each_tile_with<'a, F>(
         &self,
         g: impl Into<BitMatrixView<'a>>,
@@ -692,10 +639,15 @@ impl LdEngine {
                 message: "tile size must be positive",
             });
         }
+        if ctl.band.is_some() {
+            return Err(LdError::InvalidConfig {
+                message: "a column band requires the row-slab driver (tile rows span every column)",
+            });
+        }
         let src = Source::Memory(g.into());
         // the slab is pinned to the tile side: the plan verifies the budget
         // rather than shrinking
-        let Some(cfg) = self.plan(&src, false, Some(tile))? else {
+        let Some(cfg) = self.plan(&src, false, Some(tile), None)? else {
             return Ok(());
         };
         let (n, side) = (src.n_snps(), cfg.slab);
@@ -738,21 +690,8 @@ impl LdEngine {
     }
 
     /// Cross-matrix statistic between two SNP sets sharing the same sample
-    /// set (Fig. 4: long-range LD, distant genes).
-    pub fn cross_stat_matrix<'a, 'b>(
-        &self,
-        a: impl Into<BitMatrixView<'a>>,
-        b: impl Into<BitMatrixView<'b>>,
-        stat: LdStats,
-    ) -> CrossLdMatrix {
-        match self.try_cross_stat_matrix(a, b, stat) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`LdEngine::cross_stat_matrix`]: mismatched sample sets are
-    /// [`LdError::DimensionMismatch`], `m × n` sizes are checked, every
+    /// set (Fig. 4: long-range LD, distant genes): mismatched sample sets
+    /// are [`LdError::DimensionMismatch`], `m × n` sizes are checked, every
     /// buffer and table goes through `try_reserve`, per-SNP allele counts
     /// are converted with `u32::try_from` (no silent truncation past
     /// `u32::MAX` haplotypes), a panicking worker surfaces as
@@ -825,15 +764,6 @@ impl LdEngine {
         Ok(CrossLdMatrix::from_dense(m, n, values))
     }
 
-    /// Cross-matrix `r²`.
-    pub fn r2_cross<'a, 'b>(
-        &self,
-        a: impl Into<BitMatrixView<'a>>,
-        b: impl Into<BitMatrixView<'b>>,
-    ) -> CrossLdMatrix {
-        self.cross_stat_matrix(a, b, LdStats::RSquared)
-    }
-
     /// Statistics for a single SNP pair (no matrix materialized).
     pub fn ld_pair(&self, g: &BitMatrix, i: usize, j: usize) -> LdPair {
         let n = g.n_samples() as u64;
@@ -841,20 +771,6 @@ impl LdEngine {
         let sj = g.snp_words(j);
         let c_ij = and_popcount(si, sj);
         ld_pair_from_counts(g.ones_in_snp(i), g.ones_in_snp(j), c_ij, n, self.policy)
-    }
-
-    /// Streamed `r²` tiles (see [`LdEngine::for_each_tile`]).
-    pub fn r2_tiled<'a, F>(&self, g: impl Into<BitMatrixView<'a>>, tile: usize, visit: F)
-    where
-        F: FnMut(&TileVisit<'_>) + Send,
-    {
-        self.for_each_tile(g, LdStats::RSquared, tile, visit)
-    }
-
-    /// Derived-allele frequencies of every SNP (Eq. 3).
-    pub fn allele_frequencies<'a>(&self, g: impl Into<BitMatrixView<'a>>) -> Vec<f64> {
-        let v: BitMatrixView<'a> = g.into();
-        v.allele_frequencies()
     }
 }
 
@@ -905,8 +821,8 @@ mod tests {
         let g = toy();
         let e = LdEngine::new();
         let r2 = e.r2_matrix(&g);
-        let d = e.d_matrix(&g);
-        let dp = e.d_prime_matrix(&g);
+        let d = e.stat_matrix(&g, LdStats::D);
+        let dp = e.stat_matrix(&g, LdStats::DPrime);
         for i in 0..4 {
             for j in 0..4 {
                 let p = e.ld_pair(&g, i, j);
@@ -920,7 +836,7 @@ mod tests {
     #[test]
     fn counts_matrix_diagonal() {
         let g = toy();
-        let c = LdEngine::new().counts_matrix(&g);
+        let c = LdEngine::new().try_counts_matrix(&g).unwrap();
         assert_eq!(c[0], 3); // |snp0|
         assert_eq!(c[5], 3); // |snp1|
         assert_eq!(c[1], 3); // row 0, col 1: snp0 ∧ snp1
@@ -943,7 +859,7 @@ mod tests {
         let full = e.r2_matrix(&g);
         let a = g.view(0, 2);
         let b = g.view(2, 4);
-        let cross = e.r2_cross(a, b);
+        let cross = e.try_cross_stat_matrix(a, b, LdStats::RSquared).unwrap();
         for i in 0..2 {
             for j in 0..2 {
                 assert!(
@@ -961,13 +877,15 @@ mod tests {
         let full = e.r2_matrix(&g);
         for tile in [1usize, 2, 3, 4, 7] {
             let mut seen = std::collections::HashMap::new();
-            e.r2_tiled(&g, tile, |t| {
+            let visit = |t: &TileVisit<'_>| {
                 for r in 0..t.rows {
                     for c in 0..t.cols {
                         seen.insert((t.row_start + r, t.col_start + c), t.values[r * t.cols + c]);
                     }
                 }
-            });
+            };
+            e.try_for_each_tile_with(&g, LdStats::RSquared, tile, visit, &RunControl::new())
+                .unwrap();
             for i in 0..4 {
                 for j in i..4 {
                     let got = seen[&(i, j)];
@@ -985,7 +903,7 @@ mod tests {
     fn diagonal_tiles_report_full_square() {
         // the sub-diagonal half of a diagonal tile is mirrored by symmetry
         let g = toy();
-        LdEngine::new().r2_tiled(&g, 3, |t| {
+        let visit = |t: &TileVisit<'_>| {
             if t.row_start == t.col_start {
                 for r in 0..t.rows {
                     for c in 0..t.cols {
@@ -995,7 +913,10 @@ mod tests {
                     }
                 }
             }
-        });
+        };
+        LdEngine::new()
+            .try_for_each_tile_with(&g, LdStats::RSquared, 3, visit, &RunControl::new())
+            .unwrap();
     }
 
     #[test]
@@ -1028,7 +949,7 @@ mod tests {
         let e = LdEngine::new().slab_rows(2);
         let full = e.r2_matrix(&g);
         let mut seen = [false; 4];
-        e.r2_rows(&g, |s| {
+        let visit = |s: &RowSlabVisit<'_>| {
             for (i, row) in s.rows() {
                 assert!(!seen[i]);
                 seen[i] = true;
@@ -1037,7 +958,9 @@ mod tests {
                     assert!((v - full.get(i, i + t)).abs() < 1e-15);
                 }
             }
-        });
+        };
+        e.try_stat_rows_with(&g, LdStats::RSquared, visit, &RunControl::new())
+            .unwrap();
         assert!(seen.iter().all(|&s| s));
     }
 
@@ -1077,7 +1000,7 @@ mod tests {
         let g = toy();
         // kc = 0 can never drive the rank-k loop.
         let e = LdEngine::new().blocks(BlockSizes::default().with_kc(0));
-        match e.try_r2_matrix(&g) {
+        match e.try_stat_matrix(&g, LdStats::RSquared) {
             Err(LdError::InvalidConfig { message }) => {
                 assert!(message.contains("kc"), "{message}")
             }
@@ -1093,7 +1016,7 @@ mod tests {
         ));
         // The streaming forms validate too.
         assert!(matches!(
-            e.try_stat_rows(&g, LdStats::RSquared, |_| {}),
+            e.try_stat_rows_with(&g, LdStats::RSquared, |_| {}, &RunControl::new()),
             Err(LdError::InvalidConfig { .. })
         ));
         assert!(matches!(
@@ -1104,14 +1027,14 @@ mod tests {
         let ok = LdEngine::new()
             .kernel(KernelKind::Scalar)
             .blocks(BlockSizes::default().with_mc(8))
-            .try_r2_matrix(&g);
+            .try_stat_matrix(&g, LdStats::RSquared);
         assert!(ok.is_ok());
     }
 
     #[test]
     fn allele_frequencies_match() {
         let g = toy();
-        let p = LdEngine::new().allele_frequencies(&g);
+        let p = g.full_view().allele_frequencies();
         assert!((p[0] - 0.5).abs() < 1e-12);
         assert!((p[3] - 0.5).abs() < 1e-12);
     }

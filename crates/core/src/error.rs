@@ -230,12 +230,22 @@ pub(crate) fn try_zeroed_vec<T: Copy + Default>(
     len: usize,
     what: &'static str,
 ) -> Result<Vec<T>, LdError> {
+    try_filled_vec(len, T::default(), what)
+}
+
+/// [`try_zeroed_vec`] with an explicit fill value (one pass over the
+/// buffer, not a zeroing followed by a fill).
+pub(crate) fn try_filled_vec<T: Copy>(
+    len: usize,
+    fill: T,
+    what: &'static str,
+) -> Result<Vec<T>, LdError> {
     let bytes = len.saturating_mul(std::mem::size_of::<T>());
     let _guard = fault::FallibleAllocGuard::new();
     let mut v: Vec<T> = Vec::new();
     v.try_reserve_exact(len)
         .map_err(|_| LdError::AllocationFailed { what, bytes })?;
-    v.resize(len, T::default());
+    v.resize(len, fill);
     Ok(v)
 }
 

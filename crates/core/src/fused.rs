@@ -15,12 +15,14 @@
 //!   worker team (and the read side of the checkpoint done-flag
 //!   protocol);
 //! * [`RowSlabVisit`] — what a streaming visitor
-//!   ([`crate::LdEngine::stat_rows`], [`crate::LdEngine::for_each_tile`])
-//!   sees of one finished slab.
+//!   ([`crate::LdEngine::try_stat_rows_with`]) sees of one finished slab,
+//!   and [`in_row_order`], the adaptor for visitors that need the slabs
+//!   in ascending row order.
 
 use crate::error::{try_zeroed_vec, LdError};
 use crate::stats::{stat_from_counts, LdStats, NanPolicy};
 use ld_bitmat::BitMatrixView;
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 /// Row offset of row `i` in the packed upper triangle of an `n × n`
@@ -142,11 +144,6 @@ impl Transform {
         }
     }
 
-    /// Number of SNPs covered by the tables.
-    pub fn n_snps(&self) -> usize {
-        self.diag.len()
-    }
-
     /// Transforms one row of counts: `counts[t] = s_iᵀ s_{i+t}` for
     /// `t ∈ 0..len`, writing the statistic into `dst[t]`.
     ///
@@ -162,8 +159,8 @@ impl Transform {
     /// `t ∈ 0..len`, writing the statistic into `dst[t]` — the one
     /// counts→statistic body. [`apply_row`] is the `j0 = i` case; the slab
     /// driver uses arbitrary `j0` because a store source delivers a row's
-    /// columns one chunk at a time, the banded driver `j0 = i + 1`, and the
-    /// cross driver tables that hold both operands end to end. The
+    /// columns one chunk at a time, and the cross driver tables that hold
+    /// both operands end to end. The
     /// expression order is identical, so spans concatenate to a
     /// bit-identical row.
     ///
@@ -278,16 +275,19 @@ impl<'a, T> SyncSlice<'a, T> {
 }
 
 /// One row slab of a streamed LD computation (see
-/// [`crate::LdEngine::stat_rows`]).
+/// [`crate::LdEngine::try_stat_rows_with`]).
 ///
 /// The slab covers rows `row_start..row_start + n_rows` of the upper
-/// triangle; row `r` holds the statistics for SNP `row_start + r` against
-/// every SNP `j ≥ row_start + r`.
+/// triangle; row `r` holds the statistics for SNP `i = row_start + r`
+/// against every SNP `j ≥ i` — under a column band `w`
+/// ([`crate::RunControl::with_band`]), every `j` in `i ..= i + w`.
 #[derive(Debug)]
 pub struct RowSlabVisit<'a> {
     pub(crate) row_start: usize,
     pub(crate) n_rows: usize,
     pub(crate) n_snps: usize,
+    /// The run's column band, clamped to `n_snps` (= none).
+    pub(crate) band: usize,
     /// Stride between consecutive slab rows in `values`.
     pub(crate) ldv: usize,
     /// Slab-local values: row `r`, column `j` at
@@ -313,29 +313,55 @@ impl RowSlabVisit<'_> {
 
     /// The statistic for slab row `r` (global SNP `row_start + r`) against
     /// global SNP `j`; requires `j ≥ row_start + r` (the slab stores only
-    /// the upper triangle).
+    /// the upper triangle) and `j` inside the run's band.
     pub fn value(&self, r: usize, j: usize) -> f64 {
         let i = self.row_start + r;
         assert!(r < self.n_rows, "slab row {r} out of range");
         assert!(
-            i <= j && j < self.n_snps,
-            "column {j} outside row {i}'s upper triangle"
+            i <= j && j < self.n_snps && j - i <= self.band,
+            "column {j} outside row {i}'s upper triangle or band"
         );
         self.values[r * self.ldv + (j - self.row_start)]
     }
 
-    /// The statistics of slab row `r` (global SNP `row_start + r`) against
-    /// SNPs `row_start + r ..= n_snps − 1`, in order; `row(r)[0]` is the
-    /// diagonal entry.
+    /// The statistics of slab row `r` (global SNP `i = row_start + r`)
+    /// against SNPs `i ..= n_snps − 1` — `i ..= i + w` under a band `w`,
+    /// cut at the last SNP — in order; `row(r)[0]` is the diagonal entry.
     pub fn row(&self, r: usize) -> &[f64] {
         assert!(r < self.n_rows, "slab row {r} out of range");
-        let start = r * self.ldv + r;
-        &self.values[start..r * self.ldv + (self.n_snps - self.row_start)]
+        let i = self.row_start + r;
+        let end = self.n_snps.min(i + self.band + 1);
+        &self.values[r * self.ldv + r..r * self.ldv + (end - self.row_start)]
     }
 
     /// Iterates `(global_row, stats)` pairs over the slab's rows.
     pub fn rows(&self) -> impl Iterator<Item = (usize, &[f64])> + '_ {
         (0..self.n_rows).map(move |r| (self.row_start + r, self.row(r)))
+    }
+}
+
+/// A row-slab visitor that hands per-slab payloads on **in ascending row
+/// order**, whatever order the slabs arrive in.
+///
+/// A threaded memory source delivers slabs in unspecified order. `make`
+/// turns each arriving slab into a payload (a formatted table block, a
+/// copy of the values an order-sensitive fold needs); payloads that are
+/// early are held, and `deliver` receives every payload exactly once,
+/// lowest rows first. From a store source (ascending by construction)
+/// nothing is ever held past the slab just made. The run must start at
+/// row 0 — a shard window that does not would never deliver.
+pub fn in_row_order<'a, T: Send + 'a>(
+    mut make: impl FnMut(&RowSlabVisit<'_>) -> T + Send + 'a,
+    mut deliver: impl FnMut(T) + Send + 'a,
+) -> impl FnMut(&RowSlabVisit<'_>) + Send + 'a {
+    let mut pending: BTreeMap<usize, (usize, T)> = BTreeMap::new();
+    let mut next_row = 0usize;
+    move |s| {
+        pending.insert(s.row_start(), (s.n_rows(), make(s)));
+        while let Some((rows, payload)) = pending.remove(&next_row) {
+            next_row += rows;
+            deliver(payload);
+        }
     }
 }
 
@@ -379,7 +405,7 @@ mod tests {
         let g = pseudo(50, 8, 11);
         let v = g.full_view();
         let tr = Transform::new(&v, LdStats::RSquared, NanPolicy::Propagate);
-        assert_eq!(tr.n_snps(), 8);
+        assert_eq!(tr.diag.len(), 8);
         let c_03 = ld_popcount::and_popcount(v.snp_words(0), v.snp_words(3)) as u32;
         let mut row = vec![0.0f64; 8];
         let counts: Vec<u32> = (0..8)

@@ -18,11 +18,14 @@
 //! * [`LdEngine::r2_matrix`] — all `N(N+1)/2` values, triangle-packed
 //!   ([`LdMatrix`]; transient memory bounded by `threads × slab × N` u32 —
 //!   never the `N × N` counts matrix);
-//! * [`LdEngine::r2_cross`] — all `m × n` values between two SNP sets
-//!   (long-range LD / distant genes, Fig. 4);
-//! * [`LdEngine::stat_rows`] / [`LdEngine::for_each_tile`] — streaming
-//!   row slabs ([`RowSlabVisit`]) or tiles ([`TileVisit`]) for matrices
-//!   too large to materialize at all;
+//! * [`LdEngine::try_cross_stat_matrix`] — all `m × n` values between two
+//!   SNP sets (long-range LD / distant genes, Fig. 4);
+//! * [`LdEngine::try_stat_rows_with`] / [`LdEngine::try_for_each_tile_with`]
+//!   — streaming row slabs ([`RowSlabVisit`]) or tiles ([`TileVisit`]) for
+//!   matrices too large to materialize at all, the row stream optionally
+//!   under a column band ([`RunControl::with_band`]: only pairs within a
+//!   window, the shape [`BandedLdMatrix`], [`DecayProfile`] and
+//!   [`haplotype_blocks`] are visitors of);
 //! * [`LdEngine::ld_pair`] / [`ld_pair_from_counts`] — single-pair
 //!   statistics ([`LdPair`]) for spot checks and downstream tools.
 //!
@@ -33,7 +36,8 @@
 //! input never has to fit in memory) and with that the parallel axis,
 //! budget model, read schedule and slab order ([`source`]); the sink
 //! (packed triangle, row visitor, tile visitor, shard) says where a
-//! row's span goes and what "slab complete" means. The statistic bytes
+//! row's span goes and what "slab complete" means; the control carries
+//! the two windows on the grid (shard rows, band columns). The statistic bytes
 //! are identical across all of them ([`fused`] holds the one transform
 //! body).
 //!
@@ -75,7 +79,7 @@ pub use control::{CancelToken, CheckpointPlan, Deadline, RunControl};
 pub use decay::{DecayBin, DecayProfile};
 pub use engine::{LdEngine, TileVisit};
 pub use error::{LdError, MemoryBudget, WorkerPanic};
-pub use fused::RowSlabVisit;
+pub use fused::{in_row_order, RowSlabVisit};
 pub use matrix::{CrossLdMatrix, LdMatrix};
 pub use shard::{merge_shard_states, plan_shards, state_to_matrix, SlabRange};
 pub use source::Source;

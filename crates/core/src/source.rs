@@ -14,11 +14,13 @@
 //! | parallel axis         | `threads` workers claim slabs         | one slab at a time, `threads` inside GEMM  |
 //! | slab order at a sink  | unspecified under threading           | ascending rows                             |
 //! | column blocks ≥ `r0`  | one block `[r0, n)` via SYRK          | one block per store chunk, prefetched      |
+//! | column band `w`       | SYRK on the sub-view `[0, r1 + w)`    | stream stops at the chunk holding `r1+w−1` |
 //! | transform tables      | built up front (one popcount sweep)   | filled as chunks first stream past         |
-//! | budget model          | scratch scales with `threads × n`     | panel row + chunk buffers, thread-free     |
+//! | budget model          | scratch scales with `threads × strip` | panel row + chunk buffers, thread-free     |
 //!
-//! Everything else — slab grid, shard window, polling, resume, the
-//! checkpoint ledger, the transform itself — is the driver's.
+//! (`strip` is `n`, or `min(n, slab + w)` under a band.) Everything else —
+//! slab grid, shard window, band clipping, polling, resume, the checkpoint
+//! ledger, the transform itself — is the driver's.
 
 use crate::checkpoint::matrix_fingerprint;
 use crate::driver::Config;
@@ -95,16 +97,19 @@ fn sink_footprint(n: usize, packed: bool) -> Result<usize, LdError> {
 }
 
 /// The in-memory budget model `(fixed, per_slab_row)` in bytes: every
-/// worker owns `slab × n` u32 counts (plus as many f64 values for the
-/// row sink), so a slab row costs `threads × n × 4` (or `× 12`).
-pub(crate) fn memory_footprint(
+/// worker owns `slab × strip` u32 counts (plus as many f64 values for the
+/// row sink), so a slab row costs `threads × strip × 4` (or `× 12`);
+/// `strip` is `n` unless the run has a band
+/// ([`crate::driver::strip_width`]).
+fn memory_footprint(
     n: usize,
     threads: usize,
     packed: bool,
+    strip: usize,
 ) -> Result<(usize, usize), LdError> {
     let elem = if packed { 4 } else { 12 };
     let what = "slab scratch bytes";
-    let per_row = checked_mul(checked_mul(threads.max(1), n.max(1), what)?, elem, what)?;
+    let per_row = checked_mul(checked_mul(threads.max(1), strip.max(1), what)?, elem, what)?;
     Ok((sink_footprint(n, packed)?, per_row))
 }
 
@@ -112,12 +117,13 @@ pub(crate) fn memory_footprint(
 /// adds four chunk-sized buffers (compute + in-flight double buffer, and
 /// the A-panel's chunk-alignment slack); each slab row adds one panel
 /// row of packed words and one u32 row of the block-counts scratch (plus
-/// one f64 output row of width `n` for the row sink). **Not** scaled by
+/// one f64 output row of width `strip` for the row sink). **Not** scaled by
 /// the thread count: the streamed GEMM threads internally over one
 /// shared counts block — extra threads add no buffers.
 pub(crate) fn store_footprint(
     meta: &TileStoreMeta,
     packed: bool,
+    strip: usize,
 ) -> Result<(usize, usize), LdError> {
     let n = meta.n_snps;
     let chunk = meta.chunk_snps.min(n.max(1));
@@ -135,7 +141,7 @@ pub(crate) fn store_footprint(
         what,
     )?;
     if !packed {
-        per_row = checked_add(per_row, checked_mul(n.max(1), 8, what)?, what)?;
+        per_row = checked_add(per_row, checked_mul(strip.max(1), 8, what)?, what)?;
     }
     Ok((fixed, per_row))
 }
@@ -170,15 +176,17 @@ impl Source<'_> {
 
     /// This source's budget model `(fixed, per_slab_row)` for the packed
     /// (`true`) or row (`false`) sink — what one slab row costs is the
-    /// source's to say, because it owns the buffers.
+    /// source's to say, because it owns the buffers. `strip` is the widest
+    /// slab's column count ([`crate::driver::strip_width`]).
     pub(crate) fn footprint(
         &self,
         threads: usize,
         packed: bool,
+        strip: usize,
     ) -> Result<(usize, usize), LdError> {
         match self {
-            Self::Memory(v) => memory_footprint(v.n_snps(), threads, packed),
-            Self::Store(s) => store_footprint(s.meta(), packed),
+            Self::Memory(v) => memory_footprint(v.n_snps(), threads, packed, strip),
+            Self::Store(s) => store_footprint(s.meta(), packed, strip),
         }
     }
 
@@ -192,11 +200,11 @@ impl Source<'_> {
         }
     }
 
-    /// Length of one worker's u32 counts scratch for `slab`-row slabs:
-    /// the widest block this source ever emits.
-    pub(crate) fn counts_len(&self, slab: usize) -> usize {
+    /// Length of one worker's u32 counts scratch for `slab`-row slabs of
+    /// at most `strip` columns: the widest block this source ever emits.
+    pub(crate) fn counts_len(&self, slab: usize, strip: usize) -> usize {
         match self {
-            Self::Memory(v) => slab * v.n_snps(),
+            Self::Memory(_) => slab * strip,
             Self::Store(s) => slab * s.meta().chunk_snps.min(s.meta().n_snps),
         }
     }
@@ -221,13 +229,16 @@ impl Source<'_> {
         })
     }
 
-    /// Produces the counts of slab `rows` against every column `≥
-    /// rows.start`, one [`Block`] at a time in ascending column order,
-    /// handing each to `emit` together with tables that cover the block's
-    /// columns and the slab's own rows.
+    /// Produces the counts of slab `rows` against every column in
+    /// `[rows.start, cols_end)` (`cols_end` is `n` without a band), one
+    /// [`Block`] at a time in ascending column order, handing each to
+    /// `emit` together with tables that cover the block's columns and the
+    /// slab's own rows. A block may run past `cols_end` (a store chunk is
+    /// multiplied whole); the driver clips.
     pub(crate) fn slab_blocks(
         &self,
         rows: Range<usize>,
+        cols_end: usize,
         cfg: &Config,
         counts: &mut [u32],
         tables: &RwLock<Tables>,
@@ -235,15 +246,17 @@ impl Source<'_> {
     ) -> Result<(), LdError> {
         let h = rows.len();
         match self {
-            // One column block `[r0, n)` straight off the resident matrix.
+            // One column block `[r0, cols_end)` straight off the resident
+            // matrix: to the kernel, a panel that ends where the band does.
             Self::Memory(v) => {
-                let cols = rows.start..v.n_snps();
+                let cols = rows.start..cols_end;
                 let (ld, counts) = (cols.len(), &mut counts[..h * cols.len()]);
+                let v = &v.subview(0, cols_end);
                 syrk_slab_counts(v, rows, counts, ld, cfg.kind, cfg.blocks);
                 emit(&read(tables).tr, Block { cols, ld, counts });
                 Ok(())
             }
-            Self::Store(s) => stream_store_slab(*s, rows, cfg, counts, tables, emit),
+            Self::Store(s) => stream_store_slab(*s, rows, cols_end, cfg, counts, tables, emit),
         }
     }
 }
@@ -315,14 +328,16 @@ fn assemble_panel(
 /// the next chunk while the current one is multiplied by
 /// [`gemm_counts_mt`] — a classic double buffer), and the `slab × chunk`
 /// counts block. The column stream covers chunks from the one containing
-/// `rows.start` to the end (upper-triangle rows need columns `j ≥ r0`),
-/// so a slab's own stream also supplies every allele count its transform
-/// needs. The read schedule is therefore `panel chunks + chunks from first
-/// to last` per computed slab — the closed form `outofcore_resume.rs`
-/// checks against the `chunks_read` counter.
+/// `rows.start` to the one containing `cols_end − 1` (upper-triangle rows
+/// need columns `j ≥ r0`, a band none past `r1 + w − 1`), so a slab's own
+/// stream also supplies every allele count its transform needs. The read
+/// schedule is therefore `panel chunks + chunks from first to last` per
+/// computed slab — the closed form `outofcore_resume.rs` checks against
+/// the `chunks_read` counter.
 fn stream_store_slab(
     src: &dyn TileSource,
     rows: Range<usize>,
+    cols_end: usize,
     cfg: &Config,
     counts: &mut [u32],
     tables: &RwLock<Tables>,
@@ -332,12 +347,13 @@ fn stream_store_slab(
     let h = rows.len();
     let (panel, panel_off) = assemble_panel(src, tables, &rows)?;
     let a_view = panel.view(panel_off, panel_off + h);
-    let (first_chunk, n_chunks) = (rows.start / meta.chunk_snps, meta.n_chunks());
+    let chunks = rows.start / meta.chunk_snps..(cols_end - 1) / meta.chunk_snps + 1;
     let early = |c: usize| store_err(format!("chunk {c}: prefetch thread terminated early"));
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::sync_channel::<Result<AlignedWords, LdError>>(1);
+        let to_read = chunks.clone();
         scope.spawn(move || {
-            for c in first_chunk..n_chunks {
+            for c in to_read {
                 let msg = src.read_chunk(c);
                 let stop = msg.is_err();
                 if tx.send(msg).is_err() || stop {
@@ -345,7 +361,7 @@ fn stream_store_slab(
                 }
             }
         });
-        for c in first_chunk..n_chunks {
+        for c in chunks {
             let msg = match rx.try_recv() {
                 Ok(m) => {
                     ld_trace::add(Counter::PrefetchHits, 1);

@@ -159,7 +159,7 @@ fn every_fallible_allocation_site_fails_cleanly() {
         }),
         ("memory rows", &|| {
             let mut out = Vec::new();
-            engine.try_stat_rows(&g, LdStats::RSquared, |s| collect(s, &mut out))?;
+            engine.try_stat_rows_with(&g, LdStats::RSquared, |s| collect(s, &mut out), &ctl)?;
             Ok(out)
         }),
         ("store rows", &|| {
@@ -276,7 +276,7 @@ fn injected_panic_in_streaming_path_is_contained() {
     let engine = LdEngine::new().threads(3).slab_rows(4);
 
     fault::arm_kernel_panic(true);
-    let result = engine.try_stat_rows(&g, LdStats::RSquared, |_slab| {});
+    let result = engine.try_stat_rows_with(&g, LdStats::RSquared, |_slab| {}, &RunControl::new());
     fault::arm_kernel_panic(false);
 
     assert!(
@@ -304,7 +304,7 @@ fn injected_panic_in_streaming_path_is_contained() {
     };
     let (mut a, mut b) = (0usize, 0usize);
     let results = [
-        engine.try_stat_rows(&g, LdStats::RSquared, |_slab| bomb(&mut a)),
+        engine.try_stat_rows_with(&g, LdStats::RSquared, |_slab| bomb(&mut a), &ctl),
         engine.try_stat_rows_outofcore_with(&store, LdStats::RSquared, |_slab| bomb(&mut b), &ctl),
     ];
     for (source, result) in ["memory", "store"].iter().zip(results) {
@@ -425,7 +425,8 @@ fn tile_iteration_verifies_budget_instead_of_shrinking() {
     let engine = LdEngine::new()
         .threads(1)
         .memory_budget(MemoryBudget::bytes(1024));
-    let result = engine.try_for_each_tile(&g, LdStats::RSquared, 64, |_t| {});
+    let result =
+        engine.try_for_each_tile_with(&g, LdStats::RSquared, 64, |_t| {}, &RunControl::new());
     assert!(
         matches!(result, Err(LdError::BudgetExceeded { .. })),
         "a 64-wide tile cannot fit in 1 KiB"
@@ -435,7 +436,7 @@ fn tile_iteration_verifies_budget_instead_of_shrinking() {
         .threads(1)
         .memory_budget(MemoryBudget::mib(64));
     engine
-        .try_for_each_tile(&g, LdStats::RSquared, 16, |_t| {})
+        .try_for_each_tile_with(&g, LdStats::RSquared, 16, |_t| {}, &RunControl::new())
         .expect("16-wide tiles fit in 64 MiB");
 }
 
@@ -503,7 +504,7 @@ fn zero_tile_is_invalid_config() {
     let _guard = lock_faults();
     let g = random_matrix(16, 8, 0xfa09);
     let err = LdEngine::new()
-        .try_for_each_tile(&g, LdStats::RSquared, 0, |_t| {})
+        .try_for_each_tile_with(&g, LdStats::RSquared, 0, |_t| {}, &RunControl::new())
         .unwrap_err();
     assert!(matches!(err, LdError::InvalidConfig { .. }), "{err}");
 }
@@ -517,4 +518,23 @@ fn empty_matrix_succeeds_under_any_budget() {
         .try_stat_matrix(&g, LdStats::RSquared)
         .expect("0 SNPs need 0 bytes");
     assert_eq!(m.n_snps(), 0);
+}
+
+/// The sinks that store every pair reject a band up front.
+#[test]
+fn band_is_invalid_config_for_the_packed_and_tile_sinks() {
+    let _guard = lock_faults();
+    let g = random_matrix(40, 12, 0xba2e);
+    let e = LdEngine::new().threads(2);
+    let ctl = RunControl::new().with_band(3);
+    let packed = e.try_stat_matrix_with(&g, LdStats::RSquared, &ctl);
+    assert!(matches!(packed, Err(LdError::InvalidConfig { .. })));
+    let tiles = e.try_for_each_tile_with(&g, LdStats::RSquared, 4, |_| {}, &ctl);
+    assert!(matches!(tiles, Err(LdError::InvalidConfig { .. })));
+    // and a shard (a packed run) with it
+    let ctl = RunControl::new()
+        .with_band(3)
+        .with_shard(e.shard_plan_from(&Source::from(&g), 1).unwrap()[0]);
+    let shard = e.try_stat_shard_with(&g, LdStats::RSquared, &ctl);
+    assert!(matches!(shard, Err(LdError::InvalidConfig { .. })));
 }

@@ -8,7 +8,10 @@
 //! discrepancy is a real bug in the slab/offset bookkeeping.
 
 use ld_bitmat::BitMatrix;
-use ld_core::{LdEngine, LdStats, NanPolicy};
+use ld_core::{
+    DecayProfile, LdEngine, LdStats, MemoryTileStore, NanPolicy, RowSlabVisit, RunControl, Source,
+    TileVisit,
+};
 use ld_rng::SmallRng;
 
 const STATS: [LdStats; 3] = [LdStats::RSquared, LdStats::D, LdStats::DPrime];
@@ -26,6 +29,23 @@ fn random_matrix(rng: &mut SmallRng, n_samples: usize, n_snps: usize) -> BitMatr
         }
     }
     g
+}
+
+/// The row stream under an inert control, panicking where it errors.
+fn rows<'a>(
+    e: &LdEngine,
+    src: impl Into<Source<'a>>,
+    stat: LdStats,
+    visit: impl FnMut(&RowSlabVisit<'_>) + Send,
+) {
+    e.try_stat_rows_with(src, stat, visit, &RunControl::new())
+        .unwrap();
+}
+
+/// The tile stream under an inert control, panicking where it errors.
+fn tiles(e: &LdEngine, g: &BitMatrix, tile: usize, visit: impl FnMut(&TileVisit<'_>) + Send) {
+    e.try_for_each_tile_with(g, LdStats::RSquared, tile, visit, &RunControl::new())
+        .unwrap();
 }
 
 /// Asserts the packed triangles are identical to the bit.
@@ -119,8 +139,12 @@ fn fused_handles_zero_and_one_snp() {
     let m = LdEngine::new().r2_matrix(&empty);
     assert_eq!(m.n_snps(), 0);
     assert_eq!(m.packed().len(), 0);
-    LdEngine::new().r2_rows(&empty, |_| panic!("no slabs for an empty panel"));
-    LdEngine::new().r2_tiled(&empty, 4, |_| panic!("no tiles for an empty panel"));
+    rows(&LdEngine::new(), &empty, LdStats::RSquared, |_| {
+        panic!("no slabs for an empty panel")
+    });
+    tiles(&LdEngine::new(), &empty, 4, |_| {
+        panic!("no tiles for an empty panel")
+    });
 
     // n_snps = 1: a single diagonal entry.
     let mut one = BitMatrix::zeros(6, 1);
@@ -144,7 +168,7 @@ fn fused_counts_are_bit_exact_against_full_syrk() {
         let n_samples = rng.gen_range(1usize..200);
         let n = rng.gen_range(1usize..48);
         let g = random_matrix(&mut rng, n_samples, n);
-        let full = LdEngine::new().threads(2).counts_matrix(&g);
+        let full = LdEngine::new().threads(2).try_counts_matrix(&g).unwrap();
         let v = g.full_view();
         let slab = rng.gen_range(1usize..8);
         let mut r0 = 0usize;
@@ -189,7 +213,7 @@ fn streaming_rows_and_tiles_match_fused_matrix() {
 
         // row slabs: every (i, j ≥ i) exactly once, bit-equal
         let mut seen = vec![0u32; n * (n + 1) / 2];
-        e.r2_rows(&g, |s| {
+        rows(&e, &g, LdStats::RSquared, |s| {
             for (i, row) in s.rows() {
                 for (t, &v) in row.iter().enumerate() {
                     let j = i + t;
@@ -205,7 +229,7 @@ fn streaming_rows_and_tiles_match_fused_matrix() {
         // tiles: upper-triangle coverage, diagonal tiles mirrored
         let tile = rng.gen_range(1usize..10);
         let mut tiles_seen = vec![0u32; n * n];
-        e.for_each_tile(&g, LdStats::RSquared, tile, |t| {
+        tiles(&e, &g, tile, |t| {
             assert!(t.col_start >= t.row_start);
             for r in 0..t.rows {
                 for c in 0..t.cols {
@@ -224,6 +248,114 @@ fn streaming_rows_and_tiles_match_fused_matrix() {
             for j in 0..n {
                 let expect = u32::from(j >= i || (j / tile) == (i / tile));
                 assert_eq!(tiles_seen[i * n + j], expect, "tile coverage ({i},{j})");
+            }
+        }
+    }
+}
+
+/// Every source the driver has, over the same panel: RAM, and a store cut
+/// into chunks smaller and larger than a slab.
+fn with_sources(g: &BitMatrix, mut f: impl FnMut(&str, Source<'_>)) {
+    f("memory", Source::from(g));
+    for chunk in [4usize, 64] {
+        let store = MemoryTileStore::from_matrix(g, chunk).unwrap();
+        f(&format!("store/{chunk}"), Source::Store(&store));
+    }
+}
+
+/// A column band is a window on the one grid: whatever the band, thread
+/// count, slab height, source and statistic, every value a banded run
+/// delivers is the full triangle's value for that pair, every in-band pair
+/// is delivered exactly once, and no row holds an out-of-band column.
+#[test]
+fn banded_rows_are_the_full_triangle_clipped() {
+    let mut rng = SmallRng::seed_from_u64(0xba2d);
+    let (n_samples, n) = (70usize, 67usize);
+    let g = random_matrix(&mut rng, n_samples, n);
+    for stat in STATS {
+        let full = LdEngine::new().stat_matrix(&g, stat);
+        for slab in [1usize, 5, 64] {
+            for w in [1, 7, slab - 1, slab, slab + 1, n - 1, n + 5] {
+                for threads in [1usize, 2, 4] {
+                    let e = LdEngine::new().threads(threads).slab_rows(slab);
+                    with_sources(&g, |name, src| {
+                        let ctx = format!("{stat:?} slab={slab} w={w} t{threads} {name}");
+                        let mut seen = vec![0u32; n * n];
+                        let visit = |s: &RowSlabVisit<'_>| {
+                            for (i, row) in s.rows() {
+                                assert_eq!(row.len(), (n - i).min(w + 1), "{ctx}: row {i}");
+                                for (t, &v) in row.iter().enumerate() {
+                                    let j = i + t;
+                                    seen[i * n + j] += 1;
+                                    assert_eq!(
+                                        v.to_bits(),
+                                        full.get(i, j).to_bits(),
+                                        "{ctx}: ({i},{j})"
+                                    );
+                                    assert_eq!(
+                                        v.to_bits(),
+                                        s.value(i - s.row_start(), j).to_bits()
+                                    );
+                                }
+                            }
+                        };
+                        e.try_stat_rows_with(src, stat, visit, &RunControl::new().with_band(w))
+                            .unwrap_or_else(|err| panic!("{ctx}: {err}"));
+                        for i in 0..n {
+                            for j in 0..n {
+                                let in_band = j >= i && j - i <= w;
+                                assert_eq!(seen[i * n + j], u32::from(in_band), "{ctx}: ({i},{j})");
+                            }
+                        }
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// `DecayProfile` is the `(i asc, distance asc)` fold of the full
+/// triangle, bit for bit, whatever order the slabs finished in.
+#[test]
+fn decay_is_the_ordered_fold_of_the_full_triangle() {
+    let mut rng = SmallRng::seed_from_u64(0xdeca);
+    let (n_samples, n) = (70usize, 67usize);
+    let mut g = random_matrix(&mut rng, n_samples, n);
+    // one monomorphic SNP, so NaN pairs are skipped on both sides
+    for s in 0..n_samples {
+        g.set(s, 40, false);
+    }
+    let full = LdEngine::new().r2_matrix(&g);
+    for (max_dist, bin) in [(1usize, 1usize), (20, 3), (n + 5, 7)] {
+        let n_bins = max_dist.div_ceil(bin);
+        let (mut sums, mut counts) = (vec![0.0f64; n_bins], vec![0u64; n_bins]);
+        for i in 0..n {
+            for d in 1..=max_dist.min(n - 1 - i) {
+                let v = full.get(i, i + d);
+                if !v.is_nan() {
+                    sums[(d - 1) / bin] += v;
+                    counts[(d - 1) / bin] += 1;
+                }
+            }
+        }
+        for slab in [1usize, 5, 64] {
+            for threads in [1usize, 2, 4] {
+                let e = LdEngine::new().threads(threads).slab_rows(slab);
+                with_sources(&g, |name, src| {
+                    let ctx =
+                        format!("max_dist={max_dist} bin={bin} slab={slab} t{threads} {name}");
+                    let profile = DecayProfile::compute(&e, src, max_dist, bin).unwrap();
+                    assert_eq!(profile.bins().len(), n_bins, "{ctx}");
+                    for (b, got) in profile.bins().iter().enumerate() {
+                        assert_eq!(got.count, counts[b], "{ctx}: bin {b}");
+                        let want = if counts[b] > 0 {
+                            sums[b] / counts[b] as f64
+                        } else {
+                            f64::NAN
+                        };
+                        assert_eq!(got.mean_r2.to_bits(), want.to_bits(), "{ctx}: bin {b}");
+                    }
+                });
             }
         }
     }

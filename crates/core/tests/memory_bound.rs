@@ -144,7 +144,7 @@ fn fused_peak_memory_is_slab_bounded() {
 fn streaming_rows_never_materialize_the_triangle() {
     let _heap = lock_heap();
     use ld_bitmat::BitMatrix;
-    use ld_core::{LdEngine, LdStats, NanPolicy};
+    use ld_core::{LdEngine, LdStats, NanPolicy, RunControl};
 
     let (n_samples, n) = (128usize, 600usize);
     let (threads, slab) = (2usize, 8usize);
@@ -164,11 +164,13 @@ fn streaming_rows_never_materialize_the_triangle() {
 
     let (peak, sum) = peak_heap_during(|| {
         let mut acc = 0.0f64;
-        e.stat_rows(&g, LdStats::RSquared, |s| {
+        let visit = |s: &ld_core::RowSlabVisit<'_>| {
             for (_, row) in s.rows() {
                 acc += row.iter().copied().filter(|v| !v.is_nan()).sum::<f64>();
             }
-        });
+        };
+        e.try_stat_rows_with(&g, LdStats::RSquared, visit, &RunControl::new())
+            .unwrap();
         acc
     });
     assert!(sum.is_finite() && sum > 0.0);
@@ -184,6 +186,61 @@ fn streaming_rows_never_materialize_the_triangle() {
     assert!(
         peak < packed_bytes / 2,
         "streaming peak {peak} is in the same class as the packed triangle ({packed_bytes})"
+    );
+}
+
+/// The banded consumers hold what their band needs: `haplotype_blocks` the
+/// `n × 127` values its searcher reads plus one strip of scratch per
+/// worker — not the `D'` triangle (36 MB here) — and `DecayProfile` the
+/// driver's `slab × (slab + max_dist)` strip plus the one slab being
+/// folded, not a `max_dist²`-class block.
+#[test]
+fn banded_consumers_follow_the_band_not_the_triangle() {
+    let _heap = lock_heap();
+    use ld_bitmat::BitMatrix;
+    use ld_core::{haplotype_blocks, DecayProfile, LdEngine, NanPolicy};
+    use ld_rng::SmallRng;
+
+    let (n_samples, n) = (128usize, 3000usize);
+    let mut rng = SmallRng::seed_from_u64(0xb10c);
+    let mut g = BitMatrix::zeros(n_samples, n);
+    for j in 0..n {
+        for s in 0..n_samples {
+            if rng.gen_bool(0.4) {
+                g.set(s, j, true);
+            }
+        }
+    }
+    let slab = 64usize; // the engine default
+    let overhead = 512 * 1024; // tables, pack buffers, thread plumbing
+    let warm = g.view(0, 200);
+
+    let threads = 2usize;
+    let e = LdEngine::new().threads(threads).nan_policy(NanPolicy::Zero);
+    haplotype_blocks(&e, warm, 0.8).unwrap();
+    let (peak, blocks) = peak_heap_during(|| haplotype_blocks(&e, &g, 0.8).unwrap());
+    assert!(blocks.iter().all(|b| b.len() >= 2 && b.end <= n));
+    let band = 127usize;
+    let stored = n * band * 8;
+    let scratch = threads * slab * (slab + band) * (4 + 8);
+    assert!(
+        peak <= stored + scratch + overhead,
+        "blocks peak {peak} exceeds band storage {stored} + scratch {scratch} + {overhead}"
+    );
+
+    // One worker: slabs arrive in order, so the reorder buffer holds only
+    // the slab just copied and the bound is exact rather than likely.
+    let max_dist = 2000usize;
+    let e = LdEngine::new().threads(1).nan_policy(NanPolicy::Zero);
+    DecayProfile::compute(&e, warm, max_dist, 100).unwrap();
+    let (peak, profile) =
+        peak_heap_during(|| DecayProfile::compute(&e, &g, max_dist, 100).unwrap());
+    assert_eq!(profile.bins().len(), 20);
+    let scratch = slab * (slab + max_dist) * (4 + 8);
+    let held = slab * max_dist * 8;
+    assert!(
+        peak <= scratch + held + overhead,
+        "decay peak {peak} exceeds scratch {scratch} + one held slab {held} + {overhead}"
     );
 }
 

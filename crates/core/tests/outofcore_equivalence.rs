@@ -114,7 +114,7 @@ fn file_backed_store_matches_in_memory_engine() {
             let ooc = e
                 .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
                 .unwrap();
-            let oracle = e.try_r2_matrix(&g).unwrap();
+            let oracle = e.try_stat_matrix(&g, LdStats::RSquared).unwrap();
             assert_bit_equal(&ooc, &oracle, &ctx);
         }
     }
@@ -136,7 +136,7 @@ fn outofcore_rows_cover_the_triangle_bit_exactly() {
         let e = LdEngine::new()
             .threads(THREADS[round % THREADS.len()])
             .slab_rows(rng.gen_range(1usize..9));
-        let full = e.try_r2_matrix(&g).unwrap();
+        let full = e.try_stat_matrix(&g, LdStats::RSquared).unwrap();
         let mut seen = vec![0u32; n * (n + 1) / 2];
         let mut last_start = 0usize;
         e.try_stat_rows_outofcore_with(
@@ -183,7 +183,10 @@ fn budget_smaller_than_packed_panel_is_bit_exact() {
         "test geometry must make the budget ({budget}) smaller than the \
          packed panel ({panel_bytes})"
     );
-    let full = LdEngine::new().threads(2).try_r2_matrix(&g).unwrap();
+    let full = LdEngine::new()
+        .threads(2)
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .unwrap();
     let e = LdEngine::new()
         .threads(2)
         .slab_rows(64)
@@ -276,7 +279,9 @@ fn outofcore_handles_degenerate_shapes() {
     let ooc = LdEngine::new()
         .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
         .unwrap();
-    let oracle = LdEngine::new().try_r2_matrix(&one).unwrap();
+    let oracle = LdEngine::new()
+        .try_stat_matrix(&one, LdStats::RSquared)
+        .unwrap();
     assert_bit_equal(&ooc, &oracle, "single snp");
 }
 
@@ -305,7 +310,7 @@ fn outofcore_shards_merge_to_the_full_matrix() {
     let g = random_matrix(&mut rng, 40, 37);
     let store = MemoryTileStore::from_matrix(&g, 6).unwrap();
     let e = LdEngine::new().threads(2).slab_rows(5);
-    let full = e.try_r2_matrix(&g).unwrap();
+    let full = e.try_stat_matrix(&g, LdStats::RSquared).unwrap();
     let plan = e.shard_plan_from(&Source::Store(&store), 3).unwrap();
     assert!(plan.len() > 1, "plan should actually shard");
     let mut states = Vec::new();

@@ -74,16 +74,17 @@ impl CheckpointSink for TrippingSink {
 
 /// Chunks the out-of-core driver reads in one full (uninterrupted) run:
 /// per slab, the A-panel's covering chunks plus the column stream from
-/// the first covering chunk to the end (the documented panel double-
-/// read).
+/// the first covering chunk to the chunk holding the slab's last column,
+/// `min(n, r1 + band) − 1` (the documented panel double-read). `band = n`
+/// is a run without a band: the stream runs to the last chunk.
 fn expected_chunk_reads(
     n: usize,
     slab: usize,
     chunk: usize,
+    band: usize,
     pending: impl Fn(usize) -> bool,
 ) -> u64 {
     let n_slabs = n.div_ceil(slab);
-    let n_chunks = n.div_ceil(chunk);
     let mut reads = 0u64;
     for k in 0..n_slabs {
         if !pending(k) {
@@ -92,7 +93,8 @@ fn expected_chunk_reads(
         let (r0, r1) = (k * slab, ((k + 1) * slab).min(n));
         let (first, last) = (r0 / chunk, (r1 - 1) / chunk);
         reads += (last - first + 1) as u64; // panel assembly
-        reads += (n_chunks - first) as u64; // column stream
+        let last_col = n.min(r1 + band) - 1;
+        reads += (last_col / chunk - first + 1) as u64; // column stream
     }
     reads
 }
@@ -147,7 +149,7 @@ fn outofcore_resume_is_bit_identical_and_skips_completed_chunks() {
         );
         assert_eq!(
             ld_trace::get(Counter::ChunksRead),
-            expected_chunk_reads(n, slab, chunk, |s| s < k),
+            expected_chunk_reads(n, slab, chunk, n, |s| s < k),
             "k{k}: interrupted run reads exactly the completed slabs' chunks"
         );
         let bytes = sink.inner.latest().expect("final flush");
@@ -172,11 +174,11 @@ fn outofcore_resume_is_bit_identical_and_skips_completed_chunks() {
             (n_slabs - k) as u64,
             "k{k}"
         );
-        let full = expected_chunk_reads(n, slab, chunk, |_| true);
+        let full = expected_chunk_reads(n, slab, chunk, n, |_| true);
         let got = ld_trace::get(Counter::ChunksRead);
         assert_eq!(
             got,
-            expected_chunk_reads(n, slab, chunk, |s| s >= k),
+            expected_chunk_reads(n, slab, chunk, n, |s| s >= k),
             "k{k}: resume reads exactly the pending slabs' chunks"
         );
         assert!(
@@ -252,7 +254,7 @@ fn fresh_run_chunk_reads_match_the_documented_model() {
             .unwrap();
         assert_eq!(
             ld_trace::get(Counter::ChunksRead),
-            expected_chunk_reads(n, slab, chunk, |_| true),
+            expected_chunk_reads(n, slab, chunk, n, |_| true),
             "n={n} slab={slab} chunk={chunk}"
         );
         // bytes: same walk, weighted by each chunk's encoded size
@@ -275,5 +277,86 @@ fn fresh_run_chunk_reads_match_the_documented_model() {
         );
         // the prefetcher never claims more hits than there were reads
         assert!(ld_trace::get(Counter::PrefetchHits) <= ld_trace::get(Counter::ChunksRead));
+    }
+}
+
+/// A column band bounds the stream: a store-backed banded run reads, per
+/// slab, its panel chunks plus the chunks from the slab's first to the one
+/// holding column `r1 + w − 1` — and nothing to the right of the band.
+#[test]
+fn banded_run_chunk_reads_stop_at_the_band() {
+    let _l = counter_lock();
+    for &(n, slab, chunk, w) in &[
+        (37usize, 5usize, 4usize, 3usize),
+        (37, 5, 4, 0),
+        (37, 5, 4, 36),
+        (37, 5, 4, 100),
+        (64, 8, 16, 1),
+        (20, 20, 3, 2),
+        (9, 2, 1, 4),
+    ] {
+        let g = random_matrix(33, n, (n * 31 + slab * 7 + chunk + w) as u64);
+        let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+        let e = LdEngine::new().threads(2).slab_rows(slab);
+        ld_trace::reset();
+        e.try_stat_rows_with(
+            Source::Store(&store),
+            LdStats::RSquared,
+            |_| {},
+            &RunControl::new().with_band(w),
+        )
+        .unwrap();
+        assert_eq!(
+            ld_trace::get(Counter::ChunksRead),
+            expected_chunk_reads(n, slab, chunk, w, |_| true),
+            "n={n} slab={slab} chunk={chunk} w={w}"
+        );
+    }
+}
+
+/// A banded run is interruptible like any other: a token tripped (or a
+/// deadline expired) before the run starts computes and delivers nothing,
+/// from either source.
+#[test]
+fn pre_tripped_banded_run_is_cancelled_before_any_slab() {
+    let _l = counter_lock();
+    let g = random_matrix(40, 50, 0xba2d);
+    let store = MemoryTileStore::from_matrix(&g, 8).unwrap();
+    let e = LdEngine::new().threads(2).slab_rows(4);
+    let token = CancelToken::new();
+    token.cancel_with_reason("stop");
+    let expired = ld_core::Deadline::after(std::time::Duration::ZERO);
+    for src in [Source::from(&g), Source::Store(&store)] {
+        for (ctl, reason) in [
+            (RunControl::new().with_token(&token), "stop"),
+            (
+                RunControl::new().with_deadline(expired),
+                "deadline exceeded",
+            ),
+        ] {
+            ld_trace::reset();
+            let mut delivered = 0usize;
+            let err = e
+                .try_stat_rows_with(
+                    src,
+                    LdStats::RSquared,
+                    |_| delivered += 1,
+                    &ctl.with_band(7),
+                )
+                .expect_err("a tripped run must cancel");
+            match err {
+                LdError::Cancelled {
+                    reason: got,
+                    completed_slabs,
+                } => {
+                    assert_eq!(got, reason);
+                    assert_eq!(completed_slabs, 0, "{reason}");
+                }
+                other => panic!("{reason}: unexpected error {other}"),
+            }
+            assert_eq!(delivered, 0, "{reason}");
+            assert_eq!(ld_trace::get(Counter::SlabsEmitted), 0, "{reason}");
+            assert_eq!(ld_trace::get(Counter::ChunksRead), 0, "{reason}");
+        }
     }
 }

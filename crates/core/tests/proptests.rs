@@ -2,7 +2,7 @@
 //! Seeded `ld-rng` cases replace `proptest` (unavailable offline).
 
 use ld_bitmat::BitMatrix;
-use ld_core::{ld_pair_from_counts, LdEngine, LdStats, NanPolicy};
+use ld_core::{ld_pair_from_counts, LdEngine, LdStats, NanPolicy, RunControl, TileVisit};
 use ld_rng::SmallRng;
 
 fn random_matrix(rng: &mut SmallRng) -> BitMatrix {
@@ -70,7 +70,7 @@ fn d_prime_dominates_in_magnitude() {
         // |D'| ≥ r for every pair (a classical inequality: r² ≤ D'²)
         let e = LdEngine::new().nan_policy(NanPolicy::Zero);
         let r2 = e.r2_matrix(&g);
-        let dp = e.d_prime_matrix(&g);
+        let dp = e.stat_matrix(&g, LdStats::DPrime);
         for (i, j, v) in r2.iter_pairs() {
             let d = dp.get(i, j);
             assert!(d * d + 1e-9 >= v, "case {case}: ({i},{j}): D'={d} r2={v}");
@@ -90,7 +90,9 @@ fn cross_equals_square_blocks() {
         let mid = g.n_snps() / 2;
         for stat in [LdStats::RSquared, LdStats::D, LdStats::DPrime] {
             let full = e.stat_matrix(&g, stat);
-            let cross = e.cross_stat_matrix(g.view(0, mid), g.view(mid, g.n_snps()), stat);
+            let cross = e
+                .try_cross_stat_matrix(g.view(0, mid), g.view(mid, g.n_snps()), stat)
+                .unwrap();
             for i in 0..mid {
                 for j in 0..g.n_snps() - mid {
                     // one transform body ⇒ the same bits, NaNs included
@@ -114,7 +116,7 @@ fn tiled_equals_full() {
         let e = LdEngine::new();
         let full = e.r2_matrix(&g);
         let mut visited = 0usize;
-        e.r2_tiled(&g, tile, |t| {
+        let visit = |t: &TileVisit<'_>| {
             for r in 0..t.rows {
                 for c in 0..t.cols {
                     let (i, j) = (t.row_start + r, t.col_start + c);
@@ -125,7 +127,9 @@ fn tiled_equals_full() {
                     visited += 1;
                 }
             }
-        });
+        };
+        e.try_for_each_tile_with(&g, LdStats::RSquared, tile, visit, &RunControl::new())
+            .unwrap();
         // every ordered pair with block(col) >= block(row) visited at least once
         assert!(visited >= g.n_snps() * (g.n_snps() + 1) / 2, "case {case}");
     }

@@ -313,13 +313,18 @@ mod tests {
                 engine
                     .clone()
                     .slab_rows(height)
-                    .try_stat_rows(&g, stat, |s| {
-                        let mut block = String::new();
-                        for (i, row) in s.rows() {
-                            push_r2_row(&mut block, i, i + 1, &row[1..], min_r2).unwrap();
-                        }
-                        blocks.insert(s.row_start(), block);
-                    })
+                    .try_stat_rows_with(
+                        &g,
+                        stat,
+                        |s| {
+                            let mut block = String::new();
+                            for (i, row) in s.rows() {
+                                push_r2_row(&mut block, i, i + 1, &row[1..], min_r2).unwrap();
+                            }
+                            blocks.insert(s.row_start(), block);
+                        },
+                        &ld_core::RunControl::new(),
+                    )
                     .unwrap();
                 let streamed: String = blocks.into_values().collect();
                 assert_eq!(

@@ -23,8 +23,8 @@
 #![warn(missing_docs)]
 
 use ld_bitmat::{BitMatrix, BitMatrixView};
-use ld_core::fused::SyncSlice;
 use ld_core::{LdEngine, LdMatrix, NanPolicy};
+use std::sync::{Mutex, PoisonError};
 
 pub mod grid;
 mod prefix;
@@ -148,39 +148,49 @@ impl OmegaScan {
         self
     }
 
-    /// Scans the matrix, returning one [`OmegaPoint`] per window.
+    /// Scans the matrix, returning one [`OmegaPoint`] per window, in window
+    /// order.
+    ///
+    /// Windows are distributed across the engine's threads and each
+    /// window's `r²` GEMM runs single-threaded — for many small windows,
+    /// across-window parallelism beats within-window parallelism. Points
+    /// are bit-identical for every thread count.
     pub fn scan(&self, g: &BitMatrix) -> Vec<OmegaPoint> {
-        let n = g.n_snps();
-        let mut out = Vec::new();
-        if n < self.window {
-            return out;
-        }
-        let mut start = 0usize;
-        loop {
-            let end = start + self.window;
-            let view = g.view(start, end);
-            let r2 = self.engine.r2_matrix(view);
-            let sums = WindowSums::new(&r2);
-            let s = self.window;
-            let mut best = (0.0f64, self.min_region);
-            for l in self.min_region..=(s - self.min_region) {
-                let w = sums.omega_at(l);
-                if w > best.0 {
-                    best = (w, l);
-                }
-            }
-            out.push(OmegaPoint {
-                window_start: start,
-                window_end: end,
-                best_split: start + best.1,
-                omega: best.0,
-            });
-            if end == n {
-                break;
-            }
-            start = (start + self.step).min(n - self.window);
-        }
+        let starts = self.window_starts(g.n_snps());
+        let engine = self.engine.clone().threads(1);
+        let done = Mutex::new(Vec::with_capacity(starts.len()));
+        ld_parallel::parallel_for_dynamic(self.engine.thread_count(), starts.len(), 1, |range| {
+            let points: Vec<OmegaPoint> = range
+                .map(|w| self.window_point(&engine, g, starts[w]))
+                .collect();
+            done.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .extend(points);
+        });
+        let mut out = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+        // window starts are strictly increasing
+        out.sort_unstable_by_key(|p| p.window_start);
         out
+    }
+
+    /// Evaluates the window starting at SNP `start`.
+    fn window_point(&self, engine: &LdEngine, g: &BitMatrix, start: usize) -> OmegaPoint {
+        let end = start + self.window;
+        let r2 = engine.r2_matrix(g.view(start, end));
+        let sums = WindowSums::new(&r2);
+        let mut best = (0.0f64, self.min_region);
+        for l in self.min_region..=(self.window - self.min_region) {
+            let w = sums.omega_at(l);
+            if w > best.0 {
+                best = (w, l);
+            }
+        }
+        OmegaPoint {
+            window_start: start,
+            window_end: end,
+            best_split: start + best.1,
+            omega: best.0,
+        }
     }
 
     /// The scan's single strongest signal, if any window was evaluated.
@@ -190,61 +200,6 @@ impl OmegaScan {
                 .partial_cmp(&b.omega)
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
-    }
-
-    /// Like [`OmegaScan::scan`], but windows are distributed across
-    /// `threads` workers (each window's `r²` GEMM then runs
-    /// single-threaded — for many small windows, across-window parallelism
-    /// beats within-window parallelism).
-    pub fn par_scan(&self, g: &BitMatrix, threads: usize) -> Vec<OmegaPoint> {
-        let starts = self.window_starts(g.n_snps());
-        let mut out = vec![
-            OmegaPoint {
-                window_start: 0,
-                window_end: 0,
-                best_split: 0,
-                omega: 0.0
-            };
-            starts.len()
-        ];
-        let single = self.clone_with_single_threaded_engine();
-        {
-            let slots = SyncSlice::new(&mut out);
-            let starts = &starts;
-            ld_parallel::parallel_for_dynamic(threads, starts.len(), 1, |range| {
-                for w in range {
-                    let start = starts[w];
-                    let end = start + single.window;
-                    let view = g.view(start, end);
-                    let r2 = single.engine.r2_matrix(view);
-                    let sums = WindowSums::new(&r2);
-                    let mut best = (0.0f64, single.min_region);
-                    for l in single.min_region..=(single.window - single.min_region) {
-                        let v = sums.omega_at(l);
-                        if v > best.0 {
-                            best = (v, l);
-                        }
-                    }
-                    // SAFETY: the dynamic scheduler hands out disjoint
-                    // index ranges, so slot w is borrowed by one worker.
-                    unsafe {
-                        slots.slice(w, 1)[0] = OmegaPoint {
-                            window_start: start,
-                            window_end: end,
-                            best_split: start + best.1,
-                            omega: best.0,
-                        };
-                    }
-                }
-            });
-        }
-        out
-    }
-
-    fn clone_with_single_threaded_engine(&self) -> Self {
-        let mut s = self.clone();
-        s.engine = s.engine.threads(1);
-        s
     }
 
     /// The window start positions [`OmegaScan::scan`] visits, in order.
@@ -422,20 +377,27 @@ mod tests {
     #[test]
     fn par_scan_equals_sequential_scan() {
         let g = sweep_like(12); // 24 snps
-        let scan = OmegaScan::new(10, 3);
-        let seq = scan.scan(&g);
-        for threads in [1usize, 2, 5] {
-            let par = scan.par_scan(&g, threads);
+        let scan = |threads: usize| {
+            OmegaScan::new(10, 3)
+                .engine(LdEngine::new().threads(threads))
+                .scan(&g)
+        };
+        let seq = scan(1);
+        assert!(seq.len() >= 5);
+        for threads in [2usize, 4] {
+            let par = scan(threads);
             assert_eq!(par.len(), seq.len(), "threads={threads}");
             for (a, b) in par.iter().zip(&seq) {
                 assert_eq!(a.window_start, b.window_start);
                 assert_eq!(a.window_end, b.window_end);
                 assert_eq!(a.best_split, b.best_split);
-                assert!((a.omega - b.omega).abs() < 1e-12);
+                assert_eq!(a.omega.to_bits(), b.omega.to_bits());
             }
         }
         // empty input
-        assert!(scan.par_scan(&BitMatrix::zeros(8, 4), 2).is_empty());
+        assert!(OmegaScan::new(10, 3)
+            .scan(&BitMatrix::zeros(8, 4))
+            .is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ```
 
 use gemm_ld::prelude::*;
-use ld_core::NanPolicy;
+use ld_core::{NanPolicy, RunControl, TileVisit};
 
 /// Greedy window pruning: within each window, drop the later SNP of any
 /// pair with `r² > threshold` (keeping earlier = keeping the first tag).
@@ -67,7 +67,7 @@ fn main() {
         let pruned = g.select_snps(&kept).expect("indices are valid");
         let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
         let mut violations = 0;
-        engine.r2_tiled(&pruned, 128, |t| {
+        let count = |t: &TileVisit<'_>| {
             for r in 0..t.rows {
                 for c in 0..t.cols {
                     let (gi, gj) = (t.row_start + r, t.col_start + c);
@@ -81,7 +81,10 @@ fn main() {
                     }
                 }
             }
-        });
+        };
+        engine
+            .try_for_each_tile_with(&pruned, LdStats::RSquared, 128, count, &RunControl::new())
+            .expect("the pruned panel is non-empty");
         println!("  window-local pairs above threshold after pruning: {violations}");
     }
 }

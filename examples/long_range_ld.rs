@@ -37,7 +37,9 @@ fn main() {
         .kernel(KernelKind::Auto)
         .nan_policy(NanPolicy::Zero);
     let t0 = std::time::Instant::now();
-    let cross = engine.r2_cross(&chr1, &chr2);
+    let cross = engine
+        .try_cross_stat_matrix(&chr1, &chr2, LdStats::RSquared)
+        .expect("both panels share the sample set");
     println!(
         "cross-chromosome LD: {} x {} = {} values in {:?}",
         cross.n_rows(),

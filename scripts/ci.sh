@@ -55,6 +55,8 @@ run cargo clippy --no-deps --workspace --lib --offline -- \
     -D warnings -D clippy::undocumented_unsafe_blocks
 run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline
+# The optimised kernels, not only the debug ones, are held to the oracle.
+run cargo test -q --release --offline -p ld-kernels --test kernel_matrix
 
 BIN=target/release/gemm-ld
 OUT=target/ci

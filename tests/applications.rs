@@ -22,8 +22,8 @@ fn banded_decay_and_blocks_are_mutually_consistent() {
 
     // banded matrix agrees with decay profile aggregates
     let band = 20usize;
-    let banded = BandedLdMatrix::compute(&e, &g, band, LdStats::RSquared);
-    let profile = DecayProfile::compute(&e, &g, band, 1);
+    let banded = BandedLdMatrix::compute(&e, &g, band, LdStats::RSquared).unwrap();
+    let profile = DecayProfile::compute(&e, &g, band, 1).unwrap();
     for bin in profile.bins() {
         let d = bin.min_dist;
         let mut sum = 0.0;
@@ -46,7 +46,7 @@ fn banded_decay_and_blocks_are_mutually_consistent() {
     }
 
     // blocks cover SNPs whose near-pair LD is high
-    let blocks = ld_core::haplotype_blocks(&e, &g, 0.9);
+    let blocks = ld_core::haplotype_blocks(&e, &g, 0.9).unwrap();
     assert!(!blocks.is_empty(), "low switch rate must produce blocks");
     let covered: usize = blocks.iter().map(|b| b.len()).sum();
     assert!(covered > g.n_snps() / 4, "covered only {covered}");
@@ -82,7 +82,7 @@ fn coalescent_data_flows_through_everything() {
     // within-genealogy LD must exceed cross-genealogy LD
     let within = r2.get(1, 5);
     let _ = within; // spot values vary; use the aggregate below
-    let profile = DecayProfile::compute(&e, &g, 48, 12);
+    let profile = DecayProfile::compute(&e, &g, 48, 12).unwrap();
     assert!(profile.bins()[0].mean_r2 > profile.bins()[3].mean_r2);
 }
 
@@ -180,7 +180,7 @@ fn higher_order_ld_vanishes_for_duplicated_pairs() {
 #[test]
 fn banded_storage_is_linear_in_n() {
     let g = HaplotypeSimulator::new(64, 4000).seed(49).generate();
-    let banded = BandedLdMatrix::compute(&engine(), &g, 10, LdStats::RSquared);
+    let banded = BandedLdMatrix::compute(&engine(), &g, 10, LdStats::RSquared).unwrap();
     assert_eq!(banded.storage_bytes(), 4000 * 10 * 8); // 320 KB
                                                        // full matrix would be 4000*4001/2 * 8 = 64 MB
     assert!(banded.storage_bytes() < 1 << 20);

@@ -44,9 +44,15 @@ fn four_implementations_agree() {
 #[test]
 fn every_kernel_gives_identical_counts() {
     let g = sim(777, 30, 2);
-    let reference = LdEngine::new().kernel(KernelKind::Scalar).counts_matrix(&g);
+    let reference = LdEngine::new()
+        .kernel(KernelKind::Scalar)
+        .try_counts_matrix(&g)
+        .unwrap();
     for k in supported_kernels() {
-        let counts = LdEngine::new().kernel(k.kind()).counts_matrix(&g);
+        let counts = LdEngine::new()
+            .kernel(k.kind())
+            .try_counts_matrix(&g)
+            .unwrap();
         assert_eq!(counts, reference, "kernel {}", k.kind());
     }
 }
@@ -92,7 +98,9 @@ fn cross_and_square_engines_consistent() {
     let g = sim(200, 50, 4);
     let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
     let square = engine.r2_matrix(&g);
-    let cross = engine.r2_cross(g.view(0, 20), g.view(20, 50));
+    let cross = engine
+        .try_cross_stat_matrix(g.view(0, 20), g.view(20, 50), LdStats::RSquared)
+        .unwrap();
     for i in 0..20 {
         for j in 0..30 {
             assert!(
@@ -117,7 +125,7 @@ fn tanimoto_agrees_with_ld_counts_identity() {
     // Tanimoto and r² both come from the same counts matrix; check the
     // arithmetic relation x/(p+q-x) on real counts.
     let fp = ld_data::fingerprints::random_fingerprints(30, 512, 0.1, 6);
-    let counts = LdEngine::new().counts_matrix(&fp);
+    let counts = LdEngine::new().try_counts_matrix(&fp).unwrap();
     let sim = ld_ext::tanimoto::tanimoto_matrix(&fp.full_view(), KernelKind::Auto, 1);
     let n = 30;
     for i in 0..n {
