@@ -10,7 +10,7 @@ use ld_data::HaplotypeSimulator;
 use ld_data::SweepSimulator;
 use ld_ext::tanimoto::{tanimoto_cross, top_k_neighbors};
 use ld_io::atomic::{write_atomic, write_atomic_with};
-use ld_io::text::{push_r2_row, R2_TABLE_HEADER};
+use ld_io::text::{push_r2_row, r2_keeps, r2_row_bound, R2_TABLE_HEADER};
 use ld_io::MatrixFormat;
 use ld_kernels::{BlockSizes, CpuProfile, KernelKind, TunedParams};
 use ld_omega::OmegaScan;
@@ -18,6 +18,7 @@ use ld_popcount::{CpuFeatures, CpuFingerprint};
 use ld_trace::Counter;
 use std::io::BufReader;
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Top-level usage text.
@@ -677,47 +678,48 @@ pub fn r2(args: &Args) -> CmdResult {
         let mut ld_err: Option<ld_core::LdError> = None;
         let res = write_atomic_with(path, |w| {
             w.write_all(R2_TABLE_HEADER.as_bytes())?;
-            // slabs arrive in unspecified order from a threaded memory
-            // source: each is formatted as it arrives and the blocks are
-            // written in row order (`in_row_order` holds the early ones; a
-            // store source delivers in row order, so it never holds more
-            // than the block just formatted)
+            // Each slab is formatted by the worker that computed it, as it
+            // finishes; only the write is serialised, in row order
+            // (`in_row_order` holds the blocks that are early; a store
+            // source delivers in row order, so it never holds more than
+            // the block just formatted). Written blocks go back to the
+            // workers, so a run touches a few blocks' worth of pages, not
+            // every block's.
             let mut io_err: Option<std::io::Error> = None;
-            let mut fmt_err = false;
+            let spare: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+            let spare = || spare.lock().unwrap_or_else(PoisonError::into_inner);
             let format = |s: &ld_core::RowSlabVisit<'_>| {
-                let mut block = String::new();
-                for (i, row) in s.rows() {
-                    // `row[0]` is the diagonal. String formatting
-                    // cannot fail short of OOM, but swallowing the
-                    // Result would silently drop rows — record it.
-                    if push_r2_row(&mut block, i, i + 1, &row[1..], min_r2).is_err() {
-                        fmt_err = true;
-                    }
+                let mut block = spare().pop().unwrap_or_default();
+                // `row[0]` is the diagonal
+                let pairs = || s.rows().map(|(i, row)| (i, &row[1..]));
+                block.reserve(pairs().map(|(_, row)| r2_row_bound(n, row, min_r2)).sum());
+                for (i, row) in pairs() {
+                    push_r2_row(&mut block, i, i + 1, row, min_r2);
                 }
                 block
             };
-            let write = |block: String| {
+            let write = |mut block: Vec<u8>| {
                 if io_err.is_none() {
-                    if let Err(e) = w.write_all(block.as_bytes()) {
-                        io_err = Some(e);
-                    }
+                    io_err = w.write_all(&block).err();
                 }
+                block.clear();
+                spare().push(block);
             };
-            let run =
-                engine.try_stat_rows_with(src, stat, ld_core::in_row_order(format, write), &ctl);
+            let run = {
+                let in_order = ld_core::in_row_order(format, write);
+                // A slab's text is ~3x its scratch: it is cut, formatted
+                // and handed on a few rows at a time, so the worker whose
+                // slab is next in line holds one small block, not a slab's.
+                let by_parts = |s: &ld_core::RowSlabVisit<'_>| {
+                    s.parts(TABLE_BLOCK_ROWS).for_each(|part| in_order(&part))
+                };
+                engine.try_stat_rows_shared_with(src, stat, by_parts, &ctl)
+            };
             if let Err(e) = run {
                 ld_err = Some(e);
                 return Err(std::io::Error::other("LD computation failed"));
             }
-            if let Some(e) = io_err {
-                return Err(e);
-            }
-            if fmt_err {
-                return Err(std::io::Error::other(
-                    "formatting a pair-table block failed",
-                ));
-            }
-            Ok(())
+            io_err.map_or(Ok(()), Err)
         });
         if let Some(e) = ld_err {
             return Err(e.into());
@@ -727,10 +729,33 @@ pub fn r2(args: &Args) -> CmdResult {
         compute_wall_ns = wall.as_nanos() as u64;
         print_summary(wall);
         eprintln!("wrote pair table to {path}");
+    } else if sink.is_none() {
+        // The stdout listing, streamed: each worker cuts its slab down to
+        // the slab's own strongest pairs, and the ordered hand-off folds
+        // those into the run's — no triangle and no list of kept pairs
+        // exists, so memory is the source's scratch bound here too.
+        let mut best = Vec::new();
+        let strongest_of = |s: &ld_core::RowSlabVisit<'_>| {
+            let pairs = s.rows().flat_map(|(i, row)| {
+                // `row[0]` is the diagonal
+                let strict = row[1..].iter().enumerate();
+                strict.map(move |(t, &v)| (i, i + 1 + t, v))
+            });
+            top_pairs(pairs, min_r2)
+        };
+        let fold = |slab_best: Vec<Pair>| {
+            best = top_pairs(best.drain(..).chain(slab_best), min_r2);
+        };
+        engine
+            .try_stat_rows_shared_with(src, stat, ld_core::in_row_order(strongest_of, fold), &ctl)
+            .map_err(|e| intr.classify(e))?;
+        let wall = t0.elapsed();
+        compute_wall_ns = wall.as_nanos() as u64;
+        print_summary(wall);
+        print_top_pairs(&best, min_r2);
     } else {
-        // Packed-matrix path: the default, and mandatory under
-        // --checkpoint (completed slabs live in the packed triangle the
-        // engine snapshots).
+        // Packed-matrix path: only under --checkpoint (completed slabs
+        // live in the packed triangle the engine snapshots).
         let m = engine
             .try_stat_matrix_with(src, stat, &ctl)
             .map_err(|e| intr.classify(e))?;
@@ -832,23 +857,54 @@ fn write_pair_table(path: &str, m: &ld_core::LdMatrix, min_r2: f64) -> Result<()
     .map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))
 }
 
-/// What `r2` and `merge` do with a finished matrix: the pair table under
-/// `-o FILE`, otherwise the 20 strongest pairs on stdout.
+/// Rows per formatted block of the streamed pair table.
+const TABLE_BLOCK_ROWS: usize = 16;
+
+/// An off-diagonal pair `(i, j, value)`, `i < j`.
+type Pair = (usize, usize, f64);
+
+/// How many pairs the stdout listing shows.
+const TOP_PAIRS: usize = 20;
+
+/// The listing's selection: the [`TOP_PAIRS`] strongest of the `pairs`
+/// the table would keep (not NaN, `≥ min_r2`), strongest first, equal
+/// values in `(i, j)` order. That order is total, so the selection of a
+/// union is the selection of its parts' selections — which is what lets
+/// `r2` fold slabs into it — and it holds at most `TOP_PAIRS` entries at
+/// any time.
+fn top_pairs(pairs: impl Iterator<Item = Pair>, min_r2: f64) -> Vec<Pair> {
+    let before = |a: &Pair, b: &Pair| {
+        let by_value = b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal);
+        by_value.then((a.0, a.1).cmp(&(b.0, b.1))).is_lt()
+    };
+    let mut best: Vec<Pair> = Vec::with_capacity(TOP_PAIRS + 1);
+    for pair in pairs.filter(|&(_, _, v)| r2_keeps(v, min_r2)) {
+        if best.len() == TOP_PAIRS && !before(&pair, &best[TOP_PAIRS - 1]) {
+            continue;
+        }
+        let at = best.partition_point(|kept| before(kept, &pair));
+        best.insert(at, pair);
+        best.truncate(TOP_PAIRS);
+    }
+    best
+}
+
+fn print_top_pairs(best: &[Pair], min_r2: f64) {
+    println!("top pairs (threshold {min_r2}):");
+    for (i, j, v) in best {
+        println!("  snp{i:<6} snp{j:<6} {v:.4}");
+    }
+}
+
+/// What `r2 --checkpoint` and `merge` do with a finished matrix: the pair
+/// table under `-o FILE`, otherwise the strongest pairs on stdout.
 fn emit_pairs(output: Option<&str>, m: &ld_core::LdMatrix, min_r2: f64) -> Result<(), CliError> {
     if let Some(path) = output.filter(|s| !s.is_empty()) {
         write_pair_table(path, m, min_r2)?;
         eprintln!("wrote pair table to {path}");
         return Ok(());
     }
-    let mut kept: Vec<(usize, usize, f64)> = m
-        .iter_pairs()
-        .filter(|&(_, _, v)| !v.is_nan() && v >= min_r2)
-        .collect();
-    kept.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-    println!("top pairs (threshold {min_r2}):");
-    for (i, j, v) in kept.into_iter().take(20) {
-        println!("  snp{i:<6} snp{j:<6} {v:.4}");
-    }
+    print_top_pairs(&top_pairs(m.iter_pairs(), min_r2), min_r2);
     Ok(())
 }
 
@@ -2762,14 +2818,17 @@ mod tests {
             r2(&args(&[source, flags, &["-o", &out]].concat())).unwrap();
             std::fs::read(&out).unwrap()
         };
-        // streamed -o, with and without a threshold, at 1 and 2 threads
-        for threads in ["1", "2"] {
-            for min_r2 in [&[][..], &["--min-r2", "0.2"][..]] {
-                let flags = [&["--threads", threads, "--slab-rows", "8"], min_r2].concat();
-                let want = table("file.tsv", &from_file, &flags);
-                assert!(want.len() > 16, "the table must have rows");
-                let got = table("store.tsv", &from_store, &flags);
-                assert_eq!(got, want, "t{threads} {min_r2:?}");
+        // streamed -o, with and without a threshold: one table, whatever
+        // the source, the thread count and so the order slabs finish in
+        for min_r2 in [&[][..], &["--min-r2", "0.2"][..]] {
+            let flags = |threads| [&["--threads", threads, "--slab-rows", "8"], min_r2].concat();
+            let want = table("file.tsv", &from_file, &flags("1"));
+            assert!(want.len() > 16, "the table must have rows");
+            for threads in ["1", "2", "7"] {
+                for (name, source) in [("file.tsv", from_file), ("store.tsv", from_store)] {
+                    let got = table(name, &source, &flags(threads));
+                    assert!(got == want, "{name} t{threads} {min_r2:?}");
+                }
             }
         }
         // the packed arm (mandatory under --checkpoint)
@@ -2844,6 +2903,68 @@ mod tests {
         }
         let err = r2(&args(&["-i", &ms, "--memory-budget-mb", "lots"])).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
+    }
+
+    /// The stdout listing streams: it runs under a budget the packed
+    /// triangle does not fit, from both sources. (What it prints there is
+    /// held to the unbudgeted run's bytes by `process_cli.rs`.)
+    #[test]
+    fn r2_listing_runs_under_a_budget_smaller_than_the_triangle() {
+        let d = tmpdir();
+        let p = |name: &str| d.join(name).to_str().unwrap().to_owned();
+        let (ms, store) = (p("panel.ms"), p("panel.store"));
+        // a 600-SNP triangle is 1.44 MB of f64
+        simulate(&args(&["--samples", "128", "--snps", "600", "-o", &ms])).unwrap();
+        import(&args(&["-i", &ms, "--store", &store, "--chunk-snps", "64"])).unwrap();
+        let budget = ["--memory-budget-mb", "1", "--min-r2", "0.8"];
+        for source in [["-i", ms.as_str()], ["--store", store.as_str()]] {
+            r2(&args(&[&source[..], &budget].concat())).unwrap();
+            // the premise: the arm that does build the triangle is refused
+            let ckpt = p("run.ckpt");
+            let packed = [&source[..], &budget, &["--checkpoint", &ckpt]].concat();
+            let err = r2(&args(&packed)).unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{source:?}: {err}");
+            assert!(err.to_string().contains("budget"), "{source:?}: {err}");
+        }
+    }
+
+    /// The bounded selection is the parent's `collect` + stable sort by
+    /// value, cut at 20 — on inputs that are mostly ties.
+    #[test]
+    fn top_pairs_is_the_stable_sort_cut_at_twenty() {
+        let mut state = 0x70_7061_6972u64;
+        for (n, min_r2) in [(0usize, 0.0), (5, 0.0), (9, 0.5), (40, 0.25), (40, -1.0)] {
+            let mut pairs = Vec::new();
+            for i in 0..n {
+                for j in i + 1..n {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let v = match state % 7 {
+                        0 => f64::NAN,
+                        1 => -0.0,
+                        k => (k - 2) as f64 * 0.25,
+                    };
+                    pairs.push((i, j, v));
+                }
+            }
+            let mut want: Vec<Pair> = pairs
+                .iter()
+                .copied()
+                .filter(|&(_, _, v)| !v.is_nan() && v >= min_r2)
+                .collect();
+            want.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap());
+            want.truncate(20);
+            let got = top_pairs(pairs.iter().copied(), min_r2);
+            let bits =
+                |l: &[Pair]| -> Vec<_> { l.iter().map(|p| (p.0, p.1, p.2.to_bits())).collect() };
+            assert_eq!(bits(&got), bits(&want), "{n} SNPs at {min_r2}");
+            // and of a union, the selection of its parts' selections
+            let (a, b) = pairs.split_at(pairs.len() / 3);
+            let parts = [a, b].map(|part| top_pairs(part.iter().copied(), min_r2));
+            let folded = top_pairs(parts.concat().into_iter(), min_r2);
+            assert_eq!(bits(&folded), bits(&want), "{n} SNPs at {min_r2}, folded");
+        }
     }
 
     #[test]

@@ -214,3 +214,81 @@ fn damaged_chunk_exits_3_naming_the_chunk() {
     );
     assert!(!exists(&out), "a partial table");
 }
+
+/// The stdout listing — streamed by `r2`, read off a finished matrix by
+/// `r2 --checkpoint` and `merge` — is the parent's `collect` + stable sort
+/// cut at 20, byte for byte, whatever finishes first. The panel carries
+/// one SNP eight times: 28 pairs at r² = 1 exactly, more than are printed,
+/// so the order among equals decides which appear.
+#[test]
+fn top_pairs_listing_is_the_stable_sort_from_every_arm() {
+    let dir = Scratch::new("proc_listing");
+    let (sim, input, store) = (dir.path("sim.txt"), dir.path("d.txt"), dir.path("store"));
+    simulate(&sim, 64, 150, 23);
+    let mut g = ld_io::text::read_matrix(&read(&sim)[..]).expect("simulated panel");
+    let copies = [3, 17, 18, 40, 77, 78, 120, 149];
+    for s in 0..g.n_samples() {
+        // polymorphic whatever the simulator drew
+        let allele = s % 3 == 0;
+        copies.iter().for_each(|&j| g.set(s, j, allele));
+    }
+    let mut txt = Vec::new();
+    ld_io::text::write_matrix(&mut txt, &g).expect("in-memory write");
+    std::fs::write(&input, txt).expect("write the panel");
+    run_ok(&format!(
+        "import -i {input} --store {store} --chunk-snps 16"
+    ));
+
+    // the reference, kept as the parent wrote it
+    let engine = ld_core::LdEngine::new().nan_policy(ld_core::NanPolicy::Zero);
+    let m = engine
+        .try_stat_matrix(&g, ld_core::LdStats::RSquared)
+        .expect("reference matrix");
+    let listing = |min_r2: f64| {
+        let mut kept: Vec<(usize, usize, f64)> = m
+            .iter_pairs()
+            .filter(|&(_, _, v)| !v.is_nan() && v >= min_r2)
+            .collect();
+        kept.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+        let mut out = format!("top pairs (threshold {min_r2}):\n");
+        for (i, j, v) in kept.into_iter().take(20) {
+            out += &format!("  snp{i:<6} snp{j:<6} {v:.4}\n");
+        }
+        out
+    };
+    let ones = m.iter_pairs().filter(|p| p.2 == 1.0).count();
+    assert!(ones >= 28, "{ones} pairs at r2 = 1");
+    assert_eq!(listing(0.0).matches(" 1.0000\n").count(), 20);
+
+    let (s1, s2, ckpt) = (dir.path("s1.bin"), dir.path("s2.bin"), dir.path("ckpt"));
+    for (min_r2, flag) in [(0.0, ""), (0.9, "--min-r2 0.9")] {
+        let want = listing(min_r2);
+        for source in [format!("-i {input}"), format!("--store {store}")] {
+            for threads in [1, 2, 7] {
+                let line = format!("r2 {source} --threads {threads} --slab-rows 8 {flag}");
+                assert_eq!(run_ok(&line).stdout, want, "{line}");
+            }
+            // the arms that hold a finished matrix
+            let line = format!("r2 {source} --threads 2 --checkpoint {ckpt} {flag}");
+            assert_eq!(run_ok(&line).stdout, want, "{line}");
+            for (shard, to) in [("1/2", &s1), ("2/2", &s2)] {
+                run_ok(&format!("r2 {source} --shard {shard} -o {to}"));
+            }
+            let line = format!("merge {s1} {s2} {flag}");
+            assert_eq!(run_ok(&line).stdout, want, "{line}");
+        }
+    }
+
+    // a budget the triangle does not fit changes no byte of the listing
+    let (big, big_store) = (dir.path("big.ms"), dir.path("big_store"));
+    simulate(&big, 128, 600, 5);
+    run_ok(&format!(
+        "import -i {big} --store {big_store} --chunk-snps 64"
+    ));
+    let want = run_ok(&format!("r2 -i {big} --min-r2 0.8")).stdout;
+    assert!(want.lines().count() > 1, "nothing above 0.8:\n{want}");
+    for source in [format!("-i {big}"), format!("--store {big_store}")] {
+        let line = format!("r2 {source} --memory-budget-mb 1 --min-r2 0.8");
+        assert_eq!(run_ok(&line).stdout, want, "{line}");
+    }
+}

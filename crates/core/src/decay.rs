@@ -33,7 +33,7 @@ impl DecayProfile {
     /// Computes the profile for distances `1..=max_dist`, aggregated into
     /// bins of `bin_width` distances each.
     ///
-    /// A row visitor over [`LdEngine::try_stat_rows_with`] with `max_dist`
+    /// A row visitor over [`LdEngine::try_stat_rows_shared_with`] with `max_dist`
     /// as the run's column band, so memory is the driver's
     /// `O(threads · slab · (slab + max_dist))` scratch regardless of `n`
     /// (plus, under threading, the few early slabs held for reordering).
@@ -73,7 +73,7 @@ impl DecayProfile {
             }
         };
         let ctl = RunControl::new().with_band(max_dist);
-        engine.try_stat_rows_with(src, LdStats::RSquared, in_row_order(copy, fold), &ctl)?;
+        engine.try_stat_rows_shared_with(src, LdStats::RSquared, in_row_order(copy, fold), &ctl)?;
 
         let bins = (0..n_bins)
             .map(|b| DecayBin {

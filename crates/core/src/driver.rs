@@ -35,13 +35,17 @@
 //! | sink              | row `i`, columns `[j0, j0+len)` land in          | slab complete                   | band                         |
 //! |-------------------|--------------------------------------------------|---------------------------------|------------------------------|
 //! | `Sink::Packed`  | `packed[off(i) + (j0 − i) ..]` (disjoint per slab) | ledger flag → checkpoint cadence | rejected (stores every pair) |
-//! | `Sink::Rows`    | the worker's `slab × strip` f64 strip            | visitor called under a mutex    | strip = `min(n, slab + w)`   |
+//! | `Sink::Rows`    | the worker's `slab × strip` f64 strip            | visitor called unlocked, on the worker that computed the slab | strip = `min(n, slab + w)`   |
 //!
-//! The tile visitor is a row-visitor adaptor and the shard form is the
-//! packed sink plus `Grid::record`; both live in [`crate::LdEngine`]. The
-//! banded consumers ([`crate::banded`], [`crate::decay`], [`crate::blocks`])
-//! are row visitors under [`RunControl::with_band`] — there is no second
-//! loop.
+//! The row visitor is shared by the worker team (`Fn + Sync`): what it
+//! does with a slab runs in parallel, and a visitor that needs exclusion
+//! or ascending rows brings its own lock — the `FnMut` entry points of
+//! [`crate::LdEngine`] wrap theirs in a mutex, and [`crate::in_row_order`]
+//! locks only its ordered hand-off. The tile visitor is a row-visitor
+//! adaptor and the shard form is the packed sink plus `Grid::record`; both
+//! live in [`crate::LdEngine`]. The banded consumers ([`crate::banded`],
+//! [`crate::decay`], [`crate::blocks`]) are row visitors under
+//! [`RunControl::with_band`] — there is no second loop.
 
 use crate::checkpoint::{CheckpointSink, CheckpointState, SlabRecord};
 use crate::control::RunControl;
@@ -62,7 +66,7 @@ use std::time::Instant;
 
 /// Poisoned-lock-tolerant lock (the panic trap already drains the region;
 /// lock state after a contained panic is still consistent for our uses).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -97,8 +101,9 @@ pub(crate) enum Sink<'a> {
     /// The packed upper triangle (`n(n+1)/2` values); the only sink with
     /// engine-owned state, hence the only one that checkpoints.
     Packed(&'a mut [f64]),
-    /// A per-slab visitor; slabs are the caller's once visited.
-    Rows(&'a mut (dyn FnMut(&RowSlabVisit<'_>) + Send)),
+    /// A per-slab visitor, called by whichever worker finished the slab
+    /// with no lock held; slabs are the caller's once visited.
+    Rows(&'a (dyn Fn(&RowSlabVisit<'_>) + Sync)),
 }
 
 /// The sink as the worker team sees it.
@@ -107,7 +112,7 @@ enum Dest<'a> {
         out: SyncSlice<'a, f64>,
         ckpt: Option<Ckpt<'a>>,
     },
-    Rows(Mutex<&'a mut (dyn FnMut(&RowSlabVisit<'_>) + Send)>),
+    Rows(&'a (dyn Fn(&RowSlabVisit<'_>) + Sync)),
 }
 
 /// The slab grid of one run and the two windows on it: slab `k` covers
@@ -455,7 +460,7 @@ pub(crate) fn run(
             let out = SyncSlice::new(packed);
             Dest::Packed { out, ckpt }
         }
-        Sink::Rows(visit) => Dest::Rows(Mutex::new(visit)),
+        Sink::Rows(visit) => Dest::Rows(visit),
     };
     // Table construction is part of producing the statistic layer: charge
     // it to `transform_ns` so the profile's layer sum covers the setup.
@@ -546,7 +551,7 @@ pub(crate) fn run(
         ld_trace::add(Counter::SlabsEmitted, 1);
         ld_trace::recorder::instant(SpanKind::SlabEmit, k as u64);
         if let Dest::Rows(visit) = &dest {
-            (lock(visit))(&RowSlabVisit {
+            visit(&RowSlabVisit {
                 row_start: r0,
                 n_rows: h,
                 n_snps: n,
@@ -696,16 +701,16 @@ mod tests {
         let n = 13usize;
         for src in [Source::from(&g), Source::Store(&store)] {
             for (threads, slab) in [(1usize, 3usize), (2, 4), (7, 1), (2, 100)] {
-                let mut seen = vec![0u32; n * (n + 1) / 2];
-                let mut visit = |s: &RowSlabVisit<'_>| {
+                let seen = Mutex::new(vec![0u32; n * (n + 1) / 2]);
+                let visit = |s: &RowSlabVisit<'_>| {
                     for (i, row) in s.rows() {
                         assert_eq!(row.len(), n - i);
                         for t in 0..row.len() {
-                            seen[packed_row_offset(n, i) + t] += 1;
+                            lock(&seen)[packed_row_offset(n, i) + t] += 1;
                         }
                     }
                 };
-                let sink = Sink::Rows(&mut visit);
+                let sink = Sink::Rows(&visit);
                 run(
                     &src,
                     LdStats::RSquared,
@@ -714,7 +719,7 @@ mod tests {
                     &RunControl::new(),
                 )
                 .unwrap();
-                assert!(seen.iter().all(|&c| c == 1), "t{threads} s{slab}");
+                assert!(lock(&seen).iter().all(|&c| c == 1), "t{threads} s{slab}");
             }
         }
     }

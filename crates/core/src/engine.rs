@@ -4,7 +4,7 @@
 
 use crate::checkpoint::CheckpointState;
 use crate::control::RunControl;
-use crate::driver::{self, strip_width, Config, Grid, Sink};
+use crate::driver::{self, lock, strip_width, Config, Grid, Sink};
 use crate::error::{checked_add, checked_mul, try_zeroed_vec, LdError, MemoryBudget};
 use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
@@ -16,6 +16,7 @@ use ld_bitmat::{BitMatrix, BitMatrixView};
 use ld_kernels::{syrk_counts_buf, BlockSizes, KernelKind};
 use ld_parallel::{available_threads, run_team, triangle_row_ranges, try_parallel_for};
 use ld_popcount::and_popcount;
+use std::sync::Mutex;
 
 /// Configured entry point for all matrix-level LD computations.
 ///
@@ -559,8 +560,8 @@ impl LdEngine {
     ///   rejected with [`LdError::InvalidConfig`] — each slab is the
     ///   caller's once visited, so there is no state to persist.
     /// * Slab order and peak memory are the source's: a memory source
-    ///   delivers slabs in **unspecified order** under threading (wrap the
-    ///   visitor in [`crate::in_row_order`] when order matters) from
+    ///   delivers slabs in **unspecified order** under threading (see
+    ///   [`crate::in_row_order`] when order matters) from
     ///   `O(threads × slab × strip)` scratch — 12 bytes per value: u32
     ///   counts plus f64 values; a store source delivers them **in
     ///   ascending row order** from `O(slab × (panel_row + strip))` plus
@@ -574,15 +575,37 @@ impl LdEngine {
         &self,
         src: impl Into<Source<'a>>,
         stat: LdStats,
-        mut visit: F,
+        visit: F,
         ctl: &RunControl<'_>,
     ) -> Result<(), LdError>
     where
         F: FnMut(&RowSlabVisit<'_>) + Send,
     {
+        let visit = Mutex::new(visit);
+        self.try_stat_rows_shared_with(src, stat, |s| (lock(&visit))(s), ctl)
+    }
+
+    /// [`LdEngine::try_stat_rows_with`] for a visitor the worker team
+    /// shares: `visit` is called by whichever worker finished the slab,
+    /// **concurrently** and with no lock held, so what it does per slab
+    /// (formatting, filtering, copying) scales with the team. A visitor
+    /// that must see ascending rows wraps its ordered part in
+    /// [`crate::in_row_order`]; one that needs exclusion throughout is
+    /// what [`LdEngine::try_stat_rows_with`] is for. Everything else —
+    /// sources, control, band, budget, errors — is as documented there.
+    pub fn try_stat_rows_shared_with<'a, F>(
+        &self,
+        src: impl Into<Source<'a>>,
+        stat: LdStats,
+        visit: F,
+        ctl: &RunControl<'_>,
+    ) -> Result<(), LdError>
+    where
+        F: Fn(&RowSlabVisit<'_>) + Sync,
+    {
         let src = src.into();
         match self.plan(&src, false, None, ctl.band)? {
-            Some(cfg) => driver::run(&src, stat, &cfg, Sink::Rows(&mut visit), ctl),
+            Some(cfg) => driver::run(&src, stat, &cfg, Sink::Rows(&visit), ctl),
             None => Ok(()),
         }
     }
@@ -653,7 +676,7 @@ impl LdEngine {
         let (n, side) = (src.n_snps(), cfg.slab);
         let mut buf = try_zeroed_vec::<f64>(side * side, "tile mirror buffer")?;
         // The row-visitor adaptor: cuts each slab into one row of tiles.
-        let mut cut = move |s: &RowSlabVisit<'_>| {
+        let cut = Mutex::new(move |s: &RowSlabVisit<'_>| {
             // Slabs start at multiples of `tile` (dynamic chunks are
             // grain-aligned), so each slab is exactly one row of tiles.
             let bi = s.row_start();
@@ -685,8 +708,8 @@ impl LdEngine {
                 });
                 bj += tile;
             }
-        };
-        driver::run(&src, stat, &cfg, Sink::Rows(&mut cut), ctl)
+        });
+        driver::run(&src, stat, &cfg, Sink::Rows(&|s| (lock(&cut))(s)), ctl)
     }
 
     /// Cross-matrix statistic between two SNP sets sharing the same sample

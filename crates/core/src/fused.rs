@@ -16,14 +16,17 @@
 //!   protocol);
 //! * [`RowSlabVisit`] — what a streaming visitor
 //!   ([`crate::LdEngine::try_stat_rows_with`]) sees of one finished slab,
-//!   and [`in_row_order`], the adaptor for visitors that need the slabs
-//!   in ascending row order.
+//!   and [`in_row_order`], the two-phase adaptor for visitors that need
+//!   the slabs in ascending row order: per-slab work unlocked, ordered
+//!   hand-off under its own lock.
 
+use crate::driver::lock;
 use crate::error::{try_zeroed_vec, LdError};
 use crate::stats::{stat_from_counts, LdStats, NanPolicy};
 use ld_bitmat::BitMatrixView;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::sync::Mutex;
 
 /// Row offset of row `i` in the packed upper triangle of an `n × n`
 /// symmetric matrix: `Σ_{t<i}(n−t) = i·n − i(i−1)/2` (underflow-free form).
@@ -338,31 +341,82 @@ impl RowSlabVisit<'_> {
     pub fn rows(&self) -> impl Iterator<Item = (usize, &[f64])> + '_ {
         (0..self.n_rows).map(move |r| (self.row_start + r, self.row(r)))
     }
+
+    /// The slab cut into consecutive sub-slabs of `rows` rows (the last
+    /// may be shorter), lowest rows first — views of the same values. A
+    /// visitor whose per-slab product is much larger than the slab (a
+    /// formatted table block is) works through the parts to bound what it
+    /// holds at a time.
+    pub fn parts(&self, rows: usize) -> impl Iterator<Item = RowSlabVisit<'_>> + '_ {
+        let rows = rows.max(1);
+        (0..self.n_rows).step_by(rows).map(move |r0| RowSlabVisit {
+            row_start: self.row_start + r0,
+            n_rows: rows.min(self.n_rows - r0),
+            // row `r0`'s own column is the part's column 0
+            values: &self.values[r0 * self.ldv + r0..],
+            ..*self
+        })
+    }
 }
 
-/// A row-slab visitor that hands per-slab payloads on **in ascending row
-/// order**, whatever order the slabs arrive in.
+/// The ordered hand-off behind [`in_row_order`]: payloads that arrived
+/// early, the row the next delivery starts at, and the consumer.
+struct RowQueue<T, D> {
+    pending: BTreeMap<usize, (usize, T)>,
+    next_row: usize,
+    deliver: D,
+}
+
+/// [`in_row_order`]'s two phases around its one lock.
+struct RowOrdered<T, M, D> {
+    make: M,
+    queue: Mutex<RowQueue<T, D>>,
+}
+
+impl<T, M, D> RowOrdered<T, M, D>
+where
+    M: Fn(&RowSlabVisit<'_>) -> T,
+    D: FnMut(T),
+{
+    fn visit(&self, s: &RowSlabVisit<'_>) {
+        let payload = (self.make)(s);
+        let mut guard = lock(&self.queue);
+        let q = &mut *guard;
+        q.pending.insert(s.row_start(), (s.n_rows(), payload));
+        while let Some((rows, payload)) = q.pending.remove(&q.next_row) {
+            q.next_row += rows;
+            (q.deliver)(payload);
+        }
+    }
+}
+
+/// A row-slab visitor in two phases, for consumers that need the slabs
+/// **in ascending row order** whatever order they finish in.
 ///
-/// A threaded memory source delivers slabs in unspecified order. `make`
-/// turns each arriving slab into a payload (a formatted table block, a
-/// copy of the values an order-sensitive fold needs); payloads that are
+/// `make` turns each finished slab into a payload (a formatted table
+/// block, a candidate list, a copy of the values an order-sensitive fold
+/// needs). It runs on the worker that computed the slab with **no lock
+/// held**, so payloads of different slabs are made in parallel. Only the
+/// hand-off is serialised: under the adaptor's lock, payloads that are
 /// early are held, and `deliver` receives every payload exactly once,
 /// lowest rows first. From a store source (ascending by construction)
 /// nothing is ever held past the slab just made. The run must start at
 /// row 0 — a shard window that does not would never deliver.
+///
+/// Pass the result to [`crate::LdEngine::try_stat_rows_shared_with`].
 pub fn in_row_order<'a, T: Send + 'a>(
-    mut make: impl FnMut(&RowSlabVisit<'_>) -> T + Send + 'a,
-    mut deliver: impl FnMut(T) + Send + 'a,
-) -> impl FnMut(&RowSlabVisit<'_>) + Send + 'a {
-    let mut pending: BTreeMap<usize, (usize, T)> = BTreeMap::new();
-    let mut next_row = 0usize;
-    move |s| {
-        pending.insert(s.row_start(), (s.n_rows(), make(s)));
-        while let Some((rows, payload)) = pending.remove(&next_row) {
-            next_row += rows;
-            deliver(payload);
-        }
-    }
+    make: impl Fn(&RowSlabVisit<'_>) -> T + Sync + 'a,
+    deliver: impl FnMut(T) + Send + 'a,
+) -> impl Fn(&RowSlabVisit<'_>) + Sync + 'a {
+    let ordered = RowOrdered {
+        make,
+        queue: Mutex::new(RowQueue {
+            pending: BTreeMap::new(),
+            next_row: 0,
+            deliver,
+        }),
+    };
+    move |s| ordered.visit(s)
 }
 
 #[cfg(test)]
@@ -397,6 +451,72 @@ mod tests {
                 n - i,
                 "row {i}"
             );
+        }
+    }
+
+    /// Every arrival order of five slabs: `deliver` gets each payload
+    /// once, lowest rows first, as soon as its predecessors have arrived;
+    /// `make` runs with the adaptor's lock free and `deliver` with it held.
+    #[test]
+    fn in_row_order_locks_only_the_ordered_hand_off() {
+        use std::cell::{OnceCell, RefCell};
+        use std::rc::Rc;
+        // (first row, rows) of slabs of uneven height tiling rows 0..12
+        let slabs = [(0usize, 3usize), (3, 1), (4, 5), (9, 2), (11, 1)];
+        let mut orders = vec![vec![]];
+        for k in 0..slabs.len() {
+            orders = orders
+                .iter()
+                .flat_map(|o: &Vec<usize>| {
+                    (0..=o.len()).map(move |at| {
+                        let mut o = o.clone();
+                        o.insert(at, k);
+                        o
+                    })
+                })
+                .collect();
+        }
+        assert_eq!(orders.len(), 120);
+        for order in orders {
+            // "is the adaptor's lock free right now?", answerable from
+            // inside its own closures
+            let lock_is_free: Rc<OnceCell<Box<dyn Fn() -> bool>>> = Rc::default();
+            let (in_make, in_deliver) = (lock_is_free.clone(), lock_is_free.clone());
+            let delivered = Rc::new(RefCell::new(Vec::new()));
+            let sink = delivered.clone();
+            let ordered = Rc::new(RowOrdered {
+                make: move |s: &RowSlabVisit<'_>| {
+                    assert!(in_make.get().unwrap()(), "make ran under the lock");
+                    s.row_start()
+                },
+                queue: Mutex::new(RowQueue {
+                    pending: BTreeMap::new(),
+                    next_row: 0,
+                    deliver: move |row: usize| {
+                        assert!(!in_deliver.get().unwrap()(), "deliver ran unlocked");
+                        sink.borrow_mut().push(row);
+                    },
+                }),
+            });
+            let weak = Rc::downgrade(&ordered);
+            let probe = move || weak.upgrade().unwrap().queue.try_lock().is_ok();
+            assert!(lock_is_free.set(Box::new(probe)).is_ok());
+            let mut arrived = [false; 5];
+            for &k in &order {
+                ordered.visit(&RowSlabVisit {
+                    row_start: slabs[k].0,
+                    n_rows: slabs[k].1,
+                    n_snps: 12,
+                    band: 12,
+                    ldv: 12,
+                    values: &[],
+                });
+                arrived[k] = true;
+                let ready = arrived.iter().take_while(|&&a| a).count();
+                let want: Vec<usize> = slabs[..ready].iter().map(|s| s.0).collect();
+                assert_eq!(*delivered.borrow(), want, "{order:?} after slab {k}");
+            }
+            assert_eq!(delivered.borrow().len(), 5, "{order:?}");
         }
     }
 

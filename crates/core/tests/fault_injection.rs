@@ -315,6 +315,54 @@ fn injected_panic_in_streaming_path_is_contained() {
     }
 }
 
+/// The unlocked `make` phase of an ordered visitor runs on the workers,
+/// so its panic is a worker panic: `LdError::Worker` from both sources,
+/// and a table being written atomically under it never appears.
+#[test]
+fn panicking_make_phase_is_a_worker_error_and_leaves_no_table() {
+    use std::io::Write as _;
+    let _guard = lock_faults();
+    let g = random_matrix(48, 40, 0xfa05);
+    let store = MemoryTileStore::from_matrix(&g, 7).expect("import");
+    let engine = LdEngine::new().threads(3).slab_rows(4);
+    let ctl = RunControl::new();
+    let dir = std::env::temp_dir().join(format!("ld_fault_make_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for (name, src) in [
+        ("memory", Source::from(&g)),
+        ("store", Source::Store(&store)),
+    ] {
+        let table = dir.join(format!("{name}.tsv"));
+        let made = AtomicUsize::new(0);
+        let mut run = None;
+        let written = ld_io::atomic::write_atomic_with(&table, |w| {
+            let make = |s: &ld_core::RowSlabVisit<'_>| {
+                if made.fetch_add(1, Ordering::SeqCst) == 1 {
+                    panic!("make bomb");
+                }
+                format!("rows from {}\n", s.row_start())
+            };
+            let mut io_err = None;
+            let deliver =
+                |block: String| io_err = io_err.take().or(w.write_all(block.as_bytes()).err());
+            let visit = ld_core::in_row_order(make, deliver);
+            run = Some(engine.try_stat_rows_shared_with(src, LdStats::RSquared, visit, &ctl));
+            match run {
+                Some(Ok(())) => io_err.map_or(Ok(()), Err),
+                _ => Err(std::io::Error::other("LD computation failed")),
+            }
+        });
+        match run {
+            Some(Err(LdError::Worker(p))) => assert!(p.message.contains("make bomb"), "{name}"),
+            other => panic!("{name}: expected LdError::Worker, got {other:?}"),
+        }
+        assert!(written.is_err(), "{name}");
+        assert!(!table.exists(), "{name}: a torn table");
+    }
+    assert_eq!(std::fs::read_dir(&dir).expect("scratch dir").count(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A checkpoint sink that starts failing mid-run is sticky from both
 /// sources: the same typed error, no further write attempts, and the run
 /// drains instead of computing unpersistable slabs.

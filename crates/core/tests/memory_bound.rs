@@ -189,6 +189,86 @@ fn streaming_rows_never_materialize_the_triangle() {
     );
 }
 
+/// A top-k listing over the shared row visitor — per slab, the unlocked
+/// phase keeps at most `K` candidates; the ordered phase folds them into
+/// `K` — peaks at the driver's scratch whatever `n` is: doubling `n`
+/// doubles the peak (a triangle, or a list of kept pairs, would
+/// quadruple it), and no request comes near `n(n+1)/2` values.
+#[test]
+fn streamed_top_k_peak_is_linear_in_n() {
+    let _heap = lock_heap();
+    use ld_bitmat::BitMatrix;
+    use ld_core::{in_row_order, LdEngine, LdStats, NanPolicy, RowSlabVisit, RunControl};
+
+    const K: usize = 20;
+    let (n_samples, threads, slab) = (64usize, 2usize, 8usize);
+    let e = LdEngine::new()
+        .threads(threads)
+        .slab_rows(slab)
+        .nan_policy(NanPolicy::Zero);
+    let top_k = |pairs: &mut Vec<(usize, usize, f64)>| {
+        pairs.sort_by(|a, b| b.2.total_cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
+        pairs.truncate(K);
+    };
+    let peak_at = |n: usize| {
+        let mut g = BitMatrix::zeros(n_samples, n);
+        for j in 0..n {
+            for s in 0..n_samples {
+                if (s * 31 + j * 17 + s * j) % 5 == 0 {
+                    g.set(s, j, true);
+                }
+            }
+        }
+        let _ = e.try_stat_rows_with(&g, LdStats::RSquared, |_| {}, &RunControl::new()); // warm-up
+        let (peak, best) = peak_heap_during(|| {
+            let mut best = Vec::with_capacity(2 * K);
+            let strongest_of = |s: &RowSlabVisit<'_>| {
+                let mut kept = Vec::with_capacity(2 * K);
+                for (i, row) in s.rows() {
+                    for (t, &v) in row[1..].iter().enumerate() {
+                        kept.push((i, i + 1 + t, v));
+                        if kept.len() == 2 * K {
+                            top_k(&mut kept);
+                        }
+                    }
+                }
+                top_k(&mut kept);
+                kept
+            };
+            let fold = |slab_best: Vec<(usize, usize, f64)>| {
+                best.extend(slab_best);
+                top_k(&mut best);
+            };
+            let visit = in_row_order(strongest_of, fold);
+            e.try_stat_rows_shared_with(&g, LdStats::RSquared, visit, &RunControl::new())
+                .unwrap();
+            best
+        });
+        assert_eq!(best.len(), K);
+        assert!(best.windows(2).all(|w| w[0].2 >= w[1].2));
+        peak
+    };
+    let (n, overhead) = (1000usize, 256 * 1024);
+    let (small, large) = (peak_at(n), peak_at(2 * n));
+    // counts (u32) + values (f64) scratch per worker
+    let scratch = |n: usize| threads * slab * n * (4 + 8);
+    assert!(small <= scratch(n) + overhead, "{small} at {n} SNPs");
+    assert!(
+        large <= scratch(2 * n) + overhead,
+        "{large} at {} SNPs",
+        2 * n
+    );
+    assert!(
+        large < 3 * small,
+        "peak grew {small} -> {large} for 2x the SNPs: not linear"
+    );
+    let triangle = 2 * n * (2 * n + 1) / 2 * 8;
+    assert!(
+        large < triangle / 20,
+        "{large} vs a {triangle}-byte triangle"
+    );
+}
+
 /// The banded consumers hold what their band needs: `haplotype_blocks` the
 /// `n × 127` values its searcher reads plus one strip of scratch per
 /// worker — not the `D'` triangle (36 MB here) — and `DecayProfile` the

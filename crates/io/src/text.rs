@@ -82,6 +82,127 @@ pub struct R2Row {
 /// Header line of the pair table (PLINK's `--r2` column layout).
 pub const R2_TABLE_HEADER: &str = "SNP_A\tSNP_B\tR2\n";
 
+/// `DIGIT_PAIRS[2 n ..][..2]` is `n` as two decimal digits, `00`–`99`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut n = 0;
+    while n < 100 {
+        t[2 * n] = b'0' + (n / 10) as u8;
+        t[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    t
+};
+
+/// Longest value [`fixed6`] writes: `-1000.000000` (a value just under
+/// 1000 rounds up to four integer digits).
+const FIXED6_MAX: usize = 12;
+
+/// Writes `n` in decimal at the front of `buf`; returns the digit count.
+fn put_usize(buf: &mut [u8], mut n: usize) -> usize {
+    let mut tmp = [0u8; 20];
+    let mut at = tmp.len();
+    loop {
+        at -= 1;
+        tmp[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    let len = tmp.len() - at;
+    buf[..len].copy_from_slice(&tmp[at..]);
+    len
+}
+
+/// Adds one to the decimal number in `digits`; `false` when it was all
+/// nines (the result needs one more digit than the slice has).
+fn bump(digits: &mut [u8]) -> bool {
+    for d in digits.iter_mut().rev() {
+        if *d < b'9' {
+            *d += 1;
+            return true;
+        }
+        *d = b'0';
+    }
+    false
+}
+
+/// Writes `v` to six decimals — the bytes `format!("{v:.6}")` produces —
+/// at the front of `buf` and returns their count, or `None` when `v` is
+/// one of the few values this scaled-integer path does not decide (the
+/// caller then asks `core::fmt`).
+///
+/// **Why the bytes are `{v:.6}`'s.** `{:.6}` prints the sign, then the
+/// decimal expansion of `|v|` rounded to the nearest multiple of `10⁻⁶`:
+/// the digits of the integer `N` nearest to the real number
+/// `t = |v| · 10⁶`, with the point six places from the right. For finite
+/// `|v| < 1000`, `x = |v| * 1e6` is `t` after one rounding:
+/// `|x − t| ≤ t · 2⁻⁵³ < 10⁹ · 2⁻⁵³ < 1.2 × 10⁻⁷`. `q = x.floor()` is an
+/// integer below `10⁹`, and `frac = x − q` is exact (both are multiples
+/// of `ulp(x)` and the difference is smaller than either), so
+/// `t − q ∈ (frac − 1.2 × 10⁻⁷, frac + 1.2 × 10⁻⁷)`. Outside the guard
+/// band, `|frac − 0.5| > 10⁻⁶`: if `frac < 0.5` then `−0.5 < t − q < 0.5`
+/// and `N = q`; if `frac > 0.5` then `0.5 < t − q < 1.5` and `N = q + 1`
+/// — the error of `x` is eight times too small to carry `t` across the
+/// half. Inside the band (which holds the exact ties — `1/128 =
+/// 0.0078125` is a real input — so no rounding mode is guessed), for
+/// `|v| ≥ 1000` and for NaN / ±∞ the answer is `None`. The sign is the
+/// sign *bit*: `-0.0` and `-1e-9` both print `-0.000000`, as `{:.6}`
+/// prints them.
+fn fixed6(v: f64, buf: &mut [u8]) -> Option<usize> {
+    let a = v.abs();
+    if a.is_nan() || a >= 1000.0 {
+        return None;
+    }
+    let x = a * 1e6;
+    let q = x.floor();
+    let frac = x - q;
+    if (frac - 0.5).abs() <= 1e-6 {
+        return None;
+    }
+    let n = q as u64 + u64::from(frac > 0.5);
+    let (int, mut rest) = ((n / 1_000_000) as usize, (n % 1_000_000) as usize);
+    let mut at = 0;
+    if v.is_sign_negative() {
+        buf[0] = b'-';
+        at = 1;
+    }
+    if int < 10 {
+        buf[at] = b'0' + int as u8;
+        at += 1;
+    } else {
+        at += put_usize(&mut buf[at..], int);
+    }
+    buf[at] = b'.';
+    for pair in (0..3).rev() {
+        let d = 2 * (rest % 100);
+        rest /= 100;
+        buf[at + 1 + 2 * pair] = DIGIT_PAIRS[d];
+        buf[at + 2 + 2 * pair] = DIGIT_PAIRS[d + 1];
+    }
+    Some(at + 7)
+}
+
+/// The keep rule of the pair table and of the CLI's listing: not NaN, and
+/// at or above the threshold.
+#[inline]
+pub fn r2_keeps(v: f64, min_r2: f64) -> bool {
+    !v.is_nan() && v >= min_r2
+}
+
+/// An upper bound on the bytes [`push_r2_row`] appends for `row` when
+/// every SNP id is below `n_snps` and every kept value below 1000 in
+/// magnitude: the kept pairs, counted, times the longest such line. A
+/// caller sums it over the rows of a block and reserves once — room that
+/// is never written is address space, not memory, and a thresholded
+/// block reserves for what it keeps, not for its pair count.
+pub fn r2_row_bound(n_snps: usize, row: &[f64], min_r2: f64) -> usize {
+    let id = "snp".len() + put_usize(&mut [0u8; 20], n_snps);
+    let kept = row.iter().filter(|&&v| r2_keeps(v, min_r2)).count();
+    kept * (id + 1 + id + 1 + FIXED6_MAX + 1)
+}
+
 /// The pair table's one row formatter: appends to `out` the kept pairs of
 /// row SNP `i` against column SNPs `j0, j0 + 1, …`, whose values are
 /// `row`. A pair is kept when its value is not NaN and `≥ min_r2`, and
@@ -91,23 +212,43 @@ pub const R2_TABLE_HEADER: &str = "SNP_A\tSNP_B\tR2\n";
 /// `region` response — hands its rows to this function, which is what
 /// keeps their bytes identical.
 ///
-/// Formatting into a `String` cannot fail short of OOM; the `Result` is
-/// returned rather than swallowed so a caller can never silently drop
-/// rows.
-pub fn push_r2_row(
-    out: &mut String,
-    i: usize,
-    j0: usize,
-    row: &[f64],
-    min_r2: f64,
-) -> std::fmt::Result {
-    use std::fmt::Write as _;
+/// The line is assembled in a stack buffer — `snp{i}\tsnp` once per row,
+/// the column id incremented in place, the value by `fixed6` — and
+/// appended with one copy; `{v:.6}` is the oracle the bytes are held to
+/// (`fixed6_equals_core_fmt_*`) and the fall-back for the values `fixed6`
+/// declines, not the implementation. Appending to a `Vec<u8>` cannot
+/// fail, so there is nothing to return.
+pub fn push_r2_row(out: &mut Vec<u8>, i: usize, j0: usize, row: &[f64], min_r2: f64) {
+    // "snp" + 20 digits + "\tsnp" + 20 digits + "\t" + value + "\n"
+    let mut line = [0u8; 3 + 20 + 4 + 20 + 1 + FIXED6_MAX + 1];
+    line[..3].copy_from_slice(b"snp");
+    let mut col = 3 + put_usize(&mut line[3..], i);
+    line[col..col + 4].copy_from_slice(b"\tsnp");
+    col += 4;
+    // `line[col..tab]` holds column id `at` (none yet)
+    let (mut tab, mut at) = (col, usize::MAX);
     for (t, &v) in row.iter().enumerate() {
-        if !v.is_nan() && v >= min_r2 {
-            writeln!(out, "snp{i}\tsnp{}\t{v:.6}", j0 + t)?;
+        if !r2_keeps(v, min_r2) {
+            continue;
+        }
+        let j = j0 + t;
+        if at.wrapping_add(1) != j || !bump(&mut line[col..tab]) {
+            tab = col + put_usize(&mut line[col..], j);
+            line[tab] = b'\t';
+        }
+        at = j;
+        match fixed6(v, &mut line[tab + 1..]) {
+            Some(len) => {
+                let end = tab + 1 + len;
+                line[end] = b'\n';
+                out.extend_from_slice(&line[..=end]);
+            }
+            None => {
+                out.extend_from_slice(&line[..=tab]);
+                out.extend_from_slice(format!("{v:.6}\n").as_bytes());
+            }
         }
     }
-    Ok(())
 }
 
 /// The values of row `i` of `m` against columns `i + 1 .. col_end` — the
@@ -122,12 +263,11 @@ pub fn packed_row_pairs(m: &LdMatrix, i: usize, col_end: usize) -> &[f64] {
 pub fn write_r2_table<W: Write>(mut w: W, m: &LdMatrix, min_r2: f64) -> Result<(), IoError> {
     w.write_all(R2_TABLE_HEADER.as_bytes())?;
     let n = m.n_snps();
-    let mut block = String::new();
+    let mut block = Vec::new();
     for i in 0..n {
         block.clear();
-        push_r2_row(&mut block, i, i + 1, packed_row_pairs(m, i, n), min_r2)
-            .map_err(|_| std::io::Error::other("formatting a pair-table row failed"))?;
-        w.write_all(block.as_bytes())?;
+        push_r2_row(&mut block, i, i + 1, packed_row_pairs(m, i, n), min_r2);
+        w.write_all(&block)?;
     }
     Ok(())
 }
@@ -275,11 +415,124 @@ mod tests {
             (5, 6, &[], 0.0, ""),
         ];
         for (i, j0, row, min_r2, want) in cases {
-            let mut out = String::new();
-            push_r2_row(&mut out, i, j0, row, min_r2).unwrap();
-            assert_eq!(out, want, "row {i} from column {j0}: {row:?} at {min_r2}");
+            let mut out = Vec::new();
+            push_r2_row(&mut out, i, j0, row, min_r2);
+            assert_eq!(
+                String::from_utf8(out).unwrap(),
+                want,
+                "row {i} from column {j0}: {row:?} at {min_r2}"
+            );
         }
         assert_eq!(R2_TABLE_HEADER, "SNP_A\tSNP_B\tR2\n");
+    }
+
+    /// The value column of the one line `push_r2_row` writes for `v` —
+    /// `fixed6` and its fall-back as the table sees them.
+    fn six(v: f64) -> String {
+        let mut out = Vec::new();
+        push_r2_row(&mut out, 0, 1, &[v], f64::NEG_INFINITY);
+        let line = String::from_utf8(out).unwrap();
+        let value = line.strip_prefix("snp0\tsnp1\t").expect(&line);
+        value.strip_suffix('\n').expect(&line).to_owned()
+    }
+
+    fn assert_is_core_fmt(v: f64) {
+        assert_eq!(six(v), format!("{v:.6}"), "{v:e} ({:#018x})", v.to_bits());
+        assert_eq!(six(-v), format!("{:.6}", -v), "-{v:e}");
+    }
+
+    /// Every `step`-th tie point `(k + 0.5) / 10⁶` with its four
+    /// neighbours on either side, every grid point `k / 10⁶` with one, and
+    /// every multiple of `1/128` below 1000 (exact ties among them), in
+    /// both signs. A debug build strides the sweep; a release build (CI
+    /// runs one) walks all of it.
+    #[test]
+    fn fixed6_equals_core_fmt_on_every_tie_neighbourhood() {
+        let step = if cfg!(debug_assertions) { 23 } else { 1 };
+        let ulps = |v: f64, by: i64| f64::from_bits((v.to_bits() as i64 + by) as u64);
+        for k in (0..=1_000_000u32).step_by(step) {
+            let tie = (f64::from(k) + 0.5) / 1e6;
+            for by in -4..=4 {
+                assert_is_core_fmt(ulps(tie, by));
+            }
+            let grid = f64::from(k) / 1e6;
+            for by in if k == 0 { 0..=1 } else { -1..=1 } {
+                assert_is_core_fmt(ulps(grid, by));
+            }
+        }
+        for m in (0..=128_000u32).step_by(step.min(3)) {
+            assert_is_core_fmt(f64::from(m) / 128.0);
+        }
+    }
+
+    #[test]
+    fn fixed6_equals_core_fmt_on_seeded_draws() {
+        let draws = if cfg!(debug_assertions) {
+            100_000
+        } else {
+            5_000_000
+        };
+        let mut rng = ld_rng::SmallRng::seed_from_u64(0x6f75_7470_7574);
+        let mut declined = 0usize;
+        for n in 0..draws {
+            let v: f64 = rng.gen();
+            assert_is_core_fmt(v);
+            declined += usize::from(fixed6(v, &mut [0u8; FIXED6_MAX]).is_none());
+            // any finite bit pattern, at a rate `core::fmt`'s 300-digit
+            // expansions of the large ones can keep up with
+            let bits = f64::from_bits(rng.next_u64());
+            if n % 25 == 0 && bits.is_finite() {
+                assert_is_core_fmt(bits);
+            }
+        }
+        // the guard band is 2 × 10⁻⁶ of the unit interval: the oracle must
+        // not be what is being compared with itself
+        assert!(declined * 10_000 < draws, "{declined} of {draws} fell back");
+    }
+
+    #[test]
+    fn fixed6_specials() {
+        let cases = [
+            (0.0, "0.000000"),
+            (-0.0, "-0.000000"),
+            (1.0, "1.000000"),
+            (-1.0, "-1.000000"),
+            // the nearest doubles to these decimal ties lie below, above,
+            // above and below them
+            (5e-7, "0.000000"),
+            (0.999_999_5, "1.000000"),
+            (1.000_000_5, "1.000001"),
+            (999.999_999_5, "999.999999"),
+            (999.999_999_6, "1000.000000"),
+            (1000.0, "1000.000000"),
+            (1e15, "1000000000000000.000000"),
+            (1e-300, "0.000000"),
+            (-1e-9, "-0.000000"),
+            (0.007_812_5, "0.007812"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+        ];
+        for (v, want) in cases {
+            assert_eq!(format!("{v:.6}"), want, "the oracle on {v:e}");
+            if v >= f64::NEG_INFINITY {
+                assert_eq!(six(v), want, "{v:e}");
+            }
+        }
+        // the scaled-integer path takes the plain ones and declines the
+        // ties, the large and the non-finite
+        let taken = |v: f64| fixed6(v, &mut [0u8; FIXED6_MAX]).is_some();
+        assert!(taken(0.25) && taken(-0.0) && taken(1e-300) && taken(999.999_999));
+        assert!(!taken(0.007_812_5) && !taken(5e-7) && !taken(1000.0) && !taken(1e15));
+        assert!(!taken(f64::NAN) && !taken(f64::INFINITY));
+        // ids: the column counter carries across every digit boundary
+        let mut out = Vec::new();
+        push_r2_row(&mut out, 9, 8, &[0.5; 1003], 0.0);
+        let lines: Vec<String> = (8..1011)
+            .map(|j| format!("snp9\tsnp{j}\t0.500000\n"))
+            .collect();
+        assert_eq!(String::from_utf8(out).unwrap(), lines.concat());
+        assert!(lines.concat().len() <= r2_row_bound(1011, &[0.5; 1003], 0.0));
+        assert_eq!(r2_row_bound(1011, &[0.5, f64::NAN, 0.1], 0.2), 29);
     }
 
     /// The three producers of the pair table — `write_r2_table` over a
@@ -317,11 +570,11 @@ mod tests {
                         &g,
                         stat,
                         |s| {
-                            let mut block = String::new();
+                            let mut block = Vec::new();
                             for (i, row) in s.rows() {
-                                push_r2_row(&mut block, i, i + 1, &row[1..], min_r2).unwrap();
+                                push_r2_row(&mut block, i, i + 1, &row[1..], min_r2);
                             }
-                            blocks.insert(s.row_start(), block);
+                            blocks.insert(s.row_start(), String::from_utf8(block).unwrap());
                         },
                         &ld_core::RunControl::new(),
                     )
@@ -336,11 +589,12 @@ mod tests {
 
             // a window keeps exactly the table's lines with both SNPs inside
             for (r0, r1) in [(0, n), (3, 11), (5, 6), (n - 1, n)] {
-                let mut region = String::new();
+                let mut region = Vec::new();
                 for i in r0..r1 {
                     let row = packed_row_pairs(&m, i, r1);
-                    push_r2_row(&mut region, i, i + 1, row, min_r2).unwrap();
+                    push_r2_row(&mut region, i, i + 1, row, min_r2);
                 }
+                let region = String::from_utf8(region).unwrap();
                 let inside = |id: &str| {
                     let t: usize = id.trim_start_matches("snp").parse().unwrap();
                     (r0..r1).contains(&t)

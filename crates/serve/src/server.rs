@@ -42,7 +42,7 @@ use crate::protocol::{write_frame, ProtoError, Request, Response, Status, MAX_RE
 use crate::registry::{PanelRegistry, RegistryError};
 use crate::reqlog::{Event, RequestLog};
 use ld_core::{CancelToken, Deadline, LdError, LdMatrix};
-use ld_io::text::{packed_row_pairs, push_r2_row, R2_TABLE_HEADER};
+use ld_io::text::{packed_row_pairs, push_r2_row, r2_row_bound, R2_TABLE_HEADER};
 use ld_trace::prometheus::PromGauge;
 use ld_trace::telemetry::{record_served, total_latency, ServeOp, ServeOutcome};
 use ld_trace::Counter;
@@ -869,7 +869,7 @@ fn handle_query(job: &Job, shared: &Shared) -> Response {
                     format!("region [{r0}, {r1}) out of range: panel has {n} SNPs"),
                 );
             }
-            Response::ok(region_table(&m, r0, r1, *min_r2).into_bytes())
+            Response::ok(region_table(&m, r0, r1, *min_r2))
         }
     }
 }
@@ -878,12 +878,13 @@ fn handle_query(job: &Job, shared: &Shared) -> Response {
 /// `ld-io`'s row formatter — for the whole panel these are the exact
 /// bytes `gemm-ld r2 -o` writes (`region_response_is_byte_identical_to_cli_table`,
 /// and `serve_cli.rs` against the real binary mid-drain).
-fn region_table(m: &LdMatrix, r0: usize, r1: usize, min_r2: f64) -> String {
-    let mut out = String::with_capacity(64 + (r1 - r0) * 24);
-    out.push_str(R2_TABLE_HEADER);
-    for i in r0..r1 {
-        // formatting into a String cannot fail short of OOM
-        let _ = push_r2_row(&mut out, i, i + 1, packed_row_pairs(m, i, r1), min_r2);
+fn region_table(m: &LdMatrix, r0: usize, r1: usize, min_r2: f64) -> Vec<u8> {
+    let rows = || (r0..r1).map(|i| (i, packed_row_pairs(m, i, r1)));
+    let bound: usize = rows().map(|(_, row)| r2_row_bound(r1, row, min_r2)).sum();
+    let mut out = Vec::with_capacity(R2_TABLE_HEADER.len() + bound);
+    out.extend_from_slice(R2_TABLE_HEADER.as_bytes());
+    for (i, row) in rows() {
+        push_r2_row(&mut out, i, i + 1, row, min_r2);
     }
     out
 }

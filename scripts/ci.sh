@@ -10,7 +10,8 @@
 #   3. clippy (strict)  — no unwrap/expect in the lib targets of the
 #                         panic-free crates; every `unsafe` block and impl
 #                         in every member's lib carries a SAFETY argument
-#   4. release build, workspace tests
+#   4. release build, workspace tests, the release-arithmetic legs and
+#                         the one-formatter guard
 #   5. schemas          — each published artifact (`--profile=json`, trace
 #                         report, CPU profile, shard manifest, tile
 #                         manifest, request log, both Prometheus scrapes)
@@ -55,8 +56,22 @@ run cargo clippy --no-deps --workspace --lib --offline -- \
     -D warnings -D clippy::undocumented_unsafe_blocks
 run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline
-# The optimised kernels, not only the debug ones, are held to the oracle.
+# The optimised kernels, not only the debug ones, are held to the oracle —
+# and so is the pair-table writer, whose sweep a debug build only strides.
 run cargo test -q --release --offline -p ld-kernels --test kernel_matrix
+run cargo test -q --release --offline -p ld-io --lib fixed6
+# `{v:.6}` is that writer's oracle and its fall-back, not a second
+# formatter: one occurrence in shipped code (comments and test modules
+# aside) across the crates that print the table.
+echo "==> one six-decimal formatter in crates/{io,cli,serve}/src"
+SIX=$(for f in crates/io/src/*.rs crates/cli/src/*.rs crates/serve/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$f"
+done | grep -F ':.6}' || true)
+if [ "$(printf '%s\n' "$SIX" | grep -c .)" != 1 ]; then
+    echo "six-decimal formatter guard FAIL: expected exactly one ':.6}', found:" >&2
+    printf '%s\n' "$SIX" >&2
+    exit 1
+fi
 
 BIN=target/release/gemm-ld
 OUT=target/ci
