@@ -11,7 +11,7 @@ use ld_core::{LdEngine, NanPolicy};
 use ld_data::fingerprints::clustered_fingerprints;
 use ld_ext::gaps::masked_r2_matrix;
 use ld_ext::tanimoto::tanimoto_matrix;
-use ld_kernels::KernelKind;
+use ld_kernels::{BlockSizes, KernelKind};
 use ld_omega::OmegaScan;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         push(
             "omega",
             "scan-400snps-w50",
-            time_best(|| drop(scan.scan(&g)), budget, 10),
+            time_best(|| drop(scan.scan(&g).unwrap()), budget, 10),
         );
         let r2 = LdEngine::new()
             .nan_policy(NanPolicy::Zero)
@@ -54,7 +54,14 @@ fn main() {
             "tanimoto",
             "all-pairs-256x1024bits",
             time_best(
-                || drop(tanimoto_matrix(&fp.full_view(), KernelKind::Auto, 1)),
+                || {
+                    drop(tanimoto_matrix(
+                        &fp.full_view(),
+                        KernelKind::Auto,
+                        BlockSizes::default(),
+                        1,
+                    ))
+                },
                 budget,
                 10,
             ),
@@ -137,7 +144,7 @@ fn main() {
         push(
             "omega-grid",
             "grid-300snps-maxwin25",
-            time_best(|| drop(scan.scan(&g)), budget, 10),
+            time_best(|| drop(scan.scan(&g).unwrap()), budget, 10),
         );
     }
 

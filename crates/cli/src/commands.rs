@@ -8,7 +8,7 @@ use ld_core::{
 };
 use ld_data::HaplotypeSimulator;
 use ld_data::SweepSimulator;
-use ld_ext::tanimoto::{tanimoto_cross, top_k_neighbors};
+use ld_ext::tanimoto::tanimoto_matrix;
 use ld_io::atomic::{write_atomic, write_atomic_with};
 use ld_io::text::{push_r2_row, r2_keeps, r2_row_bound, R2_TABLE_HEADER};
 use ld_io::MatrixFormat;
@@ -1499,7 +1499,7 @@ pub fn omega(args: &Args) -> CmdResult {
     let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
     let g = load_matrix(input)?;
     let scan = OmegaScan::new(window, step).engine(tuned_engine(args, threads)?);
-    let points = scan.scan(&g);
+    let points = scan.scan(&g)?;
     if points.is_empty() {
         return Err(CliError::Usage(format!(
             "input has {} SNPs, fewer than the window ({window})",
@@ -1534,14 +1534,22 @@ pub fn tanimoto(args: &Args) -> CmdResult {
     let fp = load_matrix(input)?;
     let k = args.get_parsed("top-k", 5usize)?;
     let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
-    let v = fp.full_view();
-    let sim = tanimoto_cross(&v, &v, parse_kernel(args)?, threads);
-    let nn = top_k_neighbors(&sim, k + 1); // +1: self is always rank 1
+    let engine = tuned_engine(args, threads)?;
+    // the symmetric half: each pair's count once, read back through `get`
+    let sim = tanimoto_matrix(
+        &fp.full_view(),
+        engine.kernel_kind(),
+        engine.block_sizes(),
+        threads,
+    );
     println!("compound\tneighbors (tanimoto)");
-    for (i, row) in nn.iter().enumerate() {
+    for i in 0..sim.n_snps() {
+        let others = (0..sim.n_snps()).filter(|&j| j != i);
+        let mut row: Vec<(usize, f64)> = others.map(|j| (j, sim.get(i, j))).collect();
+        // stable: most similar first, equals by ascending compound
+        row.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         let line: Vec<String> = row
             .iter()
-            .filter(|(j, _)| *j != i)
             .take(k)
             .map(|(j, s)| format!("{j}:{s:.3}"))
             .collect();
@@ -1553,38 +1561,18 @@ pub fn tanimoto(args: &Args) -> CmdResult {
 /// `gemm-ld prune`
 pub fn prune(args: &Args) -> CmdResult {
     let input = args.require("input")?;
-    let window = args.get_parsed("window", 100usize)?;
+    // a window of one SNP holds no pair: the run would keep everything
+    let window = parse_at_least(args, "window", 2)?.unwrap_or(100);
     // step 0 would never advance the window
-    let step = parse_at_least(args, "step", 1)?.unwrap_or((window / 2).max(1));
+    let step = parse_at_least(args, "step", 1)?.unwrap_or(window / 2);
     let threshold = parse_threshold(args, "threshold", 0.5)?;
-    let engine = tuned_engine(args, ld_parallel::available_threads())?.nan_policy(NanPolicy::Zero);
+    let engine = tuned_engine(args, ld_parallel::available_threads())?;
     let g = load_matrix(input)?;
-    let n = g.n_snps();
-    let mut keep = vec![true; n];
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + window).min(n);
-        let r2 = engine.try_stat_matrix(g.view(start, end), ld_core::LdStats::RSquared)?;
-        for i in 0..end - start {
-            if !keep[start + i] {
-                continue;
-            }
-            for j in i + 1..end - start {
-                if keep[start + j] && r2.get(i, j) > threshold {
-                    keep[start + j] = false;
-                }
-            }
-        }
-        if end == n {
-            break;
-        }
-        start += step;
-    }
-    let kept: Vec<usize> = (0..n).filter(|&i| keep[i]).collect();
+    let kept = ld_core::prune_pairwise(&engine, &g, window, step, threshold)?;
     eprintln!(
         "kept {}/{} SNPs at r² <= {threshold} (window {window}, step {step})",
         kept.len(),
-        n
+        g.n_snps()
     );
     match args.get("output") {
         Some(path) if !path.is_empty() => {
@@ -2416,6 +2404,44 @@ mod tests {
         let fp = ld_data::fingerprints::clustered_fingerprints(12, 256, 3, 0.1, 0.02, 5);
         save_matrix(path.to_str().unwrap(), &fp).unwrap();
         tanimoto(&args(&["-i", path.to_str().unwrap(), "--top-k", "3"])).unwrap();
+    }
+
+    /// `tanimoto` runs the symmetric half (SYRK), not the square it used
+    /// to: fewer `kernel_words` than `tanimoto_cross` of the set with
+    /// itself. The counter is process-wide — the tests that reset it hold
+    /// `recorder_lock`, and all the others of this binary together add
+    /// ~21 M words — so the set is sized for the two forms to differ by
+    /// three times that.
+    #[test]
+    fn tanimoto_runs_the_symmetric_half() {
+        let _g = recorder_lock();
+        let d = tmpdir();
+        let path = d.join("fp.txt");
+        let fp = ld_data::fingerprints::clustered_fingerprints(1024, 8192, 8, 0.1, 0.02, 9);
+        save_matrix(path.to_str().unwrap(), &fp).unwrap();
+        let words_of = |run: &dyn Fn()| {
+            let before = ld_trace::get(Counter::KernelWords);
+            run();
+            ld_trace::get(Counter::KernelWords) - before
+        };
+        let line = args(&[
+            "-i",
+            path.to_str().unwrap(),
+            "--top-k",
+            "1",
+            "--threads",
+            "2",
+        ]);
+        let half = words_of(&|| tanimoto(&line).unwrap());
+        let v = fp.full_view();
+        let square = words_of(&|| {
+            ld_ext::tanimoto::tanimoto_cross(&v, &v, KernelKind::Auto, 2);
+        });
+        assert!(square >= 1024 * 1024 * 128, "{square} words for the square");
+        assert!(
+            half + 60_000_000 < square,
+            "the command ran {half} words, the square form {square}"
+        );
     }
 
     #[test]

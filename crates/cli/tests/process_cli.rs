@@ -292,3 +292,130 @@ fn top_pairs_listing_is_the_stable_sort_from_every_arm() {
         assert_eq!(run_ok(&line).stdout, want, "{line}");
     }
 }
+
+/// `omega` and `prune` read their windows off one banded run of the
+/// driver; what they print is, byte for byte, what one `r²` matrix per
+/// window gave — rebuilt here from the library, window by window, with the
+/// commands' own format strings.
+#[test]
+fn omega_and_prune_print_the_bytes_of_the_per_window_computation() {
+    let dir = Scratch::new("proc_windows");
+    let input = dir.path("d.txt");
+    simulate(&input, 400, 3000, 42);
+    let g = ld_io::text::read_matrix(&read(&input)[..]).expect("simulated panel");
+    let n = g.n_snps();
+    let engine = ld_core::LdEngine::new().nan_policy(ld_core::NanPolicy::Zero);
+
+    // omega --window 50 --step 10; the scanner's default keeps window / 10
+    // SNPs on each side of a split
+    let (window, step, min_region) = (50, 10, 5);
+    let mut want = String::from("window_start\twindow_end\tbest_split\tomega\n");
+    let mut start = 0;
+    loop {
+        let r2 = engine.r2_matrix(g.view(start, start + window));
+        let sums = ld_omega::WindowSums::new(&r2);
+        let mut best = (0.0f64, min_region);
+        for l in min_region..=window - min_region {
+            let w = sums.omega_at(l);
+            if w > best.0 {
+                best = (w, l);
+            }
+        }
+        let (end, split) = (start + window, start + best.1);
+        want += &format!("{start}\t{end}\t{split}\t{:.4}\n", best.0);
+        if end == n {
+            break;
+        }
+        start = (start + step).min(n - window);
+    }
+    assert_eq!(want.lines().count(), 297);
+    for threads in [1, 2, 7] {
+        let line = format!("omega -i {input} --window 50 --step 10 --threads {threads}");
+        assert_eq!(run_ok(&line).stdout, want, "{line}");
+    }
+
+    // prune --window 100 --step 7 --threshold 0.2: the windowed greedy.
+    // (`prune` has no --threads: its team is the machine's, and the fold's
+    // thread-invariance is `ld_core::prune`'s suite.)
+    let (window, step, threshold) = (100, 7, 0.2);
+    let mut keep = vec![true; n];
+    let mut start = 0;
+    loop {
+        let end = (start + window).min(n);
+        let r2 = engine.r2_matrix(g.view(start, end));
+        for i in 0..end - start {
+            for j in i + 1..end - start {
+                if keep[start + i] && keep[start + j] && r2.get(i, j) > threshold {
+                    keep[start + j] = false;
+                }
+            }
+        }
+        if end == n {
+            break;
+        }
+        start += step;
+    }
+    let want: String = (0..n)
+        .filter(|&i| keep[i])
+        .map(|i| format!("snp{i}\n"))
+        .collect();
+    let kept = want.lines().count();
+    assert!(kept > 1000 && kept < 2900, "{kept} kept");
+    let line = format!("prune -i {input} --window 100 --step 7 --threshold 0.2");
+    let done = run_ok(&line);
+    assert_eq!(done.stdout, want, "{line}");
+    assert_eq!(
+        done.stderr,
+        format!("kept {kept}/{n} SNPs at r² <= 0.2 (window 100, step 7)\n")
+    );
+    let out = dir.path("kept.txt");
+    assert_eq!(run_ok(&format!("{line} -o {out}")).stdout, "");
+    assert!(read(&out) == want.as_bytes(), "prune -o differs");
+}
+
+/// `tanimoto` reads the symmetric half (SYRK) where it used to compute
+/// the full square: the neighbour lists are the ones the square gave —
+/// most similar first, equals by ascending compound — on a set where
+/// copies tie at 1 more often than `--top-k` lines are printed.
+#[test]
+fn tanimoto_neighbours_keep_the_stable_order_among_ties() {
+    let dir = Scratch::new("proc_tanimoto");
+    let input = dir.path("fp.txt");
+    // 14 compounds over 5 patterns: copies tie at 1, and the patterns
+    // overlap each other in equal measure
+    let mut fp = ld_bitmat::BitMatrix::zeros(60, 14);
+    for j in 0..14 {
+        let pattern = j % 5;
+        (0..60)
+            .filter(|bit| bit % 5 == pattern || bit % 3 == pattern % 3)
+            .for_each(|bit| fp.set(bit, j, true));
+    }
+    let mut txt = Vec::new();
+    ld_io::text::write_matrix(&mut txt, &fp).expect("in-memory write");
+    std::fs::write(&input, txt).expect("write the fingerprints");
+
+    let v = fp.full_view();
+    let k = 4;
+    let mut want = String::from("compound\tneighbors (tanimoto)\n");
+    for i in 0..14 {
+        // as the square form listed them: every compound, the query
+        // included, stably sorted, cut at k + 1, the query removed
+        let mut row: Vec<(usize, f64)> = (0..14)
+            .map(|j| (j, ld_ext::tanimoto::tanimoto_pair(&v, i, j)))
+            .collect();
+        row.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        row.truncate(k + 1);
+        let line: Vec<String> = row
+            .iter()
+            .filter(|(j, _)| *j != i)
+            .take(k)
+            .map(|(j, s)| format!("{j}:{s:.3}"))
+            .collect();
+        want += &format!("{i}\t{}\n", line.join(" "));
+    }
+    assert!(want.matches(":1.000").count() >= 14, "no ties:\n{want}");
+    for threads in [1, 2, 7] {
+        let line = format!("tanimoto -i {input} --top-k {k} --threads {threads}");
+        assert_eq!(run_ok(&line).stdout, want, "{line}");
+    }
+}

@@ -20,6 +20,7 @@ omega -i absent.ms --window 0 => --window must be at least 4, got 0
 omega -i absent.ms --window 3 => --window must be at least 4, got 3
 omega -i absent.ms --step 0 => --step must be at least 1, got 0
 prune -i absent.ms --window 5 --step 0 => --step must be at least 1, got 0
+prune -i absent.ms --window 1 => --window must be at least 2, got 1
 prune -i absent.ms --threshold nan => invalid value 'nan' for --threshold (not a number)
 blocks -i absent.ms --threshold nan => invalid value 'nan' for --threshold (not a number)
 r2 -i absent.ms --min-r2 nan => invalid value 'nan' for --min-r2 (not a number)

@@ -78,18 +78,20 @@ impl BandedLdMatrix {
         Some(self.values[i * self.band + (j - i - 1)])
     }
 
+    /// Row `i` as a slice: `row(i)[d]` is the value for `(i, i + d + 1)`,
+    /// for every such pair inside the band and the matrix (so the last
+    /// rows are shorter). What a reader that sums many pairs indexes,
+    /// instead of paying [`BandedLdMatrix::get`]'s `Option` per pair.
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.values[i * self.band..][..self.band.min(self.n - 1 - i)]
+    }
+
     /// Iterates stored pairs `(i, j, value)` with `i < j`, skipping NaN
     /// edge slots.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.n).flat_map(move |i| {
-            (0..self.band).filter_map(move |d| {
-                let j = i + d + 1;
-                if j < self.n {
-                    Some((i, j, self.values[i * self.band + d]))
-                } else {
-                    None
-                }
-            })
+            let row = self.row(i).iter().enumerate();
+            row.map(move |(d, &v)| (i, i + d + 1, v))
         })
     }
 

@@ -24,8 +24,8 @@
 //!   — streaming row slabs ([`RowSlabVisit`]) or tiles ([`TileVisit`]) for
 //!   matrices too large to materialize at all, the row stream optionally
 //!   under a column band ([`RunControl::with_band`]: only pairs within a
-//!   window, the shape [`BandedLdMatrix`], [`DecayProfile`] and
-//!   [`haplotype_blocks`] are visitors of);
+//!   window, the shape [`BandedLdMatrix`], [`DecayProfile`],
+//!   [`haplotype_blocks`] and [`prune_pairwise`] are visitors of);
 //! * [`LdEngine::ld_pair`] / [`ld_pair_from_counts`] — single-pair
 //!   statistics ([`LdPair`]) for spot checks and downstream tools.
 //!
@@ -64,6 +64,7 @@ mod engine;
 pub mod error;
 pub mod fused;
 mod matrix;
+pub mod prune;
 pub mod shard;
 pub mod source;
 mod stats;
@@ -81,6 +82,7 @@ pub use engine::{LdEngine, TileVisit};
 pub use error::{LdError, MemoryBudget, WorkerPanic};
 pub use fused::{in_row_order, RowSlabVisit};
 pub use matrix::{CrossLdMatrix, LdMatrix};
+pub use prune::prune_pairwise;
 pub use shard::{merge_shard_states, plan_shards, state_to_matrix, SlabRange};
 pub use source::Source;
 pub use stats::{ld_pair_from_counts, ld_pair_from_freqs, LdPair, LdStats, NanPolicy};

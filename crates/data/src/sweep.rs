@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn omega_scan_locates_the_sweep() {
         let g = sim().generate();
-        let best = OmegaScan::new(24, 4).scan_max(&g).unwrap();
+        let best = OmegaScan::new(24, 4).scan_max(&g).unwrap().unwrap();
         assert!(
             (50..=70).contains(&best.best_split),
             "sweep at 60 missed: split {} (ω = {})",

@@ -39,11 +39,18 @@ pub fn tanimoto_from_counts(p: u64, q: u64, x: u64) -> f64 {
 }
 
 /// All-pairs Tanimoto matrix over the fingerprint set (columns are
-/// compounds), computed with the blocked SYRK engine.
-pub fn tanimoto_matrix(fp: &BitMatrixView<'_>, kind: KernelKind, threads: usize) -> LdMatrix {
+/// compounds), computed with the blocked SYRK engine — half the kernel
+/// work of [`tanimoto_cross`] of the set with itself, and the same values
+/// (Eq. 7 is symmetric in `p`, `q`).
+pub fn tanimoto_matrix(
+    fp: &BitMatrixView<'_>,
+    kind: KernelKind,
+    blocks: BlockSizes,
+    threads: usize,
+) -> LdMatrix {
     let n = fp.n_snps();
     let mut counts = vec![0u32; n * n];
-    syrk_counts_buf(fp, &mut counts, n, kind, BlockSizes::default(), threads);
+    syrk_counts_buf(fp, &mut counts, n, kind, blocks, threads);
     let mut out = LdMatrix::zeros(n);
     for i in 0..n {
         let p = counts[i * n + i] as u64;
@@ -137,7 +144,7 @@ mod tests {
     fn matrix_matches_pairs_and_is_bounded() {
         let fp = ld_data_like(24, 128);
         let v = fp.full_view();
-        let m = tanimoto_matrix(&v, KernelKind::Auto, 2);
+        let m = tanimoto_matrix(&v, KernelKind::Auto, BlockSizes::default(), 2);
         for i in 0..24 {
             assert!((m.get(i, i) - 1.0).abs() < 1e-12, "self-similarity");
             for j in i..24 {
@@ -153,7 +160,7 @@ mod tests {
     fn cross_matches_square_blocks() {
         let fp = ld_data_like(20, 256);
         let v = fp.full_view();
-        let full = tanimoto_matrix(&v, KernelKind::Auto, 1);
+        let full = tanimoto_matrix(&v, KernelKind::Auto, BlockSizes::default(), 1);
         let cross = tanimoto_cross(&fp.view(0, 8), &fp.view(8, 20), KernelKind::Auto, 1);
         for i in 0..8 {
             for j in 0..12 {

@@ -10,14 +10,15 @@
 //!
 //! Complexity per grid point is `O(maxwin²)` with O(1) incremental updates:
 //! left-left sums `LL(a)`, right-right sums `RR(b)` and a cumulative
-//! row-sum table for the cross term, all derived from one `r²` matrix of
-//! the `2·maxwin` window around `c` (computed by the blocked GEMM engine —
-//! which is exactly the paper's pitch: the LD harvest is the bottleneck,
-//! so cast it as DLA).
+//! row-sum table for the cross term, all read from the `2·maxwin` window
+//! around `c` of one banded `r²` run over the panel (computed by the
+//! blocked GEMM engine — which is exactly the paper's pitch: the LD
+//! harvest is the bottleneck, so cast it as DLA).
 
-use crate::OmegaPoint;
+use crate::prefix::omega_ratio;
+use crate::{scan_band, strongest, window_of, OmegaPoint};
 use ld_bitmat::BitMatrix;
-use ld_core::{LdEngine, NanPolicy};
+use ld_core::{BandedLdMatrix, LdEngine, LdError, LdStats, NanPolicy, Source};
 
 /// Grid-based ω scanner with adaptive region borders.
 #[derive(Clone, Debug)]
@@ -49,21 +50,33 @@ impl GridScan {
         self
     }
 
-    /// Evaluates ω at one grid position, maximizing over region borders.
-    /// Returns `(ω_max, best_a, best_b)` — the winning left/right extents.
-    pub fn omega_at(&self, g: &BitMatrix, center: usize) -> (f64, usize, usize) {
-        let n = g.n_snps();
-        let a_cap = center.min(self.max_win);
-        let b_cap = (n - center).min(self.max_win);
-        if a_cap < self.min_win || b_cap < self.min_win {
-            return (0.0, 0, 0);
-        }
-        let start = center - a_cap;
-        let end = center + b_cap;
-        let r2 = self.engine.r2_matrix(g.view(start, end));
-        let c_local = center - start; // split index inside the window
-        let _window_len = end - start;
+    /// The widest regions `(left, right)` around `center` of `n` SNPs.
+    fn caps(&self, n: usize, center: usize) -> (usize, usize) {
+        (center.min(self.max_win), (n - center).min(self.max_win))
+    }
 
+    /// Evaluates ω at one grid position, maximizing over region borders:
+    /// `(ω_max, best_a, best_b)`, zeros too close to an edge. Runs `r²` over
+    /// the `2·max_win` SNPs around `center` only, all pairs (the band clamps).
+    pub fn omega_at(&self, g: &BitMatrix, center: usize) -> Result<(f64, usize, usize), LdError> {
+        let (a_cap, b_cap) = self.caps(g.n_snps(), center);
+        if a_cap < self.min_win || b_cap < self.min_win {
+            return Ok((0.0, 0, 0));
+        }
+        let around = g.view(center - a_cap, center + b_cap);
+        let r2 = BandedLdMatrix::compute(&self.engine, around, usize::MAX, LdStats::RSquared)?;
+        Ok(self.best_extents(a_cap, b_cap, window_of(&r2, 0)))
+    }
+
+    /// The maximization over extents `a ≤ a_cap`, `b ≤ b_cap`, from the pair
+    /// lookup (local `i < j`) of the window `[center − a_cap, center + b_cap)`.
+    fn best_extents(
+        &self,
+        a_cap: usize,
+        b_cap: usize,
+        r2: impl Fn(usize, usize) -> f64,
+    ) -> (f64, usize, usize) {
+        let c_local = a_cap;
         // LL(a): pairs within the a SNPs left of the split; grow leftwards.
         let mut ll = vec![0.0f64; a_cap + 1];
         for a in 2..=a_cap {
@@ -71,7 +84,7 @@ impl GridScan {
             let new = c_local - a;
             let mut add = 0.0;
             for i in new + 1..c_local {
-                add += r2.get(new, i);
+                add += r2(new, i);
             }
             ll[a] = ll[a - 1] + add;
         }
@@ -81,22 +94,21 @@ impl GridScan {
             let new = c_local + b - 1;
             let mut add = 0.0;
             for j in c_local..new {
-                add += r2.get(j, new);
+                add += r2(j, new);
             }
             rr[b] = rr[b - 1] + add;
         }
-        // cross(a, b) = Σ_{i in left-a, j in right-b}; build cumulative row
-        // sums over the right side, then prefix over rows.
-        // row_cum[i][b] = Σ_{j in [c, c+b)} r²(i, j), i indexed from split-1 leftwards.
+        // cross(a, b) = Σ_{i in left-a, j in right-b}: `row[b]` is row `i`'s
+        // cumulative sum over the right side, `cross[b]` its prefix over rows
+        // (`i` from split − 1 leftwards, as `a` grows).
         let mut best = (0.0f64, 0usize, 0usize);
-        // cross_for_a[b] accumulates over rows as a grows
         let mut cross = vec![0.0f64; b_cap + 1];
         let mut row = vec![0.0f64; b_cap + 1];
         for (a, &ll_a) in ll.iter().enumerate().take(a_cap + 1).skip(1) {
             let i = c_local - a;
             row[0] = 0.0;
             for b in 1..=b_cap {
-                row[b] = row[b - 1] + r2.get(i, c_local + b - 1);
+                row[b] = row[b - 1] + r2(i, c_local + b - 1);
             }
             for b in 0..=b_cap {
                 cross[b] += row[b];
@@ -113,14 +125,7 @@ impl GridScan {
                 }
                 let numerator = (ll_a + rr[b]) / within_pairs;
                 let cross_pairs = (a * b) as f64;
-                let denominator = cross[b] / cross_pairs;
-                let w = if denominator > 0.0 {
-                    numerator / denominator
-                } else if numerator > 0.0 {
-                    f64::INFINITY
-                } else {
-                    0.0
-                };
+                let w = omega_ratio(numerator, cross[b] / cross_pairs);
                 if w > best.0 {
                     best = (w, a, b);
                 }
@@ -129,37 +134,38 @@ impl GridScan {
         best
     }
 
-    /// Scans the whole matrix, one [`OmegaPoint`] per grid position.
-    pub fn scan(&self, g: &BitMatrix) -> Vec<OmegaPoint> {
-        let n = g.n_snps();
-        let mut out = Vec::new();
-        let mut c = self.min_win;
-        while c + self.min_win <= n {
-            let (omega, a, b) = self.omega_at(g, c);
-            out.push(OmegaPoint {
-                window_start: c.saturating_sub(a),
-                window_end: (c + b).min(n),
+    /// Scans `src`, one [`OmegaPoint`] per grid position, in position
+    /// order: one `r²` run with band `2·max_win − 1`, held for the scan,
+    /// then the positions distributed across the engine's threads.
+    /// Bit-identical for every thread count, slab height and source.
+    pub fn scan<'a>(&self, src: impl Into<Source<'a>>) -> Result<Vec<OmegaPoint>, LdError> {
+        let src = src.into();
+        let n = src.n_snps();
+        let last = (n + 1).saturating_sub(self.min_win);
+        let centers: Vec<usize> = (self.min_win..last).step_by(self.grid_step).collect();
+        let point = |r2: &BandedLdMatrix, c: usize| {
+            let (a_cap, b_cap) = self.caps(n, c);
+            let (omega, a, b) = self.best_extents(a_cap, b_cap, window_of(r2, c - a_cap));
+            OmegaPoint {
+                window_start: c - a,
+                window_end: c + b,
                 best_split: c,
                 omega,
-            });
-            c += self.grid_step;
-        }
-        out
+            }
+        };
+        scan_band(&self.engine, src, 2 * self.max_win - 1, &centers, point)
     }
 
     /// The strongest grid position of a scan.
-    pub fn scan_max(&self, g: &BitMatrix) -> Option<OmegaPoint> {
-        self.scan(g).into_iter().max_by(|x, y| {
-            x.omega
-                .partial_cmp(&y.omega)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+    pub fn scan_max<'a>(&self, src: impl Into<Source<'a>>) -> Result<Option<OmegaPoint>, LdError> {
+        self.scan(src).map(strongest)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{assert_same_points, for_each_run, panel};
     use crate::WindowSums;
 
     fn sweep_matrix() -> BitMatrix {
@@ -206,7 +212,7 @@ mod tests {
         let g = sweep_matrix();
         let w = 10;
         let scan = GridScan::new(w, w, 1);
-        let (omega, a, b) = scan.omega_at(&g, 30);
+        let (omega, a, b) = scan.omega_at(&g, 30).unwrap();
         assert_eq!((a, b), (w, w));
         let r2 = LdEngine::new()
             .nan_policy(NanPolicy::Zero)
@@ -220,7 +226,7 @@ mod tests {
         let g = sweep_matrix();
         let scan = GridScan::new(3, 12, 1);
         let center = 30usize;
-        let (omega, a, b) = scan.omega_at(&g, center);
+        let (omega, a, b) = scan.omega_at(&g, center).unwrap();
         // brute force the same maximization
         let r2full = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&g);
         let mut best = 0.0f64;
@@ -264,7 +270,7 @@ mod tests {
     fn adaptive_borders_find_the_block_extents() {
         let g = sweep_matrix();
         let scan = GridScan::new(4, 20, 1);
-        let (omega, a, b) = scan.omega_at(&g, 30);
+        let (omega, a, b) = scan.omega_at(&g, 30).unwrap();
         assert!(omega > 10.0, "sweep signal expected, got {omega}");
         // the planted blocks are 16 SNPs each: the chosen extents must not
         // spill far into the neutral flanks, where ω drops
@@ -273,14 +279,14 @@ mod tests {
         // and extending both regions over the full neutral window must be
         // strictly worse than the chosen extents
         let forced = GridScan::new(20, 20, 1);
-        let (omega_wide, _, _) = forced.omega_at(&g, 30);
+        let (omega_wide, _, _) = forced.omega_at(&g, 30).unwrap();
         assert!(omega_wide < omega, "wide {omega_wide} vs adaptive {omega}");
     }
 
     #[test]
     fn scan_locates_center() {
         let g = sweep_matrix();
-        let best = GridScan::new(4, 20, 2).scan_max(&g).unwrap();
+        let best = GridScan::new(4, 20, 2).scan_max(&g).unwrap().unwrap();
         assert!(
             (26..=34).contains(&best.best_split),
             "expected center near 30, got {} (omega {})",
@@ -293,16 +299,61 @@ mod tests {
     fn edges_are_skipped_gracefully() {
         let g = sweep_matrix();
         let scan = GridScan::new(8, 16, 1);
-        let (omega, a, b) = scan.omega_at(&g, 2); // too close to the edge
+        let (omega, a, b) = scan.omega_at(&g, 2).unwrap(); // too close to the edge
         assert_eq!((omega, a, b), (0.0, 0, 0));
         // and a scan over a tiny matrix yields nothing
         let tiny = BitMatrix::zeros(8, 6);
-        assert!(GridScan::new(8, 16, 1).scan(&tiny).is_empty());
+        assert!(GridScan::new(8, 16, 1).scan(&tiny).unwrap().is_empty());
     }
 
     #[test]
     #[should_panic(expected = "max_win must be >= min_win")]
     fn bad_window_order_panics() {
         GridScan::new(10, 5, 1);
+    }
+    /// The scan as it ran before the band: one `r²` matrix per position.
+    fn per_window(scan: &GridScan, g: &BitMatrix) -> Vec<OmegaPoint> {
+        let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
+        let n = g.n_snps();
+        let centers = (scan.min_win..=n - scan.min_win).step_by(scan.grid_step);
+        let point = |c: usize| {
+            let (a_cap, b_cap) = scan.caps(n, c);
+            let r2 = engine.r2_matrix(g.view(c - a_cap, c + b_cap));
+            let (omega, a, b) = scan.best_extents(a_cap, b_cap, |i, j| r2.get(i, j));
+            OmegaPoint {
+                window_start: c - a,
+                window_end: c + b,
+                best_split: c,
+                omega,
+            }
+        };
+        centers.map(point).collect()
+    }
+
+    #[test]
+    fn scan_equals_the_per_window_oracle() {
+        let g = panel(96, 150, 11);
+        for (min_win, max_win, step) in [(3, 12, 1), (5, 25, 10), (8, 8, 4)] {
+            let scan = GridScan::new(min_win, max_win, step);
+            let want = per_window(&scan, &g);
+            assert!(want.iter().any(|p| p.omega > 0.0), "a flat oracle");
+            for_each_run(&g, |engine, src, what| {
+                let got = scan.clone().engine(engine).scan(src).unwrap();
+                assert_same_points(
+                    &got,
+                    &want,
+                    &format!("({min_win}, {max_win}, {step}) {what}"),
+                );
+            });
+            // one centre on its own sub-view reads the same bits
+            for p in want.iter().step_by(7) {
+                let (omega, a, b) = scan.omega_at(&g, p.best_split).unwrap();
+                assert_eq!(omega.to_bits(), p.omega.to_bits(), "{p:?}");
+                assert_eq!(
+                    (p.best_split - a, p.best_split + b),
+                    (p.window_start, p.window_end)
+                );
+            }
+        }
     }
 }

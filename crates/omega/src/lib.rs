@@ -14,17 +14,27 @@
 //!
 //! and `ω_max = max_l ω(l)`. High `ω_max` marks a sweep center.
 //!
-//! This crate computes ω on top of the GEMM engine: one blocked `r²`
-//! matrix per window, then **O(S)** split maximization via prefix sums
-//! ([`omega_max`]), instead of the O(S²) per-split recomputation a naive
-//! scan would do. A pairwise no-GEMM path ([`omega_max_pairwise`])
-//! reproduces the OmegaPlus-style computation for the benchmarks.
+//! This crate computes ω on top of the GEMM engine: **one banded `r²` run
+//! per scan** ([`BandedLdMatrix`]; band `window − 1` for [`OmegaScan`],
+//! `2·max_win − 1` for [`GridScan`]), then every window evaluated in
+//! parallel by *reading* it — **O(S)** split maximization via prefix sums
+//! ([`omega_max`]), each pair's `r²` computed once however far windows
+//! overlap. The band is held for the scan, `n · band · 8` bytes: 1.2 MB
+//! for 3000 SNPs at window 50, 80 MB for 10 000 at window 1000.
+//!
+//! **Reading the band changes no bit.** `r²(i, j)` of a run over the whole
+//! panel equals that of a run over the window's sub-view: the counts are
+//! exact integers and the driver's one transform body evaluates the same
+//! expression from tables (`p_j`, `1/(p_j(1−p_j))`) that depend on SNP `j`
+//! alone. That leaves the order of the sums: `WindowSums` and the grid
+//! recurrences take a pair lookup and add the same terms in the same order
+//! whether it reads a window's own matrix or a band row. The per-window
+//! computation is the test oracle, held `to_bits`-equal.
 
 #![warn(missing_docs)]
 
-use ld_bitmat::{BitMatrix, BitMatrixView};
-use ld_core::{LdEngine, LdMatrix, NanPolicy};
-use std::sync::{Mutex, PoisonError};
+use ld_core::{BandedLdMatrix, LdEngine, LdError, LdMatrix, LdStats, NanPolicy, Source};
+use std::sync::OnceLock;
 
 pub mod grid;
 mod prefix;
@@ -52,16 +62,7 @@ pub struct OmegaPoint {
 /// Undefined `r²` values (NaN from monomorphic pairs) are treated as zero,
 /// matching OmegaPlus's handling.
 pub fn omega_max(r2: &LdMatrix) -> (f64, usize) {
-    let sums = WindowSums::new(r2);
-    let s = r2.n_snps();
-    let mut best = (0.0f64, 1usize);
-    for l in 1..s {
-        let w = sums.omega_at(l);
-        if w > best.0 {
-            best = (w, l);
-        }
-    }
-    best
+    best_split(&WindowSums::new(r2), 1)
 }
 
 /// ω for one explicit split (exposed for tests and for tools that fix the
@@ -70,43 +71,51 @@ pub fn omega_at_split(r2: &LdMatrix, l: usize) -> f64 {
     WindowSums::new(r2).omega_at(l)
 }
 
-/// OmegaPlus-style ω_max: pairwise `POPCNT` r² without the GEMM engine.
-/// Used by the benchmark harness as the no-DLA reference.
-pub fn omega_max_pairwise(g: &BitMatrixView<'_>) -> (f64, usize) {
-    let kernel = ld_baseline_pairwise_r2(g);
-    omega_max(&kernel)
-}
-
-fn ld_baseline_pairwise_r2(g: &BitMatrixView<'_>) -> LdMatrix {
-    // local unblocked r² (kept here so ld-omega has no dependency on
-    // ld-baselines; ~20 lines of the same pairwise loop)
-    let n = g.n_snps();
-    let n_samples = g.n_samples() as u64;
-    let counts: Vec<u64> = (0..n).map(|j| g.ones_in_snp(j)).collect();
-    let mut out = LdMatrix::zeros(n);
-    for i in 0..n {
-        let a = g.snp_words(i);
-        for j in i..n {
-            let c_ij = ld_popcount_and(a, g.snp_words(j));
-            let v = ld_core::ld_pair_from_counts(
-                counts[i],
-                counts[j],
-                c_ij,
-                n_samples,
-                NanPolicy::Zero,
-            )
-            .r2;
-            out.set(i, j, v);
+/// `(ω_max, argmax l)` over splits leaving `min_region` SNPs on each side.
+fn best_split(sums: &WindowSums, min_region: usize) -> (f64, usize) {
+    let mut best = (0.0f64, min_region);
+    for l in min_region..=sums.len().saturating_sub(min_region) {
+        let w = sums.omega_at(l);
+        if w > best.0 {
+            best = (w, l);
         }
     }
-    out
+    best
 }
 
-#[inline]
-fn ld_popcount_and(a: &[u64], b: &[u64]) -> u64 {
-    // Pinned scalar POPCNT: this is the no-GEMM *baseline* path, so it must
-    // not silently benefit from LLVM auto-vectorization (see ld-popcount).
-    ld_popcount::strategies::and_popcount_pinned(a, b)
+/// The pair lookup (window-local `i < j`) of the window at `start`, off band rows.
+pub(crate) fn window_of(r2: &BandedLdMatrix, start: usize) -> impl Fn(usize, usize) -> f64 + '_ {
+    move |i, j| r2.row(start + i)[j - i - 1]
+}
+
+/// The skeleton of both scans: one `band`-wide `r²` run over `src` (none
+/// without a position), then `point` per position by the engine's team.
+pub(crate) fn scan_band<'a>(
+    engine: &LdEngine,
+    src: Source<'a>,
+    band: usize,
+    positions: &[usize],
+    point: impl Fn(&BandedLdMatrix, usize) -> OmegaPoint + Sync,
+) -> Result<Vec<OmegaPoint>, LdError> {
+    if positions.is_empty() {
+        return Ok(Vec::new());
+    }
+    let r2 = BandedLdMatrix::compute(engine, src, band, LdStats::RSquared)?;
+    let slots: Vec<OnceLock<OmegaPoint>> = positions.iter().map(|_| OnceLock::new()).collect();
+    ld_parallel::parallel_for_dynamic(engine.thread_count(), positions.len(), 1, |range| {
+        for k in range {
+            // each index is claimed once, so its slot is still empty
+            let _ = slots[k].set(point(&r2, positions[k]));
+        }
+    });
+    Ok(slots.into_iter().filter_map(OnceLock::into_inner).collect())
+}
+
+/// The last of a scan's strongest points (ω is never NaN or −0: a total order).
+pub(crate) fn strongest(points: Vec<OmegaPoint>) -> Option<OmegaPoint> {
+    points
+        .into_iter()
+        .max_by(|a, b| a.omega.total_cmp(&b.omega))
 }
 
 /// A sliding-window ω scanner over a whole chromosome-scale matrix.
@@ -141,81 +150,56 @@ impl OmegaScan {
         self
     }
 
-    /// Requires at least `m` SNPs on each side of a candidate split
-    /// (default 2); larger values suppress edge artifacts.
+    /// Requires at least `m` SNPs on each side of a candidate split (default
+    /// 2; more suppresses edge artifacts, over `window / 2` fails the scan).
     pub fn min_region(mut self, m: usize) -> Self {
         self.min_region = m.max(1);
         self
     }
 
-    /// Scans the matrix, returning one [`OmegaPoint`] per window, in window
-    /// order.
-    ///
-    /// Windows are distributed across the engine's threads and each
-    /// window's `r²` GEMM runs single-threaded — for many small windows,
-    /// across-window parallelism beats within-window parallelism. Points
-    /// are bit-identical for every thread count.
-    pub fn scan(&self, g: &BitMatrix) -> Vec<OmegaPoint> {
-        let starts = self.window_starts(g.n_snps());
-        let engine = self.engine.clone().threads(1);
-        let done = Mutex::new(Vec::with_capacity(starts.len()));
-        ld_parallel::parallel_for_dynamic(self.engine.thread_count(), starts.len(), 1, |range| {
-            let points: Vec<OmegaPoint> = range
-                .map(|w| self.window_point(&engine, g, starts[w]))
-                .collect();
-            done.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .extend(points);
-        });
-        let mut out = done.into_inner().unwrap_or_else(PoisonError::into_inner);
-        // window starts are strictly increasing
-        out.sort_unstable_by_key(|p| p.window_start);
-        out
+    /// Scans `src`, returning one [`OmegaPoint`] per window, in window
+    /// order: one `r²` run with band `window − 1`, held for the scan, then
+    /// the windows distributed across the engine's threads. Bit-identical
+    /// for every thread count, slab height and source. A `min_region`
+    /// above `window / 2` is [`LdError::InvalidConfig`]; a panel shorter
+    /// than the window yields no point.
+    pub fn scan<'a>(&self, src: impl Into<Source<'a>>) -> Result<Vec<OmegaPoint>, LdError> {
+        if 2 * self.min_region > self.window {
+            return Err(LdError::InvalidConfig {
+                message: "min_region must be at most half the window (no split is left)",
+            });
+        }
+        let src = src.into();
+        let starts = self.window_starts(src.n_snps());
+        let point = |r2: &BandedLdMatrix, start| {
+            let sums = WindowSums::from_pairs(self.window, window_of(r2, start));
+            self.window_point(start, &sums)
+        };
+        scan_band(&self.engine, src, self.window - 1, &starts, point)
     }
 
-    /// Evaluates the window starting at SNP `start`.
-    fn window_point(&self, engine: &LdEngine, g: &BitMatrix, start: usize) -> OmegaPoint {
-        let end = start + self.window;
-        let r2 = engine.r2_matrix(g.view(start, end));
-        let sums = WindowSums::new(&r2);
-        let mut best = (0.0f64, self.min_region);
-        for l in self.min_region..=(self.window - self.min_region) {
-            let w = sums.omega_at(l);
-            if w > best.0 {
-                best = (w, l);
-            }
-        }
+    fn window_point(&self, start: usize, sums: &WindowSums) -> OmegaPoint {
+        let (omega, l) = best_split(sums, self.min_region);
         OmegaPoint {
             window_start: start,
-            window_end: end,
-            best_split: start + best.1,
-            omega: best.0,
+            window_end: start + self.window,
+            best_split: start + l,
+            omega,
         }
     }
 
     /// The scan's single strongest signal, if any window was evaluated.
-    pub fn scan_max(&self, g: &BitMatrix) -> Option<OmegaPoint> {
-        self.scan(g).into_iter().max_by(|a, b| {
-            a.omega
-                .partial_cmp(&b.omega)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+    pub fn scan_max<'a>(&self, src: impl Into<Source<'a>>) -> Result<Option<OmegaPoint>, LdError> {
+        self.scan(src).map(strongest)
     }
 
-    /// The window start positions [`OmegaScan::scan`] visits, in order.
+    /// The window starts a scan visits: every `step`-th, and the last.
     fn window_starts(&self, n: usize) -> Vec<usize> {
-        let mut starts = Vec::new();
-        if n < self.window {
-            return starts;
-        }
-        let mut start = 0usize;
-        loop {
-            starts.push(start);
-            if start + self.window == n {
-                break;
-            }
-            start = (start + self.step).min(n - self.window);
-        }
+        let Some(last) = n.checked_sub(self.window) else {
+            return Vec::new();
+        };
+        let mut starts: Vec<usize> = (0..last).step_by(self.step).collect();
+        starts.push(last);
         starts
     }
 }
@@ -223,6 +207,9 @@ impl OmegaScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ld_bitmat::BitMatrix;
+    use ld_core::MemoryTileStore;
+    use ld_rng::SmallRng;
 
     /// A window with perfect LD inside each half and none across: the
     /// canonical sweep signature.
@@ -316,16 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_matches_gemm_path() {
-        let g = sweep_like(4);
-        let r2 = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&g);
-        let (a, la) = omega_max(&r2);
-        let (b, lb) = omega_max_pairwise(&g.full_view());
-        assert!((a - b).abs() < 1e-9);
-        assert_eq!(la, lb);
-    }
-
-    #[test]
     fn scan_finds_embedded_sweep() {
         // chromosome: neutral noise + a sweep-like block pair in the middle
         let n_samples = 64;
@@ -357,7 +334,7 @@ mod tests {
             }
         }
         let scan = OmegaScan::new(12, 2);
-        let best = scan.scan_max(&g).unwrap();
+        let best = scan.scan_max(&g).unwrap().unwrap();
         assert!(
             (26..=34).contains(&best.best_split),
             "sweep center missed: split {} omega {}",
@@ -370,8 +347,8 @@ mod tests {
     fn scan_handles_short_input() {
         let g = BitMatrix::zeros(10, 6);
         let scan = OmegaScan::new(8, 1);
-        assert!(scan.scan(&g).is_empty());
-        assert!(scan.scan_max(&g).is_none());
+        assert!(scan.scan(&g).unwrap().is_empty());
+        assert!(scan.scan_max(&g).unwrap().is_none());
     }
 
     #[test]
@@ -381,6 +358,7 @@ mod tests {
             OmegaScan::new(10, 3)
                 .engine(LdEngine::new().threads(threads))
                 .scan(&g)
+                .unwrap()
         };
         let seq = scan(1);
         assert!(seq.len() >= 5);
@@ -397,6 +375,7 @@ mod tests {
         // empty input
         assert!(OmegaScan::new(10, 3)
             .scan(&BitMatrix::zeros(8, 4))
+            .unwrap()
             .is_empty());
     }
 
@@ -404,7 +383,7 @@ mod tests {
     fn scan_covers_tail() {
         let g = sweep_like(10); // 20 snps
         let scan = OmegaScan::new(8, 5);
-        let points = scan.scan(&g);
+        let points = scan.scan(&g).unwrap();
         assert_eq!(
             points.last().unwrap().window_end,
             20,
@@ -418,5 +397,107 @@ mod tests {
     #[should_panic(expected = "at least 4 SNPs")]
     fn tiny_window_rejected() {
         OmegaScan::new(3, 1);
+    }
+    /// A seeded panel with LD that varies along it: runs of near-copies of
+    /// a pattern re-drawn every ~15 SNPs, plus the odd monomorphic SNP
+    /// (`r²` undefined → 0).
+    pub(crate) fn panel(n_samples: usize, n_snps: usize, seed: u64) -> BitMatrix {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut g = BitMatrix::zeros(n_samples, n_snps);
+        let mut pattern = vec![false; n_samples];
+        for j in 0..n_snps {
+            let fresh = j == 0 || rng.gen_range(0..15usize) == 0;
+            let monomorphic = rng.gen_range(0..40usize) == 0;
+            for (s, bit) in pattern.iter_mut().enumerate() {
+                if fresh || rng.gen_range(0..6usize) == 0 {
+                    *bit = rng.gen_bool(0.5);
+                }
+                g.set(s, j, *bit && !monomorphic);
+            }
+        }
+        g
+    }
+
+    /// Every engine configuration × source the scans must agree across:
+    /// threads {1, 2, 7} × slab heights {1, 7, 64} × memory / a store whose
+    /// chunk width divides no window.
+    pub(crate) fn for_each_run(g: &BitMatrix, mut check: impl FnMut(LdEngine, Source<'_>, String)) {
+        let store = MemoryTileStore::from_matrix(g, 23).unwrap();
+        for threads in [1usize, 2, 7] {
+            for slab in [1usize, 7, 64] {
+                let engine = LdEngine::new().threads(threads).slab_rows(slab);
+                check(
+                    engine.clone(),
+                    Source::from(g),
+                    format!("threads {threads} slab {slab} memory"),
+                );
+                check(
+                    engine,
+                    Source::Store(&store),
+                    format!("threads {threads} slab {slab} store"),
+                );
+            }
+        }
+    }
+
+    pub(crate) fn assert_same_points(got: &[OmegaPoint], want: &[OmegaPoint], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(
+                a.omega.to_bits(),
+                b.omega.to_bits(),
+                "{what}: {a:?} vs {b:?}"
+            );
+            assert_eq!(
+                (a.window_start, a.window_end, a.best_split),
+                (b.window_start, b.window_end, b.best_split),
+                "{what}"
+            );
+        }
+    }
+
+    /// The scan as it ran before the band: one `r²` matrix per window.
+    fn per_window(scan: &OmegaScan, g: &BitMatrix) -> Vec<OmegaPoint> {
+        let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
+        let starts = scan.window_starts(g.n_snps());
+        let point = |&start: &usize| {
+            let r2 = engine.r2_matrix(g.view(start, start + scan.window));
+            scan.window_point(start, &WindowSums::new(&r2))
+        };
+        starts.iter().map(point).collect()
+    }
+
+    #[test]
+    fn scan_equals_the_per_window_oracle() {
+        let g = panel(96, 310, 7);
+        // an overlap that divides the window, one that does not, every
+        // window overlapping its neighbour in all but one SNP, and gaps
+        for (window, step) in [(50, 10), (50, 12), (40, 8), (64, 1), (10, 25)] {
+            let scan = OmegaScan::new(window, step);
+            let want = per_window(&scan, &g);
+            assert!(want.iter().any(|p| p.omega > 0.0), "a flat oracle");
+            for_each_run(&g, |engine, src, what| {
+                let got = scan.clone().engine(engine).scan(src).unwrap();
+                assert_same_points(&got, &want, &format!("({window}, {step}) {what}"));
+            });
+        }
+    }
+
+    /// `2·min_region > window` used to underflow the split range: a panic
+    /// in a debug build, ~2⁶⁴ iterations in a release one. It is a typed
+    /// error before any work (this test runs under `--release` too).
+    #[test]
+    fn min_region_past_half_the_window_is_invalid_config() {
+        let g = panel(32, 40, 3);
+        for m in [6, 10, 11, usize::MAX / 2] {
+            let got = OmegaScan::new(10, 5).min_region(m).scan(&g);
+            assert!(
+                matches!(got, Err(LdError::InvalidConfig { .. })),
+                "min_region {m}: {got:?}"
+            );
+        }
+        // exactly half leaves the one central split
+        let points = OmegaScan::new(10, 5).min_region(5).scan(&g).unwrap();
+        assert!(points.iter().all(|p| p.best_split == p.window_start + 5));
     }
 }

@@ -22,9 +22,15 @@ pub struct WindowSums {
 impl WindowSums {
     /// Builds the prefixes from a window r² matrix. NaN entries count as 0.
     pub fn new(r2: &LdMatrix) -> Self {
-        let s = r2.n_snps();
+        Self::from_pairs(r2.n_snps(), |i, j| r2.get(i, j))
+    }
+
+    /// Builds the prefixes of an `s`-SNP window from a pair lookup (local
+    /// `i < j < s`), adding column `l − 1` ascending `i` and row `l`
+    /// ascending `j`: one order, so equal values give equal bits.
+    pub(crate) fn from_pairs(s: usize, r2: impl Fn(usize, usize) -> f64) -> Self {
         let val = |i: usize, j: usize| {
-            let v = r2.get(i, j);
+            let v = r2(i, j);
             if v.is_nan() {
                 0.0
             } else {
@@ -102,15 +108,18 @@ impl WindowSums {
         let within = self.left_sum(l) + self.right_sum(l);
         let cross = self.cross_sum(l);
         let cross_pairs = (l * (s - l)) as f64;
-        let numerator = within / within_pairs;
-        let denominator = cross / cross_pairs;
-        if denominator > 0.0 {
-            numerator / denominator
-        } else if numerator > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        }
+        omega_ratio(within / within_pairs, cross / cross_pairs)
+    }
+}
+
+/// `numerator / denominator`, by [`WindowSums::omega_at`]'s conventions.
+pub(crate) fn omega_ratio(numerator: f64, denominator: f64) -> f64 {
+    if denominator > 0.0 {
+        numerator / denominator
+    } else if numerator > 0.0 {
+        f64::INFINITY
+    } else {
+        0.0
     }
 }
 

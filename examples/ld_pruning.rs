@@ -4,7 +4,9 @@
 //! exceeds an r² threshold; every removal decision needs pairwise LD, which
 //! is why PLINK's r² kernel is hot (paper §I, GWAS motivation).
 //!
-//! This example prunes greedily in sliding windows using the tiled engine
+//! This example prunes greedily in sliding windows with
+//! `ld_core::prune_pairwise` — one banded run of the engine, each pair
+//! within a window computed once — and checks the result with the tiled
 //! API, so the full r² matrix is never materialized.
 //!
 //! ```sh
@@ -12,36 +14,7 @@
 //! ```
 
 use gemm_ld::prelude::*;
-use ld_core::{NanPolicy, RunControl, TileVisit};
-
-/// Greedy window pruning: within each window, drop the later SNP of any
-/// pair with `r² > threshold` (keeping earlier = keeping the first tag).
-fn prune(g: &ld_bitmat::BitMatrix, window: usize, step: usize, threshold: f64) -> Vec<usize> {
-    let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
-    let n = g.n_snps();
-    let mut keep = vec![true; n];
-    let mut start = 0;
-    while start < n {
-        let end = (start + window).min(n);
-        let view = g.view(start, end);
-        let r2 = engine.r2_matrix(view);
-        for i in 0..end - start {
-            if !keep[start + i] {
-                continue;
-            }
-            for j in i + 1..end - start {
-                if keep[start + j] && r2.get(i, j) > threshold {
-                    keep[start + j] = false;
-                }
-            }
-        }
-        if end == n {
-            break;
-        }
-        start += step;
-    }
-    (0..n).filter(|&i| keep[i]).collect()
-}
+use ld_core::{prune_pairwise, NanPolicy, RunControl, TileVisit};
 
 fn main() {
     let g = HaplotypeSimulator::new(800, 1_000)
@@ -51,9 +24,13 @@ fn main() {
         .generate();
     println!("panel: {} SNPs x {} haplotypes", g.n_snps(), g.n_samples());
 
+    let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
     for threshold in [0.8, 0.5, 0.2] {
         let t0 = std::time::Instant::now();
-        let kept = prune(&g, 100, 50, threshold);
+        // within each window, drop the later SNP of any pair with
+        // r² > threshold (keeping earlier = keeping the first tag)
+        let kept =
+            prune_pairwise(&engine, &g, 100, 50, threshold).expect("a valid window and step");
         let dt = t0.elapsed();
         println!(
             "threshold r² > {threshold}: kept {} / {} SNPs ({:.1}%) in {dt:?}",
@@ -65,7 +42,6 @@ fn main() {
         // Verify the pruning contract on the kept set (spot check within
         // the window range): no kept pair within a window exceeds the cut.
         let pruned = g.select_snps(&kept).expect("indices are valid");
-        let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
         let mut violations = 0;
         let count = |t: &TileVisit<'_>| {
             for r in 0..t.rows {

@@ -30,15 +30,17 @@ fn main() {
         g.n_samples()
     );
 
-    // Scan: 80-SNP windows, advancing 10 SNPs; each window is one blocked
-    // r² GEMM plus an O(S) split maximization. min_region keeps at least
-    // 20 SNPs on each side of a candidate split, suppressing the
-    // boundary artifacts small sub-regions produce.
+    // Scan: 80-SNP windows, advancing 10 SNPs; one banded r² run of the
+    // blocked engine, then an O(S) split maximization per window read off
+    // it. min_region keeps at least 20 SNPs on each side of a candidate
+    // split, suppressing the boundary artifacts small sub-regions produce.
     let scan = OmegaScan::new(80, 10)
         .min_region(20)
         .engine(LdEngine::new().kernel(KernelKind::Auto));
     let t0 = std::time::Instant::now();
-    let points = scan.scan(&g);
+    let points = scan
+        .scan(&g)
+        .expect("a non-empty panel and a valid min_region");
     println!("scanned {} windows in {:?}\n", points.len(), t0.elapsed());
 
     // ASCII profile (log-scaled bars).

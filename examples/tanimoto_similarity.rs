@@ -27,7 +27,7 @@ fn main() {
 
     // All-vs-all similarity in one blocked SYRK.
     let t0 = std::time::Instant::now();
-    let sim = tanimoto_matrix(&fp.full_view(), KernelKind::Auto, 0);
+    let sim = tanimoto_matrix(&fp.full_view(), KernelKind::Auto, BlockSizes::default(), 0);
     println!(
         "all-vs-all Tanimoto: {} values in {:?}",
         sim.n_values(),

@@ -10,8 +10,8 @@
 #   3. clippy (strict)  — no unwrap/expect in the lib targets of the
 #                         panic-free crates; every `unsafe` block and impl
 #                         in every member's lib carries a SAFETY argument
-#   4. release build, workspace tests, the release-arithmetic legs and
-#                         the one-formatter guard
+#   4. release build, workspace tests, the release-arithmetic legs, the
+#                         one-formatter guard and the per-window guard
 #   5. schemas          — each published artifact (`--profile=json`, trace
 #                         report, CPU profile, shard manifest, tile
 #                         manifest, request log, both Prometheus scrapes)
@@ -60,6 +60,9 @@ run cargo test -q --workspace --offline
 # and so is the pair-table writer, whose sweep a debug build only strides.
 run cargo test -q --release --offline -p ld-kernels --test kernel_matrix
 run cargo test -q --release --offline -p ld-io --lib fixed6
+# ...and the ω split range, which a release build's unchecked subtraction
+# once turned into a 2^64-iteration loop.
+run cargo test -q --release --offline -p ld-omega --lib min_region
 # `{v:.6}` is that writer's oracle and its fall-back, not a second
 # formatter: one occurrence in shipped code (comments and test modules
 # aside) across the crates that print the table.
@@ -70,6 +73,20 @@ done | grep -F ':.6}' || true)
 if [ "$(printf '%s\n' "$SIX" | grep -c .)" != 1 ]; then
     echo "six-decimal formatter guard FAIL: expected exactly one ':.6}', found:" >&2
     printf '%s\n' "$SIX" >&2
+    exit 1
+fi
+# A window is a reader of one banded run, not a run of its own: no shipped
+# code applies the engine to a sub-view per window (`r2_matrix(` /
+# `stat_matrix(` on a `.view(` / `.subview(`; test oracles aside), and the
+# pruning example calls the library's pruner instead of carrying one.
+echo "==> no per-window engine call in crates/{omega,cli,assoc,core}/src"
+PER_WINDOW=$(for f in crates/omega/src/*.rs crates/cli/src/*.rs crates/assoc/src/*.rs crates/core/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$f"
+done | grep -E '(r2_matrix|stat_matrix)\(.*\.(sub)?view\(' || true)
+if [ -n "$PER_WINDOW" ] || grep -q 'fn prune' examples/ld_pruning.rs; then
+    echo "per-window guard FAIL: an engine call on a sub-view, or a pruner in the example:" >&2
+    printf '%s\n' "$PER_WINDOW" >&2
+    grep -n 'fn prune' examples/ld_pruning.rs >&2 || true
     exit 1
 fi
 

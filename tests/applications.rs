@@ -61,7 +61,7 @@ fn grid_scan_beats_fixed_scan_on_asymmetric_sweep() {
         .founders(32)
         .switch_rate(0.25);
     let g = SweepSimulator::new(base, 120, 30).seed(43).generate();
-    let grid = GridScan::new(8, 40, 4).scan_max(&g).unwrap();
+    let grid = GridScan::new(8, 40, 4).scan_max(&g).unwrap().unwrap();
     assert!(
         (100..=140).contains(&grid.best_split),
         "grid scan missed sweep at 120: {} (omega {})",

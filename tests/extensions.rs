@@ -65,7 +65,12 @@ fn tanimoto_and_r2_rank_similar_pairs_together() {
         let fp = ld_data::fingerprints::random_fingerprints(10, 256, 0.2, seed);
         let dup = fp.select_snps(&[0]).unwrap();
         let h = fp.hstack(&dup).unwrap();
-        let sim = ld_ext::tanimoto::tanimoto_matrix(&h.full_view(), KernelKind::Auto, 1);
+        let sim = ld_ext::tanimoto::tanimoto_matrix(
+            &h.full_view(),
+            KernelKind::Auto,
+            BlockSizes::default(),
+            1,
+        );
         let r2 = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&h);
         // column 10 duplicates column 0
         assert!((sim.get(0, 10) - 1.0).abs() < 1e-12, "case {case}");

@@ -113,7 +113,10 @@ fn sweep_pipeline_ms_to_omega() {
     let mut buf = Vec::new();
     ms::write_ms(&mut buf, std::slice::from_ref(&rep)).unwrap();
     let back = ms::read_ms_first(buf.as_slice()).unwrap();
-    let best = OmegaScan::new(40, 8).scan_max(&back.matrix).unwrap();
+    let best = OmegaScan::new(40, 8)
+        .scan_max(&back.matrix)
+        .unwrap()
+        .unwrap();
     assert!(
         (60..=100).contains(&best.best_split),
         "sweep at 80 missed: split {} omega {}",
@@ -129,7 +132,12 @@ fn text_matrix_to_tanimoto() {
     text::write_matrix(&mut buf, &fp).unwrap();
     let back = text::read_matrix(BufReader::new(buf.as_slice())).unwrap();
     assert_eq!(back, fp);
-    let sim_mat = ld_ext::tanimoto::tanimoto_matrix(&back.full_view(), KernelKind::Auto, 1);
+    let sim_mat = ld_ext::tanimoto::tanimoto_matrix(
+        &back.full_view(),
+        KernelKind::Auto,
+        BlockSizes::default(),
+        1,
+    );
     // same-cluster compounds (i, i+4) are more similar than (i, i+1)
     let mut within = 0.0;
     let mut between = 0.0;
