@@ -78,7 +78,7 @@ pub fn pair_table(x: &[u64], y: &[u64]) -> PairTable {
 pub fn r2_dosage(t: &PairTable, policy: NanPolicy) -> f64 {
     let n = t.n() as f64;
     if n == 0.0 {
-        return nan_or_zero(policy);
+        return policy.undefined();
     }
     let mut sx = 0.0;
     let mut sy = 0.0;
@@ -102,7 +102,7 @@ pub fn r2_dosage(t: &PairTable, policy: NanPolicy) -> f64 {
     if vx > 0.0 && vy > 0.0 {
         (cov * cov) / (vx * vy)
     } else {
-        nan_or_zero(policy)
+        policy.undefined()
     }
 }
 
@@ -158,7 +158,7 @@ pub fn em_haplotype_freqs(t: &PairTable) -> Option<(f64, f64, f64, f64)> {
 /// EM-based `r²` from a contingency table.
 pub fn r2_em(t: &PairTable, policy: NanPolicy) -> f64 {
     let Some((p_ab, p_a_b, p_b_a, _)) = em_haplotype_freqs(t) else {
-        return nan_or_zero(policy);
+        return policy.undefined();
     };
     let p_a = p_ab + p_a_b;
     let p_b = p_ab + p_b_a;
@@ -167,14 +167,7 @@ pub fn r2_em(t: &PairTable, policy: NanPolicy) -> f64 {
     if denom > 0.0 {
         d * d / denom
     } else {
-        nan_or_zero(policy)
-    }
-}
-
-fn nan_or_zero(policy: NanPolicy) -> f64 {
-    match policy {
-        NanPolicy::Propagate => f64::NAN,
-        NanPolicy::Zero => 0.0,
+        policy.undefined()
     }
 }
 

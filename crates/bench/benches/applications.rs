@@ -11,7 +11,6 @@ use ld_core::{LdEngine, NanPolicy};
 use ld_data::fingerprints::clustered_fingerprints;
 use ld_ext::gaps::masked_r2_matrix;
 use ld_ext::tanimoto::tanimoto_matrix;
-use ld_kernels::{BlockSizes, KernelKind};
 use ld_omega::OmegaScan;
 
 fn main() {
@@ -50,18 +49,12 @@ fn main() {
     // -- Tanimoto ----------------------------------------------------------
     {
         let fp = clustered_fingerprints(256, 1024, 16, 0.08, 0.01, 3);
+        let engine = LdEngine::new().threads(1);
         push(
             "tanimoto",
             "all-pairs-256x1024bits",
             time_best(
-                || {
-                    drop(tanimoto_matrix(
-                        &fp.full_view(),
-                        KernelKind::Auto,
-                        BlockSizes::default(),
-                        1,
-                    ))
-                },
+                || drop(tanimoto_matrix(&engine, &fp.full_view()).expect("Tanimoto")),
                 budget,
                 10,
             ),
@@ -107,10 +100,11 @@ fn main() {
             })
             .collect();
         let m = ld_ext::fsm::NucleotideMatrix::from_site_strings(512, cols);
+        let engine = LdEngine::new().threads(1).nan_policy(NanPolicy::Zero);
         push(
             "finite-sites",
             "zaykin-t-32sites",
-            time_best(|| drop(m.t_matrix(1, NanPolicy::Zero)), budget, 10),
+            time_best(|| drop(m.t_matrix(&engine).expect("T")), budget, 10),
         );
     }
 

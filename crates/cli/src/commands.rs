@@ -8,7 +8,7 @@ use ld_core::{
 };
 use ld_data::HaplotypeSimulator;
 use ld_data::SweepSimulator;
-use ld_ext::tanimoto::tanimoto_matrix;
+use ld_ext::tanimoto::{tanimoto_matrix, top_k_neighbors};
 use ld_io::atomic::{write_atomic, write_atomic_with};
 use ld_io::text::{push_r2_row, r2_keeps, r2_row_bound, R2_TABLE_HEADER};
 use ld_io::MatrixFormat;
@@ -1534,25 +1534,11 @@ pub fn tanimoto(args: &Args) -> CmdResult {
     let fp = load_matrix(input)?;
     let k = args.get_parsed("top-k", 5usize)?;
     let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
-    let engine = tuned_engine(args, threads)?;
     // the symmetric half: each pair's count once, read back through `get`
-    let sim = tanimoto_matrix(
-        &fp.full_view(),
-        engine.kernel_kind(),
-        engine.block_sizes(),
-        threads,
-    );
+    let sim = tanimoto_matrix(&tuned_engine(args, threads)?, &fp.full_view())?;
     println!("compound\tneighbors (tanimoto)");
-    for i in 0..sim.n_snps() {
-        let others = (0..sim.n_snps()).filter(|&j| j != i);
-        let mut row: Vec<(usize, f64)> = others.map(|j| (j, sim.get(i, j))).collect();
-        // stable: most similar first, equals by ascending compound
-        row.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let line: Vec<String> = row
-            .iter()
-            .take(k)
-            .map(|(j, s)| format!("{j}:{s:.3}"))
-            .collect();
+    for (i, row) in top_k_neighbors(&sim, k).iter().enumerate() {
+        let line: Vec<String> = row.iter().map(|(j, s)| format!("{j}:{s:.3}")).collect();
         println!("{i}\t{}", line.join(" "));
     }
     Ok(())
@@ -2435,7 +2421,7 @@ mod tests {
         let half = words_of(&|| tanimoto(&line).unwrap());
         let v = fp.full_view();
         let square = words_of(&|| {
-            ld_ext::tanimoto::tanimoto_cross(&v, &v, KernelKind::Auto, 2);
+            ld_ext::tanimoto::tanimoto_cross(&LdEngine::new().threads(2), &v, &v).unwrap();
         });
         assert!(square >= 1024 * 1024 * 128, "{square} words for the square");
         assert!(

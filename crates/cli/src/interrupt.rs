@@ -34,6 +34,9 @@ pub const SIGTERM: i32 = 15;
 /// trigger: snapshot the flight recorder without stopping it.
 pub const SIGUSR1: i32 = 10;
 
+/// POSIX SIGPIPE number.
+const SIGPIPE: i32 = 13;
+
 /// Deliveries of SIGUSR1 not yet consumed by the dump watcher.
 static USR1_PENDING: AtomicI32 = AtomicI32::new(0);
 
@@ -58,6 +61,18 @@ pub fn send_signal(pid: u32, sig: i32) -> bool {
     // a stale pid at worst signals a process we just reaped (the
     // supervisor only targets children it still holds handles for).
     unsafe { kill(pid, sig) == 0 }
+}
+
+/// Restores SIGPIPE's default action (the Rust runtime ignores it): a
+/// batch command whose stdout reader goes away (`gemm-ld … | head`) then
+/// ends quietly, as a Unix filter does, instead of panicking in `println!`
+/// on `EPIPE`. Not for the daemon or a client of one, whose sockets must
+/// keep seeing `EPIPE` as an error.
+pub fn default_sigpipe() {
+    // SAFETY: installing `SIG_DFL` (0) runs no handler code at all.
+    unsafe {
+        signal(SIGPIPE, 0);
+    }
 }
 
 extern "C" fn on_sigint(_sig: i32) {

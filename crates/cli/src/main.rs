@@ -22,7 +22,8 @@
 //! (SIGINT / `--timeout`; with `--checkpoint` a resumable snapshot was
 //! flushed first; for `serve`, the drain deadline expired with requests
 //! abandoned). Every failure is a single `error:` line on stderr —
-//! never a panic backtrace.
+//! never a panic backtrace. A batch command whose stdout reader goes away
+//! ends on SIGPIPE, like any Unix filter.
 
 use std::process::ExitCode;
 
@@ -40,6 +41,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let parsed = args::Args::parse(rest.iter().cloned());
+    if !matches!(cmd.as_str(), "serve" | "monitor") {
+        interrupt::default_sigpipe();
+    }
     let result = match cmd.as_str() {
         "info" => commands::info(&parsed),
         "simulate" => commands::simulate(&parsed),

@@ -123,20 +123,27 @@ pub fn run_for(mut cmd: Command, secs: u64) -> Finished {
     cmd.stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
-    let mut child = cmd.spawn().expect("gemm-ld spawns");
-    // drain both pipes off-thread so a chatty child never blocks on them
-    let drain = |mut pipe: Box<dyn Read + Send>| {
+    finish(cmd.spawn().expect("gemm-ld spawns"), &what, secs)
+}
+
+/// Waits for `child` under a `secs` watchdog, capturing whichever of its
+/// streams are still piped to the test.
+pub fn finish(mut child: Child, what: &str, secs: u64) -> Finished {
+    // drain the pipes off-thread so a chatty child never blocks on them
+    let drain = |pipe: Option<Box<dyn Read + Send>>| {
         std::thread::spawn(move || {
             let mut s = String::new();
-            let _ = pipe.read_to_string(&mut s);
+            if let Some(mut pipe) = pipe {
+                let _ = pipe.read_to_string(&mut s);
+            }
             s
         })
     };
-    let out = drain(Box::new(child.stdout.take().expect("stdout piped")));
-    let err = drain(Box::new(child.stderr.take().expect("stderr piped")));
+    let out = drain(child.stdout.take().map(|p| Box::new(p) as _));
+    let err = drain(child.stderr.take().map(|p| Box::new(p) as _));
     let status = wait_bounded(&mut child, secs);
     let (stdout, stderr) = (out.join().expect("stdout"), err.join().expect("stderr"));
-    Finished::new(&what, status, secs, stdout, stderr)
+    Finished::new(what, status, secs, stdout, stderr)
 }
 
 /// `gemm-ld LINE` under the default watchdog.

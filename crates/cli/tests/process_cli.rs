@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{exists, gemm_ld, read, run, run_for, run_ok, simulate, Scratch};
+use common::{exists, finish, gemm_ld, read, run, run_for, run_ok, simulate, Scratch, WATCHDOG_S};
 use ld_trace::json::{self, Json};
 
 fn parse_json(path: &str) -> Json {
@@ -371,6 +371,40 @@ fn omega_and_prune_print_the_bytes_of_the_per_window_computation() {
     let out = dir.path("kept.txt");
     assert_eq!(run_ok(&format!("{line} -o {out}")).stdout, "");
     assert!(read(&out) == want.as_bytes(), "prune -o differs");
+}
+
+/// A batch command whose stdout reader leaves after a few bytes
+/// (`gemm-ld … | head -c 10`) ends quietly — no panic on the broken pipe,
+/// no exit 101.
+#[test]
+fn a_reader_that_leaves_early_ends_the_command_quietly() {
+    use std::io::Read;
+    let dir = Scratch::new("proc_sigpipe");
+    let (fp, ms) = (dir.path("fp.txt"), dir.path("d.ms"));
+    simulate(&fp, 256, 3000, 7);
+    simulate(&ms, 200, 3000, 8);
+    for line in [
+        format!("tanimoto -i {fp} --top-k 5"),
+        format!("omega -i {ms} --window 10 --step 1"),
+    ] {
+        let mut child = gemm_ld(&line)
+            .stdin(std::process::Stdio::null())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("gemm-ld spawns");
+        let mut head = [0u8; 10];
+        let mut stdout = child.stdout.take().expect("stdout piped");
+        stdout.read_exact(&mut head).expect("the first bytes");
+        drop(stdout);
+        let done = finish(child, &line, WATCHDOG_S);
+        assert_ne!(done.code, Some(101), "{line}:\n{}", done.stderr);
+        assert!(
+            !done.stderr.contains("panicked"),
+            "{line}:\n{}",
+            done.stderr
+        );
+    }
 }
 
 /// `tanimoto` reads the symmetric half (SYRK) where it used to compute

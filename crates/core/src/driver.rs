@@ -6,17 +6,18 @@
 //! [`Source`] for the counts of the slab's rows against every column at
 //! or right of the slab — out to the run's column band, when it has one
 //! (`Source::slab_blocks` — one SYRK block from RAM, or one GEMM block
-//! per streamed store chunk) — applies the batched
-//! `D = H − p pᵀ` / `r²` transform (`Transform::apply_span`, the only
-//! body that turns counts into statistics) from the still-hot scratch
-//! straight into the `Sink`, and marks the slab complete. No `n × n`
-//! counts matrix exists at any point and no mirror pass runs.
+//! per streamed store chunk) — applies the statistic's epilogue, e.g. the
+//! batched `D = H − p pᵀ` / `r²` transform (`Transform::apply_span`, the
+//! only body that turns counts into statistics) from the still-hot
+//! scratch straight into the `Sink`, and marks the slab complete. No
+//! `n × n` counts matrix exists at any point and no mirror pass runs.
 //!
 //! The driver owns, once each, everything that is not data movement:
 //!
 //! * the slab grid and the two windows on it (`Grid`): the shard's row
 //!   window and the column band `w` (row `i` keeps columns `i ..= i + w`;
-//!   absent = every column);
+//!   absent = every column), all in *sites* (see the statistics table
+//!   below);
 //! * interruption — a deadline pre-trip, then exactly one token/deadline
 //!   poll per *computed* slab, never inside the kernel loops;
 //! * resume — header validation, replay of recorded slabs, and a
@@ -37,6 +38,23 @@
 //! | `Sink::Packed`  | `packed[off(i) + (j0 − i) ..]` (disjoint per slab) | ledger flag → checkpoint cadence | rejected (stores every pair) |
 //! | `Sink::Rows`    | the worker's `slab × strip` f64 strip            | visitor called unlocked, on the worker that computed the slab | strip = `min(n, slab + w)`   |
 //!
+//! The statistic is the epilogue. A [`Statistic`] reads `k` bit planes
+//! per site, stored as `k` adjacent panel columns; a slab asks the source
+//! for plane rows `[k·r0, k·r1)` against plane columns `[k·r0, k·cols_end)`
+//! — one SYRK at every `k` — and the epilogue reads each site pair's
+//! `k × k` block of it:
+//!
+//! | statistic             | `k` | planes of site `j`      | runs under                                       |
+//! |-----------------------|-----|-------------------------|--------------------------------------------------|
+//! | `Ld(r² / D / D′)`     | 1   | `s_j`                   | every source, sink, window, checkpoint and shard |
+//! | `Tanimoto`            | 1   | the fingerprint         | a memory source; packed or row sink, band        |
+//! | `MaskedR2`            | 2   | `s_j ∧ c_j`, `c_j`      | as `Tanimoto`                                    |
+//! | `ZaykinT`             | 5   | `A`, `C`, `G`, `T`, `c_j` | as `Tanimoto`                                  |
+//!
+//! A store holds an LD panel and checkpoint and shard headers encode an
+//! [`LdStats`], so the last three are [`LdError::InvalidConfig`] there, as
+//! is a panel whose column count is not a multiple of `k`.
+//!
 //! The row visitor is shared by the worker team (`Fn + Sync`): what it
 //! does with a slab runs in parallel, and a visitor that needs exclusion
 //! or ascending rows brings its own lock — the `FnMut` entry points of
@@ -53,7 +71,7 @@ use crate::error::{fault, try_zeroed_vec, LdError};
 use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice};
 use crate::shard::SlabRange;
 use crate::source::Source;
-use crate::stats::{LdStats, NanPolicy};
+use crate::stats::{LdStats, NanPolicy, Statistic};
 use ld_kernels::micro::Kernel;
 use ld_kernels::{BlockSizes, KernelKind};
 use ld_parallel::{scheduler_grain, try_parallel_for_dynamic_init_ctl, CancelToken, Deadline};
@@ -195,17 +213,42 @@ impl Grid {
     }
 }
 
+/// Sites of `src` for `stat`: its columns are `k` planes per site, so a
+/// column count that is not a multiple of `k` is no panel of `stat`.
+pub(crate) fn sites(src: &Source<'_>, stat: Statistic) -> Result<usize, LdError> {
+    let k = stat.planes();
+    if !src.n_snps().is_multiple_of(k) {
+        return Err(LdError::InvalidConfig {
+            message:
+                "the panel's column count is not a multiple of the statistic's planes per site",
+        });
+    }
+    Ok(src.n_snps() / k)
+}
+
+/// The [`LdStats`] of a run that reads a tile store or writes a checkpoint
+/// or shard: a store is an LD panel, and their headers encode an
+/// `LdStats`.
+fn ld_only(stat: Statistic) -> Result<LdStats, LdError> {
+    match stat {
+        Statistic::Ld(stat) => Ok(stat),
+        _ => Err(LdError::InvalidConfig {
+            message: "tile stores, checkpoints and shards carry LD statistics only",
+        }),
+    }
+}
+
 /// The record-less header of every checkpoint and shard output of a run:
 /// its identity (dimensions + fingerprint), statistic, and slab grid.
 pub(crate) fn header(
     src: &Source<'_>,
-    stat: LdStats,
+    stat: Statistic,
     policy: NanPolicy,
     kind: KernelKind,
     grid: &Grid,
 ) -> Result<CheckpointState, LdError> {
     Ok(CheckpointState {
-        stat,
+        stat: ld_only(stat)?,
         policy,
         n_snps: grid.n as u64,
         n_samples: src.n_samples() as u64,
@@ -397,14 +440,19 @@ fn poll_deadline(deadline: Option<Deadline>, token: Option<&CancelToken>) {
 /// persist — callers streaming to durable storage already have their own
 /// resume point. A column band is **rejected** for [`Sink::Packed`]: the
 /// triangle (and every checkpoint and shard record cut from it) stores
-/// every pair.
+/// every pair. A statistic other than [`LdStats`] is **rejected** from a
+/// store source and under a shard range or checkpoint plan (see the
+/// statistics table above).
 pub(crate) fn run(
     src: &Source<'_>,
-    stat: LdStats,
+    stat: Statistic,
     cfg: &Config,
     sink: Sink<'_>,
     ctl: &RunControl<'_>,
 ) -> Result<(), LdError> {
+    if matches!(src, Source::Store(_)) || ctl.shard.is_some() {
+        ld_only(stat)?;
+    }
     if ctl.checkpoint.is_some() && matches!(sink, Sink::Rows(_)) {
         return Err(LdError::InvalidConfig {
             message:
@@ -417,7 +465,8 @@ pub(crate) fn run(
                 "a column band requires the row-slab driver (the packed triangle stores every pair)",
         });
     }
-    let n = src.n_snps();
+    let planes = stat.planes();
+    let n = sites(src, stat)?;
     if n == 0 {
         return Ok(());
     }
@@ -478,7 +527,7 @@ pub(crate) fn run(
     let workers = workers.max(1);
     let packed_sink = matches!(dest, Dest::Packed { .. });
     let strip = strip_width(n, slab, ctl.band);
-    let counts_len = src.counts_len(slab, strip);
+    let counts_len = src.counts_len(planes * slab, planes * strip);
     let values_len = if packed_sink { 0 } else { slab * strip };
     let span = Span::begin(SpanKind::Alloc);
     let sw = Stopwatch::start();
@@ -504,7 +553,7 @@ pub(crate) fn run(
     // Modeled transient footprint of this run — the source's own budget
     // model at the slab height in use — recorded as a high-water gauge so
     // profiles can confirm the memory claim without an allocator hook.
-    let (fixed, per_row) = src.footprint(cfg.threads, packed_sink, strip)?;
+    let (fixed, per_row) = src.footprint(cfg.threads, packed_sink, strip, planes)?;
     ld_trace::record_peak(Counter::AllocPeakBytes, (fixed + per_row * slab) as u64);
     // First failure of a source read or checkpoint write: later slabs are
     // skipped (no point computing unpersistable work) and the error is
@@ -522,19 +571,26 @@ pub(crate) fn run(
         let rows = grid.rows(k);
         let cols_end = grid.cols_end(&rows);
         let (r0, h, width) = (rows.start, rows.len(), cols_end - rows.start);
+        // the source's request in panel columns: plane rows [k·r0, k·r1)
+        // against plane columns [k·r0, k·cols_end)
+        let (rows, cols_end) = (planes * r0..planes * rows.end, planes * cols_end);
         src.slab_blocks(rows, cols_end, cfg, counts, &tables, &mut |tr, blk| {
             let span = Span::begin(SpanKind::Transform);
             let sw = Stopwatch::start();
             for r in 0..h {
                 let i = r0 + r;
-                // row i's span of this block, clipped to its band
-                let j0 = blk.cols.start.max(i);
-                let j1 = blk.cols.end.min(i + grid.band + 1);
+                // row i's span of this block, clipped to its band (a block
+                // starts and ends on a site boundary)
+                let j0 = (blk.cols.start / planes).max(i);
+                let j1 = (blk.cols.end / planes).min(i + grid.band + 1);
                 if j0 >= j1 {
                     continue;
                 }
                 let len = j1 - j0;
-                let from = &blk.counts[r * blk.ld + (j0 - blk.cols.start)..][..len];
+                // site i's k plane rows from plane column k·j0 (at k = 1,
+                // row r's `len` counts)
+                let at = planes * (r * blk.ld + j0) - blk.cols.start;
+                let from = &blk.counts[at..][..(planes - 1) * blk.ld + planes * len];
                 let to = match &dest {
                     // SAFETY: slabs own disjoint packed ranges, and each
                     // slab is claimed by exactly one worker (see SyncSlice).
@@ -543,7 +599,7 @@ pub(crate) fn run(
                     },
                     Dest::Rows(_) => &mut values[r * width + (j0 - r0)..][..len],
                 };
-                tr.apply_span(i, j0, from, to);
+                tr.apply_span(i, j0, from, blk.ld, to);
             }
             ld_trace::add(Counter::TransformNs, sw.elapsed_ns());
             span.end(k as u64);
@@ -662,7 +718,7 @@ mod tests {
                 let sink = Sink::Packed(&mut packed);
                 run(
                     &v.into(),
-                    stat,
+                    stat.into(),
                     &cfg(threads, slab),
                     sink,
                     &RunControl::new(),
@@ -713,7 +769,7 @@ mod tests {
                 let sink = Sink::Rows(&visit);
                 run(
                     &src,
-                    LdStats::RSquared,
+                    LdStats::RSquared.into(),
                     &cfg(threads, slab),
                     sink,
                     &RunControl::new(),

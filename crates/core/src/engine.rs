@@ -10,7 +10,7 @@ use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
 use crate::shard::{plan_shards, SlabRange};
 use crate::source::{store_footprint, Source};
-use crate::stats::{ld_pair_from_counts, LdPair, LdStats, NanPolicy};
+use crate::stats::{ld_pair_from_counts, LdPair, LdStats, NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{BitMatrix, BitMatrixView};
 use ld_kernels::{syrk_counts_buf, BlockSizes, KernelKind};
@@ -281,27 +281,29 @@ impl LdEngine {
     }
 
     /// Validation and budgeting shared by every slab-driver entry point;
-    /// `None` when the panel has no SNPs (nothing to compute). `packed`
+    /// `None` when the panel has no sites (nothing to compute). `packed`
     /// names the sink (its triangle is part of the footprint). Under a
     /// `band` a slab row is priced at the strip the *configured* height
     /// needs, so the model stays linear in the shrunk one.
     fn plan(
         &self,
         src: &Source<'_>,
+        stat: Statistic,
         packed: bool,
         tile: Option<usize>,
         band: Option<usize>,
     ) -> Result<Option<Config>, LdError> {
         self.validate_blocks()?;
-        let n = src.n_snps();
+        let n = driver::sites(src, stat)?;
         let strip = strip_width(n, self.want_slab(n, tile), band);
         // overflow before emptiness: a size that cannot be represented is
         // reported even when the sample set is also degenerate
-        let model = src.footprint(self.threads, packed, strip)?;
+        let model = src.footprint(self.threads, packed, strip, stat.planes())?;
         if n == 0 {
             return Ok(None);
         }
-        if src.n_samples() == 0 {
+        // the other statistics are defined on zero samples
+        if src.n_samples() == 0 && matches!(stat, Statistic::Ld(_)) {
             return Err(LdError::EmptyInput);
         }
         Ok(Some(Config {
@@ -319,10 +321,10 @@ impl LdEngine {
     fn run_packed(
         &self,
         src: &Source<'_>,
-        stat: LdStats,
+        stat: Statistic,
         ctl: &RunControl<'_>,
     ) -> Result<(LdMatrix, usize), LdError> {
-        let Some(cfg) = self.plan(src, true, None, None)? else {
+        let Some(cfg) = self.plan(src, stat, true, None, None)? else {
             return Ok((LdMatrix::try_zeros(0)?, 1));
         };
         // Materializing the packed output (a zeroed n(n+1)/2 f64 triangle)
@@ -331,7 +333,7 @@ impl LdEngine {
         // the compute region's time actually goes.
         let span = ld_trace::recorder::Span::begin(ld_trace::recorder::SpanKind::Alloc);
         let sw = ld_trace::Stopwatch::start();
-        let mut out = LdMatrix::try_zeros(src.n_snps())?;
+        let mut out = LdMatrix::try_zeros(src.n_snps() / stat.planes())?;
         ld_trace::add(ld_trace::Counter::TransformNs, sw.elapsed_ns());
         span.end((out.packed().len() * 8) as u64);
         driver::run(src, stat, &cfg, Sink::Packed(out.packed_mut()), ctl)?;
@@ -351,7 +353,11 @@ impl LdEngine {
     ///
     /// # Panics
     /// Where [`LdEngine::try_stat_matrix`] errors.
-    pub fn stat_matrix<'a>(&self, g: impl Into<BitMatrixView<'a>>, stat: LdStats) -> LdMatrix {
+    pub fn stat_matrix<'a>(
+        &self,
+        g: impl Into<BitMatrixView<'a>>,
+        stat: impl Into<Statistic>,
+    ) -> LdMatrix {
         match self.try_stat_matrix(g.into(), stat) {
             Ok(m) => m,
             Err(e) => panic!("{e}"),
@@ -372,10 +378,16 @@ impl LdEngine {
     ///   [`LdError::BudgetExceeded`] only when one row is already too much;
     /// * a panicking worker drains the team and comes back as
     ///   [`LdError::Worker`] with the payload message preserved.
+    ///
+    /// `stat` is an [`LdStats`] or any other [`Statistic`]; the latter
+    /// read `k` planes per site from a panel of `k` adjacent columns per
+    /// site (a column count that is not a multiple of `k` is
+    /// [`LdError::InvalidConfig`]), are defined on zero samples, and run
+    /// from a memory source only (see [`crate::driver`]).
     pub fn try_stat_matrix<'a>(
         &self,
         src: impl Into<Source<'a>>,
-        stat: LdStats,
+        stat: impl Into<Statistic>,
     ) -> Result<LdMatrix, LdError> {
         self.try_stat_matrix_with(src, stat, &RunControl::new())
     }
@@ -411,10 +423,10 @@ impl LdEngine {
     pub fn try_stat_matrix_with<'a>(
         &self,
         src: impl Into<Source<'a>>,
-        stat: LdStats,
+        stat: impl Into<Statistic>,
         ctl: &RunControl<'_>,
     ) -> Result<LdMatrix, LdError> {
-        Ok(self.run_packed(&src.into(), stat, ctl)?.0)
+        Ok(self.run_packed(&src.into(), stat.into(), ctl)?.0)
     }
 
     /// The slab height a run over `src` will actually use after memory
@@ -429,7 +441,7 @@ impl LdEngine {
     /// grids disagree.
     pub fn slab_for(&self, src: &Source<'_>, packed: bool) -> Result<usize, LdError> {
         let n = src.n_snps();
-        self.fit_slab(n, src.footprint(self.threads, packed, n)?, None)
+        self.fit_slab(n, src.footprint(self.threads, packed, n, 1)?, None)
     }
 
     /// [`LdEngine::slab_for`] a store from its manifest alone. Kept for
@@ -471,10 +483,10 @@ impl LdEngine {
     pub fn try_stat_shard_with<'a>(
         &self,
         src: impl Into<Source<'a>>,
-        stat: LdStats,
+        stat: impl Into<Statistic>,
         ctl: &RunControl<'_>,
     ) -> Result<CheckpointState, LdError> {
-        let src = src.into();
+        let (src, stat) = (src.into(), stat.into());
         if ctl.shard().is_none() || src.n_snps() == 0 {
             return Err(LdError::InvalidConfig {
                 message: "a shard run needs a shard range (RunControl::with_shard) \
@@ -529,7 +541,7 @@ impl LdEngine {
                 // SAFETY: workers own disjoint row ranges, and a row's
                 // packed range is disjoint from every other row's.
                 let dst = unsafe { out_ptr.slice(packed_row_offset(n, i), n - i) };
-                tr_ref.apply_row(i, &counts_ref[i * n + i..i * n + n], dst);
+                tr_ref.apply_span(i, i, &counts_ref[i * n + i..i * n + n], n, dst);
             }
             ld_trace::add(ld_trace::Counter::TransformNs, sw.elapsed_ns());
         });
@@ -574,7 +586,7 @@ impl LdEngine {
     pub fn try_stat_rows_with<'a, F>(
         &self,
         src: impl Into<Source<'a>>,
-        stat: LdStats,
+        stat: impl Into<Statistic>,
         visit: F,
         ctl: &RunControl<'_>,
     ) -> Result<(), LdError>
@@ -596,15 +608,15 @@ impl LdEngine {
     pub fn try_stat_rows_shared_with<'a, F>(
         &self,
         src: impl Into<Source<'a>>,
-        stat: LdStats,
+        stat: impl Into<Statistic>,
         visit: F,
         ctl: &RunControl<'_>,
     ) -> Result<(), LdError>
     where
         F: Fn(&RowSlabVisit<'_>) + Sync,
     {
-        let src = src.into();
-        match self.plan(&src, false, None, ctl.band)? {
+        let (src, stat) = (src.into(), stat.into());
+        match self.plan(&src, stat, false, None, ctl.band)? {
             Some(cfg) => driver::run(&src, stat, &cfg, Sink::Rows(&visit), ctl),
             None => Ok(()),
         }
@@ -615,7 +627,7 @@ impl LdEngine {
     pub fn try_stat_rows_outofcore_with<F>(
         &self,
         src: &dyn TileSource,
-        stat: LdStats,
+        stat: impl Into<Statistic>,
         visit: F,
         ctl: &RunControl<'_>,
     ) -> Result<(), LdError>
@@ -649,7 +661,7 @@ impl LdEngine {
     pub fn try_for_each_tile_with<'a, F>(
         &self,
         g: impl Into<BitMatrixView<'a>>,
-        stat: LdStats,
+        stat: impl Into<Statistic>,
         tile: usize,
         mut visit: F,
         ctl: &RunControl<'_>,
@@ -667,13 +679,13 @@ impl LdEngine {
                 message: "a column band requires the row-slab driver (tile rows span every column)",
             });
         }
-        let src = Source::Memory(g.into());
+        let (src, stat) = (Source::Memory(g.into()), stat.into());
         // the slab is pinned to the tile side: the plan verifies the budget
         // rather than shrinking
-        let Some(cfg) = self.plan(&src, false, Some(tile), None)? else {
+        let Some(cfg) = self.plan(&src, stat, false, Some(tile), None)? else {
             return Ok(());
         };
-        let (n, side) = (src.n_snps(), cfg.slab);
+        let (n, side) = (src.n_snps() / stat.planes(), cfg.slab);
         let mut buf = try_zeroed_vec::<f64>(side * side, "tile mirror buffer")?;
         // The row-visitor adaptor: cuts each slab into one row of tiles.
         let cut = Mutex::new(move |s: &RowSlabVisit<'_>| {
@@ -720,16 +732,18 @@ impl LdEngine {
     /// `u32::MAX` haplotypes), a panicking worker surfaces as
     /// [`LdError::Worker`], and an operand with no SNPs gives an empty
     /// matrix. Values are bit-identical to the same pairs of the all-pairs
-    /// matrix: both run `Transform::apply_span`.
+    /// matrix: both run `Transform::apply_span`. Any [`Statistic`] runs
+    /// here, each operand `k` adjacent columns per site.
     pub fn try_cross_stat_matrix<'a, 'b>(
         &self,
         a: impl Into<BitMatrixView<'a>>,
         b: impl Into<BitMatrixView<'b>>,
-        stat: LdStats,
+        stat: impl Into<Statistic>,
     ) -> Result<CrossLdMatrix, LdError> {
         self.validate_blocks()?;
         let va: BitMatrixView<'a> = a.into();
         let vb: BitMatrixView<'b> = b.into();
+        let stat = stat.into();
         if va.n_samples() != vb.n_samples() {
             return Err(LdError::DimensionMismatch {
                 context: "sample sets must match",
@@ -738,36 +752,46 @@ impl LdEngine {
             });
         }
         let n_samples = va.n_samples();
-        if n_samples == 0 {
+        if n_samples == 0 && matches!(stat, Statistic::Ld(_)) {
             return Err(LdError::EmptyInput);
         }
-        let (m, n) = (va.n_snps(), vb.n_snps());
+        let (m, n) = (
+            driver::sites(&va.into(), stat)?,
+            driver::sites(&vb.into(), stat)?,
+        );
         let len = checked_mul(m, n, "m × n cross matrix")?;
         let mut values = try_zeroed_vec::<f64>(len, "m × n cross values")?;
         if len == 0 {
             return Ok(CrossLdMatrix::from_dense(m, n, values));
         }
-        let mut counts = try_zeroed_vec::<u32>(len, "m × n cross counts")?;
+        // row i's k plane rows against B's k·n plane columns
+        let k = stat.planes();
+        let ld = k * n;
+        let what = "m × n cross counts";
+        let mut counts = try_zeroed_vec::<u32>(checked_mul(len, k * k, what)?, what)?;
         ld_kernels::gemm_counts_mt(
             &va,
             &vb,
             &mut counts,
-            n,
+            ld,
             self.kind,
             self.blocks,
             self.threads,
         );
-        // One table set holding both operands end to end — A's SNPs at
+        // One table set holding both operands end to end — A's sites at
         // [0, m), B's at [m, m + n) — so row i of the cross block is the
         // span `(i, m..m + n)` of the one counts→statistic body.
-        let both = checked_add(m, n, "m + n SNPs")?;
-        let mut tr = Transform::empty(both, n_samples, stat, self.policy)?;
-        let mut diag = try_zeroed_vec::<u32>(both, "per-SNP allele-count table")?;
+        let (ka, cols) = (
+            va.n_snps(),
+            checked_add(va.n_snps(), vb.n_snps(), "m + n SNPs")?,
+        );
+        let mut tr = Transform::empty(cols, n_samples, stat, self.policy)?;
+        let mut diag = try_zeroed_vec::<u32>(cols, "per-SNP allele-count table")?;
         for (j, d) in diag.iter_mut().enumerate() {
-            let ones = if j < m {
+            let ones = if j < ka {
                 va.ones_in_snp(j)
             } else {
-                vb.ones_in_snp(j - m)
+                vb.ones_in_snp(j - ka)
             };
             *d = u32::try_from(ones).map_err(|_| LdError::SizeOverflow {
                 what: "per-SNP allele count (> u32::MAX haplotypes)",
@@ -781,7 +805,7 @@ impl LdEngine {
                 // SAFETY: `try_parallel_for` hands out disjoint row ranges,
                 // and row i's values are the range [i·n, (i + 1)·n).
                 let dst = unsafe { out.slice(i * n, n) };
-                tr.apply_span(i, m, &counts[i * n..][..n], dst);
+                tr.apply_span(i, m, &counts[k * i * ld..][..k * ld], ld, dst);
             }
         })?;
         Ok(CrossLdMatrix::from_dense(m, n, values))
@@ -1060,6 +1084,78 @@ mod tests {
         let p = g.full_view().allele_frequencies();
         assert!((p[0] - 0.5).abs() < 1e-12);
         assert!((p[3] - 0.5).abs() < 1e-12);
+    }
+
+    /// The control contract holds for the statistics beyond `LdStats`: a
+    /// tripped token and an expired deadline stop the run before its first
+    /// slab, a budget below one row is refused, and what only an LD panel
+    /// can carry — a store, a checkpoint, a shard — is a typed refusal, as
+    /// is a panel that is not `k` columns per site.
+    #[test]
+    fn other_statistics_honour_the_run_controls() {
+        use crate::{CancelToken, CheckpointPlan, Deadline, MemorySink, MemoryTileStore};
+        use std::time::Duration;
+        let g = toy(); // 4 columns: 4 compounds, 2 masked sites, no T panel
+        let e = LdEngine::new().threads(2).slab_rows(1);
+        let cancelled = |r: Result<LdMatrix, LdError>| {
+            matches!(
+                r,
+                Err(LdError::Cancelled {
+                    completed_slabs: 0,
+                    ..
+                })
+            )
+        };
+        for stat in [Statistic::Tanimoto, Statistic::MaskedR2] {
+            let token = CancelToken::new();
+            token.cancel();
+            let ctl = RunControl::new().with_token(&token);
+            assert!(
+                cancelled(e.try_stat_matrix_with(&g, stat, &ctl)),
+                "{stat:?}"
+            );
+            let ctl = RunControl::new().with_deadline(Deadline::after(Duration::ZERO));
+            assert!(
+                cancelled(e.try_stat_matrix_with(&g, stat, &ctl)),
+                "{stat:?}"
+            );
+        }
+        // masked r² over 2 sites: the triangle and tables, then one row
+        // of 2 × 2 plane counts per site per worker
+        let one_row = 3 * 8 + 2 * (16 + 4 * 2) + 2 * 2 * 16;
+        let tight = e.clone().memory_budget(MemoryBudget::bytes(one_row - 1));
+        assert!(matches!(
+            tight.try_stat_matrix(&g, Statistic::MaskedR2),
+            Err(LdError::BudgetExceeded { required, .. }) if required == one_row
+        ));
+        let refused =
+            |r: Result<LdMatrix, LdError>| matches!(r, Err(LdError::InvalidConfig { .. }));
+        let store = MemoryTileStore::from_matrix(&g, 2).unwrap();
+        let sink = MemorySink::new();
+        let shard = crate::SlabRange::new(0, 1);
+        assert!(refused(
+            e.try_stat_matrix(Source::Store(&store), Statistic::Tanimoto)
+        ));
+        let ctl = RunControl::new().with_checkpoint(CheckpointPlan::new(&sink));
+        assert!(refused(e.try_stat_matrix_with(
+            &g,
+            Statistic::Tanimoto,
+            &ctl
+        )));
+        let ctl = RunControl::new().with_shard(shard);
+        assert!(refused(e.try_stat_matrix_with(
+            &g,
+            Statistic::Tanimoto,
+            &ctl
+        )));
+        assert!(matches!(
+            e.try_stat_shard_with(&g, Statistic::Tanimoto, &ctl),
+            Err(LdError::InvalidConfig { .. })
+        ));
+        assert!(refused(
+            e.try_stat_matrix(g.view(0, 3), Statistic::MaskedR2)
+        ));
+        assert!(refused(e.try_stat_matrix(&g, Statistic::ZaykinT)));
     }
 
     #[test]

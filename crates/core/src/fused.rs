@@ -10,7 +10,9 @@
 //!   body (`Transform::apply_span`) that turns a span of counts into
 //!   statistics: the batched §II-B rank-1 correction `D = H − p pᵀ`, then
 //!   `r²` as two multiplies and a subtract per pair, applied while the
-//!   counts are still hot in the worker's scratch;
+//!   counts are still hot in the worker's scratch — and, for the
+//!   statistics over several bit planes per site ([`crate::Statistic`]),
+//!   the tail that reads a site pair's `k × k` block of plane products;
 //! * [`SyncSlice`] — disjoint-range access to the packed output for a
 //!   worker team (and the read side of the checkpoint done-flag
 //!   protocol);
@@ -22,7 +24,9 @@
 
 use crate::driver::lock;
 use crate::error::{try_zeroed_vec, LdError};
-use crate::stats::{stat_from_counts, LdStats, NanPolicy};
+use crate::stats::{
+    ld_pair_from_counts, stat_from_counts, tanimoto_from_counts, LdStats, NanPolicy, Statistic,
+};
 use ld_bitmat::BitMatrixView;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -38,10 +42,11 @@ pub(crate) fn packed_row_offset(n: usize, i: usize) -> usize {
 /// Per-SNP transform tables, precomputed once from the standalone popcount
 /// pass — the batched §II-B rank-1 correction.
 pub(crate) struct Transform {
-    stat: LdStats,
+    stat: Statistic,
     policy: NanPolicy,
     inv_n: f64,
-    /// Allele counts `|s_j|` (the SYRK diagonal, obtained without SYRK).
+    /// Set bits per panel column `|s_j|` (the SYRK diagonal, obtained
+    /// without SYRK); site `j`'s planes are columns `k·j .. k·j + k`.
     diag: Vec<u32>,
     /// `p_j = |s_j|/N` (RSquared only).
     p: Vec<f64>,
@@ -56,20 +61,20 @@ impl Transform {
     /// If `v` has zero samples, or a per-SNP allele count exceeds
     /// `u32::MAX` (see [`Transform::try_new`]).
     pub fn new(v: &BitMatrixView<'_>, stat: LdStats, policy: NanPolicy) -> Self {
-        match Self::try_new(v, stat, policy) {
+        match Self::try_new(v, stat.into(), policy) {
             Ok(tr) => tr,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Fallible [`Transform::new`]: zero samples is [`LdError::EmptyInput`];
-    /// a per-SNP allele count above `u32::MAX` (a haplotype set too large
-    /// for the u32 counts pipeline) is [`LdError::SizeOverflow`] instead of
-    /// a silent `as u32` truncation; table allocation goes through
-    /// `try_reserve`.
+    /// Fallible [`Transform::new`]: zero samples is [`LdError::EmptyInput`]
+    /// for an LD statistic; a per-SNP allele count above `u32::MAX` (a
+    /// haplotype set too large for the u32 counts pipeline) is
+    /// [`LdError::SizeOverflow`] instead of a silent `as u32` truncation;
+    /// table allocation goes through `try_reserve`.
     pub fn try_new(
         v: &BitMatrixView<'_>,
-        stat: LdStats,
+        stat: Statistic,
         policy: NanPolicy,
     ) -> Result<Self, LdError> {
         let n = v.n_snps();
@@ -97,15 +102,17 @@ impl Transform {
     pub fn empty(
         n: usize,
         n_samples: usize,
-        stat: LdStats,
+        stat: Statistic,
         policy: NanPolicy,
     ) -> Result<Self, LdError> {
-        if n_samples == 0 {
+        // the other statistics are defined on zero samples (and never
+        // read `inv_n`)
+        if n_samples == 0 && matches!(stat, Statistic::Ld(_)) {
             return Err(LdError::EmptyInput);
         }
         let inv_n = 1.0 / n_samples as f64;
         let diag: Vec<u32> = try_zeroed_vec(n, "per-SNP allele-count table")?;
-        let (p, inv_var) = if stat == LdStats::RSquared {
+        let (p, inv_var) = if stat == Statistic::Ld(LdStats::RSquared) {
             (
                 try_zeroed_vec::<f64>(n, "allele-frequency table")?,
                 try_zeroed_vec::<f64>(n, "reciprocal-variance table")?,
@@ -129,11 +136,8 @@ impl Transform {
     /// is harmless.
     pub fn fill_span(&mut self, j0: usize, diag_span: &[u32]) {
         self.diag[j0..j0 + diag_span.len()].copy_from_slice(diag_span);
-        if self.stat == LdStats::RSquared {
-            let undef = match self.policy {
-                NanPolicy::Propagate => f64::NAN,
-                NanPolicy::Zero => 0.0,
-            };
+        if self.stat == Statistic::Ld(LdStats::RSquared) {
+            let undef = self.policy.undefined();
             for (t, &c) in diag_span.iter().enumerate() {
                 let pj = c as f64 * self.inv_n;
                 self.p[j0 + t] = pj;
@@ -147,32 +151,51 @@ impl Transform {
         }
     }
 
-    /// Transforms one row of counts: `counts[t] = s_iᵀ s_{i+t}` for
-    /// `t ∈ 0..len`, writing the statistic into `dst[t]`.
+    /// Transforms a span of site row `i` against sites `j0 .. j0 + len`,
+    /// writing the statistic into `dst[t]` — the one counts→statistic
+    /// body. With `k` planes per site, plane `a` of site `i` against plane
+    /// `b` of site `j0 + t` is `counts[a·ld + k·t + b]` (`ld`, the stride
+    /// between plane rows, is unused at `k = 1`, where `counts[t] =
+    /// s_iᵀ s_{j0+t}`). The two-pass driver transforms whole rows
+    /// (`j0 = i`); the slab driver uses arbitrary `j0` because a store
+    /// source delivers a row's columns one chunk at a time, and the cross
+    /// driver tables that hold both operands end to end. The expression
+    /// order is identical, so spans concatenate to a bit-identical row. The
+    /// `r²` branch is the batched form — two multiplies and a subtract per
+    /// pair, no divide, no branch.
     ///
-    /// The `r²` branch is the batched form — two multiplies and a subtract
-    /// per pair, no divide, no branch — and is bit-identical to the
-    /// two-pass driver's transform.
-    #[inline]
-    pub fn apply_row(&self, i: usize, counts: &[u32], dst: &mut [f64]) {
-        self.apply_span(i, i, counts, dst);
-    }
-
-    /// Transforms a span of row `i`: `counts[t] = s_iᵀ s_{j0+t}` for
-    /// `t ∈ 0..len`, writing the statistic into `dst[t]` — the one
-    /// counts→statistic body. [`apply_row`] is the `j0 = i` case; the slab
-    /// driver uses arbitrary `j0` because a store source delivers a row's
-    /// columns one chunk at a time, and the cross driver tables that hold
-    /// both operands end to end. The
-    /// expression order is identical, so spans concatenate to a
-    /// bit-identical row.
+    /// The other statistics are bit-identical to their pairwise oracles
+    /// (`ld-ext`) because every count is an exact integer and the tail is
+    /// the oracle's own expression over it:
     ///
-    /// [`apply_row`]: Transform::apply_row
+    /// * Tanimoto is [`tanimoto_from_counts`]`(diag_i, diag_j, x)`;
+    /// * masked `r²` is `ld_pair_from_counts(d_i·v_j, v_i·d_j, d_i·d_j,
+    ///   v_i·v_j, policy).r2` over the planes `d = s ∧ v`, `v` — the
+    ///   division form the oracle uses — and undefined where `v_i·v_j = 0`;
+    /// * Zaykin's `T` is `t_statistic`'s sum in its `(si, sj)` order, with
+    ///   `v_i` the nucleotide planes of site `i` with a non-zero diagonal
+    ///   and the masked counts as plane products — `ones_i = p_si,i·c_j`,
+    ///   `ones_j = c_i·p_sj,j`, `both = p_si,i·p_sj,j`, `v_ij = c_i·c_j` —
+    ///   which hold because a nucleotide plane lies inside the validity
+    ///   plane (gaps set no plane).
+    ///
+    /// SYRK leaves entries left of the diagonal unspecified, so the
+    /// diagonal site block is read at `(min(a, b), max(a, b))`.
     #[inline]
-    pub fn apply_span(&self, i: usize, j0: usize, counts: &[u32], dst: &mut [f64]) {
-        debug_assert_eq!(counts.len(), dst.len());
+    pub fn apply_span(&self, i: usize, j0: usize, counts: &[u32], ld: usize, dst: &mut [f64]) {
+        let k = self.stat.planes();
+        debug_assert_eq!(counts.len(), (k - 1) * ld + k * dst.len());
+        // plane `a` of site `i` against plane `b` of site `j0 + t`
+        let at = |t: usize, a: usize, b: usize| {
+            let (a, b) = if j0 + t == i {
+                (a.min(b), a.max(b))
+            } else {
+                (a, b)
+            };
+            u64::from(counts[a * ld + k * t + b])
+        };
         match self.stat {
-            LdStats::RSquared => {
+            Statistic::Ld(LdStats::RSquared) => {
                 let (p_i, iv_i) = (self.p[i], self.inv_var[i]);
                 for (t, (&c, d)) in counts.iter().zip(dst.iter_mut()).enumerate() {
                     let j = j0 + t;
@@ -180,17 +203,50 @@ impl Transform {
                     *d = (dev * dev) * iv_i * self.inv_var[j];
                 }
             }
-            _ => {
+            Statistic::Ld(stat) => {
                 let c_ii = self.diag[i];
                 for (t, (&c, d)) in counts.iter().zip(dst.iter_mut()).enumerate() {
-                    *d = stat_from_counts(
-                        self.stat,
-                        c_ii,
-                        self.diag[j0 + t],
-                        c,
-                        self.inv_n,
-                        self.policy,
-                    );
+                    *d =
+                        stat_from_counts(stat, c_ii, self.diag[j0 + t], c, self.inv_n, self.policy);
+                }
+            }
+            Statistic::Tanimoto => {
+                let p = u64::from(self.diag[i]);
+                for (t, (&x, d)) in counts.iter().zip(dst.iter_mut()).enumerate() {
+                    *d = tanimoto_from_counts(p, u64::from(self.diag[j0 + t]), u64::from(x));
+                }
+            }
+            Statistic::MaskedR2 => {
+                for (t, d) in dst.iter_mut().enumerate() {
+                    let valid = at(t, 1, 1);
+                    *d = if valid == 0 {
+                        self.policy.undefined()
+                    } else {
+                        let (ones_i, ones_j, both) = (at(t, 0, 1), at(t, 1, 0), at(t, 0, 0));
+                        ld_pair_from_counts(ones_i, ones_j, both, valid, self.policy).r2
+                    };
+                }
+            }
+            Statistic::ZaykinT => {
+                let states = |s: usize| self.diag[5 * s..5 * s + 4].iter().filter(|&&c| c > 0);
+                let v_i = states(i).count();
+                for (t, d) in dst.iter_mut().enumerate() {
+                    let (v_j, v_ij) = (states(j0 + t).count(), at(t, 4, 4));
+                    if v_i <= 1 || v_j <= 1 || v_ij == 0 {
+                        *d = self.policy.undefined();
+                        continue;
+                    }
+                    let mut sum_r2 = 0.0;
+                    for si in 0..4 {
+                        for sj in 0..4 {
+                            let (ones_i, ones_j, both) =
+                                (at(t, si, 4), at(t, 4, sj), at(t, si, sj));
+                            sum_r2 +=
+                                ld_pair_from_counts(ones_i, ones_j, both, v_ij, NanPolicy::Zero).r2;
+                        }
+                    }
+                    let (v_i, v_j, v_ij) = (v_i as f64, v_j as f64, v_ij as f64);
+                    *d = ((v_i - 1.0) * (v_j - 1.0) * v_ij / (v_i * v_j)) * sum_r2;
                 }
             }
         }
@@ -531,9 +587,9 @@ mod tests {
         let counts: Vec<u32> = (0..8)
             .map(|j| ld_popcount::and_popcount(v.snp_words(0), v.snp_words(j)) as u32)
             .collect();
-        tr.apply_row(0, &counts, &mut row);
+        tr.apply_span(0, 0, &counts, 8, &mut row);
         let mut pair = [0.0f64];
-        tr.apply_span(0, 3, &[c_03], &mut pair);
+        tr.apply_span(0, 3, &[c_03], 1, &mut pair);
         assert_eq!(pair[0].to_bits(), row[3].to_bits());
     }
 }

@@ -39,7 +39,10 @@
 //! row's span goes and what "slab complete" means; the control carries
 //! the two windows on the grid (shard rows, band columns). The statistic bytes
 //! are identical across all of them ([`fused`] holds the one transform
-//! body).
+//! body). The statistic is the driver's epilogue: besides the [`LdStats`],
+//! a [`Statistic`] can be Tanimoto similarity, masked `r²` or Zaykin's `T`
+//! (§VII), read from a panel of `k` bit planes per site with the same one
+//! SYRK per slab.
 //!
 //! Long batch scans are **interruptible and resumable**: the `_with`
 //! entry points ([`LdEngine::try_stat_matrix_with`] and friends) take a
@@ -85,7 +88,10 @@ pub use matrix::{CrossLdMatrix, LdMatrix};
 pub use prune::prune_pairwise;
 pub use shard::{merge_shard_states, plan_shards, state_to_matrix, SlabRange};
 pub use source::Source;
-pub use stats::{ld_pair_from_counts, ld_pair_from_freqs, LdPair, LdStats, NanPolicy};
+pub use stats::{
+    ld_pair_from_counts, ld_pair_from_freqs, tanimoto_from_counts, LdPair, LdStats, NanPolicy,
+    Statistic,
+};
 pub use tilestore::{
     ChunkEntry, MemoryTileStore, TileManifest, TileSink, TileSource, TileStoreMeta,
 };

@@ -16,17 +16,21 @@
 //! | column blocks ≥ `r0`  | one block `[r0, n)` via SYRK          | one block per store chunk, prefetched      |
 //! | column band `w`       | SYRK on the sub-view `[0, r1 + w)`    | stream stops at the chunk holding `r1+w−1` |
 //! | transform tables      | built up front (one popcount sweep)   | filled as chunks first stream past         |
-//! | budget model          | scratch scales with `threads × strip` | panel row + chunk buffers, thread-free     |
+//! | budget model          | scratch scales with `threads × k² × strip` | panel row + chunk buffers, thread-free |
+//! | statistic             | any [`crate::Statistic`]: a site's `k` planes are `k` adjacent columns | [`crate::LdStats`] only (`k = 1`: a store is an LD panel) |
 //!
-//! (`strip` is `n`, or `min(n, slab + w)` under a band.) Everything else —
-//! slab grid, shard window, band clipping, polling, resume, the checkpoint
-//! ledger, the transform itself — is the driver's.
+//! (`strip` is `n`, or `min(n, slab + w)` under a band, in sites.) A source
+//! knows nothing of planes: the driver asks it for plane rows
+//! `[k·r0, k·r1)` against plane columns `[k·r0, k·cols_end)` — the same one
+//! call at every `k`. Everything else — slab grid, shard window, band
+//! clipping, polling, resume, the checkpoint ledger, the transform itself —
+//! is the driver's.
 
 use crate::checkpoint::matrix_fingerprint;
 use crate::driver::Config;
 use crate::error::{checked_add, checked_mul, checked_triangle_len, LdError};
 use crate::fused::Transform;
-use crate::stats::{LdStats, NanPolicy};
+use crate::stats::{NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{AlignedWords, BitMatrix, BitMatrixView};
 use ld_kernels::{gemm_counts_mt, syrk_slab_counts};
@@ -84,11 +88,11 @@ fn store_err(message: String) -> LdError {
     LdError::TileStore { message }
 }
 
-/// Slab-independent bytes common to both models: the transform tables
-/// (≤ `20n`: u32 diag + two f64 tables) and, for the packed sink, the
-/// `8·n(n+1)/2` triangle.
-fn sink_footprint(n: usize, packed: bool) -> Result<usize, LdError> {
-    let tables = checked_mul(n, 20, "transform tables bytes")?;
+/// Slab-independent bytes common to both models for `n` sites of `k`
+/// planes: the transform tables (≤ `(16 + 4k)·n`: u32 diag per plane + two
+/// f64 tables) and, for the packed sink, the `8·n(n+1)/2` triangle.
+fn sink_footprint(n: usize, packed: bool, k: usize) -> Result<usize, LdError> {
+    let tables = checked_mul(n, 16 + 4 * k, "transform tables bytes")?;
     if !packed {
         return Ok(tables);
     }
@@ -96,21 +100,22 @@ fn sink_footprint(n: usize, packed: bool) -> Result<usize, LdError> {
     checked_add(out, tables, "fixed footprint bytes")
 }
 
-/// The in-memory budget model `(fixed, per_slab_row)` in bytes: every
-/// worker owns `slab × strip` u32 counts (plus as many f64 values for the
-/// row sink), so a slab row costs `threads × strip × 4` (or `× 12`);
-/// `strip` is `n` unless the run has a band
-/// ([`crate::driver::strip_width`]).
+/// The in-memory budget model `(fixed, per_slab_row)` in bytes for `n`
+/// sites of `k` planes: every worker owns the u32 counts of `k·slab` plane
+/// rows × `k·strip` plane columns (plus `slab × strip` f64 values for the
+/// row sink), so a slab row costs `threads × strip × 4k²` (`+ 8`); `strip`
+/// is `n` unless the run has a band ([`crate::driver::strip_width`]).
 fn memory_footprint(
     n: usize,
     threads: usize,
     packed: bool,
     strip: usize,
+    k: usize,
 ) -> Result<(usize, usize), LdError> {
-    let elem = if packed { 4 } else { 12 };
+    let elem = 4 * k * k + if packed { 0 } else { 8 };
     let what = "slab scratch bytes";
     let per_row = checked_mul(checked_mul(threads.max(1), strip.max(1), what)?, elem, what)?;
-    Ok((sink_footprint(n, packed)?, per_row))
+    Ok((sink_footprint(n, packed, k)?, per_row))
 }
 
 /// The out-of-core budget model `(fixed, per_slab_row)` in bytes. Fixed
@@ -130,7 +135,7 @@ pub(crate) fn store_footprint(
     let what = "chunk bytes";
     let chunk_bytes = checked_mul(checked_mul(chunk, meta.words_per_snp, what)?, 8, what)?;
     let fixed = checked_add(
-        sink_footprint(n, packed)?,
+        sink_footprint(n, packed, 1)?,
         checked_mul(chunk_bytes, 4, "chunk buffer bytes")?,
         "fixed footprint bytes",
     )?;
@@ -177,15 +182,17 @@ impl Source<'_> {
     /// This source's budget model `(fixed, per_slab_row)` for the packed
     /// (`true`) or row (`false`) sink — what one slab row costs is the
     /// source's to say, because it owns the buffers. `strip` is the widest
-    /// slab's column count ([`crate::driver::strip_width`]).
+    /// slab's site count ([`crate::driver::strip_width`]); a site is `k`
+    /// panel columns (only an LD panel, `k = 1`, lives in a store).
     pub(crate) fn footprint(
         &self,
         threads: usize,
         packed: bool,
         strip: usize,
+        k: usize,
     ) -> Result<(usize, usize), LdError> {
         match self {
-            Self::Memory(v) => memory_footprint(v.n_snps(), threads, packed, strip),
+            Self::Memory(v) => memory_footprint(v.n_snps() / k, threads, packed, strip, k),
             Self::Store(s) => store_footprint(s.meta(), packed, strip),
         }
     }
@@ -213,7 +220,7 @@ impl Source<'_> {
     /// popcount sweep over the resident matrix), all-zero for the store
     /// source, which fills each chunk's span when the chunk first streams
     /// past — no allele-count pre-pass over the store.
-    pub(crate) fn tables(&self, stat: LdStats, policy: NanPolicy) -> Result<Tables, LdError> {
+    pub(crate) fn tables(&self, stat: Statistic, policy: NanPolicy) -> Result<Tables, LdError> {
         Ok(match self {
             Self::Memory(v) => Tables {
                 tr: Transform::try_new(v, stat, policy)?,
@@ -229,7 +236,7 @@ impl Source<'_> {
         })
     }
 
-    /// Produces the counts of slab `rows` against every column in
+    /// Produces the counts of panel rows `rows` against every column in
     /// `[rows.start, cols_end)` (`cols_end` is `n` without a band), one
     /// [`Block`] at a time in ascending column order, handing each to
     /// `emit` together with tables that cover the block's columns and the

@@ -24,6 +24,55 @@ pub enum LdStats {
     DPrime,
 }
 
+/// What a run computes per site pair: the slab driver's epilogue, and the
+/// number of bit planes it reads per site.
+///
+/// The driver's grid, windows, ledger and sinks are in *sites*; the panel
+/// stores each site's `k` planes as `k` adjacent columns, so one SYRK over
+/// it yields every plane product, and the epilogue reads a site pair's
+/// `k × k` count block (paper §VII: gaps, the finite-sites model and
+/// Tanimoto are the same GEMM with a different pack and a different tail).
+/// Checkpoints, shards and tile stores carry [`LdStats`] only.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Statistic {
+    /// An LD statistic; one allele plane per SNP.
+    Ld(LdStats),
+    /// Tanimoto similarity (Eq. 7); one fingerprint plane per compound.
+    Tanimoto,
+    /// `r²` over each pair's jointly valid samples (§VII, alignment gaps);
+    /// planes `[s ∧ c, c]` per SNP, `c` the validity bits.
+    MaskedR2,
+    /// Zaykin's `T` (Eq. 6); planes `[A, C, G, T, valid]` per site.
+    ZaykinT,
+}
+
+impl Statistic {
+    /// Bit planes per site: adjacent panel columns `k·j .. k·j + k`.
+    pub fn planes(self) -> usize {
+        match self {
+            Self::Ld(_) | Self::Tanimoto => 1,
+            Self::MaskedR2 => 2,
+            Self::ZaykinT => 5,
+        }
+    }
+}
+
+impl From<LdStats> for Statistic {
+    fn from(stat: LdStats) -> Self {
+        Self::Ld(stat)
+    }
+}
+
+impl NanPolicy {
+    /// The value reported where a statistic is undefined: `NaN` or `0.0`.
+    pub fn undefined(self) -> f64 {
+        match self {
+            Self::Propagate => f64::NAN,
+            Self::Zero => 0.0,
+        }
+    }
+}
+
 /// The complete set of statistics for one SNP pair.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LdPair {
@@ -63,10 +112,7 @@ pub fn ld_pair_from_freqs(p_i: f64, p_j: f64, p_ij: f64, policy: NanPolicy) -> L
     let r2 = if denom > 0.0 {
         (d * d) / denom
     } else {
-        match policy {
-            NanPolicy::Propagate => f64::NAN,
-            NanPolicy::Zero => 0.0,
-        }
+        policy.undefined()
     };
     let d_max = if d >= 0.0 {
         (p_i * (1.0 - p_j)).min(p_j * (1.0 - p_i))
@@ -76,10 +122,7 @@ pub fn ld_pair_from_freqs(p_i: f64, p_j: f64, p_ij: f64, policy: NanPolicy) -> L
     let d_prime = if d_max > 0.0 {
         (d / d_max).abs()
     } else {
-        match policy {
-            NanPolicy::Propagate => f64::NAN,
-            NanPolicy::Zero => 0.0,
-        }
+        policy.undefined()
     };
     LdPair {
         p_i,
@@ -88,6 +131,19 @@ pub fn ld_pair_from_freqs(p_i: f64, p_j: f64, p_ij: f64, policy: NanPolicy) -> L
         d,
         d_prime,
         r2,
+    }
+}
+
+/// Tanimoto similarity `x / (p + q − x)` (Eq. 7) of two fingerprints with
+/// `p` and `q` set bits, `x` of them shared, with the empty-∪-empty
+/// convention `Tanimoto(∅, ∅) = 1`.
+#[inline]
+pub fn tanimoto_from_counts(p: u64, q: u64, x: u64) -> f64 {
+    let denom = p + q - x;
+    if denom == 0 {
+        1.0
+    } else {
+        x as f64 / denom as f64
     }
 }
 
@@ -113,10 +169,7 @@ pub(crate) fn stat_from_counts(
             if denom > 0.0 {
                 (d * d) / denom
             } else {
-                match policy {
-                    NanPolicy::Propagate => f64::NAN,
-                    NanPolicy::Zero => 0.0,
-                }
+                policy.undefined()
             }
         }
         LdStats::DPrime => {
@@ -128,10 +181,7 @@ pub(crate) fn stat_from_counts(
             if d_max > 0.0 {
                 (d / d_max).abs()
             } else {
-                match policy {
-                    NanPolicy::Propagate => f64::NAN,
-                    NanPolicy::Zero => 0.0,
-                }
+                policy.undefined()
             }
         }
     }

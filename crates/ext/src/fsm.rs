@@ -14,12 +14,14 @@
 //! Eq. 2 applied to the indicator vectors of state `s_i` at SNP `i` and
 //! state `s_j` at SNP `j`, restricted to the valid-pair mask. The worst
 //! case costs 16 plane popcount products per pair — the 16× factor the
-//! paper quotes.
+//! paper quotes. Since a nucleotide plane lies inside the validity plane,
+//! every masked count is a product of two planes, so
+//! [`NucleotideMatrix::t_matrix`] stores each site as five adjacent
+//! columns `[A, C, G, T, valid]` and runs one SYRK over them.
 
+use crate::interleave;
 use ld_bitmat::{BitMatrix, BitMatrixBuilder, ValidityMask};
-use ld_core::fused::SyncSlice;
-use ld_core::{ld_pair_from_counts, LdMatrix, NanPolicy};
-use ld_parallel::parallel_for_dynamic;
+use ld_core::{ld_pair_from_counts, LdEngine, LdError, LdMatrix, NanPolicy, Statistic};
 
 /// The four DNA states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -159,10 +161,7 @@ impl NucleotideMatrix {
         let v_j = self.states_present(j);
         let v_ij = self.mask.pair_valid_count(i, j);
         if v_i <= 1 || v_j <= 1 || v_ij == 0 {
-            return match policy {
-                NanPolicy::Propagate => f64::NAN,
-                NanPolicy::Zero => 0.0,
-            };
+            return policy.undefined();
         }
         let mut sum_r2 = 0.0;
         for si in Nucleotide::ALL {
@@ -191,25 +190,19 @@ impl NucleotideMatrix {
         ((v_i - 1.0) * (v_j - 1.0) * v_ij / (v_i * v_j)) * sum_r2
     }
 
-    /// All-pairs `T` matrix, dynamically scheduled.
-    pub fn t_matrix(&self, threads: usize, policy: NanPolicy) -> LdMatrix {
-        let n = self.n_sites;
-        let mut out = LdMatrix::zeros(n);
-        {
-            let packed = out.packed_mut();
-            let ptr = SyncSlice::new(packed);
-            parallel_for_dynamic(threads, n, 2, |rows| {
-                for i in rows.clone() {
-                    let off = i * n - (i * i - i) / 2;
-                    // SAFETY: disjoint packed row ranges per worker.
-                    let dst = unsafe { ptr.slice(off, n - i) };
-                    for (t, j) in (i..n).enumerate() {
-                        dst[t] = self.t_statistic(i, j, policy);
-                    }
-                }
-            });
-        }
-        out
+    /// All-pairs `T` matrix: the panel of planes `[A, C, G, T, valid]` per
+    /// site and one engine run of [`Statistic::ZaykinT`], under the
+    /// engine's threads, kernel, blocks, budget and NaN policy — the 16
+    /// state products of every pair come out of one SYRK.
+    /// `to_bits`-equal to [`NucleotideMatrix::t_statistic`].
+    pub fn t_matrix(&self, engine: &LdEngine) -> Result<LdMatrix, LdError> {
+        let panel = interleave(self.n_samples, self.n_sites, 5, |j, p, out| {
+            out.copy_from_slice(match p {
+                4 => self.mask.snp_words(j),
+                p => self.planes[p].snp_words(j),
+            })
+        });
+        engine.try_stat_matrix(&panel, Statistic::ZaykinT)
     }
 
     /// Reduces a *biallelic* nucleotide matrix back to a 0/1 matrix
@@ -312,11 +305,12 @@ mod tests {
             10,
             ["ACGTACGTAC", "AACCGGTTAA", "ACACACACAC", "TTTTTAAAAA"],
         );
-        let mat = m.t_matrix(3, NanPolicy::Zero);
+        let engine = LdEngine::new().threads(3).nan_policy(NanPolicy::Zero);
+        let mat = m.t_matrix(&engine).unwrap();
         for i in 0..4 {
             for j in i..4 {
                 let want = m.t_statistic(i, j, NanPolicy::Zero);
-                assert!((mat.get(i, j) - want).abs() < 1e-12, "({i},{j})");
+                assert!(mat.get(i, j).to_bits() == want.to_bits(), "({i},{j})");
             }
         }
     }

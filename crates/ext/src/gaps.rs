@@ -95,10 +95,7 @@ pub fn masked_r2_matrix(
                 for (t, j) in (i..n).enumerate() {
                     let c = masked_counts(g, mask, i, j);
                     dst[t] = if c.valid == 0 {
-                        match policy {
-                            NanPolicy::Propagate => f64::NAN,
-                            NanPolicy::Zero => 0.0,
-                        }
+                        policy.undefined()
                     } else {
                         ld_pair_from_counts(c.ones_i, c.ones_j, c.both, c.valid, policy).r2
                     };

@@ -3,14 +3,14 @@
 //!
 //! [`crate::gaps::masked_r2_matrix`] walks pairs one at a time because the
 //! per-pair validity mask seems to break the shared-`N` factorization. It
-//! doesn't: define two derived bit matrices,
+//! doesn't: give each SNP two bit planes,
 //!
 //! ```text
-//! V = validity            (bit = call present)
 //! D = S ∧ V               (bit = valid derived allele)
+//! V = validity            (bit = call present)
 //! ```
 //!
-//! and every §VII count is an inner product between their columns:
+//! and every §VII count is an inner product between them:
 //!
 //! ```text
 //! N_ij      = v_iᵀ v_j        (jointly valid)
@@ -19,120 +19,59 @@
 //! n_j|ij    = v_iᵀ d_j
 //! ```
 //!
-//! So the masked all-pairs computation is **two SYRKs (`VᵀV`, `DᵀD`) plus
-//! one full GEMM (`DᵀV`, whose transpose supplies `VᵀD`)** — 4× the plain
-//! kernel work, all of it inside the blocked engine. This module verifies
-//! the identity against the pairwise path and exposes the blocked driver.
+//! Stored as adjacent columns `[d_j, v_j]`, the two planes make one panel
+//! of `2n` columns, and **one SYRK over it** yields all four products —
+//! `½(2n)² = ½n² + ½n² + n²`, the work of `VᵀV`, `DᵀD` and `DᵀV` as three
+//! products, with no `n²` buffer at all: the engine's slab driver reads
+//! each SNP pair's 2 × 2 block ([`ld_core::Statistic::MaskedR2`]).
 
-use ld_bitmat::{AlignedWords, BitMatrix, BitMatrixView, ValidityMask};
-use ld_core::{ld_pair_from_counts, LdMatrix, NanPolicy};
-use ld_kernels::{gemm_counts_mt, syrk_counts_buf, BlockSizes, KernelKind};
+use crate::interleave;
+use ld_bitmat::{BitMatrix, BitMatrixView, ValidityMask};
+use ld_core::{LdEngine, LdError, LdMatrix, Statistic};
 
-/// Builds the `D = S ∧ V` (valid-derived) matrix.
-pub fn valid_derived_matrix(g: &BitMatrixView<'_>, mask: &ValidityMask) -> BitMatrix {
-    assert_eq!(
-        g.n_samples(),
-        mask.n_samples(),
-        "mask sample count mismatch"
-    );
-    assert!(mask.n_snps() >= g.end(), "mask must cover the viewed SNPs");
-    let wps = g.words_per_snp();
-    let mut words = AlignedWords::zeroed(wps * g.n_snps());
-    for j in 0..g.n_snps() {
-        let s = g.snp_words(j);
-        let c = mask.snp_words(g.start() + j);
-        for w in 0..wps {
-            words[j * wps + w] = s[w] & c[w];
+/// The panel `[d_j, v_j]` per viewed SNP `j`; a mask with another sample
+/// count, or one that does not cover the viewed SNPs, is
+/// [`LdError::DimensionMismatch`].
+fn masked_panel(g: &BitMatrixView<'_>, mask: &ValidityMask) -> Result<BitMatrix, LdError> {
+    if g.n_samples() != mask.n_samples() {
+        return Err(LdError::DimensionMismatch {
+            context: "mask sample count must match the panel's",
+            left: g.n_samples(),
+            right: mask.n_samples(),
+        });
+    }
+    if mask.n_snps() < g.end() {
+        return Err(LdError::DimensionMismatch {
+            context: "mask must cover the viewed SNPs",
+            left: g.end(),
+            right: mask.n_snps(),
+        });
+    }
+    Ok(interleave(g.n_samples(), g.n_snps(), 2, |j, p, out| {
+        // `j` is view-local; the mask is indexed in parent coordinates
+        let (s, c) = (g.snp_words(j), mask.snp_words(g.start() + j));
+        for ((o, &s), &c) in out.iter_mut().zip(s).zip(c) {
+            *o = if p == 0 { s & c } else { c };
         }
-    }
-    BitMatrix::from_words(g.n_samples(), g.n_snps(), words).expect("AND preserves padding")
+    }))
 }
 
-/// Reinterprets the validity mask as a bit matrix (for the `VᵀV` SYRK).
-pub fn validity_matrix(g: &BitMatrixView<'_>, mask: &ValidityMask) -> BitMatrix {
-    let wps = g.words_per_snp();
-    let mut words = AlignedWords::zeroed(wps * g.n_snps());
-    for j in 0..g.n_snps() {
-        words[j * wps..(j + 1) * wps].copy_from_slice(mask.snp_words(g.start() + j));
-    }
-    BitMatrix::from_words(g.n_samples(), g.n_snps(), words)
-        .expect("masks maintain the padding invariant")
-}
-
-/// All-pairs `r²` under missing data via four blocked counts products.
+/// All-pairs `r²` under missing data: the `[d, v]` panel and one engine
+/// run, under the engine's threads, kernel, blocks, budget and NaN policy.
+/// `to_bits`-equal to [`crate::gaps::masked_r2_matrix`].
 pub fn masked_r2_matrix_blocked(
+    engine: &LdEngine,
     g: &BitMatrixView<'_>,
     mask: &ValidityMask,
-    kind: KernelKind,
-    threads: usize,
-    policy: NanPolicy,
-) -> LdMatrix {
-    let n = g.n_snps();
-    let d = valid_derived_matrix(g, mask);
-    let v = validity_matrix(g, mask);
-
-    // three blocked products: VᵀV, DᵀD (symmetric), DᵀV (general)
-    let mut vv = vec![0u32; n * n];
-    syrk_counts_buf(
-        &v.full_view(),
-        &mut vv,
-        n,
-        kind,
-        BlockSizes::default(),
-        threads,
-    );
-    let mut dd = vec![0u32; n * n];
-    syrk_counts_buf(
-        &d.full_view(),
-        &mut dd,
-        n,
-        kind,
-        BlockSizes::default(),
-        threads,
-    );
-    let mut dv = vec![0u32; n * n];
-    gemm_counts_mt(
-        &d.full_view(),
-        &v.full_view(),
-        &mut dv,
-        n,
-        kind,
-        BlockSizes::default(),
-        threads,
-    );
-
-    let mut out = LdMatrix::zeros(n);
-    for i in 0..n {
-        for j in i..n {
-            let valid = vv[i * n + j] as u64;
-            if valid == 0 {
-                out.set(
-                    i,
-                    j,
-                    match policy {
-                        NanPolicy::Propagate => f64::NAN,
-                        NanPolicy::Zero => 0.0,
-                    },
-                );
-                continue;
-            }
-            let both = dd[i * n + j] as u64;
-            let ones_i = dv[i * n + j] as u64; // d_i · v_j
-            let ones_j = dv[j * n + i] as u64; // d_j · v_i
-            out.set(
-                i,
-                j,
-                ld_pair_from_counts(ones_i, ones_j, both, valid, policy).r2,
-            );
-        }
-    }
-    out
+) -> Result<LdMatrix, LdError> {
+    engine.try_stat_matrix(&masked_panel(g, mask)?, Statistic::MaskedR2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gaps::masked_r2_matrix;
+    use ld_core::NanPolicy;
 
     fn fixture(n_samples: usize, n_snps: usize, seed: u64) -> (BitMatrix, ValidityMask) {
         let mut g = BitMatrix::zeros(n_samples, n_snps);
@@ -157,24 +96,21 @@ mod tests {
         (g, mask)
     }
 
+    fn engine(threads: usize, policy: NanPolicy) -> LdEngine {
+        LdEngine::new().threads(threads).nan_policy(policy)
+    }
+
     #[test]
     fn blocked_equals_pairwise() {
         let (g, mask) = fixture(150, 24, 1);
         let pairwise = masked_r2_matrix(&g.full_view(), &mask, 1, NanPolicy::Propagate);
-        let blocked = masked_r2_matrix_blocked(
-            &g.full_view(),
-            &mask,
-            KernelKind::Auto,
-            2,
-            NanPolicy::Propagate,
-        );
+        let blocked =
+            masked_r2_matrix_blocked(&engine(2, NanPolicy::Propagate), &g.full_view(), &mask)
+                .unwrap();
         for i in 0..24 {
             for j in i..24 {
                 let (a, b) = (pairwise.get(i, j), blocked.get(i, j));
-                assert!(
-                    (a - b).abs() < 1e-12 || (a.is_nan() && b.is_nan()),
-                    "({i},{j}): {a} vs {b}"
-                );
+                assert!(a.to_bits() == b.to_bits(), "({i},{j}): {a} vs {b}");
             }
         }
     }
@@ -182,16 +118,15 @@ mod tests {
     #[test]
     fn derived_planes_are_correct() {
         let (g, mask) = fixture(70, 5, 2);
-        let d = valid_derived_matrix(&g.full_view(), &mask);
-        let v = validity_matrix(&g.full_view(), &mask);
+        let panel = masked_panel(&g.full_view(), &mask).unwrap();
+        assert_eq!(panel.n_snps(), 10);
         for j in 0..5 {
             for s in 0..70 {
-                assert_eq!(d.get(s, j), g.get(s, j) && mask.is_valid(s, j));
-                assert_eq!(v.get(s, j), mask.is_valid(s, j));
+                assert_eq!(panel.get(s, 2 * j), g.get(s, j) && mask.is_valid(s, j));
+                assert_eq!(panel.get(s, 2 * j + 1), mask.is_valid(s, j));
             }
         }
-        d.check_padding().unwrap();
-        v.check_padding().unwrap();
+        panel.check_padding().unwrap();
     }
 
     #[test]
@@ -199,7 +134,7 @@ mod tests {
         let (g, _) = fixture(90, 10, 3);
         let mask = ValidityMask::all_valid(90, 10);
         let blocked =
-            masked_r2_matrix_blocked(&g.full_view(), &mask, KernelKind::Auto, 1, NanPolicy::Zero);
+            masked_r2_matrix_blocked(&engine(1, NanPolicy::Zero), &g.full_view(), &mask).unwrap();
         let plain = ld_core::LdEngine::new()
             .nan_policy(NanPolicy::Zero)
             .r2_matrix(&g);
@@ -217,16 +152,11 @@ mod tests {
         mask.set_missing(0, 1);
         mask.set_missing(1, 1);
         let g = BitMatrix::from_rows(4, 2, [[1u8, 0], [0, 1], [1, 0], [0, 1]]).unwrap();
-        let nan = masked_r2_matrix_blocked(
-            &g.full_view(),
-            &mask,
-            KernelKind::Auto,
-            1,
-            NanPolicy::Propagate,
-        );
+        let nan = masked_r2_matrix_blocked(&engine(1, NanPolicy::Propagate), &g.full_view(), &mask)
+            .unwrap();
         assert!(nan.get(0, 1).is_nan());
         let zero =
-            masked_r2_matrix_blocked(&g.full_view(), &mask, KernelKind::Auto, 1, NanPolicy::Zero);
+            masked_r2_matrix_blocked(&engine(1, NanPolicy::Zero), &g.full_view(), &mask).unwrap();
         assert_eq!(zero.get(0, 1), 0.0);
     }
 
@@ -234,7 +164,7 @@ mod tests {
     fn works_on_views() {
         let (g, mask) = fixture(100, 20, 4);
         let view = g.view(5, 15);
-        let blocked = masked_r2_matrix_blocked(&view, &mask, KernelKind::Auto, 1, NanPolicy::Zero);
+        let blocked = masked_r2_matrix_blocked(&engine(1, NanPolicy::Zero), &view, &mask).unwrap();
         let pairwise = masked_r2_matrix(&view, &mask, 1, NanPolicy::Zero);
         for i in 0..10 {
             for j in i..10 {
@@ -244,5 +174,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_mask_of_another_sample_count_is_a_dimension_mismatch() {
+        let (g, _) = fixture(40, 6, 5);
+        let mask = ValidityMask::all_valid(41, 6);
+        let err = masked_r2_matrix_blocked(&LdEngine::new(), &g.full_view(), &mask).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LdError::DimensionMismatch {
+                    left: 40,
+                    right: 41,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_mask_short_of_the_view_is_a_dimension_mismatch() {
+        let (g, _) = fixture(40, 6, 6);
+        let mask = ValidityMask::all_valid(40, 4);
+        let err = masked_r2_matrix_blocked(&LdEngine::new(), &g.view(2, 5), &mask).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LdError::DimensionMismatch {
+                    left: 5,
+                    right: 4,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 }

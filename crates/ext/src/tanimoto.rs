@@ -15,8 +15,8 @@
 //! about domain transfer.
 
 use ld_bitmat::BitMatrixView;
-use ld_core::{CrossLdMatrix, LdMatrix};
-use ld_kernels::{gemm_counts_mt, syrk_counts_buf, BlockSizes, KernelKind};
+pub use ld_core::tanimoto_from_counts;
+use ld_core::{CrossLdMatrix, LdEngine, LdError, LdMatrix, Statistic};
 use ld_popcount::and_popcount;
 
 /// Tanimoto similarity of one fingerprint pair (columns `i`, `j`).
@@ -27,84 +27,37 @@ pub fn tanimoto_pair(fp: &BitMatrixView<'_>, i: usize, j: usize) -> f64 {
     tanimoto_from_counts(p, q, x)
 }
 
-/// Eq. 7 with the empty-∪-empty convention `Tanimoto(∅, ∅) = 1`.
-#[inline]
-pub fn tanimoto_from_counts(p: u64, q: u64, x: u64) -> f64 {
-    let denom = p + q - x;
-    if denom == 0 {
-        1.0
-    } else {
-        x as f64 / denom as f64
-    }
-}
-
 /// All-pairs Tanimoto matrix over the fingerprint set (columns are
-/// compounds), computed with the blocked SYRK engine — half the kernel
-/// work of [`tanimoto_cross`] of the set with itself, and the same values
-/// (Eq. 7 is symmetric in `p`, `q`).
-pub fn tanimoto_matrix(
-    fp: &BitMatrixView<'_>,
-    kind: KernelKind,
-    blocks: BlockSizes,
-    threads: usize,
-) -> LdMatrix {
-    let n = fp.n_snps();
-    let mut counts = vec![0u32; n * n];
-    syrk_counts_buf(fp, &mut counts, n, kind, blocks, threads);
-    let mut out = LdMatrix::zeros(n);
-    for i in 0..n {
-        let p = counts[i * n + i] as u64;
-        for j in i..n {
-            let q = counts[j * n + j] as u64;
-            let x = counts[i * n + j] as u64;
-            out.set(i, j, tanimoto_from_counts(p, q, x));
-        }
-    }
-    out
+/// compounds): one engine run of [`Statistic::Tanimoto`] — the blocked
+/// SYRK's half of the kernel work of [`tanimoto_cross`] of the set with
+/// itself, and the same values (Eq. 7 is symmetric in `p`, `q`).
+pub fn tanimoto_matrix(engine: &LdEngine, fp: &BitMatrixView<'_>) -> Result<LdMatrix, LdError> {
+    engine.try_stat_matrix(*fp, Statistic::Tanimoto)
 }
 
 /// Cross-set Tanimoto (query set × library set) with the GEMM driver —
-/// the shape of a virtual-screening run.
+/// the shape of a virtual-screening run. Fingerprint widths that differ
+/// are [`LdError::DimensionMismatch`].
 pub fn tanimoto_cross(
+    engine: &LdEngine,
     queries: &BitMatrixView<'_>,
     library: &BitMatrixView<'_>,
-    kind: KernelKind,
-    threads: usize,
-) -> CrossLdMatrix {
-    assert_eq!(
-        queries.n_samples(),
-        library.n_samples(),
-        "fingerprint widths must match"
-    );
-    let (m, n) = (queries.n_snps(), library.n_snps());
-    let mut counts = vec![0u32; m * n];
-    gemm_counts_mt(
-        queries,
-        library,
-        &mut counts,
-        n,
-        kind,
-        BlockSizes::default(),
-        threads,
-    );
-    let p: Vec<u64> = (0..m).map(|i| queries.ones_in_snp(i)).collect();
-    let q: Vec<u64> = (0..n).map(|j| library.ones_in_snp(j)).collect();
-    let mut values = vec![0.0f64; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            values[i * n + j] = tanimoto_from_counts(p[i], q[j], counts[i * n + j] as u64);
-        }
-    }
-    CrossLdMatrix::from_dense(m, n, values)
+) -> Result<CrossLdMatrix, LdError> {
+    engine.try_cross_stat_matrix(*queries, *library, Statistic::Tanimoto)
 }
 
-/// Returns the `k` most similar library compounds for each query
-/// (indices + similarity, descending) — the classic screening output.
-pub fn top_k_neighbors(sim: &CrossLdMatrix, k: usize) -> Vec<Vec<(usize, f64)>> {
-    (0..sim.n_rows())
+/// The `k` most similar other compounds of each compound (index and
+/// similarity): most similar first, equals by ascending index — the
+/// classic screening output.
+pub fn top_k_neighbors(sim: &LdMatrix, k: usize) -> Vec<Vec<(usize, f64)>> {
+    let n = sim.n_snps();
+    (0..n)
         .map(|i| {
-            let mut row: Vec<(usize, f64)> =
-                (0..sim.n_cols()).map(|j| (j, sim.get(i, j))).collect();
+            let mut row: Vec<(usize, f64)> = (0..n)
+                .filter(|&j| j != i)
+                .map(|j| (j, sim.get(i, j)))
+                .collect();
+            // stable, so ties keep ascending `j`
             row.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
             row.truncate(k);
             row
@@ -144,13 +97,13 @@ mod tests {
     fn matrix_matches_pairs_and_is_bounded() {
         let fp = ld_data_like(24, 128);
         let v = fp.full_view();
-        let m = tanimoto_matrix(&v, KernelKind::Auto, BlockSizes::default(), 2);
+        let m = tanimoto_matrix(&LdEngine::new().threads(2), &v).unwrap();
         for i in 0..24 {
             assert!((m.get(i, i) - 1.0).abs() < 1e-12, "self-similarity");
             for j in i..24 {
                 let want = tanimoto_pair(&v, i, j);
                 let got = m.get(i, j);
-                assert!((got - want).abs() < 1e-12, "({i},{j})");
+                assert!(got.to_bits() == want.to_bits(), "({i},{j})");
                 assert!((0.0..=1.0).contains(&got));
             }
         }
@@ -160,25 +113,48 @@ mod tests {
     fn cross_matches_square_blocks() {
         let fp = ld_data_like(20, 256);
         let v = fp.full_view();
-        let full = tanimoto_matrix(&v, KernelKind::Auto, BlockSizes::default(), 1);
-        let cross = tanimoto_cross(&fp.view(0, 8), &fp.view(8, 20), KernelKind::Auto, 1);
+        let engine = LdEngine::new().threads(1);
+        let full = tanimoto_matrix(&engine, &v).unwrap();
+        let cross = tanimoto_cross(&engine, &fp.view(0, 8), &fp.view(8, 20)).unwrap();
         for i in 0..8 {
             for j in 0..12 {
-                assert!((cross.get(i, j) - full.get(i, 8 + j)).abs() < 1e-12);
+                assert!(cross.get(i, j).to_bits() == full.get(i, 8 + j).to_bits());
             }
         }
     }
 
     #[test]
+    fn cross_of_other_widths_is_a_dimension_mismatch() {
+        let (a, b) = (ld_data_like(4, 64), ld_data_like(4, 65));
+        let err = tanimoto_cross(&LdEngine::new(), &a.full_view(), &b.full_view()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LdError::DimensionMismatch {
+                    left: 64,
+                    right: 65,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn top_k_is_sorted_and_truncated() {
         let fp = ld_data_like(10, 64);
-        let cross = tanimoto_cross(&fp.view(0, 3), &fp.view(3, 10), KernelKind::Auto, 1);
-        let nn = top_k_neighbors(&cross, 4);
-        assert_eq!(nn.len(), 3);
-        for row in &nn {
+        let sim = tanimoto_matrix(&LdEngine::new().threads(1), &fp.full_view()).unwrap();
+        let nn = top_k_neighbors(&sim, 4);
+        assert_eq!(nn.len(), 10);
+        for (i, row) in nn.iter().enumerate() {
             assert_eq!(row.len(), 4);
+            assert!(row.iter().all(|&(j, _)| j != i), "self is not a neighbour");
             for w in row.windows(2) {
                 assert!(w[0].1 >= w[1].1, "descending order");
+                assert!(
+                    w[0].1 > w[1].1 || w[0].0 < w[1].0,
+                    "ties by ascending index"
+                );
             }
         }
     }

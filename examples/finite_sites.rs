@@ -97,7 +97,8 @@ fn main() {
 
     // 4. All-pairs Zaykin T.
     let t0 = std::time::Instant::now();
-    let t = m.t_matrix(0, NanPolicy::Zero);
+    let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
+    let t = m.t_matrix(&engine).expect("Zaykin T matrix");
     println!("Zaykin T over {} pairs in {:?}", t.n_values(), t0.elapsed());
 
     // 5. Within-block biallelic pairs score far above cross-block pairs.
@@ -121,7 +122,6 @@ fn main() {
 
     // 6. For biallelic pairs, T = N_valid · r² — verify on a gap-free pair.
     let (bi, kept) = aln.to_biallelic_matrix();
-    let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
     let r2 = engine.r2_matrix(&bi);
     // sites 0 and 1 are biallelic and gap-free: find their positions in `kept`
     let k0 = kept

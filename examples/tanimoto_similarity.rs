@@ -11,7 +11,7 @@
 
 use gemm_ld::prelude::*;
 use ld_data::fingerprints::clustered_fingerprints;
-use ld_ext::tanimoto::{tanimoto_cross, tanimoto_matrix, top_k_neighbors};
+use ld_ext::tanimoto::{tanimoto_matrix, top_k_neighbors};
 
 fn main() {
     // 512 compounds, 2048-bit fingerprints, 16 structural clusters.
@@ -27,7 +27,7 @@ fn main() {
 
     // All-vs-all similarity in one blocked SYRK.
     let t0 = std::time::Instant::now();
-    let sim = tanimoto_matrix(&fp.full_view(), KernelKind::Auto, BlockSizes::default(), 0);
+    let sim = tanimoto_matrix(&LdEngine::new(), &fp.full_view()).expect("Tanimoto matrix");
     println!(
         "all-vs-all Tanimoto: {} values in {:?}",
         sim.n_values(),
@@ -36,13 +36,11 @@ fn main() {
 
     // Cluster recovery via nearest neighbours (compound i belongs to
     // cluster i % CLUSTERS by construction).
-    let v = fp.full_view();
-    let cross = tanimoto_cross(&v, &v, KernelKind::Auto, 0);
-    let nn = top_k_neighbors(&cross, 4); // self + top 3
+    let nn = top_k_neighbors(&sim, 3);
     let mut correct = 0;
     let mut total = 0;
     for (i, row) in nn.iter().enumerate() {
-        for &(j, _) in row.iter().filter(|(j, _)| *j != i).take(3) {
+        for &(j, _) in row {
             total += 1;
             if j % CLUSTERS == i % CLUSTERS {
                 correct += 1;
@@ -59,7 +57,7 @@ fn main() {
 
     // Show one compound's neighbourhood.
     println!("\ncompound 0 (cluster 0) — top neighbours:");
-    for &(j, s) in nn[0].iter().filter(|(j, _)| *j != 0).take(3) {
+    for &(j, s) in &nn[0] {
         println!(
             "  compound {j:<4} (cluster {:>2})  tanimoto = {s:.3}",
             j % CLUSTERS

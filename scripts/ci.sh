@@ -89,6 +89,17 @@ if [ -n "$PER_WINDOW" ] || grep -q 'fn prune' examples/ld_pruning.rs; then
     grep -n 'fn prune' examples/ld_pruning.rs >&2 || true
     exit 1
 fi
+# The §VII statistics are epilogues on the engine's one driver, not count
+# loops of their own: no shipped `ld-ext` code reaches for a kernel.
+echo "==> no ld_kernels item in crates/ext/src (test modules aside)"
+KERNELS=$(for f in crates/ext/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$f"
+done | grep -F 'ld_kernels' || true)
+if [ -n "$KERNELS" ] || grep -q '^ld-kernels' crates/ext/Cargo.toml; then
+    echo "ext kernel guard FAIL: a private count loop in ld-ext:" >&2
+    printf '%s\n' "$KERNELS" >&2
+    exit 1
+fi
 
 BIN=target/release/gemm-ld
 OUT=target/ci

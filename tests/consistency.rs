@@ -126,12 +126,8 @@ fn tanimoto_agrees_with_ld_counts_identity() {
     // arithmetic relation x/(p+q-x) on real counts.
     let fp = ld_data::fingerprints::random_fingerprints(30, 512, 0.1, 6);
     let counts = LdEngine::new().try_counts_matrix(&fp).unwrap();
-    let sim = ld_ext::tanimoto::tanimoto_matrix(
-        &fp.full_view(),
-        KernelKind::Auto,
-        BlockSizes::default(),
-        1,
-    );
+    let sim =
+        ld_ext::tanimoto::tanimoto_matrix(&LdEngine::new().threads(1), &fp.full_view()).unwrap();
     let n = 30;
     for i in 0..n {
         for j in i..n {

@@ -35,13 +35,8 @@ fn blocked_and_pairwise_masked_ld_agree() {
             }
         }
         let pairwise = masked_r2_matrix(&g.full_view(), &mask, 1, NanPolicy::Propagate);
-        let blocked = masked_r2_matrix_blocked(
-            &g.full_view(),
-            &mask,
-            KernelKind::Auto,
-            2,
-            NanPolicy::Propagate,
-        );
+        let engine = LdEngine::new().threads(2);
+        let blocked = masked_r2_matrix_blocked(&engine, &g.full_view(), &mask).unwrap();
         for i in 0..n_snps {
             for j in i..n_snps {
                 assert!(
@@ -65,12 +60,8 @@ fn tanimoto_and_r2_rank_similar_pairs_together() {
         let fp = ld_data::fingerprints::random_fingerprints(10, 256, 0.2, seed);
         let dup = fp.select_snps(&[0]).unwrap();
         let h = fp.hstack(&dup).unwrap();
-        let sim = ld_ext::tanimoto::tanimoto_matrix(
-            &h.full_view(),
-            KernelKind::Auto,
-            BlockSizes::default(),
-            1,
-        );
+        let sim =
+            ld_ext::tanimoto::tanimoto_matrix(&LdEngine::new().threads(1), &h.full_view()).unwrap();
         let r2 = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&h);
         // column 10 duplicates column 0
         assert!((sim.get(0, 10) - 1.0).abs() < 1e-12, "case {case}");
@@ -119,13 +110,11 @@ fn masked_blocked_handles_heavy_missingness() {
         }
     }
     let a = masked_r2_matrix(&g.full_view(), &mask, 2, NanPolicy::Zero);
-    let b = masked_r2_matrix_blocked(
-        &g.full_view(),
-        &mask,
-        KernelKind::Scalar,
-        1,
-        NanPolicy::Zero,
-    );
+    let engine = LdEngine::new()
+        .kernel(KernelKind::Scalar)
+        .threads(1)
+        .nan_policy(NanPolicy::Zero);
+    let b = masked_r2_matrix_blocked(&engine, &g.full_view(), &mask).unwrap();
     for (i, j, v) in a.iter_upper() {
         assert!(close(v, b.get(i, j)), "({i},{j})");
     }

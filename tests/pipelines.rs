@@ -132,12 +132,8 @@ fn text_matrix_to_tanimoto() {
     text::write_matrix(&mut buf, &fp).unwrap();
     let back = text::read_matrix(BufReader::new(buf.as_slice())).unwrap();
     assert_eq!(back, fp);
-    let sim_mat = ld_ext::tanimoto::tanimoto_matrix(
-        &back.full_view(),
-        KernelKind::Auto,
-        BlockSizes::default(),
-        1,
-    );
+    let sim_mat =
+        ld_ext::tanimoto::tanimoto_matrix(&LdEngine::new().threads(1), &back.full_view()).unwrap();
     // same-cluster compounds (i, i+4) are more similar than (i, i+1)
     let mut within = 0.0;
     let mut between = 0.0;

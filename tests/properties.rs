@@ -146,12 +146,8 @@ fn tanimoto_triangle_like_bound() {
         // Tanimoto distance (1 - T) obeys the triangle inequality; spot
         // check triples through the GEMM path.
         let fp = ld_data::fingerprints::random_fingerprints(count, 128, 0.3, seed);
-        let t = ld_ext::tanimoto::tanimoto_matrix(
-            &fp.full_view(),
-            KernelKind::Auto,
-            BlockSizes::default(),
-            1,
-        );
+        let t = ld_ext::tanimoto::tanimoto_matrix(&LdEngine::new().threads(1), &fp.full_view())
+            .unwrap();
         for a in 0..count.min(6) {
             for b in 0..count.min(6) {
                 for c in 0..count.min(6) {
