@@ -3,7 +3,7 @@
 //! (`ld_parallel::Backoff` — the same envelope `run-sharded` uses for
 //! shard restarts).
 
-use crate::protocol::{read_frame, write_frame, ProtoError, Request, Response, Status};
+use crate::protocol::{read_response, write_frame, ProtoError, Request, Response, Status};
 use ld_parallel::Backoff;
 use std::fmt;
 use std::io::{self, Write};
@@ -53,11 +53,14 @@ pub struct Client {
 
 impl Client {
     /// Connects with `timeout` applied to connect, reads, and writes.
+    /// `TCP_NODELAY` is on: a request is one write and must not wait for
+    /// the ACK of the previous exchange.
     pub fn connect(addr: &str, timeout: Duration) -> Result<Client, ClientError> {
         let mut last: Option<io::Error> = None;
         for sa in addr.to_socket_addrs()? {
             match TcpStream::connect_timeout(&sa, timeout) {
                 Ok(stream) => {
+                    stream.set_nodelay(true)?;
                     stream.set_read_timeout(Some(timeout))?;
                     stream.set_write_timeout(Some(timeout))?;
                     return Ok(Client { stream });
@@ -75,14 +78,14 @@ impl Client {
 
     /// Sends one request and reads its response.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &req.encode())?;
+        self.send_raw_frame(&req.encode())?;
         self.read_response()
     }
 
     /// Writes raw bytes as a frame payload — the fault-injection
     /// harness uses this to send deliberately malformed payloads.
     pub fn send_raw_frame(&mut self, payload: &[u8]) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, payload)?;
+        write_frame(&mut self.stream, payload, &[])?;
         Ok(())
     }
 
@@ -94,10 +97,9 @@ impl Client {
         Ok(())
     }
 
-    /// Reads one response frame.
+    /// Reads one response frame, its body straight into the response.
     pub fn read_response(&mut self) -> Result<Response, ClientError> {
-        let payload = read_frame(&mut self.stream, crate::protocol::MAX_RESPONSE_PAYLOAD)?;
-        Ok(Response::decode(&payload)?)
+        Ok(read_response(&mut self.stream)?)
     }
 
     /// The underlying stream (the harness shuts down halves to simulate

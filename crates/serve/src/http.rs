@@ -5,11 +5,14 @@
 //! TLS, no chunking. A scraper is the only intended client; the LDS1
 //! socket remains the real API. Each connection is handled on its own
 //! short-lived thread with read/write timeouts so a stalled scraper
-//! can never block the next scrape, and the accept loop polls the
-//! daemon's stop token so the listener dies with the server.
+//! can never block the next scrape. The listener blocks in the daemon's
+//! one accept loop (`server::accept_until`); the server trips the stop
+//! token and wakes it with a self-connect when it is done.
 
+use crate::protocol::write_all_vectored;
+use crate::server::accept_until;
 use ld_core::CancelToken;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -19,26 +22,18 @@ pub(crate) const CONTENT_TYPE_PROM: &str = "text/plain; version=0.0.4; charset=u
 /// Largest request head (request line + headers) we bother reading.
 const MAX_HEAD: usize = 8 * 1024;
 
-/// Accepts scrape connections until `stop` trips. `render` maps a
-/// request path to `(body, content-type)`, or `None` for 404; it runs
-/// on the per-connection thread, so it may take locks but must not
-/// block indefinitely.
-pub(crate) fn serve_http<F>(listener: TcpListener, stop: CancelToken, render: F)
+/// Accepts scrape connections until `stop` trips (and the listener is
+/// woken). `render` maps a request path to `(body, content-type)`, or
+/// `None` for 404; it runs on the per-connection thread, so it may take
+/// locks but must not block indefinitely.
+pub(crate) fn serve_http<F>(listener: &TcpListener, stop: &CancelToken, render: F)
 where
     F: Fn(&str) -> Option<(String, &'static str)> + Send + Sync + Clone + 'static,
 {
-    while !stop.is_cancelled() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let render = render.clone();
-                std::thread::spawn(move || handle(stream, &render));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
-        }
-    }
+    accept_until(listener, stop, |stream| {
+        let render = render.clone();
+        std::thread::spawn(move || handle(stream, &render));
+    });
 }
 
 /// Serves exactly one request on `stream`; every error path just drops
@@ -79,13 +74,15 @@ where
             ),
         }
     };
-    let _ = write!(
-        stream,
+    let head = format!(
         "HTTP/1.0 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
+    // one write: status line, headers and body leave together
+    let _ = write_all_vectored(
+        &mut stream,
+        &mut [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())],
+    );
 }
 
 /// Reads until the end of the request head (`\r\n\r\n`), `MAX_HEAD`

@@ -23,9 +23,16 @@
 //! (oversized frame) forces a close, because the stream can no longer
 //! be re-synchronized. The malformed-frame corpus in `tests/corpus.rs`
 //! walks exactly these guarantees.
+//!
+//! Every frame, on either end, leaves in **one** vectored write
+//! ([`write_frame`]): a frame split over two writes on a Nagle socket
+//! waits out the peer's delayed ACK (~40 ms) before its second half
+//! moves. A response's body goes out from the [`Response`] itself and
+//! comes in straight into the [`Response`] [`read_response`] returns —
+//! a region table is never copied into or out of a frame buffer.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frame payload magic; rejects line-oriented or foreign traffic early.
 pub const MAGIC: [u8; 4] = *b"LDS1";
@@ -121,7 +128,8 @@ const OP_METRICS: u8 = 3;
 const OP_DUMP_TRACE: u8 = 4;
 
 impl Request {
-    /// Encodes the request payload (frame it with [`write_frame`]).
+    /// Encodes the request payload (send it as a frame's head with
+    /// [`write_frame`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut p = Vec::with_capacity(32);
         p.extend_from_slice(&MAGIC);
@@ -284,30 +292,10 @@ impl Response {
     pub fn message(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
     }
-
-    /// Encodes the response payload (frame it with [`write_frame`]).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(5 + self.body.len());
-        p.extend_from_slice(&MAGIC);
-        p.push(self.status as u8);
-        p.extend_from_slice(&self.body);
-        p
-    }
-
-    /// Strictly decodes a response payload.
-    pub fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor::new(payload);
-        let magic = c.bytes::<4>()?;
-        if magic != MAGIC {
-            return Err(ProtoError::BadMagic(magic));
-        }
-        let status = Status::from_u8(c.u8()?)?;
-        Ok(Response {
-            status,
-            body: c.rest().to_vec(),
-        })
-    }
 }
+
+/// Length of a response payload's head: magic plus status byte.
+const RESPONSE_HEAD: usize = MAGIC.len() + 1;
 
 /// Why a frame or payload failed to decode. Every variant renders a
 /// located, human-readable message — this text is what travels back in
@@ -409,35 +397,89 @@ impl From<io::Error> for ProtoError {
     }
 }
 
-/// Writes one frame (length prefix + payload).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
+/// Writes one frame — the length prefix, then `head` and `body` as one
+/// payload — in a single vectored write. The one frame writer of both
+/// ends: a request is all head, a response is its 5-byte head plus the
+/// body it already owns ([`write_response`]).
+pub fn write_frame(w: &mut impl Write, head: &[u8], body: &[u8]) -> io::Result<()> {
+    let len = u32::try_from(head.len() + body.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds u32 framing"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let prefix = len.to_le_bytes();
+    write_all_vectored(
+        w,
+        &mut [
+            IoSlice::new(&prefix),
+            IoSlice::new(head),
+            IoSlice::new(body),
+        ],
+    )?;
     w.flush()
 }
 
-/// Reads one frame payload, admitting at most `max` bytes.
+/// Writes one response frame, its body straight from `resp`.
+pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
+    let mut head = [0u8; RESPONSE_HEAD];
+    head[..MAGIC.len()].copy_from_slice(&MAGIC);
+    head[MAGIC.len()] = resp.status as u8;
+    write_frame(w, &head, &resp.body)
+}
+
+/// `write_all` over several buffers: one `write_vectored` call whenever
+/// the writer takes everything, as a blocking socket does.
+pub(crate) fn write_all_vectored(
+    w: &mut impl Write,
+    mut bufs: &mut [IoSlice<'_>],
+) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Reads and strictly decodes one response frame of at most
+/// [`MAX_RESPONSE_PAYLOAD`] bytes: the prefix, the 5-byte head, then the
+/// body straight into the returned response's own buffer.
 ///
 /// A clean EOF *before* any prefix byte is [`ProtoError::Closed`]; EOF
-/// mid-prefix or mid-payload is [`ProtoError::Truncated`]. An admissible
-/// read timeout surfaces as `Io` — the server's connection loop converts
-/// idle-poll timeouts into shutdown checks and mid-frame timeouts into a
-/// half-open-connection error.
-pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, ProtoError> {
+/// mid-prefix, mid-head or mid-body is [`ProtoError::Truncated`]. The
+/// whole frame is consumed before its head is judged, so a
+/// [`ProtoError::BadMagic`] or [`ProtoError::BadStatus`] leaves the
+/// stream at a frame boundary. A read timeout surfaces as `Io`.
+pub fn read_response(r: &mut impl Read) -> Result<Response, ProtoError> {
     let mut prefix = [0u8; 4];
     read_exact_or(r, &mut prefix, true)?;
     let len = u32::from_le_bytes(prefix) as usize;
-    if len > max {
+    if len > MAX_RESPONSE_PAYLOAD {
         return Err(ProtoError::Oversized {
             len: len as u64,
-            max,
+            max: MAX_RESPONSE_PAYLOAD,
         });
     }
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload, false)?;
-    Ok(payload)
+    let mut head = [0u8; RESPONSE_HEAD];
+    let head = &mut head[..len.min(RESPONSE_HEAD)];
+    let truncated = |got| ProtoError::Truncated { expected: len, got };
+    read_exact_or(r, head, false).map_err(|e| match e {
+        ProtoError::Truncated { got, .. } => truncated(got),
+        other => other,
+    })?;
+    let body_len = len - head.len();
+    let mut body = Vec::with_capacity(body_len);
+    r.take(body_len as u64).read_to_end(&mut body)?;
+    if body.len() < body_len {
+        return Err(truncated(head.len() + body.len()));
+    }
+    let mut c = Cursor::new(head);
+    let magic = c.bytes::<4>()?;
+    if magic != MAGIC {
+        return Err(ProtoError::BadMagic(magic));
+    }
+    let status = Status::from_u8(c.u8()?)?;
+    Ok(Response { status, body })
 }
 
 /// `read_exact` distinguishing clean close (only when `at_boundary` and
@@ -520,12 +562,6 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadName)
     }
 
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.data[self.pos..];
-        self.pos = self.data.len();
-        s
-    }
-
     fn finish(self) -> Result<(), ProtoError> {
         let extra = self.data.len() - self.pos;
         if extra != 0 {
@@ -580,14 +616,151 @@ mod tests {
         }
     }
 
+    fn response_frame(resp: &Response) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_response(&mut buf, resp).unwrap();
+        buf
+    }
+
     #[test]
     fn responses_roundtrip() {
         let r = Response::ok(b"SNP_A\tSNP_B\tR2\n".to_vec());
-        assert_eq!(Response::decode(&r.encode()).unwrap(), r);
+        assert_eq!(read_response(&mut &response_frame(&r)[..]).unwrap(), r);
         let e = Response::error(Status::Shed, "queue full (depth 8)");
-        let d = Response::decode(&e.encode()).unwrap();
+        let d = read_response(&mut &response_frame(&e)[..]).unwrap();
         assert_eq!(d.status, Status::Shed);
         assert_eq!(d.message(), "queue full (depth 8)");
+        // an empty body is a 5-byte payload
+        let empty = Response::ok(Vec::new());
+        assert_eq!(response_frame(&empty), b"\x05\0\0\0LDS1\x00");
+        assert_eq!(
+            read_response(&mut &response_frame(&empty)[..]).unwrap(),
+            empty
+        );
+    }
+
+    /// Counts the calls that put bytes on the wire.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            let before = self.bytes.len();
+            for b in bufs {
+                self.bytes.extend_from_slice(b);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        let req = Request::Region {
+            panel: "p".into(),
+            stat: StatCode::RSquared,
+            row0: 0,
+            row1: 400,
+            min_r2: 0.0,
+        };
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &req.encode(), &[]).unwrap();
+        assert_eq!(w.writes, 1, "a request frame is one write");
+        assert_eq!(&w.bytes[4..], &req.encode()[..]);
+
+        let table: Vec<u8> = (0..2 << 20).map(|i| b"0123456789\t\n"[i % 12]).collect();
+        let resp = Response::ok(table);
+        let mut w = CountingWriter::default();
+        write_response(&mut w, &resp).unwrap();
+        assert_eq!(w.writes, 1, "a 2 MB response frame is one write");
+        assert_eq!(read_response(&mut &w.bytes[..]).unwrap(), resp);
+    }
+
+    #[test]
+    fn short_writes_resume_mid_buffer() {
+        /// Takes at most 3 bytes per call.
+        struct Dribble(Vec<u8>);
+        impl Write for Dribble {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(3);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let resp = Response::error(Status::NotFound, "no such panel");
+        let mut w = Dribble(Vec::new());
+        write_response(&mut w, &resp).unwrap();
+        assert_eq!(w.0, response_frame(&resp));
+    }
+
+    #[test]
+    fn read_response_cut_in_head_or_body_is_truncated() {
+        let frame = response_frame(&Response::ok(b"SNP_A\tSNP_B\tR2\n".to_vec()));
+        let len = frame.len() - 4;
+        // every cut after the prefix: inside the head (4..9) or the body
+        for cut in 4..frame.len() {
+            match read_response(&mut &frame[..cut]) {
+                Err(ProtoError::Truncated { expected, got }) => {
+                    assert_eq!((expected, got), (len, cut - 4), "cut at {cut}")
+                }
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
+        // inside the prefix: truncated too
+        assert!(matches!(
+            read_response(&mut &frame[..2]),
+            Err(ProtoError::Truncated {
+                expected: 4,
+                got: 2
+            })
+        ));
+    }
+
+    #[test]
+    fn read_response_rejects_a_foreign_head_after_consuming_the_frame() {
+        let mut frame = response_frame(&Response::ok(b"body".to_vec()));
+        frame[4] = b'X';
+        let next = response_frame(&Response::ok(b"next".to_vec()));
+        let mut wire = frame.clone();
+        wire.extend_from_slice(&next);
+        let mut r = &wire[..];
+        assert!(matches!(
+            read_response(&mut r),
+            Err(ProtoError::BadMagic(_))
+        ));
+        assert_eq!(read_response(&mut r).unwrap().body, b"next");
+
+        let mut bad_status = response_frame(&Response::ok(Vec::new()));
+        bad_status[8] = 0x42;
+        assert!(matches!(
+            read_response(&mut &bad_status[..]),
+            Err(ProtoError::BadStatus(0x42))
+        ));
+        // payloads too short for a head are short, as a strict decode says
+        assert!(matches!(
+            read_response(&mut &b"\x02\0\0\0LD"[..]),
+            Err(ProtoError::Short { need: 4, got: 2 })
+        ));
+        assert!(matches!(
+            read_response(&mut &b"\x04\0\0\0LDS1"[..]),
+            Err(ProtoError::Short { need: 1, got: 0 })
+        ));
     }
 
     #[test]
@@ -653,23 +826,26 @@ mod tests {
     #[test]
     fn frames_roundtrip_and_bound_length() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
+        write_frame(&mut buf, b"LDS1", b"\x00hello").unwrap();
+        assert_eq!(buf, b"\x0a\0\0\0LDS1\x00hello");
         let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r, 64).unwrap(), b"hello");
-        assert!(matches!(read_frame(&mut r, 64), Err(ProtoError::Closed)));
+        assert_eq!(read_response(&mut r).unwrap().body, b"hello");
+        assert!(matches!(read_response(&mut r), Err(ProtoError::Closed)));
         // oversized prefix is typed and names the bound
         let mut big = Vec::new();
         big.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            read_frame(&mut &big[..], 64),
-            Err(ProtoError::Oversized { max: 64, .. })
+            read_response(&mut &big[..]),
+            Err(ProtoError::Oversized {
+                max: MAX_RESPONSE_PAYLOAD,
+                ..
+            })
         ));
         // mid-frame EOF is truncation, not a clean close
-        let mut cut = Vec::new();
-        write_frame(&mut cut, b"hello").unwrap();
+        let mut cut = buf.clone();
         cut.truncate(6);
         assert!(matches!(
-            read_frame(&mut &cut[..], 64),
+            read_response(&mut &cut[..]),
             Err(ProtoError::Truncated { .. })
         ));
     }

@@ -23,6 +23,12 @@
 //! and is what ordering assertions should use, `ts_ms` is wall time for
 //! humans and log correlation.
 //!
+//! The terminal event is logged by the connection thread once the reply
+//! is written, and says where the request's time went: `read_ns`,
+//! `queue_ns`, `service_ns` and `write_ns` are disjoint stages of
+//! `total_ns`, which runs from the first request byte to the last reply
+//! byte (a stage the request never entered is omitted).
+//!
 //! Requests slower than the configured `--slow-ms` threshold are
 //! mirrored to stderr on their terminal event.
 
@@ -49,11 +55,16 @@ pub struct Event<'a> {
     pub fingerprint: Option<u64>,
     /// Terminal status name, on `shed`/`timeout`/`finish`.
     pub status: Option<&'static str>,
+    /// First request byte to last request byte, on terminal events.
+    pub read_ns: Option<u64>,
     /// Time spent queued, known from `start` onward.
     pub queue_ns: Option<u64>,
     /// Time spent computing, on terminal events of requests that ran.
     pub service_ns: Option<u64>,
-    /// Accept-to-answer wall time, on terminal events.
+    /// Time spent writing the reply, on terminal events.
+    pub write_ns: Option<u64>,
+    /// First request byte to last reply byte, on terminal events; the
+    /// stages above are disjoint pieces of it.
     pub total_ns: Option<u64>,
     /// Free-form context (panic message, shed reason).
     pub detail: Option<&'a str>,
@@ -112,8 +123,10 @@ impl RequestLog {
             let _ = write!(line, ",\"status\":\"{status}\"");
         }
         for (key, val) in [
+            ("read_ns", ev.read_ns),
             ("queue_ns", ev.queue_ns),
             ("service_ns", ev.service_ns),
+            ("write_ns", ev.write_ns),
             ("total_ns", ev.total_ns),
         ] {
             if let Some(v) = val {
@@ -169,8 +182,10 @@ mod tests {
             event: "finish",
             opcode: "pair",
             status: Some("ok"),
+            read_ns: Some(1),
             queue_ns: Some(10),
             service_ns: Some(20),
+            write_ns: Some(2),
             total_ns: Some(35),
             ..Event::default()
         });
@@ -182,7 +197,9 @@ mod tests {
         assert!(lines[0].contains("\"panel\":\"chr\\\"1\\\\a\""));
         assert!(lines[0].contains("\"fingerprint\":\"000000000000abcd\""));
         assert!(!lines[0].contains("status"), "absent fields are omitted");
-        assert!(lines[1].contains("\"total_ns\":35"));
+        assert!(lines[1].contains(
+            "\"read_ns\":1,\"queue_ns\":10,\"service_ns\":20,\"write_ns\":2,\"total_ns\":35"
+        ));
         assert!(lines[1].ends_with('}'));
         let _ = std::fs::remove_file(&path);
     }

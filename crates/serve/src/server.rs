@@ -2,14 +2,25 @@
 //!
 //! ## Threading model
 //!
-//! One accept loop (the thread that calls [`Server::run`]) polls a
-//! non-blocking listener. Each admitted connection gets a cheap reader
-//! thread that decodes frames and *responds* — it never computes. Point
-//! and region queries go through the admission controller into a
-//! bounded queue consumed by a fixed worker pool; workers compute and
-//! hand the response back over a channel, so a slow or dead client can
-//! only ever wedge its own reader (bounded further by a write timeout),
-//! never a worker.
+//! One accept loop (the thread that calls [`Server::run`]) blocks in
+//! `accept`; when the shutdown token trips, a waker thread makes one
+//! connection to the bound address, and the loop, which re-checks the
+//! token after every accept, stops. Each admitted connection gets a
+//! cheap reader thread that decodes frames and *responds* — it never
+//! computes. Point and region queries go through the admission
+//! controller into a bounded queue consumed by a fixed worker pool;
+//! workers compute and hand the response back over a channel, so a slow
+//! or dead client can only ever wedge its own reader (bounded further by
+//! a write timeout), never a worker.
+//!
+//! ## Write model
+//!
+//! Every accepted socket has `TCP_NODELAY` on, and every reply leaves in
+//! one vectored write of its frame ([`write_response`]): the body goes
+//! from the worker's `Vec` to the socket without a copy. The reader
+//! thread times each request from its first byte to its last reply byte
+//! and logs where that went — read, queue, service, write — on the
+//! request's terminal log event, once the reply is written.
 //!
 //! ## Admission and shedding
 //!
@@ -34,11 +45,12 @@
 //! requests complete and their responses are written. If the drain
 //! deadline expires first, the hard-stop token cancels in-flight
 //! compute at the next slab boundary and remaining queued requests are
-//! answered `ShuttingDown`. [`DrainOutcome`] reports which of the two
+//! answered `ShuttingDown`. The drain waits on a condvar the last
+//! in-flight request signals. [`DrainOutcome`] reports which of the two
 //! happened — the CLI maps it to exit code 0 (clean) or 5 (interrupted).
 
 use crate::http;
-use crate::protocol::{write_frame, ProtoError, Request, Response, Status, MAX_REQUEST_PAYLOAD};
+use crate::protocol::{write_response, ProtoError, Request, Response, Status, MAX_REQUEST_PAYLOAD};
 use crate::registry::{PanelRegistry, RegistryError};
 use crate::reqlog::{Event, RequestLog};
 use ld_core::{CancelToken, Deadline, LdError, LdMatrix};
@@ -49,13 +61,22 @@ use ld_trace::Counter;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// How often the waker looks at the shutdown token, which can be polled
+/// but not waited on. Bounds how late the accept loop hears of a
+/// shutdown; nothing on the accept or request path waits for it.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
+
+/// Back-off after an `accept` error other than an aborted handshake
+/// (out of descriptors or buffers): retrying at once would spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Daemon tuning knobs; the defaults suit a loopback test instance.
 #[derive(Clone, Debug)]
@@ -134,7 +155,7 @@ pub enum DrainOutcome {
 /// One admitted query traveling from a reader thread to a worker.
 struct Job {
     req: Request,
-    resp_tx: SyncSender<Response>,
+    reply_tx: SyncSender<Reply>,
     accepted: Instant,
     deadline: Deadline,
     token: CancelToken,
@@ -142,6 +163,14 @@ struct Job {
     id: u64,
     op: ServeOp,
     fingerprint: Option<u64>,
+}
+
+/// A worker's answer to a [`Job`] and the worker-side stages it took.
+struct Reply {
+    resp: Response,
+    queue_ns: Option<u64>,
+    /// `None` when the request never ran (expired, drained).
+    service_ns: Option<u64>,
 }
 
 struct Shared {
@@ -156,6 +185,9 @@ struct Shared {
     /// Admitted requests whose reply has not reached the socket yet
     /// (queued, executing, or being written): what a drain waits for.
     in_flight: AtomicUsize,
+    /// Signalled (under `settle`) when `in_flight` falls to zero.
+    settled: Condvar,
+    settle: Mutex<()>,
     conns: AtomicUsize,
     started: Instant,
     /// Structured request log, when `--request-log` is set.
@@ -174,12 +206,32 @@ impl Shared {
             log.log(ev);
         }
     }
+
+    /// Waits until no admitted request is in flight or `until` passes;
+    /// returns how many still are.
+    fn settle(&self, until: Instant) -> usize {
+        let mut guard = lock(&self.settle);
+        loop {
+            let pending = self.in_flight.load(Ordering::Acquire);
+            let left = until.saturating_duration_since(Instant::now());
+            if pending == 0 || left.is_zero() {
+                return pending;
+            }
+            guard = self
+                .settled
+                .wait_timeout(guard, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
 }
 
 /// A bound, not-yet-running daemon. [`Server::run`] blocks the calling
 /// thread until shutdown; [`Server::spawn`] runs it on its own thread.
 pub struct Server {
     listener: TcpListener,
+    /// The listener's bound address (port 0 resolved).
+    addr: SocketAddr,
     /// The metrics HTTP listener, pre-bound so `bind` fails fast on a
     /// bad `metrics_addr` and a `:0` port is resolvable before `run`.
     metrics_listener: Option<(TcpListener, SocketAddr)>,
@@ -230,11 +282,10 @@ impl Server {
     /// not serving until [`run`](Server::run) / [`spawn`](Server::spawn).
     pub fn bind(cfg: ServeConfig, registry: PanelRegistry) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         let metrics_listener = match &cfg.metrics_addr {
             Some(addr) => {
                 let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
                 let resolved = l.local_addr()?;
                 Some((l, resolved))
             }
@@ -252,6 +303,8 @@ impl Server {
             shutdown: CancelToken::new(),
             hard_stop: CancelToken::new(),
             in_flight: AtomicUsize::new(0),
+            settled: Condvar::new(),
+            settle: Mutex::new(()),
             conns: AtomicUsize::new(0),
             started: Instant::now(),
             reqlog,
@@ -259,6 +312,7 @@ impl Server {
         });
         Ok(Server {
             listener,
+            addr,
             metrics_listener,
             shared,
         })
@@ -266,7 +320,7 @@ impl Server {
 
     /// The bound address (resolves a `:0` bind).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        Ok(self.addr)
     }
 
     /// The bound metrics HTTP address, when `metrics_addr` was set.
@@ -291,57 +345,57 @@ impl Server {
             .collect();
 
         // Scrape endpoint: keeps answering through the drain (operators
-        // watch the drain happen), dies when hard_stop trips below.
-        let http_thread = self.metrics_listener.map(|(listener, _)| {
+        // watch the drain happen), stopped and woken at the end of `run`.
+        let http_thread = self.metrics_listener.map(|(listener, addr)| {
             let s = Arc::clone(&shared);
             let stop = shared.hard_stop.clone();
-            std::thread::spawn(move || {
-                http::serve_http(listener, stop, move |path| match path {
+            let thread = std::thread::spawn(move || {
+                http::serve_http(&listener, &stop, move |path| match path {
                     "/metrics" => Some((metrics_text(&s), http::CONTENT_TYPE_PROM)),
                     "/health" => Some((health_json(&s), "application/json")),
                     _ => None,
                 })
-            })
+            });
+            (thread, addr)
         });
 
-        // Accept loop.
-        while !shared.shutdown.is_cancelled() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if shared.conns.load(Ordering::Relaxed) >= shared.cfg.max_connections {
-                        shed_connection(stream, &shared.cfg);
-                        continue;
-                    }
-                    shared.conns.fetch_add(1, Ordering::Relaxed);
-                    let s = Arc::clone(&shared);
-                    std::thread::spawn(move || {
-                        connection_loop(stream, &s);
-                        s.conns.fetch_sub(1, Ordering::Relaxed);
-                    });
+        // The shutdown token can only be polled: this thread polls it, so
+        // the accept loop below can block, and wakes that loop once.
+        let waker = {
+            let shutdown = shared.shutdown.clone();
+            let addr = self.addr;
+            std::thread::spawn(move || {
+                while !shutdown.is_cancelled() {
+                    std::thread::park_timeout(SHUTDOWN_POLL);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                wake(addr);
+            })
+        };
+        accept_until(&self.listener, &shared.shutdown, |stream| {
+            if shared.conns.load(Ordering::Relaxed) >= shared.cfg.max_connections {
+                shed_connection(stream, &shared.cfg);
+                return;
             }
-        }
+            shared.conns.fetch_add(1, Ordering::Relaxed);
+            let s = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                connection_loop(stream, &s);
+                s.conns.fetch_sub(1, Ordering::Relaxed);
+            });
+        });
         // Stop accepting: close the socket so new connects are refused.
         drop(self.listener);
+        let _ = waker.join();
 
         // Drain in-flight work under the drain deadline.
-        let drain_until = Instant::now() + shared.cfg.drain_timeout;
-        let outcome = loop {
-            let pending = shared.in_flight.load(Ordering::Acquire);
-            if pending == 0 {
-                break DrainOutcome::Drained;
-            }
-            if Instant::now() >= drain_until {
+        let outcome = match shared.settle(Instant::now() + shared.cfg.drain_timeout) {
+            0 => DrainOutcome::Drained,
+            abandoned => {
                 shared
                     .hard_stop
                     .cancel_with_reason("drain deadline exceeded");
-                break DrainOutcome::DeadlineExceeded { abandoned: pending };
+                DrainOutcome::DeadlineExceeded { abandoned }
             }
-            std::thread::sleep(Duration::from_millis(10));
         };
 
         // Release the pool: abandoned jobs get ShuttingDown responses on
@@ -354,12 +408,10 @@ impl Server {
         // Every admitted request now has a reply in its connection
         // thread's hands. A caller about to exit the process must not cut
         // those writes off: wait for them, for as long as a write may take.
-        let flush_until = Instant::now() + shared.cfg.write_timeout;
-        while shared.in_flight.load(Ordering::Acquire) != 0 && Instant::now() < flush_until {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        if let Some(h) = http_thread {
-            let _ = h.join();
+        shared.settle(Instant::now() + shared.cfg.write_timeout);
+        if let Some((thread, addr)) = http_thread {
+            wake(addr);
+            let _ = thread.join();
         }
         outcome
     }
@@ -379,21 +431,57 @@ impl Server {
     }
 }
 
+/// Accepts on `listener` until `stop` trips, handing every connection —
+/// `TCP_NODELAY` set — to `serve`. `accept` blocks: whoever trips `stop`
+/// must also [`wake`] the listener, and the connection that arrives
+/// after the trip is dropped instead of served.
+pub(crate) fn accept_until(
+    listener: &TcpListener,
+    stop: &CancelToken,
+    mut serve: impl FnMut(TcpStream),
+) {
+    while !stop.is_cancelled() {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                if stop.is_cancelled() {
+                    return;
+                }
+                let _ = stream.set_nodelay(true);
+                serve(stream);
+            }
+            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
+            Err(_) => std::thread::park_timeout(ACCEPT_RETRY),
+        }
+    }
+}
+
+/// Unblocks an [`accept_until`] parked on `addr` with one throwaway
+/// connection (to loopback when `addr` is a wildcard bind).
+pub(crate) fn wake(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
+
 /// Best-effort `Shed` for a connection over the connection bound.
-fn shed_connection(stream: TcpStream, cfg: &ServeConfig) {
+fn shed_connection(mut stream: TcpStream, cfg: &ServeConfig) {
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
-    let mut stream = stream;
     let resp = Response::error(
         Status::Shed,
         format!("connection limit reached ({})", cfg.max_connections),
     );
     ld_trace::add(Counter::RequestsShed, 1);
-    let _ = write_frame(&mut stream, &resp.encode());
+    let _ = write_response(&mut stream, &resp);
 }
 
 /// Why the connection read loop stopped.
 enum ConnRead {
-    Frame(Vec<u8>),
+    /// A whole frame's payload, and when its first byte arrived.
+    Frame(Vec<u8>, Instant),
     /// Peer closed, or the daemon is shutting down and the connection
     /// is idle — close silently.
     Close,
@@ -420,7 +508,8 @@ fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> ConnRead {
     if let Some(stop) = read_polled(stream, &mut payload, &mut frame_started, shared, false) {
         return stop;
     }
-    ConnRead::Frame(payload)
+    // the prefix arrived, so its first read stamped `frame_started`
+    ConnRead::Frame(payload, frame_started.unwrap_or_else(Instant::now))
 }
 
 /// Fills `buf`, honoring shutdown (idle boundary only) and the frame
@@ -494,21 +583,22 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
         return;
     }
     loop {
-        let payload = match read_frame_polled(&mut stream, shared) {
-            ConnRead::Frame(p) => p,
+        let (payload, first_byte) = match read_frame_polled(&mut stream, shared) {
+            ConnRead::Frame(p, t) => (p, t),
             ConnRead::Close => return,
             ConnRead::Fatal(e) => {
                 let resp = Response::error(Status::BadRequest, e.to_string());
-                let _ = write_frame(&mut stream, &resp.encode());
+                let _ = write_response(&mut stream, &resp);
                 return;
             }
         };
+        let read_ns = elapsed_ns(first_byte.elapsed());
         let req = match Request::decode(&payload) {
             Ok(r) => r,
             Err(e) => {
                 // Payload-level damage: typed error, connection survives.
                 let resp = Response::error(Status::BadRequest, e.to_string());
-                if write_frame(&mut stream, &resp.encode()).is_err() {
+                if write_response(&mut stream, &resp).is_err() {
                     return;
                 }
                 continue;
@@ -519,18 +609,22 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
         // stay responsive even when the queue is saturated.
         let health = || Response::ok(health_json(shared).into_bytes());
         let metrics = || Response::ok(metrics_text(shared).into_bytes());
-        // `_admitted` is released at the end of this iteration: after the
-        // reply has been written, or the connection given up on.
-        let (resp, _admitted) = match req {
-            Request::Health => (inline_request(shared, ServeOp::Health, health), None),
-            Request::Metrics => (inline_request(shared, ServeOp::Metrics, metrics), None),
-            Request::DumpTrace => (
-                inline_request(shared, ServeOp::DumpTrace, dump_trace_response),
-                None,
-            ),
+        let answer = match req {
+            Request::Health => inline_request(shared, ServeOp::Health, health),
+            Request::Metrics => inline_request(shared, ServeOp::Metrics, metrics),
+            Request::DumpTrace => inline_request(shared, ServeOp::DumpTrace, dump_trace_response),
             query => dispatch_query(query, shared),
         };
-        if write_frame(&mut stream, &resp.encode()).is_err() {
+        let write0 = Instant::now();
+        let written = write_response(&mut stream, &answer.resp);
+        let done = Instant::now();
+        answer.close(
+            shared,
+            read_ns,
+            elapsed_ns(done - write0),
+            elapsed_ns(done - first_byte),
+        );
+        if written.is_err() {
             // Slow or dead client: abandon the connection. The worker
             // already moved on — only this reader thread is affected.
             return;
@@ -538,31 +632,89 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
+/// A decoded request whose reply is about to be written: what its
+/// terminal log event and its latency record need once it has been.
+struct Answer<'a> {
+    resp: Response,
+    id: u64,
+    op: ServeOp,
+    panel: Option<String>,
+    fingerprint: Option<u64>,
+    /// Terminal event: `finish`, or `shed` / `timeout`.
+    event: &'static str,
+    detail: Option<&'static str>,
+    queue_ns: Option<u64>,
+    service_ns: Option<u64>,
+    /// Queued requests only: released once the lifecycle is closed.
+    admitted: Option<Admitted<'a>>,
+}
+
+impl<'a> Answer<'a> {
+    /// A `finish` that was neither queued nor run.
+    fn new(resp: Response, id: u64, op: ServeOp) -> Self {
+        Answer {
+            resp,
+            id,
+            op,
+            panel: None,
+            fingerprint: None,
+            event: "finish",
+            detail: None,
+            queue_ns: None,
+            service_ns: None,
+            admitted: None,
+        }
+    }
+
+    /// Closes the lifecycle after the reply was written (or given up
+    /// on): the outcome-labelled latency, then the terminal log event
+    /// with every stage the request went through, then the in-flight
+    /// release a drain waits for.
+    fn close(self, shared: &Shared, read_ns: u64, write_ns: u64, total_ns: u64) {
+        // Only Ok feeds the success histogram `health` reads;
+        // shed/timeout/error land in their own series.
+        record_served(
+            self.op,
+            outcome_of(self.resp.status),
+            self.queue_ns.unwrap_or(0),
+            self.service_ns.unwrap_or(0),
+            total_ns,
+        );
+        shared.log(&Event {
+            id: self.id,
+            event: self.event,
+            opcode: self.op.name(),
+            panel: self.panel.as_deref(),
+            fingerprint: self.fingerprint,
+            status: Some(status_name(self.resp.status)),
+            read_ns: Some(read_ns),
+            queue_ns: self.queue_ns,
+            service_ns: self.service_ns,
+            write_ns: Some(write_ns),
+            total_ns: Some(total_ns),
+            detail: self.detail,
+        });
+        drop(self.admitted);
+    }
+}
+
 /// Serves an opcode that never queues (`health`/`metrics`/`dump_trace`)
 /// directly on the reader thread, with full telemetry and log coverage:
 /// `accept` then `finish`, latency labelled by outcome.
-fn inline_request(shared: &Shared, op: ServeOp, f: impl FnOnce() -> Response) -> Response {
+fn inline_request(shared: &Shared, op: ServeOp, f: impl FnOnce() -> Response) -> Answer<'_> {
     let id = shared.next_id();
-    let t0 = Instant::now();
     shared.log(&Event {
         id,
         event: "accept",
         opcode: op.name(),
         ..Event::default()
     });
+    let t0 = Instant::now();
     let resp = f();
-    let total_ns = elapsed_ns(t0.elapsed());
-    record_served(op, outcome_of(resp.status), 0, total_ns, total_ns);
-    shared.log(&Event {
-        id,
-        event: "finish",
-        opcode: op.name(),
-        status: Some(status_name(resp.status)),
-        service_ns: Some(total_ns),
-        total_ns: Some(total_ns),
-        ..Event::default()
-    });
-    resp
+    Answer {
+        service_ns: Some(elapsed_ns(t0.elapsed())),
+        ..Answer::new(resp, id, op)
+    }
 }
 
 /// The `dump_trace` body: a Chrome/Perfetto JSON snapshot of the live
@@ -579,21 +731,25 @@ fn dump_trace_response() -> Response {
 
 /// One admitted request, counted in [`Shared::in_flight`] from admission
 /// until its holder — the connection thread — drops it after writing the
-/// reply. A drain that waited only for the worker's answer could let the
-/// process exit between "answered" and "written".
+/// reply and logging its terminal event. A drain that waited only for the
+/// worker's answer could let the process exit between "answered" and
+/// "written".
 struct Admitted<'a>(&'a Shared);
 
 impl Drop for Admitted<'_> {
     fn drop(&mut self) {
-        self.0.in_flight.fetch_sub(1, Ordering::AcqRel);
+        if self.0.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // the last one out wakes a drain waiting in `Shared::settle`
+            let _guard = lock(&self.0.settle);
+            self.0.settled.notify_all();
+        }
     }
 }
 
 /// Admission control: enqueue or shed, then wait for the worker's answer.
-fn dispatch_query(req: Request, shared: &Shared) -> (Response, Option<Admitted<'_>>) {
+fn dispatch_query(req: Request, shared: &Shared) -> Answer<'_> {
     let id = shared.next_id();
     let op = op_of(&req);
-    let t0 = Instant::now();
     let panel = req_panel(&req).map(str::to_string);
     let fingerprint = panel
         .as_deref()
@@ -607,25 +763,22 @@ fn dispatch_query(req: Request, shared: &Shared) -> (Response, Option<Admitted<'
         fingerprint,
         ..Event::default()
     });
+    let answer = |resp, event, detail| Answer {
+        panel: panel.clone(),
+        fingerprint,
+        event,
+        detail,
+        ..Answer::new(resp, id, op)
+    };
     if shared.shutdown.is_cancelled() {
-        let total_ns = elapsed_ns(t0.elapsed());
-        record_served(op, ServeOutcome::ShuttingDown, 0, 0, total_ns);
-        shared.log(&Event {
-            id,
-            event: "finish",
-            opcode: op.name(),
-            status: Some("shutting_down"),
-            total_ns: Some(total_ns),
-            detail: Some("daemon is draining"),
-            ..Event::default()
-        });
-        let resp = Response::error(Status::ShuttingDown, "daemon is draining");
-        return (resp, None);
+        const DRAINING: &str = "daemon is draining";
+        let resp = Response::error(Status::ShuttingDown, DRAINING);
+        return answer(resp, "finish", Some(DRAINING));
     }
-    let (resp_tx, resp_rx) = mpsc::sync_channel::<Response>(1);
+    let (reply_tx, reply_rx) = mpsc::sync_channel::<Reply>(1);
     let job = Job {
         req,
-        resp_tx,
+        reply_tx,
         accepted: Instant::now(),
         deadline: Deadline::after(shared.cfg.request_timeout),
         token: shared.hard_stop.child(),
@@ -637,26 +790,11 @@ fn dispatch_query(req: Request, shared: &Shared) -> (Response, Option<Admitted<'
         let mut q = lock(&shared.queue);
         if q.len() >= shared.cfg.queue_depth {
             ld_trace::add(Counter::RequestsShed, 1);
-            // Shed latency is recorded too — labelled by outcome, so it
-            // never pollutes the success histogram.
-            let total_ns = elapsed_ns(t0.elapsed());
-            record_served(op, ServeOutcome::Shed, 0, 0, total_ns);
-            shared.log(&Event {
-                id,
-                event: "shed",
-                opcode: op.name(),
-                panel: panel.as_deref(),
-                fingerprint,
-                status: Some("shed"),
-                total_ns: Some(total_ns),
-                detail: Some("request queue full"),
-                ..Event::default()
-            });
             let resp = Response::error(
                 Status::Shed,
                 format!("request queue full (depth {})", shared.cfg.queue_depth),
             );
-            return (resp, None);
+            return answer(resp, "shed", Some("request queue full"));
         }
         shared.in_flight.fetch_add(1, Ordering::AcqRel);
         ld_trace::add(Counter::RequestsAccepted, 1);
@@ -677,16 +815,32 @@ fn dispatch_query(req: Request, shared: &Shared) -> (Response, Option<Admitted<'
     // wedges outright — which the panic containment makes a bug, not an
     // expected path.
     let grace = shared.cfg.request_timeout + shared.cfg.drain_timeout + Duration::from_secs(5);
-    let resp = match resp_rx.recv_timeout(grace) {
-        Ok(resp) => resp,
+    let unanswered = |status, message| Reply {
+        resp: Response::error(status, message),
+        queue_ns: None,
+        service_ns: None,
+    };
+    let reply = match reply_rx.recv_timeout(grace) {
+        Ok(reply) => reply,
         Err(RecvTimeoutError::Timeout) => {
-            Response::error(Status::Timeout, "request timed out in the server")
+            unanswered(Status::Timeout, "request timed out in the server")
         }
         Err(RecvTimeoutError::Disconnected) => {
-            Response::error(Status::Internal, "worker abandoned the request")
+            unanswered(Status::Internal, "worker abandoned the request")
         }
     };
-    (resp, Some(admitted))
+    // A request that timed out without running closes with `timeout`;
+    // everything else (a contained panic included) with `finish`.
+    let event = match (reply.resp.status, reply.service_ns) {
+        (Status::Timeout, None) => "timeout",
+        _ => "finish",
+    };
+    Answer {
+        queue_ns: reply.queue_ns,
+        service_ns: reply.service_ns,
+        admitted: Some(admitted),
+        ..answer(reply.resp, event, None)
+    }
 }
 
 /// One worker: pop, guard, compute under `catch_unwind`, answer.
@@ -712,18 +866,17 @@ fn worker_loop(shared: &Shared) {
         };
         let queue_ns = elapsed_ns(job.accepted.elapsed());
         let panel = req_panel(&job.req);
-        let mut ran = false;
-        let mut service_ns = 0u64;
-        let resp = if shared.hard_stop.is_cancelled() {
-            Response::error(
+        let (resp, service_ns) = if shared.hard_stop.is_cancelled() {
+            let resp = Response::error(
                 Status::ShuttingDown,
                 "drain deadline exceeded before the request ran",
-            )
+            );
+            (resp, None)
         } else if job.deadline.expired() {
             // Shed, don't stall: dead weight never reaches a worker.
-            Response::error(Status::Timeout, "deadline expired in the request queue")
+            let resp = Response::error(Status::Timeout, "deadline expired in the request queue");
+            (resp, None)
         } else {
-            ran = true;
             shared.log(&Event {
                 id: job.id,
                 event: "start",
@@ -738,8 +891,8 @@ fn worker_loop(shared: &Shared) {
                 std::thread::sleep(shared.cfg.inject_delay);
             }
             let outcome = catch_unwind(AssertUnwindSafe(|| handle_query(&job, shared)));
-            service_ns = elapsed_ns(svc0.elapsed());
-            outcome.unwrap_or_else(|payload| {
+            let service_ns = elapsed_ns(svc0.elapsed());
+            let resp = outcome.unwrap_or_else(|payload| {
                 let msg = panic_message(payload.as_ref()).to_string();
                 shared.log(&Event {
                     id: job.id,
@@ -757,7 +910,8 @@ fn worker_loop(shared: &Shared) {
                          the pool keeps serving)"
                     ),
                 )
-            })
+            });
+            (resp, Some(service_ns))
         };
         match resp.status {
             Status::Shed | Status::Timeout | Status::ShuttingDown => {
@@ -766,37 +920,13 @@ fn worker_loop(shared: &Shared) {
             Status::Internal => ld_trace::add(Counter::RequestsFailed, 1),
             _ => {}
         }
-        let total_ns = elapsed_ns(job.accepted.elapsed());
-        // Outcome-labelled latency: only Ok feeds the success histogram
-        // `health` reads; shed/timeout/error land in their own series.
-        record_served(
-            job.op,
-            outcome_of(resp.status),
-            queue_ns,
-            if ran { service_ns } else { 0 },
-            total_ns,
-        );
-        // Terminal log event: a queue-deadline expiry is `timeout`;
-        // everything else (including a contained panic) closes with
-        // `finish` carrying the terminal status.
-        let event = if !ran && resp.status == Status::Timeout {
-            "timeout"
-        } else {
-            "finish"
-        };
-        shared.log(&Event {
-            id: job.id,
-            event,
-            opcode: job.op.name(),
-            panel,
-            fingerprint: job.fingerprint,
-            status: Some(status_name(resp.status)),
+        // The terminal log event and the latency record are the reader
+        // thread's, once the reply is on the wire.
+        let _ = job.reply_tx.try_send(Reply {
+            resp,
             queue_ns: Some(queue_ns),
-            service_ns: if ran { Some(service_ns) } else { None },
-            total_ns: Some(total_ns),
-            ..Event::default()
+            service_ns,
         });
-        let _ = job.resp_tx.try_send(resp);
     }
 }
 

@@ -105,6 +105,28 @@ fn region_response_is_byte_identical_to_cli_table() {
 }
 
 #[test]
+fn fifty_pairs_on_one_persistent_connection_take_under_a_second() {
+    // A frame that waits out a delayed ACK costs >= 40 ms, so 50 stalled
+    // exchanges take >= 2 s; 50 exchanges that cost their work take
+    // a few ms even in a debug build.
+    let (handle, dir) = start("persist", ServeConfig::default());
+    let mut c = connect(&handle);
+    assert_eq!(c.request(&pair_req(0, 1)).expect("warm").status, Status::Ok);
+    let t0 = std::time::Instant::now();
+    for k in 0..50u32 {
+        let resp = c.request(&pair_req(k % 16, (k + 1) % 16)).expect("pair");
+        assert_eq!(resp.status, Status::Ok, "{}", resp.message());
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "50 sequential pairs on one connection took {took:?}: a frame is waiting on the wire"
+    );
+    assert_eq!(handle.shutdown_and_wait(), DrainOutcome::Drained);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn pair_response_matches_the_matrix_value() {
     let (handle, dir) = start("pair", ServeConfig::default());
     let f = std::fs::File::open(dir.join("toy.txt")).expect("open panel");

@@ -269,6 +269,102 @@ fn request_log_records_full_lifecycles() {
 }
 
 #[test]
+fn request_log_stages_account_for_client_latency() {
+    const REGIONS: usize = 20;
+    // The daemon stops its clock when its write returns; the client, on
+    // another CPU, can have read the last byte a few µs before that — or
+    // milliseconds before, when the daemon's thread is preempted on its
+    // way out of the write (seen at 2-4 ms with three suites sharing two
+    // CPUs). The pause between requests is longer than this slack, so a
+    // `total_ns` that started before the request's first byte still fails.
+    const CLOCK_SLACK_NS: i64 = 10_000_000;
+    const PAUSE: Duration = Duration::from_millis(20);
+    // Client latency minus the daemon's `total_ns` is the client's own
+    // write and read plus two wake-ups on loopback: tens of µs. A frame
+    // waiting out a delayed ACK outside the daemon's clock adds >= 40 ms.
+    const MEDIAN_GAP_NS: i64 = 5_000_000;
+    let dir = temp_dir("stages");
+    let log_path = dir.join("requests.jsonl");
+    let cfg = ServeConfig {
+        request_log: Some(log_path.to_string_lossy().into_owned()),
+        ..ServeConfig::default()
+    };
+    let engine = ld_core::LdEngine::new()
+        .threads(1)
+        .nan_policy(ld_core::NanPolicy::Zero);
+    let mut registry = PanelRegistry::new(engine, 1 << 20);
+    let panel = write_panel(&dir, "wide", 64, 120, 5);
+    assert!(registry.add_source("wide", PanelSource::TextFile(panel)));
+    let handle = Server::bind(cfg, registry)
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let region = Request::Region {
+        panel: "wide".into(),
+        stat: StatCode::RSquared,
+        row0: 0,
+        row1: 0,
+        min_r2: 0.0,
+    };
+    let mut c = connect(&handle);
+    // the first region loads the panel; the timed ones find it resident
+    assert_eq!(c.request(&region).expect("load").status, Status::Ok);
+    let mut client_ns = Vec::with_capacity(REGIONS);
+    for _ in 0..REGIONS {
+        std::thread::sleep(PAUSE);
+        let t0 = std::time::Instant::now();
+        let resp = c.request(&region).expect("region");
+        client_ns.push(t0.elapsed().as_nanos() as i64);
+        assert_eq!(resp.status, Status::Ok, "{}", resp.message());
+        assert!(resp.body.len() > 100_000, "a multi-segment reply");
+    }
+    // the drain waits for every terminal event: each is logged before
+    // its request stops counting as in flight
+    handle.shutdown_and_wait();
+
+    let text = std::fs::read_to_string(&log_path).expect("read request log");
+    let finishes: Vec<&str> = text
+        .lines()
+        .filter(|l| field(l, "event") == Some("finish"))
+        .collect();
+    assert_eq!(
+        finishes.len(),
+        REGIONS + 1,
+        "one finish per region:\n{text}"
+    );
+    let stage = |line: &str, key: &str| -> u64 {
+        field(line, key)
+            .unwrap_or_else(|| panic!("no {key} on a queued finish: {line}"))
+            .parse()
+            .unwrap_or_else(|_| panic!("{key} is not a non-negative integer: {line}"))
+    };
+    let mut gaps = Vec::with_capacity(REGIONS);
+    // ids follow arrival order on the one connection; skip the load
+    for (line, &client) in finishes[1..].iter().zip(&client_ns) {
+        let [read, queue, service, write, total] =
+            ["read_ns", "queue_ns", "service_ns", "write_ns", "total_ns"].map(|k| stage(line, k));
+        assert!(
+            read + queue + service + write <= total,
+            "stages exceed total_ns: {line}"
+        );
+        let gap = client - total as i64;
+        assert!(
+            gap >= -CLOCK_SLACK_NS,
+            "daemon total {total} ns > client-observed {client} ns + slack: {line}"
+        );
+        gaps.push(gap);
+    }
+    gaps.sort_unstable();
+    let median = gaps[gaps.len() / 2];
+    assert!(
+        median <= MEDIAN_GAP_NS,
+        "median client − daemon gap {median} ns > {MEDIAN_GAP_NS} ns: time is \
+         spent outside the logged stages (gaps: {gaps:?})"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn health_json_escapes_hostile_panel_names() {
     let dir = temp_dir("escape");
     let hostile = "evil\"panel\\name\twith\nnewline";

@@ -11,7 +11,8 @@
 #                         panic-free crates; every `unsafe` block and impl
 #                         in every member's lib carries a SAFETY argument
 #   4. release build, workspace tests, the release-arithmetic legs, the
-#                         one-formatter guard and the per-window guard
+#                         one-formatter, per-window, ext-kernel and wire
+#                         guards
 #   5. schemas          — each published artifact (`--profile=json`, trace
 #                         report, CPU profile, shard manifest, tile
 #                         manifest, request log, both Prometheus scrapes)
@@ -98,6 +99,29 @@ done | grep -F 'ld_kernels' || true)
 if [ -n "$KERNELS" ] || grep -q '^ld-kernels' crates/ext/Cargo.toml; then
     echo "ext kernel guard FAIL: a private count loop in ld-ext:" >&2
     printf '%s\n' "$KERNELS" >&2
+    exit 1
+fi
+# A served request costs its work, not a timer: both ends of an LDS1
+# socket set TCP_NODELAY, and neither listener polls — `accept` blocks
+# until a self-connect wakes it. The worker's `inject_delay` (a test aid,
+# zero in production) is the one sleep in the daemon's shipped code.
+echo "==> no wire stall in crates/serve/src/{server,http,client}.rs"
+shipped() {
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$@"
+}
+for f in crates/serve/src/server.rs crates/serve/src/client.rs; do
+    # no `grep -q`: an early exit would SIGPIPE awk and fail the pipe
+    if ! shipped "$f" | grep -F 'set_nodelay(true)' >/dev/null; then
+        echo "wire guard FAIL: no set_nodelay(true) in $f" >&2
+        exit 1
+    fi
+done
+STALL=$(for f in crates/serve/src/server.rs crates/serve/src/http.rs; do shipped "$f"; done \
+    | grep -E 'set_nonblocking\(true\)|thread::sleep' \
+    | grep -vF 'std::thread::sleep(shared.cfg.inject_delay)' || true)
+if [ -n "$STALL" ]; then
+    echo "wire guard FAIL: a non-blocking listener or a sleep in the daemon:" >&2
+    printf '%s\n' "$STALL" >&2
     exit 1
 fi
 
@@ -188,13 +212,24 @@ sys.path.insert(0, "scripts")
 from validate_metrics import validate
 
 schema = json.load(open("schemas/request_log.schema.json"))
-n = 0
+n = terminal = 0
 for n, line in enumerate(open(sys.argv[1]), 1):
-    errs = validate(json.loads(line), schema)
+    event = json.loads(line)
+    errs = validate(event, schema)
     if errs:
         sys.exit(f"schemas FAIL: request log line {n}: " + "; ".join(errs))
-if n < 80:
-    sys.exit(f"schemas FAIL: only {n} request-log lines after 42 requests")
+    if event["event"] not in ("shed", "timeout", "finish"):
+        continue
+    # a terminal event is logged after the reply is written and splits
+    # its first-byte-to-last-byte total into disjoint stages
+    terminal += 1
+    stages = ("read_ns", "queue_ns", "service_ns", "write_ns")
+    if not all(k in event for k in ("read_ns", "write_ns", "total_ns")):
+        sys.exit(f"schemas FAIL: request log line {n}: terminal event without its stages")
+    if sum(event.get(k, 0) for k in stages) > event["total_ns"]:
+        sys.exit(f"schemas FAIL: request log line {n}: stages exceed total_ns")
+if n < 80 or terminal < 42:
+    sys.exit(f"schemas FAIL: {n} request-log lines, {terminal} terminal, after 42 requests")
 print(f"    {sys.argv[1]}: {n} lines valid against schemas/request_log.schema.json")
 PYEOF
 fi
