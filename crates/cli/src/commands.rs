@@ -15,6 +15,8 @@ use ld_io::MatrixFormat;
 use ld_kernels::{BlockSizes, CpuProfile, KernelKind, TunedParams};
 use ld_omega::OmegaScan;
 use ld_popcount::{CpuFeatures, CpuFingerprint};
+use ld_trace::analyze::analyze;
+use ld_trace::recorder::TraceSnapshot;
 use ld_trace::Counter;
 use std::io::BufReader;
 use std::path::Path;
@@ -37,12 +39,13 @@ COMMANDS:
               [--kernel auto|scalar|avx2-mula|avx512-vpopcnt]
               [--stat r2|d|dprime] [-o pairs.tsv]
               [--profile[=text|json]] [--profile-out metrics.json]
-              [--trace-out trace.json] [--trace-report report.json]
-              (--trace-out records a span timeline and writes Chrome
-              trace-event JSON loadable in Perfetto / chrome://tracing;
-              --trace-report writes the timeline analysis — busy/idle,
-              imbalance, steal latency, layer shares, roofline — as
-              stable-schema JSON and prints it to stderr)
+              [--trace-out trace.json]
+              (--profile reports per-layer time, counters and the
+              kernel roofline, as text on stderr or stable-schema JSON;
+              --trace-out records a span timeline, writes Chrome
+              trace-event JSON loadable in Perfetto / chrome://tracing,
+              and adds its analysis — busy/idle, imbalance, steal
+              latency, layer shares — to the --profile report)
               [--timeout SECS] [--checkpoint FILE [--resume]]
               (SIGINT or an expired --timeout stops at the next slab
               boundary with exit code 5; --checkpoint makes the run
@@ -421,19 +424,29 @@ impl Drop for Interruption {
     }
 }
 
-/// Captures the per-layer metrics accumulated since the last
-/// [`ld_trace::reset`] and emits them: text to stderr, JSON to stdout or
-/// to `--profile-out FILE`.
+/// Captures the run report — the per-layer metrics accumulated since the
+/// last [`ld_trace::reset`], the roofline of the kernel `kind` resolves
+/// to, and the analysis of the span `trace` when the run recorded one —
+/// and emits it: text to stderr, JSON to stdout or to `--profile-out FILE`.
 fn emit_profile(
     mode: &str,
     out: Option<&str>,
     wall_ns: u64,
     threads: usize,
+    kind: KernelKind,
+    trace: Option<&TraceSnapshot>,
 ) -> Result<(), CliError> {
+    // Analytical peak of the resolved kernel (§IV/§V model: `lanes`
+    // 64-bit word-pairs per cycle at 3 fused ops/cycle).
+    let peak = ld_kernels::Kernel::resolve(kind)
+        .ok()
+        .map(|k| k.lanes() as f64);
     let report = ld_trace::MetricsReport::capture()
         .with_wall_ns(wall_ns)
         .with_threads(threads)
-        .with_tsc_hz(ld_kernels::clock::tsc_hz());
+        .with_tsc_hz(ld_kernels::clock::tsc_hz())
+        .with_peak_words_per_cycle(peak)
+        .with_timeline(trace.map(|snap| analyze(snap, Some(wall_ns), threads as u64)));
     if mode == "json" {
         let body = report.to_json();
         match out {
@@ -551,9 +564,7 @@ pub fn simulate(args: &Args) -> CmdResult {
 pub fn r2(args: &Args) -> CmdResult {
     let profile = parse_profile(args)?;
     let trace_out = args.get("trace-out").filter(|s| !s.is_empty());
-    let trace_report = args.get("trace-report").filter(|s| !s.is_empty());
-    let tracing = trace_out.is_some() || trace_report.is_some();
-    if profile.is_some() || tracing {
+    if profile.is_some() || trace_out.is_some() {
         // Fresh counters for this run (parse errors above leave the
         // accumulated state alone).
         ld_trace::reset();
@@ -566,7 +577,6 @@ pub fn r2(args: &Args) -> CmdResult {
             ("-o", "output"),
             ("--checkpoint", "checkpoint"),
             ("--trace-out", "trace-out"),
-            ("--trace-report", "trace-report"),
             ("--profile-out", "profile-out"),
         ],
     )?;
@@ -598,8 +608,8 @@ pub fn r2(args: &Args) -> CmdResult {
     };
     let (n, n_samples) = (src.n_snps(), src.n_samples());
     let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
-    if tracing {
-        ld_trace::recorder::start(ld_trace::recorder::RecorderConfig::for_threads(threads));
+    if trace_out.is_some() {
+        ld_trace::recorder::start(threads);
     }
     let stat = match args.get("stat") {
         None | Some("r2") => ld_core::LdStats::RSquared,
@@ -765,17 +775,14 @@ pub fn r2(args: &Args) -> CmdResult {
         intr.remove_checkpoint("run");
         emit_pairs(output, &m, min_r2)?;
     }
-    if tracing {
-        emit_trace(
-            trace_out,
-            trace_report,
-            compute_wall_ns,
-            threads,
-            engine.kernel_kind(),
-        )?;
-    }
+    let trace = match trace_out {
+        Some(path) => Some(emit_trace(path)?),
+        None => None,
+    };
     if let Some(mode) = profile {
-        emit_profile(mode, args.get("profile-out"), compute_wall_ns, threads)?;
+        let out = args.get("profile-out");
+        let kind = engine.kernel_kind();
+        emit_profile(mode, out, compute_wall_ns, threads, kind, trace.as_ref())?;
     }
     Ok(())
 }
@@ -806,42 +813,17 @@ pub fn import(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Stops the flight recorder and emits its artifacts: Chrome trace-event
-/// JSON (Perfetto-loadable) to `--trace-out`, and the span-timeline
-/// analysis to stderr plus, under `--trace-report FILE`, as stable-schema
-/// JSON. Both files are written atomically; unwritable paths surface as
-/// resource errors (exit code 4), never a panic or a torn file.
-fn emit_trace(
-    trace_out: Option<&str>,
-    trace_report: Option<&str>,
-    wall_ns: u64,
-    threads: usize,
-    kind: KernelKind,
-) -> Result<(), CliError> {
+/// Stops the flight recorder and writes its Chrome trace-event JSON
+/// (Perfetto-loadable) atomically to `path` — an unwritable path is a
+/// resource error (exit code 4), never a panic or a torn file. Returns
+/// the snapshot for the `--profile` report's timeline.
+fn emit_trace(path: &str) -> Result<TraceSnapshot, CliError> {
     let snap = ld_trace::recorder::stop().unwrap_or_default();
-    if let Some(path) = trace_out {
-        let body = ld_trace::export::chrome_trace_json(&snap);
-        write_atomic(path, (body + "\n").as_bytes())
-            .map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))?;
-        eprintln!("wrote trace timeline to {path} (open in ui.perfetto.dev)");
-    }
-    let report = ld_trace::MetricsReport::capture()
-        .with_wall_ns(wall_ns)
-        .with_threads(threads)
-        .with_tsc_hz(ld_kernels::clock::tsc_hz());
-    // Analytical peak of the kernel this run resolved to (§IV/§V model:
-    // `lanes` 64-bit word-pairs per cycle at 3 fused ops/cycle).
-    let peak = ld_kernels::Kernel::resolve(kind)
-        .ok()
-        .map(|k| k.lanes() as f64);
-    let analysis = ld_trace::analyze::analyze(&snap, &report, peak);
-    eprintln!("{}", analysis.render_text());
-    if let Some(path) = trace_report {
-        write_atomic(path, (analysis.to_json() + "\n").as_bytes())
-            .map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))?;
-        eprintln!("wrote trace report to {path}");
-    }
-    Ok(())
+    let body = ld_trace::export::chrome_trace_json(&snap);
+    write_atomic(path, (body + "\n").as_bytes())
+        .map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))?;
+    eprintln!("wrote trace timeline to {path} (open in ui.perfetto.dev)");
+    Ok(snap)
 }
 
 /// Writes the standard pair table — the exact bytes `r2 -o` produces —
@@ -1949,6 +1931,7 @@ pub fn serve(args: &Args) -> CmdResult {
     let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
     let budget_mb = args.get_parsed("memory-budget-mb", 1024usize)?;
     let engine = tuned_engine(args, threads)?.nan_policy(NanPolicy::Zero);
+    let kind = engine.kernel_kind();
     let mut registry = ld_serve::PanelRegistry::new(engine, budget_mb.saturating_mul(1024 * 1024));
     for spec in specs {
         let (name, path) = match spec.split_once('=') {
@@ -2004,7 +1987,7 @@ pub fn serve(args: &Args) -> CmdResult {
     // shutdown token).
     let trace_dump = args.get("trace-dump").map(str::to_string);
     if trace_dump.is_some() {
-        ld_trace::recorder::start(ld_trace::recorder::RecorderConfig::for_threads(workers));
+        ld_trace::recorder::start(workers);
     }
 
     // `--preload`: compute every registered panel before accepting —
@@ -2070,6 +2053,8 @@ pub fn serve(args: &Args) -> CmdResult {
             args.get("profile-out"),
             started.elapsed().as_nanos() as u64,
             threads,
+            kind,
+            None,
         )?;
     }
     match outcome {
@@ -2571,7 +2556,7 @@ mod tests {
         ]))
         .unwrap();
         let trace = d.join("trace.json");
-        let report = d.join("trace_report.json");
+        let report = d.join("metrics.json");
         r2(&args(&[
             "-i",
             input.to_str().unwrap(),
@@ -2579,7 +2564,8 @@ mod tests {
             "2",
             "--trace-out",
             trace.to_str().unwrap(),
-            "--trace-report",
+            "--profile=json",
+            "--profile-out",
             report.to_str().unwrap(),
         ]))
         .unwrap();
@@ -2588,24 +2574,24 @@ mod tests {
             trace_body.starts_with("{\"traceEvents\":["),
             "trace must be a Chrome trace-event document"
         );
-        let report_body = std::fs::read_to_string(&report).unwrap();
-        for key in [
-            "\"schema_version\"",
-            "\"per_worker\"",
-            "\"layers\"",
-            "\"share_sum\"",
-        ] {
-            assert!(report_body.contains(key), "report missing {key}");
-        }
         assert!(
             trace_body.contains("\"ph\":\"X\""),
             "the recorder must record complete spans"
         );
-        // Nothing dropped at the default ring capacity. The recorder is
+        // The run report carries the timeline the trace armed.
+        let report_body = std::fs::read(&report).unwrap();
+        let doc = ld_trace::json::parse(&report_body).unwrap();
+        let timeline = doc.get("timeline").expect("a timeline section");
+        let field = |key: &str| timeline.get(key).unwrap_or_else(|| panic!("no {key}"));
+        assert!(field("open_spans").as_u64().is_some());
+        assert!(field("share_sum").as_f64().is_some());
+        assert!(field("per_worker").as_array().is_some());
+        assert!(field("layers").as_array().is_some());
+        // Nothing dropped at the ring capacity. The recorder is
         // process-global and sibling tests run engines on other threads, so
         // the whole-timeline invariants (no open span, shares summing to 1)
         // are asserted on a process of its own: `process_cli.rs`.
-        assert!(report_body.contains("\"dropped\": 0"));
+        assert_eq!(field("dropped").as_u64(), Some(0));
     }
 
     #[test]

@@ -47,16 +47,18 @@ fn traced_run_records_a_complete_timeline() {
     let dir = Scratch::new("proc_trace");
     let (input, out) = (dir.path("d.ms"), dir.path("d.tsv"));
     simulate(&input, 400, 300, 42);
-    let (trace, report) = (dir.path("trace.json"), dir.path("report.json"));
+    let (trace, report) = (dir.path("trace.json"), dir.path("metrics.json"));
     run_ok(&format!(
-        "r2 -i {input} --threads 7 --trace-out {trace} --trace-report {report} -o {out}"
+        "r2 -i {input} --threads 7 --trace-out {trace} --profile=json --profile-out {report} -o {out}"
     ));
-    // nothing dropped at the default ring capacity, every begin ended,
-    // and the layer shares tile workers × wall
+    // nothing dropped at the ring capacity, every begin ended, and the
+    // layer shares tile workers × wall
     let rep = parse_json(&report);
-    assert_eq!(field(&rep, &["dropped"]).as_u64(), Some(0));
-    assert_eq!(field(&rep, &["open_spans"]).as_u64(), Some(0));
-    let share_sum = field(&rep, &["share_sum"]).as_f64().expect("number");
+    assert_eq!(field(&rep, &["timeline", "dropped"]).as_u64(), Some(0));
+    assert_eq!(field(&rep, &["timeline", "open_spans"]).as_u64(), Some(0));
+    let share_sum = field(&rep, &["timeline", "share_sum"])
+        .as_f64()
+        .expect("number");
     assert!((share_sum - 1.0).abs() <= 0.01, "share_sum {share_sum}");
     // and real spans are in it (`exporter_golden.rs` pins every field of
     // the Perfetto encoding byte for byte)

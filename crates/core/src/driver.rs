@@ -76,7 +76,7 @@ use ld_kernels::micro::Kernel;
 use ld_kernels::{BlockSizes, KernelKind};
 use ld_parallel::{scheduler_grain, try_parallel_for_dynamic_init_ctl, CancelToken, Deadline};
 use ld_trace::recorder::{Span, SpanKind};
-use ld_trace::{Counter, Stopwatch};
+use ld_trace::Counter;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
@@ -511,18 +511,15 @@ pub(crate) fn run(
         }
         Sink::Rows(visit) => Dest::Rows(visit),
     };
-    // Table construction is part of producing the statistic layer: charge
-    // it to `transform_ns` so the profile's layer sum covers the setup.
+    // Table construction is part of producing the statistic layer: a
+    // transform span, so the profile's layer sum covers the setup.
     let span = Span::begin(SpanKind::Transform);
-    let sw = Stopwatch::start();
     let tables = RwLock::new(src.tables(stat, cfg.policy)?);
-    ld_trace::add(Counter::TransformNs, sw.elapsed_ns());
     span.end(n as u64);
     // Bounded per-worker scratch: u32 counts for the widest block the
     // source emits, plus (row sink) a `slab × strip` f64 strip — the
     // widest slab (the first) spans all n columns, or `slab + band` of
-    // them. Zeroing the counts scratch belongs to the counts (kernel)
-    // layer.
+    // them.
     let (workers, chunk) = src.schedule(cfg);
     let workers = workers.max(1);
     let packed_sink = matches!(dest, Dest::Packed { .. });
@@ -530,7 +527,6 @@ pub(crate) fn run(
     let counts_len = src.counts_len(planes * slab, planes * strip);
     let values_len = if packed_sink { 0 } else { slab * strip };
     let span = Span::begin(SpanKind::Alloc);
-    let sw = Stopwatch::start();
     // One buffer pair per worker, allocated fallibly *here*, on the calling
     // thread, so an allocation failure is a clean Err before any thread is
     // spawned; workers pop theirs in their init closure. (The spine is
@@ -548,7 +544,6 @@ pub(crate) fn run(
         ));
     }
     let pool = Mutex::new(pool);
-    ld_trace::add(Counter::KernelNs, sw.elapsed_ns());
     span.end((workers * (counts_len * 4 + values_len * 8)) as u64);
     // Modeled transient footprint of this run — the source's own budget
     // model at the slab height in use — recorded as a high-water gauge so
@@ -576,7 +571,6 @@ pub(crate) fn run(
         let (rows, cols_end) = (planes * r0..planes * rows.end, planes * cols_end);
         src.slab_blocks(rows, cols_end, cfg, counts, &tables, &mut |tr, blk| {
             let span = Span::begin(SpanKind::Transform);
-            let sw = Stopwatch::start();
             for r in 0..h {
                 let i = r0 + r;
                 // row i's span of this block, clipped to its band (a block
@@ -601,7 +595,6 @@ pub(crate) fn run(
                 };
                 tr.apply_span(i, j0, from, blk.ld, to);
             }
-            ld_trace::add(Counter::TransformNs, sw.elapsed_ns());
             span.end(k as u64);
         })?;
         ld_trace::add(Counter::SlabsEmitted, 1);

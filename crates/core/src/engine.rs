@@ -16,6 +16,7 @@ use ld_bitmat::{BitMatrix, BitMatrixView};
 use ld_kernels::{syrk_counts_buf, BlockSizes, KernelKind};
 use ld_parallel::{available_threads, run_team, triangle_row_ranges, try_parallel_for};
 use ld_popcount::and_popcount;
+use ld_trace::recorder::{Span, SpanKind};
 use std::sync::Mutex;
 
 /// Configured entry point for all matrix-level LD computations.
@@ -328,13 +329,11 @@ impl LdEngine {
             return Ok((LdMatrix::try_zeros(0)?, 1));
         };
         // Materializing the packed output (a zeroed n(n+1)/2 f64 triangle)
-        // is part of producing the statistic layer; charging it to
-        // `transform_ns` keeps the profile's layer sum honest about where
-        // the compute region's time actually goes.
-        let span = ld_trace::recorder::Span::begin(ld_trace::recorder::SpanKind::Alloc);
-        let sw = ld_trace::Stopwatch::start();
+        // is part of producing the statistic layer (an `Alloc` span
+        // charges `transform_ns`), which keeps the profile's layer sum
+        // honest about where the compute region's time actually goes.
+        let span = Span::begin(SpanKind::Alloc);
         let mut out = LdMatrix::try_zeros(src.n_snps() / stat.planes())?;
-        ld_trace::add(ld_trace::Counter::TransformNs, sw.elapsed_ns());
         span.end((out.packed().len() * 8) as u64);
         driver::run(src, stat, &cfg, Sink::Packed(out.packed_mut()), ctl)?;
         Ok((out, cfg.slab))
@@ -536,14 +535,14 @@ impl LdEngine {
         let tr_ref = &tr;
         let ranges = triangle_row_ranges(n, self.threads);
         run_team(self.threads, |tid| {
-            let sw = ld_trace::Stopwatch::start();
+            let span = Span::begin(SpanKind::Transform);
             for i in ranges[tid].clone() {
                 // SAFETY: workers own disjoint row ranges, and a row's
                 // packed range is disjoint from every other row's.
                 let dst = unsafe { out_ptr.slice(packed_row_offset(n, i), n - i) };
                 tr_ref.apply_span(i, i, &counts_ref[i * n + i..i * n + n], n, dst);
             }
-            ld_trace::add(ld_trace::Counter::TransformNs, sw.elapsed_ns());
+            span.end(0);
         });
         out
     }

@@ -34,9 +34,11 @@ use crate::stats::{NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{AlignedWords, BitMatrix, BitMatrixView};
 use ld_kernels::{gemm_counts_mt, syrk_slab_counts};
-use ld_trace::{Counter, Stopwatch};
+use ld_trace::recorder::{Span, SpanKind};
+use ld_trace::Counter;
 use std::ops::Range;
 use std::sync::{mpsc, PoisonError, RwLock, RwLockReadGuard};
+use std::time::Instant;
 
 /// The genotype panel of one run.
 #[derive(Clone, Copy)]
@@ -293,11 +295,11 @@ fn ingest_chunk(
             what: "per-SNP allele count (> u32::MAX haplotypes)",
         })?);
     }
-    let sw = Stopwatch::start();
+    let span = Span::begin(SpanKind::Transform);
     let mut t = tables.write().unwrap_or_else(PoisonError::into_inner);
     t.tr.fill_span(s, &diag);
     t.seen[index] = true;
-    ld_trace::add(Counter::TransformNs, sw.elapsed_ns());
+    span.end(index as u64);
     Ok(())
 }
 
@@ -375,9 +377,10 @@ fn stream_store_slab(
                     m
                 }
                 Err(mpsc::TryRecvError::Empty) => {
-                    let sw = Stopwatch::start();
+                    let t0 = Instant::now();
                     let m = rx.recv().map_err(|_| early(c))?;
-                    ld_trace::add(Counter::PrefetchStallNs, sw.elapsed_ns());
+                    let stall = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    ld_trace::add(Counter::PrefetchStallNs, stall);
                     m
                 }
                 Err(mpsc::TryRecvError::Disconnected) => return Err(early(c)),

@@ -1,10 +1,12 @@
 //! Replay test: the fused driver's recorded span tree must match the
 //! five-loop slab geometry the engine was configured with, at 1, 2 and
-//! 7 threads.
+//! 7 threads — and its spans must be the very clock the layer counters
+//! read.
 
 use ld_bitmat::BitMatrix;
-use ld_core::{LdEngine, LdStats, NanPolicy};
-use ld_trace::recorder::{start, stop, RecorderConfig, SpanKind, TraceSnapshot};
+use ld_core::{LdEngine, LdStats, MemoryTileStore, NanPolicy, Source};
+use ld_trace::recorder::{start, stop, SpanKind, TraceSnapshot};
+use ld_trace::Counter;
 
 /// Recorder state is process-global; serialize the per-thread-count runs.
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -40,7 +42,7 @@ fn record_run(threads: usize, n: usize, slab: usize) -> (TraceSnapshot, usize) {
         .slab_rows(slab)
         .nan_policy(NanPolicy::Zero);
     while stop().is_some() {}
-    start(RecorderConfig::for_threads(threads));
+    start(threads);
     let m = engine.stat_matrix(&g, LdStats::RSquared);
     let snap = stop().expect("recorder was active");
     assert_eq!(m.n_snps(), n, "the run itself must have completed");
@@ -170,4 +172,63 @@ fn fused_span_tree_matches_slab_geometry_t2() {
 fn fused_span_tree_matches_slab_geometry_t7() {
     let _g = lock();
     assert_replay(7);
+}
+
+/// Σ `dur_ns` over the spans of the kinds that charge timer counter `c`.
+fn span_sum(snap: &TraceSnapshot, c: Counter) -> u64 {
+    snap.events
+        .iter()
+        .filter(|e| e.kind.counter() == Some(c))
+        .map(|e| e.dur_ns)
+        .sum()
+}
+
+/// One clock per layer: on a complete timeline every timer counter is
+/// exactly the summed duration of the spans of the kinds mapped to it
+/// (`SpanKind::counter`), from a memory source at 1, 2 and 7 threads and
+/// from a store source, whose chunk ingest is a transform span too.
+#[test]
+fn timer_counters_are_the_sum_of_their_spans() {
+    let _g = lock();
+    let g = toy_matrix(96, 100, 0x5eed);
+    let store = MemoryTileStore::from_matrix(&g, 16).expect("store");
+    let runs = [
+        ("memory", 1, Source::from(&g)),
+        ("memory", 2, Source::from(&g)),
+        ("memory", 7, Source::from(&g)),
+        ("store", 2, Source::Store(&store)),
+    ];
+    for (source, threads, src) in runs {
+        let engine = LdEngine::new()
+            .threads(threads)
+            .slab_rows(16)
+            .nan_policy(NanPolicy::Zero);
+        while stop().is_some() {}
+        ld_trace::reset();
+        start(threads);
+        let m = engine.try_stat_matrix(src, LdStats::RSquared);
+        let snap = stop().expect("recorder was active");
+        assert_eq!(m.expect("run").n_snps(), 100);
+        assert_eq!(snap.dropped, 0, "{source}/t{threads}: dropped events");
+        assert_eq!(snap.open_spans, 0, "{source}/t{threads}: unbalanced spans");
+        for c in [
+            Counter::PackANs,
+            Counter::PackBNs,
+            Counter::KernelNs,
+            Counter::TransformNs,
+        ] {
+            let counter = ld_trace::get(c);
+            assert!(
+                counter > 0,
+                "{source}/t{threads}: {} never charged",
+                c.name()
+            );
+            assert_eq!(
+                counter,
+                span_sum(&snap, c),
+                "{source}/t{threads}: {} is not the sum of its spans",
+                c.name()
+            );
+        }
+    }
 }

@@ -7,7 +7,7 @@ use crate::{BlockSizes, KernelKind};
 use ld_bitmat::{AlignedWords, BitMatrixView};
 use ld_parallel::even_ranges;
 use ld_trace::recorder::{Span, SpanKind};
-use ld_trace::{Counter, Stopwatch};
+use ld_trace::Counter;
 use std::ops::Range;
 
 /// Validates the operands against `c` and zeroes the `m × n` output
@@ -76,12 +76,9 @@ pub(crate) fn gemm_blocked(
     let mut acc = [0u64; 64];
     debug_assert!(mr * nr <= acc.len());
 
-    // Per-layer observability: accumulate into plain locals and flush to
-    // the ld-trace counters exactly once per call, so the hot loops never
-    // touch an atomic.
-    let mut t_pack_a = 0u64;
-    let mut t_pack_b = 0u64;
-    let mut t_kernel = 0u64;
+    // Per-layer observability: each span charges its layer timer once per
+    // (jc, pc[, ic]) block; the work counts accumulate into plain locals
+    // and flush once per call, so the tile loops never touch an atomic.
     let mut n_tiles = 0u64;
     let mut n_words = 0u64;
     let mut n_bytes_packed = 0u64;
@@ -92,14 +89,10 @@ pub(crate) fn gemm_blocked(
         let mut pc = 0usize;
         while pc < k_words {
             let kcur = bs.kc.min(k_words - pc);
-            // Flight-recorder spans mirror the Stopwatch regions 1:1 so
-            // the timeline and the counters describe the same code. A
-            // span is two clock reads + four relaxed stores when a
-            // recorder is active, one relaxed load when not.
+            // A span is two clock reads and one counter add, plus four
+            // relaxed stores when a recorder is armed.
             let span = Span::begin(SpanKind::PackB);
-            let sw = Stopwatch::start();
             pack_panels(b, jc..jc + ncur, pc..pc + kcur, nr, &mut bbuf);
-            t_pack_b += sw.elapsed_ns();
             let b_bytes = (bbuf.len() * 8) as u64;
             span.end(b_bytes);
             n_bytes_packed += b_bytes;
@@ -113,9 +106,7 @@ pub(crate) fn gemm_blocked(
                     continue;
                 }
                 let span = Span::begin(SpanKind::PackA);
-                let sw = Stopwatch::start();
                 pack_panels(a, ic..ic + mcur, pc..pc + kcur, mr, &mut abuf);
-                t_pack_a += sw.elapsed_ns();
                 let a_bytes = (abuf.len() * 8) as u64;
                 span.end(a_bytes);
                 n_bytes_packed += a_bytes;
@@ -124,7 +115,6 @@ pub(crate) fn gemm_blocked(
                 // that tracing never perturbs the tile loops themselves.
                 let span = Span::begin(SpanKind::KernelBatch);
                 let words_before = n_words;
-                let sw = Stopwatch::start();
                 let mut jr = 0usize;
                 while jr < ncur {
                     let nrcur = nr.min(ncur - jr);
@@ -161,7 +151,6 @@ pub(crate) fn gemm_blocked(
                     }
                     jr += nr;
                 }
-                t_kernel += sw.elapsed_ns();
                 span.end(n_words - words_before);
                 ic += mcur;
             }
@@ -170,9 +159,6 @@ pub(crate) fn gemm_blocked(
         jc += ncur;
     }
 
-    ld_trace::add(Counter::PackANs, t_pack_a);
-    ld_trace::add(Counter::PackBNs, t_pack_b);
-    ld_trace::add(Counter::KernelNs, t_kernel);
     ld_trace::add(Counter::KernelTiles, n_tiles);
     ld_trace::add(Counter::KernelWords, n_words);
     ld_trace::add(Counter::BytesPacked, n_bytes_packed);

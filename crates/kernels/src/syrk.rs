@@ -7,7 +7,7 @@ use crate::micro::Kernel;
 use crate::{BlockSizes, KernelKind};
 use ld_bitmat::BitMatrixView;
 use ld_parallel::triangle_row_ranges;
-use ld_trace::{Counter, Stopwatch};
+use ld_trace::recorder::{Span, SpanKind};
 use std::ops::Range;
 
 /// Computes the row slab `rows` of the **upper triangle** of `C = GᵀG`
@@ -86,13 +86,13 @@ pub fn syrk_slab_counts(
         return;
     }
     let kernel = Kernel::resolve(kind).expect("requested kernel not supported on this CPU");
-    // The scratch zero-fill is part of producing the counts layer; charge
-    // it to `kernel_ns` so the profile's layer sum covers the whole SYRK.
-    let sw = Stopwatch::start();
+    // The scratch zero-fill is part of producing the counts layer; time
+    // it as a kernel span so the profile's layer sum covers the whole SYRK.
+    let span = Span::begin(SpanKind::KernelBatch);
     for row in c.chunks_mut(ldc).take(h) {
         row[..width].fill(0);
     }
-    ld_trace::add(Counter::KernelNs, sw.elapsed_ns());
+    span.end(0);
     gemm_blocked(
         &kernel,
         blocks,
@@ -180,11 +180,11 @@ pub fn syrk_counts_buf(
         return;
     }
     let kernel = Kernel::resolve(kind).expect("requested kernel not supported on this CPU");
-    let sw = Stopwatch::start();
+    let span = Span::begin(SpanKind::KernelBatch);
     for row in c.chunks_mut(ldc).take(n) {
         row[..n].fill(0);
     }
-    ld_trace::add(Counter::KernelNs, sw.elapsed_ns());
+    span.end(0);
     let threads = threads.max(1).min(n.max(1));
     if threads == 1 {
         syrk_rows(&kernel, blocks, g, 0..n, c, ldc);
@@ -216,9 +216,9 @@ pub fn syrk_counts_buf(
             }
         });
     }
-    let sw = Stopwatch::start();
+    let span = Span::begin(SpanKind::KernelBatch);
     mirror_upper_to_lower(c, n, ldc);
-    ld_trace::add(Counter::KernelNs, sw.elapsed_ns());
+    span.end(0);
 }
 
 /// Multithreaded convenience wrapper returning the full mirrored matrix.

@@ -50,13 +50,15 @@
 //! happened — the CLI maps it to exit code 0 (clean) or 5 (interrupted).
 
 use crate::http;
-use crate::protocol::{write_response, ProtoError, Request, Response, Status, MAX_REQUEST_PAYLOAD};
-use crate::registry::{PanelRegistry, RegistryError};
+use crate::protocol::{
+    write_response, ProtoError, Request, Response, StatCode, Status, MAX_REQUEST_PAYLOAD,
+};
+use crate::registry::{PanelRegistry, RegistryError, RegistrySnapshot};
 use crate::reqlog::{Event, RequestLog};
 use ld_core::{CancelToken, Deadline, LdError, LdMatrix};
 use ld_io::text::{packed_row_pairs, push_r2_row, r2_row_bound, R2_TABLE_HEADER};
 use ld_trace::prometheus::PromGauge;
-use ld_trace::telemetry::{record_served, total_latency, ServeOp, ServeOutcome};
+use ld_trace::telemetry::{record_served, serve_telemetry, total_latency, ServeOp, ServeOutcome};
 use ld_trace::Counter;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -152,16 +154,37 @@ pub enum DrainOutcome {
     },
 }
 
+/// What a queued job computes: the two opcodes that reach the worker
+/// pool (the rest are answered inline on the reader thread).
+#[derive(Clone, Copy)]
+enum Query {
+    /// One value of pair `(i, j)`.
+    Pair { i: u32, j: u32 },
+    /// The pair table of rows `[row0, row1)` (`0, 0` = the whole panel).
+    Region { row0: u32, row1: u32, min_r2: f64 },
+}
+
+impl Query {
+    /// The telemetry opcode label.
+    fn op(self) -> ServeOp {
+        match self {
+            Query::Pair { .. } => ServeOp::Pair,
+            Query::Region { .. } => ServeOp::Region,
+        }
+    }
+}
+
 /// One admitted query traveling from a reader thread to a worker.
 struct Job {
-    req: Request,
+    panel: String,
+    stat: StatCode,
+    query: Query,
     reply_tx: SyncSender<Reply>,
     accepted: Instant,
     deadline: Deadline,
     token: CancelToken,
     /// Request id threading the log events of one lifecycle together.
     id: u64,
-    op: ServeOp,
     fingerprint: Option<u64>,
 }
 
@@ -351,8 +374,10 @@ impl Server {
             let stop = shared.hard_stop.clone();
             let thread = std::thread::spawn(move || {
                 http::serve_http(&listener, &stop, move |path| match path {
-                    "/metrics" => Some((metrics_text(&s), http::CONTENT_TYPE_PROM)),
-                    "/health" => Some((health_json(&s), "application/json")),
+                    "/metrics" => {
+                        Some((Snapshot::gather(&s).metrics_text(), http::CONTENT_TYPE_PROM))
+                    }
+                    "/health" => Some((Snapshot::gather(&s).health_json(), "application/json")),
                     _ => None,
                 })
             });
@@ -399,9 +424,13 @@ impl Server {
         };
 
         // Release the pool: abandoned jobs get ShuttingDown responses on
-        // the way out, then workers exit.
-        shared.hard_stop.cancel_with_reason("server stopped");
-        shared.queue_cv.notify_all();
+        // the way out, then workers exit. Tripped and notified under the
+        // queue lock, so no worker sits between its check and its wait.
+        {
+            let _queue = lock(&shared.queue);
+            shared.hard_stop.cancel_with_reason("server stopped");
+            shared.queue_cv.notify_all();
+        }
         for w in workers {
             let _ = w.join();
         }
@@ -607,13 +636,22 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
         // Health, metrics, and trace dumps are answered inline on the
         // reader thread: they read shared state, never compute, and must
         // stay responsive even when the queue is saturated.
-        let health = || Response::ok(health_json(shared).into_bytes());
-        let metrics = || Response::ok(metrics_text(shared).into_bytes());
+        let health = || Response::ok(Snapshot::gather(shared).health_json().into_bytes());
+        let metrics = || Response::ok(Snapshot::gather(shared).metrics_text().into_bytes());
         let answer = match req {
             Request::Health => inline_request(shared, ServeOp::Health, health),
             Request::Metrics => inline_request(shared, ServeOp::Metrics, metrics),
             Request::DumpTrace => inline_request(shared, ServeOp::DumpTrace, dump_trace_response),
-            query => dispatch_query(query, shared),
+            Request::Pair { panel, stat, i, j } => {
+                dispatch_query(shared, panel, stat, Query::Pair { i, j })
+            }
+            Request::Region {
+                panel,
+                stat,
+                row0,
+                row1,
+                min_r2,
+            } => dispatch_query(shared, panel, stat, Query::Region { row0, row1, min_r2 }),
         };
         let write0 = Instant::now();
         let written = write_response(&mut stream, &answer.resp);
@@ -747,24 +785,20 @@ impl Drop for Admitted<'_> {
 }
 
 /// Admission control: enqueue or shed, then wait for the worker's answer.
-fn dispatch_query(req: Request, shared: &Shared) -> Answer<'_> {
+fn dispatch_query(shared: &Shared, panel: String, stat: StatCode, query: Query) -> Answer<'_> {
     let id = shared.next_id();
-    let op = op_of(&req);
-    let panel = req_panel(&req).map(str::to_string);
-    let fingerprint = panel
-        .as_deref()
-        .and_then(|p| shared.registry.meta(p))
-        .map(|m| m.fingerprint);
+    let op = query.op();
+    let fingerprint = shared.registry.meta(&panel).map(|m| m.fingerprint);
     shared.log(&Event {
         id,
         event: "accept",
         opcode: op.name(),
-        panel: panel.as_deref(),
+        panel: Some(&panel),
         fingerprint,
         ..Event::default()
     });
     let answer = |resp, event, detail| Answer {
-        panel: panel.clone(),
+        panel: Some(panel.clone()),
         fingerprint,
         event,
         detail,
@@ -777,13 +811,14 @@ fn dispatch_query(req: Request, shared: &Shared) -> Answer<'_> {
     }
     let (reply_tx, reply_rx) = mpsc::sync_channel::<Reply>(1);
     let job = Job {
-        req,
+        panel: panel.clone(),
+        stat,
+        query,
         reply_tx,
         accepted: Instant::now(),
         deadline: Deadline::after(shared.cfg.request_timeout),
         token: shared.hard_stop.child(),
         id,
-        op,
         fingerprint,
     };
     {
@@ -805,7 +840,7 @@ fn dispatch_query(req: Request, shared: &Shared) -> Answer<'_> {
         id,
         event: "admit",
         opcode: op.name(),
-        panel: panel.as_deref(),
+        panel: Some(&panel),
         fingerprint,
         ..Event::default()
     });
@@ -843,7 +878,10 @@ fn dispatch_query(req: Request, shared: &Shared) -> Answer<'_> {
     }
 }
 
-/// One worker: pop, guard, compute under `catch_unwind`, answer.
+/// One worker: pop, guard, compute under `catch_unwind`, answer. Waits
+/// on the queue condvar with no timeout: a push notifies one worker, and
+/// [`Server::run`] trips the hard stop and notifies all under the queue
+/// lock.
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
@@ -857,15 +895,14 @@ fn worker_loop(shared: &Shared) {
                 {
                     return;
                 }
-                let (guard, _) = shared
+                q = shared
                     .queue_cv
-                    .wait_timeout(q, Duration::from_millis(50))
+                    .wait(q)
                     .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
             }
         };
         let queue_ns = elapsed_ns(job.accepted.elapsed());
-        let panel = req_panel(&job.req);
+        let (op, panel) = (job.query.op(), Some(job.panel.as_str()));
         let (resp, service_ns) = if shared.hard_stop.is_cancelled() {
             let resp = Response::error(
                 Status::ShuttingDown,
@@ -880,7 +917,7 @@ fn worker_loop(shared: &Shared) {
             shared.log(&Event {
                 id: job.id,
                 event: "start",
-                opcode: job.op.name(),
+                opcode: op.name(),
                 panel,
                 fingerprint: job.fingerprint,
                 queue_ns: Some(queue_ns),
@@ -897,7 +934,7 @@ fn worker_loop(shared: &Shared) {
                 shared.log(&Event {
                     id: job.id,
                     event: "panic",
-                    opcode: job.op.name(),
+                    opcode: op.name(),
                     panel,
                     fingerprint: job.fingerprint,
                     detail: Some(&msg),
@@ -943,25 +980,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// Computes the answer for an admitted query. Runs inside
 /// `catch_unwind`; every error path returns a typed response.
 fn handle_query(job: &Job, shared: &Shared) -> Response {
-    match &job.req {
-        // Inline opcodes never reach the queue; answering them here too
-        // keeps a misrouted job harmless rather than a panic.
-        Request::Health => Response::ok(health_json(shared).into_bytes()),
-        Request::Metrics => Response::ok(metrics_text(shared).into_bytes()),
-        Request::DumpTrace => dump_trace_response(),
-        Request::Pair { panel, stat, i, j } => {
-            if shared.cfg.fault_panel && panel == "__panic__" {
-                panic!("fault injection: __panic__ panel requested");
-            }
-            let m = match shared
-                .registry
-                .get(panel, stat.to_stat(), &job.token, job.deadline)
-            {
-                Ok(m) => m,
-                Err(e) => return registry_response(&e),
-            };
-            let (i, j) = (*i as usize, *j as usize);
-            let n = m.n_snps();
+    if shared.cfg.fault_panel && job.panel == "__panic__" {
+        panic!("fault injection: __panic__ panel requested");
+    }
+    let m = match shared
+        .registry
+        .get(&job.panel, job.stat.to_stat(), &job.token, job.deadline)
+    {
+        Ok(m) => m,
+        Err(e) => return registry_response(&e),
+    };
+    let n = m.n_snps();
+    match job.query {
+        Query::Pair { i, j } => {
+            let (i, j) = (i as usize, j as usize);
             if i >= n || j >= n {
                 return Response::error(
                     Status::BadRequest,
@@ -970,28 +1002,11 @@ fn handle_query(job: &Job, shared: &Shared) -> Response {
             }
             Response::ok(m.get(i, j).to_bits().to_le_bytes().to_vec())
         }
-        Request::Region {
-            panel,
-            stat,
-            row0,
-            row1,
-            min_r2,
-        } => {
-            if shared.cfg.fault_panel && panel == "__panic__" {
-                panic!("fault injection: __panic__ panel requested");
-            }
-            let m = match shared
-                .registry
-                .get(panel, stat.to_stat(), &job.token, job.deadline)
-            {
-                Ok(m) => m,
-                Err(e) => return registry_response(&e),
-            };
-            let n = m.n_snps();
-            let (r0, r1) = if *row0 == 0 && *row1 == 0 {
+        Query::Region { row0, row1, min_r2 } => {
+            let (r0, r1) = if row0 == 0 && row1 == 0 {
                 (0, n)
             } else {
-                (*row0 as usize, *row1 as usize)
+                (row0 as usize, row1 as usize)
             };
             if r0 >= r1 || r1 > n {
                 return Response::error(
@@ -999,7 +1014,7 @@ fn handle_query(job: &Job, shared: &Shared) -> Response {
                     format!("region [{r0}, {r1}) out of range: panel has {n} SNPs"),
                 );
             }
-            Response::ok(region_table(&m, r0, r1, *min_r2))
+            Response::ok(region_table(&m, r0, r1, min_r2))
         }
     }
 }
@@ -1036,25 +1051,6 @@ fn registry_response(e: &RegistryError) -> Response {
     }
 }
 
-/// The telemetry opcode label for a request.
-fn op_of(req: &Request) -> ServeOp {
-    match req {
-        Request::Health => ServeOp::Health,
-        Request::Pair { .. } => ServeOp::Pair,
-        Request::Region { .. } => ServeOp::Region,
-        Request::Metrics => ServeOp::Metrics,
-        Request::DumpTrace => ServeOp::DumpTrace,
-    }
-}
-
-/// The panel a request addresses, when it addresses one.
-fn req_panel(req: &Request) -> Option<&str> {
-    match req {
-        Request::Pair { panel, .. } | Request::Region { panel, .. } => Some(panel),
-        Request::Health | Request::Metrics | Request::DumpTrace => None,
-    }
-}
-
 /// Maps the wire status onto the telemetry outcome label.
 fn outcome_of(status: Status) -> ServeOutcome {
     match status {
@@ -1078,143 +1074,161 @@ fn elapsed_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The Prometheus text exposition: every `ld-trace` counter, the
-/// outcome/opcode/queue histograms and rolling windows, plus live
-/// server gauges (queue, pool, connections, registry occupancy).
-fn metrics_text(shared: &Shared) -> String {
-    let snap = shared.registry.snapshot();
-    let mut gauges = vec![
-        PromGauge::new(
-            "gemm_ld_uptime_seconds",
-            "Seconds since the daemon started",
-            shared.started.elapsed().as_secs_f64(),
-        ),
-        PromGauge::new(
-            "gemm_ld_draining",
-            "1 while the daemon is draining, 0 while serving",
-            u8::from(shared.shutdown.is_cancelled()) as f64,
-        ),
-        PromGauge::new(
-            "gemm_ld_queue_depth",
-            "Jobs waiting in the request queue",
-            lock(&shared.queue).len() as f64,
-        ),
-        PromGauge::new(
-            "gemm_ld_in_flight_requests",
-            "Accepted requests not yet answered",
-            shared.in_flight.load(Ordering::Relaxed) as f64,
-        ),
-        PromGauge::new(
-            "gemm_ld_connections",
-            "Open client connections",
-            shared.conns.load(Ordering::Relaxed) as f64,
-        ),
-        PromGauge::new(
-            "gemm_ld_workers",
-            "Request worker threads",
-            shared.cfg.workers.max(1) as f64,
-        ),
-        PromGauge::new(
-            "gemm_ld_panels_resident",
-            "Panels resident in the registry cache",
-            snap.resident.len() as f64,
-        ),
-        PromGauge::new(
-            "gemm_ld_registry_used_bytes",
-            "Bytes of resident panel matrices",
-            snap.used_bytes as f64,
-        ),
-        PromGauge::new(
-            "gemm_ld_registry_budget_bytes",
-            "Registry memory budget",
-            snap.budget_bytes as f64,
-        ),
-    ];
-    for (fingerprint, _stats, bytes) in &snap.resident {
-        gauges.push(PromGauge {
-            name: "gemm_ld_panel_resident_bytes".into(),
-            help: "Resident bytes per panel, labelled by checkpoint fingerprint",
-            labels: format!("fingerprint=\"{fingerprint:016x}\""),
-            value: *bytes as f64,
-        });
-    }
-    ld_trace::prometheus::render_global(&gauges)
+/// The daemon's state at one instant, gathered once per `health`,
+/// `metrics` or scrape: both views render from it.
+struct Snapshot {
+    uptime: Duration,
+    draining: bool,
+    queue_depth: usize,
+    in_flight: usize,
+    connections: usize,
+    workers: usize,
+    registry: RegistrySnapshot,
+    /// Every `ld-trace` counter, the serve counters among them.
+    counters: [u64; Counter::COUNT],
 }
 
-/// The `health` body: live queue/pool state, registry occupancy, the
-/// serve counters and latency quantiles from `ld-trace`.
-fn health_json(shared: &Shared) -> String {
-    let snap = shared.registry.snapshot();
-    let lat = total_latency(ServeOutcome::Ok);
-    let state = if shared.shutdown.is_cancelled() {
-        "draining"
-    } else {
-        "serving"
-    };
-    let mut s = String::with_capacity(512);
-    s.push('{');
-    let _ = write!(s, "\"state\": \"{state}\"");
-    let _ = write!(
-        s,
-        ", \"uptime_ms\": {}",
-        shared.started.elapsed().as_millis()
-    );
-    let _ = write!(s, ", \"queue_depth\": {}", lock(&shared.queue).len());
-    let _ = write!(
-        s,
-        ", \"in_flight\": {}",
-        shared.in_flight.load(Ordering::Relaxed)
-    );
-    let _ = write!(s, ", \"workers\": {}", shared.cfg.workers.max(1));
-    let _ = write!(
-        s,
-        ", \"connections\": {}",
-        shared.conns.load(Ordering::Relaxed)
-    );
-    s.push_str(", \"panels\": {\"registered\": [");
-    for (i, name) in snap.sources.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
+impl Snapshot {
+    fn gather(shared: &Shared) -> Self {
+        Snapshot {
+            uptime: shared.started.elapsed(),
+            draining: shared.shutdown.is_cancelled(),
+            queue_depth: lock(&shared.queue).len(),
+            in_flight: shared.in_flight.load(Ordering::Relaxed),
+            connections: shared.conns.load(Ordering::Relaxed),
+            workers: shared.cfg.workers.max(1),
+            registry: shared.registry.snapshot(),
+            counters: ld_trace::counters(),
         }
-        // the one shared escaping helper — also used by the request log
-        let _ = write!(s, "\"{}\"", ld_trace::escape_json(name));
     }
-    let _ = write!(
-        s,
-        "], \"resident\": {}, \"used_bytes\": {}, \"budget_bytes\": {}, \
-         \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"sheds\": {}}}",
-        snap.resident.len(),
-        snap.used_bytes,
-        snap.budget_bytes,
-        snap.stats.hits,
-        snap.stats.misses,
-        snap.stats.evictions,
-        snap.stats.sheds,
-    );
-    let _ = write!(
-        s,
-        ", \"requests\": {{\"accepted\": {}, \"shed\": {}, \"failed\": {}, \
-         \"panels_evicted\": {}}}",
-        ld_trace::get(Counter::RequestsAccepted),
-        ld_trace::get(Counter::RequestsShed),
-        ld_trace::get(Counter::RequestsFailed),
-        ld_trace::get(Counter::PanelsEvicted),
-    );
-    let _ = write!(s, ", \"latency\": {{\"count\": {}", lat.count);
-    match lat.p50_ns() {
-        Some(v) => {
-            let _ = write!(s, ", \"p50_ns\": {v}");
+
+    fn counter(&self, c: Counter) -> u64 {
+        self.counters[c as usize]
+    }
+
+    /// The Prometheus text exposition: every counter, the outcome/opcode/
+    /// queue histograms and rolling windows, plus the live server gauges
+    /// (queue, pool, connections, registry occupancy).
+    fn metrics_text(&self) -> String {
+        let reg = &self.registry;
+        let mut gauges = vec![
+            PromGauge::new(
+                "gemm_ld_uptime_seconds",
+                "Seconds since the daemon started",
+                self.uptime.as_secs_f64(),
+            ),
+            PromGauge::new(
+                "gemm_ld_draining",
+                "1 while the daemon is draining, 0 while serving",
+                u8::from(self.draining) as f64,
+            ),
+            PromGauge::new(
+                "gemm_ld_queue_depth",
+                "Jobs waiting in the request queue",
+                self.queue_depth as f64,
+            ),
+            PromGauge::new(
+                "gemm_ld_in_flight_requests",
+                "Accepted requests not yet answered",
+                self.in_flight as f64,
+            ),
+            PromGauge::new(
+                "gemm_ld_connections",
+                "Open client connections",
+                self.connections as f64,
+            ),
+            PromGauge::new(
+                "gemm_ld_workers",
+                "Request worker threads",
+                self.workers as f64,
+            ),
+            PromGauge::new(
+                "gemm_ld_panels_resident",
+                "Panels resident in the registry cache",
+                reg.resident.len() as f64,
+            ),
+            PromGauge::new(
+                "gemm_ld_registry_used_bytes",
+                "Bytes of resident panel matrices",
+                reg.used_bytes as f64,
+            ),
+            PromGauge::new(
+                "gemm_ld_registry_budget_bytes",
+                "Registry memory budget",
+                reg.budget_bytes as f64,
+            ),
+        ];
+        for (fingerprint, _stats, bytes) in &reg.resident {
+            gauges.push(PromGauge {
+                name: "gemm_ld_panel_resident_bytes".into(),
+                help: "Resident bytes per panel, labelled by checkpoint fingerprint",
+                labels: format!("fingerprint=\"{fingerprint:016x}\""),
+                value: *bytes as f64,
+            });
         }
-        None => s.push_str(", \"p50_ns\": null"),
+        ld_trace::prometheus::render(&self.counters, &serve_telemetry(), &gauges)
     }
-    match lat.p99_ns() {
-        Some(v) => {
-            let _ = write!(s, ", \"p99_ns\": {v}");
+
+    /// The `health` body: live queue/pool state, registry occupancy, the
+    /// serve counters and the success-latency quantiles.
+    fn health_json(&self) -> String {
+        let reg = &self.registry;
+        let lat = total_latency(ServeOutcome::Ok);
+        let state = if self.draining { "draining" } else { "serving" };
+        let mut s = String::with_capacity(512);
+        let _ = write!(
+            s,
+            "{{\"state\": \"{state}\", \"uptime_ms\": {}, \"queue_depth\": {}, \
+             \"in_flight\": {}, \"workers\": {}, \"connections\": {}",
+            self.uptime.as_millis(),
+            self.queue_depth,
+            self.in_flight,
+            self.workers,
+            self.connections
+        );
+        s.push_str(", \"panels\": {\"registered\": [");
+        for (i, name) in reg.sources.iter().enumerate() {
+            if i > 0 {
+                s.push_str(", ");
+            }
+            // the one shared escaping helper — also used by the request log
+            let _ = write!(s, "\"{}\"", ld_trace::escape_json(name));
         }
-        None => s.push_str(", \"p99_ns\": null"),
+        let _ = write!(
+            s,
+            "], \"resident\": {}, \"used_bytes\": {}, \"budget_bytes\": {}, \
+             \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"sheds\": {}}}",
+            reg.resident.len(),
+            reg.used_bytes,
+            reg.budget_bytes,
+            reg.stats.hits,
+            reg.stats.misses,
+            reg.stats.evictions,
+            reg.stats.sheds,
+        );
+        let _ = write!(
+            s,
+            ", \"requests\": {{\"accepted\": {}, \"shed\": {}, \"failed\": {}, \
+             \"panels_evicted\": {}}}",
+            self.counter(Counter::RequestsAccepted),
+            self.counter(Counter::RequestsShed),
+            self.counter(Counter::RequestsFailed),
+            self.counter(Counter::PanelsEvicted),
+        );
+        let _ = write!(s, ", \"latency\": {{\"count\": {}", lat.count);
+        for (key, v) in [("p50_ns", lat.p50_ns()), ("p99_ns", lat.p99_ns())] {
+            match v {
+                Some(v) => {
+                    let _ = write!(s, ", \"{key}\": {v}");
+                }
+                None => {
+                    let _ = write!(s, ", \"{key}\": null");
+                }
+            }
+        }
+        s.push_str("}}");
+        s
     }
-    s.push_str("}}");
-    s
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {

@@ -136,7 +136,7 @@ fn dump_trace_opcode_requires_an_armed_recorder() {
     let resp = c.request(&Request::DumpTrace).expect("dump-trace");
     // No recorder armed in the test process yet: a typed NotFound.
     assert_eq!(resp.status, Status::NotFound, "body: {}", resp.message());
-    ld_trace::recorder::start(ld_trace::recorder::RecorderConfig::for_threads(1));
+    ld_trace::recorder::start(1);
     let resp = c.request(&Request::DumpTrace).expect("dump-trace armed");
     assert_eq!(resp.status, Status::Ok, "body: {}", resp.message());
     let json = String::from_utf8(resp.body).expect("utf-8 trace");

@@ -4,18 +4,21 @@
 //! hinge on knowing where cycles go in each GotoBLAS layer (pack-Ã /
 //! pack-B̃, micro-kernel, statistic transform). This crate gives every
 //! compute crate a shared, dependency-free set of **monotonic counters**
-//! and **scoped timers**, plus [`MetricsReport`] — a stable-schema
-//! snapshot with JSON export that `ld-cli --profile` and `ld-bench` emit
-//! and CI validates against `schemas/metrics.schema.json`.
+//! and one **scoped layer timer** ([`recorder::Span`]), plus
+//! [`MetricsReport`] — the one run report, a stable-schema snapshot with
+//! JSON export that `ld-cli --profile` emits and CI validates against
+//! `schemas/metrics.schema.json`.
 //!
 //! ## Always compiled in
 //!
 //! There is one build of the instrumented stack. Counters are relaxed
 //! atomic adds on static storage, flushed from locals once per slab or
 //! parser call — no allocation, ever, on the hot path (the
-//! fault-injection harness in `ld-core` runs against them) — and
-//! [`Stopwatch`] is one monotonic clock read at each end of a span that
-//! is at least a pack or kernel batch long. Measured against a build with
+//! fault-injection harness in `ld-core` runs against them) — and a
+//! [`recorder::Span`] is one monotonic clock read at each end of a region
+//! that is at least a pack or kernel batch long, charged to the timer
+//! counter its kind names ([`recorder::SpanKind::counter`]) and, with a
+//! recorder armed, pushed as the same event. Measured against a build with
 //! every entry point compiled to nothing, the shipped CLI's file → table
 //! wall was indistinguishable (DESIGN.md §8), so the second build and the
 //! cargo feature that selected it are gone.
@@ -86,6 +89,7 @@ pub mod prometheus;
 pub mod recorder;
 pub mod telemetry;
 
+use analyze::Timeline;
 pub use json::escape_json;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,7 +98,7 @@ use std::sync::Mutex;
 /// Schema version of the JSON produced by [`MetricsReport::to_json`].
 /// Bump only when a field is removed or its meaning changes; adding
 /// fields is backward-compatible.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Maximum workers tracked individually; higher worker ids fold into the
 /// last slot.
@@ -330,6 +334,11 @@ pub fn get(c: Counter) -> u64 {
     COUNTERS[c as usize].load(Ordering::Relaxed)
 }
 
+/// Every counter's current value, in [`Counter::ALL`] order.
+pub fn counters() -> [u64; Counter::COUNT] {
+    Counter::ALL.map(get)
+}
+
 /// Records one dynamic-scheduler chunk claimed by `worker`; `stolen`
 /// marks a chunk outside the worker's static even-split share.
 #[inline]
@@ -384,40 +393,6 @@ pub fn reset() {
     telemetry::reset();
 }
 
-/// A scoped wall-clock timer:
-///
-/// ```
-/// let t = ld_trace::Stopwatch::start();
-/// // ... work ...
-/// t.stop_into(ld_trace::Counter::KernelNs);
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct Stopwatch {
-    start: std::time::Instant,
-}
-
-impl Stopwatch {
-    /// Starts the timer.
-    #[inline]
-    pub fn start() -> Self {
-        Self {
-            start: std::time::Instant::now(),
-        }
-    }
-
-    /// Elapsed nanoseconds, saturating at `u64::MAX`.
-    #[inline]
-    pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Adds the elapsed time to counter `c` and consumes the timer.
-    #[inline]
-    pub fn stop_into(self, c: Counter) {
-        add(c, self.elapsed_ns());
-    }
-}
-
 // ---------------------------------------------------------------------------
 // MetricsReport
 // ---------------------------------------------------------------------------
@@ -444,10 +419,11 @@ pub struct IoMetrics {
     pub bytes_read: u64,
 }
 
-/// A point-in-time snapshot of every counter, with optional run context
-/// (wall time, thread count, TSC frequency, resolved kernel) supplied by
-/// the caller. Serializes to the stable JSON validated by
-/// `schemas/metrics.schema.json`.
+/// The run report: a point-in-time snapshot of every counter, with
+/// optional run context (wall time, thread count, TSC frequency, the
+/// resolved kernel and its peak) supplied by the caller, and the span
+/// timeline when a recorder was armed. Serializes to the stable JSON
+/// validated by `schemas/metrics.schema.json`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsReport {
     /// Schema version ([`SCHEMA_VERSION`]).
@@ -466,15 +442,17 @@ pub struct MetricsReport {
     pub workers: Vec<WorkerMetrics>,
     /// Per-format parser activity (only formats that read ≥ 1 line/byte).
     pub io: Vec<IoMetrics>,
+    /// Analytical peak of the resolved kernel, word-pairs/cycle
+    /// (caller-supplied; with `tsc_hz` enables the roofline).
+    pub peak_words_per_cycle: Option<f64>,
+    /// The span-timeline analysis ([`analyze::analyze`]), when a recorder
+    /// was armed for the run.
+    pub timeline: Option<Timeline>,
 }
 
 impl MetricsReport {
     /// Snapshots the current counter state.
     pub fn capture() -> Self {
-        let mut counters = [0u64; Counter::COUNT];
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            counters[i] = get(*c);
-        }
         let mut workers = Vec::new();
         for w in 0..MAX_WORKERS {
             let tiles = WORKER_TILES[w].load(Ordering::Relaxed);
@@ -505,9 +483,11 @@ impl MetricsReport {
             threads: None,
             wall_ns: None,
             tsc_hz: None,
-            counters,
+            counters: counters(),
             workers,
             io,
+            peak_words_per_cycle: None,
+            timeline: None,
         }
     }
 
@@ -526,6 +506,18 @@ impl MetricsReport {
     /// Attaches the calibrated TSC frequency (enables ops/cycle output).
     pub fn with_tsc_hz(mut self, hz: Option<f64>) -> Self {
         self.tsc_hz = hz;
+        self
+    }
+
+    /// Attaches the resolved kernel's analytical peak (word-pairs/cycle).
+    pub fn with_peak_words_per_cycle(mut self, peak: Option<f64>) -> Self {
+        self.peak_words_per_cycle = peak;
+        self
+    }
+
+    /// Attaches the run's span-timeline analysis.
+    pub fn with_timeline(mut self, timeline: Option<Timeline>) -> Self {
+        self.timeline = timeline;
         self
     }
 
@@ -566,14 +558,19 @@ impl MetricsReport {
         Some(self.get(Counter::KernelWords) as f64 / cycles)
     }
 
+    /// The roofline: [`MetricsReport::words_per_cycle`] as a fraction of
+    /// the resolved kernel's analytical peak (`None` without either).
+    pub fn fraction_of_peak(&self) -> Option<f64> {
+        let peak = self.peak_words_per_cycle.filter(|&p| p > 0.0)?;
+        Some(self.words_per_cycle()? / peak)
+    }
+
     /// Serializes to the stable-schema JSON (hand-rolled; this workspace
     /// builds offline with no external deps).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str("{\n");
         let _ = writeln!(s, "  \"schema_version\": {},", self.schema_version);
-        // schema field from when a build could compile the counters out
-        s.push_str("  \"enabled\": true,\n");
         match &self.kernel {
             Some(k) => {
                 let _ = writeln!(s, "  \"kernel\": \"{}\",", escape_json(k));
@@ -627,7 +624,24 @@ impl MetricsReport {
             );
             s.push_str(if i + 1 == self.io.len() { "\n" } else { ",\n" });
         }
-        s.push_str("  ]\n}\n");
+        s.push_str("  ],\n");
+        match (self.fraction_of_peak(), self.words_per_cycle()) {
+            (Some(fraction), Some(wpc)) => {
+                let _ = writeln!(
+                    s,
+                    "  \"roofline\": {{\"words_per_cycle\": {wpc:.6}, \
+                     \"peak_words_per_cycle\": {:.6}, \"fraction_of_peak\": {fraction:.6}}},",
+                    self.peak_words_per_cycle.unwrap_or(0.0)
+                );
+            }
+            _ => s.push_str("  \"roofline\": null,\n"),
+        }
+        s.push_str("  \"timeline\": ");
+        match &self.timeline {
+            Some(t) => t.write_json(&mut s),
+            None => s.push_str("null"),
+        }
+        s.push_str("\n}\n");
         s
     }
 
@@ -680,6 +694,13 @@ impl MetricsReport {
                  (scalar peak: 1 word-pair = 3 ops)",
                 wpc,
                 3.0 * wpc
+            );
+        }
+        if let (Some(fraction), Some(peak)) = (self.fraction_of_peak(), self.peak_words_per_cycle) {
+            let _ = writeln!(
+                s,
+                "roofline        : {:.1}% of the kernel's {peak:.1} word-pairs/cycle peak",
+                100.0 * fraction
             );
         }
         let _ = writeln!(
@@ -740,6 +761,9 @@ impl MetricsReport {
                 );
             }
         }
+        if let Some(t) = &self.timeline {
+            t.write_text(&mut s);
+        }
         s
     }
 }
@@ -794,7 +818,9 @@ mod tests {
             .with_threads(4)
             .with_tsc_hz(Some(3.0e9));
         let j = r.to_json();
-        assert!(j.contains("\"schema_version\": 2"));
+        assert!(j.contains("\"schema_version\": 3"));
+        assert!(j.contains("\"roofline\": null"));
+        assert!(j.contains("\"timeline\": null"));
         assert!(j.contains("\"counters\""));
         assert!(j.contains("\"pack_a_ns\""));
         assert!(j.contains("\"workers\""));
@@ -878,10 +904,21 @@ mod tests {
     }
 
     #[test]
-    fn stopwatch_measures_time() {
-        let t = Stopwatch::start();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(t.elapsed_ns() >= 2_000_000);
+    fn roofline_needs_context() {
+        let mut r = MetricsReport::capture().with_peak_words_per_cycle(Some(1.0));
+        r.counters[Counter::KernelNs as usize] = 1_000;
+        r.counters[Counter::KernelWords as usize] = 500;
+        // no TSC frequency → no roofline
+        assert!(r.fraction_of_peak().is_none());
+        let r = r.with_tsc_hz(Some(1e9));
+        assert!((r.words_per_cycle().unwrap() - 0.5).abs() < 1e-9);
+        assert!((r.fraction_of_peak().unwrap() - 0.5).abs() < 1e-9);
+        assert!(r.to_json().contains("\"fraction_of_peak\": 0.500000"));
+        // no peak → no roofline
+        assert!(r
+            .with_peak_words_per_cycle(None)
+            .fraction_of_peak()
+            .is_none());
     }
 
     #[test]

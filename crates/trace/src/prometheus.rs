@@ -21,12 +21,13 @@
 //! `gemm_ld_request_window_seconds{window="10s",quantile="0.99"}` and
 //! `gemm_ld_request_window_count{window=…,result="ok"|"err"}`.
 //!
-//! The encoder core ([`render`]) is a pure function of its inputs so the
-//! golden test can pin the exposition byte-for-byte; [`render_global`]
-//! feeds it the live registry.
+//! The encoder ([`render`]) is a pure function of its inputs — counters,
+//! a [`ServeTelemetry`] snapshot and the caller's gauges — so the golden
+//! test can pin the exposition byte-for-byte, and the daemon feeds it the
+//! counters of the one state snapshot its `health` body is rendered from.
 
 use crate::histogram::{bucket_ceiling_ns, HistogramSnapshot, BUCKETS};
-use crate::telemetry::{serve_telemetry, ServeTelemetry};
+use crate::telemetry::ServeTelemetry;
 use crate::Counter;
 use std::fmt::Write as _;
 
@@ -264,16 +265,6 @@ pub fn render(
     out
 }
 
-/// Renders the live registry: current counters, current serve telemetry,
-/// plus the caller's gauges (queue depth, residency, …).
-pub fn render_global(gauges: &[PromGauge]) -> String {
-    let mut counters = [0u64; Counter::COUNT];
-    for (i, c) in Counter::ALL.iter().enumerate() {
-        counters[i] = crate::get(*c);
-    }
-    render(&counters, &serve_telemetry(), gauges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,21 +308,26 @@ mod tests {
 
     #[test]
     fn type_lines_appear_once_per_metric() {
-        let text = render_global(&[
-            PromGauge::new("gemm_ld_queue_depth", "Jobs waiting", 3.0),
-            PromGauge {
-                name: "gemm_ld_panel_bytes".into(),
-                help: "Resident bytes per panel",
-                labels: format!("panel=\"{}\"", escape_label_value("a")),
-                value: 10.0,
-            },
-            PromGauge {
-                name: "gemm_ld_panel_bytes".into(),
-                help: "Resident bytes per panel",
-                labels: format!("panel=\"{}\"", escape_label_value("b")),
-                value: 20.0,
-            },
-        ]);
+        let tel = crate::telemetry::serve_telemetry();
+        let text = render(
+            &crate::counters(),
+            &tel,
+            &[
+                PromGauge::new("gemm_ld_queue_depth", "Jobs waiting", 3.0),
+                PromGauge {
+                    name: "gemm_ld_panel_bytes".into(),
+                    help: "Resident bytes per panel",
+                    labels: format!("panel=\"{}\"", escape_label_value("a")),
+                    value: 10.0,
+                },
+                PromGauge {
+                    name: "gemm_ld_panel_bytes".into(),
+                    help: "Resident bytes per panel",
+                    labels: format!("panel=\"{}\"", escape_label_value("b")),
+                    value: 20.0,
+                },
+            ],
+        );
         let mut seen = std::collections::HashSet::new();
         for line in text.lines() {
             if let Some(rest) = line.strip_prefix("# TYPE ") {

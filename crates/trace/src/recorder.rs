@@ -1,11 +1,17 @@
-//! Flight recorder: fixed-capacity, per-worker ring buffers of span events.
+//! Flight recorder: fixed-capacity, per-worker ring buffers of span events,
+//! and [`Span`] — the one layer timer of the workspace.
 //!
 //! The counters in the crate root say *how much* work each GotoBLAS layer
-//! did; the recorder says *when* and *on which worker*. Each worker owns a
-//! pre-allocated ring of [`SpanEvent`] slots; recording a span is two
-//! `Instant` reads plus four relaxed atomic stores into a reserved slot —
-//! **zero allocation on the hot path** — and with no recorder installed
-//! every entry point is one relaxed atomic load.
+//! did; the recorder says *when* and *on which worker*. Both read the same
+//! clock: a [`Span`] reads `Instant::now()` at each end, charges the
+//! elapsed nanoseconds to the timer counter its kind maps to
+//! ([`SpanKind::counter`]) and, only while a recorder is armed, pushes the
+//! same start and duration as an event. So a timer counter is exactly the
+//! sum of its kinds' event durations on a complete timeline. Each worker
+//! owns a pre-allocated ring of [`SpanEvent`] slots; recording an event is
+//! four relaxed atomic stores into a reserved slot — **zero allocation on
+//! the hot path** — and with no recorder installed the arming check is one
+//! relaxed atomic load.
 //!
 //! ## Lifecycle contract
 //!
@@ -24,19 +30,15 @@
 //! break the monotonic-timeline invariant). Every drop increments
 //! [`Counter::TraceEventsDropped`] so `MetricsReport` and CI can assert a
 //! complete timeline; [`TraceSnapshot::dropped`] carries the same total.
-//!
-//! ## Sampling
-//!
 //! Micro-kernel batch spans ([`SpanKind::KernelBatch`]) cover a whole
-//! `jr/ir` tile sweep per `(jc, pc, ic)` block — already coarse — and can
-//! additionally be sampled 1-in-N via [`RecorderConfig::kernel_sample`]
-//! for very large runs. All other kinds are recorded 1:1.
+//! `jr/ir` tile sweep per `(jc, pc, ic)` block, so every kind is recorded
+//! 1:1 within the [`CAPACITY`] of a ring.
 
 use crate::Counter;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What a span measures. Mirrors the layer map in the crate root plus the
 /// scheduler and driver events the counters cannot localize.
@@ -48,9 +50,10 @@ pub enum SpanKind {
     /// Packing B̃ micro-panels (NR-interleaved).
     PackB = 1,
     /// One micro-kernel tile batch: the `jr/ir` register-tile sweep of a
-    /// `(jc, pc, ic)` block (sampled 1-in-`kernel_sample`).
+    /// `(jc, pc, ic)` block, or the zero-fill / mirror of a counts buffer.
     KernelBatch = 2,
-    /// The batched `D = H − p pᵀ` statistic transform (setup + per-slab).
+    /// The batched `D = H − p pᵀ` statistic transform (setup, per-slab,
+    /// and the allele counts a store chunk adds to its tables).
     Transform = 3,
     /// Large-buffer allocation/zeroing in the driver (scratch pool,
     /// packed output).
@@ -92,6 +95,22 @@ impl SpanKind {
             SpanKind::Chunk => "chunk",
             SpanKind::CheckpointFlush => "checkpoint_flush",
             SpanKind::SlabEmit => "slab_emit",
+        }
+    }
+
+    /// The timer counter a span of this kind charges — the one table that
+    /// ties the timeline to the counters. Allocation and zeroing of the
+    /// packed output and the scratch pool are part of producing the
+    /// statistic, so `Alloc` charges `transform_ns`; the scheduler chunk,
+    /// the checkpoint flush and the slab marker structure the timeline
+    /// and charge nothing.
+    pub fn counter(self) -> Option<Counter> {
+        match self {
+            SpanKind::PackA => Some(Counter::PackANs),
+            SpanKind::PackB => Some(Counter::PackBNs),
+            SpanKind::KernelBatch => Some(Counter::KernelNs),
+            SpanKind::Transform | SpanKind::Alloc => Some(Counter::TransformNs),
+            SpanKind::Chunk | SpanKind::CheckpointFlush | SpanKind::SlabEmit => None,
         }
     }
 
@@ -137,42 +156,10 @@ pub struct SpanEvent {
     pub arg: u64,
 }
 
-/// Recorder sizing and sampling knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecorderConfig {
-    /// Ring capacity per worker, in events. The default (16384 ≈ 512 KiB
-    /// per worker) absorbs every span the fused driver emits for matrices
-    /// far past the bench sizes; overflow is counted, never wrapped.
-    pub capacity_per_worker: usize,
-    /// Number of per-worker rings. Worker ids `>= workers` fold into the
-    /// last ring (they stay race-free; the timeline just merges them).
-    pub workers: usize,
-    /// Record 1 in `kernel_sample` micro-kernel batch spans (0 is treated
-    /// as 1 = record all).
-    pub kernel_sample: u64,
-}
-
-impl RecorderConfig {
-    /// Default capacity per worker (events).
-    pub const DEFAULT_CAPACITY: usize = 16384;
-
-    /// Sizing for a run with `threads` workers (plus nothing else: the
-    /// coordinating thread shares ring 0, which is safe — slots are
-    /// reserved atomically).
-    pub fn for_threads(threads: usize) -> Self {
-        Self {
-            capacity_per_worker: Self::DEFAULT_CAPACITY,
-            workers: threads.clamp(1, crate::MAX_WORKERS),
-            kernel_sample: 1,
-        }
-    }
-}
-
-impl Default for RecorderConfig {
-    fn default() -> Self {
-        Self::for_threads(1)
-    }
-}
+/// Ring capacity per worker, in events (≈ 512 KiB per worker): absorbs
+/// every span the slab driver emits for matrices far past the bench sizes;
+/// overflow is counted, never wrapped.
+pub const CAPACITY: usize = 16384;
 
 /// Everything [`stop`] extracts from the rings: the events (sorted by
 /// `(worker, start_ns)`), the drop count, and the balance diagnostics the
@@ -225,17 +212,15 @@ struct Ring {
 
 struct Recorder {
     epoch: Instant,
-    cfg: RecorderConfig,
-    kernel_seq: AtomicU64,
     rings: Box<[Ring]>,
 }
 
 impl Recorder {
-    fn new(cfg: RecorderConfig) -> Self {
+    fn new(workers: usize) -> Self {
         let ring = || Ring {
             head: AtomicUsize::new(0),
             open: AtomicU64::new(0),
-            slots: (0..cfg.capacity_per_worker)
+            slots: (0..CAPACITY)
                 .map(|_| Slot {
                     kind: AtomicU64::new(0),
                     start_ns: AtomicU64::new(0),
@@ -246,15 +231,16 @@ impl Recorder {
         };
         Recorder {
             epoch: Instant::now(),
-            cfg,
-            kernel_seq: AtomicU64::new(0),
-            rings: (0..cfg.workers.max(1)).map(|_| ring()).collect(),
+            rings: (0..workers.clamp(1, crate::MAX_WORKERS))
+                .map(|_| ring())
+                .collect(),
         }
     }
 
+    /// Nanoseconds from the recorder epoch to `t` (0 before it).
     #[inline]
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    fn since_epoch(&self, t: Instant) -> u64 {
+        nanos(t.saturating_duration_since(self.epoch))
     }
 
     #[inline]
@@ -313,7 +299,7 @@ impl Recorder {
             events,
             dropped,
             open_spans: u64::try_from(open.max(0)).unwrap_or(0),
-            capacity_per_worker: self.cfg.capacity_per_worker,
+            capacity_per_worker: CAPACITY,
             workers: self.rings.len(),
         }
     }
@@ -342,16 +328,19 @@ fn worker() -> usize {
     WORKER.with(Cell::get)
 }
 
-/// Installs a fresh recorder. Call from the coordinating thread before
-/// spawning workers; replaces (and retires) any previous recorder.
-pub fn start(cfg: RecorderConfig) {
+/// Installs a fresh recorder with one ring per worker (`workers` clamped
+/// to `1..=MAX_WORKERS`; worker ids past the last ring fold into it, and
+/// the coordinating thread shares ring 0 — both safe, slots are reserved
+/// atomically). Call from the coordinating thread before spawning
+/// workers; replaces (and retires) any previous recorder.
+pub fn start(workers: usize) {
     let mut store = STORE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Uninstall first so nothing records into the recorder we are
     // about to drop, then install the replacement.
     ACTIVE.store(std::ptr::null_mut(), Ordering::Release);
-    let mut boxed = Box::new(Recorder::new(cfg));
+    let mut boxed = Box::new(Recorder::new(workers));
     let ptr: *mut Recorder = &mut *boxed;
     *store = Some(boxed);
     ACTIVE.store(ptr, Ordering::Release);
@@ -414,73 +403,85 @@ fn active() -> Option<&'static Recorder> {
     }
 }
 
-#[inline]
-fn begin(kind: SpanKind) -> Option<(SpanKind, u64)> {
-    let rec = active()?;
-    if kind == SpanKind::KernelBatch {
-        let n = rec.cfg.kernel_sample.max(1);
-        if rec.kernel_seq.fetch_add(1, Ordering::Relaxed) % n != 0 {
-            return None;
-        }
-    }
-    rec.ring(worker()).open.fetch_add(1, Ordering::Relaxed);
-    Some((kind, rec.now_ns()))
-}
-
-#[inline]
-fn end(kind: SpanKind, start_ns: u64, arg: u64) {
-    if let Some(rec) = active() {
-        let w = worker();
-        let end_ns = rec.now_ns();
-        rec.push(w, kind, start_ns, end_ns.saturating_sub(start_ns), arg);
-        // wrapping_sub: balance is tracked as a signed value read back
-        // as i64 in snapshot(); underflow (end without begin) shows up
-        // as a negative balance rather than corrupting anything.
-        rec.ring(w).open.fetch_sub(1, Ordering::Relaxed);
-    }
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Records a zero-duration marker event (e.g. [`SpanKind::SlabEmit`]).
 #[inline]
 pub fn instant(kind: SpanKind, arg: u64) {
     if let Some(rec) = active() {
-        let now = rec.now_ns();
-        rec.push(worker(), kind, now, 0, arg);
+        rec.push(worker(), kind, rec.since_epoch(Instant::now()), 0, arg);
     }
 }
 
-/// A scoped span guard; inert (single relaxed load) when no recorder is
-/// active. End it with [`Span::end`] to attach a payload, or let it drop
-/// (payload 0).
+/// A scoped layer timer: the elapsed time from [`Span::begin`] to
+/// [`Span::end`] (or drop) is charged to the kind's timer counter
+/// ([`SpanKind::counter`]) and, when a recorder was armed at `begin`,
+/// recorded as an event with that same start and duration.
+///
+/// ```
+/// use ld_trace::recorder::{Span, SpanKind};
+/// let before = ld_trace::get(ld_trace::Counter::PackANs);
+/// let span = Span::begin(SpanKind::PackA);
+/// // ... pack a panel ...
+/// let ns = span.end(512); // payload: bytes packed
+/// assert!(ld_trace::get(ld_trace::Counter::PackANs) >= before + ns);
+/// ```
 #[derive(Debug)]
-#[must_use = "a span records on end/drop; binding to _ discards it immediately"]
+#[must_use = "a span times until end/drop; binding to _ ends it immediately"]
 pub struct Span {
-    inner: Option<(SpanKind, u64)>,
+    kind: SpanKind,
+    start: Instant,
+    /// A recorder was armed at `begin` (its ring counted the span open).
+    armed: bool,
 }
 
 impl Span {
-    /// Begins a span of `kind` on the current worker's timeline. Inert
-    /// when no recorder is active or the kind is sampled out.
+    /// Begins a span of `kind` on the current worker's timeline.
     #[inline]
     pub fn begin(kind: SpanKind) -> Self {
-        Span { inner: begin(kind) }
+        let armed = active().is_some_and(|rec| {
+            rec.ring(worker()).open.fetch_add(1, Ordering::Relaxed);
+            true
+        });
+        Span {
+            kind,
+            start: Instant::now(),
+            armed,
+        }
     }
 
-    /// Ends the span, recording `arg` as its payload.
+    /// Ends the span with `arg` as its event payload; returns its
+    /// duration in nanoseconds (what the counter was charged).
     #[inline]
-    pub fn end(mut self, arg: u64) {
-        if let Some((kind, start_ns)) = self.inner.take() {
-            end(kind, start_ns, arg);
+    pub fn end(self, arg: u64) -> u64 {
+        let ns = self.close(arg);
+        std::mem::forget(self);
+        ns
+    }
+
+    #[inline]
+    fn close(&self, arg: u64) -> u64 {
+        let ns = nanos(self.start.elapsed());
+        if let Some(c) = self.kind.counter() {
+            crate::add(c, ns);
         }
+        if let Some(rec) = active().filter(|_| self.armed) {
+            let w = worker();
+            rec.push(w, self.kind, rec.since_epoch(self.start), ns, arg);
+            // a balance read back as i64 in snapshot(): an end without a
+            // begin shows up as a negative balance, never as corruption
+            rec.ring(w).open.fetch_sub(1, Ordering::Relaxed);
+        }
+        ns
     }
 }
 
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        if let Some((kind, start_ns)) = self.inner.take() {
-            end(kind, start_ns, 0);
-        }
+        self.close(0);
     }
 }
 
@@ -504,7 +505,7 @@ mod tests {
     fn records_and_snapshots_spans() {
         let _g = lock();
         crate::reset();
-        start(RecorderConfig::for_threads(2));
+        start(2);
         assert!(is_active());
         set_worker(0);
         let s = Span::begin(SpanKind::PackB);
@@ -526,47 +527,63 @@ mod tests {
     }
 
     #[test]
-    fn overflow_fills_and_drops_with_accounting() {
+    fn span_end_charges_its_counter() {
         let _g = lock();
+        while stop().is_some() {}
         crate::reset();
-        start(RecorderConfig {
-            capacity_per_worker: 4,
-            workers: 1,
-            kernel_sample: 1,
-        });
-        for i in 0..10 {
-            instant(SpanKind::SlabEmit, i);
-        }
+        // unarmed: the counter is charged all the same
+        let s = Span::begin(SpanKind::KernelBatch);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let ns = s.end(0);
+        assert!(ns >= 2_000_000);
+        assert_eq!(crate::get(Counter::KernelNs), ns);
+        // armed: the event carries exactly what the counter was charged,
+        // for an explicit end and for a dropped guard alike
+        start(1);
+        let ns = Span::begin(SpanKind::PackA).end(8);
+        drop(Span::begin(SpanKind::Alloc));
+        Span::begin(SpanKind::Chunk).end(0);
         let snap = stop().expect("snapshot");
-        assert_eq!(snap.events.len(), 4, "ring keeps the first `cap` events");
-        let args: Vec<u64> = snap.events.iter().map(|e| e.arg).collect();
-        assert_eq!(args, vec![0, 1, 2, 3], "fill-and-drop, never wrap");
-        assert_eq!(snap.dropped, 6);
-        assert_eq!(crate::get(Counter::TraceEventsDropped), 6);
+        let dur = |k| snap.events.iter().find(|e| e.kind == k).map(|e| e.dur_ns);
+        assert_eq!(dur(SpanKind::PackA), Some(ns));
+        assert_eq!(crate::get(Counter::PackANs), ns);
+        assert_eq!(dur(SpanKind::Alloc), Some(crate::get(Counter::TransformNs)));
+        assert_eq!(
+            snap.events.len(),
+            3,
+            "a chunk is recorded, charging nothing"
+        );
     }
 
     #[test]
-    fn kernel_batch_sampling() {
+    fn overflow_fills_and_drops_with_accounting() {
         let _g = lock();
         crate::reset();
-        start(RecorderConfig {
-            capacity_per_worker: 64,
-            workers: 1,
-            kernel_sample: 4,
-        });
-        for _ in 0..16 {
-            Span::begin(SpanKind::KernelBatch).end(0);
+        start(1);
+        for i in 0..CAPACITY as u64 + 6 {
+            instant(SpanKind::SlabEmit, i);
         }
         let snap = stop().expect("snapshot");
-        assert_eq!(snap.count(SpanKind::KernelBatch), 4, "1-in-4 sampling");
-        assert_eq!(snap.open_spans, 0, "sampled-out spans do not unbalance");
+        assert_eq!(
+            snap.events.len(),
+            CAPACITY,
+            "ring keeps the first `CAPACITY` events"
+        );
+        let args: Vec<u64> = snap.events.iter().map(|e| e.arg).collect();
+        assert_eq!(
+            args,
+            (0..CAPACITY as u64).collect::<Vec<_>>(),
+            "fill-and-drop, never wrap"
+        );
+        assert_eq!(snap.dropped, 6);
+        assert_eq!(crate::get(Counter::TraceEventsDropped), 6);
     }
 
     #[test]
     fn drop_guard_ends_the_span() {
         let _g = lock();
         crate::reset();
-        start(RecorderConfig::for_threads(1));
+        start(1);
         {
             let _s = Span::begin(SpanKind::Transform);
             // dropped without an explicit end
@@ -580,11 +597,7 @@ mod tests {
     fn worker_ids_fold_into_last_ring() {
         let _g = lock();
         crate::reset();
-        start(RecorderConfig {
-            capacity_per_worker: 8,
-            workers: 2,
-            kernel_sample: 1,
-        });
+        start(2);
         set_worker(57);
         instant(SpanKind::SlabEmit, 9);
         set_worker(0);

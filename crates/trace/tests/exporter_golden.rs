@@ -1,5 +1,5 @@
-//! Golden test of the Chrome trace-event exporter and the analysis
-//! report's schema fidelity.
+//! Golden test of the Chrome trace-event exporter and the timeline
+//! section's schema fidelity.
 //!
 //! The exporter is a pure function of the snapshot, so a fixed
 //! deterministic two-worker snapshot must serialize to an exact byte
@@ -68,11 +68,9 @@ fn chrome_trace_json_matches_golden() {
     assert_eq!(chrome_trace_json(&two_worker_snapshot()), golden);
 }
 
-/// Top-level keys `trace_report.schema.json` marks required, kept in one
-/// place so the test pins the report and the schema against each other.
-const REQUIRED_KEYS: [&str; 15] = [
-    "schema_version",
-    "wall_ns",
+/// Keys the `timeline` property of `metrics.schema.json` marks required, kept in one place so the test pins the report and the schema
+/// against each other.
+const TIMELINE_KEYS: [&str; 12] = [
     "workers",
     "events",
     "dropped",
@@ -85,34 +83,43 @@ const REQUIRED_KEYS: [&str; 15] = [
     "per_worker",
     "layers",
     "steal_latency",
-    "roofline",
 ];
 
 #[test]
-fn trace_report_json_carries_every_schema_required_key() {
+fn timeline_json_carries_every_schema_required_key() {
     let snap = two_worker_snapshot();
-    let report = MetricsReport::capture()
-        .with_wall_ns(15_000)
-        .with_threads(2);
-    let json = analyze(&snap, &report, Some(8.0)).to_json();
-    let schema = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../schemas/trace_report.schema.json"
-    ))
-    .expect("schema file must exist");
-    for key in REQUIRED_KEYS {
-        let quoted = format!("\"{key}\"");
-        assert!(json.contains(&quoted), "report JSON lacks {quoted}");
-        assert!(schema.contains(&quoted), "schema lacks {quoted}");
-    }
+    let timeline = analyze(&snap, Some(15_000), 2);
     // The analysis invariant `process_cli.rs` holds a real run to: the layer
     // partition tiles the workers × wall area, so shares sum to 1.
-    let rep = analyze(&snap, &report, None);
     assert!(
-        (rep.share_sum() - 1.0).abs() < 0.01,
+        (timeline.share_sum() - 1.0).abs() < 0.01,
         "layer shares must sum to 1 within 1%, got {}",
-        rep.share_sum()
+        timeline.share_sum()
     );
+    let json = MetricsReport::capture()
+        .with_wall_ns(15_000)
+        .with_threads(2)
+        .with_timeline(Some(timeline))
+        .to_json();
+    let doc = ld_trace::json::parse(json.as_bytes()).expect("the report is JSON");
+    let section = doc.get("timeline").expect("a timeline section");
+    let schema = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../schemas/metrics.schema.json"
+    ))
+    .expect("schema file must exist");
+    let schema = ld_trace::json::parse(schema.as_bytes()).expect("the schema is JSON");
+    let required = schema
+        .get("properties")
+        .and_then(|p| p.get("timeline"))
+        .and_then(|t| t.get("required"))
+        .and_then(|r| r.as_array())
+        .expect("properties.timeline.required");
+    let required: Vec<&str> = required.iter().filter_map(|k| k.as_str()).collect();
+    assert_eq!(required, TIMELINE_KEYS, "schema and test disagree");
+    for key in TIMELINE_KEYS {
+        assert!(section.get(key).is_some(), "timeline JSON lacks {key}");
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Flight-recorder invariants, exercised through the public API only.
 
 use ld_trace::recorder::{
-    instant, is_active, set_worker, start, stop, RecorderConfig, Span, SpanKind, TraceSnapshot,
+    instant, is_active, set_worker, start, stop, Span, SpanKind, TraceSnapshot, CAPACITY,
 };
 use ld_trace::{Counter, MetricsReport};
 
@@ -47,7 +47,7 @@ fn multithreaded_spans_balance_and_stay_monotonic() {
     let _g = lock();
     while stop().is_some() {}
     ld_trace::reset();
-    start(RecorderConfig::for_threads(4));
+    start(4);
     assert!(is_active());
     let spans_per_worker = 50usize;
     std::thread::scope(|s| {
@@ -96,13 +96,9 @@ fn overflow_fills_and_drops_and_counts() {
     let _g = lock();
     while stop().is_some() {}
     ld_trace::reset();
-    let capacity = 8usize;
-    start(RecorderConfig {
-        capacity_per_worker: capacity,
-        workers: 1,
-        kernel_sample: 1,
-    });
-    let total = 30usize;
+    let capacity = CAPACITY;
+    start(1);
+    let total = capacity + 22;
     for i in 0..total {
         let s = Span::begin(SpanKind::Transform);
         s.end(i as u64);
@@ -127,46 +123,11 @@ fn overflow_fills_and_drops_and_counts() {
 }
 
 #[test]
-fn kernel_batches_are_sampled_other_kinds_are_not() {
-    let _g = lock();
-    while stop().is_some() {}
-    ld_trace::reset();
-    start(RecorderConfig {
-        capacity_per_worker: 1024,
-        workers: 1,
-        kernel_sample: 4,
-    });
-    for i in 0..16u64 {
-        let k = Span::begin(SpanKind::KernelBatch);
-        k.end(i);
-        let p = Span::begin(SpanKind::PackB);
-        p.end(i);
-    }
-    let snap = stop().expect("recorder was active");
-    assert_eq!(
-        snap.count(SpanKind::KernelBatch),
-        4,
-        "1-in-4 sampling must keep 4 of 16 kernel batches"
-    );
-    assert_eq!(
-        snap.count(SpanKind::PackB),
-        16,
-        "sampling must not touch non-kernel kinds"
-    );
-    assert_eq!(snap.dropped, 0);
-    assert_eq!(snap.open_spans, 0);
-}
-
-#[test]
 fn out_of_range_worker_ids_fold_into_the_last_ring() {
     let _g = lock();
     while stop().is_some() {}
     ld_trace::reset();
-    start(RecorderConfig {
-        capacity_per_worker: 64,
-        workers: 2,
-        kernel_sample: 1,
-    });
+    start(2);
     set_worker(17); // way past the ring count: folds to ring 1
     let s = Span::begin(SpanKind::Transform);
     s.end(7);
@@ -182,7 +143,7 @@ fn dropped_guard_records_with_zero_payload() {
     let _g = lock();
     while stop().is_some() {}
     ld_trace::reset();
-    start(RecorderConfig::for_threads(1));
+    start(1);
     {
         let _span = Span::begin(SpanKind::CheckpointFlush);
         // dropped here without end(): the Drop impl must still close it

@@ -11,11 +11,12 @@
 #                         panic-free crates; every `unsafe` block and impl
 #                         in every member's lib carries a SAFETY argument
 #   4. release build, workspace tests, the release-arithmetic legs, the
-#                         one-formatter, per-window, ext-kernel and wire
-#                         guards
-#   5. schemas          — each published artifact (`--profile=json`, trace
-#                         report, CPU profile, shard manifest, tile
-#                         manifest, request log, both Prometheus scrapes)
+#                         one-formatter, per-window, ext-kernel, wire and
+#                         one-timer guards
+#   5. schemas          — each published artifact (the `--profile=json`
+#                         run report with its timeline, CPU profile, shard
+#                         manifest, tile manifest, request log, both
+#                         Prometheus scrapes)
 #                         produced once by the release binary and held to
 #                         its schema under schemas/ (needs python3)
 #   6. perf smokes      — the flight recorder over `--profile` alone, and
@@ -124,6 +125,18 @@ if [ -n "$STALL" ]; then
     printf '%s\n' "$STALL" >&2
     exit 1
 fi
+# One clock per layer, one report per run: the recorder span is the only
+# layer timer, and the timeline is a section of the `--profile` report,
+# not a report (flag, schema) of its own.
+echo "==> one layer timer in crates/*/src, one run report everywhere"
+TWO_CLOCKS=$(grep -rn 'Stopwatch' crates/*/src || true)
+TWO_REPORTS=$(grep -rnE -- '--trace-(report)|trace_(report)\.schema' \
+    crates src examples schemas scripts README.md DESIGN.md || true)
+if [ -n "$TWO_CLOCKS$TWO_REPORTS" ]; then
+    echo "one-timer guard FAIL: a second layer timer or a second run report:" >&2
+    printf '%s\n' "$TWO_CLOCKS" "$TWO_REPORTS" >&2
+    exit 1
+fi
 
 BIN=target/release/gemm-ld
 OUT=target/ci
@@ -142,10 +155,8 @@ else
     SIM=$OUT/panel.ms
     run "$BIN" simulate --samples 400 --snps 300 --seed 42 -o "$SIM"
     "$BIN" r2 -i "$SIM" --threads 7 --profile=json --profile-out "$OUT/metrics.json" \
-        --trace-out "$OUT/trace.json" --trace-report "$OUT/trace-report.json" \
-        -o "$OUT/panel.tsv" 2>/dev/null
+        --trace-out "$OUT/trace.json" -o "$OUT/panel.tsv" 2>/dev/null
     validate metrics "$OUT/metrics.json"
-    validate trace_report "$OUT/trace-report.json"
     run env LD_NO_CPU_PROFILE=0 LD_CPU_PROFILE="$OUT/cpu-profile.json" \
         "$BIN" tune --quick --threads 2 2>/dev/null
     validate cpu_profile "$OUT/cpu-profile.json"

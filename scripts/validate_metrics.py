@@ -8,11 +8,16 @@ schema needs: type (incl. union types), required, properties,
 additionalProperties (boolean false), items, enum, minimum, and local
 ``$ref`` into ``#/definitions/...``.
 
-Beyond the structural schema, one semantic invariant is enforced on
-instrumented documents: ``cancel_polls == slabs_emitted``. The fused
-drivers poll the cancellation token exactly once per computed slab
-(never inside the tile loops), so the two counters move in lock-step;
-a divergence means a poll was added at the wrong granularity.
+Beyond the structural schema, the run report (schema 3, a document with
+``counters``) is held to invariants the schema cannot express:
+
+* ``cancel_polls == slabs_emitted``: the slab driver polls the
+  cancellation token exactly once per computed slab (never inside the
+  tile loops), so the two counters move in lock-step; a divergence means
+  a poll was added at the wrong granularity;
+* with a ``timeline``: its ``dropped`` equals the ``trace_events_dropped``
+  counter (one drop count, two views), and ``share_sum`` is 1 within
+  0.01 (the layer shares tile workers x wall).
 
 Usage: validate_metrics.py <schema.json> <document.json>
 Exit 0 on success; nonzero with a path-annotated message otherwise.
@@ -85,19 +90,32 @@ def validate(value, schema, path="$", root=None):
 
 
 def semantic_checks(doc):
-    """Cross-counter invariants the schema cannot express."""
+    """Run-report invariants the schema cannot express."""
     errors = []
-    if not isinstance(doc, dict) or not doc.get("enabled"):
-        return errors  # uninstrumented build: counters are all zero anyway
-    counters = doc.get("counters")
-    if not isinstance(counters, dict):
-        return errors  # structural validation already reports this
+    if not isinstance(doc, dict) or not isinstance(doc.get("counters"), dict):
+        return errors  # not a run report (or structurally broken: reported)
+    counters = doc["counters"]
     polls = counters.get("cancel_polls")
     slabs = counters.get("slabs_emitted")
     if isinstance(polls, int) and isinstance(slabs, int) and polls != slabs:
         errors.append(
             f"$.counters: cancel_polls ({polls}) != slabs_emitted ({slabs}) "
             "— token polling must be exactly slab-granular"
+        )
+    timeline = doc.get("timeline")
+    if not isinstance(timeline, dict):
+        return errors
+    dropped = counters.get("trace_events_dropped")
+    if timeline.get("dropped") != dropped:
+        errors.append(
+            f"$.timeline.dropped ({timeline.get('dropped')}) != "
+            f"counters.trace_events_dropped ({dropped})"
+        )
+    share_sum = timeline.get("share_sum")
+    if isinstance(share_sum, (int, float)) and abs(share_sum - 1.0) > 0.01:
+        errors.append(
+            f"$.timeline.share_sum ({share_sum}) is not 1 within 0.01 "
+            "— the layer shares must tile workers x wall"
         )
     return errors
 
