@@ -1,23 +1,26 @@
-//! SIGINT/SIGTERM → `CancelToken` bridge.
+//! Signals: SIGINT/SIGTERM → `CancelToken` trip, SIGUSR1 → callback.
 //!
-//! The signal handler itself does the only async-signal-safe thing it can:
-//! one atomic store. A detached watcher thread converts that flag into a
-//! [`CancelToken`] trip (reason `"SIGINT"` / `"SIGTERM"`) — the token's
-//! reason mutex must never be taken inside a signal handler. Batch runs
-//! then drain at the next slab boundary (exit code 5, resumable snapshot
-//! when checkpointed); the `serve` daemon stops accepting and drains
-//! in-flight requests under its drain deadline.
+//! One signal handler does the only async-signal-safe thing it can: it
+//! counts the delivery, one atomic add per signal number. One watcher
+//! loop, run on a detached thread by each `install_*` function, turns new
+//! counts into actions off the handler: a [`CancelToken`] trip (reason
+//! `"SIGINT"` / `"SIGTERM"` — the token's reason mutex must never be
+//! taken inside a signal handler) or a trace dump. Batch runs then drain
+//! at the next slab boundary (exit code 5, resumable snapshot when
+//! checkpointed); the `serve` daemon stops accepting and drains in-flight
+//! requests under its drain deadline.
 
 use ld_core::CancelToken;
-use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-/// Set by the handler; drained by the watcher thread.
-static SIGINT_SEEN: AtomicBool = AtomicBool::new(false);
+/// Deliveries per signal number since the process started, counted by
+/// [`on_signal`]. Never reset: each watcher keeps its own cursor, so every
+/// watcher of a signal sees every delivery after its install.
+static DELIVERED: [AtomicU32; 32] = [const { AtomicU32::new(0) }; 32];
 
-/// Last shutdown signal observed (`0` = none) — the daemon watcher
-/// reports which of SIGINT/SIGTERM arrived in the cancel reason.
-static SHUTDOWN_SIGNAL: AtomicI32 = AtomicI32::new(0);
+/// How often a watcher looks at the counts.
+const WATCH_POLL: Duration = Duration::from_millis(25);
 
 /// POSIX SIGINT number (avoids a libc dependency for one constant).
 pub const SIGINT: i32 = 2;
@@ -36,9 +39,6 @@ pub const SIGUSR1: i32 = 10;
 
 /// POSIX SIGPIPE number.
 const SIGPIPE: i32 = 13;
-
-/// Deliveries of SIGUSR1 not yet consumed by the dump watcher.
-static USR1_PENDING: AtomicI32 = AtomicI32::new(0);
 
 extern "C" {
     /// POSIX `signal(2)`; handlers are passed as `sighandler_t` (a plain
@@ -75,108 +75,82 @@ pub fn default_sigpipe() {
     }
 }
 
-extern "C" fn on_sigint(_sig: i32) {
-    // Async-signal-safe: a single atomic store, no locks, no allocation.
-    SIGINT_SEEN.store(true, Ordering::SeqCst);
+extern "C" fn on_signal(sig: i32) {
+    // Async-signal-safe: a single atomic add, no locks, no allocation.
+    if let Some(count) = counter(sig) {
+        count.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
-/// Installs the SIGINT handler and spawns the watcher that trips `token`
-/// with reason `"SIGINT"` when the signal arrives. The watcher exits as
-/// soon as the token is cancelled *for any reason* — trip it after a
-/// successful run (e.g. reason `"run complete"`) to reap the thread.
-pub fn install_sigint_watcher(token: &CancelToken) {
-    // SAFETY: `on_sigint` is async-signal-safe (one atomic store) and has
-    // the exact `extern "C" fn(c_int)` ABI `signal(2)` expects.
-    unsafe {
-        signal(SIGINT, on_sigint as *const () as usize);
+fn counter(sig: i32) -> Option<&'static AtomicU32> {
+    usize::try_from(sig).ok().and_then(|s| DELIVERED.get(s))
+}
+
+fn delivered(sig: i32) -> u32 {
+    counter(sig).map_or(0, |count| count.load(Ordering::SeqCst))
+}
+
+/// The one watcher loop. Installs [`on_signal`] for `signals`, then, on a
+/// detached thread, calls `on_delivery(sig)` once per delivery after this
+/// call — never in the handler. The thread exits once `token` is
+/// cancelled for any reason: trip it after a successful run (e.g. reason
+/// `"run complete"`) to reap the thread.
+fn watch(
+    signals: &'static [i32],
+    token: &CancelToken,
+    mut on_delivery: impl FnMut(i32) + Send + 'static,
+) {
+    let mut seen: Vec<u32> = signals.iter().map(|&sig| delivered(sig)).collect();
+    for &sig in signals {
+        // SAFETY: `on_signal` is async-signal-safe (one atomic add) and has
+        // the exact `extern "C" fn(c_int)` ABI `signal(2)` expects.
+        unsafe {
+            signal(sig, on_signal as *const () as usize);
+        }
     }
-    let t = token.clone();
+    let token = token.clone();
     std::thread::spawn(move || loop {
-        if SIGINT_SEEN.load(Ordering::SeqCst) {
-            t.cancel_with_reason("SIGINT");
+        for (&sig, seen) in signals.iter().zip(&mut seen) {
+            let now = delivered(sig);
+            while *seen != now {
+                *seen = seen.wrapping_add(1);
+                on_delivery(sig);
+            }
+        }
+        if token.is_cancelled() {
             return;
         }
-        if t.is_cancelled() {
-            return; // run finished (or was cancelled elsewhere): reap
-        }
-        std::thread::sleep(Duration::from_millis(25));
+        std::thread::sleep(WATCH_POLL);
     });
 }
 
-extern "C" fn on_shutdown_signal(sig: i32) {
-    // Async-signal-safe: a single atomic store, no locks, no allocation.
-    SHUTDOWN_SIGNAL.store(sig, Ordering::SeqCst);
-}
-
-/// Installs SIGINT *and* SIGTERM handlers and spawns the watcher that
-/// trips `token` with the signal's name as the reason. The daemon's
-/// graceful-shutdown entry point: either signal stops the accept loop
-/// and starts the drain. The watcher exits once the token is cancelled
-/// for any reason.
-pub fn install_shutdown_watcher(token: &CancelToken) {
-    // SAFETY: `on_shutdown_signal` is async-signal-safe (one atomic
-    // store) and has the exact `extern "C" fn(c_int)` ABI `signal(2)`
-    // expects.
-    unsafe {
-        signal(SIGINT, on_shutdown_signal as *const () as usize);
-        signal(SIGTERM, on_shutdown_signal as *const () as usize);
-    }
+/// Installs the SIGINT watcher: the signal trips `token` with reason
+/// `"SIGINT"`.
+pub fn install_sigint_watcher(token: &CancelToken) {
     let t = token.clone();
-    std::thread::spawn(move || loop {
-        match SHUTDOWN_SIGNAL.load(Ordering::SeqCst) {
-            0 => {}
-            SIGTERM => {
-                t.cancel_with_reason("SIGTERM");
-                return;
-            }
-            _ => {
-                t.cancel_with_reason("SIGINT");
-                return;
-            }
-        }
-        if t.is_cancelled() {
-            return; // daemon stopped for another reason: reap
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    });
+    watch(&[SIGINT], token, move |_| t.cancel_with_reason("SIGINT"));
 }
 
-extern "C" fn on_sigusr1(_sig: i32) {
-    // Async-signal-safe: a single atomic add, no locks, no allocation.
-    USR1_PENDING.fetch_add(1, Ordering::SeqCst);
+/// Installs the SIGINT *and* SIGTERM watcher: either trips `token` with
+/// the signal's name as the reason. The daemon's graceful-shutdown entry
+/// point: either signal stops the accept loop and starts the drain.
+pub fn install_shutdown_watcher(token: &CancelToken) {
+    let t = token.clone();
+    watch(&[SIGINT, SIGTERM], token, move |sig| {
+        t.cancel_with_reason(if sig == SIGTERM { "SIGTERM" } else { "SIGINT" });
+    });
 }
 
 /// Installs a *repeatable*, non-terminating SIGUSR1 watcher: every
-/// delivery invokes `on_dump` once, on the watcher thread (never in the
-/// handler), with a running dump counter. Unlike the shutdown watchers
-/// the thread keeps serving after each signal; it exits only when
-/// `token` is cancelled. The daemon wires `on_dump` to a live flight-
-/// recorder snapshot, so `kill -USR1 <pid>` extracts a Perfetto trace
-/// from a running process without restarting it.
+/// delivery invokes `on_dump` once, on the watcher thread, with a running
+/// dump counter, until `token` is cancelled. The daemon wires `on_dump` to
+/// a live flight-recorder snapshot, so `kill -USR1 <pid>` extracts a
+/// Perfetto trace from a running process without restarting it.
 pub fn install_usr1_watcher(token: &CancelToken, on_dump: impl Fn(u32) + Send + 'static) {
-    // SAFETY: `on_sigusr1` is async-signal-safe (one atomic add) and has
-    // the exact `extern "C" fn(c_int)` ABI `signal(2)` expects.
-    unsafe {
-        signal(SIGUSR1, on_sigusr1 as *const () as usize);
-    }
-    let t = token.clone();
-    std::thread::spawn(move || {
-        let mut dumps = 0u32;
-        loop {
-            while USR1_PENDING
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                    (n > 0).then(|| n - 1)
-                })
-                .is_ok()
-            {
-                dumps += 1;
-                on_dump(dumps);
-            }
-            if t.is_cancelled() {
-                return; // daemon stopped: reap
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
+    let mut dumps = 0u32;
+    watch(&[SIGUSR1], token, move |_| {
+        dumps += 1;
+        on_dump(dumps);
     });
 }
 
@@ -184,50 +158,61 @@ pub fn install_usr1_watcher(token: &CancelToken, on_dump: impl Fn(u32) + Send + 
 mod tests {
     use super::*;
 
+    /// The SIGINT and the shutdown watcher both watch SIGINT: a simulated
+    /// delivery made while the other test's watcher is installed would
+    /// reach it too.
+    static SIGINT_WATCHERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SIGINT_WATCHERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn watcher_trips_token_on_flag() {
+        let _serial = serial();
         let token = CancelToken::new();
         install_sigint_watcher(&token);
-        SIGINT_SEEN.store(true, Ordering::SeqCst);
+        DELIVERED[SIGINT as usize].fetch_add(1, Ordering::SeqCst);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while !token.is_cancelled() && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(token.is_cancelled());
         assert_eq!(token.reason().as_deref(), Some("SIGINT"));
-        SIGINT_SEEN.store(false, Ordering::SeqCst);
     }
 
     #[test]
     fn shutdown_watcher_names_the_signal() {
+        let _serial = serial();
         let token = CancelToken::new();
         install_shutdown_watcher(&token);
-        SHUTDOWN_SIGNAL.store(SIGTERM, Ordering::SeqCst);
+        DELIVERED[SIGTERM as usize].fetch_add(1, Ordering::SeqCst);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while !token.is_cancelled() && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(token.is_cancelled());
         assert_eq!(token.reason().as_deref(), Some("SIGTERM"));
-        SHUTDOWN_SIGNAL.store(0, Ordering::SeqCst);
     }
 
     #[test]
     fn usr1_watcher_fires_once_per_delivery_and_keeps_running() {
         let token = CancelToken::new();
-        let dumps = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let dumps = std::sync::Arc::new(AtomicU32::new(0));
         let d = dumps.clone();
         install_usr1_watcher(&token, move |n| {
             d.store(n, Ordering::SeqCst);
         });
         // simulate two separate deliveries without raising a real signal
-        USR1_PENDING.fetch_add(1, Ordering::SeqCst);
+        DELIVERED[SIGUSR1 as usize].fetch_add(1, Ordering::SeqCst);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while dumps.load(Ordering::SeqCst) < 1 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(dumps.load(Ordering::SeqCst), 1);
-        USR1_PENDING.fetch_add(1, Ordering::SeqCst);
+        DELIVERED[SIGUSR1 as usize].fetch_add(1, Ordering::SeqCst);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while dumps.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));

@@ -450,94 +450,45 @@ impl CheckpointState {
         })
     }
 
-    /// Validates this checkpoint against the matrix and engine
-    /// configuration of the run about to resume. Every mismatch is a
-    /// located [`LdError::Checkpoint`] naming the field, the stored value
-    /// and the actual value — a checkpoint must only ever restart the
-    /// *identical* computation (that is the bit-exactness argument:
-    /// replayed slab bytes + identically-configured recomputation of the
-    /// rest ≡ one uninterrupted run).
-    pub fn validate_against(
-        &self,
-        v: &BitMatrixView<'_>,
-        stat: LdStats,
-        policy: NanPolicy,
-        slab: usize,
-        kernel: &str,
-    ) -> Result<(), LdError> {
-        self.validate_against_meta(
-            v.n_snps() as u64,
-            v.n_samples() as u64,
-            matrix_fingerprint(v),
-            stat,
-            policy,
-            slab,
-            kernel,
-        )
-    }
-
-    /// [`validate_against`] for callers that already know the input's
-    /// dimensions and fingerprint without holding the matrix — what the
-    /// slab driver calls: a store source is validated against its
-    /// manifest (whose fingerprint was streamed at import time) instead
-    /// of re-reading every chunk just to hash it.
-    ///
-    /// [`validate_against`]: CheckpointState::validate_against
-    #[allow(clippy::too_many_arguments)]
-    pub fn validate_against_meta(
-        &self,
-        n_snps: u64,
-        n_samples: u64,
-        fingerprint: u64,
-        stat: LdStats,
-        policy: NanPolicy,
-        slab: usize,
-        kernel: &str,
-    ) -> Result<(), LdError> {
-        let mismatch = |field: &str, stored: String, actual: String| {
-            Err(located(format!(
-                "resume rejected: checkpoint {field} is {stored} but the current run has {actual}"
-            )))
-        };
-        if self.n_snps != n_snps {
-            return mismatch("n_snps", self.n_snps.to_string(), n_snps.to_string());
-        }
-        if self.n_samples != n_samples {
-            return mismatch(
+    /// The first header field on which `self` and `other` describe
+    /// different runs — dimensions, matrix fingerprint, statistic, NaN
+    /// policy, slab geometry, kernel — named, with `self`'s and `other`'s
+    /// value; `None` when they describe the same run (records are not
+    /// compared). The one comparison behind both a resume (a checkpoint
+    /// must only ever restart the *identical* computation — replayed slab
+    /// bytes + identically-configured recomputation of the rest ≡ one
+    /// uninterrupted run) and a shard merge; each caller words its own
+    /// error around it.
+    pub fn header_mismatch(&self, other: &Self) -> Option<(&'static str, String, String)> {
+        let hex = |h: u64| format!("{h:#018x}");
+        let grid = |s: &Self| format!("slab {} × {} slabs", s.slab, s.n_slabs);
+        [
+            ("n_snps", self.n_snps.to_string(), other.n_snps.to_string()),
+            (
                 "n_samples",
                 self.n_samples.to_string(),
-                n_samples.to_string(),
-            );
-        }
-        let hash = fingerprint;
-        if self.matrix_hash != hash {
-            return mismatch(
+                other.n_samples.to_string(),
+            ),
+            (
                 "matrix fingerprint",
-                format!("{:#018x}", self.matrix_hash),
-                format!("{hash:#018x} (the input changed since the checkpoint)"),
-            );
-        }
-        if self.stat != stat {
-            return mismatch("statistic", format!("{:?}", self.stat), format!("{stat:?}"));
-        }
-        if self.policy != policy {
-            return mismatch(
+                hex(self.matrix_hash),
+                hex(other.matrix_hash),
+            ),
+            (
+                "statistic",
+                format!("{:?}", self.stat),
+                format!("{:?}", other.stat),
+            ),
+            (
                 "NaN policy",
                 format!("{:?}", self.policy),
-                format!("{policy:?}"),
-            );
-        }
-        if self.slab != slab as u64 {
-            return mismatch(
-                "slab height",
-                self.slab.to_string(),
-                format!("{slab} (slab geometry must match for slab-aligned replay)"),
-            );
-        }
-        if self.kernel != kernel {
-            return mismatch("kernel", self.kernel.clone(), kernel.to_owned());
-        }
-        Ok(())
+                format!("{:?}", other.policy),
+            ),
+            ("slab geometry", grid(self), grid(other)),
+            ("kernel", self.kernel.clone(), other.kernel.clone()),
+        ]
+        .into_iter()
+        .find(|(_, a, b)| a != b)
     }
 }
 
@@ -702,6 +653,28 @@ mod tests {
         assert!(msg.contains("version"), "{msg}");
     }
 
+    /// The header a run over `v` writes (what `driver::header` builds).
+    fn run_header(
+        v: &BitMatrixView<'_>,
+        stat: LdStats,
+        policy: NanPolicy,
+        slab: u64,
+        kernel: &str,
+    ) -> CheckpointState {
+        let n_snps = v.n_snps() as u64;
+        CheckpointState {
+            stat,
+            policy,
+            n_snps,
+            n_samples: v.n_samples() as u64,
+            matrix_hash: matrix_fingerprint(v),
+            slab,
+            n_slabs: n_snps.div_ceil(slab),
+            kernel: kernel.to_owned(),
+            records: vec![],
+        }
+    }
+
     #[test]
     fn validate_against_catches_every_field() {
         let g = BitMatrix::from_rows(3, 2, [[1u8, 0], [0, 1], [1, 1]]).unwrap();
@@ -717,9 +690,8 @@ mod tests {
             kernel: "scalar-4x4".to_owned(),
             records: vec![],
         };
-        assert!(base
-            .validate_against(&v, LdStats::D, NanPolicy::Propagate, 1, "scalar-4x4")
-            .is_ok());
+        let run = run_header(&v, LdStats::D, NanPolicy::Propagate, 1, "scalar-4x4");
+        assert_eq!(base.header_mismatch(&run), None);
         let cases: Vec<(CheckpointState, &str)> = vec![
             (
                 CheckpointState {
@@ -773,12 +745,9 @@ mod tests {
             ),
         ];
         for (state, needle) in cases {
-            let msg = state
-                .validate_against(&v, LdStats::D, NanPolicy::Propagate, 1, "scalar-4x4")
-                .unwrap_err()
-                .to_string();
-            assert!(msg.contains(needle), "wanted {needle} in: {msg}");
-            assert!(msg.contains("resume rejected"), "{msg}");
+            let (field, stored, current) = state.header_mismatch(&run).expect("a mismatch");
+            assert!(field.contains(needle), "wanted {needle}, got {field}");
+            assert_ne!(stored, current, "{field} must show both values");
         }
     }
 
@@ -810,37 +779,28 @@ mod tests {
             }],
         };
         // identical matrix + identical geometry: accepted
-        assert!(shard_state
-            .validate_against(&v, LdStats::RSquared, NanPolicy::Propagate, 2, "scalar-4x4")
-            .is_ok());
+        let run = |v: &BitMatrixView<'_>, stat, slab| {
+            shard_state.header_mismatch(&run_header(
+                v,
+                stat,
+                NanPolicy::Propagate,
+                slab,
+                "scalar-4x4",
+            ))
+        };
+        assert_eq!(run(&v, LdStats::RSquared, 2), None);
         // same matrix, different slab height (e.g. a shard produced under
         // another memory budget): rejected, naming the slab field
-        let msg = shard_state
-            .validate_against(&v, LdStats::RSquared, NanPolicy::Propagate, 3, "scalar-4x4")
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("slab"), "{msg}");
-        assert!(msg.contains("resume rejected"), "{msg}");
+        let (field, ..) = run(&v, LdStats::RSquared, 3).expect("slab mismatch");
+        assert!(field.contains("slab"), "{field}");
         // same matrix + geometry, different statistic kind: rejected
-        let msg = shard_state
-            .validate_against(&v, LdStats::D, NanPolicy::Propagate, 2, "scalar-4x4")
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("statistic"), "{msg}");
+        let (field, ..) = run(&v, LdStats::D, 2).expect("statistic mismatch");
+        assert!(field.contains("statistic"), "{field}");
         // a shard of a *different* matrix with the same shape: the
         // fingerprint catches it even though every geometry field agrees
         let other = BitMatrix::zeros(4, 6);
-        let msg = shard_state
-            .validate_against(
-                &other.full_view(),
-                LdStats::RSquared,
-                NanPolicy::Propagate,
-                2,
-                "scalar-4x4",
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("fingerprint"), "{msg}");
+        let (field, ..) = run(&other.full_view(), LdStats::RSquared, 2).expect("other matrix");
+        assert!(field.contains("fingerprint"), "{field}");
     }
 
     #[test]

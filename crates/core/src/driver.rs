@@ -372,15 +372,14 @@ fn replay(
     packed: &mut [f64],
     ledger: &Ledger,
 ) -> Result<(), LdError> {
-    state.validate_against_meta(
-        header.n_snps,
-        header.n_samples,
-        header.matrix_hash,
-        header.stat,
-        header.policy,
-        grid.slab,
-        &header.kernel,
-    )?;
+    if let Some((field, stored, current)) = state.header_mismatch(header) {
+        return Err(LdError::Checkpoint {
+            message: format!(
+                "resume rejected: checkpoint {field} is {stored} but the current run has \
+                 {current} (a checkpoint resumes only the identical computation)"
+            ),
+        });
+    }
     for rec in &state.records {
         let k = rec.index as usize;
         if k < grid.lo || k >= grid.hi {

@@ -187,60 +187,14 @@ pub fn merge_shard_states(states: Vec<CheckpointState>) -> Result<CheckpointStat
             message: "no shard inputs to merge",
         });
     };
-    let mismatch = |i: usize, field: &str, a: String, b: String| {
-        Err(LdError::ShardMismatch {
-            message: format!(
-                "input {i} disagrees with input 0 on {field}: {a} vs {b} — \
-                 these shards do not come from the same run"
-            ),
-        })
-    };
     for (i, s) in states.iter().enumerate().skip(1) {
-        if s.matrix_hash != first.matrix_hash {
-            return mismatch(
-                i,
-                "matrix fingerprint",
-                format!("{:#018x}", s.matrix_hash),
-                format!("{:#018x}", first.matrix_hash),
-            );
-        }
-        if s.n_snps != first.n_snps {
-            return mismatch(i, "n_snps", s.n_snps.to_string(), first.n_snps.to_string());
-        }
-        if s.n_samples != first.n_samples {
-            return mismatch(
-                i,
-                "n_samples",
-                s.n_samples.to_string(),
-                first.n_samples.to_string(),
-            );
-        }
-        if s.stat != first.stat {
-            return mismatch(
-                i,
-                "statistic",
-                format!("{:?}", s.stat),
-                format!("{:?}", first.stat),
-            );
-        }
-        if s.policy != first.policy {
-            return mismatch(
-                i,
-                "NaN policy",
-                format!("{:?}", s.policy),
-                format!("{:?}", first.policy),
-            );
-        }
-        if s.slab != first.slab || s.n_slabs != first.n_slabs {
-            return mismatch(
-                i,
-                "slab geometry",
-                format!("slab {} × {} slabs", s.slab, s.n_slabs),
-                format!("slab {} × {} slabs", first.slab, first.n_slabs),
-            );
-        }
-        if s.kernel != first.kernel {
-            return mismatch(i, "kernel", s.kernel.clone(), first.kernel.clone());
+        if let Some((field, a, b)) = s.header_mismatch(first) {
+            return Err(LdError::ShardMismatch {
+                message: format!(
+                    "input {i} disagrees with input 0 on {field}: {a} vs {b} — \
+                     these shards do not come from the same run"
+                ),
+            });
         }
     }
     let (n_snps, slab, n_slabs) = (first.n_snps, first.slab, first.n_slabs);

@@ -15,8 +15,10 @@
 //!   residency under a global memory budget: compute once, evict
 //!   least-recently-used first, and only shed loads that cannot fit
 //!   even into an empty cache (evict-then-shed).
-//! * [`server`] — the daemon: bounded admission queue (overload sheds
-//!   with a typed [`protocol::Status::Shed`], it never stalls),
+//! * [`server`] — the daemon: a request runs on the thread that read
+//!   it, behind one admission gate (compute permits plus bounded waiting
+//!   slots; overload sheds with a typed [`protocol::Status::Shed`], it
+//!   never stalls), the permit given back before the reply is written,
 //!   per-request `Deadline`/`CancelToken` enforced at slab granularity
 //!   by the fused engine, `catch_unwind` request isolation, slow-client
 //!   write timeouts, and a SIGINT/SIGTERM drain with a hard deadline.

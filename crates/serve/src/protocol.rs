@@ -222,8 +222,8 @@ pub enum Status {
     BadRequest = 2,
     /// The named panel is not registered with this daemon.
     NotFound = 3,
-    /// The request was accepted but failed inside the server (worker
-    /// panic, panel load failure). The request was isolated; the
+    /// The request was accepted but failed inside the server (a panic
+    /// in its compute, panel load failure). The request was isolated; the
     /// server keeps serving.
     Internal = 4,
     /// The per-request deadline expired before the result was ready.

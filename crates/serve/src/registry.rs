@@ -183,8 +183,8 @@ struct Inner {
 }
 
 /// The registry: panel sources, the fingerprint-keyed LRU cache, and
-/// the engine that computes panels on miss. Shared across the worker
-/// pool behind an `Arc`; all methods take `&self`.
+/// the engine that computes panels on miss. Shared across the
+/// connection threads behind an `Arc`; all methods take `&self`.
 pub struct PanelRegistry {
     engine: LdEngine,
     budget_bytes: usize,

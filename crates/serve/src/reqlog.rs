@@ -7,8 +7,8 @@
 //!
 //! ```text
 //! accept ─┬─ shed                       (admission refused; terminal)
-//!         ├─ finish                     (inline op, or refused pre-queue)
-//!         └─ admit ─┬─ timeout          (expired while queued; terminal)
+//!         ├─ finish                     (inline op, or refused while draining)
+//!         └─ admit ─┬─ timeout          (expired waiting for a permit; terminal)
 //!                   ├─ finish           (abandoned during drain)
 //!                   └─ start ─┬─ finish
 //!                             └─ panic ── finish (status "internal")
@@ -57,7 +57,8 @@ pub struct Event<'a> {
     pub status: Option<&'static str>,
     /// First request byte to last request byte, on terminal events.
     pub read_ns: Option<u64>,
-    /// Time spent queued, known from `start` onward.
+    /// Time spent waiting for a compute permit (the gate wait), known
+    /// from `start` onward and on every admitted request's terminal event.
     pub queue_ns: Option<u64>,
     /// Time spent computing, on terminal events of requests that ran.
     pub service_ns: Option<u64>,

@@ -1,53 +1,60 @@
-//! The daemon: listener, admission controller, worker pool, drain.
+//! The daemon: listener, admission gate, drain.
 //!
 //! ## Threading model
 //!
 //! One accept loop (the thread that calls [`Server::run`]) blocks in
 //! `accept`; when the shutdown token trips, a waker thread makes one
 //! connection to the bound address, and the loop, which re-checks the
-//! token after every accept, stops. Each admitted connection gets a
-//! cheap reader thread that decodes frames and *responds* — it never
-//! computes. Point and region queries go through the admission
-//! controller into a bounded queue consumed by a fixed worker pool;
-//! workers compute and hand the response back over a channel, so a slow
-//! or dead client can only ever wedge its own reader (bounded further by
-//! a write timeout), never a worker.
+//! token after every accept, stops. Each admitted connection gets one
+//! thread, and that thread serves every request it reads: `health`,
+//! `metrics` and `dump_trace` at once, point and region queries after
+//! passing the admission gate — `workers` compute permits and
+//! `queue_depth` waiting slots, one mutex and one condvar, waiters
+//! admitted in arrival order. The permit is given back before the reply
+//! is written: a permit never spans a socket write, so a slow or dead
+//! client holds only its own thread (bounded further by a write
+//! timeout), never compute capacity.
 //!
 //! ## Write model
 //!
 //! Every accepted socket has `TCP_NODELAY` on, and every reply leaves in
 //! one vectored write of its frame ([`write_response`]): the body goes
-//! from the worker's `Vec` to the socket without a copy. The reader
-//! thread times each request from its first byte to its last reply byte
-//! and logs where that went — read, queue, service, write — on the
-//! request's terminal log event, once the reply is written.
+//! from the `Vec` the query filled to the socket without a copy. The
+//! connection thread times each request from its first byte to its last
+//! reply byte and logs where that went — read, queue (the gate wait),
+//! service, write — on the request's terminal log event, once the reply
+//! is written.
 //!
 //! ## Admission and shedding
 //!
-//! Every query is accepted or refused *immediately*:
+//! Every query is refused at once or admitted to the gate:
 //!
-//! * queue full → typed [`Status::Shed`] response, connection kept;
+//! * every permit and every waiting slot taken → typed [`Status::Shed`]
+//!   response, connection kept;
 //! * panel memory budget exhausted after LRU eviction → `Shed`;
-//! * per-request deadline expired while queued → [`Status::Timeout`]
-//!   (counted as shed work — the queue never stalls on dead weight);
+//! * per-request deadline expired waiting for a permit →
+//!   [`Status::Timeout`], and the request never runs (counted as shed
+//!   work);
 //! * daemon draining → [`Status::ShuttingDown`].
 //!
-//! Workers run each request under `catch_unwind`: a panic poisons only
-//! that request ([`Status::Internal`]), mirroring the PR 2 containment
-//! in `ld-parallel`. Each request carries a `Deadline` and a
-//! `CancelToken` child of the server's hard-stop token; the fused engine
-//! polls both at slab granularity.
+//! The connection thread runs each admitted request under
+//! `catch_unwind`: a panic poisons only that request
+//! ([`Status::Internal`]), mirroring the worker-panic containment in
+//! `ld-parallel`. Each request carries a `Deadline` and a `CancelToken`
+//! child of the server's hard-stop token; the fused engine polls both at
+//! slab granularity.
 //!
 //! ## Lifecycle
 //!
 //! Tripping the shutdown token (SIGINT/SIGTERM in the CLI) stops the
-//! accept loop, closes the listener, and drains: queued and executing
+//! accept loop, closes the listener, and drains: waiting and running
 //! requests complete and their responses are written. If the drain
-//! deadline expires first, the hard-stop token cancels in-flight
-//! compute at the next slab boundary and remaining queued requests are
-//! answered `ShuttingDown`. The drain waits on a condvar the last
-//! in-flight request signals. [`DrainOutcome`] reports which of the two
-//! happened — the CLI maps it to exit code 0 (clean) or 5 (interrupted).
+//! deadline expires first, the hard-stop token — tripped under the gate
+//! lock — cancels running compute at the next slab boundary and wakes
+//! every waiter, which is answered `ShuttingDown` at once. The drain
+//! waits on a condvar the last in-flight request signals.
+//! [`DrainOutcome`] reports which of the two happened — the CLI maps it
+//! to exit code 0 (clean) or 5 (interrupted).
 
 use crate::http;
 use crate::protocol::{
@@ -67,7 +74,6 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -85,16 +91,19 @@ const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 pub struct ServeConfig {
     /// Bind address (`host:port`; port 0 picks a free port).
     pub addr: String,
-    /// Request worker threads (the compute concurrency).
+    /// Compute permits: how many admitted queries compute at once, each
+    /// on the thread of the connection that sent it.
     pub workers: usize,
-    /// Bounded request-queue depth; one more query is a `Shed`.
+    /// Waiting slots: with every permit taken, this many queries wait
+    /// for one in arrival order; one more is a `Shed`.
     pub queue_depth: usize,
     /// Concurrent connection bound; one more connect is shed at accept.
     pub max_connections: usize,
-    /// Per-request deadline, enforced in the queue and at every slab.
+    /// Per-request deadline, enforced while waiting for a permit and at
+    /// every slab.
     pub request_timeout: Duration,
     /// Socket write timeout — a client that stops reading is abandoned
-    /// after this long, freeing its reader thread.
+    /// after this long, freeing its connection thread.
     pub write_timeout: Duration,
     /// A started frame must complete within this window (half-open
     /// connection detection).
@@ -102,12 +111,12 @@ pub struct ServeConfig {
     /// How long `run` waits for in-flight work after shutdown before
     /// abandoning it.
     pub drain_timeout: Duration,
-    /// Fault-injection aid: hold every request this long in the worker
-    /// before computing (makes overload and drain windows deterministic
-    /// in tests and CI; zero in production).
+    /// Fault-injection aid: hold every request this long after it takes
+    /// its permit, before computing (makes overload and drain windows
+    /// deterministic in tests and CI; zero in production).
     pub inject_delay: Duration,
-    /// Fault-injection aid: a query for panel `"__panic__"` panics the
-    /// worker, exercising request isolation end-to-end.
+    /// Fault-injection aid: a query for panel `"__panic__"` panics its
+    /// compute, exercising request isolation end-to-end.
     pub fault_panel: bool,
     /// Optional plain-HTTP listener (`host:port`, port 0 picks a free
     /// port) answering `GET /metrics` with the Prometheus text
@@ -154,8 +163,8 @@ pub enum DrainOutcome {
     },
 }
 
-/// What a queued job computes: the two opcodes that reach the worker
-/// pool (the rest are answered inline on the reader thread).
+/// What an admitted query computes: the two opcodes that pass the gate
+/// (the rest are answered without a permit).
 #[derive(Clone, Copy)]
 enum Query {
     /// One value of pair `(i, j)`.
@@ -174,39 +183,118 @@ impl Query {
     }
 }
 
-/// One admitted query traveling from a reader thread to a worker.
-struct Job {
-    panel: String,
-    stat: StatCode,
-    query: Query,
-    reply_tx: SyncSender<Reply>,
-    accepted: Instant,
-    deadline: Deadline,
-    token: CancelToken,
-    /// Request id threading the log events of one lifecycle together.
-    id: u64,
-    fingerprint: Option<u64>,
+/// The admission gate: `permits` queries compute at once, `slots` more
+/// wait for a permit in arrival order, and the next one is shed. A free
+/// permit goes to the oldest waiter, so a waiter that has not woken for
+/// it yet holds a permit, not a slot.
+struct Gate {
+    permits: usize,
+    slots: usize,
+    state: Mutex<GateState>,
+    /// Signalled (under `state`) when a permit frees, a waiter leaves,
+    /// or the hard stop trips.
+    cv: Condvar,
 }
 
-/// A worker's answer to a [`Job`] and the worker-side stages it took.
-struct Reply {
-    resp: Response,
-    queue_ns: Option<u64>,
-    /// `None` when the request never ran (expired, drained).
-    service_ns: Option<u64>,
+#[derive(Default)]
+struct GateState {
+    /// Permits taken: queries computing.
+    running: usize,
+    /// Tickets of the queries waiting for a permit, oldest first.
+    waiting: VecDeque<u64>,
+    /// The next arrival's ticket.
+    next: u64,
+}
+
+impl Gate {
+    /// Takes a place in line, or `None` when every permit and every
+    /// waiting slot is taken. [`Gate::pass`] redeems the ticket.
+    fn join(&self) -> Option<u64> {
+        let mut s = lock(&self.state);
+        if s.running + s.waiting.len() >= self.permits + self.slots {
+            return None;
+        }
+        let ticket = s.next;
+        s.next += 1;
+        s.waiting.push_back(ticket);
+        Some(ticket)
+    }
+
+    /// Waits until `ticket` is the oldest in line and a permit is free,
+    /// and takes the permit. Leaves the line without one — `Timeout` once
+    /// `deadline` passes, `ShuttingDown` once `stop` trips.
+    fn pass(
+        &self,
+        ticket: u64,
+        deadline: Deadline,
+        stop: &CancelToken,
+    ) -> Result<Permit<'_>, Status> {
+        let mut s = lock(&self.state);
+        let passed = loop {
+            if stop.is_cancelled() {
+                break Err(Status::ShuttingDown);
+            }
+            if deadline.expired() {
+                break Err(Status::Timeout);
+            }
+            if s.waiting.front() == Some(&ticket) && s.running < self.permits {
+                s.running += 1;
+                break Ok(Permit(self));
+            }
+            s = self
+                .cv
+                .wait_timeout(s, deadline.remaining())
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        };
+        s.waiting.retain(|&t| t != ticket);
+        // the next in line may now be the oldest, with a permit free
+        if !s.waiting.is_empty() {
+            self.cv.notify_all();
+        }
+        passed
+    }
+
+    /// Trips `stop` and wakes every waiter, under the lock, so no waiter
+    /// sits between its check and its wait.
+    fn stop(&self, stop: &CancelToken, reason: &str) {
+        let _state = lock(&self.state);
+        stop.cancel_with_reason(reason);
+        self.cv.notify_all();
+    }
+
+    /// Admitted queries that no permit covers: the `queue_depth` gauge.
+    fn queued(&self) -> usize {
+        let s = lock(&self.state);
+        (s.running + s.waiting.len()).saturating_sub(self.permits)
+    }
+}
+
+/// A compute permit, given back to its [`Gate`] on drop — before the
+/// reply is written.
+struct Permit<'a>(&'a Gate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut s = lock(&self.0.state);
+        s.running -= 1;
+        if !s.waiting.is_empty() {
+            self.0.cv.notify_all();
+        }
+    }
 }
 
 struct Shared {
     cfg: ServeConfig,
     registry: PanelRegistry,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cv: Condvar,
+    gate: Gate,
     /// Stops the accept loop and starts the drain.
     shutdown: CancelToken,
-    /// Cancels in-flight compute once the drain deadline expires.
+    /// Cancels running compute and turns waiters away once the drain
+    /// deadline expires; trip it through [`Gate::stop`].
     hard_stop: CancelToken,
     /// Admitted requests whose reply has not reached the socket yet
-    /// (queued, executing, or being written): what a drain waits for.
+    /// (waiting, computing, or being written): what a drain waits for.
     in_flight: AtomicUsize,
     /// Signalled (under `settle`) when `in_flight` falls to zero.
     settled: Condvar,
@@ -319,10 +407,14 @@ impl Server {
             None => None,
         };
         let shared = Arc::new(Shared {
+            gate: Gate {
+                permits: cfg.workers.max(1),
+                slots: cfg.queue_depth,
+                state: Mutex::default(),
+                cv: Condvar::new(),
+            },
             cfg,
             registry,
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
             shutdown: CancelToken::new(),
             hard_stop: CancelToken::new(),
             in_flight: AtomicUsize::new(0),
@@ -360,12 +452,6 @@ impl Server {
     /// trips, then drains and reports how the drain ended.
     pub fn run(self) -> DrainOutcome {
         let shared = Arc::clone(&self.shared);
-        let workers: Vec<_> = (0..shared.cfg.workers.max(1))
-            .map(|_| {
-                let s = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&s))
-            })
-            .collect();
 
         // Scrape endpoint: keeps answering through the drain (operators
         // watch the drain happen), stopped and woken at the end of `run`.
@@ -412,31 +498,19 @@ impl Server {
         drop(self.listener);
         let _ = waker.join();
 
-        // Drain in-flight work under the drain deadline.
-        let outcome = match shared.settle(Instant::now() + shared.cfg.drain_timeout) {
-            0 => DrainOutcome::Drained,
-            abandoned => {
-                shared
-                    .hard_stop
-                    .cancel_with_reason("drain deadline exceeded");
-                DrainOutcome::DeadlineExceeded { abandoned }
-            }
+        // Drain in-flight work under the drain deadline, then stop: every
+        // waiter is answered `ShuttingDown` at once, running compute stops
+        // at its next slab boundary, idle connections close.
+        let (outcome, reason) = match shared.settle(Instant::now() + shared.cfg.drain_timeout) {
+            0 => (DrainOutcome::Drained, "server stopped"),
+            abandoned => (
+                DrainOutcome::DeadlineExceeded { abandoned },
+                "drain deadline exceeded",
+            ),
         };
-
-        // Release the pool: abandoned jobs get ShuttingDown responses on
-        // the way out, then workers exit. Tripped and notified under the
-        // queue lock, so no worker sits between its check and its wait.
-        {
-            let _queue = lock(&shared.queue);
-            shared.hard_stop.cancel_with_reason("server stopped");
-            shared.queue_cv.notify_all();
-        }
-        for w in workers {
-            let _ = w.join();
-        }
-        // Every admitted request now has a reply in its connection
-        // thread's hands. A caller about to exit the process must not cut
-        // those writes off: wait for them, for as long as a write may take.
+        shared.gate.stop(&shared.hard_stop, reason);
+        // A caller about to exit the process must not cut the abandoned
+        // replies off: wait for them, for as long as a write may take.
         shared.settle(Instant::now() + shared.cfg.write_timeout);
         if let Some((thread, addr)) = http_thread {
             wake(addr);
@@ -633,9 +707,9 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
                 continue;
             }
         };
-        // Health, metrics, and trace dumps are answered inline on the
-        // reader thread: they read shared state, never compute, and must
-        // stay responsive even when the queue is saturated.
+        // Health, metrics, and trace dumps skip the gate: they read
+        // shared state, never compute, and must stay responsive even when
+        // every permit and waiting slot is taken.
         let health = || Response::ok(Snapshot::gather(shared).health_json().into_bytes());
         let metrics = || Response::ok(Snapshot::gather(shared).metrics_text().into_bytes());
         let answer = match req {
@@ -643,7 +717,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
             Request::Metrics => inline_request(shared, ServeOp::Metrics, metrics),
             Request::DumpTrace => inline_request(shared, ServeOp::DumpTrace, dump_trace_response),
             Request::Pair { panel, stat, i, j } => {
-                dispatch_query(shared, panel, stat, Query::Pair { i, j })
+                serve_query(shared, panel, stat, Query::Pair { i, j })
             }
             Request::Region {
                 panel,
@@ -651,7 +725,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
                 row0,
                 row1,
                 min_r2,
-            } => dispatch_query(shared, panel, stat, Query::Region { row0, row1, min_r2 }),
+            } => serve_query(shared, panel, stat, Query::Region { row0, row1, min_r2 }),
         };
         let write0 = Instant::now();
         let written = write_response(&mut stream, &answer.resp);
@@ -663,8 +737,8 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
             elapsed_ns(done - first_byte),
         );
         if written.is_err() {
-            // Slow or dead client: abandon the connection. The worker
-            // already moved on — only this reader thread is affected.
+            // Slow or dead client: abandon the connection. Its permit was
+            // given back before the write — only this thread is affected.
             return;
         }
     }
@@ -683,12 +757,12 @@ struct Answer<'a> {
     detail: Option<&'static str>,
     queue_ns: Option<u64>,
     service_ns: Option<u64>,
-    /// Queued requests only: released once the lifecycle is closed.
+    /// Admitted requests only: released once the lifecycle is closed.
     admitted: Option<Admitted<'a>>,
 }
 
 impl<'a> Answer<'a> {
-    /// A `finish` that was neither queued nor run.
+    /// A `finish` that was neither admitted nor run.
     fn new(resp: Response, id: u64, op: ServeOp) -> Self {
         Answer {
             resp,
@@ -736,8 +810,8 @@ impl<'a> Answer<'a> {
     }
 }
 
-/// Serves an opcode that never queues (`health`/`metrics`/`dump_trace`)
-/// directly on the reader thread, with full telemetry and log coverage:
+/// Serves an opcode that skips the gate (`health`/`metrics`/`dump_trace`)
+/// on the connection thread, with full telemetry and log coverage:
 /// `accept` then `finish`, latency labelled by outcome.
 fn inline_request(shared: &Shared, op: ServeOp, f: impl FnOnce() -> Response) -> Answer<'_> {
     let id = shared.next_id();
@@ -768,10 +842,9 @@ fn dump_trace_response() -> Response {
 }
 
 /// One admitted request, counted in [`Shared::in_flight`] from admission
-/// until its holder — the connection thread — drops it after writing the
-/// reply and logging its terminal event. A drain that waited only for the
-/// worker's answer could let the process exit between "answered" and
-/// "written".
+/// until its connection thread drops it after writing the reply and
+/// logging its terminal event. A drain that waited only for the answer
+/// could let the process exit between "answered" and "written".
 struct Admitted<'a>(&'a Shared);
 
 impl Drop for Admitted<'_> {
@@ -784,19 +857,22 @@ impl Drop for Admitted<'_> {
     }
 }
 
-/// Admission control: enqueue or shed, then wait for the worker's answer.
-fn dispatch_query(shared: &Shared, panel: String, stat: StatCode, query: Query) -> Answer<'_> {
+/// A point or region query, on the thread that read it: refused at once
+/// or admitted to the gate; past the gate, computed under `catch_unwind`
+/// with the permit given back before the caller writes the reply.
+fn serve_query(shared: &Shared, panel: String, stat: StatCode, query: Query) -> Answer<'_> {
     let id = shared.next_id();
     let op = query.op();
     let fingerprint = shared.registry.meta(&panel).map(|m| m.fingerprint);
-    shared.log(&Event {
+    let ev = |event| Event {
         id,
-        event: "accept",
+        event,
         opcode: op.name(),
-        panel: Some(&panel),
+        panel: Some(panel.as_str()),
         fingerprint,
         ..Event::default()
-    });
+    };
+    shared.log(&ev("accept"));
     let answer = |resp, event, detail| Answer {
         panel: Some(panel.clone()),
         fingerprint,
@@ -809,161 +885,72 @@ fn dispatch_query(shared: &Shared, panel: String, stat: StatCode, query: Query) 
         let resp = Response::error(Status::ShuttingDown, DRAINING);
         return answer(resp, "finish", Some(DRAINING));
     }
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<Reply>(1);
-    let job = Job {
-        panel: panel.clone(),
-        stat,
-        query,
-        reply_tx,
-        accepted: Instant::now(),
-        deadline: Deadline::after(shared.cfg.request_timeout),
-        token: shared.hard_stop.child(),
-        id,
-        fingerprint,
+    let arrived = Instant::now();
+    let deadline = Deadline::after(shared.cfg.request_timeout);
+    let Some(ticket) = shared.gate.join() else {
+        ld_trace::add(Counter::RequestsShed, 1);
+        let resp = Response::error(
+            Status::Shed,
+            format!("request queue full (depth {})", shared.cfg.queue_depth),
+        );
+        return answer(resp, "shed", Some("request queue full"));
     };
-    {
-        let mut q = lock(&shared.queue);
-        if q.len() >= shared.cfg.queue_depth {
-            ld_trace::add(Counter::RequestsShed, 1);
-            let resp = Response::error(
-                Status::Shed,
-                format!("request queue full (depth {})", shared.cfg.queue_depth),
-            );
-            return answer(resp, "shed", Some("request queue full"));
-        }
-        shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        ld_trace::add(Counter::RequestsAccepted, 1);
-        q.push_back(job);
-    }
+    shared.in_flight.fetch_add(1, Ordering::AcqRel);
+    ld_trace::add(Counter::RequestsAccepted, 1);
     let admitted = Admitted(shared);
-    shared.log(&Event {
-        id,
-        event: "admit",
-        opcode: op.name(),
-        panel: Some(&panel),
-        fingerprint,
-        ..Event::default()
-    });
-    shared.queue_cv.notify_one();
-    // Generous grace over the request deadline: the worker itself
-    // answers Timeout at the deadline, so this only fires if the pool
-    // wedges outright — which the panic containment makes a bug, not an
-    // expected path.
-    let grace = shared.cfg.request_timeout + shared.cfg.drain_timeout + Duration::from_secs(5);
-    let unanswered = |status, message| Reply {
-        resp: Response::error(status, message),
-        queue_ns: None,
-        service_ns: None,
-    };
-    let reply = match reply_rx.recv_timeout(grace) {
-        Ok(reply) => reply,
-        Err(RecvTimeoutError::Timeout) => {
-            unanswered(Status::Timeout, "request timed out in the server")
+    shared.log(&ev("admit"));
+    let passed = shared.gate.pass(ticket, deadline, &shared.hard_stop);
+    let queue_ns = elapsed_ns(arrived.elapsed());
+    // Turned away in line, a request never runs: no `start`, no service.
+    let (resp, event, service_ns) = match passed {
+        Err(Status::Timeout) => {
+            let resp = Response::error(Status::Timeout, "deadline expired waiting for a permit");
+            (resp, "timeout", None)
         }
-        Err(RecvTimeoutError::Disconnected) => {
-            unanswered(Status::Internal, "worker abandoned the request")
+        Err(status) => {
+            let resp = Response::error(status, "drain deadline exceeded before the request ran");
+            (resp, "finish", None)
         }
-    };
-    // A request that timed out without running closes with `timeout`;
-    // everything else (a contained panic included) with `finish`.
-    let event = match (reply.resp.status, reply.service_ns) {
-        (Status::Timeout, None) => "timeout",
-        _ => "finish",
-    };
-    Answer {
-        queue_ns: reply.queue_ns,
-        service_ns: reply.service_ns,
-        admitted: Some(admitted),
-        ..answer(reply.resp, event, None)
-    }
-}
-
-/// One worker: pop, guard, compute under `catch_unwind`, answer. Waits
-/// on the queue condvar with no timeout: a push notifies one worker, and
-/// [`Server::run`] trips the hard stop and notifies all under the queue
-/// lock.
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if let Some(j) = q.pop_front() {
-                    break j;
-                }
-                if shared.hard_stop.is_cancelled()
-                    || (shared.shutdown.is_cancelled() && q.is_empty())
-                {
-                    return;
-                }
-                q = shared
-                    .queue_cv
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let queue_ns = elapsed_ns(job.accepted.elapsed());
-        let (op, panel) = (job.query.op(), Some(job.panel.as_str()));
-        let (resp, service_ns) = if shared.hard_stop.is_cancelled() {
-            let resp = Response::error(
-                Status::ShuttingDown,
-                "drain deadline exceeded before the request ran",
-            );
-            (resp, None)
-        } else if job.deadline.expired() {
-            // Shed, don't stall: dead weight never reaches a worker.
-            let resp = Response::error(Status::Timeout, "deadline expired in the request queue");
-            (resp, None)
-        } else {
+        Ok(permit) => {
             shared.log(&Event {
-                id: job.id,
-                event: "start",
-                opcode: op.name(),
-                panel,
-                fingerprint: job.fingerprint,
                 queue_ns: Some(queue_ns),
-                ..Event::default()
+                ..ev("start")
             });
             let svc0 = Instant::now();
             if !shared.cfg.inject_delay.is_zero() {
                 std::thread::sleep(shared.cfg.inject_delay);
             }
-            let outcome = catch_unwind(AssertUnwindSafe(|| handle_query(&job, shared)));
+            let token = shared.hard_stop.child();
+            let run = || handle_query(shared, &panel, stat, query, &token, deadline);
+            let outcome = catch_unwind(AssertUnwindSafe(run));
+            drop(permit);
             let service_ns = elapsed_ns(svc0.elapsed());
             let resp = outcome.unwrap_or_else(|payload| {
                 let msg = panic_message(payload.as_ref()).to_string();
                 shared.log(&Event {
-                    id: job.id,
-                    event: "panic",
-                    opcode: op.name(),
-                    panel,
-                    fingerprint: job.fingerprint,
                     detail: Some(&msg),
-                    ..Event::default()
+                    ..ev("panic")
                 });
                 Response::error(
                     Status::Internal,
-                    format!(
-                        "worker panicked handling the request: {msg} (request isolated; \
-                         the pool keeps serving)"
-                    ),
+                    format!("request panicked: {msg} (request isolated; the daemon keeps serving)"),
                 )
             });
-            (resp, Some(service_ns))
-        };
-        match resp.status {
-            Status::Shed | Status::Timeout | Status::ShuttingDown => {
-                ld_trace::add(Counter::RequestsShed, 1);
-            }
-            Status::Internal => ld_trace::add(Counter::RequestsFailed, 1),
-            _ => {}
+            (resp, "finish", Some(service_ns))
         }
-        // The terminal log event and the latency record are the reader
-        // thread's, once the reply is on the wire.
-        let _ = job.reply_tx.try_send(Reply {
-            resp,
-            queue_ns: Some(queue_ns),
-            service_ns,
-        });
+    };
+    match resp.status {
+        Status::Shed | Status::Timeout | Status::ShuttingDown => {
+            ld_trace::add(Counter::RequestsShed, 1);
+        }
+        Status::Internal => ld_trace::add(Counter::RequestsFailed, 1),
+        _ => {}
+    }
+    Answer {
+        queue_ns: Some(queue_ns),
+        service_ns,
+        admitted: Some(admitted),
+        ..answer(resp, event, None)
     }
 }
 
@@ -979,19 +966,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// Computes the answer for an admitted query. Runs inside
 /// `catch_unwind`; every error path returns a typed response.
-fn handle_query(job: &Job, shared: &Shared) -> Response {
-    if shared.cfg.fault_panel && job.panel == "__panic__" {
+fn handle_query(
+    shared: &Shared,
+    panel: &str,
+    stat: StatCode,
+    query: Query,
+    token: &CancelToken,
+    deadline: Deadline,
+) -> Response {
+    if shared.cfg.fault_panel && panel == "__panic__" {
         panic!("fault injection: __panic__ panel requested");
     }
-    let m = match shared
-        .registry
-        .get(&job.panel, job.stat.to_stat(), &job.token, job.deadline)
-    {
+    let m = match shared.registry.get(panel, stat.to_stat(), token, deadline) {
         Ok(m) => m,
         Err(e) => return registry_response(&e),
     };
     let n = m.n_snps();
-    match job.query {
+    match query {
         Query::Pair { i, j } => {
             let (i, j) = (i as usize, j as usize);
             if i >= n || j >= n {
@@ -1093,10 +1084,10 @@ impl Snapshot {
         Snapshot {
             uptime: shared.started.elapsed(),
             draining: shared.shutdown.is_cancelled(),
-            queue_depth: lock(&shared.queue).len(),
+            queue_depth: shared.gate.queued(),
             in_flight: shared.in_flight.load(Ordering::Relaxed),
             connections: shared.conns.load(Ordering::Relaxed),
-            workers: shared.cfg.workers.max(1),
+            workers: shared.gate.permits,
             registry: shared.registry.snapshot(),
             counters: ld_trace::counters(),
         }
@@ -1108,7 +1099,7 @@ impl Snapshot {
 
     /// The Prometheus text exposition: every counter, the outcome/opcode/
     /// queue histograms and rolling windows, plus the live server gauges
-    /// (queue, pool, connections, registry occupancy).
+    /// (gate, connections, registry occupancy).
     fn metrics_text(&self) -> String {
         let reg = &self.registry;
         let mut gauges = vec![
@@ -1124,7 +1115,7 @@ impl Snapshot {
             ),
             PromGauge::new(
                 "gemm_ld_queue_depth",
-                "Jobs waiting in the request queue",
+                "Admitted requests waiting for a compute permit",
                 self.queue_depth as f64,
             ),
             PromGauge::new(
@@ -1139,7 +1130,7 @@ impl Snapshot {
             ),
             PromGauge::new(
                 "gemm_ld_workers",
-                "Request worker threads",
+                "Compute permits: requests that may compute at once",
                 self.workers as f64,
             ),
             PromGauge::new(
@@ -1169,7 +1160,7 @@ impl Snapshot {
         ld_trace::prometheus::render(&self.counters, &serve_telemetry(), &gauges)
     }
 
-    /// The `health` body: live queue/pool state, registry occupancy, the
+    /// The `health` body: live gate state, registry occupancy, the
     /// serve counters and the success-latency quantiles.
     fn health_json(&self) -> String {
         let reg = &self.registry;

@@ -435,3 +435,128 @@ fn health_reports_state_and_new_connections_refused_after_drain() {
     assert!(refused.is_err(), "daemon must stop accepting after drain");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Polls `health` until it reports `n` requests in flight and returns
+/// that body: the interleavings below are forced, not slept for.
+fn wait_in_flight(handle: &ServerHandle, n: usize) -> String {
+    let needle = format!("\"in_flight\": {n},");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut c = connect(handle);
+    loop {
+        let resp = c.request(&Request::Health).expect("health");
+        let body = String::from_utf8(resp.body).expect("utf8");
+        if body.contains(&needle) {
+            return body;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never saw {needle} in: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Sends `pair(0, j)` on a fresh connection from its own thread, which
+/// returns the response and the instant it arrived.
+fn send_pair(
+    handle: &ServerHandle,
+    j: u32,
+) -> std::thread::JoinHandle<(ld_serve::Response, std::time::Instant)> {
+    let addr = handle.addr().to_string();
+    std::thread::spawn(move || {
+        let mut c = Client::connect(&addr, Duration::from_secs(10)).expect("connect");
+        let resp = c.request(&pair_req(0, j)).expect("response");
+        (resp, std::time::Instant::now())
+    })
+}
+
+#[test]
+fn a_waiting_request_is_answered_at_the_drain_deadline() {
+    // one permit, held far past the drain deadline
+    let cfg = ServeConfig {
+        workers: 1,
+        inject_delay: Duration::from_millis(800),
+        drain_timeout: Duration::from_millis(50),
+        ..ServeConfig::default()
+    };
+    let (handle, dir) = start("abandoned", cfg);
+    let running = send_pair(&handle, 1);
+    wait_in_flight(&handle, 1);
+    let waiting = send_pair(&handle, 2);
+    wait_in_flight(&handle, 2);
+
+    let stopped = std::time::Instant::now();
+    handle.shutdown_token().cancel_with_reason("test shutdown");
+    let (resp, answered) = waiting.join().expect("waiting client");
+    let (_, ran) = running.join().expect("running client");
+    assert_eq!(resp.status, Status::ShuttingDown, "{}", resp.message());
+    let after = answered - stopped;
+    assert!(
+        after < Duration::from_millis(500),
+        "the waiting request was answered {after:?} after shutdown: it waited \
+         out the running one instead of the drain deadline"
+    );
+    assert!(
+        answered < ran,
+        "the waiting request must be answered before the running one"
+    );
+    assert_eq!(
+        handle.wait(),
+        DrainOutcome::DeadlineExceeded { abandoned: 2 }
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn queue_depth_counts_the_requests_waiting_for_a_permit() {
+    // one permit, held long enough for every check below
+    let cfg = ServeConfig {
+        workers: 1,
+        inject_delay: Duration::from_millis(400),
+        ..ServeConfig::default()
+    };
+    let (handle, dir) = start("depth", cfg);
+    let mut clients = vec![send_pair(&handle, 1)];
+    wait_in_flight(&handle, 1);
+    clients.push(send_pair(&handle, 2));
+
+    // one running, one waiting: only the waiting one is queued
+    let health = wait_in_flight(&handle, 2);
+    assert!(
+        health.contains("\"queue_depth\": 1, \"in_flight\": 2,"),
+        "{health}"
+    );
+    let metrics = connect(&handle)
+        .request(&Request::Metrics)
+        .expect("metrics");
+    let text = String::from_utf8(metrics.body).expect("utf8");
+    let gauge = text
+        .lines()
+        .find_map(|l| l.strip_prefix("gemm_ld_queue_depth "))
+        .unwrap_or_else(|| panic!("no gemm_ld_queue_depth in:\n{text}"));
+    assert_eq!(gauge.parse::<f64>().ok(), Some(1.0), "{gauge}");
+
+    // three waiters, each arriving once the one before is counted
+    for j in 3..=4 {
+        clients.push(send_pair(&handle, j));
+        wait_in_flight(&handle, j as usize);
+    }
+    let health = wait_in_flight(&handle, 4);
+    assert!(health.contains("\"queue_depth\": 3,"), "{health}");
+
+    // one permit: the replies leave in the order the permit was taken
+    let answered: Vec<_> = clients
+        .into_iter()
+        .map(|t| {
+            let (resp, at) = t.join().expect("client");
+            assert_eq!(resp.status, Status::Ok, "{}", resp.message());
+            at
+        })
+        .collect();
+    assert!(
+        answered.windows(2).all(|w| w[0] < w[1]),
+        "waiters must be admitted in arrival order"
+    );
+    assert_eq!(handle.shutdown_and_wait(), DrainOutcome::Drained);
+    let _ = std::fs::remove_dir_all(dir);
+}

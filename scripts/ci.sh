@@ -11,8 +11,8 @@
 #                         panic-free crates; every `unsafe` block and impl
 #                         in every member's lib carries a SAFETY argument
 #   4. release build, workspace tests, the release-arithmetic legs, the
-#                         one-formatter, per-window, ext-kernel, wire and
-#                         one-timer guards
+#                         one-formatter, per-window, ext-kernel, wire,
+#                         hand-off and one-timer guards
 #   5. schemas          — each published artifact (the `--profile=json`
 #                         run report with its timeline, CPU profile, shard
 #                         manifest, tile manifest, request log, both
@@ -104,8 +104,10 @@ if [ -n "$KERNELS" ] || grep -q '^ld-kernels' crates/ext/Cargo.toml; then
 fi
 # A served request costs its work, not a timer: both ends of an LDS1
 # socket set TCP_NODELAY, and neither listener polls — `accept` blocks
-# until a self-connect wakes it. The worker's `inject_delay` (a test aid,
-# zero in production) is the one sleep in the daemon's shipped code.
+# until a self-connect wakes it. `inject_delay` (a test aid, zero in
+# production), slept by a request that holds its permit in
+# `server::serve_query`, is the one sleep in the daemon's shipped code:
+# the allowance is that one line, indentation included.
 echo "==> no wire stall in crates/serve/src/{server,http,client}.rs"
 shipped() {
     awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$@"
@@ -119,10 +121,21 @@ for f in crates/serve/src/server.rs crates/serve/src/client.rs; do
 done
 STALL=$(for f in crates/serve/src/server.rs crates/serve/src/http.rs; do shipped "$f"; done \
     | grep -E 'set_nonblocking\(true\)|thread::sleep' \
-    | grep -vF 'std::thread::sleep(shared.cfg.inject_delay)' || true)
+    | grep -vxF 'crates/serve/src/server.rs:                 std::thread::sleep(shared.cfg.inject_delay);' \
+    || true)
 if [ -n "$STALL" ]; then
     echo "wire guard FAIL: a non-blocking listener or a sleep in the daemon:" >&2
     printf '%s\n' "$STALL" >&2
+    exit 1
+fi
+# A request runs on the thread that read it, behind one admission gate:
+# no hand-off channel and no worker pool in the daemon's shipped code.
+echo "==> no request hand-off in crates/serve/src"
+HANDOFF=$(for f in crates/serve/src/*.rs; do shipped "$f"; done \
+    | grep -E 'mpsc|worker_loop' || true)
+if [ -n "$HANDOFF" ]; then
+    echo "hand-off guard FAIL: a channel or a worker pool in the daemon:" >&2
+    printf '%s\n' "$HANDOFF" >&2
     exit 1
 fi
 # One clock per layer, one report per run: the recorder span is the only
