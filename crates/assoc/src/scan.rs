@@ -14,8 +14,7 @@
 
 use crate::stats::{chi2_sf_1df, odds_ratio};
 use ld_bitmat::BitMatrixView;
-use ld_core::fused::SyncSlice;
-use ld_parallel::parallel_for;
+use ld_parallel::try_for_each_part;
 
 /// The association result of one SNP.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -59,39 +58,28 @@ pub fn allelic_scan(g: &BitMatrixView<'_>, case_mask: &[u64], threads: usize) ->
         };
         n
     ];
-    {
-        let slots = SyncSlice::new(&mut out);
-        parallel_for(threads.max(1), n, |range| {
-            for j in range {
-                let col = g.snp_words(j);
-                let alt: u64 = col.iter().map(|w| w.count_ones() as u64).sum();
-                let case_alt: u64 = col
-                    .iter()
-                    .zip(case_mask)
-                    .map(|(&s, &y)| (s & y).count_ones() as u64)
-                    .sum();
-                let ctrl_alt = alt - case_alt;
-                let chi2 = allelic_chi2(case_alt, n_case, ctrl_alt, n_ctrl);
-                // SAFETY: `parallel_for` splits `0..n` into disjoint
-                // ranges, so slot j is borrowed by exactly one worker.
-                unsafe {
-                    slots.slice(j, 1)[0] = AssocResult {
-                        snp: j,
-                        case_alt,
-                        ctrl_alt,
-                        chi2,
-                        p: chi2_sf_1df(chi2),
-                        odds_ratio: odds_ratio(
-                            case_alt,
-                            n_case - case_alt,
-                            ctrl_alt,
-                            n_ctrl - ctrl_alt,
-                        ),
-                    };
-                }
-            }
-        });
-    }
+    // uniform work per SNP: one claim per worker, as an even split
+    let grain = n.div_ceil(threads.max(1));
+    try_for_each_part(threads, grain, out.iter_mut(), |j, slot| {
+        let col = g.snp_words(j);
+        let alt: u64 = col.iter().map(|w| w.count_ones() as u64).sum();
+        let case_alt: u64 = col
+            .iter()
+            .zip(case_mask)
+            .map(|(&s, &y)| (s & y).count_ones() as u64)
+            .sum();
+        let ctrl_alt = alt - case_alt;
+        let chi2 = allelic_chi2(case_alt, n_case, ctrl_alt, n_ctrl);
+        *slot = AssocResult {
+            snp: j,
+            case_alt,
+            ctrl_alt,
+            chi2,
+            p: chi2_sf_1df(chi2),
+            odds_ratio: odds_ratio(case_alt, n_case - case_alt, ctrl_alt, n_ctrl - ctrl_alt),
+        };
+    })
+    .unwrap_or_else(|p| panic!("{}", p.message));
     out
 }
 

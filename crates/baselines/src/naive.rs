@@ -7,9 +7,8 @@
 //! (PopGenome et al.), and the zero-optimization anchor of the ablation.
 
 use ld_bitmat::BitMatrix;
-use ld_core::fused::SyncSlice;
 use ld_core::{ld_pair_from_counts, LdMatrix, LdPair, NanPolicy};
-use ld_parallel::parallel_for_dynamic;
+use ld_parallel::try_for_each_part;
 
 /// A sample-major byte matrix: SNP `j` is a contiguous `Vec<u8>` of 0/1.
 #[derive(Clone, Debug)]
@@ -68,31 +67,20 @@ impl ByteMatrix {
             .iter()
             .map(|c| c.iter().map(|&x| x as u64).sum())
             .collect();
-        let packed = out.packed_mut();
-        let ptr = SyncSlice::new(packed);
-        parallel_for_dynamic(threads, n, 8, |rows| {
-            for i in rows.clone() {
-                let off = i * n - (i * i - i) / 2;
-                // SAFETY: each row writes its own disjoint packed range.
-                let dst = unsafe { ptr.slice(off, n - i) };
-                let a = &self.cols[i];
-                for (t, j) in (i..n).enumerate() {
-                    let b = &self.cols[j];
-                    let mut c_ij = 0u64;
-                    for (&x, &y) in a.iter().zip(b) {
-                        c_ij += (x * y) as u64;
-                    }
-                    dst[t] = ld_pair_from_counts(
-                        counts[i],
-                        counts[j],
-                        c_ij,
-                        self.n_samples as u64,
-                        policy,
-                    )
-                    .r2;
+        try_for_each_part(threads, 8, out.rows_mut(), |i, dst| {
+            let a = &self.cols[i];
+            for (t, j) in (i..n).enumerate() {
+                let b = &self.cols[j];
+                let mut c_ij = 0u64;
+                for (&x, &y) in a.iter().zip(b) {
+                    c_ij += (x * y) as u64;
                 }
+                dst[t] =
+                    ld_pair_from_counts(counts[i], counts[j], c_ij, self.n_samples as u64, policy)
+                        .r2;
             }
-        });
+        })
+        .unwrap_or_else(|p| panic!("{}", p.message));
         out
     }
 }

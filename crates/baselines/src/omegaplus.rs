@@ -11,9 +11,8 @@
 //! GEMM formulation beats it ~4–6.7× in Tables I–III.
 
 use ld_bitmat::{BitMatrix, BitMatrixView};
-use ld_core::fused::SyncSlice;
 use ld_core::{ld_pair_from_counts, LdMatrix, LdPair, NanPolicy};
-use ld_parallel::parallel_for_dynamic;
+use ld_parallel::try_for_each_part;
 use ld_popcount::strategies::and_popcount_pinned;
 
 /// Pairwise popcount LD kernel without blocking.
@@ -54,23 +53,14 @@ impl OmegaPlusKernel {
         let counts: Vec<u64> = (0..n).map(|j| g.ones_in_snp(j)).collect();
         let mut out = LdMatrix::zeros(n);
         let policy = self.policy;
-        {
-            let packed = out.packed_mut();
-            let ptr = SyncSlice::new(packed);
-            parallel_for_dynamic(threads, n, 4, |rows| {
-                for i in rows.clone() {
-                    let off = i * n - (i * i - i) / 2;
-                    // SAFETY: disjoint packed row ranges.
-                    let dst = unsafe { ptr.slice(off, n - i) };
-                    let a = g.snp_words(i);
-                    for (t, j) in (i..n).enumerate() {
-                        let c_ij = and_popcount_pinned(a, g.snp_words(j));
-                        dst[t] =
-                            ld_pair_from_counts(counts[i], counts[j], c_ij, n_samples, policy).r2;
-                    }
-                }
-            });
-        }
+        try_for_each_part(threads, 4, out.rows_mut(), |i, dst| {
+            let a = g.snp_words(i);
+            for (t, j) in (i..n).enumerate() {
+                let c_ij = and_popcount_pinned(a, g.snp_words(j));
+                dst[t] = ld_pair_from_counts(counts[i], counts[j], c_ij, n_samples, policy).r2;
+            }
+        })
+        .unwrap_or_else(|p| panic!("{}", p.message));
         out
     }
 

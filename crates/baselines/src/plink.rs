@@ -13,9 +13,8 @@
 //! speedups rest on.
 
 use ld_bitmat::{GenotypeMatrix, WORD_BITS};
-use ld_core::fused::SyncSlice;
 use ld_core::{LdMatrix, NanPolicy};
-use ld_parallel::parallel_for_dynamic;
+use ld_parallel::try_for_each_part;
 
 /// Bit 0 of every 2-bit lane.
 const LANES: u64 = 0x5555_5555_5555_5555;
@@ -210,25 +209,17 @@ impl PlinkKernel {
         let n = g.n_snps();
         let mut out = LdMatrix::zeros(n);
         let kernel = *self;
-        {
-            let packed = out.packed_mut();
-            let ptr = SyncSlice::new(packed);
-            parallel_for_dynamic(threads, n, 4, |rows| {
-                for i in rows.clone() {
-                    let off = i * n - (i * i - i) / 2;
-                    // SAFETY: disjoint packed row ranges.
-                    let dst = unsafe { ptr.slice(off, n - i) };
-                    let a = g.snp_words(i);
-                    for (t_idx, j) in (i..n).enumerate() {
-                        let t = pair_table(a, g.snp_words(j));
-                        dst[t_idx] = match kernel.mode {
-                            PlinkR2Mode::Dosage => r2_dosage(&t, kernel.policy),
-                            PlinkR2Mode::Em => r2_em(&t, kernel.policy),
-                        };
-                    }
-                }
-            });
-        }
+        try_for_each_part(threads, 4, out.rows_mut(), |i, dst| {
+            let a = g.snp_words(i);
+            for (t_idx, j) in (i..n).enumerate() {
+                let t = pair_table(a, g.snp_words(j));
+                dst[t_idx] = match kernel.mode {
+                    PlinkR2Mode::Dosage => r2_dosage(&t, kernel.policy),
+                    PlinkR2Mode::Em => r2_em(&t, kernel.policy),
+                };
+            }
+        })
+        .unwrap_or_else(|p| panic!("{}", p.message));
         out
     }
 }

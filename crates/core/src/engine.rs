@@ -6,7 +6,7 @@ use crate::checkpoint::CheckpointState;
 use crate::control::RunControl;
 use crate::driver::{self, lock, strip_width, Config, Grid, Sink};
 use crate::error::{checked_add, checked_mul, try_zeroed_vec, LdError, MemoryBudget};
-use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice, Transform};
+use crate::fused::{RowSlabVisit, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
 use crate::shard::{plan_shards, SlabRange};
 use crate::source::{store_footprint, Source};
@@ -14,7 +14,7 @@ use crate::stats::{ld_pair_from_counts, LdPair, LdStats, NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{BitMatrix, BitMatrixView};
 use ld_kernels::{syrk_counts_buf, BlockSizes, KernelKind};
-use ld_parallel::{available_threads, run_team, triangle_row_ranges, try_parallel_for};
+use ld_parallel::{available_threads, try_for_each_part};
 use ld_popcount::and_popcount;
 use ld_trace::recorder::{Span, SpanKind};
 use std::sync::Mutex;
@@ -511,10 +511,9 @@ impl LdEngine {
     /// bit-identical). Peak transient memory is `4n²` bytes; prefer
     /// [`LdEngine::stat_matrix`] everywhere else.
     ///
-    /// The transform sweep is partitioned triangle-aware
-    /// ([`ld_parallel::triangle_row_ranges`]): row `i` holds `n − i` pairs,
-    /// so an even row split would give the first worker ~2× the work of the
-    /// last.
+    /// The transform sweep hands out the triangle's rows eight at a time
+    /// ([`ld_parallel::try_for_each_part`]): row `i` holds `n − i` pairs,
+    /// so dynamic claims absorb the skew an even row split would leave.
     pub fn stat_matrix_twopass<'a>(
         &self,
         g: impl Into<BitMatrixView<'a>>,
@@ -529,21 +528,13 @@ impl LdEngine {
         };
         let tr = Transform::new(&v, stat, self.policy);
         let mut out = LdMatrix::zeros(n);
-        let packed = out.packed_mut();
-        let out_ptr = SyncSlice::new(packed);
-        let counts_ref = &counts;
-        let tr_ref = &tr;
-        let ranges = triangle_row_ranges(n, self.threads);
-        run_team(self.threads, |tid| {
+        let (counts, tr) = (&counts, &tr);
+        try_for_each_part(self.threads, 8, out.rows_mut(), |i, dst| {
             let span = Span::begin(SpanKind::Transform);
-            for i in ranges[tid].clone() {
-                // SAFETY: workers own disjoint row ranges, and a row's
-                // packed range is disjoint from every other row's.
-                let dst = unsafe { out_ptr.slice(packed_row_offset(n, i), n - i) };
-                tr_ref.apply_span(i, i, &counts_ref[i * n + i..i * n + n], n, dst);
-            }
+            tr.apply_span(i, i, &counts[i * n + i..i * n + n], n, dst);
             span.end(0);
-        });
+        })
+        .unwrap_or_else(|p| panic!("{}", p.message));
         out
     }
 
@@ -798,14 +789,10 @@ impl LdEngine {
         }
         tr.fill_span(0, &diag);
         let (tr, counts) = (&tr, &counts);
-        let out = SyncSlice::new(&mut values);
-        try_parallel_for(self.threads, m, |rows| {
-            for i in rows {
-                // SAFETY: `try_parallel_for` hands out disjoint row ranges,
-                // and row i's values are the range [i·n, (i + 1)·n).
-                let dst = unsafe { out.slice(i * n, n) };
-                tr.apply_span(i, m, &counts[k * i * ld..][..k * ld], ld, dst);
-            }
+        // rows of equal cost: one claim per worker
+        let grain = m.div_ceil(self.threads);
+        try_for_each_part(self.threads, grain, values.chunks_mut(n), |i, dst| {
+            tr.apply_span(i, m, &counts[k * i * ld..][..k * ld], ld, dst);
         })?;
         Ok(CrossLdMatrix::from_dense(m, n, values))
     }

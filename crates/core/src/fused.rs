@@ -13,9 +13,8 @@
 //!   counts are still hot in the worker's scratch — and, for the
 //!   statistics over several bit planes per site ([`crate::Statistic`]),
 //!   the tail that reads a site pair's `k × k` block of plane products;
-//! * [`SyncSlice`] — disjoint-range access to the packed output for a
-//!   worker team (and the read side of the checkpoint done-flag
-//!   protocol);
+//! * `SyncSlice` — the slab driver's disjoint-range access to the packed
+//!   output (and the read side of the checkpoint done-flag protocol);
 //! * [`RowSlabVisit`] — what a streaming visitor
 //!   ([`crate::LdEngine::try_stat_rows_with`]) sees of one finished slab,
 //!   and [`in_row_order`], the two-phase adaptor for visitors that need
@@ -254,16 +253,18 @@ impl Transform {
 }
 
 /// A Send+Sync raw-pointer wrapper for handing disjoint subslices of one
-/// buffer to a worker team. Soundness argument: every use partitions the
-/// buffer (by row slab, window or SNP index), and each part is claimed by
+/// buffer to a worker team. Soundness argument: the slab driver
+/// partitions the packed output by row slab, and each slab is claimed by
 /// exactly one worker (the atomic counter in
-/// `try_parallel_for_dynamic_init_ctl` and the static splits of
-/// `parallel_for` hand out disjoint ranges).
+/// `try_parallel_for_dynamic_init_ctl` hands out disjoint ranges).
 ///
-/// Public so every crate that partitions an output this way — the
-/// baseline kernels, the extension kernels, the ω and association scans —
-/// shares one audited implementation.
-pub struct SyncSlice<'a, T> {
+/// The slab driver is its one user because its checkpoint writer reads
+/// *finished* slabs ([`SyncSlice::slice_ref`]) while workers are still
+/// writing others — a shared read beside live writes into the same
+/// buffer, which a split borrow cannot express. Every other parallel fill
+/// splits its output into `&mut` parts and hands them to
+/// `ld_parallel::try_for_each_part`, with no `unsafe`.
+pub(crate) struct SyncSlice<'a, T> {
     ptr: *mut T,
     len: usize,
     /// Holds the exclusive borrow of the buffer for `'a`: nothing else can
@@ -284,7 +285,7 @@ unsafe impl<T: Send + Sync> Sync for SyncSlice<'_, T> {}
 impl<'a, T> SyncSlice<'a, T> {
     /// Takes over `buf`'s exclusive borrow; from here on the aliasing
     /// discipline inside the buffer is [`SyncSlice::slice`]'s contract.
-    pub fn new(buf: &'a mut [T]) -> Self {
+    pub(crate) fn new(buf: &'a mut [T]) -> Self {
         Self {
             ptr: buf.as_mut_ptr(),
             len: buf.len(),
@@ -310,7 +311,7 @@ impl<'a, T> SyncSlice<'a, T> {
     /// Callers must guarantee no two live slices returned from this method
     /// overlap (the engine's slab partitioning does).
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice(&self, off: usize, len: usize) -> &mut [T] {
+    pub(crate) unsafe fn slice(&self, off: usize, len: usize) -> &mut [T] {
         // SAFETY: the range is in bounds (`start`), the buffer is
         // exclusively borrowed for `'a` (`_buf`), and the caller promises
         // no other live slice overlaps it.
@@ -326,7 +327,7 @@ impl<'a, T> SyncSlice<'a, T> {
     /// [`SyncSlice::slice`]; completed-slab ranges satisfy this because a
     /// slab's mutable slice is dropped before its done flag is released,
     /// and readers acquire that flag first.
-    pub unsafe fn slice_ref(&self, off: usize, len: usize) -> &[T] {
+    pub(crate) unsafe fn slice_ref(&self, off: usize, len: usize) -> &[T] {
         // SAFETY: in bounds (`start`), buffer borrowed for `'a`, and the
         // caller promises no live `&mut` overlaps the range.
         unsafe { std::slice::from_raw_parts(self.start(off, len), len) }

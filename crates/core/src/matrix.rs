@@ -1,6 +1,7 @@
 //! Result containers: triangle-packed and rectangular LD matrices.
 
 use crate::error::{checked_triangle_len, try_zeroed_vec, LdError};
+use crate::fused::packed_row_offset;
 use std::fmt;
 
 /// A symmetric `n × n` LD matrix stored as the packed upper triangle
@@ -35,9 +36,13 @@ impl LdMatrix {
         })
     }
 
-    /// Builds from a packed triangle (length must be `n(n+1)/2`).
+    /// Builds from a packed triangle (length must be `n(n+1)/2`, computed
+    /// without overflow).
     pub fn from_packed(n: usize, values: Vec<f64>) -> Self {
-        assert_eq!(values.len(), n * (n + 1) / 2, "packed length mismatch");
+        assert!(
+            checked_triangle_len(n).is_ok_and(|len| len == values.len()),
+            "packed length mismatch"
+        );
         Self { n, values }
     }
 
@@ -58,8 +63,7 @@ impl LdMatrix {
     pub fn index(&self, i: usize, j: usize) -> usize {
         debug_assert!(i < self.n && j < self.n);
         let (i, j) = if i <= j { (i, j) } else { (j, i) };
-        // row offset Σ_{t<i}(n−t) = i·n − i(i−1)/2, written underflow-free
-        i * self.n - (i * i - i) / 2 + (j - i)
+        packed_row_offset(self.n, i) + (j - i)
     }
 
     /// Value at `(i, j)` (symmetric access).
@@ -80,10 +84,24 @@ impl LdMatrix {
         &self.values
     }
 
-    /// Mutable packed storage (used by the engine's parallel fill and by
+    /// Mutable packed storage (used by the slab driver's fill and by
     /// callers transforming values in place, e.g. Fisher-z or thresholding).
     pub fn packed_mut(&mut self) -> &mut [f64] {
         &mut self.values
+    }
+
+    /// The packed triangle split into its `n` rows: row `i` holds the
+    /// values `(i, i..n)`, `n − i` of them. The rows are disjoint `&mut`
+    /// borrows, so a worker team can fill them in parallel without
+    /// `unsafe` (see `ld_parallel::try_for_each_part`).
+    pub fn rows_mut(&mut self) -> impl ExactSizeIterator<Item = &mut [f64]> + '_ {
+        let n = self.n;
+        let mut rest = self.values.as_mut_slice();
+        (0..n).map(move |i| {
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(n - i);
+            rest = tail;
+            row
+        })
     }
 
     /// Iterates `(i, j, value)` over the upper triangle with `i ≤ j`.
@@ -213,6 +231,32 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn rows_mut_splits_the_packed_layout() {
+        for n in [0usize, 1, 2, 7] {
+            let mut m = LdMatrix::zeros(n);
+            assert_eq!(m.rows_mut().len(), n);
+            for (i, row) in m.rows_mut().enumerate() {
+                assert_eq!(row.len(), n - i, "row {i} of {n}");
+                for (t, v) in row.iter_mut().enumerate() {
+                    *v = (i * 100 + i + t) as f64;
+                }
+            }
+            for i in 0..n {
+                for j in i..n {
+                    assert_eq!(m.get(i, j), (i * 100 + j) as f64, "({i},{j}) of {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packed length mismatch")]
+    fn overflowing_packed_length_panics() {
+        // n(n+1)/2 wraps to 0 in unchecked arithmetic
+        LdMatrix::from_packed(usize::MAX, Vec::new());
     }
 
     #[test]

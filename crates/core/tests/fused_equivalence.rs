@@ -217,7 +217,7 @@ fn streaming_rows_and_tiles_match_fused_matrix() {
             for (i, row) in s.rows() {
                 for (t, &v) in row.iter().enumerate() {
                     let j = i + t;
-                    let idx = i * n - (i * i - i) / 2 + t;
+                    let idx = full.index(i, j);
                     seen[idx] += 1;
                     assert_eq!(v.to_bits(), full.get(i, j).to_bits(), "rows ({i},{j})");
                     assert_eq!(v.to_bits(), s.value(i - s.row_start(), j).to_bits());

@@ -148,7 +148,7 @@ fn outofcore_rows_cover_the_triangle_bit_exactly() {
                 for (i, row) in s.rows() {
                     for (t, &v) in row.iter().enumerate() {
                         let j = i + t;
-                        let idx = i * n - (i * i - i) / 2 + t;
+                        let idx = full.index(i, j);
                         seen[idx] += 1;
                         assert_eq!(v.to_bits(), full.get(i, j).to_bits(), "rows ({i},{j})");
                     }
@@ -197,7 +197,7 @@ fn budget_smaller_than_packed_panel_is_bit_exact() {
         LdStats::RSquared,
         |s| {
             for (i, row) in s.rows() {
-                let off = i * n - (i * i - i) / 2;
+                let off = full.index(i, i);
                 for (t, &v) in row.iter().enumerate() {
                     got[off + t] = v;
                 }

@@ -14,9 +14,8 @@
 //! and the LD statistics use `N_ij = POPCNT(c_ij)` as the sample size.
 
 use ld_bitmat::{BitMatrix, BitMatrixView, ValidityMask};
-use ld_core::fused::SyncSlice;
 use ld_core::{ld_pair_from_counts, LdMatrix, LdPair, NanPolicy};
-use ld_parallel::parallel_for_dynamic;
+use ld_parallel::try_for_each_part;
 
 /// The four masked counts of one SNP pair.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -84,25 +83,17 @@ pub fn masked_r2_matrix(
     check_shapes(g, mask);
     let n = g.n_snps();
     let mut out = LdMatrix::zeros(n);
-    {
-        let packed = out.packed_mut();
-        let ptr = SyncSlice::new(packed);
-        parallel_for_dynamic(threads, n, 4, |rows| {
-            for i in rows.clone() {
-                let off = i * n - (i * i - i) / 2;
-                // SAFETY: disjoint packed row ranges per worker.
-                let dst = unsafe { ptr.slice(off, n - i) };
-                for (t, j) in (i..n).enumerate() {
-                    let c = masked_counts(g, mask, i, j);
-                    dst[t] = if c.valid == 0 {
-                        policy.undefined()
-                    } else {
-                        ld_pair_from_counts(c.ones_i, c.ones_j, c.both, c.valid, policy).r2
-                    };
-                }
-            }
-        });
-    }
+    try_for_each_part(threads, 4, out.rows_mut(), |i, dst| {
+        for (t, j) in (i..n).enumerate() {
+            let c = masked_counts(g, mask, i, j);
+            dst[t] = if c.valid == 0 {
+                policy.undefined()
+            } else {
+                ld_pair_from_counts(c.ones_i, c.ones_j, c.both, c.valid, policy).r2
+            };
+        }
+    })
+    .unwrap_or_else(|p| panic!("{}", p.message));
     out
 }
 

@@ -12,6 +12,9 @@ use std::io::{Read, Write};
 /// Magic bytes of the binary LD-matrix format.
 pub const LDM_MAGIC: [u8; 4] = *b"LDM1";
 
+/// Values decoded per read (64 KiB of body).
+const CHUNK_VALUES: usize = 8192;
+
 /// Writes a matrix in `LDM1` format.
 pub fn write_ld_matrix<W: Write>(mut w: W, m: &LdMatrix) -> Result<(), IoError> {
     w.write_all(&LDM_MAGIC)?;
@@ -40,13 +43,24 @@ pub fn read_ld_matrix<R: Read>(mut r: R) -> Result<LdMatrix, IoError> {
             format!("implausible SNP count {n}"),
         ));
     }
+    // Grow with the values actually read: a header alone allocates
+    // nothing, so a short stream is the truncation error, not an abort.
     let len = n * (n + 1) / 2;
-    let mut values = vec![0.0f64; len];
-    let mut buf = [0u8; 8];
-    for v in values.iter_mut() {
-        r.read_exact(&mut buf)
+    let mut values: Vec<f64> = Vec::new();
+    let mut buf = vec![0u8; 8 * CHUNK_VALUES];
+    while values.len() < len {
+        let take = (len - values.len()).min(CHUNK_VALUES);
+        let bytes = &mut buf[..8 * take];
+        r.read_exact(bytes)
             .map_err(|e| IoError::parse("ldm", 0, format!("truncated: {e}")))?;
-        *v = f64::from_le_bytes(buf);
+        values
+            .try_reserve(take)
+            .map_err(|_| std::io::Error::new(std::io::ErrorKind::OutOfMemory, "LDM1 values"))?;
+        values.extend(bytes.chunks_exact(8).map(|b| {
+            let mut v = [0u8; 8];
+            v.copy_from_slice(b);
+            f64::from_le_bytes(v)
+        }));
     }
     Ok(LdMatrix::from_packed(n, values))
 }
@@ -105,6 +119,19 @@ mod tests {
         let mut huge = LDM_MAGIC.to_vec();
         huge.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(read_ld_matrix(huge.as_slice()).is_err());
+    }
+
+    #[test]
+    fn bodiless_header_is_an_error_not_an_allocation() {
+        // n(n+1)/2 doubles would be 40 GB and 1 PB: only the bytes present
+        // may be allocated for
+        for n in [100_000u64, 1 << 24] {
+            let mut header = LDM_MAGIC.to_vec();
+            header.extend_from_slice(&n.to_le_bytes());
+            assert!(read_ld_matrix(header.as_slice()).is_err(), "n = {n}");
+            header.extend_from_slice(&1.5f64.to_le_bytes());
+            assert!(read_ld_matrix(header.as_slice()).is_err(), "n = {n}");
+        }
     }
 
     #[test]

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 use ld_core::{BandedLdMatrix, LdEngine, LdError, LdMatrix, LdStats, NanPolicy, Source};
-use std::sync::OnceLock;
 
 pub mod grid;
 mod prefix;
@@ -101,14 +100,12 @@ pub(crate) fn scan_band<'a>(
         return Ok(Vec::new());
     }
     let r2 = BandedLdMatrix::compute(engine, src, band, LdStats::RSquared)?;
-    let slots: Vec<OnceLock<OmegaPoint>> = positions.iter().map(|_| OnceLock::new()).collect();
-    ld_parallel::parallel_for_dynamic(engine.thread_count(), positions.len(), 1, |range| {
-        for k in range {
-            // each index is claimed once, so its slot is still empty
-            let _ = slots[k].set(point(&r2, positions[k]));
-        }
-    });
-    Ok(slots.into_iter().filter_map(OnceLock::into_inner).collect())
+    let mut points = vec![None; positions.len()];
+    ld_parallel::try_for_each_part(engine.thread_count(), 1, points.iter_mut(), |k, slot| {
+        *slot = Some(point(&r2, positions[k]));
+    })
+    .unwrap_or_else(|p| panic!("{}", p.message));
+    Ok(points.into_iter().flatten().collect())
 }
 
 /// The last of a scan's strongest points (ω is never NaN or −0: a total order).

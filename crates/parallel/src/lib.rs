@@ -8,12 +8,12 @@
 //! * [`run_team`] — fork-join execution of a closure on `n` logical workers
 //!   using `std::thread::scope` (the calling thread doubles as worker 0, so
 //!   a team of 1 runs inline with zero overhead);
-//! * [`parallel_for`] / [`parallel_for_dynamic`] — data-parallel loops over
-//!   index ranges with static (even slabs) or dynamic (atomic chunk
-//!   grabbing) scheduling;
+//! * [`try_for_each_part`] — the safe parallel writer: `f(index, part)`
+//!   once per disjoint part of an output (the rows of a packed triangle,
+//!   one slot per SNP or window), parts claimed `grain` at a time;
 //! * [`try_parallel_for_dynamic_init_ctl`] — the dynamic loop in full:
 //!   per-worker state, panic containment and a cancellation token. It is
-//!   the scheduler of the LD slab driver, and [`parallel_for_dynamic`] is
+//!   the scheduler of the LD slab driver, and [`try_for_each_part`] is
 //!   the same loop body with no state and no token;
 //! * [`partition`] — range-splitting helpers, including the triangle-aware
 //!   splitter that balances the `N(N+1)/2` pair workload of the symmetric
@@ -23,18 +23,18 @@
 //!   `ld-serve` client harness so simultaneous retries decorrelate.
 //!
 //! Everything here guarantees data-race freedom through the type system:
-//! scoped threads borrow.
+//! scoped threads borrow, and a part handed to [`try_for_each_part`] is
+//! moved to the one worker that claims it.
 //!
 //! ## Panic containment
 //!
-//! Every worker closure runs inside `catch_unwind`. The `try_` entry
-//! points ([`try_parallel_for`], [`try_parallel_for_dynamic_init_ctl`])
-//! surface the first worker panic as a typed [`WorkerPanic`] instead of
-//! unwinding the caller. Remaining workers drain via a shared cancellation
-//! flag, so the fork-join always completes — a single bad row in a long
-//! batch scan aborts the region, not the process. The infallible entry
-//! points re-raise the panic on the calling thread once every worker has
-//! been joined.
+//! Every worker closure runs inside `catch_unwind`. The loops
+//! ([`try_for_each_part`], [`try_parallel_for_dynamic_init_ctl`]) surface
+//! the first worker panic as a typed [`WorkerPanic`] instead of unwinding
+//! the caller. Remaining workers drain via a shared cancellation flag, so
+//! the fork-join always completes — a single bad row in a long batch scan
+//! aborts the region, not the process. [`run_team`] re-raises the panic
+//! on the calling thread once every worker has been joined.
 //!
 //! ## Cooperative cancellation
 //!
@@ -62,6 +62,6 @@ pub use partition::{
     even_ranges, triangle_ranges, triangle_row_ranges, triangle_row_weight, triangle_weight,
 };
 pub use team::{
-    available_threads, parallel_for, parallel_for_dynamic, run_team, scheduler_grain,
-    try_parallel_for, try_parallel_for_dynamic_init_ctl, LoopOutcome,
+    available_threads, run_team, scheduler_grain, try_for_each_part,
+    try_parallel_for_dynamic_init_ctl, LoopOutcome,
 };

@@ -3,11 +3,11 @@
 //! Long-running batch scans (the production north-star) cannot afford a
 //! single panicking worker taking the whole process down — or worse,
 //! wedging a join forever. Every team/loop primitive in this crate wraps
-//! worker closures in [`std::panic::catch_unwind`]; the `try_` entry points
-//! surface the **first** panic as a typed [`WorkerPanic`] with its payload
-//! message preserved (the infallible ones re-raise it after the join); the
-//! remaining workers drain via a shared cancellation flag, so the
-//! fork-join always completes.
+//! worker closures in [`std::panic::catch_unwind`]; the loops surface the
+//! **first** panic as a typed [`WorkerPanic`] with its payload message
+//! preserved (`run_team` re-raises it after the join); the remaining
+//! workers drain via a shared cancellation flag, so the fork-join always
+//! completes.
 
 use std::any::Any;
 use std::fmt;

@@ -1,23 +1,23 @@
 //! Fork-join worker teams over `std::thread::scope`.
 //!
-//! Every worker of every primitive runs inside a panic trap. The
-//! infallible forms (`run_team`, `parallel_for`, `parallel_for_dynamic`)
-//! re-raise a worker panic on the caller exactly like `std::thread::scope`
-//! does; the `try_` forms (`try_parallel_for`,
-//! `try_parallel_for_dynamic_init_ctl`) **contain** it — the first panic
-//! is converted into a typed [`WorkerPanic`] (payload message preserved),
-//! the remaining workers drain via a cancellation flag, and the join
-//! always completes.
+//! Every worker of every primitive runs inside a panic trap. [`run_team`]
+//! re-raises a worker panic on the caller exactly like
+//! `std::thread::scope` does; the loops ([`try_for_each_part`],
+//! [`try_parallel_for_dynamic_init_ctl`]) **contain** it — the first
+//! panic is converted into a typed [`WorkerPanic`] (payload message
+//! preserved), the remaining workers drain via a cancellation flag, and
+//! the join always completes.
 //!
 //! There is one dynamically-scheduled loop body (`dynamic_loop`):
-//! [`parallel_for_dynamic`] is that body with no per-worker state and no
+//! [`try_for_each_part`] is that body with no per-worker state and no
 //! token, so the chunk schedule — and with it `tiles_claimed` — is the
 //! same function of `(len, grain)` at every thread count.
 
 use crate::cancel::CancelToken;
-use crate::panic::{PanicTrap, WorkerPanic};
+use crate::panic::{lock_ignore_poison, PanicTrap, WorkerPanic};
 use ld_trace::recorder::{Span, SpanKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Encodes a chunk claim for the flight recorder:
 /// `(chunk_index << 1) | stolen`.
@@ -151,66 +151,60 @@ where
     }
 }
 
-/// Statically-scheduled parallel loop: splits `0..len` into `n_threads`
-/// nearly-even contiguous slabs and runs `f(range)` on each worker.
+/// Runs `f(index, part)` once per item of `parts` — typically disjoint
+/// `&mut [T]` pieces of one output, such as the rows `ld_core`'s
+/// `LdMatrix::rows_mut` splits a packed triangle into — with workers
+/// claiming `grain` consecutive parts at a time on the dynamic scheduler
+/// of [`try_parallel_for_dynamic_init_ctl`].
 ///
-/// Use when iterations have uniform cost (e.g. GEMM column blocks).
-/// A worker panic propagates (see [`try_parallel_for`] for containment).
-pub fn parallel_for<F>(n_threads: usize, len: usize, f: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    if let Err(p) = try_parallel_for_impl(n_threads, len, &f) {
-        std::panic::resume_unwind(p.1);
-    }
-}
-
-/// Panic-containing [`parallel_for`].
-pub fn try_parallel_for<F>(n_threads: usize, len: usize, f: F) -> Result<(), WorkerPanic>
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    try_parallel_for_impl(n_threads, len, &f)
-        .map_err(|(tid, payload)| WorkerPanic::from_payload(tid, &payload))
-}
-
-fn try_parallel_for_impl<F>(
+/// Each part is moved to the one worker that claims it, so the loop needs
+/// no `unsafe`: the disjointness a raw-pointer fill would have to argue
+/// is the borrow checker's, proved where the caller split its buffer.
+/// The chunk schedule (and `tiles_claimed`) is the same function of
+/// `(parts, grain)` at every thread count, and so is the index each part
+/// is handed with. The first worker panic comes back as a
+/// [`WorkerPanic`] once the team has drained.
+///
+/// ```
+/// let mut out = vec![0usize; 10];
+/// ld_parallel::try_for_each_part(2, 4, out.chunks_mut(3), |k, part| {
+///     part.fill(k);
+/// })
+/// .unwrap();
+/// assert_eq!(out, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
+/// ```
+pub fn try_for_each_part<P, F>(
     n_threads: usize,
-    len: usize,
-    f: &F,
-) -> Result<(), (usize, crate::panic::Payload)>
+    grain: usize,
+    parts: impl IntoIterator<Item = P>,
+    f: F,
+) -> Result<(), WorkerPanic>
 where
-    F: Fn(std::ops::Range<usize>) + Sync,
+    P: Send,
+    F: Fn(usize, P) + Sync,
 {
-    let n = n_threads.max(1).min(len.max(1));
-    if n == 1 {
-        return run_team_trapped(1, |_| f(0..len));
-    }
-    let ranges = crate::partition::even_ranges(len, n);
-    run_team_trapped(n, |tid| {
-        let r = ranges[tid].clone();
-        if !r.is_empty() {
-            f(r);
-        }
-    })
-}
-
-/// Dynamically-scheduled parallel loop: workers grab chunks of at most
-/// `grain` consecutive indices from an atomic counter until the range is
-/// drained.
-///
-/// Use when iteration costs are skewed (e.g. the triangular pair space of
-/// the baseline kernels, or ω-statistic windows of varying SNP counts).
-/// This is [`try_parallel_for_dynamic_init_ctl`] with no per-worker state
-/// and no token: `f` sees at most `grain` indices per call at every thread
-/// count, one worker included. A worker panic propagates.
-pub fn parallel_for_dynamic<F>(n_threads: usize, len: usize, grain: usize, f: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    if let Err(p) = dynamic_loop(n_threads, len, grain, None, &|_| (), &|(), r| f(r)) {
-        std::panic::resume_unwind(p.1);
-    }
+    let grain = grain.max(1);
+    let mut slots: Vec<Option<P>> = parts.into_iter().map(Some).collect();
+    let len = slots.len();
+    // One lock per claimable chunk: the scheduler hands chunk `c` (the
+    // slots `c·grain ..`) to exactly one worker, so each lock is taken once.
+    let chunks: Vec<Mutex<&mut [Option<P>]>> = slots.chunks_mut(grain).map(Mutex::new).collect();
+    try_parallel_for_dynamic_init_ctl(
+        n_threads,
+        len,
+        grain,
+        None,
+        |_| (),
+        |(), range| {
+            let mut chunk = lock_ignore_poison(&chunks[range.start / grain]);
+            for (index, slot) in range.zip(chunk.iter_mut()) {
+                if let Some(part) = slot.take() {
+                    f(index, part);
+                }
+            }
+        },
+    )
+    .map(|_| ())
 }
 
 /// Cancellable, panic-containing dynamically-scheduled loop with
@@ -261,7 +255,7 @@ where
         .map_err(|(tid, payload)| WorkerPanic::from_payload(tid, &payload))
 }
 
-/// The one claim-a-chunk loop behind both dynamic entry points.
+/// The one claim-a-chunk loop behind both loops.
 fn dynamic_loop<S, I, F>(
     n_threads: usize,
     len: usize,
@@ -386,17 +380,26 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 1);
     }
 
+    /// Runs [`try_for_each_part`] over the parts `0..len` and returns how
+    /// often each was visited, checking every part arrives with its index.
+    fn part_visits(threads: usize, grain: usize, len: usize) -> Vec<usize> {
+        let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+        try_for_each_part(threads, grain, 0..len, |index, part| {
+            assert_eq!(index, part, "a part comes with its own index");
+            hits[part].fetch_add(1, Ordering::Relaxed);
+        })
+        .unwrap();
+        hits.into_iter().map(AtomicUsize::into_inner).collect()
+    }
+
     #[test]
     fn static_for_covers_range_exactly_once() {
+        // one chunk per worker: the shape of a static even split
         for (threads, len) in [(1usize, 10usize), (3, 10), (4, 3), (8, 100), (5, 0)] {
-            let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            parallel_for(threads, len, |r| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+            let grain = len.div_ceil(threads);
+            assert_eq!(
+                part_visits(threads, grain, len),
+                vec![1; len],
                 "threads={threads} len={len}"
             );
         }
@@ -410,18 +413,53 @@ mod tests {
             (3, 5, 100),
             (2, 0, 1),
         ] {
-            let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            parallel_for_dynamic(threads, len, grain, |r| {
-                // chunked by `grain` at every thread count, one included
-                assert!(r.len() <= grain);
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+            assert_eq!(
+                part_visits(threads, grain, len),
+                vec![1; len],
                 "threads={threads} len={len} grain={grain}"
             );
+        }
+    }
+
+    #[test]
+    fn for_each_part_visits_every_part_once() {
+        for threads in [1usize, 2, 7] {
+            for grain in [1usize, 4, 64] {
+                for len in [0usize, 1, 100] {
+                    assert_eq!(
+                        part_visits(threads, grain, len),
+                        vec![1; len],
+                        "threads={threads} grain={grain} parts={len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_part_returns_the_first_panic_after_draining() {
+        for threads in [1usize, 2, 7] {
+            for grain in [1usize, 4, 64] {
+                let visited = AtomicUsize::new(0);
+                let err = try_for_each_part(threads, grain, 0..100usize, |_, part| {
+                    if part == 0 {
+                        panic!("part {part} failed");
+                    }
+                    visited.fetch_add(1, Ordering::Relaxed);
+                })
+                .expect_err("part 0 always panics");
+                assert_eq!(
+                    err.message, "part 0 failed",
+                    "threads={threads} grain={grain}"
+                );
+                // the join returned: every other worker stopped claiming
+                // and finished what it held
+                assert!(visited.load(Ordering::Relaxed) <= 99);
+                if threads == 1 {
+                    // one worker: nothing is claimed after the panic
+                    assert_eq!(visited.load(Ordering::Relaxed), 0, "grain={grain}");
+                }
+            }
         }
     }
 
@@ -471,10 +509,11 @@ mod tests {
     fn workers_can_borrow_stack_data() {
         let data = [1u64, 2, 3, 4];
         let sum = AtomicUsize::new(0);
-        parallel_for(2, data.len(), |r| {
-            let local: u64 = data[r].iter().sum();
+        try_for_each_part(2, 1, data.chunks(2), |_, part| {
+            let local: u64 = part.iter().sum();
             sum.fetch_add(local as usize, Ordering::Relaxed);
-        });
+        })
+        .unwrap();
         assert_eq!(sum.load(Ordering::Relaxed), 10);
     }
 

@@ -4,11 +4,11 @@
 //! shapes (`len = 0`, more threads than items, `n = 0/1` triangles) must
 //! produce exactly-covering, non-overlapping ranges. The panic tests pin
 //! the containment contract across team sizes: the first panic becomes a
-//! typed [`WorkerPanic`] (or, from the infallible forms, is re-raised after
-//! the join), the remaining workers drain, and the join never hangs.
+//! typed [`WorkerPanic`] (or, from `run_team`, is re-raised after the
+//! join), the remaining workers drain, and the join never hangs.
 
 use ld_parallel::{
-    even_ranges, parallel_for, run_team, triangle_row_ranges, try_parallel_for,
+    even_ranges, run_team, triangle_row_ranges, try_for_each_part,
     try_parallel_for_dynamic_init_ctl, LoopOutcome, WorkerPanic,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -101,11 +101,11 @@ fn triangle_row_ranges_cover_for_many_shapes() {
 #[test]
 fn parallel_for_zero_length_runs_and_returns() {
     let hits = AtomicUsize::new(0);
-    parallel_for(4, 0, |r| {
-        hits.fetch_add(r.len(), Ordering::Relaxed);
-    });
+    try_for_each_part(4, 8, std::iter::empty::<&mut [u8]>(), |_, part| {
+        hits.fetch_add(part.len() + 1, Ordering::Relaxed);
+    })
+    .expect("empty loop cannot panic");
     assert_eq!(hits.load(Ordering::Relaxed), 0);
-    try_parallel_for(4, 0, |_r| {}).expect("empty loop cannot panic");
     try_parallel_for_dynamic(4, 0, 8, |_r| {}).expect("empty dynamic loop");
 }
 
@@ -113,11 +113,10 @@ fn parallel_for_zero_length_runs_and_returns() {
 fn parallel_for_more_threads_than_items_visits_each_once() {
     let n = 3usize;
     let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    parallel_for(16, n, |r| {
-        for i in r {
-            counts[i].fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    try_for_each_part(16, 1, &counts, |_, c| {
+        c.fetch_add(1, Ordering::Relaxed);
+    })
+    .expect("no part panics");
     for (i, c) in counts.iter().enumerate() {
         assert_eq!(c.load(Ordering::Relaxed), 1, "item {i} visited != once");
     }
@@ -150,8 +149,8 @@ fn run_team_joins_then_reraises_panics_on_teams_of_1_2_and_7() {
 #[test]
 fn parallel_for_contains_panics_on_teams_of_1_2_and_7() {
     for team in [1usize, 2, 7] {
-        let err = try_parallel_for(team, 64, |r| {
-            if r.contains(&13) {
+        let err = try_for_each_part(team, 8, 0..64usize, |_, i| {
+            if i == 13 {
                 panic!("chunk holding 13 blew up");
             }
         })
@@ -180,12 +179,12 @@ fn dynamic_loop_contains_panics_and_drains() {
 
 #[test]
 fn non_string_panic_payload_is_described() {
-    let err = try_parallel_for(2, 2, |r| {
-        if r.contains(&0) {
+    let err = try_for_each_part(2, 1, 0..2usize, |_, i| {
+        if i == 0 {
             std::panic::panic_any(42usize);
         }
     })
-    .expect_err("the range holding 0 panics with a non-string payload");
+    .expect_err("the part 0 panics with a non-string payload");
     assert!(
         !err.message.is_empty(),
         "non-string payloads still need a description"

@@ -11,8 +11,8 @@
 #                         panic-free crates; every `unsafe` block and impl
 #                         in every member's lib carries a SAFETY argument
 #   4. release build, workspace tests, the release-arithmetic legs, the
-#                         one-formatter, per-window, ext-kernel, wire,
-#                         hand-off and one-timer guards
+#                         one-formatter, per-window, ext-kernel, safe-fill,
+#                         wire, hand-off and one-timer guards
 #   5. schemas          — each published artifact (the `--profile=json`
 #                         run report with its timeline, CPU profile, shard
 #                         manifest, tile manifest, request log, both
@@ -100,6 +100,19 @@ done | grep -F 'ld_kernels' || true)
 if [ -n "$KERNELS" ] || grep -q '^ld-kernels' crates/ext/Cargo.toml; then
     echo "ext kernel guard FAIL: a private count loop in ld-ext:" >&2
     printf '%s\n' "$KERNELS" >&2
+    exit 1
+fi
+# A parallel fill splits its output into `&mut` parts for
+# `ld_parallel::try_for_each_part` (a packed triangle via
+# `LdMatrix::rows_mut`): the crates above ld-core write no `unsafe` and
+# never spell the packed row offset themselves.
+echo "==> no unsafe and no hand-rolled packed offset in crates/{baselines,ext,assoc,omega}/src"
+UNSAFE=$(for f in crates/baselines/src/*.rs crates/ext/src/*.rs crates/assoc/src/*.rs crates/omega/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$f"
+done | grep -E 'unsafe|\(i \* i - i\) / 2' || true)
+if [ -n "$UNSAFE" ]; then
+    echo "safe-fill guard FAIL: unsafe code or a hand-rolled packed offset:" >&2
+    printf '%s\n' "$UNSAFE" >&2
     exit 1
 fi
 # A served request costs its work, not a timer: both ends of an LDS1

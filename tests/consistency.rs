@@ -156,3 +156,115 @@ fn masked_matches_unmasked_when_all_valid() {
         assert!(close(v, masked.get(i, j), 1e-12), "({i},{j})");
     }
 }
+
+/// Every producer that fills disjoint parts of its output in parallel
+/// (`ld_parallel::try_for_each_part`) writes the same bits whatever the
+/// team size: the per-pair arithmetic never depends on which worker
+/// claimed a row, SNP or window.
+#[test]
+fn parallel_fills_do_not_depend_on_the_thread_count() {
+    use ld_baselines::PlinkR2Mode;
+    use ld_omega::{GridScan, OmegaScan};
+
+    fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        values.into_iter().map(f64::to_bits).collect()
+    }
+    fn packed(m: ld_core::LdMatrix) -> Vec<u64> {
+        bits(m.packed().iter().copied())
+    }
+    fn omega(points: Vec<ld_omega::OmegaPoint>) -> Vec<u64> {
+        let fields = |p: ld_omega::OmegaPoint| {
+            [
+                p.window_start as f64,
+                p.window_end as f64,
+                p.best_split as f64,
+                p.omega,
+            ]
+        };
+        bits(points.into_iter().flat_map(fields))
+    }
+
+    // 61 SNPs: no row split, chunk or window grid is even at 2 or 7
+    let g = sim(150, 61, 8);
+    let v = g.full_view();
+    let mask = ValidityMask::from_bitmatrix(&sim(150, 61, 9));
+    let cases = sim(150, 1, 10).snp_words(0).to_vec();
+    let bytes = ByteMatrix::from_bitmatrix(&g);
+    let geno = GenotypeMatrix::from_haplotype_pairs(&g).unwrap();
+    let engine = |t: usize| LdEngine::new().threads(t).nan_policy(NanPolicy::Zero);
+
+    type Producer<'a> = Box<dyn Fn(usize) -> Vec<u64> + 'a>;
+    let producers: Vec<(&str, Producer<'_>)> = vec![
+        (
+            "OmegaPlusKernel::r2_matrix",
+            Box::new(|t| packed(OmegaPlusKernel::new().r2_matrix(&v, t))),
+        ),
+        (
+            "ByteMatrix::r2_matrix",
+            Box::new(|t| packed(bytes.r2_matrix(t, NanPolicy::Propagate))),
+        ),
+        (
+            "PlinkKernel::r2_matrix (dosage)",
+            Box::new(|t| packed(PlinkKernel::new().r2_matrix(&geno, t))),
+        ),
+        (
+            "PlinkKernel::r2_matrix (EM)",
+            Box::new(|t| packed(PlinkKernel::new().mode(PlinkR2Mode::Em).r2_matrix(&geno, t))),
+        ),
+        (
+            "ld_ext::gaps::masked_r2_matrix",
+            Box::new(|t| {
+                packed(ld_ext::gaps::masked_r2_matrix(
+                    &v,
+                    &mask,
+                    t,
+                    NanPolicy::Propagate,
+                ))
+            }),
+        ),
+        (
+            "ld_assoc::allelic_scan",
+            Box::new(|t| {
+                let scan = ld_assoc::allelic_scan(&v, &cases, t);
+                assert!(scan.iter().enumerate().all(|(j, r)| r.snp == j));
+                bits(scan.iter().flat_map(|r| {
+                    [
+                        r.case_alt as f64,
+                        r.ctrl_alt as f64,
+                        r.chi2,
+                        r.p,
+                        r.odds_ratio,
+                    ]
+                }))
+            }),
+        ),
+        (
+            "LdEngine::stat_matrix_twopass",
+            Box::new(|t| packed(engine(t).stat_matrix_twopass(&g, LdStats::RSquared))),
+        ),
+        (
+            "LdEngine::try_cross_stat_matrix",
+            Box::new(|t| {
+                let cross = engine(t)
+                    .try_cross_stat_matrix(g.view(0, 23), g.view(23, 61), LdStats::DPrime)
+                    .unwrap();
+                bits(cross.values().iter().copied())
+            }),
+        ),
+        (
+            "OmegaScan::scan",
+            Box::new(|t| omega(OmegaScan::new(12, 5).engine(engine(t)).scan(&g).unwrap())),
+        ),
+        (
+            "GridScan::scan",
+            Box::new(|t| omega(GridScan::new(6, 14, 4).engine(engine(t)).scan(&g).unwrap())),
+        ),
+    ];
+    for (name, produce) in &producers {
+        let one = produce(1);
+        assert!(!one.is_empty(), "{name}: no output");
+        for t in [2usize, 7] {
+            assert_eq!(produce(t), one, "{name} at threads = {t}");
+        }
+    }
+}
