@@ -88,7 +88,7 @@ impl ByteMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ld_core::LdEngine;
+    use ld_core::{LdEngine, LdStats};
 
     fn pseudo(n_samples: usize, n_snps: usize, seed: u64) -> BitMatrix {
         let mut s = seed | 1;
@@ -114,7 +114,9 @@ mod tests {
         let g = pseudo(120, 15, 1);
         let bytes = ByteMatrix::from_bitmatrix(&g);
         let naive = bytes.r2_matrix(1, NanPolicy::Propagate);
-        let engine = LdEngine::new().r2_matrix(&g);
+        let engine = LdEngine::new()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         for i in 0..15 {
             for j in i..15 {
                 let (a, b) = (naive.get(i, j), engine.get(i, j));

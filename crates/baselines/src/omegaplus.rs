@@ -88,7 +88,7 @@ impl OmegaPlusKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ld_core::LdEngine;
+    use ld_core::{LdEngine, LdStats};
 
     fn pseudo(n_samples: usize, n_snps: usize, seed: u64) -> BitMatrix {
         let mut s = seed | 1;
@@ -113,7 +113,9 @@ mod tests {
     fn matches_engine() {
         let g = pseudo(200, 18, 7);
         let base = OmegaPlusKernel::new().r2_matrix(&g.full_view(), 1);
-        let engine = LdEngine::new().r2_matrix(&g);
+        let engine = LdEngine::new()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         for i in 0..18 {
             for j in i..18 {
                 let (a, b) = (base.get(i, j), engine.get(i, j));

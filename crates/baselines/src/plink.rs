@@ -234,7 +234,7 @@ pub fn genotype_words(n_individuals: usize) -> usize {
 mod tests {
     use super::*;
     use ld_bitmat::{BitMatrix, Genotype};
-    use ld_core::LdEngine;
+    use ld_core::{LdEngine, LdStats};
 
     fn pseudo_haps(n_samples: usize, n_snps: usize, seed: u64) -> BitMatrix {
         let mut s = seed | 1;
@@ -277,7 +277,9 @@ mod tests {
         // equals haplotypic r² — the oracle linking PLINK to the engine.
         let haps = pseudo_haps(150, 12, 21);
         let genos = GenotypeMatrix::from_haplotypes_as_homozygous(&haps);
-        let engine = LdEngine::new().r2_matrix(&haps);
+        let engine = LdEngine::new()
+            .try_stat_matrix(&haps, LdStats::RSquared)
+            .expect("LD matrix");
         for mode in [PlinkR2Mode::Dosage, PlinkR2Mode::Em] {
             let plink = PlinkKernel::new().mode(mode).r2_matrix(&genos, 1);
             for i in 0..12 {

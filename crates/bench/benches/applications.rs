@@ -7,7 +7,7 @@ use ld_bench::report::{fmt_secs, Table};
 use ld_bench::runner::{time_best, BenchOpts};
 use ld_bench::workloads::random_matrix;
 use ld_bitmat::ValidityMask;
-use ld_core::{LdEngine, NanPolicy};
+use ld_core::{LdEngine, LdStats, NanPolicy};
 use ld_data::fingerprints::clustered_fingerprints;
 use ld_ext::gaps::masked_r2_matrix;
 use ld_ext::tanimoto::tanimoto_matrix;
@@ -32,7 +32,8 @@ fn main() {
         );
         let r2 = LdEngine::new()
             .nan_policy(NanPolicy::Zero)
-            .r2_matrix(g.view(0, 50));
+            .try_stat_matrix(g.view(0, 50), LdStats::RSquared)
+            .expect("LD matrix");
         push(
             "omega",
             "omega-max-of-window",
@@ -84,7 +85,17 @@ fn main() {
         push(
             "masked-ld",
             "unmasked-r2-128snps",
-            time_best(|| drop(plain.r2_matrix(&g)), budget, 10),
+            time_best(
+                || {
+                    drop(
+                        plain
+                            .try_stat_matrix(&g, LdStats::RSquared)
+                            .expect("LD matrix"),
+                    )
+                },
+                budget,
+                10,
+            ),
         );
     }
 

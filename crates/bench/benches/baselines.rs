@@ -8,7 +8,7 @@ use ld_bench::report::{fmt_secs, Table};
 use ld_bench::runner::{time_best, BenchOpts};
 use ld_bench::workloads::random_matrix;
 use ld_bitmat::GenotypeMatrix;
-use ld_core::{LdEngine, NanPolicy};
+use ld_core::{LdEngine, LdStats, NanPolicy};
 use ld_kernels::KernelKind;
 
 fn main() {
@@ -36,7 +36,17 @@ fn main() {
         .nan_policy(NanPolicy::Zero);
     push(
         "gemm-scalar",
-        time_best(|| drop(gemm_scalar.r2_matrix(&haps)), budget, 10),
+        time_best(
+            || {
+                drop(
+                    gemm_scalar
+                        .try_stat_matrix(&haps, LdStats::RSquared)
+                        .expect("LD matrix"),
+                )
+            },
+            budget,
+            10,
+        ),
     );
 
     let gemm_auto = LdEngine::new()
@@ -45,7 +55,17 @@ fn main() {
         .nan_policy(NanPolicy::Zero);
     push(
         "gemm-auto",
-        time_best(|| drop(gemm_auto.r2_matrix(&haps)), budget, 10),
+        time_best(
+            || {
+                drop(
+                    gemm_auto
+                        .try_stat_matrix(&haps, LdStats::RSquared)
+                        .expect("LD matrix"),
+                )
+            },
+            budget,
+            10,
+        ),
     );
 
     let omega = OmegaPlusKernel::new().nan_policy(NanPolicy::Zero);

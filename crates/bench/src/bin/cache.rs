@@ -19,7 +19,7 @@ use ld_baselines::OmegaPlusKernel;
 use ld_bench::report::Table;
 use ld_bench::runner::BenchOpts;
 use ld_bench::workloads::random_matrix;
-use ld_core::{LdEngine, NanPolicy};
+use ld_core::{LdEngine, LdStats, NanPolicy};
 use ld_kernels::clock::tsc_hz;
 use ld_kernels::KernelKind;
 use std::time::Instant;
@@ -61,7 +61,9 @@ fn main() {
             .threads(1)
             .nan_policy(NanPolicy::Zero);
         let t0 = Instant::now();
-        let _ = engine.r2_matrix(&g);
+        let _ = engine
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         let gemm_s = t0.elapsed().as_secs_f64();
 
         let omega = OmegaPlusKernel::new().nan_policy(NanPolicy::Zero);

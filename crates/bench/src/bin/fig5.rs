@@ -13,7 +13,7 @@ use ld_baselines::{OmegaPlusKernel, PlinkKernel};
 use ld_bench::report::Table;
 use ld_bench::runner::BenchOpts;
 use ld_bench::workloads::triangle_pairs;
-use ld_core::{LdEngine, NanPolicy};
+use ld_core::{LdEngine, LdStats, NanPolicy};
 use ld_data::datasets::{build, genotypes_for, Dataset};
 use ld_kernels::KernelKind;
 use std::time::Instant;
@@ -59,7 +59,8 @@ fn main() {
             .kernel(KernelKind::Scalar)
             .threads(t)
             .nan_policy(NanPolicy::Zero)
-            .r2_matrix(&haps);
+            .try_stat_matrix(&haps, LdStats::RSquared)
+            .expect("LD matrix");
         let gemm_s = t0.elapsed().as_secs_f64();
 
         table.row([

@@ -23,7 +23,7 @@ use ld_baselines::{OmegaPlusKernel, PlinkKernel};
 use ld_bench::report::Table;
 use ld_bench::runner::BenchOpts;
 use ld_bench::workloads::triangle_pairs;
-use ld_core::{LdEngine, NanPolicy};
+use ld_core::{LdEngine, LdStats, NanPolicy};
 use ld_data::datasets::{build, genotypes_for, Dataset};
 use ld_kernels::KernelKind;
 use std::time::Instant;
@@ -105,7 +105,9 @@ fn main() {
                     .threads(t)
                     .nan_policy(NanPolicy::Zero);
                 let t0 = Instant::now();
-                let m = engine.r2_matrix(&haps);
+                let m = engine
+                    .try_stat_matrix(&haps, LdStats::RSquared)
+                    .expect("LD matrix");
                 let dt = t0.elapsed().as_secs_f64();
                 std::hint::black_box(m.get(probe.0, probe.1));
                 dt

@@ -723,7 +723,7 @@ pub fn r2(args: &Args) -> CmdResult {
                 let by_parts = |s: &ld_core::RowSlabVisit<'_>| {
                     s.parts(TABLE_BLOCK_ROWS).for_each(|part| in_order(&part))
                 };
-                engine.try_stat_rows_shared_with(src, stat, by_parts, &ctl)
+                engine.try_stat_rows_with(src, stat, by_parts, &ctl)
             };
             if let Err(e) = run {
                 ld_err = Some(e);
@@ -757,7 +757,7 @@ pub fn r2(args: &Args) -> CmdResult {
             best = top_pairs(best.drain(..).chain(slab_best), min_r2);
         };
         engine
-            .try_stat_rows_shared_with(src, stat, ld_core::in_row_order(strongest_of, fold), &ctl)
+            .try_stat_rows_with(src, stat, ld_core::in_row_order(strongest_of, fold), &ctl)
             .map_err(|e| intr.classify(e))?;
         let wall = t0.elapsed();
         compute_wall_ns = wall.as_nanos() as u64;

@@ -314,7 +314,9 @@ fn omega_and_prune_print_the_bytes_of_the_per_window_computation() {
     let mut want = String::from("window_start\twindow_end\tbest_split\tomega\n");
     let mut start = 0;
     loop {
-        let r2 = engine.r2_matrix(g.view(start, start + window));
+        let r2 = engine
+            .try_stat_matrix(g.view(start, start + window), ld_core::LdStats::RSquared)
+            .expect("LD matrix");
         let sums = ld_omega::WindowSums::new(&r2);
         let mut best = (0.0f64, min_region);
         for l in min_region..=window - min_region {
@@ -344,7 +346,9 @@ fn omega_and_prune_print_the_bytes_of_the_per_window_computation() {
     let mut start = 0;
     loop {
         let end = (start + window).min(n);
-        let r2 = engine.r2_matrix(g.view(start, end));
+        let r2 = engine
+            .try_stat_matrix(g.view(start, end), ld_core::LdStats::RSquared)
+            .expect("LD matrix");
         for i in 0..end - start {
             for j in i + 1..end - start {
                 if keep[start + i] && keep[start + j] && r2.get(i, j) > threshold {

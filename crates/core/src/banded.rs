@@ -9,10 +9,12 @@
 //! transient memory per worker, from either [`Source`].
 
 use crate::control::RunControl;
+use crate::driver::lock;
 use crate::engine::LdEngine;
 use crate::error::{checked_mul, try_filled_vec, LdError};
 use crate::source::Source;
 use crate::stats::LdStats;
+use std::sync::{Mutex, PoisonError};
 
 /// A symmetric matrix restricted to the band `1 ≤ j − i ≤ band`.
 ///
@@ -47,14 +49,16 @@ impl BandedLdMatrix {
         let n = src.n_snps();
         let band = band.max(1).min(n.saturating_sub(1).max(1));
         let len = checked_mul(n, band, "n × band values")?;
-        let mut values = try_filled_vec(len, f64::NAN, "n × band values")?;
+        let values = Mutex::new(try_filled_vec(len, f64::NAN, "n × band values")?);
         let fill = |s: &crate::RowSlabVisit<'_>| {
+            let mut values = lock(&values);
             for (i, row) in s.rows() {
                 // row[0] is the diagonal, which the band does not store
                 values[i * band..][..row.len() - 1].copy_from_slice(&row[1..]);
             }
         };
         engine.try_stat_rows_with(src, stat, fill, &RunControl::new().with_band(band))?;
+        let values = values.into_inner().unwrap_or_else(PoisonError::into_inner);
         Ok(Self { n, band, values })
     }
 
@@ -136,7 +140,7 @@ mod tests {
     fn band_matches_full_matrix() {
         let g = pseudo(128, 50, 1);
         for stat in [LdStats::RSquared, LdStats::D, LdStats::DPrime] {
-            let full = engine().stat_matrix(&g, stat);
+            let full = engine().try_stat_matrix(&g, stat).expect("LD matrix");
             let banded = BandedLdMatrix::compute(&engine(), &g, 7, stat).unwrap();
             for i in 0..50 {
                 for j in 0..50 {
@@ -189,7 +193,9 @@ mod tests {
         let banded = BandedLdMatrix::compute(&engine(), &g, 100, LdStats::RSquared).unwrap();
         assert_eq!(banded.band(), 5);
         assert_eq!(banded.n_pairs(), 15); // all C(6,2) pairs
-        let full = engine().r2_matrix(&g);
+        let full = engine()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         for (i, j, v) in banded.iter_pairs() {
             assert_eq!(v.to_bits(), full.get(i, j).to_bits(), "({i},{j})");
         }
@@ -199,7 +205,9 @@ mod tests {
     fn other_stats_work() {
         let g = pseudo(64, 15, 5);
         let banded = BandedLdMatrix::compute(&engine(), &g, 3, LdStats::DPrime).unwrap();
-        let full = engine().stat_matrix(&g, LdStats::DPrime);
+        let full = engine()
+            .try_stat_matrix(&g, LdStats::DPrime)
+            .expect("LD matrix");
         for (i, j, v) in banded.iter_pairs() {
             assert_eq!(v.to_bits(), full.get(i, j).to_bits(), "({i},{j})");
         }

@@ -237,7 +237,9 @@ mod tests {
         assert_eq!(blocks, vec![0..6, 6..12, 12..18]);
 
         // tagging: one SNP per block
-        let r2 = engine.r2_matrix(&g);
+        let r2 = engine
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         let tags = tag_snps(&r2, &blocks);
         assert_eq!(tags.len(), 3);
         for (t, b) in tags.iter().zip(&blocks) {

@@ -123,7 +123,7 @@ impl<'a> RunControl<'a> {
 
     /// Attaches a checkpoint plan (periodic persistence + optional
     /// resume). Only the packed-matrix sink supports checkpointing —
-    /// the row and tile visitors hand slabs to the caller instead of
+    /// the row visitor hands slabs to the caller instead of
     /// keeping them, so there is nothing for the engine to persist.
     pub fn with_checkpoint(mut self, plan: CheckpointPlan<'a>) -> Self {
         self.checkpoint = Some(plan);
@@ -148,9 +148,8 @@ impl<'a> RunControl<'a> {
     /// hold `≤ w + 1` values per row, every source streams only the columns
     /// the band touches, and scratch and the budget model follow the strip
     /// width `slab + w` instead of `n`. Values are bit-identical to the
-    /// same pairs of an unbanded run. The packed triangle and the tile
-    /// visitor store every pair and reject a band with
-    /// [`crate::LdError::InvalidConfig`].
+    /// same pairs of an unbanded run. The packed triangle stores every
+    /// pair and rejects a band with [`crate::LdError::InvalidConfig`].
     ///
     /// [`with_shard`]: RunControl::with_shard
     pub fn with_band(mut self, w: usize) -> Self {

@@ -57,11 +57,9 @@
 //!
 //! The row visitor is shared by the worker team (`Fn + Sync`): what it
 //! does with a slab runs in parallel, and a visitor that needs exclusion
-//! or ascending rows brings its own lock — the `FnMut` entry points of
-//! [`crate::LdEngine`] wrap theirs in a mutex, and [`crate::in_row_order`]
-//! locks only its ordered hand-off. The tile visitor is a row-visitor
-//! adaptor and the shard form is the packed sink plus `Grid::record`; both
-//! live in [`crate::LdEngine`]. The banded consumers ([`crate::banded`],
+//! or ascending rows brings its own lock — [`crate::in_row_order`] locks
+//! only its ordered hand-off. The shard form is the packed sink plus
+//! `Grid::record`, in [`crate::LdEngine`]. The banded consumers ([`crate::banded`],
 //! [`crate::decay`], [`crate::blocks`]) are row visitors under
 //! [`RunControl::with_band`] — there is no second loop.
 

@@ -4,7 +4,7 @@
 
 use crate::checkpoint::CheckpointState;
 use crate::control::RunControl;
-use crate::driver::{self, lock, strip_width, Config, Grid, Sink};
+use crate::driver::{self, strip_width, Config, Grid, Sink};
 use crate::error::{checked_add, checked_mul, try_zeroed_vec, LdError, MemoryBudget};
 use crate::fused::{RowSlabVisit, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
@@ -17,30 +17,30 @@ use ld_kernels::{syrk_counts_buf, BlockSizes, KernelKind};
 use ld_parallel::{available_threads, try_for_each_part};
 use ld_popcount::and_popcount;
 use ld_trace::recorder::{Span, SpanKind};
-use std::sync::Mutex;
 
 /// Configured entry point for all matrix-level LD computations.
 ///
 /// ```
 /// use ld_bitmat::BitMatrix;
-/// use ld_core::LdEngine;
+/// use ld_core::{LdEngine, LdStats};
 ///
 /// let g = BitMatrix::from_rows(4, 2, [[1u8, 1], [1, 1], [0, 0], [0, 0]]).unwrap();
-/// let r2 = LdEngine::new().r2_matrix(&g);
+/// let r2 = LdEngine::new().try_stat_matrix(&g, LdStats::RSquared)?;
 /// assert!((r2.get(0, 1) - 1.0).abs() < 1e-12); // identical SNPs: perfect LD
+/// # Ok::<(), ld_core::LdError>(())
 /// ```
 ///
 /// # Memory model
 ///
-/// The all-pairs entry points ([`LdEngine::stat_matrix`] and friends) all
-/// run the one slab driver ([`crate::driver`]): workers walk the upper
+/// The all-pairs entry points ([`LdEngine::try_stat_matrix`] and friends)
+/// all run the one slab driver ([`crate::driver`]): workers walk the upper
 /// triangle in bounded row slabs, so transient memory is
 /// `O(threads × slab × n)` u32 (see [`LdEngine::slab_rows`]) on top of the
 /// `n(n+1)/2 × f64` packed result — never the `n × n` u32 counts matrix of
 /// the classical two-pass formulation. When even the packed triangle is too
-/// large, stream with [`LdEngine::try_stat_rows_with`] or
-/// [`LdEngine::try_for_each_tile_with`] instead — and when only pairs
-/// within a window matter, give the row stream a column band
+/// large, stream row slabs with [`LdEngine::try_stat_rows_with`] instead —
+/// and when only pairs within a window matter, give the row stream a
+/// column band
 /// ([`RunControl::with_band`]); when the genotype matrix itself is
 /// too large, run the same entry points from a tile store
 /// ([`Source::Store`]), whose working set is one slab panel plus two
@@ -66,25 +66,6 @@ impl Default for LdEngine {
 /// the SYRK rank-k setup per slab, small enough that per-worker scratch
 /// (`slab × n × 4` bytes) stays cache-friendly for typical panel sizes.
 pub(crate) const DEFAULT_SLAB_ROWS: usize = 64;
-
-/// One tile of a streamed LD computation (see
-/// [`LdEngine::try_for_each_tile_with`]).
-///
-/// `values` is row-major `rows × cols`; entry `(r, c)` is the statistic for
-/// the SNP pair `(row_start + r, col_start + c)`.
-#[derive(Debug)]
-pub struct TileVisit<'a> {
-    /// Global index of the first row SNP in this tile.
-    pub row_start: usize,
-    /// Global index of the first column SNP in this tile.
-    pub col_start: usize,
-    /// Rows in this tile.
-    pub rows: usize,
-    /// Columns in this tile.
-    pub cols: usize,
-    /// Row-major statistic values.
-    pub values: &'a [f64],
-}
 
 impl LdEngine {
     /// An engine with automatic kernel selection, default blocking, all
@@ -126,11 +107,10 @@ impl LdEngine {
     }
 
     /// Caps the transient memory of a run (see [`MemoryBudget`]), priced
-    /// by the run's source ([`LdEngine::slab_for`]). The `try_` entry
-    /// points shrink the slab height to fit the cap before failing with
+    /// by the run's source ([`LdEngine::slab_for`]). Every entry point
+    /// shrinks the slab height to fit the cap before failing with
     /// [`LdError::BudgetExceeded`]; results are bit-exact regardless of
-    /// slab height. The infallible forms honor the budget too (they panic
-    /// where the `try_` form errors).
+    /// slab height.
     pub fn memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.budget = budget;
         self
@@ -144,10 +124,10 @@ impl LdEngine {
     /// Sets the row-slab height of the slab driver (clamped to ≥ 1).
     ///
     /// From an in-memory matrix each worker owns one scratch buffer of
-    /// `slab × n_snps` u32 (plus the same in f64 for the row and tile
-    /// visitors), so peak transient memory is `threads × slab × n_snps × 4`
-    /// bytes. Larger slabs amortize more SYRK setup per grab; smaller slabs
-    /// bound memory and load-balance better.
+    /// `slab × n_snps` u32 (plus the same in f64 for the row visitor), so
+    /// peak transient memory is `threads × slab × n_snps × 4` bytes.
+    /// Larger slabs amortize more SYRK setup per grab; smaller slabs bound
+    /// memory and load-balance better.
     pub fn slab_rows(mut self, rows: usize) -> Self {
         self.slab = rows.max(1);
         self
@@ -230,55 +210,24 @@ impl LdEngine {
         Ok(c)
     }
 
-    /// The slab height an `n`-SNP run asks for before budgeting: the
-    /// configured height, or the tile side of a tile run.
-    fn want_slab(&self, n: usize, tile: Option<usize>) -> usize {
-        tile.unwrap_or(self.slab).max(1).min(n.max(1))
-    }
-
     /// The one budget shrink: the slab height for an `n`-SNP run whose
     /// source models its footprint as `fixed + per_row × slab` bytes
     /// ([`Source::footprint`]) — the configured height, shrunk to
     /// `⌊(budget − fixed) / per_row⌋`, and [`LdError::BudgetExceeded`] only
-    /// when even one row over-runs. A tile run pins the height to the tile
-    /// side (`tile`) and pays for its mirror buffer: verified, not shrunk.
-    fn fit_slab(
-        &self,
-        n: usize,
-        (fixed, per_row): (usize, usize),
-        tile: Option<usize>,
-    ) -> Result<usize, LdError> {
-        let want = self.want_slab(n, tile);
-        let (fixed, floor) = match tile {
-            Some(_) => {
-                let buf = checked_mul(checked_mul(want, want, "tile buffer")?, 8, "tile buffer")?;
-                (checked_add(fixed, buf, "fixed footprint")?, want)
-            }
-            None => (fixed, 1),
-        };
+    /// when even one row over-runs.
+    fn fit_slab(&self, n: usize, (fixed, per_row): (usize, usize)) -> Result<usize, LdError> {
+        let want = self.slab.min(n.max(1));
         let Some(limit) = self.budget.limit() else {
             return Ok(want);
         };
-        let required = checked_add(
-            fixed,
-            checked_mul(per_row, floor, "slab scratch bytes")?,
-            "minimum footprint",
-        )?;
+        let required = checked_add(fixed, per_row, "minimum footprint")?;
         if required > limit {
             return Err(LdError::BudgetExceeded {
                 required,
                 budget: limit,
             });
         }
-        let got = want.min(((limit - fixed) / per_row.max(1)).max(1));
-        if got < want {
-            // Budget forced the slab below the configured height — a
-            // deterministic event worth counting: results stay bit-exact
-            // but throughput changes, and a regression here means the
-            // budget/shape mix drifted.
-            ld_trace::add(ld_trace::Counter::BudgetShrinks, 1);
-        }
-        Ok(got)
+        Ok(want.min(((limit - fixed) / per_row.max(1)).max(1)))
     }
 
     /// Validation and budgeting shared by every slab-driver entry point;
@@ -291,12 +240,11 @@ impl LdEngine {
         src: &Source<'_>,
         stat: Statistic,
         packed: bool,
-        tile: Option<usize>,
         band: Option<usize>,
     ) -> Result<Option<Config>, LdError> {
         self.validate_blocks()?;
         let n = driver::sites(src, stat)?;
-        let strip = strip_width(n, self.want_slab(n, tile), band);
+        let strip = strip_width(n, self.slab, band);
         // overflow before emptiness: a size that cannot be represented is
         // reported even when the sample set is also degenerate
         let model = src.footprint(self.threads, packed, strip, stat.planes())?;
@@ -307,12 +255,21 @@ impl LdEngine {
         if src.n_samples() == 0 && matches!(stat, Statistic::Ld(_)) {
             return Err(LdError::EmptyInput);
         }
+        let slab = self.fit_slab(n, model)?;
+        if slab < self.slab.min(n) {
+            // Budget forced the slab below the configured height — a
+            // deterministic event worth counting, once per run (the
+            // planners `slab_for` and `shard_plan_from` do not count):
+            // results stay bit-exact but throughput changes, and a
+            // regression here means the budget/shape mix drifted.
+            ld_trace::add(ld_trace::Counter::BudgetShrinks, 1);
+        }
         Ok(Some(Config {
             kind: self.kind,
             blocks: self.blocks,
             threads: self.threads,
             policy: self.policy,
-            slab: self.fit_slab(n, model, tile)?,
+            slab,
             chunk: self.chunk,
         }))
     }
@@ -325,7 +282,7 @@ impl LdEngine {
         stat: Statistic,
         ctl: &RunControl<'_>,
     ) -> Result<(LdMatrix, usize), LdError> {
-        let Some(cfg) = self.plan(src, stat, true, None, None)? else {
+        let Some(cfg) = self.plan(src, stat, true, None)? else {
             return Ok((LdMatrix::try_zeros(0)?, 1));
         };
         // Materializing the packed output (a zeroed n(n+1)/2 f64 triangle)
@@ -350,21 +307,7 @@ impl LdEngine {
     /// the packed output while still cache-hot. No `n × n` counts matrix is
     /// ever materialized and no mirror pass runs (see [`crate::driver`]).
     ///
-    /// # Panics
-    /// Where [`LdEngine::try_stat_matrix`] errors.
-    pub fn stat_matrix<'a>(
-        &self,
-        g: impl Into<BitMatrixView<'a>>,
-        stat: impl Into<Statistic>,
-    ) -> LdMatrix {
-        match self.try_stat_matrix(g.into(), stat) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`LdEngine::stat_matrix`] — the panic-free boundary for
-    /// long-running services:
+    /// It is the panic-free boundary for long-running services:
     ///
     /// * shape validation up front ([`LdError::EmptyInput`] for zero
     ///   samples, [`LdError::SizeOverflow`] when `n(n+1)/2` or any byte
@@ -440,7 +383,7 @@ impl LdEngine {
     /// grids disagree.
     pub fn slab_for(&self, src: &Source<'_>, packed: bool) -> Result<usize, LdError> {
         let n = src.n_snps();
-        self.fit_slab(n, src.footprint(self.threads, packed, n, 1)?, None)
+        self.fit_slab(n, src.footprint(self.threads, packed, n, 1)?)
     }
 
     /// [`LdEngine::slab_for`] a store from its manifest alone. Kept for
@@ -451,7 +394,7 @@ impl LdEngine {
         with_packed_output: bool,
     ) -> Result<usize, LdError> {
         let model = store_footprint(meta, with_packed_output, meta.n_snps)?;
-        self.fit_slab(meta.n_snps, model, None)
+        self.fit_slab(meta.n_snps, model)
     }
 
     /// A work-balanced contiguous shard plan over the slab grid a packed
@@ -509,7 +452,7 @@ impl LdEngine {
     /// Kept as the **reference** for the slab driver (their `r²`
     /// transforms are the same batched operations, so results are
     /// bit-identical). Peak transient memory is `4n²` bytes; prefer
-    /// [`LdEngine::stat_matrix`] everywhere else.
+    /// [`LdEngine::try_stat_matrix`] everywhere else.
     ///
     /// The transform sweep hands out the triangle's rows eight at a time
     /// ([`ld_parallel::try_for_each_part`]): row `i` holds `n − i` pairs,
@@ -538,22 +481,21 @@ impl LdEngine {
         out
     }
 
-    /// All-pairs `r²` (Eq. 2) — the paper's headline output.
-    pub fn r2_matrix<'a>(&self, g: impl Into<BitMatrixView<'a>>) -> LdMatrix {
-        self.stat_matrix(g, LdStats::RSquared)
-    }
-
     /// Streams the all-pairs statistic as **row slabs** of the upper
     /// triangle without materializing any matrix — the lowest-overhead
-    /// streaming form (each value is produced exactly once, no mirroring,
-    /// no tile cutting) — from either [`Source`], under a [`RunControl`].
+    /// streaming form (each value is produced exactly once, no mirroring)
+    /// — from either [`Source`], under a [`RunControl`].
     ///
     /// Slabs are produced by the same slab driver as
-    /// [`LdEngine::stat_matrix`]; `visit` is called once per slab,
-    /// serialized under a mutex. Validation, budgeting and panic
-    /// containment are as in [`LdEngine::try_stat_matrix`]; the streaming
-    /// form has no packed output, so its budget covers only tables +
-    /// scratch.
+    /// [`LdEngine::try_stat_matrix`]; `visit` is called once per slab by
+    /// whichever worker finished it, **concurrently** and with no lock
+    /// held, so what it does per slab (formatting, filtering, copying)
+    /// scales with the team. A visitor that must see ascending rows wraps
+    /// its ordered part in [`crate::in_row_order`]; one that mutates
+    /// shared state holds it behind its own lock. Validation, budgeting
+    /// and panic containment are as in [`LdEngine::try_stat_matrix`]; the
+    /// streaming form has no packed output, so its budget covers only
+    /// tables + scratch.
     ///
     /// * Token and deadline are honored at slab granularity (see
     ///   [`LdEngine::try_stat_matrix_with`]); a trip stops the stream at
@@ -562,8 +504,7 @@ impl LdEngine {
     ///   rejected with [`LdError::InvalidConfig`] — each slab is the
     ///   caller's once visited, so there is no state to persist.
     /// * Slab order and peak memory are the source's: a memory source
-    ///   delivers slabs in **unspecified order** under threading (see
-    ///   [`crate::in_row_order`] when order matters) from
+    ///   delivers slabs in **unspecified order** under threading from
     ///   `O(threads × slab × strip)` scratch — 12 bytes per value: u32
     ///   counts plus f64 values; a store source delivers them **in
     ///   ascending row order** from `O(slab × (panel_row + strip))` plus
@@ -581,32 +522,10 @@ impl LdEngine {
         ctl: &RunControl<'_>,
     ) -> Result<(), LdError>
     where
-        F: FnMut(&RowSlabVisit<'_>) + Send,
-    {
-        let visit = Mutex::new(visit);
-        self.try_stat_rows_shared_with(src, stat, |s| (lock(&visit))(s), ctl)
-    }
-
-    /// [`LdEngine::try_stat_rows_with`] for a visitor the worker team
-    /// shares: `visit` is called by whichever worker finished the slab,
-    /// **concurrently** and with no lock held, so what it does per slab
-    /// (formatting, filtering, copying) scales with the team. A visitor
-    /// that must see ascending rows wraps its ordered part in
-    /// [`crate::in_row_order`]; one that needs exclusion throughout is
-    /// what [`LdEngine::try_stat_rows_with`] is for. Everything else —
-    /// sources, control, band, budget, errors — is as documented there.
-    pub fn try_stat_rows_shared_with<'a, F>(
-        &self,
-        src: impl Into<Source<'a>>,
-        stat: impl Into<Statistic>,
-        visit: F,
-        ctl: &RunControl<'_>,
-    ) -> Result<(), LdError>
-    where
         F: Fn(&RowSlabVisit<'_>) + Sync,
     {
         let (src, stat) = (src.into(), stat.into());
-        match self.plan(&src, stat, false, None, ctl.band)? {
+        match self.plan(&src, stat, false, ctl.band)? {
             Some(cfg) => driver::run(&src, stat, &cfg, Sink::Rows(&visit), ctl),
             None => Ok(()),
         }
@@ -622,96 +541,9 @@ impl LdEngine {
         ctl: &RunControl<'_>,
     ) -> Result<(), LdError>
     where
-        F: FnMut(&RowSlabVisit<'_>) + Send,
+        F: Fn(&RowSlabVisit<'_>) + Sync,
     {
         self.try_stat_rows_with(Source::Store(src), stat, visit, ctl)
-    }
-
-    /// Streams the all-pairs statistic in `tile × tile` blocks without ever
-    /// materializing the full matrix — for SNP counts where `O(n²)` memory
-    /// is prohibitive. Visits only tiles on or above the block diagonal
-    /// (`col_start ≥ row_start`); within diagonal tiles the full square is
-    /// reported by symmetry (callers that want strict pairs filter
-    /// `i < j`).
-    ///
-    /// Tiles are cut from the slab driver's row slabs (slab height =
-    /// `tile`), so the computation is threaded and its transient memory
-    /// bounded; `visit` is serialized under a mutex. Within one row of
-    /// tiles, `col_start` ascends; **the order of tile rows is
-    /// unspecified** when `threads > 1`.
-    ///
-    /// A zero `tile` is [`LdError::InvalidConfig`]; the tiling invariant
-    /// pins the slab height to `tile`, so the memory budget cannot
-    /// auto-shrink here — a `tile` whose scratch over-runs the budget is
-    /// [`LdError::BudgetExceeded`] (pick a smaller tile). Token and
-    /// deadline stop the stream at the next slab (= tile-row) boundary with
-    /// [`LdError::Cancelled`]; checkpoint plans and column bands (a tile
-    /// row spans every column) are rejected with
-    /// [`LdError::InvalidConfig`].
-    pub fn try_for_each_tile_with<'a, F>(
-        &self,
-        g: impl Into<BitMatrixView<'a>>,
-        stat: impl Into<Statistic>,
-        tile: usize,
-        mut visit: F,
-        ctl: &RunControl<'_>,
-    ) -> Result<(), LdError>
-    where
-        F: FnMut(&TileVisit<'_>) + Send,
-    {
-        if tile == 0 {
-            return Err(LdError::InvalidConfig {
-                message: "tile size must be positive",
-            });
-        }
-        if ctl.band.is_some() {
-            return Err(LdError::InvalidConfig {
-                message: "a column band requires the row-slab driver (tile rows span every column)",
-            });
-        }
-        let (src, stat) = (Source::Memory(g.into()), stat.into());
-        // the slab is pinned to the tile side: the plan verifies the budget
-        // rather than shrinking
-        let Some(cfg) = self.plan(&src, stat, false, Some(tile), None)? else {
-            return Ok(());
-        };
-        let (n, side) = (src.n_snps() / stat.planes(), cfg.slab);
-        let mut buf = try_zeroed_vec::<f64>(side * side, "tile mirror buffer")?;
-        // The row-visitor adaptor: cuts each slab into one row of tiles.
-        let cut = Mutex::new(move |s: &RowSlabVisit<'_>| {
-            // Slabs start at multiples of `tile` (dynamic chunks are
-            // grain-aligned), so each slab is exactly one row of tiles.
-            let bi = s.row_start();
-            let rows = s.n_rows();
-            debug_assert_eq!(bi % tile, 0);
-            let mut bj = bi;
-            while bj < n {
-                let cols = tile.min(n - bj);
-                for r in 0..rows {
-                    let i = bi + r;
-                    for c in 0..cols {
-                        let j = bj + c;
-                        buf[r * cols + c] = if j >= i {
-                            // slab row r stores columns row_start.. of row i
-                            s.value(r, j)
-                        } else {
-                            // diagonal tile, below the diagonal: mirror the
-                            // transpose entry (filled earlier since c < r)
-                            buf[c * cols + r]
-                        };
-                    }
-                }
-                visit(&TileVisit {
-                    row_start: bi,
-                    col_start: bj,
-                    rows,
-                    cols,
-                    values: &buf[..rows * cols],
-                });
-                bj += tile;
-            }
-        });
-        driver::run(&src, stat, &cfg, Sink::Rows(&|s| (lock(&cut))(s)), ctl)
     }
 
     /// Cross-matrix statistic between two SNP sets sharing the same sample
@@ -810,6 +642,8 @@ impl LdEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::lock;
+    use std::sync::Mutex;
 
     fn toy() -> BitMatrix {
         // 6 samples × 4 SNPs with known relationships:
@@ -832,7 +666,9 @@ mod tests {
     #[test]
     fn r2_of_identical_snps_is_one() {
         let g = toy();
-        let r2 = LdEngine::new().r2_matrix(&g);
+        let r2 = LdEngine::new()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         assert!((r2.get(0, 1) - 1.0).abs() < 1e-12);
         assert!(
             (r2.get(0, 3) - 1.0).abs() < 1e-12,
@@ -843,7 +679,9 @@ mod tests {
     #[test]
     fn diagonal_is_one_for_polymorphic() {
         let g = toy();
-        let r2 = LdEngine::new().r2_matrix(&g);
+        let r2 = LdEngine::new()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         for j in 0..4 {
             assert!((r2.get(j, j) - 1.0).abs() < 1e-12, "snp {j}");
         }
@@ -853,9 +691,9 @@ mod tests {
     fn engine_matches_pairwise() {
         let g = toy();
         let e = LdEngine::new();
-        let r2 = e.r2_matrix(&g);
-        let d = e.stat_matrix(&g, LdStats::D);
-        let dp = e.stat_matrix(&g, LdStats::DPrime);
+        let r2 = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
+        let d = e.try_stat_matrix(&g, LdStats::D).expect("LD matrix");
+        let dp = e.try_stat_matrix(&g, LdStats::DPrime).expect("LD matrix");
         for i in 0..4 {
             for j in 0..4 {
                 let p = e.ld_pair(&g, i, j);
@@ -879,9 +717,14 @@ mod tests {
     #[test]
     fn monomorphic_snp_policy() {
         let g = BitMatrix::from_rows(4, 2, [[0u8, 1], [0, 0], [0, 1], [0, 0]]).unwrap();
-        let nan = LdEngine::new().r2_matrix(&g);
+        let nan = LdEngine::new()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         assert!(nan.get(0, 1).is_nan());
-        let zero = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&g);
+        let zero = LdEngine::new()
+            .nan_policy(NanPolicy::Zero)
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         assert_eq!(zero.get(0, 1), 0.0);
     }
 
@@ -889,7 +732,7 @@ mod tests {
     fn cross_matrix_consistent_with_square() {
         let g = toy();
         let e = LdEngine::new();
-        let full = e.r2_matrix(&g);
+        let full = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
         let a = g.view(0, 2);
         let b = g.view(2, 4);
         let cross = e.try_cross_stat_matrix(a, b, LdStats::RSquared).unwrap();
@@ -903,28 +746,34 @@ mod tests {
         }
     }
 
+    /// Every slab height cuts the same triangle: the row slabs of heights
+    /// 1 through 7 (past `n`) together hold every upper-triangle value of
+    /// the packed matrix.
     #[test]
     fn tiled_matches_full() {
         let g = toy();
         let e = LdEngine::new();
-        let full = e.r2_matrix(&g);
+        let full = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
         for tile in [1usize, 2, 3, 4, 7] {
-            let mut seen = std::collections::HashMap::new();
-            let visit = |t: &TileVisit<'_>| {
-                for r in 0..t.rows {
-                    for c in 0..t.cols {
-                        seen.insert((t.row_start + r, t.col_start + c), t.values[r * t.cols + c]);
+            let seen = Mutex::new(std::collections::HashMap::new());
+            let visit = |s: &RowSlabVisit<'_>| {
+                for (i, row) in s.rows() {
+                    for (t, &v) in row.iter().enumerate() {
+                        lock(&seen).insert((i, i + t), v);
                     }
                 }
             };
-            e.try_for_each_tile_with(&g, LdStats::RSquared, tile, visit, &RunControl::new())
+            e.clone()
+                .slab_rows(tile)
+                .try_stat_rows_with(&g, LdStats::RSquared, visit, &RunControl::new())
                 .unwrap();
+            let seen = seen.into_inner().unwrap();
             for i in 0..4 {
                 for j in i..4 {
                     let got = seen[&(i, j)];
                     let want = full.get(i, j);
                     assert!(
-                        (got - want).abs() < 1e-12 || (got.is_nan() && want.is_nan()),
+                        got.to_bits() == want.to_bits(),
                         "tile={tile} ({i},{j}): {got} vs {want}"
                     );
                 }
@@ -932,31 +781,36 @@ mod tests {
         }
     }
 
+    /// Each row slab starts on a multiple of the slab height and reports
+    /// its rows whole: row `i` holds `n − i` values, diagonal first.
     #[test]
     fn diagonal_tiles_report_full_square() {
-        // the sub-diagonal half of a diagonal tile is mirrored by symmetry
         let g = toy();
-        let visit = |t: &TileVisit<'_>| {
-            if t.row_start == t.col_start {
-                for r in 0..t.rows {
-                    for c in 0..t.cols {
-                        let a = t.values[r * t.cols + c];
-                        let b = t.values[c * t.cols + r];
-                        assert!(a.to_bits() == b.to_bits(), "({r},{c}) {a} vs {b}");
-                    }
-                }
+        let visit = |s: &RowSlabVisit<'_>| {
+            assert_eq!(s.row_start() % 3, 0);
+            for (r, (i, row)) in s.rows().enumerate() {
+                assert_eq!(row.len(), 4 - i);
+                assert_eq!(row[0].to_bits(), s.value(r, i).to_bits());
+                assert!((row[0] - 1.0).abs() < 1e-12, "diagonal of SNP {i}");
             }
         };
         LdEngine::new()
-            .try_for_each_tile_with(&g, LdStats::RSquared, 3, visit, &RunControl::new())
+            .slab_rows(3)
+            .try_stat_rows_with(&g, LdStats::RSquared, visit, &RunControl::new())
             .unwrap();
     }
 
     #[test]
     fn multithreaded_engine_matches_single() {
         let g = toy();
-        let one = LdEngine::new().threads(1).r2_matrix(&g);
-        let four = LdEngine::new().threads(4).r2_matrix(&g);
+        let one = LdEngine::new()
+            .threads(1)
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
+        let four = LdEngine::new()
+            .threads(4)
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         assert_eq!(one.packed().len(), four.packed().len());
         for (a, b) in one.packed().iter().zip(four.packed()) {
             assert!((a - b).abs() < 1e-15 || (a.is_nan() && b.is_nan()));
@@ -968,7 +822,7 @@ mod tests {
         let g = toy();
         for stat in [LdStats::RSquared, LdStats::D, LdStats::DPrime] {
             let e = LdEngine::new().threads(2).slab_rows(2);
-            let fused = e.stat_matrix(&g, stat);
+            let fused = e.try_stat_matrix(&g, stat).expect("LD matrix");
             let oracle = e.stat_matrix_twopass(&g, stat);
             for (a, b) in fused.packed().iter().zip(oracle.packed()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{stat:?}");
@@ -980,12 +834,11 @@ mod tests {
     fn stat_rows_streams_every_row() {
         let g = toy();
         let e = LdEngine::new().slab_rows(2);
-        let full = e.r2_matrix(&g);
-        let mut seen = [false; 4];
+        let full = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
+        let seen = Mutex::new([false; 4]);
         let visit = |s: &RowSlabVisit<'_>| {
             for (i, row) in s.rows() {
-                assert!(!seen[i]);
-                seen[i] = true;
+                assert!(!std::mem::replace(&mut lock(&seen)[i], true));
                 assert_eq!(row.len(), 4 - i);
                 for (t, &v) in row.iter().enumerate() {
                     assert!((v - full.get(i, i + t)).abs() < 1e-15);
@@ -994,7 +847,42 @@ mod tests {
         };
         e.try_stat_rows_with(&g, LdStats::RSquared, visit, &RunControl::new())
             .unwrap();
-        assert!(seen.iter().all(|&s| s));
+        assert!(seen.into_inner().unwrap().iter().all(|&s| s));
+    }
+
+    /// The row visitor is called unlocked: at two threads and four slabs,
+    /// two calls are inside it at once. The first call waits until a second
+    /// arrives; the timeout only bounds a failure.
+    #[test]
+    fn row_visitor_calls_overlap() {
+        use std::sync::Condvar;
+        use std::time::Duration;
+        // (calls so far, calls inside now, most inside at once)
+        let state = Mutex::new((0usize, 0usize, 0usize));
+        let arrived = Condvar::new();
+        let visit = |_: &RowSlabVisit<'_>| {
+            let mut st = lock(&state);
+            st.0 += 1;
+            st.1 += 1;
+            st.2 = st.2.max(st.1);
+            arrived.notify_all();
+            if st.0 == 1 {
+                let timeout = Duration::from_secs(10);
+                st = arrived
+                    .wait_timeout_while(st, timeout, |st| st.2 < 2)
+                    .unwrap()
+                    .0;
+            }
+            st.1 -= 1;
+        };
+        LdEngine::new()
+            .threads(2)
+            .slab_rows(1)
+            .try_stat_rows_with(&toy(), LdStats::RSquared, visit, &RunControl::new())
+            .unwrap();
+        let (calls, _, most) = *lock(&state);
+        assert_eq!(calls, 4);
+        assert_eq!(most, 2, "the visitor calls never overlapped");
     }
 
     #[test]
@@ -1015,13 +903,18 @@ mod tests {
     #[test]
     fn chunked_schedule_is_bit_identical() {
         let g = toy();
-        let base = LdEngine::new().threads(2).slab_rows(1).r2_matrix(&g);
+        let base = LdEngine::new()
+            .threads(2)
+            .slab_rows(1)
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         for chunk in [2usize, 3, 100] {
             let chunked = LdEngine::new()
                 .threads(2)
                 .slab_rows(1)
                 .chunk_slabs(chunk)
-                .r2_matrix(&g);
+                .try_stat_matrix(&g, LdStats::RSquared)
+                .expect("LD matrix");
             for (a, b) in base.packed().iter().zip(chunked.packed()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "chunk={chunk}");
             }
@@ -1148,6 +1041,6 @@ mod tests {
     #[should_panic(expected = "zero samples")]
     fn zero_samples_panics() {
         let g = BitMatrix::zeros(0, 3);
-        LdEngine::new().r2_matrix(&g);
+        LdEngine::new().stat_matrix_twopass(&g, LdStats::RSquared);
     }
 }

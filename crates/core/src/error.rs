@@ -184,7 +184,7 @@ impl From<WorkerPanic> for LdError {
 /// packed output (`8·n(n+1)/2` bytes, matrix form only) plus the transform
 /// tables (≤ `20·n` bytes), and a per-slab-row cost `R = threads × n × e`
 /// bytes where `e` is 4 (u32 counts scratch) for the packed sink and 12
-/// (u32 + f64) for the row and tile visitors; a tile store adds four
+/// (u32 + f64) for the row visitor; a tile store adds four
 /// chunk buffers to `F` and charges `R` = one panel row + one row of the
 /// `slab × chunk` counts block (+ `8n` for visitors), independent of the
 /// thread count. Given a budget `B`, the engine shrinks the slab height to

@@ -460,7 +460,7 @@ where
 /// nothing is ever held past the slab just made. The run must start at
 /// row 0 — a shard window that does not would never deliver.
 ///
-/// Pass the result to [`crate::LdEngine::try_stat_rows_shared_with`].
+/// Pass the result to [`crate::LdEngine::try_stat_rows_with`].
 pub fn in_row_order<'a, T: Send + 'a>(
     make: impl Fn(&RowSlabVisit<'_>) -> T + Sync + 'a,
     deliver: impl FnMut(T) + Send + 'a,

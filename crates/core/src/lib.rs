@@ -15,15 +15,14 @@
 //!
 //! Entry point: [`LdEngine`] (kernel/threads/blocking configuration) with
 //!
-//! * [`LdEngine::r2_matrix`] — all `N(N+1)/2` values, triangle-packed
+//! * [`LdEngine::try_stat_matrix`] — all `N(N+1)/2` values, triangle-packed
 //!   ([`LdMatrix`]; transient memory bounded by `threads × slab × N` u32 —
 //!   never the `N × N` counts matrix);
 //! * [`LdEngine::try_cross_stat_matrix`] — all `m × n` values between two
 //!   SNP sets (long-range LD / distant genes, Fig. 4);
-//! * [`LdEngine::try_stat_rows_with`] / [`LdEngine::try_for_each_tile_with`]
-//!   — streaming row slabs ([`RowSlabVisit`]) or tiles ([`TileVisit`]) for
-//!   matrices too large to materialize at all, the row stream optionally
-//!   under a column band ([`RunControl::with_band`]: only pairs within a
+//! * [`LdEngine::try_stat_rows_with`] — streaming row slabs
+//!   ([`RowSlabVisit`]) to a visitor the worker team shares, for matrices
+//!   too large to materialize at all, optionally under a column band ([`RunControl::with_band`]: only pairs within a
 //!   window, the shape [`BandedLdMatrix`], [`DecayProfile`],
 //!   [`haplotype_blocks`] and [`prune_pairwise`] are visitors of);
 //! * [`LdEngine::ld_pair`] / [`ld_pair_from_counts`] — single-pair
@@ -35,7 +34,7 @@
 //! zero-copy, or a chunked [`tilestore`] streamed panel-by-panel so the
 //! input never has to fit in memory) and with that the parallel axis,
 //! budget model, read schedule and slab order ([`source`]); the sink
-//! (packed triangle, row visitor, tile visitor, shard) says where a
+//! (packed triangle, row visitor, shard) says where a
 //! row's span goes and what "slab complete" means; the control carries
 //! the two windows on the grid (shard rows, band columns). The statistic bytes
 //! are identical across all of them ([`fused`] holds the one transform
@@ -81,7 +80,7 @@ pub use checkpoint::{
 };
 pub use control::{CancelToken, CheckpointPlan, Deadline, RunControl};
 pub use decay::{DecayBin, DecayProfile};
-pub use engine::{LdEngine, TileVisit};
+pub use engine::LdEngine;
 pub use error::{LdError, MemoryBudget, WorkerPanic};
 pub use fused::{in_row_order, RowSlabVisit};
 pub use matrix::{CrossLdMatrix, LdMatrix};

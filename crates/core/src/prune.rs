@@ -42,7 +42,7 @@ use crate::{
 /// `threshold`, the later SNP goes (the earlier one is the tag). Undefined
 /// `r²` (a monomorphic SNP) counts as 0 whatever the engine's policy.
 ///
-/// A row visitor over [`LdEngine::try_stat_rows_shared_with`] under the
+/// A row visitor over [`LdEngine::try_stat_rows_with`] under the
 /// band `window − 1`: workers pick each row's above-threshold partners in
 /// parallel, and only applying them runs in row order ([`in_row_order`]),
 /// so the result is the same for every thread count, slab height and
@@ -84,7 +84,7 @@ pub fn prune_pairwise<'a>(
     let engine = engine.clone().nan_policy(NanPolicy::Zero);
     let visit = in_row_order(partners, drop_partners);
     let ctl = RunControl::new().with_band(window - 1);
-    engine.try_stat_rows_shared_with(src, LdStats::RSquared, visit, &ctl)?;
+    engine.try_stat_rows_with(src, LdStats::RSquared, visit, &ctl)?;
     Ok((0..n).filter(|&i| keep[i]).collect())
 }
 
@@ -122,7 +122,9 @@ mod tests {
         let mut start = 0;
         while start < n {
             let end = (start + window).min(n);
-            let r2 = engine.r2_matrix(g.view(start, end));
+            let r2 = engine
+                .try_stat_matrix(g.view(start, end), LdStats::RSquared)
+                .expect("LD matrix");
             for i in 0..end - start {
                 if !keep[start + i] {
                     continue;

@@ -10,7 +10,7 @@
 use ld_bitmat::BitMatrix;
 use ld_core::{
     CancelToken, CheckpointPlan, CheckpointSink, CheckpointState, Deadline, LdEngine, LdError,
-    LdStats, MemorySink, NanPolicy, RunControl, Source,
+    LdStats, MemorySink, MemoryTileStore, NanPolicy, RunControl, Source,
 };
 use ld_rng::SmallRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -226,20 +226,28 @@ fn streaming_rejects_checkpoint_but_honors_token() {
         .try_stat_rows_with(&g, LdStats::RSquared, |_s| {}, &ctl)
         .expect_err("streaming + checkpoint is invalid");
     assert!(matches!(err, LdError::InvalidConfig { .. }), "{err}");
+    let store = MemoryTileStore::from_matrix(&g, 4).unwrap();
     let err = engine(1, 4, NanPolicy::Zero)
-        .try_for_each_tile_with(&g, LdStats::RSquared, 4, |_t| {}, &ctl)
-        .expect_err("tiling + checkpoint is invalid");
+        .try_stat_rows_with(Source::Store(&store), LdStats::RSquared, |_s| {}, &ctl)
+        .expect_err("streaming a store + checkpoint is invalid");
     assert!(matches!(err, LdError::InvalidConfig { .. }), "{err}");
     // token path: pre-tripped → zero slabs delivered
     let token = CancelToken::new();
     token.cancel();
     let ctl = RunControl::new().with_token(&token);
-    let mut slabs = 0usize;
+    let slabs = AtomicUsize::new(0);
     let err = engine(2, 4, NanPolicy::Zero)
-        .try_stat_rows_with(&g, LdStats::RSquared, |_s| slabs += 1, &ctl)
+        .try_stat_rows_with(
+            &g,
+            LdStats::RSquared,
+            |_s| {
+                slabs.fetch_add(1, Ordering::Relaxed);
+            },
+            &ctl,
+        )
         .expect_err("tripped token must cancel the stream");
     assert!(matches!(err, LdError::Cancelled { .. }), "{err}");
-    assert_eq!(slabs, 0);
+    assert_eq!(slabs.into_inner(), 0);
 }
 
 /// Every resume-validation dimension is checked with a located message:

@@ -158,15 +158,16 @@ fn every_fallible_allocation_site_fails_cleanly() {
                 .map(|m| bits(&m))
         }),
         ("memory rows", &|| {
-            let mut out = Vec::new();
-            engine.try_stat_rows_with(&g, LdStats::RSquared, |s| collect(s, &mut out), &ctl)?;
-            Ok(out)
+            let out = Mutex::new(Vec::new());
+            let visit = |s: &ld_core::RowSlabVisit<'_>| collect(s, &mut out.lock().unwrap());
+            engine.try_stat_rows_with(&g, LdStats::RSquared, visit, &ctl)?;
+            Ok(out.into_inner().unwrap())
         }),
         ("store rows", &|| {
-            let mut out = Vec::new();
-            let visit = |s: &ld_core::RowSlabVisit<'_>| collect(s, &mut out);
+            let out = Mutex::new(Vec::new());
+            let visit = |s: &ld_core::RowSlabVisit<'_>| collect(s, &mut out.lock().unwrap());
             engine.try_stat_rows_outofcore_with(&store, LdStats::RSquared, visit, &ctl)?;
-            Ok(out)
+            Ok(out.into_inner().unwrap())
         }),
     ];
     for (what, run) in entry_points {
@@ -296,16 +297,15 @@ fn injected_panic_in_streaming_path_is_contained() {
 
     // A panic in the *caller's* visitor is contained the same way, from
     // both sources: a typed error, not an unwind through the engine.
-    let bomb = |seen: &mut usize| {
-        *seen += 1;
-        if *seen == 2 {
+    let bomb = |seen: &AtomicUsize| {
+        if seen.fetch_add(1, Ordering::SeqCst) + 1 == 2 {
             panic!("visitor bomb");
         }
     };
-    let (mut a, mut b) = (0usize, 0usize);
+    let (a, b) = (AtomicUsize::new(0), AtomicUsize::new(0));
     let results = [
-        engine.try_stat_rows_with(&g, LdStats::RSquared, |_slab| bomb(&mut a), &ctl),
-        engine.try_stat_rows_outofcore_with(&store, LdStats::RSquared, |_slab| bomb(&mut b), &ctl),
+        engine.try_stat_rows_with(&g, LdStats::RSquared, |_slab| bomb(&a), &ctl),
+        engine.try_stat_rows_outofcore_with(&store, LdStats::RSquared, |_slab| bomb(&b), &ctl),
     ];
     for (source, result) in ["memory", "store"].iter().zip(results) {
         match result {
@@ -346,7 +346,7 @@ fn panicking_make_phase_is_a_worker_error_and_leaves_no_table() {
             let deliver =
                 |block: String| io_err = io_err.take().or(w.write_all(block.as_bytes()).err());
             let visit = ld_core::in_row_order(make, deliver);
-            run = Some(engine.try_stat_rows_shared_with(src, LdStats::RSquared, visit, &ctl));
+            run = Some(engine.try_stat_rows_with(src, LdStats::RSquared, visit, &ctl));
             match run {
                 Some(Ok(())) => io_err.map_or(Ok(()), Err),
                 _ => Err(std::io::Error::other("LD computation failed")),
@@ -466,26 +466,35 @@ fn budget_constrained_run_matches_twopass_oracle_bitexact() {
     }
 }
 
+/// A row stream whose one row over-runs the budget is refused; under a
+/// budget that holds a few rows it shrinks its slab and still delivers
+/// every row.
 #[test]
 fn tile_iteration_verifies_budget_instead_of_shrinking() {
     let _guard = lock_faults();
     let g = random_matrix(64, 120, 0xfa06);
     let engine = LdEngine::new()
         .threads(1)
+        .slab_rows(64)
         .memory_budget(MemoryBudget::bytes(1024));
-    let result =
-        engine.try_for_each_tile_with(&g, LdStats::RSquared, 64, |_t| {}, &RunControl::new());
+    let result = engine.try_stat_rows_with(&g, LdStats::RSquared, |_s| {}, &RunControl::new());
     assert!(
         matches!(result, Err(LdError::BudgetExceeded { .. })),
-        "a 64-wide tile cannot fit in 1 KiB"
+        "a 120-wide row cannot fit in 1 KiB"
     );
-    // a smaller tile fits under a larger budget
-    let engine = LdEngine::new()
-        .threads(1)
-        .memory_budget(MemoryBudget::mib(64));
+    // 64 KiB holds fewer than 64 rows: the slab shrinks to fit
+    let engine = engine.memory_budget(MemoryBudget::bytes(64 << 10));
+    let slab = engine.slab_for(&Source::from(&g), false).unwrap();
+    assert!(slab < 64, "slab {slab}");
+    let rows = AtomicUsize::new(0);
+    let visit = |s: &ld_core::RowSlabVisit<'_>| {
+        assert!(s.n_rows() <= slab);
+        rows.fetch_add(s.n_rows(), Ordering::Relaxed);
+    };
     engine
-        .try_for_each_tile_with(&g, LdStats::RSquared, 16, |_t| {}, &RunControl::new())
-        .expect("16-wide tiles fit in 64 MiB");
+        .try_stat_rows_with(&g, LdStats::RSquared, visit, &RunControl::new())
+        .expect("shrunk slabs fit in 64 KiB");
+    assert_eq!(rows.into_inner(), 120);
 }
 
 // ---------------------------------------------------------------------
@@ -547,12 +556,15 @@ fn cross_matrix_with_an_empty_operand_is_empty_not_a_panic() {
     }
 }
 
+/// A row stream over an empty shard window of slabs has nothing it could
+/// deliver: refused up front.
 #[test]
 fn zero_tile_is_invalid_config() {
     let _guard = lock_faults();
     let g = random_matrix(16, 8, 0xfa09);
+    let ctl = RunControl::new().with_shard(ld_core::SlabRange::new(0, 0));
     let err = LdEngine::new()
-        .try_for_each_tile_with(&g, LdStats::RSquared, 0, |_t| {}, &RunControl::new())
+        .try_stat_rows_with(&g, LdStats::RSquared, |_s| {}, &ctl)
         .unwrap_err();
     assert!(matches!(err, LdError::InvalidConfig { .. }), "{err}");
 }
@@ -568,7 +580,8 @@ fn empty_matrix_succeeds_under_any_budget() {
     assert_eq!(m.n_snps(), 0);
 }
 
-/// The sinks that store every pair reject a band up front.
+/// The sinks that store every pair reject a band up front; the row sink,
+/// which keeps only in-band columns, takes it.
 #[test]
 fn band_is_invalid_config_for_the_packed_and_tile_sinks() {
     let _guard = lock_faults();
@@ -577,8 +590,9 @@ fn band_is_invalid_config_for_the_packed_and_tile_sinks() {
     let ctl = RunControl::new().with_band(3);
     let packed = e.try_stat_matrix_with(&g, LdStats::RSquared, &ctl);
     assert!(matches!(packed, Err(LdError::InvalidConfig { .. })));
-    let tiles = e.try_for_each_tile_with(&g, LdStats::RSquared, 4, |_| {}, &ctl);
-    assert!(matches!(tiles, Err(LdError::InvalidConfig { .. })));
+    let in_band = |s: &ld_core::RowSlabVisit<'_>| assert!(s.rows().all(|(_, r)| r.len() <= 4));
+    let rows = e.try_stat_rows_with(&g, LdStats::RSquared, in_band, &ctl);
+    assert!(rows.is_ok(), "{rows:?}");
     // and a shard (a packed run) with it
     let ctl = RunControl::new()
         .with_band(3)

@@ -1,6 +1,6 @@
 //! The fused slab pipeline against the classical two-pass oracle.
 //!
-//! `LdEngine::stat_matrix` (fused: bounded per-worker slabs, no global
+//! `LdEngine::try_stat_matrix` (fused: bounded per-worker slabs, no global
 //! counts matrix, no mirror pass) must reproduce
 //! `LdEngine::stat_matrix_twopass` (full `n × n` SYRK + transform sweep)
 //! **bit-exactly**: both run the same batched rank-1 transform over the
@@ -10,9 +10,9 @@
 use ld_bitmat::BitMatrix;
 use ld_core::{
     DecayProfile, LdEngine, LdStats, MemoryTileStore, NanPolicy, RowSlabVisit, RunControl, Source,
-    TileVisit,
 };
 use ld_rng::SmallRng;
+use std::sync::{Mutex, PoisonError};
 
 const STATS: [LdStats; 3] = [LdStats::RSquared, LdStats::D, LdStats::DPrime];
 const POLICIES: [NanPolicy; 2] = [NanPolicy::Propagate, NanPolicy::Zero];
@@ -31,20 +31,17 @@ fn random_matrix(rng: &mut SmallRng, n_samples: usize, n_snps: usize) -> BitMatr
     g
 }
 
-/// The row stream under an inert control, panicking where it errors.
+/// The row stream under an inert control, panicking where it errors;
+/// `visit` runs under a lock, so it may mutate what it captures.
 fn rows<'a>(
     e: &LdEngine,
     src: impl Into<Source<'a>>,
     stat: LdStats,
     visit: impl FnMut(&RowSlabVisit<'_>) + Send,
 ) {
-    e.try_stat_rows_with(src, stat, visit, &RunControl::new())
-        .unwrap();
-}
-
-/// The tile stream under an inert control, panicking where it errors.
-fn tiles(e: &LdEngine, g: &BitMatrix, tile: usize, visit: impl FnMut(&TileVisit<'_>) + Send) {
-    e.try_for_each_tile_with(g, LdStats::RSquared, tile, visit, &RunControl::new())
+    let visit = Mutex::new(visit);
+    let locked = |s: &RowSlabVisit<'_>| (visit.lock().unwrap_or_else(PoisonError::into_inner))(s);
+    e.try_stat_rows_with(src, stat, locked, &RunControl::new())
         .unwrap();
 }
 
@@ -83,7 +80,7 @@ fn fused_matches_twopass_across_shapes_threads_slabs() {
                     let ctx =
                         format!("{n_samples}x{n_snps} {stat:?} threads={threads} slab={slab}");
                     assert_bit_equal(
-                        &e.stat_matrix(&g, stat),
+                        &e.try_stat_matrix(&g, stat).expect("LD matrix"),
                         &e.stat_matrix_twopass(&g, stat),
                         &ctx,
                     );
@@ -112,7 +109,7 @@ fn fused_matches_twopass_on_monomorphic_snps_under_both_policies() {
                         .threads(threads)
                         .slab_rows(4)
                         .nan_policy(policy);
-                    let fused = e.stat_matrix(&g, stat);
+                    let fused = e.try_stat_matrix(&g, stat).expect("LD matrix");
                     let oracle = e.stat_matrix_twopass(&g, stat);
                     let ctx = format!("{n_samples}x{n_snps} {stat:?} {policy:?} t{threads}");
                     assert_bit_equal(&fused, &oracle, &ctx);
@@ -136,15 +133,20 @@ fn fused_handles_zero_and_one_snp() {
     // n_snps = 0: empty triangle, no work, no panic (even with 0 samples —
     // there is nothing to divide).
     let empty = BitMatrix::zeros(5, 0);
-    let m = LdEngine::new().r2_matrix(&empty);
+    let m = LdEngine::new()
+        .try_stat_matrix(&empty, LdStats::RSquared)
+        .expect("LD matrix");
     assert_eq!(m.n_snps(), 0);
     assert_eq!(m.packed().len(), 0);
     rows(&LdEngine::new(), &empty, LdStats::RSquared, |_| {
         panic!("no slabs for an empty panel")
     });
-    tiles(&LdEngine::new(), &empty, 4, |_| {
-        panic!("no tiles for an empty panel")
-    });
+    rows(
+        &LdEngine::new().slab_rows(4),
+        &empty,
+        LdStats::RSquared,
+        |_| panic!("no tiles for an empty panel"),
+    );
 
     // n_snps = 1: a single diagonal entry.
     let mut one = BitMatrix::zeros(6, 1);
@@ -152,7 +154,9 @@ fn fused_handles_zero_and_one_snp() {
     one.set(3, 0, true);
     for &threads in &THREADS {
         let e = LdEngine::new().threads(threads);
-        let fused = e.r2_matrix(&one);
+        let fused = e
+            .try_stat_matrix(&one, LdStats::RSquared)
+            .expect("LD matrix");
         let oracle = e.stat_matrix_twopass(&one, LdStats::RSquared);
         assert_bit_equal(&fused, &oracle, "single snp");
         assert!((fused.get(0, 0) - 1.0).abs() < 1e-12);
@@ -209,7 +213,7 @@ fn streaming_rows_and_tiles_match_fused_matrix() {
         let e = LdEngine::new()
             .threads(threads)
             .slab_rows(rng.gen_range(1usize..9));
-        let full = e.r2_matrix(&g);
+        let full = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
 
         // row slabs: every (i, j ≥ i) exactly once, bit-equal
         let mut seen = vec![0u32; n * (n + 1) / 2];
@@ -226,27 +230,24 @@ fn streaming_rows_and_tiles_match_fused_matrix() {
         });
         assert!(seen.iter().all(|&c| c == 1), "row coverage");
 
-        // tiles: upper-triangle coverage, diagonal tiles mirrored
+        // row slabs `tile` high: aligned on multiples of the height, and
+        // together the upper triangle once
         let tile = rng.gen_range(1usize..10);
         let mut tiles_seen = vec![0u32; n * n];
-        tiles(&e, &g, tile, |t| {
-            assert!(t.col_start >= t.row_start);
-            for r in 0..t.rows {
-                for c in 0..t.cols {
-                    let (i, j) = (t.row_start + r, t.col_start + c);
+        rows(&e.clone().slab_rows(tile), &g, LdStats::RSquared, |s| {
+            assert_eq!(s.row_start() % tile, 0);
+            assert_eq!(s.n_rows(), tile.min(n - s.row_start()));
+            for (i, row) in s.rows() {
+                for (t, &v) in row.iter().enumerate() {
+                    let j = i + t;
                     tiles_seen[i * n + j] += 1;
-                    let (a, b) = (i.min(j), i.max(j));
-                    assert_eq!(
-                        t.values[r * t.cols + c].to_bits(),
-                        full.get(a, b).to_bits(),
-                        "tile ({i},{j})"
-                    );
+                    assert_eq!(v.to_bits(), full.get(i, j).to_bits(), "tile ({i},{j})");
                 }
             }
         });
         for i in 0..n {
             for j in 0..n {
-                let expect = u32::from(j >= i || (j / tile) == (i / tile));
+                let expect = u32::from(j >= i);
                 assert_eq!(tiles_seen[i * n + j], expect, "tile coverage ({i},{j})");
             }
         }
@@ -273,20 +274,22 @@ fn banded_rows_are_the_full_triangle_clipped() {
     let (n_samples, n) = (70usize, 67usize);
     let g = random_matrix(&mut rng, n_samples, n);
     for stat in STATS {
-        let full = LdEngine::new().stat_matrix(&g, stat);
+        let full = LdEngine::new()
+            .try_stat_matrix(&g, stat)
+            .expect("LD matrix");
         for slab in [1usize, 5, 64] {
             for w in [1, 7, slab - 1, slab, slab + 1, n - 1, n + 5] {
                 for threads in [1usize, 2, 4] {
                     let e = LdEngine::new().threads(threads).slab_rows(slab);
                     with_sources(&g, |name, src| {
                         let ctx = format!("{stat:?} slab={slab} w={w} t{threads} {name}");
-                        let mut seen = vec![0u32; n * n];
+                        let seen = Mutex::new(vec![0u32; n * n]);
                         let visit = |s: &RowSlabVisit<'_>| {
                             for (i, row) in s.rows() {
                                 assert_eq!(row.len(), (n - i).min(w + 1), "{ctx}: row {i}");
                                 for (t, &v) in row.iter().enumerate() {
                                     let j = i + t;
-                                    seen[i * n + j] += 1;
+                                    seen.lock().unwrap()[i * n + j] += 1;
                                     assert_eq!(
                                         v.to_bits(),
                                         full.get(i, j).to_bits(),
@@ -301,6 +304,7 @@ fn banded_rows_are_the_full_triangle_clipped() {
                         };
                         e.try_stat_rows_with(src, stat, visit, &RunControl::new().with_band(w))
                             .unwrap_or_else(|err| panic!("{ctx}: {err}"));
+                        let seen = seen.into_inner().unwrap();
                         for i in 0..n {
                             for j in 0..n {
                                 let in_band = j >= i && j - i <= w;
@@ -325,7 +329,9 @@ fn decay_is_the_ordered_fold_of_the_full_triangle() {
     for s in 0..n_samples {
         g.set(s, 40, false);
     }
-    let full = LdEngine::new().r2_matrix(&g);
+    let full = LdEngine::new()
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     for (max_dist, bin) in [(1usize, 1usize), (20, 3), (n + 5, 7)] {
         let n_bins = max_dist.div_ceil(bin);
         let (mut sums, mut counts) = (vec![0.0f64; n_bins], vec![0u64; n_bins]);

@@ -1,7 +1,7 @@
 //! Allocation accounting for the fused pipeline's memory bound.
 //!
 //! A counting global allocator tracks live and peak heap bytes; the test
-//! verifies the tentpole claim: `stat_matrix`'s transient peak is the
+//! verifies the tentpole claim: `try_stat_matrix`'s transient peak is the
 //! packed output plus `O(threads × slab × n)` u32 scratch — *not* the
 //! `4n²`-byte counts matrix the two-pass oracle allocates.
 //!
@@ -10,6 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -102,7 +103,7 @@ fn fused_peak_memory_is_slab_bounded() {
 
     // Warm up once so lazily-initialized runtime structures don't bill
     // either measured section.
-    let _ = e.r2_matrix(&g);
+    let _ = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
 
     let packed_bytes = n * (n + 1) / 2 * 8;
     let counts_bytes = n * n * 4;
@@ -110,7 +111,8 @@ fn fused_peak_memory_is_slab_bounded() {
     // transform tables (3 vecs of n), pack buffers, thread plumbing, slack
     let overhead = 512 * 1024;
 
-    let (fused_peak, fused) = peak_heap_during(|| e.stat_matrix(&g, LdStats::RSquared));
+    let (fused_peak, fused) =
+        peak_heap_during(|| e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix"));
     let (twopass_peak, oracle) = peak_heap_during(|| e.stat_matrix_twopass(&g, LdStats::RSquared));
 
     // Sanity: both computed the same thing (and the matrices stay alive
@@ -160,18 +162,18 @@ fn streaming_rows_never_materialize_the_triangle() {
         .threads(threads)
         .slab_rows(slab)
         .nan_policy(NanPolicy::Zero);
-    let _ = e.r2_matrix(&g); // warm-up (see above)
+    let _ = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix"); // warm-up (see above)
 
     let (peak, sum) = peak_heap_during(|| {
-        let mut acc = 0.0f64;
+        let acc = Mutex::new(0.0f64);
         let visit = |s: &ld_core::RowSlabVisit<'_>| {
             for (_, row) in s.rows() {
-                acc += row.iter().copied().filter(|v| !v.is_nan()).sum::<f64>();
+                *acc.lock().unwrap() += row.iter().copied().filter(|v| !v.is_nan()).sum::<f64>();
             }
         };
         e.try_stat_rows_with(&g, LdStats::RSquared, visit, &RunControl::new())
             .unwrap();
-        acc
+        acc.into_inner().unwrap()
     });
     assert!(sum.is_finite() && sum > 0.0);
 
@@ -240,7 +242,7 @@ fn streamed_top_k_peak_is_linear_in_n() {
                 top_k(&mut best);
             };
             let visit = in_row_order(strongest_of, fold);
-            e.try_stat_rows_shared_with(&g, LdStats::RSquared, visit, &RunControl::new())
+            e.try_stat_rows_with(&g, LdStats::RSquared, visit, &RunControl::new())
                 .unwrap();
             best
         });
@@ -364,19 +366,20 @@ fn outofcore_rows_peak_is_slab_panel_bounded() {
         // as well be a directory on disk.
         let store = MemoryTileStore::from_matrix(&build(n), chunk).unwrap();
         let (peak, sum) = peak_heap_during(|| {
-            let mut acc = 0.0f64;
+            let acc = Mutex::new(0.0f64);
             e.try_stat_rows_outofcore_with(
                 &store,
                 LdStats::RSquared,
                 |s| {
                     for (_, row) in s.rows() {
-                        acc += row.iter().copied().filter(|v| !v.is_nan()).sum::<f64>();
+                        *acc.lock().unwrap() +=
+                            row.iter().copied().filter(|v| !v.is_nan()).sum::<f64>();
                     }
                 },
                 &RunControl::new(),
             )
             .unwrap();
-            acc
+            acc.into_inner().unwrap()
         });
         assert!(sum.is_finite() && sum > 0.0);
         peak

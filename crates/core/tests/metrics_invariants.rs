@@ -20,7 +20,7 @@
 //!   grid alignment — across slab sizes.
 
 use ld_bitmat::BitMatrix;
-use ld_core::{LdEngine, LdStats, NanPolicy};
+use ld_core::{LdEngine, LdStats, MemoryBudget, NanPolicy, RunControl, Source};
 use ld_kernels::micro::Kernel;
 use ld_kernels::pack::packed_len;
 use ld_kernels::{BlockSizes, KernelKind};
@@ -52,7 +52,7 @@ fn random_matrix(n_samples: usize, n_snps: usize, seed: u64) -> BitMatrix {
 }
 
 /// What the deterministic counters must read after one fused
-/// `stat_matrix` run.
+/// `try_stat_matrix` run.
 #[derive(Debug, PartialEq, Eq)]
 struct Expected {
     tiles: u64,
@@ -131,7 +131,9 @@ fn run_and_read(g: &BitMatrix, threads: usize, slab: usize) -> Expected {
         .slab_rows(slab)
         .nan_policy(NanPolicy::Zero);
     ld_trace::reset();
-    let _ = engine.stat_matrix(g, LdStats::RSquared);
+    let _ = engine
+        .try_stat_matrix(g, LdStats::RSquared)
+        .expect("LD matrix");
     Expected {
         tiles: ld_trace::get(Counter::KernelTiles),
         words: ld_trace::get(Counter::KernelWords),
@@ -206,7 +208,9 @@ fn counters_are_thread_invariant() {
             .slab_rows(slab)
             .nan_policy(NanPolicy::Zero);
         ld_trace::reset();
-        let _ = engine.stat_matrix(&g, LdStats::RSquared);
+        let _ = engine
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         let got = Expected {
             tiles: ld_trace::get(Counter::KernelTiles),
             words: ld_trace::get(Counter::KernelWords),
@@ -272,7 +276,9 @@ fn cancel_polls_are_exactly_slab_granular() {
                 .slab_rows(slab)
                 .nan_policy(NanPolicy::Zero);
             ld_trace::reset();
-            let _ = engine.stat_matrix(&g, LdStats::RSquared);
+            let _ = engine
+                .try_stat_matrix(&g, LdStats::RSquared)
+                .expect("LD matrix");
             let polls = ld_trace::get(Counter::CancelPolls);
             let slabs = ld_trace::get(Counter::SlabsEmitted);
             assert_eq!(polls, slabs, "slab={slab} threads={threads}");
@@ -333,4 +339,30 @@ fn resumed_slabs_skip_the_poll_and_the_counters_balance() {
     assert_eq!(skipped, n_slabs);
     assert_eq!(polls + skipped, n_slabs);
     assert_eq!(ld_trace::get(Counter::SlabsEmitted), 0);
+}
+
+/// `budget_shrinks` counts runs whose slab the budget shrank, once per
+/// run: the planners (`slab_for`, `shard_plan_from`) count nothing, so a
+/// shard process that plans and then runs reads 1, not 2.
+#[test]
+fn budget_shrinks_counts_runs_not_plans() {
+    let _l = counter_lock();
+    let n = 200usize;
+    let g = random_matrix(64, n, 0x5B1B);
+    let src = Source::from(&g);
+    // the packed triangle, the tables and about 16 rows of u32 scratch
+    let budget = MemoryBudget::bytes(8 * n * (n + 1) / 2 + 20 * n + 16 * 4 * n);
+    let e = LdEngine::new()
+        .threads(1)
+        .slab_rows(64)
+        .nan_policy(NanPolicy::Zero)
+        .memory_budget(budget);
+    ld_trace::reset();
+    let slab = e.slab_for(&src, true).unwrap();
+    assert!(slab < 64, "the budget must bind (slab {slab})");
+    let plan = e.shard_plan_from(&src, 3).unwrap();
+    assert_eq!(ld_trace::get(Counter::BudgetShrinks), 0, "planning");
+    let ctl = RunControl::new().with_shard(plan[0]);
+    e.try_stat_shard_with(&g, LdStats::RSquared, &ctl).unwrap();
+    assert_eq!(ld_trace::get(Counter::BudgetShrinks), 1, "one shard run");
 }

@@ -15,6 +15,7 @@ use ld_core::{
 };
 use ld_io::tilestore::{import_to_dir, DirTileStore};
 use ld_rng::SmallRng;
+use std::sync::Mutex;
 
 const STATS: [LdStats; 3] = [LdStats::RSquared, LdStats::D, LdStats::DPrime];
 const POLICIES: [NanPolicy; 2] = [NanPolicy::Propagate, NanPolicy::Zero];
@@ -137,14 +138,16 @@ fn outofcore_rows_cover_the_triangle_bit_exactly() {
             .threads(THREADS[round % THREADS.len()])
             .slab_rows(rng.gen_range(1usize..9));
         let full = e.try_stat_matrix(&g, LdStats::RSquared).unwrap();
-        let mut seen = vec![0u32; n * (n + 1) / 2];
-        let mut last_start = 0usize;
+        let seen = Mutex::new(vec![0u32; n * (n + 1) / 2]);
+        let last_start = Mutex::new(0usize);
         e.try_stat_rows_outofcore_with(
             &store,
             LdStats::RSquared,
             |s| {
-                assert!(s.row_start() >= last_start, "slabs out of order");
-                last_start = s.row_start();
+                let mut last_start = last_start.lock().unwrap();
+                assert!(s.row_start() >= *last_start, "slabs out of order");
+                *last_start = s.row_start();
+                let mut seen = seen.lock().unwrap();
                 for (i, row) in s.rows() {
                     for (t, &v) in row.iter().enumerate() {
                         let j = i + t;
@@ -157,6 +160,7 @@ fn outofcore_rows_cover_the_triangle_bit_exactly() {
             &RunControl::new(),
         )
         .unwrap();
+        let seen = seen.into_inner().unwrap();
         assert!(seen.iter().all(|&c| c == 1), "row coverage");
     }
 }
@@ -191,11 +195,12 @@ fn budget_smaller_than_packed_panel_is_bit_exact() {
         .threads(2)
         .slab_rows(64)
         .memory_budget(MemoryBudget::bytes(budget));
-    let mut got = vec![0f64; n * (n + 1) / 2];
+    let got = Mutex::new(vec![0f64; n * (n + 1) / 2]);
     e.try_stat_rows_outofcore_with(
         &store,
         LdStats::RSquared,
         |s| {
+            let mut got = got.lock().unwrap();
             for (i, row) in s.rows() {
                 let off = full.index(i, i);
                 for (t, &v) in row.iter().enumerate() {
@@ -206,6 +211,7 @@ fn budget_smaller_than_packed_panel_is_bit_exact() {
         &RunControl::new(),
     )
     .unwrap();
+    let got = got.into_inner().unwrap();
     for (k, (a, b)) in got.iter().zip(full.packed()).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "packed[{k}]");
     }

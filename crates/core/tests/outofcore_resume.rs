@@ -335,12 +335,14 @@ fn pre_tripped_banded_run_is_cancelled_before_any_slab() {
             ),
         ] {
             ld_trace::reset();
-            let mut delivered = 0usize;
+            let delivered = AtomicUsize::new(0);
             let err = e
                 .try_stat_rows_with(
                     src,
                     LdStats::RSquared,
-                    |_| delivered += 1,
+                    |_| {
+                        delivered.fetch_add(1, Ordering::Relaxed);
+                    },
                     &ctl.with_band(7),
                 )
                 .expect_err("a tripped run must cancel");
@@ -354,7 +356,7 @@ fn pre_tripped_banded_run_is_cancelled_before_any_slab() {
                 }
                 other => panic!("{reason}: unexpected error {other}"),
             }
-            assert_eq!(delivered, 0, "{reason}");
+            assert_eq!(delivered.into_inner(), 0, "{reason}");
             assert_eq!(ld_trace::get(Counter::SlabsEmitted), 0, "{reason}");
             assert_eq!(ld_trace::get(Counter::ChunksRead), 0, "{reason}");
         }

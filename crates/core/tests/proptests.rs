@@ -2,8 +2,9 @@
 //! Seeded `ld-rng` cases replace `proptest` (unavailable offline).
 
 use ld_bitmat::BitMatrix;
-use ld_core::{ld_pair_from_counts, LdEngine, LdStats, NanPolicy, RunControl, TileVisit};
+use ld_core::{ld_pair_from_counts, LdEngine, LdStats, NanPolicy, RowSlabVisit, RunControl};
 use ld_rng::SmallRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn random_matrix(rng: &mut SmallRng) -> BitMatrix {
     let n_samples = rng.gen_range(1usize..150);
@@ -24,7 +25,7 @@ fn r2_matrix_matches_brute_force() {
     for case in 0..48 {
         let g = random_matrix(&mut rng);
         let e = LdEngine::new();
-        let r2 = e.r2_matrix(&g);
+        let r2 = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
         let n_samples = g.n_samples() as u64;
         for i in 0..g.n_snps() {
             for j in i..g.n_snps() {
@@ -55,7 +56,10 @@ fn r2_values_in_unit_interval() {
     let mut rng = SmallRng::seed_from_u64(0xb2);
     for case in 0..48 {
         let g = random_matrix(&mut rng);
-        let r2 = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&g);
+        let r2 = LdEngine::new()
+            .nan_policy(NanPolicy::Zero)
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         for (_, _, v) in r2.iter_upper() {
             assert!((-1e-9..=1.0 + 1e-9).contains(&v), "case {case}: r2 = {v}");
         }
@@ -69,8 +73,8 @@ fn d_prime_dominates_in_magnitude() {
         let g = random_matrix(&mut rng);
         // |D'| ≥ r for every pair (a classical inequality: r² ≤ D'²)
         let e = LdEngine::new().nan_policy(NanPolicy::Zero);
-        let r2 = e.r2_matrix(&g);
-        let dp = e.stat_matrix(&g, LdStats::DPrime);
+        let r2 = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
+        let dp = e.try_stat_matrix(&g, LdStats::DPrime).expect("LD matrix");
         for (i, j, v) in r2.iter_pairs() {
             let d = dp.get(i, j);
             assert!(d * d + 1e-9 >= v, "case {case}: ({i},{j}): D'={d} r2={v}");
@@ -89,7 +93,7 @@ fn cross_equals_square_blocks() {
         let e = LdEngine::new();
         let mid = g.n_snps() / 2;
         for stat in [LdStats::RSquared, LdStats::D, LdStats::DPrime] {
-            let full = e.stat_matrix(&g, stat);
+            let full = e.try_stat_matrix(&g, stat).expect("LD matrix");
             let cross = e
                 .try_cross_stat_matrix(g.view(0, mid), g.view(mid, g.n_snps()), stat)
                 .unwrap();
@@ -114,24 +118,26 @@ fn tiled_equals_full() {
         let g = random_matrix(&mut rng);
         let tile = rng.gen_range(1usize..8);
         let e = LdEngine::new();
-        let full = e.r2_matrix(&g);
-        let mut visited = 0usize;
-        let visit = |t: &TileVisit<'_>| {
-            for r in 0..t.rows {
-                for c in 0..t.cols {
-                    let (i, j) = (t.row_start + r, t.col_start + c);
-                    assert!(
-                        close(t.values[r * t.cols + c], full.get(i, j)),
-                        "case {case}: ({i},{j})"
-                    );
-                    visited += 1;
+        let full = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
+        let visited = AtomicUsize::new(0);
+        let visit = |s: &RowSlabVisit<'_>| {
+            for (i, row) in s.rows() {
+                for (t, &v) in row.iter().enumerate() {
+                    let j = i + t;
+                    assert!(close(v, full.get(i, j)), "case {case}: ({i},{j})");
+                    visited.fetch_add(1, Ordering::Relaxed);
                 }
             }
         };
-        e.try_for_each_tile_with(&g, LdStats::RSquared, tile, visit, &RunControl::new())
+        e.slab_rows(tile)
+            .try_stat_rows_with(&g, LdStats::RSquared, visit, &RunControl::new())
             .unwrap();
-        // every ordered pair with block(col) >= block(row) visited at least once
-        assert!(visited >= g.n_snps() * (g.n_snps() + 1) / 2, "case {case}");
+        // every pair (i, j ≥ i) visited once, whatever the slab height
+        assert_eq!(
+            visited.into_inner(),
+            g.n_snps() * (g.n_snps() + 1) / 2,
+            "case {case}"
+        );
     }
 }
 
@@ -140,7 +146,9 @@ fn stat_d_symmetry_and_range() {
     let mut rng = SmallRng::seed_from_u64(0xb6);
     for case in 0..48 {
         let g = random_matrix(&mut rng);
-        let d = LdEngine::new().stat_matrix(&g, LdStats::D);
+        let d = LdEngine::new()
+            .try_stat_matrix(&g, LdStats::D)
+            .expect("LD matrix");
         for (_, _, v) in d.iter_upper() {
             // D ∈ [-0.25, 0.25] always
             assert!(

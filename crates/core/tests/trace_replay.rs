@@ -43,7 +43,9 @@ fn record_run(threads: usize, n: usize, slab: usize) -> (TraceSnapshot, usize) {
         .nan_policy(NanPolicy::Zero);
     while stop().is_some() {}
     start(threads);
-    let m = engine.stat_matrix(&g, LdStats::RSquared);
+    let m = engine
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     let snap = stop().expect("recorder was active");
     assert_eq!(m.n_snps(), n, "the run itself must have completed");
     (snap, n.div_ceil(slab))

@@ -217,7 +217,7 @@ impl CoalescentSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ld_core::{LdEngine, NanPolicy};
+    use ld_core::{LdEngine, LdStats, NanPolicy};
 
     #[test]
     fn tree_has_correct_expected_length() {
@@ -274,8 +274,14 @@ mod tests {
             .seed(4)
             .generate();
         let e = LdEngine::new().nan_policy(NanPolicy::Zero);
-        let ld_one = e.r2_matrix(&one).mean_offdiagonal();
-        let ld_many = e.r2_matrix(&many).mean_offdiagonal();
+        let ld_one = e
+            .try_stat_matrix(&one, LdStats::RSquared)
+            .expect("LD matrix")
+            .mean_offdiagonal();
+        let ld_many = e
+            .try_stat_matrix(&many, LdStats::RSquared)
+            .expect("LD matrix")
+            .mean_offdiagonal();
         assert!(
             ld_one > 1.5 * ld_many,
             "shared genealogy should inflate LD: {ld_one} vs {ld_many}"
@@ -289,7 +295,7 @@ mod tests {
             .seed(5)
             .generate();
         let e = LdEngine::new().nan_policy(NanPolicy::Zero);
-        let r2 = e.r2_matrix(&g);
+        let r2 = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
         // within block 0 (sites 0..20) vs across blocks
         let mut within = Vec::new();
         let mut across = Vec::new();

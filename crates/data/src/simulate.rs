@@ -142,7 +142,7 @@ fn sfs_frequency(rng: &mut SmallRng, maf_floor: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ld_core::LdEngine;
+    use ld_core::{LdEngine, LdStats};
 
     #[test]
     fn deterministic_given_seed() {
@@ -173,7 +173,8 @@ mod tests {
             .generate();
         let r2 = LdEngine::new()
             .nan_policy(ld_core::NanPolicy::Zero)
-            .r2_matrix(&g);
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         let mut near = Vec::new();
         let mut far = Vec::new();
         for i in 0..200 {

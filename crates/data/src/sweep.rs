@@ -118,7 +118,7 @@ fn first_noncarrier(carriers: &[bool]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ld_core::{LdEngine, NanPolicy};
+    use ld_core::{LdEngine, LdStats, NanPolicy};
     use ld_omega::OmegaScan;
 
     fn sim() -> SweepSimulator {
@@ -143,7 +143,7 @@ mod tests {
     fn within_flank_ld_exceeds_cross_flank() {
         let g = sim().generate();
         let e = LdEngine::new().nan_policy(NanPolicy::Zero);
-        let r2 = e.r2_matrix(&g);
+        let r2 = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
         let mut within = Vec::new();
         let mut cross = Vec::new();
         for i in 46..75 {

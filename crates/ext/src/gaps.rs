@@ -109,7 +109,7 @@ fn check_shapes(g: &BitMatrixView<'_>, mask: &ValidityMask) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ld_core::LdEngine;
+    use ld_core::{LdEngine, LdStats};
 
     #[test]
     fn all_valid_mask_reproduces_plain_ld() {
@@ -128,7 +128,9 @@ mod tests {
         .unwrap();
         let mask = ValidityMask::all_valid(6, 3);
         let masked = masked_r2_matrix(&g.full_view(), &mask, 1, NanPolicy::Propagate);
-        let plain = LdEngine::new().r2_matrix(&g);
+        let plain = LdEngine::new()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         for i in 0..3 {
             for j in i..3 {
                 let (a, b) = (masked.get(i, j), plain.get(i, j));

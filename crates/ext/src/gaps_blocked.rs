@@ -71,7 +71,7 @@ pub fn masked_r2_matrix_blocked(
 mod tests {
     use super::*;
     use crate::gaps::masked_r2_matrix;
-    use ld_core::NanPolicy;
+    use ld_core::{LdStats, NanPolicy};
 
     fn fixture(n_samples: usize, n_snps: usize, seed: u64) -> (BitMatrix, ValidityMask) {
         let mut g = BitMatrix::zeros(n_samples, n_snps);
@@ -137,7 +137,8 @@ mod tests {
             masked_r2_matrix_blocked(&engine(1, NanPolicy::Zero), &g.full_view(), &mask).unwrap();
         let plain = ld_core::LdEngine::new()
             .nan_policy(NanPolicy::Zero)
-            .r2_matrix(&g);
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         for (i, j, v) in plain.iter_upper() {
             assert!((blocked.get(i, j) - v).abs() < 1e-12, "({i},{j})");
         }

@@ -562,7 +562,7 @@ mod tests {
             // row slabs, formatted as they arrive (any order under two
             // threads) and stitched back by their first row
             for height in [1, 7, n] {
-                let mut blocks = std::collections::BTreeMap::new();
+                let blocks = std::sync::Mutex::new(std::collections::BTreeMap::new());
                 engine
                     .clone()
                     .slab_rows(height)
@@ -574,12 +574,13 @@ mod tests {
                             for (i, row) in s.rows() {
                                 push_r2_row(&mut block, i, i + 1, &row[1..], min_r2);
                             }
-                            blocks.insert(s.row_start(), String::from_utf8(block).unwrap());
+                            let block = String::from_utf8(block).unwrap();
+                            blocks.lock().unwrap().insert(s.row_start(), block);
                         },
                         &ld_core::RunControl::new(),
                     )
                     .unwrap();
-                let streamed: String = blocks.into_values().collect();
+                let streamed: String = blocks.into_inner().unwrap().into_values().collect();
                 assert_eq!(
                     format!("{R2_TABLE_HEADER}{streamed}"),
                     table,

@@ -216,7 +216,8 @@ mod tests {
         assert_eq!((a, b), (w, w));
         let r2 = LdEngine::new()
             .nan_policy(NanPolicy::Zero)
-            .r2_matrix(g.view(30 - w, 30 + w));
+            .try_stat_matrix(g.view(30 - w, 30 + w), LdStats::RSquared)
+            .expect("LD matrix");
         let fixed = WindowSums::new(&r2).omega_at(w);
         assert!((omega - fixed).abs() < 1e-9, "{omega} vs {fixed}");
     }
@@ -228,7 +229,10 @@ mod tests {
         let center = 30usize;
         let (omega, a, b) = scan.omega_at(&g, center).unwrap();
         // brute force the same maximization
-        let r2full = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&g);
+        let r2full = LdEngine::new()
+            .nan_policy(NanPolicy::Zero)
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         let mut best = 0.0f64;
         let mut best_ab = (0, 0);
         for aa in 3..=12usize {
@@ -318,7 +322,9 @@ mod tests {
         let centers = (scan.min_win..=n - scan.min_win).step_by(scan.grid_step);
         let point = |c: usize| {
             let (a_cap, b_cap) = scan.caps(n, c);
-            let r2 = engine.r2_matrix(g.view(c - a_cap, c + b_cap));
+            let r2 = engine
+                .try_stat_matrix(g.view(c - a_cap, c + b_cap), LdStats::RSquared)
+                .expect("LD matrix");
             let (omega, a, b) = scan.best_extents(a_cap, b_cap, |i, j| r2.get(i, j));
             OmegaPoint {
                 window_start: c - a,

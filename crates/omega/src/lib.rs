@@ -233,7 +233,10 @@ mod tests {
     #[test]
     fn omega_peaks_at_true_split() {
         let g = sweep_like(5);
-        let r2 = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&g);
+        let r2 = LdEngine::new()
+            .nan_policy(NanPolicy::Zero)
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         let (omega, split) = omega_max(&r2);
         assert_eq!(split, 5, "ω must peak at the block boundary");
         assert!(omega > 10.0, "strong signal expected, got {omega}");
@@ -248,7 +251,10 @@ mod tests {
                 g.set(s, j, true);
             }
         }
-        let r2 = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&g);
+        let r2 = LdEngine::new()
+            .nan_policy(NanPolicy::Zero)
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         let (omega, _) = omega_max(&r2);
         assert!(
             (omega - 1.0).abs() < 1e-9,
@@ -458,7 +464,9 @@ mod tests {
         let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
         let starts = scan.window_starts(g.n_snps());
         let point = |&start: &usize| {
-            let r2 = engine.r2_matrix(g.view(start, start + scan.window));
+            let r2 = engine
+                .try_stat_matrix(g.view(start, start + scan.window), LdStats::RSquared)
+                .expect("LD matrix");
             scan.window_point(start, &WindowSums::new(&r2))
         };
         starts.iter().map(point).collect()

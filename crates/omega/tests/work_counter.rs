@@ -37,7 +37,9 @@ fn a_scan_computes_each_pair_of_its_band_once() {
     });
     let per_window = words_of(|| {
         for p in &points {
-            engine.r2_matrix(g.view(p.window_start, p.window_end));
+            engine
+                .try_stat_matrix(g.view(p.window_start, p.window_end), LdStats::RSquared)
+                .expect("LD matrix");
         }
     });
     assert!(banded > 0);

@@ -19,7 +19,7 @@
 
 use crate::panic::lock_ignore_poison;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 #[derive(Debug)]
@@ -31,6 +31,11 @@ struct Inner {
     /// cancelling a child never propagates upward.
     parent: Option<CancelToken>,
 }
+
+/// Every token's trips, for [`CancelToken::wait`]: one process-wide mutex
+/// and condvar, notified by every trip, so a waiter on a child wakes when
+/// an ancestor trips without any token keeping a list of its waiters.
+static TRIPS: (Mutex<()>, Condvar) = (Mutex::new(()), Condvar::new());
 
 /// A shareable, hierarchical cancellation token.
 ///
@@ -100,6 +105,19 @@ impl CancelToken {
         // Release: the reason write above must be visible to any thread
         // that observes the flag.
         self.inner.cancelled.store(true, Ordering::Release);
+        // Under the lock, so a waiter between its check and its wait
+        // cannot miss the notification.
+        let _trips = lock_ignore_poison(&TRIPS.0);
+        TRIPS.1.notify_all();
+    }
+
+    /// Blocks the calling thread until this token or any ancestor is
+    /// cancelled; returns at once if one already is.
+    pub fn wait(&self) {
+        let mut trips = lock_ignore_poison(&TRIPS.0);
+        while !self.is_cancelled() {
+            trips = TRIPS.1.wait(trips).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     /// True once this token or any ancestor has been cancelled.
@@ -237,6 +255,33 @@ mod tests {
             .ok();
         assert!(t.is_cancelled());
         assert_eq!(t.reason().as_deref(), Some("from thread"));
+    }
+
+    #[test]
+    fn wait_on_a_tripped_token_returns_at_once() {
+        let t = CancelToken::new();
+        t.cancel();
+        t.wait();
+        t.child().wait();
+    }
+
+    #[test]
+    fn child_wait_returns_after_parent_cancel() {
+        let parent = CancelToken::new();
+        let child = parent.child();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            child.wait();
+            tx.send(()).unwrap();
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "wait returned before any trip"
+        );
+        parent.cancel();
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("child.wait() returns once the parent trips");
+        waiter.join().unwrap();
     }
 
     #[test]

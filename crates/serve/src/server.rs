@@ -77,11 +77,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How often the waker looks at the shutdown token, which can be polled
-/// but not waited on. Bounds how late the accept loop hears of a
-/// shutdown; nothing on the accept or request path waits for it.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
-
 /// Back-off after an `accept` error other than an aborted handshake
 /// (out of descriptors or buffers): retrying at once would spin.
 const ACCEPT_RETRY: Duration = Duration::from_millis(10);
@@ -470,15 +465,13 @@ impl Server {
             (thread, addr)
         });
 
-        // The shutdown token can only be polled: this thread polls it, so
-        // the accept loop below can block, and wakes that loop once.
+        // The accept loop below blocks in `accept`: this thread waits for
+        // the shutdown token and wakes that loop once.
         let waker = {
             let shutdown = shared.shutdown.clone();
             let addr = self.addr;
             std::thread::spawn(move || {
-                while !shutdown.is_cancelled() {
-                    std::thread::park_timeout(SHUTDOWN_POLL);
-                }
+                shutdown.wait();
                 wake(addr);
             })
         };

@@ -69,7 +69,9 @@ fn pair_req(i: u32, j: u32) -> Request {
 fn expected_table(dir: &Path, min_r2: f64) -> String {
     let f = std::fs::File::open(dir.join("toy.txt")).expect("open panel");
     let g = ld_io::text::read_matrix(std::io::BufReader::new(f)).expect("parse panel");
-    let m = engine().stat_matrix(&g, LdStats::RSquared);
+    let m = engine()
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     let mut out = String::from("SNP_A\tSNP_B\tR2\n");
     for (i, j, v) in m.iter_pairs() {
         if !v.is_nan() && v >= min_r2 {
@@ -131,7 +133,9 @@ fn pair_response_matches_the_matrix_value() {
     let (handle, dir) = start("pair", ServeConfig::default());
     let f = std::fs::File::open(dir.join("toy.txt")).expect("open panel");
     let g = ld_io::text::read_matrix(std::io::BufReader::new(f)).expect("parse panel");
-    let m = engine().stat_matrix(&g, LdStats::RSquared);
+    let m = engine()
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
 
     let mut c = connect(&handle);
     for (i, j) in [(0u32, 1u32), (3, 7), (15, 2)] {

@@ -122,7 +122,9 @@ fn main() {
 
     // 6. For biallelic pairs, T = N_valid · r² — verify on a gap-free pair.
     let (bi, kept) = aln.to_biallelic_matrix();
-    let r2 = engine.r2_matrix(&bi);
+    let r2 = engine
+        .try_stat_matrix(&bi, LdStats::RSquared)
+        .expect("LD matrix");
     // sites 0 and 1 are biallelic and gap-free: find their positions in `kept`
     let k0 = kept
         .iter()

@@ -6,15 +6,16 @@
 //!
 //! This example prunes greedily in sliding windows with
 //! `ld_core::prune_pairwise` — one banded run of the engine, each pair
-//! within a window computed once — and checks the result with the tiled
-//! API, so the full r² matrix is never materialized.
+//! within a window computed once — and checks the result with a banded
+//! row stream, so the full r² matrix is never materialized.
 //!
 //! ```sh
 //! cargo run --release --example ld_pruning
 //! ```
 
 use gemm_ld::prelude::*;
-use ld_core::{prune_pairwise, NanPolicy, RunControl, TileVisit};
+use ld_core::{prune_pairwise, NanPolicy, RowSlabVisit, RunControl};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn main() {
     let g = HaplotypeSimulator::new(800, 1_000)
@@ -42,25 +43,24 @@ fn main() {
         // Verify the pruning contract on the kept set (spot check within
         // the window range): no kept pair within a window exceeds the cut.
         let pruned = g.select_snps(&kept).expect("indices are valid");
-        let mut violations = 0;
-        let count = |t: &TileVisit<'_>| {
-            for r in 0..t.rows {
-                for c in 0..t.cols {
-                    let (gi, gj) = (t.row_start + r, t.col_start + c);
-                    // Pairs closer than one step are guaranteed to have
-                    // shared a window, so pruning must have separated them.
-                    if gi < gj
-                        && kept[gj] - kept[gi] < 50
-                        && t.values[r * t.cols + c] > threshold + 1e-9
-                    {
-                        violations += 1;
-                    }
-                }
+        let violations = AtomicUsize::new(0);
+        let count = |s: &RowSlabVisit<'_>| {
+            for (gi, row) in s.rows() {
+                // row[d] is the pair (gi, gi + d); row[0] the diagonal.
+                // Pairs closer than one step are guaranteed to have
+                // shared a window, so pruning must have separated them.
+                let above = (1..row.len())
+                    .filter(|&d| kept[gi + d] - kept[gi] < 50 && row[d] > threshold + 1e-9);
+                violations.fetch_add(above.count(), Ordering::Relaxed);
             }
         };
+        // kept indices ascend, so a pair 50 apart in the pruned panel is
+        // at least 50 apart in the original: a band of 49 sees them all
+        let ctl = RunControl::new().with_band(49);
         engine
-            .try_for_each_tile_with(&pruned, LdStats::RSquared, 128, count, &RunControl::new())
+            .try_stat_rows_with(&pruned, LdStats::RSquared, count, &ctl)
             .expect("the pruned panel is non-empty");
+        let violations = violations.into_inner();
         println!("  window-local pairs above threshold after pruning: {violations}");
     }
 }

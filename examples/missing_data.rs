@@ -22,7 +22,9 @@ use ld_rng::SmallRng;
 fn main() {
     let truth = HaplotypeSimulator::new(2_000, 150).seed(5).generate();
     let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
-    let r2_true = engine.r2_matrix(&truth);
+    let r2_true = engine
+        .try_stat_matrix(&truth, LdStats::RSquared)
+        .expect("LD matrix");
 
     // Knock out 10% of calls at random. The observed matrix keeps 0 in the
     // missing slots (what a naive pipeline would do).
@@ -50,7 +52,9 @@ fn main() {
     let t0 = std::time::Instant::now();
     let r2_masked = masked_r2_matrix(&observed.full_view(), &mask, 1, NanPolicy::Zero);
     println!("masked all-pairs r² in {:?}", t0.elapsed());
-    let r2_naive = engine.r2_matrix(&observed);
+    let r2_naive = engine
+        .try_stat_matrix(&observed, LdStats::RSquared)
+        .expect("LD matrix");
 
     let rmse = |m: &LdMatrix| {
         let mut se = 0.0;

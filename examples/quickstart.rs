@@ -26,7 +26,9 @@ fn main() {
 
     // 3. All N(N+1)/2 r² values in one blocked GEMM.
     let t0 = std::time::Instant::now();
-    let r2 = engine.r2_matrix(&g);
+    let r2 = engine
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     let dt = t0.elapsed();
     println!("computed {} LD values in {dt:?}", r2.n_values());
 

@@ -12,7 +12,8 @@
 #                         in every member's lib carries a SAFETY argument
 #   4. release build, workspace tests, the release-arithmetic legs, the
 #                         one-formatter, per-window, ext-kernel, safe-fill,
-#                         wire, hand-off and one-timer guards
+#                         wire, hand-off, one-timer and engine-surface
+#                         guards
 #   5. schemas          — each published artifact (the `--profile=json`
 #                         run report with its timeline, CPU profile, shard
 #                         manifest, tile manifest, request log, both
@@ -37,6 +38,13 @@ cd "$(dirname "$0")/.."
 run() {
     echo "==> $*"
     "$@"
+}
+
+# The shipped lines of one Rust source file, each prefixed with its name:
+# everything above its first `#[cfg(test)]`, comment lines aside. One file
+# per call — awk's `exit` ends the whole run, not just the current file.
+shipped() {
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$1"
 }
 
 export CARGO_NET_OFFLINE=true
@@ -69,21 +77,21 @@ run cargo test -q --release --offline -p ld-omega --lib min_region
 # formatter: one occurrence in shipped code (comments and test modules
 # aside) across the crates that print the table.
 echo "==> one six-decimal formatter in crates/{io,cli,serve}/src"
-SIX=$(for f in crates/io/src/*.rs crates/cli/src/*.rs crates/serve/src/*.rs; do
-    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$f"
-done | grep -F ':.6}' || true)
+SIX=$(for f in crates/io/src/*.rs crates/cli/src/*.rs crates/serve/src/*.rs; do shipped "$f"; done \
+    | grep -F ':.6}' || true)
 if [ "$(printf '%s\n' "$SIX" | grep -c .)" != 1 ]; then
     echo "six-decimal formatter guard FAIL: expected exactly one ':.6}', found:" >&2
     printf '%s\n' "$SIX" >&2
     exit 1
 fi
 # A window is a reader of one banded run, not a run of its own: no shipped
-# code applies the engine to a sub-view per window (`r2_matrix(` /
-# `stat_matrix(` on a `.view(` / `.subview(`; test oracles aside), and the
-# pruning example calls the library's pruner instead of carrying one.
+# code applies the engine or a baseline to a sub-view per window
+# (`try_stat_matrix(` / `r2_matrix(` on a `.view(` / `.subview(`; test
+# oracles aside), and the pruning example calls the library's pruner
+# instead of carrying one.
 echo "==> no per-window engine call in crates/{omega,cli,assoc,core}/src"
 PER_WINDOW=$(for f in crates/omega/src/*.rs crates/cli/src/*.rs crates/assoc/src/*.rs crates/core/src/*.rs; do
-    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$f"
+    shipped "$f"
 done | grep -E '(r2_matrix|stat_matrix)\(.*\.(sub)?view\(' || true)
 if [ -n "$PER_WINDOW" ] || grep -q 'fn prune' examples/ld_pruning.rs; then
     echo "per-window guard FAIL: an engine call on a sub-view, or a pruner in the example:" >&2
@@ -94,9 +102,7 @@ fi
 # The §VII statistics are epilogues on the engine's one driver, not count
 # loops of their own: no shipped `ld-ext` code reaches for a kernel.
 echo "==> no ld_kernels item in crates/ext/src (test modules aside)"
-KERNELS=$(for f in crates/ext/src/*.rs; do
-    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$f"
-done | grep -F 'ld_kernels' || true)
+KERNELS=$(for f in crates/ext/src/*.rs; do shipped "$f"; done | grep -F 'ld_kernels' || true)
 if [ -n "$KERNELS" ] || grep -q '^ld-kernels' crates/ext/Cargo.toml; then
     echo "ext kernel guard FAIL: a private count loop in ld-ext:" >&2
     printf '%s\n' "$KERNELS" >&2
@@ -108,7 +114,7 @@ fi
 # never spell the packed row offset themselves.
 echo "==> no unsafe and no hand-rolled packed offset in crates/{baselines,ext,assoc,omega}/src"
 UNSAFE=$(for f in crates/baselines/src/*.rs crates/ext/src/*.rs crates/assoc/src/*.rs crates/omega/src/*.rs; do
-    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$f"
+    shipped "$f"
 done | grep -E 'unsafe|\(i \* i - i\) / 2' || true)
 if [ -n "$UNSAFE" ]; then
     echo "safe-fill guard FAIL: unsafe code or a hand-rolled packed offset:" >&2
@@ -117,14 +123,13 @@ if [ -n "$UNSAFE" ]; then
 fi
 # A served request costs its work, not a timer: both ends of an LDS1
 # socket set TCP_NODELAY, and neither listener polls — `accept` blocks
-# until a self-connect wakes it. `inject_delay` (a test aid, zero in
-# production), slept by a request that holds its permit in
-# `server::serve_query`, is the one sleep in the daemon's shipped code:
-# the allowance is that one line, indentation included.
+# until a self-connect wakes it, and the waker blocks on the shutdown
+# token. `inject_delay` (a test aid, zero in production), slept by a
+# request that holds its permit in `server::serve_query`, is the one sleep
+# in the daemon's shipped code, and the back-off after a failed `accept`
+# its one timed park: each allowance is that one line, indentation
+# included.
 echo "==> no wire stall in crates/serve/src/{server,http,client}.rs"
-shipped() {
-    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$@"
-}
 for f in crates/serve/src/server.rs crates/serve/src/client.rs; do
     # no `grep -q`: an early exit would SIGPIPE awk and fail the pipe
     if ! shipped "$f" | grep -F 'set_nodelay(true)' >/dev/null; then
@@ -133,11 +138,12 @@ for f in crates/serve/src/server.rs crates/serve/src/client.rs; do
     fi
 done
 STALL=$(for f in crates/serve/src/server.rs crates/serve/src/http.rs; do shipped "$f"; done \
-    | grep -E 'set_nonblocking\(true\)|thread::sleep' \
+    | grep -E 'set_nonblocking\(true\)|thread::sleep|park_timeout' \
     | grep -vxF 'crates/serve/src/server.rs:                 std::thread::sleep(shared.cfg.inject_delay);' \
+    | grep -vxF 'crates/serve/src/server.rs:             Err(_) => std::thread::park_timeout(ACCEPT_RETRY),' \
     || true)
 if [ -n "$STALL" ]; then
-    echo "wire guard FAIL: a non-blocking listener or a sleep in the daemon:" >&2
+    echo "wire guard FAIL: a non-blocking listener, a sleep or a timed park in the daemon:" >&2
     printf '%s\n' "$STALL" >&2
     exit 1
 fi
@@ -161,6 +167,19 @@ TWO_REPORTS=$(grep -rnE -- '--trace-(report)|trace_(report)\.schema' \
 if [ -n "$TWO_CLOCKS$TWO_REPORTS" ]; then
     echo "one-timer guard FAIL: a second layer timer or a second run report:" >&2
     printf '%s\n' "$TWO_CLOCKS" "$TWO_REPORTS" >&2
+    exit 1
+fi
+
+# One verb per sink on `LdEngine`: no panicking twin of `try_stat_matrix`,
+# no locked twin of `try_stat_rows_with`, no tile visitor. `ld-baselines`'
+# two-argument `r2_matrix` kernels are other methods, not the engine's.
+echo "==> one verb per sink on LdEngine in crates/*/src"
+SURFACE=$(for f in crates/*/src/*.rs crates/*/src/*/*.rs; do shipped "$f"; done \
+    | grep -E 'pub fn (stat_matrix|r2_matrix)\b|try_stat_rows_shared_with|try_for_each_tile_with|TileVisit' \
+    | grep -vE '^crates/baselines/src/[a-z_]+\.rs: +pub fn r2_matrix\(&self, ' || true)
+if [ -n "$SURFACE" ]; then
+    echo "engine-surface guard FAIL: a deleted LdEngine verb or TileVisit is back:" >&2
+    printf '%s\n' "$SURFACE" >&2
     exit 1
 fi
 

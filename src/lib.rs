@@ -14,9 +14,10 @@
 //!     [0, 1, 1],
 //! ]).unwrap();
 //! let engine = LdEngine::new();
-//! let r2 = engine.r2_matrix(&g);
+//! let r2 = engine.try_stat_matrix(&g, LdStats::RSquared)?;
 //! // SNPs 0 and 1 are strongly associated:
 //! assert!(r2.get(0, 1) > 0.3);
+//! # Ok::<(), gemm_ld::core::LdError>(())
 //! ```
 
 pub use ld_assoc as assoc;

@@ -77,7 +77,7 @@ fn coalescent_data_flows_through_everything() {
         .seed(44)
         .generate();
     let e = engine();
-    let r2 = e.r2_matrix(&g);
+    let r2 = e.try_stat_matrix(&g, LdStats::RSquared).expect("LD matrix");
     assert_eq!(r2.n_snps(), 96);
     // within-genealogy LD must exceed cross-genealogy LD
     let within = r2.get(1, 5);
@@ -108,7 +108,9 @@ fn association_scan_finds_ld_proxies_of_causal_snp() {
     // causal SNP must be significant
     assert!(results[causal].p < 1e-6, "causal p = {}", results[causal].p);
     // its strongest LD partner should also be significant (proxy signal)
-    let r2 = engine().r2_matrix(&g);
+    let r2 = engine()
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     let proxy = (0..120)
         .filter(|&j| j != causal)
         .max_by(|&a, &b| r2.get(causal, a).total_cmp(&r2.get(causal, b)))
@@ -144,8 +146,12 @@ fn fasta_to_finite_sites_to_biallelic_consistency() {
     // allele polarity (minor = derived may flip columns)
     let (bi, kept) = aln.to_biallelic_matrix();
     assert_eq!(kept.len(), 25, "all simulated sites are biallelic");
-    let r2_src = engine().r2_matrix(&g);
-    let r2_bi = engine().r2_matrix(&bi);
+    let r2_src = engine()
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
+    let r2_bi = engine()
+        .try_stat_matrix(&bi, LdStats::RSquared)
+        .expect("LD matrix");
     for i in 0..25 {
         for j in i..25 {
             // r² is polarity-invariant

@@ -23,7 +23,9 @@ fn sim(n_samples: usize, n_snps: usize, seed: u64) -> ld_bitmat::BitMatrix {
 fn four_implementations_agree() {
     let g = sim(320, 40, 1);
     let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
-    let gemm = engine.r2_matrix(&g);
+    let gemm = engine
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     let omega = OmegaPlusKernel::new()
         .nan_policy(NanPolicy::Zero)
         .r2_matrix(&g.full_view(), 2);
@@ -63,12 +65,14 @@ fn threads_never_change_results() {
     let one = LdEngine::new()
         .threads(1)
         .nan_policy(NanPolicy::Zero)
-        .r2_matrix(&g);
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     for t in [2usize, 3, 7, 16] {
         let many = LdEngine::new()
             .threads(t)
             .nan_policy(NanPolicy::Zero)
-            .r2_matrix(&g);
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         assert_eq!(one.packed(), many.packed(), "threads = {t}");
     }
 }
@@ -78,7 +82,10 @@ fn word_boundary_sample_counts() {
     // 63/64/65 samples cross the packing boundary; every path must agree.
     for n_samples in [63usize, 64, 65, 127, 128, 129] {
         let g = sim(n_samples, 12, n_samples as u64);
-        let gemm = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&g);
+        let gemm = LdEngine::new()
+            .nan_policy(NanPolicy::Zero)
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         let omega = OmegaPlusKernel::new()
             .nan_policy(NanPolicy::Zero)
             .r2_matrix(&g.full_view(), 1);
@@ -97,7 +104,9 @@ fn word_boundary_sample_counts() {
 fn cross_and_square_engines_consistent() {
     let g = sim(200, 50, 4);
     let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
-    let square = engine.r2_matrix(&g);
+    let square = engine
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     let cross = engine
         .try_cross_stat_matrix(g.view(0, 20), g.view(20, 50), LdStats::RSquared)
         .unwrap();
@@ -114,7 +123,9 @@ fn cross_and_square_engines_consistent() {
 #[test]
 fn diagonal_r2_is_one_for_polymorphic_sites() {
     let g = sim(500, 80, 5);
-    let r2 = LdEngine::new().r2_matrix(&g);
+    let r2 = LdEngine::new()
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     for j in 0..80 {
         assert!((r2.get(j, j) - 1.0).abs() < 1e-12, "snp {j}");
     }
@@ -151,7 +162,10 @@ fn masked_matches_unmasked_when_all_valid() {
     let g = sim(100, 25, 7);
     let mask = ValidityMask::all_valid(100, 25);
     let masked = ld_ext::gaps::masked_r2_matrix(&g.full_view(), &mask, 2, NanPolicy::Zero);
-    let plain = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&g);
+    let plain = LdEngine::new()
+        .nan_policy(NanPolicy::Zero)
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     for (i, j, v) in plain.iter_upper() {
         assert!(close(v, masked.get(i, j), 1e-12), "({i},{j})");
     }

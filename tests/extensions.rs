@@ -62,7 +62,10 @@ fn tanimoto_and_r2_rank_similar_pairs_together() {
         let h = fp.hstack(&dup).unwrap();
         let sim =
             ld_ext::tanimoto::tanimoto_matrix(&LdEngine::new().threads(1), &h.full_view()).unwrap();
-        let r2 = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&h);
+        let r2 = LdEngine::new()
+            .nan_policy(NanPolicy::Zero)
+            .try_stat_matrix(&h, LdStats::RSquared)
+            .expect("LD matrix");
         // column 10 duplicates column 0
         assert!((sim.get(0, 10) - 1.0).abs() < 1e-12, "case {case}");
         assert!((r2.get(0, 10) - 1.0).abs() < 1e-10, "case {case}");
@@ -123,7 +126,9 @@ fn masked_blocked_handles_heavy_missingness() {
 #[test]
 fn ld_matrix_binary_round_trip_through_engine() {
     let g = HaplotypeSimulator::new(200, 40).seed(10).generate();
-    let m = LdEngine::new().r2_matrix(&g); // NaN policy default: propagate
+    let m = LdEngine::new()
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix"); // NaN policy default: propagate
     let mut buf = Vec::new();
     ld_io::ldmatrix::write_ld_matrix(&mut buf, &m).unwrap();
     let back = ld_io::ldmatrix::read_ld_matrix(buf.as_slice()).unwrap();

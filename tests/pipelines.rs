@@ -30,10 +30,14 @@ fn ms_round_trip_preserves_ld() {
     ms::write_ms(&mut buf, std::slice::from_ref(&rep)).unwrap();
     let back = ms::read_ms_first(buf.as_slice()).unwrap();
     assert_eq!(back.matrix, g);
-    let a = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&g);
+    let a = LdEngine::new()
+        .nan_policy(NanPolicy::Zero)
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     let b = LdEngine::new()
         .nan_policy(NanPolicy::Zero)
-        .r2_matrix(&back.matrix);
+        .try_stat_matrix(&back.matrix, LdStats::RSquared)
+        .expect("LD matrix");
     assert_eq!(a.packed(), b.packed());
 }
 
@@ -67,7 +71,10 @@ fn plink_triple_to_r2() {
     let plink = ld_baselines::PlinkKernel::new()
         .nan_policy(NanPolicy::Zero)
         .r2_matrix(&g2, 1);
-    let engine = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&haps);
+    let engine = LdEngine::new()
+        .nan_policy(NanPolicy::Zero)
+        .try_stat_matrix(&haps, LdStats::RSquared)
+        .expect("LD matrix");
     for i in 0..15 {
         for j in i..15 {
             assert!(
@@ -82,7 +89,10 @@ fn plink_triple_to_r2() {
 #[test]
 fn r2_table_export_and_reload() {
     let g = sim(100, 30, 4);
-    let r2 = LdEngine::new().nan_policy(NanPolicy::Zero).r2_matrix(&g);
+    let r2 = LdEngine::new()
+        .nan_policy(NanPolicy::Zero)
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .expect("LD matrix");
     let mut buf = Vec::new();
     text::write_r2_table(&mut buf, &r2, 0.3).unwrap();
     let rows = text::read_r2_table(BufReader::new(buf.as_slice())).unwrap();

@@ -21,7 +21,9 @@ fn r2_bounded_and_symmetric_on_simulated_data() {
         let g = HaplotypeSimulator::new(n_samples, n_snps)
             .seed(seed)
             .generate();
-        let r2 = engine().r2_matrix(&g);
+        let r2 = engine()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         for (i, j, v) in r2.iter_upper() {
             assert!(
                 (-1e-9..=1.0 + 1e-9).contains(&v),
@@ -46,7 +48,9 @@ fn gemm_equals_pairwise_on_simulated_data() {
         let g = HaplotypeSimulator::new(n_samples, n_snps)
             .seed(seed)
             .generate();
-        let a = engine().r2_matrix(&g);
+        let a = engine()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         let b = OmegaPlusKernel::new()
             .nan_policy(NanPolicy::Zero)
             .r2_matrix(&g.full_view(), 1);
@@ -69,7 +73,9 @@ fn duplicating_a_snp_gives_perfect_ld() {
         let pick = rng.gen_range(0usize..20) % n_snps;
         let dup = g.select_snps(&[pick]).unwrap();
         let h = g.hstack(&dup).unwrap(); // last column duplicates `pick`
-        let r2 = engine().r2_matrix(&h);
+        let r2 = engine()
+            .try_stat_matrix(&h, LdStats::RSquared)
+            .expect("LD matrix");
         assert!((r2.get(pick, n_snps) - 1.0).abs() < 1e-12, "case {case}");
     }
 }
@@ -89,8 +95,12 @@ fn permuting_samples_preserves_ld() {
             .map(|s| g.sample_to_bytes((s + 1) % n_samples))
             .collect();
         let p = ld_bitmat::BitMatrix::from_rows(n_samples, n_snps, rows.iter()).unwrap();
-        let a = engine().r2_matrix(&g);
-        let b = engine().r2_matrix(&p);
+        let a = engine()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
+        let b = engine()
+            .try_stat_matrix(&p, LdStats::RSquared)
+            .expect("LD matrix");
         for (i, j, v) in a.iter_upper() {
             assert!((v - b.get(i, j)).abs() < 1e-12, "case {case}: ({i},{j})");
         }
@@ -112,8 +122,12 @@ fn complementing_a_snp_preserves_r2() {
         for s in 0..n_samples {
             flipped.set(s, 0, !g.get(s, 0));
         }
-        let a = engine().r2_matrix(&g);
-        let b = engine().r2_matrix(&flipped);
+        let a = engine()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
+        let b = engine()
+            .try_stat_matrix(&flipped, LdStats::RSquared)
+            .expect("LD matrix");
         for j in 1..n_snps {
             assert!(
                 (a.get(0, j) - b.get(0, j)).abs() < 1e-10,
@@ -130,7 +144,9 @@ fn omega_is_nonnegative_and_finite_on_neutral_data() {
         let n_samples = rng.gen_range(8usize..120);
         let seed = rng.gen_range(0u64..10_000);
         let g = HaplotypeSimulator::new(n_samples, 24).seed(seed).generate();
-        let r2 = engine().r2_matrix(&g);
+        let r2 = engine()
+            .try_stat_matrix(&g, LdStats::RSquared)
+            .expect("LD matrix");
         let (omega, split) = ld_omega::omega_max(&r2);
         assert!(omega >= 0.0, "case {case}");
         assert!((1..24).contains(&split), "case {case}");
