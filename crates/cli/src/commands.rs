@@ -44,8 +44,8 @@ COMMANDS:
               kernel roofline, as text on stderr or stable-schema JSON;
               --trace-out records a span timeline, writes Chrome
               trace-event JSON loadable in Perfetto / chrome://tracing,
-              and adds its analysis — busy/idle, imbalance, steal
-              latency, layer shares — to the --profile report)
+              and adds its analysis — busy/idle, imbalance, layer
+              shares — to the --profile report)
               [--timeout SECS] [--checkpoint FILE [--resume]]
               (SIGINT or an expired --timeout stops at the next slab
               boundary with exit code 5; --checkpoint makes the run
@@ -54,7 +54,10 @@ COMMANDS:
               plan and write its slabs to -o FILE in the checkpoint
               interchange format; run every i in 1..=N — in parallel,
               on separate machines, or under run-sharded — then stitch
-              with merge)
+              with merge. Every shard must cut the same slab grid with
+              the same kernel: a cached CPU profile sets both, so on
+              separate machines pin them with --slab-rows and --kernel,
+              or set LD_NO_CPU_PROFILE=1)
               [--store DIR] (read the genotype matrix out-of-core from a
               chunked tile store written by 'import' instead of -i; the
               matrix is streamed panel-by-panel with a prefetch thread,
@@ -94,11 +97,12 @@ COMMANDS:
   tanimoto    all-vs-all fingerprint similarity
               -i fingerprints.txt [--top-k K] [--threads T]
   prune       LD pruning (plink --indep-pairwise style)
-              -i in [--window W] [--step S] [--threshold X] [-o kept.txt]
+              -i in [--window W] [--step S] [--threshold X] [--threads T]
+              [-o kept.txt]
   decay       mean r-squared by SNP distance
-              -i in [--max-dist D] [--bin W]
+              -i in [--max-dist D] [--bin W] [--threads T]
   blocks      haplotype blocks (solid spine of LD on D')
-              -i in [--threshold X]
+              -i in [--threshold X] [--threads T]
   assoc       case/control association scan + LD clumping
               -i in [--causal i,j,...] [--beta X] [--p X] [--clump-r2 X]
               [--clump-window W] [--seed S]
@@ -135,8 +139,8 @@ COMMANDS:
               residency; --raw prints the Prometheus text verbatim)
   tune        autotune kernel + blocking for this CPU and cache the result
               [--quick|--full] [--threads T] [--out profile.json]
-              (staged coordinate descent over kernel, kc/mc/nc blocks,
-              slab height and scheduler chunk, scored best-of-N by
+              (staged coordinate descent over kernel, kc/mc/nc blocks
+              and slab height, scored best-of-N by
               words/cycle from the metrics counters; the winning profile
               is written atomically, keyed to this CPU's fingerprint,
               and picked up automatically by later r2/bench runs)
@@ -212,11 +216,11 @@ fn parse_at_least(args: &Args, key: &str, min: usize) -> Result<Option<usize>, C
 /// flags > `LD_KERNEL` env > cached per-CPU profile (`gemm-ld tune`) >
 /// built-in defaults.
 ///
-/// The profile supplies kernel, `kc/mc/nc` blocking, slab height and
-/// scheduler chunk; `--kernel`, `--slab-rows` and `--chunk-slabs` each
-/// override their own parameter without discarding the rest. A present
-/// `LD_KERNEL` suppresses only the profile's kernel choice (the env
-/// override itself is applied inside `auto` resolution).
+/// The profile supplies kernel, `kc/mc/nc` blocking and slab height;
+/// `--kernel` and `--slab-rows` each override their own parameter
+/// without discarding the rest. A present `LD_KERNEL` suppresses only
+/// the profile's kernel choice (the env override itself is applied
+/// inside `auto` resolution).
 fn tuned_engine(args: &Args, threads: usize) -> Result<LdEngine, CliError> {
     let mut engine = LdEngine::new().threads(threads);
     let cli_kernel = args.get("kernel").is_some();
@@ -225,10 +229,7 @@ fn tuned_engine(args: &Args, threads: usize) -> Result<LdEngine, CliError> {
         .unwrap_or(false);
     if let Some(p) = ld_kernels::profile::load_active() {
         let t = &p.tuned;
-        engine = engine
-            .blocks(t.blocks)
-            .slab_rows(t.slab_rows)
-            .chunk_slabs(t.chunk_slabs);
+        engine = engine.blocks(t.blocks).slab_rows(t.slab_rows);
         if !cli_kernel && !env_kernel {
             engine = engine.kernel(t.kernel);
         }
@@ -238,9 +239,6 @@ fn tuned_engine(args: &Args, threads: usize) -> Result<LdEngine, CliError> {
     }
     if args.get("slab-rows").is_some() {
         engine = engine.slab_rows(args.get_parsed("slab-rows", 64usize)?);
-    }
-    if args.get("chunk-slabs").is_some() {
-        engine = engine.chunk_slabs(args.get_parsed("chunk-slabs", 1usize)?);
     }
     Ok(engine)
 }
@@ -1338,7 +1336,7 @@ pub fn run_sharded(args: &Args) -> CmdResult {
                     .arg(&shards[i].out);
                 // engine geometry must agree across shards and with the
                 // merge, so pass-through flags ride along verbatim
-                for key in ["stat", "kernel", "slab-rows", "chunk-slabs"] {
+                for key in ["stat", "kernel", "slab-rows"] {
                     if let Some(v) = args.get(key).filter(|v| !v.is_empty()) {
                         cmd.arg(format!("--{key}")).arg(v);
                     }
@@ -1534,7 +1532,8 @@ pub fn prune(args: &Args) -> CmdResult {
     // step 0 would never advance the window
     let step = parse_at_least(args, "step", 1)?.unwrap_or(window / 2);
     let threshold = parse_threshold(args, "threshold", 0.5)?;
-    let engine = tuned_engine(args, ld_parallel::available_threads())?;
+    let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
+    let engine = tuned_engine(args, threads)?;
     let g = load_matrix(input)?;
     let kept = ld_core::prune_pairwise(&engine, &g, window, step, threshold)?;
     eprintln!(
@@ -1562,7 +1561,8 @@ pub fn decay(args: &Args) -> CmdResult {
     let input = args.require("input")?;
     let max_dist = parse_at_least(args, "max-dist", 1)?;
     let bin = parse_at_least(args, "bin", 0)?; // `DecayProfile` clamps 0 to 1
-    let engine = tuned_engine(args, ld_parallel::available_threads())?.nan_policy(NanPolicy::Zero);
+    let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
+    let engine = tuned_engine(args, threads)?.nan_policy(NanPolicy::Zero);
     let g = load_matrix(input)?;
     let max_dist = max_dist.unwrap_or(100usize.min(g.n_snps().saturating_sub(1).max(1)));
     let bin = bin.unwrap_or((max_dist / 20).max(1));
@@ -1588,7 +1588,8 @@ pub fn decay(args: &Args) -> CmdResult {
 pub fn blocks(args: &Args) -> CmdResult {
     let input = args.require("input")?;
     let threshold = parse_threshold(args, "threshold", 0.8)?;
-    let engine = tuned_engine(args, ld_parallel::available_threads())?.nan_policy(NanPolicy::Zero);
+    let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
+    let engine = tuned_engine(args, threads)?.nan_policy(NanPolicy::Zero);
     let g = load_matrix(input)?;
     let found = ld_core::haplotype_blocks(&engine, &g, threshold)?;
     println!("block\tfirst_snp\tlast_snp\tsize");
@@ -1676,7 +1677,6 @@ struct TuneCandidate {
     kernel: KernelKind,
     blocks: BlockSizes,
     slab: usize,
-    chunk: usize,
     score: f64,
 }
 
@@ -1684,10 +1684,10 @@ struct TuneCandidate {
 /// scheduling/blocking parameters, scored on a synthetic workload.
 ///
 /// Search order: (1) micro-kernel race at default geometry, then
-/// one-dimensional sweeps of (2) `kc`, (3) `mc`, (4) `nc`, (5) slab
-/// height, (6) scheduler chunk — each stage keeps the incumbent for the
-/// dimensions it does not touch, so the budget is `O(sum of stage
-/// sizes)` instead of the full grid. Every candidate is scored best-of-N
+/// one-dimensional sweeps of (2) `kc`, (3) `mc`, (4) `nc` and (5) slab
+/// height — each stage keeps the incumbent for the dimensions it does
+/// not touch, so the budget is `O(sum of stage sizes)` instead of the
+/// full grid. Every candidate is scored best-of-N
 /// (N = 2 quick, 3 full): for throughput, *max* over reps is the right
 /// statistic — noise only ever slows a run down.
 ///
@@ -1700,7 +1700,8 @@ pub fn tune(args: &Args) -> CmdResult {
     if full && args.has("quick") {
         return Err(CliError::Usage("--quick and --full are exclusive".into()));
     }
-    let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
+    let threads =
+        parse_at_least(args, "threads", 1)?.unwrap_or_else(ld_parallel::available_threads);
     // Quick: a few hundred ms total, enough to separate kernels by 2x+.
     // Full: paper-scale samples (2504 haplotypes -> 40 packed words) so
     // the kc sweep actually has depth to block over.
@@ -1725,7 +1726,6 @@ pub fn tune(args: &Args) -> CmdResult {
             .blocks(c.blocks)
             .threads(threads)
             .slab_rows(c.slab)
-            .chunk_slabs(c.chunk)
             .nan_policy(NanPolicy::Zero);
         let mut best = 0.0f64;
         for _ in 0..reps {
@@ -1755,7 +1755,6 @@ pub fn tune(args: &Args) -> CmdResult {
         kernel: auto.kind(),
         blocks: BlockSizes::default(),
         slab: 64,
-        chunk: 1,
         score: 0.0,
     };
     best.score = score_of(&best)?;
@@ -1792,18 +1791,14 @@ pub fn tune(args: &Args) -> CmdResult {
     };
     fn describe(c: &TuneCandidate, best: &TuneCandidate) -> (String, bool) {
         let desc = format!(
-            "{} kc={} mc={} nc={} slab={} chunk={}",
+            "{} kc={} mc={} nc={} slab={}",
             c.kernel.name(),
             c.blocks.kc,
             c.blocks.mc,
             c.blocks.nc,
-            c.slab,
-            c.chunk
+            c.slab
         );
-        let same = c.kernel == best.kernel
-            && c.blocks == best.blocks
-            && c.slab == best.slab
-            && c.chunk == best.chunk;
+        let same = c.kernel == best.kernel && c.blocks == best.blocks && c.slab == best.slab;
         (desc, same)
     }
 
@@ -1860,15 +1855,6 @@ pub fn tune(args: &Args) -> CmdResult {
         &best,
     );
     race("slab", cands, &mut best)?;
-    let cands = sweep(
-        &[1, 2, 4],
-        |b, v| TuneCandidate {
-            chunk: v,
-            ..b.clone()
-        },
-        &best,
-    );
-    race("chunk", cands, &mut best)?;
 
     let profile = CpuProfile {
         fingerprint: CpuFingerprint::detect().clone(),
@@ -1876,7 +1862,6 @@ pub fn tune(args: &Args) -> CmdResult {
             kernel: best.kernel,
             blocks: best.blocks,
             slab_rows: best.slab,
-            chunk_slabs: best.chunk,
             threads,
             score: best.score,
             metric: metric.to_string(),

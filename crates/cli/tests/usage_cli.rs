@@ -27,7 +27,8 @@ r2 -i absent.ms --min-r2 nan => invalid value 'nan' for --min-r2 (not a number)
 r2 --store absent.store --min-r2 NaN => invalid value 'NaN' for --min-r2 (not a number)
 merge absent.bin --min-r2 nan => invalid value 'nan' for --min-r2 (not a number)
 run-sharded -i absent.ms -o absent.tsv --min-r2 nan => invalid value 'nan' for --min-r2 (not a number)
-run-sharded -i absent.ms -o absent.tsv --shards 0 => --shards must be at least 1, got 0";
+run-sharded -i absent.ms -o absent.tsv --shards 0 => --shards must be at least 1, got 0
+tune --quick --threads 0 --out tuned.json => --threads must be at least 1, got 0";
 
 #[test]
 fn unusable_flag_values_are_one_usage_error_before_any_input_is_read() {
@@ -43,6 +44,30 @@ fn unusable_flag_values_are_one_usage_error_before_any_input_is_read() {
     }
     let left: Vec<_> = std::fs::read_dir(dir.path("")).expect("scratch").collect();
     assert!(left.is_empty(), "a rejected command left files: {left:?}");
+}
+
+/// `prune`, `decay` and `blocks` run the engine on `--threads` workers like
+/// every other engine command: a bad count is the usual usage error, and
+/// the count moves no byte of the output.
+#[test]
+fn banded_commands_parse_threads_and_keep_their_output() {
+    let dir = Scratch::new("usage_threads");
+    let input = dir.path("d.ms");
+    simulate(&input, 120, 200, 5);
+    for command in ["prune", "decay", "blocks"] {
+        let line = format!("{command} -i {input}");
+        let bad = run(&format!("{line} --threads x"));
+        assert_eq!(
+            bad.stderr, "error: invalid value 'x' for --threads\n",
+            "{command}"
+        );
+        assert_eq!(bad.code, Some(2), "{command}");
+        assert!(bad.stdout.is_empty(), "{command} wrote to stdout");
+        let default = run_ok(&line);
+        assert!(default.stdout.lines().count() > 1, "{command}: no rows");
+        let one = run_ok(&format!("{line} --threads 1"));
+        assert_eq!(one.stdout, default.stdout, "{command} --threads 1");
+    }
 }
 
 #[test]

@@ -72,7 +72,7 @@ use crate::source::Source;
 use crate::stats::{LdStats, NanPolicy, Statistic};
 use ld_kernels::micro::Kernel;
 use ld_kernels::{BlockSizes, KernelKind};
-use ld_parallel::{scheduler_grain, try_parallel_for_dynamic_init_ctl, CancelToken, Deadline};
+use ld_parallel::{try_parallel_for_dynamic_init_ctl, CancelToken, Deadline};
 use ld_trace::recorder::{Span, SpanKind};
 use ld_trace::Counter;
 use std::ops::Range;
@@ -104,12 +104,9 @@ pub(crate) struct Config {
     pub blocks: BlockSizes,
     pub threads: usize,
     pub policy: NanPolicy,
-    /// Row-slab height: bounds each worker's scratch.
+    /// Row-slab height: bounds each worker's scratch, and the
+    /// scheduler's grain — one claim is one slab.
     pub slab: usize,
-    /// Scheduler chunk size in *slabs*: each dynamic grab hands a worker
-    /// `chunk` consecutive slabs, amortizing the atomic fetch without
-    /// growing scratch (the worker still processes one slab at a time).
-    pub chunk: usize,
 }
 
 /// Where finished statistics go.
@@ -517,8 +514,7 @@ pub(crate) fn run(
     // source emits, plus (row sink) a `slab × strip` f64 strip — the
     // widest slab (the first) spans all n columns, or `slab + band` of
     // them.
-    let (workers, chunk) = src.schedule(cfg);
-    let workers = workers.max(1);
+    let workers = src.schedule(cfg).max(1);
     let packed_sink = matches!(dest, Dest::Packed { .. });
     let strip = strip_width(n, slab, ctl.band);
     let counts_len = src.counts_len(planes * slab, planes * strip);
@@ -554,9 +550,9 @@ pub(crate) fn run(
     let one_slab = |counts: &mut [u32], values: &mut [f64], k: usize| -> Result<(), LdError> {
         // Slab-granular interruption point: the deadline→token conversion
         // and the poll accounting. The scheduler already refused to hand
-        // out this chunk if the token was tripped; nothing below ever
-        // checks mid-kernel. A token tripped mid-chunk stops the *next*
-        // chunk grab, not this one — claimed slabs always complete.
+        // out this slab if the token was tripped; nothing below ever
+        // checks mid-kernel. A token tripped mid-slab stops the *next*
+        // claim, not this one — claimed slabs always complete.
         poll_deadline(deadline, token);
         ld_trace::add(Counter::CancelPolls, 1);
         fault::check_kernel_panic();
@@ -619,30 +615,22 @@ pub(crate) fn run(
         // The scheduler iterates the shard's row window; its start is a
         // slab multiple, so offsetting keeps chunks slab-aligned.
         (grid.hi * slab).min(n) - grid.lo * slab,
-        // Chunks start at multiples of the grain, and the grain is a
-        // multiple of `slab`, so every slab inside a claimed chunk starts
-        // at a multiple of `slab` — slab geometry (and thus checkpoint
-        // record boundaries, and the slabs a visitor observes) is
-        // independent of the chunk size.
-        scheduler_grain(slab, chunk),
+        // One claim is one slab: chunk `c` is slab `grid.lo + c`.
+        slab,
         token,
         // The scheduler runs each worker's init once and spawns at most
         // `workers` of them, so the pool never runs dry; the default only
         // keeps the pop panic-free by construction.
         |_tid| lock(&pool).pop().unwrap_or_default(),
         |(counts, values), rows| {
-            // Walk the claimed chunk one slab at a time: scratch stays
-            // one slab, and every interruption/checkpoint decision keeps
-            // its per-slab granularity. Slabs replayed from a checkpoint
-            // are skipped without polling and without touching the source.
-            let first = grid.lo + rows.start / slab;
-            for k in first..first + rows.len().div_ceil(slab) {
-                if ledger.is_done(k) || lock(&failure).is_some() {
-                    continue;
-                }
-                if let Err(e) = one_slab(counts, values, k) {
-                    lock(&failure).get_or_insert(e);
-                }
+            // Slabs replayed from a checkpoint are skipped without polling
+            // and without touching the source.
+            let k = grid.lo + rows.start / slab;
+            if ledger.is_done(k) || lock(&failure).is_some() {
+                return;
+            }
+            if let Err(e) = one_slab(counts, values, k) {
+                lock(&failure).get_or_insert(e);
             }
         },
     )?;
@@ -693,7 +681,6 @@ mod tests {
             threads,
             policy: NanPolicy::Zero,
             slab,
-            chunk: 1,
         }
     }
 

@@ -52,7 +52,6 @@ pub struct LdEngine {
     pub(crate) threads: usize,
     pub(crate) policy: NanPolicy,
     pub(crate) slab: usize,
-    pub(crate) chunk: usize,
     pub(crate) budget: MemoryBudget,
 }
 
@@ -77,7 +76,6 @@ impl LdEngine {
             threads: available_threads(),
             policy: NanPolicy::default(),
             slab: DEFAULT_SLAB_ROWS,
-            chunk: 1,
             budget: MemoryBudget::unlimited(),
         }
     }
@@ -133,21 +131,6 @@ impl LdEngine {
         self
     }
 
-    /// Sets the scheduler chunk size in **slabs** (clamped to ≥ 1).
-    ///
-    /// The slab driver's dynamic scheduler hands each worker
-    /// `chunk_slabs` consecutive slabs per claim (in-memory sources; a
-    /// store source runs one slab at a time). The default of 1
-    /// reproduces the one-claim-per-slab schedule; larger chunks
-    /// amortize scheduling overhead at some cost in load balance (the
-    /// autotuner sweeps this). Per-worker scratch stays `slab × n` —
-    /// workers walk a claimed chunk slab-by-slab — so results and
-    /// memory are identical for every chunk size.
-    pub fn chunk_slabs(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
-        self
-    }
-
     /// The configured kernel kind.
     pub fn kernel_kind(&self) -> KernelKind {
         self.kind
@@ -161,12 +144,6 @@ impl LdEngine {
     /// The configured row-slab height (see [`LdEngine::slab_rows`]).
     pub fn slab_row_count(&self) -> usize {
         self.slab
-    }
-
-    /// The configured scheduler chunk size in slabs
-    /// (see [`LdEngine::chunk_slabs`]).
-    pub fn chunk_slab_count(&self) -> usize {
-        self.chunk
     }
 
     /// The configured cache-blocking parameters.
@@ -270,7 +247,6 @@ impl LdEngine {
             threads: self.threads,
             policy: self.policy,
             slab,
-            chunk: self.chunk,
         }))
     }
 
@@ -890,35 +866,11 @@ mod tests {
         let e = LdEngine::new()
             .threads(3)
             .kernel(KernelKind::Scalar)
-            .slab_rows(17)
-            .chunk_slabs(4);
+            .slab_rows(17);
         assert_eq!(e.thread_count(), 3);
         assert_eq!(e.kernel_kind(), KernelKind::Scalar);
         assert_eq!(e.slab_row_count(), 17);
-        assert_eq!(e.chunk_slab_count(), 4);
         assert_eq!(LdEngine::new().slab_rows(0).slab_row_count(), 1);
-        assert_eq!(LdEngine::new().chunk_slabs(0).chunk_slab_count(), 1);
-    }
-
-    #[test]
-    fn chunked_schedule_is_bit_identical() {
-        let g = toy();
-        let base = LdEngine::new()
-            .threads(2)
-            .slab_rows(1)
-            .try_stat_matrix(&g, LdStats::RSquared)
-            .expect("LD matrix");
-        for chunk in [2usize, 3, 100] {
-            let chunked = LdEngine::new()
-                .threads(2)
-                .slab_rows(1)
-                .chunk_slabs(chunk)
-                .try_stat_matrix(&g, LdStats::RSquared)
-                .expect("LD matrix");
-            for (a, b) in base.packed().iter().zip(chunked.packed()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "chunk={chunk}");
-            }
-        }
     }
 
     #[test]

@@ -199,13 +199,13 @@ impl Source<'_> {
         }
     }
 
-    /// `(outer workers, scheduler chunk in slabs)`. The store source runs
-    /// one slab at a time — its parallelism is inside the per-chunk GEMM —
-    /// which is also what delivers slabs to the sink in ascending order.
-    pub(crate) fn schedule(&self, cfg: &Config) -> (usize, usize) {
+    /// Outer workers of the slab loop. The store source runs one slab at
+    /// a time — its parallelism is inside the per-chunk GEMM — which is
+    /// also what delivers slabs to the sink in ascending order.
+    pub(crate) fn schedule(&self, cfg: &Config) -> usize {
         match self {
-            Self::Memory(_) => (cfg.threads, cfg.chunk),
-            Self::Store(_) => (1, 1),
+            Self::Memory(_) => cfg.threads,
+            Self::Store(_) => 1,
         }
     }
 

@@ -90,11 +90,8 @@ fn assert_replay(threads: usize) {
     );
 
     // Scheduler chunks: grain == slab, so the loop hands out exactly
-    // n_slabs chunks; their args decode to distinct chunk indices.
-    let chunk_ids: Vec<u64> = args_of(&snap, SpanKind::Chunk)
-        .iter()
-        .map(|a| a >> 1)
-        .collect();
+    // n_slabs chunks; their args are distinct chunk indices.
+    let chunk_ids: Vec<u64> = args_of(&snap, SpanKind::Chunk);
     assert_eq!(
         chunk_ids,
         (0..n_slabs as u64).collect::<Vec<_>>(),

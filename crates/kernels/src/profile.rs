@@ -1,15 +1,15 @@
 //! Tuned per-CPU profiles: the autotuner's persistent output.
 //!
-//! `ld-cli tune` measures the best kernel/blocking/slab/chunk parameters
+//! `ld-cli tune` measures the best kernel/blocking/slab parameters
 //! on the running machine and stores them in a small JSON file keyed by
 //! the [`CpuFingerprint`]. Subsequent runs load the profile and use the
 //! tuned parameters as defaults; explicit CLI flags and environment
 //! overrides always win.
 //!
-//! File format (`schema_version` 1):
+//! File format (`schema_version` 2):
 //!
 //! ```json
-//! {"schema_version":1,"crc32":3735928559,"payload":{
+//! {"schema_version":2,"crc32":3735928559,"payload":{
 //!    "fingerprint":{...},"tuned":{...}}}
 //! ```
 //!
@@ -37,7 +37,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 /// Version of the on-disk profile format this build reads and writes.
-pub const PROFILE_SCHEMA_VERSION: u64 = 1;
+pub const PROFILE_SCHEMA_VERSION: u64 = 2;
 
 /// The parameters the tuner searches, with their measured score.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,8 +48,6 @@ pub struct TunedParams {
     pub blocks: BlockSizes,
     /// Winning fused-driver slab height (rows).
     pub slab_rows: usize,
-    /// Winning scheduler chunk size (slabs per work unit).
-    pub chunk_slabs: usize,
     /// Thread count the measurements were taken at.
     pub threads: usize,
     /// Best observed score (higher is better).
@@ -137,7 +135,7 @@ impl CpuProfile {
         let payload = format!(
             concat!(
                 "{{\"fingerprint\":{},\"tuned\":{{\"kernel\":\"{}\",",
-                "\"kc\":{},\"mc\":{},\"nc\":{},\"slab_rows\":{},\"chunk_slabs\":{},",
+                "\"kc\":{},\"mc\":{},\"nc\":{},\"slab_rows\":{},",
                 "\"threads\":{},\"score\":{:.6},\"metric\":\"{}\"}}}}"
             ),
             fingerprint_json(&self.fingerprint),
@@ -146,7 +144,6 @@ impl CpuProfile {
             t.blocks.mc,
             t.blocks.nc,
             t.slab_rows,
-            t.chunk_slabs,
             t.threads,
             t.score,
             escape(&t.metric),
@@ -222,7 +219,6 @@ impl CpuProfile {
                 nc: t_usize("nc")?,
             },
             slab_rows: t_usize("slab_rows")?,
-            chunk_slabs: t_usize("chunk_slabs")?,
             threads: t_usize("threads")?,
             score: tj
                 .get("score")
@@ -234,9 +230,9 @@ impl CpuProfile {
                 .map(str::to_string)
                 .ok_or_else(|| ProfileError::Malformed("missing tuned.metric".into()))?,
         };
-        if tuned.slab_rows == 0 || tuned.chunk_slabs == 0 {
+        if tuned.slab_rows == 0 || tuned.threads == 0 {
             return Err(ProfileError::Malformed(
-                "tuned slab_rows/chunk_slabs must be at least 1".into(),
+                "tuned slab_rows/threads must be at least 1".into(),
             ));
         }
         Ok(CpuProfile { fingerprint, tuned })
@@ -342,7 +338,6 @@ mod tests {
                     nc: 2048,
                 },
                 slab_rows: 96,
-                chunk_slabs: 2,
                 threads: 2,
                 score: 1.234567,
                 metric: "words-per-cycle".to_string(),
@@ -363,7 +358,7 @@ mod tests {
         let p = sample_profile();
         let json = p
             .to_json()
-            .replacen("\"schema_version\":1", "\"schema_version\":999", 1);
+            .replacen("\"schema_version\":2", "\"schema_version\":999", 1);
         let e = CpuProfile::parse(json.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("schema_version"), "{e}");
     }

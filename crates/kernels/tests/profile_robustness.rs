@@ -16,7 +16,6 @@ fn valid_profile() -> CpuProfile {
             kernel: KernelKind::Scalar,
             blocks: BlockSizes::default(),
             slab_rows: 64,
-            chunk_slabs: 1,
             threads: 1,
             score: 1.25,
             metric: "words-per-cycle".to_string(),
@@ -146,5 +145,21 @@ fn zeroed_tuning_parameters_are_rejected_even_with_valid_crc() {
     // must still reject the zero.
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926); // sanity: CRC impl alive
     let e = CpuProfile::parse(json.as_bytes()).unwrap_err();
+    assert!(e.to_string().contains("at least 1"), "{e}");
+}
+
+#[test]
+fn zero_threads_is_rejected_even_with_valid_crc() {
+    // `tune` refuses `--threads 0`; a sealed profile that records it
+    // anyway (hand-edited, or written by an older build) is refused on
+    // load, as the schema's `minimum: 1` says.
+    let mut p = valid_profile();
+    p.tuned.threads = 0;
+    let path = std::env::temp_dir().join(format!("ld-zero-threads-{}.json", std::process::id()));
+    std::fs::write(&path, p.to_json()).unwrap();
+    let loaded = CpuProfile::load(&path);
+    std::fs::remove_file(&path).ok();
+    let e = loaded.unwrap_err();
+    assert!(matches!(e, ProfileError::Malformed(_)), "{e}");
     assert!(e.to_string().contains("at least 1"), "{e}");
 }

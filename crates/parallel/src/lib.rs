@@ -62,6 +62,5 @@ pub use partition::{
     even_ranges, triangle_ranges, triangle_row_ranges, triangle_row_weight, triangle_weight,
 };
 pub use team::{
-    available_threads, run_team, scheduler_grain, try_for_each_part,
-    try_parallel_for_dynamic_init_ctl, LoopOutcome,
+    available_threads, run_team, try_for_each_part, try_parallel_for_dynamic_init_ctl, LoopOutcome,
 };

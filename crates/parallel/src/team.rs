@@ -19,13 +19,6 @@ use ld_trace::recorder::{Span, SpanKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Encodes a chunk claim for the flight recorder:
-/// `(chunk_index << 1) | stolen`.
-#[inline]
-fn chunk_arg(chunk_idx: usize, stolen: bool) -> u64 {
-    ((chunk_idx as u64) << 1) | u64::from(stolen)
-}
-
 /// How a cancellable dynamic loop finished.
 ///
 /// Returned by [`try_parallel_for_dynamic_init_ctl`] so callers can distinguish a fully
@@ -58,32 +51,6 @@ fn outcome_from(next: &AtomicUsize, len: usize, token: Option<&CancelToken>) -> 
     } else {
         LoopOutcome::Cancelled
     }
-}
-
-/// Whether chunk `chunk_idx` lies outside worker `tid`'s share of a static
-/// even split of `chunks` chunks over `n` workers — i.e. the dynamic
-/// scheduler handed this worker a chunk that static partitioning would
-/// have given to someone else. Recorded as `steal_count`: a load-imbalance
-/// signal that is timing-dependent by design (only the *total* number of
-/// claims is deterministic).
-fn is_steal(chunk_idx: usize, tid: usize, chunks: usize, n: usize) -> bool {
-    let lo = tid * chunks / n;
-    let hi = (tid + 1) * chunks / n;
-    chunk_idx < lo || chunk_idx >= hi
-}
-
-/// Scheduler grain for slab-structured loops: `slab × chunk_slabs` rows
-/// per dynamic chunk claim, both factors clamped to at least 1.
-///
-/// `chunk_slabs = 1` (the default) reproduces the historic one-claim-
-/// per-slab schedule; larger values amortize the atomic `fetch_add` and
-/// chunk-span bookkeeping over several slabs — the knob the autotuner
-/// sweeps. Because every chunk starts at a multiple of the grain, slab
-/// boundaries inside a chunk stay aligned: callers can walk a claimed
-/// range slab-by-slab and each sub-range is a whole slab (except the
-/// final fringe of the matrix).
-pub fn scheduler_grain(slab: usize, chunk_slabs: usize) -> usize {
-    slab.max(1).saturating_mul(chunk_slabs.max(1))
 }
 
 /// Number of hardware threads available, with a floor of 1.
@@ -215,11 +182,11 @@ where
 /// This is the scheduler behind the LD slab driver: `init` allocates a
 /// worker's bounded scratch slab exactly once, dynamic chunk-grabbing
 /// absorbs the skew of triangular workloads without per-chunk allocation,
-/// and the single-thread path still chunks by `grain` — callers rely on
-/// every `f` invocation seeing at most `grain` indices (that bound is what
-/// caps the scratch size).
+/// and a team of one runs the same claim loop on the calling thread —
+/// callers rely on every `f` invocation seeing at most `grain` indices
+/// (that bound is what caps the scratch size).
 ///
-/// `token` is polled **before every chunk grab** on every path, so
+/// `token` is polled **before every chunk grab**, so
 /// cancellation granularity is identical at any thread count. A tripped
 /// token never interrupts `f` mid-chunk — chunks that started before the
 /// trip run to completion, so slab-granular outputs stay consistent — and
@@ -273,67 +240,44 @@ where
     if len == 0 {
         return Ok(LoopOutcome::Completed);
     }
-    if n == 1 {
-        let next = AtomicUsize::new(0);
-        run_team_trapped(1, |_| {
-            let mut state = init(0);
-            let mut start = 0usize;
-            while start < len {
-                if token.is_some_and(|t| t.is_cancelled()) {
-                    break;
-                }
-                let end = (start + grain).min(len);
-                ld_trace::worker_claim(0, false);
-                next.store(end, Ordering::Relaxed);
-                let span = Span::begin(SpanKind::Chunk);
-                f(&mut state, start..end);
-                span.end(chunk_arg(start / grain, false));
-                start = end;
-            }
-        })?;
-        return Ok(outcome_from(&next, len, token));
-    }
     let next = AtomicUsize::new(0);
     let trap = PanicTrap::new();
-    let chunks = len.div_ceil(grain);
-    std::thread::scope(|s| {
-        let worker = |tid: usize| {
-            let trap = &trap;
-            let next = &next;
-            move || {
-                ld_trace::recorder::set_worker(tid);
-                let mut state: Option<S> = None;
-                while !trap.cancelled() {
-                    if token.is_some_and(|t| t.is_cancelled()) {
-                        break;
-                    }
-                    let start = next.fetch_add(grain, Ordering::Relaxed);
-                    if start >= len {
-                        break;
-                    }
-                    let stolen = is_steal(start / grain, tid, chunks, n);
-                    ld_trace::worker_claim(tid, stolen);
-                    let end = (start + grain).min(len);
-                    let span = Span::begin(SpanKind::Chunk);
-                    let ok = trap.run(tid, || {
-                        // `state` is only touched by this worker; the
-                        // AssertUnwindSafe in `trap.run` is sound because a
-                        // panicking chunk cancels the whole loop (no state
-                        // is observed after a panic).
-                        let state = &mut state;
-                        f(state.get_or_insert_with(|| init(tid)), start..end);
-                    });
-                    span.end(chunk_arg(start / grain, stolen));
-                    if !ok {
-                        break;
-                    }
-                }
+    // Worker 0 is the calling thread: a team of one spawns nothing and
+    // claims the chunks in order.
+    let worker = |tid: usize| {
+        ld_trace::recorder::set_worker(tid);
+        let mut state: Option<S> = None;
+        while !trap.cancelled() {
+            if token.is_some_and(|t| t.is_cancelled()) {
+                break;
             }
-        };
-        for tid in 1..n {
-            s.spawn(worker(tid));
+            let start = next.fetch_add(grain, Ordering::Relaxed);
+            if start >= len {
+                break;
+            }
+            ld_trace::worker_claim(tid);
+            let end = (start + grain).min(len);
+            let span = Span::begin(SpanKind::Chunk);
+            let ok = trap.run(tid, || {
+                // `state` is only touched by this worker; the
+                // AssertUnwindSafe in `trap.run` is sound because a
+                // panicking chunk cancels the whole loop (no state is
+                // observed after a panic).
+                let state = &mut state;
+                f(state.get_or_insert_with(|| init(tid)), start..end);
+            });
+            span.end((start / grain) as u64);
+            if !ok {
+                break;
+            }
         }
-        worker(0)();
+    };
+    std::thread::scope(|s| {
+        let worker = &worker;
+        for tid in 1..n {
+            s.spawn(move || worker(tid));
+        }
+        worker(0);
     });
     trap.into_result()?;
     Ok(outcome_from(&next, len, token))
@@ -520,15 +464,6 @@ mod tests {
     #[test]
     fn available_threads_is_positive() {
         assert!(available_threads() >= 1);
-    }
-
-    #[test]
-    fn scheduler_grain_clamps_and_multiplies() {
-        assert_eq!(scheduler_grain(64, 1), 64);
-        assert_eq!(scheduler_grain(64, 4), 256);
-        assert_eq!(scheduler_grain(0, 0), 1);
-        assert_eq!(scheduler_grain(0, 3), 3);
-        assert_eq!(scheduler_grain(usize::MAX, 2), usize::MAX);
     }
 
     #[test]

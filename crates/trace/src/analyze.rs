@@ -1,7 +1,6 @@
 //! Timeline analysis: turns a [`TraceSnapshot`] into the `timeline`
 //! section of a [`MetricsReport`](crate::MetricsReport) — per-worker
-//! busy/idle fractions, load-imbalance ratio, steal-latency percentiles
-//! and per-layer wall shares.
+//! busy/idle fractions, load-imbalance ratio and per-layer wall shares.
 //!
 //! ## Accounting model
 //!
@@ -46,21 +45,6 @@ pub struct LayerShare {
     pub share: f64,
 }
 
-/// Distribution of the idle gaps that *precede* stolen chunks — the time a
-/// worker waited between finishing one chunk and claiming one outside its
-/// static share.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StealLatency {
-    /// Stolen chunks with a measurable preceding gap.
-    pub count: u64,
-    /// Median gap, ns.
-    pub p50_ns: u64,
-    /// 90th-percentile gap, ns.
-    pub p90_ns: u64,
-    /// Largest gap, ns.
-    pub max_ns: u64,
-}
-
 /// The span-timeline section of a run report.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Timeline {
@@ -87,17 +71,6 @@ pub struct Timeline {
     /// Per-layer wall shares; includes `other_busy` and `idle`, so the
     /// shares sum to 1 up to rounding.
     pub layers: Vec<LayerShare>,
-    /// Steal-latency percentiles (`None` when no stolen chunk had a
-    /// measurable preceding gap).
-    pub steal_latency: Option<StealLatency>,
-}
-
-fn percentile(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = (sorted.len() - 1) * p / 100;
-    sorted[idx]
 }
 
 /// Analyzes a snapshot over the window `wall_ns` (the caller-measured run
@@ -116,25 +89,16 @@ pub fn analyze(snap: &TraceSnapshot, wall_ns: Option<u64>, threads: u64) -> Time
     let mut per_worker: Vec<WorkerActivity> = Vec::new();
     let mut nesting_violations = 0u64;
     let mut layer_ns = [0u64; SpanKind::COUNT];
-    let mut steal_gaps: Vec<u64> = Vec::new();
 
     let mut i = 0;
     while i < snap.events.len() {
         let w = snap.events[i].worker;
         let mut busy = 0u64;
         let mut cur_end = 0u64;
-        let mut prev_chunk_end: Option<u64> = None;
         while i < snap.events.len() && snap.events[i].worker == w {
             let e = &snap.events[i];
             i += 1;
             layer_ns[e.kind as usize] = layer_ns[e.kind as usize].saturating_add(e.dur_ns);
-            if e.kind == SpanKind::Chunk {
-                // arg = (chunk << 1) | stolen
-                if let (1, Some(pe)) = (e.arg & 1, prev_chunk_end) {
-                    steal_gaps.push(e.start_ns.saturating_sub(pe));
-                }
-                prev_chunk_end = Some(e.start_ns.saturating_add(e.dur_ns));
-            }
             if e.kind.is_instant() {
                 continue;
             }
@@ -195,15 +159,6 @@ pub fn analyze(snap: &TraceSnapshot, wall_ns: Option<u64>, threads: u64) -> Time
     ));
     layers.push(share("idle", idle_ns_total));
 
-    // --- steal latency ---------------------------------------------------
-    steal_gaps.sort_unstable();
-    let steal_latency = steal_gaps.last().map(|&max_ns| StealLatency {
-        count: steal_gaps.len() as u64,
-        p50_ns: percentile(&steal_gaps, 50),
-        p90_ns: percentile(&steal_gaps, 90),
-        max_ns,
-    });
-
     Timeline {
         workers,
         events: snap.events.len() as u64,
@@ -215,7 +170,6 @@ pub fn analyze(snap: &TraceSnapshot, wall_ns: Option<u64>, threads: u64) -> Time
         imbalance_ratio,
         per_worker,
         layers,
-        steal_latency,
     }
 }
 
@@ -267,19 +221,7 @@ impl Timeline {
                 l.layer, l.ns, l.share
             );
         }
-        s.push_str("\n    ],\n");
-        match &self.steal_latency {
-            Some(sl) => {
-                let _ = writeln!(
-                    s,
-                    "    \"steal_latency\": {{\"count\": {}, \"p50_ns\": {}, \
-                     \"p90_ns\": {}, \"max_ns\": {}}}",
-                    sl.count, sl.p50_ns, sl.p90_ns, sl.max_ns
-                );
-            }
-            None => s.push_str("    \"steal_latency\": null\n"),
-        }
-        s.push_str("  }");
+        s.push_str("\n    ]\n  }");
     }
 
     /// Writes the section's human-readable lines (the `--profile=text`
@@ -327,16 +269,6 @@ impl Timeline {
             );
         }
         let _ = writeln!(s, "  share sum     : {:.4}", self.share_sum());
-        if let Some(sl) = &self.steal_latency {
-            let _ = writeln!(
-                s,
-                "steal latency   : n={} p50={} p90={} max={}",
-                sl.count,
-                crate::fmt_ns(sl.p50_ns),
-                crate::fmt_ns(sl.p90_ns),
-                crate::fmt_ns(sl.max_ns)
-            );
-        }
     }
 }
 
@@ -403,21 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_latency_percentiles() {
-        let s = snap(vec![
-            ev(SpanKind::Chunk, 0, 0, 10, 0 << 1),
-            ev(SpanKind::Chunk, 0, 30, 10, (1 << 1) | 1), // stolen, gap 20
-            ev(SpanKind::Chunk, 0, 45, 10, (2 << 1) | 1), // stolen, gap 5
-        ]);
-        let r = analyze(&s, Some(100), 1);
-        let sl = r.steal_latency.unwrap();
-        assert_eq!(sl.count, 2);
-        assert_eq!(sl.p50_ns, 5);
-        assert_eq!(sl.max_ns, 20);
-        assert_eq!(r.per_worker[0].busy_ns, 30);
-    }
-
-    #[test]
     fn json_is_schema_shaped() {
         let s = snap(vec![
             ev(SpanKind::Chunk, 0, 0, 100, 1),
@@ -438,11 +355,9 @@ mod tests {
             "share_sum",
             "per_worker",
             "layers",
-            "steal_latency",
         ] {
             assert!(j.contains(&format!("\"{key}\"")), "missing {key}");
         }
-        assert!(j.contains("\"steal_latency\": null"));
         // instants do not contribute busy time
         assert_eq!(r.busy_ns_total, 100);
     }

@@ -38,7 +38,6 @@
 //! | `budget_shrinks` | driver | times the memory budget shrank the slab height |
 //! | `alloc_peak_bytes` | driver | high-water mark of the *modeled* transient footprint (scratch + output) |
 //! | `tiles_claimed` | parallel | dynamic-scheduler chunks claimed (also per worker) |
-//! | `steal_count` | parallel | chunks a worker claimed out of its static even-split share (load-balance events; timing-dependent) |
 //! | `io_lines_read` | io | text lines parsed (also per format) |
 //! | `io_bytes_read` | io | input bytes consumed (also per format) |
 //! | `cancel_polls` | driver | cancellation-token polls (one per *computed* slab; slab-granular, never per-tile) |
@@ -61,7 +60,7 @@
 //! `slabs_emitted`, `io_*`, `cancel_polls`, `resume_slabs_skipped`,
 //! `merge_spans_validated`, `chunks_read`, `store_bytes_read`) are
 //! **deterministic** — independent of thread
-//! count and wall time; the `*_ns` timers, `steal_count`,
+//! count and wall time; the `*_ns` timers,
 //! `checkpoints_written` (its periodic trigger is wall-clock based),
 //! the supervisor counters (`shards_launched`, `shard_retries` — retries
 //! depend on fault timing), the prefetch race counters
@@ -98,7 +97,7 @@ use std::sync::Mutex;
 /// Schema version of the JSON produced by [`MetricsReport::to_json`].
 /// Bump only when a field is removed or its meaning changes; adding
 /// fields is backward-compatible.
-pub const SCHEMA_VERSION: u32 = 3;
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Maximum workers tracked individually; higher worker ids fold into the
 /// last slot.
@@ -131,8 +130,6 @@ pub enum Counter {
     AllocPeakBytes,
     /// Dynamic-scheduler chunks claimed (all workers).
     TilesClaimed,
-    /// Chunks claimed outside a worker's static even-split share.
-    StealCount,
     /// Text lines parsed by `ld-io`.
     IoLinesRead,
     /// Input bytes consumed by `ld-io`.
@@ -184,7 +181,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array sizing).
-    pub const COUNT: usize = 29;
+    pub const COUNT: usize = 28;
 
     /// All counters, in stable report order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -199,7 +196,6 @@ impl Counter {
         Counter::BudgetShrinks,
         Counter::AllocPeakBytes,
         Counter::TilesClaimed,
-        Counter::StealCount,
         Counter::IoLinesRead,
         Counter::IoBytesRead,
         Counter::CancelPolls,
@@ -233,7 +229,6 @@ impl Counter {
             Counter::BudgetShrinks => "budget_shrinks",
             Counter::AllocPeakBytes => "alloc_peak_bytes",
             Counter::TilesClaimed => "tiles_claimed",
-            Counter::StealCount => "steal_count",
             Counter::IoLinesRead => "io_lines_read",
             Counter::IoBytesRead => "io_bytes_read",
             Counter::CancelPolls => "cancel_polls",
@@ -264,7 +259,6 @@ impl Counter {
                 | Counter::PackBNs
                 | Counter::KernelNs
                 | Counter::TransformNs
-                | Counter::StealCount
                 | Counter::AllocPeakBytes
                 // periodic checkpoints also fire on a wall-clock cadence
                 | Counter::CheckpointsWritten
@@ -309,7 +303,6 @@ const ZERO: AtomicU64 = AtomicU64::new(0);
 
 static COUNTERS: [AtomicU64; Counter::COUNT] = [ZERO; Counter::COUNT];
 static WORKER_TILES: [AtomicU64; MAX_WORKERS] = [ZERO; MAX_WORKERS];
-static WORKER_STEALS: [AtomicU64; MAX_WORKERS] = [ZERO; MAX_WORKERS];
 static IO_LINES: [AtomicU64; IO_FORMATS.len()] = [ZERO; IO_FORMATS.len()];
 static IO_BYTES: [AtomicU64; IO_FORMATS.len()] = [ZERO; IO_FORMATS.len()];
 static KERNEL_NAME: Mutex<Option<&'static str>> = Mutex::new(None);
@@ -339,17 +332,11 @@ pub fn counters() -> [u64; Counter::COUNT] {
     Counter::ALL.map(get)
 }
 
-/// Records one dynamic-scheduler chunk claimed by `worker`; `stolen`
-/// marks a chunk outside the worker's static even-split share.
+/// Records one dynamic-scheduler chunk claimed by `worker`.
 #[inline]
-pub fn worker_claim(worker: usize, stolen: bool) {
-    let w = worker.min(MAX_WORKERS - 1);
-    WORKER_TILES[w].fetch_add(1, Ordering::Relaxed);
+pub fn worker_claim(worker: usize) {
+    WORKER_TILES[worker.min(MAX_WORKERS - 1)].fetch_add(1, Ordering::Relaxed);
     add(Counter::TilesClaimed, 1);
-    if stolen {
-        WORKER_STEALS[w].fetch_add(1, Ordering::Relaxed);
-        add(Counter::StealCount, 1);
-    }
 }
 
 /// Records `lines`/`bytes` parsed by the reader for `format` (folded into
@@ -386,7 +373,7 @@ pub fn kernel_name() -> Option<&'static str> {
 /// telemetry registry (the resolved kernel name is kept — it is
 /// process-lifetime state).
 pub fn reset() {
-    let slots = COUNTERS.iter().chain(&WORKER_TILES).chain(&WORKER_STEALS);
+    let slots = COUNTERS.iter().chain(&WORKER_TILES);
     for c in slots.chain(&IO_LINES).chain(&IO_BYTES) {
         c.store(0, Ordering::Relaxed);
     }
@@ -404,8 +391,6 @@ pub struct WorkerMetrics {
     pub worker: usize,
     /// Chunks this worker claimed.
     pub tiles_claimed: u64,
-    /// Chunks claimed outside its static even-split share.
-    pub steal_count: u64,
 }
 
 /// Per-format parser activity.
@@ -453,18 +438,16 @@ pub struct MetricsReport {
 impl MetricsReport {
     /// Snapshots the current counter state.
     pub fn capture() -> Self {
-        let mut workers = Vec::new();
-        for w in 0..MAX_WORKERS {
-            let tiles = WORKER_TILES[w].load(Ordering::Relaxed);
-            let steals = WORKER_STEALS[w].load(Ordering::Relaxed);
-            if tiles != 0 || steals != 0 {
-                workers.push(WorkerMetrics {
-                    worker: w,
-                    tiles_claimed: tiles,
-                    steal_count: steals,
-                });
-            }
-        }
+        let workers = WORKER_TILES
+            .iter()
+            .map(|t| t.load(Ordering::Relaxed))
+            .enumerate()
+            .filter(|&(_, tiles)| tiles != 0)
+            .map(|(worker, tiles_claimed)| WorkerMetrics {
+                worker,
+                tiles_claimed,
+            })
+            .collect();
         let mut io = Vec::new();
         for (s, name) in IO_FORMATS.iter().enumerate() {
             let lines = IO_LINES[s].load(Ordering::Relaxed);
@@ -604,8 +587,8 @@ impl MetricsReport {
         for (i, w) in self.workers.iter().enumerate() {
             let _ = write!(
                 s,
-                "    {{\"worker\": {}, \"tiles_claimed\": {}, \"steal_count\": {}}}",
-                w.worker, w.tiles_claimed, w.steal_count
+                "    {{\"worker\": {}, \"tiles_claimed\": {}}}",
+                w.worker, w.tiles_claimed
             );
             s.push_str(if i + 1 == self.workers.len() {
                 "\n"
@@ -739,16 +722,15 @@ impl MetricsReport {
         if !self.workers.is_empty() {
             let _ = writeln!(
                 s,
-                "scheduler       : {} chunks claimed, {} steals across {} workers",
+                "scheduler       : {} chunks claimed across {} workers",
                 self.get(Counter::TilesClaimed),
-                self.get(Counter::StealCount),
                 self.workers.len()
             );
             for w in &self.workers {
                 let _ = writeln!(
                     s,
-                    "  worker {:<3}    : {} claimed, {} stolen",
-                    w.worker, w.tiles_claimed, w.steal_count
+                    "  worker {:<3}    : {} claimed",
+                    w.worker, w.tiles_claimed
                 );
             }
         }
@@ -818,7 +800,7 @@ mod tests {
             .with_threads(4)
             .with_tsc_hz(Some(3.0e9));
         let j = r.to_json();
-        assert!(j.contains("\"schema_version\": 3"));
+        assert!(j.contains("\"schema_version\": 4"));
         assert!(j.contains("\"roofline\": null"));
         assert!(j.contains("\"timeline\": null"));
         assert!(j.contains("\"counters\""));
@@ -876,18 +858,16 @@ mod tests {
         record_peak(Counter::AllocPeakBytes, 50);
         assert_eq!(get(Counter::KernelTiles), 7);
         assert_eq!(get(Counter::AllocPeakBytes), 100);
-        worker_claim(2, true);
-        worker_claim(2, false);
+        worker_claim(2);
+        worker_claim(2);
         io_record("vcf", 5, 80);
         let r = MetricsReport::capture();
         assert_eq!(r.get(Counter::TilesClaimed), 2);
-        assert_eq!(r.get(Counter::StealCount), 1);
         assert_eq!(
             r.workers,
             vec![WorkerMetrics {
                 worker: 2,
                 tiles_claimed: 2,
-                steal_count: 1
             }]
         );
         assert_eq!(

@@ -144,7 +144,6 @@ fn counter_help(c: Counter) -> &'static str {
         Counter::BudgetShrinks => "Times the memory budget shrank the slab height",
         Counter::AllocPeakBytes => "Peak modeled transient footprint in bytes",
         Counter::TilesClaimed => "Dynamic-scheduler chunks claimed",
-        Counter::StealCount => "Chunks claimed outside the static even split",
         Counter::IoLinesRead => "Input text lines parsed",
         Counter::IoBytesRead => "Input bytes consumed",
         Counter::CancelPolls => "Cancellation-token polls by the driver",

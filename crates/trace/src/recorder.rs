@@ -58,8 +58,8 @@ pub enum SpanKind {
     /// Large-buffer allocation/zeroing in the driver (scratch pool,
     /// packed output).
     Alloc = 4,
-    /// One dynamic-scheduler chunk executed by a worker. `arg` encodes
-    /// `(chunk_index << 1) | stolen`.
+    /// One dynamic-scheduler chunk executed by a worker. `arg` is the
+    /// chunk index.
     Chunk = 5,
     /// A checkpoint snapshot being serialized and flushed to its sink.
     CheckpointFlush = 6,
@@ -152,7 +152,7 @@ pub struct SpanEvent {
     /// Duration in nanoseconds (0 for instants).
     pub dur_ns: u64,
     /// Kind-specific payload (bytes packed, word-pairs, slab index,
-    /// `(chunk << 1) | stolen`, …).
+    /// chunk index, …).
     pub arg: u64,
 }
 

@@ -13,7 +13,7 @@ use ld_trace::recorder::{SpanEvent, SpanKind, TraceSnapshot};
 use ld_trace::MetricsReport;
 
 /// A deterministic two-worker timeline: worker 0 packs inside a chunk,
-/// worker 1 runs a stolen chunk and emits a slab marker.
+/// worker 1 runs chunk 1 and emits a slab marker.
 fn two_worker_snapshot() -> TraceSnapshot {
     TraceSnapshot {
         events: vec![
@@ -22,7 +22,7 @@ fn two_worker_snapshot() -> TraceSnapshot {
                 worker: 0,
                 start_ns: 1_000,
                 dur_ns: 9_000,
-                arg: 0, // chunk 0, not stolen
+                arg: 0, // chunk 0
             },
             SpanEvent {
                 kind: SpanKind::PackA,
@@ -36,7 +36,7 @@ fn two_worker_snapshot() -> TraceSnapshot {
                 worker: 1,
                 start_ns: 10_000,
                 dur_ns: 5_000,
-                arg: 3, // chunk 1, stolen
+                arg: 1, // chunk 1
             },
             SpanEvent {
                 kind: SpanKind::SlabEmit,
@@ -61,7 +61,7 @@ fn chrome_trace_json_matches_golden() {
         "  {\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"worker-1\"}},\n",
         "  {\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"chunk\",\"ts\":1.000,\"dur\":9.000,\"args\":{\"arg\":0}},\n",
         "  {\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"pack_a\",\"ts\":2.000,\"dur\":3.000,\"args\":{\"arg\":512}},\n",
-        "  {\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"chunk\",\"ts\":10.000,\"dur\":5.000,\"args\":{\"arg\":3}},\n",
+        "  {\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"chunk\",\"ts\":10.000,\"dur\":5.000,\"args\":{\"arg\":1}},\n",
         "  {\"ph\":\"i\",\"pid\":1,\"tid\":1,\"name\":\"slab_emit\",\"ts\":11.500,\"s\":\"t\",\"args\":{\"arg\":7}}\n",
         "],\"displayTimeUnit\":\"ms\",\"metadata\":{\"trace_events_dropped\":0,\"capacity_per_worker\":16,\"workers\":2}}\n",
     );
@@ -70,7 +70,7 @@ fn chrome_trace_json_matches_golden() {
 
 /// Keys the `timeline` property of `metrics.schema.json` marks required, kept in one place so the test pins the report and the schema
 /// against each other.
-const TIMELINE_KEYS: [&str; 12] = [
+const TIMELINE_KEYS: [&str; 11] = [
     "workers",
     "events",
     "dropped",
@@ -82,7 +82,6 @@ const TIMELINE_KEYS: [&str; 12] = [
     "share_sum",
     "per_worker",
     "layers",
-    "steal_latency",
 ];
 
 #[test]

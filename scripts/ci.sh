@@ -12,8 +12,8 @@
 #                         in every member's lib carries a SAFETY argument
 #   4. release build, workspace tests, the release-arithmetic legs, the
 #                         one-formatter, per-window, ext-kernel, safe-fill,
-#                         wire, hand-off, one-timer and engine-surface
-#                         guards
+#                         wire, hand-off, one-timer, engine-surface and
+#                         one-schedule guards
 #   5. schemas          — each published artifact (the `--profile=json`
 #                         run report with its timeline, CPU profile, shard
 #                         manifest, tile manifest, request log, both
@@ -180,6 +180,19 @@ SURFACE=$(for f in crates/*/src/*.rs crates/*/src/*/*.rs; do shipped "$f"; done 
 if [ -n "$SURFACE" ]; then
     echo "engine-surface guard FAIL: a deleted LdEngine verb or TileVisit is back:" >&2
     printf '%s\n' "$SURFACE" >&2
+    exit 1
+fi
+
+# One slab per claim on one loop body: no knob groups slabs into claims,
+# and nothing measures a claim against a static split the scheduler does
+# not have.
+echo "==> one schedule in crates/*/src"
+SCHEDULE=$(find crates/*/src -name '*.rs' | sort | while read -r f; do shipped "$f"; done \
+    | grep -E 'chunk_slabs|chunk-slabs|chunk_slab_count|scheduler_grain|is_steal|StealCount|steal_count|StealLatency|steal_latency' \
+    || true)
+if [ -n "$SCHEDULE" ]; then
+    echo "one-schedule guard FAIL: a scheduler-chunk knob or steal accounting is back:" >&2
+    printf '%s\n' "$SCHEDULE" >&2
     exit 1
 fi
 

@@ -8,7 +8,7 @@ schema needs: type (incl. union types), required, properties,
 additionalProperties (boolean false), items, enum, minimum, and local
 ``$ref`` into ``#/definitions/...``.
 
-Beyond the structural schema, the run report (schema 3, a document with
+Beyond the structural schema, the run report (schema 4, a document with
 ``counters``) is held to invariants the schema cannot express:
 
 * ``cancel_polls == slabs_emitted``: the slab driver polls the
