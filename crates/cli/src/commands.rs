@@ -58,20 +58,22 @@ COMMANDS:
               the same kernel: a cached CPU profile sets both, so on
               separate machines pin them with --slab-rows and --kernel,
               or set LD_NO_CPU_PROFILE=1)
-              [--store DIR] (read the genotype matrix out-of-core from a
-              chunked tile store written by 'import' instead of -i; the
-              matrix is streamed panel-by-panel with a prefetch thread,
-              so it never has to fit in memory. -o, --checkpoint/--resume,
-              --shard and --memory-budget-mb work the same and the
-              output bytes are identical)
+              [--store DIR] (read the genotype matrix from a chunked
+              tile store written by 'import' instead of -i; without
+              --memory-budget-mb the matrix is streamed panel-by-panel
+              with a prefetch thread, so it never has to fit in memory.
+              -o, --checkpoint/--resume, --shard and --memory-budget-mb
+              work the same and the output bytes are identical)
               [--memory-budget-mb N] (cap working memory, for -i and
               --store alike: the slab height shrinks to fit and results
               stay bit-identical; a budget too small for even one slab
-              row is a resource error, exit 4)
+              row is a resource error, exit 4. A --store whose whole
+              packed matrix fits the budget is read once, each chunk
+              verified once, and computed in memory on every thread)
   import      chunk a genotype matrix into an out-of-core tile store
               -i in.{ms,txt,vcf} --store DIR [--chunk-snps N]
               (fixed-size CRC-checked chunks + a fingerprinted manifest;
-              'r2 --store DIR' streams it, any damage is a typed error
+              'r2 --store DIR' reads it, any damage is a typed error
               naming the chunk)
   merge       stitch shard outputs into one pair table
               gemm-ld merge shard1.bin shard2.bin ... -o pairs.tsv
@@ -552,7 +554,8 @@ pub fn simulate(args: &Args) -> CmdResult {
 
 /// `gemm-ld r2` — all-pairs LD from `-i FILE` (the matrix is loaded
 /// whole) or `--store DIR` (a chunked tile store written by `import`,
-/// streamed panel-by-panel so the input never has to fit in memory).
+/// streamed panel-by-panel so the input never has to fit in memory, or
+/// read once when `--memory-budget-mb` holds all of it).
 ///
 /// The two inputs become one [`Source`] and share everything after it:
 /// identical statistics and identical output bytes, the same `--shard`,
@@ -591,7 +594,7 @@ pub fn r2(args: &Args) -> CmdResult {
             store = ld_io::tilestore::DirTileStore::open(dir)?;
             let meta = ld_core::TileSource::meta(&store);
             eprintln!(
-                "streaming {} SNPs x {} samples from {dir} ({} chunks of {} SNPs)",
+                "reading {} SNPs x {} samples from {dir} ({} chunks of {} SNPs)",
                 meta.n_snps,
                 meta.n_samples,
                 meta.n_chunks(),
@@ -688,8 +691,8 @@ pub fn r2(args: &Args) -> CmdResult {
             w.write_all(R2_TABLE_HEADER.as_bytes())?;
             // Each slab is formatted by the worker that computed it, as it
             // finishes; only the write is serialised, in row order
-            // (`in_row_order` holds the blocks that are early; a store
-            // source delivers in row order, so it never holds more than
+            // (`in_row_order` holds the blocks that are early; a streamed
+            // store delivers in row order, so it never holds more than
             // the block just formatted). Written blocks go back to the
             // workers, so a run touches a few blocks' worth of pages, not
             // every block's.

@@ -189,7 +189,22 @@ fn supervisor_retries_a_sigkilled_shard_to_an_identical_panel() {
 
 #[test]
 fn damaged_chunk_exits_3_naming_the_chunk() {
-    let dir = Scratch::new("proc_chunk");
+    damaged_chunk_run("proc_chunk", "");
+}
+
+/// The resident arm (a budget that holds the whole store) reads every
+/// chunk once, up front: the damaged chunk is the same typed exit, with
+/// the same last line, before any table exists.
+#[test]
+fn damaged_chunk_exits_3_naming_the_chunk_when_resident() {
+    damaged_chunk_run("proc_chunk_resident", "--memory-budget-mb 64");
+}
+
+/// `r2 --store {store} --threads 2 {flags} -o …` over a store whose chunk
+/// 2 has one flipped byte: exit 3, the CRC line naming chunk and file as
+/// the last line on stderr, and no partial table.
+fn damaged_chunk_run(tag: &str, flags: &str) {
+    let dir = Scratch::new(tag);
     let (input, store, out) = (dir.path("d.ms"), dir.path("store"), dir.path("bad.tsv"));
     simulate(&input, 100, 120, 11);
     run_ok(&format!(
@@ -205,7 +220,7 @@ fn damaged_chunk_exits_3_naming_the_chunk() {
     let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
     let computed = json::crc32(body);
 
-    let done = run(&format!("r2 --store {store} --threads 2 -o {out}"));
+    let done = run(&format!("r2 --store {store} --threads 2 {flags} -o {out}"));
     assert_eq!(done.code, Some(3), "{}", done.stderr);
     assert_eq!(
         done.last_line(),
@@ -215,6 +230,40 @@ fn damaged_chunk_exits_3_naming_the_chunk() {
         )
     );
     assert!(!exists(&out), "a partial table");
+}
+
+/// A budget that holds the whole store reads each chunk exactly once, as
+/// the run report's counters show: `chunks_read` is the store's chunk
+/// count and `store_bytes_read` the bytes of its chunk files. The table is
+/// the unbudgeted (streamed) run's, byte for byte.
+#[test]
+fn resident_store_run_reads_each_chunk_once() {
+    let dir = Scratch::new("proc_resident");
+    let (input, store) = (dir.path("d.ms"), dir.path("store"));
+    let (report, resident, streamed) = (dir.path("p.json"), dir.path("r.tsv"), dir.path("s.tsv"));
+    simulate(&input, 300, 200, 5);
+    run_ok(&format!(
+        "import -i {input} --store {store} --chunk-snps 24"
+    ));
+    run_ok(&format!(
+        "r2 --store {store} --threads 2 --memory-budget-mb 64 --profile=json \
+         --profile-out {report} -o {resident}"
+    ));
+    let rep = parse_json(&report);
+    let n_chunks = 200u64.div_ceil(24);
+    assert_eq!(
+        field(&rep, &["counters", "chunks_read"]).as_u64(),
+        Some(n_chunks)
+    );
+    let files: u64 = (0..n_chunks)
+        .map(|c| read(format!("{store}/chunk_{c:06}.bin")).len() as u64)
+        .sum();
+    assert_eq!(
+        field(&rep, &["counters", "store_bytes_read"]).as_u64(),
+        Some(files)
+    );
+    run_ok(&format!("r2 --store {store} --threads 2 -o {streamed}"));
+    assert_eq!(read(&resident), read(&streamed));
 }
 
 /// The stdout listing — streamed by `r2`, read off a finished matrix by

@@ -68,7 +68,7 @@ use crate::control::RunControl;
 use crate::error::{fault, try_zeroed_vec, LdError};
 use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice};
 use crate::shard::SlabRange;
-use crate::source::Source;
+use crate::source::{read_resident, Price, Source};
 use crate::stats::{LdStats, NanPolicy, Statistic};
 use ld_kernels::micro::Kernel;
 use ld_kernels::{BlockSizes, KernelKind};
@@ -107,6 +107,10 @@ pub(crate) struct Config {
     /// Row-slab height: bounds each worker's scratch, and the
     /// scheduler's grain — one claim is one slab.
     pub slab: usize,
+    /// The run's budget model at the configured height, and a store's
+    /// arm ([`crate::source::store_price`] decides): a resident store is
+    /// read once into one panel and computed as the memory source.
+    pub price: Price,
 }
 
 /// Where finished statistics go.
@@ -505,19 +509,37 @@ pub(crate) fn run(
         }
         Sink::Rows(visit) => Dest::Rows(visit),
     };
+    // The resident arm: a store that fits its budget is read once, here,
+    // and computed as the memory source it then is (the header and replay
+    // above kept the manifest's identity). With no slab pending, or a token
+    // tripped before the last chunk, no slab will be computed: the store
+    // stays the source and nothing more is read. `data` is what slabs are
+    // computed from; `src` keeps pricing the run.
+    let resident;
+    let data = match src {
+        Source::Store(s) if cfg.price.resident && ledger.done_in(&grid) < grid.hi - grid.lo => {
+            let stop = || {
+                poll_deadline(deadline, token);
+                token.is_some_and(CancelToken::is_cancelled)
+            };
+            resident = read_resident(*s, &stop)?;
+            resident.as_ref().map_or(*src, Source::from)
+        }
+        _ => *src,
+    };
     // Table construction is part of producing the statistic layer: a
     // transform span, so the profile's layer sum covers the setup.
     let span = Span::begin(SpanKind::Transform);
-    let tables = RwLock::new(src.tables(stat, cfg.policy)?);
+    let tables = RwLock::new(data.tables(stat, cfg.policy)?);
     span.end(n as u64);
     // Bounded per-worker scratch: u32 counts for the widest block the
     // source emits, plus (row sink) a `slab × strip` f64 strip — the
     // widest slab (the first) spans all n columns, or `slab + band` of
     // them.
-    let workers = src.schedule(cfg).max(1);
+    let workers = data.schedule(cfg).max(1);
     let packed_sink = matches!(dest, Dest::Packed { .. });
     let strip = strip_width(n, slab, ctl.band);
-    let counts_len = src.counts_len(planes * slab, planes * strip);
+    let counts_len = data.counts_len(planes * slab, planes * strip);
     let values_len = if packed_sink { 0 } else { slab * strip };
     let span = Span::begin(SpanKind::Alloc);
     // One buffer pair per worker, allocated fallibly *here*, on the calling
@@ -538,10 +560,11 @@ pub(crate) fn run(
     }
     let pool = Mutex::new(pool);
     span.end((workers * (counts_len * 4 + values_len * 8)) as u64);
-    // Modeled transient footprint of this run — the source's own budget
-    // model at the slab height in use — recorded as a high-water gauge so
-    // profiles can confirm the memory claim without an allocator hook.
-    let (fixed, per_row) = src.footprint(cfg.threads, packed_sink, strip, planes)?;
+    // Modeled transient footprint of this run — its planned price (the
+    // source's model, for its arm) at the slab height in use — recorded as
+    // a high-water gauge so profiles can confirm the memory claim without
+    // an allocator hook.
+    let Price { fixed, per_row, .. } = cfg.price;
     ld_trace::record_peak(Counter::AllocPeakBytes, (fixed + per_row * slab) as u64);
     // First failure of a source read or checkpoint write: later slabs are
     // skipped (no point computing unpersistable work) and the error is
@@ -562,7 +585,7 @@ pub(crate) fn run(
         // the source's request in panel columns: plane rows [k·r0, k·r1)
         // against plane columns [k·r0, k·cols_end)
         let (rows, cols_end) = (planes * r0..planes * rows.end, planes * cols_end);
-        src.slab_blocks(rows, cols_end, cfg, counts, &tables, &mut |tr, blk| {
+        data.slab_blocks(rows, cols_end, cfg, counts, &tables, &mut |tr, blk| {
             let span = Span::begin(SpanKind::Transform);
             for r in 0..h {
                 let i = r0 + r;
@@ -681,6 +704,11 @@ mod tests {
             threads,
             policy: NanPolicy::Zero,
             slab,
+            price: Price {
+                fixed: 0,
+                per_row: 0,
+                resident: false,
+            },
         }
     }
 

@@ -9,7 +9,7 @@ use crate::error::{checked_add, checked_mul, try_zeroed_vec, LdError, MemoryBudg
 use crate::fused::{RowSlabVisit, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
 use crate::shard::{plan_shards, SlabRange};
-use crate::source::{store_footprint, Source};
+use crate::source::{resident_blocks, rows_within, store_price, Price, Source};
 use crate::stats::{ld_pair_from_counts, LdPair, LdStats, NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{BitMatrix, BitMatrixView};
@@ -44,7 +44,11 @@ use ld_trace::recorder::{Span, SpanKind};
 /// ([`RunControl::with_band`]); when the genotype matrix itself is
 /// too large, run the same entry points from a tile store
 /// ([`Source::Store`]), whose working set is one slab panel plus two
-/// chunks whatever the thread count.
+/// chunks whatever the thread count. A store whose whole packed panel
+/// fits the configured [`MemoryBudget`] is instead read once and run as a
+/// memory source (see [`crate::source`]) — it then delivers slabs in
+/// unspecified order, as memory does; with no budget a store always
+/// streams.
 #[derive(Clone, Debug)]
 pub struct LdEngine {
     pub(crate) kind: KernelKind,
@@ -108,7 +112,8 @@ impl LdEngine {
     /// by the run's source ([`LdEngine::slab_for`]). Every entry point
     /// shrinks the slab height to fit the cap before failing with
     /// [`LdError::BudgetExceeded`]; results are bit-exact regardless of
-    /// slab height.
+    /// slab height. The budget also picks a store's arm: one that holds
+    /// the whole packed panel is read once (see [`crate::source`]).
     pub fn memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.budget = budget;
         self
@@ -187,24 +192,43 @@ impl LdEngine {
         Ok(c)
     }
 
-    /// The one budget shrink: the slab height for an `n`-SNP run whose
-    /// source models its footprint as `fixed + per_row × slab` bytes
-    /// ([`Source::footprint`]) — the configured height, shrunk to
+    /// The configured slab height, at most the `n` sites of a run.
+    fn want(&self, n: usize) -> usize {
+        self.slab.min(n.max(1))
+    }
+
+    /// The one pricing call: the run's [`Price`] ([`Source::price`]) at
+    /// the configured slab height for an `n`-site run — and, for a store,
+    /// the arm that price picked. Every planner and every run asks here,
+    /// so the grid that shards and checkpoints are cut on is the grid the
+    /// run uses.
+    fn price(
+        &self,
+        src: &Source<'_>,
+        n: usize,
+        packed: bool,
+        strip: usize,
+        k: usize,
+    ) -> Result<Price, LdError> {
+        let limit = self.budget.limit();
+        src.price(self.threads, packed, strip, k, limit, self.want(n))
+    }
+
+    /// The one budget shrink: the slab height for an `n`-site run priced
+    /// at `price` — the configured height, shrunk to
     /// `⌊(budget − fixed) / per_row⌋`, and [`LdError::BudgetExceeded`] only
     /// when even one row over-runs.
-    fn fit_slab(&self, n: usize, (fixed, per_row): (usize, usize)) -> Result<usize, LdError> {
-        let want = self.slab.min(n.max(1));
+    fn fit_slab(&self, n: usize, price: Price) -> Result<usize, LdError> {
         let Some(limit) = self.budget.limit() else {
-            return Ok(want);
+            return Ok(self.want(n));
         };
-        let required = checked_add(fixed, per_row, "minimum footprint")?;
-        if required > limit {
-            return Err(LdError::BudgetExceeded {
-                required,
+        match rows_within(limit, (price.fixed, price.per_row), self.want(n)) {
+            0 => Err(LdError::BudgetExceeded {
+                required: checked_add(price.fixed, price.per_row, "minimum footprint")?,
                 budget: limit,
-            });
+            }),
+            rows => Ok(rows),
         }
-        Ok(want.min(((limit - fixed) / per_row.max(1)).max(1)))
     }
 
     /// Validation and budgeting shared by every slab-driver entry point;
@@ -224,7 +248,7 @@ impl LdEngine {
         let strip = strip_width(n, self.slab, band);
         // overflow before emptiness: a size that cannot be represented is
         // reported even when the sample set is also degenerate
-        let model = src.footprint(self.threads, packed, strip, stat.planes())?;
+        let price = self.price(src, n, packed, strip, stat.planes())?;
         if n == 0 {
             return Ok(None);
         }
@@ -232,8 +256,8 @@ impl LdEngine {
         if src.n_samples() == 0 && matches!(stat, Statistic::Ld(_)) {
             return Err(LdError::EmptyInput);
         }
-        let slab = self.fit_slab(n, model)?;
-        if slab < self.slab.min(n) {
+        let slab = self.fit_slab(n, price)?;
+        if slab < self.want(n) {
             // Budget forced the slab below the configured height — a
             // deterministic event worth counting, once per run (the
             // planners `slab_for` and `shard_plan_from` do not count):
@@ -241,12 +265,17 @@ impl LdEngine {
             // regression here means the budget/shape mix drifted.
             ld_trace::add(ld_trace::Counter::BudgetShrinks, 1);
         }
+        let blocks = match src {
+            Source::Store(s) if price.resident => resident_blocks(self.blocks, s.meta()),
+            _ => self.blocks,
+        };
         Ok(Some(Config {
             kind: self.kind,
-            blocks: self.blocks,
+            blocks,
             threads: self.threads,
             policy: self.policy,
             slab,
+            price,
         }))
     }
 
@@ -350,27 +379,36 @@ impl LdEngine {
     /// The slab height a run over `src` will actually use after memory
     /// budgeting, for the packed (`true`) or row (`false`) sink — the slab
     /// grid every shard plan, shard range and checkpoint resume of that
-    /// run is built on. The budget model is the source's own, so a
-    /// binding budget may give the two sources different grids for the
-    /// same data (with no budget they share one grid, and their
-    /// checkpoints interoperate). Shard processes must run with identical
-    /// engine configuration so this value agrees across them; the
-    /// checkpoint header records it, and the merge rejects inputs whose
-    /// grids disagree.
+    /// run is built on. The budget model is the source's own (for a
+    /// store, the model of the arm the budget picks), so a binding budget
+    /// may give the two sources different grids for the same data (with
+    /// no budget they share one grid, and their checkpoints
+    /// interoperate). Shard processes must run with identical engine
+    /// configuration so this value agrees across them; the checkpoint
+    /// header records it, and the merge rejects inputs whose grids
+    /// disagree.
     pub fn slab_for(&self, src: &Source<'_>, packed: bool) -> Result<usize, LdError> {
         let n = src.n_snps();
-        self.fit_slab(n, src.footprint(self.threads, packed, n, 1)?)
+        self.fit_slab(n, self.price(src, n, packed, n, 1)?)
     }
 
-    /// [`LdEngine::slab_for`] a store from its manifest alone. Kept for
-    /// `benchmark/`; see ROADMAP 8a.
+    /// [`LdEngine::slab_for`] a store from its manifest alone (the same
+    /// pricing, arm included). Kept for `benchmark/`; see ROADMAP 8a.
     pub fn outofcore_slab_for(
         &self,
         meta: &TileStoreMeta,
         with_packed_output: bool,
     ) -> Result<usize, LdError> {
-        let model = store_footprint(meta, with_packed_output, meta.n_snps)?;
-        self.fit_slab(meta.n_snps, model)
+        let (n, limit) = (meta.n_snps, self.budget.limit());
+        let price = store_price(
+            meta,
+            self.threads,
+            with_packed_output,
+            n,
+            limit,
+            self.want(n),
+        )?;
+        self.fit_slab(n, price)
     }
 
     /// A work-balanced contiguous shard plan over the slab grid a packed
@@ -482,9 +520,12 @@ impl LdEngine {
     /// * Slab order and peak memory are the source's: a memory source
     ///   delivers slabs in **unspecified order** under threading from
     ///   `O(threads × slab × strip)` scratch — 12 bytes per value: u32
-    ///   counts plus f64 values; a store source delivers them **in
+    ///   counts plus f64 values; a streamed store delivers them **in
     ///   ascending row order** from `O(slab × (panel_row + strip))` plus
-    ///   chunk buffers — independent of holding the full genotype matrix.
+    ///   chunk buffers — independent of holding the full genotype matrix;
+    ///   a store the budget holds whole is resident and delivers them in
+    ///   unspecified order, as memory does. A visitor that needs order
+    ///   uses [`crate::in_row_order`] whatever the source.
     /// * A column band `w` ([`RunControl::with_band`]) makes each row hold
     ///   only columns `i ..= i + w` and `strip = min(n, slab + w)` instead
     ///   of `n`: time, scratch and (store source) bytes read are

@@ -184,10 +184,13 @@ impl From<WorkerPanic> for LdError {
 /// packed output (`8·n(n+1)/2` bytes, matrix form only) plus the transform
 /// tables (≤ `20·n` bytes), and a per-slab-row cost `R = threads × n × e`
 /// bytes where `e` is 4 (u32 counts scratch) for the packed sink and 12
-/// (u32 + f64) for the row visitor; a tile store adds four
+/// (u32 + f64) for the row visitor; a streamed tile store adds four
 /// chunk buffers to `F` and charges `R` = one panel row + one row of the
 /// `slab × chunk` counts block (+ `8n` for visitors), independent of the
-/// thread count. Given a budget `B`, the engine shrinks the slab height to
+/// thread count. A store whose resident price — the in-memory model plus
+/// the packed panel, one chunk load and each worker's pack blocks — fits
+/// the budget at a slab at least as tall as streaming's is read once and
+/// run in memory. Given a budget `B`, the engine shrinks the slab height to
 /// `min(configured, ⌊(B − F) / R⌋)` and fails with
 /// [`LdError::BudgetExceeded`] only when even one row does not fit.
 /// Results are bit-exact regardless of the slab height chosen.

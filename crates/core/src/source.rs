@@ -8,16 +8,17 @@
 //! and out-of-core are one algorithm). A [`Source`] answers exactly the
 //! questions the driver cannot answer itself:
 //!
-//! | property              | [`Source::Memory`]                    | [`Source::Store`]                          |
-//! |-----------------------|---------------------------------------|--------------------------------------------|
-//! | dimensions, identity  | the view; fingerprint = one hash pass | the manifest (no chunk is read)            |
-//! | parallel axis         | `threads` workers claim slabs         | one slab at a time, `threads` inside GEMM  |
-//! | slab order at a sink  | unspecified under threading           | ascending rows                             |
-//! | column blocks ≥ `r0`  | one block `[r0, n)` via SYRK          | one block per store chunk, prefetched      |
-//! | column band `w`       | SYRK on the sub-view `[0, r1 + w)`    | stream stops at the chunk holding `r1+w−1` |
-//! | transform tables      | built up front (one popcount sweep)   | filled as chunks first stream past         |
-//! | budget model          | scratch scales with `threads × k² × strip` | panel row + chunk buffers, thread-free |
-//! | statistic             | any [`crate::Statistic`]: a site's `k` planes are `k` adjacent columns | [`crate::LdStats`] only (`k = 1`: a store is an LD panel) |
+//! | property              | [`Source::Memory`]                    | [`Source::Store`], streamed                | [`Source::Store`], resident              |
+//! |-----------------------|---------------------------------------|--------------------------------------------|------------------------------------------|
+//! | dimensions, identity  | the view; fingerprint = one hash pass | the manifest (no chunk is read)            | the manifest (no chunk is read)          |
+//! | parallel axis         | `threads` workers claim slabs         | one slab at a time, `threads` inside GEMM  | `threads` workers claim slabs            |
+//! | slab order at a sink  | unspecified under threading           | ascending rows                             | unspecified under threading              |
+//! | reads                 | none                                  | per slab: its panel chunks + its column stream | each chunk once, before the first slab |
+//! | column blocks ≥ `r0`  | one block `[r0, n)` via SYRK          | one block per store chunk, prefetched      | as memory, B̃ ≤ 256 KiB per worker        |
+//! | column band `w`       | SYRK on the sub-view `[0, r1 + w)`    | stream stops at the chunk holding `r1+w−1` | as memory                                |
+//! | transform tables      | built up front (one popcount sweep)   | filled as chunks first stream past         | as memory                                |
+//! | budget model          | scratch scales with `threads × k² × strip` | panel row + chunk buffers, thread-free | memory's + the panel, one chunk load, pack blocks |
+//! | statistic             | any [`crate::Statistic`]: a site's `k` planes are `k` adjacent columns | [`crate::LdStats`] only (`k = 1`: a store is an LD panel) | as streamed |
 //!
 //! (`strip` is `n`, or `min(n, slab + w)` under a band, in sites.) A source
 //! knows nothing of planes: the driver asks it for plane rows
@@ -25,6 +26,12 @@
 //! call at every `k`. Everything else — slab grid, shard window, band
 //! clipping, polling, resume, the checkpoint ledger, the transform itself —
 //! is the driver's.
+//!
+//! A store run is resident when it has a budget and [`store_price`] finds
+//! the whole panel fits it at a slab at least as tall as streaming would
+//! get; the driver then reads the panel once ([`read_resident`]) and runs
+//! it as the memory source. With no budget a store streams: "unlimited" is
+//! no promise that the panel fits in RAM.
 
 use crate::checkpoint::matrix_fingerprint;
 use crate::driver::Config;
@@ -33,7 +40,7 @@ use crate::fused::Transform;
 use crate::stats::{NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{AlignedWords, BitMatrix, BitMatrixView};
-use ld_kernels::{gemm_counts_mt, syrk_slab_counts};
+use ld_kernels::{gemm_counts_mt, syrk_slab_counts, BlockSizes};
 use ld_trace::recorder::{Span, SpanKind};
 use ld_trace::Counter;
 use std::ops::Range;
@@ -47,7 +54,8 @@ pub enum Source<'a> {
     Memory(BitMatrixView<'a>),
     /// Held in a chunked tile store (a directory of CRC-checked chunks,
     /// or [`crate::MemoryTileStore`]) and streamed panel-by-panel, so it
-    /// never has to fit in memory.
+    /// never has to fit in memory — or, when the run's budget holds the
+    /// whole panel, read once and run as [`Source::Memory`].
     Store(&'a dyn TileSource),
 }
 
@@ -127,7 +135,7 @@ fn memory_footprint(
 /// one f64 output row of width `strip` for the row sink). **Not** scaled by
 /// the thread count: the streamed GEMM threads internally over one
 /// shared counts block — extra threads add no buffers.
-pub(crate) fn store_footprint(
+fn store_footprint(
     meta: &TileStoreMeta,
     packed: bool,
     strip: usize,
@@ -151,6 +159,101 @@ pub(crate) fn store_footprint(
         per_row = checked_add(per_row, checked_mul(strip.max(1), 8, what)?, what)?;
     }
     Ok((fixed, per_row))
+}
+
+/// Bytes of one worker's packed B̃ block on the resident arm: a per-core
+/// L2, not the shared L3 the default `nc` targets — every worker packs its
+/// own, and a larger block also leaves more freed memory behind in each
+/// worker's allocator arena.
+const RESIDENT_B_BLOCK_BYTES: usize = 256 * 1024;
+
+/// The resident arm's blocking: the configured sizes with `nc` cut to
+/// [`RESIDENT_B_BLOCK_BYTES`] of B̃ (a multiple of 16 columns, so of every
+/// kernel's `NR`; at least 16). Values never depend on blocking.
+pub(crate) fn resident_blocks(blocks: BlockSizes, meta: &TileStoreMeta) -> BlockSizes {
+    let kc = blocks.kc.clamp(1, meta.words_per_snp.max(1));
+    let nc = (RESIDENT_B_BLOCK_BYTES / (8 * kc) / 16 * 16).max(16);
+    blocks.with_nc(blocks.nc.min(nc))
+}
+
+/// The resident budget model `(fixed, per_slab_row)` in bytes: the
+/// in-memory model over the store's sites, plus the packed panel, plus
+/// what one chunk load holds while it is decoded into the panel (its
+/// encoded bytes), plus each worker's kernel pack blocks — B̃ as
+/// [`resident_blocks`] cuts it, Ã at most a panel row per slab row and
+/// 16 rows of register-tile rounding.
+fn resident_footprint(
+    meta: &TileStoreMeta,
+    threads: usize,
+    packed: bool,
+    strip: usize,
+) -> Result<(usize, usize), LdError> {
+    let (fixed, per_row) = memory_footprint(meta.n_snps, threads, packed, strip, 1)?;
+    let what = "resident panel bytes";
+    let snp_bytes = checked_mul(meta.words_per_snp, 8, what)?;
+    let panel = checked_mul(meta.n_snps, snp_bytes, what)?;
+    let pack_b = RESIDENT_B_BLOCK_BYTES.max(checked_mul(16, snp_bytes, what)?);
+    let pack = checked_add(pack_b, checked_mul(16, snp_bytes, what)?, what)?;
+    let fixed = checked_add(checked_add(fixed, panel, what)?, meta.chunk_bytes(0), what)?;
+    let fixed = checked_add(fixed, checked_mul(threads.max(1), pack, what)?, what)?;
+    let pack_a = checked_mul(threads.max(1), snp_bytes, what)?;
+    Ok((fixed, checked_add(per_row, pack_a, what)?))
+}
+
+/// Slab rows, at most `want`, that a `(fixed, per_row)` model fits under
+/// `limit` bytes; 0 when not even one row does.
+pub(crate) fn rows_within(limit: usize, (fixed, per_row): (usize, usize), want: usize) -> usize {
+    match limit.checked_sub(fixed) {
+        Some(room) if room >= per_row => want.min(room / per_row.max(1)).max(1),
+        _ => 0,
+    }
+}
+
+/// One run's budget model and, for a store, its arm.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Price {
+    /// Slab-independent bytes.
+    pub fixed: usize,
+    /// Bytes per slab row.
+    pub per_row: usize,
+    /// A store run that reads its panel once and computes it as the
+    /// memory source.
+    pub resident: bool,
+}
+
+/// The one arm decision for a store run of slab height `want` under
+/// `limit` bytes (`None`: no budget). The streamed arm is priced by
+/// [`store_footprint`], the resident arm by [`resident_footprint`]; the
+/// run is resident when it has a budget and the resident price fits a
+/// slab at least as tall as the streamed one (and at least one row) —
+/// residency never costs slab height. An unrepresentable resident price
+/// fits no budget.
+pub(crate) fn store_price(
+    meta: &TileStoreMeta,
+    threads: usize,
+    packed: bool,
+    strip: usize,
+    limit: Option<usize>,
+    want: usize,
+) -> Result<Price, LdError> {
+    let (fixed, per_row) = store_footprint(meta, packed, strip)?;
+    let streamed = Price {
+        fixed,
+        per_row,
+        resident: false,
+    };
+    let Some(limit) = limit else {
+        return Ok(streamed);
+    };
+    let floor = rows_within(limit, (fixed, per_row), want).max(1);
+    Ok(match resident_footprint(meta, threads, packed, strip) {
+        Ok(model) if rows_within(limit, model, want) >= floor => Price {
+            fixed: model.0,
+            per_row: model.1,
+            resident: true,
+        },
+        _ => streamed,
+    })
 }
 
 impl Source<'_> {
@@ -181,21 +284,32 @@ impl Source<'_> {
         }
     }
 
-    /// This source's budget model `(fixed, per_slab_row)` for the packed
-    /// (`true`) or row (`false`) sink — what one slab row costs is the
-    /// source's to say, because it owns the buffers. `strip` is the widest
-    /// slab's site count ([`crate::driver::strip_width`]); a site is `k`
-    /// panel columns (only an LD panel, `k = 1`, lives in a store).
-    pub(crate) fn footprint(
+    /// The run's [`Price`] — what one slab row costs is the source's to
+    /// say, because it owns the buffers — for the packed (`true`) or row
+    /// (`false`) sink at slab height `want` under `limit` bytes (`None`: no
+    /// budget). `strip` is the widest slab's site count
+    /// ([`crate::driver::strip_width`]); a site is `k` panel columns (only
+    /// an LD panel, `k = 1`, lives in a store, whose arm [`store_price`]
+    /// picks).
+    pub(crate) fn price(
         &self,
         threads: usize,
         packed: bool,
         strip: usize,
         k: usize,
-    ) -> Result<(usize, usize), LdError> {
+        limit: Option<usize>,
+        want: usize,
+    ) -> Result<Price, LdError> {
         match self {
-            Self::Memory(v) => memory_footprint(v.n_snps() / k, threads, packed, strip, k),
-            Self::Store(s) => store_footprint(s.meta(), packed, strip),
+            Self::Memory(v) => {
+                let (fixed, per_row) = memory_footprint(v.n_snps() / k, threads, packed, strip, k)?;
+                Ok(Price {
+                    fixed,
+                    per_row,
+                    resident: false,
+                })
+            }
+            Self::Store(s) => store_price(s.meta(), threads, packed, strip, limit, want),
         }
     }
 
@@ -270,6 +384,37 @@ impl Source<'_> {
     }
 }
 
+/// Counts one verified read of chunk `index`.
+fn count_read(meta: &TileStoreMeta, index: usize) {
+    ld_trace::add(Counter::ChunksRead, 1);
+    ld_trace::add(Counter::StoreBytesRead, meta.chunk_bytes(index) as u64);
+}
+
+/// The resident arm's data mover: reads every chunk of `src` exactly
+/// once, in index order on the calling thread — each verified by
+/// [`TileSource::read_chunk_into`] straight into its span of one packed
+/// panel, and counted like a streamed read. `stop` is polled before each read; `None` means it
+/// returned `true` (the caller computes nothing from a partial panel).
+pub(crate) fn read_resident(
+    src: &dyn TileSource,
+    stop: &dyn Fn() -> bool,
+) -> Result<Option<BitMatrix>, LdError> {
+    let meta = src.meta();
+    let wps = meta.words_per_snp;
+    let mut panel = AlignedWords::zeroed(meta.n_snps * wps);
+    for c in 0..meta.n_chunks() {
+        if stop() {
+            return Ok(None);
+        }
+        let (s, e) = meta.chunk_span(c);
+        src.read_chunk_into(c, &mut panel[s * wps..e * wps])?;
+        count_read(meta, c);
+    }
+    let panel = BitMatrix::from_words(meta.n_samples, meta.n_snps, panel)
+        .map_err(|e| store_err(format!("resident panel: damaged packed words: {e}")))?;
+    Ok(Some(panel))
+}
+
 /// Counts the verified read of chunk `index` and, on first sight, folds
 /// its per-SNP allele counts into the transform tables.
 fn ingest_chunk(
@@ -278,8 +423,7 @@ fn ingest_chunk(
     index: usize,
     words: &[u64],
 ) -> Result<(), LdError> {
-    ld_trace::add(Counter::ChunksRead, 1);
-    ld_trace::add(Counter::StoreBytesRead, meta.chunk_bytes(index) as u64);
+    count_read(meta, index);
     if read(tables).seen[index] {
         return Ok(());
     }

@@ -152,6 +152,23 @@ pub trait TileSource: Sync {
     /// Reads, verifies and decodes chunk `index`, returning its packed
     /// words (`chunk_len(index) × words_per_snp` u64s).
     fn read_chunk(&self, index: usize) -> Result<AlignedWords, LdError>;
+
+    /// [`TileSource::read_chunk`] straight into `out`, which must hold
+    /// exactly the chunk's words — so a caller filling one panel from many
+    /// chunks allocates no chunk-sized buffer per read. The default copies
+    /// out of `read_chunk`; the in-tree stores decode straight into `out`.
+    fn read_chunk_into(&self, index: usize, out: &mut [u64]) -> Result<(), LdError> {
+        let words = self.read_chunk(index)?;
+        if words.len() != out.len() {
+            return Err(store_err(format!(
+                "chunk {index}: {} packed words, expected {}",
+                words.len(),
+                out.len()
+            )));
+        }
+        out.copy_from_slice(&words);
+        Ok(())
+    }
 }
 
 /// A writable tile store backend: receives already-encoded chunk bytes
@@ -221,6 +238,19 @@ pub fn decode_chunk(
     index: usize,
     bytes: &[u8],
 ) -> Result<AlignedWords, LdError> {
+    let mut words = AlignedWords::zeroed(meta.chunk_len(index) * meta.words_per_snp);
+    decode_chunk_into(meta, index, bytes, &mut words)?;
+    Ok(words)
+}
+
+/// [`decode_chunk`] into `out`, which must hold exactly the chunk's
+/// `chunk_len(index) × words_per_snp` words.
+pub fn decode_chunk_into(
+    meta: &TileStoreMeta,
+    index: usize,
+    bytes: &[u8],
+    out: &mut [u64],
+) -> Result<(), LdError> {
     let fail = |what: String| store_err(format!("chunk {index}: {what}"));
     let expected = meta.chunk_bytes(index);
     if bytes.len() != expected {
@@ -267,11 +297,16 @@ pub fn decode_chunk(
         }
     }
     let n_words = snps * meta.words_per_snp;
-    let mut words = AlignedWords::zeroed(n_words);
-    for (t, w) in words.iter_mut().enumerate() {
+    if out.len() != n_words {
+        return Err(fail(format!(
+            "destination holds {} words, the chunk {n_words}",
+            out.len()
+        )));
+    }
+    for (t, w) in out.iter_mut().enumerate() {
         *w = read_u64(bytes, CHUNK_HEADER_BYTES + t * 8);
     }
-    Ok(words)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -588,13 +623,22 @@ impl TileSource for MemoryTileStore {
     }
 
     fn read_chunk(&self, index: usize) -> Result<AlignedWords, LdError> {
-        let bytes = self.chunks.get(index).ok_or_else(|| {
+        decode_chunk(self.meta(), index, self.encoded(index)?)
+    }
+
+    fn read_chunk_into(&self, index: usize, out: &mut [u64]) -> Result<(), LdError> {
+        decode_chunk_into(self.meta(), index, self.encoded(index)?, out)
+    }
+}
+
+impl MemoryTileStore {
+    fn encoded(&self, index: usize) -> Result<&[u8], LdError> {
+        self.chunks.get(index).map(Vec::as_slice).ok_or_else(|| {
             store_err(format!(
                 "chunk {index}: missing (store holds {} chunks)",
                 self.chunks.len()
             ))
-        })?;
-        decode_chunk(self.meta(), index, bytes)
+        })
     }
 }
 

@@ -421,3 +421,89 @@ fn outofcore_rows_peak_is_slab_panel_bounded() {
         "peak grew superlinearly with n: {peak1} → {peak2}"
     );
 }
+
+/// A store run whose budget holds the whole packed panel (the resident
+/// arm) stays within that budget, measured by the allocator: it holds the
+/// panel, the in-memory arm's tables, per-worker scratch and pack blocks,
+/// and one chunk load at a time. One byte below the resident price the run
+/// streams, and its peak falls back within the streamed arm's slab×panel
+/// bound (`outofcore_rows_peak_is_slab_panel_bounded`'s), far below the
+/// panel.
+#[test]
+fn resident_store_peak_is_within_its_budget() {
+    let _heap = lock_heap();
+    use ld_bitmat::{words_for, BitMatrix};
+    use ld_core::{
+        LdEngine, LdStats, MemoryBudget, MemoryTileStore, NanPolicy, RunControl, Source,
+    };
+
+    let n_samples = 16_384usize;
+    let (n, slab, chunk, threads) = (600usize, 8usize, 16usize, 2usize);
+    let wps = words_for(n_samples);
+    let mut words = ld_bitmat::AlignedWords::zeroed(n * wps);
+    for (i, w) in words.iter_mut().enumerate() {
+        *w = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    }
+    let g = BitMatrix::from_words(n_samples, n, words).unwrap();
+    let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+    let meta = ld_core::TileSource::meta(&store).clone();
+    drop(g);
+    let (snp, panel) = (wps * 8, n * wps * 8);
+    // The row sink's resident price at `slab` rows: tables, the panel, one
+    // chunk load, per worker a 256 KiB B̃ block plus 16 rows of Ã rounding,
+    // and per worker and slab row u32 counts, f64 values and one Ã row.
+    let pack = threads * ((256 << 10) + 16 * snp);
+    let price = 20 * n + panel + meta.chunk_bytes(0) + pack + slab * threads * (n * (4 + 8) + snp);
+    let run = |budget: usize| {
+        let e = LdEngine::new()
+            .threads(threads)
+            .slab_rows(slab)
+            .nan_policy(NanPolicy::Zero)
+            .memory_budget(MemoryBudget::bytes(budget));
+        peak_heap_during(|| {
+            let acc = Mutex::new(0.0f64);
+            e.try_stat_rows_with(
+                Source::Store(&store),
+                LdStats::RSquared,
+                |s| {
+                    for (_, row) in s.rows() {
+                        *acc.lock().unwrap() +=
+                            row.iter().copied().filter(|v| !v.is_nan()).sum::<f64>();
+                    }
+                },
+                &RunControl::new(),
+            )
+            .unwrap();
+            acc.into_inner().unwrap()
+        })
+    };
+    run(price); // warm-up (see above)
+    let (resident, sum) = run(price);
+    assert!(sum.is_finite() && sum > 0.0);
+    assert!(
+        resident >= panel,
+        "resident peak {resident} below the panel ({panel}): the run streamed"
+    );
+    assert!(
+        resident <= price,
+        "resident peak {resident} exceeds its budget {price}"
+    );
+
+    let (streamed, sum) = run(price - 1);
+    assert!(sum.is_finite() && sum > 0.0);
+    // outofcore_rows_peak_is_slab_panel_bounded's bound at this shape
+    let bound = slab * n * 8
+        + slab * chunk * 4
+        + 4 * (slab + 2 * chunk) * wps * 8
+        + 4 * chunk * wps * 8
+        + 64 * n
+        + 512 * 1024;
+    assert!(
+        streamed <= bound,
+        "streamed peak {streamed} exceeds the slab×panel bound {bound}"
+    );
+    assert!(
+        streamed < panel / 2,
+        "streamed peak {streamed} is in the same class as the panel ({panel})"
+    );
+}

@@ -15,7 +15,7 @@
 use ld_bitmat::BitMatrix;
 use ld_core::{
     CancelToken, CheckpointPlan, CheckpointSink, CheckpointState, LdEngine, LdError, LdStats,
-    MemorySink, MemoryTileStore, NanPolicy, RunControl, Source,
+    MemoryBudget, MemorySink, MemoryTileStore, NanPolicy, RunControl, Source, TileStoreMeta,
 };
 use ld_rng::SmallRng;
 use ld_trace::Counter;
@@ -359,6 +359,320 @@ fn pre_tripped_banded_run_is_cancelled_before_any_slab() {
             assert_eq!(delivered.into_inner(), 0, "{reason}");
             assert_eq!(ld_trace::get(Counter::SlabsEmitted), 0, "{reason}");
             assert_eq!(ld_trace::get(Counter::ChunksRead), 0, "{reason}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The resident arm: a store run whose budget holds the whole packed panel
+// reads every chunk exactly once and computes it as the memory source.
+// ---------------------------------------------------------------------
+
+/// The resident arm's price of a run at `slab` rows over `threads`
+/// workers, for the packed (`true`) or row sink: the in-memory model (the
+/// `8·n(n+1)/2` triangle of the packed sink, `20n` bytes of tables, and
+/// per worker and slab row `n` u32 counts, plus `n` f64 values for the row
+/// sink), plus the packed panel, plus one chunk load (its encoded bytes),
+/// plus each worker's kernel pack blocks: a 256 KiB B̃ block (at least 16
+/// SNPs), and an Ã block of one panel row per slab row plus 16 rows.
+fn resident_price(meta: &TileStoreMeta, threads: usize, slab: usize, packed: bool) -> usize {
+    let n = meta.n_snps;
+    let snp = meta.words_per_snp * 8;
+    let (triangle, per_value) = if packed {
+        (8 * n * (n + 1) / 2, 4)
+    } else {
+        (0, 4 + 8)
+    };
+    let pack = threads * ((256 << 10).max(16 * snp) + 16 * snp);
+    let fixed = triangle + 20 * n + n * snp + meta.chunk_bytes(0) + pack;
+    fixed + slab * threads * (n * per_value + snp)
+}
+
+fn store_bytes(meta: &TileStoreMeta) -> u64 {
+    (0..meta.n_chunks())
+        .map(|c| meta.chunk_bytes(c) as u64)
+        .sum()
+}
+
+fn assert_bits(want: &ld_core::LdMatrix, got: &ld_core::LdMatrix, what: &str) {
+    for (idx, (a, b)) in want.packed().iter().zip(got.packed()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: packed[{idx}] {a} vs {b}");
+    }
+}
+
+/// A budgeted run that holds the whole panel reads each chunk once — for
+/// the packed and the row sink, at every thread count — and its values
+/// are the in-memory run's.
+#[test]
+fn resident_run_reads_each_chunk_once() {
+    let _l = counter_lock();
+    let (n, slab, chunk) = (37usize, 5usize, 4usize);
+    let g = random_matrix(64, n, 0x2e51);
+    let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+    let meta = ld_core::TileSource::meta(&store).clone();
+    for threads in [1usize, 2, 7] {
+        let budget = MemoryBudget::bytes(resident_price(&meta, threads, slab, true));
+        let e = LdEngine::new()
+            .threads(threads)
+            .slab_rows(slab)
+            .memory_budget(budget);
+        let oracle = e.try_stat_matrix(&g, LdStats::RSquared).unwrap();
+        assert_eq!(e.slab_for(&Source::Store(&store), true).unwrap(), slab);
+        ld_trace::reset();
+        let got = e
+            .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
+            .unwrap();
+        assert_eq!(
+            ld_trace::get(Counter::ChunksRead),
+            meta.n_chunks() as u64,
+            "t{threads}"
+        );
+        assert_eq!(
+            ld_trace::get(Counter::StoreBytesRead),
+            store_bytes(&meta),
+            "t{threads}"
+        );
+        assert_eq!(ld_trace::get(Counter::PrefetchHits), 0, "t{threads}");
+        assert_bits(&oracle, &got, &format!("packed t{threads}"));
+        let budget = MemoryBudget::bytes(resident_price(&meta, threads, slab, false));
+        let e = e.memory_budget(budget);
+        ld_trace::reset();
+        let rows = Mutex::new(vec![0f64; n * (n + 1) / 2]);
+        let visit = |s: &ld_core::RowSlabVisit<'_>| {
+            let mut rows = rows.lock().unwrap();
+            for (i, row) in s.rows() {
+                let off = oracle.index(i, i);
+                rows[off..off + row.len()].copy_from_slice(row);
+            }
+        };
+        e.try_stat_rows_with(
+            Source::Store(&store),
+            LdStats::RSquared,
+            visit,
+            &RunControl::new(),
+        )
+        .unwrap();
+        assert_eq!(
+            ld_trace::get(Counter::ChunksRead),
+            meta.n_chunks() as u64,
+            "rows t{threads}"
+        );
+        for (idx, (a, b)) in oracle
+            .packed()
+            .iter()
+            .zip(&*rows.lock().unwrap())
+            .enumerate()
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "rows t{threads}: packed[{idx}]");
+        }
+    }
+}
+
+/// The boundary between the arms is the resident price: at it the run
+/// reads each chunk once; one byte below it the run streams, reading
+/// exactly the streamed closed form.
+#[test]
+fn one_byte_below_the_resident_price_streams() {
+    let _l = counter_lock();
+    for &(n, slab, chunk, threads) in &[
+        (37usize, 5usize, 4usize, 1usize),
+        (37, 5, 4, 2),
+        (20, 20, 3, 7),
+        (9, 2, 1, 2),
+    ] {
+        let g = random_matrix(33, n, (n * 17 + slab + chunk) as u64);
+        let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+        let meta = ld_core::TileSource::meta(&store).clone();
+        let price = resident_price(&meta, threads, slab, true);
+        let e = LdEngine::new().threads(threads).slab_rows(slab);
+        let oracle = e.try_stat_matrix(&g, LdStats::RSquared).unwrap();
+        let what = format!("n={n} slab={slab} chunk={chunk} t{threads}");
+        for (budget, reads) in [
+            (price, meta.n_chunks() as u64),
+            (price - 1, expected_chunk_reads(n, slab, chunk, n, |_| true)),
+        ] {
+            let e = e.clone().memory_budget(MemoryBudget::bytes(budget));
+            assert_eq!(e.slab_for(&Source::Store(&store), true).unwrap(), slab);
+            ld_trace::reset();
+            let got = e
+                .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
+                .unwrap();
+            assert_eq!(
+                ld_trace::get(Counter::ChunksRead),
+                reads,
+                "{what} budget {budget}"
+            );
+            assert_bits(&oracle, &got, &what);
+        }
+    }
+}
+
+/// A resident run resumed from a complete snapshot reads nothing.
+#[test]
+fn resident_resume_from_complete_snapshot_reads_zero_chunks() {
+    let _l = counter_lock();
+    let (n, slab, chunk) = (24usize, 4usize, 5usize);
+    let g = random_matrix(40, n, 0xf0_12);
+    let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+    let meta = ld_core::TileSource::meta(&store).clone();
+    let e = LdEngine::new()
+        .threads(2)
+        .slab_rows(slab)
+        .memory_budget(MemoryBudget::bytes(resident_price(&meta, 2, slab, true)));
+    let sink = MemorySink::new();
+    let ctl = RunControl::new().with_checkpoint(CheckpointPlan::new(&sink).every_slabs(1));
+    ld_trace::reset();
+    let first = e
+        .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
+        .unwrap();
+    assert_eq!(ld_trace::get(Counter::ChunksRead), meta.n_chunks() as u64);
+    let state = CheckpointState::from_bytes(&sink.latest().unwrap()).unwrap();
+    assert_eq!(state.records.len(), n.div_ceil(slab));
+    let replay = MemorySink::new();
+    let ctl = RunControl::new().with_checkpoint(
+        CheckpointPlan::new(&replay)
+            .every_slabs(usize::MAX)
+            .resume_from(state),
+    );
+    ld_trace::reset();
+    let resumed = e
+        .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
+        .unwrap();
+    assert_eq!(ld_trace::get(Counter::ChunksRead), 0);
+    assert_eq!(ld_trace::get(Counter::StoreBytesRead), 0);
+    assert_eq!(ld_trace::get(Counter::SlabsEmitted), 0);
+    assert_eq!(
+        ld_trace::get(Counter::ResumeSlabsSkipped),
+        n.div_ceil(slab) as u64
+    );
+    assert_bits(&first, &resumed, "resumed");
+}
+
+/// A resident run killed after `k` checkpointed slabs and resumed is
+/// bit-identical to the uninterrupted run; each phase reads every chunk
+/// once (the resume because slabs are still pending).
+#[test]
+fn resident_resume_is_bit_identical() {
+    let _l = counter_lock();
+    let (n, slab, chunk) = (37usize, 5usize, 4usize);
+    let n_slabs = n.div_ceil(slab); // 8
+    let g = random_matrix(64, n, 0x000c_5eee);
+    let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+    let meta = ld_core::TileSource::meta(&store).clone();
+    let threads = [1usize, 2, 7];
+    for k in 1..n_slabs {
+        let t = threads[k % threads.len()];
+        let e = LdEngine::new()
+            .threads(t)
+            .slab_rows(slab)
+            .nan_policy(NanPolicy::Zero)
+            .memory_budget(MemoryBudget::bytes(resident_price(&meta, t, slab, true)));
+        let oracle = e.try_stat_matrix(&g, LdStats::RSquared).unwrap();
+        let token = CancelToken::new();
+        let sink = TrippingSink::new(&token, k);
+        let ctl = RunControl::new()
+            .with_token(&token)
+            .with_checkpoint(CheckpointPlan::new(&sink).every_slabs(1));
+        ld_trace::reset();
+        let first = e.try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl);
+        assert_eq!(
+            ld_trace::get(Counter::ChunksRead),
+            meta.n_chunks() as u64,
+            "k{k} t{t}"
+        );
+        match first {
+            Err(LdError::Cancelled {
+                completed_slabs, ..
+            }) if t == 1 => assert_eq!(completed_slabs, k, "k{k}: one worker is exact"),
+            Err(LdError::Cancelled {
+                completed_slabs, ..
+            }) => assert!(completed_slabs >= k, "k{k} t{t}: {completed_slabs}"),
+            // slabs already claimed when the token trips still complete,
+            // so several workers may finish the run
+            Ok(m) if t > 1 => {
+                assert_bits(&oracle, &m, &format!("k{k} t{t} uninterrupted"));
+                continue;
+            }
+            other => panic!("k{k} t{t}: expected cancellation, got {other:?}"),
+        }
+        let state = CheckpointState::from_bytes(&sink.inner.latest().unwrap()).unwrap();
+        let done = state.records.len();
+        let replay = MemorySink::new();
+        let ctl = RunControl::new().with_checkpoint(
+            CheckpointPlan::new(&replay)
+                .every_slabs(usize::MAX)
+                .resume_from(state),
+        );
+        ld_trace::reset();
+        let resumed = e
+            .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
+            .unwrap_or_else(|e| panic!("k{k}: resume failed: {e}"));
+        assert_eq!(ld_trace::get(Counter::ResumeSlabsSkipped), done as u64);
+        assert_eq!(
+            ld_trace::get(Counter::SlabsEmitted),
+            (n_slabs - done) as u64
+        );
+        assert_eq!(ld_trace::get(Counter::ChunksRead), meta.n_chunks() as u64);
+        assert_bits(&oracle, &resumed, &format!("k{k} t{t}"));
+    }
+}
+
+/// Checkpoints do not record the arm: one from a resident run resumes on
+/// an unbudgeted (streamed) run of the same slab grid, and the reverse,
+/// bit-identically — each resume reading its own arm's schedule.
+#[test]
+fn resident_and_streamed_checkpoints_are_interchangeable() {
+    let _l = counter_lock();
+    let (n, slab, chunk) = (37usize, 5usize, 4usize);
+    let n_slabs = n.div_ceil(slab);
+    let g = random_matrix(64, n, 0x1e5d);
+    let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+    let meta = ld_core::TileSource::meta(&store).clone();
+    let streamed = LdEngine::new().threads(1).slab_rows(slab);
+    let resident = streamed
+        .clone()
+        .memory_budget(MemoryBudget::bytes(resident_price(&meta, 1, slab, true)));
+    let oracle = streamed.try_stat_matrix(&g, LdStats::RSquared).unwrap();
+    for k in 1..n_slabs {
+        for resident_first in [true, false] {
+            let (first, second) = if resident_first {
+                (&resident, &streamed)
+            } else {
+                (&streamed, &resident)
+            };
+            let token = CancelToken::new();
+            let sink = TrippingSink::new(&token, k);
+            let ctl = RunControl::new()
+                .with_token(&token)
+                .with_checkpoint(CheckpointPlan::new(&sink).every_slabs(1));
+            let err = first
+                .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
+                .expect_err("tripped run must cancel");
+            assert!(
+                matches!(err, LdError::Cancelled { completed_slabs, .. } if completed_slabs == k)
+            );
+            let state = CheckpointState::from_bytes(&sink.inner.latest().unwrap()).unwrap();
+            let replay = MemorySink::new();
+            let ctl = RunControl::new().with_checkpoint(
+                CheckpointPlan::new(&replay)
+                    .every_slabs(usize::MAX)
+                    .resume_from(state),
+            );
+            ld_trace::reset();
+            let resumed = second
+                .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
+                .unwrap_or_else(|e| panic!("k{k} resident-first={resident_first}: {e}"));
+            let reads = if resident_first {
+                expected_chunk_reads(n, slab, chunk, n, |s| s >= k)
+            } else {
+                meta.n_chunks() as u64
+            };
+            assert_eq!(ld_trace::get(Counter::ChunksRead), reads, "k{k}");
+            assert_bits(
+                &oracle,
+                &resumed,
+                &format!("k{k} resident-first={resident_first}"),
+            );
         }
     }
 }

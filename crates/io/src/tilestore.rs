@@ -24,7 +24,7 @@
 
 use crate::atomic::write_atomic;
 use ld_bitmat::{AlignedWords, BitMatrix};
-use ld_core::tilestore::{chunk_trailer_crc, decode_chunk, export_matrix};
+use ld_core::tilestore::{chunk_trailer_crc, decode_chunk, decode_chunk_into, export_matrix};
 use ld_core::{LdError, TileManifest, TileSink, TileSource, TileStoreMeta};
 use std::path::{Path, PathBuf};
 
@@ -121,6 +121,24 @@ impl TileSource for DirTileStore {
     }
 
     fn read_chunk(&self, index: usize) -> Result<AlignedWords, LdError> {
+        self.verified(index, |bytes| decode_chunk(self.meta(), index, bytes))
+    }
+
+    fn read_chunk_into(&self, index: usize, out: &mut [u64]) -> Result<(), LdError> {
+        self.verified(index, |bytes| {
+            decode_chunk_into(self.meta(), index, bytes, out)
+        })
+    }
+}
+
+impl DirTileStore {
+    /// Reads chunk `index`'s file, audits it against the manifest, and
+    /// hands its bytes to `decode`; every error names the chunk and file.
+    fn verified<T>(
+        &self,
+        index: usize,
+        decode: impl FnOnce(&[u8]) -> Result<T, LdError>,
+    ) -> Result<T, LdError> {
         let Some(entry) = self.manifest.chunks.get(index) else {
             return Err(store_err(format!(
                 "chunk {index}: not in the manifest (store has {} chunks)",
@@ -151,7 +169,7 @@ impl TileSource for DirTileStore {
             }
             None => return Err(fail("too short to carry a CRC trailer".to_owned())),
         }
-        decode_chunk(&self.manifest.meta, index, &bytes).map_err(|e| match e {
+        decode(&bytes).map_err(|e| match e {
             LdError::TileStore { message } => {
                 store_err(format!("{message} (file {})", path.display()))
             }

@@ -12,8 +12,8 @@
 #                         in every member's lib carries a SAFETY argument
 #   4. release build, workspace tests, the release-arithmetic legs, the
 #                         one-formatter, per-window, ext-kernel, safe-fill,
-#                         wire, hand-off, one-timer, engine-surface and
-#                         one-schedule guards
+#                         wire, hand-off, one-timer, engine-surface,
+#                         one-schedule, one-CRC and one-arm guards
 #   5. schemas          — each published artifact (the `--profile=json`
 #                         run report with its timeline, CPU profile, shard
 #                         manifest, tile manifest, request log, both
@@ -193,6 +193,30 @@ SCHEDULE=$(find crates/*/src -name '*.rs' | sort | while read -r f; do shipped "
 if [ -n "$SCHEDULE" ]; then
     echo "one-schedule guard FAIL: a scheduler-chunk knob or steal accounting is back:" >&2
     printf '%s\n' "$SCHEDULE" >&2
+    exit 1
+fi
+
+# One checksum: every guarded file (chunks, checkpoints, shard files,
+# sealed JSON) goes through `ld_trace::json::crc32`, so the CRC-32
+# polynomial is spelled once in shipped code.
+echo "==> one CRC-32 in crates/*/src"
+CRCS=$(find crates/*/src -name '*.rs' | sort | while read -r f; do shipped "$f"; done \
+    | grep -iE '0xedb8_?8320' || true)
+if [ "$(printf '%s\n' "$CRCS" | grep -c .)" -ne 1 ]; then
+    echo "one-CRC guard FAIL: expected the CRC-32 polynomial once, found:" >&2
+    printf '%s\n' "$CRCS" >&2
+    exit 1
+fi
+
+# One arm decision: a store run is resident because its memory budget
+# holds the packed panel — no CLI flag and no environment variable names
+# the arm.
+echo "==> one arm decision in crates/*/src"
+ARM=$(find crates/*/src -name '*.rs' | sort | while read -r f; do shipped "$f"; done \
+    | grep -E -- '"(--)?([a-z]+-)*resident(-[a-z]+)*"|"[A-Z_]*RESIDENT[A-Z_]*"' || true)
+if [ -n "$ARM" ]; then
+    echo "one-arm guard FAIL: a flag or environment variable selects the resident arm:" >&2
+    printf '%s\n' "$ARM" >&2
     exit 1
 fi
 
