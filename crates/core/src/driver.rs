@@ -511,18 +511,25 @@ pub(crate) fn run(
     };
     // The resident arm: a store that fits its budget is read once, here,
     // and computed as the memory source it then is (the header and replay
-    // above kept the manifest's identity). With no slab pending, or a token
-    // tripped before the last chunk, no slab will be computed: the store
-    // stays the source and nothing more is read. `data` is what slabs are
-    // computed from; `src` keeps pricing the run.
+    // above kept the manifest's identity). Only the chunks holding columns
+    // some pending slab needs are read — from the first pending slab's
+    // first row to the last one's `cols_end` — so a resume or a late shard
+    // window skips the head of the store, as the streamed arm does. With
+    // no slab pending, or a token tripped before the last chunk, no slab
+    // will be computed: the store stays the source and nothing more is
+    // read. `data` is what slabs are computed from; `src` keeps pricing
+    // the run.
     let resident;
-    let data = match src {
-        Source::Store(s) if cfg.price.resident && ledger.done_in(&grid) < grid.hi - grid.lo => {
+    let mut pending = (grid.lo..grid.hi).filter(|&k| !ledger.is_done(k));
+    let data = match (src, pending.next()) {
+        (Source::Store(s), Some(first)) if cfg.price.resident => {
+            let last = pending.next_back().unwrap_or(first);
+            let cols = grid.rows(first).start..grid.cols_end(&grid.rows(last));
             let stop = || {
                 poll_deadline(deadline, token);
                 token.is_some_and(CancelToken::is_cancelled)
             };
-            resident = read_resident(*s, &stop)?;
+            resident = read_resident(*s, cols, &stop)?;
             resident.as_ref().map_or(*src, Source::from)
         }
         _ => *src,

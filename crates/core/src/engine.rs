@@ -9,7 +9,7 @@ use crate::error::{checked_add, checked_mul, try_zeroed_vec, LdError, MemoryBudg
 use crate::fused::{RowSlabVisit, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
 use crate::shard::{plan_shards, SlabRange};
-use crate::source::{resident_blocks, rows_within, store_price, Price, Source};
+use crate::source::{rows_within, store_price, Price, Source};
 use crate::stats::{ld_pair_from_counts, LdPair, LdStats, NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{BitMatrix, BitMatrixView};
@@ -265,13 +265,9 @@ impl LdEngine {
             // regression here means the budget/shape mix drifted.
             ld_trace::add(ld_trace::Counter::BudgetShrinks, 1);
         }
-        let blocks = match src {
-            Source::Store(s) if price.resident => resident_blocks(self.blocks, s.meta()),
-            _ => self.blocks,
-        };
         Ok(Some(Config {
             kind: self.kind,
-            blocks,
+            blocks: self.blocks,
             threads: self.threads,
             policy: self.policy,
             slab,

@@ -188,7 +188,7 @@ impl From<WorkerPanic> for LdError {
 /// chunk buffers to `F` and charges `R` = one panel row + one row of the
 /// `slab × chunk` counts block (+ `8n` for visitors), independent of the
 /// thread count. A store whose resident price — the in-memory model plus
-/// the packed panel, one chunk load and each worker's pack blocks — fits
+/// the packed panel and one chunk load — fits
 /// the budget at a slab at least as tall as streaming's is read once and
 /// run in memory. Given a budget `B`, the engine shrinks the slab height to
 /// `min(configured, ⌊(B − F) / R⌋)` and fails with

@@ -13,11 +13,11 @@
 //! | dimensions, identity  | the view; fingerprint = one hash pass | the manifest (no chunk is read)            | the manifest (no chunk is read)          |
 //! | parallel axis         | `threads` workers claim slabs         | one slab at a time, `threads` inside GEMM  | `threads` workers claim slabs            |
 //! | slab order at a sink  | unspecified under threading           | ascending rows                             | unspecified under threading              |
-//! | reads                 | none                                  | per slab: its panel chunks + its column stream | each chunk once, before the first slab |
-//! | column blocks ≥ `r0`  | one block `[r0, n)` via SYRK          | one block per store chunk, prefetched      | as memory, B̃ ≤ 256 KiB per worker        |
+//! | reads                 | none                                  | per slab: its panel chunks + its column stream | each needed chunk once, before the first slab |
+//! | column blocks ≥ `r0`  | one block `[r0, n)` via SYRK, B̃ ≤ 128 KiB per worker | one block per store chunk, prefetched | as memory                  |
 //! | column band `w`       | SYRK on the sub-view `[0, r1 + w)`    | stream stops at the chunk holding `r1+w−1` | as memory                                |
 //! | transform tables      | built up front (one popcount sweep)   | filled as chunks first stream past         | as memory                                |
-//! | budget model          | scratch scales with `threads × k² × strip` | panel row + chunk buffers, thread-free | memory's + the panel, one chunk load, pack blocks |
+//! | budget model          | scratch scales with `threads × k² × strip` | panel row + chunk buffers, thread-free | memory's + the panel and one chunk load |
 //! | statistic             | any [`crate::Statistic`]: a site's `k` planes are `k` adjacent columns | [`crate::LdStats`] only (`k = 1`: a store is an LD panel) | as streamed |
 //!
 //! (`strip` is `n`, or `min(n, slab + w)` under a band, in sites.) A source
@@ -29,9 +29,10 @@
 //!
 //! A store run is resident when it has a budget and [`store_price`] finds
 //! the whole panel fits it at a slab at least as tall as streaming would
-//! get; the driver then reads the panel once ([`read_resident`]) and runs
-//! it as the memory source. With no budget a store streams: "unlimited" is
-//! no promise that the panel fits in RAM.
+//! get; the driver then reads the chunks its pending slabs need once
+//! ([`read_resident`]) and runs the panel as the memory source. With no
+//! budget a store streams: "unlimited" is no promise that the panel fits
+//! in RAM.
 
 use crate::checkpoint::matrix_fingerprint;
 use crate::driver::Config;
@@ -128,6 +129,27 @@ fn memory_footprint(
     Ok((sink_footprint(n, packed, k)?, per_row))
 }
 
+/// Bytes of one worker's packed B̃ block on the memory arm. Every worker
+/// packs its own B̃ for each slab it claims, so the block is sized per
+/// worker rather than to the shared L3 the default `nc` targets (which at
+/// 16 384 samples packs up to 6 MiB per worker per slab). 128 KiB is the
+/// measured knee on a 2-vCPU x86-64 VM with glibc: at 1500–3000 sites ×
+/// 16 384–32 768 samples it cut peak RSS by 10–30 % with wall time inside
+/// the run-to-run spread, where 256 KiB and up left more freed pack
+/// memory in the workers' allocator arenas (a 2000 × 2504 daemon preload:
+/// +8 % at 256 KiB, +1 % here). Like the rest of the kernels' pack
+/// buffers it is left out of the budget models.
+const WORKER_B_BLOCK_BYTES: usize = 128 * 1024;
+
+/// The memory arm's blocking: the configured sizes with `nc` cut so B̃
+/// holds at most [`WORKER_B_BLOCK_BYTES`] (a multiple of 16 columns, so of
+/// every kernel's `NR`; at least 16). Values never depend on blocking.
+fn worker_blocks(blocks: BlockSizes, words_per_snp: usize) -> BlockSizes {
+    let kc = blocks.kc.clamp(1, words_per_snp.max(1));
+    let nc = (WORKER_B_BLOCK_BYTES / (8 * kc) / 16 * 16).max(16);
+    blocks.with_nc(blocks.nc.min(nc))
+}
+
 /// The out-of-core budget model `(fixed, per_slab_row)` in bytes. Fixed
 /// adds four chunk-sized buffers (compute + in-flight double buffer, and
 /// the A-panel's chunk-alignment slack); each slab row adds one panel
@@ -161,27 +183,10 @@ fn store_footprint(
     Ok((fixed, per_row))
 }
 
-/// Bytes of one worker's packed B̃ block on the resident arm: a per-core
-/// L2, not the shared L3 the default `nc` targets — every worker packs its
-/// own, and a larger block also leaves more freed memory behind in each
-/// worker's allocator arena.
-const RESIDENT_B_BLOCK_BYTES: usize = 256 * 1024;
-
-/// The resident arm's blocking: the configured sizes with `nc` cut to
-/// [`RESIDENT_B_BLOCK_BYTES`] of B̃ (a multiple of 16 columns, so of every
-/// kernel's `NR`; at least 16). Values never depend on blocking.
-pub(crate) fn resident_blocks(blocks: BlockSizes, meta: &TileStoreMeta) -> BlockSizes {
-    let kc = blocks.kc.clamp(1, meta.words_per_snp.max(1));
-    let nc = (RESIDENT_B_BLOCK_BYTES / (8 * kc) / 16 * 16).max(16);
-    blocks.with_nc(blocks.nc.min(nc))
-}
-
 /// The resident budget model `(fixed, per_slab_row)` in bytes: the
 /// in-memory model over the store's sites, plus the packed panel, plus
 /// what one chunk load holds while it is decoded into the panel (its
-/// encoded bytes), plus each worker's kernel pack blocks — B̃ as
-/// [`resident_blocks`] cuts it, Ã at most a panel row per slab row and
-/// 16 rows of register-tile rounding.
+/// encoded bytes).
 fn resident_footprint(
     meta: &TileStoreMeta,
     threads: usize,
@@ -190,14 +195,9 @@ fn resident_footprint(
 ) -> Result<(usize, usize), LdError> {
     let (fixed, per_row) = memory_footprint(meta.n_snps, threads, packed, strip, 1)?;
     let what = "resident panel bytes";
-    let snp_bytes = checked_mul(meta.words_per_snp, 8, what)?;
-    let panel = checked_mul(meta.n_snps, snp_bytes, what)?;
-    let pack_b = RESIDENT_B_BLOCK_BYTES.max(checked_mul(16, snp_bytes, what)?);
-    let pack = checked_add(pack_b, checked_mul(16, snp_bytes, what)?, what)?;
+    let panel = checked_mul(checked_mul(meta.n_snps, meta.words_per_snp, what)?, 8, what)?;
     let fixed = checked_add(checked_add(fixed, panel, what)?, meta.chunk_bytes(0), what)?;
-    let fixed = checked_add(fixed, checked_mul(threads.max(1), pack, what)?, what)?;
-    let pack_a = checked_mul(threads.max(1), snp_bytes, what)?;
-    Ok((fixed, checked_add(per_row, pack_a, what)?))
+    Ok((fixed, per_row))
 }
 
 /// Slab rows, at most `want`, that a `(fixed, per_row)` model fits under
@@ -375,7 +375,8 @@ impl Source<'_> {
                 let cols = rows.start..cols_end;
                 let (ld, counts) = (cols.len(), &mut counts[..h * cols.len()]);
                 let v = &v.subview(0, cols_end);
-                syrk_slab_counts(v, rows, counts, ld, cfg.kind, cfg.blocks);
+                let blocks = worker_blocks(cfg.blocks, v.words_per_snp());
+                syrk_slab_counts(v, rows, counts, ld, cfg.kind, blocks);
                 emit(&read(tables).tr, Block { cols, ld, counts });
                 Ok(())
             }
@@ -390,40 +391,62 @@ fn count_read(meta: &TileStoreMeta, index: usize) {
     ld_trace::add(Counter::StoreBytesRead, meta.chunk_bytes(index) as u64);
 }
 
-/// The resident arm's data mover: reads every chunk of `src` exactly
-/// once, in index order on the calling thread — each verified by
-/// [`TileSource::read_chunk_into`] straight into its span of one packed
-/// panel, and counted like a streamed read. `stop` is polled before each read; `None` means it
-/// returned `true` (the caller computes nothing from a partial panel).
+/// The one span filler: reads `chunks` of `src` in index order, each
+/// verified by [`TileSource::read_chunk_into`] straight into its span of
+/// `panel` (whose column 0 is chunk `chunks.start`'s first site), and
+/// counts each read. `stop` is polled before each read; `false` means it
+/// fired and `panel` is partial.
+fn fill_span(
+    src: &dyn TileSource,
+    chunks: Range<usize>,
+    panel: &mut [u64],
+    stop: &dyn Fn() -> bool,
+) -> Result<bool, LdError> {
+    let meta = src.meta();
+    let (wps, base) = (meta.words_per_snp, chunks.start * meta.chunk_snps);
+    for c in chunks {
+        if stop() {
+            return Ok(false);
+        }
+        let (s, e) = meta.chunk_span(c);
+        src.read_chunk_into(c, &mut panel[(s - base) * wps..(e - base) * wps])?;
+        count_read(meta, c);
+    }
+    Ok(true)
+}
+
+/// The resident arm's data mover: reads the chunks holding panel columns
+/// `cols` exactly once, on the calling thread ([`fill_span`]), into one
+/// packed panel of every site — the columns outside the chunks read stay
+/// zero, and no slab the caller computes reaches them. `None` when `stop`
+/// fired (the caller computes nothing from a partial panel).
 pub(crate) fn read_resident(
     src: &dyn TileSource,
+    cols: Range<usize>,
     stop: &dyn Fn() -> bool,
 ) -> Result<Option<BitMatrix>, LdError> {
     let meta = src.meta();
     let wps = meta.words_per_snp;
     let mut panel = AlignedWords::zeroed(meta.n_snps * wps);
-    for c in 0..meta.n_chunks() {
-        if stop() {
+    if let Some((first, last)) = meta.chunks_covering(cols.start, cols.end) {
+        let from = first * meta.chunk_snps * wps;
+        if !fill_span(src, first..last + 1, &mut panel[from..], stop)? {
             return Ok(None);
         }
-        let (s, e) = meta.chunk_span(c);
-        src.read_chunk_into(c, &mut panel[s * wps..e * wps])?;
-        count_read(meta, c);
     }
     let panel = BitMatrix::from_words(meta.n_samples, meta.n_snps, panel)
         .map_err(|e| store_err(format!("resident panel: damaged packed words: {e}")))?;
     Ok(Some(panel))
 }
 
-/// Counts the verified read of chunk `index` and, on first sight, folds
-/// its per-SNP allele counts into the transform tables.
+/// Folds chunk `index`'s per-SNP allele counts into the transform tables,
+/// on first sight.
 fn ingest_chunk(
     tables: &RwLock<Tables>,
     meta: &TileStoreMeta,
     index: usize,
     words: &[u64],
 ) -> Result<(), LdError> {
-    count_read(meta, index);
     if read(tables).seen[index] {
         return Ok(());
     }
@@ -447,9 +470,10 @@ fn ingest_chunk(
     Ok(())
 }
 
-/// Assembles the A-panel for `rows`: reads the chunks covering the span,
-/// concatenates their words into one chunk-aligned matrix, and returns it
-/// with the row span's offset inside it.
+/// Assembles the A-panel for `rows`: reads the chunks covering the span
+/// into one chunk-aligned matrix ([`fill_span`]), folds their allele
+/// counts into the tables, and returns it with the row span's offset
+/// inside it.
 fn assemble_panel(
     src: &dyn TileSource,
     tables: &RwLock<Tables>,
@@ -464,11 +488,10 @@ fn assemble_panel(
     let cols = ((last + 1) * meta.chunk_snps).min(meta.n_snps) - base;
     let wps = meta.words_per_snp;
     let mut panel = AlignedWords::zeroed(cols * wps);
+    fill_span(src, first..last + 1, &mut panel, &|| false)?;
     for c in first..=last {
-        let words = src.read_chunk(c)?;
-        ingest_chunk(tables, meta, c, &words)?;
-        let off = (meta.chunk_span(c).0 - base) * wps;
-        panel[off..off + words.len()].copy_from_slice(&words);
+        let (s, e) = meta.chunk_span(c);
+        ingest_chunk(tables, meta, c, &panel[(s - base) * wps..(e - base) * wps])?;
     }
     let panel = BitMatrix::from_words(meta.n_samples, cols, panel)
         .map_err(|e| store_err(format!("panel rows {rows:?}: damaged packed words: {e}")))?;
@@ -530,6 +553,7 @@ fn stream_store_slab(
                 Err(mpsc::TryRecvError::Disconnected) => return Err(early(c)),
             };
             let words = msg?;
+            count_read(meta, c);
             ingest_chunk(tables, meta, c, &words)?;
             let (c0, c1) = meta.chunk_span(c);
             let ld = c1 - c0;

@@ -108,10 +108,10 @@ impl TileStoreMeta {
         (start, (start + self.chunk_snps).min(self.n_snps))
     }
 
-    /// SNP columns in chunk `index`.
+    /// SNP columns in chunk `index` (0 past the last chunk).
     pub fn chunk_len(&self, index: usize) -> usize {
         let (s, e) = self.chunk_span(index);
-        e - s
+        e.saturating_sub(s)
     }
 
     /// Encoded byte size of chunk `index` (header + words + trailer).
@@ -141,33 +141,25 @@ impl TileStoreMeta {
 /// A readable tile store. `Sync` because the store source reads from a
 /// prefetch thread while compute runs on the caller's thread.
 ///
-/// `read_chunk` must be *verified*: implementations return the decoded
-/// packed words only after every integrity check (CRC, header geometry)
-/// passes, and a typed [`LdError::TileStore`] naming the chunk
-/// otherwise.
+/// Reads must be *verified*: implementations write the decoded packed
+/// words only after every integrity check (CRC, header geometry) passes,
+/// and return a typed [`LdError::TileStore`] naming the chunk otherwise.
 pub trait TileSource: Sync {
     /// The store's geometry and identity.
     fn meta(&self) -> &TileStoreMeta;
 
-    /// Reads, verifies and decodes chunk `index`, returning its packed
-    /// words (`chunk_len(index) × words_per_snp` u64s).
-    fn read_chunk(&self, index: usize) -> Result<AlignedWords, LdError>;
+    /// Reads, verifies and decodes chunk `index` into `out`, which must
+    /// hold exactly its `chunk_len(index) × words_per_snp` packed words —
+    /// so a caller filling one panel from many chunks decodes each
+    /// straight into its span.
+    fn read_chunk_into(&self, index: usize, out: &mut [u64]) -> Result<(), LdError>;
 
-    /// [`TileSource::read_chunk`] straight into `out`, which must hold
-    /// exactly the chunk's words — so a caller filling one panel from many
-    /// chunks allocates no chunk-sized buffer per read. The default copies
-    /// out of `read_chunk`; the in-tree stores decode straight into `out`.
-    fn read_chunk_into(&self, index: usize, out: &mut [u64]) -> Result<(), LdError> {
-        let words = self.read_chunk(index)?;
-        if words.len() != out.len() {
-            return Err(store_err(format!(
-                "chunk {index}: {} packed words, expected {}",
-                words.len(),
-                out.len()
-            )));
-        }
-        out.copy_from_slice(&words);
-        Ok(())
+    /// [`TileSource::read_chunk_into`] a freshly allocated buffer.
+    fn read_chunk(&self, index: usize) -> Result<AlignedWords, LdError> {
+        let meta = self.meta();
+        let mut words = AlignedWords::zeroed(meta.chunk_len(index) * meta.words_per_snp);
+        self.read_chunk_into(index, &mut words)?;
+        Ok(words)
     }
 }
 
@@ -229,23 +221,12 @@ pub fn chunk_trailer_crc(bytes: &[u8]) -> Option<u32> {
     Some(u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]))
 }
 
-/// Verifies and decodes chunk `index`: magic, every header field against
-/// `meta`, exact length, and the CRC-32 trailer. Any mismatch is a
-/// [`LdError::TileStore`] whose message starts with `chunk {index}:` —
-/// file-backed stores prepend the file name.
+/// Verifies and decodes chunk `index` into `out`, which must hold exactly
+/// the chunk's `chunk_len(index) × words_per_snp` words: magic, every
+/// header field against `meta`, exact length, and the CRC-32 trailer. Any
+/// mismatch is a [`LdError::TileStore`] whose message starts with
+/// `chunk {index}:` — file-backed stores prepend the file name.
 pub fn decode_chunk(
-    meta: &TileStoreMeta,
-    index: usize,
-    bytes: &[u8],
-) -> Result<AlignedWords, LdError> {
-    let mut words = AlignedWords::zeroed(meta.chunk_len(index) * meta.words_per_snp);
-    decode_chunk_into(meta, index, bytes, &mut words)?;
-    Ok(words)
-}
-
-/// [`decode_chunk`] into `out`, which must hold exactly the chunk's
-/// `chunk_len(index) × words_per_snp` words.
-pub fn decode_chunk_into(
     meta: &TileStoreMeta,
     index: usize,
     bytes: &[u8],
@@ -622,23 +603,14 @@ impl TileSource for MemoryTileStore {
         }
     }
 
-    fn read_chunk(&self, index: usize) -> Result<AlignedWords, LdError> {
-        decode_chunk(self.meta(), index, self.encoded(index)?)
-    }
-
     fn read_chunk_into(&self, index: usize, out: &mut [u64]) -> Result<(), LdError> {
-        decode_chunk_into(self.meta(), index, self.encoded(index)?, out)
-    }
-}
-
-impl MemoryTileStore {
-    fn encoded(&self, index: usize) -> Result<&[u8], LdError> {
-        self.chunks.get(index).map(Vec::as_slice).ok_or_else(|| {
+        let bytes = self.chunks.get(index).ok_or_else(|| {
             store_err(format!(
                 "chunk {index}: missing (store holds {} chunks)",
                 self.chunks.len()
             ))
-        })
+        })?;
+        decode_chunk(self.meta(), index, bytes, out)
     }
 }
 
@@ -718,13 +690,19 @@ mod tests {
         }
     }
 
+    /// [`decode_chunk`] into a buffer sized for chunk `index` of `meta`.
+    fn decode(meta: &TileStoreMeta, index: usize, bytes: &[u8]) -> Result<(), LdError> {
+        let mut out = vec![0; meta.chunk_len(index) * meta.words_per_snp];
+        decode_chunk(meta, index, bytes, &mut out)
+    }
+
     #[test]
     fn chunk_rejects_every_truncation() {
         let m = random_matrix(65, 6, 5);
         let store = MemoryTileStore::from_matrix(&m, 4).unwrap();
         let good = store.chunk_bytes(1).to_vec();
         for len in 0..good.len() {
-            let err = decode_chunk(store.meta(), 1, &good[..len]).unwrap_err();
+            let err = decode(store.meta(), 1, &good[..len]).unwrap_err();
             match err {
                 LdError::TileStore { message } => {
                     assert!(message.starts_with("chunk 1:"), "{message}")
@@ -745,7 +723,7 @@ mod tests {
                 bad[byte] ^= 1 << bit;
                 assert!(
                     matches!(
-                        decode_chunk(store.meta(), 0, &bad),
+                        decode(store.meta(), 0, &bad),
                         Err(LdError::TileStore { .. })
                     ),
                     "flip at byte {byte} bit {bit} was accepted"
@@ -761,12 +739,12 @@ mod tests {
         let m = random_matrix(64, 8, 7);
         let store = MemoryTileStore::from_matrix(&m, 4).unwrap();
         let c0 = store.chunk_bytes(0).to_vec();
-        let err = decode_chunk(store.meta(), 1, &c0).unwrap_err();
+        let err = decode(store.meta(), 1, &c0).unwrap_err();
         assert!(err.to_string().contains("chunk 1"), "{err}");
         let mut other = store.meta().clone();
         other.n_samples = 128;
         other.words_per_snp = 2;
-        assert!(decode_chunk(&other, 0, &c0).is_err());
+        assert!(decode(&other, 0, &c0).is_err());
     }
 
     #[test]

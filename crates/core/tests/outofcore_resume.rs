@@ -15,7 +15,8 @@
 use ld_bitmat::BitMatrix;
 use ld_core::{
     CancelToken, CheckpointPlan, CheckpointSink, CheckpointState, LdEngine, LdError, LdStats,
-    MemoryBudget, MemorySink, MemoryTileStore, NanPolicy, RunControl, Source, TileStoreMeta,
+    MemoryBudget, MemorySink, MemoryTileStore, NanPolicy, RunControl, SlabRange, Source,
+    TileStoreMeta,
 };
 use ld_rng::SmallRng;
 use ld_trace::Counter;
@@ -365,27 +366,35 @@ fn pre_tripped_banded_run_is_cancelled_before_any_slab() {
 
 // ---------------------------------------------------------------------
 // The resident arm: a store run whose budget holds the whole packed panel
-// reads every chunk exactly once and computes it as the memory source.
+// reads each chunk its pending slabs need exactly once (every chunk, on a
+// fresh unsharded run) and computes it as the memory source.
 // ---------------------------------------------------------------------
 
 /// The resident arm's price of a run at `slab` rows over `threads`
 /// workers, for the packed (`true`) or row sink: the in-memory model (the
 /// `8·n(n+1)/2` triangle of the packed sink, `20n` bytes of tables, and
 /// per worker and slab row `n` u32 counts, plus `n` f64 values for the row
-/// sink), plus the packed panel, plus one chunk load (its encoded bytes),
-/// plus each worker's kernel pack blocks: a 256 KiB B̃ block (at least 16
-/// SNPs), and an Ã block of one panel row per slab row plus 16 rows.
+/// sink), plus the packed panel, plus one chunk load (its encoded bytes).
 fn resident_price(meta: &TileStoreMeta, threads: usize, slab: usize, packed: bool) -> usize {
     let n = meta.n_snps;
-    let snp = meta.words_per_snp * 8;
     let (triangle, per_value) = if packed {
         (8 * n * (n + 1) / 2, 4)
     } else {
         (0, 4 + 8)
     };
-    let pack = threads * ((256 << 10).max(16 * snp) + 16 * snp);
-    let fixed = triangle + 20 * n + n * snp + meta.chunk_bytes(0) + pack;
-    fixed + slab * threads * (n * per_value + snp)
+    let fixed = triangle + 20 * n + n * meta.words_per_snp * 8 + meta.chunk_bytes(0);
+    fixed + slab * threads * n * per_value
+}
+
+/// Chunks a resident run without a band reads: each chunk once, from the
+/// one holding the first pending slab's first row to the last — the memory
+/// arm reads no column left of the rows it computes. 0 when no slab is
+/// pending.
+fn resident_chunk_reads(meta: &TileStoreMeta, slab: usize, pending: impl Fn(usize) -> bool) -> u64 {
+    let n_slabs = meta.n_snps.div_ceil(slab);
+    (0..n_slabs)
+        .find(|&k| pending(k))
+        .map_or(0, |k| (meta.n_chunks() - k * slab / meta.chunk_snps) as u64)
 }
 
 fn store_bytes(meta: &TileStoreMeta) -> u64 {
@@ -548,9 +557,48 @@ fn resident_resume_from_complete_snapshot_reads_zero_chunks() {
     assert_bits(&first, &resumed, "resumed");
 }
 
+/// A resident shard run reads each chunk its window needs once — from the
+/// one holding the window's first row to the last — and its records are
+/// the streamed shard's, bit for bit.
+#[test]
+fn resident_shard_reads_from_its_first_row() {
+    let _l = counter_lock();
+    let (n, slab, chunk) = (37usize, 5usize, 4usize);
+    let g = random_matrix(64, n, 0x5a4d);
+    let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+    let meta = ld_core::TileSource::meta(&store).clone();
+    let streamed = LdEngine::new().threads(2).slab_rows(slab);
+    let resident = streamed
+        .clone()
+        .memory_budget(MemoryBudget::bytes(resident_price(&meta, 2, slab, true)));
+    assert_eq!(
+        resident.slab_for(&Source::Store(&store), true).unwrap(),
+        slab
+    );
+    for (lo, hi) in [(0usize, 3usize), (3, 6), (6, 8), (7, 8)] {
+        let ctl = RunControl::new().with_shard(SlabRange::new(lo, hi));
+        let want = streamed
+            .try_stat_shard_with(Source::Store(&store), LdStats::RSquared, &ctl)
+            .unwrap();
+        ld_trace::reset();
+        let got = resident
+            .try_stat_shard_with(Source::Store(&store), LdStats::RSquared, &ctl)
+            .unwrap();
+        let reads = resident_chunk_reads(&meta, slab, |s| (lo..hi).contains(&s));
+        assert_eq!(ld_trace::get(Counter::ChunksRead), reads, "[{lo}, {hi})");
+        assert_eq!(got.records.len(), want.records.len());
+        for (a, b) in got.records.iter().zip(&want.records) {
+            assert_eq!(a.index, b.index);
+            let bits =
+                |r: &ld_core::SlabRecord| r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "[{lo}, {hi}) slab {}", a.index);
+        }
+    }
+}
+
 /// A resident run killed after `k` checkpointed slabs and resumed is
-/// bit-identical to the uninterrupted run; each phase reads every chunk
-/// once (the resume because slabs are still pending).
+/// bit-identical to the uninterrupted run; the first phase reads every
+/// chunk once, the resume each chunk from the first pending slab's on.
 #[test]
 fn resident_resume_is_bit_identical() {
     let _l = counter_lock();
@@ -597,6 +645,12 @@ fn resident_resume_is_bit_identical() {
         }
         let state = CheckpointState::from_bytes(&sink.inner.latest().unwrap()).unwrap();
         let done = state.records.len();
+        let done_set: Vec<usize> = state.records.iter().map(|r| r.index as usize).collect();
+        let reads = resident_chunk_reads(&meta, slab, |s| !done_set.contains(&s));
+        if t == 1 {
+            // slabs 0..k are done, so the head of the store is skipped
+            assert!(reads < meta.n_chunks() as u64, "k{k}: {reads} reads");
+        }
         let replay = MemorySink::new();
         let ctl = RunControl::new().with_checkpoint(
             CheckpointPlan::new(&replay)
@@ -612,7 +666,7 @@ fn resident_resume_is_bit_identical() {
             ld_trace::get(Counter::SlabsEmitted),
             (n_slabs - done) as u64
         );
-        assert_eq!(ld_trace::get(Counter::ChunksRead), meta.n_chunks() as u64);
+        assert_eq!(ld_trace::get(Counter::ChunksRead), reads, "k{k} t{t}");
         assert_bits(&oracle, &resumed, &format!("k{k} t{t}"));
     }
 }
@@ -665,7 +719,7 @@ fn resident_and_streamed_checkpoints_are_interchangeable() {
             let reads = if resident_first {
                 expected_chunk_reads(n, slab, chunk, n, |s| s >= k)
             } else {
-                meta.n_chunks() as u64
+                resident_chunk_reads(&meta, slab, |s| s >= k)
             };
             assert_eq!(ld_trace::get(Counter::ChunksRead), reads, "k{k}");
             assert_bits(

@@ -23,8 +23,8 @@
 //! its internal checksum is valid.
 
 use crate::atomic::write_atomic;
-use ld_bitmat::{AlignedWords, BitMatrix};
-use ld_core::tilestore::{chunk_trailer_crc, decode_chunk, decode_chunk_into, export_matrix};
+use ld_bitmat::BitMatrix;
+use ld_core::tilestore::{chunk_trailer_crc, decode_chunk, export_matrix};
 use ld_core::{LdError, TileManifest, TileSink, TileSource, TileStoreMeta};
 use std::path::{Path, PathBuf};
 
@@ -120,25 +120,7 @@ impl TileSource for DirTileStore {
         &self.manifest.meta
     }
 
-    fn read_chunk(&self, index: usize) -> Result<AlignedWords, LdError> {
-        self.verified(index, |bytes| decode_chunk(self.meta(), index, bytes))
-    }
-
     fn read_chunk_into(&self, index: usize, out: &mut [u64]) -> Result<(), LdError> {
-        self.verified(index, |bytes| {
-            decode_chunk_into(self.meta(), index, bytes, out)
-        })
-    }
-}
-
-impl DirTileStore {
-    /// Reads chunk `index`'s file, audits it against the manifest, and
-    /// hands its bytes to `decode`; every error names the chunk and file.
-    fn verified<T>(
-        &self,
-        index: usize,
-        decode: impl FnOnce(&[u8]) -> Result<T, LdError>,
-    ) -> Result<T, LdError> {
         let Some(entry) = self.manifest.chunks.get(index) else {
             return Err(store_err(format!(
                 "chunk {index}: not in the manifest (store has {} chunks)",
@@ -169,7 +151,7 @@ impl DirTileStore {
             }
             None => return Err(fail("too short to carry a CRC trailer".to_owned())),
         }
-        decode(&bytes).map_err(|e| match e {
+        decode_chunk(&self.manifest.meta, index, &bytes, out).map_err(|e| match e {
             LdError::TileStore { message } => {
                 store_err(format!("{message} (file {})", path.display()))
             }
