@@ -66,7 +66,10 @@ fn main() {
         let mut out = vec![0u32; n * n];
         for kind in [KernelKind::Scalar, KernelKind::Auto] {
             let t = time_best(
-                || syrk_counts_buf(&g.full_view(), &mut out, n, kind, BlockSizes::default(), 1),
+                || {
+                    syrk_counts_buf(&g.full_view(), &mut out, n, kind, BlockSizes::default(), 1)
+                        .expect("no worker panics")
+                },
                 budget,
                 20,
             );
@@ -96,6 +99,7 @@ fn main() {
                 BlockSizes::default(),
                 1,
             )
+            .expect("no worker panics")
         },
         budget,
         20,

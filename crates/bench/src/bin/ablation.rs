@@ -44,6 +44,7 @@ fn main() {
                 BlockSizes::default(),
                 1,
             )
+            .expect("no worker panics")
         },
         0.3,
         3,
@@ -97,7 +98,10 @@ fn main() {
         for (mc, nc) in [(128usize, 1024usize), (512, 4096), (2048, 8192)] {
             let b = BlockSizes { kc, mc, nc };
             let secs = time_best(
-                || syrk_counts_buf(&g.full_view(), &mut c, n, KernelKind::Scalar, b, 1),
+                || {
+                    syrk_counts_buf(&g.full_view(), &mut c, n, KernelKind::Scalar, b, 1)
+                        .expect("no worker panics")
+                },
                 0.2,
                 2,
             );
@@ -121,7 +125,10 @@ fn main() {
         KernelKind::Scalar8x4,
     ] {
         let secs = time_best(
-            || syrk_counts_buf(&g.full_view(), &mut c, n, kind, BlockSizes::default(), 1),
+            || {
+                syrk_counts_buf(&g.full_view(), &mut c, n, kind, BlockSizes::default(), 1)
+                    .expect("no worker panics")
+            },
             0.2,
             2,
         );
@@ -144,7 +151,10 @@ fn main() {
     for s in PopcountStrategy::ALL {
         let kind = KernelKind::ScalarStrategy(s);
         let secs = time_best(
-            || syrk_counts_buf(&g.full_view(), &mut c, n, kind, BlockSizes::default(), 1),
+            || {
+                syrk_counts_buf(&g.full_view(), &mut c, n, kind, BlockSizes::default(), 1)
+                    .expect("no worker panics")
+            },
             0.2,
             2,
         );

@@ -74,12 +74,14 @@ fn main() {
             let mut c = vec![0u32; n * n];
             // Warm-up pass, then best-of-3 (shared-VM noise easily shifts a
             // single pass by 20%+).
-            syrk_counts_buf(&g.full_view(), &mut c, n, kind, BlockSizes::default(), 1);
+            syrk_counts_buf(&g.full_view(), &mut c, n, kind, BlockSizes::default(), 1)
+                .expect("no worker panics");
             let mut secs = f64::INFINITY;
             let mut cycles = f64::INFINITY;
             for _ in 0..3 {
                 let t = CycleTimer::start();
-                syrk_counts_buf(&g.full_view(), &mut c, n, kind, BlockSizes::default(), 1);
+                syrk_counts_buf(&g.full_view(), &mut c, n, kind, BlockSizes::default(), 1)
+                    .expect("no worker panics");
                 let s = t.seconds();
                 if s < secs {
                     secs = s;

@@ -65,7 +65,8 @@ fn main() {
                 kind,
                 BlockSizes::default(),
                 1,
-            );
+            )
+            .expect("no worker panics");
             let mut secs = f64::INFINITY;
             let mut cycles = f64::INFINITY;
             for _ in 0..3 {
@@ -78,7 +79,8 @@ fn main() {
                     kind,
                     BlockSizes::default(),
                     1,
-                );
+                )
+                .expect("no worker panics");
                 let s = t.seconds();
                 if s < secs {
                     secs = s;

@@ -65,7 +65,8 @@ fn main() {
         };
         let secs = time_best(
             || {
-                syrk_counts_buf(&g.full_view(), &mut c, n, kind, BlockSizes::default(), 1);
+                syrk_counts_buf(&g.full_view(), &mut c, n, kind, BlockSizes::default(), 1)
+                    .expect("no worker panics");
             },
             0.3,
             3,

@@ -4,19 +4,20 @@
 
 use crate::checkpoint::CheckpointState;
 use crate::control::RunControl;
-use crate::driver::{self, strip_width, Config, Grid, Sink};
-use crate::error::{checked_add, checked_mul, try_zeroed_vec, LdError, MemoryBudget};
+use crate::driver::{self, lock, strip_width, Config, Grid, Sink};
+use crate::error::{checked_add, checked_mul, fault, try_zeroed_vec, LdError, MemoryBudget};
 use crate::fused::{RowSlabVisit, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
 use crate::shard::{plan_shards, SlabRange};
-use crate::source::{rows_within, store_price, Price, Source};
+use crate::source::{cross_footprint, rows_within, store_price, worker_blocks, Price, Source};
 use crate::stats::{ld_pair_from_counts, LdPair, LdStats, NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{BitMatrix, BitMatrixView};
-use ld_kernels::{syrk_counts_buf, BlockSizes, KernelKind};
+use ld_kernels::{gemm_counts_buf, syrk_counts_buf, BlockSizes, KernelKind};
 use ld_parallel::{available_threads, try_for_each_part};
 use ld_popcount::and_popcount;
 use ld_trace::recorder::{Span, SpanKind};
+use std::sync::Mutex;
 
 /// Configured entry point for all matrix-level LD computations.
 ///
@@ -188,7 +189,7 @@ impl LdEngine {
         let n = v.n_snps();
         let len = checked_mul(n, n, "n × n counts matrix")?;
         let mut c = try_zeroed_vec::<u32>(len, "n × n counts matrix")?;
-        syrk_counts_buf(&v, &mut c, n, self.kind, self.blocks, self.threads);
+        syrk_counts_buf(&v, &mut c, n, self.kind, self.blocks, self.threads)?;
         Ok(c)
     }
 
@@ -231,6 +232,20 @@ impl LdEngine {
         }
     }
 
+    /// [`LdEngine::fit_slab`] for a run rather than a plan: a budget that
+    /// forced the slab below the configured height is a deterministic
+    /// event worth counting, once per run (the planners `slab_for` and
+    /// `shard_plan_from` do not count) — results stay bit-exact but
+    /// throughput changes, and a regression here means the budget/shape
+    /// mix drifted.
+    fn run_slab(&self, n: usize, price: Price) -> Result<usize, LdError> {
+        let slab = self.fit_slab(n, price)?;
+        if slab < self.want(n) {
+            ld_trace::add(ld_trace::Counter::BudgetShrinks, 1);
+        }
+        Ok(slab)
+    }
+
     /// Validation and budgeting shared by every slab-driver entry point;
     /// `None` when the panel has no sites (nothing to compute). `packed`
     /// names the sink (its triangle is part of the footprint). Under a
@@ -256,15 +271,7 @@ impl LdEngine {
         if src.n_samples() == 0 && matches!(stat, Statistic::Ld(_)) {
             return Err(LdError::EmptyInput);
         }
-        let slab = self.fit_slab(n, price)?;
-        if slab < self.want(n) {
-            // Budget forced the slab below the configured height — a
-            // deterministic event worth counting, once per run (the
-            // planners `slab_for` and `shard_plan_from` do not count):
-            // results stay bit-exact but throughput changes, and a
-            // regression here means the budget/shape mix drifted.
-            ld_trace::add(ld_trace::Counter::BudgetShrinks, 1);
-        }
+        let slab = self.run_slab(n, price)?;
         Ok(Some(Config {
             kind: self.kind,
             blocks: self.blocks,
@@ -564,11 +571,22 @@ impl LdEngine {
     /// are [`LdError::DimensionMismatch`], `m × n` sizes are checked, every
     /// buffer and table goes through `try_reserve`, per-SNP allele counts
     /// are converted with `u32::try_from` (no silent truncation past
-    /// `u32::MAX` haplotypes), a panicking worker surfaces as
-    /// [`LdError::Worker`], and an operand with no SNPs gives an empty
+    /// `u32::MAX` haplotypes), and an operand with no SNPs gives an empty
     /// matrix. Values are bit-identical to the same pairs of the all-pairs
-    /// matrix: both run `Transform::apply_span`. Any [`Statistic`] runs
-    /// here, each operand `k` adjacent columns per site.
+    /// matrix of the panel `[A | B]`: both run `Transform::apply_span`.
+    /// Any [`Statistic`] runs here, each operand `k` adjacent columns per
+    /// site.
+    ///
+    /// Runs one slab of A's sites per claim of the worker team: each
+    /// worker owns one `slab × k²·n` u32 counts scratch, allocated before
+    /// the team starts, and a slab is one single-threaded GEMM of its rows
+    /// against all of B followed by the transform of its rows — the
+    /// `m·n·k²` counts matrix never exists. The slab height is the
+    /// configured [`LdEngine::slab_rows`], shrunk so the `m·n` f64 values,
+    /// the tables and `threads` scratch slabs fit the [`MemoryBudget`]
+    /// ([`LdError::BudgetExceeded`] only when one row does not); values do
+    /// not depend on it. A panicking worker drains the team and comes back
+    /// as [`LdError::Worker`] with the payload message preserved.
     pub fn try_cross_stat_matrix<'a, 'b>(
         &self,
         a: impl Into<BitMatrixView<'a>>,
@@ -595,24 +613,20 @@ impl LdEngine {
             driver::sites(&vb.into(), stat)?,
         );
         let len = checked_mul(m, n, "m × n cross matrix")?;
-        let mut values = try_zeroed_vec::<f64>(len, "m × n cross values")?;
         if len == 0 {
-            return Ok(CrossLdMatrix::from_dense(m, n, values));
+            return Ok(CrossLdMatrix::from_dense(m, n, Vec::new()));
         }
-        // row i's k plane rows against B's k·n plane columns
         let k = stat.planes();
-        let ld = k * n;
-        let what = "m × n cross counts";
-        let mut counts = try_zeroed_vec::<u32>(checked_mul(len, k * k, what)?, what)?;
-        ld_kernels::gemm_counts_mt(
-            &va,
-            &vb,
-            &mut counts,
-            ld,
-            self.kind,
-            self.blocks,
-            self.threads,
-        );
+        let (fixed, per_row) = cross_footprint(m, n, self.threads, k)?;
+        let slab = self.run_slab(
+            m,
+            Price {
+                fixed,
+                per_row,
+                resident: false,
+            },
+        )?;
+        let mut values = try_zeroed_vec::<f64>(len, "m × n cross values")?;
         // One table set holding both operands end to end — A's sites at
         // [0, m), B's at [m, m + n) — so row i of the cross block is the
         // span `(i, m..m + n)` of the one counts→statistic body.
@@ -633,11 +647,31 @@ impl LdEngine {
             })?;
         }
         tr.fill_span(0, &diag);
-        let (tr, counts) = (&tr, &counts);
-        // rows of equal cost: one claim per worker
-        let grain = m.div_ceil(self.threads);
-        try_for_each_part(self.threads, grain, values.chunks_mut(n), |i, dst| {
-            tr.apply_span(i, m, &counts[k * i * ld..][..k * ld], ld, dst);
+        drop(diag);
+        // site row i's k plane rows against B's k·n plane columns
+        let ld = k * n;
+        let workers = self.threads.min(m.div_ceil(slab));
+        let counts_len = checked_mul(slab * k, ld, "cross slab counts")?;
+        let pool = (0..workers)
+            .map(|_| try_zeroed_vec::<u32>(counts_len, "cross slab counts scratch"))
+            .collect::<Result<Vec<_>, _>>()?;
+        // At most `workers` slabs are in flight, each holding one buffer,
+        // so a claim always finds one.
+        let pool = Mutex::new(pool);
+        let blocks = worker_blocks(self.blocks, va.words_per_snp());
+        let tr = &tr;
+        try_for_each_part(workers, 1, values.chunks_mut(slab * n), |s, dst| {
+            fault::check_kernel_panic();
+            let (r0, h) = (s * slab, dst.len() / n);
+            let mut counts = lock(&pool).pop().unwrap_or_default();
+            let a = va.subview(k * r0, k * (r0 + h));
+            gemm_counts_buf(&a, &vb, &mut counts, ld, self.kind, blocks);
+            let span = Span::begin(SpanKind::Transform);
+            for (r, row) in dst.chunks_mut(n).enumerate() {
+                tr.apply_span(r0 + r, m, &counts[k * r * ld..][..k * ld], ld, row);
+            }
+            span.end(s as u64);
+            lock(&pool).push(counts);
         })?;
         Ok(CrossLdMatrix::from_dense(m, n, values))
     }

@@ -11,7 +11,7 @@
 //! | property              | [`Source::Memory`]                    | [`Source::Store`], streamed                | [`Source::Store`], resident              |
 //! |-----------------------|---------------------------------------|--------------------------------------------|------------------------------------------|
 //! | dimensions, identity  | the view; fingerprint = one hash pass | the manifest (no chunk is read)            | the manifest (no chunk is read)          |
-//! | parallel axis         | `threads` workers claim slabs         | one slab at a time, `threads` inside GEMM  | `threads` workers claim slabs            |
+//! | parallel axis         | `threads` workers claim slabs         | one slab at a time; `threads` workers claim its GEMM's row blocks | `threads` workers claim slabs |
 //! | slab order at a sink  | unspecified under threading           | ascending rows                             | unspecified under threading              |
 //! | reads                 | none                                  | per slab: its panel chunks + its column stream | each needed chunk once, before the first slab |
 //! | column blocks ≥ `r0`  | one block `[r0, n)` via SYRK, B̃ ≤ 128 KiB per worker | one block per store chunk, prefetched | as memory                  |
@@ -129,6 +129,30 @@ fn memory_footprint(
     Ok((sink_footprint(n, packed, k)?, per_row))
 }
 
+/// The cross-matrix budget model `(fixed, per_slab_row)` in bytes for an
+/// `m × n` block of sites of `k` planes: fixed is the `m·n` f64 values
+/// plus the tables of both operands (and their allele-count staging
+/// table, `4k` bytes per site); every worker owns the u32 counts of `k`
+/// plane rows per slab row against all `k·n` plane columns of B, so a
+/// slab row costs `threads × n × 4k²`.
+pub(crate) fn cross_footprint(
+    m: usize,
+    n: usize,
+    threads: usize,
+    k: usize,
+) -> Result<(usize, usize), LdError> {
+    let what = "cross footprint bytes";
+    let sites = checked_add(m, n, what)?;
+    let values = checked_mul(checked_mul(m, n, what)?, 8, what)?;
+    let tables = checked_add(
+        sink_footprint(sites, false, k)?,
+        checked_mul(sites, 4 * k, what)?,
+        what,
+    )?;
+    let per_row = checked_mul(checked_mul(threads.max(1), n, what)?, 4 * k * k, what)?;
+    Ok((checked_add(values, tables, what)?, per_row))
+}
+
 /// Bytes of one worker's packed B̃ block on the memory arm. Every worker
 /// packs its own B̃ for each slab it claims, so the block is sized per
 /// worker rather than to the shared L3 the default `nc` targets (which at
@@ -144,7 +168,7 @@ const WORKER_B_BLOCK_BYTES: usize = 128 * 1024;
 /// The memory arm's blocking: the configured sizes with `nc` cut so B̃
 /// holds at most [`WORKER_B_BLOCK_BYTES`] (a multiple of 16 columns, so of
 /// every kernel's `NR`; at least 16). Values never depend on blocking.
-fn worker_blocks(blocks: BlockSizes, words_per_snp: usize) -> BlockSizes {
+pub(crate) fn worker_blocks(blocks: BlockSizes, words_per_snp: usize) -> BlockSizes {
     let kc = blocks.kc.clamp(1, words_per_snp.max(1));
     let nc = (WORKER_B_BLOCK_BYTES / (8 * kc) / 16 * 16).max(16);
     blocks.with_nc(blocks.nc.min(nc))
@@ -560,7 +584,7 @@ fn stream_store_slab(
             let b = BitMatrix::from_words(meta.n_samples, ld, words)
                 .map_err(|e| store_err(format!("chunk {c}: damaged packed words: {e}")))?;
             let (b, counts) = (b.full_view(), &mut counts[..h * ld]);
-            gemm_counts_mt(&a_view, &b, counts, ld, cfg.kind, cfg.blocks, cfg.threads);
+            gemm_counts_mt(&a_view, &b, counts, ld, cfg.kind, cfg.blocks, cfg.threads)?;
             let cols = c0..c1;
             emit(&read(tables).tr, Block { cols, ld, counts });
         }

@@ -270,6 +270,41 @@ fn injected_kernel_panic_surfaces_as_worker_error() {
     assert_eq!(bits(&m), bits(&oracle));
 }
 
+/// The cross matrix runs its slabs on the same trapped worker team: an
+/// injected kernel panic is `LdError::Worker` with its message, at one
+/// thread (the caller's) and at four, and the next run is clean and
+/// bit-equal to a run before the fault.
+#[test]
+fn injected_kernel_panic_in_cross_matrix_is_a_worker_error() {
+    let _guard = lock_faults();
+    let g = random_matrix(64, 80, 0xfa0c);
+    let (a, b) = (g.view(0, 30), g.view(30, 80));
+    let bits = |m: &ld_core::CrossLdMatrix| -> Vec<u64> {
+        m.values().iter().map(|v| v.to_bits()).collect()
+    };
+    for threads in [1usize, 4] {
+        let engine = LdEngine::new().threads(threads).slab_rows(4);
+        let before = engine
+            .try_cross_stat_matrix(a, b, LdStats::RSquared)
+            .expect("clean run before the fault");
+        fault::arm_kernel_panic(true);
+        let result = engine.try_cross_stat_matrix(a, b, LdStats::RSquared);
+        fault::arm_kernel_panic(false);
+        match result {
+            Err(LdError::Worker(p)) => assert!(
+                p.message.contains("injected kernel panic"),
+                "threads={threads}: payload message must survive: {:?}",
+                p.message
+            ),
+            other => panic!("threads={threads}: expected LdError::Worker, got {other:?}"),
+        }
+        let after = engine
+            .try_cross_stat_matrix(a, b, LdStats::RSquared)
+            .expect("clean run after disarm");
+        assert_eq!(bits(&after), bits(&before), "threads={threads}");
+    }
+}
+
 #[test]
 fn injected_panic_in_streaming_path_is_contained() {
     let _guard = lock_faults();

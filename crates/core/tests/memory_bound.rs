@@ -510,3 +510,70 @@ fn resident_store_peak_is_within_its_budget() {
         "streamed peak {streamed} is in the same class as the panel ({panel})"
     );
 }
+
+/// The cross matrix holds its `m·n` values, the tables of both operands
+/// and one `slab × n` u32 counts block per worker — never the `m·n` counts
+/// matrix — and shrinks its slab to fit the budget: a budget below
+/// values + full counts runs, within the budget plus the same unpriced
+/// pack-buffer allowance as `resident_store_peak_is_within_its_budget`,
+/// with values bit-identical to an unbudgeted run; one byte short of one
+/// slab row is `BudgetExceeded`.
+#[test]
+fn cross_matrix_peak_is_within_its_budget() {
+    let _heap = lock_heap();
+    use ld_bitmat::{words_for, BitMatrix};
+    use ld_core::{LdEngine, LdError, LdStats, MemoryBudget, NanPolicy};
+
+    let n_samples = 16_384usize;
+    let (m, n, slab, threads) = (400usize, 1200usize, 8usize, 2usize);
+    let wps = words_for(n_samples);
+    let build = |snps: usize, seed: u64| {
+        let mut words = ld_bitmat::AlignedWords::zeroed(snps * wps);
+        for (i, w) in words.iter_mut().enumerate() {
+            *w = (i as u64 ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        }
+        BitMatrix::from_words(n_samples, snps, words).unwrap()
+    };
+    let (a, b) = (build(m, 0xa), build(n, 0xb));
+    let snp = wps * 8;
+    let values = m * n * 8;
+    // r² tables over both operands (a u32 count and two f64 per site)
+    // plus the u32 allele-count staging table; per worker and slab row,
+    // one u32 count per B site
+    let fixed = values + (m + n) * (4 + 16) + (m + n) * 4;
+    let per_row = threads * n * 4;
+    let price = fixed + slab * per_row;
+    assert!(
+        price < values + m * n * 4,
+        "the budget must not hold the values and the whole counts matrix"
+    );
+    let overhead = threads * ((128 << 10) + 16 * snp) + (256 << 10);
+    let engine = |budget: usize| {
+        LdEngine::new()
+            .threads(threads)
+            .slab_rows(64)
+            .nan_policy(NanPolicy::Zero)
+            .memory_budget(MemoryBudget::bytes(budget))
+    };
+    let unbudgeted = LdEngine::new()
+        .threads(threads)
+        .nan_policy(NanPolicy::Zero)
+        .try_cross_stat_matrix(&a, &b, LdStats::RSquared)
+        .unwrap();
+    let e = engine(price);
+    let _ = e.try_cross_stat_matrix(&a, &b, LdStats::RSquared).unwrap(); // warm-up
+    let (peak, got) =
+        peak_heap_during(|| e.try_cross_stat_matrix(&a, &b, LdStats::RSquared).unwrap());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got.values()), bits(unbudgeted.values()));
+    assert!(peak >= values, "peak {peak} below the values ({values})");
+    assert!(
+        peak <= price + overhead,
+        "cross peak {peak} exceeds its budget {price} + pack allowance {overhead}"
+    );
+
+    match engine(fixed + per_row - 1).try_cross_stat_matrix(&a, &b, LdStats::RSquared) {
+        Err(LdError::BudgetExceeded { required, .. }) => assert_eq!(required, fixed + per_row),
+        other => panic!("expected BudgetExceeded, got {other:?}"),
+    }
+}

@@ -5,7 +5,7 @@ use crate::micro::Kernel;
 use crate::pack::pack_panels;
 use crate::{BlockSizes, KernelKind};
 use ld_bitmat::{AlignedWords, BitMatrixView};
-use ld_parallel::even_ranges;
+use ld_parallel::{try_for_each_part, WorkerPanic};
 use ld_trace::recorder::{Span, SpanKind};
 use ld_trace::Counter;
 use std::ops::Range;
@@ -207,10 +207,18 @@ pub fn gemm_counts(a: &BitMatrixView<'_>, b: &BitMatrixView<'_>, kind: KernelKin
     c
 }
 
-/// Multithreaded [`gemm_counts_buf`]: the `m` (A-SNP) dimension is split
-/// into `threads` even row slabs, each computed by one worker — the BLIS
-/// loop-around-the-macro-kernel parallelization the paper uses for
-/// Tables I–III.
+/// Multithreaded [`gemm_counts_buf`]: the `m` (A-SNP) rows of C are cut
+/// into at most `threads` contiguous blocks, each a multiple of the
+/// kernel's `MR` rows, and each block is one claim of
+/// [`ld_parallel::try_for_each_part`] — the BLIS loop-around-the-macro-
+/// kernel parallelization the paper uses for Tables I–III. GEMM rows cost
+/// the same, so one block per thread balances, and each block packs B̃
+/// once; `MR`-aligned blocks keep the micro-tile grid (and `kernel_tiles`)
+/// that of one thread. Kept for `benchmark/`; see ROADMAP 8a.
+///
+/// The first worker panic comes back as a [`WorkerPanic`] once the team
+/// has drained; the operand checks panic on the caller, as in
+/// [`gemm_counts_buf`].
 pub fn gemm_counts_mt(
     a: &BitMatrixView<'_>,
     b: &BitMatrixView<'_>,
@@ -219,61 +227,31 @@ pub fn gemm_counts_mt(
     kind: KernelKind,
     blocks: BlockSizes,
     threads: usize,
-) {
+) -> Result<(), WorkerPanic> {
     if !prepare_c(a, b, c, ldc) {
-        return;
+        return Ok(());
     }
     let kernel = Kernel::resolve(kind).expect("requested kernel not supported on this CPU");
-    let threads = threads.max(1).min(a.n_snps().max(1));
-    if threads == 1 {
+    let m = a.n_snps();
+    let rows = m.div_ceil(threads.max(1)).next_multiple_of(kernel.mr());
+    let kernel = &kernel;
+    let parts = c.chunks_mut(rows * ldc).take(m.div_ceil(rows));
+    try_for_each_part(threads, 1, parts, |p, slab| {
+        let r0 = p * rows;
+        let rows = r0..(r0 + rows).min(m);
         gemm_blocked(
-            &kernel,
+            kernel,
             blocks,
             a,
             b,
-            0..a.n_snps(),
+            rows,
             0..b.n_snps(),
-            c,
+            slab,
             ldc,
             0,
             false,
         );
-        return;
-    }
-    let ranges = even_ranges(a.n_snps(), threads);
-    // Slice C into disjoint contiguous row slabs, one per worker.
-    let mut slabs: Vec<(&mut [u32], Range<usize>)> = Vec::with_capacity(threads);
-    let mut rest = c;
-    let mut offset = 0usize;
-    for r in &ranges {
-        let take = (r.end - offset) * ldc;
-        let (slab, tail) = rest.split_at_mut(take.min(rest.len()));
-        slabs.push((slab, r.clone()));
-        rest = tail;
-        offset = r.end;
-    }
-    std::thread::scope(|s| {
-        for (slab, rows) in slabs {
-            if rows.is_empty() {
-                continue;
-            }
-            let kernel = &kernel;
-            s.spawn(move || {
-                gemm_blocked(
-                    kernel,
-                    blocks,
-                    a,
-                    b,
-                    rows,
-                    0..b.n_snps(),
-                    slab,
-                    ldc,
-                    0,
-                    false,
-                );
-            });
-        }
-    });
+    })
 }
 
 #[cfg(test)]
@@ -394,7 +372,8 @@ mod tests {
                 KernelKind::Auto,
                 BlockSizes::default(),
                 threads,
-            );
+            )
+            .expect("no worker panics");
             assert_eq!(c, expect, "threads={threads}");
         }
     }

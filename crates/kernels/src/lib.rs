@@ -41,8 +41,12 @@
 //!
 //! Drivers: [`gemm_counts`] (two matrices, all `m×n` outputs — Fig. 4,
 //! long-range LD), [`syrk_counts`] (one matrix, upper triangle + mirror —
-//! Fig. 3, the usual all-pairs case), and their `_mt` threaded variants
-//! partitioned the BLIS way (Tables I–III, Fig. 5).
+//! Fig. 3, the usual all-pairs case), and their threaded forms
+//! ([`gemm_counts_mt`], [`syrk_counts_buf`], [`syrk_counts_mt`]),
+//! partitioned the BLIS way over rows of C (Tables I–III, Fig. 5). This
+//! crate spawns no thread: the threaded forms hand their row blocks to
+//! `ld_parallel`'s one claim loop and return its first worker panic as
+//! an `ld_parallel::WorkerPanic`.
 
 #![warn(missing_docs)]
 

@@ -6,9 +6,23 @@ use crate::gemm::gemm_blocked;
 use crate::micro::Kernel;
 use crate::{BlockSizes, KernelKind};
 use ld_bitmat::BitMatrixView;
-use ld_parallel::triangle_row_ranges;
+use ld_parallel::{try_for_each_part, WorkerPanic};
 use ld_trace::recorder::{Span, SpanKind};
 use std::ops::Range;
+
+/// Rows of C per claim of [`syrk_counts_buf`]: a multiple of every
+/// kernel's `MR` and `NR`, so each block starts on a micro-tile boundary
+/// and the tile set is that of one block over all rows, and independent
+/// of the thread count. Row `i` of the upper triangle costs `n − i` inner
+/// products; claiming fixed blocks dynamically absorbs that skew. A block
+/// is the kernel's `a_rows`, so an `mc` above it acts as this height, as
+/// an `mc` above the slab height does on the slab driver. Each block
+/// packs its own B̃, so short blocks cost repacking: at
+/// 3000 × 16 384 and 2 threads on a 2-vCPU x86-64 VM (8 alternating
+/// runs), 256 rows took a median 0.133 s against 0.123 s for the static
+/// triangle-weight split it replaced (the runs' spreads overlap), 64 rows
+/// 0.153 s.
+const SYRK_CLAIM_ROWS: usize = 256;
 
 /// Computes the row slab `rows` of the **upper triangle** of `C = GᵀG`
 /// counts into `c` (row 0 of `c` = global row `rows.start`, leading
@@ -148,16 +162,20 @@ pub fn mirror_upper_to_lower(c: &mut [u32], n: usize, ldc: usize) {
 pub fn syrk_counts(g: &BitMatrixView<'_>, kind: KernelKind) -> Vec<u32> {
     let n = g.n_snps();
     let mut c = vec![0u32; n * n];
-    syrk_counts_buf(g, &mut c, n, kind, BlockSizes::default(), 1);
+    if let Err(p) = syrk_counts_buf(g, &mut c, n, kind, BlockSizes::default(), 1) {
+        panic!("{}", p.message);
+    }
     c
 }
 
 /// In-buffer symmetric counts with explicit blocking and thread count.
 ///
-/// Rows are partitioned with a *triangle-aware* splitter: row `i` of the
-/// upper triangle costs `n − i` inner products, so even row slabs would
-/// starve the late threads. We reuse [`triangle_ranges`] on the flipped
-/// axis to give every worker an equal share of pairs.
+/// The upper triangle is computed in row blocks of [`SYRK_CLAIM_ROWS`],
+/// each one claim of [`ld_parallel::try_for_each_part`] — dynamic claims
+/// of fixed blocks balance the triangle's skew (early rows hold the most
+/// pairs) — and then mirrored. The first worker panic comes back as a
+/// [`WorkerPanic`] once the team has drained (and `c` is then partial);
+/// the shape checks panic on the caller.
 pub fn syrk_counts_buf(
     g: &BitMatrixView<'_>,
     c: &mut [u32],
@@ -165,7 +183,7 @@ pub fn syrk_counts_buf(
     kind: KernelKind,
     blocks: BlockSizes,
     threads: usize,
-) {
+) -> Result<(), WorkerPanic> {
     let n = g.n_snps();
     assert!(
         g.n_samples() < u32::MAX as usize,
@@ -177,7 +195,7 @@ pub fn syrk_counts_buf(
         "C buffer too small"
     );
     if n == 0 {
-        return;
+        return Ok(());
     }
     let kernel = Kernel::resolve(kind).expect("requested kernel not supported on this CPU");
     let span = Span::begin(SpanKind::KernelBatch);
@@ -185,48 +203,38 @@ pub fn syrk_counts_buf(
         row[..n].fill(0);
     }
     span.end(0);
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 {
-        syrk_rows(&kernel, blocks, g, 0..n, c, ldc);
-    } else {
-        // Row i of the upper triangle costs n − i inner products; the
-        // triangle-aware row splitter gives each worker an equal pair share.
-        let row_ranges = triangle_row_ranges(n, threads);
-
-        let mut slabs: Vec<(&mut [u32], Range<usize>)> = Vec::with_capacity(threads);
-        let mut rest = &mut *c;
-        let mut offset = 0usize;
-        for r in &row_ranges {
-            debug_assert_eq!(r.start, offset);
-            let take = ((r.end - offset) * ldc).min(rest.len());
-            let (slab, tail) = rest.split_at_mut(take);
-            slabs.push((slab, r.clone()));
-            rest = tail;
-            offset = r.end;
-        }
-        std::thread::scope(|s| {
-            for (slab, rows) in slabs {
-                if rows.is_empty() {
-                    continue;
-                }
-                let kernel = &kernel;
-                s.spawn(move || {
-                    syrk_rows(kernel, blocks, g, rows, slab, ldc);
-                });
-            }
-        });
-    }
+    let kernel = &kernel;
+    let parts = c
+        .chunks_mut(SYRK_CLAIM_ROWS * ldc)
+        .take(n.div_ceil(SYRK_CLAIM_ROWS));
+    try_for_each_part(threads, 1, parts, |p, slab| {
+        let r0 = p * SYRK_CLAIM_ROWS;
+        syrk_rows(
+            kernel,
+            blocks,
+            g,
+            r0..(r0 + SYRK_CLAIM_ROWS).min(n),
+            slab,
+            ldc,
+        );
+    })?;
     let span = Span::begin(SpanKind::KernelBatch);
     mirror_upper_to_lower(c, n, ldc);
     span.end(0);
+    Ok(())
 }
 
 /// Multithreaded convenience wrapper returning the full mirrored matrix.
-pub fn syrk_counts_mt(g: &BitMatrixView<'_>, kind: KernelKind, threads: usize) -> Vec<u32> {
+/// Kept for `benchmark/`; see ROADMAP 8a.
+pub fn syrk_counts_mt(
+    g: &BitMatrixView<'_>,
+    kind: KernelKind,
+    threads: usize,
+) -> Result<Vec<u32>, WorkerPanic> {
     let n = g.n_snps();
     let mut c = vec![0u32; n * n];
-    syrk_counts_buf(g, &mut c, n, kind, BlockSizes::default(), threads);
-    c
+    syrk_counts_buf(g, &mut c, n, kind, BlockSizes::default(), threads)?;
+    Ok(c)
 }
 
 #[cfg(test)]
@@ -294,17 +302,23 @@ mod tests {
                 nc: 3,
             },
             1,
-        );
+        )
+        .expect("no worker panics");
         assert_eq!(c, expect);
     }
 
     #[test]
     fn syrk_multithreaded_matches() {
-        let g = pseudo(96, 33, 4);
-        let expect = syrk_counts_naive(&g.full_view());
-        for threads in [1usize, 2, 3, 5, 16, 100] {
-            let got = syrk_counts_mt(&g.full_view(), KernelKind::Auto, threads);
-            assert_eq!(got, expect, "threads={threads}");
+        // 33 sites is one claim; 255 through 513 straddle the claim
+        // height, so blocks end mid-matrix and the last one is short
+        for n in [33usize, 255, 256, 257, 513] {
+            let g = pseudo(96, n, 4);
+            let expect = syrk_counts_naive(&g.full_view());
+            for threads in [1usize, 2, 3, 5, 16, 100] {
+                let got = syrk_counts_mt(&g.full_view(), KernelKind::Auto, threads)
+                    .expect("no worker panics");
+                assert_eq!(got, expect, "n={n} threads={threads}");
+            }
         }
     }
 
@@ -320,7 +334,7 @@ mod tests {
     #[test]
     fn result_is_symmetric() {
         let g = pseudo(88, 15, 6);
-        let c = syrk_counts_mt(&g.full_view(), KernelKind::Auto, 4);
+        let c = syrk_counts_mt(&g.full_view(), KernelKind::Auto, 4).expect("no worker panics");
         for i in 0..15 {
             for j in 0..15 {
                 assert_eq!(c[i * 15 + j], c[j * 15 + i]);

@@ -139,7 +139,8 @@ fn gemm_with_a_zero_snp_operand_leaves_c_untouched() {
             gemm_counts_buf(a, b, &mut c, ldc, kind, BlockSizes::default());
             assert_eq!(c, [u32::MAX; 7], "gemm_counts_buf, kernel {kind}");
             for threads in [1, 3] {
-                gemm_counts_mt(a, b, &mut c, ldc, kind, BlockSizes::default(), threads);
+                gemm_counts_mt(a, b, &mut c, ldc, kind, BlockSizes::default(), threads)
+                    .expect("no worker panics");
                 assert_eq!(c, [u32::MAX; 7], "gemm_counts_mt, kernel {kind}");
             }
             assert!(gemm_counts(a, b, kind).is_empty());
@@ -169,7 +170,7 @@ fn syrk_fringe_blocks_match_reference() {
             },
         ] {
             let mut c = vec![0u32; 65 * 65];
-            ld_kernels::syrk_counts_buf(&v, &mut c, 65, kind, blocks, 1);
+            ld_kernels::syrk_counts_buf(&v, &mut c, 65, kind, blocks, 1).expect("no worker panics");
             assert_eq!(c, expect, "kernel {kind}, blocks {blocks:?}");
         }
     }

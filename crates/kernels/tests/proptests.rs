@@ -48,7 +48,8 @@ fn gemm_matches_naive() {
             KernelKind::Auto,
             blocks,
             threads,
-        );
+        )
+        .expect("no worker panics");
         assert_eq!(
             c, expect,
             "case {case}: shape ({n_samples},{m},{n}) {blocks:?} threads {threads}"
@@ -71,7 +72,8 @@ fn syrk_matches_naive() {
         };
         let threads = rng.gen_range(1usize..5);
         let mut c = vec![0u32; n * n];
-        syrk_counts_buf(&g.full_view(), &mut c, n, KernelKind::Auto, blocks, threads);
+        syrk_counts_buf(&g.full_view(), &mut c, n, KernelKind::Auto, blocks, threads)
+            .expect("no worker panics");
         assert_eq!(
             c, expect,
             "case {case}: shape ({n_samples},{n}) {blocks:?} threads {threads}"
@@ -99,7 +101,8 @@ fn every_kernel_agrees() {
                 k.kind(),
                 BlockSizes::default(),
                 1,
-            );
+            )
+            .expect("no worker panics");
             assert_eq!(&c, &expect, "case {case}: kernel {}", k.kind());
         }
     }

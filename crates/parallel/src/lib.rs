@@ -3,21 +3,21 @@
 //! The paper parallelizes its GEMM-based LD the BLIS way: the macro loops
 //! around the micro-kernel are partitioned across cores, each thread packing
 //! and computing an independent slab of the output (Tables I–III, Fig. 5).
-//! This crate provides the small, dependency-light machinery for that:
+//! This crate provides the small, dependency-light machinery for that, and
+//! it has **one spawner**: every compute thread of the workspace is a
+//! worker of the one claim loop below. The kernels' threaded drivers, the
+//! slab driver and every parallel fill reach it through one of its two
+//! entry points; nothing else spawns compute threads.
 //!
-//! * [`run_team`] — fork-join execution of a closure on `n` logical workers
-//!   using `std::thread::scope` (the calling thread doubles as worker 0, so
-//!   a team of 1 runs inline with zero overhead);
 //! * [`try_for_each_part`] — the safe parallel writer: `f(index, part)`
 //!   once per disjoint part of an output (the rows of a packed triangle,
-//!   one slot per SNP or window), parts claimed `grain` at a time;
-//! * [`try_parallel_for_dynamic_init_ctl`] — the dynamic loop in full:
+//!   one slab of a cross matrix, one block of GEMM rows), parts claimed
+//!   `grain` at a time;
+//! * [`try_parallel_for_dynamic_init_ctl`] — the claim loop in full:
 //!   per-worker state, panic containment and a cancellation token. It is
 //!   the scheduler of the LD slab driver, and [`try_for_each_part`] is
-//!   the same loop body with no state and no token;
-//! * [`partition`] — range-splitting helpers, including the triangle-aware
-//!   splitter that balances the `N(N+1)/2` pair workload of the symmetric
-//!   `GᵀG` (SYRK) driver;
+//!   the same loop body with no state and no token. The calling thread is
+//!   worker 0, so a team of one spawns nothing;
 //! * [`Backoff`] — capped exponential retry delays with deterministic
 //!   equal jitter, shared by the `run-sharded` supervisor and the
 //!   `ld-serve` client harness so simultaneous retries decorrelate.
@@ -28,13 +28,11 @@
 //!
 //! ## Panic containment
 //!
-//! Every worker closure runs inside `catch_unwind`. The loops
-//! ([`try_for_each_part`], [`try_parallel_for_dynamic_init_ctl`]) surface
+//! Every worker closure runs inside `catch_unwind`. Both loops surface
 //! the first worker panic as a typed [`WorkerPanic`] instead of unwinding
 //! the caller. Remaining workers drain via a shared cancellation flag, so
 //! the fork-join always completes — a single bad row in a long batch scan
-//! aborts the region, not the process. [`run_team`] re-raises the panic
-//! on the calling thread once every worker has been joined.
+//! aborts the region, not the process.
 //!
 //! ## Cooperative cancellation
 //!
@@ -52,15 +50,11 @@
 mod backoff;
 mod cancel;
 mod panic;
-pub mod partition;
 mod team;
 
 pub use backoff::Backoff;
 pub use cancel::{CancelToken, Deadline};
 pub use panic::WorkerPanic;
-pub use partition::{
-    even_ranges, triangle_ranges, triangle_row_ranges, triangle_row_weight, triangle_weight,
-};
 pub use team::{
-    available_threads, run_team, try_for_each_part, try_parallel_for_dynamic_init_ctl, LoopOutcome,
+    available_threads, try_for_each_part, try_parallel_for_dynamic_init_ctl, LoopOutcome,
 };

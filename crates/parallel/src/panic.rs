@@ -5,9 +5,8 @@
 //! wedging a join forever. Every team/loop primitive in this crate wraps
 //! worker closures in [`std::panic::catch_unwind`]; the loops surface the
 //! **first** panic as a typed [`WorkerPanic`] with its payload message
-//! preserved (`run_team` re-raises it after the join); the remaining
-//! workers drain via a shared cancellation flag, so the fork-join always
-//! completes.
+//! preserved; the remaining workers drain via a shared cancellation flag,
+//! so the fork-join always completes.
 
 use std::any::Any;
 use std::fmt;
@@ -15,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// The boxed payload a panicking thread leaves behind.
-pub(crate) type Payload = Box<dyn Any + Send + 'static>;
+type Payload = Box<dyn Any + Send + 'static>;
 
 /// A worker thread panicked inside a parallel region.
 ///
@@ -33,7 +32,7 @@ pub struct WorkerPanic {
 
 impl WorkerPanic {
     /// Builds from a captured payload.
-    pub(crate) fn from_payload(worker: usize, payload: &Payload) -> Self {
+    fn from_payload(worker: usize, payload: &Payload) -> Self {
         Self {
             message: payload_message(payload),
             worker,
@@ -50,7 +49,7 @@ impl fmt::Display for WorkerPanic {
 impl std::error::Error for WorkerPanic {}
 
 /// Renders a panic payload into a human-readable message.
-pub(crate) fn payload_message(payload: &Payload) -> String {
+fn payload_message(payload: &Payload) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -87,7 +86,7 @@ impl PanicTrap {
     }
 
     /// Records a panic (first writer wins) and raises the cancel flag.
-    pub(crate) fn record(&self, worker: usize, payload: Payload) {
+    fn record(&self, worker: usize, payload: Payload) {
         self.cancel.store(true, Ordering::Relaxed);
         let mut slot = lock_ignore_poison(&self.first);
         if slot.is_none() {
@@ -109,13 +108,13 @@ impl PanicTrap {
     }
 
     /// Consumes the trap, yielding the first captured panic (if any).
-    pub(crate) fn into_result(self) -> Result<(), (usize, Payload)> {
+    pub(crate) fn into_result(self) -> Result<(), WorkerPanic> {
         match self
             .first
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
         {
-            Some(hit) => Err(hit),
+            Some((worker, payload)) => Err(WorkerPanic::from_payload(worker, &payload)),
             None => Ok(()),
         }
     }

@@ -1,17 +1,14 @@
-//! Fork-join worker teams over `std::thread::scope`.
+//! The one worker team: a dynamically-scheduled claim loop over
+//! `std::thread::scope`, and the only place in the workspace's compute
+//! stack that spawns a thread.
 //!
-//! Every worker of every primitive runs inside a panic trap. [`run_team`]
-//! re-raises a worker panic on the caller exactly like
-//! `std::thread::scope` does; the loops ([`try_for_each_part`],
-//! [`try_parallel_for_dynamic_init_ctl`]) **contain** it — the first
-//! panic is converted into a typed [`WorkerPanic`] (payload message
-//! preserved), the remaining workers drain via a cancellation flag, and
-//! the join always completes.
-//!
-//! There is one dynamically-scheduled loop body (`dynamic_loop`):
-//! [`try_for_each_part`] is that body with no per-worker state and no
-//! token, so the chunk schedule — and with it `tiles_claimed` — is the
-//! same function of `(len, grain)` at every thread count.
+//! Every worker runs inside a panic trap: the first panic is converted
+//! into a typed [`WorkerPanic`] (payload message preserved), the remaining
+//! workers drain via a cancellation flag, and the join always completes.
+//! [`try_for_each_part`] is [`try_parallel_for_dynamic_init_ctl`] with no
+//! per-worker state and no token, so the chunk schedule — and with it
+//! `tiles_claimed` — is the same function of `(len, grain)` at every
+//! thread count.
 
 use crate::cancel::CancelToken;
 use crate::panic::{lock_ignore_poison, PanicTrap, WorkerPanic};
@@ -58,64 +55,6 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Core fork-join with panic trapping. Every worker (including worker 0 on
-/// the calling thread) runs inside `catch_unwind`; the first payload is
-/// captured, everyone else finishes, and the payload is surfaced as a
-/// `Result` instead of unwinding through the scope join.
-fn run_team_trapped<F>(n: usize, f: F) -> Result<(), (usize, crate::panic::Payload)>
-where
-    F: Fn(usize) + Sync,
-{
-    let trap = PanicTrap::new();
-    if n == 1 {
-        ld_trace::recorder::set_worker(0);
-        trap.run(0, || f(0));
-        return trap.into_result();
-    }
-    std::thread::scope(|s| {
-        for tid in 1..n {
-            let f = &f;
-            let trap = &trap;
-            s.spawn(move || {
-                // Bind this OS thread's flight-recorder timeline to its
-                // logical worker id.
-                ld_trace::recorder::set_worker(tid);
-                trap.run(tid, || f(tid))
-            });
-        }
-        ld_trace::recorder::set_worker(0);
-        trap.run(0, || f(0));
-    });
-    trap.into_result()
-}
-
-/// Runs `f(worker_id)` on `n_threads` logical workers and waits for all of
-/// them. Worker 0 is the calling thread, so `run_team(1, f)` is just
-/// `f(0)` — the single-thread path has no synchronization cost, which
-/// matters when benchmarking 1-thread rows of the paper's tables.
-///
-/// The closure may borrow from the caller's stack (scoped threads).
-/// A panicking worker propagates its original payload to the caller after
-/// every other worker has finished.
-///
-/// ```
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// let hits = AtomicUsize::new(0);
-/// ld_parallel::run_team(4, |tid| {
-///     hits.fetch_add(tid + 1, Ordering::Relaxed);
-/// });
-/// assert_eq!(hits.load(Ordering::Relaxed), 1 + 2 + 3 + 4);
-/// ```
-pub fn run_team<F>(n_threads: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let n = n_threads.max(1);
-    if let Err((_, payload)) = run_team_trapped(n, f) {
-        std::panic::resume_unwind(payload);
-    }
 }
 
 /// Runs `f(index, part)` once per item of `parts` — typically disjoint
@@ -218,23 +157,6 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, std::ops::Range<usize>) + Sync,
 {
-    dynamic_loop(n_threads, len, grain, token, &init, &f)
-        .map_err(|(tid, payload)| WorkerPanic::from_payload(tid, &payload))
-}
-
-/// The one claim-a-chunk loop behind both loops.
-fn dynamic_loop<S, I, F>(
-    n_threads: usize,
-    len: usize,
-    grain: usize,
-    token: Option<&CancelToken>,
-    init: &I,
-    f: &F,
-) -> Result<LoopOutcome, (usize, crate::panic::Payload)>
-where
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, std::ops::Range<usize>) + Sync,
-{
     let grain = grain.max(1);
     let n = n_threads.max(1).min(len.div_ceil(grain).max(1));
     if len == 0 {
@@ -304,24 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn team_runs_every_worker_once() {
-        for n in [1usize, 2, 3, 8] {
-            let seen = Mutex::new(vec![0usize; n]);
-            run_team(n, |tid| {
-                seen.lock().unwrap()[tid] += 1;
-            });
-            assert_eq!(*seen.lock().unwrap(), vec![1; n], "n={n}");
-        }
-    }
-
-    #[test]
     fn team_zero_is_clamped_to_one() {
         let ran = AtomicUsize::new(0);
-        run_team(0, |tid| {
-            assert_eq!(tid, 0);
+        let init = |tid| assert_eq!(tid, 0, "a team of zero is the caller alone");
+        try_parallel_for_dynamic_init_ctl(0, 3, 1, None, init, |(), _| {
             ran.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        })
+        .unwrap();
+        assert_eq!(ran.load(Ordering::Relaxed), 3);
     }
 
     /// Runs [`try_for_each_part`] over the parts `0..len` and returns how

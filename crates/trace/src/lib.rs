@@ -37,7 +37,7 @@
 //! | `slabs_emitted` | driver | row slabs completed by the fused pipeline |
 //! | `budget_shrinks` | driver | times the memory budget shrank the slab height |
 //! | `alloc_peak_bytes` | driver | high-water mark of the *modeled* transient footprint (scratch + output) |
-//! | `tiles_claimed` | parallel | dynamic-scheduler chunks claimed (also per worker) |
+//! | `tiles_claimed` | parallel | claim-loop chunks claimed (also per worker): one per slab on the slab driver and the cross matrix; a streamed store run adds its inner GEMM's, at most `threads` per (slab, chunk) |
 //! | `io_lines_read` | io | text lines parsed (also per format) |
 //! | `io_bytes_read` | io | input bytes consumed (also per format) |
 //! | `cancel_polls` | driver | cancellation-token polls (one per *computed* slab; slab-granular, never per-tile) |

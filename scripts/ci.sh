@@ -13,7 +13,8 @@
 #   4. release build, workspace tests, the release-arithmetic legs, the
 #                         one-formatter, per-window, ext-kernel, safe-fill,
 #                         wire, hand-off, one-timer, engine-surface,
-#                         one-schedule, one-CRC and one-arm guards
+#                         one-schedule, one-CRC, one-arm and one-spawner
+#                         guards
 #   5. schemas          — each published artifact (the `--profile=json`
 #                         run report with its timeline, CPU profile, shard
 #                         manifest, tile manifest, request log, both
@@ -217,6 +218,22 @@ ARM=$(find crates/*/src -name '*.rs' | sort | while read -r f; do shipped "$f"; 
 if [ -n "$ARM" ]; then
     echo "one-arm guard FAIL: a flag or environment variable selects the resident arm:" >&2
     printf '%s\n' "$ARM" >&2
+    exit 1
+fi
+
+# One thread team: every compute thread is a worker of `ld-parallel`'s
+# one claim loop. The kernels hand their row blocks to it and start no
+# thread of their own (the TSC calibration's `sleep` starts none);
+# `ld-parallel` starts its workers in exactly one `std::thread::scope`.
+echo "==> one spawner: no thread started in crates/kernels/src, one scope in crates/parallel/src"
+KTHREADS=$(find crates/kernels/src -name '*.rs' | sort | while read -r f; do shipped "$f"; done \
+    | grep -E 'thread::(scope|spawn|Builder)' || true)
+PTHREADS=$(find crates/parallel/src -name '*.rs' | sort | while read -r f; do shipped "$f"; done \
+    | grep -E 'thread::(scope|spawn|Builder)' || true)
+if [ -n "$KTHREADS" ] || [ "$(printf '%s\n' "$PTHREADS" | grep -c .)" -ne 1 ] \
+    || ! printf '%s\n' "$PTHREADS" | grep -qF 'std::thread::scope'; then
+    echo "one-spawner guard FAIL: a thread started in ld-kernels, or not exactly one scope in ld-parallel:" >&2
+    printf '%s\n' "$KTHREADS" "$PTHREADS" >&2
     exit 1
 fi
 
