@@ -20,7 +20,7 @@ use ld_trace::recorder::TraceSnapshot;
 use ld_trace::Counter;
 use std::io::BufReader;
 use std::path::Path;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Top-level usage text.
@@ -583,7 +583,9 @@ pub fn r2(args: &Args) -> CmdResult {
     )?;
     let mut intr = Interruption::parse(args)?;
     let min_r2 = parse_threshold(args, "min-r2", 0.0)?;
-    let (g, store);
+    // The panel is owned here so that a staircase run can take it over.
+    let mut g = None;
+    let store;
     let src = match args.get("store").filter(|s| !s.is_empty()) {
         Some(dir) => {
             if args.get("input").is_some() {
@@ -602,10 +604,7 @@ pub fn r2(args: &Args) -> CmdResult {
             );
             Source::Store(&store)
         }
-        None => {
-            g = load_matrix(args.require("input")?)?;
-            Source::from(&g)
-        }
+        None => Source::from(&*g.insert(load_matrix(args.require("input")?)?)),
     };
     let (n, n_samples) = (src.n_snps(), src.n_samples());
     let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
@@ -657,7 +656,15 @@ pub fn r2(args: &Args) -> CmdResult {
         );
     };
     let output = args.get("output").filter(|s| !s.is_empty());
-    if let Some((idx, n_shards)) = parse_shard(args)? {
+    let shard = parse_shard(args)?;
+    // A thresholded r² run from memory computes only the pairs whose
+    // allele frequencies let them pass, when that pays (`r2_staircase`
+    // decides); a shard or checkpoint keeps the whole triangle's grid.
+    let staircase = match (shard, &sink, stat) {
+        (None, None, ld_core::LdStats::RSquared) => engine.r2_staircase(src, min_r2)?,
+        _ => None,
+    };
+    if let Some((idx, n_shards)) = shard {
         // `--shard i/N`: compute one shard of the N-way slab plan and write
         // it in the checkpoint interchange format — the pair table comes
         // later, from `merge` over all N shard outputs. The plan is cut on
@@ -678,6 +685,40 @@ pub fn r2(args: &Args) -> CmdResult {
         intr.remove_checkpoint("shard");
         let (r0, r1) = range.rows(state.slab as usize, n);
         eprintln!("shard {idx}/{n_shards}: slabs {range} (rows {r0}..{r1}) of {n} SNPs -> {out}");
+    } else if let Some(plan) = &staircase {
+        // The staircase hands over each slab's kept pairs in no order: the
+        // listing folds them into the strongest so far as they come (its
+        // order is total), the table keeps them all and writes them in row
+        // order at the end — atomically, so a cancelled run leaves no file.
+        // The run sorts the panel in place: it is not needed again.
+        let Some(panel) = g.take() else {
+            unreachable!("a staircase is planned on a panel in memory")
+        };
+        let kept = Mutex::new(Vec::new());
+        let collect = |slab: &[Pair]| match output {
+            Some(_) => lock(&kept).extend_from_slice(slab),
+            None => {
+                let slab_best = top_pairs(slab.iter().copied(), min_r2);
+                let mut best = lock(&kept);
+                *best = top_pairs(best.drain(..).chain(slab_best), min_r2);
+            }
+        };
+        engine
+            .try_r2_pairs_with(plan, panel, collect, &ctl)
+            .map_err(|e| intr.classify(e))?;
+        let mut kept = kept.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if let Some(path) = output {
+            kept.sort_unstable_by_key(|&(i, j, _)| (i, j));
+            write_atomic_with(path, |w| write_kept_pairs(w, &kept, min_r2))
+                .map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))?;
+        }
+        let wall = t0.elapsed();
+        compute_wall_ns = wall.as_nanos() as u64;
+        print_summary(wall);
+        match output {
+            Some(path) => eprintln!("wrote pair table to {path}"),
+            None => print_top_pairs(&kept, min_r2),
+        }
     } else if let (Some(path), None) = (output, &sink) {
         // Streaming path — only without --checkpoint: each slab goes
         // straight into the table and is retained nowhere, so there is no
@@ -840,8 +881,38 @@ fn write_pair_table(path: &str, m: &ld_core::LdMatrix, min_r2: f64) -> Result<()
     .map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))
 }
 
+/// `m`'s guard, poisoned or not: a panicking worker already fails the run.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Rows per formatted block of the streamed pair table.
 const TABLE_BLOCK_ROWS: usize = 16;
+
+/// The pair table of a staircase run: `kept`, sorted by `(i, j)`, cut into
+/// runs of consecutive columns of one row, each formatted by the table's
+/// one row formatter — the bytes of the dense table's kept rows.
+fn write_kept_pairs(w: &mut dyn std::io::Write, kept: &[Pair], min_r2: f64) -> std::io::Result<()> {
+    w.write_all(R2_TABLE_HEADER.as_bytes())?;
+    let (mut block, mut values) = (Vec::new(), Vec::new());
+    let mut rest = kept;
+    while let Some(&(i, j0, _)) = rest.first() {
+        let run = rest
+            .iter()
+            .enumerate()
+            .take_while(|&(t, &(r, j, _))| r == i && j == j0 + t)
+            .count();
+        values.clear();
+        values.extend(rest[..run].iter().map(|&(_, _, v)| v));
+        push_r2_row(&mut block, i, j0, &values, min_r2);
+        rest = &rest[run..];
+        if block.len() >= 1 << 16 {
+            w.write_all(&block)?;
+            block.clear();
+        }
+    }
+    w.write_all(&block)
+}
 
 /// An off-diagonal pair `(i, j, value)`, `i < j`.
 type Pair = (usize, usize, f64);

@@ -508,3 +508,66 @@ fn tanimoto_neighbours_keep_the_stable_order_among_ties() {
         assert_eq!(run_ok(&line).stdout, want, "{line}");
     }
 }
+
+/// A thresholded `r2` from memory computes only its frequency-sorted
+/// staircase; `--checkpoint` keeps the dense grid of the whole triangle.
+/// The listing and the `-o` table of the two are the same bytes — from an
+/// `.ms` and a `.txt` panel with monomorphic and all-carrier sites, at
+/// thresholds 0.2 to 1 and 1/2/7 threads — and the profile shows which
+/// ran: fewer values transformed than the triangle holds on the staircase,
+/// all of them under `--stat d`, which keeps the dense grid.
+#[test]
+fn staircase_run_prints_and_writes_the_bytes_of_the_dense_grid() {
+    let dir = Scratch::new("proc_staircase");
+    let (ms, sim, txt) = (dir.path("d.ms"), dir.path("sim.txt"), dir.path("m.txt"));
+    let (ckpt, a, b, prof) = (
+        dir.path("ckpt"),
+        dir.path("a.tsv"),
+        dir.path("b.tsv"),
+        dir.path("p.json"),
+    );
+    let n = 240usize;
+    simulate(&ms, 160, n, 31);
+    simulate(&sim, 96, n, 32);
+    let mut g = ld_io::text::read_matrix(&read(&sim)[..]).expect("simulated panel");
+    for s in 0..g.n_samples() {
+        for j in [0, 7, 8, 100] {
+            g.set(s, j, false);
+        }
+        g.set(s, 150, true);
+    }
+    let mut bytes = Vec::new();
+    ld_io::text::write_matrix(&mut bytes, &g).expect("in-memory write");
+    std::fs::write(&txt, bytes).expect("write the panel");
+    let transformed = |line: &str| {
+        run_ok(&format!("{line} --profile=json --profile-out {prof}"));
+        let doc = parse_json(&prof);
+        field(&doc, &["counters", "pairs_transformed"])
+            .as_u64()
+            .expect("a count") as usize
+    };
+    let all = n * (n + 1) / 2;
+    for input in [&ms, &txt] {
+        for min_r2 in ["0.2", "0.5", "0.8", "1.0"] {
+            for threads in [1, 2, 7] {
+                let line = format!("r2 -i {input} --min-r2 {min_r2} --threads {threads}");
+                let dense = format!("{line} --checkpoint {ckpt}");
+                assert_eq!(run_ok(&line).stdout, run_ok(&dense).stdout, "{line}");
+                run_ok(&format!("{line} -o {a}"));
+                run_ok(&format!("{dense} -o {b}"));
+                assert!(read(&a) == read(&b), "{line} -o");
+            }
+            let line = format!("r2 -i {input} --min-r2 {min_r2}");
+            let stair = transformed(&line);
+            assert!(
+                stair < all,
+                "{line}: {stair} of {all} values: no staircase ran"
+            );
+        }
+        let line = format!("r2 -i {input} --stat d --min-r2 0.2");
+        run_ok(&format!("{line} -o {a}"));
+        run_ok(&format!("{line} --checkpoint {ckpt} -o {b}"));
+        assert!(read(&a) == read(&b), "{line} -o");
+        assert_eq!(transformed(&line), all, "{line} must stay unpruned");
+    }
+}

@@ -15,8 +15,11 @@
 //! The driver owns, once each, everything that is not data movement:
 //!
 //! * the slab grid and the two windows on it (`Grid`): the shard's row
-//!   window and the column band `w` (row `i` keeps columns `i ..= i + w`;
-//!   absent = every column), all in *sites* (see the statistics table
+//!   window and how far each row reaches (`Reach`): row `i` keeps columns
+//!   `i .. e(i)` for a non-decreasing `e` — every column (`e(i) = n`), the
+//!   column band `w` (`e(i) = i + w + 1`), or the staircase of a
+//!   thresholded `r²` run (`e` from allele frequencies, see
+//!   [`crate::staircase`]) — all in *sites* (see the statistics table
 //!   below);
 //! * interruption — a deadline pre-trip, then exactly one token/deadline
 //!   poll per *computed* slab, never inside the kernel loops;
@@ -33,10 +36,18 @@
 //! the sinks differ only in "where does row `i`'s span `[j0, j0+len)` go"
 //! and "slab `k` is complete":
 //!
-//! | sink              | row `i`, columns `[j0, j0+len)` land in          | slab complete                   | band                         |
+//! | sink              | row `i`, columns `[j0, j0+len)` land in          | slab complete                   | reach                        |
 //! |-------------------|--------------------------------------------------|---------------------------------|------------------------------|
-//! | `Sink::Packed`  | `packed[off(i) + (j0 − i) ..]` (disjoint per slab) | ledger flag → checkpoint cadence | rejected (stores every pair) |
-//! | `Sink::Rows`    | the worker's `slab × strip` f64 strip            | visitor called unlocked, on the worker that computed the slab | strip = `min(n, slab + w)`   |
+//! | `Sink::Packed`  | `packed[off(i) + (j0 − i) ..]` (disjoint per slab) | ledger flag → checkpoint cadence | every column (stores every pair) |
+//! | `Sink::Rows`    | the worker's `slab × strip` f64 strip            | visitor called unlocked, on the worker that computed the slab | every column, or a band: strip = `min(n, slab + w)` |
+//! | `Sink::Pairs`   | one f64 row, then the worker's kept-pair list: `(i, j, r²)` of the pairs that pass, diagonal skipped | as `Rows`, with the slab's kept pairs | the staircase: strip = the widest slab's `e(r1 − 1) − r0` |
+//!
+//! The pair sink runs a panel permuted into sorted order, so its rows and
+//! columns are sorted positions; each pair is transformed at its original
+//! indices `(min, max)` — the tables are a pure function of a site's
+//! count, so sorted tables at sorted positions are the original tables at
+//! original indices — which keeps its values bit-identical to the same
+//! pairs of the other sinks.
 //!
 //! The statistic is the epilogue. A [`Statistic`] reads `k` bit planes
 //! per site, stored as `k` adjacent panel columns; a slab asks the source
@@ -61,14 +72,17 @@
 //! only its ordered hand-off. The shard form is the packed sink plus
 //! `Grid::record`, in [`crate::LdEngine`]. The banded consumers ([`crate::banded`],
 //! [`crate::decay`], [`crate::blocks`]) are row visitors under
-//! [`RunControl::with_band`] — there is no second loop.
+//! [`RunControl::with_band`], and a thresholded `r²` run is the pair sink
+//! on its staircase ([`crate::LdEngine::try_r2_pairs_with`]) — there is no
+//! second loop.
 
 use crate::checkpoint::{CheckpointSink, CheckpointState, SlabRecord};
 use crate::control::RunControl;
 use crate::error::{fault, try_zeroed_vec, LdError};
-use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice};
+use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice, Transform};
 use crate::shard::SlabRange;
 use crate::source::{read_resident, Price, Source};
+use crate::staircase::{r2_keeps, KeptPair};
 use crate::stats::{LdStats, NanPolicy, Statistic};
 use ld_kernels::micro::Kernel;
 use ld_kernels::{BlockSizes, KernelKind};
@@ -79,6 +93,15 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
+
+/// One worker's buffers: the source's counts, the row sink's values, the
+/// pair sink's kept pairs.
+#[derive(Default)]
+struct Scratch {
+    counts: Vec<u32>,
+    values: Vec<f64>,
+    kept: Vec<KeptPair>,
+}
 
 /// Poisoned-lock-tolerant lock (the panic trap already drains the region;
 /// lock state after a contained panic is still consistent for our uses).
@@ -121,6 +144,44 @@ pub(crate) enum Sink<'a> {
     /// A per-slab visitor, called by whichever worker finished the slab
     /// with no lock held; slabs are the caller's once visited.
     Rows(&'a (dyn Fn(&RowSlabVisit<'_>) + Sync)),
+    /// The kept pairs of each slab of a staircase run, handed over as the
+    /// row sink hands its slabs.
+    Pairs(&'a PairSink<'a>),
+}
+
+/// A staircase run's sink: the source is the panel in sorted order,
+/// `order` maps its sites back, `ends` is the reach of each sorted row,
+/// and `visit` receives each slab's pairs that pass `min_r2`, at their
+/// original indices.
+pub(crate) struct PairSink<'a> {
+    pub order: &'a [usize],
+    pub ends: &'a [usize],
+    pub min_r2: f64,
+    pub visit: &'a (dyn Fn(&[KeptPair]) + Sync),
+}
+
+impl PairSink<'_> {
+    /// Sorted row `i` against sorted columns `cols`, whose counts are
+    /// `counts`: each pair's `r²` at its original `(min, max)` order into
+    /// `row` (one row of scratch), then the pairs that pass onto `kept`.
+    fn keep(
+        &self,
+        tr: &Transform,
+        i: usize,
+        cols: Range<usize>,
+        counts: &[u32],
+        row: &mut [f64],
+        kept: &mut Vec<KeptPair>,
+    ) {
+        let (oi, row) = (self.order[i], &mut row[..cols.len()]);
+        tr.r2_span_ordered(i, oi, cols.start, &self.order[cols.clone()], counts, row);
+        for (j, &v) in cols.zip(row.iter()) {
+            if r2_keeps(v, self.min_r2) {
+                let oj = self.order[j];
+                kept.push((oi.min(oj), oi.max(oj), v));
+            }
+        }
+    }
 }
 
 /// The sink as the worker team sees it.
@@ -130,37 +191,71 @@ enum Dest<'a> {
         ckpt: Option<Ckpt<'a>>,
     },
     Rows(&'a (dyn Fn(&RowSlabVisit<'_>) + Sync)),
+    Pairs(&'a PairSink<'a>),
+}
+
+/// How far the rows of a run reach: row `i` keeps columns `i .. e(i)`,
+/// `e` non-decreasing and `> i`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Reach<'a> {
+    /// `e(i) = min(n, i + w + 1)`: the column band `w`, clamped to `n`
+    /// (`w = n`: every column).
+    Band(usize),
+    /// `e(i) = ends[i]`: the staircase of a thresholded `r²` run.
+    Stair(&'a [usize]),
+}
+
+impl Reach<'_> {
+    /// The reach of an `n`-site run under an optional column band.
+    pub fn band(n: usize, band: Option<usize>) -> Self {
+        Self::Band(band.map_or(n, |w| w.min(n)))
+    }
+
+    /// One past the last column row `i` of an `n`-site run keeps.
+    pub fn end(&self, n: usize, i: usize) -> usize {
+        match *self {
+            Self::Band(w) => n.min(i + w + 1),
+            Self::Stair(ends) => ends[i],
+        }
+    }
+
+    /// Columns of the widest slab of height `slab` on an `n`-site run:
+    /// what one slab row costs in scratch, and in the budget models. The
+    /// staircase takes the widest at any start row, not only on the grid,
+    /// so a budget-shrunk run stays inside the strip it was priced at.
+    pub fn strip(&self, n: usize, slab: usize) -> usize {
+        match *self {
+            Self::Band(w) => n.min(slab.saturating_add(w)),
+            Self::Stair(ends) => (0..n)
+                .map(|r0| ends[(r0 + slab.max(1)).min(n) - 1] - r0)
+                .max()
+                .unwrap_or(0),
+        }
+    }
 }
 
 /// The slab grid of one run and the two windows on it: slab `k` covers
 /// rows `[k·slab, min((k+1)·slab, n))`; only slabs in `[lo, hi)` are
 /// computed, checkpointed and counted, and row `i` keeps columns
-/// `i ..= i + band`. A shard window starts on a slab boundary, so slab
-/// indices (and checkpoint record geometry) stay on the global grid.
+/// `i .. e(i)` of its [`Reach`]. A shard window starts on a slab
+/// boundary, so slab indices (and checkpoint record geometry) stay on the
+/// global grid.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Grid {
+pub(crate) struct Grid<'a> {
     pub n: usize,
     pub slab: usize,
     pub n_slabs: usize,
     pub lo: usize,
     pub hi: usize,
-    /// Column band, clamped to `n` (= no band: every row reaches column
-    /// `n − 1`).
-    pub band: usize,
+    pub reach: Reach<'a>,
 }
 
-/// Columns of the widest slab of an `n`-SNP run at height `slab` under
-/// `band`: what one slab row costs in scratch, and in the budget models.
-pub(crate) fn strip_width(n: usize, slab: usize, band: Option<usize>) -> usize {
-    band.map_or(n, |w| n.min(slab.saturating_add(w)))
-}
-
-impl Grid {
+impl<'a> Grid<'a> {
     pub fn new(
         n: usize,
         slab: usize,
         shard: Option<SlabRange>,
-        band: Option<usize>,
+        reach: Reach<'a>,
     ) -> Result<Self, LdError> {
         let slab = slab.max(1).min(n.max(1));
         let n_slabs = n.div_ceil(slab);
@@ -179,7 +274,7 @@ impl Grid {
             n_slabs,
             lo,
             hi,
-            band: band.map_or(n, |w| w.min(n)),
+            reach,
         })
     }
 
@@ -187,9 +282,15 @@ impl Grid {
         k * self.slab..((k + 1) * self.slab).min(self.n)
     }
 
-    /// One past the last column any row of `rows` keeps.
+    /// One past the last column row `i` keeps.
+    fn end(&self, i: usize) -> usize {
+        self.reach.end(self.n, i)
+    }
+
+    /// One past the last column any row of `rows` keeps: the last row's,
+    /// the reach being non-decreasing.
     fn cols_end(&self, rows: &Range<usize>) -> usize {
-        self.n.min(rows.end + self.band)
+        self.end(rows.end - 1)
     }
 
     /// Slab `k`'s range in the packed triangle (row slabs are contiguous
@@ -433,14 +534,17 @@ fn poll_deadline(deadline: Option<Deadline>, token: Option<&CancelToken>) {
 /// failing source read or checkpoint write is sticky, stops further
 /// slabs, and is returned after the drain.
 ///
-/// Checkpoint plans are **rejected** for [`Sink::Rows`]: each slab is
-/// the caller's once visited, so there is no engine-owned state to
-/// persist — callers streaming to durable storage already have their own
-/// resume point. A column band is **rejected** for [`Sink::Packed`]: the
-/// triangle (and every checkpoint and shard record cut from it) stores
-/// every pair. A statistic other than [`LdStats`] is **rejected** from a
-/// store source and under a shard range or checkpoint plan (see the
-/// statistics table above).
+/// Checkpoint plans are **rejected** for [`Sink::Rows`] and
+/// [`Sink::Pairs`]: each slab is the caller's once visited, so there is
+/// no engine-owned state to persist — callers streaming to durable
+/// storage already have their own resume point. A column band is
+/// **rejected** for [`Sink::Packed`]: the triangle (and every checkpoint
+/// and shard record cut from it) stores every pair. A statistic other
+/// than [`LdStats`] is **rejected** from a store source and under a shard
+/// range or checkpoint plan (see the statistics table above). The pair
+/// sink runs `r²` from a memory source over its own staircase, so a
+/// store, another statistic, a band or a shard range is **rejected**
+/// there.
 pub(crate) fn run(
     src: &Source<'_>,
     stat: Statistic,
@@ -451,7 +555,7 @@ pub(crate) fn run(
     if matches!(src, Source::Store(_)) || ctl.shard.is_some() {
         ld_only(stat)?;
     }
-    if ctl.checkpoint.is_some() && matches!(sink, Sink::Rows(_)) {
+    if ctl.checkpoint.is_some() && !matches!(sink, Sink::Packed(_)) {
         return Err(LdError::InvalidConfig {
             message:
                 "checkpointing requires the packed-matrix driver (streaming slabs are not retained)",
@@ -463,6 +567,19 @@ pub(crate) fn run(
                 "a column band requires the row-slab driver (the packed triangle stores every pair)",
         });
     }
+    let stair_ok = |p: &PairSink<'_>| {
+        matches!(src, Source::Memory(_))
+            && stat == Statistic::Ld(LdStats::RSquared)
+            && ctl.band.is_none()
+            && ctl.shard.is_none()
+            && p.ends.len() == src.n_snps()
+    };
+    if matches!(sink, Sink::Pairs(p) if !stair_ok(p)) {
+        return Err(LdError::InvalidConfig {
+            message: "the pair sink runs r² from a memory source over its own staircase \
+                      (no store, other statistic, band or shard range)",
+        });
+    }
     let planes = stat.planes();
     let n = sites(src, stat)?;
     if n == 0 {
@@ -471,7 +588,11 @@ pub(crate) fn run(
     // Up front rather than as a panic inside the first kernel call (after
     // a store source already read chunks).
     resolved_kernel_name(cfg.kind)?;
-    let grid = Grid::new(n, cfg.slab, ctl.shard, ctl.band)?;
+    let reach = match &sink {
+        Sink::Pairs(p) => Reach::Stair(p.ends),
+        _ => Reach::band(n, ctl.band),
+    };
+    let grid = Grid::new(n, cfg.slab, ctl.shard, reach)?;
     let slab = grid.slab;
     let run_token = ctl.run_token();
     let token = run_token.as_ref();
@@ -508,6 +629,7 @@ pub(crate) fn run(
             Dest::Packed { out, ckpt }
         }
         Sink::Rows(visit) => Dest::Rows(visit),
+        Sink::Pairs(pairs) => Dest::Pairs(pairs),
     };
     // The resident arm: a store that fits its budget is read once, here,
     // and computed as the memory source it then is (the header and replay
@@ -541,13 +663,18 @@ pub(crate) fn run(
     span.end(n as u64);
     // Bounded per-worker scratch: u32 counts for the widest block the
     // source emits, plus (row sink) a `slab × strip` f64 strip — the
-    // widest slab (the first) spans all n columns, or `slab + band` of
-    // them.
+    // widest slab spans all n columns, `slab + band` of them, or the
+    // staircase's widest step. The pair sink has one f64 row, and its
+    // kept list grows to what a slab keeps.
     let workers = data.schedule(cfg).max(1);
-    let packed_sink = matches!(dest, Dest::Packed { .. });
-    let strip = strip_width(n, slab, ctl.band);
+    let strip = grid.reach.strip(n, slab);
     let counts_len = data.counts_len(planes * slab, planes * strip);
-    let values_len = if packed_sink { 0 } else { slab * strip };
+    let values_len = match dest {
+        Dest::Rows(_) => slab * strip,
+        // one row, transformed before it is filtered
+        Dest::Pairs(_) => strip,
+        Dest::Packed { .. } => 0,
+    };
     let span = Span::begin(SpanKind::Alloc);
     // One buffer pair per worker, allocated fallibly *here*, on the calling
     // thread, so an allocation failure is a clean Err before any thread is
@@ -557,13 +684,14 @@ pub(crate) fn run(
     pool.try_reserve_exact(workers)
         .map_err(|_| LdError::AllocationFailed {
             what: "scratch pool spine",
-            bytes: workers * std::mem::size_of::<(Vec<u32>, Vec<f64>)>(),
+            bytes: workers * std::mem::size_of::<Scratch>(),
         })?;
     for _ in 0..workers {
-        pool.push((
-            try_zeroed_vec::<u32>(counts_len, "slab counts scratch")?,
-            try_zeroed_vec::<f64>(values_len, "slab statistic scratch")?,
-        ));
+        pool.push(Scratch {
+            counts: try_zeroed_vec::<u32>(counts_len, "slab counts scratch")?,
+            values: try_zeroed_vec::<f64>(values_len, "slab statistic scratch")?,
+            kept: Vec::new(),
+        });
     }
     let pool = Mutex::new(pool);
     span.end((workers * (counts_len * 4 + values_len * 8)) as u64);
@@ -577,7 +705,12 @@ pub(crate) fn run(
     // skipped (no point computing unpersistable work) and the error is
     // surfaced after the drain.
     let failure: Mutex<Option<LdError>> = Mutex::new(None);
-    let one_slab = |counts: &mut [u32], values: &mut [f64], k: usize| -> Result<(), LdError> {
+    let one_slab = |scratch: &mut Scratch, k: usize| -> Result<(), LdError> {
+        let Scratch {
+            counts,
+            values,
+            kept,
+        } = scratch;
         // Slab-granular interruption point: the deadline→token conversion
         // and the poll accounting. The scheduler already refused to hand
         // out this slab if the token was tripped; nothing below ever
@@ -592,18 +725,31 @@ pub(crate) fn run(
         // the source's request in panel columns: plane rows [k·r0, k·r1)
         // against plane columns [k·r0, k·cols_end)
         let (rows, cols_end) = (planes * r0..planes * rows.end, planes * cols_end);
+        // values transformed by this slab: one counter add per slab
+        let mut transformed = 0;
         data.slab_blocks(rows, cols_end, cfg, counts, &tables, &mut |tr, blk| {
             let span = Span::begin(SpanKind::Transform);
             for r in 0..h {
                 let i = r0 + r;
-                // row i's span of this block, clipped to its band (a block
-                // starts and ends on a site boundary)
+                // row i's span of this block, clipped to its reach (a
+                // block starts and ends on a site boundary)
                 let j0 = (blk.cols.start / planes).max(i);
-                let j1 = (blk.cols.end / planes).min(i + grid.band + 1);
+                let j1 = (blk.cols.end / planes).min(grid.end(i));
+                if let Dest::Pairs(p) = &dest {
+                    // the diagonal is no pair
+                    let j0 = j0.max(i + 1);
+                    if j0 < j1 {
+                        let from = &blk.counts[r * blk.ld + (j0 - blk.cols.start)..][..j1 - j0];
+                        p.keep(tr, i, j0..j1, from, values, kept);
+                        transformed += j1 - j0;
+                    }
+                    continue;
+                }
                 if j0 >= j1 {
                     continue;
                 }
                 let len = j1 - j0;
+                transformed += len;
                 // site i's k plane rows from plane column k·j0 (at k = 1,
                 // row r's `len` counts)
                 let at = planes * (r * blk.ld + j0) - blk.cols.start;
@@ -615,22 +761,32 @@ pub(crate) fn run(
                         out.slice(packed_row_offset(n, i) + (j0 - i), len)
                     },
                     Dest::Rows(_) => &mut values[r * width + (j0 - r0)..][..len],
+                    Dest::Pairs(_) => unreachable!("the pair sink transforms above"),
                 };
                 tr.apply_span(i, j0, from, blk.ld, to);
             }
             span.end(k as u64);
         })?;
+        ld_trace::add(Counter::PairsTransformed, transformed as u64);
         ld_trace::add(Counter::SlabsEmitted, 1);
         ld_trace::recorder::instant(SpanKind::SlabEmit, k as u64);
-        if let Dest::Rows(visit) = &dest {
-            visit(&RowSlabVisit {
+        match &dest {
+            Dest::Rows(visit) => visit(&RowSlabVisit {
                 row_start: r0,
                 n_rows: h,
                 n_snps: n,
-                band: grid.band,
+                band: match grid.reach {
+                    Reach::Band(w) => w,
+                    Reach::Stair(_) => unreachable!("a staircase runs the pair sink"),
+                },
                 ldv: width,
                 values: &values[..h * width],
-            });
+            }),
+            Dest::Pairs(p) => {
+                (p.visit)(kept);
+                kept.clear();
+            }
+            Dest::Packed { .. } => {}
         }
         // Release *after* the sink writes above: the flag is the
         // publication point for checkpoint readers.
@@ -652,14 +808,14 @@ pub(crate) fn run(
         // `workers` of them, so the pool never runs dry; the default only
         // keeps the pop panic-free by construction.
         |_tid| lock(&pool).pop().unwrap_or_default(),
-        |(counts, values), rows| {
+        |scratch, rows| {
             // Slabs replayed from a checkpoint are skipped without polling
             // and without touching the source.
             let k = grid.lo + rows.start / slab;
             if ledger.is_done(k) || lock(&failure).is_some() {
                 return;
             }
-            if let Err(e) = one_slab(counts, values, k) {
+            if let Err(e) = one_slab(scratch, k) {
                 lock(&failure).get_or_insert(e);
             }
         },

@@ -4,12 +4,13 @@
 
 use crate::checkpoint::CheckpointState;
 use crate::control::RunControl;
-use crate::driver::{self, lock, strip_width, Config, Grid, Sink};
+use crate::driver::{self, lock, Config, Grid, PairSink, Reach, Sink};
 use crate::error::{checked_add, checked_mul, fault, try_zeroed_vec, LdError, MemoryBudget};
 use crate::fused::{RowSlabVisit, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
 use crate::shard::{plan_shards, SlabRange};
 use crate::source::{cross_footprint, rows_within, store_price, worker_blocks, Price, Source};
+use crate::staircase::{KeptPair, R2Staircase, CROSSOVER, KEPT_PAIR_BYTES};
 use crate::stats::{ld_pair_from_counts, LdPair, LdStats, NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{BitMatrix, BitMatrixView};
@@ -260,7 +261,7 @@ impl LdEngine {
     ) -> Result<Option<Config>, LdError> {
         self.validate_blocks()?;
         let n = driver::sites(src, stat)?;
-        let strip = strip_width(n, self.slab, band);
+        let strip = Reach::band(n, band).strip(n, self.slab);
         // overflow before emptiness: a size that cannot be represented is
         // reported even when the sample set is also degenerate
         let price = self.price(src, n, packed, strip, stat.planes())?;
@@ -455,7 +456,8 @@ impl LdEngine {
         let (m, slab) = self.run_packed(&src, stat, ctl)?;
         // Lift the shard's slabs out of the packed triangle, on the grid
         // the driver used.
-        let grid = Grid::new(src.n_snps(), slab, ctl.shard(), None)?;
+        let n = src.n_snps();
+        let grid = Grid::new(n, slab, ctl.shard(), Reach::band(n, None))?;
         let mut state = driver::header(&src, stat, self.policy, self.kind, &grid)?;
         state.records = (grid.lo..grid.hi)
             .map(|k| grid.record(k, &m.packed()[grid.span(k)]))
@@ -534,6 +536,10 @@ impl LdEngine {
     ///   of `n`: time, scratch and (store source) bytes read are
     ///   `O(n · w)`. Values are bit-identical to the same pairs of the
     ///   unbanded run.
+    /// * A visitor that keeps only `r² ≥ t` computes every pair here; from
+    ///   memory, [`LdEngine::r2_staircase`] + [`LdEngine::try_r2_pairs_with`]
+    ///   compute only the pairs whose allele frequencies let them pass, on
+    ///   the same driver, and hand over the kept pairs with the same bits.
     pub fn try_stat_rows_with<'a, F>(
         &self,
         src: impl Into<Source<'a>>,
@@ -549,6 +555,120 @@ impl LdEngine {
             Some(cfg) => driver::run(&src, stat, &cfg, Sink::Rows(&visit), ctl),
             None => Ok(()),
         }
+    }
+
+    /// The staircase of an `r² ≥ min_r2` run over `src` when it pays, for
+    /// [`LdEngine::try_r2_pairs_with`]; `None` when the run should take
+    /// the dense grid instead ([`LdEngine::try_stat_rows_with`]):
+    ///
+    /// * `src` is a tile store (the staircase reads its panel in sorted
+    ///   order, which a store's chunks are not), or has no samples or
+    ///   fewer than two sites;
+    /// * `min_r2` is not positive (or `NaN`): every pair can pass;
+    /// * the staircase holds 60 % of the off-diagonal pairs or more — the
+    ///   measured crossover, past which sorting and the pair sink cost
+    ///   more than the pairs they skip (see [`crate::staircase`]);
+    /// * under a [`MemoryBudget`], not even one slab row fits beside a
+    ///   kept-pair list as long as the staircase.
+    ///
+    /// Planning is one popcount sweep and a sort of the site counts.
+    pub fn r2_staircase<'a>(
+        &self,
+        src: impl Into<Source<'a>>,
+        min_r2: f64,
+    ) -> Result<Option<R2Staircase>, LdError> {
+        let Source::Memory(v) = src.into() else {
+            return Ok(None);
+        };
+        if min_r2.is_nan() || min_r2 <= 0.0 || v.n_snps() < 2 || v.n_samples() == 0 {
+            return Ok(None);
+        }
+        // planning is statistic-layer setup, as the tables are
+        let span = Span::begin(SpanKind::Transform);
+        let plan = R2Staircase::new(v, min_r2);
+        span.end(v.n_snps() as u64);
+        let plan = plan?;
+        if plan.share() >= CROSSOVER {
+            return Ok(None);
+        }
+        let fits = self.fit_slab(v.n_snps(), self.staircase_price(&plan)?);
+        Ok(fits.is_ok().then_some(plan))
+    }
+
+    /// The budget model of a staircase run: the plan's fixed bytes plus
+    /// one f64 row per worker, and per slab row `threads × strip` u32
+    /// counts plus as many kept pairs (what one slab can keep), `strip`
+    /// the widest step at the configured height.
+    fn staircase_price(&self, plan: &R2Staircase) -> Result<Price, LdError> {
+        let what = "staircase slab row bytes";
+        let n = plan.ends.len();
+        let strip = Reach::Stair(&plan.ends).strip(n, self.want(n));
+        let row = checked_mul(self.threads.max(1), strip.max(1), what)?;
+        Ok(Price {
+            fixed: checked_add(plan.fixed_bytes()?, checked_mul(row, 8, what)?, what)?,
+            per_row: checked_mul(row, 4 + KEPT_PAIR_BYTES, what)?,
+            resident: false,
+        })
+    }
+
+    /// Runs a staircase ([`R2Staircase`]) over `panel`, the matrix it was
+    /// planned on: `r²` of exactly the pairs the plan reaches, computed on
+    /// the panel's sites in sorted order — the panel is taken over and
+    /// sorted in place, so it is never held twice (a caller that keeps its
+    /// matrix passes a clone) — and hands each slab's pairs
+    /// that pass the plan's threshold ([`crate::r2_keeps`]) to `visit` as
+    /// `(i, j, r²)`, `i < j` original site indices, in no particular
+    /// order. Every pair the unpruned run keeps is handed over exactly
+    /// once, its value bit-identical to that run's (see
+    /// [`crate::staircase`]).
+    ///
+    /// `visit` is called as [`LdEngine::try_stat_rows_with`] calls its
+    /// visitor — once per slab, by the worker that computed it, with no
+    /// lock held — and token, deadline, budget and panic containment are
+    /// as there. A checkpoint plan, a shard range or a column band is
+    /// [`LdError::InvalidConfig`]: the run keeps nothing to persist and
+    /// has its own reach.
+    pub fn try_r2_pairs_with<F>(
+        &self,
+        plan: &R2Staircase,
+        panel: BitMatrix,
+        visit: F,
+        ctl: &RunControl<'_>,
+    ) -> Result<(), LdError>
+    where
+        F: Fn(&[KeptPair]) + Sync,
+    {
+        self.validate_blocks()?;
+        let n = plan.ends.len();
+        let price = self.staircase_price(plan)?;
+        if n == 0 {
+            return Ok(());
+        }
+        if plan.n_samples() == 0 {
+            return Err(LdError::EmptyInput);
+        }
+        let slab = self.run_slab(n, price)?;
+        let cfg = Config {
+            kind: self.kind,
+            blocks: self.blocks,
+            threads: self.threads,
+            policy: self.policy,
+            slab,
+            price,
+        };
+        // sorting the panel is statistic-layer setup, as planning is
+        let span = Span::begin(SpanKind::Transform);
+        let sorted = plan.sorted(panel);
+        span.end(n as u64);
+        let sorted = sorted?;
+        let sink = PairSink {
+            order: &plan.order,
+            ends: &plan.ends,
+            min_r2: plan.min_r2(),
+            visit: &visit,
+        };
+        let stat = Statistic::Ld(LdStats::RSquared);
+        driver::run(&Source::from(&sorted), stat, &cfg, Sink::Pairs(&sink), ctl)
     }
 
     /// [`LdEngine::try_stat_rows_with`] over [`Source::Store`]. Kept for

@@ -198,8 +198,7 @@ impl Transform {
                 let (p_i, iv_i) = (self.p[i], self.inv_var[i]);
                 for (t, (&c, d)) in counts.iter().zip(dst.iter_mut()).enumerate() {
                     let j = j0 + t;
-                    let dev = c as f64 * self.inv_n - p_i * self.p[j];
-                    *d = (dev * dev) * iv_i * self.inv_var[j];
+                    *d = r2_of(c, self.inv_n, (p_i, iv_i), (self.p[j], self.inv_var[j]));
                 }
             }
             Statistic::Ld(stat) => {
@@ -250,6 +249,49 @@ impl Transform {
             }
         }
     }
+
+    /// The `r²` of site `i` against sites `j0 .. j0 + dst.len()` into
+    /// `dst`, each pair as [`Transform::apply_span`]'s `r²` arm computes it
+    /// with the site of lower original index as the row: `oi` is site
+    /// `i`'s original index and `order[t]` site `j0 + t`'s. The staircase's
+    /// pair sink runs on sites in sorted order, and this keeps its values
+    /// bit-identical to the rows'. Only the reciprocal variances need the
+    /// order — `p_i·p_j` is one IEEE product either way — so it is a
+    /// select per pair rather than a branch, and the row is transformed
+    /// whole before the sink filters it.
+    #[inline]
+    pub(crate) fn r2_span_ordered(
+        &self,
+        i: usize,
+        oi: usize,
+        j0: usize,
+        order: &[usize],
+        counts: &[u32],
+        dst: &mut [f64],
+    ) {
+        let len = dst.len();
+        let (p_i, iv_i) = (self.p[i], self.inv_var[i]);
+        let (p, iv) = (&self.p[j0..j0 + len], &self.inv_var[j0..j0 + len]);
+        let (order, counts) = (&order[..len], &counts[..len]);
+        for t in 0..len {
+            let (row, col) = if oi < order[t] {
+                (iv_i, iv[t])
+            } else {
+                (iv[t], iv_i)
+            };
+            dst[t] = r2_of(counts[t], self.inv_n, (p_i, row), (p[t], col));
+        }
+    }
+}
+
+/// The one `r²` expression: `D = c/N − p_i p_j`, then `(D²·iv_i)·iv_j`
+/// from the row site's `(p_i, iv_i)` and the column site's `(p_j, iv_j)`.
+/// The order of the operands is part of the value: `(D²·iv_j)·iv_i`
+/// rounds differently.
+#[inline(always)]
+fn r2_of(c: u32, inv_n: f64, (p_i, iv_i): (f64, f64), (p_j, iv_j): (f64, f64)) -> f64 {
+    let dev = c as f64 * inv_n - p_i * p_j;
+    (dev * dev) * iv_i * iv_j
 }
 
 /// A Send+Sync raw-pointer wrapper for handing disjoint subslices of one

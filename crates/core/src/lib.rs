@@ -25,6 +25,10 @@
 //!   too large to materialize at all, optionally under a column band ([`RunControl::with_band`]: only pairs within a
 //!   window, the shape [`BandedLdMatrix`], [`DecayProfile`],
 //!   [`haplotype_blocks`] and [`prune_pairwise`] are visitors of);
+//! * [`LdEngine::r2_staircase`] + [`LdEngine::try_r2_pairs_with`] — the
+//!   pairs with `r² ≥ t` only, computed on a frequency-sorted staircase
+//!   that skips every pair whose allele frequencies cap it below `t`
+//!   ([`staircase`]);
 //! * [`LdEngine::ld_pair`] / [`ld_pair_from_counts`] — single-pair
 //!   statistics ([`LdPair`]) for spot checks and downstream tools.
 //!
@@ -70,6 +74,7 @@ mod matrix;
 pub mod prune;
 pub mod shard;
 pub mod source;
+pub mod staircase;
 mod stats;
 pub mod tilestore;
 
@@ -88,6 +93,7 @@ pub use matrix::{CrossLdMatrix, LdMatrix};
 pub use prune::prune_pairwise;
 pub use shard::{merge_shard_states, plan_shards, state_to_matrix, SlabRange};
 pub use source::Source;
+pub use staircase::{r2_keeps, KeptPair, R2Staircase};
 pub use stats::{
     ld_pair_from_counts, ld_pair_from_freqs, tanimoto_from_counts, LdPair, LdStats, NanPolicy,
     Statistic,

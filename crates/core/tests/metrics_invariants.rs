@@ -14,13 +14,19 @@
 //!   swept over the full packed depth;
 //! * `bytes_packed` = the Σ of `pack_panels` buffer sizes
 //!   (`ceil(snps/R)·R·kc` words) over every (jc, pc[, ic]) block;
+//! * `pairs_transformed` is every value the epilogue computed: `n(n+1)/2`
+//!   on an all-pairs run, the staircase's `Σ (e(s) − s − 1)` on a
+//!   thresholded `r²` run, `e` recomputed here from the frequency bound;
 //! * all of the above are **identical across 1/2/7 threads** (the dynamic
 //!   scheduler's chunks are grain-aligned, so the slab decomposition is
 //!   thread-invariant) and — for slab heights that preserve micro-tile
 //!   grid alignment — across slab sizes.
 
 use ld_bitmat::BitMatrix;
-use ld_core::{LdEngine, LdStats, MemoryBudget, NanPolicy, RunControl, Source};
+use ld_core::{
+    KeptPair, LdEngine, LdStats, MemoryBudget, NanPolicy, R2Staircase, RowSlabVisit, RunControl,
+    Source,
+};
 use ld_kernels::micro::Kernel;
 use ld_kernels::pack::packed_len;
 use ld_kernels::{BlockSizes, KernelKind};
@@ -365,4 +371,92 @@ fn budget_shrinks_counts_runs_not_plans() {
     let ctl = RunControl::new().with_shard(plan[0]);
     e.try_stat_shard_with(&g, LdStats::RSquared, &ctl).unwrap();
     assert_eq!(ld_trace::get(Counter::BudgetShrinks), 1, "one shard run");
+}
+
+/// `pairs_transformed` is the work ledger of the epilogue: `n(n+1)/2` on
+/// an unpruned run, and on a staircase run the pairs the frequency bound
+/// lets through, `Σ_s (e(s) − s − 1)` with `e` recomputed here from exact
+/// integer bounds (no bound lies near the threshold, so the plan's margin
+/// decides nothing) — at 1, 2 and 7 threads, with `kernel_words` equal
+/// across them and below the unpruned run's. A staircase one column wider
+/// anywhere reads more.
+#[test]
+fn pairs_transformed_follows_the_staircase() {
+    let _l = counter_lock();
+    let (n, n_samples, t) = (300usize, 256usize, 0.5f64);
+    // sites of spread-out frequencies, so the bound prunes
+    let mut rng = SmallRng::seed_from_u64(0x57A1);
+    let mut g = BitMatrix::zeros(n_samples, n);
+    for j in 0..n {
+        let density = rng.gen_range(0.0f64..0.5);
+        for s in 0..n_samples {
+            if rng.gen_bool(density) {
+                g.set(s, j, true);
+            }
+        }
+    }
+    let big_n = n_samples as u64;
+    let mut minor: Vec<u64> = (0..n)
+        .map(|j| g.ones_in_snp(j).min(big_n - g.ones_in_snp(j)))
+        .collect();
+    minor.sort_unstable();
+    let mut stair = 0;
+    for (s, &a) in minor.iter().enumerate() {
+        for &b in &minor[s + 1..] {
+            let bound = if a == 0 {
+                0.0
+            } else {
+                (a * (big_n - b)) as f64 / (b * (big_n - a)) as f64
+            };
+            assert!((bound - t).abs() > 1e-6, "a bound sits on the threshold");
+            stair += usize::from(bound >= t);
+        }
+    }
+    assert!(
+        stair > 0 && stair < n * (n - 1) / 4,
+        "the staircase must prune: {stair}"
+    );
+    let plan = R2Staircase::new(&g, t).unwrap();
+    let mut dense_words = Vec::new();
+    let mut stair_words = Vec::new();
+    for threads in [1usize, 2, 7] {
+        let e = LdEngine::new()
+            .threads(threads)
+            .slab_rows(16)
+            .nan_policy(NanPolicy::Zero);
+        ld_trace::reset();
+        e.try_stat_rows_with(
+            &g,
+            LdStats::RSquared,
+            |_: &RowSlabVisit<'_>| {},
+            &RunControl::new(),
+        )
+        .unwrap();
+        assert_eq!(
+            ld_trace::get(Counter::PairsTransformed),
+            (n * (n + 1) / 2) as u64
+        );
+        dense_words.push(ld_trace::get(Counter::KernelWords));
+        ld_trace::reset();
+        e.try_r2_pairs_with(&plan, g.clone(), |_: &[KeptPair]| {}, &RunControl::new())
+            .unwrap();
+        assert_eq!(
+            ld_trace::get(Counter::PairsTransformed),
+            stair as u64,
+            "t{threads}"
+        );
+        stair_words.push(ld_trace::get(Counter::KernelWords));
+    }
+    assert!(
+        dense_words.windows(2).all(|w| w[0] == w[1]),
+        "{dense_words:?}"
+    );
+    assert!(
+        stair_words.windows(2).all(|w| w[0] == w[1]),
+        "{stair_words:?}"
+    );
+    assert!(
+        stair_words[0] < dense_words[0],
+        "{stair_words:?} vs {dense_words:?}"
+    );
 }

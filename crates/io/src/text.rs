@@ -184,12 +184,10 @@ fn fixed6(v: f64, buf: &mut [u8]) -> Option<usize> {
     Some(at + 7)
 }
 
-/// The keep rule of the pair table and of the CLI's listing: not NaN, and
-/// at or above the threshold.
-#[inline]
-pub fn r2_keeps(v: f64, min_r2: f64) -> bool {
-    !v.is_nan() && v >= min_r2
-}
+/// The keep rule of the pair table and of the CLI's listing (not NaN, and
+/// at or above the threshold) — the engine's, so a staircase run keeps
+/// what the table would.
+pub use ld_core::r2_keeps;
 
 /// An upper bound on the bytes [`push_r2_row`] appends for `row` when
 /// every SNP id is below `n_snps` and every kept value below 1000 in

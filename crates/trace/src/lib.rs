@@ -55,10 +55,12 @@
 //! | `requests_shed` | serve | queries rejected by admission control (queue full, memory budget, queue-deadline expiry) |
 //! | `requests_failed` | serve | accepted queries that failed (worker panic, internal error) |
 //! | `panels_evicted` | serve | resident `LdMatrix` panels evicted from the LRU cache under memory pressure |
+//! | `pairs_transformed` | transform | statistic values the slab driver's epilogue computed from counts (the diagonal included where a sink keeps it): `n(n+1)/2` on an all-pairs run, the staircase's pairs on a thresholded `r²` run |
 //!
 //! Counts (`kernel_tiles`, `kernel_words`, `bytes_packed`,
 //! `slabs_emitted`, `io_*`, `cancel_polls`, `resume_slabs_skipped`,
-//! `merge_spans_validated`, `chunks_read`, `store_bytes_read`) are
+//! `merge_spans_validated`, `chunks_read`, `store_bytes_read`,
+//! `pairs_transformed`) are
 //! **deterministic** — independent of thread
 //! count and wall time; the `*_ns` timers,
 //! `checkpoints_written` (its periodic trigger is wall-clock based),
@@ -177,11 +179,14 @@ pub enum Counter {
     /// Resident `LdMatrix` panels evicted from the serve LRU cache to
     /// make room under the memory budget.
     PanelsEvicted,
+    /// Statistic values the slab driver's epilogue computed from counts
+    /// (the work ledger of the transform layer).
+    PairsTransformed,
 }
 
 impl Counter {
     /// Number of counters (array sizing).
-    pub const COUNT: usize = 28;
+    pub const COUNT: usize = 29;
 
     /// All counters, in stable report order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -213,6 +218,7 @@ impl Counter {
         Counter::RequestsShed,
         Counter::RequestsFailed,
         Counter::PanelsEvicted,
+        Counter::PairsTransformed,
     ];
 
     /// Stable snake_case name (the JSON key).
@@ -246,6 +252,7 @@ impl Counter {
             Counter::RequestsShed => "requests_shed",
             Counter::RequestsFailed => "requests_failed",
             Counter::PanelsEvicted => "panels_evicted",
+            Counter::PairsTransformed => "pairs_transformed",
         }
     }
 
@@ -670,6 +677,11 @@ impl MetricsReport {
             self.get(Counter::KernelTiles),
             self.get(Counter::KernelWords)
         );
+        let _ = writeln!(
+            s,
+            "transformed     : {} values",
+            self.get(Counter::PairsTransformed)
+        );
         if let Some(wpc) = self.words_per_cycle() {
             let _ = writeln!(
                 s,
@@ -844,6 +856,7 @@ mod tests {
                 "merge_spans_validated",
                 "chunks_read",
                 "store_bytes_read",
+                "pairs_transformed",
             ]
         );
     }

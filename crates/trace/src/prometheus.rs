@@ -161,6 +161,7 @@ fn counter_help(c: Counter) -> &'static str {
         Counter::RequestsShed => "Queries rejected by admission control",
         Counter::RequestsFailed => "Accepted queries that failed internally",
         Counter::PanelsEvicted => "Resident panels evicted under memory pressure",
+        Counter::PairsTransformed => "Statistic values computed from counts",
     }
 }
 

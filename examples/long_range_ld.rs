@@ -22,11 +22,24 @@ fn main() {
     let chr1 = HaplotypeSimulator::new(n_samples, 300).seed(101).generate();
     let mut chr2 = HaplotypeSimulator::new(n_samples, 250).seed(202).generate();
 
-    // Plant coevolution: chr2 SNPs 100..105 copy chr1 SNPs 40..45 with a
+    // Plant coevolution: five chr2 SNPs `i + 60` copy chr1 SNPs `i` with a
     // little noise (an epistatic interaction maintained by selection).
-    // ~0.5% mismatches: enough to avoid exact duplicates, small enough
-    // that r² stays high even for low-frequency source SNPs.
-    for (dst, src) in (100..105).zip(40..45) {
+    // The noise flips 4 of the 600 samples (~0.7%): enough to avoid exact
+    // duplicates, but it moves a copy's minor-allele count up to 4 from
+    // its source's, and allele frequencies alone cap r² at
+    // odds(q_min)/odds(q_max) (`ld_core::staircase`) — a source with 4
+    // carriers and a copy with 8 cannot reach 0.4966, below the scan's
+    // 0.5 cut. So the sources are the first five from SNP 40 on whose
+    // minor allele has at least 20 carriers, which keeps r² above 0.79
+    // whichever samples the flips hit.
+    let minor = |j: usize| {
+        let c = chr1.ones_in_snp(j) as usize;
+        c.min(n_samples - c)
+    };
+    let sources: Vec<usize> = (40..190).filter(|&j| minor(j) >= 20).take(5).collect();
+    assert_eq!(sources.len(), 5, "chr1 has common SNPs to plant from");
+    for &src in &sources {
+        let dst = src + 60;
         for s in 0..n_samples {
             let v = chr1.get(s, src) ^ (s % 199 == 0);
             chr2.set(s, dst, v);
@@ -56,13 +69,13 @@ fn main() {
         println!("  chr1:snp{i:<4} ~ chr2:snp{j:<4}  r² = {v:.4}");
     }
 
-    // The planted block must dominate the hit list.
-    let planted = hits
+    // Every planted pair must be among the hits.
+    let planted = sources
         .iter()
-        .filter(|&&(i, j, _)| (40..45).contains(&i) && (100..105).contains(&j))
+        .filter(|&&i| hits.iter().any(|&(a, b, _)| (a, b) == (i, i + 60)))
         .count();
     println!("\nplanted interactions recovered: {planted}/5");
-    assert!(planted >= 4, "the coevolving block should be detected");
+    assert_eq!(planted, 5, "every coevolving pair should be detected");
 
     // Background check: a random far-apart pair should be near zero.
     println!("background r²(chr1:0, chr2:200) = {:.4}", cross.get(0, 200));

@@ -10,9 +10,10 @@
 #   3. clippy (strict)  — no unwrap/expect in the lib targets of the
 #                         panic-free crates; every `unsafe` block and impl
 #                         in every member's lib carries a SAFETY argument
-#   4. release build, workspace tests, the release-arithmetic legs, the
-#                         one-formatter, per-window, ext-kernel, safe-fill,
-#                         wire, hand-off, one-timer, engine-surface,
+#   4. release build, workspace tests, the release-arithmetic legs, every
+#                         example run in release, the one-formatter,
+#                         per-window, ext-kernel, safe-fill, wire,
+#                         hand-off, one-timer, engine-surface,
 #                         one-schedule, one-CRC, one-arm and one-spawner
 #                         guards
 #   5. schemas          — each published artifact (the `--profile=json`
@@ -74,6 +75,11 @@ run cargo test -q --release --offline -p ld-io --lib fixed6
 # ...and the ω split range, which a release build's unchecked subtraction
 # once turned into a 2^64-iteration loop.
 run cargo test -q --release --offline -p ld-omega --lib min_region
+# Every example runs to completion in release: what an example asserts (a
+# planted signal it must recover) is a claim about the engine.
+for example in examples/*.rs; do
+    run cargo run -q --release --offline --example "$(basename "$example" .rs)" >/dev/null
+done
 # `{v:.6}` is that writer's oracle and its fall-back, not a second
 # formatter: one occurrence in shipped code (comments and test modules
 # aside) across the crates that print the table.
