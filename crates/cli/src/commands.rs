@@ -59,9 +59,9 @@ COMMANDS:
               separate machines pin them with --slab-rows and --kernel,
               or set LD_NO_CPU_PROFILE=1)
               [--store DIR] (read the genotype matrix from a chunked
-              tile store written by 'import' instead of -i; without
-              --memory-budget-mb the matrix is streamed panel-by-panel
-              with a prefetch thread, so it never has to fit in memory.
+              tile store written by 'import' instead of -i; the matrix
+              is read in windows sized to --memory-budget-mb (without
+              it, the smallest), so it never has to fit in memory.
               -o, --checkpoint/--resume, --shard and --memory-budget-mb
               work the same and the output bytes are identical)
               [--memory-budget-mb N] (cap working memory, for -i and
@@ -554,8 +554,8 @@ pub fn simulate(args: &Args) -> CmdResult {
 
 /// `gemm-ld r2` — all-pairs LD from `-i FILE` (the matrix is loaded
 /// whole) or `--store DIR` (a chunked tile store written by `import`,
-/// streamed panel-by-panel so the input never has to fit in memory, or
-/// read once when `--memory-budget-mb` holds all of it).
+/// read in windows sized to `--memory-budget-mb` so the input never has
+/// to fit in memory, or once when the budget holds all of it).
 ///
 /// The two inputs become one [`Source`] and share everything after it:
 /// identical statistics and identical output bytes, the same `--shard`,
@@ -659,9 +659,16 @@ pub fn r2(args: &Args) -> CmdResult {
     let shard = parse_shard(args)?;
     // A thresholded r² run from memory computes only the pairs whose
     // allele frequencies let them pass, when that pays (`r2_staircase`
-    // decides); a shard or checkpoint keeps the whole triangle's grid.
+    // decides, pricing the pairs this run retains: the listing's cap, or
+    // every one for -o); a shard or checkpoint keeps the whole triangle's
+    // grid.
+    let retained = if output.is_some() {
+        usize::MAX
+    } else {
+        TOP_PAIRS
+    };
     let staircase = match (shard, &sink, stat) {
-        (None, None, ld_core::LdStats::RSquared) => engine.r2_staircase(src, min_r2)?,
+        (None, None, ld_core::LdStats::RSquared) => engine.r2_staircase(src, min_r2, retained)?,
         _ => None,
     };
     if let Some((idx, n_shards)) = shard {
@@ -732,9 +739,10 @@ pub fn r2(args: &Args) -> CmdResult {
             w.write_all(R2_TABLE_HEADER.as_bytes())?;
             // Each slab is formatted by the worker that computed it, as it
             // finishes; only the write is serialised, in row order
-            // (`in_row_order` holds the blocks that are early; a streamed
-            // store delivers in row order, so it never holds more than
-            // the block just formatted). Written blocks go back to the
+            // (`in_row_order` holds the blocks that are early; a store
+            // read in more than one window hands slabs over in row order,
+            // so it holds none, and one read in one window delivers in
+            // any order, as memory does). Written blocks go back to the
             // workers, so a run touches a few blocks' worth of pages, not
             // every block's.
             let mut io_err: Option<std::io::Error> = None;
@@ -2921,9 +2929,11 @@ mod tests {
         simulate(&args(&["--samples", "2048", "--snps", "480", "-o", &ms])).unwrap();
         import(&args(&["-i", &ms, "--store", &store, "--chunk-snps", "32"])).unwrap();
         // 1 MiB leaves the packed in-memory model (2 threads x 480 x 4 B per
-        // slab row on top of the 0.9 MB triangle) room for 30 rows; the
-        // store model has no per-thread scratch and keeps the configured 64
-        let sources = [(["-i", ms.as_str()], 30), (["--store", store.as_str()], 64)];
+        // slab row on top of the 0.9 MB triangle) room for 30 rows; beside
+        // the triangle the store's smallest windows (two slabs by one
+        // 32-SNP chunk: a first window of the chunks two slabs can cover,
+        // and per worker u32 counts as wide as it) fit 48
+        let sources = [(["-i", ms.as_str()], 30), (["--store", store.as_str()], 48)];
         let one_shot = p("one.tsv");
         r2(&args(&["-i", &ms, "--threads", "2", "-o", &one_shot])).unwrap();
         let one_shot = std::fs::read(&one_shot).unwrap();

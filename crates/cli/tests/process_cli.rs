@@ -571,3 +571,45 @@ fn staircase_run_prints_and_writes_the_bytes_of_the_dense_grid() {
         assert_eq!(transformed(&line), all, "{line} must stay unpruned");
     }
 }
+
+/// A budget prices the kept pairs a run retains, not the staircase's
+/// length: the listing retains its twenty, so under a 1 MiB budget it
+/// still takes the staircase (the unbudgeted run's `pairs_transformed`),
+/// while `-o`, which retains every passing pair (here ~1.9 MB of them),
+/// stays on the dense grid. Both print and write the unbudgeted run's
+/// bytes.
+#[test]
+fn budgeted_listing_keeps_the_staircase() {
+    let dir = Scratch::new("proc_stair_budget");
+    let (ms, prof, a, b) = (
+        dir.path("d.ms"),
+        dir.path("p.json"),
+        dir.path("a.tsv"),
+        dir.path("b.tsv"),
+    );
+    let n = 1200usize;
+    simulate(&ms, 256, n, 33);
+    let run_counted = |line: &str| {
+        let done = run_ok(&format!("{line} --profile=json --profile-out {prof}"));
+        let doc = parse_json(&prof);
+        let count = field(&doc, &["counters", "pairs_transformed"]).as_u64();
+        (done.stdout, count.expect("a count") as usize)
+    };
+    let line = format!("r2 -i {ms} --min-r2 0.8 --threads 2");
+    let (listing, stair) = run_counted(&line);
+    assert!(
+        stair < n * (n + 1) / 2 / 2,
+        "{stair} values: no staircase ran"
+    );
+    let (budgeted, got) = run_counted(&format!("{line} --memory-budget-mb 1"));
+    assert_eq!(got, stair, "the budgeted listing left the staircase");
+    assert_eq!(budgeted, listing);
+    run_ok(&format!("{line} -o {a}"));
+    let (_, got) = run_counted(&format!("{line} --memory-budget-mb 1 -o {b}"));
+    assert_eq!(
+        got,
+        n * (n + 1) / 2,
+        "a table whose pairs do not fit stays dense"
+    );
+    assert!(read(&a) == read(&b), "-o under the budget");
+}

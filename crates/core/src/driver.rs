@@ -2,11 +2,12 @@
 //! computation.
 //!
 //! `run(source, sink, control)` walks the upper triangle of the
-//! statistic matrix in bounded **row slabs**. Per slab it asks the
-//! [`Source`] for the counts of the slab's rows against every column at
-//! or right of the slab — out to the run's column band, when it has one
-//! (`Source::slab_blocks` — one SYRK block from RAM, or one GEMM block
-//! per streamed store chunk) — applies the statistic's epilogue, e.g. the
+//! statistic matrix in bounded **row slabs**. Per slab it asks a window
+//! pass (`Pass`) for the counts of the slab's rows against every column
+//! at or right of the slab — out to the run's column band, when it has
+//! one: one SYRK block from RAM; from a store, one SYRK block in the
+//! window holding the slab's rows and one GEMM block per column window
+//! right of it — applies the statistic's epilogue, e.g. the
 //! batched `D = H − p pᵀ` / `r²` transform (`Transform::apply_span`, the
 //! only body that turns counts into statistics) from the still-hot
 //! scratch straight into the `Sink`, and marks the slab complete. No
@@ -81,7 +82,7 @@ use crate::control::RunControl;
 use crate::error::{fault, try_zeroed_vec, LdError};
 use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice, Transform};
 use crate::shard::SlabRange;
-use crate::source::{read_resident, Price, Source};
+use crate::source::{read_window, Pass, Price, Source, Windows};
 use crate::staircase::{r2_keeps, KeptPair};
 use crate::stats::{LdStats, NanPolicy, Statistic};
 use ld_kernels::micro::Kernel;
@@ -91,7 +92,7 @@ use ld_trace::recorder::{Span, SpanKind};
 use ld_trace::Counter;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One worker's buffers: the source's counts, the row sink's values, the
@@ -130,9 +131,8 @@ pub(crate) struct Config {
     /// Row-slab height: bounds each worker's scratch, and the
     /// scheduler's grain — one claim is one slab.
     pub slab: usize,
-    /// The run's budget model at the configured height, and a store's
-    /// arm ([`crate::source::store_price`] decides): a resident store is
-    /// read once into one panel and computed as the memory source.
+    /// The run's budget model; a store's carries its windows
+    /// ([`crate::source::store_windows`] sizes them).
     pub price: Price,
 }
 
@@ -593,7 +593,6 @@ pub(crate) fn run(
         _ => Reach::band(n, ctl.band),
     };
     let grid = Grid::new(n, cfg.slab, ctl.shard, reach)?;
-    let slab = grid.slab;
     let run_token = ctl.run_token();
     let token = run_token.as_ref();
     let deadline = ctl.deadline;
@@ -631,162 +630,205 @@ pub(crate) fn run(
         Sink::Rows(visit) => Dest::Rows(visit),
         Sink::Pairs(pairs) => Dest::Pairs(pairs),
     };
-    // The resident arm: a store that fits its budget is read once, here,
-    // and computed as the memory source it then is (the header and replay
-    // above kept the manifest's identity). Only the chunks holding columns
-    // some pending slab needs are read — from the first pending slab's
-    // first row to the last one's `cols_end` — so a resume or a late shard
-    // window skips the head of the store, as the streamed arm does. With
-    // no slab pending, or a token tripped before the last chunk, no slab
-    // will be computed: the store stays the source and nothing more is
-    // read. `data` is what slabs are computed from; `src` keeps pricing
-    // the run.
-    let resident;
-    let mut pending = (grid.lo..grid.hi).filter(|&k| !ledger.is_done(k));
-    let data = match (src, pending.next()) {
-        (Source::Store(s), Some(first)) if cfg.price.resident => {
-            let last = pending.next_back().unwrap_or(first);
-            let cols = grid.rows(first).start..grid.cols_end(&grid.rows(last));
-            let stop = || {
-                poll_deadline(deadline, token);
-                token.is_some_and(CancelToken::is_cancelled)
-            };
-            resident = read_resident(*s, cols, &stop)?;
-            resident.as_ref().map_or(*src, Source::from)
-        }
-        _ => *src,
-    };
     // Table construction is part of producing the statistic layer: a
     // transform span, so the profile's layer sum covers the setup.
     let span = Span::begin(SpanKind::Transform);
-    let tables = RwLock::new(data.tables(stat, cfg.policy)?);
+    let mut tr = src.tables(stat, cfg.policy)?;
     span.end(n as u64);
-    // Bounded per-worker scratch: u32 counts for the widest block the
-    // source emits, plus (row sink) a `slab × strip` f64 strip — the
-    // widest slab spans all n columns, `slab + band` of them, or the
-    // staircase's widest step. The pair sink has one f64 row, and its
-    // kept list grows to what a slab keeps.
-    let workers = data.schedule(cfg).max(1);
-    let strip = grid.reach.strip(n, slab);
-    let counts_len = data.counts_len(planes * slab, planes * strip);
-    let values_len = match dest {
-        Dest::Rows(_) => slab * strip,
+    // A store run's windows (a memory run is one pass over its view, the
+    // one-window case), and with them the widest block a worker meets and
+    // how many slabs of a row window hold their row-sink values across
+    // passes (0: none do).
+    let (slab, strip) = (grid.slab, grid.reach.strip(n, grid.slab));
+    let (width, held_rows) = match (*src, cfg.price) {
+        (Source::Store(s), Price::Windows(w)) if w.rows != Windows::ONE => {
+            (w.width(s.meta(), strip), w.rows.min(grid.hi - grid.lo))
+        }
+        (Source::Store(s), Price::Windows(w)) => (w.width(s.meta(), strip), 0),
+        _ => (strip, 0),
+    };
+    // Per worker: u32 counts of the widest block a pass hands it, plus (row
+    // sink) a `slab × strip` f64 strip — the widest slab spans all n
+    // columns, `slab + band` of them, or the staircase's widest step —
+    // unless a windowed store run holds each row-window slab's strip
+    // instead. The pair sink has one f64 row, and its kept list grows to
+    // what a slab keeps.
+    let counts_len = planes * slab * planes * width;
+    let (values_len, held_len) = match dest {
+        Dest::Rows(_) if held_rows > 0 => (0, held_rows),
+        Dest::Rows(_) => (slab * strip, 0),
         // one row, transformed before it is filtered
-        Dest::Pairs(_) => strip,
-        Dest::Packed { .. } => 0,
+        Dest::Pairs(_) => (strip, 0),
+        Dest::Packed { .. } => (0, 0),
     };
     let span = Span::begin(SpanKind::Alloc);
-    // One buffer pair per worker, allocated fallibly *here*, on the calling
-    // thread, so an allocation failure is a clean Err before any thread is
-    // spawned; workers pop theirs in their init closure. (The spine is
-    // `workers` pointers but stays on the fallible path for uniformity.)
+    // Every buffer is allocated fallibly *here*, on the calling thread, so
+    // an allocation failure is a clean Err before any thread is spawned;
+    // worker `tid` locks scratch `tid` for each team it joins. (The spine
+    // is `threads` entries but stays on the fallible path for uniformity.)
+    let workers = cfg.threads.max(1);
     let mut pool = Vec::new();
     pool.try_reserve_exact(workers)
         .map_err(|_| LdError::AllocationFailed {
             what: "scratch pool spine",
-            bytes: workers * std::mem::size_of::<Scratch>(),
+            bytes: workers * std::mem::size_of::<Mutex<Scratch>>(),
         })?;
     for _ in 0..workers {
-        pool.push(Scratch {
+        pool.push(Mutex::new(Scratch {
             counts: try_zeroed_vec::<u32>(counts_len, "slab counts scratch")?,
             values: try_zeroed_vec::<f64>(values_len, "slab statistic scratch")?,
             kept: Vec::new(),
-        });
+        }));
     }
-    let pool = Mutex::new(pool);
-    span.end((workers * (counts_len * 4 + values_len * 8)) as u64);
+    // The row-sink values of a row window's slab `k`, held at
+    // `(k − lo) mod held_len` from its first column window to its last;
+    // which are complete, and the row window's slabs still to visit.
+    let strip_values = || try_zeroed_vec::<f64>(slab * strip, "held slab values").map(Mutex::new);
+    let held = (0..held_len)
+        .map(|_| strip_values())
+        .collect::<Result<Vec<_>, _>>()?;
+    let ready: Vec<AtomicBool> = (0..held_len).map(|_| AtomicBool::new(false)).collect();
+    let next = Mutex::new(0..0);
+    span.end((workers * (counts_len * 4 + values_len * 8) + held_len * slab * strip * 8) as u64);
     // Modeled transient footprint of this run — its planned price (the
-    // source's model, for its arm) at the slab height in use — recorded as
-    // a high-water gauge so profiles can confirm the memory claim without
-    // an allocator hook.
-    let Price { fixed, per_row, .. } = cfg.price;
-    ld_trace::record_peak(Counter::AllocPeakBytes, (fixed + per_row * slab) as u64);
+    // source's model) at the slab height in use — recorded as a high-water
+    // gauge so profiles can confirm the memory claim without an allocator
+    // hook.
+    let modeled = match cfg.price {
+        Price::Linear { fixed, per_row } => fixed.saturating_add(per_row.saturating_mul(slab)),
+        Price::Windows(w) => w.bytes,
+    };
+    ld_trace::record_peak(Counter::AllocPeakBytes, modeled as u64);
     // First failure of a source read or checkpoint write: later slabs are
     // skipped (no point computing unpersistable work) and the error is
     // surfaced after the drain.
     let failure: Mutex<Option<LdError>> = Mutex::new(None);
-    let one_slab = |scratch: &mut Scratch, k: usize| -> Result<(), LdError> {
-        let Scratch {
-            counts,
-            values,
-            kept,
-        } = scratch;
-        // Slab-granular interruption point: the deadline→token conversion
-        // and the poll accounting. The scheduler already refused to hand
-        // out this slab if the token was tripped; nothing below ever
-        // checks mid-kernel. A token tripped mid-slab stops the *next*
-        // claim, not this one — claimed slabs always complete.
-        poll_deadline(deadline, token);
-        ld_trace::add(Counter::CancelPolls, 1);
-        fault::check_kernel_panic();
+    let halted = || token.is_some_and(CancelToken::is_cancelled) || lock(&failure).is_some();
+    let visit = |visit: &(dyn Fn(&RowSlabVisit<'_>) + Sync), k: usize, values: &[f64]| {
+        let rows = grid.rows(k);
+        let width = grid.cols_end(&rows) - rows.start;
+        visit(&RowSlabVisit {
+            row_start: rows.start,
+            n_rows: rows.len(),
+            n_snps: n,
+            band: match grid.reach {
+                Reach::Band(w) => w,
+                Reach::Stair(_) => unreachable!("a staircase runs the pair sink"),
+            },
+            ldv: width,
+            values: &values[..rows.len() * width],
+        });
+    };
+    // Hands the row window's completed held slabs to the visitor in
+    // ascending order: the worker that completes the next one visits it
+    // and every completed one after it, so a windowed store run delivers
+    // its slabs in row order. A held slab is the caller's — and done in
+    // the ledger — once visited. The strip's mutex publishes its values;
+    // the flag's Release store (after the strip is unlocked) pairs with
+    // this Acquire swap only to say the slab is complete.
+    let visit_held = |to: &(dyn Fn(&RowSlabVisit<'_>) + Sync)| {
+        let mut next = lock(&next);
+        while next.start < next.end {
+            let slot = (next.start - grid.lo) % held_len;
+            if !ready[slot].swap(false, Ordering::AcqRel) {
+                break;
+            }
+            visit(to, next.start, &lock(&held[slot]));
+            ledger.mark(next.start);
+            next.start += 1;
+        }
+    };
+    // Slab `k` against `pass`'s columns; the pass that holds its last
+    // column completes it.
+    let one_slab = |scratch: &mut Scratch, tr: &Transform, pass: &Pass<'_>, k: usize| {
         let rows = grid.rows(k);
         let cols_end = grid.cols_end(&rows);
         let (r0, h, width) = (rows.start, rows.len(), cols_end - rows.start);
-        // the source's request in panel columns: plane rows [k·r0, k·r1)
-        // against plane columns [k·r0, k·cols_end)
-        let (rows, cols_end) = (planes * r0..planes * rows.end, planes * cols_end);
-        // values transformed by this slab: one counter add per slab
+        let complete = pass.end() >= planes * cols_end;
+        if complete {
+            // Slab-granular interruption point: the deadline→token
+            // conversion and the poll accounting, once per computed slab.
+            // The scheduler already refused to hand out this slab if the
+            // token was tripped; nothing below ever checks mid-kernel. A
+            // token tripped mid-slab stops the *next* claim, not this one
+            // — claimed slabs always complete.
+            poll_deadline(deadline, token);
+            ld_trace::add(Counter::CancelPolls, 1);
+        }
+        fault::check_kernel_panic();
+        let slot = held.get((k - grid.lo) % held_len.max(1));
+        let mut strip = slot.map(lock);
+        let values = match &mut strip {
+            Some(held) => &mut held[..],
+            None => &mut scratch.values[..],
+        };
+        // the pass's request in panel columns: plane rows [k·r0, k·r1)
+        // against plane columns up to k·cols_end
+        let (counts, kept) = (&mut scratch.counts, &mut scratch.kept);
+        let rows_in_panel = planes * r0..planes * rows.end;
+        let blk = pass.block(rows_in_panel, planes * cols_end, cfg, counts);
+        let span = Span::begin(SpanKind::Transform);
+        // values transformed by this block: one counter add per block
         let mut transformed = 0;
-        data.slab_blocks(rows, cols_end, cfg, counts, &tables, &mut |tr, blk| {
-            let span = Span::begin(SpanKind::Transform);
-            for r in 0..h {
-                let i = r0 + r;
-                // row i's span of this block, clipped to its reach (a
-                // block starts and ends on a site boundary)
-                let j0 = (blk.cols.start / planes).max(i);
-                let j1 = (blk.cols.end / planes).min(grid.end(i));
-                if let Dest::Pairs(p) = &dest {
-                    // the diagonal is no pair
-                    let j0 = j0.max(i + 1);
-                    if j0 < j1 {
-                        let from = &blk.counts[r * blk.ld + (j0 - blk.cols.start)..][..j1 - j0];
-                        p.keep(tr, i, j0..j1, from, values, kept);
-                        transformed += j1 - j0;
-                    }
-                    continue;
+        for r in 0..h {
+            let i = r0 + r;
+            // row i's span of this block, clipped to its reach (a block
+            // starts and ends on a site boundary)
+            let j0 = (blk.cols.start / planes).max(i);
+            let j1 = (blk.cols.end / planes).min(grid.end(i));
+            if let Dest::Pairs(p) = &dest {
+                // the diagonal is no pair
+                let j0 = j0.max(i + 1);
+                if j0 < j1 {
+                    let from = &blk.counts[r * blk.ld + (j0 - blk.cols.start)..][..j1 - j0];
+                    p.keep(tr, i, j0..j1, from, values, kept);
+                    transformed += j1 - j0;
                 }
-                if j0 >= j1 {
-                    continue;
-                }
-                let len = j1 - j0;
-                transformed += len;
-                // site i's k plane rows from plane column k·j0 (at k = 1,
-                // row r's `len` counts)
-                let at = planes * (r * blk.ld + j0) - blk.cols.start;
-                let from = &blk.counts[at..][..(planes - 1) * blk.ld + planes * len];
-                let to = match &dest {
-                    // SAFETY: slabs own disjoint packed ranges, and each
-                    // slab is claimed by exactly one worker (see SyncSlice).
-                    Dest::Packed { out, .. } => unsafe {
-                        out.slice(packed_row_offset(n, i) + (j0 - i), len)
-                    },
-                    Dest::Rows(_) => &mut values[r * width + (j0 - r0)..][..len],
-                    Dest::Pairs(_) => unreachable!("the pair sink transforms above"),
-                };
-                tr.apply_span(i, j0, from, blk.ld, to);
+                continue;
             }
-            span.end(k as u64);
-        })?;
+            if j0 >= j1 {
+                continue;
+            }
+            let len = j1 - j0;
+            transformed += len;
+            // site i's k plane rows from plane column k·j0 (at k = 1,
+            // row r's `len` counts)
+            let at = planes * (r * blk.ld + j0) - blk.cols.start;
+            let from = &blk.counts[at..][..(planes - 1) * blk.ld + planes * len];
+            let to = match &dest {
+                // SAFETY: slabs own disjoint packed ranges, and within a
+                // pass each slab is claimed by exactly one worker; passes
+                // are joined one after another (see SyncSlice).
+                Dest::Packed { out, .. } => unsafe {
+                    out.slice(packed_row_offset(n, i) + (j0 - i), len)
+                },
+                Dest::Rows(_) => &mut values[r * width + (j0 - r0)..][..len],
+                Dest::Pairs(_) => unreachable!("the pair sink transforms above"),
+            };
+            tr.apply_span(i, j0, from, blk.ld, to);
+        }
+        span.end(k as u64);
         ld_trace::add(Counter::PairsTransformed, transformed as u64);
+        if !complete {
+            return Ok(());
+        }
         ld_trace::add(Counter::SlabsEmitted, 1);
         ld_trace::recorder::instant(SpanKind::SlabEmit, k as u64);
-        match &dest {
-            Dest::Rows(visit) => visit(&RowSlabVisit {
-                row_start: r0,
-                n_rows: h,
-                n_snps: n,
-                band: match grid.reach {
-                    Reach::Band(w) => w,
-                    Reach::Stair(_) => unreachable!("a staircase runs the pair sink"),
-                },
-                ldv: width,
-                values: &values[..h * width],
-            }),
-            Dest::Pairs(p) => {
+        match (&dest, slot) {
+            // held: handed over in row order, this slab's strip released
+            // first
+            (Dest::Rows(to), Some(_)) => {
+                drop(strip);
+                ready[(k - grid.lo) % held_len].store(true, Ordering::Release);
+                visit_held(*to);
+                return Ok(());
+            }
+            (Dest::Rows(to), None) => visit(*to, k, values),
+            (Dest::Pairs(p), _) => {
                 (p.visit)(kept);
                 kept.clear();
             }
-            Dest::Packed { .. } => {}
+            (Dest::Packed { .. }, _) => {}
         }
         // Release *after* the sink writes above: the flag is the
         // publication point for checkpoint readers.
@@ -796,30 +838,92 @@ pub(crate) fn run(
             _ => Ok(()),
         }
     };
-    try_parallel_for_dynamic_init_ctl(
-        workers,
-        // The scheduler iterates the shard's row window; its start is a
-        // slab multiple, so offsetting keeps chunks slab-aligned.
-        (grid.hi * slab).min(n) - grid.lo * slab,
-        // One claim is one slab: chunk `c` is slab `grid.lo + c`.
-        slab,
-        token,
-        // The scheduler runs each worker's init once and spawns at most
-        // `workers` of them, so the pool never runs dry; the default only
-        // keeps the pop panic-free by construction.
-        |_tid| lock(&pool).pop().unwrap_or_default(),
-        |scratch, rows| {
-            // Slabs replayed from a checkpoint are skipped without polling
-            // and without touching the source.
-            let k = grid.lo + rows.start / slab;
-            if ledger.is_done(k) || lock(&failure).is_some() {
-                return;
+    // One team over slabs `ks` against `pass`'s columns: one claim is one
+    // slab, and slabs already done (replayed from a checkpoint) are skipped
+    // without polling and without touching the source.
+    let team = |tr: &Transform, pass: &Pass<'_>, ks: Range<usize>| {
+        try_parallel_for_dynamic_init_ctl(
+            workers,
+            // a shard's row window starts on a slab multiple, so offsetting
+            // keeps chunks slab-aligned: chunk `c` is slab `ks.start + c`
+            (ks.end * slab).min(n) - ks.start * slab,
+            slab,
+            token,
+            // the scheduler spawns at most `threads` workers
+            |tid| lock(&pool[tid]),
+            |scratch, claim| {
+                let k = ks.start + claim.start / slab;
+                if ledger.is_done(k) || lock(&failure).is_some() {
+                    return;
+                }
+                if let Err(e) = one_slab(scratch, tr, pass, k) {
+                    lock(&failure).get_or_insert(e);
+                }
+            },
+        )
+    };
+    match (*src, cfg.price) {
+        // A store run's window loop. Row windows are the grid's slabs
+        // `rows` at a time from the shard's first; one with a pending slab
+        // reads its chunks from its first pending row's to the one holding
+        // its last pending slab's `cols_end`, each once: the first column
+        // window — at least the row window's rows, and `cols` chunks when
+        // that is more — runs one SYRK pass, each later window of `cols`
+        // chunks one GEMM pass for the slabs that reach it (a suffix: the
+        // reach is non-decreasing). A stop during a read, a tripped token
+        // or a sticky failure ends the loop; nothing is computed from a
+        // partial window.
+        (Source::Store(s), Price::Windows(w)) => {
+            let stop = || {
+                poll_deadline(deadline, token);
+                token.is_some_and(CancelToken::is_cancelled)
+            };
+            let c = s.meta().chunk_snps;
+            let ends = |k: usize| grid.cols_end(&grid.rows(k));
+            let mut k0 = grid.lo;
+            while k0 < grid.hi && !halted() {
+                let window = k0..k0.saturating_add(w.rows).min(grid.hi);
+                k0 = window.end;
+                let mut pending = window.filter(|&k| !ledger.is_done(k));
+                let Some(first) = pending.next() else {
+                    continue;
+                };
+                let last = pending.next_back().unwrap_or(first);
+                let (r0, r1) = (grid.rows(first).start, grid.rows(last).end);
+                let (c0, c1) = (r0 / c, (ends(last) - 1) / c + 1);
+                let mut at = ((r1 - 1) / c + 1).max(c0.saturating_add(w.cols)).min(c1);
+                let Some(a_panel) = read_window(s, c0..at, &mut tr, &stop)? else {
+                    break;
+                };
+                let a = (a_panel.full_view(), c0 * c);
+                *lock(&next) = first..last + 1;
+                team(&tr, &Pass { a, b: a }, first..last + 1)?;
+                while at < c1 && !halted() {
+                    let chunks = at..at.saturating_add(w.cols).min(c1);
+                    at = chunks.end;
+                    let Some(b_panel) = read_window(s, chunks.clone(), &mut tr, &stop)? else {
+                        break;
+                    };
+                    let b = (b_panel.full_view(), chunks.start * c);
+                    let from = (first..=last).find(|&k| ends(k) > b.1);
+                    team(&tr, &Pass { a, b }, from.unwrap_or(last + 1)..last + 1)?;
+                }
             }
-            if let Err(e) = one_slab(scratch, k) {
-                lock(&failure).get_or_insert(e);
-            }
-        },
-    )?;
+        }
+        (Source::Memory(v), _) => {
+            team(
+                &tr,
+                &Pass {
+                    a: (v, 0),
+                    b: (v, 0),
+                },
+                grid.lo..grid.hi,
+            )?;
+        }
+        (Source::Store(_), Price::Linear { .. }) => {
+            unreachable!("a store run is priced by its windows")
+        }
+    }
     if let Some(e) = lock(&failure).take() {
         return Err(e);
     }
@@ -860,18 +964,16 @@ mod tests {
         g
     }
 
-    fn cfg(threads: usize, slab: usize) -> Config {
+    /// An unbudgeted run of `src` at `slab` rows, priced by its source.
+    fn cfg(src: &Source<'_>, threads: usize, slab: usize) -> Config {
+        let n = src.n_snps();
         Config {
             kind: KernelKind::Auto,
             blocks: BlockSizes::default(),
             threads,
             policy: NanPolicy::Zero,
             slab,
-            price: Price {
-                fixed: 0,
-                per_row: 0,
-                resident: false,
-            },
+            price: src.price(threads, false, n, 1, None, slab.min(n)).unwrap(),
         }
     }
 
@@ -887,7 +989,7 @@ mod tests {
                 run(
                     &v.into(),
                     stat.into(),
-                    &cfg(threads, slab),
+                    &cfg(&v.into(), threads, slab),
                     sink,
                     &RunControl::new(),
                 )
@@ -938,7 +1040,7 @@ mod tests {
                 run(
                     &src,
                     LdStats::RSquared.into(),
-                    &cfg(threads, slab),
+                    &cfg(&src, threads, slab),
                     sink,
                     &RunControl::new(),
                 )

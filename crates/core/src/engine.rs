@@ -9,7 +9,7 @@ use crate::error::{checked_add, checked_mul, fault, try_zeroed_vec, LdError, Mem
 use crate::fused::{RowSlabVisit, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
 use crate::shard::{plan_shards, SlabRange};
-use crate::source::{cross_footprint, rows_within, store_price, worker_blocks, Price, Source};
+use crate::source::{cross_footprint, rows_within, store_windows, worker_blocks, Price, Source};
 use crate::staircase::{KeptPair, R2Staircase, CROSSOVER, KEPT_PAIR_BYTES};
 use crate::stats::{ld_pair_from_counts, LdPair, LdStats, NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
@@ -45,12 +45,14 @@ use std::sync::Mutex;
 /// column band
 /// ([`RunControl::with_band`]); when the genotype matrix itself is
 /// too large, run the same entry points from a tile store
-/// ([`Source::Store`]), whose working set is one slab panel plus two
-/// chunks whatever the thread count. A store whose whole packed panel
-/// fits the configured [`MemoryBudget`] is instead read once and run as a
-/// memory source (see [`crate::source`]) — it then delivers slabs in
-/// unspecified order, as memory does; with no budget a store always
-/// streams.
+/// ([`Source::Store`]): the memory arm over windows of the store sized to
+/// the configured [`MemoryBudget`] — a row window of slabs and column
+/// windows of whole chunks, each read once per row window — so its working
+/// set is the windows, per-worker counts as wide as a window and (row
+/// visitor) the row window's values, whatever the panel's size. A store
+/// whose whole packed panel fits the budget is one window, read once (see
+/// [`crate::source`]); with no budget the windows are the smallest,
+/// `threads` slabs by one chunk.
 #[derive(Clone, Debug)]
 pub struct LdEngine {
     pub(crate) kind: KernelKind,
@@ -114,8 +116,8 @@ impl LdEngine {
     /// by the run's source ([`LdEngine::slab_for`]). Every entry point
     /// shrinks the slab height to fit the cap before failing with
     /// [`LdError::BudgetExceeded`]; results are bit-exact regardless of
-    /// slab height. The budget also picks a store's arm: one that holds
-    /// the whole packed panel is read once (see [`crate::source`]).
+    /// slab height. The budget also sizes a store's windows: one that
+    /// holds the whole packed panel is read once (see [`crate::source`]).
     pub fn memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.budget = budget;
         self
@@ -201,7 +203,7 @@ impl LdEngine {
 
     /// The one pricing call: the run's [`Price`] ([`Source::price`]) at
     /// the configured slab height for an `n`-site run — and, for a store,
-    /// the arm that price picked. Every planner and every run asks here,
+    /// the windows that price fitted. Every planner and every run asks here,
     /// so the grid that shards and checkpoints are cut on is the grid the
     /// run uses.
     fn price(
@@ -218,15 +220,23 @@ impl LdEngine {
 
     /// The one budget shrink: the slab height for an `n`-site run priced
     /// at `price` — the configured height, shrunk to
-    /// `⌊(budget − fixed) / per_row⌋`, and [`LdError::BudgetExceeded`] only
-    /// when even one row over-runs.
+    /// `⌊(budget − fixed) / per_row⌋` (a store's windows were fitted with
+    /// theirs), and [`LdError::BudgetExceeded`] only when even one row
+    /// over-runs.
     fn fit_slab(&self, n: usize, price: Price) -> Result<usize, LdError> {
         let Some(limit) = self.budget.limit() else {
             return Ok(self.want(n));
         };
-        match rows_within(limit, (price.fixed, price.per_row), self.want(n)) {
+        let (rows, required) = match price {
+            Price::Linear { fixed, per_row } => (
+                rows_within(limit, (fixed, per_row), self.want(n)),
+                checked_add(fixed, per_row, "minimum footprint")?,
+            ),
+            Price::Windows(w) => (w.slab, w.bytes),
+        };
+        match rows {
             0 => Err(LdError::BudgetExceeded {
-                required: checked_add(price.fixed, price.per_row, "minimum footprint")?,
+                required,
                 budget: limit,
             }),
             rows => Ok(rows),
@@ -384,7 +394,7 @@ impl LdEngine {
     /// budgeting, for the packed (`true`) or row (`false`) sink — the slab
     /// grid every shard plan, shard range and checkpoint resume of that
     /// run is built on. The budget model is the source's own (for a
-    /// store, the model of the arm the budget picks), so a binding budget
+    /// store, its windows' price), so a binding budget
     /// may give the two sources different grids for the same data (with
     /// no budget they share one grid, and their checkpoints
     /// interoperate). Shard processes must run with identical engine
@@ -397,22 +407,15 @@ impl LdEngine {
     }
 
     /// [`LdEngine::slab_for`] a store from its manifest alone (the same
-    /// pricing, arm included). Kept for `benchmark/`; see ROADMAP 8a.
+    /// windows). Kept for `benchmark/`; see ROADMAP 8a.
     pub fn outofcore_slab_for(
         &self,
         meta: &TileStoreMeta,
         with_packed_output: bool,
     ) -> Result<usize, LdError> {
-        let (n, limit) = (meta.n_snps, self.budget.limit());
-        let price = store_price(
-            meta,
-            self.threads,
-            with_packed_output,
-            n,
-            limit,
-            self.want(n),
-        )?;
-        self.fit_slab(n, price)
+        let (n, limit, packed) = (meta.n_snps, self.budget.limit(), with_packed_output);
+        let windows = store_windows(meta, self.threads, packed, n, limit, self.want(n))?;
+        self.fit_slab(n, Price::Windows(windows))
     }
 
     /// A work-balanced contiguous shard plan over the slab grid a packed
@@ -525,10 +528,11 @@ impl LdEngine {
     /// * Slab order and peak memory are the source's: a memory source
     ///   delivers slabs in **unspecified order** under threading from
     ///   `O(threads × slab × strip)` scratch — 12 bytes per value: u32
-    ///   counts plus f64 values; a streamed store delivers them **in
-    ///   ascending row order** from `O(slab × (panel_row + strip))` plus
-    ///   chunk buffers — independent of holding the full genotype matrix;
-    ///   a store the budget holds whole is resident and delivers them in
+    ///   counts plus f64 values; a store read in more than one window
+    ///   delivers them **in ascending row order** from its windows, the
+    ///   counts of blocks as wide as a window and the values of a row
+    ///   window's slabs — independent of holding the full genotype matrix;
+    ///   a store the budget holds whole is one window and delivers them in
     ///   unspecified order, as memory does. A visitor that needs order
     ///   uses [`crate::in_row_order`] whatever the source.
     /// * A column band `w` ([`RunControl::with_band`]) makes each row hold
@@ -568,14 +572,17 @@ impl LdEngine {
     /// * the staircase holds 60 % of the off-diagonal pairs or more — the
     ///   measured crossover, past which sorting and the pair sink cost
     ///   more than the pairs they skip (see [`crate::staircase`]);
-    /// * under a [`MemoryBudget`], not even one slab row fits beside a
-    ///   kept-pair list as long as the staircase.
+    /// * under a [`MemoryBudget`], not even one slab row fits beside the
+    ///   kept pairs the caller retains: `retained` of them — a listing's
+    ///   cap, or `usize::MAX` for a caller that keeps every passing pair —
+    ///   and never more than the staircase holds.
     ///
     /// Planning is one popcount sweep and a sort of the site counts.
     pub fn r2_staircase<'a>(
         &self,
         src: impl Into<Source<'a>>,
         min_r2: f64,
+        retained: usize,
     ) -> Result<Option<R2Staircase>, LdError> {
         let Source::Memory(v) = src.into() else {
             return Ok(None);
@@ -587,7 +594,8 @@ impl LdEngine {
         let span = Span::begin(SpanKind::Transform);
         let plan = R2Staircase::new(v, min_r2);
         span.end(v.n_snps() as u64);
-        let plan = plan?;
+        let mut plan = plan?;
+        plan.retained = retained;
         if plan.share() >= CROSSOVER {
             return Ok(None);
         }
@@ -595,19 +603,18 @@ impl LdEngine {
         Ok(fits.is_ok().then_some(plan))
     }
 
-    /// The budget model of a staircase run: the plan's fixed bytes plus
-    /// one f64 row per worker, and per slab row `threads × strip` u32
-    /// counts plus as many kept pairs (what one slab can keep), `strip`
-    /// the widest step at the configured height.
+    /// The budget model of a staircase run: the plan's fixed bytes (its
+    /// retained kept pairs) plus one f64 row per worker, and per slab row
+    /// `threads × strip` u32 counts plus as many kept pairs (what one slab
+    /// can keep), `strip` the widest step at the configured height.
     fn staircase_price(&self, plan: &R2Staircase) -> Result<Price, LdError> {
         let what = "staircase slab row bytes";
         let n = plan.ends.len();
         let strip = Reach::Stair(&plan.ends).strip(n, self.want(n));
         let row = checked_mul(self.threads.max(1), strip.max(1), what)?;
-        Ok(Price {
+        Ok(Price::Linear {
             fixed: checked_add(plan.fixed_bytes()?, checked_mul(row, 8, what)?, what)?,
             per_row: checked_mul(row, 4 + KEPT_PAIR_BYTES, what)?,
-            resident: false,
         })
     }
 
@@ -738,14 +745,7 @@ impl LdEngine {
         }
         let k = stat.planes();
         let (fixed, per_row) = cross_footprint(m, n, self.threads, k)?;
-        let slab = self.run_slab(
-            m,
-            Price {
-                fixed,
-                per_row,
-                resident: false,
-            },
-        )?;
+        let slab = self.run_slab(m, Price::Linear { fixed, per_row })?;
         let mut values = try_zeroed_vec::<f64>(len, "m × n cross values")?;
         // One table set holding both operands end to end — A's sites at
         // [0, m), B's at [m, m + n) — so row i of the cross block is the

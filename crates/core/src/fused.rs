@@ -498,10 +498,11 @@ where
 /// held**, so payloads of different slabs are made in parallel. Only the
 /// hand-off is serialised: under the adaptor's lock, payloads that are
 /// early are held, and `deliver` receives every payload exactly once,
-/// lowest rows first. From a streamed store source (ascending by
-/// construction) nothing is ever held past the slab just made; a resident
-/// store, like memory, delivers in any order. The run must start at
-/// row 0 — a shard window that does not would never deliver.
+/// lowest rows first. From a store read in more than one window (which
+/// hands slabs over in ascending order) nothing is ever held past the
+/// slab just made; a store read in one window, like memory, delivers in
+/// any order. The run must start at row 0 — a shard window that does not
+/// would never deliver.
 ///
 /// Pass the result to [`crate::LdEngine::try_stat_rows_with`].
 pub fn in_row_order<'a, T: Send + 'a>(

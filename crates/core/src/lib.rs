@@ -35,9 +35,9 @@
 //! Every all-pairs form is the **one slab driver** of [`driver`] —
 //! `run(source, sink, control)` — with a different pair of ends: the
 //! [`Source`] says where the genotypes live (a matrix in RAM, borrowed
-//! zero-copy, or a chunked [`tilestore`] streamed panel-by-panel so the
-//! input never has to fit in memory, or read once when the budget holds
-//! it) and with that the parallel axis,
+//! zero-copy, or a chunked [`tilestore`] read in windows sized to the
+//! budget so the input never has to fit in memory — once, when the
+//! budget holds it) and with that the parallel axis,
 //! budget model, read schedule and slab order ([`source`]); the sink
 //! (packed triangle, row visitor, shard) says where a
 //! row's span goes and what "slab complete" means; the control carries

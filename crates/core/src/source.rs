@@ -5,34 +5,41 @@
 //! between an in-memory run and an out-of-core run is only the *data
 //! mover* — the paper's "one five-loop nest, different pack routines"
 //! one level up (and Fabregat-Traver & Bientinesi's point that in-core
-//! and out-of-core are one algorithm). A [`Source`] answers exactly the
-//! questions the driver cannot answer itself:
+//! and out-of-core are one algorithm, the resident blocks sized to the
+//! memory there is). A [`Source`] answers exactly the questions the driver
+//! cannot answer itself:
 //!
-//! | property              | [`Source::Memory`]                    | [`Source::Store`], streamed                | [`Source::Store`], resident              |
-//! |-----------------------|---------------------------------------|--------------------------------------------|------------------------------------------|
-//! | dimensions, identity  | the view; fingerprint = one hash pass | the manifest (no chunk is read)            | the manifest (no chunk is read)          |
-//! | parallel axis         | `threads` workers claim slabs         | one slab at a time; `threads` workers claim its GEMM's row blocks | `threads` workers claim slabs |
-//! | slab order at a sink  | unspecified under threading           | ascending rows                             | unspecified under threading              |
-//! | reads                 | none                                  | per slab: its panel chunks + its column stream | each needed chunk once, before the first slab |
-//! | column blocks ≥ `r0`  | one block `[r0, n)` via SYRK, B̃ ≤ 128 KiB per worker | one block per store chunk, prefetched | as memory                  |
-//! | column band `w`       | SYRK on the sub-view `[0, r1 + w)`    | stream stops at the chunk holding `r1+w−1` | as memory                                |
-//! | transform tables      | built up front (one popcount sweep)   | filled as chunks first stream past         | as memory                                |
-//! | budget model          | scratch scales with `threads × k² × strip` | panel row + chunk buffers, thread-free | memory's + the panel and one chunk load |
-//! | statistic             | any [`crate::Statistic`]: a site's `k` planes are `k` adjacent columns | [`crate::LdStats`] only (`k = 1`: a store is an LD panel) | as streamed |
+//! | property              | [`Source::Memory`]                    | [`Source::Store`]                              |
+//! |-----------------------|---------------------------------------|------------------------------------------------|
+//! | dimensions, identity  | the view; fingerprint = one hash pass | the manifest (no chunk is read)                |
+//! | parallel axis         | `threads` workers claim slabs         | `threads` workers claim a row window's slabs, one team per window pass |
+//! | slab order at a sink  | unspecified under threading           | unspecified under threading                    |
+//! | reads                 | none                                  | per row window, each chunk from its first row's to the one holding its last column, once |
+//! | column blocks ≥ `r0`  | one block `[r0, n)` via SYRK, B̃ ≤ 128 KiB per worker | per column window: SYRK in the one holding the slab's rows, GEMM right of it, B̃ as memory |
+//! | column band `w`       | SYRK on the sub-view `[0, r1 + w)`    | column windows stop at the chunk holding `r1 + w − 1` |
+//! | transform tables      | built up front (one popcount sweep)   | each window's span filled from its words as it is read |
+//! | budget model          | scratch scales with `threads × k² × strip` | `store_windows`: tables, windows, scratch |
+//! | statistic             | any [`crate::Statistic`]: a site's `k` planes are `k` adjacent columns | [`crate::LdStats`] only (`k = 1`: a store is an LD panel) |
 //!
 //! (`strip` is `n`, or `min(n, slab + w)` under a band, in sites.) A source
-//! knows nothing of planes: the driver asks it for plane rows
-//! `[k·r0, k·r1)` against plane columns `[k·r0, k·cols_end)` — the same one
+//! knows nothing of planes: the driver asks a `Pass` for plane rows
+//! `[k·r0, k·r1)` against plane columns up to `k·cols_end` — the same one
 //! call at every `k`. Everything else — slab grid, shard window, band
 //! clipping, polling, resume, the checkpoint ledger, the transform itself —
 //! is the driver's.
 //!
-//! A store run is resident when it has a budget and [`store_price`] finds
-//! the whole panel fits it at a slab at least as tall as streaming would
-//! get; the driver then reads the chunks its pending slabs need once
-//! ([`read_resident`]) and runs the panel as the memory source. With no
-//! budget a store streams: "unlimited" is no promise that the panel fits
-//! in RAM.
+//! A store run is the memory arm over **windows**. A row window is a run
+//! of `rows` slabs of the grid (those not done); its column windows are
+//! runs of whole chunks from its first row's chunk to the one holding its
+//! last `cols_end`, the first of them long enough to hold the row
+//! window's rows. Each window is read and CRC-checked once per row window
+//! (`read_window`) into a panel sized to it, and the worker team claims
+//! the row window's slabs against it: SYRK in the first, GEMM in the rest.
+//! `store_windows` sizes them to the budget; the window that holds every
+//! pending slab and column is the one-window run, each needed chunk read
+//! once. With no budget the windows are the smallest — `threads` slabs
+//! by one chunk — because "unlimited" is no promise that the panel fits in
+//! RAM.
 
 use crate::checkpoint::matrix_fingerprint;
 use crate::driver::Config;
@@ -41,12 +48,10 @@ use crate::fused::Transform;
 use crate::stats::{NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{AlignedWords, BitMatrix, BitMatrixView};
-use ld_kernels::{gemm_counts_mt, syrk_slab_counts, BlockSizes};
+use ld_kernels::{gemm_counts_buf, syrk_slab_counts, BlockSizes};
 use ld_trace::recorder::{Span, SpanKind};
 use ld_trace::Counter;
 use std::ops::Range;
-use std::sync::{mpsc, PoisonError, RwLock, RwLockReadGuard};
-use std::time::Instant;
 
 /// The genotype panel of one run.
 #[derive(Clone, Copy)]
@@ -54,9 +59,9 @@ pub enum Source<'a> {
     /// Held in RAM and borrowed zero-copy.
     Memory(BitMatrixView<'a>),
     /// Held in a chunked tile store (a directory of CRC-checked chunks,
-    /// or [`crate::MemoryTileStore`]) and streamed panel-by-panel, so it
+    /// or [`crate::MemoryTileStore`]) and read window by window, so it
     /// never has to fit in memory — or, when the run's budget holds the
-    /// whole panel, read once and run as [`Source::Memory`].
+    /// whole panel, read once as one window.
     Store(&'a dyn TileSource),
 }
 
@@ -81,26 +86,11 @@ pub(crate) struct Block<'b> {
     pub counts: &'b [u32],
 }
 
-/// The transform tables of one run, plus (store source) which chunks'
-/// allele counts are already folded in. Behind a lock only because the
-/// store source fills them mid-run; the memory source never writes.
-pub(crate) struct Tables {
-    pub tr: Transform,
-    seen: Vec<bool>,
-}
-
-/// Poison-tolerant: a span fill is idempotent and a contained panic drains
-/// the run, so the tables are never read in a state a retry could not fix.
-fn read(t: &RwLock<Tables>) -> RwLockReadGuard<'_, Tables> {
-    t.read().unwrap_or_else(PoisonError::into_inner)
-}
-
 fn store_err(message: String) -> LdError {
     LdError::TileStore { message }
 }
 
-/// Slab-independent bytes common to both models for `n` sites of `k`
-/// planes: the transform tables (≤ `(16 + 4k)·n`: u32 diag per plane + two
+/// Slab-independent bytes of every model for `n` sites of `k` planes: the transform tables (≤ `(16 + 4k)·n`: u32 diag per plane + two
 /// f64 tables) and, for the packed sink, the `8·n(n+1)/2` triangle.
 fn sink_footprint(n: usize, packed: bool, k: usize) -> Result<usize, LdError> {
     let tables = checked_mul(n, 16 + 4 * k, "transform tables bytes")?;
@@ -115,7 +105,7 @@ fn sink_footprint(n: usize, packed: bool, k: usize) -> Result<usize, LdError> {
 /// sites of `k` planes: every worker owns the u32 counts of `k·slab` plane
 /// rows × `k·strip` plane columns (plus `slab × strip` f64 values for the
 /// row sink), so a slab row costs `threads × strip × 4k²` (`+ 8`); `strip`
-/// is `n` unless the run has a band ([`crate::driver::strip_width`]).
+/// is `n` unless the run has a band ([`crate::driver::Reach::strip`]).
 fn memory_footprint(
     n: usize,
     threads: usize,
@@ -174,56 +164,6 @@ pub(crate) fn worker_blocks(blocks: BlockSizes, words_per_snp: usize) -> BlockSi
     blocks.with_nc(blocks.nc.min(nc))
 }
 
-/// The out-of-core budget model `(fixed, per_slab_row)` in bytes. Fixed
-/// adds four chunk-sized buffers (compute + in-flight double buffer, and
-/// the A-panel's chunk-alignment slack); each slab row adds one panel
-/// row of packed words and one u32 row of the block-counts scratch (plus
-/// one f64 output row of width `strip` for the row sink). **Not** scaled by
-/// the thread count: the streamed GEMM threads internally over one
-/// shared counts block — extra threads add no buffers.
-fn store_footprint(
-    meta: &TileStoreMeta,
-    packed: bool,
-    strip: usize,
-) -> Result<(usize, usize), LdError> {
-    let n = meta.n_snps;
-    let chunk = meta.chunk_snps.min(n.max(1));
-    let what = "chunk bytes";
-    let chunk_bytes = checked_mul(checked_mul(chunk, meta.words_per_snp, what)?, 8, what)?;
-    let fixed = checked_add(
-        sink_footprint(n, packed, 1)?,
-        checked_mul(chunk_bytes, 4, "chunk buffer bytes")?,
-        "fixed footprint bytes",
-    )?;
-    let what = "slab row bytes";
-    let mut per_row = checked_add(
-        checked_mul(meta.words_per_snp, 8, what)?,
-        checked_mul(chunk, 4, what)?,
-        what,
-    )?;
-    if !packed {
-        per_row = checked_add(per_row, checked_mul(strip.max(1), 8, what)?, what)?;
-    }
-    Ok((fixed, per_row))
-}
-
-/// The resident budget model `(fixed, per_slab_row)` in bytes: the
-/// in-memory model over the store's sites, plus the packed panel, plus
-/// what one chunk load holds while it is decoded into the panel (its
-/// encoded bytes).
-fn resident_footprint(
-    meta: &TileStoreMeta,
-    threads: usize,
-    packed: bool,
-    strip: usize,
-) -> Result<(usize, usize), LdError> {
-    let (fixed, per_row) = memory_footprint(meta.n_snps, threads, packed, strip, 1)?;
-    let what = "resident panel bytes";
-    let panel = checked_mul(checked_mul(meta.n_snps, meta.words_per_snp, what)?, 8, what)?;
-    let fixed = checked_add(checked_add(fixed, panel, what)?, meta.chunk_bytes(0), what)?;
-    Ok((fixed, per_row))
-}
-
 /// Slab rows, at most `want`, that a `(fixed, per_row)` model fits under
 /// `limit` bytes; 0 when not even one row does.
 pub(crate) fn rows_within(limit: usize, (fixed, per_row): (usize, usize), want: usize) -> usize {
@@ -233,51 +173,147 @@ pub(crate) fn rows_within(limit: usize, (fixed, per_row): (usize, usize), want: 
     }
 }
 
-/// One run's budget model and, for a store, its arm.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Price {
-    /// Slab-independent bytes.
-    pub fixed: usize,
-    /// Bytes per slab row.
-    pub per_row: usize,
-    /// A store run that reads its panel once and computes it as the
-    /// memory source.
-    pub resident: bool,
+/// A store run's windows: a row window is `rows` slabs of the grid, a
+/// column window `cols` chunks; [`Windows::ONE`] in both is the one
+/// window that holds every pending slab and column. `slab` is the height
+/// they were fitted at (0: not even one row fits) and `bytes` their price.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Windows {
+    pub slab: usize,
+    pub rows: usize,
+    pub cols: usize,
+    pub bytes: usize,
 }
 
-/// The one arm decision for a store run of slab height `want` under
-/// `limit` bytes (`None`: no budget). The streamed arm is priced by
-/// [`store_footprint`], the resident arm by [`resident_footprint`]; the
-/// run is resident when it has a budget and the resident price fits a
-/// slab at least as tall as the streamed one (and at least one row) —
-/// residency never costs slab height. An unrepresentable resident price
-/// fits no budget.
-pub(crate) fn store_price(
+impl Windows {
+    /// `rows` and `cols` of the one window.
+    pub const ONE: usize = usize::MAX;
+
+    /// Columns of the widest block a slab meets in one pass: its strip,
+    /// or the widest first column window when that is narrower — the
+    /// chunks covering `rows` slabs wherever they start (`⌊(rows·slab +
+    /// 2c − 2)/c⌋` chunks of `c` sites), or `cols` chunks if more, at
+    /// most the store's `n`.
+    pub fn width(&self, meta: &TileStoreMeta, strip: usize) -> usize {
+        let c = meta.chunk_snps.max(1);
+        let span = self.rows.saturating_mul(self.slab);
+        let chunks = span.saturating_add((c - 1).saturating_mul(2)) / c;
+        strip.min(meta.n_snps.min(chunks.max(self.cols).saturating_mul(c)))
+    }
+}
+
+/// `Σ Π terms` in bytes, or [`LdError::SizeOverflow`].
+fn bytes(terms: &[&[usize]]) -> Result<usize, LdError> {
+    let what = "store window bytes";
+    terms.iter().try_fold(0, |sum, t| {
+        let product = t.iter().try_fold(1, |p, &x| checked_mul(p, x, what))?;
+        checked_add(sum, product, what)
+    })
+}
+
+/// The price in bytes of a store run of slab height `slab` over `threads`
+/// workers, with `rows × cols` windows: the transform tables (and the
+/// packed sink's triangle), one chunk load (its encoded bytes, held while
+/// it is decoded), the widest first column window and one later one
+/// (none for the one window), and per worker the u32 counts of its widest
+/// block. The row sink adds its f64 values: per worker for the one
+/// window, where a slab completes in one pass, and otherwise per slab of
+/// the row window, held until its last column window. The one window's
+/// price is the in-memory model plus the panel and one chunk load.
+fn window_bytes(
+    meta: &TileStoreMeta,
+    threads: usize,
+    packed: bool,
+    strip: usize,
+    (slab, rows, cols): (usize, usize, usize),
+) -> Result<Windows, LdError> {
+    let mut w = Windows {
+        slab,
+        rows,
+        cols,
+        bytes: 0,
+    };
+    let (n, one) = (meta.n_snps, rows == Windows::ONE);
+    let later = if one {
+        0
+    } else {
+        n.min(cols.saturating_mul(meta.chunk_snps))
+    };
+    let sites = w.width(meta, n).saturating_add(later);
+    let slots = if one { threads } else { rows };
+    let value = if packed { 0 } else { 8 };
+    w.bytes = bytes(&[
+        &[sink_footprint(n, packed, 1)?],
+        &[meta.chunk_bytes(0)],
+        &[sites, meta.words_per_snp, 8],
+        &[threads, slab, w.width(meta, strip), 4],
+        &[slots, slab, strip, value],
+    ])?;
+    Ok(w)
+}
+
+/// The largest `x ∈ [1, max]` with `fits(x)`; `None` when none does.
+fn largest(max: usize, fits: impl Fn(usize) -> bool) -> Option<usize> {
+    (1..=max).rev().find(|&x| fits(x))
+}
+
+/// The one sizing of a store run of slab height `want` under `limit`
+/// bytes (`None`: no budget), priced by [`window_bytes`]:
+///
+/// * no budget: the smallest windows, `threads` slabs — one per worker, so
+///   no worker idles in a pass — by one chunk;
+/// * the configured height whenever the one window or the smallest
+///   windows fit it — windows never cost slab height — and otherwise the
+///   tallest slab one of them fits (one-row slabs, fewer to a row window,
+///   when not even that);
+/// * at that height the one window if it fits, else the most slabs per
+///   row window with one-chunk column windows, then the most chunks per
+///   column window.
+///
+/// When not even one row fits, `slab` is 0 and `bytes` the smaller price
+/// of one row; an unrepresentable price fits no budget.
+pub(crate) fn store_windows(
     meta: &TileStoreMeta,
     threads: usize,
     packed: bool,
     strip: usize,
     limit: Option<usize>,
     want: usize,
-) -> Result<Price, LdError> {
-    let (fixed, per_row) = store_footprint(meta, packed, strip)?;
-    let streamed = Price {
-        fixed,
-        per_row,
-        resident: false,
-    };
+) -> Result<Windows, LdError> {
+    let threads = threads.max(1);
+    let price = |shape| window_bytes(meta, threads, packed, strip, shape);
+    let (one, smallest) = (|h| (h, Windows::ONE, Windows::ONE), |h| (h, threads, 1));
     let Some(limit) = limit else {
-        return Ok(streamed);
+        return price(smallest(want));
     };
-    let floor = rows_within(limit, (fixed, per_row), want).max(1);
-    Ok(match resident_footprint(meta, threads, packed, strip) {
-        Ok(model) if rows_within(limit, model, want) >= floor => Price {
-            fixed: model.0,
-            per_row: model.1,
-            resident: true,
-        },
-        _ => streamed,
-    })
+    let fits = |shape| price(shape).is_ok_and(|w| w.bytes <= limit);
+    let slab = largest(want, |h| fits(one(h)) || fits(smallest(h))).unwrap_or(1);
+    if fits(one(slab)) {
+        return price(one(slab));
+    }
+    let Some(rows) = largest(meta.n_snps.div_ceil(slab), |r| fits((slab, r, 1))) else {
+        let small = price((1, 1, 1))?;
+        let bytes = small
+            .bytes
+            .min(price(one(1)).map_or(usize::MAX, |w| w.bytes));
+        return Ok(Windows {
+            slab: 0,
+            bytes,
+            ..small
+        });
+    };
+    let cols = largest(meta.n_chunks(), |c| fits((slab, rows, c))).unwrap_or(1);
+    price((slab, rows, cols))
+}
+
+/// One run's budget model.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Price {
+    /// `fixed + per_row × slab` bytes at any slab height: the memory
+    /// source, the staircase, the cross matrix.
+    Linear { fixed: usize, per_row: usize },
+    /// A store run: its windows, fitted to the budget with their height.
+    Windows(Windows),
 }
 
 impl Source<'_> {
@@ -308,13 +344,13 @@ impl Source<'_> {
         }
     }
 
-    /// The run's [`Price`] — what one slab row costs is the source's to
-    /// say, because it owns the buffers — for the packed (`true`) or row
+    /// The run's [`Price`] — what a run costs is the source's to say,
+    /// because it owns the buffers — for the packed (`true`) or row
     /// (`false`) sink at slab height `want` under `limit` bytes (`None`: no
     /// budget). `strip` is the widest slab's site count
-    /// ([`crate::driver::strip_width`]); a site is `k` panel columns (only
-    /// an LD panel, `k = 1`, lives in a store, whose arm [`store_price`]
-    /// picks).
+    /// ([`crate::driver::Reach::strip`]); a site is `k` panel columns (only
+    /// an LD panel, `k = 1`, lives in a store, whose windows
+    /// [`store_windows`] sizes).
     pub(crate) fn price(
         &self,
         threads: usize,
@@ -324,88 +360,75 @@ impl Source<'_> {
         limit: Option<usize>,
         want: usize,
     ) -> Result<Price, LdError> {
-        match self {
+        Ok(match self {
             Self::Memory(v) => {
                 let (fixed, per_row) = memory_footprint(v.n_snps() / k, threads, packed, strip, k)?;
-                Ok(Price {
-                    fixed,
-                    per_row,
-                    resident: false,
-                })
+                Price::Linear { fixed, per_row }
             }
-            Self::Store(s) => store_price(s.meta(), threads, packed, strip, limit, want),
-        }
-    }
-
-    /// Outer workers of the slab loop. The store source runs one slab at
-    /// a time — its parallelism is inside the per-chunk GEMM — which is
-    /// also what delivers slabs to the sink in ascending order.
-    pub(crate) fn schedule(&self, cfg: &Config) -> usize {
-        match self {
-            Self::Memory(_) => cfg.threads,
-            Self::Store(_) => 1,
-        }
-    }
-
-    /// Length of one worker's u32 counts scratch for `slab`-row slabs of
-    /// at most `strip` columns: the widest block this source ever emits.
-    pub(crate) fn counts_len(&self, slab: usize, strip: usize) -> usize {
-        match self {
-            Self::Memory(_) => slab * strip,
-            Self::Store(s) => slab * s.meta().chunk_snps.min(s.meta().n_snps),
-        }
+            Self::Store(s) => Price::Windows(store_windows(
+                s.meta(),
+                threads,
+                packed,
+                strip,
+                limit,
+                want,
+            )?),
+        })
     }
 
     /// The run's transform tables: complete for the memory source (one
     /// popcount sweep over the resident matrix), all-zero for the store
-    /// source, which fills each chunk's span when the chunk first streams
-    /// past — no allele-count pre-pass over the store.
-    pub(crate) fn tables(&self, stat: Statistic, policy: NanPolicy) -> Result<Tables, LdError> {
-        Ok(match self {
-            Self::Memory(v) => Tables {
-                tr: Transform::try_new(v, stat, policy)?,
-                seen: Vec::new(),
-            },
+    /// source, whose windows fill their spans as they are read
+    /// ([`read_window`]) — no allele-count pre-pass over the store.
+    pub(crate) fn tables(&self, stat: Statistic, policy: NanPolicy) -> Result<Transform, LdError> {
+        match self {
+            Self::Memory(v) => Transform::try_new(v, stat, policy),
             Self::Store(s) => {
                 let m = s.meta();
-                Tables {
-                    tr: Transform::empty(m.n_snps, m.n_samples, stat, policy)?,
-                    seen: vec![false; m.n_chunks()],
-                }
+                Transform::empty(m.n_snps, m.n_samples, stat, policy)
             }
-        })
+        }
+    }
+}
+
+/// The operands of one team pass: a slab's rows come from `a`, its
+/// columns from `b`, each a view and the panel column its column 0 is.
+/// Where `b` holds the slab's own rows the block is SYRK from the slab's
+/// first row; right of them, GEMM of the rows against `b`.
+pub(crate) struct Pass<'p> {
+    pub a: (BitMatrixView<'p>, usize),
+    pub b: (BitMatrixView<'p>, usize),
+}
+
+impl Pass<'_> {
+    /// One past the last panel column the pass holds.
+    pub fn end(&self) -> usize {
+        self.b.1 + self.b.0.n_snps()
     }
 
-    /// Produces the counts of panel rows `rows` against every column in
-    /// `[rows.start, cols_end)` (`cols_end` is `n` without a band), one
-    /// [`Block`] at a time in ascending column order, handing each to
-    /// `emit` together with tables that cover the block's columns and the
-    /// slab's own rows. A block may run past `cols_end` (a store chunk is
-    /// multiplied whole); the driver clips.
-    pub(crate) fn slab_blocks(
+    /// The counts of panel rows `rows` against this pass's columns, from
+    /// the slab's first row or the pass's first column to `cols_end` or the
+    /// pass's end, into `counts`, on the worker blocking.
+    pub fn block<'c>(
         &self,
         rows: Range<usize>,
         cols_end: usize,
         cfg: &Config,
-        counts: &mut [u32],
-        tables: &RwLock<Tables>,
-        emit: &mut dyn FnMut(&Transform, Block<'_>),
-    ) -> Result<(), LdError> {
-        let h = rows.len();
-        match self {
-            // One column block `[r0, cols_end)` straight off the resident
-            // matrix: to the kernel, a panel that ends where the band does.
-            Self::Memory(v) => {
-                let cols = rows.start..cols_end;
-                let (ld, counts) = (cols.len(), &mut counts[..h * cols.len()]);
-                let v = &v.subview(0, cols_end);
-                let blocks = worker_blocks(cfg.blocks, v.words_per_snp());
-                syrk_slab_counts(v, rows, counts, ld, cfg.kind, blocks);
-                emit(&read(tables).tr, Block { cols, ld, counts });
-                Ok(())
-            }
-            Self::Store(s) => stream_store_slab(*s, rows, cols_end, cfg, counts, tables, emit),
+        counts: &'c mut [u32],
+    ) -> Block<'c> {
+        let ((a, a_base), (b, b_base)) = (self.a, self.b);
+        let end = cols_end.min(self.end());
+        let (cols, b) = (b_base.max(rows.start)..end, b.subview(0, end - b_base));
+        let (ld, counts) = (cols.len(), &mut counts[..rows.len() * cols.len()]);
+        let blocks = worker_blocks(cfg.blocks, b.words_per_snp());
+        if b_base <= rows.start {
+            let rows = rows.start - b_base..rows.end - b_base;
+            syrk_slab_counts(&b, rows, counts, ld, cfg.kind, blocks);
+        } else {
+            let a = a.subview(rows.start - a_base, rows.end - a_base);
+            gemm_counts_buf(&a, &b, counts, ld, cfg.kind, blocks);
         }
+        Block { cols, ld, counts }
     }
 }
 
@@ -439,155 +462,35 @@ fn fill_span(
     Ok(true)
 }
 
-/// The resident arm's data mover: reads the chunks holding panel columns
-/// `cols` exactly once, on the calling thread ([`fill_span`]), into one
-/// packed panel of every site — the columns outside the chunks read stay
-/// zero, and no slab the caller computes reaches them. `None` when `stop`
-/// fired (the caller computes nothing from a partial panel).
-pub(crate) fn read_resident(
+/// The store source's data mover: reads `chunks` once, on the calling
+/// thread ([`fill_span`]), into one packed panel sized to them, and fills
+/// their span of `tr` from its words before any pass reads it. `None` when
+/// `stop` fired (the caller computes nothing from a partial panel).
+pub(crate) fn read_window(
     src: &dyn TileSource,
-    cols: Range<usize>,
+    chunks: Range<usize>,
+    tr: &mut Transform,
     stop: &dyn Fn() -> bool,
 ) -> Result<Option<BitMatrix>, LdError> {
     let meta = src.meta();
-    let wps = meta.words_per_snp;
-    let mut panel = AlignedWords::zeroed(meta.n_snps * wps);
-    if let Some((first, last)) = meta.chunks_covering(cols.start, cols.end) {
-        let from = first * meta.chunk_snps * wps;
-        if !fill_span(src, first..last + 1, &mut panel[from..], stop)? {
-            return Ok(None);
-        }
+    let base = chunks.start * meta.chunk_snps;
+    let sites = (chunks.end * meta.chunk_snps).min(meta.n_snps) - base;
+    let mut panel = AlignedWords::zeroed(sites * meta.words_per_snp);
+    if !fill_span(src, chunks.clone(), &mut panel, stop)? {
+        return Ok(None);
     }
-    let panel = BitMatrix::from_words(meta.n_samples, meta.n_snps, panel)
-        .map_err(|e| store_err(format!("resident panel: damaged packed words: {e}")))?;
-    Ok(Some(panel))
-}
-
-/// Folds chunk `index`'s per-SNP allele counts into the transform tables,
-/// on first sight.
-fn ingest_chunk(
-    tables: &RwLock<Tables>,
-    meta: &TileStoreMeta,
-    index: usize,
-    words: &[u64],
-) -> Result<(), LdError> {
-    if read(tables).seen[index] {
-        return Ok(());
-    }
-    let (s, e) = meta.chunk_span(index);
-    let wps = meta.words_per_snp;
-    let mut diag = Vec::with_capacity(e - s);
-    for j in 0..(e - s) {
-        let ones: u64 = words[j * wps..(j + 1) * wps]
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum();
-        diag.push(u32::try_from(ones).map_err(|_| LdError::SizeOverflow {
-            what: "per-SNP allele count (> u32::MAX haplotypes)",
-        })?);
-    }
+    let panel = BitMatrix::from_words(meta.n_samples, sites, panel)
+        .map_err(|e| store_err(format!("chunks {chunks:?}: damaged packed words: {e}")))?;
     let span = Span::begin(SpanKind::Transform);
-    let mut t = tables.write().unwrap_or_else(PoisonError::into_inner);
-    t.tr.fill_span(s, &diag);
-    t.seen[index] = true;
-    span.end(index as u64);
-    Ok(())
-}
-
-/// Assembles the A-panel for `rows`: reads the chunks covering the span
-/// into one chunk-aligned matrix ([`fill_span`]), folds their allele
-/// counts into the tables, and returns it with the row span's offset
-/// inside it.
-fn assemble_panel(
-    src: &dyn TileSource,
-    tables: &RwLock<Tables>,
-    rows: &Range<usize>,
-) -> Result<(BitMatrix, usize), LdError> {
-    let meta = src.meta();
-    let (first, last) = match meta.chunks_covering(rows.start, rows.end) {
-        Some(range) => range,
-        None => unreachable!("slab row spans are non-empty"),
-    };
-    let base = first * meta.chunk_snps;
-    let cols = ((last + 1) * meta.chunk_snps).min(meta.n_snps) - base;
-    let wps = meta.words_per_snp;
-    let mut panel = AlignedWords::zeroed(cols * wps);
-    fill_span(src, first..last + 1, &mut panel, &|| false)?;
-    for c in first..=last {
-        let (s, e) = meta.chunk_span(c);
-        ingest_chunk(tables, meta, c, &panel[(s - base) * wps..(e - base) * wps])?;
-    }
-    let panel = BitMatrix::from_words(meta.n_samples, cols, panel)
-        .map_err(|e| store_err(format!("panel rows {rows:?}: damaged packed words: {e}")))?;
-    Ok((panel, rows.start - base))
-}
-
-/// The store source's data mover for one slab. Only a bounded working set
-/// is ever resident: the A-panel for `rows`, one column chunk in compute
-/// plus one in flight (a dedicated prefetch thread reads and CRC-verifies
-/// the next chunk while the current one is multiplied by
-/// [`gemm_counts_mt`] — a classic double buffer), and the `slab × chunk`
-/// counts block. The column stream covers chunks from the one containing
-/// `rows.start` to the one containing `cols_end − 1` (upper-triangle rows
-/// need columns `j ≥ r0`, a band none past `r1 + w − 1`), so a slab's own
-/// stream also supplies every allele count its transform needs. The read
-/// schedule is therefore `panel chunks + chunks from first to last` per
-/// computed slab — the closed form `outofcore_resume.rs` checks against
-/// the `chunks_read` counter.
-fn stream_store_slab(
-    src: &dyn TileSource,
-    rows: Range<usize>,
-    cols_end: usize,
-    cfg: &Config,
-    counts: &mut [u32],
-    tables: &RwLock<Tables>,
-    emit: &mut dyn FnMut(&Transform, Block<'_>),
-) -> Result<(), LdError> {
-    let meta = src.meta();
-    let h = rows.len();
-    let (panel, panel_off) = assemble_panel(src, tables, &rows)?;
-    let a_view = panel.view(panel_off, panel_off + h);
-    let chunks = rows.start / meta.chunk_snps..(cols_end - 1) / meta.chunk_snps + 1;
-    let early = |c: usize| store_err(format!("chunk {c}: prefetch thread terminated early"));
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::sync_channel::<Result<AlignedWords, LdError>>(1);
-        let to_read = chunks.clone();
-        scope.spawn(move || {
-            for c in to_read {
-                let msg = src.read_chunk(c);
-                let stop = msg.is_err();
-                if tx.send(msg).is_err() || stop {
-                    return;
-                }
-            }
-        });
-        for c in chunks {
-            let msg = match rx.try_recv() {
-                Ok(m) => {
-                    ld_trace::add(Counter::PrefetchHits, 1);
-                    m
-                }
-                Err(mpsc::TryRecvError::Empty) => {
-                    let t0 = Instant::now();
-                    let m = rx.recv().map_err(|_| early(c))?;
-                    let stall = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    ld_trace::add(Counter::PrefetchStallNs, stall);
-                    m
-                }
-                Err(mpsc::TryRecvError::Disconnected) => return Err(early(c)),
-            };
-            let words = msg?;
-            count_read(meta, c);
-            ingest_chunk(tables, meta, c, &words)?;
-            let (c0, c1) = meta.chunk_span(c);
-            let ld = c1 - c0;
-            let b = BitMatrix::from_words(meta.n_samples, ld, words)
-                .map_err(|e| store_err(format!("chunk {c}: damaged packed words: {e}")))?;
-            let (b, counts) = (b.full_view(), &mut counts[..h * ld]);
-            gemm_counts_mt(&a_view, &b, counts, ld, cfg.kind, cfg.blocks, cfg.threads)?;
-            let cols = c0..c1;
-            emit(&read(tables).tr, Block { cols, ld, counts });
-        }
-        Ok(())
-    })
+    let v = panel.full_view();
+    let diag = (0..sites)
+        .map(|j| {
+            u32::try_from(v.ones_in_snp(j)).map_err(|_| LdError::SizeOverflow {
+                what: "per-SNP allele count (> u32::MAX haplotypes)",
+            })
+        })
+        .collect::<Result<Vec<u32>, _>>()?;
+    tr.fill_span(base, &diag);
+    span.end(chunks.start as u64);
+    Ok(Some(panel))
 }

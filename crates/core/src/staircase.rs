@@ -96,6 +96,10 @@ pub struct R2Staircase {
     /// One past the last sorted column sorted row `s` keeps: `> s`,
     /// non-decreasing.
     pub(crate) ends: Vec<usize>,
+    /// The most kept pairs the caller retains across slabs, which the
+    /// price charges (at most the plan's pairs): every one unless
+    /// [`crate::LdEngine::r2_staircase`] was told fewer.
+    pub(crate) retained: usize,
 }
 
 impl R2Staircase {
@@ -142,6 +146,7 @@ impl R2Staircase {
             n_samples: view.n_samples(),
             order,
             ends,
+            retained: usize::MAX,
         })
     }
 
@@ -176,13 +181,14 @@ impl R2Staircase {
         }
     }
 
-    /// Slab-independent bytes of a run: the transform tables and a
-    /// kept-pair list as long as the plan (what a caller that keeps every
-    /// passing pair holds at most). The panel is the caller's, sorted in
-    /// place, and priced as the memory arm prices it: not at all.
+    /// Slab-independent bytes of a run: the transform tables and the
+    /// kept-pair list its caller retains — as long as the plan for a
+    /// caller that keeps every passing pair, a listing's cap for a
+    /// listing. The panel is the caller's, sorted in place, and priced as
+    /// the memory arm prices it: not at all.
     pub(crate) fn fixed_bytes(&self) -> Result<usize, LdError> {
         let what = "staircase footprint bytes";
-        let kept = checked_mul(self.pairs(), KEPT_PAIR_BYTES, what)?;
+        let kept = checked_mul(self.retained.min(self.pairs()), KEPT_PAIR_BYTES, what)?;
         checked_add(checked_mul(self.ends.len(), 20, what)?, kept, what)
     }
 

@@ -138,8 +138,8 @@ impl TileStoreMeta {
 // Traits
 // ---------------------------------------------------------------------------
 
-/// A readable tile store. `Sync` because the store source reads from a
-/// prefetch thread while compute runs on the caller's thread.
+/// A readable tile store. `Sync` because a run's source is shared by its
+/// worker team (the calling thread reads each window).
 ///
 /// Reads must be *verified*: implementations write the decoded packed
 /// words only after every integrity check (CRC, header geometry) passes,

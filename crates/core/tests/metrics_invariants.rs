@@ -24,8 +24,8 @@
 
 use ld_bitmat::BitMatrix;
 use ld_core::{
-    KeptPair, LdEngine, LdStats, MemoryBudget, NanPolicy, R2Staircase, RowSlabVisit, RunControl,
-    Source,
+    KeptPair, LdEngine, LdStats, MemoryBudget, MemoryTileStore, NanPolicy, R2Staircase,
+    RowSlabVisit, RunControl, Source,
 };
 use ld_kernels::micro::Kernel;
 use ld_kernels::pack::packed_len;
@@ -33,6 +33,8 @@ use ld_kernels::{BlockSizes, KernelKind};
 use ld_rng::SmallRng;
 use ld_trace::Counter;
 use std::sync::{Mutex, MutexGuard, OnceLock};
+
+mod windows;
 
 /// The ld-trace counters are process-global; tests that reset and read
 /// them must not interleave. (Separate integration-test *files* are
@@ -345,6 +347,75 @@ fn resumed_slabs_skip_the_poll_and_the_counters_balance() {
     assert_eq!(skipped, n_slabs);
     assert_eq!(polls + skipped, n_slabs);
     assert_eq!(ld_trace::get(Counter::SlabsEmitted), 0);
+}
+
+/// A windowed store run's work does not depend on the thread count: on a
+/// budget between the smallest windows and the one window — the price of
+/// nine-slab row windows by one-chunk column windows at each thread
+/// count, where the window model fits the same windows at 1, 2 and 7
+/// threads — `tiles_claimed`, `kernel_words` and `pairs_transformed` are
+/// equal across thread counts, and `chunks_read` and `store_bytes_read`
+/// equal the model's closed form. (A scratch copy that reads each column
+/// window twice fails the closed form.)
+#[test]
+fn windowed_store_work_is_thread_invariant() {
+    let _l = counter_lock();
+    let (n, slab, chunk) = (61usize, 4usize, 5usize);
+    let g = random_matrix(130, n, 0x3D0C);
+    let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+    let meta = ld_core::TileSource::meta(&store).clone();
+    let oracle = LdEngine::new()
+        .try_stat_matrix(&g, LdStats::RSquared)
+        .unwrap();
+    let rows = 9usize;
+    let mut base = None;
+    for threads in [1usize, 2, 7] {
+        let shape = windows::Geometry {
+            slab,
+            rows,
+            cols: 1,
+        };
+        let budget = windows::price(&meta, threads, true, n, shape);
+        assert!(budget < windows::price(&meta, threads, true, n, windows::Geometry::one(slab)));
+        assert_eq!(
+            windows::fitted(&meta, threads, true, n, Some(budget), slab),
+            shape,
+            "t{threads}"
+        );
+        let e = LdEngine::new()
+            .threads(threads)
+            .slab_rows(slab)
+            .nan_policy(NanPolicy::Zero)
+            .memory_budget(MemoryBudget::bytes(budget));
+        ld_trace::reset();
+        let got = e
+            .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
+            .unwrap();
+        for (a, b) in oracle.packed().iter().zip(got.packed()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "t{threads}");
+        }
+        let read = windows::chunks_read(n, chunk, slab, n, rows, 0..n.div_ceil(slab), |_| true);
+        assert_eq!(
+            ld_trace::get(Counter::ChunksRead),
+            read.len() as u64,
+            "t{threads}"
+        );
+        assert_eq!(
+            ld_trace::get(Counter::StoreBytesRead),
+            windows::bytes_read(&meta, &read),
+            "t{threads}"
+        );
+        assert_eq!(
+            ld_trace::get(Counter::PairsTransformed),
+            (n * (n + 1) / 2) as u64,
+            "t{threads}"
+        );
+        let work = [
+            ld_trace::get(Counter::TilesClaimed),
+            ld_trace::get(Counter::KernelWords),
+        ];
+        assert_eq!(*base.get_or_insert(work), work, "t{threads}");
+    }
 }
 
 /// `budget_shrinks` counts runs whose slab the budget shrank, once per

@@ -1,12 +1,12 @@
 //! Kill/resume for the out-of-core driver, with chunk-read accounting.
 //!
-//! The contract: a streamed run cancelled at **any** slab boundary,
+//! The contract: a store run cancelled at **any** slab boundary,
 //! checkpointed and resumed is bit-identical to an uninterrupted run —
 //! *and the resume does not re-read the chunks of completed slabs*. The
 //! second half is what makes resumption worth having for a multi-hour
 //! out-of-core scan, and it is asserted directly through the
-//! `chunks_read` / `resume_slabs_skipped` counters (when the `metrics`
-//! feature is on; the bit-identity half runs either way).
+//! `chunks_read` / `resume_slabs_skipped` counters against the window
+//! model's closed form (`windows::chunks_read`, DESIGN.md §13).
 //!
 //! Every test takes one file-wide lock: the counters are process-global,
 //! and this file owns the only out-of-core runs in its process, so the
@@ -22,6 +22,8 @@ use ld_rng::SmallRng;
 use ld_trace::Counter;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
+
+mod windows;
 
 fn counter_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -73,125 +75,140 @@ impl CheckpointSink for TrippingSink {
     }
 }
 
-/// Chunks the out-of-core driver reads in one full (uninterrupted) run:
-/// per slab, the A-panel's covering chunks plus the column stream from
-/// the first covering chunk to the chunk holding the slab's last column,
-/// `min(n, r1 + band) − 1` (the documented panel double-read). `band = n`
-/// is a run without a band: the stream runs to the last chunk.
+/// Chunk reads of an unsharded store run whose row windows are `rows`
+/// slabs, over the pending slabs (the window model's closed form).
 fn expected_chunk_reads(
     n: usize,
     slab: usize,
     chunk: usize,
     band: usize,
+    rows: usize,
     pending: impl Fn(usize) -> bool,
 ) -> u64 {
-    let n_slabs = n.div_ceil(slab);
-    let mut reads = 0u64;
-    for k in 0..n_slabs {
-        if !pending(k) {
-            continue;
-        }
-        let (r0, r1) = (k * slab, ((k + 1) * slab).min(n));
-        let (first, last) = (r0 / chunk, (r1 - 1) / chunk);
-        reads += (last - first + 1) as u64; // panel assembly
-        let last_col = n.min(r1 + band) - 1;
-        reads += (last_col / chunk - first + 1) as u64; // column stream
-    }
-    reads
+    windows::chunks_read(n, chunk, slab, band, rows, 0..n.div_ceil(slab), pending).len() as u64
 }
 
 /// Cancel after every possible number of persisted slabs, resume, and
-/// require (a) a bit-identical triangle and (b) — when counters are on —
-/// that the resumed run read exactly the pending slabs' chunks and
-/// skipped the rest.
+/// require a bit-identical triangle and a resume that read exactly the
+/// pending slabs' windows — with no budget (`threads` slabs by one chunk)
+/// and, on a store with room for windows of more than seven slabs, with a
+/// budget one byte below the one-window price, at threads 1/2/7. One
+/// worker trips exactly after `k` slabs, having read exactly the windows
+/// it started; more workers may complete more slabs first.
 #[test]
 fn outofcore_resume_is_bit_identical_and_skips_completed_chunks() {
     let _l = counter_lock();
-    let (n, slab, chunk) = (37usize, 5usize, 4usize);
-    let n_slabs = n.div_ceil(slab); // 8
-    let g = random_matrix(64, n, 0x000c_5eed);
-    let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
     let threads = [1usize, 2, 7];
-    for k in 1..n_slabs {
-        let t = threads[k % threads.len()];
-        let e = LdEngine::new()
-            .threads(t)
-            .slab_rows(slab)
-            .nan_policy(NanPolicy::Zero);
-        let oracle = e.try_stat_matrix(&g, LdStats::RSquared).unwrap();
+    for (n, slab, chunk, budgeted) in [(37usize, 5usize, 4usize, false), (61, 4, 5, true)] {
+        let n_slabs = n.div_ceil(slab);
+        let g = random_matrix(64, n, 0x000c_5eed);
+        let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+        let meta = ld_core::TileSource::meta(&store).clone();
+        for k in 1..n_slabs {
+            let t = threads[k % threads.len()];
+            let budget = budgeted.then(|| resident_price(&meta, t, slab, true) - 1);
+            let e = LdEngine::new()
+                .threads(t)
+                .slab_rows(slab)
+                .nan_policy(NanPolicy::Zero);
+            let e = match budget {
+                Some(b) => e.memory_budget(MemoryBudget::bytes(b)),
+                None => e,
+            };
+            let w = windows::fitted(&meta, t, true, n, budget, slab);
+            assert_eq!(w.slab, slab);
+            assert_ne!(w.rows, windows::ONE, "below the one-window price");
+            let what = format!("n{n} k{k} t{t} {w:?}");
+            let oracle = e.try_stat_matrix(&g, LdStats::RSquared).unwrap();
 
-        // Phase 1: checkpoint every slab; the sink kills the run after
-        // k writes. The sequential driver makes this exact: k slabs
-        // complete, no more.
-        let token = CancelToken::new();
-        let sink = TrippingSink::new(&token, k);
-        let ctl = RunControl::new()
-            .with_token(&token)
-            .with_checkpoint(CheckpointPlan::new(&sink).every_slabs(1));
-        ld_trace::reset();
-        let err = e
-            .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
-            .expect_err("tripped run must cancel");
-        match err {
-            LdError::Cancelled {
-                reason,
-                completed_slabs,
-            } => {
-                assert_eq!(reason, "test kill", "k{k}");
-                assert_eq!(completed_slabs, k, "k{k}: sequential driver is exact");
-            }
-            other => panic!("k{k}: unexpected error {other}"),
-        }
-        // one poll per computed slab, always followed by the compute
-        assert_eq!(
-            ld_trace::get(Counter::CancelPolls),
-            ld_trace::get(Counter::SlabsEmitted),
-            "k{k}"
-        );
-        assert_eq!(
-            ld_trace::get(Counter::ChunksRead),
-            expected_chunk_reads(n, slab, chunk, n, |s| s < k),
-            "k{k}: interrupted run reads exactly the completed slabs' chunks"
-        );
-        let bytes = sink.inner.latest().expect("final flush");
-        let state = CheckpointState::from_bytes(&bytes).expect("snapshot parses");
-        assert_eq!(state.records.len(), k, "k{k}");
-
-        // Phase 2: resume to completion; only the pending slabs' chunks
-        // may be touched.
-        let replay = MemorySink::new();
-        let ctl = RunControl::new().with_checkpoint(
-            CheckpointPlan::new(&replay)
-                .every_slabs(usize::MAX)
-                .resume_from(state),
-        );
-        ld_trace::reset();
-        let resumed = e
-            .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
-            .unwrap_or_else(|e| panic!("k{k}: resume failed: {e}"));
-        assert_eq!(ld_trace::get(Counter::ResumeSlabsSkipped), k as u64, "k{k}");
-        assert_eq!(
-            ld_trace::get(Counter::SlabsEmitted),
-            (n_slabs - k) as u64,
-            "k{k}"
-        );
-        let full = expected_chunk_reads(n, slab, chunk, n, |_| true);
-        let got = ld_trace::get(Counter::ChunksRead);
-        assert_eq!(
-            got,
-            expected_chunk_reads(n, slab, chunk, n, |s| s >= k),
-            "k{k}: resume reads exactly the pending slabs' chunks"
-        );
-        assert!(
-            got < full,
-            "k{k}: resume must read strictly fewer chunks ({got} vs {full})"
-        );
-        for (idx, (a, b)) in oracle.packed().iter().zip(resumed.packed()).enumerate() {
+            // Phase 1: checkpoint every slab; the sink kills the run after
+            // k writes.
+            let token = CancelToken::new();
+            let sink = TrippingSink::new(&token, k);
+            let ctl = RunControl::new()
+                .with_token(&token)
+                .with_checkpoint(CheckpointPlan::new(&sink).every_slabs(1));
+            ld_trace::reset();
+            let first = e.try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl);
+            // one poll per computed slab, always followed by the compute
             assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "k{k} t{t}: packed[{idx}] {a} vs {b}"
+                ld_trace::get(Counter::CancelPolls),
+                ld_trace::get(Counter::SlabsEmitted),
+                "{what}"
             );
+            match first {
+                Err(LdError::Cancelled {
+                    reason,
+                    completed_slabs,
+                }) if t == 1 => {
+                    assert_eq!(reason, "test kill", "{what}");
+                    assert_eq!(completed_slabs, k, "{what}: one worker is exact");
+                    // every row window up to the one holding slab k − 1
+                    let started = |s: usize| s / w.rows <= (k - 1) / w.rows;
+                    assert_eq!(
+                        ld_trace::get(Counter::ChunksRead),
+                        expected_chunk_reads(n, slab, chunk, n, w.rows, started),
+                        "{what}: an interrupted run reads the windows it started"
+                    );
+                }
+                Err(LdError::Cancelled {
+                    completed_slabs, ..
+                }) => assert!(completed_slabs >= k, "{what}: {completed_slabs}"),
+                // slabs already claimed when the token trips still
+                // complete, so several workers may finish the run
+                Ok(m) if t > 1 => {
+                    assert_bits(&oracle, &m, &format!("{what} uninterrupted"));
+                    continue;
+                }
+                other => panic!("{what}: expected cancellation, got {other:?}"),
+            }
+            let bytes = sink.inner.latest().expect("final flush");
+            let state = CheckpointState::from_bytes(&bytes).expect("snapshot parses");
+            let done: Vec<usize> = state.records.iter().map(|r| r.index as usize).collect();
+
+            // Phase 2: resume to completion; only the pending slabs'
+            // windows may be read.
+            let replay = MemorySink::new();
+            let ctl = RunControl::new().with_checkpoint(
+                CheckpointPlan::new(&replay)
+                    .every_slabs(usize::MAX)
+                    .resume_from(state),
+            );
+            ld_trace::reset();
+            let resumed = e
+                .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
+                .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
+            assert_eq!(
+                ld_trace::get(Counter::ResumeSlabsSkipped),
+                done.len() as u64,
+                "{what}"
+            );
+            assert_eq!(
+                ld_trace::get(Counter::SlabsEmitted),
+                (n_slabs - done.len()) as u64,
+                "{what}"
+            );
+            let pending = |s: usize| !done.contains(&s);
+            let read = windows::chunks_read(n, chunk, slab, n, w.rows, 0..n_slabs, pending);
+            assert_eq!(
+                ld_trace::get(Counter::ChunksRead),
+                read.len() as u64,
+                "{what}: resume reads exactly the pending slabs' windows"
+            );
+            assert_eq!(
+                ld_trace::get(Counter::StoreBytesRead),
+                windows::bytes_read(&meta, &read),
+                "{what}"
+            );
+            let full = expected_chunk_reads(n, slab, chunk, n, w.rows, |_| true);
+            if t == 1 {
+                assert!(
+                    (read.len() as u64) < full,
+                    "{what}: resume must read strictly fewer chunks ({} vs {full})",
+                    read.len()
+                );
+            }
+            assert_bits(&oracle, &resumed, &what);
         }
     }
 }
@@ -234,9 +251,10 @@ fn resume_from_complete_snapshot_reads_zero_chunks() {
     }
 }
 
-/// The deterministic read accounting of a fresh run: `chunks_read` and
-/// `store_bytes_read` match the documented panel + column-stream model
-/// exactly, for several geometries.
+/// The deterministic read accounting of a fresh unbudgeted run — row
+/// windows of `threads` slabs, column windows of one chunk: `chunks_read`
+/// and `store_bytes_read` match the window model's closed form exactly,
+/// for several geometries and thread counts.
 #[test]
 fn fresh_run_chunk_reads_match_the_documented_model() {
     let _l = counter_lock();
@@ -249,41 +267,31 @@ fn fresh_run_chunk_reads_match_the_documented_model() {
         let g = random_matrix(33, n, (n * 31 + slab * 7 + chunk) as u64);
         let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
         let meta = ld_core::TileSource::meta(&store).clone();
-        let e = LdEngine::new().threads(2).slab_rows(slab);
-        ld_trace::reset();
-        e.try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
-            .unwrap();
-        assert_eq!(
-            ld_trace::get(Counter::ChunksRead),
-            expected_chunk_reads(n, slab, chunk, n, |_| true),
-            "n={n} slab={slab} chunk={chunk}"
-        );
-        // bytes: same walk, weighted by each chunk's encoded size
-        let n_chunks = meta.n_chunks();
-        let mut bytes = 0u64;
-        for k in 0..n.div_ceil(slab) {
-            let (r0, r1) = (k * slab, ((k + 1) * slab).min(n));
-            let (first, last) = (r0 / chunk, (r1 - 1) / chunk);
-            for c in first..=last {
-                bytes += meta.chunk_bytes(c) as u64;
-            }
-            for c in first..n_chunks {
-                bytes += meta.chunk_bytes(c) as u64;
-            }
+        for threads in [1usize, 2, 7] {
+            let e = LdEngine::new().threads(threads).slab_rows(slab);
+            ld_trace::reset();
+            e.try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
+                .unwrap();
+            let read =
+                windows::chunks_read(n, chunk, slab, n, threads, 0..n.div_ceil(slab), |_| true);
+            let what = format!("n={n} slab={slab} chunk={chunk} t{threads}");
+            assert_eq!(
+                ld_trace::get(Counter::ChunksRead),
+                read.len() as u64,
+                "{what}"
+            );
+            assert_eq!(
+                ld_trace::get(Counter::StoreBytesRead),
+                windows::bytes_read(&meta, &read),
+                "{what}"
+            );
         }
-        assert_eq!(
-            ld_trace::get(Counter::StoreBytesRead),
-            bytes,
-            "n={n} slab={slab} chunk={chunk}"
-        );
-        // the prefetcher never claims more hits than there were reads
-        assert!(ld_trace::get(Counter::PrefetchHits) <= ld_trace::get(Counter::ChunksRead));
     }
 }
 
-/// A column band bounds the stream: a store-backed banded run reads, per
-/// slab, its panel chunks plus the chunks from the slab's first to the one
-/// holding column `r1 + w − 1` — and nothing to the right of the band.
+/// A column band bounds the windows: a store-backed banded run reads, per
+/// row window, the chunks from its first row's to the one holding column
+/// `r1 + w − 1` of its last slab — and nothing to the right of the band.
 #[test]
 fn banded_run_chunk_reads_stop_at_the_band() {
     let _l = counter_lock();
@@ -309,7 +317,7 @@ fn banded_run_chunk_reads_stop_at_the_band() {
         .unwrap();
         assert_eq!(
             ld_trace::get(Counter::ChunksRead),
-            expected_chunk_reads(n, slab, chunk, w, |_| true),
+            expected_chunk_reads(n, slab, chunk, w, 2, |_| true),
             "n={n} slab={slab} chunk={chunk} w={w}"
         );
     }
@@ -365,12 +373,12 @@ fn pre_tripped_banded_run_is_cancelled_before_any_slab() {
 }
 
 // ---------------------------------------------------------------------
-// The resident arm: a store run whose budget holds the whole packed panel
+// The one window: a store run whose budget holds the whole packed panel
 // reads each chunk its pending slabs need exactly once (every chunk, on a
-// fresh unsharded run) and computes it as the memory source.
+// fresh unsharded run) and computes it as the memory source does.
 // ---------------------------------------------------------------------
 
-/// The resident arm's price of a run at `slab` rows over `threads`
+/// The one window's price of a run at `slab` rows over `threads`
 /// workers, for the packed (`true`) or row sink: the in-memory model (the
 /// `8·n(n+1)/2` triangle of the packed sink, `20n` bytes of tables, and
 /// per worker and slab row `n` u32 counts, plus `n` f64 values for the row
@@ -386,7 +394,7 @@ fn resident_price(meta: &TileStoreMeta, threads: usize, slab: usize, packed: boo
     fixed + slab * threads * n * per_value
 }
 
-/// Chunks a resident run without a band reads: each chunk once, from the
+/// Chunks a one-window run without a band reads: each chunk once, from the
 /// one holding the first pending slab's first row to the last — the memory
 /// arm reads no column left of the rows it computes. 0 when no slab is
 /// pending.
@@ -441,7 +449,6 @@ fn resident_run_reads_each_chunk_once() {
             store_bytes(&meta),
             "t{threads}"
         );
-        assert_eq!(ld_trace::get(Counter::PrefetchHits), 0, "t{threads}");
         assert_bits(&oracle, &got, &format!("packed t{threads}"));
         let budget = MemoryBudget::bytes(resident_price(&meta, threads, slab, false));
         let e = e.memory_budget(budget);
@@ -477,9 +484,11 @@ fn resident_run_reads_each_chunk_once() {
     }
 }
 
-/// The boundary between the arms is the resident price: at it the run
-/// reads each chunk once; one byte below it the run streams, reading
-/// exactly the streamed closed form.
+/// The one-window price is where the windows become one: at it the run
+/// reads each chunk once; one byte below it the run takes the windows the
+/// model fits — the largest that fit at the same slab height, or the one
+/// window at a shorter slab where no smaller window is cheaper (one slab
+/// spanning the store) — and reads exactly their closed form.
 #[test]
 fn one_byte_below_the_resident_price_streams() {
     let _l = counter_lock();
@@ -496,20 +505,29 @@ fn one_byte_below_the_resident_price_streams() {
         let e = LdEngine::new().threads(threads).slab_rows(slab);
         let oracle = e.try_stat_matrix(&g, LdStats::RSquared).unwrap();
         let what = format!("n={n} slab={slab} chunk={chunk} t{threads}");
-        for (budget, reads) in [
-            (price, meta.n_chunks() as u64),
-            (price - 1, expected_chunk_reads(n, slab, chunk, n, |_| true)),
-        ] {
+        for budget in [price, price - 1] {
+            let w = windows::fitted(&meta, threads, true, n, Some(budget), slab);
+            assert_eq!(
+                w == windows::Geometry::one(slab),
+                budget == price,
+                "{what} {w:?}"
+            );
+            let reads =
+                windows::chunks_read(n, chunk, w.slab, n, w.rows, 0..n.div_ceil(w.slab), |_| true);
             let e = e.clone().memory_budget(MemoryBudget::bytes(budget));
-            assert_eq!(e.slab_for(&Source::Store(&store), true).unwrap(), slab);
+            assert_eq!(
+                e.slab_for(&Source::Store(&store), true).unwrap(),
+                w.slab,
+                "{what}"
+            );
             ld_trace::reset();
             let got = e
                 .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &RunControl::new())
                 .unwrap();
             assert_eq!(
                 ld_trace::get(Counter::ChunksRead),
-                reads,
-                "{what} budget {budget}"
+                reads.len() as u64,
+                "{what} budget {budget} {w:?}"
             );
             assert_bits(&oracle, &got, &what);
         }
@@ -671,9 +689,10 @@ fn resident_resume_is_bit_identical() {
     }
 }
 
-/// Checkpoints do not record the arm: one from a resident run resumes on
-/// an unbudgeted (streamed) run of the same slab grid, and the reverse,
-/// bit-identically — each resume reading its own arm's schedule.
+/// Checkpoints do not record the windows: one from a one-window run
+/// resumes on an unbudgeted (smallest-window) run of the same slab grid,
+/// and the reverse, bit-identically — each resume reading its own
+/// windows' schedule.
 #[test]
 fn resident_and_streamed_checkpoints_are_interchangeable() {
     let _l = counter_lock();
@@ -717,7 +736,7 @@ fn resident_and_streamed_checkpoints_are_interchangeable() {
                 .try_stat_matrix_with(Source::Store(&store), LdStats::RSquared, &ctl)
                 .unwrap_or_else(|e| panic!("k{k} resident-first={resident_first}: {e}"));
             let reads = if resident_first {
-                expected_chunk_reads(n, slab, chunk, n, |s| s >= k)
+                expected_chunk_reads(n, slab, chunk, n, 1, |s| s >= k)
             } else {
                 resident_chunk_reads(&meta, slab, |s| s >= k)
             };

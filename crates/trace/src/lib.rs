@@ -37,7 +37,7 @@
 //! | `slabs_emitted` | driver | row slabs completed by the fused pipeline |
 //! | `budget_shrinks` | driver | times the memory budget shrank the slab height |
 //! | `alloc_peak_bytes` | driver | high-water mark of the *modeled* transient footprint (scratch + output) |
-//! | `tiles_claimed` | parallel | claim-loop chunks claimed (also per worker): one per slab on the slab driver and the cross matrix; a streamed store run adds its inner GEMM's, at most `threads` per (slab, chunk) |
+//! | `tiles_claimed` | parallel | claim-loop chunks claimed (also per worker): one per slab on the slab driver (a windowed store run: one per slab of each window pass) and the cross matrix |
 //! | `io_lines_read` | io | text lines parsed (also per format) |
 //! | `io_bytes_read` | io | input bytes consumed (also per format) |
 //! | `cancel_polls` | driver | cancellation-token polls (one per *computed* slab; slab-granular, never per-tile) |
@@ -49,8 +49,6 @@
 //! | `merge_spans_validated` | merge | shard slab spans that passed fingerprint/geometry validation during merge |
 //! | `chunks_read` | store | tile-store chunks decoded by the out-of-core driver |
 //! | `store_bytes_read` | store | bytes streamed out of a tile store (decoded chunk payload + header) |
-//! | `prefetch_hits` | store | chunk reads the prefetch thread had ready before compute asked |
-//! | `prefetch_stall_ns` | store | nanoseconds compute spent waiting on a chunk the prefetcher had not finished |
 //! | `requests_accepted` | serve | queries the `ld-serve` admission controller enqueued |
 //! | `requests_shed` | serve | queries rejected by admission control (queue full, memory budget, queue-deadline expiry) |
 //! | `requests_failed` | serve | accepted queries that failed (worker panic, internal error) |
@@ -65,9 +63,7 @@
 //! count and wall time; the `*_ns` timers,
 //! `checkpoints_written` (its periodic trigger is wall-clock based),
 //! the supervisor counters (`shards_launched`, `shard_retries` — retries
-//! depend on fault timing), the prefetch race counters
-//! (`prefetch_hits`, `prefetch_stall_ns` — whether a read wins the race
-//! against compute is pure timing) and the serving counters
+//! depend on fault timing) and the serving counters
 //! (`requests_*`, `panels_evicted` — functions of client arrival timing
 //! and queue/budget pressure) are not.
 //!
@@ -161,12 +157,6 @@ pub enum Counter {
     /// Bytes streamed out of a tile store (encoded chunk bytes, header
     /// and CRC trailer included).
     StoreBytesRead,
-    /// Chunk reads the prefetch thread had finished before compute asked
-    /// for them (the double-buffer won the race).
-    PrefetchHits,
-    /// Nanoseconds compute spent blocked on a chunk the prefetch thread
-    /// had not finished reading yet.
-    PrefetchStallNs,
     /// Queries the `ld-serve` admission controller accepted into the
     /// bounded request queue.
     RequestsAccepted,
@@ -186,7 +176,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array sizing).
-    pub const COUNT: usize = 29;
+    pub const COUNT: usize = 27;
 
     /// All counters, in stable report order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -212,8 +202,6 @@ impl Counter {
         Counter::MergeSpansValidated,
         Counter::ChunksRead,
         Counter::StoreBytesRead,
-        Counter::PrefetchHits,
-        Counter::PrefetchStallNs,
         Counter::RequestsAccepted,
         Counter::RequestsShed,
         Counter::RequestsFailed,
@@ -246,8 +234,6 @@ impl Counter {
             Counter::MergeSpansValidated => "merge_spans_validated",
             Counter::ChunksRead => "chunks_read",
             Counter::StoreBytesRead => "store_bytes_read",
-            Counter::PrefetchHits => "prefetch_hits",
-            Counter::PrefetchStallNs => "prefetch_stall_ns",
             Counter::RequestsAccepted => "requests_accepted",
             Counter::RequestsShed => "requests_shed",
             Counter::RequestsFailed => "requests_failed",
@@ -274,10 +260,6 @@ impl Counter {
                 // launches/retries depend on fault timing and the retry budget
                 | Counter::ShardsLaunched
                 | Counter::ShardRetries
-                // whether the prefetcher wins the race against compute is
-                // pure timing, as is how long a losing read stalls
-                | Counter::PrefetchHits
-                | Counter::PrefetchStallNs
                 // serving counters depend on client arrival timing and
                 // queue/budget pressure
                 | Counter::RequestsAccepted

@@ -155,8 +155,6 @@ fn counter_help(c: Counter) -> &'static str {
         Counter::MergeSpansValidated => "Shard slab spans validated during merge",
         Counter::ChunksRead => "Tile-store chunks decoded",
         Counter::StoreBytesRead => "Bytes streamed out of a tile store",
-        Counter::PrefetchHits => "Chunk reads the prefetcher had ready",
-        Counter::PrefetchStallNs => "Nanoseconds compute stalled on the prefetcher",
         Counter::RequestsAccepted => "Queries accepted into the request queue",
         Counter::RequestsShed => "Queries rejected by admission control",
         Counter::RequestsFailed => "Accepted queries that failed internally",

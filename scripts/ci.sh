@@ -15,7 +15,8 @@
 #                         per-window, ext-kernel, safe-fill, wire,
 #                         hand-off, one-timer, engine-surface,
 #                         one-schedule, one-CRC, one-arm and one-spawner
-#                         guards
+#                         guards, and the store-windows leg (`r2 --store`
+#                         equals `r2 -i` at every budget)
 #   5. schemas          — each published artifact (the `--profile=json`
 #                         run report with its timeline, CPU profile, shard
 #                         manifest, tile manifest, request log, both
@@ -215,30 +216,33 @@ if [ "$(printf '%s\n' "$CRCS" | grep -c .)" -ne 1 ]; then
     exit 1
 fi
 
-# One arm decision: a store run is resident because its memory budget
-# holds the packed panel — no CLI flag and no environment variable names
-# the arm.
+# One arm: a store run is the memory arm over windows sized by its
+# memory budget, slab height, thread count and chunk size — no CLI flag
+# and no environment variable names the one window or a window size.
 echo "==> one arm decision in crates/*/src"
 ARM=$(find crates/*/src -name '*.rs' | sort | while read -r f; do shipped "$f"; done \
-    | grep -E -- '"(--)?([a-z]+-)*resident(-[a-z]+)*"|"[A-Z_]*RESIDENT[A-Z_]*"' || true)
+    | grep -E -- '"(--)?([a-z]+-)*resident(-[a-z]+)*"|"[A-Z_]*RESIDENT[A-Z_]*"|"(--)?([a-z]+-)*(rows?|cols?|columns?|chunks?|slabs?|store)-windows?(-[a-z]+)*"|"(--)?([a-z]+-)*windows?-(rows|cols|columns|chunks|slabs|size|bytes|mb)(-[a-z]+)*"|"[A-Z_]*WINDOW[A-Z_]*"' \
+    || true)
 if [ -n "$ARM" ]; then
-    echo "one-arm guard FAIL: a flag or environment variable selects the resident arm:" >&2
+    echo "one-arm guard FAIL: a flag or environment variable selects the one window or a window size:" >&2
     printf '%s\n' "$ARM" >&2
     exit 1
 fi
 
 # One thread team: every compute thread is a worker of `ld-parallel`'s
-# one claim loop. The kernels hand their row blocks to it and start no
-# thread of their own (the TSC calibration's `sleep` starts none);
-# `ld-parallel` starts its workers in exactly one `std::thread::scope`.
-echo "==> one spawner: no thread started in crates/kernels/src, one scope in crates/parallel/src"
-KTHREADS=$(find crates/kernels/src -name '*.rs' | sort | while read -r f; do shipped "$f"; done \
+# one claim loop. The kernels hand their row blocks to it and the engine
+# its window passes, and neither starts a thread of its own (the TSC
+# calibration's `sleep` starts none); `ld-parallel` starts its workers in
+# exactly one `std::thread::scope`.
+echo "==> one spawner: no thread started in crates/{kernels,core}/src, one scope in crates/parallel/src"
+KTHREADS=$(find crates/kernels/src crates/core/src -name '*.rs' | sort \
+    | while read -r f; do shipped "$f"; done \
     | grep -E 'thread::(scope|spawn|Builder)' || true)
 PTHREADS=$(find crates/parallel/src -name '*.rs' | sort | while read -r f; do shipped "$f"; done \
     | grep -E 'thread::(scope|spawn|Builder)' || true)
 if [ -n "$KTHREADS" ] || [ "$(printf '%s\n' "$PTHREADS" | grep -c .)" -ne 1 ] \
     || ! printf '%s\n' "$PTHREADS" | grep -qF 'std::thread::scope'; then
-    echo "one-spawner guard FAIL: a thread started in ld-kernels, or not exactly one scope in ld-parallel:" >&2
+    echo "one-spawner guard FAIL: a thread started in ld-kernels or ld-core, or not exactly one scope in ld-parallel:" >&2
     printf '%s\n' "$KTHREADS" "$PTHREADS" >&2
     exit 1
 fi
@@ -247,6 +251,27 @@ BIN=target/release/gemm-ld
 OUT=target/ci
 rm -rf "$OUT"
 mkdir -p "$OUT"
+
+# One data mover: a store run is the memory arm over windows sized to its
+# budget, so its table is the in-memory run's at every budget and thread
+# count — the smallest windows (no budget), windows under a binding budget
+# (4 MiB holds the 2 MB panel only at one thread) and the one window
+# (16 MiB).
+echo "==> store windows: r2 --store equals r2 -i at every budget and thread count"
+WSIM=$OUT/windows.ms
+run "$BIN" simulate --samples 8192 --snps 2000 --seed 7 -o "$WSIM"
+run "$BIN" import -i "$WSIM" --store "$OUT/wstore" --chunk-snps 64
+for T in 1 2 7; do
+    "$BIN" r2 -i "$WSIM" --threads "$T" --min-r2 0.5 -o "$OUT/w-mem.tsv" 2>/dev/null
+    for MB in "" 4 16; do
+        "$BIN" r2 --store "$OUT/wstore" --threads "$T" --min-r2 0.5 \
+            ${MB:+--memory-budget-mb "$MB"} -o "$OUT/w-store.tsv" 2>/dev/null
+        if ! cmp -s "$OUT/w-mem.tsv" "$OUT/w-store.tsv"; then
+            echo "store-windows FAIL: --threads $T, budget ${MB:-none} MiB: the table differs from r2 -i" >&2
+            exit 1
+        fi
+    done
+done
 
 # Schemas leg: every document another tool may parse is produced once, by
 # the shipped binary, and validated against its committed schema. What the
