@@ -20,7 +20,7 @@ use ld_trace::recorder::TraceSnapshot;
 use ld_trace::Counter;
 use std::io::BufReader;
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Top-level usage text.
@@ -63,7 +63,11 @@ COMMANDS:
               is read in windows sized to --memory-budget-mb (without
               it, the smallest), so it never has to fit in memory.
               -o, --checkpoint/--resume, --shard and --memory-budget-mb
-              work the same and the output bytes are identical)
+              work the same and the output bytes are identical. With
+              --min-r2 t > 0 and a --memory-budget-mb that holds the
+              whole store, it is read once and the run computes only
+              the pairs whose allele frequencies can reach t; without a
+              budget every pair is computed)
               [--memory-budget-mb N] (cap working memory, for -i and
               --store alike: the slab height shrinks to fit and results
               stay bit-identical; a budget too small for even one slab
@@ -563,6 +567,7 @@ pub fn simulate(args: &Args) -> CmdResult {
 /// trace/profile plumbing. What the source changes — parallel axis, slab
 /// order, budget model — is the engine's business (see `ld_core::source`).
 pub fn r2(args: &Args) -> CmdResult {
+    use std::io::Write as _;
     let profile = parse_profile(args)?;
     let trace_out = args.get("trace-out").filter(|s| !s.is_empty());
     if profile.is_some() || trace_out.is_some() {
@@ -657,19 +662,28 @@ pub fn r2(args: &Args) -> CmdResult {
     };
     let output = args.get("output").filter(|s| !s.is_empty());
     let shard = parse_shard(args)?;
-    // A thresholded r² run from memory computes only the pairs whose
-    // allele frequencies let them pass, when that pays (`r2_staircase`
-    // decides, pricing the pairs this run retains: the listing's cap, or
-    // every one for -o); a shard or checkpoint keeps the whole triangle's
-    // grid.
-    let retained = if output.is_some() {
-        usize::MAX
-    } else {
-        TOP_PAIRS
+    // A thresholded r² run computes only the pairs whose allele
+    // frequencies let them pass, when that pays (`r2_staircase` decides);
+    // a shard or checkpoint keeps the whole triangle's grid. From a store
+    // the budget holds whole, the panel is read once into memory first,
+    // and the staircase, or the dense grid when it does not pay, runs on it.
+    let thresholded =
+        shard.is_none() && sink.is_none() && stat == ld_core::LdStats::RSquared && min_r2 > 0.0;
+    let mut resident = None;
+    let src = match src {
+        Source::Store(s) if thresholded => match engine
+            .try_read_resident(s, &ctl)
+            .map_err(|e| intr.classify(e))?
+        {
+            Some(r) => Source::from(&*resident.insert(r)),
+            None => src,
+        },
+        _ => src,
     };
-    let staircase = match (shard, &sink, stat) {
-        (None, None, ld_core::LdStats::RSquared) => engine.r2_staircase(src, min_r2, retained)?,
-        _ => None,
+    let staircase = if thresholded {
+        engine.r2_staircase(src, min_r2)?
+    } else {
+        None
     };
     if let Some((idx, n_shards)) = shard {
         // `--shard i/N`: compute one shard of the N-way slab plan and write
@@ -693,38 +707,57 @@ pub fn r2(args: &Args) -> CmdResult {
         let (r0, r1) = range.rows(state.slab as usize, n);
         eprintln!("shard {idx}/{n_shards}: slabs {range} (rows {r0}..{r1}) of {n} SNPs -> {out}");
     } else if let Some(plan) = &staircase {
-        // The staircase hands over each slab's kept pairs in no order: the
-        // listing folds them into the strongest so far as they come (its
-        // order is total), the table keeps them all and writes them in row
-        // order at the end — atomically, so a cancelled run leaves no file.
-        // The run sorts the panel in place: it is not needed again.
-        let Some(panel) = g.take() else {
-            unreachable!("a staircase is planned on a panel in memory")
+        // The staircase hands its kept pairs over row by row in row order:
+        // the table formats each row as it comes (written atomically, so a
+        // cancelled run leaves no file), the listing folds it into the
+        // strongest so far. The run sorts the panel in place: it is not
+        // needed again.
+        let panel = match (g.take(), resident.take()) {
+            (Some(panel), _) => panel,
+            (None, Some(r)) => r.into_panel(),
+            (None, None) => unreachable!("a staircase is planned on a panel in memory"),
         };
-        let kept = Mutex::new(Vec::new());
-        let collect = |slab: &[Pair]| match output {
-            Some(_) => lock(&kept).extend_from_slice(slab),
-            None => {
-                let slab_best = top_pairs(slab.iter().copied(), min_r2);
-                let mut best = lock(&kept);
-                *best = top_pairs(best.drain(..).chain(slab_best), min_r2);
+        let mut best = Vec::new();
+        match output {
+            Some(path) => {
+                let mut ld_err = None;
+                let res = write_atomic_with(path, |w| {
+                    w.write_all(R2_TABLE_HEADER.as_bytes())?;
+                    let (mut block, mut io_err) = (Vec::new(), Ok(()));
+                    let format = |i: usize, cols: &[usize], values: &[f64]| {
+                        block.clear();
+                        push_kept_row(&mut block, i, cols, values, min_r2);
+                        if io_err.is_ok() {
+                            io_err = w.write_all(&block);
+                        }
+                    };
+                    if let Err(e) = engine.try_r2_pairs_with(plan, panel, format, &ctl) {
+                        ld_err = Some(e);
+                        return Err(std::io::Error::other("LD computation failed"));
+                    }
+                    io_err
+                });
+                if let Some(e) = ld_err {
+                    return Err(intr.classify(e));
+                }
+                res.map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))?;
             }
-        };
-        engine
-            .try_r2_pairs_with(plan, panel, collect, &ctl)
-            .map_err(|e| intr.classify(e))?;
-        let mut kept = kept.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if let Some(path) = output {
-            kept.sort_unstable_by_key(|&(i, j, _)| (i, j));
-            write_atomic_with(path, |w| write_kept_pairs(w, &kept, min_r2))
-                .map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))?;
+            None => {
+                let fold = |i: usize, cols: &[usize], values: &[f64]| {
+                    let row = cols.iter().zip(values).map(|(&j, &v)| (i, j, v));
+                    fold_top_pairs(&mut best, row, min_r2);
+                };
+                engine
+                    .try_r2_pairs_with(plan, panel, fold, &ctl)
+                    .map_err(|e| intr.classify(e))?;
+            }
         }
         let wall = t0.elapsed();
         compute_wall_ns = wall.as_nanos() as u64;
         print_summary(wall);
         match output {
             Some(path) => eprintln!("wrote pair table to {path}"),
-            None => print_top_pairs(&kept, min_r2),
+            None => print_top_pairs(&best, min_r2),
         }
     } else if let (Some(path), None) = (output, &sink) {
         // Streaming path — only without --checkpoint: each slab goes
@@ -733,7 +766,6 @@ pub fn r2(args: &Args) -> CmdResult {
         // memory stays at the source's scratch bound regardless of n. The
         // table itself is written atomically: it appears under `path` only
         // complete — a cancelled run leaves no torn file.
-        use std::io::Write as _;
         let mut ld_err: Option<ld_core::LdError> = None;
         let res = write_atomic_with(path, |w| {
             w.write_all(R2_TABLE_HEADER.as_bytes())?;
@@ -889,37 +921,23 @@ fn write_pair_table(path: &str, m: &ld_core::LdMatrix, min_r2: f64) -> Result<()
     .map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))
 }
 
-/// `m`'s guard, poisoned or not: a panicking worker already fails the run.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Rows per formatted block of the streamed pair table.
 const TABLE_BLOCK_ROWS: usize = 16;
 
-/// The pair table of a staircase run: `kept`, sorted by `(i, j)`, cut into
-/// runs of consecutive columns of one row, each formatted by the table's
-/// one row formatter — the bytes of the dense table's kept rows.
-fn write_kept_pairs(w: &mut dyn std::io::Write, kept: &[Pair], min_r2: f64) -> std::io::Result<()> {
-    w.write_all(R2_TABLE_HEADER.as_bytes())?;
-    let (mut block, mut values) = (Vec::new(), Vec::new());
-    let mut rest = kept;
-    while let Some(&(i, j0, _)) = rest.first() {
-        let run = rest
-            .iter()
-            .enumerate()
-            .take_while(|&(t, &(r, j, _))| r == i && j == j0 + t)
+/// One row of a staircase run's pair table: row `i`'s kept columns `cols`
+/// (ascending) and their `values`, cut into runs of consecutive columns,
+/// each formatted by the table's one row formatter — the bytes of the
+/// dense table's row.
+fn push_kept_row(block: &mut Vec<u8>, i: usize, cols: &[usize], values: &[f64], min_r2: f64) {
+    let mut at = 0;
+    while at < cols.len() {
+        let run = 1 + cols[at..]
+            .windows(2)
+            .take_while(|w| w[1] == w[0] + 1)
             .count();
-        values.clear();
-        values.extend(rest[..run].iter().map(|&(_, _, v)| v));
-        push_r2_row(&mut block, i, j0, &values, min_r2);
-        rest = &rest[run..];
-        if block.len() >= 1 << 16 {
-            w.write_all(&block)?;
-            block.clear();
-        }
+        push_r2_row(block, i, cols[at], &values[at..at + run], min_r2);
+        at += run;
     }
-    w.write_all(&block)
 }
 
 /// An off-diagonal pair `(i, j, value)`, `i < j`.
@@ -935,11 +953,18 @@ const TOP_PAIRS: usize = 20;
 /// `r2` fold slabs into it — and it holds at most `TOP_PAIRS` entries at
 /// any time.
 fn top_pairs(pairs: impl Iterator<Item = Pair>, min_r2: f64) -> Vec<Pair> {
+    let mut best: Vec<Pair> = Vec::with_capacity(TOP_PAIRS + 1);
+    fold_top_pairs(&mut best, pairs, min_r2);
+    best
+}
+
+/// Folds `pairs` into `best`, a selection [`top_pairs`] made: the
+/// selection of their union, in place.
+fn fold_top_pairs(best: &mut Vec<Pair>, pairs: impl Iterator<Item = Pair>, min_r2: f64) {
     let before = |a: &Pair, b: &Pair| {
         let by_value = b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal);
         by_value.then((a.0, a.1).cmp(&(b.0, b.1))).is_lt()
     };
-    let mut best: Vec<Pair> = Vec::with_capacity(TOP_PAIRS + 1);
     for pair in pairs.filter(|&(_, _, v)| r2_keeps(v, min_r2)) {
         if best.len() == TOP_PAIRS && !before(&pair, &best[TOP_PAIRS - 1]) {
             continue;
@@ -948,7 +973,6 @@ fn top_pairs(pairs: impl Iterator<Item = Pair>, min_r2: f64) -> Vec<Pair> {
         best.insert(at, pair);
         best.truncate(TOP_PAIRS);
     }
-    best
 }
 
 fn print_top_pairs(best: &[Pair], min_r2: f64) {

@@ -572,12 +572,11 @@ fn staircase_run_prints_and_writes_the_bytes_of_the_dense_grid() {
     }
 }
 
-/// A budget prices the kept pairs a run retains, not the staircase's
-/// length: the listing retains its twenty, so under a 1 MiB budget it
-/// still takes the staircase (the unbudgeted run's `pairs_transformed`),
-/// while `-o`, which retains every passing pair (here ~1.9 MB of them),
-/// stays on the dense grid. Both print and write the unbudgeted run's
-/// bytes.
+/// A budget prices a staircase run at one bit per pair it computes, not
+/// at the pairs it keeps: under a 1 MiB budget the listing and the `-o`
+/// table (here ~1.9 MB of pairs as a list) both take the staircase (the
+/// unbudgeted run's `pairs_transformed`), and print and write the
+/// unbudgeted run's bytes.
 #[test]
 fn budgeted_listing_keeps_the_staircase() {
     let dir = Scratch::new("proc_stair_budget");
@@ -606,10 +605,96 @@ fn budgeted_listing_keeps_the_staircase() {
     assert_eq!(budgeted, listing);
     run_ok(&format!("{line} -o {a}"));
     let (_, got) = run_counted(&format!("{line} --memory-budget-mb 1 -o {b}"));
-    assert_eq!(
-        got,
-        n * (n + 1) / 2,
-        "a table whose pairs do not fit stays dense"
-    );
+    assert_eq!(got, stair, "the 1 MiB table keeps the staircase");
     assert!(read(&a) == read(&b), "-o under the budget");
+}
+
+/// A thresholded `r2 --store` run whose budget holds the store's one
+/// window reads every chunk once into memory and takes the staircase
+/// there: `chunks_read` is the store's chunk count and `pairs_transformed`
+/// the memory staircase's. Below the one-window price (the largest whole
+/// MiB under it) the run reads row windows, re-reading chunks, and keeps
+/// the dense grid, as it does with no budget. Every listing and `-o`
+/// table — at thresholds 0.2 to 1, threads 1/2/7, on a panel with
+/// monomorphic and all-carrier sites — is the bytes of `r2 -i` on the
+/// same panel and of `--checkpoint` (the packed triangle).
+#[test]
+fn store_staircase_prints_and_writes_the_bytes_of_memory() {
+    let dir = Scratch::new("proc_store_stair");
+    let (sim, txt, store) = (dir.path("sim.txt"), dir.path("m.txt"), dir.path("store"));
+    let (ckpt, a, b, prof) = (
+        dir.path("ckpt"),
+        dir.path("a.tsv"),
+        dir.path("b.tsv"),
+        dir.path("p.json"),
+    );
+    let (n, samples, chunk) = (600usize, 8192usize, 30usize);
+    simulate(&sim, samples, n, 34);
+    let mut g = ld_io::text::read_matrix(&read(&sim)[..]).expect("simulated panel");
+    for s in 0..g.n_samples() {
+        for j in [0, 13, 14, 250] {
+            g.set(s, j, false);
+        }
+        g.set(s, 120, true);
+    }
+    let mut bytes = Vec::new();
+    ld_io::text::write_matrix(&mut bytes, &g).expect("in-memory write");
+    std::fs::write(&txt, bytes).expect("write the panel");
+    run_ok(&format!(
+        "import -i {txt} --store {store} --chunk-snps {chunk}"
+    ));
+    let n_chunks = n.div_ceil(chunk) as u64;
+    let counted = |line: &str| {
+        run_ok(&format!("{line} --profile=json --profile-out {prof}"));
+        let doc = parse_json(&prof);
+        let count = |name| field(&doc, &["counters", name]).as_u64().expect("a count");
+        (count("pairs_transformed"), count("chunks_read"))
+    };
+    // the one-window price of the dense row sink at the default 64-row
+    // slab: tables, one chunk load, the panel, and per worker a slab of
+    // u32 counts and f64 values
+    let chunk_load = read(format!("{store}/chunk_000000.bin")).len();
+    let one_window = |threads: usize| 20 * n + chunk_load + n * samples / 8 + threads * 64 * n * 12;
+    let all = (n * (n + 1) / 2) as u64;
+    for min_r2 in ["0.2", "0.5", "0.8", "1.0"] {
+        let memory = format!("r2 -i {txt} --min-r2 {min_r2}");
+        let (stair, _) = counted(&memory);
+        assert!(stair < all, "{memory}: no staircase ran");
+        let listing = run_ok(&memory).stdout;
+        run_ok(&format!("{memory} -o {a}"));
+        let table = read(&a);
+        let dense = format!("r2 --store {store} --min-r2 {min_r2} --checkpoint {ckpt}");
+        assert_eq!(run_ok(&dense).stdout, listing, "{dense}");
+        run_ok(&format!("{dense} -o {b}"));
+        assert!(read(&b) == table, "{dense} -o");
+        for threads in [1, 2, 7] {
+            let below = (one_window(threads) - 1) >> 20;
+            assert!(
+                below >= 1,
+                "t{threads}: the one window must cost over 1 MiB"
+            );
+            let budgets = [
+                "",
+                &format!("--memory-budget-mb {below}"),
+                "--memory-budget-mb 64",
+            ];
+            for budget in budgets {
+                let line =
+                    format!("r2 --store {store} --min-r2 {min_r2} --threads {threads} {budget}");
+                assert_eq!(run_ok(&line).stdout, listing, "{line}");
+                let got = counted(&format!("{line} -o {b}"));
+                assert!(read(&b) == table, "{line} -o");
+                match budget {
+                    "--memory-budget-mb 64" => {
+                        assert_eq!(got, (stair, n_chunks), "{line}: one read, the staircase")
+                    }
+                    "" => assert_eq!(got.0, all, "{line}: the dense grid"),
+                    _ => {
+                        assert_eq!(got.0, all, "{line}: the dense grid");
+                        assert!(got.1 > n_chunks, "{line}: {} reads, not windows", got.1);
+                    }
+                }
+            }
+        }
+    }
 }

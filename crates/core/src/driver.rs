@@ -41,7 +41,7 @@
 //! |-------------------|--------------------------------------------------|---------------------------------|------------------------------|
 //! | `Sink::Packed`  | `packed[off(i) + (j0 − i) ..]` (disjoint per slab) | ledger flag → checkpoint cadence | every column (stores every pair) |
 //! | `Sink::Rows`    | the worker's `slab × strip` f64 strip            | visitor called unlocked, on the worker that computed the slab | every column, or a band: strip = `min(n, slab + w)` |
-//! | `Sink::Pairs`   | one f64 row, then the worker's kept-pair list: `(i, j, r²)` of the pairs that pass, diagonal skipped | as `Rows`, with the slab's kept pairs | the staircase: strip = the widest slab's `e(r1 − 1) − r0` |
+//! | `Sink::Pairs`   | one f64 row, then one bit per pair in the run's bitset, set for the pairs that pass, diagonal skipped | ledger flag; after the grid the hand-off recounts the kept pairs on the run's tables and hands them over in row order ([`crate::R2Staircase`]) | the staircase: strip = the widest slab's `e(r1 − 1) − r0` |
 //!
 //! The pair sink runs a panel permuted into sorted order, so its rows and
 //! columns are sorted positions; each pair is transformed at its original
@@ -83,7 +83,7 @@ use crate::error::{fault, try_zeroed_vec, LdError};
 use crate::fused::{packed_row_offset, RowSlabVisit, SyncSlice, Transform};
 use crate::shard::SlabRange;
 use crate::source::{read_window, Pass, Price, Source, Windows};
-use crate::staircase::{r2_keeps, KeptPair};
+use crate::staircase::R2Staircase;
 use crate::stats::{LdStats, NanPolicy, Statistic};
 use ld_kernels::micro::Kernel;
 use ld_kernels::{BlockSizes, KernelKind};
@@ -91,17 +91,16 @@ use ld_parallel::{try_parallel_for_dynamic_init_ctl, CancelToken, Deadline};
 use ld_trace::recorder::{Span, SpanKind};
 use ld_trace::Counter;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// One worker's buffers: the source's counts, the row sink's values, the
-/// pair sink's kept pairs.
+/// One worker's buffers: the source's counts, the row sink's values (the
+/// pair sink's one row).
 #[derive(Default)]
 struct Scratch {
     counts: Vec<u32>,
     values: Vec<f64>,
-    kept: Vec<KeptPair>,
 }
 
 /// Poisoned-lock-tolerant lock (the panic trap already drains the region;
@@ -144,43 +143,32 @@ pub(crate) enum Sink<'a> {
     /// A per-slab visitor, called by whichever worker finished the slab
     /// with no lock held; slabs are the caller's once visited.
     Rows(&'a (dyn Fn(&RowSlabVisit<'_>) + Sync)),
-    /// The kept pairs of each slab of a staircase run, handed over as the
-    /// row sink hands its slabs.
-    Pairs(&'a PairSink<'a>),
+    /// The pairs of a staircase run that pass, one bit each; once every
+    /// slab is done the hand-off gets the run's tables, on the calling
+    /// thread.
+    Pairs(&'a PairSink<'a>, &'a mut HandOff<'a>),
 }
 
-/// A staircase run's sink: the source is the panel in sorted order,
-/// `order` maps its sites back, `ends` is the reach of each sorted row,
-/// and `visit` receives each slab's pairs that pass `min_r2`, at their
-/// original indices.
+/// What a staircase run does with its tables after the grid: recount and
+/// hand over the pairs its bits mark.
+pub(crate) type HandOff<'a> = dyn FnMut(&Transform) -> Result<(), LdError> + 'a;
+
+/// A staircase run's sink: the source is the panel in sorted order, the
+/// plan maps its sites back and says how far each sorted row reaches, and
+/// `bits` receives a bit for each pair that passes the plan's threshold.
 pub(crate) struct PairSink<'a> {
-    pub order: &'a [usize],
-    pub ends: &'a [usize],
-    pub min_r2: f64,
-    pub visit: &'a (dyn Fn(&[KeptPair]) + Sync),
+    pub plan: &'a R2Staircase,
+    pub bits: &'a [AtomicU64],
 }
 
 impl PairSink<'_> {
     /// Sorted row `i` against sorted columns `cols`, whose counts are
     /// `counts`: each pair's `r²` at its original `(min, max)` order into
-    /// `row` (one row of scratch), then the pairs that pass onto `kept`.
-    fn keep(
-        &self,
-        tr: &Transform,
-        i: usize,
-        cols: Range<usize>,
-        counts: &[u32],
-        row: &mut [f64],
-        kept: &mut Vec<KeptPair>,
-    ) {
-        let (oi, row) = (self.order[i], &mut row[..cols.len()]);
-        tr.r2_span_ordered(i, oi, cols.start, &self.order[cols.clone()], counts, row);
-        for (j, &v) in cols.zip(row.iter()) {
-            if r2_keeps(v, self.min_r2) {
-                let oj = self.order[j];
-                kept.push((oi.min(oj), oi.max(oj), v));
-            }
-        }
+    /// `row` (one row of scratch), then a bit for each pair that passes.
+    fn keep(&self, tr: &Transform, i: usize, cols: Range<usize>, counts: &[u32], row: &mut [f64]) {
+        let (order, row) = (&self.plan.order, &mut row[..cols.len()]);
+        tr.r2_span_ordered(i, order[i], cols.start, &order[cols.clone()], counts, row);
+        self.plan.keep(self.bits, i, cols.start, row);
     }
 }
 
@@ -499,7 +487,7 @@ fn replay(
 }
 
 /// Converts a cancelled loop into the typed partial-progress error.
-fn cancelled_error(token: Option<&CancelToken>, completed_slabs: usize) -> LdError {
+pub(crate) fn cancelled_error(token: Option<&CancelToken>, completed_slabs: usize) -> LdError {
     LdError::Cancelled {
         reason: token
             .and_then(CancelToken::reason)
@@ -511,7 +499,7 @@ fn cancelled_error(token: Option<&CancelToken>, completed_slabs: usize) -> LdErr
 /// Trips `token` when `deadline` has passed — the slab-granularity
 /// deadline poll (one `Instant::now()` per slab, nothing per tile).
 #[inline]
-fn poll_deadline(deadline: Option<Deadline>, token: Option<&CancelToken>) {
+pub(crate) fn poll_deadline(deadline: Option<Deadline>, token: Option<&CancelToken>) {
     if let (Some(d), Some(t)) = (deadline, token) {
         if d.expired() && !t.is_cancelled() {
             t.cancel_with_reason("deadline exceeded");
@@ -572,9 +560,9 @@ pub(crate) fn run(
             && stat == Statistic::Ld(LdStats::RSquared)
             && ctl.band.is_none()
             && ctl.shard.is_none()
-            && p.ends.len() == src.n_snps()
+            && p.plan.ends.len() == src.n_snps()
     };
-    if matches!(sink, Sink::Pairs(p) if !stair_ok(p)) {
+    if matches!(sink, Sink::Pairs(p, _) if !stair_ok(p)) {
         return Err(LdError::InvalidConfig {
             message: "the pair sink runs r² from a memory source over its own staircase \
                       (no store, other statistic, band or shard range)",
@@ -589,7 +577,7 @@ pub(crate) fn run(
     // a store source already read chunks).
     resolved_kernel_name(cfg.kind)?;
     let reach = match &sink {
-        Sink::Pairs(p) => Reach::Stair(p.ends),
+        Sink::Pairs(p, _) => Reach::Stair(&p.plan.ends),
         _ => Reach::band(n, ctl.band),
     };
     let grid = Grid::new(n, cfg.slab, ctl.shard, reach)?;
@@ -601,6 +589,7 @@ pub(crate) fn run(
     // pre-trip up to `threads` slabs could run post-deadline).
     poll_deadline(deadline, token);
     let ledger = Ledger((0..grid.n_slabs).map(|_| AtomicBool::new(false)).collect());
+    let mut hand_off = None;
     let dest = match sink {
         Sink::Packed(packed) => {
             debug_assert_eq!(packed.len(), packed_row_offset(n, n));
@@ -628,7 +617,10 @@ pub(crate) fn run(
             Dest::Packed { out, ckpt }
         }
         Sink::Rows(visit) => Dest::Rows(visit),
-        Sink::Pairs(pairs) => Dest::Pairs(pairs),
+        Sink::Pairs(pairs, hand) => {
+            hand_off = Some(hand);
+            Dest::Pairs(pairs)
+        }
     };
     // Table construction is part of producing the statistic layer: a
     // transform span, so the profile's layer sum covers the setup.
@@ -651,8 +643,7 @@ pub(crate) fn run(
     // sink) a `slab × strip` f64 strip — the widest slab spans all n
     // columns, `slab + band` of them, or the staircase's widest step —
     // unless a windowed store run holds each row-window slab's strip
-    // instead. The pair sink has one f64 row, and its kept list grows to
-    // what a slab keeps.
+    // instead. The pair sink has one f64 row.
     let counts_len = planes * slab * planes * width;
     let (values_len, held_len) = match dest {
         Dest::Rows(_) if held_rows > 0 => (0, held_rows),
@@ -677,7 +668,6 @@ pub(crate) fn run(
         pool.push(Mutex::new(Scratch {
             counts: try_zeroed_vec::<u32>(counts_len, "slab counts scratch")?,
             values: try_zeroed_vec::<f64>(values_len, "slab statistic scratch")?,
-            kept: Vec::new(),
         }));
     }
     // The row-sink values of a row window's slab `k`, held at
@@ -764,9 +754,8 @@ pub(crate) fn run(
         };
         // the pass's request in panel columns: plane rows [k·r0, k·r1)
         // against plane columns up to k·cols_end
-        let (counts, kept) = (&mut scratch.counts, &mut scratch.kept);
         let rows_in_panel = planes * r0..planes * rows.end;
-        let blk = pass.block(rows_in_panel, planes * cols_end, cfg, counts);
+        let blk = pass.block(rows_in_panel, planes * cols_end, cfg, &mut scratch.counts);
         let span = Span::begin(SpanKind::Transform);
         // values transformed by this block: one counter add per block
         let mut transformed = 0;
@@ -781,7 +770,7 @@ pub(crate) fn run(
                 let j0 = j0.max(i + 1);
                 if j0 < j1 {
                     let from = &blk.counts[r * blk.ld + (j0 - blk.cols.start)..][..j1 - j0];
-                    p.keep(tr, i, j0..j1, from, values, kept);
+                    p.keep(tr, i, j0..j1, from, values);
                     transformed += j1 - j0;
                 }
                 continue;
@@ -824,11 +813,7 @@ pub(crate) fn run(
                 return Ok(());
             }
             (Dest::Rows(to), None) => visit(*to, k, values),
-            (Dest::Pairs(p), _) => {
-                (p.visit)(kept);
-                kept.clear();
-            }
-            (Dest::Packed { .. }, _) => {}
+            (Dest::Pairs(_) | Dest::Packed { .. }, _) => {}
         }
         // Release *after* the sink writes above: the flag is the
         // publication point for checkpoint readers.
@@ -910,18 +895,15 @@ pub(crate) fn run(
                 }
             }
         }
-        (Source::Memory(v), _) => {
-            team(
-                &tr,
-                &Pass {
-                    a: (v, 0),
-                    b: (v, 0),
-                },
-                grid.lo..grid.hi,
-            )?;
-        }
         (Source::Store(_), Price::Linear { .. }) => {
             unreachable!("a store run is priced by its windows")
+        }
+        // a panel in memory is one pass over its view
+        (Source::Memory(v), _) => {
+            team(&tr, &Pass::whole(v), grid.lo..grid.hi)?;
+        }
+        (Source::Resident(r), _) => {
+            team(&tr, &Pass::whole(r.panel().full_view()), grid.lo..grid.hi)?;
         }
     }
     if let Some(e) = lock(&failure).take() {
@@ -931,7 +913,16 @@ pub(crate) fn run(
     // the last slab finished changes nothing.
     let completed = ledger.done_in(&grid);
     if completed == grid.hi - grid.lo {
-        return Ok(());
+        let Some(hand) = hand_off else {
+            return Ok(());
+        };
+        // recounting the kept pairs is statistic-layer work, on the tables
+        // the grid used; the workers' scratch is freed first
+        drop(pool);
+        let span = Span::begin(SpanKind::Transform);
+        let handed = hand(&tr);
+        span.end(n as u64);
+        return handed;
     }
     // Final flush: make the partial run resumable before reporting it.
     if let Dest::Packed { out, ckpt: Some(c) } = &dest {

@@ -9,8 +9,11 @@ use crate::error::{checked_add, checked_mul, fault, try_zeroed_vec, LdError, Mem
 use crate::fused::{RowSlabVisit, Transform};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
 use crate::shard::{plan_shards, SlabRange};
-use crate::source::{cross_footprint, rows_within, store_windows, worker_blocks, Price, Source};
-use crate::staircase::{KeptPair, R2Staircase, CROSSOVER, KEPT_PAIR_BYTES};
+use crate::source::{
+    cross_footprint, read_resident, rows_within, store_windows, worker_blocks, Price, Resident,
+    Source, Windows,
+};
+use crate::staircase::{R2Staircase, CROSSOVER};
 use crate::stats::{ld_pair_from_counts, LdPair, LdStats, NanPolicy, Statistic};
 use crate::tilestore::{TileSource, TileStoreMeta};
 use ld_bitmat::{BitMatrix, BitMatrixView};
@@ -53,6 +56,14 @@ use std::sync::Mutex;
 /// whose whole packed panel fits the budget is one window, read once (see
 /// [`crate::source`]); with no budget the windows are the smallest,
 /// `threads` slabs by one chunk.
+///
+/// A thresholded `r²` run ([`LdEngine::r2_staircase`] +
+/// [`LdEngine::try_r2_pairs_with`]) holds the transform tables, its plan
+/// and one bit per pair it computes — known before any pair is, whatever
+/// passes — plus one f64 row and a slab of u32 counts per worker; the
+/// panel is the caller's, sorted in place. From a store the budget holds
+/// whole it is the panel read once ([`LdEngine::try_read_resident`]),
+/// charged with one chunk load on top.
 #[derive(Clone, Debug)]
 pub struct LdEngine {
     pub(crate) kind: KernelKind,
@@ -561,31 +572,72 @@ impl LdEngine {
         }
     }
 
+    /// A tile store's whole panel read into memory once, when the budget
+    /// holds the store's one window — the window decision
+    /// ([`crate::source`]) that makes a budgeted store run read each chunk
+    /// once. Every chunk is read and CRC-checked once, on the calling
+    /// thread, and counted (`chunks_read`, `store_bytes_read`); `ctl`'s
+    /// token and deadline are polled before each read
+    /// ([`LdError::Cancelled`] when one fires). `None` with no budget, when
+    /// the one window does not fit (a run then reads windows), or for a
+    /// store without sites or samples.
+    ///
+    /// A run from the result ([`Source::Resident`]) is the memory arm on
+    /// the panel, priced as the one window: the memory model plus the
+    /// panel and one chunk load. It is what lets a thresholded `r²` run
+    /// from a store take the staircase ([`LdEngine::r2_staircase`]), or
+    /// fall back to the dense grid on the same panel, with no second read.
+    pub fn try_read_resident(
+        &self,
+        store: &dyn TileSource,
+        ctl: &RunControl<'_>,
+    ) -> Result<Option<Resident>, LdError> {
+        let (meta, limit) = (store.meta(), self.budget.limit());
+        let n = meta.n_snps;
+        if n == 0 || meta.n_samples == 0 || limit.is_none() {
+            return Ok(None);
+        }
+        let one = store_windows(meta, self.threads, false, n, limit, self.want(n))?;
+        if one.rows != Windows::ONE {
+            return Ok(None);
+        }
+        let token = ctl.run_token();
+        let stop = || {
+            driver::poll_deadline(ctl.deadline, token.as_ref());
+            token.as_ref().is_some_and(|t| t.is_cancelled())
+        };
+        match read_resident(store, &stop)? {
+            Some(r) => Ok(Some(r)),
+            None => Err(driver::cancelled_error(token.as_ref(), 0)),
+        }
+    }
+
     /// The staircase of an `r² ≥ min_r2` run over `src` when it pays, for
     /// [`LdEngine::try_r2_pairs_with`]; `None` when the run should take
     /// the dense grid instead ([`LdEngine::try_stat_rows_with`]):
     ///
-    /// * `src` is a tile store (the staircase reads its panel in sorted
-    ///   order, which a store's chunks are not), or has no samples or
-    ///   fewer than two sites;
+    /// * `src` is a tile store read in windows (they hold sites in store
+    ///   order, not sorted order; a store the budget holds whole is read
+    ///   once by [`LdEngine::try_read_resident`] and planned here as
+    ///   [`Source::Resident`]), or has no samples or fewer than two sites;
     /// * `min_r2` is not positive (or `NaN`): every pair can pass;
     /// * the staircase holds 60 % of the off-diagonal pairs or more — the
     ///   measured crossover, past which sorting and the pair sink cost
     ///   more than the pairs they skip (see [`crate::staircase`]);
     /// * under a [`MemoryBudget`], not even one slab row fits beside the
-    ///   kept pairs the caller retains: `retained` of them — a listing's
-    ///   cap, or `usize::MAX` for a caller that keeps every passing pair —
-    ///   and never more than the staircase holds.
+    ///   plan, its one bit per pair and (resident store) the panel and one
+    ///   chunk load.
     ///
     /// Planning is one popcount sweep and a sort of the site counts.
     pub fn r2_staircase<'a>(
         &self,
         src: impl Into<Source<'a>>,
         min_r2: f64,
-        retained: usize,
     ) -> Result<Option<R2Staircase>, LdError> {
-        let Source::Memory(v) = src.into() else {
-            return Ok(None);
+        let (v, held) = match src.into() {
+            Source::Memory(v) => (v, 0),
+            Source::Resident(r) => (r.panel().full_view(), r.held),
+            Source::Store(_) => return Ok(None),
         };
         if min_r2.is_nan() || min_r2 <= 0.0 || v.n_snps() < 2 || v.n_samples() == 0 {
             return Ok(None);
@@ -595,7 +647,7 @@ impl LdEngine {
         let plan = R2Staircase::new(v, min_r2);
         span.end(v.n_snps() as u64);
         let mut plan = plan?;
-        plan.retained = retained;
+        plan.held = held;
         if plan.share() >= CROSSOVER {
             return Ok(None);
         }
@@ -603,10 +655,11 @@ impl LdEngine {
         Ok(fits.is_ok().then_some(plan))
     }
 
-    /// The budget model of a staircase run: the plan's fixed bytes (its
-    /// retained kept pairs) plus one f64 row per worker, and per slab row
-    /// `threads × strip` u32 counts plus as many kept pairs (what one slab
-    /// can keep), `strip` the widest step at the configured height.
+    /// The budget model of a staircase run: the plan's fixed bytes
+    /// ([`R2Staircase`]'s tables, plan, bitset, hand-off and what it holds
+    /// of a store) plus one f64 row per worker, and per slab row
+    /// `threads × strip` u32 counts, `strip` the widest step at the
+    /// configured height.
     fn staircase_price(&self, plan: &R2Staircase) -> Result<Price, LdError> {
         let what = "staircase slab row bytes";
         let n = plan.ends.len();
@@ -614,7 +667,7 @@ impl LdEngine {
         let row = checked_mul(self.threads.max(1), strip.max(1), what)?;
         Ok(Price::Linear {
             fixed: checked_add(plan.fixed_bytes()?, checked_mul(row, 8, what)?, what)?,
-            per_row: checked_mul(row, 4 + KEPT_PAIR_BYTES, what)?,
+            per_row: checked_mul(row, 4, what)?,
         })
     }
 
@@ -622,28 +675,32 @@ impl LdEngine {
     /// planned on: `r²` of exactly the pairs the plan reaches, computed on
     /// the panel's sites in sorted order — the panel is taken over and
     /// sorted in place, so it is never held twice (a caller that keeps its
-    /// matrix passes a clone) — and hands each slab's pairs
-    /// that pass the plan's threshold ([`crate::r2_keeps`]) to `visit` as
-    /// `(i, j, r²)`, `i < j` original site indices, in no particular
-    /// order. Every pair the unpruned run keeps is handed over exactly
-    /// once, its value bit-identical to that run's (see
-    /// [`crate::staircase`]).
+    /// matrix passes a clone; a resident store passes
+    /// [`Resident::into_panel`]) — with one bit set per pair that passes
+    /// the plan's threshold ([`crate::r2_keeps`]).
     ///
-    /// `visit` is called as [`LdEngine::try_stat_rows_with`] calls its
-    /// visitor — once per slab, by the worker that computed it, with no
-    /// lock held — and token, deadline, budget and panic containment are
-    /// as there. A checkpoint plan, a shard range or a column band is
-    /// [`LdError::InvalidConfig`]: the run keeps nothing to persist and
-    /// has its own reach.
+    /// After the grid the kept pairs are handed to `visit` on the calling
+    /// thread, **per original row `i` in ascending order**, as `(i, cols,
+    /// values)`: the row's kept columns `j > i` ascending, with their `r²`.
+    /// Rows without a kept pair are skipped. Every pair the unpruned run
+    /// keeps is handed over exactly once, its value bit-identical to that
+    /// run's (see [`crate::staircase`]), so a pair table is the rows
+    /// formatted as they come.
+    ///
+    /// Token, deadline, budget and panic containment are as in
+    /// [`LdEngine::try_stat_rows_with`]; a run cancelled before its grid
+    /// completes hands nothing over. A checkpoint plan, a shard range or a
+    /// column band is [`LdError::InvalidConfig`]: the run keeps nothing to
+    /// persist and has its own reach.
     pub fn try_r2_pairs_with<F>(
         &self,
         plan: &R2Staircase,
         panel: BitMatrix,
-        visit: F,
+        mut visit: F,
         ctl: &RunControl<'_>,
     ) -> Result<(), LdError>
     where
-        F: Fn(&[KeptPair]) + Sync,
+        F: FnMut(usize, &[usize], &[f64]),
     {
         self.validate_blocks()?;
         let n = plan.ends.len();
@@ -668,14 +725,13 @@ impl LdEngine {
         let sorted = plan.sorted(panel);
         span.end(n as u64);
         let sorted = sorted?;
-        let sink = PairSink {
-            order: &plan.order,
-            ends: &plan.ends,
-            min_r2: plan.min_r2(),
-            visit: &visit,
-        };
+        let bits = plan.try_bits()?;
         let stat = Statistic::Ld(LdStats::RSquared);
-        driver::run(&Source::from(&sorted), stat, &cfg, Sink::Pairs(&sink), ctl)
+        let sink = PairSink { plan, bits: &bits };
+        let mut hand_over =
+            |tr: &Transform| plan.hand_over(sorted.full_view(), &bits, tr, &mut visit);
+        let sink = Sink::Pairs(&sink, &mut hand_over);
+        driver::run(&Source::from(&sorted), stat, &cfg, sink, ctl)
     }
 
     /// [`LdEngine::try_stat_rows_with`] over [`Source::Store`]. Kept for

@@ -250,6 +250,21 @@ pub(crate) fn try_filled_vec<T: Copy>(
     Ok(v)
 }
 
+/// [`try_zeroed_vec`] for a type whose default is its zero but that is
+/// not `Copy` (the atomic words of a bitset several workers write).
+pub(crate) fn try_default_vec<T: Default>(
+    len: usize,
+    what: &'static str,
+) -> Result<Vec<T>, LdError> {
+    let bytes = len.saturating_mul(std::mem::size_of::<T>());
+    let _guard = fault::FallibleAllocGuard::new();
+    let mut v: Vec<T> = Vec::new();
+    v.try_reserve_exact(len)
+        .map_err(|_| LdError::AllocationFailed { what, bytes })?;
+    v.resize_with(len, T::default);
+    Ok(v)
+}
+
 /// The packed-triangle length `n(n+1)/2`, checked against `usize`.
 pub(crate) fn checked_triangle_len(n: usize) -> Result<usize, LdError> {
     let tri = (n as u128) * (n as u128 + 1) / 2;

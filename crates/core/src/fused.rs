@@ -282,6 +282,16 @@ impl Transform {
             dst[t] = r2_of(counts[t], self.inv_n, (p_i, row), (p[t], col));
         }
     }
+
+    /// The `r²` of sites `a` and `b` from their count `c`, with `a` as the
+    /// row: the value [`Transform::apply_span`] and
+    /// [`Transform::r2_span_ordered`] give the pair when `a` is the site
+    /// of lower original index (`p_a·p_b` is one IEEE product either way).
+    #[inline]
+    pub(crate) fn r2_pair(&self, a: usize, b: usize, c: u32) -> f64 {
+        let (row, col) = ((self.p[a], self.inv_var[a]), (self.p[b], self.inv_var[b]));
+        r2_of(c, self.inv_n, row, col)
+    }
 }
 
 /// The one `r²` expression: `D = c/N − p_i p_j`, then `(D²·iv_i)·iv_j`

@@ -27,8 +27,9 @@
 //!   [`haplotype_blocks`] and [`prune_pairwise`] are visitors of);
 //! * [`LdEngine::r2_staircase`] + [`LdEngine::try_r2_pairs_with`] — the
 //!   pairs with `r² ≥ t` only, computed on a frequency-sorted staircase
-//!   that skips every pair whose allele frequencies cap it below `t`
-//!   ([`staircase`]);
+//!   that skips every pair whose allele frequencies cap it below `t`,
+//!   handed over row by row in row order ([`staircase`]); from a panel in
+//!   memory, or a store read whole ([`LdEngine::try_read_resident`]);
 //! * [`LdEngine::ld_pair`] / [`ld_pair_from_counts`] — single-pair
 //!   statistics ([`LdPair`]) for spot checks and downstream tools.
 //!
@@ -92,8 +93,8 @@ pub use fused::{in_row_order, RowSlabVisit};
 pub use matrix::{CrossLdMatrix, LdMatrix};
 pub use prune::prune_pairwise;
 pub use shard::{merge_shard_states, plan_shards, state_to_matrix, SlabRange};
-pub use source::Source;
-pub use staircase::{r2_keeps, KeptPair, R2Staircase};
+pub use source::{Resident, Source};
+pub use staircase::{r2_keeps, R2Staircase};
 pub use stats::{
     ld_pair_from_counts, ld_pair_from_freqs, tanimoto_from_counts, LdPair, LdStats, NanPolicy,
     Statistic,

@@ -40,6 +40,15 @@
 //! once. With no budget the windows are the smallest — `threads` slabs
 //! by one chunk — because "unlimited" is no promise that the panel fits in
 //! RAM.
+//!
+//! A store whose one window the budget holds can also be read whole, once,
+//! into a [`Resident`] panel ([`crate::LdEngine::try_read_resident`]):
+//! [`Source::Resident`] is then the memory column of the table above —
+//! one pass, no reads, tables built up front — priced as the one window
+//! (the memory model plus the panel and one chunk load). It is what a
+//! thresholded `r²` run from a store plans its staircase on
+//! ([`crate::staircase`]): a window holds sites in store order, the
+//! staircase needs them sorted.
 
 use crate::checkpoint::matrix_fingerprint;
 use crate::driver::Config;
@@ -63,6 +72,43 @@ pub enum Source<'a> {
     /// never has to fit in memory — or, when the run's budget holds the
     /// whole panel, read once as one window.
     Store(&'a dyn TileSource),
+    /// A tile store's panel read whole into memory once
+    /// ([`crate::LdEngine::try_read_resident`]): run as memory is, priced
+    /// as the store's one window — the memory model plus the panel and one
+    /// chunk load.
+    Resident(&'a Resident),
+}
+
+/// A tile store's panel, read whole into memory once because the run's
+/// budget holds the store's one window; see
+/// [`crate::LdEngine::try_read_resident`]. A run from it
+/// ([`Source::Resident`]) is the memory arm on the panel; a thresholded
+/// `r²` run can take the staircase, sorting the panel in place
+/// ([`Resident::into_panel`]).
+pub struct Resident {
+    panel: BitMatrix,
+    /// Bytes of the panel and one chunk load: what the store's one-window
+    /// price charges beside the memory model.
+    pub(crate) held: usize,
+    fingerprint: u64,
+}
+
+impl Resident {
+    /// The panel as read.
+    pub fn panel(&self) -> &BitMatrix {
+        &self.panel
+    }
+
+    /// The panel, for a staircase run to sort in place.
+    pub fn into_panel(self) -> BitMatrix {
+        self.panel
+    }
+}
+
+impl<'a> From<&'a Resident> for Source<'a> {
+    fn from(r: &'a Resident) -> Self {
+        Self::Resident(r)
+    }
 }
 
 impl<'a> From<BitMatrixView<'a>> for Source<'a> {
@@ -309,8 +355,8 @@ pub(crate) fn store_windows(
 /// One run's budget model.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Price {
-    /// `fixed + per_row × slab` bytes at any slab height: the memory
-    /// source, the staircase, the cross matrix.
+    /// `fixed + per_row × slab` bytes at any slab height: the memory and
+    /// resident sources, the staircase, the cross matrix.
     Linear { fixed: usize, per_row: usize },
     /// A store run: its windows, fitted to the budget with their height.
     Windows(Windows),
@@ -322,6 +368,7 @@ impl Source<'_> {
         match self {
             Self::Memory(v) => v.n_snps(),
             Self::Store(s) => s.meta().n_snps,
+            Self::Resident(r) => r.panel.n_snps(),
         }
     }
 
@@ -330,6 +377,7 @@ impl Source<'_> {
         match self {
             Self::Memory(v) => v.n_samples(),
             Self::Store(s) => s.meta().n_samples,
+            Self::Resident(r) => r.panel.n_samples(),
         }
     }
 
@@ -341,6 +389,7 @@ impl Source<'_> {
         match self {
             Self::Memory(v) => matrix_fingerprint(v),
             Self::Store(s) => s.meta().fingerprint,
+            Self::Resident(r) => r.fingerprint,
         }
     }
 
@@ -350,7 +399,8 @@ impl Source<'_> {
     /// budget). `strip` is the widest slab's site count
     /// ([`crate::driver::Reach::strip`]); a site is `k` panel columns (only
     /// an LD panel, `k = 1`, lives in a store, whose windows
-    /// [`store_windows`] sizes).
+    /// [`store_windows`] sizes; a resident store adds what it holds to the
+    /// memory model).
     pub(crate) fn price(
         &self,
         threads: usize,
@@ -361,8 +411,14 @@ impl Source<'_> {
         want: usize,
     ) -> Result<Price, LdError> {
         Ok(match self {
-            Self::Memory(v) => {
-                let (fixed, per_row) = memory_footprint(v.n_snps() / k, threads, packed, strip, k)?;
+            Self::Memory(_) | Self::Resident(_) => {
+                let n = self.n_snps() / k;
+                let (fixed, per_row) = memory_footprint(n, threads, packed, strip, k)?;
+                let held = match self {
+                    Self::Resident(r) => r.held,
+                    _ => 0,
+                };
+                let fixed = checked_add(fixed, held, "resident footprint bytes")?;
                 Price::Linear { fixed, per_row }
             }
             Self::Store(s) => Price::Windows(store_windows(
@@ -381,8 +437,9 @@ impl Source<'_> {
     /// source, whose windows fill their spans as they are read
     /// ([`read_window`]) — no allele-count pre-pass over the store.
     pub(crate) fn tables(&self, stat: Statistic, policy: NanPolicy) -> Result<Transform, LdError> {
-        match self {
-            Self::Memory(v) => Transform::try_new(v, stat, policy),
+        match *self {
+            Self::Memory(v) => Transform::try_new(&v, stat, policy),
+            Self::Resident(r) => Transform::try_new(&r.panel.full_view(), stat, policy),
             Self::Store(s) => {
                 let m = s.meta();
                 Transform::empty(m.n_snps, m.n_samples, stat, policy)
@@ -400,7 +457,15 @@ pub(crate) struct Pass<'p> {
     pub b: (BitMatrixView<'p>, usize),
 }
 
-impl Pass<'_> {
+impl<'p> Pass<'p> {
+    /// The one pass of a panel in memory: rows and columns from `v`.
+    pub fn whole(v: BitMatrixView<'p>) -> Self {
+        Self {
+            a: (v, 0),
+            b: (v, 0),
+        }
+    }
+
     /// One past the last panel column the pass holds.
     pub fn end(&self) -> usize {
         self.b.1 + self.b.0.n_snps()
@@ -462,14 +527,11 @@ fn fill_span(
     Ok(true)
 }
 
-/// The store source's data mover: reads `chunks` once, on the calling
-/// thread ([`fill_span`]), into one packed panel sized to them, and fills
-/// their span of `tr` from its words before any pass reads it. `None` when
-/// `stop` fired (the caller computes nothing from a partial panel).
-pub(crate) fn read_window(
+/// Reads `chunks` of `src` once, on the calling thread ([`fill_span`]),
+/// into one packed panel sized to them. `None` when `stop` fired.
+fn read_panel(
     src: &dyn TileSource,
     chunks: Range<usize>,
-    tr: &mut Transform,
     stop: &dyn Fn() -> bool,
 ) -> Result<Option<BitMatrix>, LdError> {
     let meta = src.meta();
@@ -481,6 +543,46 @@ pub(crate) fn read_window(
     }
     let panel = BitMatrix::from_words(meta.n_samples, sites, panel)
         .map_err(|e| store_err(format!("chunks {chunks:?}: damaged packed words: {e}")))?;
+    Ok(Some(panel))
+}
+
+/// Reads the whole of `src` once ([`read_panel`]) as a [`Resident`],
+/// charged the panel and one chunk load as the one window charges them.
+/// `None` when `stop` fired.
+pub(crate) fn read_resident(
+    src: &dyn TileSource,
+    stop: &dyn Fn() -> bool,
+) -> Result<Option<Resident>, LdError> {
+    let meta = src.meta();
+    let Some(panel) = read_panel(src, 0..meta.n_chunks(), stop)? else {
+        return Ok(None);
+    };
+    let held = bytes(&[
+        &[meta.chunk_bytes(0)],
+        &[meta.n_snps, meta.words_per_snp, 8],
+    ])?;
+    Ok(Some(Resident {
+        panel,
+        held,
+        fingerprint: meta.fingerprint,
+    }))
+}
+
+/// The store source's data mover: reads `chunks` once ([`read_panel`]),
+/// and fills their span of `tr` from its words before any pass reads it.
+/// `None` when `stop` fired (the caller computes nothing from a partial
+/// panel).
+pub(crate) fn read_window(
+    src: &dyn TileSource,
+    chunks: Range<usize>,
+    tr: &mut Transform,
+    stop: &dyn Fn() -> bool,
+) -> Result<Option<BitMatrix>, LdError> {
+    let base = chunks.start * src.meta().chunk_snps;
+    let Some(panel) = read_panel(src, chunks.clone(), stop)? else {
+        return Ok(None);
+    };
+    let sites = panel.n_snps();
     let span = Span::begin(SpanKind::Transform);
     let v = panel.full_view();
     let diag = (0..sites)

@@ -43,16 +43,29 @@
 //! max)` — `(D²·iv_i)·iv_j` does not round like `(D²·iv_j)·iv_i` — so a
 //! kept value is bit-identical to the same pair of the unpruned run, and
 //! kept with [`r2_keeps`], the rule of the pair table.
+//!
+//! **One bit per candidate pair.** A kept pair is not stored: the worker
+//! that computes sorted row `s` sets bit `t` of the row's `e(s) − s − 1`
+//! bits for column `s + 1 + t`, each row on its own words, so the memory a
+//! run holds is known from the plan before any pair is computed. After
+//! the grid the pairs are handed over **per original row `i`, ascending,
+//! each row's `j` ascending**: one pass over the bitset's words finds the
+//! rows that own a kept pair (the pair's lower original index), and each
+//! such row collects its partners from its sorted row's words and its
+//! sorted column's bits. Each value is recounted from the exact integer
+//! count — one `and_popcount` of the two sorted sites — through the same
+//! `r²` expression at the same `(min, max)` order, so it carries the bits
+//! the grid computed.
+//!
+//! A tile store runs the staircase when the budget holds its whole panel
+//! ([`crate::LdEngine::try_read_resident`]): the panel is read once,
+//! planned on and sorted in place as a panel in memory is.
 
-use crate::error::{checked_add, checked_mul, LdError};
+use crate::error::{checked_add, checked_mul, try_default_vec, try_zeroed_vec, LdError};
+use crate::fused::Transform;
 use ld_bitmat::{BitMatrix, BitMatrixView};
-
-/// A kept pair `(i, j, r²)` of original site indices, `i < j`.
-pub type KeptPair = (usize, usize, f64);
-
-/// Bytes of one [`KeptPair`]: what the budget model charges per pair a
-/// pair sink may hold.
-pub(crate) const KEPT_PAIR_BYTES: usize = std::mem::size_of::<KeptPair>();
+use ld_popcount::simd::and_popcount_vpopcntdq;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The keep rule of every thresholded `r²` output: not `NaN`, and at or
 /// above the threshold.
@@ -96,10 +109,12 @@ pub struct R2Staircase {
     /// One past the last sorted column sorted row `s` keeps: `> s`,
     /// non-decreasing.
     pub(crate) ends: Vec<usize>,
-    /// The most kept pairs the caller retains across slabs, which the
-    /// price charges (at most the plan's pairs): every one unless
-    /// [`crate::LdEngine::r2_staircase`] was told fewer.
-    pub(crate) retained: usize,
+    /// The first word of sorted row `s`'s kept-pair bits, and one past the
+    /// last row's at `n`.
+    pub(crate) rows: Vec<usize>,
+    /// Bytes of a tile store's panel and one chunk load the run holds
+    /// beside the plan (0 for a panel in memory, which is the caller's).
+    pub(crate) held: usize,
 }
 
 impl R2Staircase {
@@ -130,8 +145,8 @@ impl R2Staircase {
             let den = u128::from(b) * u128::from(big_n - a);
             a > 0 && num as f64 >= cut * den as f64
         };
-        let mut ends = Vec::with_capacity(n);
-        let mut e = 0;
+        let (mut ends, mut rows) = (Vec::with_capacity(n), Vec::with_capacity(n + 1));
+        let (mut e, mut words) = (0, 0);
         for s in 0..n {
             // the bound rises with the row's count: a column row `s − 1`
             // reached, row `s` reaches too
@@ -140,13 +155,17 @@ impl R2Staircase {
                 e += 1;
             }
             ends.push(e);
+            rows.push(words);
+            words += (e - s - 1).div_ceil(64);
         }
+        rows.push(words);
         Ok(Self {
             min_r2,
             n_samples: view.n_samples(),
             order,
             ends,
-            retained: usize::MAX,
+            rows,
+            held: 0,
         })
     }
 
@@ -181,15 +200,133 @@ impl R2Staircase {
         }
     }
 
-    /// Slab-independent bytes of a run: the transform tables and the
-    /// kept-pair list its caller retains — as long as the plan for a
-    /// caller that keeps every passing pair, a listing's cap for a
-    /// listing. The panel is the caller's, sorted in place, and priced as
-    /// the memory arm prices it: not at all.
+    /// Words of the kept-pair bitset: one bit per pair the plan computes,
+    /// each sorted row from its own word.
+    pub(crate) fn bit_words(&self) -> usize {
+        self.rows.last().copied().unwrap_or(0)
+    }
+
+    /// Slab-independent bytes of a run, `68·n + 8 + 8·(bit_words + 3⌈n/64⌉)`
+    /// plus what it holds of a store: per site the transform tables (20),
+    /// the plan's `order`, `ends` and `rows` (24, `rows` one entry longer)
+    /// and the hand-off's inverse order and one row of columns and values
+    /// (24); the bitset's words, and the hand-off's three maps of one bit
+    /// per site. A panel in memory is the caller's, sorted in place, and priced
+    /// as the memory arm prices it: not at all; a store's panel and one
+    /// chunk load are `held`.
     pub(crate) fn fixed_bytes(&self) -> Result<usize, LdError> {
         let what = "staircase footprint bytes";
-        let kept = checked_mul(self.retained.min(self.pairs()), KEPT_PAIR_BYTES, what)?;
-        checked_add(checked_mul(self.ends.len(), 20, what)?, kept, what)
+        let n = self.ends.len();
+        let words = checked_add(self.bit_words(), 3 * n.div_ceil(64), what)?;
+        let sites = checked_add(checked_mul(n, 68, what)?, 8, what)?;
+        let fixed = checked_add(sites, checked_mul(words, 8, what)?, what)?;
+        checked_add(fixed, self.held, what)
+    }
+
+    /// The zeroed kept-pair bitset of a run.
+    pub(crate) fn try_bits(&self) -> Result<Vec<AtomicU64>, LdError> {
+        try_default_vec(self.bit_words(), "kept-pair bitset")
+    }
+
+    /// Sets the bits of sorted row `i`'s columns `j0 ..` whose values
+    /// `row` pass the threshold ([`r2_keeps`]). The row's words are its
+    /// own and one worker computes its slab, so nothing else writes them.
+    pub(crate) fn keep(&self, bits: &[AtomicU64], i: usize, j0: usize, row: &[f64]) {
+        let words = &bits[self.rows[i]..self.rows[i + 1]];
+        for (t, &v) in (j0 - i - 1..).zip(row) {
+            if r2_keeps(v, self.min_r2) {
+                words[t / 64].fetch_or(1 << (t % 64), Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Hands the pairs marked in `bits` (after the grid of a run on
+    /// `sorted`, this plan's panel in sorted order, whose tables are `tr`)
+    /// to `visit` per original row `i` ascending, as `(i, cols, values)`:
+    /// the row's kept columns `j > i` ascending and their `r²`, each
+    /// recounted by one `and_popcount` of the two sorted sites (`VPOPCNTQ`
+    /// where the CPU has it, the scalar count otherwise: the same integer)
+    /// and transformed at `(min, max)` order ([`Transform::r2_pair`]), so
+    /// bit-identical to the grid's value. The work is one pass over the
+    /// bitset's words to find the rows that own a kept pair, then for
+    /// each of them its sorted row's words, its sorted column's bits and
+    /// one recount per kept pair.
+    pub(crate) fn hand_over(
+        &self,
+        sorted: BitMatrixView<'_>,
+        bits: &[AtomicU64],
+        tr: &Transform,
+        mut visit: impl FnMut(usize, &[usize], &[f64]),
+    ) -> Result<(), LdError> {
+        let (n, what) = (self.order.len(), "kept-pair hand-off");
+        let load = |w: usize| bits[w].load(Ordering::Relaxed);
+        // the columns of sorted row `s` whose bits are set
+        let kept_in = |s: usize| {
+            let (w0, w1) = (self.rows[s], self.rows[s + 1]);
+            (w0..w1).flat_map(move |w| ones(load(w), s + 1 + (w - w0) * 64))
+        };
+        let is_kept = |s: usize, c: usize| {
+            let t = c - s - 1;
+            load(self.rows[s] + t / 64) >> (t % 64) & 1 == 1
+        };
+        let mut rank = try_zeroed_vec::<usize>(n, what)?;
+        for (s, &i) in self.order.iter().enumerate() {
+            rank[i] = s;
+        }
+        // one pass over the words: the rows that own a kept pair, by
+        // original index, and the sorted columns holding a pair their
+        // column site owns
+        let map = || try_zeroed_vec::<u64>(n.div_ceil(64), what);
+        let (mut owners, mut owned_above, mut partners) = (map()?, map()?, map()?);
+        let set = |map: &mut [u64], i: usize| map[i / 64] |= 1 << (i % 64);
+        for (w, word) in bits.iter().enumerate() {
+            let word = word.load(Ordering::Relaxed);
+            if word == 0 {
+                continue;
+            }
+            // the row whose words hold word `w`
+            let s = self.rows.partition_point(|&r| r <= w) - 1;
+            for c in ones(word, s + 1 + (w - self.rows[s]) * 64) {
+                let (os, oc) = (self.order[s], self.order[c]);
+                set(&mut owners, os.min(oc));
+                if oc < os {
+                    set(&mut owned_above, c);
+                }
+            }
+        }
+        let mut cols = try_zeroed_vec::<usize>(n, what)?;
+        let mut values = try_zeroed_vec::<f64>(n, what)?;
+        for (w, &word) in owners.iter().enumerate() {
+            for i in ones(word, w * 64) {
+                let s = rank[i];
+                // right of the diagonal: sorted row `s`'s columns; left of
+                // it: the sorted rows above whose reach covers column `s`
+                let right = kept_in(s).map(|c| self.order[c]);
+                let above = match owned_above[s / 64] >> (s % 64) & 1 {
+                    1 => self.ends.partition_point(|&e| e <= s)..s,
+                    _ => s..s,
+                };
+                let left = above.filter(|&r| is_kept(r, s)).map(|r| self.order[r]);
+                // the words of `partners` this row touches
+                let (mut lo, mut hi) = (partners.len(), 0);
+                for j in right.chain(left).filter(|&j| j > i) {
+                    set(&mut partners, j);
+                    (lo, hi) = (lo.min(j / 64), hi.max(j / 64 + 1));
+                }
+                let mut len = 0;
+                for (pw, word) in partners.iter_mut().enumerate().take(hi).skip(lo) {
+                    for j in ones(std::mem::take(word), pw * 64) {
+                        let (a, b) = (sorted.snp_words(s), sorted.snp_words(rank[j]));
+                        let c = and_popcount_vpopcntdq(a, b);
+                        cols[len] = j;
+                        values[len] = tr.r2_pair(s, rank[j], c as u32);
+                        len += 1;
+                    }
+                }
+                visit(i, &cols[..len], &values[..len]);
+            }
+        }
+        Ok(())
     }
 
     /// Samples of the panel the plan was built from.
@@ -233,4 +370,15 @@ impl R2Staircase {
         }
         Ok(g)
     }
+}
+
+/// `base + b` for each set bit `b` of `word`, ascending.
+fn ones(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            base + b
+        })
+    })
 }

@@ -24,8 +24,8 @@
 
 use ld_bitmat::BitMatrix;
 use ld_core::{
-    KeptPair, LdEngine, LdStats, MemoryBudget, MemoryTileStore, NanPolicy, R2Staircase,
-    RowSlabVisit, RunControl, Source,
+    LdEngine, LdStats, MemoryBudget, MemoryTileStore, NanPolicy, R2Staircase, RowSlabVisit,
+    RunControl, Source,
 };
 use ld_kernels::micro::Kernel;
 use ld_kernels::pack::packed_len;
@@ -451,11 +451,8 @@ fn budget_shrinks_counts_runs_not_plans() {
 /// decides nothing) — at 1, 2 and 7 threads, with `kernel_words` equal
 /// across them and below the unpruned run's. A staircase one column wider
 /// anywhere reads more.
-#[test]
-fn pairs_transformed_follows_the_staircase() {
-    let _l = counter_lock();
-    let (n, n_samples, t) = (300usize, 256usize, 0.5f64);
-    // sites of spread-out frequencies, so the bound prunes
+/// Sites of spread-out frequencies, so the frequency bound prunes.
+fn spread_panel(n_samples: usize, n: usize) -> BitMatrix {
     let mut rng = SmallRng::seed_from_u64(0x57A1);
     let mut g = BitMatrix::zeros(n_samples, n);
     for j in 0..n {
@@ -466,13 +463,22 @@ fn pairs_transformed_follows_the_staircase() {
             }
         }
     }
-    let big_n = n_samples as u64;
+    g
+}
+
+/// The staircase of `r² ≥ t` over `g` recomputed from exact integer
+/// bounds: each sorted row's reach `e(s)` (one past its last column).
+/// No bound may lie near the threshold, so the plan's margin decides
+/// nothing.
+fn stair_ends(g: &BitMatrix, t: f64) -> Vec<usize> {
+    let (n, big_n) = (g.n_snps(), g.n_samples() as u64);
     let mut minor: Vec<u64> = (0..n)
         .map(|j| g.ones_in_snp(j).min(big_n - g.ones_in_snp(j)))
         .collect();
     minor.sort_unstable();
-    let mut stair = 0;
+    let mut ends = vec![0; n];
     for (s, &a) in minor.iter().enumerate() {
+        ends[s] = s + 1;
         for &b in &minor[s + 1..] {
             let bound = if a == 0 {
                 0.0
@@ -480,9 +486,19 @@ fn pairs_transformed_follows_the_staircase() {
                 (a * (big_n - b)) as f64 / (b * (big_n - a)) as f64
             };
             assert!((bound - t).abs() > 1e-6, "a bound sits on the threshold");
-            stair += usize::from(bound >= t);
+            ends[s] += usize::from(bound >= t);
         }
     }
+    ends
+}
+
+#[test]
+fn pairs_transformed_follows_the_staircase() {
+    let _l = counter_lock();
+    let (n, n_samples, t) = (300usize, 256usize, 0.5f64);
+    let g = spread_panel(n_samples, n);
+    let ends = stair_ends(&g, t);
+    let stair: usize = ends.iter().enumerate().map(|(s, &e)| e - s - 1).sum();
     assert!(
         stair > 0 && stair < n * (n - 1) / 4,
         "the staircase must prune: {stair}"
@@ -509,7 +525,7 @@ fn pairs_transformed_follows_the_staircase() {
         );
         dense_words.push(ld_trace::get(Counter::KernelWords));
         ld_trace::reset();
-        e.try_r2_pairs_with(&plan, g.clone(), |_: &[KeptPair]| {}, &RunControl::new())
+        e.try_r2_pairs_with(&plan, g.clone(), |_, _, _| {}, &RunControl::new())
             .unwrap();
         assert_eq!(
             ld_trace::get(Counter::PairsTransformed),
@@ -530,4 +546,129 @@ fn pairs_transformed_follows_the_staircase() {
         stair_words[0] < dense_words[0],
         "{stair_words:?} vs {dense_words:?}"
     );
+}
+
+/// A staircase run's modeled peak (`alloc_peak_bytes`) is its closed form,
+/// with `e` recomputed from the frequency bound: per site 20 bytes of
+/// tables, 24 of plan (`order`, `ends`, the first bitset word of each row
+/// and one past the last) and 24 of hand-off (inverse order, one row of
+/// columns and values), plus 8; 8 per bitset word (`Σ ⌈(e(s) − s −
+/// 1)/64⌉`) and per word of the hand-off's three one-bit-per-site maps; one
+/// f64 row of `strip` per worker, and per slab row `threads × strip` u32
+/// counts — `strip` the widest slab's `e(r0 + slab − 1) − r0`. From a
+/// store its budget holds whole, add the panel and one chunk load: the
+/// store is read once (`chunks_read` = its chunks) and the staircase runs
+/// on it (`pairs_transformed` = the memory run's). At 1, 2 and 7 threads.
+#[test]
+fn staircase_peak_is_its_closed_form() {
+    let _l = counter_lock();
+    let (n, n_samples, t, slab, chunk) = (300usize, 256usize, 0.5f64, 16usize, 64usize);
+    let g = spread_panel(n_samples, n);
+    let ends = stair_ends(&g, t);
+    let stair: usize = ends.iter().enumerate().map(|(s, &e)| e - s - 1).sum();
+    let words: usize = ends
+        .iter()
+        .enumerate()
+        .map(|(s, &e)| (e - s - 1).div_ceil(64))
+        .sum();
+    let strip = (0..n)
+        .map(|r0| ends[(r0 + slab).min(n) - 1] - r0)
+        .max()
+        .unwrap();
+    let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+    let meta = ld_core::TileSource::meta(&store).clone();
+    let held = n * meta.words_per_snp * 8 + meta.chunk_bytes(0);
+    for threads in [1usize, 2, 7] {
+        let fixed = 68 * n + 8 + 8 * (words + 3 * n.div_ceil(64)) + 8 * threads * strip;
+        let closed = (fixed + 4 * threads * strip * slab) as u64;
+        let e = LdEngine::new()
+            .threads(threads)
+            .slab_rows(slab)
+            .nan_policy(NanPolicy::Zero);
+        let plan = e.r2_staircase(&g, t).unwrap().expect("the staircase pays");
+        ld_trace::reset();
+        e.try_r2_pairs_with(&plan, g.clone(), |_, _, _| {}, &RunControl::new())
+            .unwrap();
+        assert_eq!(
+            ld_trace::get(Counter::AllocPeakBytes),
+            closed,
+            "memory t{threads}"
+        );
+        assert_eq!(ld_trace::get(Counter::PairsTransformed), stair as u64);
+
+        let e = e.memory_budget(MemoryBudget::mib(16));
+        ld_trace::reset();
+        let resident = e
+            .try_read_resident(&store, &RunControl::new())
+            .unwrap()
+            .expect("the budget holds the store");
+        let plan = e
+            .r2_staircase(&resident, t)
+            .unwrap()
+            .expect("the staircase pays");
+        e.try_r2_pairs_with(
+            &plan,
+            resident.into_panel(),
+            |_, _, _| {},
+            &RunControl::new(),
+        )
+        .unwrap();
+        let store_closed = closed + held as u64;
+        assert_eq!(
+            ld_trace::get(Counter::AllocPeakBytes),
+            store_closed,
+            "store t{threads}"
+        );
+        assert_eq!(ld_trace::get(Counter::ChunksRead), meta.n_chunks() as u64);
+        assert_eq!(ld_trace::get(Counter::PairsTransformed), stair as u64);
+    }
+}
+
+/// `try_read_resident` reads a store exactly when the window model takes
+/// the one window: at the one-window price of the row sink it reads every
+/// chunk once; one byte below, where the model reads windows, and at one
+/// byte over the smallest windows' price it reads nothing. With no budget
+/// it reads nothing.
+#[test]
+fn resident_read_is_the_one_window_decision() {
+    let _l = counter_lock();
+    let (n, slab, chunk) = (200usize, 16usize, 20usize);
+    let g = random_matrix(2048, n, 0x4E5D);
+    let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
+    let meta = ld_core::TileSource::meta(&store).clone();
+    for threads in [1usize, 2, 7] {
+        let one = windows::price(&meta, threads, false, n, windows::Geometry::one(slab));
+        let smallest = windows::Geometry {
+            slab,
+            rows: threads,
+            cols: 1,
+        };
+        let small = windows::price(&meta, threads, false, n, smallest);
+        let below = windows::fitted(&meta, threads, false, n, Some(one - 1), slab);
+        assert_ne!(
+            below.rows,
+            windows::ONE,
+            "t{threads}: one byte below must read windows"
+        );
+        for budget in [None, Some(one), Some(one - 1), Some(small + 1)] {
+            let mut e = LdEngine::new().threads(threads).slab_rows(slab);
+            if let Some(b) = budget {
+                e = e.memory_budget(MemoryBudget::bytes(b));
+            }
+            let fitted = windows::fitted(&meta, threads, false, n, budget, slab);
+            ld_trace::reset();
+            let got = e.try_read_resident(&store, &RunControl::new()).unwrap();
+            let want = budget.is_some() && fitted.rows == windows::ONE;
+            assert_eq!(got.is_some(), want, "t{threads} {budget:?}: {fitted:?}");
+            let reads = if want { meta.n_chunks() as u64 } else { 0 };
+            assert_eq!(
+                ld_trace::get(Counter::ChunksRead),
+                reads,
+                "t{threads} {budget:?}"
+            );
+            if let Some(r) = got {
+                assert!(r.panel() == &g, "t{threads}: the panel as imported");
+            }
+        }
+    }
 }

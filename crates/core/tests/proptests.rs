@@ -3,12 +3,11 @@
 
 use ld_bitmat::BitMatrix;
 use ld_core::{
-    ld_pair_from_counts, r2_keeps, KeptPair, LdEngine, LdStats, NanPolicy, R2Staircase,
-    RowSlabVisit, RunControl,
+    ld_pair_from_counts, r2_keeps, LdEngine, LdStats, NanPolicy, R2Staircase, RowSlabVisit,
+    RunControl,
 };
 use ld_rng::SmallRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 fn random_matrix(rng: &mut SmallRng) -> BitMatrix {
     let n_samples = rng.gen_range(1usize..150);
@@ -196,34 +195,64 @@ fn staircase_panel(rng: &mut SmallRng, n_samples: usize) -> BitMatrix {
     BitMatrix::from_columns(n_samples, cols).unwrap()
 }
 
-/// The pairs a staircase run hands over, sorted.
-fn staircase_pairs(e: &LdEngine, g: &BitMatrix, plan: &R2Staircase) -> Vec<KeptPair> {
-    let kept = Mutex::new(Vec::new());
-    e.try_r2_pairs_with(
-        plan,
-        g.clone(),
-        |slab: &[KeptPair]| kept.lock().unwrap().extend_from_slice(slab),
-        &RunControl::new(),
-    )
-    .expect("staircase run");
-    let mut kept = kept.into_inner().unwrap();
-    kept.sort_by_key(|&(i, j, _)| (i, j));
+/// A kept pair `(i, j, r²)`, `i < j`.
+type Pair = (usize, usize, f64);
+
+/// The pairs a staircase run hands over, in the order it hands them over,
+/// after checking that order: rows ascending, each handed over once and
+/// only with a kept pair, and each row's columns ascending and right of
+/// its diagonal.
+fn staircase_pairs(e: &LdEngine, g: &BitMatrix, plan: &R2Staircase) -> Vec<Pair> {
+    let mut kept: Vec<Pair> = Vec::new();
+    let mut last_row = None;
+    let visit = |i: usize, cols: &[usize], values: &[f64]| {
+        assert!(last_row < Some(i), "row {i} after row {last_row:?}");
+        last_row = Some(i);
+        assert!(!cols.is_empty() && cols.len() == values.len(), "row {i}");
+        assert!(
+            i < cols[0] && cols.windows(2).all(|w| w[0] < w[1]),
+            "row {i}: {cols:?}"
+        );
+        kept.extend(cols.iter().zip(values).map(|(&j, &v)| (i, j, v)));
+    };
+    e.try_r2_pairs_with(plan, g.clone(), visit, &RunControl::new())
+        .expect("staircase run");
     kept
 }
 
+/// A panel whose sites are all one site or its complement: every pair
+/// has `r² = 1` and every site the same minor count, so the staircase is
+/// the whole triangle and every pair of it is kept — the hand-off's most
+/// work.
+fn all_pass_panel(rng: &mut SmallRng, n_samples: usize) -> BitMatrix {
+    let site: Vec<u8> = (0..n_samples).map(|s| u8::from(s % 3 == 0)).collect();
+    let cols: Vec<Vec<u8>> = (0..rng.gen_range(2usize..40))
+        .map(|_| match rng.gen_bool(0.5) {
+            true => site.clone(),
+            false => site.iter().map(|&b| 1 - b).collect(),
+        })
+        .collect();
+    BitMatrix::from_columns(n_samples, cols).unwrap()
+}
+
 /// A staircase run keeps exactly the pairs the unpruned packed triangle
-/// keeps under the table's rule, with the same bits — over panels of
-/// 1, 63, 64, 65 and 600 samples full of the bound's edge cases, at
-/// random thresholds, at thresholds equal to an attained `r²` (nested
-/// carriers on the bound among them) and at 1, at slab heights 1/7/64,
-/// 1/2/7 threads and both NaN policies.
+/// keeps under the table's rule, with the same bits, and hands them over
+/// in the table's order (rows ascending, each row's columns ascending,
+/// each pair once) — over panels of 1, 63, 64, 65 and 600 samples full of
+/// the bound's edge cases and one where every pair passes, at random
+/// thresholds, at thresholds equal to an attained `r²` (nested carriers
+/// on the bound among them) and at 1, at slab heights 1/7/64, 1/2/7
+/// threads and both NaN policies.
 #[test]
 fn staircase_keeps_exactly_the_pairs_that_pass() {
     let mut rng = SmallRng::seed_from_u64(0xb7);
     let mut runs = 0;
     for n_samples in [1usize, 63, 64, 65, 600] {
-        for case in 0..4 {
-            let g = staircase_panel(&mut rng, n_samples);
+        for case in 0..5 {
+            let g = match case {
+                4 if n_samples > 1 => all_pass_panel(&mut rng, n_samples),
+                _ => staircase_panel(&mut rng, n_samples),
+            };
             for policy in [NanPolicy::Zero, NanPolicy::Propagate] {
                 let oracle = LdEngine::new()
                     .nan_policy(policy)
@@ -239,7 +268,7 @@ fn staircase_keeps_exactly_the_pairs_that_pass() {
                     thresholds.push(attained[rng.gen_range(0..attained.len())]);
                 }
                 for t in thresholds {
-                    let want: Vec<KeptPair> = oracle
+                    let want: Vec<Pair> = oracle
                         .iter_pairs()
                         .filter(|&(_, _, v)| r2_keeps(v, t))
                         .collect();
@@ -250,7 +279,7 @@ fn staircase_keeps_exactly_the_pairs_that_pass() {
                             .slab_rows(slab)
                             .threads(threads);
                         let got = staircase_pairs(&e, &g, &plan);
-                        let bits = |p: &[KeptPair]| -> Vec<(usize, usize, u64)> {
+                        let bits = |p: &[Pair]| -> Vec<(usize, usize, u64)> {
                             p.iter().map(|&(i, j, v)| (i, j, v.to_bits())).collect()
                         };
                         assert_eq!(
@@ -264,7 +293,7 @@ fn staircase_keeps_exactly_the_pairs_that_pass() {
             }
         }
     }
-    assert!(runs >= 5 * 4 * 2 * 2 * 5);
+    assert!(runs >= 5 * 5 * 2 * 2 * 5);
 }
 
 /// The plan's staircase is the frequency bound's: every sorted row's

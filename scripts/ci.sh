@@ -16,7 +16,8 @@
 #                         hand-off, one-timer, engine-surface,
 #                         one-schedule, one-CRC, one-arm and one-spawner
 #                         guards, and the store-windows leg (`r2 --store`
-#                         equals `r2 -i` at every budget)
+#                         equals `r2 -i` at every budget; at 16 MiB the
+#                         thresholded run is the staircase on one read)
 #   5. schemas          — each published artifact (the `--profile=json`
 #                         run report with its timeline, CPU profile, shard
 #                         manifest, tile manifest, request log, both
@@ -256,18 +257,29 @@ mkdir -p "$OUT"
 # budget, so its table is the in-memory run's at every budget and thread
 # count — the smallest windows (no budget), windows under a binding budget
 # (4 MiB holds the 2 MB panel only at one thread) and the one window
-# (16 MiB).
+# (16 MiB). At 16 MiB the thresholded run reads the store once into memory
+# and takes the staircase: its counters must say so (fewer values
+# transformed than the triangle's n(n+1)/2, each of the 32 chunks read
+# once), so a silent fall-back to the dense grid fails here.
 echo "==> store windows: r2 --store equals r2 -i at every budget and thread count"
 WSIM=$OUT/windows.ms
 run "$BIN" simulate --samples 8192 --snps 2000 --seed 7 -o "$WSIM"
 run "$BIN" import -i "$WSIM" --store "$OUT/wstore" --chunk-snps 64
+counter() { sed -n "s/.*\"$1\": *\([0-9]*\).*/\1/p" "$OUT/w-prof.json" | head -n 1; }
 for T in 1 2 7; do
     "$BIN" r2 -i "$WSIM" --threads "$T" --min-r2 0.5 -o "$OUT/w-mem.tsv" 2>/dev/null
     for MB in "" 4 16; do
         "$BIN" r2 --store "$OUT/wstore" --threads "$T" --min-r2 0.5 \
-            ${MB:+--memory-budget-mb "$MB"} -o "$OUT/w-store.tsv" 2>/dev/null
+            ${MB:+--memory-budget-mb "$MB"} -o "$OUT/w-store.tsv" \
+            --profile=json --profile-out "$OUT/w-prof.json" 2>/dev/null
         if ! cmp -s "$OUT/w-mem.tsv" "$OUT/w-store.tsv"; then
             echo "store-windows FAIL: --threads $T, budget ${MB:-none} MiB: the table differs from r2 -i" >&2
+            exit 1
+        fi
+        if [ "$MB" = 16 ] && { [ "$(counter pairs_transformed)" -ge $((2000 * 2001 / 2)) ] \
+            || [ "$(counter chunks_read)" -ne 32 ]; }; then
+            echo "store-windows FAIL: --threads $T, 16 MiB: pairs_transformed $(counter pairs_transformed)," \
+                "chunks_read $(counter chunks_read): not the staircase on one read of the store" >&2
             exit 1
         fi
     done
