@@ -8,7 +8,7 @@
 
 use crate::scan::AssocResult;
 use ld_bitmat::BitMatrixView;
-use ld_core::{LdEngine, LdStats, NanPolicy};
+use ld_core::{LdEngine, LdError, LdStats, NanPolicy};
 
 /// One clump: an index SNP and its absorbed members.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,7 +26,9 @@ pub struct Clump {
 ///
 /// `window` bounds the clumping radius in SNP indices; `r²` queries run
 /// through `engine` on the window view around each index SNP, so only
-/// `O(window)` LD values are computed per clump.
+/// `O(window)` LD values are computed per clump. An engine error (an
+/// invalid configuration, a budget one window's values exceed) is
+/// returned as it is.
 pub fn clump(
     g: &BitMatrixView<'_>,
     results: &[AssocResult],
@@ -34,7 +36,7 @@ pub fn clump(
     p_threshold: f64,
     r2_threshold: f64,
     window: usize,
-) -> Vec<Clump> {
+) -> Result<Vec<Clump>, LdError> {
     let engine = engine.clone().nan_policy(NanPolicy::Zero);
     let mut candidates: Vec<&AssocResult> = results.iter().filter(|r| r.p <= p_threshold).collect();
     candidates.sort_by(|a, b| a.p.partial_cmp(&b.p).unwrap_or(std::cmp::Ordering::Equal));
@@ -50,9 +52,7 @@ pub fn clump(
         // r² between the index SNP and its window, one thin cross-GEMM
         let index_view = g.subview(r.snp, r.snp + 1);
         let win_view = g.subview(lo, hi);
-        let cross = engine
-            .try_cross_stat_matrix(index_view, win_view, LdStats::RSquared)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let cross = engine.try_cross_stat_matrix(index_view, win_view, LdStats::RSquared)?;
         let mut members = Vec::new();
         for (j, taken_j) in taken.iter_mut().enumerate().take(hi).skip(lo) {
             if j != r.snp && !*taken_j && cross.get(0, j - lo) >= r2_threshold {
@@ -66,7 +66,7 @@ pub fn clump(
             members,
         });
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -107,7 +107,7 @@ mod tests {
         let (g, mask) = fixture();
         let results = allelic_scan(&g.full_view(), &mask, 1);
         let engine = LdEngine::new();
-        let clumps = clump(&g.full_view(), &results, &engine, 0.05, 0.5, 12);
+        let clumps = clump(&g.full_view(), &results, &engine, 0.05, 0.5, 12).unwrap();
         assert_eq!(clumps.len(), 2, "two independent signals: {clumps:?}");
         for c in &clumps {
             assert_eq!(c.members.len(), 3, "each group of 4 collapses to index + 3");
@@ -123,7 +123,7 @@ mod tests {
     fn null_snps_do_not_clump() {
         let (g, mask) = fixture();
         let results = allelic_scan(&g.full_view(), &mask, 1);
-        let clumps = clump(&g.full_view(), &results, &LdEngine::new(), 0.05, 0.5, 12);
+        let clumps = clump(&g.full_view(), &results, &LdEngine::new(), 0.05, 0.5, 12).unwrap();
         for c in &clumps {
             assert!(!(4..8).contains(&c.index_snp), "null group became an index");
             assert!(c.members.iter().all(|m| !(4..8).contains(m)));
@@ -143,7 +143,8 @@ mod tests {
             0.05,
             1.0 + 1e-9,
             12,
-        );
+        )
+        .unwrap();
         let n_sig = results.iter().filter(|r| r.p <= 0.05).count();
         assert_eq!(clumps.len(), n_sig);
         assert!(clumps.iter().all(|c| c.members.is_empty()));
@@ -154,7 +155,7 @@ mod tests {
         let (g, mask) = fixture();
         let results = allelic_scan(&g.full_view(), &mask, 1);
         // window 0: nothing beyond the index itself can be absorbed
-        let clumps = clump(&g.full_view(), &results, &LdEngine::new(), 0.05, 0.5, 0);
+        let clumps = clump(&g.full_view(), &results, &LdEngine::new(), 0.05, 0.5, 0).unwrap();
         assert!(clumps.iter().all(|c| c.members.is_empty()));
     }
 
@@ -162,7 +163,22 @@ mod tests {
     fn no_significant_results_no_clumps() {
         let (g, mask) = fixture();
         let results = allelic_scan(&g.full_view(), &mask, 1);
-        let clumps = clump(&g.full_view(), &results, &LdEngine::new(), 1e-30, 0.5, 12);
+        let clumps = clump(&g.full_view(), &results, &LdEngine::new(), 1e-30, 0.5, 12).unwrap();
         assert!(clumps.is_empty());
+    }
+
+    /// An engine error is the caller's: blocks the kernel cannot run
+    /// (`kc = 0`) come back as `InvalidConfig`, with no clump and no panic.
+    #[test]
+    fn engine_error_is_returned() {
+        let (g, mask) = fixture();
+        let results = allelic_scan(&g.full_view(), &mask, 1);
+        let blocks = ld_kernels::BlockSizes {
+            kc: 0,
+            ..Default::default()
+        };
+        let engine = LdEngine::new().blocks(blocks);
+        let got = clump(&g.full_view(), &results, &engine, 0.05, 0.5, 12);
+        assert!(matches!(got, Err(LdError::InvalidConfig { .. })), "{got:?}");
     }
 }

@@ -4,13 +4,14 @@ use crate::args::Args;
 use crate::error::CliError;
 use ld_bitmat::BitMatrix;
 use ld_core::{
-    CancelToken, CheckpointPlan, CheckpointState, Deadline, LdEngine, NanPolicy, RunControl, Source,
+    CancelToken, CheckpointPlan, CheckpointState, Deadline, Input, LdEngine, NanPolicy, RunControl,
+    Source,
 };
 use ld_data::HaplotypeSimulator;
 use ld_data::SweepSimulator;
 use ld_ext::tanimoto::{tanimoto_matrix, top_k_neighbors};
 use ld_io::atomic::{write_atomic, write_atomic_with};
-use ld_io::text::{push_r2_row, r2_keeps, r2_row_bound, R2_TABLE_HEADER};
+use ld_io::text::{push_r2_rows, r2_keeps, r2_row_bound, R2_TABLE_HEADER};
 use ld_io::MatrixFormat;
 use ld_kernels::{BlockSizes, CpuProfile, KernelKind, TunedParams};
 use ld_omega::OmegaScan;
@@ -561,11 +562,14 @@ pub fn simulate(args: &Args) -> CmdResult {
 /// read in windows sized to `--memory-budget-mb` so the input never has
 /// to fit in memory, or once when the budget holds all of it).
 ///
-/// The two inputs become one [`Source`] and share everything after it:
+/// The two inputs become one [`Input`] and share everything after it:
 /// identical statistics and identical output bytes, the same `--shard`,
 /// `--checkpoint`/`--resume`, `--memory-budget-mb`, streaming `-o` and
-/// trace/profile plumbing. What the source changes — parallel axis, slab
-/// order, budget model — is the engine's business (see `ld_core::source`).
+/// trace/profile plumbing. What the input changes — parallel axis, slab
+/// order, budget model, whether a store is read once — and which pairs a
+/// thresholded run computes are the engine's business: the table and the
+/// listing are one call of `LdEngine::try_rows_in_order_with`, next to the
+/// shard and checkpoint arms.
 pub fn r2(args: &Args) -> CmdResult {
     use std::io::Write as _;
     let profile = parse_profile(args)?;
@@ -588,10 +592,8 @@ pub fn r2(args: &Args) -> CmdResult {
     )?;
     let mut intr = Interruption::parse(args)?;
     let min_r2 = parse_threshold(args, "min-r2", 0.0)?;
-    // The panel is owned here so that a staircase run can take it over.
-    let mut g = None;
     let store;
-    let src = match args.get("store").filter(|s| !s.is_empty()) {
+    let input = match args.get("store").filter(|s| !s.is_empty()) {
         Some(dir) => {
             if args.get("input").is_some() {
                 return Err(CliError::Usage(
@@ -607,11 +609,11 @@ pub fn r2(args: &Args) -> CmdResult {
                 meta.n_chunks(),
                 meta.chunk_snps
             );
-            Source::Store(&store)
+            Input::Store(&store)
         }
-        None => Source::from(&*g.insert(load_matrix(args.require("input")?)?)),
+        None => Input::Panel(load_matrix(args.require("input")?)?),
     };
-    let (n, n_samples) = (src.n_snps(), src.n_samples());
+    let (n, n_samples) = (input.source().n_snps(), input.source().n_samples());
     let threads = args.get_parsed("threads", ld_parallel::available_threads())?;
     if trace_out.is_some() {
         ld_trace::recorder::start(threads);
@@ -647,11 +649,6 @@ pub fn r2(args: &Args) -> CmdResult {
         ctl = ctl.with_checkpoint(plan);
     }
     let t0 = std::time::Instant::now();
-    // Compute-region wall time (excludes the result post-processing below),
-    // captured where each arm finishes its LD computation — this is the
-    // denominator of the profile's layer-coverage figure. Deliberately
-    // uninitialized: every arm assigns it exactly once.
-    let compute_wall_ns;
     let pairs = n * (n + 1) / 2;
     let print_summary = |wall: std::time::Duration| {
         let dt = wall.as_secs_f64();
@@ -661,31 +658,10 @@ pub fn r2(args: &Args) -> CmdResult {
         );
     };
     let output = args.get("output").filter(|s| !s.is_empty());
-    let shard = parse_shard(args)?;
-    // A thresholded r² run computes only the pairs whose allele
-    // frequencies let them pass, when that pays (`r2_staircase` decides);
-    // a shard or checkpoint keeps the whole triangle's grid. From a store
-    // the budget holds whole, the panel is read once into memory first,
-    // and the staircase, or the dense grid when it does not pay, runs on it.
-    let thresholded =
-        shard.is_none() && sink.is_none() && stat == ld_core::LdStats::RSquared && min_r2 > 0.0;
-    let mut resident = None;
-    let src = match src {
-        Source::Store(s) if thresholded => match engine
-            .try_read_resident(s, &ctl)
-            .map_err(|e| intr.classify(e))?
-        {
-            Some(r) => Source::from(&*resident.insert(r)),
-            None => src,
-        },
-        _ => src,
-    };
-    let staircase = if thresholded {
-        engine.r2_staircase(src, min_r2)?
-    } else {
-        None
-    };
-    if let Some((idx, n_shards)) = shard {
+    // Compute-region wall time (excludes the result post-processing),
+    // captured where each arm finishes its LD computation — this is the
+    // denominator of the profile's layer-coverage figure.
+    let compute_wall_ns = if let Some((idx, n_shards)) = parse_shard(args)? {
         // `--shard i/N`: compute one shard of the N-way slab plan and write
         // it in the checkpoint interchange format — the pair table comes
         // later, from `merge` over all N shard outputs. The plan is cut on
@@ -695,47 +671,71 @@ pub fn r2(args: &Args) -> CmdResult {
                 "--shard requires -o FILE (the shard output path)".into(),
             ));
         };
-        let range = engine.shard_plan_from(&src, n_shards)?[idx - 1];
+        let range = engine.shard_plan_from(&input.source(), n_shards)?[idx - 1];
         ctl = ctl.with_shard(range);
         let state = engine
-            .try_stat_shard_with(src, stat, &ctl)
+            .try_stat_shard_with(input.source(), stat, &ctl)
             .map_err(|e| intr.classify(e))?;
-        compute_wall_ns = t0.elapsed().as_nanos() as u64;
+        let wall_ns = t0.elapsed().as_nanos() as u64;
         write_atomic(out, &state.to_bytes())
             .map_err(|e| CliError::Resource(format!("cannot write {out}: {e}")))?;
         intr.remove_checkpoint("shard");
         let (r0, r1) = range.rows(state.slab as usize, n);
         eprintln!("shard {idx}/{n_shards}: slabs {range} (rows {r0}..{r1}) of {n} SNPs -> {out}");
-    } else if let Some(plan) = &staircase {
-        // The staircase hands its kept pairs over row by row in row order:
-        // the table formats each row as it comes (written atomically, so a
-        // cancelled run leaves no file), the listing folds it into the
-        // strongest so far. The run sorts the panel in place: it is not
-        // needed again.
-        let panel = match (g.take(), resident.take()) {
-            (Some(panel), _) => panel,
-            (None, Some(r)) => r.into_panel(),
-            (None, None) => unreachable!("a staircase is planned on a panel in memory"),
-        };
+        wall_ns
+    } else if sink.is_some() {
+        // Packed-matrix path: only under --checkpoint (completed slabs
+        // live in the packed triangle the engine snapshots).
+        let m = engine
+            .try_stat_matrix_with(input.source(), stat, &ctl)
+            .map_err(|e| intr.classify(e))?;
+        let wall = t0.elapsed();
+        print_summary(wall);
+        intr.remove_checkpoint("run");
+        emit_pairs(output, &m, min_r2)?;
+        wall.as_nanos() as u64
+    } else {
+        // The rows of the table or listing, in row order, from whichever
+        // plan the engine picks (a thresholded run computes only the pairs
+        // whose allele frequencies let them pass, when that pays). Each
+        // part is formatted, or cut down to its strongest pairs, on the
+        // thread that produced it; only the write and the fold are
+        // serialised. Memory stays at the run's scratch bound: no triangle
+        // and no list of kept pairs exists.
         let mut best = Vec::new();
         match output {
             Some(path) => {
+                // Written atomically: the table appears under `path` only
+                // complete — a cancelled run leaves no torn file. Written
+                // blocks go back to the workers, so a run touches a few
+                // blocks' worth of pages, not every block's.
                 let mut ld_err = None;
                 let res = write_atomic_with(path, |w| {
                     w.write_all(R2_TABLE_HEADER.as_bytes())?;
-                    let (mut block, mut io_err) = (Vec::new(), Ok(()));
-                    let format = |i: usize, cols: &[usize], values: &[f64]| {
-                        block.clear();
-                        push_kept_row(&mut block, i, cols, values, min_r2);
-                        if io_err.is_ok() {
-                            io_err = w.write_all(&block);
-                        }
+                    let mut io_err: Option<std::io::Error> = None;
+                    let spare: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+                    let spare = || spare.lock().unwrap_or_else(PoisonError::into_inner);
+                    let format = |rows: &ld_core::Rows<'_>| {
+                        let mut block = spare().pop().unwrap_or_default();
+                        let bound = rows.iter().map(|(_, _, v)| r2_row_bound(n, v, min_r2));
+                        block.reserve(bound.sum());
+                        push_r2_rows(&mut block, rows, min_r2);
+                        block
                     };
-                    if let Err(e) = engine.try_r2_pairs_with(plan, panel, format, &ctl) {
+                    let write = |mut block: Vec<u8>| {
+                        if io_err.is_none() {
+                            io_err = w.write_all(&block).err();
+                        }
+                        block.clear();
+                        spare().push(block);
+                    };
+                    let run =
+                        engine.try_rows_in_order_with(input, stat, min_r2, format, write, &ctl);
+                    if let Err(e) = run {
                         ld_err = Some(e);
                         return Err(std::io::Error::other("LD computation failed"));
                     }
-                    io_err
+                    io_err.map_or(Ok(()), Err)
                 });
                 if let Some(e) = ld_err {
                     return Err(intr.classify(e));
@@ -743,120 +743,21 @@ pub fn r2(args: &Args) -> CmdResult {
                 res.map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))?;
             }
             None => {
-                let fold = |i: usize, cols: &[usize], values: &[f64]| {
-                    let row = cols.iter().zip(values).map(|(&j, &v)| (i, j, v));
-                    fold_top_pairs(&mut best, row, min_r2);
-                };
+                let strongest = |rows: &ld_core::Rows<'_>| top_pairs(rows.pairs(), min_r2);
+                let fold = |part: Vec<Pair>| fold_top_pairs(&mut best, part.into_iter(), min_r2);
                 engine
-                    .try_r2_pairs_with(plan, panel, fold, &ctl)
+                    .try_rows_in_order_with(input, stat, min_r2, strongest, fold, &ctl)
                     .map_err(|e| intr.classify(e))?;
             }
         }
         let wall = t0.elapsed();
-        compute_wall_ns = wall.as_nanos() as u64;
         print_summary(wall);
         match output {
             Some(path) => eprintln!("wrote pair table to {path}"),
             None => print_top_pairs(&best, min_r2),
         }
-    } else if let (Some(path), None) = (output, &sink) {
-        // Streaming path — only without --checkpoint: each slab goes
-        // straight into the table and is retained nowhere, so there is no
-        // engine-side state to persist (the packed path below has), and
-        // memory stays at the source's scratch bound regardless of n. The
-        // table itself is written atomically: it appears under `path` only
-        // complete — a cancelled run leaves no torn file.
-        let mut ld_err: Option<ld_core::LdError> = None;
-        let res = write_atomic_with(path, |w| {
-            w.write_all(R2_TABLE_HEADER.as_bytes())?;
-            // Each slab is formatted by the worker that computed it, as it
-            // finishes; only the write is serialised, in row order
-            // (`in_row_order` holds the blocks that are early; a store
-            // read in more than one window hands slabs over in row order,
-            // so it holds none, and one read in one window delivers in
-            // any order, as memory does). Written blocks go back to the
-            // workers, so a run touches a few blocks' worth of pages, not
-            // every block's.
-            let mut io_err: Option<std::io::Error> = None;
-            let spare: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
-            let spare = || spare.lock().unwrap_or_else(PoisonError::into_inner);
-            let format = |s: &ld_core::RowSlabVisit<'_>| {
-                let mut block = spare().pop().unwrap_or_default();
-                // `row[0]` is the diagonal
-                let pairs = || s.rows().map(|(i, row)| (i, &row[1..]));
-                block.reserve(pairs().map(|(_, row)| r2_row_bound(n, row, min_r2)).sum());
-                for (i, row) in pairs() {
-                    push_r2_row(&mut block, i, i + 1, row, min_r2);
-                }
-                block
-            };
-            let write = |mut block: Vec<u8>| {
-                if io_err.is_none() {
-                    io_err = w.write_all(&block).err();
-                }
-                block.clear();
-                spare().push(block);
-            };
-            let run = {
-                let in_order = ld_core::in_row_order(format, write);
-                // A slab's text is ~3x its scratch: it is cut, formatted
-                // and handed on a few rows at a time, so the worker whose
-                // slab is next in line holds one small block, not a slab's.
-                let by_parts = |s: &ld_core::RowSlabVisit<'_>| {
-                    s.parts(TABLE_BLOCK_ROWS).for_each(|part| in_order(&part))
-                };
-                engine.try_stat_rows_with(src, stat, by_parts, &ctl)
-            };
-            if let Err(e) = run {
-                ld_err = Some(e);
-                return Err(std::io::Error::other("LD computation failed"));
-            }
-            io_err.map_or(Ok(()), Err)
-        });
-        if let Some(e) = ld_err {
-            return Err(e.into());
-        }
-        res.map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))?;
-        let wall = t0.elapsed();
-        compute_wall_ns = wall.as_nanos() as u64;
-        print_summary(wall);
-        eprintln!("wrote pair table to {path}");
-    } else if sink.is_none() {
-        // The stdout listing, streamed: each worker cuts its slab down to
-        // the slab's own strongest pairs, and the ordered hand-off folds
-        // those into the run's — no triangle and no list of kept pairs
-        // exists, so memory is the source's scratch bound here too.
-        let mut best = Vec::new();
-        let strongest_of = |s: &ld_core::RowSlabVisit<'_>| {
-            let pairs = s.rows().flat_map(|(i, row)| {
-                // `row[0]` is the diagonal
-                let strict = row[1..].iter().enumerate();
-                strict.map(move |(t, &v)| (i, i + 1 + t, v))
-            });
-            top_pairs(pairs, min_r2)
-        };
-        let fold = |slab_best: Vec<Pair>| {
-            best = top_pairs(best.drain(..).chain(slab_best), min_r2);
-        };
-        engine
-            .try_stat_rows_with(src, stat, ld_core::in_row_order(strongest_of, fold), &ctl)
-            .map_err(|e| intr.classify(e))?;
-        let wall = t0.elapsed();
-        compute_wall_ns = wall.as_nanos() as u64;
-        print_summary(wall);
-        print_top_pairs(&best, min_r2);
-    } else {
-        // Packed-matrix path: only under --checkpoint (completed slabs
-        // live in the packed triangle the engine snapshots).
-        let m = engine
-            .try_stat_matrix_with(src, stat, &ctl)
-            .map_err(|e| intr.classify(e))?;
-        let wall = t0.elapsed();
-        compute_wall_ns = wall.as_nanos() as u64;
-        print_summary(wall);
-        intr.remove_checkpoint("run");
-        emit_pairs(output, &m, min_r2)?;
-    }
+        wall.as_nanos() as u64
+    };
     let trace = match trace_out {
         Some(path) => Some(emit_trace(path)?),
         None => None,
@@ -919,25 +820,6 @@ fn write_pair_table(path: &str, m: &ld_core::LdMatrix, min_r2: f64) -> Result<()
         })
     })
     .map_err(|e| CliError::Resource(format!("cannot write {path}: {e}")))
-}
-
-/// Rows per formatted block of the streamed pair table.
-const TABLE_BLOCK_ROWS: usize = 16;
-
-/// One row of a staircase run's pair table: row `i`'s kept columns `cols`
-/// (ascending) and their `values`, cut into runs of consecutive columns,
-/// each formatted by the table's one row formatter — the bytes of the
-/// dense table's row.
-fn push_kept_row(block: &mut Vec<u8>, i: usize, cols: &[usize], values: &[f64], min_r2: f64) {
-    let mut at = 0;
-    while at < cols.len() {
-        let run = 1 + cols[at..]
-            .windows(2)
-            .take_while(|w| w[1] == w[0] + 1)
-            .count();
-        push_r2_row(block, i, cols[at], &values[at..at + run], min_r2);
-        at += run;
-    }
 }
 
 /// An off-diagonal pair `(i, j, value)`, `i < j`.
@@ -1757,7 +1639,7 @@ pub fn assoc(args: &Args) -> CmdResult {
     let clump_r2 = args.get_parsed("clump-r2", 0.3f64)?;
     let window = args.get_parsed("clump-window", 100usize)?;
     let engine = tuned_engine(args, threads)?;
-    let clumps = ld_assoc::clump(&g.full_view(), &results, &engine, p_cut, clump_r2, window);
+    let clumps = ld_assoc::clump(&g.full_view(), &results, &engine, p_cut, clump_r2, window)?;
     eprintln!(
         "scanned {} SNPs; lambda_GC = {lambda:.3}; {} hits at p <= {p_cut:.2e}; {} clumps",
         g.n_snps(),

@@ -270,7 +270,10 @@ fn resident_store_run_reads_each_chunk_once() {
 /// `r2 --checkpoint` and `merge` — is the parent's `collect` + stable sort
 /// cut at 20, byte for byte, whatever finishes first. The panel carries
 /// one SNP eight times: 28 pairs at r² = 1 exactly, more than are printed,
-/// so the order among equals decides which appear.
+/// so the order among equals decides which appear. Whichever plan the
+/// engine picks prints it: `-i` on the staircase and on the dense grid (a
+/// threshold at which the staircase holds most pairs), a store read once
+/// and a store read in windows — each shown by its counters.
 #[test]
 fn top_pairs_listing_is_the_stable_sort_from_every_arm() {
     let dir = Scratch::new("proc_listing");
@@ -312,9 +315,15 @@ fn top_pairs_listing_is_the_stable_sort_from_every_arm() {
     assert_eq!(listing(0.0).matches(" 1.0000\n").count(), 20);
 
     let (s1, s2, ckpt) = (dir.path("s1.bin"), dir.path("s2.bin"), dir.path("ckpt"));
-    for (min_r2, flag) in [(0.0, ""), (0.9, "--min-r2 0.9")] {
+    let thresholds = [(0.0, ""), (0.9, "--min-r2 0.9"), (0.01, "--min-r2 0.01")];
+    let sources = [
+        format!("-i {input}"),
+        format!("--store {store}"),
+        format!("--store {store} --memory-budget-mb 64"),
+    ];
+    for (min_r2, flag) in thresholds {
         let want = listing(min_r2);
-        for source in [format!("-i {input}"), format!("--store {store}")] {
+        for source in &sources {
             for threads in [1, 2, 7] {
                 let line = format!("r2 {source} --threads {threads} --slab-rows 8 {flag}");
                 assert_eq!(run_ok(&line).stdout, want, "{line}");
@@ -329,6 +338,38 @@ fn top_pairs_listing_is_the_stable_sort_from_every_arm() {
             assert_eq!(run_ok(&line).stdout, want, "{line}");
         }
     }
+    // which plan printed it: (pairs_transformed, chunks_read) at 2 threads
+    let report = dir.path("p.json");
+    let plan = |line: &str| {
+        let line =
+            format!("{line} --threads 2 --slab-rows 8 --profile=json --profile-out {report}");
+        run_ok(&line);
+        let doc = parse_json(&report);
+        let count = |name| field(&doc, &["counters", name]).as_u64().expect("a count");
+        (count("pairs_transformed"), count("chunks_read"))
+    };
+    let (all, chunks) = (150 * 151 / 2, 150u64.div_ceil(16));
+    let (stair, _) = plan(&format!("r2 -i {input} --min-r2 0.9"));
+    assert!(
+        stair < all,
+        "-i at 0.9: {stair} of {all} values, not the staircase"
+    );
+    assert_eq!(
+        plan(&format!("r2 -i {input} --min-r2 0.01")),
+        (all, 0),
+        "-i dense"
+    );
+    let once = format!("r2 {} --min-r2 0.9", sources[2]);
+    assert_eq!(
+        plan(&once),
+        (stair, chunks),
+        "{once}: one read, the staircase"
+    );
+    let (values, reads) = plan(&format!("r2 {} --min-r2 0.9", sources[1]));
+    assert!(
+        values == all && reads > chunks,
+        "windows: {values} values, {reads} reads"
+    );
 
     // a budget the triangle does not fit changes no byte of the listing
     let (big, big_store) = (dir.path("big.ms"), dir.path("big_store"));
@@ -697,4 +738,112 @@ fn store_staircase_prints_and_writes_the_bytes_of_memory() {
             }
         }
     }
+}
+
+/// The staircase of `r² ≥ t` over the `.txt` panel at `path`, recomputed
+/// from exact integer bounds: the pairs it computes, `Σ_s (e(s) − s − 1)`,
+/// `e(s)` one past the last sorted column sorted row `s` reaches. No bound
+/// may lie near the threshold, so the plan's margin decides nothing.
+fn stair_pairs(path: &str, t: f64) -> u64 {
+    let g = ld_io::text::read_matrix(&read(path)[..]).expect("a panel");
+    let big_n = g.n_samples() as u64;
+    let mut minor: Vec<u64> = (0..g.n_snps())
+        .map(|j| g.ones_in_snp(j).min(big_n - g.ones_in_snp(j)))
+        .collect();
+    minor.sort_unstable();
+    let mut pairs = 0;
+    for (s, &a) in minor.iter().enumerate() {
+        for &b in &minor[s + 1..] {
+            let bound = match a {
+                0 => 0.0,
+                _ => (a * (big_n - b)) as f64 / (b * (big_n - a)) as f64,
+            };
+            assert!((bound - t).abs() > 1e-6, "a bound sits on the threshold");
+            pairs += u64::from(bound >= t);
+        }
+    }
+    pairs
+}
+
+/// `(pairs_transformed, chunks_read)` of `gemm-ld {line}` at threads 1, 2
+/// and 7, from its `--profile=json` report — the plan the engine picked.
+fn plan_counters(dir: &Scratch, line: &str) -> Vec<(u64, u64)> {
+    let report = dir.path("plan.json");
+    [1, 2, 7]
+        .map(|threads| {
+            run_ok(&format!(
+                "{line} --threads {threads} --profile=json --profile-out {report}"
+            ));
+            let doc = parse_json(&report);
+            let count = |name| field(&doc, &["counters", name]).as_u64().expect("a count");
+            (count("pairs_transformed"), count("chunks_read"))
+        })
+        .to_vec()
+}
+
+/// The dense `-o` table (`r2_dense_pairs`' shape): every value of the
+/// triangle, `n(n+1)/2`, and no chunk.
+#[test]
+fn plan_of_the_dense_table_is_the_whole_triangle() {
+    let dir = Scratch::new("plan_dense");
+    let (input, out) = (dir.path("a.txt"), dir.path("out.tsv"));
+    let n = 200u64;
+    simulate(&input, 256, n as usize, 41);
+    let got = plan_counters(&dir, &format!("r2 -i {input} -o {out}"));
+    assert_eq!(got, vec![(n * (n + 1) / 2, 0); 3]);
+}
+
+/// The deep thresholded `-o` table (`r2_deep_thresh`' shape): the
+/// staircase's pairs, and no chunk.
+#[test]
+fn plan_of_the_deep_thresholded_table_is_the_staircase() {
+    let dir = Scratch::new("plan_deep");
+    let (input, out) = (dir.path("c.txt"), dir.path("out.tsv"));
+    let n = 150u64;
+    simulate(&input, 4096, n as usize, 42);
+    let stair = stair_pairs(&input, 0.5);
+    assert!(
+        stair < n * (n - 1) / 2 * 6 / 10,
+        "{stair}: the staircase must pay"
+    );
+    let got = plan_counters(&dir, &format!("r2 -i {input} -o {out} --min-r2 0.5"));
+    assert_eq!(got, vec![(stair, 0); 3]);
+}
+
+/// The low-k listing (`r2_lowk_top`' shape, no `-o`): the staircase's
+/// pairs, and no chunk.
+#[test]
+fn plan_of_the_low_k_listing_is_the_staircase() {
+    let dir = Scratch::new("plan_lowk");
+    let input = dir.path("l.txt");
+    let n = 400u64;
+    simulate(&input, 128, n as usize, 43);
+    let stair = stair_pairs(&input, 0.8);
+    assert!(
+        stair < n * (n - 1) / 2 * 6 / 10,
+        "{stair}: the staircase must pay"
+    );
+    let got = plan_counters(&dir, &format!("r2 -i {input} --min-r2 0.8"));
+    assert_eq!(got, vec![(stair, 0); 3]);
+}
+
+/// A thresholded store run whose budget holds the store (`store_stream`'s
+/// shape): one read per chunk, then the staircase's pairs on the panel.
+#[test]
+fn plan_of_a_store_the_budget_holds_is_one_read_and_the_staircase() {
+    let dir = Scratch::new("plan_store");
+    let (input, store, out) = (dir.path("s.txt"), dir.path("store"), dir.path("out.tsv"));
+    let (n, chunk) = (300u64, 32u64);
+    simulate(&input, 2048, n as usize, 44);
+    run_ok(&format!(
+        "import -i {input} --store {store} --chunk-snps {chunk}"
+    ));
+    let stair = stair_pairs(&input, 0.5);
+    assert!(
+        stair < n * (n - 1) / 2 * 6 / 10,
+        "{stair}: the staircase must pay"
+    );
+    let line = format!("r2 --store {store} --memory-budget-mb 16 -o {out} --min-r2 0.5");
+    let got = plan_counters(&dir, &line);
+    assert_eq!(got, vec![(stair, n.div_ceil(chunk)); 3]);
 }

@@ -145,17 +145,16 @@ impl<'a> RunControl<'a> {
     /// `i ..= i + w` — the column window of the grid [`with_shard`] cuts a
     /// row window from. The grid's column window is a non-decreasing
     /// column end `e(i)` per row; the band is its case `e(i) = i + w + 1`,
-    /// and the staircase of a thresholded `r²` run
-    /// ([`crate::R2Staircase`]) is the other, taken by
-    /// [`crate::LdEngine::try_r2_pairs_with`] from the plan instead of from
-    /// here. Only the row-slab visitor
-    /// ([`crate::LdEngine::try_stat_rows_with`]) takes a band; its slabs then
+    /// and the staircase of a thresholded `r²` run ([`crate::staircase`])
+    /// is the other, which the engine plans from allele frequencies instead
+    /// of from here. Only the row streams ([`crate::LdEngine::try_stat_rows_with`],
+    /// [`crate::LdEngine::try_rows_in_order_with`], which then keeps the
+    /// dense grid) take a band; their slabs then
     /// hold `≤ w + 1` values per row, every source streams only the columns
     /// the band touches, and scratch and the budget model follow the strip
     /// width `slab + w` instead of `n`. Values are bit-identical to the
     /// same pairs of an unbanded run. The packed triangle stores every
-    /// pair and rejects a band with [`crate::LdError::InvalidConfig`], as
-    /// does a staircase run, which has its own reach.
+    /// pair and rejects a band with [`crate::LdError::InvalidConfig`].
     ///
     /// [`with_shard`]: RunControl::with_shard
     pub fn with_band(mut self, w: usize) -> Self {

@@ -41,7 +41,7 @@
 //! |-------------------|--------------------------------------------------|---------------------------------|------------------------------|
 //! | `Sink::Packed`  | `packed[off(i) + (j0 − i) ..]` (disjoint per slab) | ledger flag → checkpoint cadence | every column (stores every pair) |
 //! | `Sink::Rows`    | the worker's `slab × strip` f64 strip            | visitor called unlocked, on the worker that computed the slab | every column, or a band: strip = `min(n, slab + w)` |
-//! | `Sink::Pairs`   | one f64 row, then one bit per pair in the run's bitset, set for the pairs that pass, diagonal skipped | ledger flag; after the grid the hand-off recounts the kept pairs on the run's tables and hands them over in row order ([`crate::R2Staircase`]) | the staircase: strip = the widest slab's `e(r1 − 1) − r0` |
+//! | `Sink::Pairs`   | one f64 row, then one bit per pair in the run's bitset, set for the pairs that pass, diagonal skipped | ledger flag; after the grid the hand-off recounts the kept pairs on the run's tables and hands them over in row order ([`crate::staircase`]) | the staircase: strip = the widest slab's `e(r1 − 1) − r0` |
 //!
 //! The pair sink runs a panel permuted into sorted order, so its rows and
 //! columns are sorted positions; each pair is transformed at its original
@@ -73,9 +73,9 @@
 //! only its ordered hand-off. The shard form is the packed sink plus
 //! `Grid::record`, in [`crate::LdEngine`]. The banded consumers ([`crate::banded`],
 //! [`crate::decay`], [`crate::blocks`]) are row visitors under
-//! [`RunControl::with_band`], and a thresholded `r²` run is the pair sink
-//! on its staircase ([`crate::LdEngine::try_r2_pairs_with`]) — there is no
-//! second loop.
+//! [`RunControl::with_band`], and a thresholded `r²` run of
+//! [`crate::LdEngine::try_rows_in_order_with`] is the pair sink on its
+//! staircase when that pays — there is no second loop.
 
 use crate::checkpoint::{CheckpointSink, CheckpointState, SlabRecord};
 use crate::control::RunControl;
@@ -901,9 +901,6 @@ pub(crate) fn run(
         // a panel in memory is one pass over its view
         (Source::Memory(v), _) => {
             team(&tr, &Pass::whole(v), grid.lo..grid.hi)?;
-        }
-        (Source::Resident(r), _) => {
-            team(&tr, &Pass::whole(r.panel().full_view()), grid.lo..grid.hi)?;
         }
     }
     if let Some(e) = lock(&failure).take() {

@@ -6,11 +6,11 @@ use crate::checkpoint::CheckpointState;
 use crate::control::RunControl;
 use crate::driver::{self, lock, Config, Grid, PairSink, Reach, Sink};
 use crate::error::{checked_add, checked_mul, fault, try_zeroed_vec, LdError, MemoryBudget};
-use crate::fused::{RowSlabVisit, Transform};
+use crate::fused::{in_row_order, RowSlabVisit, Rows, Transform, PART_ROWS};
 use crate::matrix::{CrossLdMatrix, LdMatrix};
 use crate::shard::{plan_shards, SlabRange};
 use crate::source::{
-    cross_footprint, read_resident, rows_within, store_windows, worker_blocks, Price, Resident,
+    bytes, cross_footprint, read_panel, rows_within, store_windows, worker_blocks, Input, Price,
     Source, Windows,
 };
 use crate::staircase::{R2Staircase, CROSSOVER};
@@ -57,13 +57,12 @@ use std::sync::Mutex;
 /// [`crate::source`]); with no budget the windows are the smallest,
 /// `threads` slabs by one chunk.
 ///
-/// A thresholded `r²` run ([`LdEngine::r2_staircase`] +
-/// [`LdEngine::try_r2_pairs_with`]) holds the transform tables, its plan
-/// and one bit per pair it computes — known before any pair is, whatever
-/// passes — plus one f64 row and a slab of u32 counts per worker; the
-/// panel is the caller's, sorted in place. From a store the budget holds
-/// whole it is the panel read once ([`LdEngine::try_read_resident`]),
-/// charged with one chunk load on top.
+/// A thresholded `r²` run of [`LdEngine::try_rows_in_order_with`] that
+/// takes the staircase holds the transform tables, its plan and one bit
+/// per pair it computes — known before any pair is, whatever passes — plus
+/// one f64 row and a slab of u32 counts per worker; the panel is the one
+/// the run was handed, sorted in place. From a store the budget holds
+/// whole it is the panel read once, charged with one chunk load on top.
 #[derive(Clone, Debug)]
 pub struct LdEngine {
     pub(crate) kind: KernelKind,
@@ -270,22 +269,31 @@ impl LdEngine {
 
     /// Validation and budgeting shared by every slab-driver entry point;
     /// `None` when the panel has no sites (nothing to compute). `packed`
-    /// names the sink (its triangle is part of the footprint). Under a
-    /// `band` a slab row is priced at the strip the *configured* height
-    /// needs, so the model stays linear in the shrunk one.
+    /// names the sink (its triangle is part of the footprint); `held` is
+    /// what a run holds beside a panel in memory (a store read once: the
+    /// panel and one chunk load, which makes its price the one window's).
+    /// Under a `band` a slab row is priced at the strip the *configured*
+    /// height needs, so the model stays linear in the shrunk one.
     fn plan(
         &self,
         src: &Source<'_>,
         stat: Statistic,
         packed: bool,
         band: Option<usize>,
+        held: usize,
     ) -> Result<Option<Config>, LdError> {
         self.validate_blocks()?;
         let n = driver::sites(src, stat)?;
         let strip = Reach::band(n, band).strip(n, self.slab);
         // overflow before emptiness: a size that cannot be represented is
         // reported even when the sample set is also degenerate
-        let price = self.price(src, n, packed, strip, stat.planes())?;
+        let price = match self.price(src, n, packed, strip, stat.planes())? {
+            Price::Linear { fixed, per_row } => Price::Linear {
+                fixed: checked_add(fixed, held, "resident footprint bytes")?,
+                per_row,
+            },
+            windows => windows,
+        };
         if n == 0 {
             return Ok(None);
         }
@@ -312,7 +320,7 @@ impl LdEngine {
         stat: Statistic,
         ctl: &RunControl<'_>,
     ) -> Result<(LdMatrix, usize), LdError> {
-        let Some(cfg) = self.plan(src, stat, true, None)? else {
+        let Some(cfg) = self.plan(src, stat, true, None, 0)? else {
             return Ok((LdMatrix::try_zeros(0)?, 1));
         };
         // Materializing the packed output (a zeroed n(n+1)/2 f64 triangle)
@@ -551,10 +559,10 @@ impl LdEngine {
     ///   of `n`: time, scratch and (store source) bytes read are
     ///   `O(n · w)`. Values are bit-identical to the same pairs of the
     ///   unbanded run.
-    /// * A visitor that keeps only `r² ≥ t` computes every pair here; from
-    ///   memory, [`LdEngine::r2_staircase`] + [`LdEngine::try_r2_pairs_with`]
-    ///   compute only the pairs whose allele frequencies let them pass, on
-    ///   the same driver, and hand over the kept pairs with the same bits.
+    /// * A visitor that keeps only `r² ≥ t` computes every pair here;
+    ///   [`LdEngine::try_rows_in_order_with`] computes only the pairs whose
+    ///   allele frequencies let them pass when that pays, on the same
+    ///   driver, and hands over the kept pairs with the same bits.
     pub fn try_stat_rows_with<'a, F>(
         &self,
         src: impl Into<Source<'a>>,
@@ -566,32 +574,120 @@ impl LdEngine {
         F: Fn(&RowSlabVisit<'_>) + Sync,
     {
         let (src, stat) = (src.into(), stat.into());
-        match self.plan(&src, stat, false, ctl.band)? {
+        match self.plan(&src, stat, false, ctl.band, 0)? {
             Some(cfg) => driver::run(&src, stat, &cfg, Sink::Rows(&visit), ctl),
             None => Ok(()),
         }
     }
 
-    /// A tile store's whole panel read into memory once, when the budget
-    /// holds the store's one window — the window decision
-    /// ([`crate::source`]) that makes a budgeted store run read each chunk
-    /// once. Every chunk is read and CRC-checked once, on the calling
-    /// thread, and counted (`chunks_read`, `store_bytes_read`); `ctl`'s
-    /// token and deadline are polled before each read
-    /// ([`LdError::Cancelled`] when one fires). `None` with no budget, when
-    /// the one window does not fit (a run then reads windows), or for a
-    /// store without sites or samples.
+    /// Hands the rows of the statistic's upper triangle, without the
+    /// diagonal, to `deliver` **in ascending original-row order** — the
+    /// one row verb of a thresholded pair table or listing. Which pairs
+    /// are computed, and from what, is the engine's plan:
     ///
-    /// A run from the result ([`Source::Resident`]) is the memory arm on
-    /// the panel, priced as the one window: the memory model plus the
-    /// panel and one chunk load. It is what lets a thresholded `r²` run
-    /// from a store take the staircase ([`LdEngine::r2_staircase`]), or
-    /// fall back to the dense grid on the same panel, with no second read.
-    pub fn try_read_resident(
+    /// * an `r²` run with `min > 0` and no shard range, checkpoint plan or
+    ///   column band in `ctl` reads a store whose one window the budget
+    ///   holds into memory once (each chunk read and CRC-checked once, on
+    ///   the calling thread, and counted), and then computes only the pairs
+    ///   whose allele frequencies let them reach `min` — the
+    ///   frequency-sorted staircase ([`crate::staircase`]), on the panel
+    ///   sorted in place — when the staircase holds under 60 % of the
+    ///   off-diagonal pairs and one slab row of it fits the budget;
+    /// * otherwise the dense row sink of [`LdEngine::try_stat_rows_with`]
+    ///   runs, on the panel (a store read once included), or over the
+    ///   store's windows.
+    ///
+    /// `make` turns rows into a payload on whichever thread produced them
+    /// — a worker that finished a dense slab, cut into parts of 16 rows,
+    /// or the calling thread for a staircase row, handed over after the
+    /// grid — and `deliver` receives every payload exactly once, lowest
+    /// rows first. A dense part holds every column of each row
+    /// ([`crate::Cols::Range`]); a staircase row only the columns whose
+    /// value passes [`crate::r2_keeps`] at `min` ([`crate::Cols::Kept`]),
+    /// and a row with none is skipped. A consumer that keeps `r2_keeps` of
+    /// the values therefore sees the same pairs with the same bits from
+    /// either plan. The run must start at row 0 (no shard range).
+    ///
+    /// The panel is taken over: it is sorted in place by a staircase and
+    /// dropped when the run ends, so no run holds it twice. Token,
+    /// deadline, budget and panic containment are as in
+    /// [`LdEngine::try_stat_rows_with`]; a staircase run cancelled before
+    /// its grid completes hands nothing over.
+    pub fn try_rows_in_order_with<T, M, D>(
+        &self,
+        input: Input<'_>,
+        stat: impl Into<Statistic>,
+        min: f64,
+        make: M,
+        deliver: D,
+        ctl: &RunControl<'_>,
+    ) -> Result<(), LdError>
+    where
+        T: Send,
+        M: Fn(&Rows<'_>) -> T + Sync,
+        D: FnMut(T) + Send,
+    {
+        let stat = stat.into();
+        let thresholded = stat == Statistic::Ld(LdStats::RSquared)
+            && min > 0.0
+            && ctl.shard.is_none()
+            && ctl.checkpoint.is_none()
+            && ctl.band.is_none();
+        let read = match input {
+            Input::Panel(g) => Ok((g, 0)),
+            Input::Store(s) if thresholded => self.read_resident(s, ctl)?.ok_or(s),
+            Input::Store(s) => Err(s),
+        };
+        // a store that was not read once runs over its windows
+        let (panel, held) = match read {
+            Ok(read) => read,
+            Err(s) => return self.rows_dense(Source::Store(s), 0, stat, make, deliver, ctl),
+        };
+        if thresholded {
+            if let Some(plan) = self.plan_staircase(&panel, min, held)? {
+                let mut deliver = deliver;
+                let visit = |i: usize, cols: &[usize], values: &[f64]| {
+                    deliver(make(&Rows::kept(i, cols, values)))
+                };
+                return self.run_staircase(&plan, panel, visit, ctl);
+            }
+        }
+        self.rows_dense(Source::from(&panel), held, stat, make, deliver, ctl)
+    }
+
+    /// The dense row sink of [`LdEngine::try_rows_in_order_with`]: slabs
+    /// cut into parts of [`PART_ROWS`] rows, each made on the worker and
+    /// delivered in row order ([`in_row_order`]). `held` is what the run
+    /// holds beside a panel in memory (a store read once).
+    fn rows_dense<T: Send>(
+        &self,
+        src: Source<'_>,
+        held: usize,
+        stat: Statistic,
+        make: impl Fn(&Rows<'_>) -> T + Sync,
+        deliver: impl FnMut(T) + Send,
+        ctl: &RunControl<'_>,
+    ) -> Result<(), LdError> {
+        let in_order = in_row_order(|part: &RowSlabVisit<'_>| make(&Rows::dense(part)), deliver);
+        let by_parts = |s: &RowSlabVisit<'_>| s.parts(PART_ROWS).for_each(|part| in_order(&part));
+        match self.plan(&src, stat, false, ctl.band, held)? {
+            Some(cfg) => driver::run(&src, stat, &cfg, Sink::Rows(&by_parts), ctl),
+            None => Ok(()),
+        }
+    }
+
+    /// A tile store's whole panel read into memory once, with the bytes it
+    /// holds beside the memory model, when the budget holds the store's one
+    /// window — the window decision ([`crate::source`]) that makes a
+    /// budgeted store run read each chunk once. `ctl`'s token and deadline
+    /// are polled before each read ([`LdError::Cancelled`] when one fires).
+    /// `None` with no budget, when the one window does not fit, or for a
+    /// store without sites or samples.
+    fn read_resident(
         &self,
         store: &dyn TileSource,
         ctl: &RunControl<'_>,
-    ) -> Result<Option<Resident>, LdError> {
+    ) -> Result<Option<(BitMatrix, usize)>, LdError> {
         let (meta, limit) = (store.meta(), self.budget.limit());
         let n = meta.n_snps;
         if n == 0 || meta.n_samples == 0 || limit.is_none() {
@@ -606,39 +702,34 @@ impl LdEngine {
             driver::poll_deadline(ctl.deadline, token.as_ref());
             token.as_ref().is_some_and(|t| t.is_cancelled())
         };
-        match read_resident(store, &stop)? {
-            Some(r) => Ok(Some(r)),
-            None => Err(driver::cancelled_error(token.as_ref(), 0)),
-        }
+        let Some(panel) = read_panel(store, 0..meta.n_chunks(), &stop)? else {
+            return Err(driver::cancelled_error(token.as_ref(), 0));
+        };
+        // the panel and one chunk load, as the one window charges them
+        let held = bytes(&[&[meta.chunk_bytes(0)], &[n, meta.words_per_snp, 8]])?;
+        Ok(Some((panel, held)))
     }
 
-    /// The staircase of an `r² ≥ min_r2` run over `src` when it pays, for
-    /// [`LdEngine::try_r2_pairs_with`]; `None` when the run should take
-    /// the dense grid instead ([`LdEngine::try_stat_rows_with`]):
+    /// The staircase of an `r² ≥ min_r2` run over `panel` when it pays;
+    /// `None` when the run should take the dense grid instead:
     ///
-    /// * `src` is a tile store read in windows (they hold sites in store
-    ///   order, not sorted order; a store the budget holds whole is read
-    ///   once by [`LdEngine::try_read_resident`] and planned here as
-    ///   [`Source::Resident`]), or has no samples or fewer than two sites;
-    /// * `min_r2` is not positive (or `NaN`): every pair can pass;
+    /// * `min_r2` is not positive (or `NaN`): every pair can pass; or the
+    ///   panel has no samples or fewer than two sites;
     /// * the staircase holds 60 % of the off-diagonal pairs or more — the
     ///   measured crossover, past which sorting and the pair sink cost
     ///   more than the pairs they skip (see [`crate::staircase`]);
     /// * under a [`MemoryBudget`], not even one slab row fits beside the
-    ///   plan, its one bit per pair and (resident store) the panel and one
-    ///   chunk load.
+    ///   plan, its one bit per pair and the `held` bytes (a store read
+    ///   once: the panel and one chunk load).
     ///
     /// Planning is one popcount sweep and a sort of the site counts.
-    pub fn r2_staircase<'a>(
+    fn plan_staircase(
         &self,
-        src: impl Into<Source<'a>>,
+        panel: &BitMatrix,
         min_r2: f64,
+        held: usize,
     ) -> Result<Option<R2Staircase>, LdError> {
-        let (v, held) = match src.into() {
-            Source::Memory(v) => (v, 0),
-            Source::Resident(r) => (r.panel().full_view(), r.held),
-            Source::Store(_) => return Ok(None),
-        };
+        let v = panel.full_view();
         if min_r2.is_nan() || min_r2 <= 0.0 || v.n_snps() < 2 || v.n_samples() == 0 {
             return Ok(None);
         }
@@ -656,7 +747,7 @@ impl LdEngine {
     }
 
     /// The budget model of a staircase run: the plan's fixed bytes
-    /// ([`R2Staircase`]'s tables, plan, bitset, hand-off and what it holds
+    /// (`R2Staircase`'s tables, plan, bitset, hand-off and what it holds
     /// of a store) plus one f64 row per worker, and per slab row
     /// `threads × strip` u32 counts, `strip` the widest step at the
     /// configured height.
@@ -671,37 +762,31 @@ impl LdEngine {
         })
     }
 
-    /// Runs a staircase ([`R2Staircase`]) over `panel`, the matrix it was
+    /// Runs a staircase (`R2Staircase`) over `panel`, the matrix it was
     /// planned on: `r²` of exactly the pairs the plan reaches, computed on
     /// the panel's sites in sorted order — the panel is taken over and
-    /// sorted in place, so it is never held twice (a caller that keeps its
-    /// matrix passes a clone; a resident store passes
-    /// [`Resident::into_panel`]) — with one bit set per pair that passes
-    /// the plan's threshold ([`crate::r2_keeps`]).
+    /// sorted in place, so it is never held twice — with one bit set per
+    /// pair that passes the plan's threshold ([`crate::r2_keeps`]).
     ///
     /// After the grid the kept pairs are handed to `visit` on the calling
     /// thread, **per original row `i` in ascending order**, as `(i, cols,
     /// values)`: the row's kept columns `j > i` ascending, with their `r²`.
     /// Rows without a kept pair are skipped. Every pair the unpruned run
     /// keeps is handed over exactly once, its value bit-identical to that
-    /// run's (see [`crate::staircase`]), so a pair table is the rows
-    /// formatted as they come.
+    /// run's (see [`crate::staircase`]).
     ///
     /// Token, deadline, budget and panic containment are as in
     /// [`LdEngine::try_stat_rows_with`]; a run cancelled before its grid
     /// completes hands nothing over. A checkpoint plan, a shard range or a
     /// column band is [`LdError::InvalidConfig`]: the run keeps nothing to
     /// persist and has its own reach.
-    pub fn try_r2_pairs_with<F>(
+    pub(crate) fn run_staircase(
         &self,
         plan: &R2Staircase,
         panel: BitMatrix,
-        mut visit: F,
+        mut visit: impl FnMut(usize, &[usize], &[f64]),
         ctl: &RunControl<'_>,
-    ) -> Result<(), LdError>
-    where
-        F: FnMut(usize, &[usize], &[f64]),
-    {
+    ) -> Result<(), LdError> {
         self.validate_blocks()?;
         let n = plan.ends.len();
         let price = self.staircase_price(plan)?;

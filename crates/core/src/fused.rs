@@ -19,7 +19,10 @@
 //!   ([`crate::LdEngine::try_stat_rows_with`]) sees of one finished slab,
 //!   and [`in_row_order`], the two-phase adaptor for visitors that need
 //!   the slabs in ascending row order: per-slab work unlocked, ordered
-//!   hand-off under its own lock.
+//!   hand-off under its own lock;
+//! * [`Rows`] and [`Cols`] — the one row shape
+//!   [`crate::LdEngine::try_rows_in_order_with`] hands over, `(i, cols,
+//!   values)` for a dense row and a staircase row alike.
 
 use crate::driver::lock;
 use crate::error::{try_zeroed_vec, LdError};
@@ -29,6 +32,7 @@ use crate::stats::{
 use ld_bitmat::BitMatrixView;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Row offset of row `i` in the packed upper triangle of an `n × n`
@@ -528,6 +532,80 @@ pub fn in_row_order<'a, T: Send + 'a>(
         }),
     };
     move |s| ordered.visit(s)
+}
+
+/// Rows per part a dense slab is cut into on its way to
+/// [`crate::LdEngine::try_rows_in_order_with`]'s `make`: a formatted part
+/// is ~3× its values, so the worker whose slab is next in line holds one
+/// small payload at a time, not a slab's.
+pub(crate) const PART_ROWS: usize = 16;
+
+/// The columns of one handed-over row (see [`Rows`]), ascending and right
+/// of the row's diagonal.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Cols<'a> {
+    /// Every column of the range: a row of the dense grid, `i + 1 .. e`
+    /// (`e` is `n`, or the end of the run's column band).
+    Range(Range<usize>),
+    /// Only these columns: the pairs a staircase row keeps.
+    Kept(&'a [usize]),
+}
+
+/// What [`crate::LdEngine::try_rows_in_order_with`] hands `make` at a time:
+/// consecutive rows of the upper triangle without their diagonal, each as
+/// `(i, cols, values)` — a part of a dense slab, every column of each row
+/// ([`Cols::Range`]), or one staircase row, the columns it keeps
+/// ([`Cols::Kept`]).
+#[derive(Debug)]
+pub struct Rows<'a>(RowsOf<'a>);
+
+#[derive(Debug)]
+enum RowsOf<'a> {
+    Dense(&'a RowSlabVisit<'a>),
+    Kept {
+        i: usize,
+        cols: &'a [usize],
+        values: &'a [f64],
+    },
+}
+
+impl<'a> Rows<'a> {
+    /// The rows of a dense slab (or of one part of it).
+    pub(crate) fn dense(s: &'a RowSlabVisit<'a>) -> Self {
+        Self(RowsOf::Dense(s))
+    }
+
+    /// Staircase row `i`: its kept columns `cols` and their `values`.
+    pub(crate) fn kept(i: usize, cols: &'a [usize], values: &'a [f64]) -> Self {
+        Self(RowsOf::Kept { i, cols, values })
+    }
+
+    /// `(i, cols, values)` per row, `i` ascending: `values[t]` is the
+    /// statistic of the pair `(i, j)` for the `t`-th column `j` of `cols`.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Cols<'_>, &[f64])> + '_ {
+        let (dense, kept) = match self.0 {
+            RowsOf::Dense(s) => (Some(s), None),
+            RowsOf::Kept { i, cols, values } => (None, Some((i, Cols::Kept(cols), values))),
+        };
+        let dense = dense.into_iter().flat_map(|s| {
+            // `row[0]` is the diagonal
+            s.rows()
+                .map(|(i, row)| (i, Cols::Range(i + 1..i + row.len()), &row[1..]))
+        });
+        dense.chain(kept)
+    }
+
+    /// Every pair `(i, j, value)` of the rows, in row order.
+    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        self.iter().flat_map(|(i, cols, values)| {
+            let (range, kept) = match cols {
+                Cols::Range(r) => (r, &[][..]),
+                Cols::Kept(k) => (0..0, k),
+            };
+            let cols = range.chain(kept.iter().copied());
+            cols.zip(values).map(move |(j, &v)| (i, j, v))
+        })
+    }
 }
 
 #[cfg(test)]

@@ -17,19 +17,25 @@
 //!
 //! * [`LdEngine::try_stat_matrix`] — all `N(N+1)/2` values, triangle-packed
 //!   ([`LdMatrix`]; transient memory bounded by `threads × slab × N` u32 —
-//!   never the `N × N` counts matrix);
+//!   never the `N × N` counts matrix); under a checkpoint plan or a shard
+//!   range ([`LdEngine::try_stat_shard_with`]) it is what persists;
 //! * [`LdEngine::try_cross_stat_matrix`] — all `m × n` values between two
 //!   SNP sets (long-range LD / distant genes, Fig. 4);
+//! * [`LdEngine::try_rows_in_order_with`] — the rows of a pair table or
+//!   listing, handed over in ascending row order in one row shape
+//!   ([`Rows`]: `(i, cols, values)`), from a panel the run takes over or a
+//!   tile store ([`Input`]). The engine picks the plan: a thresholded `r²`
+//!   run reads a store its budget holds whole into memory once and
+//!   computes only the pairs whose allele frequencies let them pass (the
+//!   frequency-sorted staircase, [`staircase`]) when that pays; every
+//!   other run is the dense row sink, on the panel or over the store's
+//!   windows;
 //! * [`LdEngine::try_stat_rows_with`] — streaming row slabs
-//!   ([`RowSlabVisit`]) to a visitor the worker team shares, for matrices
-//!   too large to materialize at all, optionally under a column band ([`RunControl::with_band`]: only pairs within a
-//!   window, the shape [`BandedLdMatrix`], [`DecayProfile`],
-//!   [`haplotype_blocks`] and [`prune_pairwise`] are visitors of);
-//! * [`LdEngine::r2_staircase`] + [`LdEngine::try_r2_pairs_with`] — the
-//!   pairs with `r² ≥ t` only, computed on a frequency-sorted staircase
-//!   that skips every pair whose allele frequencies cap it below `t`,
-//!   handed over row by row in row order ([`staircase`]); from a panel in
-//!   memory, or a store read whole ([`LdEngine::try_read_resident`]);
+//!   ([`RowSlabVisit`]) to a visitor the worker team shares, in any order,
+//!   for matrices too large to materialize at all, optionally under a
+//!   column band ([`RunControl::with_band`]: only pairs within a window,
+//!   the shape [`BandedLdMatrix`], [`DecayProfile`], [`haplotype_blocks`]
+//!   and [`prune_pairwise`] are visitors of);
 //! * [`LdEngine::ld_pair`] / [`ld_pair_from_counts`] — single-pair
 //!   statistics ([`LdPair`]) for spot checks and downstream tools.
 //!
@@ -89,12 +95,12 @@ pub use control::{CancelToken, CheckpointPlan, Deadline, RunControl};
 pub use decay::{DecayBin, DecayProfile};
 pub use engine::LdEngine;
 pub use error::{LdError, MemoryBudget, WorkerPanic};
-pub use fused::{in_row_order, RowSlabVisit};
+pub use fused::{in_row_order, Cols, RowSlabVisit, Rows};
 pub use matrix::{CrossLdMatrix, LdMatrix};
 pub use prune::prune_pairwise;
 pub use shard::{merge_shard_states, plan_shards, state_to_matrix, SlabRange};
-pub use source::{Resident, Source};
-pub use staircase::{r2_keeps, R2Staircase};
+pub use source::{Input, Source};
+pub use staircase::r2_keeps;
 pub use stats::{
     ld_pair_from_counts, ld_pair_from_freqs, tanimoto_from_counts, LdPair, LdStats, NanPolicy,
     Statistic,

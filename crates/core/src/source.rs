@@ -42,13 +42,13 @@
 //! RAM.
 //!
 //! A store whose one window the budget holds can also be read whole, once,
-//! into a [`Resident`] panel ([`crate::LdEngine::try_read_resident`]):
-//! [`Source::Resident`] is then the memory column of the table above —
-//! one pass, no reads, tables built up front — priced as the one window
-//! (the memory model plus the panel and one chunk load). It is what a
-//! thresholded `r²` run from a store plans its staircase on
-//! ([`crate::staircase`]): a window holds sites in store order, the
-//! staircase needs them sorted.
+//! into a panel in memory (`read_panel` over every chunk): a thresholded
+//! `r²` run of [`crate::LdEngine::try_rows_in_order_with`] does that
+//! before it plans, because a window holds sites in store order and the
+//! staircase ([`crate::staircase`]) needs them sorted. The run is then the
+//! memory column of the table above — one pass, no reads, tables built up
+//! front — priced as the one window: the memory model plus the panel and
+//! one chunk load.
 
 use crate::checkpoint::matrix_fingerprint;
 use crate::driver::Config;
@@ -72,42 +72,26 @@ pub enum Source<'a> {
     /// never has to fit in memory — or, when the run's budget holds the
     /// whole panel, read once as one window.
     Store(&'a dyn TileSource),
-    /// A tile store's panel read whole into memory once
-    /// ([`crate::LdEngine::try_read_resident`]): run as memory is, priced
-    /// as the store's one window — the memory model plus the panel and one
-    /// chunk load.
-    Resident(&'a Resident),
 }
 
-/// A tile store's panel, read whole into memory once because the run's
-/// budget holds the store's one window; see
-/// [`crate::LdEngine::try_read_resident`]. A run from it
-/// ([`Source::Resident`]) is the memory arm on the panel; a thresholded
-/// `r²` run can take the staircase, sorting the panel in place
-/// ([`Resident::into_panel`]).
-pub struct Resident {
-    panel: BitMatrix,
-    /// Bytes of the panel and one chunk load: what the store's one-window
-    /// price charges beside the memory model.
-    pub(crate) held: usize,
-    fingerprint: u64,
+/// What a run of [`crate::LdEngine::try_rows_in_order_with`] reads: a
+/// panel it takes over — so that a staircase can sort it in place, and no
+/// run holds a second panel — or a tile store.
+pub enum Input<'a> {
+    /// A panel in memory, owned by the run.
+    Panel(BitMatrix),
+    /// A chunked tile store, read in windows, or once when the run's
+    /// budget holds its one window.
+    Store(&'a dyn TileSource),
 }
 
-impl Resident {
-    /// The panel as read.
-    pub fn panel(&self) -> &BitMatrix {
-        &self.panel
-    }
-
-    /// The panel, for a staircase run to sort in place.
-    pub fn into_panel(self) -> BitMatrix {
-        self.panel
-    }
-}
-
-impl<'a> From<&'a Resident> for Source<'a> {
-    fn from(r: &'a Resident) -> Self {
-        Self::Resident(r)
+impl Input<'_> {
+    /// The input as a [`Source`], for the entry points that borrow one.
+    pub fn source(&self) -> Source<'_> {
+        match self {
+            Input::Panel(g) => Source::from(g),
+            Input::Store(s) => Source::Store(*s),
+        }
     }
 }
 
@@ -249,7 +233,7 @@ impl Windows {
 }
 
 /// `Σ Π terms` in bytes, or [`LdError::SizeOverflow`].
-fn bytes(terms: &[&[usize]]) -> Result<usize, LdError> {
+pub(crate) fn bytes(terms: &[&[usize]]) -> Result<usize, LdError> {
     let what = "store window bytes";
     terms.iter().try_fold(0, |sum, t| {
         let product = t.iter().try_fold(1, |p, &x| checked_mul(p, x, what))?;
@@ -355,8 +339,9 @@ pub(crate) fn store_windows(
 /// One run's budget model.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Price {
-    /// `fixed + per_row × slab` bytes at any slab height: the memory and
-    /// resident sources, the staircase, the cross matrix.
+    /// `fixed + per_row × slab` bytes at any slab height: the memory
+    /// source (a store read once included), the staircase, the cross
+    /// matrix.
     Linear { fixed: usize, per_row: usize },
     /// A store run: its windows, fitted to the budget with their height.
     Windows(Windows),
@@ -368,7 +353,6 @@ impl Source<'_> {
         match self {
             Self::Memory(v) => v.n_snps(),
             Self::Store(s) => s.meta().n_snps,
-            Self::Resident(r) => r.panel.n_snps(),
         }
     }
 
@@ -377,7 +361,6 @@ impl Source<'_> {
         match self {
             Self::Memory(v) => v.n_samples(),
             Self::Store(s) => s.meta().n_samples,
-            Self::Resident(r) => r.panel.n_samples(),
         }
     }
 
@@ -389,7 +372,6 @@ impl Source<'_> {
         match self {
             Self::Memory(v) => matrix_fingerprint(v),
             Self::Store(s) => s.meta().fingerprint,
-            Self::Resident(r) => r.fingerprint,
         }
     }
 
@@ -399,8 +381,7 @@ impl Source<'_> {
     /// budget). `strip` is the widest slab's site count
     /// ([`crate::driver::Reach::strip`]); a site is `k` panel columns (only
     /// an LD panel, `k = 1`, lives in a store, whose windows
-    /// [`store_windows`] sizes; a resident store adds what it holds to the
-    /// memory model).
+    /// [`store_windows`] sizes).
     pub(crate) fn price(
         &self,
         threads: usize,
@@ -411,14 +392,9 @@ impl Source<'_> {
         want: usize,
     ) -> Result<Price, LdError> {
         Ok(match self {
-            Self::Memory(_) | Self::Resident(_) => {
+            Self::Memory(_) => {
                 let n = self.n_snps() / k;
                 let (fixed, per_row) = memory_footprint(n, threads, packed, strip, k)?;
-                let held = match self {
-                    Self::Resident(r) => r.held,
-                    _ => 0,
-                };
-                let fixed = checked_add(fixed, held, "resident footprint bytes")?;
                 Price::Linear { fixed, per_row }
             }
             Self::Store(s) => Price::Windows(store_windows(
@@ -439,7 +415,6 @@ impl Source<'_> {
     pub(crate) fn tables(&self, stat: Statistic, policy: NanPolicy) -> Result<Transform, LdError> {
         match *self {
             Self::Memory(v) => Transform::try_new(&v, stat, policy),
-            Self::Resident(r) => Transform::try_new(&r.panel.full_view(), stat, policy),
             Self::Store(s) => {
                 let m = s.meta();
                 Transform::empty(m.n_snps, m.n_samples, stat, policy)
@@ -529,7 +504,7 @@ fn fill_span(
 
 /// Reads `chunks` of `src` once, on the calling thread ([`fill_span`]),
 /// into one packed panel sized to them. `None` when `stop` fired.
-fn read_panel(
+pub(crate) fn read_panel(
     src: &dyn TileSource,
     chunks: Range<usize>,
     stop: &dyn Fn() -> bool,
@@ -544,28 +519,6 @@ fn read_panel(
     let panel = BitMatrix::from_words(meta.n_samples, sites, panel)
         .map_err(|e| store_err(format!("chunks {chunks:?}: damaged packed words: {e}")))?;
     Ok(Some(panel))
-}
-
-/// Reads the whole of `src` once ([`read_panel`]) as a [`Resident`],
-/// charged the panel and one chunk load as the one window charges them.
-/// `None` when `stop` fired.
-pub(crate) fn read_resident(
-    src: &dyn TileSource,
-    stop: &dyn Fn() -> bool,
-) -> Result<Option<Resident>, LdError> {
-    let meta = src.meta();
-    let Some(panel) = read_panel(src, 0..meta.n_chunks(), stop)? else {
-        return Ok(None);
-    };
-    let held = bytes(&[
-        &[meta.chunk_bytes(0)],
-        &[meta.n_snps, meta.words_per_snp, 8],
-    ])?;
-    Ok(Some(Resident {
-        panel,
-        held,
-        fingerprint: meta.fingerprint,
-    }))
 }
 
 /// The store source's data mover: reads `chunks` once ([`read_panel`]),

@@ -20,12 +20,11 @@
 //! Sort the sites by `a` (stable: ties keep index order). For sorted row
 //! `s` the bound falls along the row, and rises from row to row, so the
 //! pairs that can pass form a staircase: row `s` keeps sorted columns
-//! `s .. e(s)` with `e` non-decreasing. [`R2Staircase`] is that plan; the
+//! `s .. e(s)` with `e` non-decreasing. `R2Staircase` is that plan; the
 //! slab driver runs it as a grid whose rows end at `e(s)` instead of at
 //! `s + w + 1` (a column band is the staircase `e(s) = s + w + 1`), over
-//! the panel's sites in sorted order ([`crate::LdEngine::try_r2_pairs_with`]),
-//! permuted in place so that the sorted panel replaces the caller's
-//! instead of sitting beside it.
+//! the panel's sites in sorted order, permuted in place so that the
+//! sorted panel replaces the run's instead of sitting beside it.
 //!
 //! **No pair an unpruned run keeps is cut.** The computed `r²` is not the
 //! exact one: `D = c/N − p_i p_j` is formed in `f64` with an absolute
@@ -57,9 +56,25 @@
 //! `r²` expression at the same `(min, max)` order, so it carries the bits
 //! the grid computed.
 //!
-//! A tile store runs the staircase when the budget holds its whole panel
-//! ([`crate::LdEngine::try_read_resident`]): the panel is read once,
-//! planned on and sorted in place as a panel in memory is.
+//! **Where the plan is chosen.** Nothing outside this crate builds or runs
+//! a staircase: [`crate::LdEngine::try_rows_in_order_with`] — the one row
+//! verb of a thresholded table or listing — plans one for an `r²` run with
+//! a positive threshold and no shard range, checkpoint plan or column
+//! band, and runs it when it pays: under 60 % of the off-diagonal
+//! pairs, with one slab row fitting the budget beside the plan. Otherwise
+//! the same verb runs the dense row sink, and both hand their rows over in
+//! row order in the one row shape ([`crate::Rows`]).
+//!
+//! **A store is read once first.** A tile store's windows hold sites in
+//! store order and the staircase needs them sorted, so a thresholded run
+//! from a store whose one window the budget holds reads the whole panel
+//! into memory once (each chunk read and CRC-checked once) before it
+//! plans, and the plan prices the panel and one chunk load beside its own
+//! bytes. The panel is then sorted in place as a panel in memory is; when
+//! the staircase does not pay, the dense grid runs on the same panel,
+//! priced as the one window, with no second read. A store the budget does
+//! not hold whole, or one with no budget, keeps its windows and the dense
+//! grid.
 
 use crate::error::{checked_add, checked_mul, try_default_vec, try_zeroed_vec, LdError};
 use crate::fused::Transform;
@@ -75,7 +90,7 @@ pub fn r2_keeps(v: f64, min_r2: f64) -> bool {
 }
 
 /// The staircase's share of the off-diagonal pairs below which
-/// [`crate::LdEngine::r2_staircase`] takes it. Measured on a 2-vCPU
+/// [`crate::LdEngine::try_rows_in_order_with`] takes it. Measured on a 2-vCPU
 /// x86-64 VM (AVX-512 kernel), `r2 --min-r2 t` with the staircase forced
 /// against the dense row sink, median of 5, 1 and 2 threads: on 8000 ×
 /// 512 (the listing) the staircase is faster up to a share of 0.79
@@ -96,11 +111,11 @@ fn margin(n_samples: usize) -> f64 {
 /// The plan of one thresholded `r²` run: the panel's sites sorted by
 /// minor-allele count, and how far each sorted row reaches.
 ///
-/// Build it with [`R2Staircase::new`] (always) or
-/// [`crate::LdEngine::r2_staircase`] (only when it pays); run it with
-/// [`crate::LdEngine::try_r2_pairs_with`] over the panel it was built from.
+/// Build it with [`R2Staircase::new`] (always) or `LdEngine::plan_staircase`
+/// (only when it pays); run it with `LdEngine::run_staircase` over the
+/// panel it was built from.
 #[derive(Clone, Debug)]
-pub struct R2Staircase {
+pub(crate) struct R2Staircase {
     min_r2: f64,
     /// Samples of the panel, which a run checks its panel against.
     n_samples: usize,
@@ -121,7 +136,7 @@ impl R2Staircase {
     /// The staircase of `r² ≥ min_r2` over the sites of `src`, from one
     /// popcount sweep. A threshold that is not positive (or `NaN`) is
     /// [`LdError::InvalidConfig`]: at or below 0 every pair can pass.
-    pub fn new<'a>(src: impl Into<BitMatrixView<'a>>, min_r2: f64) -> Result<Self, LdError> {
+    pub(crate) fn new<'a>(src: impl Into<BitMatrixView<'a>>, min_r2: f64) -> Result<Self, LdError> {
         if min_r2.is_nan() || min_r2 <= 0.0 {
             return Err(LdError::InvalidConfig {
                 message: "an r² staircase needs a positive threshold",
@@ -169,30 +184,14 @@ impl R2Staircase {
         })
     }
 
-    /// The threshold the plan was cut for.
-    pub fn min_r2(&self) -> f64 {
-        self.min_r2
-    }
-
-    /// Sorted position → original site index.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
-    /// One past the last sorted column each sorted row keeps (its own
-    /// diagonal included): `ends()[s] > s`, non-decreasing.
-    pub fn ends(&self) -> &[usize] {
-        &self.ends
-    }
-
     /// Off-diagonal pairs the plan computes: `Σ_s (e(s) − s − 1)`.
-    pub fn pairs(&self) -> usize {
+    pub(crate) fn pairs(&self) -> usize {
         self.ends.iter().enumerate().map(|(s, &e)| e - s - 1).sum()
     }
 
     /// [`R2Staircase::pairs`] over all `n(n − 1)/2` off-diagonal pairs
     /// (0 with fewer than two sites).
-    pub fn share(&self) -> f64 {
+    pub(crate) fn share(&self) -> f64 {
         let n = self.ends.len();
         match n * n.saturating_sub(1) / 2 {
             0 => 0.0,
@@ -330,7 +329,7 @@ impl R2Staircase {
     }
 
     /// Samples of the panel the plan was built from.
-    pub fn n_samples(&self) -> usize {
+    pub(crate) fn n_samples(&self) -> usize {
         self.n_samples
     }
 
@@ -381,4 +380,188 @@ fn ones(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
             base + b
         })
     })
+}
+
+#[cfg(test)]
+mod tests {
+    //! The staircase forced, whether or not it pays: the plan and its run
+    //! against the unpruned triangle.
+
+    use super::*;
+    use crate::{LdEngine, LdStats, NanPolicy, RunControl};
+    use ld_rng::SmallRng;
+
+    /// A panel of the staircase's edge cases: random sites beside monomorphic
+    /// and all-carrier ones (no minor allele), duplicates and complements of
+    /// earlier sites (`r² = 1`), and nested carrier sets — a site carried by
+    /// a subset of another's carriers attains the frequency bound exactly.
+    fn staircase_panel(rng: &mut SmallRng, n_samples: usize) -> BitMatrix {
+        let n_snps = rng.gen_range(2usize..40);
+        let mut cols: Vec<Vec<u8>> = Vec::with_capacity(n_snps);
+        for _ in 0..n_snps {
+            let density = rng.gen_range(0.0f64..1.0);
+            let random = |rng: &mut SmallRng| -> Vec<u8> {
+                (0..n_samples)
+                    .map(|_| u8::from(rng.gen_bool(density)))
+                    .collect()
+            };
+            let col = match (rng.gen_range(0u32..7), cols.len()) {
+                (1, _) => vec![0; n_samples],
+                (2, _) => vec![1; n_samples],
+                (3, k) if k > 0 => cols[rng.gen_range(0..k)].clone(),
+                (4, k) if k > 0 => cols[rng.gen_range(0..k)].iter().map(|&b| 1 - b).collect(),
+                (5 | 6, k) if k > 0 => {
+                    let outer = cols[rng.gen_range(0..k)].clone();
+                    outer
+                        .iter()
+                        .map(|&b| b & u8::from(rng.gen_bool(0.6)))
+                        .collect()
+                }
+                _ => random(rng),
+            };
+            cols.push(col);
+        }
+        BitMatrix::from_columns(n_samples, cols).unwrap()
+    }
+
+    /// A kept pair `(i, j, r²)`, `i < j`.
+    type Pair = (usize, usize, f64);
+
+    /// The pairs a staircase run hands over, in the order it hands them over,
+    /// after checking that order: rows ascending, each handed over once and
+    /// only with a kept pair, and each row's columns ascending and right of
+    /// its diagonal.
+    fn staircase_pairs(e: &LdEngine, g: &BitMatrix, plan: &R2Staircase) -> Vec<Pair> {
+        let mut kept: Vec<Pair> = Vec::new();
+        let mut last_row = None;
+        let visit = |i: usize, cols: &[usize], values: &[f64]| {
+            assert!(last_row < Some(i), "row {i} after row {last_row:?}");
+            last_row = Some(i);
+            assert!(!cols.is_empty() && cols.len() == values.len(), "row {i}");
+            assert!(
+                i < cols[0] && cols.windows(2).all(|w| w[0] < w[1]),
+                "row {i}: {cols:?}"
+            );
+            kept.extend(cols.iter().zip(values).map(|(&j, &v)| (i, j, v)));
+        };
+        e.run_staircase(plan, g.clone(), visit, &RunControl::new())
+            .expect("staircase run");
+        kept
+    }
+
+    /// A panel whose sites are all one site or its complement: every pair
+    /// has `r² = 1` and every site the same minor count, so the staircase is
+    /// the whole triangle and every pair of it is kept — the hand-off's most
+    /// work.
+    fn all_pass_panel(rng: &mut SmallRng, n_samples: usize) -> BitMatrix {
+        let site: Vec<u8> = (0..n_samples).map(|s| u8::from(s % 3 == 0)).collect();
+        let cols: Vec<Vec<u8>> = (0..rng.gen_range(2usize..40))
+            .map(|_| match rng.gen_bool(0.5) {
+                true => site.clone(),
+                false => site.iter().map(|&b| 1 - b).collect(),
+            })
+            .collect();
+        BitMatrix::from_columns(n_samples, cols).unwrap()
+    }
+
+    /// A staircase run keeps exactly the pairs the unpruned packed triangle
+    /// keeps under the table's rule, with the same bits, and hands them over
+    /// in the table's order (rows ascending, each row's columns ascending,
+    /// each pair once) — over panels of 1, 63, 64, 65 and 600 samples full of
+    /// the bound's edge cases and one where every pair passes, at random
+    /// thresholds, at thresholds equal to an attained `r²` (nested carriers
+    /// on the bound among them) and at 1, at slab heights 1/7/64, 1/2/7
+    /// threads and both NaN policies.
+    #[test]
+    fn staircase_keeps_exactly_the_pairs_that_pass() {
+        let mut rng = SmallRng::seed_from_u64(0xb7);
+        let mut runs = 0;
+        for n_samples in [1usize, 63, 64, 65, 600] {
+            for case in 0..5 {
+                let g = match case {
+                    4 if n_samples > 1 => all_pass_panel(&mut rng, n_samples),
+                    _ => staircase_panel(&mut rng, n_samples),
+                };
+                for policy in [NanPolicy::Zero, NanPolicy::Propagate] {
+                    let oracle = LdEngine::new()
+                        .nan_policy(policy)
+                        .try_stat_matrix(&g, LdStats::RSquared)
+                        .expect("LD matrix");
+                    let attained: Vec<f64> = oracle
+                        .iter_pairs()
+                        .map(|(_, _, v)| v)
+                        .filter(|&v| v > 0.0)
+                        .collect();
+                    let mut thresholds = vec![rng.gen_range(0.0f64..1.0).max(1e-3), 1.0];
+                    if !attained.is_empty() {
+                        thresholds.push(attained[rng.gen_range(0..attained.len())]);
+                    }
+                    for t in thresholds {
+                        let want: Vec<Pair> = oracle
+                            .iter_pairs()
+                            .filter(|&(_, _, v)| r2_keeps(v, t))
+                            .collect();
+                        let plan = R2Staircase::new(&g, t).expect("plan");
+                        for (slab, threads) in [(1usize, 1usize), (7, 2), (64, 7), (1, 7), (7, 1)] {
+                            let e = LdEngine::new()
+                                .nan_policy(policy)
+                                .slab_rows(slab)
+                                .threads(threads);
+                            let got = staircase_pairs(&e, &g, &plan);
+                            let bits = |p: &[Pair]| -> Vec<(usize, usize, u64)> {
+                                p.iter().map(|&(i, j, v)| (i, j, v.to_bits())).collect()
+                            };
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "N={n_samples} case {case} {policy:?} t={t} slab {slab} t{threads}"
+                            );
+                            runs += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(runs >= 5 * 5 * 2 * 2 * 5);
+    }
+
+    /// The plan's staircase is the frequency bound's: every sorted row's
+    /// reach is non-decreasing, covers its diagonal, and holds exactly the
+    /// columns whose bound `a_i (N − a_j) / (a_j (N − a_i))` clears the
+    /// threshold (thresholds here sit far from every attained bound, so the
+    /// margin does not decide).
+    #[test]
+    fn staircase_reach_is_the_frequency_bound() {
+        let mut rng = SmallRng::seed_from_u64(0xb8);
+        for case in 0..24 {
+            let n_samples = rng.gen_range(1usize..300);
+            let g = staircase_panel(&mut rng, n_samples);
+            let big_n = n_samples as u64;
+            let minor: Vec<u64> = (0..g.n_snps())
+                .map(|j| g.ones_in_snp(j).min(big_n - g.ones_in_snp(j)))
+                .collect();
+            for t in [0.05, 0.3, 0.77, 1.0 - 1e-6] {
+                let plan = R2Staircase::new(&g, t).unwrap();
+                let (order, ends) = (&plan.order, &plan.ends);
+                for s in 0..order.len() {
+                    assert!(ends[s] > s && (s == 0 || ends[s] >= ends[s - 1]));
+                    for c in s + 1..order.len() {
+                        let (a, b) = (minor[order[s]], minor[order[c]]);
+                        assert!(a <= b, "case {case}: sorted by minor count");
+                        let bound = if a == 0 {
+                            0.0
+                        } else {
+                            (a * (big_n - b)) as f64 / (b * (big_n - a)) as f64
+                        };
+                        let far = (bound - t).abs() > 1e-6;
+                        assert!(
+                            !far || (c < ends[s]) == (bound >= t),
+                            "case {case} t={t}: row {s} column {c}, bound {bound}, end {}",
+                            ends[s]
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -24,8 +24,8 @@
 
 use ld_bitmat::BitMatrix;
 use ld_core::{
-    LdEngine, LdStats, MemoryBudget, MemoryTileStore, NanPolicy, R2Staircase, RowSlabVisit,
-    RunControl, Source,
+    r2_keeps, Input, LdEngine, LdStats, MemoryBudget, MemoryTileStore, NanPolicy, RowSlabVisit,
+    Rows, RunControl, Source,
 };
 use ld_kernels::micro::Kernel;
 use ld_kernels::pack::packed_len;
@@ -444,13 +444,6 @@ fn budget_shrinks_counts_runs_not_plans() {
     assert_eq!(ld_trace::get(Counter::BudgetShrinks), 1, "one shard run");
 }
 
-/// `pairs_transformed` is the work ledger of the epilogue: `n(n+1)/2` on
-/// an unpruned run, and on a staircase run the pairs the frequency bound
-/// lets through, `Σ_s (e(s) − s − 1)` with `e` recomputed here from exact
-/// integer bounds (no bound lies near the threshold, so the plan's margin
-/// decides nothing) — at 1, 2 and 7 threads, with `kernel_words` equal
-/// across them and below the unpruned run's. A staircase one column wider
-/// anywhere reads more.
 /// Sites of spread-out frequencies, so the frequency bound prunes.
 fn spread_panel(n_samples: usize, n: usize) -> BitMatrix {
     let mut rng = SmallRng::seed_from_u64(0x57A1);
@@ -492,6 +485,13 @@ fn stair_ends(g: &BitMatrix, t: f64) -> Vec<usize> {
     ends
 }
 
+/// `pairs_transformed` is the work ledger of the epilogue: `n(n+1)/2` on
+/// an unpruned run, and on a staircase run the pairs the frequency bound
+/// lets through, `Σ_s (e(s) − s − 1)` with `e` recomputed here from exact
+/// integer bounds (no bound lies near the threshold, so the plan's margin
+/// decides nothing) — at 1, 2 and 7 threads, with `kernel_words` equal
+/// across them and below the unpruned run's. A staircase one column wider
+/// anywhere reads more.
 #[test]
 fn pairs_transformed_follows_the_staircase() {
     let _l = counter_lock();
@@ -503,7 +503,6 @@ fn pairs_transformed_follows_the_staircase() {
         stair > 0 && stair < n * (n - 1) / 4,
         "the staircase must prune: {stair}"
     );
-    let plan = R2Staircase::new(&g, t).unwrap();
     let mut dense_words = Vec::new();
     let mut stair_words = Vec::new();
     for threads in [1usize, 2, 7] {
@@ -525,8 +524,7 @@ fn pairs_transformed_follows_the_staircase() {
         );
         dense_words.push(ld_trace::get(Counter::KernelWords));
         ld_trace::reset();
-        e.try_r2_pairs_with(&plan, g.clone(), |_, _, _| {}, &RunControl::new())
-            .unwrap();
+        r2_rows(&e, Input::Panel(g.clone()), t);
         assert_eq!(
             ld_trace::get(Counter::PairsTransformed),
             stair as u64,
@@ -585,10 +583,8 @@ fn staircase_peak_is_its_closed_form() {
             .threads(threads)
             .slab_rows(slab)
             .nan_policy(NanPolicy::Zero);
-        let plan = e.r2_staircase(&g, t).unwrap().expect("the staircase pays");
         ld_trace::reset();
-        e.try_r2_pairs_with(&plan, g.clone(), |_, _, _| {}, &RunControl::new())
-            .unwrap();
+        r2_rows(&e, Input::Panel(g.clone()), t);
         assert_eq!(
             ld_trace::get(Counter::AllocPeakBytes),
             closed,
@@ -598,21 +594,7 @@ fn staircase_peak_is_its_closed_form() {
 
         let e = e.memory_budget(MemoryBudget::mib(16));
         ld_trace::reset();
-        let resident = e
-            .try_read_resident(&store, &RunControl::new())
-            .unwrap()
-            .expect("the budget holds the store");
-        let plan = e
-            .r2_staircase(&resident, t)
-            .unwrap()
-            .expect("the staircase pays");
-        e.try_r2_pairs_with(
-            &plan,
-            resident.into_panel(),
-            |_, _, _| {},
-            &RunControl::new(),
-        )
-        .unwrap();
+        r2_rows(&e, Input::Store(&store), t);
         let store_closed = closed + held as u64;
         assert_eq!(
             ld_trace::get(Counter::AllocPeakBytes),
@@ -624,18 +606,44 @@ fn staircase_peak_is_its_closed_form() {
     }
 }
 
-/// `try_read_resident` reads a store exactly when the window model takes
-/// the one window: at the one-window price of the row sink it reads every
-/// chunk once; one byte below, where the model reads windows, and at one
-/// byte over the smallest windows' price it reads nothing. With no budget
-/// it reads nothing.
+/// The pairs `(i, j, r²)` a thresholded `r²` run of the one row verb
+/// hands over, in the order it hands them over.
+fn r2_rows(e: &LdEngine, input: Input<'_>, t: f64) -> Vec<(usize, usize, f64)> {
+    let mut kept = Vec::new();
+    let make = |rows: &Rows<'_>| -> Vec<_> { rows.pairs().filter(|p| r2_keeps(p.2, t)).collect() };
+    let deliver = |part: Vec<_>| kept.extend(part);
+    e.try_rows_in_order_with(
+        input,
+        LdStats::RSquared,
+        t,
+        make,
+        deliver,
+        &RunControl::new(),
+    )
+    .unwrap();
+    kept
+}
+
+/// A thresholded `r²` run from a store reads it once into memory exactly
+/// when the window model takes the one window: at the one-window price of
+/// the row sink it reads every chunk once and runs the staircase there;
+/// one byte below, where the model reads windows, at one byte over the
+/// smallest windows' price and with no budget it reads the windows'
+/// chunks (their closed form) and keeps the dense grid. Every run hands
+/// over the memory run's pairs, bit for bit.
 #[test]
 fn resident_read_is_the_one_window_decision() {
     let _l = counter_lock();
-    let (n, slab, chunk) = (200usize, 16usize, 20usize);
-    let g = random_matrix(2048, n, 0x4E5D);
+    let (n, slab, chunk, t) = (200usize, 16usize, 20usize, 0.5f64);
+    let g = spread_panel(2048, n);
+    let ends = stair_ends(&g, t);
+    let stair: usize = ends.iter().enumerate().map(|(s, &e)| e - s - 1).sum();
     let store = MemoryTileStore::from_matrix(&g, chunk).unwrap();
     let meta = ld_core::TileSource::meta(&store).clone();
+    let bits = |p: &[(usize, usize, f64)]| -> Vec<(usize, usize, u64)> {
+        p.iter().map(|&(i, j, v)| (i, j, v.to_bits())).collect()
+    };
+    let want_pairs = bits(&r2_rows(&LdEngine::new(), Input::Panel(g.clone()), t));
     for threads in [1usize, 2, 7] {
         let one = windows::price(&meta, threads, false, n, windows::Geometry::one(slab));
         let smallest = windows::Geometry {
@@ -657,18 +665,32 @@ fn resident_read_is_the_one_window_decision() {
             }
             let fitted = windows::fitted(&meta, threads, false, n, budget, slab);
             ld_trace::reset();
-            let got = e.try_read_resident(&store, &RunControl::new()).unwrap();
+            let got = r2_rows(&e, Input::Store(&store), t);
             let want = budget.is_some() && fitted.rows == windows::ONE;
-            assert_eq!(got.is_some(), want, "t{threads} {budget:?}: {fitted:?}");
-            let reads = if want { meta.n_chunks() as u64 } else { 0 };
+            let (reads, transformed) = match want {
+                true => (meta.n_chunks(), stair),
+                false => {
+                    let slabs = 0..n.div_ceil(slab);
+                    let read =
+                        windows::chunks_read(n, chunk, slab, n, fitted.rows, slabs, |_| true);
+                    assert!(
+                        read.len() > meta.n_chunks(),
+                        "t{threads} {budget:?}: {fitted:?}"
+                    );
+                    (read.len(), n * (n + 1) / 2)
+                }
+            };
             assert_eq!(
                 ld_trace::get(Counter::ChunksRead),
-                reads,
+                reads as u64,
                 "t{threads} {budget:?}"
             );
-            if let Some(r) = got {
-                assert!(r.panel() == &g, "t{threads}: the panel as imported");
-            }
+            assert_eq!(
+                ld_trace::get(Counter::PairsTransformed),
+                transformed as u64,
+                "t{threads} {budget:?}"
+            );
+            assert_eq!(bits(&got), want_pairs, "t{threads} {budget:?}");
         }
     }
 }

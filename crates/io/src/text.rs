@@ -4,7 +4,7 @@ use crate::limits::{utf8, LineReader};
 use crate::rows::{first_non_allele, write_rows, PackedRows};
 use crate::{IoError, Limits};
 use ld_bitmat::BitMatrix;
-use ld_core::LdMatrix;
+use ld_core::{Cols, LdMatrix, Rows};
 use std::io::{BufRead, Write};
 
 /// Writes a haplotype matrix as rows of `0`/`1` characters (one sample per
@@ -244,6 +244,30 @@ pub fn push_r2_row(out: &mut Vec<u8>, i: usize, j0: usize, row: &[f64], min_r2: 
             None => {
                 out.extend_from_slice(&line[..=tab]);
                 out.extend_from_slice(format!("{v:.6}\n").as_bytes());
+            }
+        }
+    }
+}
+
+/// [`push_r2_row`] over rows in the engine's one row shape
+/// ([`ld_core::Rows`]): a row of a column range is one run of the
+/// formatter; a row of kept columns is cut into runs of consecutive
+/// columns, each formatted as the dense row would be — so a row prints
+/// the bytes of the dense table's row whichever plan computed it.
+pub fn push_r2_rows(out: &mut Vec<u8>, rows: &Rows<'_>, min_r2: f64) {
+    for (i, cols, values) in rows.iter() {
+        match cols {
+            Cols::Range(r) => push_r2_row(out, i, r.start, values, min_r2),
+            Cols::Kept(cols) => {
+                let mut at = 0;
+                while at < cols.len() {
+                    let run = 1 + cols[at..]
+                        .windows(2)
+                        .take_while(|w| w[1] == w[0] + 1)
+                        .count();
+                    push_r2_row(out, i, cols[at], &values[at..at + run], min_r2);
+                    at += run;
+                }
             }
         }
     }

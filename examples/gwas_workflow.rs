@@ -56,7 +56,8 @@ fn main() {
 
     // 6. Clump the hits with the blocked r² engine.
     let engine = LdEngine::new().nan_policy(NanPolicy::Zero);
-    let clumps = clump(&g.full_view(), &results, &engine, p_cut, 0.3, 150);
+    let clumps = clump(&g.full_view(), &results, &engine, p_cut, 0.3, 150)
+        .expect("the default engine runs every window");
     println!("\nindex SNPs after clumping (r² >= 0.3, window 150):");
     for c in clumps.iter().take(6) {
         println!(

@@ -180,14 +180,17 @@ if [ -n "$TWO_CLOCKS$TWO_REPORTS" ]; then
 fi
 
 # One verb per sink on `LdEngine`: no panicking twin of `try_stat_matrix`,
-# no locked twin of `try_stat_rows_with`, no tile visitor. `ld-baselines`'
+# no locked twin of `try_stat_rows_with`, no tile visitor, and the plan of
+# a thresholded table or listing is the engine's — no resident read,
+# staircase planner or pair runner of its own, and no second formatter
+# for a staircase row, outside `try_rows_in_order_with`. `ld-baselines`'
 # two-argument `r2_matrix` kernels are other methods, not the engine's.
 echo "==> one verb per sink on LdEngine in crates/*/src"
 SURFACE=$(for f in crates/*/src/*.rs crates/*/src/*/*.rs; do shipped "$f"; done \
-    | grep -E 'pub fn (stat_matrix|r2_matrix)\b|try_stat_rows_shared_with|try_for_each_tile_with|TileVisit' \
+    | grep -E 'pub fn (stat_matrix|r2_matrix)\b|try_stat_rows_shared_with|try_for_each_tile_with|TileVisit|try_read_resident|r2_staircase|try_r2_pairs_with|push_kept_row' \
     | grep -vE '^crates/baselines/src/[a-z_]+\.rs: +pub fn r2_matrix\(&self, ' || true)
 if [ -n "$SURFACE" ]; then
-    echo "engine-surface guard FAIL: a deleted LdEngine verb or TileVisit is back:" >&2
+    echo "engine-surface guard FAIL: a deleted LdEngine verb, TileVisit or push_kept_row is back:" >&2
     printf '%s\n' "$SURFACE" >&2
     exit 1
 fi
