@@ -12,7 +12,7 @@
 //!   popcounts of `snp ∧ case_mask`: a whole-matrix scan is one pass of
 //!   the same AND+POPCNT machinery the LD kernels run (a matrix-vector
 //!   sibling of the paper's matrix-matrix formulation);
-//! * [`clump`] — LD clumping (PLINK `--clump`): keep the best-p SNP per
+//! * [`clump`](mod@clump) — LD clumping (PLINK `--clump`): keep the best-p SNP per
 //!   LD neighbourhood, using the blocked engine for the `r²` queries;
 //! * [`stats`] — χ² tails, odds ratios, genomic-control λ.
 

@@ -649,9 +649,12 @@ pub fn r2(args: &Args) -> CmdResult {
         ctl = ctl.with_checkpoint(plan);
     }
     let t0 = std::time::Instant::now();
-    let pairs = n * (n + 1) / 2;
+    // The values this run computes, not the triangle's n(n+1)/2: the
+    // staircase transforms a share of it, a resumed run what was left.
+    let transformed0 = ld_trace::get(Counter::PairsTransformed);
     let print_summary = |wall: std::time::Duration| {
         let dt = wall.as_secs_f64();
+        let pairs = ld_trace::get(Counter::PairsTransformed).saturating_sub(transformed0);
         eprintln!(
             "{n} SNPs x {n_samples} samples: {pairs} LD values in {dt:.3}s ({:.1} MLD/s)",
             pairs as f64 / dt / 1e6

@@ -251,6 +251,15 @@ impl Daemon {
         Finished::new("the daemon", status, WATCHDOG_S, String::new(), stderr)
     }
 
+    /// The daemon's live thread count (`Threads:` of `/proc/PID/status`).
+    pub fn threads(&self) -> usize {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", self.child.id()))
+            .expect("read the daemon's /proc status");
+        let line = status.lines().find_map(|l| l.strip_prefix("Threads:"));
+        let count = line.expect("a Threads: line").trim();
+        count.parse().expect("a thread count")
+    }
+
     /// Blocks (bounded) until `health` reports `n` admitted requests in
     /// flight — the handshake that replaces "sleep and hope it started".
     /// `health` is answered by the connection thread, so it gets through

@@ -847,3 +847,43 @@ fn plan_of_a_store_the_budget_holds_is_one_read_and_the_staircase() {
     let got = plan_counters(&dir, &line);
     assert_eq!(got, vec![(stair, n.div_ceil(chunk)); 3]);
 }
+
+/// The summary line counts the values the run computed: the
+/// `pairs_transformed` of its own `--profile=json` report, on the
+/// staircase (a share of the triangle) and on the dense grid (all of it,
+/// from the row sink and from `--checkpoint`'s packed triangle).
+#[test]
+fn summary_line_counts_the_values_the_run_computed() {
+    let dir = Scratch::new("proc_summary");
+    let (input, out, ckpt, prof) = (
+        dir.path("l.txt"),
+        dir.path("out.tsv"),
+        dir.path("ckpt"),
+        dir.path("p.json"),
+    );
+    let n = 400u64;
+    simulate(&input, 128, n as usize, 43);
+    let all = n * (n + 1) / 2;
+    let stair = format!("r2 -i {input} --min-r2 0.8");
+    let dense = format!("r2 -i {input} -o {out}");
+    let packed = format!("r2 -i {input} --checkpoint {ckpt} -o {out}");
+    for (line, staircase) in [(&stair, true), (&dense, false), (&packed, false)] {
+        let done = run_ok(&format!("{line} --profile=json --profile-out {prof}"));
+        let doc = parse_json(&prof);
+        let reported = field(&doc, &["counters", "pairs_transformed"]).as_u64();
+        let reported = reported.expect("a count");
+        let summary = done.stderr.lines().find(|l| l.contains(" LD values in "));
+        let summary = summary.unwrap_or_else(|| panic!("{line}: no summary in\n{}", done.stderr));
+        let printed = summary.split(": ").nth(1).and_then(|s| s.split(' ').next());
+        let printed: u64 = printed.and_then(|s| s.parse().ok()).expect("a count");
+        assert_eq!(printed, reported, "{line}: {summary}");
+        if staircase {
+            assert!(
+                reported < all / 2,
+                "{line}: {reported} of {all}: no staircase ran"
+            );
+        } else {
+            assert_eq!(reported, all, "{line}: the dense grid");
+        }
+    }
+}

@@ -2,7 +2,8 @@
 //! with a query in flight drains it and exits 0; an expired drain
 //! deadline exits 5; a SIGKILLed daemon respawned on its port is
 //! recovered by retrying clients; SIGUSR1 snapshots the live flight
-//! recorder without disturbing service. The in-process twins of the
+//! recorder without disturbing service; connections start no thread in
+//! steady state, and a burst's threads exit. The in-process twins of the
 //! drain, overload and log-lifecycle checks live in `ld-serve`'s own
 //! suites (`server.rs`, `telemetry.rs`).
 //!
@@ -19,6 +20,7 @@ use ld_serve::protocol::Status;
 use ld_serve::request_with_retry;
 use ld_trace::json;
 use std::io::{Read as _, Write as _};
+use std::net::Shutdown;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -232,4 +234,81 @@ fn sigusr1_dumps_the_live_recorder_and_the_scrape_agrees_with_monitor() {
         "{}",
         done.stderr
     );
+}
+
+/// Threads the daemon's LDS1 pool keeps idle (`ld_serve::server`,
+/// "Threading model"): a thread back from a connection exits when this
+/// many are idle already.
+const IDLE_THREADS: usize = 2;
+
+/// A `Pair` on a fresh connection, checked `Ok`; then `during(…)` runs
+/// with the connection still open, and the client half-closes and reads
+/// to the daemon's close. The daemon closes a connection once its thread
+/// is back in the pool, so the next connect finds the pool at rest.
+fn pair_on_a_fresh_connection(addr: &str, during: impl FnOnce()) {
+    let mut c = connect(addr);
+    assert_eq!(c.request(&pair(0, 1)).expect("pair").status, Status::Ok);
+    during();
+    c.stream().shutdown(Shutdown::Write).expect("half-close");
+    let mut rest = Vec::new();
+    let mut stream = c.stream();
+    stream.read_to_end(&mut rest).expect("read to the close");
+    assert!(rest.is_empty(), "{} bytes after the reply", rest.len());
+}
+
+#[test]
+fn connections_start_no_thread_at_rest_and_a_burst_leaves_none() {
+    let dir = Scratch::new("serve_threads");
+    let input = panel(&dir);
+    let daemon = Daemon::spawn(&dir, "serve.err", &input, "127.0.0.1:0", "");
+    // one connection served: the pool is up, at rest
+    pair_on_a_fresh_connection(&daemon.addr, || {});
+    let at_rest = daemon.threads();
+
+    // sequential fresh connections: each is served by a pool thread, and
+    // none starts or ends one
+    for k in 0..64 {
+        pair_on_a_fresh_connection(&daemon.addr, || {
+            let now = daemon.threads();
+            assert_eq!(
+                now, at_rest,
+                "connection {k}: {now} threads, {at_rest} at rest"
+            );
+        });
+    }
+    assert_eq!(daemon.threads(), at_rest, "after 64 sequential connections");
+
+    // 16 persistent connections held at once: one thread each, plus the
+    // one left in `accept`
+    const HELD: usize = 16;
+    let mut held: Vec<_> = (0..HELD).map(|_| connect(&daemon.addr)).collect();
+    for (j, c) in held.iter_mut().enumerate() {
+        let resp = c.request(&pair(0, j as u32 + 1)).expect("pair");
+        assert_eq!(resp.status, Status::Ok, "{}", resp.message());
+    }
+    let busy = daemon.threads();
+    assert_eq!(
+        busy,
+        at_rest - IDLE_THREADS + HELD + 1,
+        "{HELD} held connections: {busy} threads, {at_rest} at rest"
+    );
+
+    // once they close, the extra threads exit: back to the count at rest
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(WATCHDOG_S);
+    loop {
+        let now = daemon.threads();
+        if now == at_rest {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{now} threads {WATCHDOG_S} s after the burst closed, {at_rest} at rest"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // and the pool at rest still serves
+    pair_on_a_fresh_connection(&daemon.addr, || {});
+    daemon.signal(SIGINT);
+    assert_eq!(daemon.exit().code, Some(0));
 }

@@ -2,7 +2,7 @@
 //! use-cases such as higher-order LD").
 //!
 //! The three-locus disequilibrium coefficient (Bennett 1954; reviewed in
-//! Slatkin's ref. [28] of the paper) for loci A, B, C:
+//! Slatkin's ref. \[28\] of the paper) for loci A, B, C:
 //!
 //! ```text
 //! D_ABC = P_ABC − p_A·D_BC − p_B·D_AC − p_C·D_AB − p_A p_B p_C

@@ -170,7 +170,7 @@ pub fn syrk_counts(g: &BitMatrixView<'_>, kind: KernelKind) -> Vec<u32> {
 
 /// In-buffer symmetric counts with explicit blocking and thread count.
 ///
-/// The upper triangle is computed in row blocks of [`SYRK_CLAIM_ROWS`],
+/// The upper triangle is computed in row blocks of 256 (`SYRK_CLAIM_ROWS`),
 /// each one claim of [`ld_parallel::try_for_each_part`] — dynamic claims
 /// of fixed blocks balance the triangle's skew (early rows hold the most
 /// pairs) — and then mirrored. The first worker panic comes back as a

@@ -5,12 +5,15 @@
 //! TLS, no chunking. A scraper is the only intended client; the LDS1
 //! socket remains the real API. Each connection is handled on its own
 //! short-lived thread with read/write timeouts so a stalled scraper
-//! can never block the next scrape. The listener blocks in the daemon's
-//! one accept loop (`server::accept_until`); the server trips the stop
-//! token and wakes it with a self-connect when it is done.
+//! can never block the next scrape: scrapes are rare and off every
+//! query path, so a thread per scrape costs nothing that matters. The
+//! scrape listener is the only user of [`accept_until`] (the LDS1
+//! listener is served by the daemon's leader/followers pool); both block
+//! in the one `server::accept`, and the server trips the stop token and
+//! wakes this listener with a self-connect when it is done.
 
 use crate::protocol::write_all_vectored;
-use crate::server::accept_until;
+use crate::server::accept;
 use ld_core::CancelToken;
 use std::io::{IoSlice, Read};
 use std::net::{TcpListener, TcpStream};
@@ -83,6 +86,21 @@ where
         &mut stream,
         &mut [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())],
     );
+}
+
+/// Accepts on `listener` until `stop` trips, handing every connection to
+/// `serve`. `accept` blocks: whoever trips `stop` must also wake the
+/// listener, and the connection that arrives after the trip is dropped
+/// instead of served.
+fn accept_until(listener: &TcpListener, stop: &CancelToken, mut serve: impl FnMut(TcpStream)) {
+    while !stop.is_cancelled() {
+        if let Some(stream) = accept(listener) {
+            if stop.is_cancelled() {
+                return;
+            }
+            serve(stream);
+        }
+    }
 }
 
 /// Reads until the end of the request head (`\r\n\r\n`), `MAX_HEAD`

@@ -15,9 +15,10 @@
 //!   residency under a global memory budget: compute once, evict
 //!   least-recently-used first, and only shed loads that cannot fit
 //!   even into an empty cache (evict-then-shed).
-//! * [`server`] — the daemon: a request runs on the thread that read
-//!   it, behind one admission gate (compute permits plus bounded waiting
-//!   slots; overload sheds with a typed [`protocol::Status::Shed`], it
+//! * [`server`] — the daemon: a leader/followers pool serves each
+//!   connection on the thread that accepted it, and a request runs on
+//!   that thread behind one admission gate (compute permits plus bounded
+//!   waiting slots; overload sheds with a typed [`protocol::Status::Shed`], it
 //!   never stalls), the permit given back before the reply is written,
 //!   per-request `Deadline`/`CancelToken` enforced at slab granularity
 //!   by the fused engine, `catch_unwind` request isolation, slow-client

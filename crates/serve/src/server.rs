@@ -2,18 +2,37 @@
 //!
 //! ## Threading model
 //!
-//! One accept loop (the thread that calls [`Server::run`]) blocks in
-//! `accept`; when the shutdown token trips, a waker thread makes one
-//! connection to the bound address, and the loop, which re-checks the
-//! token after every accept, stops. Each admitted connection gets one
-//! thread, and that thread serves every request it reads: `health`,
-//! `metrics` and `dump_trace` at once, point and region queries after
-//! passing the admission gate — `workers` compute permits and
-//! `queue_depth` waiting slots, one mutex and one condvar, waiters
-//! admitted in arrival order. The permit is given back before the reply
-//! is written: a permit never spans a socket write, so a slow or dead
-//! client holds only its own thread (bounded further by a write
-//! timeout), never compute capacity.
+//! The LDS1 listener is served by a *leader/followers* pool (Schmidt et
+//! al., PLoP 2000). The pool's threads share the listener behind one
+//! mutex. The thread that holds it, the leader, blocks in `accept`; when
+//! a connection arrives it releases the mutex, the next waiting thread (a
+//! follower) takes it and becomes the leader, and the old leader serves
+//! the connection itself. A connection is never handed to another
+//! thread, and a thread is started only to grow the pool (below). The
+//! connection's thread serves
+//! every request it reads: `health`, `metrics` and `dump_trace` at once,
+//! point and region queries after passing the admission gate — `workers`
+//! compute permits and `queue_depth` waiting slots, one mutex and one
+//! condvar, waiters admitted in arrival order. The permit is given back
+//! before the reply is written: a permit never spans a socket write, so a
+//! slow or dead client holds only its own thread (bounded further by a
+//! write timeout), never compute capacity.
+//!
+//! The pool starts with two threads and keeps its size by two rules. It
+//! grows only when the last idle thread (one waiting for the listener or
+//! in `accept`) takes a connection: that thread starts one more before it
+//! serves, so one thread always stays in `accept`. It shrinks when a
+//! thread back from a connection finds two threads idle already: that
+//! thread exits. Sequential traffic runs on two threads and starts none;
+//! a burst's extra threads exit as its connections close. The connection
+//! one over `max_connections` is accepted and answered `Shed` by the
+//! leader inline, so the pool never holds more than `max_connections + 1`
+//! threads: one per admitted connection and one in `accept`.
+//!
+//! [`Server::run`] itself blocks on the shutdown token. Once it trips,
+//! `run` makes one connection to the bound address; the leader that
+//! accepts it drops the listener, so new connects are refused at once, and
+//! the followers, finding the listener gone, exit.
 //!
 //! ## Write model
 //!
@@ -47,7 +66,7 @@
 //! ## Lifecycle
 //!
 //! Tripping the shutdown token (SIGINT/SIGTERM in the CLI) stops the
-//! accept loop, closes the listener, and drains: waiting and running
+//! pool accepting, closes the listener, and drains: waiting and running
 //! requests complete and their responses are written. If the drain
 //! deadline expires first, the hard-stop token — tripped under the gate
 //! lock — cancels running compute at the next slab boundary and wakes
@@ -80,6 +99,11 @@ use std::time::{Duration, Instant};
 /// Back-off after an `accept` error other than an aborted handshake
 /// (out of descriptors or buffers): retrying at once would spin.
 const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// The LDS1 pool's idle threads (waiting for the listener or in
+/// `accept`): the pool starts with this many, and a thread back from a
+/// connection exits when this many are idle already.
+const IDLE_THREADS: usize = 2;
 
 /// Daemon tuning knobs; the defaults suit a loopback test instance.
 #[derive(Clone, Debug)]
@@ -279,11 +303,22 @@ impl Drop for Permit<'_> {
     }
 }
 
+/// The LDS1 listener and the pool threads that take turns on it: the
+/// thread holding `listener` leads (blocks in `accept`), the others
+/// follow (wait for the lock).
+struct Pool {
+    /// `None` once shutdown closed the listener.
+    listener: Mutex<Option<TcpListener>>,
+    /// Threads waiting for the listener or blocked in `accept`.
+    idle: AtomicUsize,
+}
+
 struct Shared {
     cfg: ServeConfig,
     registry: PanelRegistry,
     gate: Gate,
-    /// Stops the accept loop and starts the drain.
+    pool: Pool,
+    /// Stops the pool accepting and starts the drain.
     shutdown: CancelToken,
     /// Cancels running compute and turns waiters away once the drain
     /// deadline expires; trip it through [`Gate::stop`].
@@ -335,7 +370,6 @@ impl Shared {
 /// A bound, not-yet-running daemon. [`Server::run`] blocks the calling
 /// thread until shutdown; [`Server::spawn`] runs it on its own thread.
 pub struct Server {
-    listener: TcpListener,
     /// The listener's bound address (port 0 resolved).
     addr: SocketAddr,
     /// The metrics HTTP listener, pre-bound so `bind` fails fast on a
@@ -408,6 +442,10 @@ impl Server {
                 state: Mutex::default(),
                 cv: Condvar::new(),
             },
+            pool: Pool {
+                listener: Mutex::new(Some(listener)),
+                idle: AtomicUsize::new(0),
+            },
             cfg,
             registry,
             shutdown: CancelToken::new(),
@@ -421,7 +459,6 @@ impl Server {
             req_ids: AtomicU64::new(0),
         });
         Ok(Server {
-            listener,
             addr,
             metrics_listener,
             shared,
@@ -443,10 +480,11 @@ impl Server {
         self.shared.shutdown.clone()
     }
 
-    /// Runs the daemon on this thread: accepts until the shutdown token
-    /// trips, then drains and reports how the drain ended.
+    /// Runs the daemon: the pool accepts and serves until the shutdown
+    /// token trips, then this thread drains and reports how the drain
+    /// ended.
     pub fn run(self) -> DrainOutcome {
-        let shared = Arc::clone(&self.shared);
+        let shared = self.shared;
 
         // Scrape endpoint: keeps answering through the drain (operators
         // watch the drain happen), stopped and woken at the end of `run`.
@@ -465,31 +503,13 @@ impl Server {
             (thread, addr)
         });
 
-        // The accept loop below blocks in `accept`: this thread waits for
-        // the shutdown token and wakes that loop once.
-        let waker = {
-            let shutdown = shared.shutdown.clone();
-            let addr = self.addr;
-            std::thread::spawn(move || {
-                shutdown.wait();
-                wake(addr);
-            })
-        };
-        accept_until(&self.listener, &shared.shutdown, |stream| {
-            if shared.conns.load(Ordering::Relaxed) >= shared.cfg.max_connections {
-                shed_connection(stream, &shared.cfg);
-                return;
-            }
-            shared.conns.fetch_add(1, Ordering::Relaxed);
-            let s = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                connection_loop(stream, &s);
-                s.conns.fetch_sub(1, Ordering::Relaxed);
-            });
-        });
-        // Stop accepting: close the socket so new connects are refused.
-        drop(self.listener);
-        let _ = waker.join();
+        start_threads(&shared, IDLE_THREADS);
+        // Stop accepting: wake the leader, which drops the listener. Taking
+        // the lock waits for that (or closes the listener here when no
+        // thread is in `accept`): from now on new connects are refused.
+        shared.shutdown.wait();
+        wake(self.addr);
+        drop(lock(&shared.pool.listener).take());
 
         // Drain in-flight work under the drain deadline, then stop: every
         // waiter is answered `ShuttingDown` at once, running compute stops
@@ -527,31 +547,97 @@ impl Server {
     }
 }
 
-/// Accepts on `listener` until `stop` trips, handing every connection —
-/// `TCP_NODELAY` set — to `serve`. `accept` blocks: whoever trips `stop`
-/// must also [`wake`] the listener, and the connection that arrives
-/// after the trip is dropped instead of served.
-pub(crate) fn accept_until(
-    listener: &TcpListener,
-    stop: &CancelToken,
-    mut serve: impl FnMut(TcpStream),
-) {
-    while !stop.is_cancelled() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stop.is_cancelled() {
-                    return;
-                }
-                let _ = stream.set_nodelay(true);
-                serve(stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
-            Err(_) => std::thread::park_timeout(ACCEPT_RETRY),
+/// Starts `n` pool threads, counted idle before the first starts. A
+/// thread the system refuses is not counted: the pool goes on with the
+/// threads it has.
+fn start_threads(shared: &Arc<Shared>, n: usize) {
+    shared.pool.idle.fetch_add(n, Ordering::AcqRel);
+    for _ in 0..n {
+        let s = Arc::clone(shared);
+        let started = std::thread::Builder::new()
+            .name("lds1".into())
+            .spawn(move || pool_thread(&s));
+        if started.is_err() {
+            shared.pool.idle.fetch_sub(1, Ordering::AcqRel);
         }
     }
 }
 
-/// Unblocks an [`accept_until`] parked on `addr` with one throwaway
+/// One pool thread: leads or follows until it holds a connection, serves
+/// it, and rejoins the idle threads unless `IDLE_THREADS` are idle
+/// already; exits once the listener is gone.
+fn pool_thread(shared: &Arc<Shared>) {
+    while let Some(mut stream) = lead(shared) {
+        // A follower leads now. If none was left, start one before serving,
+        // so a thread stays in `accept`.
+        if shared.pool.idle.fetch_sub(1, Ordering::AcqRel) == 1 {
+            start_threads(shared, 1);
+        }
+        connection_loop(&mut stream, shared);
+        shared.conns.fetch_sub(1, Ordering::Relaxed);
+        let rejoin = |idle: usize| (idle < IDLE_THREADS).then_some(idle + 1);
+        let idle = &shared.pool.idle;
+        let rejoined = idle.fetch_update(Ordering::AcqRel, Ordering::Acquire, rejoin);
+        // Closed only now: a client that reads to the close knows this
+        // thread is back in the pool (or gone), not still on its way.
+        drop(stream);
+        if rejoined.is_err() {
+            return;
+        }
+    }
+    shared.pool.idle.fetch_sub(1, Ordering::AcqRel);
+}
+
+/// Waits for the listener, then accepts until a connection is admitted
+/// (counted in `conns`): the connection one over `max_connections` is
+/// answered `Shed` here, by the leader. `None` once the daemon stops
+/// accepting: the leader that finds the shutdown token tripped drops the
+/// listener, so new connects are refused, and every thread after it finds
+/// none.
+fn lead(shared: &Shared) -> Option<TcpStream> {
+    let mut listener = lock(&shared.pool.listener);
+    loop {
+        let accepting = listener.as_ref()?;
+        if shared.shutdown.is_cancelled() {
+            *listener = None;
+            return None;
+        }
+        let Some(stream) = accept(accepting) else {
+            continue;
+        };
+        // the connection that arrives after the trip (the wake) is dropped,
+        // not served, and the listener with it at the top of the loop
+        if shared.shutdown.is_cancelled() {
+            continue;
+        }
+        if shared.conns.load(Ordering::Relaxed) >= shared.cfg.max_connections {
+            shed_connection(stream, &shared.cfg);
+            continue;
+        }
+        shared.conns.fetch_add(1, Ordering::Relaxed);
+        return Some(stream);
+    }
+}
+
+/// One `accept` on `listener`, `TCP_NODELAY` set on what it returns.
+/// `None` after an aborted handshake, or after backing off from any other
+/// error (out of descriptors or buffers: retrying at once would spin), so
+/// the caller re-checks its stop token between tries.
+pub(crate) fn accept(listener: &TcpListener) -> Option<TcpStream> {
+    match listener.accept() {
+        Ok((stream, _peer)) => {
+            let _ = stream.set_nodelay(true);
+            Some(stream)
+        }
+        Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => None,
+        Err(_) => {
+            std::thread::park_timeout(ACCEPT_RETRY);
+            None
+        }
+    }
+}
+
+/// Unblocks a thread blocked in [`accept`] on `addr` with one throwaway
 /// connection (to loopback when `addr` is a wildcard bind).
 pub(crate) fn wake(mut addr: SocketAddr) {
     if addr.ip().is_unspecified() {
@@ -668,7 +754,7 @@ fn read_polled(
 }
 
 /// Serves one connection until it closes, errors, or the daemon drains.
-fn connection_loop(mut stream: TcpStream, shared: &Shared) {
+fn connection_loop(stream: &mut TcpStream, shared: &Shared) {
     if stream
         .set_read_timeout(Some(Duration::from_millis(50)))
         .is_err()
@@ -679,12 +765,12 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
         return;
     }
     loop {
-        let (payload, first_byte) = match read_frame_polled(&mut stream, shared) {
+        let (payload, first_byte) = match read_frame_polled(stream, shared) {
             ConnRead::Frame(p, t) => (p, t),
             ConnRead::Close => return,
             ConnRead::Fatal(e) => {
                 let resp = Response::error(Status::BadRequest, e.to_string());
-                let _ = write_response(&mut stream, &resp);
+                let _ = write_response(stream, &resp);
                 return;
             }
         };
@@ -694,7 +780,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
             Err(e) => {
                 // Payload-level damage: typed error, connection survives.
                 let resp = Response::error(Status::BadRequest, e.to_string());
-                if write_response(&mut stream, &resp).is_err() {
+                if write_response(stream, &resp).is_err() {
                     return;
                 }
                 continue;
@@ -721,7 +807,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
             } => serve_query(shared, panel, stat, Query::Region { row0, row1, min_r2 }),
         };
         let write0 = Instant::now();
-        let written = write_response(&mut stream, &answer.resp);
+        let written = write_response(stream, &answer.resp);
         let done = Instant::now();
         answer.close(
             shared,

@@ -440,6 +440,58 @@ fn health_reports_state_and_new_connections_refused_after_drain() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+#[test]
+fn the_connection_over_the_limit_is_shed_typed_until_one_closes() {
+    let cfg = ServeConfig {
+        max_connections: 2,
+        ..ServeConfig::default()
+    };
+    let (handle, dir) = start("conn_limit", cfg);
+    // two held connections, each admitted: it has answered a request
+    let mut held: Vec<Client> = (0..2).map(|_| connect(&handle)).collect();
+    for c in &mut held {
+        assert_eq!(
+            c.request(&Request::Health).expect("health").status,
+            Status::Ok
+        );
+    }
+    // the third is answered `Shed` at accept, before it sends anything
+    let mut third = connect(&handle);
+    let resp = third.read_response().expect("a typed answer at accept");
+    assert_eq!(resp.status, Status::Shed, "{}", resp.message());
+    assert!(
+        resp.message().contains("connection limit reached (2)"),
+        "the shed must name the limit: {}",
+        resp.message()
+    );
+    // one held connection closes: its place frees once the daemon sees
+    // the close, and a new connection is served
+    drop(held.pop());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let answer = connect(&handle).request(&pair_req(0, 1));
+        if matches!(&answer, Ok(r) if r.status == Status::Ok) {
+            break;
+        }
+        // a connect the daemon still sheds: `Shed`, or the socket it closed
+        if let Ok(r) = &answer {
+            assert_eq!(r.status, Status::Shed, "{}", r.message());
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no connection served after one closed: {:?}",
+            answer.map(|r| r.message())
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // the connection still held was never disturbed
+    let resp = held[0].request(&pair_req(0, 2)).expect("held connection");
+    assert_eq!(resp.status, Status::Ok, "{}", resp.message());
+    drop(held);
+    assert_eq!(handle.shutdown_and_wait(), DrainOutcome::Drained);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Polls `health` until it reports `n` requests in flight and returns
 /// that body: the interleavings below are forced, not slept for.
 fn wait_in_flight(handle: &ServerHandle, n: usize) -> String {

@@ -10,7 +10,9 @@
 #   3. clippy (strict)  — no unwrap/expect in the lib targets of the
 #                         panic-free crates; every `unsafe` block and impl
 #                         in every member's lib carries a SAFETY argument
-#   4. release build, workspace tests, the release-arithmetic legs, every
+#   4. rustdoc          — the workspace's library docs build with warnings
+#                         as errors (no broken or private intra-doc link)
+#   5. release build, workspace tests, the release-arithmetic legs, every
 #                         example run in release, the one-formatter,
 #                         per-window, ext-kernel, safe-fill, wire,
 #                         hand-off, one-timer, engine-surface,
@@ -18,17 +20,17 @@
 #                         guards, and the store-windows leg (`r2 --store`
 #                         equals `r2 -i` at every budget; at 16 MiB the
 #                         thresholded run is the staircase on one read)
-#   5. schemas          — each published artifact (the `--profile=json`
+#   6. schemas          — each published artifact (the `--profile=json`
 #                         run report with its timeline, CPU profile, shard
 #                         manifest, tile manifest, request log, both
 #                         Prometheus scrapes)
 #                         produced once by the release binary and held to
 #                         its schema under schemas/ (needs python3)
-#   6. perf smokes      — the flight recorder over `--profile` alone, and
+#   7. perf smokes      — the flight recorder over `--profile` alone, and
 #                         a never-firing `--timeout` over a plain run, must
 #                         each cost <= 2% (warning; CI_STRICT_PERF=1 makes
 #                         it fatal)
-#   7. ldbench smoke    — the benchmark package builds and passes its own
+#   8. ldbench smoke    — the benchmark package builds and passes its own
 #                         tests against this tree, and every workload's
 #                         `--quick` run is correct with nothing failed (it
 #                         catches a crate change that breaks the benchmark
@@ -68,6 +70,9 @@ run cargo clippy --no-deps -p ld-core -p ld-parallel -p ld-io -p ld-bitmat -p ld
     -D warnings -D clippy::unwrap-used -D clippy::expect-used
 run cargo clippy --no-deps --workspace --lib --offline -- \
     -D warnings -D clippy::undocumented_unsafe_blocks
+# Every intra-doc link resolves, and no public doc links a private item
+# (`--lib`: the `gemm-ld` bin and lib would write one output name twice).
+RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps --lib --offline
 run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline
 # The optimised kernels, not only the debug ones, are held to the oracle —
@@ -132,12 +137,13 @@ if [ -n "$UNSAFE" ]; then
 fi
 # A served request costs its work, not a timer: both ends of an LDS1
 # socket set TCP_NODELAY, and neither listener polls — `accept` blocks
-# until a self-connect wakes it, and the waker blocks on the shutdown
-# token. `inject_delay` (a test aid, zero in production), slept by a
-# request that holds its permit in `server::serve_query`, is the one sleep
-# in the daemon's shipped code, and the back-off after a failed `accept`
-# its one timed park: each allowance is that one line, indentation
-# included.
+# until a self-connect wakes it, and `Server::run` blocks on the shutdown
+# token before making that connection. `inject_delay` (a test aid, zero
+# in production), slept by a request that holds its permit in
+# `server::serve_query`, is the one sleep in the daemon's shipped code,
+# and the back-off after a failed accept in `server::accept` (the one
+# `accept` of the pool and the scrape listener) its one timed park: each
+# allowance is that one line, indentation included.
 echo "==> no wire stall in crates/serve/src/{server,http,client}.rs"
 for f in crates/serve/src/server.rs crates/serve/src/client.rs; do
     # no `grep -q`: an early exit would SIGPIPE awk and fail the pipe
@@ -149,7 +155,7 @@ done
 STALL=$(for f in crates/serve/src/server.rs crates/serve/src/http.rs; do shipped "$f"; done \
     | grep -E 'set_nonblocking\(true\)|thread::sleep|park_timeout' \
     | grep -vxF 'crates/serve/src/server.rs:                 std::thread::sleep(shared.cfg.inject_delay);' \
-    | grep -vxF 'crates/serve/src/server.rs:             Err(_) => std::thread::park_timeout(ACCEPT_RETRY),' \
+    | grep -vxF 'crates/serve/src/server.rs:             std::thread::park_timeout(ACCEPT_RETRY);' \
     || true)
 if [ -n "$STALL" ]; then
     echo "wire guard FAIL: a non-blocking listener, a sleep or a timed park in the daemon:" >&2
